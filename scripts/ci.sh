@@ -29,6 +29,13 @@
 #           index on a pooled process backend, drain two query batches,
 #           assert zero rebuild counters.  Pure counter checks, runs on
 #           every change.
+#   perfbench — benchmark smoke (perfbench/check_smoke.py): runs the
+#           benchmark command at tiny size on every workload, untraced and
+#           traced, and asserts every end-to-end and per-layer metric is
+#           printed with its unit.  The traced run wraps functions by their
+#           module-level names in repro.core.stages and repro.core.pipeline,
+#           so a refactor there that drops a per-layer metric fails here.
+#           About a minute on 2 cores; runs on every change.
 #   slow  — the end-to-end pipeline / harness / baseline tests, also under
 #           both runtime backends.
 #   bench — the perf gates: the overlap microbenchmark (pair generation,
@@ -99,6 +106,9 @@ python scripts/serve_smoke.py
 
 echo "== chaos smoke: rank killed mid-batch, pool respawned, batch retried =="
 python scripts/serve_smoke.py --chaos
+
+echo "== perfbench smoke: every benchmark metric printed with its unit =="
+python perfbench/check_smoke.py
 
 if [ "$tier" = "all" ]; then
     echo "== slow tier: end-to-end pipeline tests (thread backend) =="

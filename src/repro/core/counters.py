@@ -35,12 +35,12 @@ __all__ = [
 #: name -> one-line meaning.  Grouped by the stage that writes them.
 PIPELINE_COUNTERS: dict[str, str] = {
     # -- pipeline driver ----------------------------------------------------
-    "input_kmers": "total k-mer positions in the input reads (length sum - (k-1) per read)",
+    "input_kmers": "k-mers parsed by stage 1 (its kmers_parsed), counted after the seed-mode sketch",
     "high_freq_threshold": "occurrence cutoff above which a k-mer is considered repetitive",
-    "sketch_density_ppm": "retained k-mers per million input k-mer positions (minimizer ablation metric)",
+    "sketch_density_ppm": "k-mers surviving the seed-mode sketch per million extracted (minimizer ablation metric)",
     "query_reads": "reads submitted in the serve-phase query batch",
     # -- stage 1: bloom-filter cardinality pass -----------------------------
-    "kmers_extracted_total": "canonical k-mers extracted before any sketching",
+    "kmers_extracted_total": "canonical k-mers extracted before any sketching, summed over every extraction pass (one-shot extracts twice: stages 1 and 2)",
     "kmers_after_sketch": "k-mers surviving the seed-mode sketch (equals extracted for seed_mode=reliable)",
     "kmers_parsed": "k-mers parsed out of the streamed read batches",
     "kmers_received_bloom": "k-mers received by their owner rank in the bloom exchange",
@@ -56,7 +56,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "hashtable_payload_bytes": "bytes of (code, rid, pos) tuples moved by the hash-table exchange",
     "retained_kmers": "distinct reliable k-mers retained after frequency filtering",
     "retained_occurrences": "read occurrences retained under the reliable k-mers",
-    "hash_table_shards": "code-range shards the retained table was built in (the memory bound)",
+    "hash_table_shards": "code-range shards the retained table was built in (the memory bound; recorded once, on rank 0)",
     "retained_table_peak_bytes": "peak bytes of any single retained-table shard",
     # -- stage 3: overlap detection -----------------------------------------
     "pairs_generated": "candidate read pairs generated from shared reliable k-mers",
@@ -91,7 +91,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "query_kmers_routed": "query k-mers routed to their index-owner ranks",
     "query_route_payload_bytes": "bytes moved by the query-routing exchange",
     "query_pairs_generated": "candidate query-target pairs generated from index hits",
-    "query_cross_pairs": "query-target pairs crossing rank boundaries",
+    "query_cross_pairs": "query-vs-index pairs kept from the generated pairs (within-side pairs dropped)",
     # -- schedule flags (see SCHEDULE_FLAG_COUNTERS) ------------------------
     "bloom_exchange_double_buffered": "1 if the bloom exchange ran split-phase double-buffered",
     "bloom_steps_overlapped": "bloom supersteps whose compute overlapped a peer's exchange",

@@ -22,28 +22,20 @@ from repro.mpisim.topology import Topology, assign_pin_cores, resolve_rank_group
 from repro.mpisim.tracing import CommTrace
 from repro.seq.records import ReadSet
 
-#: Stage name -> (work unit for the cost model, exchange phase label).
-_STAGE_METADATA: dict[str, tuple[str, str]] = {
-    "bloom": ("kmers_bloom", "bloom_exchange"),
-    "hashtable": ("kmers_hashtable", "hashtable_exchange"),
-    "overlap": ("retained_kmers", "overlap_exchange"),
-    "alignment": ("dp_cells", "alignment_exchange"),
-    "query_route": ("query_kmers", "query_route_exchange"),
-}
-
-#: Stage name -> counter providing the stage's "throughput items".
-_STAGE_ITEM_COUNTER: dict[str, str] = {
-    "bloom": "kmers_received_bloom",
-    "hashtable": "kmers_received_hashtable",
-    "overlap": "retained_kmers",
-    "alignment": "alignments",
-    "query_route": "query_kmers_routed",
+#: Stage name -> (work unit for the cost model, exchange phase label,
+#: counter providing the stage's "throughput items").
+_STAGE_METADATA: dict[str, tuple[str, str, str]] = {
+    "bloom": ("kmers_bloom", "bloom_exchange", "kmers_received_bloom"),
+    "hashtable": ("kmers_hashtable", "hashtable_exchange", "kmers_received_hashtable"),
+    "overlap": ("retained_kmers", "overlap_exchange", "retained_kmers"),
+    "alignment": ("dp_cells", "alignment_exchange", "alignments"),
+    "query_route": ("query_kmers", "query_route_exchange", "query_kmers_routed"),
 }
 
 #: Stage sequences of the phase-split runs (the one-shot run uses
 #: ``STAGE_NAMES``).  The build phase only runs the stage-2 exchange; a
-#: query batch routes its k-mers, reuses the overlap/alignment machinery,
-#: and — only when a rank lost its resident index — re-runs the hash-table
+#: query batch routes its k-mers, reuses the overlap/alignment stages, and
+#: — only when a rank lost its resident index — re-runs the hash-table
 #: build, whose record then shows the rebuild cost (all-zero otherwise).
 _INDEX_BUILD_STAGES: tuple[str, ...] = ("hashtable",)
 _QUERY_BATCH_STAGES: tuple[str, ...] = ("hashtable", "query_route", "overlap",
@@ -135,67 +127,15 @@ class DibellaPipeline:
         """Run the full pipeline on *readset* and return the assembled result."""
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
-        config = self.config
-        topology = self._run_topology()
-        n_ranks = topology.n_ranks
-
-        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(readset)
-        trace = CommTrace(n_ranks)
         # Under the persistent rank pool, tag this run's read caches with the
         # data set's content digest so reused ranks hit across runs over the
-        # same reads — and never across different read sets.  A cache
-        # namespace qualifies the tag so the owner of this pipeline can opt
-        # out of cross-run reuse (each distinct tag evicts the previous
-        # generation inside the rank processes).
-        cache_tag = readset.fingerprint() if config.pool else None
-        if cache_tag is not None and self.cache_namespace is not None:
-            cache_tag = f"{cache_tag}:{self.cache_namespace}"
-
-        start = time.perf_counter()
-        reports: list[RankReport] = spmd_run(
-            n_ranks,
-            run_rank_pipeline,
-            readset,
-            assignments,
-            config,
-            high_freq_threshold,
-            topology=topology,
-            trace=trace,
-            backend=config.backend,
-            pool=config.pool,
-            sanitize=config.sanitize,
-            faults=self._next_run_faults(),
-            cache_tag=cache_tag,
-        )
-        wall_seconds = time.perf_counter() - start
-
-        stages = self._build_stage_records(reports, n_ranks)
-        counters = self._aggregate_counters(reports)
-        counters["input_kmers"] = counters.get("kmers_parsed", 0)
-        counters["high_freq_threshold"] = high_freq_threshold
-        self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
-
-        return PipelineResult(
-            config=config,
-            topology=topology,
-            trace=trace,
-            stages=stages,
-            rank_reports=reports,
-            counters=counters,
-            wall_seconds=wall_seconds,
-        )
+        # same reads — and never across different read sets.
+        result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES,
+                              self._pool_cache_tag(readset.fingerprint()))
+        result.counters["input_kmers"] = result.counters.get("kmers_parsed", 0)
+        return result
 
     # -- build / serve phases -------------------------------------------------------
-
-    def _pool_cache_tag(self, base: str) -> str | None:
-        """The persistent read-cache tag for a run (None without the pool)."""
-        if not self.config.pool:
-            return None
-        if self.cache_namespace is not None:
-            return f"{base}:{self.cache_namespace}"
-        return base
 
     def build_index(self, readset: ReadSet) -> PipelineResult:
         """Build phase: construct the sharded k-mer index and keep it resident.
@@ -220,54 +160,14 @@ class DibellaPipeline:
         if len(readset) == 0:
             raise ValueError("cannot build an index from an empty read set")
         config = self.config
-        topology = self._run_topology()
-        n_ranks = topology.n_ranks
-
-        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(readset)
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
-                     f":s{config.hash_table_shards}:r{n_ranks}"
+                     f":s{config.hash_table_shards}:r{self.topology.n_ranks}"
                      f":{self._seed_mode_tag(config)}")
-        trace = CommTrace(n_ranks)
-
-        start = time.perf_counter()
-        reports: list[RankReport] = spmd_run(
-            n_ranks,
-            run_index_build,
-            readset,
-            assignments,
-            config,
-            high_freq_threshold,
-            index_tag,
-            topology=topology,
-            trace=trace,
-            backend=config.backend,
-            pool=config.pool,
-            sanitize=config.sanitize,
-            faults=self._next_run_faults(),
-            cache_tag=self._pool_cache_tag(index_tag),
-        )
-        wall_seconds = time.perf_counter() - start
-
+        result = self._launch(run_index_build, readset, (index_tag,),
+                              _INDEX_BUILD_STAGES, self._pool_cache_tag(index_tag))
         self._index_readset = readset
         self._index_tag = index_tag
-
-        stages = self._build_stage_records(reports, n_ranks,
-                                           stage_names=_INDEX_BUILD_STAGES)
-        counters = self._aggregate_counters(reports)
-        counters["high_freq_threshold"] = high_freq_threshold
-        self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
-
-        return PipelineResult(
-            config=config,
-            topology=topology,
-            trace=trace,
-            stages=stages,
-            rank_reports=reports,
-            counters=counters,
-            wall_seconds=wall_seconds,
-        )
+        return result
 
     def run_query_batch(self, query_reads: ReadSet) -> PipelineResult:
         """Serve phase: align one batch of query reads against the resident index.
@@ -293,12 +193,7 @@ class DibellaPipeline:
             )
         if len(query_reads) == 0:
             raise ValueError("cannot serve an empty query batch")
-        config = self.config
-        topology = self._run_topology()
-        n_ranks = topology.n_ranks
         index_readset = self._index_readset
-        n_index_reads = len(index_readset)
-
         try:
             combined = ReadSet(list(index_readset) + list(query_reads))
         except ValueError as exc:
@@ -308,67 +203,91 @@ class DibellaPipeline:
                 "prefixes each submission's names"
             ) from exc
 
-        # Partition the *combined* set exactly as a one-shot run over it
-        # would: the union partition defines both the serve-phase read
+        # The combined set is partitioned exactly as a one-shot run over it
+        # would be: the union partition defines both the serve-phase read
         # ownership and the arrival-order emulation that makes the served
         # alignments bit-identical to that run's query-vs-index subset.
-        assignments = partition_reads(combined, n_ranks,
-                                      strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(combined)
+        # Query runs share the *index* generation's read caches: index reads
+        # stay warm across batches, and each batch's query RIDs are evicted
+        # on entry (RIDs >= n_index_reads are reused).
+        result = self._launch(run_query_batch, combined,
+                              (self._index_tag, len(index_readset)),
+                              _QUERY_BATCH_STAGES,
+                              self._pool_cache_tag(self._index_tag))
+        result.counters["query_reads"] = len(query_reads)
+        return result
+
+    # -- launch and assembly ----------------------------------------------------------
+
+    def _pool_cache_tag(self, base: str) -> str | None:
+        """The persistent read-cache tag for a run (None without the pool).
+
+        A cache namespace qualifies the tag so the owner of this pipeline
+        can opt out of cross-run reuse (each distinct tag evicts the
+        previous generation inside the rank processes).
+        """
+        if not self.config.pool:
+            return None
+        if self.cache_namespace is not None:
+            return f"{base}:{self.cache_namespace}"
+        return base
+
+    def _launch(self, program, readset: ReadSet, program_args: tuple,
+                stage_names: tuple[str, ...], cache_tag: str | None) -> PipelineResult:
+        """Partition *readset*, run *program* on every rank, assemble the result.
+
+        Every rank program takes ``(comm, readset, assignments, config,
+        high_freq_threshold, *program_args, cache_tag=...)``.
+        """
+        config = self.config
+        topology = self._run_topology()
+        n_ranks = topology.n_ranks
+        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
+        high_freq_threshold = config.resolve_high_freq_threshold(readset)
         trace = CommTrace(n_ranks)
 
         start = time.perf_counter()
         reports: list[RankReport] = spmd_run(
             n_ranks,
-            run_query_batch,
-            combined,
+            program,
+            readset,
             assignments,
-            n_index_reads,
             config,
             high_freq_threshold,
-            self._index_tag,
+            *program_args,
             topology=topology,
             trace=trace,
             backend=config.backend,
             pool=config.pool,
             sanitize=config.sanitize,
             faults=self._next_run_faults(),
-            # Query runs share the *index* generation's read caches: index
-            # reads stay warm across batches, and each batch's query RIDs
-            # are evicted on entry (RIDs >= n_index_reads are reused).
-            cache_tag=self._pool_cache_tag(self._index_tag),
+            cache_tag=cache_tag,
         )
         wall_seconds = time.perf_counter() - start
 
-        stages = self._build_stage_records(reports, n_ranks,
-                                           stage_names=_QUERY_BATCH_STAGES)
         counters = self._aggregate_counters(reports)
         counters["high_freq_threshold"] = high_freq_threshold
-        counters["query_reads"] = len(query_reads)
         self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
-
+        if topology.groups is not None:
+            # The group count a hierarchical run actually used: a schedule
+            # flag (excluded from cross-layout parity), absent on flat runs.
+            counters["collective_groups"] = topology.n_groups
         return PipelineResult(
             config=config,
             topology=topology,
             trace=trace,
-            stages=stages,
+            stages=self._build_stage_records(reports, stage_names),
             rank_reports=reports,
             counters=counters,
             wall_seconds=wall_seconds,
         )
 
-    # -- assembly helpers -----------------------------------------------------------
-
     @staticmethod
-    def _build_stage_records(
-        reports: list[RankReport], n_ranks: int,
-        stage_names: tuple[str, ...] = tuple(STAGE_NAMES),
-    ) -> list[StageRecord]:
+    def _build_stage_records(reports: list[RankReport],
+                             stage_names: tuple[str, ...]) -> list[StageRecord]:
         records: list[StageRecord] = []
         for stage in stage_names:
-            work_unit, exchange_phase = _STAGE_METADATA[stage]
-            item_counter = _STAGE_ITEM_COUNTER[stage]
+            work_unit, exchange_phase, item_counter = _STAGE_METADATA[stage]
             work = np.array([r.stage_work.get(stage, 0.0) for r in reports])
             local_bytes = np.array([r.stage_bytes.get(stage, 0.0) for r in reports])
             compute = np.array([r.stage_compute_seconds.get(stage, 0.0) for r in reports])
@@ -401,18 +320,6 @@ class DibellaPipeline:
                 # counters; keys are checked at their write sites.
                 counters[key] = counters.get(key, 0) + int(value)
         return counters
-
-    @staticmethod
-    def _record_collective_groups(counters: dict[str, int],
-                                  topology: Topology) -> None:
-        """Record the group count a hierarchical run actually used.
-
-        Written only when the run topology carries a group map, so flat
-        runs have no ``collective_groups`` key at all — the counter is a
-        schedule flag (excluded from cross-layout parity), not science.
-        """
-        if topology.groups is not None:
-            counters["collective_groups"] = topology.n_groups
 
     @staticmethod
     def _seed_mode_tag(config: PipelineConfig) -> str:

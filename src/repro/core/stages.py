@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.align.batch import BatchAligner, TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
-from repro.core.supersteps import StageTimer, SuperstepSchedule
+from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
@@ -68,9 +69,11 @@ class _RankState:
     read_owner: np.ndarray
     high_freq_threshold: int
     hashtable: KmerHashTablePartition = field(default_factory=KmerHashTablePartition)
-    hashtable_built: bool = False
     overlaps: OverlapTable = field(default_factory=OverlapTable.empty)
     tasks: TaskBatch = field(default_factory=TaskBatch.empty)
+    #: Accepted alignments as (rid_a, rid_b, score, span_a, span_b) columns.
+    accepted: tuple[np.ndarray, ...] = field(
+        default_factory=lambda: tuple(np.empty(0, dtype=np.int64) for _ in range(5)))
     read_cache: ReadCache = field(default_factory=ReadCache)
     timers: dict[str, StageTimer] = field(default_factory=dict)
     work: dict[str, float] = field(default_factory=dict)
@@ -352,19 +355,105 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
 # Stage 2: hash-table construction (§7)
 # ---------------------------------------------------------------------------
 
-def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
+def _occurrence_exchange(
+    comm: SimCommunicator,
+    state: _RankState,
+    rids: list[int],
+    label: str,
+    sink: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], object],
+) -> tuple[int, int, int, ScheduleOutcome]:
+    """Ship every k-mer occurrence of *rids* to the k-mer's owner rank.
+
+    The superstep behind stage 2 and the serve phase's query route: each
+    step extracts one batch of reads, packs every occurrence's (RID, strand,
+    position) into one word, buckets the ``(code, packed)`` rows by owner
+    and exchanges them; the receiving side decodes each step's rows and
+    hands ``(codes, rids, positions, strands)`` to *sink*.  With double
+    buffering (``config.stage_double_buffer("hashtable")``) batch ``i+1``'s
+    extraction — the dominant compute — runs while the peers are still
+    reading batch ``i``.
+
+    Parameters
+    ----------
+    comm:
+        This rank's communicator (phase label ``f"{label}_exchange"``).
+    state:
+        The rank's mutable pipeline state (timer ``state.timer(label)``).
+    rids:
+        The local reads to stream.
+    label:
+        The exchange label (``"hashtable"`` or ``"query_route"``).
+    sink:
+        Receives each step's decoded occurrences.
+
+    Returns
+    -------
+    tuple
+        (k-mers parsed locally, occurrences received, received payload
+        bytes, the schedule outcome).
+    """
+    config = state.config
+    comm.set_phase(f"{label}_exchange")
+    batches = _local_batches(rids, config.batch_reads)
+    parsed = 0
+    received_total = 0
+    payload_bytes = 0
+
+    def produce(step: int) -> list[np.ndarray]:
+        nonlocal parsed
+        batch = batches[step] if step < len(batches) else []
+        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
+            state.readset, batch, config, with_positions=True,
+            counters=state.counters,
+        )
+        parsed += int(codes.size)
+        if codes.size:
+            # Pack (RID, strand, position) into one word: RID in the high
+            # 32 bits, the strand flag in bit 31, the position in the low
+            # 31 bits.  This keeps the exchange at 2 words per k-mer
+            # instance (the paper reports ~2.5x the Bloom-filter stage
+            # volume, §7).
+            packed_meta = (
+                (rid_arr.astype(np.uint64) << np.uint64(32))
+                | (strand_arr.astype(np.uint64) << np.uint64(31))
+                | pos_arr.astype(np.uint64)
+            )
+            payload = np.stack([codes, packed_meta], axis=1)
+            return bucket_by_destination(payload, owner_of(codes, comm.size), comm.size)
+        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
+
+    def consume(step: int, received: list) -> None:
+        nonlocal received_total, payload_bytes
+        chunks = [np.asarray(c, dtype=np.uint64) for c in received
+                  if np.asarray(c).size]
+        payload_bytes += sum(int(c.nbytes) for c in chunks)
+        if chunks:
+            incoming = np.concatenate(chunks, axis=0)
+            received_total += int(incoming.shape[0])
+            meta = incoming[:, 1]
+            sink(
+                incoming[:, 0],
+                (meta >> np.uint64(32)).astype(np.int64),
+                (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
+                ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
+            )
+
+    schedule = SuperstepSchedule(
+        comm, state.timer(label), len(batches),
+        double_buffer=config.stage_double_buffer("hashtable"), label=label,
+    )
+    outcome = schedule.run(produce, consume)
+    return parsed, received_total, payload_bytes, outcome
+
+
+def hash_table_stage(comm: SimCommunicator, state: _RankState,
+                     rids: list[int]) -> None:
     """Stage 2: second pass shipping (k-mer, RID, position) to the owner rank.
 
-    Occurrences are stored only for k-mers already registered as keys; the
-    finalisation then removes false-positive singletons and k-mers above the
-    high-frequency threshold m, leaving the retained k-mers (§7).
-
-    The stage streams its batches through the superstep schedule: each step
-    extracts and packs one batch of local reads and ships the (k-mer,
-    packed-metadata) pairs to their owners.  With double buffering
-    (``config.stage_double_buffer("hashtable")``), batch ``i+1``'s
-    extraction — the stage's dominant compute — runs while the peers are
-    still reading batch ``i``'s occurrences.
+    Occurrences of *rids* are exchanged by :func:`_occurrence_exchange` and
+    stored only for k-mers already registered as keys; the finalisation then
+    removes false-positive singletons and k-mers above the high-frequency
+    threshold m, leaving the retained k-mers (§7).
 
     The finalisation itself — grouping the buffered occurrences into the
     retained table — is *deferred*: it runs one k-mer **code-range shard**
@@ -383,68 +472,16 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
         This rank's communicator (phase label ``"hashtable_exchange"``).
     state:
         The rank's mutable pipeline state; on return ``state.hashtable``
-        holds the buffered occurrences ready for the sharded finalise and
-        ``state.hashtable_built`` is set.
+        holds the buffered occurrences ready for the sharded finalise.
+    rids:
+        The local reads whose occurrences are streamed.
     """
-    config = state.config
-    timer = state.timer("hashtable")
-    comm.set_phase("hashtable_exchange")
-
-    batches = _local_batches(state.local_rids, config.batch_reads)
-
-    occurrences_received = 0
-    occurrences_stored = 0
-    payload_bytes = 0
-
-    def produce(step: int) -> list[np.ndarray]:
-        rids = batches[step] if step < len(batches) else []
-        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
-            state.readset, rids, config, with_positions=True,
-            counters=state.counters,
-        )
-        if codes.size:
-            owners = owner_of(codes, comm.size)
-            # Pack (RID, strand, position) into one word: RID in the high
-            # 32 bits, the strand flag in bit 31, the position in the low
-            # 31 bits.  This keeps the hash-table exchange at 2 words per
-            # k-mer instance (the paper reports ~2.5x the Bloom-filter
-            # stage volume, §7).
-            packed_meta = (
-                (rid_arr.astype(np.uint64) << np.uint64(32))
-                | (strand_arr.astype(np.uint64) << np.uint64(31))
-                | pos_arr.astype(np.uint64)
-            )
-            payload = np.stack([codes, packed_meta], axis=1)
-            return bucket_by_destination(payload, owners, comm.size)
-        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
-
-    def consume(step: int, received: list) -> None:
-        nonlocal occurrences_received, occurrences_stored, payload_bytes
-        chunks = [np.asarray(c, dtype=np.uint64) for c in received
-                  if np.asarray(c).size]
-        payload_bytes += sum(int(c.nbytes) for c in chunks)
-        if chunks:
-            incoming = np.concatenate(chunks, axis=0)
-            occurrences_received += int(incoming.shape[0])
-            meta = incoming[:, 1]
-            occurrences_stored += state.hashtable.add_occurrences(
-                incoming[:, 0],
-                (meta >> np.uint64(32)).astype(np.int64),
-                (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
-                ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
-            )
-
-    schedule = SuperstepSchedule(
-        comm, timer, len(batches),
-        double_buffer=config.stage_double_buffer("hashtable"), label="hashtable",
-    )
-    outcome = schedule.run(produce, consume)
-
-    state.hashtable_built = True
-    state.work["hashtable"] = float(occurrences_received)
+    _, received, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, rids, "hashtable", state.hashtable.add_occurrences)
+    state.work["hashtable"] = float(received)
     state.local_bytes["hashtable"] = float(state.hashtable.memory_nbytes())
-    state.counters["kmers_received_hashtable"] = occurrences_received
-    state.counters["occurrences_stored"] = occurrences_stored
+    state.counters["kmers_received_hashtable"] = received
+    state.counters["occurrences_stored"] = state.hashtable.n_occurrences_buffered
     state.counters["hashtable_payload_bytes"] = payload_bytes
     state.counters["hashtable_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["hashtable_steps_overlapped"] = outcome.steps_overlapped
@@ -454,17 +491,28 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
 # Stage 3: overlap detection (§8, Algorithm 1)
 # ---------------------------------------------------------------------------
 
-def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
+def overlap_stage(
+    comm: SimCommunicator,
+    state: _RankState,
+    shards: Iterator[RetainedKmers],
+    shard_stage: str,
+    n_index_reads: int | None = None,
+) -> None:
     """Stage 3: form all read pairs per retained k-mer and route them to owners.
 
-    The retained table is consumed one **code-range shard** at a time
-    (``config.hash_table_shards`` contiguous slices of the k-mer code
-    space): each shard is finalised from the buffered stage-2 occurrences,
-    its pairs are generated and exchanged, and the shard is released before
-    the next one is built — so at most one shard's grouped table is live per
-    rank.  Shards partition the code space, so the concatenated pair stream
-    (and therefore the consolidated overlap table) is bit-identical to the
-    unsharded build.
+    The retained table is consumed one **code-range shard** at a time: each
+    shard is pulled from *shards* under ``state.timer(shard_stage)``'s
+    compute time, its pairs are generated and exchanged, and the shard is
+    released before the next one is built — so at most one shard's grouped
+    table is live per rank.  Shards partition the code space, so the
+    concatenated pair stream (and therefore the consolidated overlap table)
+    is bit-identical to the unsharded build.  The one-shot pipeline pulls
+    ``hashtable.finalize_shards`` (timed as hash-table work); a serve-phase
+    query batch pulls the resident index's per-shard merge with its routed
+    query occurrences (timed as query-route work) and passes
+    *n_index_reads*, which keeps only the **query-vs-index** pairs
+    (``rid_a < n_index_reads <= rid_b``) and labels the exchange
+    ``query_overlap``.
 
     Within a shard the pair exchange streams in *bounded chunked supersteps*
     like the k-mer stages: the shard's retained k-mers are split into ranges
@@ -491,18 +539,13 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     """
     config = state.config
     timer = state.timer("overlap")
-    ht_timer = state.timer("hashtable")
+    shard_timer = state.timer(shard_stage)
     comm.set_phase("overlap_exchange")
-    assert state.hashtable_built, "hash_table_stage must run before overlap_stage"
-
-    n_shards = config.hash_table_shards
     double_buffer = config.stage_double_buffer("overlap")
-    shard_iter = state.hashtable.finalize_shards(
-        shard_code_boundaries(config.kmer.k, n_shards),
-        min_count=config.min_kmer_count, max_count=state.high_freq_threshold,
-    )
+    label = "overlap" if n_index_reads is None else "query_overlap"
 
     pairs_generated = 0
+    pairs_kept = 0
     retained_kmers = 0
     retained_occurrences = 0
     retained_local_peak = 0
@@ -513,21 +556,30 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     received_batches: list[PairBatch] = []
 
     def make_send(retained: RetainedKmers, chunks: list[tuple[int, int]],
-                  step: int) -> tuple[list[np.ndarray], int]:
+                  step: int) -> list[np.ndarray]:
         """Expand chunk *step* of one shard into per-destination send buffers."""
+        nonlocal pairs_generated, pairs_kept
         if step < len(chunks):
             pairs = generate_pairs(retained, kmer_range=chunks[step])
         else:
             pairs = PairBatch.empty()
-        if len(pairs):
-            destinations = choose_owner(
-                pairs.rid_a, pairs.rid_b, state.read_owner,
-                heuristic=config.owner_heuristic, swapped=pairs.swapped,
-            )
-            send = bucket_by_destination(pairs.to_matrix(), destinations, comm.size)
-        else:
-            send = [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
-        return send, len(pairs)
+        pairs_generated += len(pairs)
+        if not len(pairs):
+            return [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
+        # Owner choice happens before the query filter drops the swapped
+        # annotation of the pairs it removes.
+        destinations = choose_owner(
+            pairs.rid_a, pairs.rid_b, state.read_owner,
+            heuristic=config.owner_heuristic, swapped=pairs.swapped,
+        )
+        matrix = pairs.to_matrix()
+        if n_index_reads is not None:
+            # rid_a < rid_b always holds, so a query-vs-index pair is
+            # exactly rid_a on the index side and rid_b on the query side.
+            keep = (pairs.rid_a < n_index_reads) & (pairs.rid_b >= n_index_reads)
+            matrix, destinations = matrix[keep], destinations[keep]
+        pairs_kept += len(matrix)
+        return bucket_by_destination(matrix, destinations, comm.size)
 
     def consume(step: int, received: list) -> None:
         nonlocal payload_bytes
@@ -536,34 +588,28 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
             PairBatch.from_matrix(np.asarray(c)) for c in received
         )
 
-    def stream_shard(retained: RetainedKmers, chunks: list[tuple[int, int]]):
+    def stream_shard(retained: RetainedKmers,
+                     chunks: list[tuple[int, int]]) -> ScheduleOutcome:
         """Run one shard's chunked pair exchange as a schedule instance.
 
         The produce closure lives only inside this call frame, so the shard
         it captures is actually freed when the caller drops its reference —
         a longer-lived closure would silently keep two shards alive at once.
         """
-        nonlocal pairs_generated
-
-        def produce(step: int) -> list[np.ndarray]:
-            nonlocal pairs_generated
-            send, n_pairs = make_send(retained, chunks, step)
-            pairs_generated += n_pairs
-            return send
-
         schedule = SuperstepSchedule(
-            comm, timer, len(chunks), double_buffer=double_buffer, label="overlap",
+            comm, timer, len(chunks), double_buffer=double_buffer, label=label,
         )
-        return schedule.run(produce, consume)
+        return schedule.run(lambda step: make_send(retained, chunks, step), consume)
 
-    for _shard in range(n_shards):
-        # Build this shard's slice of the retained table (hash-table stage
-        # work, so the build lands in that stage's compute timer), stream its
-        # pairs, then release it before the next shard is built — the
-        # build → pair-generation → release pipeline that bounds peak table
-        # memory at one shard.
-        with ht_timer.compute():
-            retained = next(shard_iter)
+    while True:
+        # Build this shard's slice of the retained table (timed as the shard
+        # source's stage), stream its pairs, then release it before the next
+        # shard is built — the build → pair-generation → release pipeline
+        # that bounds peak table memory at one shard.
+        with shard_timer.compute():
+            retained = next(shards, None)
+            if retained is None:
+                break
             retained_kmers += retained.n_kmers
             retained_occurrences += retained.n_occurrences
             retained_local_peak = max(
@@ -578,11 +624,8 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
         chunks_overlapped += outcome.steps_overlapped
         retained = None  # release the shard before building the next one
 
-    use_double_buffer = bool(double_buffer) and total_supersteps > 0
-
     with timer.compute():
-        incoming = PairBatch.concatenate(received_batches)
-        table = OverlapTable.from_pairs(incoming)
+        table = OverlapTable.from_pairs(PairBatch.concatenate(received_batches))
         state.overlaps = table
         # Apply the seed-selection constraint, batched over every pair at
         # once, and gather the selected seeds into a flat task batch.
@@ -600,9 +643,12 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.local_bytes["overlap"] = float(retained_local_peak + 32 * pairs_generated)
     state.counters["retained_kmers"] = retained_kmers
     state.counters["retained_occurrences"] = retained_occurrences
-    state.counters["hash_table_shards"] = n_shards
-    state.counters["retained_table_peak_bytes"] = state.hashtable.retained_peak_nbytes
-    state.counters["pairs_generated"] = pairs_generated
+    if n_index_reads is None:
+        state.counters["retained_table_peak_bytes"] = state.hashtable.retained_peak_nbytes
+        state.counters["pairs_generated"] = pairs_generated
+    else:
+        state.counters["query_pairs_generated"] = pairs_generated
+        state.counters["query_cross_pairs"] = pairs_kept
     state.counters["overlap_pairs"] = len(state.overlaps)
     state.counters["alignment_tasks"] = len(state.tasks)
     state.counters["overlap_exchange_chunks"] = total_chunks
@@ -610,7 +656,8 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     # All of these are functions of the config and the chunk/shard layout
     # only, so they stay bit-identical across runtime backends (the
     # counter-parity invariant).
-    state.counters["overlap_exchange_double_buffered"] = int(use_double_buffer)
+    state.counters["overlap_exchange_double_buffered"] = int(
+        bool(double_buffer) and total_supersteps > 0)
     state.counters["overlap_chunks_overlapped"] = chunks_overlapped
 
 
@@ -743,7 +790,7 @@ def _first_need_requests(
     return [to_fetch[first_slice == index] for index in range(len(task_slices))]
 
 
-def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
+def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     """Stage 4: fetch non-local reads, then align every task locally.
 
     The read fetch is a **two-hop superstep schedule**
@@ -781,12 +828,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     comm:
         This rank's communicator (phase label ``"alignment_exchange"``).
     state:
-        The rank's mutable pipeline state (tasks from the overlap stage).
-
-    Returns
-    -------
-    BatchAligner
-        The executor that ran the tasks, with its work counters populated.
+        The rank's mutable pipeline state (tasks from the overlap stage);
+        on return ``state.accepted`` holds the accepted alignments.
     """
     config = state.config
     timer = state.timer("alignment")
@@ -914,14 +957,13 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
         for name, value in cache.counters().items()
     })
 
-    state._accepted = (  # type: ignore[attr-defined]
+    state.accepted = (
         state.tasks.rid_a[accepted].astype(np.int64),
         state.tasks.rid_b[accepted].astype(np.int64),
         scores[accepted],
         spans_a[accepted],
         spans_b[accepted],
     )
-    return aligner
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1018,62 @@ def _fold_hier_counters(comm: SimCommunicator, counters: dict[str, int]) -> None
 
 
 # ---------------------------------------------------------------------------
+# Rank state and report: shared by every rank program
+# ---------------------------------------------------------------------------
+
+def _rank_state(
+    comm: SimCommunicator,
+    readset: ReadSet,
+    assignments: list[list[int]],
+    config: PipelineConfig,
+    high_freq_threshold: int,
+    cache_tag: str | None,
+) -> _RankState:
+    """This rank's fresh pipeline state, with its worker pinned.
+
+    Validates the partition (:func:`_build_read_owner`), acquires the rank's
+    read cache (persistent under *cache_tag*, see
+    :func:`_acquire_read_cache`) and applies the run's rank pinning.
+    """
+    state = _RankState(
+        config=config,
+        readset=readset,
+        local_rids=list(assignments[comm.rank]),
+        read_owner=_build_read_owner(readset, assignments),
+        high_freq_threshold=high_freq_threshold,
+        read_cache=_acquire_read_cache(cache_tag, comm.rank),
+    )
+    _apply_rank_pinning(comm, state.counters)
+    if comm.rank == 0:
+        # One value per run, not per rank: recorded once so the summed
+        # global counters report the shard count itself.
+        state.counters["hash_table_shards"] = config.hash_table_shards
+    return state
+
+
+def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
+    """Package *state* as this rank's report (hierarchical stats folded in)."""
+    _fold_hier_counters(comm, state.counters)
+    timers = state.timers.items()
+    aln_rid_a, aln_rid_b, aln_score, aln_span_a, aln_span_b = state.accepted
+    return RankReport(
+        rank=comm.rank,
+        stage_work=dict(state.work),
+        stage_bytes=dict(state.local_bytes),
+        stage_compute_seconds={name: t.compute_seconds for name, t in timers},
+        stage_exchange_seconds={name: t.exchange_seconds for name, t in timers},
+        counters=dict(state.counters),
+        overlaps=state.overlaps,
+        aln_rid_a=aln_rid_a,
+        aln_rid_b=aln_rid_b,
+        aln_score=aln_score,
+        aln_span_a=aln_span_a,
+        aln_span_b=aln_span_b,
+        stage_overlapped_seconds={name: t.overlapped_seconds for name, t in timers},
+    )
+
+
+# ---------------------------------------------------------------------------
 # The full per-rank program
 # ---------------------------------------------------------------------------
 
@@ -1019,41 +1117,17 @@ def run_rank_pipeline(
     RankReport
         The rank's counters, timers, overlaps and accepted alignments.
     """
-    read_owner = _build_read_owner(readset, assignments)
-
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=list(assignments[comm.rank]),
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=_acquire_read_cache(cache_tag, comm.rank),
-    )
-    _apply_rank_pinning(comm, state.counters)
-
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        cache_tag)
     bloom_filter_stage(comm, state)
-    hash_table_stage(comm, state)
-    overlap_stage(comm, state)
-    alignment_stage(comm, state)
-    _fold_hier_counters(comm, state.counters)
-
-    accepted = getattr(state, "_accepted")
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=state.overlaps,
-        aln_rid_a=accepted[0],
-        aln_rid_b=accepted[1],
-        aln_score=accepted[2],
-        aln_span_a=accepted[3],
-        aln_span_b=accepted[4],
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
+    hash_table_stage(comm, state, state.local_rids)
+    shards = state.hashtable.finalize_shards(
+        shard_code_boundaries(config.kmer.k, config.hash_table_shards),
+        min_count=config.min_kmer_count, max_count=high_freq_threshold,
     )
+    overlap_stage(comm, state, shards, "hashtable")
+    alignment_stage(comm, state)
+    return _rank_report(comm, state)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1196,9 @@ def _union_order_key(assignments: list[list[int]], n_reads: int,
     return key
 
 
-def _index_hash_table(comm: SimCommunicator, state: _RankState) -> ShardedKmerIndex:
-    """Build this rank's resident index from its local reads (build phase).
+def _index_hash_table(comm: SimCommunicator, state: _RankState,
+                      rids: list[int]) -> ShardedKmerIndex:
+    """Build this rank's resident index from the local reads *rids*.
 
     Runs the stage-2 occurrence exchange with the Bloom candidate gate
     lifted (:meth:`~repro.kmers.hashtable.KmerHashTablePartition.accept_all_keys`):
@@ -1136,7 +1211,7 @@ def _index_hash_table(comm: SimCommunicator, state: _RankState) -> ShardedKmerIn
     """
     config = state.config
     state.hashtable.accept_all_keys()
-    hash_table_stage(comm, state)
+    hash_table_stage(comm, state, rids)
     with state.timer("hashtable").compute():
         index = ShardedKmerIndex.from_partition(
             state.hashtable,
@@ -1162,30 +1237,6 @@ def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
     state.counters["index_occurrences"] = index.n_occurrences
     state.counters["index_nbytes"] = index.nbytes
     state.counters["index_digest"] = index.digest()
-    state.counters["hash_table_shards"] = index.n_shards
-
-
-def _empty_rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
-    """A RankReport for a run that produced no overlaps or alignments."""
-    empty = np.empty(0, dtype=np.int64)
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds
-                               for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds
-                                for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=OverlapTable.empty(),
-        aln_rid_a=empty,
-        aln_rid_b=empty.copy(),
-        aln_score=empty.copy(),
-        aln_span_a=empty.copy(),
-        aln_span_b=empty.copy(),
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
-    )
 
 
 def run_index_build(
@@ -1214,31 +1265,22 @@ def run_index_build(
     content digest, comparable across backends even when the index itself
     lives in an unreachable worker process.
     """
-    read_owner = _build_read_owner(readset, assignments)
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=list(assignments[comm.rank]),
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=_acquire_read_cache(cache_tag, comm.rank),
-    )
-    _apply_rank_pinning(comm, state.counters)
-    index = _index_hash_table(comm, state)
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        cache_tag)
+    index = _index_hash_table(comm, state, state.local_rids)
     _store_resident_index(index_tag, comm.rank, index)
     _index_report_counters(state, index)
-    _fold_hier_counters(comm, state.counters)
-    return _empty_rank_report(comm, state)
+    return _rank_report(comm, state)
 
 
 def run_query_batch(
     comm: SimCommunicator,
     readset: ReadSet,
     assignments: list[list[int]],
-    n_index_reads: int,
     config: PipelineConfig,
     high_freq_threshold: int,
     index_tag: str,
+    n_index_reads: int,
     cache_tag: str | None = None,
 ) -> RankReport:
     """Serve phase: align one query batch against the resident index.
@@ -1247,20 +1289,18 @@ def run_query_batch(
     is the combined set — index reads first (RIDs ``< n_index_reads``), the
     query batch after them — and *assignments* partitions the combined set
     exactly as a one-shot run over it would (the *emulated union run*).  The
-    batch flows through three stages:
+    batch flows through the one-shot stage implementations:
 
-    1. **Query route** — extract the local *query* reads' k-mers and ship
-       (code, RID, position, strand) to the owner ranks on the superstep
-       scheduler, exactly like stage 2 but only over the query reads
-       (``query_route`` timers/counters; the index reads are never
-       re-parsed).
-    2. **Query overlap** — per code-range shard, merge the routed query
-       occurrences into the resident shard
+    1. **Query route** — the stage-2 occurrence exchange
+       (:func:`_occurrence_exchange`) over the local *query* reads only,
+       labelled ``query_route`` (the index reads are never re-parsed).
+    2. **Query overlap** — :func:`overlap_stage` with the resident index as
+       its shard source: per code-range shard, the routed query occurrences
+       are merged into the resident shard
        (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`,
-       ordered by the emulated union run's arrival order), generate pairs,
-       keep only **query-vs-index** pairs (``rid_a < n_index_reads <=
-       rid_b`` — within-side pairs are not this batch's job), and exchange
-       them chunked/double-buffered like the batch overlap stage.
+       ordered by the emulated union run's arrival order), and only
+       **query-vs-index** pairs are kept — within-side pairs are not this
+       batch's job.
     3. **Alignment** — the unmodified :func:`alignment_stage`: two-hop read
        fetch + x-drop over the consolidated tasks.
 
@@ -1279,21 +1319,9 @@ def run_query_batch(
     reads are evicted from the (possibly pooled) read cache before the
     alignment stage caches this batch's.
     """
-    read_owner = _build_read_owner(readset, assignments)
-    local_rids = list(assignments[comm.rank])
-    cache = _acquire_read_cache(cache_tag, comm.rank)
-    cache.evict_rids_at_or_above(n_index_reads)
-
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=local_rids,
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=cache,
-    )
-    _apply_rank_pinning(comm, state.counters)
-
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        cache_tag)
+    state.read_cache.evict_rids_at_or_above(n_index_reads)
     route_timer = state.timer("query_route")
     comm.set_phase("query_route_exchange")
 
@@ -1306,155 +1334,41 @@ def run_query_batch(
             np.array([0 if index is None else 1], dtype=np.int64), op="min")[0])
     if all_present:
         state.counters["index_reuse_hits"] = 1
-        state.counters["hash_table_shards"] = index.n_shards
     else:
         # Rebuild over the index reads only (their slots in the combined
         # partition still cover each exactly once).  Storage order does not
         # matter — merged_shard re-sorts by the union arrival order.
-        build_state = _RankState(
-            config=config,
-            readset=readset,
-            local_rids=[rid for rid in local_rids if rid < n_index_reads],
-            read_owner=read_owner,
-            high_freq_threshold=high_freq_threshold,
-            read_cache=cache,
-        )
-        index = _index_hash_table(comm, build_state)
+        index = _index_hash_table(
+            comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
         _store_resident_index(index_tag, comm.rank, index)
         state.counters["index_build_runs"] = 1
-        state.counters["hash_table_shards"] = index.n_shards
-        for name in ("work", "local_bytes", "counters"):
-            getattr(state, name).update(getattr(build_state, name))
-        state.timers.update(build_state.timers)
-        comm.set_phase("query_route_exchange")
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
-    local_query_rids = [rid for rid in local_rids if rid >= n_index_reads]
-    batches = _local_batches(local_query_rids, config.batch_reads)
-
-    query_kmers_parsed = 0
-    query_kmers_routed = 0
-    route_payload_bytes = 0
-    received_meta: list[np.ndarray] = []
-
-    def route_produce(step: int) -> list[np.ndarray]:
-        nonlocal query_kmers_parsed
-        rids = batches[step] if step < len(batches) else []
-        # The sketch funnel: query k-mers are reduced with the same (k, w)
-        # the index build used, so build and serve see consistent seed sets.
-        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
-            state.readset, rids, config, with_positions=True,
-            counters=state.counters,
-        )
-        query_kmers_parsed += int(codes.size)
-        if codes.size:
-            owners = owner_of(codes, comm.size)
-            packed_meta = (
-                (rid_arr.astype(np.uint64) << np.uint64(32))
-                | (strand_arr.astype(np.uint64) << np.uint64(31))
-                | pos_arr.astype(np.uint64)
-            )
-            payload = np.stack([codes, packed_meta], axis=1)
-            return bucket_by_destination(payload, owners, comm.size)
-        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
-
-    def route_consume(step: int, received: list) -> None:
-        nonlocal query_kmers_routed, route_payload_bytes
-        chunks = [np.asarray(c, dtype=np.uint64) for c in received
-                  if np.asarray(c).size]
-        route_payload_bytes += sum(int(c.nbytes) for c in chunks)
-        if chunks:
-            incoming = np.concatenate(chunks, axis=0)
-            query_kmers_routed += int(incoming.shape[0])
-            received_meta.append(incoming)
-
-    route_schedule = SuperstepSchedule(
-        comm, route_timer, len(batches),
-        double_buffer=config.stage_double_buffer("hashtable"), label="query_route",
-    )
-    route_outcome = route_schedule.run(route_produce, route_consume)
-
+    # Seeded with an empty chunk so the concatenation below always has one.
+    received = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
+                 np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+    parsed, routed, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
+        "query_route", lambda *chunk: received.append(chunk))
     with route_timer.compute():
-        if received_meta:
-            incoming = np.concatenate(received_meta, axis=0)
-            meta = incoming[:, 1]
-            q_codes = incoming[:, 0]
-            q_rids = (meta >> np.uint64(32)).astype(np.int64)
-            q_positions = (meta & np.uint64(0x7FFFFFFF)).astype(np.int64)
-            q_strands = ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool)
-        else:
-            q_codes = np.empty(0, dtype=np.uint64)
-            q_rids = np.empty(0, dtype=np.int64)
-            q_positions = np.empty(0, dtype=np.int64)
-            q_strands = np.empty(0, dtype=bool)
+        q_codes, q_rids, q_positions, q_strands = (
+            np.concatenate(column) for column in zip(*received))
         order_key = _union_order_key(assignments, len(readset), config.batch_reads)
         q_shard_of = np.searchsorted(index.boundaries, q_codes, side="right")
 
-    state.work["query_route"] = float(query_kmers_routed)
+    state.work["query_route"] = float(routed)
     state.local_bytes["query_route"] = float(index.nbytes + q_codes.nbytes * 4)
-    state.counters["query_kmers_parsed"] = query_kmers_parsed
-    state.counters["query_kmers_routed"] = query_kmers_routed
-    state.counters["query_route_payload_bytes"] = route_payload_bytes
-    state.counters["query_route_double_buffered"] = int(route_outcome.double_buffered)
-    state.counters["query_route_steps_overlapped"] = route_outcome.steps_overlapped
+    state.counters["query_kmers_parsed"] = parsed
+    state.counters["query_kmers_routed"] = routed
+    state.counters["query_route_payload_bytes"] = payload_bytes
+    state.counters["query_route_double_buffered"] = int(outcome.double_buffered)
+    state.counters["query_route_steps_overlapped"] = outcome.steps_overlapped
 
-    # -- stage Q2: merged per-shard pair generation, cross pairs only -------
-    timer = state.timer("overlap")
-    comm.set_phase("overlap_exchange")
-    double_buffer = config.stage_double_buffer("overlap")
-
-    pairs_generated = 0
-    cross_pairs = 0
-    retained_kmers = 0
-    retained_occurrences = 0
-    total_chunks = 0
-    total_supersteps = 0
-    chunks_overlapped = 0
-    payload_bytes = 0
-    received_batches: list[PairBatch] = []
-
-    def consume(step: int, received: list) -> None:
-        nonlocal payload_bytes
-        payload_bytes += sum(int(np.asarray(c).nbytes) for c in received)
-        received_batches.extend(
-            PairBatch.from_matrix(np.asarray(c)) for c in received
-        )
-
-    def stream_shard(merged: RetainedKmers, chunks: list[tuple[int, int]]):
-        nonlocal pairs_generated, cross_pairs
-
-        def produce(step: int) -> list[np.ndarray]:
-            nonlocal pairs_generated, cross_pairs
-            if step < len(chunks):
-                pairs = generate_pairs(merged, kmer_range=chunks[step])
-            else:
-                pairs = PairBatch.empty()
-            pairs_generated += len(pairs)
-            if len(pairs):
-                # The batch's job is query-vs-index pairs only: rid_a <
-                # rid_b always holds, so a cross pair is exactly rid_a on
-                # the index side and rid_b on the query side.  Owner choice
-                # happens before the filter drops the swapped annotation.
-                destinations = choose_owner(
-                    pairs.rid_a, pairs.rid_b, state.read_owner,
-                    heuristic=config.owner_heuristic, swapped=pairs.swapped,
-                )
-                cross = (pairs.rid_a < n_index_reads) & (pairs.rid_b >= n_index_reads)
-                cross_pairs += int(cross.sum())
-                return bucket_by_destination(
-                    pairs.to_matrix()[cross], destinations[cross], comm.size)
-            return [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
-
-        schedule = SuperstepSchedule(
-            comm, timer, len(chunks), double_buffer=double_buffer,
-            label="query_overlap",
-        )
-        return schedule.run(produce, consume)
-
-    for shard in range(index.n_shards):
-        with route_timer.compute():
+    # -- stage Q2: the overlap stage over merged shards, cross pairs only ---
+    def merged_shards() -> Iterator[RetainedKmers]:
+        for shard in range(index.n_shards):
             in_shard = q_shard_of == shard
-            merged = index.merged_shard(
+            yield index.merged_shard(
                 shard,
                 q_codes[in_shard], q_rids[in_shard],
                 q_positions[in_shard], q_strands[in_shard],
@@ -1462,64 +1376,9 @@ def run_query_batch(
                 min_count=config.min_kmer_count,
                 max_count=high_freq_threshold,
             )
-            retained_kmers += merged.n_kmers
-            retained_occurrences += merged.n_occurrences
-        with timer.compute():
-            chunks = pair_chunk_ranges(merged, config.exchange_chunk_bytes)
-        outcome = stream_shard(merged, chunks)
-        total_chunks += len(chunks)
-        total_supersteps += outcome.n_supersteps
-        chunks_overlapped += outcome.steps_overlapped
-        merged = None  # release the merged shard before building the next
 
-    with timer.compute():
-        incoming_pairs = PairBatch.concatenate(received_batches)
-        table = OverlapTable.from_pairs(incoming_pairs)
-        state.overlaps = table
-        selected = select_seeds_batched(table, config.seed_strategy)
-        pair_of_seed = np.searchsorted(table.seed_offsets, selected, side="right") - 1
-        state.tasks = TaskBatch(
-            rid_a=table.rid_a[pair_of_seed],
-            rid_b=table.rid_b[pair_of_seed],
-            seed_pos_a=table.seed_pos_a[selected],
-            seed_pos_b=table.seed_pos_b[selected],
-            same_strand=table.seed_same_strand[selected],
-        )
-
-    state.work["overlap"] = float(retained_occurrences + pairs_generated)
-    state.local_bytes["overlap"] = float(32 * pairs_generated)
-    state.counters["retained_kmers"] = retained_kmers
-    state.counters["retained_occurrences"] = retained_occurrences
-    state.counters["query_pairs_generated"] = pairs_generated
-    state.counters["query_cross_pairs"] = cross_pairs
-    state.counters["overlap_pairs"] = len(state.overlaps)
-    state.counters["alignment_tasks"] = len(state.tasks)
-    state.counters["overlap_exchange_chunks"] = total_chunks
-    state.counters["overlap_payload_bytes"] = payload_bytes
-    state.counters["overlap_exchange_double_buffered"] = int(
-        bool(double_buffer) and total_supersteps > 0)
-    state.counters["overlap_chunks_overlapped"] = chunks_overlapped
+    overlap_stage(comm, state, merged_shards(), "query_route", n_index_reads)
 
     # -- stage Q3: the unmodified two-hop fetch + alignment -----------------
     alignment_stage(comm, state)
-    _fold_hier_counters(comm, state.counters)
-
-    accepted = getattr(state, "_accepted")
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds
-                               for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds
-                                for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=state.overlaps,
-        aln_rid_a=accepted[0],
-        aln_rid_b=accepted[1],
-        aln_score=accepted[2],
-        aln_span_a=accepted[3],
-        aln_span_b=accepted[4],
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
-    )
+    return _rank_report(comm, state)

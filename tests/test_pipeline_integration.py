@@ -193,6 +193,9 @@ class TestConfigurationEffects:
                 >= unsharded.trace.phase_traffic("overlap_exchange").total_bytes)
         assert (sharded.counters["pairs_generated"]
                 == unsharded.counters["pairs_generated"])
+        # The shard count is recorded once per run, not once per rank.
+        assert sharded.counters["hash_table_shards"] == 5
+        assert unsharded.counters["hash_table_shards"] == 1
 
 
 class TestConfigValidation:

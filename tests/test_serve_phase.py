@@ -65,13 +65,16 @@ def _assert_parity(config: PipelineConfig, readset: ReadSet) -> None:
         expected = _canonical(_cross_only(oneshot.alignment_table(), n_index))
 
         pipeline = DibellaPipeline(config=config, topology=topology)
-        pipeline.build_index(index_reads)
+        built = pipeline.build_index(index_reads)
         served = pipeline.run_query_batch(query_reads)
         got = _canonical(served.alignment_table())
 
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
         assert served.counters["query_reads"] == len(query_reads)
+        # Recorded once per run, not once per rank.
+        for result in (oneshot, built, served):
+            assert result.counters["hash_table_shards"] == config.hash_table_shards
     finally:
         _cleanup()
 

@@ -6,8 +6,8 @@ reused across all the figures that view them (exactly how the paper's figures
 are different views of the same executions).
 
 Each benchmark prints the regenerated figure/table rows, and also appends
-them to ``benchmarks/results/`` so the numbers recorded in EXPERIMENTS.md can
-be regenerated.
+them to ``benchmarks/results/``, where the recorded numbers can be
+regenerated.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@
 #           SL001-SL005 over src/, zero findings required; plus a ruff
 #           companion pass (pinned ruff.toml) when a ruff binary is on
 #           PATH (the container does not ship one, so it is gated).
+#   kernel — prints the active x-drop kernel tier (compiled C or NumPy) and
+#           fails when `cc` is on PATH but the compiled tier did not load, so
+#           a C compile error cannot silently leave CI on the NumPy kernel
+#           (docs/architecture.md, "The compiled x-drop kernel").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
 #           Runs eight times: under the default thread backend, under the
 #           multiprocess shared-memory backend (DIBELLA_BACKEND=process),
@@ -75,6 +79,16 @@ if command -v ruff >/dev/null 2>&1; then
     ruff check --config ruff.toml src tests scripts benchmarks
 else
     echo "== lint: ruff not on PATH; skipping companion pass =="
+fi
+
+echo "== x-drop kernel tier =="
+xdrop_tier=$(python -c 'from repro.align.batched_xdrop import native_kernel
+print("compiled" if native_kernel() is not None else "numpy")')
+echo "x-drop tier: $xdrop_tier"
+if command -v cc >/dev/null 2>&1 && [ "$xdrop_tier" != "compiled" ]; then
+    echo "cc is on PATH but the compiled x-drop tier did not load; compiler output:" >&2
+    cc -O2 -shared -fPIC -o /dev/null src/repro/align/_xdrop.c >&2 || true
+    exit 1
 fi
 
 echo "== fast tier: unit tests (thread backend) =="

@@ -17,8 +17,9 @@ Quickstart
 >>> result.n_overlap_pairs > 0
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every reproduced table and figure.
+See docs/architecture.md for the system inventory, perfbench/METRICS.md for
+the benchmark and its metrics, and benchmarks/results/ for the recorded
+output of every reproduced table and figure.
 """
 
 from repro.core import PipelineConfig, PipelineResult, run_dibella

@@ -24,11 +24,28 @@ the prefix-maximum identity
             = gap * j + running_max_j' <= j ( base[i, j'] - gap * j' )
 
 computed with ``np.maximum.accumulate`` along the band axis.
+
+Two tiers run that recurrence.  The compiled tier (``_xdrop.c``) is built
+with ``cc`` on the first kernel call — never at import — cached under
+``$XDG_CACHE_HOME/repro/`` and called through :mod:`ctypes`, which releases
+the GIL, so thread-backend ranks align concurrently.  The NumPy body
+(:func:`_extend_numpy`) is the reference the compiled tier is tested against
+bit for bit, and the path taken whenever the compiled tier is unavailable
+(no compiler, compile or load error, unusable cache directory) or a batch
+could overflow its int32 lanes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -91,6 +108,9 @@ def batched_extend(
 ) -> list[ExtensionResult]:
     """Extend every (a, b) pair from its origin (0, 0), banded with x-drop.
 
+    Runs the compiled tier when it is available and the batch fits its int32
+    lanes, the NumPy kernel otherwise; both return identical results.
+
     Parameters
     ----------
     seqs_a, seqs_b:
@@ -106,12 +126,26 @@ def batched_extend(
     list[ExtensionResult]
         One result per task, in input order.
     """
-    n_tasks = len(seqs_a)
-    if n_tasks != len(seqs_b):
+    if len(seqs_a) != len(seqs_b):
         raise ValueError("seqs_a and seqs_b must have the same length")
-    if n_tasks == 0:
+    if not seqs_a:
         return []
+    kernel = native_kernel()
+    if kernel is not None:
+        results = _extend_native(kernel, seqs_a, seqs_b, scoring, config)
+        if results is not None:
+            return results
+    return _extend_numpy(seqs_a, seqs_b, scoring, config)
 
+
+def _extend_numpy(
+    seqs_a: list[np.ndarray],
+    seqs_b: list[np.ndarray],
+    scoring: ScoringScheme,
+    config: BatchedExtensionConfig,
+) -> list[ExtensionResult]:
+    """The NumPy kernel: all tasks advance one DP row per iteration."""
+    n_tasks = len(seqs_a)
     match, mismatch, gap = scoring.match, scoring.mismatch, scoring.gap
     band = config.band
     half = band // 2
@@ -208,3 +242,151 @@ def batched_extend(
         )
         for t in range(n_tasks)
     ]
+
+
+# -- compiled tier -----------------------------------------------------------
+
+_C_SOURCE = Path(__file__).with_name("_xdrop.c")
+_CC_COMMAND = ("cc", "-O2", "-shared", "-fPIC")
+#: Exclusive bound on (max len_a + max len_b + band) * largest |score|: keeps
+#: every value the kernel computes, sentinel-derived ones included, inside
+#: int32 (the sentinel is -2**28).
+_INT32_BOUND = 2**30
+
+_NATIVE_LOCK = threading.Lock()
+_NATIVE: dict[str, object] = {}
+
+_ptr = ctypes.c_void_p
+_i32 = ctypes.c_int32
+_i64 = ctypes.c_int64
+_KERNEL_ARGTYPES = (_i64, _ptr, _ptr, _ptr, _ptr, _i32, _i32, _i32,
+                    _i64, _i64, _i64, _ptr, _ptr)
+
+
+def native_kernel():
+    """The compiled kernel, built and loaded on the first call in a process.
+
+    Returns ``None`` when the compiled tier is unavailable; callers then run
+    :func:`_extend_numpy`.  The outcome is remembered for the process.
+    """
+    if "kernel" not in _NATIVE:
+        with _NATIVE_LOCK:
+            if "kernel" not in _NATIVE:
+                _NATIVE["kernel"] = load_library(_cache_dir())
+    return _NATIVE["kernel"]
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "repro"
+
+
+def _library_path(cache_dir: Path) -> Path:
+    """Cache entry named after the source, the compile command and the CPU."""
+    digest = hashlib.sha256()
+    digest.update(_C_SOURCE.read_bytes())
+    digest.update(" ".join(_CC_COMMAND).encode())
+    digest.update(platform.machine().encode())
+    return cache_dir / f"xdrop-{digest.hexdigest()[:16]}.so"
+
+
+def _check_cache_dir(cache_dir: Path) -> None:
+    """Create *cache_dir* (mode 0700); refuse one another user could write."""
+    cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache_dir.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{cache_dir} is not a private cache directory")
+
+
+def _compile(path: Path) -> None:
+    """Compile the kernel to *path* atomically (temp file + ``os.replace``).
+
+    The library is written with its SHA-256 appended (the loader ignores
+    bytes past the ELF image), so :func:`_intact` can tell a complete cache
+    entry from a truncated or corrupt one.  Concurrent thread or process
+    ranks each build their own temp file; the replace is atomic, so no rank
+    ever loads a half-written library.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([*_CC_COMMAND, "-o", tmp, str(_C_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        library = Path(tmp).read_bytes()
+        Path(tmp).write_bytes(library + hashlib.sha256(library).digest())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _intact(path: Path) -> bool:
+    """True when *path* holds a complete library: its trailing digest matches.
+
+    Checked before loading because mapping a truncated library can kill the
+    process with SIGBUS instead of raising.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def load_library(cache_dir: Path):
+    """Build (if not cached intact) and load the compiled kernel from *cache_dir*.
+
+    Returns the bound ``ctypes`` function, or ``None`` on any failure: no
+    compiler, a compile error, an unusable cache directory or a library that
+    does not load.  A truncated or corrupt cache entry is rebuilt.
+    """
+    try:
+        _check_cache_dir(cache_dir)
+        path = _library_path(cache_dir)
+        if not _intact(path):
+            _compile(path)
+        kernel = ctypes.CDLL(str(path)).xdrop_extend_batch
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = _KERNEL_ARGTYPES
+    kernel.restype = None
+    return kernel
+
+
+def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat uint8 codes, (n + 1) int64 offsets and the per-task lengths."""
+    lengths = np.fromiter((s.size for s in seqs), dtype=np.int64, count=len(seqs))
+    offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    codes = np.ascontiguousarray(np.concatenate(seqs), dtype=np.uint8)
+    return codes, offsets, lengths
+
+
+def _extend_native(
+    kernel,
+    seqs_a: list[np.ndarray],
+    seqs_b: list[np.ndarray],
+    scoring: ScoringScheme,
+    config: BatchedExtensionConfig,
+) -> list[ExtensionResult] | None:
+    """Run the compiled kernel; ``None`` when its int32 lanes (or the int64
+    x-drop argument) could not represent the batch exactly."""
+    a, a_off, len_a = _concat_codes(seqs_a)
+    b, b_off, len_b = _concat_codes(seqs_b)
+    weight = max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap))
+    if ((int(len_a.max()) + int(len_b.max()) + config.band) * weight >= _INT32_BOUND
+            or config.xdrop >= 2**63):
+        return None
+    max_rows = int(len_a.max())
+    if config.max_rows is not None:
+        max_rows = min(max_rows, config.max_rows)
+    scratch = np.empty(2 * (config.band + 1), dtype=np.int32)
+    out = np.empty((len(seqs_a), 4), dtype=np.int64)
+    kernel(len(seqs_a), a.ctypes.data, a_off.ctypes.data, b.ctypes.data, b_off.ctypes.data,
+           scoring.match, scoring.mismatch, scoring.gap,
+           config.xdrop, config.band, max_rows,
+           scratch.ctypes.data, out.ctypes.data)
+    return [ExtensionResult(score, length_a, length_b, cells)
+            for score, length_a, length_b, cells in out.tolist()]

@@ -1,8 +1,8 @@
 """One function per paper table/figure.
 
 Every function returns a list of plain dict rows (one per plotted point /
-table cell group) so the benchmark scripts, the CLI and EXPERIMENTS.md all
-consume the same data.  Throughputs are reported in the same units as the
+table cell group) so the benchmark scripts, the CLI and the recorded
+outputs under benchmarks/results/ all consume the same data.  Throughputs are reported in the same units as the
 paper's figures (millions of k-mers per second, millions of alignments per
 second, efficiency relative to one node, percentage runtime shares).
 """
@@ -99,7 +99,7 @@ def figure4_bloom_efficiency_aws(harness: ExperimentHarness | None = None,
     is the per-destination bucketing step; in this reproduction it is part of
     local compute, so the packing series is reported as the compute-side
     efficiency of the exchange phase's byte volume handling (identical shape
-    to local processing) and documented as such in EXPERIMENTS.md.
+    to local processing).
     """
     harness = harness or default_harness()
     runs = harness.scaling_runs("ecoli30x", "one-seed", nodes)

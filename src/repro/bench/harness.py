@@ -8,7 +8,7 @@ benchmark suite's cost by ~10, so the harness keeps a process-wide cache of
 ``(workload, seed strategy, node count)`` and every figure draws from it.
 
 Workload sizes are scaled-down versions of the paper's data sets (see
-DESIGN.md §1 for the substitution argument).  The scale can be raised via the
+:mod:`repro.data` for the substitution argument).  The scale can be raised via the
 ``REPRO_BENCH_SCALE`` environment variable (a float multiplier on the genome
 size) for longer, higher-fidelity benchmark runs.
 """

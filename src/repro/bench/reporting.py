@@ -2,8 +2,8 @@
 
 The benchmark scripts print these tables so that ``pytest benchmarks/ -s``
 regenerates the paper's figures as readable text; the same formatting is used
-by the CLI's ``experiments`` subcommand and when recording results in
-EXPERIMENTS.md.
+by the CLI's ``experiments`` subcommand and when recording results under
+benchmarks/results/.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.align.batched_xdrop import DEFAULT_XDROP_BAND
+from repro.align.batched_xdrop import DEFAULT_XDROP_BAND, BatchedExtensionConfig
 from repro.align.scoring import ScoringScheme
 from repro.kmers.reliable import high_frequency_threshold
 from repro.mpisim.faults import FaultPlan
@@ -349,6 +349,8 @@ class PipelineConfig:
             raise ValueError("batch_reads must be >= 1")
         if self.kernel not in ("xdrop", "banded", "full"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        # Fail here, not in stage 4 after stages 1-3 have run.
+        BatchedExtensionConfig(xdrop=self.xdrop, band=self.band)
         if self.partition_strategy not in ("size", "round_robin"):
             raise ValueError(f"unknown partition strategy {self.partition_strategy!r}")
         if self.owner_heuristic not in ("oddeven", "min", "random"):

@@ -103,6 +103,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "alignment_steps_overlapped": "alignment fetch rounds whose compute overlapped a peer's exchange",
     "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
+    "align_native_ranks": "ranks whose alignment stage ran the compiled x-drop tier (0: the NumPy kernel produced the timings)",
     # -- collective layout / rank placement (see SCHEDULE_FLAG_COUNTERS) ----
     "collective_groups": "rank groups the hierarchical collectives ran with (absent on flat runs)",
     "intragroup_bytes": "logical exchange bytes addressed to a destination in the sender's own group",
@@ -122,7 +123,8 @@ REGISTERED_COUNTERS: frozenset[str] = frozenset(PIPELINE_COUNTERS)
 
 #: Counters that describe the *schedule* rather than the science: they
 #: legitimately differ between double-buffered and bulk-synchronous runs —
-#: or between flat and hierarchical collective layouts — of the same input,
+#: or between flat and hierarchical collective layouts, or between the
+#: compiled and the NumPy x-drop tier — of the same input,
 #: so cross-schedule parity comparisons exclude exactly this set (and
 #: nothing else).
 SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
@@ -142,6 +144,7 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "leader_aggregation_seconds",
     "ranks_pinned",
     "rank_pins_skipped",
+    "align_native_ranks",
 })
 
 #: Counters that describe *recovery from injected or real rank failures*

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.align import batched_xdrop
 from repro.align.batch import BatchAligner, TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
@@ -950,6 +951,12 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["alignment_fetch_rounds"] = outcome.n_supersteps
     state.counters["alignment_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["alignment_steps_overlapped"] = outcome.steps_overlapped
+    # Checked only after aligning: asking earlier would build the compiled
+    # tier on ranks (and runs) that align nothing.
+    state.counters["align_native_ranks"] = int(
+        config.kernel == "xdrop" and aligner.stats.alignments > 0
+        and batched_xdrop.native_kernel() is not None
+    )
     # spmdlint: disable=SL004 keys come from ReadCache.counters(), all five
     # declared as the read_cache_* group in repro.core.counters.
     state.counters.update({

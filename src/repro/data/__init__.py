@@ -2,8 +2,8 @@
 
 The paper evaluates on two real PacBio E. coli data sets (30x and 100x
 coverage).  Those FASTQ files are not redistributable and are too large for a
-pure-Python environment anyway, so this subpackage provides the substitute
-described in DESIGN.md: a genome generator with controllable repeat content
+pure-Python environment anyway, so this subpackage provides a substitute:
+a genome generator with controllable repeat content
 and a long-read simulator with a PacBio-like error model (indel-dominated,
 10-15% error) and log-normal read-length distribution.  Presets scale the
 E. coli workloads down while preserving coverage depth, error rate and the

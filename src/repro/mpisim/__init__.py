@@ -26,7 +26,8 @@ substrate with the same programming model:
 
 The communication *pattern* and per-rank *volumes* of a pipeline run are
 therefore identical to a real MPI execution; only the transport (shared
-memory between threads instead of a network) differs.  See DESIGN.md §1.
+memory between threads instead of a network) differs.  See
+docs/architecture.md, "How the simulator maps to the paper's MPI ranks".
 """
 
 from repro.mpisim.topology import Topology

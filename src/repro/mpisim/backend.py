@@ -349,9 +349,11 @@ class _ProcessCollectiveEngine:
     def abort(self) -> None:
         """Break the barrier (and the split-phase handshake) so ranks blocked
         in a collective terminate."""
+        # Flag before breaking the barrier: a rank it wakes must already see
+        # aborted_by_peer, or the sanitizer reports a watchdog timeout.
+        self._x_abort.value = 1
         self.barrier.abort()
         with self._x_cond:
-            self._x_abort.value = 1
             self._x_cond.notify_all()
 
     # -- split-phase exchange (see communicator.CollectiveEngine) -------------
@@ -453,7 +455,14 @@ class _ProcessCollectiveEngine:
             if src == rank:
                 received.append(decode_payload(own_blob))
                 continue
-            peer = _attach_shm(self._get_str(self._x_names[slot], src, _NAME_LEN))
+            try:
+                peer = _attach_shm(self._get_str(self._x_names[slot], src, _NAME_LEN))
+            except FileNotFoundError:
+                # A failed peer aborts, then reclaims its published segments
+                # at shutdown: the failure is the peer's to report.
+                if self.aborted_by_peer:
+                    raise threading.BrokenBarrierError from None
+                raise
             try:
                 table = struct.unpack_from(f"<{self.n_ranks + 1}Q", peer.buf, 0)
                 received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))

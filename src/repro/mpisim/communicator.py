@@ -177,9 +177,11 @@ class _CollectiveState:
 
     def abort(self) -> None:
         """Break the barrier so ranks blocked in a collective terminate."""
+        # Flag before breaking the barrier: a rank it wakes must already see
+        # aborted_by_peer, or the sanitizer reports a watchdog timeout.
+        self._x_aborted = True
         self.barrier.abort()
         with self._x_cond:
-            self._x_aborted = True
             self._x_cond.notify_all()
 
     @property

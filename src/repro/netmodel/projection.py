@@ -135,7 +135,7 @@ def project_stage(
     ``scale`` linearly extrapolates the measured work and traffic to a larger
     input of the same shape (used by the experiment harness to project the
     scaled-down benchmark workloads onto the paper's full-size data sets —
-    see EXPERIMENTS.md).  The reported ``items`` count is scaled accordingly
+    see :mod:`repro.bench.harness`).  The reported ``items`` count is scaled accordingly
     so that throughput figures remain comparable with the paper's.
     """
     model = model or CostModel()

@@ -25,6 +25,15 @@ def pytest_configure(config: pytest.Config) -> None:
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_kernel_cache(tmp_path_factory):
+    """Build the compiled x-drop tier into a per-session cache, not ``~/.cache``."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """A deterministic RNG for ad-hoc test data."""

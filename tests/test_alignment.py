@@ -1,11 +1,18 @@
 """Unit and property tests for the alignment kernels (repro.align)."""
 
+import os
+import shutil
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import inspect
 
+from repro.align import batched_xdrop
 from repro.align.banded import banded_smith_waterman
 from repro.align.batch import (
     AlignmentTask,
@@ -464,3 +471,242 @@ class TestPadSequences:
             ragged,
             np.array([[1, 2, 3, _PAD], [_PAD] * 4, [0, _PAD, _PAD, _PAD]],
                      dtype=np.uint8))
+
+
+def _native_or_skip():
+    kernel = batched_xdrop.native_kernel()
+    if kernel is None:
+        pytest.skip("compiled x-drop tier unavailable (no C compiler on this host)")
+    return kernel
+
+
+codes = st.lists(st.integers(min_value=0, max_value=3), max_size=150)
+
+
+@st.composite
+def extension_batches(draw):
+    """Mixed batches: empty, unrelated and lightly edited (a, b) pairs."""
+    seqs_a, seqs_b = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a = draw(codes)
+        if draw(st.booleans()):
+            b = list(a)
+            for _ in range(draw(st.integers(min_value=0, max_value=8))):
+                pos = draw(st.integers(min_value=0, max_value=len(b)))
+                edit = draw(st.sampled_from(("sub", "ins", "del")))
+                base = draw(st.integers(min_value=0, max_value=3))
+                if edit == "ins":
+                    b.insert(pos, base)
+                elif pos < len(b):
+                    b[pos:pos + 1] = [base] if edit == "sub" else []
+        else:
+            b = draw(codes)
+        seqs_a.append(np.asarray(a, dtype=np.uint8))
+        seqs_b.append(np.asarray(b, dtype=np.uint8))
+    return seqs_a, seqs_b
+
+
+scoring_schemes = st.builds(
+    ScoringScheme,
+    match=st.integers(min_value=1, max_value=5),
+    mismatch=st.integers(min_value=-6, max_value=0),
+    gap=st.integers(min_value=-6, max_value=0),
+)
+
+
+class TestCompiledXdrop:
+    """The compiled x-drop tier against the NumPy reference kernel, bit for bit."""
+
+    @given(batch=extension_batches(),
+           band=st.integers(min_value=3, max_value=129),
+           # Huge thresholds never fire: only the end-of-read exit stops a
+           # task, and sentinel-valued rows then decide the x-drop test.
+           xdrop=st.integers(min_value=1, max_value=60) | st.sampled_from([2**29, 2**62]),
+           max_rows=st.none() | st.integers(min_value=1, max_value=200),
+           scoring=scoring_schemes)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_kernel(self, batch, band, xdrop, max_rows, scoring):
+        kernel = _native_or_skip()
+        seqs_a, seqs_b = batch
+        config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
+        native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b, scoring, config)
+        assert native == batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+
+    def test_zero_length_task_cells_follow_the_batch(self):
+        # A zero-length task is charged one row of `band` cells only when
+        # another task in its batch has rows: both tiers must agree.
+        kernel = _native_or_skip()
+        empty = np.empty(0, dtype=np.uint8)
+        read = encode_sequence("ACGTACGTAC")
+        config = BatchedExtensionConfig(xdrop=10, band=9)
+        for seqs_a, seqs_b in (([empty], [read]), ([empty, read], [read, read.copy()])):
+            native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b,
+                                                  ScoringScheme(), config)
+            assert native == batched_xdrop._extend_numpy(seqs_a, seqs_b,
+                                                         ScoringScheme(), config)
+        alone, = batched_xdrop._extend_native(kernel, [empty], [read], ScoringScheme(), config)
+        mixed = batched_xdrop._extend_native(kernel, [empty, read], [read, read.copy()],
+                                             ScoringScheme(), config)
+        assert alone.cells == 0 and mixed[0].cells == 9
+
+    def test_band_wider_than_both_sequences(self):
+        kernel = _native_or_skip()
+        seqs_a = [encode_sequence("ACGTTGCA"), encode_sequence("GATTACA")]
+        seqs_b = [encode_sequence("ACGTAGCA"), encode_sequence("GATACA")]
+        for band in (3, 4, 64, 129):
+            config = BatchedExtensionConfig(xdrop=5, band=band)
+            assert (batched_xdrop._extend_native(kernel, seqs_a, seqs_b, ScoringScheme(), config)
+                    == batched_xdrop._extend_numpy(seqs_a, seqs_b, ScoringScheme(), config))
+
+    def test_int32_guard_takes_numpy_path(self, monkeypatch):
+        kernel = _native_or_skip()
+        # (8 + 8 + 9) * 2**26 >= 2**30: the compiled tier declines the batch.
+        scoring = ScoringScheme(match=2**26, mismatch=-1, gap=-1)
+        seqs = [encode_sequence("ACGTACGT")]
+        config = BatchedExtensionConfig(xdrop=10, band=9)
+        assert batched_xdrop._extend_native(kernel, seqs, seqs, scoring, config) is None
+        calls = []
+        reference = batched_xdrop._extend_numpy
+
+        def spy(*args):
+            calls.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(batched_xdrop, "_extend_numpy", spy)
+        result, = batched_extend(seqs, seqs, scoring, config)
+        assert len(calls) == 1
+        assert result.score == 8 * 2**26 and result.length_a == 8
+        # Just under the bound the compiled tier runs, exactly.
+        small = ScoringScheme(match=2**25, mismatch=-1, gap=-1)
+        assert (batched_xdrop._extend_native(kernel, seqs, seqs, small, config)
+                == reference(seqs, seqs, small, config))
+        # An x-drop past int64 is declined too, not wrapped by ctypes.
+        huge = BatchedExtensionConfig(xdrop=2**63, band=9)
+        assert batched_xdrop._extend_native(kernel, seqs, seqs, small, huge) is None
+
+    def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
+        _native_or_skip()
+        monkeypatch.setattr(batched_xdrop, "_extend_numpy", None)
+        seqs = [encode_sequence("ACGTACGTACGT")]
+        result, = batched_extend(seqs, seqs, ScoringScheme(), BatchedExtensionConfig())
+        assert result.score == 12
+
+
+class TestKernelBuildCache:
+    """Building, caching and loading the compiled tier; every failure falls back."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_compiler(self):
+        if shutil.which(batched_xdrop._CC_COMMAND[0]) is None:
+            pytest.skip("no C compiler on this host")
+
+    @staticmethod
+    def _assert_one_library(cache_dir):
+        names = sorted(p.name for p in cache_dir.iterdir())
+        assert names == [batched_xdrop._library_path(cache_dir).name]
+
+    def test_cache_dir_follows_xdg(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert batched_xdrop._cache_dir() == tmp_path / "repro"
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert batched_xdrop._cache_dir() == tmp_path / "home" / ".cache" / "repro"
+
+    def test_builds_private_dir_and_loads(self, tmp_path):
+        cache_dir = tmp_path / "xdg" / "repro"
+        assert batched_xdrop.load_library(cache_dir) is not None
+        assert cache_dir.stat().st_mode & 0o777 == 0o700
+        self._assert_one_library(cache_dir)
+
+    def test_concurrent_threads_leave_one_library(self, tmp_path):
+        cache_dir = tmp_path / "repro"
+        barrier = threading.Barrier(2)
+        loaded = []
+
+        def first_use():
+            barrier.wait(timeout=30)
+            loaded.append(batched_xdrop.load_library(cache_dir))
+
+        threads = [threading.Thread(target=first_use) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert len(loaded) == 2 and all(kernel is not None for kernel in loaded)
+        self._assert_one_library(cache_dir)
+
+    def test_concurrent_processes_leave_one_library(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = ("import sys\n"
+                "from repro.align.batched_xdrop import native_kernel\n"
+                "sys.exit(0 if native_kernel() is not None else 3)\n")
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        self._assert_one_library(tmp_path / "repro")
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_cache_entry_is_rebuilt(self, tmp_path, damage):
+        cache_dir = tmp_path / "repro"
+        assert batched_xdrop.load_library(cache_dir) is not None
+        path = batched_xdrop._library_path(cache_dir)
+        # A fresh name, so the damaged file is not the one already mapped.
+        damaged = tmp_path / "other" / "repro"
+        damaged.mkdir(parents=True, mode=0o700)
+        target = batched_xdrop._library_path(damaged)
+        good = path.read_bytes()
+        bad = good[:len(good) // 3] if damage == "truncated" else b"\x7fELF junk"
+        target.write_bytes(bad)
+        assert batched_xdrop.load_library(damaged) is not None
+        assert target.read_bytes() != bad
+        self._assert_one_library(damaged)
+
+    @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
+    def test_group_or_world_writable_dir_is_refused(self, tmp_path, mode):
+        cache_dir = tmp_path / "repro"
+        cache_dir.mkdir()
+        cache_dir.chmod(mode)
+        assert batched_xdrop.load_library(cache_dir) is None
+        assert list(cache_dir.iterdir()) == []
+
+    def test_foreign_owned_dir_is_refused(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "repro"
+        cache_dir.mkdir(mode=0o700)
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        assert batched_xdrop.load_library(cache_dir) is None
+        assert list(cache_dir.iterdir()) == []
+
+    def test_unusable_cache_dir_falls_back(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        assert batched_xdrop.load_library(blocker / "repro") is None
+
+    @pytest.mark.skipif(os.getuid() == 0, reason="root ignores directory write permissions")
+    def test_unwritable_cache_dir_falls_back(self, tmp_path):
+        cache_dir = tmp_path / "repro"
+        cache_dir.mkdir(mode=0o500)
+        try:
+            assert batched_xdrop.load_library(cache_dir) is None
+        finally:
+            cache_dir.chmod(0o700)
+
+    def test_compile_error_falls_back(self, tmp_path, monkeypatch):
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(batched_xdrop, "_C_SOURCE", broken)
+        cache_dir = tmp_path / "repro"
+        assert batched_xdrop.load_library(cache_dir) is None
+        assert list(cache_dir.iterdir()) == []
+
+    def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batched_xdrop, "_CC_COMMAND", ("no-such-cc-on-path", "-O2"))
+        assert batched_xdrop.load_library(tmp_path / "repro") is None
+
+    def test_import_builds_nothing(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", "import repro, repro.core.pipeline"],
+                       env=env, check=True, timeout=120)
+        assert list(tmp_path.iterdir()) == []

@@ -7,10 +7,14 @@ global counters, and invariance of the *output* under different rank counts
 (the distributed decomposition must not change the answer).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.align import batched_xdrop
 from repro.core.config import PipelineConfig
+from repro.core.counters import SCHEDULE_FLAG_COUNTERS
 
 pytestmark = pytest.mark.slow
 from repro.core.pipeline import DibellaPipeline
@@ -95,6 +99,32 @@ class TestEndToEnd:
         walls = micro_run.stage_wall_seconds()
         assert set(walls) == set(STAGE_NAMES)
         assert walls["alignment"]["compute"] > 0
+
+
+class TestKernelTiers:
+    def test_numpy_fallback_is_bit_identical(self, micro_dataset, micro_config,
+                                              monkeypatch):
+        """With the compiled tier unavailable, run() gives the same science."""
+        # Thread backend: the loader patch must reach the ranks, which a
+        # rank pool forked before this test would not see.
+        config = dataclasses.replace(micro_config, backend="thread", pool=False)
+
+        def run():
+            return run_dibella(micro_dataset.reads, config=config,
+                               n_nodes=1, ranks_per_node=2)
+
+        default = run()
+        compiled = batched_xdrop.native_kernel() is not None
+        assert (default.counters["align_native_ranks"] > 0) == compiled
+        monkeypatch.setattr(batched_xdrop, "native_kernel", lambda: None)
+        fallback = run()
+        assert fallback.counters["align_native_ranks"] == 0
+        assert fallback.overlap_pairs() == default.overlap_pairs()
+        for column, values in default.alignment_table().items():
+            np.testing.assert_array_equal(fallback.alignment_table()[column], values)
+        science = [name for name in default.counters if name not in SCHEDULE_FLAG_COUNTERS]
+        assert ({name: fallback.counters[name] for name in science}
+                == {name: default.counters[name] for name in science})
 
 
 class TestDecompositionInvariance:
@@ -214,6 +244,13 @@ class TestConfigValidation:
             PipelineConfig(partition_strategy="bogus")
         with pytest.raises(ValueError):
             PipelineConfig(owner_heuristic="bogus")
+
+    def test_kernel_parameters_validated_up_front(self):
+        # Rejected at construction, not in stage 4 after stages 1-3 ran.
+        with pytest.raises(ValueError, match="xdrop must be positive"):
+            PipelineConfig(xdrop=0)
+        with pytest.raises(ValueError, match="band must be at least 3"):
+            PipelineConfig(band=2)
 
     def test_resolve_high_freq_threshold(self):
         explicit = PipelineConfig(high_freq_threshold=42)

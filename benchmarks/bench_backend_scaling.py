@@ -45,17 +45,6 @@ cores.  Two measurements:
   resident index (zero rebuild counters, always asserted); on hosts with
   enough cores the batch p99 wall must be well under the cold run.
 
-* **Hier-collective gate** — the pipeline under the flat single-level
-  ``alltoallv`` engine vs the hierarchical two-level engine
-  (``--collective hier``, two rank groups, process backend).  The traced
-  message matrices must show the cross-group segment count dropping from one
-  per rank pair to one per *leader* pair on every logical exchange call,
-  with bit-identical scientific output and byte-identical cross-group wire
-  volume — pure segment accounting, deterministic on any host, always
-  enforced.  On hosts with enough cores the measured trace projected onto a
-  Cori deployment (one node per rank group) must show the grouped segment
-  schedule's exposed exchange time at or below the flat one.
-
 * **Pool-amortisation gate** — two consecutive pooled pipeline runs: the
   first pays pool creation (fork + queue setup) and cold read caches, the
   second must be faster (and fetch zero remote reads — its rank processes
@@ -511,157 +500,6 @@ def run_serve_gate() -> dict[str, float]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Part 7: the hier-collective gate (two-level alltoallv)
-# ---------------------------------------------------------------------------
-
-#: Rank groups for the hierarchical gate: two groups of RANKS/2 ranks, each
-#: mapped onto one node of the projection deployment.
-HIER_GROUPS = 2
-
-
-def run_hier_gate() -> dict[str, float]:
-    """Flat vs hierarchical collectives: fewer cross-group segments, same answer.
-
-    Runs the pipeline workload under the process backend with the flat
-    single-level ``alltoallv`` engine and again with ``--collective hier``
-    (``HIER_GROUPS`` rank groups).  Three checks:
-
-    * **Bit identity** (always enforced): the hierarchical run must produce
-      the flat run's alignment table and science counters exactly.
-    * **Segment accounting** (always enforced — deterministic counting, like
-      the wire-packing gate): per logical exchange call the flat engine
-      posts one segment per rank pair — ``R(R-1)`` off-diagonal, all
-      group-crossing pairs among them — while the hierarchical engine posts
-      ``R-G`` gather + ``G(G-1)`` leader-to-leader + ``R-G`` scatter
-      segments, only the ``G(G-1)`` leader hops crossing a group boundary.
-      The difference of the traced message matrices must show exactly that
-      drop (broadcast/reduction rounds record identically on both sides and
-      cancel; the within-group off-diagonal segment count must not change).
-    * **Exposed exchange time** (enforced on hosts with >= ``RANKS`` cores):
-      the measured trace is projected onto a Cori deployment where each rank
-      group occupies one node — the placement ``--rank-groups`` models —
-      under the flat and under the grouped per-call segment schedule, at
-      identical wire volumes (asserted byte-identical across group
-      boundaries above); the grouped projection must not exceed the flat
-      one.  The hier run's own trace, which additionally records the
-      gather/scatter staging copies as intra-node volume (an upper bound —
-      real leader aggregation is a node-local memcpy, not a network send),
-      is projected and reported alongside, as are the in-simulator walls;
-      neither carries a gate (three collectives per logical exchange cost
-      interpreter time in a simulator — see docs/topology.md).
-    """
-    from repro.core.counters import SCHEDULE_FLAG_COUNTERS
-    from repro.mpisim.topology import Topology
-    from repro.netmodel.costmodel import CostModel
-    from repro.netmodel.platform import get_platform
-    from repro.netmodel.projection import project_pipeline
-
-    reads = _pipeline_workload()
-    base = PipelineConfig(coverage_hint=30.0, error_rate_hint=0.10,
-                          kmer=KmerSpec(k=17), backend="process")
-    start = time.perf_counter()
-    flat = run_dibella(reads, config=base, n_nodes=1, ranks_per_node=RANKS)
-    flat_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    hier = run_dibella(
-        reads,
-        config=base.with_collective("hier").with_rank_groups(HIER_GROUPS),
-        n_nodes=1, ranks_per_node=RANKS,
-    )
-    hier_wall = time.perf_counter() - start
-
-    assert _alignment_tables_equal(flat, hier), \
-        "hierarchical collectives changed the scientific output"
-    flat_science = {k: v for k, v in flat.counters.items()
-                    if k not in SCHEDULE_FLAG_COUNTERS}
-    hier_science = {k: v for k, v in hier.counters.items()
-                    if k not in SCHEDULE_FLAG_COUNTERS}
-    assert flat_science == hier_science, \
-        "hierarchical collectives changed the science counters"
-    n_groups = int(hier.topology.n_groups)
-    assert n_groups == HIER_GROUPS
-    assert hier.counters["collective_groups"] == HIER_GROUPS, \
-        "hier run did not record its group count"
-
-    # Segment accounting: the message-matrix difference isolates the
-    # alltoallv segments (identical broadcast/reduction rounds cancel).
-    groups = np.asarray(hier.topology.groups)
-    cross = groups[:, None] != groups[None, :]
-    offdiag = ~np.eye(RANKS, dtype=bool)
-    cross_pairs = int(cross.sum())
-    hier_cross_per_call = n_groups * (n_groups - 1)
-    flat_offdiag_per_call = RANKS * (RANKS - 1)
-    hier_offdiag_per_call = 2 * (RANKS - n_groups) + hier_cross_per_call
-    assert set(flat.trace.phases()) == set(hier.trace.phases())
-    calls_total = 0
-    cross_flat_total = cross_hier_total = 0
-    for phase in flat.trace.phases():
-        tf = flat.trace.phase_traffic(phase)
-        th = hier.trace.phase_traffic(phase)
-        assert tf.collective_calls == th.collective_calls, \
-            f"{phase}: flat and hier disagree on the logical exchange count"
-        calls = int(tf.collective_calls)
-        calls_total += calls
-        cross_delta = int(tf.messages[cross].sum() - th.messages[cross].sum())
-        offdiag_delta = int(tf.messages[offdiag].sum() - th.messages[offdiag].sum())
-        assert cross_delta == calls * (cross_pairs - hier_cross_per_call), (
-            f"{phase}: cross-group segments did not drop "
-            f"{cross_pairs} -> {hier_cross_per_call} per call "
-            f"(delta {cross_delta}, {calls} calls)")
-        assert offdiag_delta == calls * (flat_offdiag_per_call
-                                         - hier_offdiag_per_call), (
-            f"{phase}: off-diagonal segment delta {offdiag_delta} does not "
-            f"match the leader protocol over {calls} calls")
-        cross_flat_total += int(tf.messages[cross].sum())
-        cross_hier_total += int(th.messages[cross].sum())
-        # The leader hop concatenates, it does not inflate: the bytes that
-        # cross a group boundary are bit-for-bit the flat run's.
-        assert int(tf.volume[cross].sum()) == int(th.volume[cross].sum()), \
-            f"{phase}: hier moved different byte volume across group boundaries"
-    assert calls_total > 0, "hier gate workload performed no exchanges"
-    assert cross_hier_total < cross_flat_total
-
-    # Projected exposed exchange time on a deployment shaped like the group
-    # map: one node per group (Cori, Table 1 calibration).
-    spec = get_platform("cori")
-    model = CostModel()
-    if RANKS % HIER_GROUPS == 0:
-        deploy = Topology(n_nodes=HIER_GROUPS, ranks_per_node=RANKS // HIER_GROUPS)
-    else:
-        deploy = Topology(n_nodes=1, ranks_per_node=RANKS)
-    proj_flat = project_pipeline(flat.stages, flat.trace, spec, deploy,
-                                 model=model, platform_key="cori")
-    # The gated comparison holds the wire volumes fixed (they are asserted
-    # byte-identical across group boundaries above) and charges the grouped
-    # topology's per-call segment schedule — the fig12 what-if.
-    proj_hier = project_pipeline(flat.stages, flat.trace, spec,
-                                 deploy.with_groups(n_groups),
-                                 model=model, platform_key="cori")
-    # Reported only: the hier run's own trace also records the gather/scatter
-    # staging copies as intra-node volume, an upper bound on staging cost
-    # (real leader aggregation is a node-local memcpy, not a network send).
-    proj_staged = project_pipeline(hier.stages, hier.trace, spec,
-                                   deploy.with_groups(n_groups),
-                                   model=model, platform_key="cori")
-    return {
-        "hier_groups": float(n_groups),
-        "hier_exchange_calls": float(calls_total),
-        "hier_cross_segments_flat": float(cross_flat_total),
-        "hier_cross_segments": float(cross_hier_total),
-        "hier_intragroup_bytes": float(hier.counters["intragroup_bytes"]),
-        "hier_intergroup_bytes": float(hier.counters["intergroup_bytes"]),
-        "flat_projected_exchange_seconds": proj_flat.total_exchange_seconds,
-        "hier_projected_exchange_seconds": proj_hier.total_exchange_seconds,
-        "hier_projected_exchange_ratio": (
-            proj_hier.total_exchange_seconds
-            / max(proj_flat.total_exchange_seconds, 1e-12)),
-        "hier_staged_projected_exchange_seconds": proj_staged.total_exchange_seconds,
-        "flat_collective_wall_seconds": flat_wall,
-        "hier_collective_wall_seconds": hier_wall,
-    }
-
-
 def run_bench() -> dict[str, float]:
     metrics = {
         "ranks": float(RANKS),
@@ -672,7 +510,6 @@ def run_bench() -> dict[str, float]:
     metrics.update(run_double_buffer_gate())
     metrics.update(run_kmer_stage_gate())
     metrics.update(run_wire_packing_gate())
-    metrics.update(run_hier_gate())
     metrics.update(run_pool_gate())
     metrics.update(run_serve_gate())
     return metrics
@@ -729,24 +566,6 @@ def format_report(metrics: dict[str, float]) -> str:
         f"{MAX_PACKED_PAYLOAD_RATIO:.2f} always enforced); "
         f"alignment-exchange trace {metrics['ascii_exchange_bytes'] / 1e3:.1f} kB -> "
         f"{metrics['packing_exchange_bytes'] / 1e3:.1f} kB",
-        f"hier-collective gate ({metrics['hier_groups']:.0f} rank groups, "
-        f"{metrics['hier_exchange_calls']:.0f} logical exchange calls, "
-        f"process backend):",
-        f"  cross-group segments {metrics['hier_cross_segments_flat']:.0f} -> "
-        f"{metrics['hier_cross_segments']:.0f} (per-call drop asserted exactly, "
-        f"always enforced); intra/inter-group bytes "
-        f"{metrics['hier_intragroup_bytes'] / 1e3:.1f}/"
-        f"{metrics['hier_intergroup_bytes'] / 1e3:.1f} kB",
-        f"  projected exchange on cori, one node per group: flat "
-        f"{metrics['flat_projected_exchange_seconds'] * 1e3:.2f}ms, hier "
-        f"{metrics['hier_projected_exchange_seconds'] * 1e3:.2f}ms "
-        f"(ratio {metrics['hier_projected_exchange_ratio']:.2f}, gate <= 1.0 "
-        + ("enforced)" if gate_active else "not enforced on this host)"),
-        f"  reported only: hier trace incl. staging copies "
-        f"{metrics['hier_staged_projected_exchange_seconds'] * 1e3:.2f}ms; "
-        f"in-simulator walls flat {metrics['flat_collective_wall_seconds']:.3f}s / "
-        f"hier {metrics['hier_collective_wall_seconds']:.3f}s "
-        f"(see docs/topology.md)",
         f"pool-amortisation gate (process backend, {metrics['ranks']:.0f} ranks):",
         f"  cold {metrics['pool_cold_seconds']:.3f}s -> warm "
         f"{metrics['pool_warm_seconds']:.3f}s "
@@ -797,13 +616,6 @@ if __name__ == "__main__":
             f"FAIL: packed alignment read payload is "
             f"{bench_metrics['packing_payload_ratio']:.3f}x the raw bytes "
             f"(gate <= {MAX_PACKED_PAYLOAD_RATIO:.2f})"
-        )
-    if gate_enforced and bench_metrics["hier_projected_exchange_ratio"] > 1.0:
-        sys.exit(
-            f"FAIL: hierarchical collectives raised the projected exposed "
-            f"exchange time (ratio "
-            f"{bench_metrics['hier_projected_exchange_ratio']:.2f} > 1.0) on a "
-            f"{bench_metrics['cores']:.0f}-core host"
         )
     if gate_enforced and bench_metrics["pool_amortization"] <= 1.0:
         sys.exit(

@@ -12,19 +12,16 @@
 #           a C compile error cannot silently leave CI on the NumPy kernel
 #           (docs/architecture.md, "The compiled x-drop kernel").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
-#           Runs eight times: under the default thread backend, under the
+#           Runs six times: under the default thread backend, under the
 #           multiprocess shared-memory backend (DIBELLA_BACKEND=process),
 #           under the process backend with the persistent rank pool
 #           (DIBELLA_POOL=1) so pooled engine reuse is exercised suite-wide,
-#           with 2-bit wire packing disabled (DIBELLA_WIRE_PACKING=0) so
-#           the ASCII read-exchange fallback stays exercised, with
-#           double buffering disabled (DIBELLA_DOUBLE_BUFFER=0) so every
-#           stage's bulk-synchronous superstep schedule stays exercised,
-#           with the minimizer seed mode (DIBELLA_SEED_MODE=minimizer)
-#           so the windowed-sketch front-end of stages 1-3 is exercised
-#           suite-wide, and with the hierarchical two-level collectives
-#           (DIBELLA_COLLECTIVE=hier) so every alltoallv in the suite rides
-#           the gather/leader-exchange/scatter protocol.  An eighth pass
+#           with 2-bit wire packing and double buffering both disabled
+#           (DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0) so the ASCII
+#           read-exchange fallback and every stage's bulk-synchronous
+#           superstep schedule stay exercised, and with the minimizer seed
+#           mode (DIBELLA_SEED_MODE=minimizer) so the windowed-sketch
+#           front-end of stages 1-3 is exercised suite-wide.  A sixth pass
 #           runs with the runtime sanitizer armed (DIBELLA_SANITIZE=1):
 #           collective congruence checks, split-phase lifecycle guards and
 #           the hang watchdog across the whole fast tier, proving the
@@ -53,11 +50,7 @@
 #           read payload <= 0.3x raw, always enforced — the seed-sketch
 #           ablation gate: minimizer mode at w=11 must cut stage 1-3 k-mer
 #           bytes >= 3x and the retained-table peak >= 2x at >= 95% recall
-#           of the baseline's true overlaps, enforced on >= 4-core hosts —
-#           and the hier-collective gate: flat-vs-hier bit identity, the
-#           exact leader-protocol segment drop and cross-group byte
-#           equality always asserted, the projected exposed-exchange win
-#           on the grouped Cori deployment enforced on >= 4-core hosts).
+#           of the baseline's true overlaps, enforced on >= 4-core hosts).
 #
 # Usage:
 #   scripts/ci.sh          # everything (the tier-1 gate plus the perf gates)
@@ -100,17 +93,11 @@ DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
 echo "== fast tier: unit tests (process backend + persistent rank pool) =="
 DIBELLA_POOL=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
 
-echo "== fast tier: unit tests (ASCII wire fallback, DIBELLA_WIRE_PACKING=0) =="
-DIBELLA_WIRE_PACKING=0 python -m pytest tests -m "not slow" -q
-
-echo "== fast tier: unit tests (bulk-synchronous supersteps, DIBELLA_DOUBLE_BUFFER=0) =="
-DIBELLA_DOUBLE_BUFFER=0 python -m pytest tests -m "not slow" -q
+echo "== fast tier: unit tests (ASCII wire + bulk-synchronous supersteps, DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0) =="
+DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0 python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="
 DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
-
-echo "== fast tier: unit tests (hierarchical collectives, DIBELLA_COLLECTIVE=hier) =="
-DIBELLA_COLLECTIVE=hier python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (runtime sanitizer armed, DIBELLA_SANITIZE=1) =="
 DIBELLA_SANITIZE=1 python -m pytest tests -m "not slow" -q

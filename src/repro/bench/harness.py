@@ -227,20 +227,14 @@ class ExperimentHarness:
     # -- projection -----------------------------------------------------------------
 
     def project(self, result: PipelineResult, platform: str,
-                workload: str = "ecoli30x",
-                topology: Topology | None = None) -> PipelineProjection:
+                workload: str = "ecoli30x") -> PipelineProjection:
         """Project a pipeline run onto one of the paper's platforms.
 
         The run's measured work counters and traffic volumes are extrapolated
         to the full-size data set the benchmark workload stands in for (see
         :data:`TARGET_INPUT_BASES`), preserving the measured per-rank
-        distributions and load imbalance.
-
-        ``topology`` overrides the run's own topology — used for what-if
-        projections, e.g. ``result.topology.with_groups(G)`` projects a flat
-        run's traffic under the hierarchical collectives' per-call latency
-        term (see ``docs/topology.md``); the default projects the run as it
-        actually executed.
+        distributions and load imbalance, on the topology the run
+        actually executed with.
         """
         spec = get_platform(platform)
         measured_kmers = max(1, result.counters.get("input_kmers", 1))
@@ -250,7 +244,7 @@ class ExperimentHarness:
             result.stages,
             result.trace,
             spec,
-            topology if topology is not None else result.topology,
+            result.topology,
             model=self.cost_model,
             platform_key=platform,
             scale=scale,

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro.bench import experiments as exp
 from repro.bench.reporting import format_table
 from repro.core.config import PipelineConfig
-from repro.core.driver import run_dibella
+from repro.core.pipeline import DibellaPipeline
 from repro.core.service import AlignmentService
 from repro.mpisim.topology import Topology
 from repro.data.datasets import (
@@ -103,22 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=["thread", "process"], default=None,
                      help="SPMD runtime backend: threads (default) or one process "
                           "per rank exchanging typed buffers via shared memory")
-    run.add_argument("--collective", choices=["flat", "hier"], default=None,
-                     help="all-to-all layout: 'flat' publishes one segment per "
-                          "rank pair (the paper's O(R^2) pattern); 'hier' runs "
-                          "gather-to-leader -> leader-to-leader -> scatter over "
-                          "rank groups, cutting cross-group segments to O(G^2) "
-                          "(see docs/topology.md; output is bit-identical; "
-                          "DIBELLA_COLLECTIVE has the same effect)")
-    run.add_argument("--rank-groups", type=int, default=None,
-                     help="rank-group count G of --collective hier; 0 (the "
-                          "default) auto-detects one group per physical CPU "
-                          "socket (DIBELLA_RANK_GROUPS has the same effect)")
-    run.add_argument("--pin-ranks", action="store_true", default=None,
-                     help="pin each process-backend rank worker to a core of "
-                          "its group via sched_setaffinity; graceful no-op "
-                          "where affinity is restricted (DIBELLA_PIN_RANKS=1 "
-                          "has the same effect)")
     run.add_argument("--exchange-chunk-mb", type=float, default=None,
                      help="per-rank wire budget (MiB) of each overlap-exchange "
                           "superstep; 0 disables chunking (one monolithic "
@@ -188,16 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nodes", type=int, default=1)
     serve.add_argument("--ranks-per-node", type=int, default=2)
     serve.add_argument("--backend", choices=["thread", "process"], default=None)
-    serve.add_argument("--collective", choices=["flat", "hier"], default=None,
-                       help="all-to-all layout for every build/query run "
-                            "(see docs/topology.md; DIBELLA_COLLECTIVE has "
-                            "the same effect)")
-    serve.add_argument("--rank-groups", type=int, default=None,
-                       help="rank-group count of --collective hier; 0 = auto "
-                            "(DIBELLA_RANK_GROUPS has the same effect)")
-    serve.add_argument("--pin-ranks", action="store_true", default=None,
-                       help="pin process-backend rank workers to their group's "
-                            "cores (DIBELLA_PIN_RANKS=1 has the same effect)")
     serve.add_argument("--hash-shards", type=int, default=None)
     serve.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
                        help="seeding front-end; the index build and every "
@@ -246,16 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--nodes", type=int, default=1)
     query.add_argument("--ranks-per-node", type=int, default=2)
     query.add_argument("--backend", choices=["thread", "process"], default=None)
-    query.add_argument("--collective", choices=["flat", "hier"], default=None,
-                       help="all-to-all layout for the build and the batch "
-                            "(see docs/topology.md; DIBELLA_COLLECTIVE has "
-                            "the same effect)")
-    query.add_argument("--rank-groups", type=int, default=None,
-                       help="rank-group count of --collective hier; 0 = auto "
-                            "(DIBELLA_RANK_GROUPS has the same effect)")
-    query.add_argument("--pin-ranks", action="store_true", default=None,
-                       help="pin process-backend rank workers to their group's "
-                            "cores (DIBELLA_PIN_RANKS=1 has the same effect)")
     query.add_argument("--hash-shards", type=int, default=None)
     query.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
                        help="seeding front-end; the index build and the query "
@@ -284,17 +250,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fold_collective_args(config: PipelineConfig,
-                          args: argparse.Namespace) -> PipelineConfig:
-    """Apply the shared collective-layout / placement flags to *config*."""
-    if getattr(args, "collective", None) is not None:
-        config = config.with_collective(args.collective)
-    if getattr(args, "rank_groups", None) is not None:
-        config = config.with_rank_groups(
-            args.rank_groups if args.rank_groups != 0 else None)
-    if getattr(args, "pin_ranks", None):
-        config = config.with_pin_ranks(True)
-    return config
+class _UsageError(Exception):
+    """A command-line argument or input file that cannot start a run."""
+
+
+@contextmanager
+def _cli_inputs() -> Iterator[None]:
+    """Turn the errors of building a run's inputs into a usage error.
+
+    Wraps only the construction of the config, topology and read set, so
+    :func:`main` reports a bad flag value or an unreadable input in one
+    line (exit status 2), while a failure inside the run itself still
+    propagates with its traceback.
+    """
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _resolve_strategy(name: str, k: int) -> SeedStrategy:
@@ -336,15 +308,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.input:
-        reads = read_fastq(args.input)
-        source = args.input
-    else:
-        factory = _PRESETS[args.preset]
-        spec = factory() if args.preset == "tiny" else factory(scale=args.scale)
-        reads = generate_dataset(spec).reads
-        source = spec.name
+def _run_config(args: argparse.Namespace) -> PipelineConfig:
+    """Config assembly of the run subcommand."""
     overrides = {}
     if args.exchange_chunk_mb is not None:
         # 0 disables chunking; negative values fall through to the config's
@@ -379,16 +344,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed_mode is not None or args.minimizer_window is not None:
         config = config.with_seed_mode(args.seed_mode or config.seed_mode,
                                        args.minimizer_window)
-    config = _fold_collective_args(config, args)
+    # The backend is folded in before the fault plan: kill-plan validation
+    # depends on it (kill faults are rejected on the thread backend).
+    if args.backend is not None:
+        config = config.with_backend(args.backend)
+    if args.pool is not None:
+        config = config.with_pool(args.pool)
     if args.fault_plan is not None:
-        # Fold the backend override in first: kill-plan validation depends
-        # on it (kill faults are rejected on the thread backend).
-        if args.backend is not None:
-            config = config.with_backend(args.backend)
         config = config.with_fault_plan(args.fault_plan)
-    result = run_dibella(reads, config=config, n_nodes=args.nodes,
-                         ranks_per_node=args.ranks_per_node, backend=args.backend,
-                         pool=args.pool)
+    return config
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    with _cli_inputs():
+        config = _run_config(args)
+        topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
+        reads, source = _load_reads(args)
+        if len(reads) == 0:
+            raise ValueError(f"{source}: no reads to align")
+    result = DibellaPipeline(config=config, topology=topology).run(reads)
     print(f"input: {source} ({len(reads)} reads, {reads.total_bases} bases)")
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
@@ -423,7 +397,6 @@ def _serve_config(args: argparse.Namespace) -> PipelineConfig:
     if args.seed_mode is not None or args.minimizer_window is not None:
         config = config.with_seed_mode(args.seed_mode or config.seed_mode,
                                        args.minimizer_window)
-    config = _fold_collective_args(config, args)
     if getattr(args, "sanitize", None):
         config = config.with_sanitize(True)
     if getattr(args, "fault_plan", None) is not None:
@@ -434,7 +407,10 @@ def _serve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    reads, source = _load_reads(args)
+    with _cli_inputs():
+        config = _serve_config(args)
+        topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
+        reads, source = _load_reads(args)
     if not (0.0 < args.index_fraction < 1.0):
         print("serve: --index-fraction must be in (0, 1)", file=sys.stderr)
         return 2
@@ -444,8 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: input leaves no query reads after the index slice",
               file=sys.stderr)
         return 2
-    config = _serve_config(args)
-    topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
     service = AlignmentService(reads.subset(range(n_index)), config=config,
                                topology=topology)
 
@@ -475,10 +449,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    index_reads = read_fastq(args.index)
-    query_reads = read_fastq(args.queries)
-    config = _serve_config(args)
-    topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
+    with _cli_inputs():
+        config = _serve_config(args)
+        topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
+        index_reads = read_fastq(args.index)
+        query_reads = read_fastq(args.queries)
     service = AlignmentService(index_reads, config=config, topology=topology)
     service.submit(list(query_reads))
     record = service.drain()[0]
@@ -527,7 +502,10 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "platforms": _cmd_platforms,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

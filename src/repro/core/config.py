@@ -11,7 +11,7 @@ benches.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 from repro.align.batched_xdrop import DEFAULT_XDROP_BAND, BatchedExtensionConfig
 from repro.align.scoring import ScoringScheme
@@ -226,36 +226,13 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective:
-        All-to-all collective layout (see ``docs/topology.md``).
-        ``"flat"`` (the paper's pattern) publishes one segment per
-        (source, destination) pair — O(R²) per superstep; ``"hier"``
-        partitions the ranks into groups, elects the lowest rank of each
-        group leader, and runs every ``alltoallv`` as gather-to-leader →
-        leader-to-leader cross-group exchange of concatenated
-        per-destination payloads → intra-group scatter, cutting the
-        cross-group segment count to O(G²).  Scientific output, counters
-        and traces of the logical exchange are bit-identical either way;
-        ``benchmarks/bench_backend_scaling.py`` gates the reduction.  The
-        default honours ``DIBELLA_COLLECTIVE`` (CLI ``--collective``).
-    rank_groups:
-        Number of rank groups G of the hierarchical collectives.  ``None``
-        (the default) auto-detects one group per physical CPU socket of
-        the schedulable cores (clamped to ``[1, n_ranks]``, see
-        :func:`repro.mpisim.topology.resolve_rank_groups`); an explicit
-        count wins over detection.  Ignored with ``collective="flat"``.
-        The default honours ``DIBELLA_RANK_GROUPS`` (CLI
-        ``--rank-groups``; ``0``/unset means auto).
-    pin_ranks:
-        Pin each process-backend rank worker to a CPU core of its group
-        via ``os.sched_setaffinity`` (map computed by
-        :func:`repro.mpisim.topology.assign_pin_cores`), so co-grouped
-        ranks share a socket and stay there.  A graceful no-op — counted
-        in ``rank_pins_skipped`` — where affinity is restricted
-        (cgroups, non-Linux) or the backend is ``"thread"`` (pinning the
-        thread would pin the whole interpreter).  Pooled workers keep
-        their pins across runs.  The default honours
-        ``DIBELLA_PIN_RANKS`` (CLI ``--pin-ranks``).
+    collective / rank_groups / pin_ranks:
+        Compatibility names of a removed second collective layout.  They
+        are init-only (not stored, not in :func:`dataclasses.fields`) and
+        accept only their former defaults — ``"flat"``, ``None`` and
+        ``False`` — so callers that spell out every knob keep working;
+        any other value raises :class:`ValueError`.  The flat
+        ``alltoallv`` is the only layout.
     """
 
     kmer: KmerSpec = field(default_factory=lambda: KmerSpec(k=17))
@@ -322,17 +299,17 @@ class PipelineConfig:
     serve_max_retries: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_SERVE_MAX_RETRIES", "2"))
     )
-    collective: str = field(
-        default_factory=lambda: os.environ.get("DIBELLA_COLLECTIVE", "flat")
-    )
-    rank_groups: int | None = field(
-        default_factory=lambda: _env_optional_int("DIBELLA_RANK_GROUPS")
-    )
-    pin_ranks: bool = field(
-        default_factory=lambda: _env_flag("DIBELLA_PIN_RANKS", False)
-    )
+    collective: InitVar[str] = "flat"
+    rank_groups: InitVar[int | None] = None
+    pin_ranks: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, collective: str, rank_groups: int | None,
+                      pin_ranks: bool) -> None:
+        if collective != "flat" or rank_groups is not None or pin_ranks is not False:
+            raise ValueError(
+                "the flat alltoallv is the only collective layout: "
+                f"collective={collective!r}, rank_groups={rank_groups!r} and "
+                f"pin_ranks={pin_ranks!r} must be 'flat', None and False")
         if self.seed_mode not in ("reliable", "minimizer"):
             raise ValueError(f"unknown seed mode {self.seed_mode!r}")
         if self.minimizer_window < 1:
@@ -380,10 +357,6 @@ class PipelineConfig:
             raise ValueError("read_cache_mb must be >= 0 (0 = unbounded)")
         if self.serve_max_retries < 0:
             raise ValueError("serve_max_retries must be >= 0 (0 = no recovery)")
-        if self.collective not in ("flat", "hier"):
-            raise ValueError(f"unknown collective layout {self.collective!r}")
-        if self.rank_groups is not None and self.rank_groups < 1:
-            raise ValueError("rank_groups must be >= 1 (or None for auto)")
         if self.fault_plan is not None:
             # Parse eagerly so a malformed plan fails at configuration time,
             # not at an arbitrary later spmd_run.
@@ -506,18 +479,6 @@ class PipelineConfig:
     def with_serve_max_retries(self, serve_max_retries: int) -> "PipelineConfig":
         """Copy of this config retrying failed serve runs *serve_max_retries* times."""
         return replace(self, serve_max_retries=serve_max_retries)
-
-    def with_collective(self, collective: str) -> "PipelineConfig":
-        """Copy of this config on a different collective layout ("flat"/"hier")."""
-        return replace(self, collective=collective)
-
-    def with_rank_groups(self, rank_groups: int | None) -> "PipelineConfig":
-        """Copy of this config with *rank_groups* groups (None = auto-detect)."""
-        return replace(self, rank_groups=rank_groups)
-
-    def with_pin_ranks(self, pin_ranks: bool) -> "PipelineConfig":
-        """Copy of this config with process-worker core pinning on or off."""
-        return replace(self, pin_ranks=pin_ranks)
 
     def with_seed_strategy(self, strategy: SeedStrategy) -> "PipelineConfig":
         """Copy of this config with a different seed strategy (bench helper)."""

@@ -104,13 +104,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
     "align_native_ranks": "ranks whose alignment stage ran the compiled x-drop tier (0: the NumPy kernel produced the timings)",
-    # -- collective layout / rank placement (see SCHEDULE_FLAG_COUNTERS) ----
-    "collective_groups": "rank groups the hierarchical collectives ran with (absent on flat runs)",
-    "intragroup_bytes": "logical exchange bytes addressed to a destination in the sender's own group",
-    "intergroup_bytes": "logical exchange bytes addressed across group boundaries",
-    "leader_aggregation_seconds": "wall seconds leaders spent concatenating/splitting member payloads (ceil, >=1 per leader)",
-    "ranks_pinned": "rank workers successfully pinned to a core via sched_setaffinity",
-    "rank_pins_skipped": "rank pin attempts skipped (thread backend, restricted affinity, non-Linux)",
     # -- rank-failure recovery (see RECOVERY_COUNTERS) ----------------------
     "rank_failures_detected": "dead rank processes detected by the runtime during this call",
     "pool_respawns": "pool worker processes respawned after a failure eviction",
@@ -123,8 +116,7 @@ REGISTERED_COUNTERS: frozenset[str] = frozenset(PIPELINE_COUNTERS)
 
 #: Counters that describe the *schedule* rather than the science: they
 #: legitimately differ between double-buffered and bulk-synchronous runs —
-#: or between flat and hierarchical collective layouts, or between the
-#: compiled and the NumPy x-drop tier — of the same input,
+#: or between the compiled and the NumPy x-drop tier — of the same input,
 #: so cross-schedule parity comparisons exclude exactly this set (and
 #: nothing else).
 SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
@@ -138,12 +130,6 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "alignment_steps_overlapped",
     "query_route_double_buffered",
     "query_route_steps_overlapped",
-    "collective_groups",
-    "intragroup_bytes",
-    "intergroup_bytes",
-    "leader_aggregation_seconds",
-    "ranks_pinned",
-    "rank_pins_skipped",
     "align_native_ranks",
 })
 

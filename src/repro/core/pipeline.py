@@ -18,7 +18,7 @@ from repro.core.stages import (
 from repro.io.partition import partition_reads
 from repro.mpisim.faults import FaultPlan, RunFaults
 from repro.mpisim.runtime import spmd_run
-from repro.mpisim.topology import Topology, assign_pin_cores, resolve_rank_groups
+from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
 from repro.seq.records import ReadSet
 
@@ -89,26 +89,6 @@ class DibellaPipeline:
         if self._fault_plan is None:
             return None
         return self._fault_plan.bind_next_run()
-
-    def _run_topology(self) -> Topology:
-        """The topology SPMD runs actually launch with.
-
-        With ``collective="hier"`` the configured topology gains a rank→group
-        map (explicit ``rank_groups``, else one group per detected physical
-        socket — see :func:`~repro.mpisim.topology.resolve_rank_groups`);
-        with ``pin_ranks`` on the process backend it gains a rank→core pin
-        map placing each group on its own core slice.  The flat engine and
-        thread-backend runs keep the topology untouched, so existing
-        behaviour is bit-for-bit unchanged.
-        """
-        topology = self.topology
-        config = self.config
-        if config.collective == "hier":
-            n_groups = resolve_rank_groups(config.rank_groups, topology.n_ranks)
-            topology = topology.with_groups(n_groups)
-        if config.pin_ranks and config.backend == "process":
-            topology = topology.with_pin_cores(assign_pin_cores(topology))
-        return topology
 
     def invalidate_resident_state(self) -> None:
         """Drop parent-process resident registries after a failed SPMD run.
@@ -240,7 +220,7 @@ class DibellaPipeline:
         high_freq_threshold, *program_args, cache_tag=...)``.
         """
         config = self.config
-        topology = self._run_topology()
+        topology = self.topology
         n_ranks = topology.n_ranks
         assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
         high_freq_threshold = config.resolve_high_freq_threshold(readset)
@@ -268,10 +248,6 @@ class DibellaPipeline:
         counters = self._aggregate_counters(reports)
         counters["high_freq_threshold"] = high_freq_threshold
         self._record_sketch_density(counters)
-        if topology.groups is not None:
-            # The group count a hierarchical run actually used: a schedule
-            # flag (excluded from cross-layout parity), absent on flat runs.
-            counters["collective_groups"] = topology.n_groups
         return PipelineResult(
             config=config,
             topology=topology,

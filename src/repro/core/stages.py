@@ -23,7 +23,6 @@ Table 1 platforms.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -974,57 +973,6 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rank placement: core pinning + hierarchical-exchange accounting
-# ---------------------------------------------------------------------------
-
-def _apply_rank_pinning(comm: SimCommunicator, counters: dict[str, int]) -> None:
-    """Pin this rank's worker to its assigned core (graceful no-op).
-
-    Only acts when the run topology carries a pin map — the pipeline
-    attaches one only for ``pin_ranks`` on the **process** backend, where
-    each rank is its own process so ``os.sched_setaffinity`` binds exactly
-    one rank (pinning a thread-backend rank would pin the whole
-    interpreter).  A restricted cgroup mask or a platform without affinity
-    control counts ``rank_pins_skipped`` instead of failing the run.
-    Pooled workers keep the affinity across parked runs; the next pinned
-    run simply re-applies it.
-    """
-    pins = comm.topology.pin_cores
-    if pins is None:
-        return
-    try:
-        os.sched_setaffinity(0, {pins[comm.rank]})
-    except (AttributeError, OSError):
-        counters["rank_pins_skipped"] = counters.get("rank_pins_skipped", 0) + 1
-        return
-    counters["ranks_pinned"] = counters.get("ranks_pinned", 0) + 1
-
-
-def _fold_hier_counters(comm: SimCommunicator, counters: dict[str, int]) -> None:
-    """Fold the communicator's hierarchical-exchange stats into the report.
-
-    Only hierarchical runs (a topology with a group map) write these keys,
-    so flat runs' counter dicts are untouched.  The byte counters are exact
-    functions of the logical send lists (``payload_nbytes`` sums), hence
-    identical across backends, schedules and chunk sizes; the leader
-    aggregation time is wall clock, folded as its ceiling in whole seconds
-    so the aggregate stays deterministic — exactly 1 per group leader, 0 on
-    every other rank.
-    """
-    if comm.topology.groups is None:
-        return
-    stats = comm.hier_stats
-    counters["intragroup_bytes"] = (
-        counters.get("intragroup_bytes", 0) + int(stats["intragroup_bytes"]))
-    counters["intergroup_bytes"] = (
-        counters.get("intergroup_bytes", 0) + int(stats["intergroup_bytes"]))
-    if stats["leader_seconds"] > 0:
-        counters["leader_aggregation_seconds"] = (
-            counters.get("leader_aggregation_seconds", 0)
-            + int(np.ceil(stats["leader_seconds"])))
-
-
-# ---------------------------------------------------------------------------
 # Rank state and report: shared by every rank program
 # ---------------------------------------------------------------------------
 
@@ -1036,11 +984,11 @@ def _rank_state(
     high_freq_threshold: int,
     cache_tag: str | None,
 ) -> _RankState:
-    """This rank's fresh pipeline state, with its worker pinned.
+    """This rank's fresh pipeline state.
 
-    Validates the partition (:func:`_build_read_owner`), acquires the rank's
-    read cache (persistent under *cache_tag*, see
-    :func:`_acquire_read_cache`) and applies the run's rank pinning.
+    Validates the partition (:func:`_build_read_owner`) and acquires the
+    rank's read cache (persistent under *cache_tag*, see
+    :func:`_acquire_read_cache`).
     """
     state = _RankState(
         config=config,
@@ -1050,7 +998,6 @@ def _rank_state(
         high_freq_threshold=high_freq_threshold,
         read_cache=_acquire_read_cache(cache_tag, comm.rank),
     )
-    _apply_rank_pinning(comm, state.counters)
     if comm.rank == 0:
         # One value per run, not per rank: recorded once so the summed
         # global counters report the shard count itself.
@@ -1059,8 +1006,7 @@ def _rank_state(
 
 
 def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
-    """Package *state* as this rank's report (hierarchical stats folded in)."""
-    _fold_hier_counters(comm, state.counters)
+    """Package *state* as this rank's report."""
     timers = state.timers.items()
     aln_rid_a, aln_rid_b, aln_score, aln_span_a, aln_span_b = state.accepted
     return RankReport(

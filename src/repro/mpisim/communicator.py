@@ -30,17 +30,11 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
-from repro.mpisim.collectives import (
-    pack_segments,
-    payload_nbytes,
-    payload_signature,
-    unpack_segments,
-)
+from repro.mpisim.collectives import payload_nbytes, payload_signature
 from repro.mpisim.errors import (
     CollectiveMismatchError,
     CollectiveTimeoutError,
@@ -138,10 +132,6 @@ class ExchangeHandle:
     result: list[Any] | None = None
     label: str | None = None
     consumed: bool = False
-    #: True when the handle's token is the *gather hop* of a hierarchical
-    #: exchange; ``alltoallv_finish`` then runs the leader-to-leader and
-    #: scatter hops before returning (see docs/topology.md).
-    hier: bool = False
 
 
 class _CollectiveState:
@@ -356,34 +346,6 @@ class SimCommunicator:
                 f"topology has {self.topology.n_ranks} ranks but communicator has {size}"
             )
         self.trace = trace
-        # Hierarchical two-level exchanges (docs/topology.md): active when
-        # the run topology carries a rank→group map.  The layout below is
-        # pure bookkeeping — the hops themselves are ordinary engine
-        # collectives, so every transport (threads, shared memory, pooled
-        # workers) and every guard (sanitizer, fault injection, orphan
-        # segment reclamation) applies to them unchanged.
-        groups = self.topology.groups
-        if groups is not None:
-            self._hier_group_ranks = [self.topology.ranks_in_group(g)
-                                      for g in range(self.topology.n_groups)]
-            self._hier_group = groups[rank]
-            self._hier_members = self._hier_group_ranks[self._hier_group]
-            self._hier_leader = self._hier_members[0]
-            self._hier_leaders = self.topology.group_leaders
-            # Position of every rank within its own group (scatter indexing).
-            self._hier_rank_index = tuple(
-                self._hier_group_ranks[groups[r]].index(r)
-                for r in range(size)
-            )
-        else:
-            self._hier_group = None
-        #: Per-rank accumulators the pipeline folds into its counters:
-        #: logical exchange bytes addressed within / across this rank's
-        #: group, and wall seconds this rank (when leader) spent building
-        #: leader-hop payloads.  Stay zero on flat runs.
-        self.hier_stats: dict[str, Any] = {
-            "intragroup_bytes": 0, "intergroup_bytes": 0, "leader_seconds": 0.0,
-        }
         # Split-phase exchange sequence number; SPMD discipline (all ranks
         # issue the same collectives in the same order) keeps it identical
         # across the ranks of a run, so it doubles as the engine's
@@ -606,31 +568,6 @@ class SimCommunicator:
             raise ValueError(f"alltoallv needs {self.size} payloads, got {len(send)}")
         op_name = exchange_op_name("alltoallv", label)
         start = getattr(self._engine, "exchange_start", None)
-        if self._hier_group is not None:
-            if start is None:
-                # No split-phase engine support: run the whole hierarchical
-                # exchange now and hand the result through the handle.
-                result = self._hier_exchange(op_name, send)
-                return ExchangeHandle(op_name=op_name, result=result, label=label)
-            # Hierarchical split phase: only the gather hop is split — it is
-            # the hop whose publish can overlap the caller's compute.  The
-            # leader hops need the gathered data, so they run synchronously
-            # inside alltoallv_finish (through the engine's global-barrier
-            # path, which keeps them off the EXCHANGE_SLOTS double buffer —
-            # the start(i+1)-before-finish(i) schedules stay deadlock-free).
-            self._account_hier_gather(send)
-            hop_op = op_name + "/gather"
-            if self._faults is not None:
-                self._faults.before_op(hop_op, self._phase)
-            if self._sanitize:
-                self._sanitize_congruence(hop_op, "split", payload_signature(send))
-            gather_send = [send if d == self._hier_leader else None
-                           for d in range(self.size)]
-            seq = self._xchg_seq
-            self._xchg_seq += 1
-            token = self._engine_call(start, self.rank, hop_op, gather_send, seq)
-            return ExchangeHandle(op_name=op_name, token=token, label=label,
-                                  hier=True)
         self._record_exchange(send)
         if start is None:
             # Engine without split-phase support: degrade to the synchronous
@@ -667,11 +604,6 @@ class SimCommunicator:
         received = self._engine_call(
             self._engine.exchange_finish, self.rank, handle.token
         )
-        if handle.hier:
-            # The split hop delivered the gathered member sends; run the
-            # leader-to-leader and scatter hops now (synchronous collectives,
-            # issued by every rank — see alltoallv_start's hier branch).
-            received = self._hier_finish(handle.op_name, received)
         handle.consumed = True
         return received
 
@@ -699,119 +631,9 @@ class SimCommunicator:
                 self.trace.record_alltoallv_call()
 
     def _exchange(self, op_name: str, send: list[Any]) -> list[Any]:
-        if self._hier_group is not None:
-            return self._hier_exchange(op_name, send)
         self._record_exchange(send)
         return self._collective(op_name, send, self._transpose_combine(),
                                 signature=payload_signature(send))
-
-    # -- hierarchical (two-level) exchange ---------------------------------------
-    #
-    # With a grouped topology an alltoall(v) runs as three hops, each an
-    # ordinary collective issued by EVERY rank in the same order (payload
-    # construction is the only rank-dependent part — SPMD discipline):
-    #
-    #   1. ``op/gather``  — each rank sends its whole logical send list to
-    #      its group leader (one segment instead of R).
-    #   2. ``op/xgroup``  — leaders exchange, pairwise, the concatenated
-    #      member payloads addressed to each other group: G·(G−1) cross-
-    #      group segments instead of R·(R−1).
-    #   3. ``op/scatter`` — each leader rebuilds, per member, the full
-    #      source-ordered result row and scatters it.
-    #
-    # The delivered rows are bit-identical to the flat engine's.  Byte
-    # accounting records the *hop* traffic (that is the observable the
-    # hier gate asserts on) with sizes that are linear in the logical
-    # per-destination payload bytes, so streamed exchanges stay
-    # chunk-invariant; call ordinals count once per logical exchange,
-    # exactly like the flat path.
-
-    def _hier_exchange(self, op_name: str, send: list[Any]) -> list[Any]:
-        """Run one full hierarchical exchange synchronously."""
-        self._account_hier_gather(send)
-        received1 = self._collective(
-            op_name + "/gather",
-            [send if d == self._hier_leader else None for d in range(self.size)],
-            self._transpose_combine(),
-            signature=payload_signature(send),
-        )
-        return self._hier_finish(op_name, received1)
-
-    def _account_hier_gather(self, send: list[Any]) -> None:
-        """Gather-hop accounting: trace row, call ordinals, group counters."""
-        sizes = np.array([payload_nbytes(p) for p in send], dtype=np.int64)
-        intra = int(sizes[list(self._hier_members)].sum())
-        total = int(sizes.sum())
-        self.hier_stats["intragroup_bytes"] += intra
-        self.hier_stats["intergroup_bytes"] += total - intra
-        if self.trace is not None:
-            hop = np.zeros(self.size, dtype=np.int64)
-            hop[self._hier_leader] = total
-            self.trace.record_send(self.rank, hop)
-            if self.rank == 0:
-                self.trace.record_collective_call(self.trace.current_phase(0))
-                self.trace.record_alltoallv_call()
-
-    def _hier_finish(self, op_name: str, received1: list[Any]) -> list[Any]:
-        """Leader-to-leader and scatter hops; returns this rank's result row.
-
-        ``received1`` is the gather hop's delivery: on a leader, entry ``m``
-        is member ``m``'s whole logical send list; on every other rank, all
-        ``None``.  Both leader hops are built under a wall clock that feeds
-        the ``leader_aggregation_seconds`` counter.
-        """
-        leader = self.rank == self._hier_leader
-        group_ranks = self._hier_group_ranks
-        own = self._hier_group
-
-        xgroup_send: list[Any] = [None] * self.size
-        if leader:
-            t0 = perf_counter()
-            rows = {m: received1[m] for m in self._hier_members}
-            hop2 = np.zeros(self.size, dtype=np.int64)
-            for g, dests in enumerate(group_ranks):
-                if g == own:
-                    continue
-                flat = [rows[m][d] for m in self._hier_members for d in dests]
-                hop2[self._hier_leaders[g]] = sum(payload_nbytes(p) for p in flat)
-                xgroup_send[self._hier_leaders[g]] = pack_segments(flat)
-            self.hier_stats["leader_seconds"] += perf_counter() - t0
-            if self.trace is not None:
-                self.trace.record_send(self.rank, hop2)
-        # Leader-hop payloads are rank-asymmetric by design (non-leaders
-        # contribute None), so the congruence signature is "" like bcast's.
-        received2 = self._collective(op_name + "/xgroup", xgroup_send,
-                                     self._transpose_combine(), signature="")
-
-        scatter_send: list[Any] = [None] * self.size
-        if leader:
-            t0 = perf_counter()
-            # blocks[g][i][j]: payload from the i-th rank of group g to the
-            # j-th member of this group (the xgroup hop's flattening order).
-            n_members = len(self._hier_members)
-            blocks = {}
-            for g in range(len(group_ranks)):
-                if g == own:
-                    continue
-                flat = unpack_segments(received2[self._hier_leaders[g]])
-                blocks[g] = [flat[i * n_members:(i + 1) * n_members]
-                             for i in range(len(group_ranks[g]))]
-            hop3 = np.zeros(self.size, dtype=np.int64)
-            group_of = self.topology.groups
-            for j, member in enumerate(self._hier_members):
-                row = [
-                    received1[s][member] if group_of[s] == own
-                    else blocks[group_of[s]][self._hier_rank_index[s]][j]
-                    for s in range(self.size)
-                ]
-                hop3[member] = sum(payload_nbytes(p) for p in row)
-                scatter_send[member] = pack_segments(row)
-            self.hier_stats["leader_seconds"] += perf_counter() - t0
-            if self.trace is not None:
-                self.trace.record_send(self.rank, hop3)
-        received3 = self._collective(op_name + "/scatter", scatter_send,
-                                     self._transpose_combine(), signature="")
-        return unpack_segments(received3[self._hier_leader])
 
     def _check_root(self, root: int) -> None:
         if not (0 <= root < self.size):

@@ -145,32 +145,6 @@ class ExchangeCostModel:
 
     first_alltoallv_penalty: float = 0.9
     per_rank_setup_us: float = 0.15
-    #: Extra synchronisation rounds a hierarchical exchange pays beyond the
-    #: flat engine's single round: the leader-to-leader and scatter hops each
-    #: barrier once more, charged like one extra segment each.
-    hier_extra_rounds: float = 2.0
-
-    def segments_per_call(self, actual_ranks: int, topology: Topology) -> float:
-        """Per-destination segments the busiest rank posts per collective call.
-
-        The latency term charges the per-segment software overhead (buffer
-        bookkeeping, counts exchange) at the busiest rank.  Flat ``alltoallv``
-        posts one segment per destination rank: ``actual_ranks``.  With a
-        grouped topology (``--collective hier``) the busiest rank is a group
-        leader, which posts ``G−1`` cross-group segments plus one scatter
-        segment per group member — ``ceil(actual_ranks / G)`` — plus the
-        extra hop-synchronisation rounds; the non-leader ranks post a single
-        gather segment.  This is where the hierarchy wins: the O(R) per-call
-        segment count drops to O(G + R/G), while the volume terms below stay
-        driven by the recorded traffic matrix (a hierarchical run records its
-        hop volumes; a flat run projected onto a grouped topology keeps its
-        flat volumes — a what-if on latency only).
-        """
-        if topology.groups is None:
-            return float(actual_ranks)
-        n_groups = topology.n_groups
-        group_span = int(np.ceil(actual_ranks / n_groups))
-        return float((n_groups - 1) + group_span + self.hier_extra_rounds)
 
     def _node_traffic(
         self, traffic: PhaseTraffic, topology: Topology
@@ -220,7 +194,7 @@ class ExchangeCostModel:
         calls = max(1, traffic.collective_calls)
         latency_time = (
             calls
-            * self.segments_per_call(actual_ranks, topology)
+            * actual_ranks
             * (platform.intranode_latency_us + self.per_rank_setup_us)
             * 1e-6
         )

@@ -159,6 +159,23 @@ class TestCli:
         assert lines[0].startswith("rid_a")
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("args", [
+        ["--nodes", "0"],
+        ["-k", "0"],
+        ["--batch-reads", "0"],
+        ["--input", "FASTA"],
+    ], ids=["nodes", "k", "batch-reads", "fasta-input"])
+    def test_bad_run_input_exits_cleanly(self, args, tmp_path, capsys):
+        fasta = tmp_path / "reads.fa"
+        fasta.write_text(">r1\nACGTACGTACGT\n")
+        args = [str(fasta) if a == "FASTA" else a for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("dibella: error: ")
+        assert "Traceback" not in err
+
     def test_experiment_command_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "cori" in capsys.readouterr().out

@@ -431,6 +431,29 @@ class TestServiceErrorPaths:
         service.shutdown()
 
 
+    def test_op_targeted_exit_retried_bit_identical(self, workload):
+        """An ``op=``-targeted exit in the first batch's query routing is
+        retried once by the service, with science equal to a clean run."""
+        index, queries = workload
+        clean = AlignmentService(index, config=self._config(),
+                                 topology=Topology(1, 2))
+        clean.submit(queries)
+        baseline = clean.drain()[0]
+        clean.shutdown()
+        shutdown_rank_pools()
+
+        config = self._config(
+            fault_plan="exit:rank=0:op=alltoallv[query_route]:run=1",
+            serve_max_retries=2)
+        service = AlignmentService(index, config=config,
+                                   topology=Topology(1, 2))
+        service.submit(queries)
+        record = service.drain()[0]
+        assert record.result.counters["query_batch_retries"] == 1
+        assert _science(record.result) == _science(baseline.result)
+        service.shutdown()
+
+
 @pytest.mark.slow
 class TestServeKillRecovery:
     """Acceptance pins: a pooled process-backend serve session survives a
@@ -484,87 +507,3 @@ class TestServeKillRecovery:
         assert _science(record.result) == _science(clean.result)
         _await_no_workers("spmd-pool-rank-")
         assert _shm_segments() == []
-
-
-# ---------------------------------------------------------------------------
-# Hier collectives: leader-hop faults ride the standard recovery machinery
-# ---------------------------------------------------------------------------
-
-def _two_leader_topology() -> Topology:
-    """2 ranks, 2 groups: both ranks are leaders, so every byte of an
-    exchange rides the leader-to-leader (``.../xgroup``) hop."""
-    return Topology.single_node(2).with_groups(2)
-
-
-class TestHierLeaderHopFaults:
-    """The hier hops are ordinary collectives with standard segment naming,
-    so eviction/reclaim and service retries cover them unchanged (the
-    fault-plan ``op=`` criterion exact-matches a hop name like
-    ``alltoallv[sync]/xgroup``)."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_pools(self):
-        shutdown_rank_pools()
-        reset_recovery_counters()
-        yield
-        shutdown_rank_pools()
-
-    def test_exit_at_leader_hop_is_targeted(self):
-        with pytest.raises(RankFailedError) as err:
-            spmd_run(2, _chaos_program, _CHAOS_XS, backend="thread",
-                     topology=_two_leader_topology(),
-                     faults="exit:rank=0:op=alltoallv[sync]/xgroup")
-        cause = err.value.__cause__
-        assert isinstance(cause, InjectedFaultError)
-        assert "rank 0" in str(cause)
-
-    def test_kill_at_leader_hop_leaves_no_orphans(self):
-        with pytest.raises(RankFailedError):
-            spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                     topology=_two_leader_topology(),
-                     faults="kill:rank=0:op=alltoallv[sync]/xgroup")
-        assert recovery_counters()["rank_failures_detected"] >= 1
-        _await_no_workers("spmd-")
-        assert _shm_segments() == []
-
-    def test_pooled_kill_at_split_gather_hop_then_recover(self):
-        """A pooled worker killed at the split-phase gather hop leaves
-        half-published leader-hop segments; eviction must reclaim them and
-        a fresh pooled hier run must reproduce the flat baseline."""
-        topology = _two_leader_topology()
-        with pytest.raises(RankFailedError):
-            spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                     pool=True, topology=topology,
-                     faults="kill:rank=1:op=alltoallv[split]/gather")
-        start = time.monotonic()
-        shutdown_rank_pools()
-        assert time.monotonic() - start < 30.0
-        _await_no_workers("spmd-pool-rank-")
-        assert _shm_segments() == []
-        results = spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                           pool=True, topology=topology)
-        assert results == _chaos_baseline()
-        assert _shm_segments() == []
-
-    def test_service_retry_under_hier_bit_identical(self, micro_dataset):
-        index, queries = _service_workload(micro_dataset)
-        flat_config = PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
-                                     error_rate_hint=0.08, backend="thread")
-        clean = AlignmentService(index, config=flat_config,
-                                 topology=Topology(1, 2))
-        clean.submit(queries)
-        baseline = clean.drain()[0]
-        clean.shutdown()
-        shutdown_rank_pools()
-
-        hier_config = (flat_config.with_collective("hier").with_rank_groups(2)
-                       .with_fault_plan("exit:rank=0:"
-                                        "op=alltoallv[query_route]/xgroup:run=1")
-                       .with_serve_max_retries(2))
-        service = AlignmentService(index, config=hier_config,
-                                   topology=Topology(1, 2))
-        service.submit(queries)
-        record = service.drain()[0]
-        assert record.result.counters["query_batch_retries"] == 1
-        assert _science(record.result) == _science(baseline.result)
-        service.shutdown()

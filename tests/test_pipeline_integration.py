@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.align import batched_xdrop
+from repro.cli import main
 from repro.core.config import PipelineConfig
 from repro.core.counters import SCHEDULE_FLAG_COUNTERS
 
@@ -244,6 +245,19 @@ class TestConfigValidation:
             PipelineConfig(partition_strategy="bogus")
         with pytest.raises(ValueError):
             PipelineConfig(owner_heuristic="bogus")
+
+    def test_removed_collective_knobs_are_compatibility_names(self):
+        # The call shape of callers that spell out every knob still works.
+        PipelineConfig(collective="flat", rank_groups=None, pin_ranks=False)
+        names = {field.name for field in dataclasses.fields(PipelineConfig)}
+        assert not names & {"collective", "rank_groups", "pin_ranks"}
+        for knob in ({"collective": "hier"}, {"rank_groups": 2},
+                     {"pin_ranks": True}):
+            with pytest.raises(ValueError, match="only collective layout"):
+                PipelineConfig(**knob)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--collective", "hier"])
+        assert exc.value.code == 2
 
     def test_kernel_parameters_validated_up_front(self):
         # Rejected at construction, not in stage 4 after stages 1-3 ran.

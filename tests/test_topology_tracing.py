@@ -108,180 +108,3 @@ class TestCommTrace:
         summary = trace.summary()
         assert summary["p"]["total_bytes"] == 7.0
         assert summary["p"]["total_messages"] == 1.0
-
-
-class TestRankGroups:
-    def test_with_groups_contiguous_blocks(self):
-        topo = Topology.single_node(4).with_groups(2)
-        assert topo.groups == (0, 0, 1, 1)
-        assert topo.n_groups == 2
-        assert topo.group_of(3) == 1
-        assert topo.ranks_in_group(0) == (0, 1)
-
-    def test_with_groups_uneven_split_balanced(self):
-        topo = Topology.single_node(5).with_groups(2)
-        assert topo.groups == (0, 0, 0, 1, 1)
-
-    def test_with_groups_bounds(self):
-        topo = Topology.single_node(4)
-        with pytest.raises(ValueError):
-            topo.with_groups(0)
-        with pytest.raises(ValueError):
-            topo.with_groups(5)
-
-    def test_group_map_validation(self):
-        with pytest.raises(ValueError):
-            Topology.single_node(4).with_group_map([0, 0, 2, 2])  # gap at 1
-        with pytest.raises(ValueError):
-            Topology.single_node(4).with_group_map([0, 0, 1])  # wrong length
-
-    def test_leaders_are_lowest_ranks(self):
-        topo = Topology.single_node(6).with_group_map([1, 0, 0, 1, 2, 2])
-        assert topo.leader_of(0) == 1
-        assert topo.leader_of(1) == 0
-        assert topo.group_leaders == (1, 0, 4)
-
-    def test_intergroup_mask(self):
-        topo = Topology.single_node(4).with_groups(2)
-        mask = topo.intergroup_mask()
-        assert mask.sum() == 8
-        assert not mask[0, 1] and mask[0, 2]
-
-    def test_ungrouped_accessors_raise(self):
-        topo = Topology.single_node(4)
-        with pytest.raises(ValueError):
-            topo.n_groups
-        with pytest.raises(ValueError):
-            topo.intergroup_mask()
-
-    def test_pin_cores_validation(self):
-        topo = Topology.single_node(2)
-        assert topo.with_pin_cores([3, 5]).pin_cores == (3, 5)
-        with pytest.raises(ValueError):
-            topo.with_pin_cores([0])  # wrong length
-        with pytest.raises(ValueError):
-            topo.with_pin_cores([0, -1])
-
-
-class TestPhysicalLayoutDetection:
-    def _sysfs(self, tmp_path, packages):
-        for core, package in packages.items():
-            d = tmp_path / f"cpu{core}" / "topology"
-            d.mkdir(parents=True)
-            (d / "physical_package_id").write_text(f"{package}\n")
-        return tmp_path
-
-    def test_two_socket_host(self, tmp_path):
-        from repro.mpisim.topology import detect_physical_layout
-
-        sysfs = self._sysfs(tmp_path, {0: 0, 1: 1, 2: 0, 3: 1})
-        layout = detect_physical_layout(affinity=[0, 1, 2, 3], sysfs=sysfs)
-        assert layout.n_cores == 4
-        assert layout.n_sockets == 2
-        # Socket-major order: contiguous slices stay socket-local.
-        assert layout.cores == (0, 2, 1, 3)
-        assert layout.packages == (0, 0, 1, 1)
-
-    def test_restricted_affinity_mask(self, tmp_path):
-        from repro.mpisim.topology import detect_physical_layout
-
-        sysfs = self._sysfs(tmp_path, {0: 0, 1: 1, 2: 0, 3: 1})
-        layout = detect_physical_layout(affinity=[1, 3], sysfs=sysfs)
-        assert layout.cores == (1, 3)
-        assert layout.n_sockets == 1
-
-    def test_missing_sysfs_degrades_to_one_socket(self, tmp_path):
-        from repro.mpisim.topology import detect_physical_layout
-
-        layout = detect_physical_layout(affinity=[0, 1],
-                                        sysfs=tmp_path / "absent")
-        assert layout.n_cores == 2
-        assert layout.n_sockets == 1
-
-    def test_empty_affinity_degrades_to_core0(self, tmp_path):
-        from repro.mpisim.topology import detect_physical_layout
-
-        layout = detect_physical_layout(affinity=[], sysfs=tmp_path / "absent")
-        assert layout.cores == (0,)
-        assert layout.n_sockets == 1
-
-    def test_host_detection_never_raises(self):
-        from repro.mpisim.topology import detect_physical_layout
-
-        layout = detect_physical_layout()
-        assert layout.n_cores >= 1
-        assert layout.n_sockets >= 1
-
-
-class TestResolveRankGroups:
-    def _layout(self, packages):
-        from repro.mpisim.topology import PhysicalLayout
-
-        return PhysicalLayout(cores=tuple(range(len(packages))),
-                              packages=tuple(packages))
-
-    def test_explicit_request_wins(self):
-        from repro.mpisim.topology import resolve_rank_groups
-
-        assert resolve_rank_groups(3, 8, layout=self._layout([0, 0])) == 3
-
-    def test_explicit_request_clamped(self):
-        from repro.mpisim.topology import resolve_rank_groups
-
-        assert resolve_rank_groups(16, 4, layout=self._layout([0, 0])) == 4
-        assert resolve_rank_groups(0, 4, layout=self._layout([0, 0])) == 1
-
-    def test_auto_uses_socket_count(self):
-        from repro.mpisim.topology import resolve_rank_groups
-
-        assert resolve_rank_groups(None, 8,
-                                   layout=self._layout([0, 0, 1, 1])) == 2
-
-    def test_auto_single_core_host(self):
-        from repro.mpisim.topology import resolve_rank_groups
-
-        assert resolve_rank_groups(None, 8, layout=self._layout([0])) == 1
-
-    def test_auto_clamped_to_ranks(self):
-        from repro.mpisim.topology import resolve_rank_groups
-
-        assert resolve_rank_groups(None, 2,
-                                   layout=self._layout([0, 1, 2, 3])) == 2
-
-
-class TestAssignPinCores:
-    def _layout(self, cores, packages=None):
-        from repro.mpisim.topology import PhysicalLayout
-
-        return PhysicalLayout(cores=tuple(cores),
-                              packages=tuple(packages or [0] * len(cores)))
-
-    def test_grouped_ranks_get_group_local_slices(self):
-        from repro.mpisim.topology import assign_pin_cores
-
-        topo = Topology.single_node(4).with_groups(2)
-        layout = self._layout([0, 2, 1, 3], packages=[0, 0, 1, 1])
-        assert assign_pin_cores(topo, layout=layout) == (0, 2, 1, 3)
-
-    def test_oversubscription_wraps_within_group_slice(self):
-        from repro.mpisim.topology import assign_pin_cores
-
-        topo = Topology.single_node(8).with_groups(2)
-        layout = self._layout([10, 11], packages=[0, 1])
-        # Group 0 wraps on core 10, group 1 on core 11 - no spill across.
-        assert assign_pin_cores(topo, layout=layout) == \
-            (10, 10, 10, 10, 11, 11, 11, 11)
-
-    def test_ungrouped_round_robin(self):
-        from repro.mpisim.topology import assign_pin_cores
-
-        topo = Topology.single_node(5)
-        layout = self._layout([4, 5, 6])
-        assert assign_pin_cores(topo, layout=layout) == (4, 5, 6, 4, 5)
-
-    def test_single_core_host(self):
-        from repro.mpisim.topology import assign_pin_cores
-
-        topo = Topology.single_node(3).with_groups(1)
-        layout = self._layout([0])
-        assert assign_pin_cores(topo, layout=layout) == (0, 0, 0)

@@ -34,10 +34,10 @@ cores.  Two measurements:
   time must not exceed the bulk-synchronous baseline (enforced on hosts
   with enough cores); output is asserted bit-identical either way.
 
-* **Wire-packing gate** — the pipeline with the alignment-stage read blocks
-  shipped 2-bit packed vs ASCII.  Pure byte accounting (deterministic on any
-  host, always enforced): the packed read payload must be ≤ 0.3x the raw
-  bytes, with bit-identical scientific output.
+* **Wire-packing gate** — the pipeline's 2-bit packed alignment-stage read
+  blocks.  Pure byte accounting from the run's own counters (deterministic
+  on any host, always enforced): the packed read payload must be ≤ 0.3x the
+  raw one-byte-per-base bytes.
 
 * **Serve-latency gate** — warm query batches drained against a resident
   index (build/serve split, pooled process backend) vs a cold one-shot
@@ -340,23 +340,18 @@ MAX_PACKED_PAYLOAD_RATIO = 0.3
 
 
 def run_wire_packing_gate() -> dict[str, float]:
-    """Packed vs ASCII read exchange: identical science, >= ~3.3x fewer bytes.
+    """Packed read exchange: >= ~3.3x fewer payload bytes than one per base.
 
-    Unlike the timing gates this one is pure byte accounting — deterministic
-    on any host — so it is always enforced.
+    Raw (one byte per base) and wire bytes both come from the run's own
+    ``read_payload_*_bytes`` counters.  Unlike the timing gates this one is
+    pure byte accounting — deterministic on any host — so it is always
+    enforced.
     """
     reads = _pipeline_workload()
-    base = PipelineConfig(coverage_hint=30.0, error_rate_hint=0.10,
-                          kmer=KmerSpec(k=17))
-    packed = run_dibella(reads, config=base.with_wire_packing(True),
-                         n_nodes=1, ranks_per_node=RANKS)
-    ascii_ = run_dibella(reads, config=base.with_wire_packing(False),
-                         n_nodes=1, ranks_per_node=RANKS)
-    assert _alignment_tables_equal(packed, ascii_), \
-        "wire packing changed the scientific output"
+    config = PipelineConfig(coverage_hint=30.0, error_rate_hint=0.10,
+                            kmer=KmerSpec(k=17))
+    packed = run_dibella(reads, config=config, n_nodes=1, ranks_per_node=RANKS)
     raw_bytes = packed.counters["read_payload_raw_bytes"]
-    assert raw_bytes == ascii_.counters["read_payload_raw_bytes"], \
-        "packed and ASCII runs served different read payloads"
     assert raw_bytes > 0, "wire-packing gate workload exchanged no reads"
     return {
         "packing_raw_payload_bytes": float(raw_bytes),
@@ -366,8 +361,6 @@ def run_wire_packing_gate() -> dict[str, float]:
             packed.counters["read_payload_wire_bytes"] / raw_bytes),
         "packing_exchange_bytes": float(
             packed.trace.phase_traffic("alignment_exchange").total_bytes),
-        "ascii_exchange_bytes": float(
-            ascii_.trace.phase_traffic("alignment_exchange").total_bytes),
     }
 
 
@@ -564,8 +557,7 @@ def format_report(metrics: dict[str, float]) -> str:
         f"{metrics['packing_packed_payload_bytes'] / 1e3:.1f} kB "
         f"(ratio {metrics['packing_payload_ratio']:.3f}, gate <= "
         f"{MAX_PACKED_PAYLOAD_RATIO:.2f} always enforced); "
-        f"alignment-exchange trace {metrics['ascii_exchange_bytes'] / 1e3:.1f} kB -> "
-        f"{metrics['packing_exchange_bytes'] / 1e3:.1f} kB",
+        f"alignment-exchange trace {metrics['packing_exchange_bytes'] / 1e3:.1f} kB",
         f"pool-amortisation gate (process backend, {metrics['ranks']:.0f} ranks):",
         f"  cold {metrics['pool_cold_seconds']:.3f}s -> warm "
         f"{metrics['pool_warm_seconds']:.3f}s "

@@ -12,20 +12,18 @@
 #           a C compile error cannot silently leave CI on the NumPy kernel
 #           (docs/architecture.md, "The compiled x-drop kernel").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
-#           Runs six times: under the default thread backend, under the
-#           multiprocess shared-memory backend (DIBELLA_BACKEND=process),
-#           under the process backend with the persistent rank pool
-#           (DIBELLA_POOL=1) so pooled engine reuse is exercised suite-wide,
-#           with 2-bit wire packing and double buffering both disabled
-#           (DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0) so the ASCII
-#           read-exchange fallback and every stage's bulk-synchronous
-#           superstep schedule stay exercised, and with the minimizer seed
-#           mode (DIBELLA_SEED_MODE=minimizer) so the windowed-sketch
-#           front-end of stages 1-3 is exercised suite-wide.  A sixth pass
-#           runs with the runtime sanitizer armed (DIBELLA_SANITIZE=1):
-#           collective congruence checks, split-phase lifecycle guards and
-#           the hang watchdog across the whole fast tier, proving the
-#           checks are observation-only.
+#           Runs four times, covering the knobs in pairs: under the default
+#           thread backend; under the multiprocess shared-memory backend
+#           with the runtime sanitizer armed (DIBELLA_BACKEND=process
+#           DIBELLA_SANITIZE=1: collective congruence checks, split-phase
+#           lifecycle guards and the hang watchdog across the whole fast
+#           tier, proving the checks are observation-only); under the
+#           process backend with the persistent rank pool (DIBELLA_POOL=1)
+#           so pooled engine reuse is exercised suite-wide; and with double
+#           buffering off and the minimizer seed mode on
+#           (DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer) so the
+#           bulk-synchronous superstep schedule and the windowed-sketch
+#           front-end of stages 1-3 stay exercised suite-wide.
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
 #           index on a pooled process backend, drain two query batches,
 #           assert zero rebuild counters.  Pure counter checks, runs on
@@ -46,8 +44,8 @@
 #           k-mer stages, pool amortisation — enforced only on hosts with
 #           enough cores — the serve-latency gate: warm query-batch p99
 #           well under the cold one-shot wall, zero rebuilds always
-#           asserted — the wire-packing byte gate: packed alignment
-#           read payload <= 0.3x raw, always enforced — the seed-sketch
+#           asserted — the wire-packing byte gate: the packed run's
+#           alignment read payload <= 0.3x raw, always enforced — the seed-sketch
 #           ablation gate: minimizer mode at w=11 must cut stage 1-3 k-mer
 #           bytes >= 3x and the retained-table peak >= 2x at >= 95% recall
 #           of the baseline's true overlaps, enforced on >= 4-core hosts).
@@ -87,20 +85,14 @@ fi
 echo "== fast tier: unit tests (thread backend) =="
 python -m pytest tests -m "not slow" -q
 
-echo "== fast tier: unit tests (process backend) =="
-DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
+echo "== fast tier: unit tests (process backend + runtime sanitizer, DIBELLA_SANITIZE=1) =="
+DIBELLA_SANITIZE=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (process backend + persistent rank pool) =="
 DIBELLA_POOL=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
 
-echo "== fast tier: unit tests (ASCII wire + bulk-synchronous supersteps, DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0) =="
-DIBELLA_WIRE_PACKING=0 DIBELLA_DOUBLE_BUFFER=0 python -m pytest tests -m "not slow" -q
-
-echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="
-DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
-
-echo "== fast tier: unit tests (runtime sanitizer armed, DIBELLA_SANITIZE=1) =="
-DIBELLA_SANITIZE=1 python -m pytest tests -m "not slow" -q
+echo "== fast tier: unit tests (bulk-synchronous supersteps + minimizer seed mode, DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer) =="
+DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
 
 echo "== serve smoke: resident index, 2 query batches, zero rebuilds =="
 python scripts/serve_smoke.py

@@ -72,7 +72,6 @@ _COUNTER_FILES = ("stages.py", "supersteps.py", "pipeline.py")
 #: Knobs whose CLI flag does not follow the ``--field-name`` derivation.
 _FLAG_ALIASES = {
     "hash_table_shards": "--hash-shards",
-    "alignment_batch_tasks": "--align-batch-tasks",
 }
 
 _SUPPRESS_RE = re.compile(

@@ -129,23 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable double buffering of every stage's exchange "
                           "supersteps (bulk-synchronous schedule; output is "
                           "bit-identical either way)")
-    run.add_argument("--double-buffer-stages", default=None, metavar="STAGES",
-                     help="comma-separated stages to double-buffer (subset of "
-                          "bloom,hashtable,overlap,alignment); the rest run "
-                          "bulk-synchronous.  An empty value disables double "
-                          "buffering everywhere; omit the flag to apply the "
-                          "global setting uniformly "
-                          "(DIBELLA_DOUBLE_BUFFER_STAGES has the same effect)")
-    run.add_argument("--align-batch-tasks", type=int, default=None,
-                     help="alignment tasks per read-fetch superstep: batches "
-                          "the stage-4 request/response rounds so batch i+1's "
-                          "remote reads are in flight while batch i aligns; "
-                          "0 (the default) fetches everything in one round "
-                          "(DIBELLA_ALIGN_BATCH_TASKS has the same effect)")
-    run.add_argument("--no-wire-packing", action="store_true",
-                     help="ship alignment-stage read blocks as ASCII instead of "
-                          "2-bit packed (4 bases/byte); output is bit-identical "
-                          "either way (DIBELLA_WIRE_PACKING=0 has the same effect)")
     run.add_argument("--hash-shards", type=int, default=None,
                      help="number of k-mer code-range shards the retained-k-mer "
                           "table is built in; >1 streams the hash-table/overlap "
@@ -328,15 +311,6 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
     )
     if args.no_double_buffer:
         config = config.with_double_buffer(False)
-    if args.double_buffer_stages is not None:
-        stages = tuple(part.strip() for part in args.double_buffer_stages.split(",")
-                       if part.strip())
-        config = config.with_double_buffer_stages(stages)
-    if args.align_batch_tasks is not None:
-        config = config.with_alignment_batch_tasks(
-            args.align_batch_tasks if args.align_batch_tasks != 0 else None)
-    if args.no_wire_packing:
-        config = config.with_wire_packing(False)
     if args.hash_shards is not None:
         config = config.with_hash_table_shards(args.hash_shards)
     if args.read_cache_mb is not None:

@@ -22,13 +22,6 @@ from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet
 
 
-#: The four stages whose exchanges run on the unified superstep scheduler
-#: (`repro.core.supersteps`), in pipeline order.  Mirrors
-#: ``repro.core.result.STAGE_NAMES`` (kept separate to avoid an import
-#: cycle: ``result`` imports this module).
-SUPERSTEP_STAGES: tuple[str, ...] = ("bloom", "hashtable", "overlap", "alignment")
-
-
 def _env_flag(name: str, default: bool) -> bool:
     """Parse a boolean environment knob (unset -> *default*)."""
     raw = os.environ.get(name)
@@ -37,20 +30,13 @@ def _env_flag(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "", "false", "off", "no")
 
 
-def _env_stage_tuple(name: str) -> tuple[str, ...] | None:
-    """Parse a comma-separated stage list from the environment (unset -> None)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _env_optional_int(name: str) -> int | None:
-    """Parse an optional positive int knob (unset or "0" -> None)."""
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() in ("", "0"):
-        return None
-    return int(raw)
+#: The only values the init-only compatibility names accept (their former
+#: defaults); see ``PipelineConfig``.
+_REMOVED_KNOB_DEFAULTS = {
+    "collective": "flat", "rank_groups": None, "pin_ranks": False,
+    "double_buffer_stages": None, "wire_packing": True,
+    "alignment_batch_tasks": None,
+}
 
 
 def _env_optional_float(name: str, default: float | None) -> float | None:
@@ -137,29 +123,15 @@ class PipelineConfig:
         ``DIBELLA_EXCHANGE_CHUNK_MB`` (``0`` disables chunking; CLI
         ``--exchange-chunk-mb``).
     double_buffer:
-        Double-buffer every stage's exchange supersteps: each stage's chunk
-        ``i+1`` is generated and published while the peers are still reading
-        chunk ``i`` (split-phase ``alltoallv_start``/``alltoallv_finish``
-        through the unified :class:`~repro.core.supersteps.SuperstepSchedule`),
-        hiding batch parsing / pair generation / read serving behind the
-        exchanges.  Scientific output is bit-identical either way; the
-        default honours ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the
-        bulk-synchronous schedule everywhere).
-    double_buffer_stages:
-        Per-stage override of ``double_buffer``: when set, exactly the named
-        stages (a subset of :data:`SUPERSTEP_STAGES`) run double-buffered
-        and the rest run bulk-synchronous, regardless of the global flag.
-        ``None`` (the default) applies ``double_buffer`` uniformly.  The
-        default honours ``DIBELLA_DOUBLE_BUFFER_STAGES`` (comma-separated
-        stage names; an empty value means "no stage double-buffers").
-    wire_packing:
-        Ship the alignment-stage read blocks 2-bit packed (4 bases/byte, see
-        :mod:`repro.seq.packing` and ``docs/wire-format.md``) instead of
-        ASCII — roughly a 4x cut of that phase's exchange volume.  Scientific
-        output is bit-identical either way; the trace counters
-        ``read_payload_raw_bytes`` / ``read_payload_wire_bytes`` record the
-        saving.  The default honours ``DIBELLA_WIRE_PACKING`` (set to ``0``
-        to force the ASCII wire format; CLI ``--no-wire-packing``).
+        Double-buffer the exchange supersteps of stages 1-3: each stage's
+        chunk ``i+1`` is generated and published while the peers are still
+        reading chunk ``i`` (split-phase ``alltoallv_start``/
+        ``alltoallv_finish`` through the unified
+        :class:`~repro.core.supersteps.SuperstepSchedule`), hiding batch
+        parsing and pair generation behind the exchanges.  Scientific output
+        is bit-identical either way; the default honours
+        ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the bulk-synchronous
+        schedule everywhere).
     hash_table_shards:
         Number of k-mer code-range shards the retained-k-mer table is built
         in.  With ``S > 1`` the hash-table/overlap boundary streams one
@@ -168,16 +140,6 @@ class PipelineConfig:
         shard instead of the whole partition (counter
         ``retained_table_peak_bytes``).  Output is bit-identical for every
         shard count.  The default honours ``DIBELLA_HASH_SHARDS``.
-    alignment_batch_tasks:
-        Number of alignment tasks per superstep of the alignment stage's
-        two-hop (request/response) read-fetch schedule.  With a bound, each
-        superstep requests only the remote reads its task batch needs first
-        (every read is still fetched exactly once), and with double
-        buffering batch ``i+1``'s fetch is in flight while batch ``i``
-        aligns.  ``None`` (the default) fetches everything in one superstep
-        — the paper's original two-round exchange.  Output is bit-identical
-        for every batch size.  The default honours
-        ``DIBELLA_ALIGN_BATCH_TASKS`` (``0``/unset means ``None``).
     pool:
         Run the SPMD program on the persistent rank pool: with the process
         backend, rank processes park on a barrier between ``spmd_run``
@@ -226,13 +188,13 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective / rank_groups / pin_ranks:
-        Compatibility names of a removed second collective layout.  They
-        are init-only (not stored, not in :func:`dataclasses.fields`) and
-        accept only their former defaults — ``"flat"``, ``None`` and
-        ``False`` — so callers that spell out every knob keep working;
-        any other value raises :class:`ValueError`.  The flat
-        ``alltoallv`` is the only layout.
+    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks:
+        Compatibility names of removed second paths: a hierarchical
+        collective layout, per-stage double buffering, the ASCII read wire
+        format and batched read fetch.  They are init-only (not stored, not
+        in :func:`dataclasses.fields`) and accept only their former defaults
+        (:data:`_REMOVED_KNOB_DEFAULTS`), so callers that spell out every
+        knob keep working; any other value raises :class:`ValueError`.
     """
 
     kmer: KmerSpec = field(default_factory=lambda: KmerSpec(k=17))
@@ -271,17 +233,8 @@ class PipelineConfig:
     double_buffer: bool = field(
         default_factory=lambda: _env_flag("DIBELLA_DOUBLE_BUFFER", True)
     )
-    double_buffer_stages: tuple[str, ...] | None = field(
-        default_factory=lambda: _env_stage_tuple("DIBELLA_DOUBLE_BUFFER_STAGES")
-    )
-    wire_packing: bool = field(
-        default_factory=lambda: _env_flag("DIBELLA_WIRE_PACKING", True)
-    )
     hash_table_shards: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
-    )
-    alignment_batch_tasks: int | None = field(
-        default_factory=lambda: _env_optional_int("DIBELLA_ALIGN_BATCH_TASKS")
     )
     pool: bool = field(default_factory=lambda: _env_flag("DIBELLA_POOL", False))
     serve_batch_reads: int = field(
@@ -302,14 +255,25 @@ class PipelineConfig:
     collective: InitVar[str] = "flat"
     rank_groups: InitVar[int | None] = None
     pin_ranks: InitVar[bool] = False
+    double_buffer_stages: InitVar[tuple[str, ...] | None] = None
+    wire_packing: InitVar[bool] = True
+    alignment_batch_tasks: InitVar[int | None] = None
 
     def __post_init__(self, collective: str, rank_groups: int | None,
-                      pin_ranks: bool) -> None:
-        if collective != "flat" or rank_groups is not None or pin_ranks is not False:
+                      pin_ranks: bool, double_buffer_stages: tuple[str, ...] | None,
+                      wire_packing: bool, alignment_batch_tasks: int | None) -> None:
+        given = {"collective": collective, "rank_groups": rank_groups,
+                 "pin_ranks": pin_ranks,
+                 "double_buffer_stages": double_buffer_stages,
+                 "wire_packing": wire_packing,
+                 "alignment_batch_tasks": alignment_batch_tasks}
+        changed = {name: value for name, value in given.items()
+                   if (type(value), value) != (type(_REMOVED_KNOB_DEFAULTS[name]),
+                                               _REMOVED_KNOB_DEFAULTS[name])}
+        if changed:
             raise ValueError(
-                "the flat alltoallv is the only collective layout: "
-                f"collective={collective!r}, rank_groups={rank_groups!r} and "
-                f"pin_ranks={pin_ranks!r} must be 'flat', None and False")
+                f"removed knobs {changed} accept only their former defaults "
+                f"{_REMOVED_KNOB_DEFAULTS}")
         if self.seed_mode not in ("reliable", "minimizer"):
             raise ValueError(f"unknown seed mode {self.seed_mode!r}")
         if self.minimizer_window < 1:
@@ -338,19 +302,6 @@ class PipelineConfig:
             raise ValueError("exchange_chunk_mb must be positive (or None to disable)")
         if self.hash_table_shards < 1:
             raise ValueError("hash_table_shards must be >= 1")
-        if self.double_buffer_stages is not None:
-            # Normalise list-like inputs to a tuple (the config is frozen).
-            object.__setattr__(self, "double_buffer_stages",
-                               tuple(self.double_buffer_stages))
-            unknown = set(self.double_buffer_stages) - set(SUPERSTEP_STAGES)
-            if unknown:
-                raise ValueError(
-                    f"unknown double_buffer_stages {sorted(unknown)}; "
-                    f"expected a subset of {SUPERSTEP_STAGES}"
-                )
-        if self.alignment_batch_tasks is not None and self.alignment_batch_tasks < 1:
-            raise ValueError(
-                "alignment_batch_tasks must be >= 1 (or None for one batch)")
         if self.serve_batch_reads < 1:
             raise ValueError("serve_batch_reads must be >= 1")
         if self.read_cache_mb < 0:
@@ -387,42 +338,8 @@ class PipelineConfig:
         return replace(self, pool=pool)
 
     def with_double_buffer(self, double_buffer: bool) -> "PipelineConfig":
-        """Copy of this config with exchange double buffering on or off (all stages)."""
-        return replace(self, double_buffer=double_buffer, double_buffer_stages=None)
-
-    def with_double_buffer_stages(
-        self, stages: tuple[str, ...] | None
-    ) -> "PipelineConfig":
-        """Copy of this config double-buffering exactly *stages* (None = global flag)."""
-        return replace(self, double_buffer_stages=stages)
-
-    def with_alignment_batch_tasks(self, batch: int | None) -> "PipelineConfig":
-        """Copy of this config fetching/aligning *batch* tasks per superstep."""
-        return replace(self, alignment_batch_tasks=batch)
-
-    def stage_double_buffer(self, stage: str) -> bool:
-        """Whether *stage*'s exchange supersteps run double-buffered.
-
-        Parameters
-        ----------
-        stage:
-            One of :data:`SUPERSTEP_STAGES`.
-
-        Returns
-        -------
-        bool
-            The per-stage override when ``double_buffer_stages`` is set,
-            otherwise the global ``double_buffer`` flag.
-        """
-        if stage not in SUPERSTEP_STAGES:
-            raise ValueError(f"unknown superstep stage {stage!r}")
-        if self.double_buffer_stages is not None:
-            return stage in self.double_buffer_stages
-        return bool(self.double_buffer)
-
-    def with_wire_packing(self, wire_packing: bool) -> "PipelineConfig":
-        """Copy of this config with 2-bit read-block wire packing on or off."""
-        return replace(self, wire_packing=wire_packing)
+        """Copy of this config with exchange double buffering on or off."""
+        return replace(self, double_buffer=double_buffer)
 
     def with_hash_table_shards(self, hash_table_shards: int) -> "PipelineConfig":
         """Copy of this config building the k-mer table in *hash_table_shards* code ranges."""

@@ -71,8 +71,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "remote_reads_fetched": "read sequences fetched from remote owner ranks",
     "read_payload_raw_bytes": "ASCII-equivalent bytes of the served read payloads",
     "read_payload_wire_bytes": "bytes of read payloads that actually crossed the exchange",
-    "alignment_wire_packing": "1 if read payloads shipped 2-bit packed, 0 for ASCII",
-    "alignment_fetch_rounds": "fetch supersteps the alignment stage used",
     # -- per-rank read cache (ReadCache.counters) ---------------------------
     "read_cache_hits": "alignment read-cache hits (sequence already resident)",
     "read_cache_misses": "alignment read-cache misses (sequence fetched or faulted)",
@@ -99,8 +97,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "hashtable_steps_overlapped": "hash-table supersteps whose compute overlapped a peer's exchange",
     "overlap_exchange_double_buffered": "1 if the overlap exchange ran split-phase double-buffered",
     "overlap_chunks_overlapped": "overlap chunks whose compute overlapped a peer's exchange",
-    "alignment_exchange_double_buffered": "1 if the alignment fetch ran split-phase double-buffered",
-    "alignment_steps_overlapped": "alignment fetch rounds whose compute overlapped a peer's exchange",
     "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
     "align_native_ranks": "ranks whose alignment stage ran the compiled x-drop tier (0: the NumPy kernel produced the timings)",
@@ -126,8 +122,6 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "hashtable_steps_overlapped",
     "overlap_exchange_double_buffered",
     "overlap_chunks_overlapped",
-    "alignment_exchange_double_buffered",
-    "alignment_steps_overlapped",
     "query_route_double_buffered",
     "query_route_steps_overlapped",
     "align_native_ranks",

@@ -20,6 +20,7 @@ from repro.mpisim.faults import FaultPlan, RunFaults
 from repro.mpisim.runtime import spmd_run
 from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
+from repro.seq.encoding import check_reads
 from repro.seq.records import ReadSet
 
 #: Stage name -> (work unit for the cost model, exchange phase label,
@@ -107,6 +108,7 @@ class DibellaPipeline:
         """Run the full pipeline on *readset* and return the assembled result."""
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
+        check_reads(readset)
         # Under the persistent rank pool, tag this run's read caches with the
         # data set's content digest so reused ranks hit across runs over the
         # same reads — and never across different read sets.
@@ -139,6 +141,7 @@ class DibellaPipeline:
         """
         if len(readset) == 0:
             raise ValueError("cannot build an index from an empty read set")
+        check_reads(readset)
         config = self.config
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
                      f":s{config.hash_table_shards}:r{self.topology.n_ranks}"
@@ -156,7 +159,7 @@ class DibellaPipeline:
         k-mers are routed to the owning index shards on the superstep
         scheduler, merged into the resident table per shard, expanded into
         **query-vs-index** pairs only, and aligned with the unmodified
-        two-hop fetch + x-drop stage.  The result's alignments are
+        read fetch + x-drop stage.  The result's alignments are
         bit-identical to running the one-shot pipeline over (index reads ∪
         query batch) and keeping only its query-vs-index alignments; query
         RIDs in the result are ``n_index_reads + position`` within
@@ -173,6 +176,8 @@ class DibellaPipeline:
             )
         if len(query_reads) == 0:
             raise ValueError("cannot serve an empty query batch")
+        # The index reads were checked by build_index.
+        check_reads(query_reads)
         index_readset = self._index_readset
         try:
             combined = ReadSet(list(index_readset) + list(query_reads))

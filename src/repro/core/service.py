@@ -51,6 +51,7 @@ from repro.core.result import PipelineResult
 from repro.mpisim.backend import recovery_counters
 from repro.mpisim.errors import RankFailedError
 from repro.mpisim.topology import Topology
+from repro.seq.encoding import check_reads
 from repro.seq.records import Read, ReadSet
 
 __all__ = ["AlignmentService", "QueryBatchRecord"]
@@ -208,6 +209,9 @@ class AlignmentService:
         read_list = list(reads)
         if not read_list:
             raise ValueError("cannot submit an empty query read set")
+        # Rejected at admission, never coalesced with good submissions (and
+        # never retried as if a rank had died).
+        check_reads(read_list)
         submission = self._next_submission
         self._next_submission += 1
         renamed = [replace(read, name=f"q{submission}/{read.name}")

@@ -9,11 +9,12 @@ stage follows the structure of §§6-9 of the paper:
 * exchange with ``alltoallv``,
 * process the received data.
 
-Every stage's exchange loop runs on the shared
+The streamed exchange loops of stages 1-3 run on the shared
 :class:`~repro.core.supersteps.SuperstepSchedule`: the stages only provide
 produce/consume callbacks, and the scheduler owns global step-count
 agreement, the double-buffered split-phase schedule (with its
 bulk-synchronous fallback), and the exposed-vs-overlapped timer attribution.
+Stage 4's read fetch is one request/response round.
 
 Wall time is measured separately for the compute and exchange parts of every
 stage (the paper's runtime-breakdown figures), and each stage accumulates the
@@ -241,9 +242,9 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     record exactly that saving; both are pure functions of the batch layout,
     so they are bit-identical across backends and schedules.
 
-    With double buffering (``config.stage_double_buffer("bloom")``), batch
-    ``i+1``'s bucketing is performed — and published — while the peers are
-    still reading batch ``i``'s k-mers.
+    With double buffering (``config.double_buffer``), batch ``i+1``'s
+    bucketing is performed — and published — while the peers are still
+    reading batch ``i``'s k-mers.
 
     Parameters
     ----------
@@ -321,7 +322,7 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
 
     schedule = SuperstepSchedule(
         comm, timer, len(batches),
-        double_buffer=config.stage_double_buffer("bloom"), label="bloom",
+        double_buffer=config.double_buffer, label="bloom",
     )
     outcome = schedule.run(produce, consume)
 
@@ -369,9 +370,8 @@ def _occurrence_exchange(
     position) into one word, buckets the ``(code, packed)`` rows by owner
     and exchanges them; the receiving side decodes each step's rows and
     hands ``(codes, rids, positions, strands)`` to *sink*.  With double
-    buffering (``config.stage_double_buffer("hashtable")``) batch ``i+1``'s
-    extraction — the dominant compute — runs while the peers are still
-    reading batch ``i``.
+    buffering (``config.double_buffer``) batch ``i+1``'s extraction — the
+    dominant compute — runs while the peers are still reading batch ``i``.
 
     Parameters
     ----------
@@ -440,7 +440,7 @@ def _occurrence_exchange(
 
     schedule = SuperstepSchedule(
         comm, state.timer(label), len(batches),
-        double_buffer=config.stage_double_buffer("hashtable"), label=label,
+        double_buffer=config.double_buffer, label=label,
     )
     outcome = schedule.run(produce, consume)
     return parsed, received_total, payload_bytes, outcome
@@ -526,8 +526,8 @@ def overlap_stage(
     ``alltoallv`` and is traced per chunk, so the cost model sees the same
     total volume plus the true call count.
 
-    With ``config.stage_double_buffer("overlap")`` (the default) the
-    supersteps are **double-buffered**: chunk ``i``'s exchange is split into
+    With ``config.double_buffer`` (the default) the supersteps are
+    **double-buffered**: chunk ``i``'s exchange is split into
     ``alltoallv_start``/``alltoallv_finish``, and chunk ``i+1`` is generated
     — and published — between the two, while the peers are still reading
     chunk ``i``'s segments.  The generation time spent with an exchange in
@@ -541,7 +541,7 @@ def overlap_stage(
     timer = state.timer("overlap")
     shard_timer = state.timer(shard_stage)
     comm.set_phase("overlap_exchange")
-    double_buffer = config.stage_double_buffer("overlap")
+    double_buffer = config.double_buffer
     label = "overlap" if n_index_reads is None else "query_overlap"
 
     pairs_generated = 0
@@ -666,9 +666,9 @@ def overlap_stage(
 # ---------------------------------------------------------------------------
 
 def _build_read_block(
-    rids: np.ndarray, readset: ReadSet, cache: ReadCache, wire_packing: bool
-) -> PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes]:
-    """Serve the requested reads as one typed wire block.
+    rids: np.ndarray, readset: ReadSet, cache: ReadCache
+) -> PackedReadBlock:
+    """Serve the requested reads as one 2-bit packed wire block.
 
     Parameters
     ----------
@@ -677,142 +677,50 @@ def _build_read_block(
     readset:
         The rank's read set (the source of truth for sequences).
     cache:
-        The rank's read cache.  On the packed path the served reads are
-        routed through it so their 2-bit encodings are computed at most once
-        — repeated serves (and pooled reruns) pack straight from the
-        memoised buffers.
-    wire_packing:
-        True → a :class:`~repro.seq.packing.PackedReadBlock` (2 bits/base,
-        lengths in the typed header); False → the ASCII block
-        ``(rids, offsets, bytes)``.
+        The rank's read cache.  The served reads are routed through it so
+        their 2-bit encodings are computed at most once — repeated serves
+        (and pooled reruns) pack straight from the memoised buffers.
 
-    Both layouts are flat typed buffers, so the payload crosses the typed
-    collectives protocol (and a real network) without per-read envelopes;
-    see ``docs/wire-format.md``.
+    The block is flat typed buffers (lengths in the typed header), so the
+    payload crosses the typed collectives protocol (and a real network)
+    without per-read envelopes; see ``docs/wire-format.md``.
     """
+    # Put-if-absent: served reads are this rank's own immutable local reads,
+    # so an existing entry is always current.  The stored string is a
+    # reference to the readset's resident sequence; the memoised code array
+    # (1 byte/base) is the buffer repeat serves reuse.
     rids = np.asarray(rids, dtype=np.int64)
-    if wire_packing:
-        # Put-if-absent: served reads are this rank's own immutable local
-        # reads, so an existing entry is always current.  The stored string
-        # is a reference to the readset's resident sequence; the memoised
-        # code array (1 byte/base) is the buffer repeat serves reuse.
-        code_arrays = []
-        for rid in rids.tolist():
-            if rid not in cache:
-                cache.put(rid, readset[rid].sequence)
-            code_arrays.append(cache.encoded_peek(rid))
-        return pack_read_block(rids, code_arrays)
-    sequences = [readset[int(rid)].sequence for rid in rids]
-    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
-    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-    return rids, offsets, "".join(sequences).encode("ascii")
+    code_arrays = []
+    for rid in rids.tolist():
+        if rid not in cache:
+            cache.put(rid, readset[rid].sequence)
+        code_arrays.append(cache.encoded_peek(rid))
+    return pack_read_block(rids, code_arrays)
 
 
-def _read_block_payload_bytes(
-    block: PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes],
-) -> tuple[int, int]:
-    """(ASCII-equivalent bytes, actual wire payload bytes) of one read block.
-
-    The sequence payload only — headers (RIDs, offsets/lengths) are excluded
-    from both numbers, so the pair isolates exactly what the 2-bit packing
-    compresses.
-    """
-    if isinstance(block, PackedReadBlock):
-        return block.raw_nbytes, int(block.packed.nbytes)
-    _rids, _offsets, blob = block
-    return len(blob), len(blob)
-
-
-def _unpack_read_block(
-    block: PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes],
-    cache: ReadCache,
-) -> int:
+def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> None:
     """Insert a received read block into the per-rank read cache.
 
-    Packed blocks are inserted **without decoding**: each read's packed
-    bytes land in the cache as-is (:meth:`ReadCache.put_packed`) and are
-    unpacked to a 2-bit code array only when the aligner first touches the
-    read — the ASCII string is never materialised unless a string-consuming
-    kernel asks for it.
+    The reads are inserted **without decoding**: each read's packed bytes
+    land in the cache as-is (:meth:`ReadCache.put_packed`) and are unpacked
+    to a 2-bit code array only when the aligner first touches the read — the
+    ASCII string is never materialised unless a string-consuming kernel asks
+    for it.
     """
-    if isinstance(block, PackedReadBlock):
-        for index, rid in enumerate(block.rids.tolist()):
-            cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
-        return block.n_reads
-    rids, offsets, blob = block
-    text = bytes(blob).decode("ascii")
-    rids = np.asarray(rids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    for index, rid in enumerate(rids.tolist()):
-        cache.put(rid, text[offsets[index] : offsets[index + 1]])
-    return int(rids.size)
-
-
-def _alignment_task_slices(n_tasks: int,
-                           batch_tasks: int | None) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` task ranges, one per fetch/align superstep.
-
-    ``None`` keeps the stage's original shape: one superstep covering every
-    task (and exactly one request/response exchange pair, even when the rank
-    has no tasks — every rank must issue the same collectives).
-    """
-    if batch_tasks is None or n_tasks <= batch_tasks:
-        return [(0, n_tasks)]
-    return [(lo, min(lo + batch_tasks, n_tasks))
-            for lo in range(0, n_tasks, batch_tasks)]
-
-
-def _first_need_requests(
-    tasks: TaskBatch,
-    task_slices: list[tuple[int, int]],
-    to_fetch: np.ndarray,
-) -> list[np.ndarray]:
-    """Partition *to_fetch* by the first task slice that needs each read.
-
-    Every RID is assigned to exactly one superstep — the earliest whose task
-    range references it — so each remote read is requested exactly once and
-    is guaranteed to be cached before any task touching it aligns.  The
-    partition is a pure function of the task batch and the fetch set, so the
-    request payloads (and therefore the trace) are identical across
-    schedules and backends.
-    """
-    if len(task_slices) == 1 or to_fetch.size == 0:
-        return [to_fetch] + [np.empty(0, dtype=np.int64)] * (len(task_slices) - 1)
-    # First task index referencing each RID: sort (rid, task index) pairs by
-    # rid then task index, and take the first position of each fetched RID.
-    all_rids = np.concatenate([tasks.rid_a, tasks.rid_b])
-    all_tidx = np.tile(np.arange(len(tasks), dtype=np.int64), 2)
-    order = np.lexsort((all_tidx, all_rids))
-    sorted_rids = all_rids[order]
-    first_tidx = all_tidx[order][np.searchsorted(sorted_rids, to_fetch)]
-    bounds = np.array([hi for _lo, hi in task_slices], dtype=np.int64)
-    first_slice = np.searchsorted(bounds, first_tidx, side="right")
-    return [to_fetch[first_slice == index] for index in range(len(task_slices))]
+    for index, rid in enumerate(block.rids.tolist()):
+        cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
 
 
 def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     """Stage 4: fetch non-local reads, then align every task locally.
 
-    The read fetch is a **two-hop superstep schedule**
-    (:meth:`~repro.core.supersteps.SuperstepSchedule.run_two_hop`): each
-    superstep requests one task batch's missing reads from their owner ranks
-    (the *request* hop) and the owners serve the sequences back as typed
-    wire blocks (the *response* hop).  With
-    ``config.alignment_batch_tasks`` set, the tasks split into batches and
-    — under double buffering — batch ``i+1``'s requests are already in
-    flight while batch ``i``'s reads are unpacked and aligned; every remote
-    read is still requested exactly once (it is assigned to the first batch
-    that needs it), so the exchanged payloads are identical for every batch
-    size and schedule.  The default (``None``) is the paper's original
-    single request/response round.
-
-    With ``config.wire_packing`` (the default) the served blocks are
-    **2-bit packed** (4 bases/byte, :class:`PackedReadBlock`) — cutting the
-    phase's dominant payload ~4x — and the receive side inserts the packed
-    bytes into the cache *without decoding*; the ASCII fallback
-    (``--no-wire-packing`` / ``DIBELLA_WIRE_PACKING=0``) ships
-    ``(rids, offsets, bytes)`` exactly as before.  Both layouts are specified
-    in ``docs/wire-format.md``; the counters ``read_payload_raw_bytes`` /
+    The read fetch is one request/response round: each rank requests its
+    tasks' missing reads from their owner ranks (``alignment:request``) and
+    the owners serve them back as **2-bit packed** blocks (4 bases/byte,
+    :class:`PackedReadBlock`, ``alignment:response``) — cutting the phase's
+    dominant payload ~4x.  The receive side inserts the packed bytes into
+    the cache *without decoding*.  The layout is specified in
+    ``docs/wire-format.md``; the counters ``read_payload_raw_bytes`` /
     ``read_payload_wire_bytes`` record the saving.
 
     Fetched sequences land in the rank's :class:`ReadCache`, which also
@@ -848,15 +756,27 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
         is_local = np.isin(needed, local_arr)
         for rid in needed[is_local].tolist():
             cache.put(rid, state.readset[rid].sequence)
-        remote = needed[~is_local]
-        to_fetch = cache.missing(remote)
-        # Plan the fetch supersteps: contiguous task batches, each remote
-        # read assigned to the first batch needing it.
-        task_slices = _alignment_task_slices(len(tasks), config.alignment_batch_tasks)
-        requests = _first_need_requests(tasks, task_slices, to_fetch)
-        sequences = cache.sequence_view()
+        to_fetch = cache.missing(needed[~is_local])
+        # Group read requests by the rank owning each read.
+        requests = bucket_by_destination(to_fetch, state.read_owner[to_fetch], comm.size)
+    with timer.exchange():
+        incoming = comm.alltoallv(requests, label="alignment:request")
+    with timer.compute():
+        # Serve the requested reads back to each requesting rank.
+        blocks = [_build_read_block(incoming[src], state.readset, cache)
+                  for src in range(comm.size)]
+        # Sequence payload only: ``raw`` is one byte per base, ``wire`` what
+        # actually crosses the exchange (~raw/4); headers are excluded from
+        # both, so the pair isolates exactly what the packing compresses.
+        read_payload_raw = sum(block.raw_nbytes for block in blocks)
+        read_payload_wire = sum(int(block.packed.nbytes) for block in blocks)
+    with timer.exchange():
+        received = comm.alltoallv(blocks, label="alignment:response")
+    with timer.compute():
+        for block in received:
+            _unpack_read_block(block, cache)
         aligner = BatchAligner(
-            sequences=sequences,
+            sequences=cache.sequence_view(),
             kernel=config.kernel,
             k=config.kmer.k,
             scoring=config.scoring,
@@ -865,61 +785,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
             min_score=config.min_alignment_score,
             cache=cache,
         )
-
-    read_payload_raw = 0
-    read_payload_wire = 0
-    results = []
-
-    def produce(step: int) -> list[np.ndarray]:
-        rids = (requests[step] if step < len(requests)
-                else np.empty(0, dtype=np.int64))
-        if rids.size:
-            # Group read requests by the rank owning each read.
-            return bucket_by_destination(rids, state.read_owner[rids], comm.size)
-        return [np.empty(0, dtype=np.int64) for _ in range(comm.size)]
-
-    def respond(step: int, incoming_requests: list) -> list:
-        # Serve requested read sequences back to each requesting rank as
-        # typed blocks: 2-bit packed (config.wire_packing, the default) or
-        # ASCII (rids, offsets, bytes).
-        nonlocal read_payload_raw, read_payload_wire
-        blocks = [
-            _build_read_block(np.asarray(incoming_requests[src], dtype=np.int64),
-                              state.readset, cache, config.wire_packing)
-            for src in range(comm.size)
-        ]
-        for block in blocks:
-            raw, wire = _read_block_payload_bytes(block)
-            read_payload_raw += raw
-            read_payload_wire += wire
-        return blocks
-
-    def consume(step: int, blocks: list) -> None:
-        for block in blocks:
-            _unpack_read_block(block, cache)
-        if step < len(task_slices):
-            lo, hi = task_slices[step]
-            if hi > lo:
-                batch = TaskBatch(
-                    rid_a=tasks.rid_a[lo:hi],
-                    rid_b=tasks.rid_b[lo:hi],
-                    seed_pos_a=tasks.seed_pos_a[lo:hi],
-                    seed_pos_b=tasks.seed_pos_b[lo:hi],
-                    same_strand=tasks.same_strand[lo:hi],
-                )
-                results.extend(aligner.align_all(batch))
-
-    schedule = SuperstepSchedule(
-        comm, timer, len(task_slices),
-        double_buffer=config.stage_double_buffer("alignment"), label="alignment",
-        # Unbatched, every rank has exactly one (possibly empty) fetch round,
-        # so the step count needs no agreement — and the stage's exchange
-        # pattern stays byte-identical to the original two-round fetch.
-        agree_step_count=config.alignment_batch_tasks is not None,
-    )
-    outcome = schedule.run_two_hop(produce, respond, consume)
-
-    with timer.compute():
+        results = aligner.align_all(tasks) if len(tasks) else []
         n_results = len(results)
         scores = np.fromiter((r.score for r in results), dtype=np.int64, count=n_results)
         spans_a = np.fromiter((r.span_a for r in results), dtype=np.int64, count=n_results)
@@ -929,8 +795,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.work["alignment"] = float(aligner.stats.cells)
     # Bytes of the reads this rank's tasks actually touch — deliberately not
     # the whole cache, which may also hold reads memoised while *serving*
-    # peers on the packed path (and, under the pool, previous runs' reads):
-    # the cost-model input must not depend on the wire encoding.
+    # peers (and, under the pool, previous runs' reads).
     state.local_bytes["alignment"] = float(cache.bases_cached(needed))
     # Capacity trim happens only here, at stage exit: every task has aligned,
     # so no read the fetch plan promised is still needed (a mid-stage evict
@@ -941,15 +806,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["accepted_alignments"] = aligner.stats.accepted
     state.counters["dp_cells"] = aligner.stats.cells
     state.counters["remote_reads_fetched"] = int(to_fetch.size)
-    # Packed-vs-raw accounting of the served read payloads: ``raw`` is the
-    # ASCII-equivalent byte count (one byte per base), ``wire`` what actually
-    # crossed the exchange — ~raw/4 with packing on, equal with it off.
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
-    state.counters["alignment_wire_packing"] = int(config.wire_packing)
-    state.counters["alignment_fetch_rounds"] = outcome.n_supersteps
-    state.counters["alignment_exchange_double_buffered"] = int(outcome.double_buffered)
-    state.counters["alignment_steps_overlapped"] = outcome.steps_overlapped
     # Checked only after aligning: asking earlier would build the compiled
     # tier on ranks (and runs) that align nothing.
     state.counters["align_native_ranks"] = int(
@@ -1254,7 +1112,7 @@ def run_query_batch(
        ordered by the emulated union run's arrival order), and only
        **query-vs-index** pairs are kept — within-side pairs are not this
        batch's job.
-    3. **Alignment** — the unmodified :func:`alignment_stage`: two-hop read
+    3. **Alignment** — the unmodified :func:`alignment_stage`: one-round read
        fetch + x-drop over the consolidated tasks.
 
     Ordering the merged occurrence groups by the union run's arrival order
@@ -1332,6 +1190,6 @@ def run_query_batch(
 
     overlap_stage(comm, state, merged_shards(), "query_route", n_index_reads)
 
-    # -- stage Q3: the unmodified two-hop fetch + alignment -----------------
+    # -- stage Q3: the unmodified read fetch + alignment --------------------
     alignment_stage(comm, state)
     return _rank_report(comm, state)

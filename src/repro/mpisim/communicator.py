@@ -57,9 +57,8 @@ _EXCHANGE_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 #: by ``seq % EXCHANGE_SLOTS``; ``alltoallv_start`` for superstep ``seq``
 #: blocks until every rank consumed superstep ``seq - EXCHANGE_SLOTS``.  Two
 #: slots are the classic double buffer and enough for every pipeline
-#: schedule (the two-hop request/response schedule keeps at most one
-#: response and one request outstanding); the engines are written against
-#: this constant, so deeper pipelines only need a bigger value here.
+#: schedule; the engines are written against this constant, so deeper
+#: pipelines only need a bigger value here.
 EXCHANGE_SLOTS = 2
 
 #: Engine op name of the sanitizer's congruence pre-check collective.  It is
@@ -78,10 +77,10 @@ def exchange_op_name(base: str, label: str | None) -> str:
     """The engine op name of an exchange, phase-labelled when *label* is set.
 
     Labelled ops (``"alltoallv[overlap]"``) make schedule collisions
-    loud: if two ranks reach different stages' exchanges — or a two-hop
-    schedule's request and response hops get out of step — the engines'
-    op-name validation raises :class:`CollectiveMismatchError` instead of
-    silently handing one stage's payloads to another.
+    loud: if two ranks reach different stages' exchanges — or the alignment
+    fetch's request and response hops get out of step — the engines' op-name
+    validation raises :class:`CollectiveMismatchError` instead of silently
+    handing one stage's payloads to another.
     """
     return base if label is None else f"{base}[{label}]"
 
@@ -94,23 +93,26 @@ class CollectiveEngine(Protocol):
     same ``op_name`` (engines detect mismatches and raise on every rank).
     ``abort`` wakes ranks blocked inside a collective when a peer fails.
 
-    Engines may additionally implement the *split-phase exchange* pair
     ``exchange_start(rank, op_name, send, seq) -> token`` /
-    ``exchange_finish(rank, token) -> received`` — a publish/consume
-    handshake with **no global barrier on the fast path**: ``start`` waits
-    only until the double-buffered slot of ``seq`` is free for rewrite (all
-    ranks consumed superstep ``seq - 2``), publishes, and returns;
-    ``finish`` waits until every rank has published superstep ``seq`` and
-    reads.  The caller may compute (or even start superstep ``seq + 1``)
-    between the two calls — that compute overlaps the peers' publishes and
-    reads.  Engines without these methods fall back to the synchronous
-    ``execute`` path inside :meth:`SimCommunicator.alltoallv_start`.
+    ``exchange_finish(rank, token) -> received`` is the *split-phase
+    exchange* pair — a publish/consume handshake with **no global barrier
+    on the fast path**: ``start`` waits only until the double-buffered slot
+    of ``seq`` is free for rewrite (all ranks consumed superstep
+    ``seq - 2``), publishes, and returns; ``finish`` waits until every rank
+    has published superstep ``seq`` and reads.  The caller may compute (or
+    even start superstep ``seq + 1``) between the two calls — that compute
+    overlaps the peers' publishes and reads.
     """
 
     n_ranks: int
 
     def execute(self, rank: int, op_name: str, contribution: Any,
                 combine: CombineFn) -> Any: ...
+
+    def exchange_start(self, rank: int, op_name: str, send: list[Any],
+                       seq: int) -> Any: ...
+
+    def exchange_finish(self, rank: int, token: Any) -> list[Any]: ...
 
     def abort(self) -> None: ...
 
@@ -119,17 +121,14 @@ class CollectiveEngine(Protocol):
 class ExchangeHandle:
     """In-flight split-phase exchange returned by :meth:`SimCommunicator.alltoallv_start`.
 
-    ``token`` is engine-specific state; ``result`` is only populated on the
-    synchronous fallback path (engines without split-phase support), in which
-    case ``alltoallv_finish`` simply hands it back.  ``label`` is the phase
-    label the exchange was started under (diagnostics; the engines validate
-    it as part of the op name).  ``consumed`` is set by ``alltoallv_finish``
-    so the sanitizer can flag a handle finished twice.
+    ``token`` is engine-specific state.  ``label`` is the phase label the
+    exchange was started under (diagnostics; the engines validate it as part
+    of the op name).  ``consumed`` is set by ``alltoallv_finish`` so the
+    sanitizer can flag a handle finished twice.
     """
 
     op_name: str
     token: Any = None
-    result: list[Any] | None = None
     label: str | None = None
     consumed: bool = False
 
@@ -567,16 +566,9 @@ class SimCommunicator:
         if len(send) != self.size:
             raise ValueError(f"alltoallv needs {self.size} payloads, got {len(send)}")
         op_name = exchange_op_name("alltoallv", label)
-        start = getattr(self._engine, "exchange_start", None)
         self._record_exchange(send)
-        if start is None:
-            # Engine without split-phase support: degrade to the synchronous
-            # collective and hand the result through the handle.
-            result = self._collective(op_name, send, self._transpose_combine(),
-                                      signature=payload_signature(send))
-            return ExchangeHandle(op_name=op_name, result=result, label=label)
-        # The synchronous fallback above hooks faults inside _collective;
-        # the split-phase path hooks here, so each start counts exactly one
+        # Synchronous collectives hook faults inside _collective; the
+        # split-phase path hooks here, so each start counts exactly one
         # superstep ordinal either way.
         if self._faults is not None:
             self._faults.before_op(op_name, self._phase)
@@ -587,7 +579,8 @@ class SimCommunicator:
             self._sanitize_congruence(op_name, "split", payload_signature(send))
         seq = self._xchg_seq
         self._xchg_seq += 1
-        token = self._engine_call(start, self.rank, op_name, send, seq)
+        token = self._engine_call(self._engine.exchange_start, self.rank,
+                                  op_name, send, seq)
         return ExchangeHandle(op_name=op_name, token=token, label=label)
 
     def alltoallv_finish(self, handle: ExchangeHandle) -> list[Any]:
@@ -598,9 +591,6 @@ class SimCommunicator:
                 f"on the same handle ({handle.op_name}); the segment was "
                 "released at the first finish"
             )
-        if handle.result is not None:
-            handle.consumed = True
-            return handle.result
         received = self._engine_call(
             self._engine.exchange_finish, self.rank, handle.token
         )

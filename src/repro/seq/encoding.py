@@ -17,9 +17,12 @@ the function matching the packer.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.seq.alphabet import CODE_TO_BASE, ascii_to_code_table
+from repro.seq.records import Read
 
 #: Number of bases packed into one 64-bit word.
 BASES_PER_WORD: int = 32
@@ -40,6 +43,26 @@ def encode_sequence(seq: str) -> np.ndarray:
         bad = seq[int(np.argmax(codes == 255))]
         raise ValueError(f"invalid DNA character {bad!r} in sequence")
     return codes
+
+
+def check_reads(reads: Iterable[Read]) -> None:
+    """Raise :class:`ValueError` naming the first read with a non-ACGT base.
+
+    The launch-time form of :func:`encode_sequence`'s alphabet check, so a
+    read set that would fail inside a rank is rejected before any rank
+    starts.  The accepted bytes come from the same lookup table; each read
+    is scanned in one C-level pass (``bytes.translate`` deleting them).
+    """
+    table = ascii_to_code_table()
+    valid = np.flatnonzero(table != 255).astype(np.uint8).tobytes()
+    for read in reads:
+        # "replace" keeps one byte per character, so positions line up.
+        raw = read.sequence.encode("ascii", "replace")
+        if raw.translate(None, valid):
+            position = int(np.argmax(table[np.frombuffer(raw, dtype=np.uint8)] == 255))
+            raise ValueError(
+                f"read {read.name!r} has an invalid DNA character "
+                f"{read.sequence[position]!r} at position {position}")
 
 
 def decode_sequence(codes: np.ndarray) -> str:

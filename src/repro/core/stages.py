@@ -39,6 +39,7 @@ from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
+    OCCURRENCE_NBYTES,
     KmerHashTablePartition,
     RetainedKmers,
     ShardedKmerIndex,
@@ -1018,7 +1019,8 @@ def _index_hash_table(comm: SimCommunicator, state: _RankState,
     Bloom stage (stage 1) is skipped entirely — its only output is the
     candidate-key set the lifted gate replaces.  The buffered occurrences
     are then drained into a :class:`ShardedKmerIndex` bucketed by the same
-    code-range boundaries the batch pipeline shards by.
+    code-range boundaries the batch pipeline shards by, and sorted into its
+    canonical storage — the index's one sort, timed as hash-table work.
     """
     config = state.config
     state.hashtable.accept_all_keys()
@@ -1028,26 +1030,23 @@ def _index_hash_table(comm: SimCommunicator, state: _RankState,
             state.hashtable,
             shard_code_boundaries(config.kmer.k, config.hash_table_shards),
         )
+        index.sort()
     return index
 
 
 def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
     """Record the per-rank index shape counters on *state*."""
-    config = state.config
-    retained_kmers = 0
-    retained_occurrences = 0
     with state.timer("hashtable").compute():
-        for shard in range(index.n_shards):
-            part = index.retained_shard(shard, min_count=config.min_kmer_count,
-                                        max_count=state.high_freq_threshold)
-            retained_kmers += part.n_kmers
-            retained_occurrences += part.n_occurrences
+        retained_kmers, retained_occurrences = index.retained_counts(
+            min_count=state.config.min_kmer_count,
+            max_count=state.high_freq_threshold)
+        digest = index.digest()
     state.counters["index_build_runs"] = 1
     state.counters["index_retained_kmers"] = retained_kmers
     state.counters["index_retained_occurrences"] = retained_occurrences
     state.counters["index_occurrences"] = index.n_occurrences
     state.counters["index_nbytes"] = index.nbytes
-    state.counters["index_digest"] = index.digest()
+    state.counters["index_digest"] = digest
 
 
 def run_index_build(
@@ -1147,8 +1146,7 @@ def run_query_batch(
         state.counters["index_reuse_hits"] = 1
     else:
         # Rebuild over the index reads only (their slots in the combined
-        # partition still cover each exactly once).  Storage order does not
-        # matter — merged_shard re-sorts by the union arrival order.
+        # partition still cover each exactly once).
         index = _index_hash_table(
             comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
         _store_resident_index(index_tag, comm.rank, index)
@@ -1168,7 +1166,6 @@ def run_query_batch(
         q_shard_of = np.searchsorted(index.boundaries, q_codes, side="right")
 
     state.work["query_route"] = float(routed)
-    state.local_bytes["query_route"] = float(index.nbytes + q_codes.nbytes * 4)
     state.counters["query_kmers_parsed"] = parsed
     state.counters["query_kmers_routed"] = routed
     state.counters["query_route_payload_bytes"] = payload_bytes
@@ -1176,10 +1173,13 @@ def run_query_batch(
     state.counters["query_route_steps_overlapped"] = outcome.steps_overlapped
 
     # -- stage Q2: the overlap stage over merged shards, cross pairs only ---
+    touched = 0
+
     def merged_shards() -> Iterator[RetainedKmers]:
+        nonlocal touched
         for shard in range(index.n_shards):
             in_shard = q_shard_of == shard
-            yield index.merged_shard(
+            merged, gathered = index.merged_shard(
                 shard,
                 q_codes[in_shard], q_rids[in_shard],
                 q_positions[in_shard], q_strands[in_shard],
@@ -1187,8 +1187,13 @@ def run_query_batch(
                 min_count=config.min_kmer_count,
                 max_count=high_freq_threshold,
             )
+            touched += gathered
+            yield merged
 
     overlap_stage(comm, state, merged_shards(), "query_route", n_index_reads)
+    state.counters["query_index_occurrences_touched"] = touched
+    state.local_bytes["query_route"] = float(
+        (touched + q_codes.size) * OCCURRENCE_NBYTES)
 
     # -- stage Q3: the unmodified read fetch + alignment --------------------
     alignment_stage(comm, state)

@@ -39,6 +39,10 @@ from typing import Iterator
 
 import numpy as np
 
+#: Bytes one stored occurrence occupies: uint64 code, int64 RID, int64
+#: position and a bool strand.
+OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
+
 
 def shard_code_boundaries(k: int, n_shards: int) -> np.ndarray:
     """Interior split points dividing the k-mer code space into *n_shards* ranges.
@@ -131,6 +135,45 @@ def _validate_count_filters(min_count: int, max_count: int | None) -> None:
         raise ValueError("max_count must be >= min_count")
 
 
+def _count_filter(counts: np.ndarray, min_count: int,
+                  max_count: int | None) -> np.ndarray:
+    """Mask of the groups whose occurrence count is in ``[min_count, max_count]``."""
+    keep = counts >= min_count
+    if max_count is not None:
+        keep &= counts <= max_count
+    return keep
+
+
+def _group_take(starts: np.ndarray,
+                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact the groups ``[starts[i], starts[i] + counts[i])`` back to back.
+
+    Returns the compacted groups' offsets and the source index of every
+    occurrence they keep: a segment-wise arange built from repeat/cumsum,
+    no per-group loop.
+    """
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    if counts.size:
+        take = (np.repeat(starts - offsets[:-1], counts)
+                + np.arange(int(offsets[-1]), dtype=np.int64))
+    else:
+        take = np.empty(0, dtype=np.int64)
+    return offsets, take
+
+
+def _take_groups(table: RetainedKmers, groups: np.ndarray) -> RetainedKmers:
+    """The groups of *table* at the ascending indices *groups*, compacted."""
+    starts = table.offsets[groups]
+    offsets, take = _group_take(starts, table.offsets[groups + 1] - starts)
+    return RetainedKmers(
+        codes=table.codes[groups],
+        offsets=offsets,
+        rids=table.rids[take],
+        positions=table.positions[take],
+        strands=table.strands[take],
+    )
+
+
 def _finalize_arrays(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
                      strands: np.ndarray, min_count: int,
                      max_count: int | None) -> RetainedKmers:
@@ -148,25 +191,10 @@ def _finalize_arrays(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
     unique_codes, group_starts, counts = np.unique(
         codes, return_index=True, return_counts=True
     )
-    keep = counts >= min_count
-    if max_count is not None:
-        keep &= counts <= max_count
-
-    kept_codes = unique_codes[keep]
-    kept_starts = group_starts[keep]
-    kept_counts = counts[keep]
-
-    # Rebuild a compact occurrence array containing only retained groups:
-    # a segment-wise arange built from repeat/cumsum, no per-group loop.
-    offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int64)
-    if kept_codes.size:
-        take = (np.repeat(kept_starts - offsets[:-1], kept_counts)
-                + np.arange(int(offsets[-1]), dtype=np.int64))
-    else:
-        take = np.empty(0, dtype=np.int64)
-
+    keep = _count_filter(counts, min_count, max_count)
+    offsets, take = _group_take(group_starts[keep], counts[keep])
     return RetainedKmers(
-        codes=kept_codes.astype(np.uint64),
+        codes=unique_codes[keep].astype(np.uint64),
         offsets=offsets,
         rids=rids[take].astype(np.int64),
         positions=positions[take].astype(np.int64),
@@ -423,14 +451,19 @@ class ShardedKmerIndex:
     bucketed by the same contiguous code ranges (:func:`shard_code_boundaries`)
     — so repeated query batches can probe it without rebuilding anything.
 
-    Two invariants make it exchangeable with the batch build:
+    Invariants:
 
-    * **Insertion-order parity** — occurrences are stored in insertion order
-      per shard, and every retained view groups them with the same stable
-      sort :func:`_finalize_arrays` uses, so ``insert_batch`` over any split
-      of the same occurrence stream yields views bit-identical to a one-shot
-      :meth:`KmerHashTablePartition.finalize` (pinned by the incremental
-      parity tests).
+    * **Canonical storage** — each shard is held as one
+      :class:`RetainedKmers` (unfiltered: every stored occurrence) whose
+      occurrences are sorted by ``(code, rid, position, strand)``.  Its
+      ``codes`` / ``offsets`` are the shard's group table (unique codes,
+      group starts, group counts as ``np.diff(offsets)``); no other copy of
+      the shard stays resident.  The sort runs once, at build
+      (:meth:`sort`).  Occurrences inserted after a shard was sorted wait in
+      a pending buffer and are merged in, with a fresh sort, on the shard's
+      next use.  Every view — :meth:`retained`, :meth:`retained_counts`,
+      :meth:`merged_shard`, :meth:`digest` — reads the canonical storage, so
+      none depends on how the occurrence stream was batched or ordered.
     * **All occurrences kept** — the Bloom candidate gate is not applied
       (see :meth:`KmerHashTablePartition.accept_all_keys`): an index-side
       singleton must stay queryable because a query batch can lift its union
@@ -441,14 +474,13 @@ class ShardedKmerIndex:
     def __init__(self, boundaries: np.ndarray) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.uint64)
         self.n_shards = int(self.boundaries.size) + 1
-        self._batches: list[list[tuple[np.ndarray, ...]]] = [
+        self._pending: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in range(self.n_shards)
         ]
-        self._consolidated: list[tuple[np.ndarray, ...] | None] = [
-            None for _ in range(self.n_shards)
+        self._sorted: list[RetainedKmers] = [
+            RetainedKmers.empty() for _ in range(self.n_shards)
         ]
         self.n_occurrences = 0
-        self.insert_batches = 0
 
     @classmethod
     def from_partition(cls, partition: KmerHashTablePartition,
@@ -464,13 +496,11 @@ class ShardedKmerIndex:
 
     def insert_batch(self, codes: np.ndarray, rids: np.ndarray,
                      positions: np.ndarray, strands: np.ndarray) -> int:
-        """Append one batch of occurrences, bucketing them by code-range shard.
+        """Add one batch of occurrences, bucketing them by code-range shard.
 
-        Within each shard the batch's occurrences keep their relative order
-        and land after everything previously inserted; the retained views'
-        stable sort therefore sees the same total order as a one-shot build
-        over the concatenated stream.  Returns the number of occurrences
-        inserted.
+        The batch waits in its shards' pending buffers until each shard's
+        next use sorts it into the canonical storage.  Returns the number of
+        occurrences inserted.
         """
         codes = np.asarray(codes, dtype=np.uint64)
         rids = np.asarray(rids, dtype=np.int64)
@@ -479,88 +509,91 @@ class ShardedKmerIndex:
         if not (codes.size == rids.size == positions.size == strands.size):
             raise ValueError("codes, rids, positions and strands must have equal length")
         if codes.size == 0:
-            self.insert_batches += 1
             return 0
         shard_of = np.searchsorted(self.boundaries, codes, side="right")
         for shard in np.unique(shard_of):
             mask = shard_of == shard
-            self._batches[shard].append(
+            self._pending[shard].append(
                 (codes[mask], rids[mask], positions[mask], strands[mask])
             )
-            self._consolidated[shard] = None
         self.n_occurrences += int(codes.size)
-        self.insert_batches += 1
         return int(codes.size)
 
-    # -- raw per-shard access ------------------------------------------------
+    # -- canonical storage ---------------------------------------------------
 
-    def shard_occurrences(self, shard: int) -> tuple[np.ndarray, ...]:
-        """Shard *shard*'s occurrences ``(codes, rids, positions, strands)``.
+    def sort(self) -> None:
+        """Sort every shard's pending occurrences into canonical storage."""
+        for shard in range(self.n_shards):
+            self._sorted_shard(shard)
 
-        Concatenated in insertion order; consolidated lazily and memoised, so
-        repeated query batches against an unchanged index pay the
-        concatenation once.
-        """
-        cached = self._consolidated[shard]
-        if cached is not None:
-            return cached
-        batches = self._batches[shard]
-        if not batches:
-            empty_i = np.empty(0, dtype=np.int64)
-            arrays = (np.empty(0, dtype=np.uint64), empty_i, empty_i.copy(),
-                      np.empty(0, dtype=bool))
-        elif len(batches) == 1:
-            arrays = batches[0]
+    def _sorted_shard(self, shard: int) -> RetainedKmers:
+        """Shard *shard*'s canonical storage, merging in pending occurrences."""
+        pending = self._pending[shard]
+        if not pending:
+            return self._sorted[shard]
+        self._pending[shard] = []
+        stored = self._sorted[shard]
+        if stored.n_occurrences:
+            pending.insert(0, (np.repeat(stored.codes, stored.counts()),
+                               stored.rids, stored.positions, stored.strands))
+        if len(pending) == 1:
+            codes, rids, positions, strands = pending[0]
         else:
-            arrays = tuple(
-                np.concatenate([batch[column] for batch in batches])
+            codes, rids, positions, strands = (
+                np.concatenate([batch[column] for batch in pending])
                 for column in range(4)
             )
-            self._batches[shard] = [arrays]
-        self._consolidated[shard] = arrays
-        return arrays
+        del pending, stored  # the batches are garbage once concatenated
+        order = np.lexsort((strands, positions, rids, codes))
+        codes = codes[order]
+        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        self._sorted[shard] = RetainedKmers(
+            codes=codes[starts],
+            offsets=np.append(starts, codes.size).astype(np.int64),
+            rids=rids[order],
+            positions=positions[order],
+            strands=strands[order],
+        )
+        return self._sorted[shard]
 
     # -- retained views ------------------------------------------------------
 
-    def retained_shard(self, shard: int, min_count: int = 2,
-                       max_count: int | None = None) -> RetainedKmers:
-        """Shard *shard*'s retained k-mers under the count filters."""
+    def retained_counts(self, min_count: int = 2,
+                        max_count: int | None = None) -> tuple[int, int]:
+        """``(k-mers, occurrences)`` retained under the count filters.
+
+        Read from the shards' group counts; nothing is gathered or sorted.
+        """
         _validate_count_filters(min_count, max_count)
-        codes, rids, positions, strands = self.shard_occurrences(shard)
-        if codes.size == 0:
-            return RetainedKmers.empty()
-        return _finalize_arrays(codes, rids, positions, strands, min_count, max_count)
+        n_kmers = n_occurrences = 0
+        for shard in range(self.n_shards):
+            counts = self._sorted_shard(shard).counts()
+            kept = counts[_count_filter(counts, min_count, max_count)]
+            n_kmers += int(kept.size)
+            n_occurrences += int(kept.sum())
+        return n_kmers, n_occurrences
 
     def retained(self, min_count: int = 2,
                  max_count: int | None = None) -> RetainedKmers:
         """The whole index's retained k-mers (all shards, ascending codes).
 
-        Shards are contiguous ascending code ranges, so concatenating the
-        per-shard views reproduces a monolithic
-        :meth:`KmerHashTablePartition.finalize` bit for bit — the oracle the
-        incremental parity tests compare against.
+        The groups and codes are exactly those of a one-shot
+        :meth:`KmerHashTablePartition.finalize` over the same occurrences;
+        within a group the occurrences are in canonical
+        ``(rid, position, strand)`` order rather than insertion order.
         """
-        shards = [self.retained_shard(s, min_count, max_count)
-                  for s in range(self.n_shards)]
-        non_empty = [s for s in shards if s.n_kmers]
-        if not non_empty:
-            return RetainedKmers.empty()
-        if len(non_empty) == 1:
-            return non_empty[0]
-        offsets = [np.int64(0)]
-        base = 0
-        chunks = []
-        for part in non_empty:
-            chunks.append(part.offsets[1:] + base)
-            base += int(part.offsets[-1])
-        return RetainedKmers(
-            codes=np.concatenate([s.codes for s in non_empty]),
-            offsets=np.concatenate([np.zeros(1, dtype=np.int64)]
-                                   + chunks).astype(np.int64),
-            rids=np.concatenate([s.rids for s in non_empty]),
-            positions=np.concatenate([s.positions for s in non_empty]),
-            strands=np.concatenate([s.strands for s in non_empty]),
+        _validate_count_filters(min_count, max_count)
+        shards = [self._sorted_shard(shard) for shard in range(self.n_shards)]
+        counts = np.concatenate([stored.counts() for stored in shards])
+        whole = RetainedKmers(
+            codes=np.concatenate([stored.codes for stored in shards]),
+            offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+            rids=np.concatenate([stored.rids for stored in shards]),
+            positions=np.concatenate([stored.positions for stored in shards]),
+            strands=np.concatenate([stored.strands for stored in shards]),
         )
+        return _take_groups(
+            whole, np.flatnonzero(_count_filter(counts, min_count, max_count)))
 
     def merged_shard(
         self,
@@ -573,7 +606,7 @@ class ShardedKmerIndex:
         n_index_reads: int,
         min_count: int = 2,
         max_count: int | None = None,
-    ) -> RetainedKmers:
+    ) -> tuple[RetainedKmers, int]:
         """One shard of the (index ∪ query batch) retained table.
 
         The serve phase's core primitive: merge shard *shard*'s resident
@@ -583,13 +616,22 @@ class ShardedKmerIndex:
         expansion can produce a query-vs-index pair (single-sided groups
         would only produce pairs the cross filter drops anyway).
 
+        Only the index groups whose code the query batch hits are gathered
+        (a ``searchsorted`` of the batch's unique codes into the shard's
+        group table), so a small batch touches a small part of the index.
+        The result is the same as merging the whole shard: a group survives
+        only with occurrences on both sides, and every hit group brings all
+        of its index occurrences, so the union counts are unchanged.
+
         Within each group the merged occurrences are ordered by
         ``(order_key[rid], position)``, where *order_key* is the per-read
         arrival ordinal of the emulated one-shot run over (index ∪ query)
         reads — this reproduces the hash-table stage's arrival order
         (superstep, source rank, in-batch extraction order), which is what
         makes the downstream pair generation (and its ``swapped`` owner
-        annotation) bit-identical to that run.
+        annotation) bit-identical to that run.  ``(order_key[rid],
+        position)`` is unique within a code group, so the order does not
+        depend on how the inputs were ordered.
 
         Parameters
         ----------
@@ -602,16 +644,29 @@ class ShardedKmerIndex:
             and query RIDs).
         n_index_reads:
             RIDs below this bound are index reads, at or above it query reads.
+
+        Returns
+        -------
+        tuple[RetainedKmers, int]
+            The merged shard, and the number of index occurrences gathered
+            into the merge.
         """
         _validate_count_filters(min_count, max_count)
-        i_codes, i_rids, i_positions, i_strands = self.shard_occurrences(shard)
-        codes = np.concatenate([i_codes, np.asarray(q_codes, dtype=np.uint64)])
+        stored = self._sorted_shard(shard)
+        q_codes = np.asarray(q_codes, dtype=np.uint64)
+        hit = np.unique(q_codes)
+        slot = np.searchsorted(stored.codes, hit)
+        in_range = slot < stored.n_kmers
+        slot = slot[in_range]
+        hits = _take_groups(stored, slot[stored.codes[slot] == hit[in_range]])
+
+        codes = np.concatenate([np.repeat(hits.codes, hits.counts()), q_codes])
         if codes.size == 0:
-            return RetainedKmers.empty()
-        rids = np.concatenate([i_rids, np.asarray(q_rids, dtype=np.int64)])
+            return RetainedKmers.empty(), 0
+        rids = np.concatenate([hits.rids, np.asarray(q_rids, dtype=np.int64)])
         positions = np.concatenate(
-            [i_positions, np.asarray(q_positions, dtype=np.int64)])
-        strands = np.concatenate([i_strands, np.asarray(q_strands, dtype=bool)])
+            [hits.positions, np.asarray(q_positions, dtype=np.int64)])
+        strands = np.concatenate([hits.strands, np.asarray(q_strands, dtype=bool)])
 
         order = np.lexsort((positions, order_key[rids], codes))
         codes, rids, positions, strands = (
@@ -625,53 +680,43 @@ class ShardedKmerIndex:
         index_counts = np.bincount(
             group_of[rids < n_index_reads], minlength=unique_codes.size
         )
-        keep = (counts >= min_count) & (index_counts >= 1) & (index_counts < counts)
-        if max_count is not None:
-            keep &= counts <= max_count
-
-        kept_starts = group_starts[keep]
-        kept_counts = counts[keep]
-        offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int64)
-        if kept_counts.size:
-            take = (np.repeat(kept_starts - offsets[:-1], kept_counts)
-                    + np.arange(int(offsets[-1]), dtype=np.int64))
-        else:
-            take = np.empty(0, dtype=np.int64)
-        return RetainedKmers(
+        keep = (_count_filter(counts, min_count, max_count)
+                & (index_counts >= 1) & (index_counts < counts))
+        offsets, take = _group_take(group_starts[keep], counts[keep])
+        merged = RetainedKmers(
             codes=unique_codes[keep].astype(np.uint64),
             offsets=offsets,
             rids=rids[take].astype(np.int64),
             positions=positions[take].astype(np.int64),
             strands=strands[take].astype(bool),
         )
+        return merged, hits.n_occurrences
 
     # -- introspection -------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
-        """Resident memory of the occurrence buffers in bytes."""
-        total = 0
-        for batches in self._batches:
-            for batch in batches:
+        """Resident memory of the shards (occurrences and group tables) in bytes."""
+        total = sum(stored.nbytes for stored in self._sorted)
+        for pending in self._pending:
+            for batch in pending:
                 total += sum(int(a.nbytes) for a in batch)
         return total
 
     def digest(self) -> int:
         """A 63-bit content digest of the index, independent of insertion order.
 
-        Each shard's occurrences are canonically sorted before hashing, so
-        two indexes holding the same occurrence *set* — however it was
-        batched or which backend built it — digest identically.  Surfaced as
-        a per-rank counter so the cross-backend index-parity tests can
-        compare resident indexes they cannot reach directly (process-backend
-        workers own theirs).
+        Hashes each shard's canonical storage, so two indexes holding the
+        same occurrence *set* — however it was batched or which backend
+        built it — digest identically.  Surfaced as a per-rank counter so the
+        cross-backend index-parity tests can compare resident indexes they
+        cannot reach directly (process-backend workers own theirs).
         """
         h = hashlib.blake2b(digest_size=8)
         for shard in range(self.n_shards):
-            codes, rids, positions, strands = self.shard_occurrences(shard)
-            order = np.lexsort((strands, positions, rids, codes))
-            h.update(np.ascontiguousarray(codes[order]).tobytes())
-            h.update(np.ascontiguousarray(rids[order]).tobytes())
-            h.update(np.ascontiguousarray(positions[order]).tobytes())
-            h.update(np.ascontiguousarray(strands[order]).tobytes())
+            stored = self._sorted_shard(shard)
+            h.update(np.repeat(stored.codes, stored.counts()).tobytes())
+            h.update(stored.rids.tobytes())
+            h.update(stored.positions.tobytes())
+            h.update(stored.strands.tobytes())
         return int.from_bytes(h.digest(), "big") >> 1

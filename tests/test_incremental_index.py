@@ -1,16 +1,24 @@
 """Incremental index parity: ``insert_batch`` splits vs one-shot ``finalize``.
 
 The serve phase's resident :class:`~repro.kmers.hashtable.ShardedKmerIndex`
-is built incrementally (``insert_batch``), while the batch pipeline builds
-its table in one finalise over the buffered occurrences.  These tests pin
-the equivalence the whole build/serve split rests on: any split of the same
-occurrence stream — however batched, for any shard count — yields retained
-views bit-identical to the one-shot
-:meth:`~repro.kmers.hashtable.KmerHashTablePartition.finalize` oracle, and
-the pipeline-level index digest agrees across runtime backends.
+is built incrementally (``insert_batch``) and stored in canonical order —
+each shard sorted by ``(code, rid, position, strand)`` — while the batch
+pipeline builds its table in one finalise over the buffered occurrences.
+These tests pin the equivalences the build/serve split rests on:
+
+* any split of the same occurrence stream — however batched, for any shard
+  count, with inserts before or after a sort — yields retained views equal
+  to the one-shot :meth:`~repro.kmers.hashtable.KmerHashTablePartition.finalize`
+  oracle with each group's rows in canonical order;
+* the digest equals a 4-key ``lexsort`` of every occurrence, hashed;
+* ``merged_shard``, which gathers only the index groups a query batch hits,
+  equals the full-concatenate merge it replaced (kept here as the oracle);
+* the pipeline-level index digest agrees across runtime backends.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -29,103 +37,281 @@ from repro.seq.kmer import KmerSpec
 
 
 K = 8  # small code space so counts cross min/max thresholds often
+N_READS = 40
+READ_LENGTH = 5000
 
 
-def _occurrence_stream(rng: np.random.Generator, n: int):
-    """A synthetic occurrence stream with heavy code reuse (dense groups)."""
-    codes = rng.integers(0, 4**K, size=n, dtype=np.uint64) % np.uint64(997)
-    rids = rng.integers(0, 40, size=n, dtype=np.int64)
-    positions = rng.integers(0, 5000, size=n, dtype=np.int64)
+def _occurrence_stream(rng: np.random.Generator, n: int, *, code_hi: int = 4**K,
+                       rid_lo: int = 0, rid_hi: int = N_READS):
+    """A synthetic occurrence stream with heavy code reuse (dense groups).
+
+    Codes come from a pool of 300 spread over ``[0, code_hi)``, so every
+    shard range below *code_hi* sees groups.  ``(rid, position)`` is unique
+    within the stream, as it is for real reads (one k-mer per read
+    position), so canonical order has no ties.
+    """
+    pool = rng.choice(code_hi, size=300, replace=False).astype(np.uint64)
+    codes = pool[rng.integers(0, pool.size, size=n)]
+    slots = rng.choice((rid_hi - rid_lo) * READ_LENGTH, size=n, replace=False)
+    rids = rid_lo + slots // READ_LENGTH
+    positions = slots % READ_LENGTH
     strands = rng.integers(0, 2, size=n, dtype=np.int64).astype(bool)
-    return codes, rids, positions, strands
+    return codes, rids.astype(np.int64), positions.astype(np.int64), strands
 
 
 def _oracle(codes, rids, positions, strands, min_count, max_count) -> RetainedKmers:
-    """The batch pipeline's one-shot build over the same stream."""
+    """The batch pipeline's one-shot build over the same stream, with each
+    group's rows put in the index's canonical ``(rid, position, strand)``
+    order (``finalize`` keeps insertion order within a group)."""
     partition = KmerHashTablePartition()
     partition.accept_all_keys()
     partition.add_occurrences(codes, rids, positions, strands)
-    return partition.finalize(min_count=min_count, max_count=max_count)
+    table = partition.finalize(min_count=min_count, max_count=max_count)
+    group_of = np.repeat(np.arange(table.n_kmers), table.counts())
+    order = np.lexsort((table.strands, table.positions, table.rids, group_of))
+    return RetainedKmers(codes=table.codes, offsets=table.offsets,
+                         rids=table.rids[order], positions=table.positions[order],
+                         strands=table.strands[order])
+
+
+def _lexsort_digest(codes, rids, positions, strands, boundaries) -> int:
+    """The digest formula: per shard, a 4-key lexsort of every occurrence."""
+    h = hashlib.blake2b(digest_size=8)
+    shard_of = np.searchsorted(boundaries, codes, side="right")
+    for shard in range(boundaries.size + 1):
+        in_shard = shard_of == shard
+        c, r, p, s = codes[in_shard], rids[in_shard], positions[in_shard], strands[in_shard]
+        order = np.lexsort((s, p, r, c))
+        for column in (c, r, p, s):
+            h.update(np.ascontiguousarray(column[order]).tobytes())
+    return int.from_bytes(h.digest(), "big") >> 1
+
+
+def _full_merge_oracle(i_codes, i_rids, i_positions, i_strands,
+                       q_codes, q_rids, q_positions, q_strands,
+                       order_key, n_index_reads, min_count, max_count) -> RetainedKmers:
+    """The merge before canonical storage: concatenate the *whole* shard with
+    the query occurrences, sort all of it, count and keep."""
+    codes = np.concatenate([i_codes, q_codes])
+    if codes.size == 0:
+        return RetainedKmers.empty()
+    rids = np.concatenate([i_rids, q_rids])
+    positions = np.concatenate([i_positions, q_positions])
+    strands = np.concatenate([i_strands, q_strands])
+
+    order = np.lexsort((positions, order_key[rids], codes))
+    codes, rids, positions, strands = (
+        codes[order], rids[order], positions[order], strands[order]
+    )
+    unique_codes, group_starts, counts = np.unique(
+        codes, return_index=True, return_counts=True
+    )
+    group_of = np.repeat(np.arange(unique_codes.size, dtype=np.int64), counts)
+    index_counts = np.bincount(
+        group_of[rids < n_index_reads], minlength=unique_codes.size
+    )
+    keep = (counts >= min_count) & (index_counts >= 1) & (index_counts < counts)
+    if max_count is not None:
+        keep &= counts <= max_count
+
+    kept_starts = group_starts[keep]
+    kept_counts = counts[keep]
+    offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int64)
+    if kept_counts.size:
+        take = (np.repeat(kept_starts - offsets[:-1], kept_counts)
+                + np.arange(int(offsets[-1]), dtype=np.int64))
+    else:
+        take = np.empty(0, dtype=np.int64)
+    return RetainedKmers(
+        codes=unique_codes[keep].astype(np.uint64),
+        offsets=offsets,
+        rids=rids[take].astype(np.int64),
+        positions=positions[take].astype(np.int64),
+        strands=strands[take].astype(bool),
+    )
 
 
 def _assert_retained_equal(got: RetainedKmers, expected: RetainedKmers) -> None:
-    np.testing.assert_array_equal(got.codes, expected.codes)
-    np.testing.assert_array_equal(got.offsets, expected.offsets)
-    np.testing.assert_array_equal(got.rids, expected.rids)
-    np.testing.assert_array_equal(got.positions, expected.positions)
-    np.testing.assert_array_equal(got.strands, expected.strands)
+    for column in ("codes", "offsets", "rids", "positions", "strands"):
+        expected_column = getattr(expected, column)
+        got_column = getattr(got, column)
+        assert got_column.dtype == expected_column.dtype, column
+        np.testing.assert_array_equal(got_column, expected_column, err_msg=column)
+
+
+def _insert_in_batches(index: ShardedKmerIndex, stream, n_batches: int,
+                       sort_after_first: bool = False) -> None:
+    codes = stream[0]
+    bounds = [codes.size * i // n_batches for i in range(n_batches + 1)]
+    for batch, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        index.insert_batch(*(column[lo:hi] for column in stream))
+        if sort_after_first and batch == 0:
+            index.sort()
 
 
 @pytest.mark.parametrize("n_shards", [1, 3, 4])
 @pytest.mark.parametrize("n_batches", [1, 2, 7])
 def test_insert_batch_splits_match_one_shot_finalize(n_shards, n_batches):
     rng = np.random.default_rng(42)
-    codes, rids, positions, strands = _occurrence_stream(rng, 3000)
-    expected = _oracle(codes, rids, positions, strands, min_count=2, max_count=12)
+    stream = _occurrence_stream(rng, 3000)
+    expected = _oracle(*stream, min_count=2, max_count=12)
 
     index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    bounds = [codes.size * i // n_batches for i in range(n_batches + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        index.insert_batch(codes[lo:hi], rids[lo:hi], positions[lo:hi],
-                           strands[lo:hi])
+    _insert_in_batches(index, stream, n_batches)
 
     assert index.n_shards == n_shards
-    assert index.n_occurrences == codes.size
+    assert index.n_occurrences == stream[0].size
     _assert_retained_equal(index.retained(min_count=2, max_count=12), expected)
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_insert_after_sort_is_merged_on_next_use(n_shards):
+    rng = np.random.default_rng(5)
+    stream = _occurrence_stream(rng, 2000)
+    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
+    _insert_in_batches(index, stream, 3, sort_after_first=True)
+
+    _assert_retained_equal(index.retained(min_count=2, max_count=None),
+                           _oracle(*stream, min_count=2, max_count=None))
+    assert index.digest() == _lexsort_digest(*stream, index.boundaries)
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
 def test_shard_views_concatenate_to_the_whole(n_shards):
     rng = np.random.default_rng(7)
-    codes, rids, positions, strands = _occurrence_stream(rng, 1500)
+    stream = _occurrence_stream(rng, 1500)
     index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    index.insert_batch(codes, rids, positions, strands)
+    index.insert_batch(*stream)
+    whole = ShardedKmerIndex(shard_code_boundaries(K, 1))
+    whole.insert_batch(*stream)
 
-    whole = index.retained(min_count=2, max_count=None)
-    parts = [index.retained_shard(s, min_count=2, max_count=None)
-             for s in range(n_shards)]
-    assert sum(p.n_kmers for p in parts) == whole.n_kmers
-    np.testing.assert_array_equal(
-        np.concatenate([p.codes for p in parts]), whole.codes)
-    np.testing.assert_array_equal(
-        np.concatenate([p.rids for p in parts]), whole.rids)
+    for min_count, max_count in ((1, None), (2, None), (2, 6)):
+        view = index.retained(min_count=min_count, max_count=max_count)
+        _assert_retained_equal(view, whole.retained(min_count=min_count,
+                                                    max_count=max_count))
+        assert index.retained_counts(min_count, max_count) == (
+            view.n_kmers, view.n_occurrences)
+
+
+def test_retained_counts_validates_filters():
+    index = ShardedKmerIndex(shard_code_boundaries(K, 2))
+    with pytest.raises(ValueError):
+        index.retained_counts(min_count=0)
+    with pytest.raises(ValueError):
+        index.retained_counts(min_count=3, max_count=2)
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_nbytes_counts_the_group_table(n_shards):
+    rng = np.random.default_rng(3)
+    stream = _occurrence_stream(rng, 1000)
+    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
+    index.insert_batch(*stream)
+    index.sort()
+    # Every occurrence plus, per shard, its unique codes and group offsets
+    # (one more offset than groups, so each extra shard adds 8 bytes).
+    assert index.nbytes == index.retained(min_count=1).nbytes + 8 * (n_shards - 1)
 
 
 def test_digest_is_insertion_order_independent():
     rng = np.random.default_rng(11)
-    codes, rids, positions, strands = _occurrence_stream(rng, 800)
+    codes, rids, positions, strands = _occurrence_stream(rng, 700)
+    # Rows that tie on (code, rid, position): the same occurrence on the
+    # other strand, and exact duplicates.
+    stream = (np.concatenate([codes, codes[:50], codes[50:100]]),
+              np.concatenate([rids, rids[:50], rids[50:100]]),
+              np.concatenate([positions, positions[:50], positions[50:100]]),
+              np.concatenate([strands, ~strands[:50], strands[50:100]]))
+    boundaries = shard_code_boundaries(K, 4)
 
-    forward = ShardedKmerIndex(shard_code_boundaries(K, 4))
-    forward.insert_batch(codes, rids, positions, strands)
+    forward = ShardedKmerIndex(boundaries)
+    forward.insert_batch(*stream)
+    assert forward.digest() == _lexsort_digest(*stream, boundaries)
 
     # Same occurrence set, inserted in reverse in two batches.
-    rev = slice(None, None, -1)
-    backward = ShardedKmerIndex(shard_code_boundaries(K, 4))
-    backward.insert_batch(codes[rev][:400], rids[rev][:400],
-                          positions[rev][:400], strands[rev][:400])
-    backward.insert_batch(codes[rev][400:], rids[rev][400:],
-                          positions[rev][400:], strands[rev][400:])
+    reverse = [column[::-1] for column in stream]
+    backward = ShardedKmerIndex(boundaries)
+    backward.insert_batch(*(column[:400] for column in reverse))
+    backward.insert_batch(*(column[400:] for column in reverse))
 
-    assert forward.digest() == backward.digest()
+    assert backward.digest() == forward.digest()
 
     # A different stream digests differently (sanity, not a collision proof).
-    other = ShardedKmerIndex(shard_code_boundaries(K, 4))
+    codes, rids, positions, strands = stream
+    other = ShardedKmerIndex(boundaries)
     other.insert_batch(codes, rids, positions + 1, strands)
     assert forward.digest() != other.digest()
 
 
 def test_from_partition_drains_the_buffers():
     rng = np.random.default_rng(23)
-    codes, rids, positions, strands = _occurrence_stream(rng, 600)
+    stream = _occurrence_stream(rng, 600)
     partition = KmerHashTablePartition()
     partition.accept_all_keys()
-    partition.add_occurrences(codes, rids, positions, strands)
-    expected = _oracle(codes, rids, positions, strands, min_count=2, max_count=None)
+    partition.add_occurrences(*stream)
+    expected = _oracle(*stream, min_count=2, max_count=None)
 
     index = ShardedKmerIndex.from_partition(partition,
                                             shard_code_boundaries(K, 3))
     assert partition.n_occurrences_buffered == 0  # buffers were released
     _assert_retained_equal(index.retained(min_count=2, max_count=None), expected)
+
+
+N_INDEX_READS = 30
+N_QUERY_READS = 10
+
+
+def _query_stream(rng, index_codes, n: int, *, absent_only: bool = False):
+    """Query occurrences on query RIDs: codes drawn from the index (hits) and
+    from codes the index does not hold (query-only groups)."""
+    codes, rids, positions, strands = _occurrence_stream(
+        rng, n, rid_lo=N_INDEX_READS, rid_hi=N_INDEX_READS + N_QUERY_READS)
+    codes = rng.choice(np.setdiff1d(codes, index_codes), size=n)
+    if not absent_only:
+        hit = rng.random(n) < 0.6
+        codes = np.where(hit, rng.choice(index_codes, size=n), codes)
+    return codes.astype(np.uint64), rids, positions, strands
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+@pytest.mark.parametrize("n_batches, sort_after_first", [(1, False), (3, False), (3, True)])
+@pytest.mark.parametrize("query", ["mixed", "absent", "empty"])
+@pytest.mark.parametrize("max_count", [None, 6])
+def test_merged_shard_matches_full_concatenate_merge(n_shards, n_batches,
+                                                     sort_after_first, query,
+                                                     max_count):
+    rng = np.random.default_rng(101)
+    boundaries = shard_code_boundaries(K, n_shards)
+    # Index codes stay below the last boundary, so with 3 shards the last
+    # shard holds no index occurrence (query occurrences still land there).
+    code_hi = int(boundaries[-1]) if boundaries.size else 4**K
+    stream = _occurrence_stream(rng, 2500, code_hi=code_hi, rid_hi=N_INDEX_READS)
+    index = ShardedKmerIndex(boundaries)
+    _insert_in_batches(index, stream, n_batches, sort_after_first)
+
+    n_query = 0 if query == "empty" else 400
+    q_stream = _query_stream(rng, np.unique(stream[0]), n_query,
+                             absent_only=query == "absent")
+    order_key = rng.permutation(N_INDEX_READS + N_QUERY_READS).astype(np.int64)
+
+    i_shard_of = np.searchsorted(boundaries, stream[0], side="right")
+    q_shard_of = np.searchsorted(boundaries, q_stream[0], side="right")
+    kept_groups = 0
+    for shard in range(n_shards):
+        i_part = [column[i_shard_of == shard] for column in stream]
+        q_part = [column[q_shard_of == shard] for column in q_stream]
+        merged, touched = index.merged_shard(
+            shard, *q_part, order_key, N_INDEX_READS,
+            min_count=2, max_count=max_count)
+        expected = _full_merge_oracle(*i_part, *q_part, order_key, N_INDEX_READS,
+                                      min_count=2, max_count=max_count)
+        _assert_retained_equal(merged, expected)
+        assert touched == int(np.isin(i_part[0], q_part[0]).sum())
+        kept_groups += merged.n_kmers
+    if query == "mixed":
+        assert kept_groups > 0
+    else:
+        assert kept_groups == 0
 
 
 @pytest.mark.slow

@@ -67,7 +67,7 @@ EXPECTED = {
         "counters": {
             "hash_table_shards": 3, "hashtable_payload_bytes": 441536,
             "high_freq_threshold": 28, "index_build_runs": 3,
-            "index_digest": 21662443990273704808, "index_nbytes": 689900,
+            "index_digest": 21662443990273704808, "index_nbytes": 808228,
             "index_occurrences": 27596, "index_retained_kmers": 2726,
             "index_retained_occurrences": 9133, "kmers_after_sketch": 27596,
             "kmers_extracted_total": 27596, "kmers_received_hashtable": 27596,
@@ -87,7 +87,8 @@ EXPECTED = {
             "index_reuse_hits": 3, "kmers_after_sketch": 6964,
             "kmers_extracted_total": 6964, "overlap_exchange_chunks": 18,
             "overlap_pairs": 150, "overlap_payload_bytes": 313760,
-            "query_cross_pairs": 7844, "query_kmers_parsed": 6964,
+            "query_cross_pairs": 7844, "query_index_occurrences_touched": 5114,
+            "query_kmers_parsed": 6964,
             "query_kmers_routed": 6964, "query_pairs_generated": 16460,
             "query_reads": 10, "query_route_payload_bytes": 111424,
             "read_cache_evicted_bytes": 0, "read_cache_evictions": 0,

@@ -19,21 +19,6 @@ cores.  Two measurements:
   output asserted identical (the runtime backend must never change the
   answer).
 
-* **Double-buffer gate** — the pipeline with a small overlap-exchange chunk
-  budget (many supersteps), double-buffered vs bulk-synchronous, under the
-  process backend.  Double buffering publishes chunk i+1 while the peers
-  still read chunk i, so the *exposed* overlap-exchange time (blocking
-  collective calls on the slowest rank) must drop on hosts with enough
-  cores; output is asserted bit-identical either way.
-
-* **K-mer-stage gate** — the pipeline with small read batches (many
-  stage-1/2 supersteps), double-buffered vs bulk-synchronous.  Under the
-  unified superstep scheduler the k-mer stages hide batch i+1's
-  extraction/bucketing behind batch i's exchange, so stages 1 and 2 must
-  show nonzero overlapped time (always asserted) and their exposed exchange
-  time must not exceed the bulk-synchronous baseline (enforced on hosts
-  with enough cores); output is asserted bit-identical either way.
-
 * **Wire-packing gate** — the pipeline's 2-bit packed alignment-stage read
   blocks.  Pure byte accounting from the run's own counters (deterministic
   on any host, always enforced): the packed read payload must be ≤ 0.3x the
@@ -54,8 +39,7 @@ cores.  Two measurements:
 Runs standalone: ``python benchmarks/bench_backend_scaling.py``.
 Environment knobs: ``REPRO_BENCH_RANKS`` (default 4),
 ``REPRO_BENCH_GENOME`` (default 12000 bp, pipeline part),
-``REPRO_BENCH_OVERLAP_REPEATS`` (default 3, gate part),
-``REPRO_BENCH_DB_REPEATS`` (default 3, double-buffer gate).
+``REPRO_BENCH_OVERLAP_REPEATS`` (default 3, gate part).
 """
 
 from __future__ import annotations
@@ -230,106 +214,7 @@ def run_pipeline_comparison() -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Part 3: the double-buffer gate (exposed overlap-exchange time)
-# ---------------------------------------------------------------------------
-
-def _alignment_tables_equal(a, b) -> bool:
-    ta, tb = a.alignment_table(), b.alignment_table()
-    return all(np.array_equal(ta[col], tb[col]) for col in ta)
-
-
-def run_double_buffer_gate() -> dict[str, float]:
-    """Exposed overlap-exchange time: double-buffered vs bulk-synchronous."""
-    repeats = int(os.environ.get("REPRO_BENCH_DB_REPEATS", "3"))
-    reads = _pipeline_workload()
-    # A small chunk budget forces many supersteps per rank, which is where
-    # double buffering earns its keep (one chunk per rank has nothing to
-    # overlap).
-    base = PipelineConfig(coverage_hint=30.0, error_rate_hint=0.10,
-                          kmer=KmerSpec(k=17), backend="process",
-                          exchange_chunk_mb=0.125)
-    metrics: dict[str, float] = {}
-    results = {}
-    for label, double_buffer in (("sync", False), ("db", True)):
-        config = base.with_double_buffer(double_buffer)
-        exposed, walls = [], []
-        for _ in range(repeats):
-            result = run_dibella(reads, config=config, n_nodes=1,
-                                 ranks_per_node=RANKS)
-            results[label] = result
-            exposed.append(float(result.stage("overlap")
-                                 .wall_exchange_seconds.max(initial=0.0)))
-            walls.append(result.wall_seconds)
-        metrics[f"{label}_overlap_exposed_seconds"] = min(exposed)
-        metrics[f"{label}_pipeline_wall_seconds"] = min(walls)
-    assert _alignment_tables_equal(results["sync"], results["db"]), \
-        "double buffering changed the scientific output"
-    assert results["db"].counters["overlap_chunks_overlapped"] > 0, \
-        "double-buffer gate workload produced a single chunk - nothing overlapped"
-    metrics["overlap_exchange_chunks"] = float(
-        results["db"].counters["overlap_exchange_chunks"])
-    metrics["db_exposed_ratio"] = (
-        metrics["db_overlap_exposed_seconds"]
-        / max(metrics["sync_overlap_exposed_seconds"], 1e-12)
-    )
-    return metrics
-
-
-# ---------------------------------------------------------------------------
-# Part 3b: the k-mer-stage gate (exposed bloom/hash-table exchange time)
-# ---------------------------------------------------------------------------
-
-def run_kmer_stage_gate() -> dict[str, float]:
-    """Exposed k-mer-stage exchange time: double-buffered vs bulk-synchronous.
-
-    Small read batches force many stage-1/2 supersteps; with double
-    buffering the next batch's extraction/bucketing runs while the peers
-    still read the previous batch's k-mers, so the *exposed* (blocking)
-    exchange time of the two k-mer stages must not exceed the
-    bulk-synchronous baseline.  Nonzero overlapped time for stages 1 and 2
-    is asserted unconditionally — the unified scheduler must actually
-    overlap — while the exposed-time gate is enforced only on hosts with
-    enough cores (timing on an oversubscribed host says nothing).
-    """
-    repeats = int(os.environ.get("REPRO_BENCH_DB_REPEATS", "3"))
-    reads = _pipeline_workload()
-    base = PipelineConfig(coverage_hint=30.0, error_rate_hint=0.10,
-                          kmer=KmerSpec(k=17), backend="process",
-                          batch_reads=64)
-    metrics: dict[str, float] = {}
-    results = {}
-    for label, double_buffer in (("ksync", False), ("kdb", True)):
-        config = base.with_double_buffer(double_buffer)
-        exposed = []
-        for _ in range(repeats):
-            result = run_dibella(reads, config=config, n_nodes=1,
-                                 ranks_per_node=RANKS)
-            results[label] = result
-            exposed.append(sum(
-                float(result.stage(stage).wall_exchange_seconds.max(initial=0.0))
-                for stage in ("bloom", "hashtable")))
-        metrics[f"{label}_kmer_exposed_seconds"] = min(exposed)
-    assert _alignment_tables_equal(results["ksync"], results["kdb"]), \
-        "k-mer stage double buffering changed the scientific output"
-    for stage in ("bloom", "hashtable"):
-        assert results["kdb"].counters[f"{stage}_steps_overlapped"] > 0, \
-            f"{stage} stage overlapped no supersteps under double buffering"
-        assert results["kdb"].stage(stage).wall_overlapped_seconds.sum() > 0.0, \
-            f"{stage} stage recorded no overlapped exchange time"
-        assert results["ksync"].stage(stage).wall_overlapped_seconds.sum() == 0.0, \
-            f"bulk-synchronous {stage} stage recorded overlapped time"
-    metrics["kmer_steps_overlapped"] = float(
-        results["kdb"].counters["bloom_steps_overlapped"]
-        + results["kdb"].counters["hashtable_steps_overlapped"])
-    metrics["kmer_exposed_ratio"] = (
-        metrics["kdb_kmer_exposed_seconds"]
-        / max(metrics["ksync_kmer_exposed_seconds"], 1e-12)
-    )
-    return metrics
-
-
-# ---------------------------------------------------------------------------
-# Part 4: the wire-packing gate (alignment-exchange read-payload bytes)
+# Part 3: the wire-packing gate (alignment-exchange read-payload bytes)
 # ---------------------------------------------------------------------------
 
 #: Required ratio of packed to raw alignment-stage read-payload bytes.  The
@@ -365,8 +250,13 @@ def run_wire_packing_gate() -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Part 5: the pool-amortisation gate
+# Part 4: the pool-amortisation gate
 # ---------------------------------------------------------------------------
+
+def _alignment_tables_equal(a, b) -> bool:
+    ta, tb = a.alignment_table(), b.alignment_table()
+    return all(np.array_equal(ta[col], tb[col]) for col in ta)
+
 
 def run_pool_gate() -> dict[str, float]:
     """Two consecutive pooled runs: the second must beat the first cold one.
@@ -417,7 +307,7 @@ def run_pool_gate() -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Part 6: the serve-latency gate
+# Part 5: the serve-latency gate
 # ---------------------------------------------------------------------------
 
 #: Required ratio of warm query-batch p99 latency to the cold one-shot wall.
@@ -500,8 +390,6 @@ def run_bench() -> dict[str, float]:
     }
     metrics.update(run_overlap_gate())
     metrics.update(run_pipeline_comparison())
-    metrics.update(run_double_buffer_gate())
-    metrics.update(run_kmer_stage_gate())
     metrics.update(run_wire_packing_gate())
     metrics.update(run_pool_gate())
     metrics.update(run_serve_gate())
@@ -538,20 +426,6 @@ def format_report(metrics: dict[str, float]) -> str:
         f"{metrics['process_wall_seconds']:>9.3f}s {metrics['pipeline_speedup']:>8.2f}x"
     )
     lines.extend([
-        f"double-buffer gate ({metrics['overlap_exchange_chunks']:.0f} overlap "
-        f"chunks, process backend):",
-        f"  exposed overlap exchange: sync "
-        f"{metrics['sync_overlap_exposed_seconds'] * 1e3:.2f}ms, double-buffered "
-        f"{metrics['db_overlap_exposed_seconds'] * 1e3:.2f}ms "
-        f"(ratio {metrics['db_exposed_ratio']:.2f}, gate < 1.0 "
-        + ("enforced)" if gate_active else "not enforced on this host)"),
-        f"k-mer-stage gate ({metrics['kmer_steps_overlapped']:.0f} overlapped "
-        f"stage-1/2 supersteps, process backend):",
-        f"  exposed bloom+hashtable exchange: sync "
-        f"{metrics['ksync_kmer_exposed_seconds'] * 1e3:.2f}ms, double-buffered "
-        f"{metrics['kdb_kmer_exposed_seconds'] * 1e3:.2f}ms "
-        f"(ratio {metrics['kmer_exposed_ratio']:.2f}, gate <= 1.0 "
-        + ("enforced)" if gate_active else "not enforced on this host)"),
         "wire-packing gate (alignment-stage read payload):",
         f"  raw {metrics['packing_raw_payload_bytes'] / 1e3:.1f} kB -> packed "
         f"{metrics['packing_packed_payload_bytes'] / 1e3:.1f} kB "
@@ -589,18 +463,6 @@ if __name__ == "__main__":
         sys.exit(
             f"FAIL: overlap-stage speedup {bench_metrics['overlap_speedup']:.2f}x "
             f"below the {MIN_OVERLAP_SPEEDUP:.1f}x gate on a "
-            f"{bench_metrics['cores']:.0f}-core host"
-        )
-    if gate_enforced and bench_metrics["db_exposed_ratio"] >= 1.0:
-        sys.exit(
-            f"FAIL: double buffering did not lower the exposed overlap-exchange "
-            f"time (ratio {bench_metrics['db_exposed_ratio']:.2f} >= 1.0) on a "
-            f"{bench_metrics['cores']:.0f}-core host"
-        )
-    if gate_enforced and bench_metrics["kmer_exposed_ratio"] > 1.0:
-        sys.exit(
-            f"FAIL: double buffering raised the exposed k-mer-stage exchange "
-            f"time (ratio {bench_metrics['kmer_exposed_ratio']:.2f} > 1.0) on a "
             f"{bench_metrics['cores']:.0f}-core host"
         )
     if bench_metrics["packing_payload_ratio"] > MAX_PACKED_PAYLOAD_RATIO:

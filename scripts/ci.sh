@@ -19,11 +19,10 @@
 #           lifecycle guards and the hang watchdog across the whole fast
 #           tier, proving the checks are observation-only); under the
 #           process backend with the persistent rank pool (DIBELLA_POOL=1)
-#           so pooled engine reuse is exercised suite-wide; and with double
-#           buffering off and the minimizer seed mode on
-#           (DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer) so the
-#           bulk-synchronous superstep schedule and the windowed-sketch
-#           front-end of stages 1-3 stay exercised suite-wide.
+#           so pooled engine reuse is exercised suite-wide; and with the
+#           minimizer seed mode on (DIBELLA_SEED_MODE=minimizer) so the
+#           windowed-sketch front-end of stages 1-3 stays exercised
+#           suite-wide.
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
 #           index on a pooled process backend, drain two query batches,
 #           assert zero rebuild counters.  Pure counter checks, runs on
@@ -39,10 +38,9 @@
 #           both runtime backends.
 #   bench — the perf gates: the overlap microbenchmark (pair generation,
 #           consolidation and seed selection vs their loop oracles) and the
-#           backend scaling bench (process-backend overlap-stage speedup,
-#           double-buffered exposed-exchange reduction for the overlap and
-#           k-mer stages, pool amortisation — enforced only on hosts with
-#           enough cores — the serve-latency gate: warm query-batch p99
+#           backend scaling bench (process-backend overlap-stage speedup
+#           and pool amortisation — enforced only on hosts with enough
+#           cores — the serve-latency gate: warm query-batch p99
 #           well under the cold one-shot wall, zero rebuilds always
 #           asserted — the wire-packing byte gate: the packed run's
 #           alignment read payload <= 0.3x raw, always enforced — the seed-sketch
@@ -91,8 +89,8 @@ DIBELLA_SANITIZE=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" 
 echo "== fast tier: unit tests (process backend + persistent rank pool) =="
 DIBELLA_POOL=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
 
-echo "== fast tier: unit tests (bulk-synchronous supersteps + minimizer seed mode, DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer) =="
-DIBELLA_DOUBLE_BUFFER=0 DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
+echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="
+DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
 
 echo "== serve smoke: resident index, 2 query batches, zero rebuilds =="
 python scripts/serve_smoke.py

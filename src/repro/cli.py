@@ -125,10 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "parked on a barrier between runs; amortises startup and "
                           "keeps per-rank read caches across runs; DIBELLA_POOL=1 "
                           "has the same effect)")
-    run.add_argument("--no-double-buffer", action="store_true",
-                     help="disable double buffering of every stage's exchange "
-                          "supersteps (bulk-synchronous schedule; output is "
-                          "bit-identical either way)")
     run.add_argument("--hash-shards", type=int, default=None,
                      help="number of k-mer code-range shards the retained-k-mer "
                           "table is built in; >1 streams the hash-table/overlap "
@@ -309,8 +305,6 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
         seed_strategy=_resolve_strategy(args.seed_strategy, args.k),
         **overrides,
     )
-    if args.no_double_buffer:
-        config = config.with_double_buffer(False)
     if args.hash_shards is not None:
         config = config.with_hash_table_shards(args.hash_shards)
     if args.read_cache_mb is not None:

@@ -35,7 +35,7 @@ def _env_flag(name: str, default: bool) -> bool:
 _REMOVED_KNOB_DEFAULTS = {
     "collective": "flat", "rank_groups": None, "pin_ranks": False,
     "double_buffer_stages": None, "wire_packing": True,
-    "alignment_batch_tasks": None,
+    "alignment_batch_tasks": None, "double_buffer": True,
 }
 
 
@@ -122,16 +122,6 @@ class PipelineConfig:
         Alltoallv, the paper's original pattern).  The default honours
         ``DIBELLA_EXCHANGE_CHUNK_MB`` (``0`` disables chunking; CLI
         ``--exchange-chunk-mb``).
-    double_buffer:
-        Double-buffer the exchange supersteps of stages 1-3: each stage's
-        chunk ``i+1`` is generated and published while the peers are still
-        reading chunk ``i`` (split-phase ``alltoallv_start``/
-        ``alltoallv_finish`` through the unified
-        :class:`~repro.core.supersteps.SuperstepSchedule`), hiding batch
-        parsing and pair generation behind the exchanges.  Scientific output
-        is bit-identical either way; the default honours
-        ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the bulk-synchronous
-        schedule everywhere).
     hash_table_shards:
         Number of k-mer code-range shards the retained-k-mer table is built
         in.  With ``S > 1`` the hash-table/overlap boundary streams one
@@ -188,11 +178,12 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks:
+    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer:
         Compatibility names of removed second paths: a hierarchical
         collective layout, per-stage double buffering, the ASCII read wire
-        format and batched read fetch.  They are init-only (not stored, not
-        in :func:`dataclasses.fields`) and accept only their former defaults
+        format, batched read fetch and the bulk-synchronous superstep
+        schedule.  They are init-only (not stored, not in
+        :func:`dataclasses.fields`) and accept only their former defaults
         (:data:`_REMOVED_KNOB_DEFAULTS`), so callers that spell out every
         knob keep working; any other value raises :class:`ValueError`.
     """
@@ -230,9 +221,6 @@ class PipelineConfig:
     exchange_chunk_mb: float | None = field(
         default_factory=lambda: _env_optional_float("DIBELLA_EXCHANGE_CHUNK_MB", 8.0)
     )
-    double_buffer: bool = field(
-        default_factory=lambda: _env_flag("DIBELLA_DOUBLE_BUFFER", True)
-    )
     hash_table_shards: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
     )
@@ -258,15 +246,18 @@ class PipelineConfig:
     double_buffer_stages: InitVar[tuple[str, ...] | None] = None
     wire_packing: InitVar[bool] = True
     alignment_batch_tasks: InitVar[int | None] = None
+    double_buffer: InitVar[bool] = True
 
     def __post_init__(self, collective: str, rank_groups: int | None,
                       pin_ranks: bool, double_buffer_stages: tuple[str, ...] | None,
-                      wire_packing: bool, alignment_batch_tasks: int | None) -> None:
+                      wire_packing: bool, alignment_batch_tasks: int | None,
+                      double_buffer: bool) -> None:
         given = {"collective": collective, "rank_groups": rank_groups,
                  "pin_ranks": pin_ranks,
                  "double_buffer_stages": double_buffer_stages,
                  "wire_packing": wire_packing,
-                 "alignment_batch_tasks": alignment_batch_tasks}
+                 "alignment_batch_tasks": alignment_batch_tasks,
+                 "double_buffer": double_buffer}
         changed = {name: value for name, value in given.items()
                    if (type(value), value) != (type(_REMOVED_KNOB_DEFAULTS[name]),
                                                _REMOVED_KNOB_DEFAULTS[name])}
@@ -336,10 +327,6 @@ class PipelineConfig:
     def with_pool(self, pool: bool) -> "PipelineConfig":
         """Copy of this config with the persistent rank pool on or off."""
         return replace(self, pool=pool)
-
-    def with_double_buffer(self, double_buffer: bool) -> "PipelineConfig":
-        """Copy of this config with exchange double buffering on or off."""
-        return replace(self, double_buffer=double_buffer)
 
     def with_hash_table_shards(self, hash_table_shards: int) -> "PipelineConfig":
         """Copy of this config building the k-mer table in *hash_table_shards* code ranges."""

@@ -17,9 +17,9 @@ Counters fall into two classes.  *Science counters* describe the computed
 result (k-mers retained, overlaps found, alignments accepted) and must be
 bit-identical across every runtime backend, schedule and encoding knob —
 the parity matrices pin exactly that.  *Schedule flags*
-(:data:`SCHEDULE_FLAG_COUNTERS`) describe which schedule produced the
-result (double-buffered?, how many steps overlapped?) and legitimately
-differ between schedules, so cross-schedule comparisons exclude them.
+(:data:`SCHEDULE_FLAG_COUNTERS`) describe how the result was produced (how
+many supersteps overlapped, which x-drop tier ran) and legitimately differ
+between schedules, so cross-schedule comparisons exclude them.
 """
 
 from __future__ import annotations
@@ -92,13 +92,9 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "query_cross_pairs": "query-vs-index pairs kept from the generated pairs (within-side pairs dropped)",
     "query_index_occurrences_touched": "resident index occurrences gathered into query-batch merges (the hit k-mer groups, summed over shards)",
     # -- schedule flags (see SCHEDULE_FLAG_COUNTERS) ------------------------
-    "bloom_exchange_double_buffered": "1 if the bloom exchange ran split-phase double-buffered",
     "bloom_steps_overlapped": "bloom supersteps whose compute overlapped a peer's exchange",
-    "hashtable_exchange_double_buffered": "1 if the hash-table exchange ran split-phase double-buffered",
     "hashtable_steps_overlapped": "hash-table supersteps whose compute overlapped a peer's exchange",
-    "overlap_exchange_double_buffered": "1 if the overlap exchange ran split-phase double-buffered",
     "overlap_chunks_overlapped": "overlap chunks whose compute overlapped a peer's exchange",
-    "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
     "align_native_ranks": "ranks whose alignment stage ran the compiled x-drop tier (0: the NumPy kernel produced the timings)",
     # -- rank-failure recovery (see RECOVERY_COUNTERS) ----------------------
@@ -112,18 +108,14 @@ PIPELINE_COUNTERS: dict[str, str] = {
 REGISTERED_COUNTERS: frozenset[str] = frozenset(PIPELINE_COUNTERS)
 
 #: Counters that describe the *schedule* rather than the science: they
-#: legitimately differ between double-buffered and bulk-synchronous runs —
-#: or between the compiled and the NumPy x-drop tier — of the same input,
-#: so cross-schedule parity comparisons exclude exactly this set (and
-#: nothing else).
+#: legitimately differ between runs of the same input with different
+#: superstep counts, or between the compiled and the NumPy x-drop tier, so
+#: cross-schedule parity comparisons exclude exactly this set (and nothing
+#: else).
 SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
-    "bloom_exchange_double_buffered",
     "bloom_steps_overlapped",
-    "hashtable_exchange_double_buffered",
     "hashtable_steps_overlapped",
-    "overlap_exchange_double_buffered",
     "overlap_chunks_overlapped",
-    "query_route_double_buffered",
     "query_route_steps_overlapped",
     "align_native_ranks",
 })

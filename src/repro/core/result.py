@@ -54,12 +54,12 @@ class StageRecord:
         Actually measured per-rank wall times in this process — meaningful
         for single-node comparisons (Table 2), not for cross-platform
         projection.  ``wall_exchange_seconds`` measures *blocking*
-        communication only, so under the double-buffered overlap exchange it
-        is the **exposed** exchange time.
+        communication only, so under the double-buffered exchanges it is
+        the **exposed** exchange time.
     wall_overlapped_seconds:
         Per-rank compute performed while an exchange superstep was in flight
-        (latency hidden by double buffering); zero on the bulk-synchronous
-        path.
+        (latency hidden by double buffering); zero for stages with at most
+        one superstep.
     """
 
     name: str
@@ -129,7 +129,7 @@ class RankReport:
     aln_span_a: np.ndarray
     aln_span_b: np.ndarray
     # stage name -> compute seconds spent while an exchange was in flight
-    # (the latency double buffering hid; zero without it)
+    # (the latency double buffering hid)
     stage_overlapped_seconds: dict[str, float] = field(default_factory=dict)
 
 

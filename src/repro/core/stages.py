@@ -12,8 +12,8 @@ stage follows the structure of §§6-9 of the paper:
 The streamed exchange loops of stages 1-3 run on the shared
 :class:`~repro.core.supersteps.SuperstepSchedule`: the stages only provide
 produce/consume callbacks, and the scheduler owns global step-count
-agreement, the double-buffered split-phase schedule (with its
-bulk-synchronous fallback), and the exposed-vs-overlapped timer attribution.
+agreement, the double-buffered split-phase schedule, and the
+exposed-vs-overlapped timer attribution.
 Stage 4's read fetch is one request/response round.
 
 Wall time is measured separately for the compute and exchange parts of every
@@ -243,9 +243,9 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     record exactly that saving; both are pure functions of the batch layout,
     so they are bit-identical across backends and schedules.
 
-    With double buffering (``config.double_buffer``), batch ``i+1``'s
-    bucketing is performed — and published — while the peers are still
-    reading batch ``i``'s k-mers.
+    The exchange is double-buffered: batch ``i+1``'s bucketing is performed
+    — and published — while the peers are still reading batch ``i``'s
+    k-mers.
 
     Parameters
     ----------
@@ -286,7 +286,7 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     # Stash accounting: the total is what the stage used to hold until its
     # end; the peak is the largest residue left after any superstep releases
     # its batch (a pure function of the batch byte sizes, so it is identical
-    # across backends and across the double-buffered/synchronous schedules).
+    # across backends).
     stash_total = sum(batch_nbytes)
     stash_peak = 0
     remaining = stash_total
@@ -321,11 +321,8 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
             seen_before = bloom.insert_many(incoming)
             state.hashtable.add_candidate_keys(incoming[seen_before])
 
-    schedule = SuperstepSchedule(
-        comm, timer, len(batches),
-        double_buffer=config.double_buffer, label="bloom",
-    )
-    outcome = schedule.run(produce, consume)
+    outcome = SuperstepSchedule(comm, timer, len(batches),
+                                label="bloom").run(produce, consume)
 
     with timer.compute():
         n_keys = state.hashtable.finalize_keys()
@@ -336,16 +333,14 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["kmers_received_bloom"] = kmers_received
     # Received-side wire bytes of this stage's k-mer exchange (summed over
     # all ranks they equal the sent volume); a pure function of the sketched
-    # k-mer stream, so bit-identical across backends and schedules.
+    # k-mer stream, so bit-identical across backends.
     state.counters["bloom_payload_bytes"] = payload_bytes
     state.counters["distinct_keys"] = n_keys
     state.counters["bloom_nbytes"] = bloom.nbytes
     state.counters["bloom_stash_total_bytes"] = stash_total
     state.counters["bloom_stash_peak_bytes"] = stash_peak
-    # Schedule flags: functions of the config and batch layout only, so they
-    # stay bit-identical across runtime backends (the counter-parity
-    # invariant) — like the overlap stage's counterparts.
-    state.counters["bloom_exchange_double_buffered"] = int(outcome.double_buffered)
+    # A function of the batch layout only, so it stays bit-identical across
+    # runtime backends (the counter-parity invariant).
     state.counters["bloom_steps_overlapped"] = outcome.steps_overlapped
     if comm.rank == 0:
         # Identical on every rank after the allreduce; recorded once so the
@@ -370,9 +365,9 @@ def _occurrence_exchange(
     step extracts one batch of reads, packs every occurrence's (RID, strand,
     position) into one word, buckets the ``(code, packed)`` rows by owner
     and exchanges them; the receiving side decodes each step's rows and
-    hands ``(codes, rids, positions, strands)`` to *sink*.  With double
-    buffering (``config.double_buffer``) batch ``i+1``'s extraction — the
-    dominant compute — runs while the peers are still reading batch ``i``.
+    hands ``(codes, rids, positions, strands)`` to *sink*.  Batch ``i+1``'s
+    extraction — the dominant compute — runs while the peers are still
+    reading batch ``i`` (the double-buffered schedule).
 
     Parameters
     ----------
@@ -439,11 +434,8 @@ def _occurrence_exchange(
                 ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
             )
 
-    schedule = SuperstepSchedule(
-        comm, state.timer(label), len(batches),
-        double_buffer=config.double_buffer, label=label,
-    )
-    outcome = schedule.run(produce, consume)
+    outcome = SuperstepSchedule(comm, state.timer(label), len(batches),
+                                label=label).run(produce, consume)
     return parsed, received_total, payload_bytes, outcome
 
 
@@ -484,7 +476,6 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
     state.counters["kmers_received_hashtable"] = received
     state.counters["occurrences_stored"] = state.hashtable.n_occurrences_buffered
     state.counters["hashtable_payload_bytes"] = payload_bytes
-    state.counters["hashtable_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["hashtable_steps_overlapped"] = outcome.steps_overlapped
 
 
@@ -527,22 +518,17 @@ def overlap_stage(
     ``alltoallv`` and is traced per chunk, so the cost model sees the same
     total volume plus the true call count.
 
-    With ``config.double_buffer`` (the default) the supersteps are
-    **double-buffered**: chunk ``i``'s exchange is split into
-    ``alltoallv_start``/``alltoallv_finish``, and chunk ``i+1`` is generated
-    — and published — between the two, while the peers are still reading
-    chunk ``i``'s segments.  The generation time spent with an exchange in
-    flight is recorded as *overlapped* (latency the pipeline hid);
-    ``exchange_seconds`` then only measures the **exposed** remainder.  The
-    received payloads, their order, and the trace volumes are bit-identical
-    to the bulk-synchronous path — double buffering is a schedule change,
-    not a semantic one.
+    The supersteps are **double-buffered**: chunk ``i``'s exchange is split
+    into ``alltoallv_start``/``alltoallv_finish``, and chunk ``i+1`` is
+    generated — and published — between the two, while the peers are still
+    reading chunk ``i``'s segments.  The generation time spent with an
+    exchange in flight is recorded as *overlapped* (latency the pipeline
+    hid); ``exchange_seconds`` then only measures the **exposed** remainder.
     """
     config = state.config
     timer = state.timer("overlap")
     shard_timer = state.timer(shard_stage)
     comm.set_phase("overlap_exchange")
-    double_buffer = config.double_buffer
     label = "overlap" if n_index_reads is None else "query_overlap"
 
     pairs_generated = 0
@@ -551,7 +537,6 @@ def overlap_stage(
     retained_occurrences = 0
     retained_local_peak = 0
     total_chunks = 0
-    total_supersteps = 0
     chunks_overlapped = 0
     payload_bytes = 0
     received_batches: list[PairBatch] = []
@@ -597,9 +582,7 @@ def overlap_stage(
         it captures is actually freed when the caller drops its reference —
         a longer-lived closure would silently keep two shards alive at once.
         """
-        schedule = SuperstepSchedule(
-            comm, timer, len(chunks), double_buffer=double_buffer, label=label,
-        )
+        schedule = SuperstepSchedule(comm, timer, len(chunks), label=label)
         return schedule.run(lambda step: make_send(retained, chunks, step), consume)
 
     while True:
@@ -621,7 +604,6 @@ def overlap_stage(
             chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
         outcome = stream_shard(retained, chunks)
         total_chunks += len(chunks)
-        total_supersteps += outcome.n_supersteps
         chunks_overlapped += outcome.steps_overlapped
         retained = None  # release the shard before building the next one
 
@@ -654,11 +636,8 @@ def overlap_stage(
     state.counters["alignment_tasks"] = len(state.tasks)
     state.counters["overlap_exchange_chunks"] = total_chunks
     state.counters["overlap_payload_bytes"] = payload_bytes
-    # All of these are functions of the config and the chunk/shard layout
-    # only, so they stay bit-identical across runtime backends (the
-    # counter-parity invariant).
-    state.counters["overlap_exchange_double_buffered"] = int(
-        bool(double_buffer) and total_supersteps > 0)
+    # A function of the config and the chunk/shard layout only, so it stays
+    # bit-identical across runtime backends (the counter-parity invariant).
     state.counters["overlap_chunks_overlapped"] = chunks_overlapped
 
 
@@ -1169,7 +1148,6 @@ def run_query_batch(
     state.counters["query_kmers_parsed"] = parsed
     state.counters["query_kmers_routed"] = routed
     state.counters["query_route_payload_bytes"] = payload_bytes
-    state.counters["query_route_double_buffered"] = int(outcome.double_buffered)
     state.counters["query_route_steps_overlapped"] = outcome.steps_overlapped
 
     # -- stage Q2: the overlap stage over merged shards, cross pairs only ---

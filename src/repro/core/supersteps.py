@@ -4,17 +4,17 @@ The streamed stages are, at heart, the same loop: split the local work
 into chunks, and for each chunk *generate* per-destination send buffers,
 *publish* them with an ``alltoallv``, and *consume* what the peers sent.
 :class:`SuperstepSchedule` owns that loop once — global step-count
-agreement, the double-buffered split-phase schedule (with its
-bulk-synchronous fallback), per-step trace accounting (inherited from the
-communicator), and the exposed-vs-overlapped timer attribution — so the
-stages only provide the produce/consume callbacks.  Stages 1-3 (the k-mer
-exchanges and the chunked pair exchange) run on it; stage 4's read fetch is
-a single request/response round and needs no schedule.
+agreement, the double-buffered split-phase schedule, per-step trace
+accounting (inherited from the communicator), and the exposed-vs-overlapped
+timer attribution — so the stages only provide the produce/consume
+callbacks.  Stages 1-3 (the k-mer exchanges and the chunked pair exchange)
+run on it; stage 4's read fetch is a single request/response round and
+needs no schedule.
 
-Double buffering is a schedule change, not a semantic one: the payloads a
-consume callback receives, their order, and the trace volumes/call counts
-are bit-identical to the bulk-synchronous path (pinned by
-``tests/test_supersteps.py``).
+Double buffering changes *when* work happens, not *what* is exchanged: the
+payloads a consume callback receives, their order, and the trace
+volumes/call counts are those of one blocking ``alltoallv`` per step
+(pinned by ``tests/test_supersteps.py``).
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ class StageTimer:
     """Accumulates compute vs exchange wall time for one stage on one rank.
 
     ``exchange_seconds`` measures *blocking* communication calls only, so
-    under a double-buffered schedule it is the **exposed** exchange time;
+    under the double-buffered schedule it is the **exposed** exchange time;
     ``overlapped_seconds`` measures compute performed while an exchange
-    superstep was in flight (latency the double buffering hid).  The
-    bulk-synchronous path never records overlapped time.
+    superstep was in flight (latency the double buffering hid).
     """
 
     compute_seconds: float = 0.0
@@ -90,18 +89,13 @@ class ScheduleOutcome:
         counts; every rank ran exactly this many exchanges).
     steps_overlapped : int
         Number of steps whose produce callback ran while a previous step's
-        exchange was still in flight — the latency the double buffer hid.
-        Zero on the bulk-synchronous path.  A pure function of the step
-        count and the schedule, so it is bit-identical across runtime
-        backends.
-    double_buffered : bool
-        Whether the split-phase schedule actually ran (requested *and* there
-        was at least one superstep).
+        exchange was still in flight — the latency the double buffer hid
+        (``n_supersteps - 1``, or 0 without steps).  A pure function of the
+        step count, so it is bit-identical across runtime backends.
     """
 
     n_supersteps: int
     steps_overlapped: int
-    double_buffered: bool
 
 
 class SuperstepSchedule:
@@ -111,8 +105,8 @@ class SuperstepSchedule:
     ----------
     comm : SimCommunicator
         This rank's communicator.  Byte/call accounting happens inside its
-        exchange primitives, so every superstep is traced identically
-        whether or not it is split-phase.
+        exchange primitives, so every superstep is traced like one blocking
+        ``alltoallv``.
     timer : StageTimer
         The stage's wall-clock timer; the schedule attributes produce time
         to ``compute`` (or ``overlapped`` when an exchange is in flight),
@@ -123,13 +117,6 @@ class SuperstepSchedule:
         superstep count with one max-``allreduce`` (every rank must issue
         the same collectives), so ranks with fewer chunks pad with empty
         exchanges.
-    double_buffer : bool, optional
-        Run the split-phase schedule: step ``i+1`` is generated — and
-        published via ``alltoallv_start`` — while the peers are still
-        reading step ``i``'s payloads.  The engines double-buffer the
-        in-flight supersteps, so at most :data:`~repro.mpisim.communicator.
-        EXCHANGE_SLOTS` publishes are live per rank.  Off, every superstep
-        is one blocking ``alltoallv``.
     label : str or None, optional
         Phase label stamped into the exchange op names
         (``"alltoallv[label]"``).  Ranks disagreeing on the label — two
@@ -139,9 +126,12 @@ class SuperstepSchedule:
 
     Notes
     -----
-    The consume callback always sees superstep ``i``'s payloads before
-    superstep ``i+1``'s, in source-rank order, regardless of the schedule —
-    double buffering changes *when* work happens, never *what* is computed.
+    Step ``i+1`` is generated — and published via ``alltoallv_start`` —
+    while the peers are still reading step ``i``'s payloads.  The engines
+    double-buffer the in-flight supersteps, so at most
+    :data:`~repro.mpisim.communicator.EXCHANGE_SLOTS` publishes are live per
+    rank.  The consume callback always sees superstep ``i``'s payloads
+    before superstep ``i+1``'s, in source-rank order.
     """
 
     def __init__(
@@ -150,7 +140,6 @@ class SuperstepSchedule:
         timer: StageTimer,
         n_local_steps: int,
         *,
-        double_buffer: bool = True,
         label: str | None = None,
     ) -> None:
         self.comm = comm
@@ -160,12 +149,6 @@ class SuperstepSchedule:
         # of supersteps (deliberately untimed — schedule bookkeeping, not
         # stage exchange time).
         self.n_supersteps = int(comm.allreduce(int(n_local_steps), op="max"))
-        self.double_buffer = bool(double_buffer)
-
-    @property
-    def double_buffered(self) -> bool:
-        """True when the split-phase schedule actually runs."""
-        return self.double_buffer and self.n_supersteps > 0
 
     def run(self, produce: ProduceFn, consume: ConsumeFn) -> ScheduleOutcome:
         """Run every superstep: ``produce(i)`` → exchange → ``consume(i, received)``.
@@ -187,34 +170,25 @@ class SuperstepSchedule:
         """
         comm, timer = self.comm, self.timer
         n = self.n_supersteps
-        overlapped = 0
-        if self.double_buffered:
-            with timer.compute():
-                send = produce(0)
+        if n == 0:
+            return ScheduleOutcome(0, 0)
+        with timer.compute():
+            send = produce(0)
+        with timer.exchange():
+            handle = comm.alltoallv_start(send, label=self.label)
+        for step in range(n):
+            next_handle = None
+            if step + 1 < n:
+                # Generate — and publish — step+1 while the peers are still
+                # reading step's payloads.
+                with timer.overlapped():
+                    next_send = produce(step + 1)
+                with timer.exchange():
+                    next_handle = comm.alltoallv_start(next_send,
+                                                       label=self.label)
             with timer.exchange():
-                handle = comm.alltoallv_start(send, label=self.label)
-            for step in range(n):
-                next_handle = None
-                if step + 1 < n:
-                    # Generate — and publish — step+1 while the peers are
-                    # still reading step's payloads.
-                    with timer.overlapped():
-                        next_send = produce(step + 1)
-                    overlapped += 1
-                    with timer.exchange():
-                        next_handle = comm.alltoallv_start(next_send,
-                                                           label=self.label)
-                with timer.exchange():
-                    received = comm.alltoallv_finish(handle)
-                with timer.compute():
-                    consume(step, received)
-                handle = next_handle
-        else:
-            for step in range(n):
-                with timer.compute():
-                    send = produce(step)
-                with timer.exchange():
-                    received = comm.alltoallv(send, label=self.label)
-                with timer.compute():
-                    consume(step, received)
-        return ScheduleOutcome(n, overlapped, self.double_buffered)
+                received = comm.alltoallv_finish(handle)
+            with timer.compute():
+                consume(step, received)
+            handle = next_handle
+        return ScheduleOutcome(n, n - 1)

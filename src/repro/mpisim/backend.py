@@ -18,7 +18,9 @@ programs to a :class:`RuntimeBackend`:
   per-destination offset table; every peer reads only its slice), so bulk
   exchanges never funnel through a coordinator rank.
 
-Both backends implement the same deposit/elect/combine/collect protocol, so
+Both backends implement the same two transports — the split-phase
+publish/consume exchange and the deposit/elect/combine/collect protocol of
+the small collectives — so
 :class:`repro.mpisim.communicator.SimCommunicator` (which owns collective
 semantics and byte accounting) is backend-agnostic, and a pipeline run
 produces bit-identical scientific output under either backend — the
@@ -28,7 +30,6 @@ backend-parity test suite pins exactly that.
 from __future__ import annotations
 
 import atexit
-import os
 import pickle
 import queue as queue_module
 import struct
@@ -43,6 +44,7 @@ from repro.mpisim.communicator import (
     CombineFn,
     SimCommunicator,
     _CollectiveState,
+    collective_timeout,
 )
 from repro.mpisim.errors import (
     CollectiveMismatchError,
@@ -50,7 +52,6 @@ from repro.mpisim.errors import (
     SegmentStateError,
 )
 from repro.mpisim.faults import RunFaults
-from repro.mpisim.sanitize import watchdog_timeout
 from repro.mpisim.serialization import decode_payload, encode_payload
 from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
@@ -74,12 +75,6 @@ BACKEND_NAMES: tuple[str, ...] = ("thread", "process")
 #: Fixed-width slots in the shared metadata arrays.
 _NAME_LEN = 64   # shared-memory segment names ("psm_..." style, well under 64)
 _OP_LEN = 48     # collective op names ("allreduce:sum", ...), truncated to fit
-
-#: How long a rank may sit in a barrier before declaring the run wedged.
-#: This bounds *synchronisation* stalls, not compute: a rank legitimately
-#: waits at a barrier for as long as the slowest peer computes, so the
-#: default is generous.  Override with DIBELLA_BARRIER_TIMEOUT (seconds).
-_BARRIER_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +183,7 @@ class ThreadBackend(RuntimeBackend):
         state = _CollectiveState(n_ranks, sanitize=sanitize)
         results: list[Any] = [None] * n_ranks
         failures: list[tuple[int, BaseException]] = []
+        broken_ranks: list[int] = []
         failures_lock = threading.Lock()
 
         def worker(rank: int) -> None:
@@ -198,7 +194,8 @@ class ThreadBackend(RuntimeBackend):
             except threading.BrokenBarrierError:
                 # Another rank failed and aborted the barrier; stay quiet, the
                 # original failure is reported below.
-                pass
+                with failures_lock:
+                    broken_ranks.append(rank)
             except BaseException as exc:  # noqa: BLE001 - must capture rank failures
                 with failures_lock:
                     failures.append((rank, exc))
@@ -218,13 +215,28 @@ class ThreadBackend(RuntimeBackend):
             for t in threads:
                 t.join()
 
-        if failures:
-            failures.sort(key=lambda item: item[0])
-            rank, exc = failures[0]
-            raise RankFailedError(
-                f"rank {rank} failed with {type(exc).__name__}: {exc}"
-            ) from exc
+        _raise_rank_failures(failures, broken_ranks)
         return results
+
+
+def _raise_rank_failures(failures: list[tuple[int, BaseException]],
+                         broken_ranks: list[int]) -> None:
+    """Raise :class:`RankFailedError` for the lowest failed rank, if any.
+
+    Every broken wait should trace back to an originating rank failure; if
+    none was reported the ranks were woken by an external abort.  Never
+    return partial ``[None]`` results as success.
+    """
+    if failures:
+        rank, exc = min(failures, key=lambda item: item[0])
+        raise RankFailedError(
+            f"rank {rank} failed with {type(exc).__name__}: {exc}"
+        ) from exc
+    if broken_ranks:
+        raise RankFailedError(
+            f"ranks {sorted(broken_ranks)} aborted on a broken barrier with "
+            "no originating rank failure (an external abort)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +258,25 @@ def _attach_shm(name: str) -> SharedMemory:
 
 
 class _ProcessCollectiveEngine:
-    """Shared-memory deposit/elect/combine/collect engine.
+    """Shared-memory collective engine.
 
     All mutable cross-process state lives in ``multiprocessing`` primitives
     created by the parent and inherited by (or shipped to) the rank
-    processes:
+    processes.  Two data paths:
 
-    * a barrier electing one rank per collective,
-    * per-rank slots publishing each rank's collective name and the
-      (name, size) of the shared-memory segment holding its typed
-      contribution,
-    * per-rank result slots filled by the elected rank,
-    * an error slot carrying a pickled exception to every rank.
-
-    Two data paths share the same three-barrier cadence:
-
-    * **central** (reductions, gathers, broadcasts — small payloads): the
-      elected rank decodes every contribution, runs the combine, and writes
-      one typed result segment per rank.
-    * **exchange** (``alltoall``/``alltoallv`` — the bulk path): each rank's
-      segment carries a per-destination offset table, and after a validation
-      barrier every rank reads its slice from every peer's segment directly.
-      No coordinator touches the bulk data.
+    * **central** (reductions, gathers, broadcasts — small payloads;
+      :meth:`execute`): a barrier elects one rank per collective; per-rank
+      slots publish each rank's collective name and the (name, size) of the
+      shared-memory segment holding its typed contribution; the elected
+      rank decodes every contribution, runs the combine, and writes one
+      typed result segment per rank; an error slot carries a pickled
+      exception to every rank.
+    * **exchange** (``alltoall``/``alltoallv`` — the bulk path;
+      :meth:`exchange_start`/:meth:`exchange_finish`): each rank publishes
+      one segment with a per-destination offset table into a double-buffered
+      slot, and every rank reads its slice from every peer's segment
+      directly.  No coordinator touches the bulk data, and no global barrier
+      sits on the path.
     """
 
     def __init__(self, ctx, n_ranks: int, sanitize: bool = False):
@@ -342,10 +351,6 @@ class _ProcessCollectiveEngine:
         see the thread engine's property of the same name."""
         return bool(self._x_abort.value)
 
-    def _wait_timeout(self) -> float:
-        """Collective wait bound: the sanitizer's watchdog tightens it."""
-        return watchdog_timeout() if self.sanitize else _BARRIER_TIMEOUT
-
     def abort(self) -> None:
         """Break the barrier (and the split-phase handshake) so ranks blocked
         in a collective terminate."""
@@ -364,7 +369,7 @@ class _ProcessCollectiveEngine:
         The wait is chunked (1 s slices) so a notify lost to process
         scheduling can only delay, never wedge, the handshake.
         """
-        deadline = time.monotonic() + self._wait_timeout()
+        deadline = time.monotonic() + collective_timeout(self.sanitize)
         with self._x_cond:
             while True:
                 if self._x_abort.value:
@@ -477,37 +482,29 @@ class _ProcessCollectiveEngine:
 
     def execute(self, rank: int, op_name: str, contribution: Any,
                 combine: CombineFn) -> Any:
-        # Exchange ops may carry a phase label ("alltoallv[overlap]"); the
-        # base name before the label selects the destination-direct path.
-        is_exchange = op_name.split("[", 1)[0] in ("alltoall", "alltoallv")
-        if is_exchange:
-            blobs = [encode_payload(item) for item in contribution]
-            shm, payload_size = self._write_exchange_segment(blobs)
-        else:
-            payload = encode_payload(contribution)
-            shm, payload_size = self._write_segment(payload)
+        """Run one central collective: deposit, combine on the elected rank,
+        collect."""
+        shm, payload_size = self._write_segment(encode_payload(contribution))
         self._put_str(self._op_names, rank, _OP_LEN, op_name[:_OP_LEN])
         self._put_str(self._contrib_names, rank, _NAME_LEN, shm.name)
         self._contrib_sizes[rank] = payload_size
         try:
-            return self._execute_synchronised(rank, is_exchange, shm, blobs if is_exchange else None, combine)
+            return self._execute_synchronised(rank, shm, combine)
         except threading.BrokenBarrierError:
             # A peer failed (or a barrier timed out): nobody will consume this
             # contribution, so reclaim it before propagating.
             self._destroy(shm)
             raise
 
-    def _execute_synchronised(self, rank: int, is_exchange: bool,
-                              shm: SharedMemory, blobs: list[bytes] | None,
+    def _execute_synchronised(self, rank: int, shm: SharedMemory,
                               combine: CombineFn) -> Any:
-        timeout = self._wait_timeout()
+        timeout = collective_timeout(self.sanitize)
         elected = self.barrier.wait(timeout=timeout) == 0
         if elected:
             self._error_size.value = 0
             try:
                 self._validate_ops()
-                if not is_exchange:
-                    self._combine_central(rank, shm, combine)
+                self._combine_central(rank, shm, combine)
             except BaseException as exc:  # propagated to every rank below
                 self._publish_error(exc)
 
@@ -520,12 +517,6 @@ class _ProcessCollectiveEngine:
             if elected:
                 self._release_owned()
             raise error
-
-        if is_exchange:
-            received = self._read_exchange(rank, blobs)
-            self.barrier.wait(timeout=timeout)  # all peers done reading
-            self._destroy(shm)
-            return received
 
         result = self._read_result(rank)
         self._destroy(shm)  # elected consumed every contribution before barrier 2
@@ -586,20 +577,6 @@ class _ProcessCollectiveEngine:
         for blob, start in zip(blobs, offsets[:-1]):
             shm.buf[start : start + len(blob)] = blob
         return shm, total
-
-    def _read_exchange(self, rank: int, own_blobs: list[bytes]) -> list[Any]:
-        received: list[Any] = []
-        for src in range(self.n_ranks):
-            if src == rank:
-                received.append(decode_payload(own_blobs[rank]))
-                continue
-            peer = _attach_shm(self._get_str(self._contrib_names, src, _NAME_LEN))
-            try:
-                table = struct.unpack_from(f"<{self.n_ranks + 1}Q", peer.buf, 0)
-                received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))
-            finally:
-                peer.close()
-        return received
 
     # -- errors and cleanup ---------------------------------------------------
 
@@ -964,24 +941,7 @@ def _assemble_results(
             failures.append((rank, payload))
         else:  # "broken": normally a peer's failure is reported by that peer
             broken_ranks.append(rank)
-
-    if failures:
-        failures.sort(key=lambda item: item[0])
-        rank, exc = failures[0]
-        raise RankFailedError(
-            f"rank {rank} failed with {type(exc).__name__}: {exc}"
-        ) from exc
-    if broken_ranks:
-        # Every broken barrier should trace back to an originating rank
-        # failure; if none was reported the barrier broke on its own —
-        # a timeout (a rank stalled past DIBELLA_BARRIER_TIMEOUT) or an
-        # external abort.  Never return partial [None] results as success.
-        raise RankFailedError(
-            f"ranks {sorted(broken_ranks)} aborted on a broken barrier with "
-            "no originating rank failure (collective timeout after "
-            f"{_BARRIER_TIMEOUT:.0f}s, or an external abort); "
-            "set DIBELLA_BARRIER_TIMEOUT to raise the limit"
-        )
+    _raise_rank_failures(failures, broken_ranks)
     return results
 
 
@@ -1097,7 +1057,7 @@ class _RankPool:
             for job_queue in self.job_queues:
                 job_queue.put(job)
             try:
-                self.park_barrier.wait(timeout=_BARRIER_TIMEOUT)
+                self.park_barrier.wait(timeout=collective_timeout(False))
             except threading.BrokenBarrierError:
                 dead = [rank for rank, proc in enumerate(self.workers)
                         if proc.exitcode is not None]

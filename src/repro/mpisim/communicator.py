@@ -2,15 +2,22 @@
 
 Each rank of an :func:`repro.mpisim.runtime.spmd_run` execution holds one
 :class:`SimCommunicator`; all communicators of a run share one *collective
-engine* that implements the synchronised deposit/combine/collect protocol:
+engine* with two transports:
 
-1. every rank deposits its contribution and the name of the collective it is
-   calling into its own slot and waits on a barrier;
-2. the rank elected by the barrier validates that all ranks called the same
-   collective (raising :class:`CollectiveMismatchError` otherwise), computes
-   the per-rank results, and releases the barrier;
-3. every rank picks up its result and synchronises once more so slots can be
-   reused by the next collective.
+* the **exchange** transport behind ``alltoall``/``alltoallv`` — a
+  split-phase publish/consume handshake over double-buffered slots
+  (``exchange_start``/``exchange_finish``, see :class:`CollectiveEngine`);
+  a blocking exchange is one start followed immediately by its finish;
+* the **central** transport behind the small collectives (barrier, bcast,
+  gather, reductions) — a synchronised deposit/combine/collect protocol:
+
+  1. every rank deposits its contribution and the name of the collective it
+     is calling into its own slot and waits on a barrier;
+  2. the rank elected by the barrier validates that all ranks called the
+     same collective (raising :class:`CollectiveMismatchError` otherwise),
+     computes the per-rank results, and releases the barrier;
+  3. every rank picks up its result and synchronises once more so slots can
+     be reused by the next collective.
 
 The communicator owns the *semantics* of every collective (the ``combine``
 functions below) and the byte accounting; the engine owns the *transport*.
@@ -48,9 +55,12 @@ from repro.mpisim.tracing import CollectiveLog, CommTrace
 #: Combine function signature: per-rank contributions -> per-rank results.
 CombineFn = Callable[[list[Any]], list[Any]]
 
-#: How long a rank may wait in a split-phase exchange handshake before
-#: declaring the run wedged (same knob as the engine barrier timeout).
-_EXCHANGE_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
+#: How long a rank may wait in any collective before declaring the run
+#: wedged.  This bounds *synchronisation* stalls, not compute: a rank
+#: legitimately waits for as long as the slowest peer computes, so the
+#: default is generous.  Override with DIBELLA_BARRIER_TIMEOUT (seconds);
+#: the sanitizer's watchdog tightens it (:func:`collective_timeout`).
+_BARRIER_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 
 #: Number of split-phase exchange supersteps that may be in flight per rank.
 #: Both engines keep one deposit-slot set per in-flight superstep, selected
@@ -73,6 +83,12 @@ SANITIZE_OP = "__sanitize__"
 _POISONED = object()
 
 
+def collective_timeout(sanitize: bool) -> float:
+    """Seconds one collective wait may block: the watchdog bound when
+    *sanitize*, else :data:`_BARRIER_TIMEOUT`."""
+    return watchdog_timeout() if sanitize else _BARRIER_TIMEOUT
+
+
 def exchange_op_name(base: str, label: str | None) -> str:
     """The engine op name of an exchange, phase-labelled when *label* is set.
 
@@ -88,10 +104,12 @@ def exchange_op_name(base: str, label: str | None) -> str:
 class CollectiveEngine(Protocol):
     """Transport protocol underneath :class:`SimCommunicator`.
 
-    ``execute`` runs one collective for the calling rank and blocks until the
-    result is available; every rank of the execution must call it with the
-    same ``op_name`` (engines detect mismatches and raise on every rank).
-    ``abort`` wakes ranks blocked inside a collective when a peer fails.
+    ``execute`` runs one small central collective for the calling rank and
+    blocks until the result is available; every rank of the execution must
+    call it with the same ``op_name`` (engines detect mismatches and raise
+    on every rank).  ``abort`` wakes ranks blocked inside a collective when
+    a peer fails; ``aborted_by_peer`` tells that wake-up from a wait that
+    timed out on its own.
 
     ``exchange_start(rank, op_name, send, seq) -> token`` /
     ``exchange_finish(rank, token) -> received`` is the *split-phase
@@ -105,6 +123,7 @@ class CollectiveEngine(Protocol):
     """
 
     n_ranks: int
+    aborted_by_peer: bool
 
     def execute(self, rank: int, op_name: str, contribution: Any,
                 combine: CombineFn) -> Any: ...
@@ -177,10 +196,9 @@ class _CollectiveState:
     def aborted_by_peer(self) -> bool:
         """Whether :meth:`abort` was called (vs a wait timing out on its own).
 
-        The sanitizer's watchdog uses this to tell a genuine hang (raise
-        :class:`CollectiveTimeoutError` with the collective trace) from the
-        expected wake-up after a peer's failure (stay quiet, the peer
-        reports the real error).
+        The communicator uses this to tell a genuine hang (raise
+        :class:`CollectiveTimeoutError`) from the expected wake-up after a
+        peer's failure (stay quiet, the peer reports the real error).
         """
         return self._x_aborted
 
@@ -188,7 +206,7 @@ class _CollectiveState:
 
     def _x_wait(self, predicate: Callable[[], bool]) -> None:
         """Wait under the exchange condition; abort/timeout -> BrokenBarrierError."""
-        timeout = watchdog_timeout() if self.sanitize else _EXCHANGE_TIMEOUT
+        timeout = collective_timeout(self.sanitize)
         with self._x_cond:
             ok = self._x_cond.wait_for(
                 lambda: self._x_aborted or predicate(), timeout=timeout
@@ -274,11 +292,10 @@ class _CollectiveState:
         self.op_names[rank] = op_name
         self.contributions[rank] = contribution
 
-        # Under the sanitizer the barrier waits are bounded (the hang
-        # watchdog); a timeout breaks the barrier for every rank, exactly
-        # like an abort, and the communicator converts it into a
-        # CollectiveTimeoutError with the rank's recent collective trace.
-        timeout = watchdog_timeout() if self.sanitize else None
+        # A timed-out wait breaks the barrier for every rank, exactly like
+        # an abort; the communicator converts it into a
+        # CollectiveTimeoutError.
+        timeout = collective_timeout(self.sanitize)
 
         index = self.barrier.wait(timeout)
         if index == 0:
@@ -383,48 +400,49 @@ class SimCommunicator:
         if self._faults is not None:
             self._faults.before_op(op_name, self._phase)
         if self._sanitize:
-            self._sanitize_congruence(op_name, "sync", signature)
+            self._sanitize_congruence(op_name, signature)
         return self._engine_call(
             self._engine.execute, self.rank, op_name, contribution, combine
         )
 
     def _engine_call(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Invoke an engine entry point, converting watchdog timeouts.
+        """Invoke an engine entry point, converting timed-out waits.
 
         A ``BrokenBarrierError`` out of the engine means either a peer
-        failed (its abort broke the barrier — stay quiet, the peer reports
-        the real error) or, under the sanitizer's bounded waits, that this
-        rank's own wait timed out: a genuine hang.  The latter becomes a
-        :class:`CollectiveTimeoutError` carrying this rank's last-N
-        collective trace.
+        failed (its abort broke the wait — stay quiet, the peer reports the
+        real error) or this rank's own bounded wait timed out: a genuine
+        hang.  The latter becomes a :class:`CollectiveTimeoutError`, with
+        this rank's last-N collective trace under the sanitizer.
         """
         try:
             return fn(*args)
         except threading.BrokenBarrierError:
-            if self._sanitize and not getattr(self._engine, "aborted_by_peer", True):
-                log = self._collective_log
-                raise CollectiveTimeoutError(
-                    f"sanitizer watchdog: rank {self.rank} timed out after "
-                    f"{watchdog_timeout():.0f}s in a collective "
-                    f"(DIBELLA_SANITIZE_TIMEOUT); last "
-                    f"{len(log)} of {log.total_recorded} collectives on this "
-                    f"rank, oldest first:\n{log.dump()}"
-                ) from None
-            raise
+            if self._engine.aborted_by_peer:
+                raise
+            knob = ("DIBELLA_SANITIZE_TIMEOUT" if self._sanitize
+                    else "DIBELLA_BARRIER_TIMEOUT")
+            message = (f"collective watchdog: rank {self.rank} timed out "
+                       f"after {collective_timeout(self._sanitize):g}s in a "
+                       f"collective ({knob})")
+            log = self._collective_log
+            if log is not None:
+                message += (f"; last {len(log)} of {log.total_recorded} "
+                            f"collectives on this rank, oldest first:\n"
+                            f"{log.dump()}")
+            raise CollectiveTimeoutError(message) from None
 
-    def _sanitize_congruence(self, op_name: str, mode: str, signature: str) -> None:
+    def _sanitize_congruence(self, op_name: str, signature: str) -> None:
         """Cross-rank congruence check run before a sanitized collective.
 
-        Every rank contributes its (op name, sync/split mode, payload
-        digest) through a constant-named engine collective — constant so the
-        check itself always completes even when the real ops diverge — and
-        the elected rank compares them, raising a
-        :class:`CollectiveMismatchError` naming the diverging ranks.  The
-        check moves a few dozen bytes per rank and bypasses the byte
-        accounting entirely, so sanitized runs trace identically to
-        unsanitized ones.
+        Every rank contributes its (op name, payload digest) through a
+        constant-named engine collective — constant so the check itself
+        always completes even when the real ops diverge — and the elected
+        rank compares them, raising a :class:`CollectiveMismatchError`
+        naming the diverging ranks.  The check moves a few dozen bytes per
+        rank and bypasses the byte accounting entirely, so sanitized runs
+        trace identically to unsanitized ones.
         """
-        digest = f"{op_name}|{mode}|{signature}" if signature else f"{op_name}|{mode}"
+        digest = f"{op_name}|{signature}" if signature else op_name
         log = self._collective_log
         if log is not None:
             log.record(f"#{log.total_recorded} {digest}")
@@ -441,7 +459,7 @@ class SimCommunicator:
                 )
                 raise CollectiveMismatchError(
                     f"sanitizer: collective congruence check failed — ranks "
-                    f"diverge on (op|mode|payload digest): {detail}"
+                    f"diverge on (op|payload digest): {detail}"
                 )
             return [None] * size
 
@@ -525,7 +543,7 @@ class SimCommunicator:
         send = list(send)
         if len(send) != self.size:
             raise ValueError(f"alltoall needs {self.size} items, got {len(send)}")
-        return self._exchange("alltoall", send)
+        return self.alltoallv_finish(self._exchange_start("alltoall", send))
 
     def alltoallv(self, send: Sequence[Any], label: str | None = None) -> list[Any]:
         """Irregular personalised exchange (variable-size payload per destination).
@@ -535,14 +553,13 @@ class SimCommunicator:
         entry ``s`` is the payload received from rank ``s``.  ``label``
         optionally phase-labels the op name (see :func:`exchange_op_name`)
         so schedules from different stages can never be confused for one
-        another by the mismatch detection.
+        another by the mismatch detection.  It is one
+        :meth:`alltoallv_start` followed immediately by its
+        :meth:`alltoallv_finish`.
         """
-        send = list(send)
-        if len(send) != self.size:
-            raise ValueError(f"alltoallv needs {self.size} payloads, got {len(send)}")
-        return self._exchange(exchange_op_name("alltoallv", label), send)
+        return self.alltoallv_finish(self.alltoallv_start(send, label=label))
 
-    # -- split-phase exchange ------------------------------------------------------
+    # -- exchange transport: split-phase publish/consume ------------------------
 
     def alltoallv_start(self, send: Sequence[Any],
                         label: str | None = None) -> ExchangeHandle:
@@ -558,30 +575,15 @@ class SimCommunicator:
         collective; a ``label`` stamps the phase into the op name so
         colliding schedules raise instead of mixing payloads.
 
-        Byte/call accounting is identical to :meth:`alltoallv`, so a streamed
-        exchange traces the same volumes and call counts whether or not it is
-        split-phase.
+        Every exchange — blocking or not — is traced, fault-hooked and
+        sanitized here, so it counts one Alltoallv call, one superstep
+        ordinal and one slot sequence number either way.
         """
         send = list(send)
         if len(send) != self.size:
             raise ValueError(f"alltoallv needs {self.size} payloads, got {len(send)}")
-        op_name = exchange_op_name("alltoallv", label)
-        self._record_exchange(send)
-        # Synchronous collectives hook faults inside _collective; the
-        # split-phase path hooks here, so each start counts exactly one
-        # superstep ordinal either way.
-        if self._faults is not None:
-            self._faults.before_op(op_name, self._phase)
-        if self._sanitize:
-            # "split" in the digest: a rank taking the synchronous alltoallv
-            # path while a peer split-phases the same label is a schedule
-            # divergence this check names explicitly.
-            self._sanitize_congruence(op_name, "split", payload_signature(send))
-        seq = self._xchg_seq
-        self._xchg_seq += 1
-        token = self._engine_call(self._engine.exchange_start, self.rank,
-                                  op_name, send, seq)
-        return ExchangeHandle(op_name=op_name, token=token, label=label)
+        return self._exchange_start(exchange_op_name("alltoallv", label), send,
+                                    label)
 
     def alltoallv_finish(self, handle: ExchangeHandle) -> list[Any]:
         """Complete a split-phase exchange; returns payloads in source-rank order."""
@@ -599,31 +601,26 @@ class SimCommunicator:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _transpose_combine(self) -> CombineFn:
-        def combine(contribs: list[Any]) -> list[Any]:
-            # contribs[src][dst] is the payload src sends to dst; transpose it.
-            return [[contribs[src][dst] for src in range(self.size)]
-                    for dst in range(self.size)]
-
-        return combine
-
-    def _record_exchange(self, send: list[Any]) -> None:
-        # All exchange accounting lives here so that ``alltoall``,
-        # ``alltoallv`` and the split-phase ``alltoallv_start`` (and therefore
-        # every chunked superstep of a streamed exchange) count calls
-        # identically: one global-Alltoallv ordinal and one per-phase
-        # collective call per invocation.
+    def _exchange_start(self, op_name: str, send: list[Any],
+                        label: str | None = None) -> ExchangeHandle:
+        """Trace, fault-hook, sanitize and publish one exchange superstep."""
         if self.trace is not None:
+            # One global-Alltoallv ordinal and one per-phase collective call
+            # per exchange superstep.
             sizes = np.array([payload_nbytes(p) for p in send], dtype=np.int64)
             self.trace.record_send(self.rank, sizes)
             if self.rank == 0:
                 self.trace.record_collective_call(self.trace.current_phase(0))
                 self.trace.record_alltoallv_call()
-
-    def _exchange(self, op_name: str, send: list[Any]) -> list[Any]:
-        self._record_exchange(send)
-        return self._collective(op_name, send, self._transpose_combine(),
-                                signature=payload_signature(send))
+        if self._faults is not None:
+            self._faults.before_op(op_name, self._phase)
+        if self._sanitize:
+            self._sanitize_congruence(op_name, payload_signature(send))
+        seq = self._xchg_seq
+        self._xchg_seq += 1
+        token = self._engine_call(self._engine.exchange_start, self.rank,
+                                  op_name, send, seq)
+        return ExchangeHandle(op_name=op_name, token=token, label=label)
 
     def _check_root(self, root: int) -> None:
         if not (0 <= root < self.size):

@@ -32,24 +32,23 @@ class InjectedFaultError(SPMDError):
     """
 
 
+class CollectiveTimeoutError(SPMDError):
+    """Raised on a rank whose collective wait timed out (a wedged run).
+
+    The bound is the generous ``DIBELLA_BARRIER_TIMEOUT``; the sanitizer's
+    hang watchdog tightens it (``DIBELLA_SANITIZE_TIMEOUT``) and attaches
+    the failing rank's last-N collective trace so the divergence point is
+    readable from the error alone.
+    """
+
+
 class SanitizerError(SPMDError):
     """Base class for errors raised only under ``DIBELLA_SANITIZE``.
 
     The sanitizer turns hazards that would otherwise be silent hangs or
-    bit-corrupt science (divergent collectives, reused exchange segments,
-    wedged handshakes) into immediate, descriptive failures.  None of these
-    checks run when the sanitizer is off.
-    """
-
-
-class CollectiveTimeoutError(SanitizerError):
-    """Raised by the sanitizer's hang watchdog when a collective waits too long.
-
-    Without the sanitizer a wedged collective only surfaces after the
-    generous ``DIBELLA_BARRIER_TIMEOUT`` as an anonymous broken barrier; the
-    watchdog fails faster (``DIBELLA_SANITIZE_TIMEOUT``) and attaches the
-    failing rank's last-N collective trace so the divergence point is
-    readable from the error alone.
+    bit-corrupt science (divergent collectives, reused exchange segments)
+    into immediate, descriptive failures.  None of these checks run when the
+    sanitizer is off.
     """
 
 

@@ -5,7 +5,7 @@ static half is :mod:`repro.analysis` — see ``docs/static-analysis.md``).
 When enabled, the runtime:
 
 * verifies **collective congruence** before every collective — a per-op
-  digest of (op name, label, sync/split mode, payload dtype + shape rank) is
+  digest of (op name with its label, payload dtype + shape rank) is
   compared across ranks, and a divergence raises a descriptive
   :class:`repro.mpisim.errors.CollectiveMismatchError` naming the diverging
   ranks instead of hanging or silently mixing payloads;
@@ -17,9 +17,9 @@ When enabled, the runtime:
   same property by unlinking consumed segments);
 * arms a **hang watchdog** — collective waits time out after
   ``DIBELLA_SANITIZE_TIMEOUT`` seconds (default 60, vs the non-sanitized
-  ``DIBELLA_BARRIER_TIMEOUT`` of 600) and raise
-  :class:`repro.mpisim.errors.CollectiveTimeoutError` carrying the rank's
-  last-N collective trace.
+  ``DIBELLA_BARRIER_TIMEOUT`` of 600) and the
+  :class:`repro.mpisim.errors.CollectiveTimeoutError` every timed-out wait
+  raises carries the rank's last-N collective trace.
 
 All checks are observation-only on the happy path: a sanitized run produces
 bit-identical science output and communication traces (the congruence

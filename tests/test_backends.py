@@ -21,8 +21,11 @@ from repro.mpisim.backend import (
     resolve_backend,
     shutdown_rank_pools,
 )
-from repro.core.counters import SCHEDULE_FLAG_COUNTERS
-from repro.mpisim.errors import CollectiveMismatchError, RankFailedError
+from repro.mpisim.errors import (
+    CollectiveMismatchError,
+    CollectiveTimeoutError,
+    RankFailedError,
+)
 from repro.mpisim.runtime import spmd_run
 from repro.mpisim.tracing import CommTrace
 
@@ -139,9 +142,9 @@ class TestProcessErrorHandling:
         # never as a successful [None, ...] result list.
         import time
 
-        from repro.mpisim import backend as backend_module
+        from repro.mpisim import communicator
 
-        monkeypatch.setattr(backend_module, "_BARRIER_TIMEOUT", 0.5)
+        monkeypatch.setattr(communicator, "_BARRIER_TIMEOUT", 0.5)
         # Under DIBELLA_SANITIZE=1 runs the sanitizer watchdog governs the
         # wait instead; tighten it too so the stall still errors promptly.
         monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "0.5")
@@ -239,6 +242,89 @@ class TestSplitPhaseExchange:
 
         with pytest.raises(RankFailedError, match="rank 1"):
             spmd_run(3, program, backend=backend)
+        if backend == "process":
+            assert _shm_segments() == []
+
+
+def _interleaved_program(comm):
+    """A blocking exchange and an allreduce inside a split exchange's flight.
+
+    Split exchange A (slot 0) stays in flight while blocking exchange B
+    takes and releases slot 1; every rank sends ``rank * 100 + dst`` in
+    ``dst + 1`` int64 elements (A) and ``rank + 1`` (B).
+    """
+    comm.set_phase("interleaved")
+    send_a = [np.full(d + 1, comm.rank * 100 + d, dtype=np.int64)
+              for d in range(comm.size)]
+    send_b = [np.full(comm.rank + 1, comm.rank, dtype=np.int64)
+              for _ in range(comm.size)]
+    handle = comm.alltoallv_start(send_a, label="a")
+    received_b = comm.alltoallv(send_b, label="b")
+    comm.set_phase("reduce")
+    total = comm.allreduce(comm.rank + 1)
+    received_a = comm.alltoallv_finish(handle)
+    return ([a.tolist() for a in received_a], [b.tolist() for b in received_b],
+            total)
+
+
+def _interleaved_expected(size: int) -> list:
+    return [([[src * 100 + dst] * (dst + 1) for src in range(size)],
+             [[src] * (src + 1) for src in range(size)],
+             size * (size + 1) // 2)
+            for dst in range(size)]
+
+
+class TestInterleavedExchanges:
+    """Blocking and split exchanges share one sequence and slot numbering."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_blocking_exchange_inside_split_flight(self, backend):
+        trace = CommTrace(3)
+        assert (spmd_run(3, _interleaved_program, trace=trace, backend=backend)
+                == _interleaved_expected(3))
+        # 8 bytes per element: A sends dst + 1 elements to each dst, B sends
+        # rank + 1 elements to every dst.
+        a_bytes = 8 * 3 * sum(d + 1 for d in range(3))
+        b_bytes = 8 * 3 * sum(r + 1 for r in range(3))
+        traffic = trace.phase_traffic("interleaved")
+        assert traffic.total_bytes == a_bytes + b_bytes
+        assert traffic.collective_calls == 2
+        assert trace.snapshot()["alltoallv_calls"] == 2
+        assert trace.phase_traffic("reduce").collective_calls == 0
+
+    def test_pooled_rerun(self):
+        shutdown_rank_pools()
+        try:
+            for _ in range(2):
+                assert (spmd_run(3, _interleaved_program, backend="process",
+                                 pool=True)
+                        == _interleaved_expected(3))
+        finally:
+            shutdown_rank_pools()
+        assert _shm_segments() == []
+
+
+def _late_publisher_program(comm):
+    """Rank 1 publishes long after rank 0's exchange wait has timed out."""
+    if comm.rank == 1:
+        time.sleep(1.5)
+    handle = comm.alltoallv_start([comm.rank] * comm.size)
+    return comm.alltoallv_finish(handle)
+
+
+class TestCollectiveTimeout:
+    """A timed-out exchange wait is a typed failure of the rank that waited."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_timed_out_exchange_raises_typed_error(self, backend, monkeypatch):
+        from repro.mpisim import communicator
+
+        monkeypatch.setattr(communicator, "_BARRIER_TIMEOUT", 0.5)
+        # Under DIBELLA_SANITIZE=1 the watchdog governs the wait instead.
+        monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "0.5")
+        with pytest.raises(RankFailedError, match="rank 0") as err:
+            spmd_run(2, _late_publisher_program, backend=backend)
+        assert isinstance(err.value.__cause__, CollectiveTimeoutError)
         if backend == "process":
             assert _shm_segments() == []
 
@@ -443,7 +529,7 @@ class TestPipelineParity:
 
 @pytest.mark.slow
 class TestPipelineParityMatrix:
-    """{thread, process} x {pool on/off} x {double-buffering on/off} must all
+    """{thread, process} x {pool on/off} x {sanitizer off/on} must all
     produce bit-identical scientific output."""
 
     @pytest.fixture(autouse=True)
@@ -458,22 +544,26 @@ class TestPipelineParityMatrix:
 
     @pytest.fixture(scope="class")
     def reference(self, micro_dataset, micro_config):
+        from dataclasses import replace
+
         from repro.core.driver import run_dibella
 
-        config = (micro_config.with_backend("thread")
-                  .with_pool(False).with_double_buffer(False))
+        config = replace(micro_config, backend="thread", pool=False,
+                         sanitize=False)
         return run_dibella(micro_dataset.reads, config=config,
                            n_nodes=1, ranks_per_node=3)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("pool", [False, True])
-    @pytest.mark.parametrize("double_buffer", [False, True])
+    @pytest.mark.parametrize("sanitize", [False, True])
     def test_matrix_bit_identical(self, micro_dataset, micro_config, reference,
-                                  backend, pool, double_buffer):
+                                  backend, pool, sanitize):
+        from dataclasses import replace
+
         from repro.core.driver import run_dibella
 
-        config = (micro_config.with_backend(backend)
-                  .with_pool(pool).with_double_buffer(double_buffer))
+        config = replace(micro_config, backend=backend, pool=pool,
+                         sanitize=sanitize)
         result = run_dibella(micro_dataset.reads, config=config,
                              n_nodes=1, ranks_per_node=3)
         assert result.overlap_pairs() == reference.overlap_pairs()
@@ -547,27 +637,23 @@ class TestPipelineParityMatrix:
 
     def test_double_buffer_records_overlapped_time_when_multichunk(
             self, micro_dataset, micro_config):
-        """With >1 chunk per rank, the db path must attribute generation time
-        to the overlapped bucket and flag the chunks it overlapped."""
+        """With >1 chunk per rank, the schedule must attribute generation
+        time to the overlapped bucket and count the chunks it overlapped;
+        one chunk per shard has nothing to overlap."""
         from dataclasses import replace
 
         from repro.core.driver import run_dibella
 
-        tiny_chunks = replace(micro_config, exchange_chunk_mb=0.001)
-        db = run_dibella(micro_dataset.reads,
-                         config=tiny_chunks.with_double_buffer(True),
-                         n_nodes=1, ranks_per_node=2)
-        sync = run_dibella(micro_dataset.reads,
-                           config=tiny_chunks.with_double_buffer(False),
+        tiny = run_dibella(micro_dataset.reads,
+                           config=replace(micro_config, exchange_chunk_mb=0.001),
                            n_nodes=1, ranks_per_node=2)
-        assert db.overlap_pairs() == sync.overlap_pairs()
-        assert db.counters["overlap_chunks_overlapped"] > 0
-        assert sync.counters["overlap_chunks_overlapped"] == 0
-        assert db.counters["overlap_exchange_double_buffered"] > 0
-        assert db.stage("overlap").wall_overlapped_seconds.sum() > 0.0
-        assert sync.stage("overlap").wall_overlapped_seconds.sum() == 0.0
-        # Counters other than the schedule flags (every stage records its
-        # own pair under the unified superstep scheduler) are unaffected.
-        keys = set(db.counters) - SCHEDULE_FLAG_COUNTERS
-        for key in keys:
-            assert db.counters[key] == sync.counters[key], key
+        whole = run_dibella(micro_dataset.reads,
+                            config=replace(micro_config, exchange_chunk_mb=None),
+                            n_nodes=1, ranks_per_node=2)
+        assert tiny.overlap_pairs() == whole.overlap_pairs()
+        assert tiny.counters["overlap_exchange_chunks"] > whole.counters[
+            "overlap_exchange_chunks"]
+        assert tiny.counters["overlap_chunks_overlapped"] > 0
+        assert whole.counters["overlap_chunks_overlapped"] == 0
+        assert tiny.stage("overlap").wall_overlapped_seconds.sum() > 0.0
+        assert whole.stage("overlap").wall_overlapped_seconds.sum() == 0.0

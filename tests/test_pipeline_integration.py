@@ -250,20 +250,23 @@ class TestConfigValidation:
         # The call shape of callers that spell out every knob still works.
         PipelineConfig(collective="flat", rank_groups=None, pin_ranks=False,
                        double_buffer_stages=None, wire_packing=True,
-                       alignment_batch_tasks=None)
+                       alignment_batch_tasks=None, double_buffer=True)
         names = {field.name for field in dataclasses.fields(PipelineConfig)}
         assert not names & {"collective", "rank_groups", "pin_ranks",
                             "double_buffer_stages", "wire_packing",
-                            "alignment_batch_tasks"}
+                            "alignment_batch_tasks", "double_buffer"}
         for knob in ({"collective": "hier"}, {"rank_groups": 2},
                      {"pin_ranks": True}, {"double_buffer_stages": ("bloom",)},
                      {"double_buffer_stages": ()}, {"wire_packing": False},
-                     {"wire_packing": 1}, {"alignment_batch_tasks": 64}):
+                     {"wire_packing": 1}, {"alignment_batch_tasks": 64},
+                     {"double_buffer": False}, {"double_buffer": 0}):
             with pytest.raises(ValueError, match="accept only their former defaults"):
                 PipelineConfig(**knob)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--collective", "hier"])
-        assert exc.value.code == 2
+        for argv in (["run", "--collective", "hier"],
+                     ["run", "--no-double-buffer"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_kernel_parameters_validated_up_front(self):
         # Rejected at construction, not in stage 4 after stages 1-3 ran.
@@ -286,7 +289,6 @@ class TestConfigValidation:
         strategy = SeedStrategy.separated_by(500)
         assert config.with_seed_strategy(strategy).seed_strategy == strategy
         assert config.with_pool(True).pool is True
-        assert config.with_double_buffer(False).double_buffer is False
 
 
 class TestReadOwnerCoverage:

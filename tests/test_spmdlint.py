@@ -101,7 +101,7 @@ class TestSL002PhaseLabels:
     def test_unlabelled_schedule(self):
         findings = _lint("""
             def stage(comm, timer):
-                return SuperstepSchedule(comm, timer, 3, double_buffer=True)
+                return SuperstepSchedule(comm, timer, 3)
         """)
         assert _rules(findings) == ["SL002"]
 

@@ -3,12 +3,14 @@
 Two layers:
 
 * scheduler-level — toy SPMD programs driving
-  :class:`repro.core.supersteps.SuperstepSchedule` directly, pinning that
-  the double-buffered split-phase schedule delivers exactly the payloads
-  (and traces) of the bulk-synchronous fallback on both runtime backends;
-* pipeline-level (slow tier) — sync-vs-split-phase equivalence and trace
-  identity of the whole pipeline, the ``{thread, process} × {double-buffer
-  on/off}`` parity matrix, and the bloom stash release accounting.
+  :class:`repro.core.supersteps.SuperstepSchedule` directly, pinning the
+  payloads each step delivers and the trace bytes/calls it records against
+  known values (and against one blocking ``alltoallv`` per step) on both
+  runtime backends;
+* pipeline-level (slow tier) — every streamed stage overlapping its
+  supersteps, a many- against a one-superstep pair exchange (same science,
+  same wire volumes), the ``{thread, process} × {sanitizer off/on}``
+  parity matrix, and the bloom stash release accounting.
 """
 
 from __future__ import annotations
@@ -28,81 +30,103 @@ from repro.mpisim.tracing import CommTrace
 # Scheduler-level: toy SPMD programs
 # ---------------------------------------------------------------------------
 
-def _single_hop_program(comm, double_buffer):
+def _toy_send(rank: int, size: int, step: int) -> list[np.ndarray]:
+    """Rank *rank*'s step-*step* payloads: rank r has r + 1 local steps."""
+    if step > rank:
+        return [np.empty(0, dtype=np.int64) for _ in range(size)]
+    return [np.arange(step + dst + rank * 10, dtype=np.int64)
+            for dst in range(size)]
+
+
+def _expected_payloads(size: int) -> list[list[list[list[int]]]]:
+    """Per rank, per step, per source: what the toy programs must consume."""
+    return [[[list(range(step + dst + src * 10)) if step <= src else []
+              for src in range(size)]
+             for step in range(size)]
+            for dst in range(size)]
+
+
+def _expected_toy_bytes(size: int) -> int:
+    return 8 * sum(step + dst + src * 10
+                   for src in range(size) for step in range(src + 1)
+                   for dst in range(size))
+
+
+def _single_hop_program(comm):
     """Unequal local step counts; returns consumed payloads + outcome."""
     timer = StageTimer()
-    n_local = comm.rank + 1
     consumed = []
-
-    def produce(step):
-        if step >= n_local:
-            return [np.empty(0, dtype=np.int64) for _ in range(comm.size)]
-        return [np.arange(step + dst + comm.rank * 10, dtype=np.int64)
-                for dst in range(comm.size)]
 
     def consume(step, received):
         consumed.append([np.asarray(a).tolist() for a in received])
 
-    schedule = SuperstepSchedule(comm, timer, n_local,
-                                 double_buffer=double_buffer, label="toy")
-    outcome = schedule.run(produce, consume)
-    return consumed, (outcome.n_supersteps, outcome.steps_overlapped,
-                      outcome.double_buffered)
+    comm.set_phase("agree")
+    schedule = SuperstepSchedule(comm, timer, comm.rank + 1, label="toy")
+    comm.set_phase("toy")
+    outcome = schedule.run(
+        lambda step: _toy_send(comm.rank, comm.size, step), consume)
+    return consumed, (outcome.n_supersteps, outcome.steps_overlapped)
+
+
+def _blocking_program(comm):
+    """The same supersteps as one blocking ``alltoallv`` each."""
+    comm.set_phase("agree")
+    n_steps = comm.allreduce(comm.rank + 1, op="max")
+    comm.set_phase("toy")
+    return [[a.tolist() for a in comm.alltoallv(
+                _toy_send(comm.rank, comm.size, step), label="toy")]
+            for step in range(n_steps)]
 
 
 class TestSuperstepSchedule:
-    """The scheduler's split-phase schedule must be a pure schedule change."""
+    """The schedule delivers one blocking ``alltoallv``'s payloads per step."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_single_hop_split_matches_sync(self, backend):
-        split = spmd_run(3, _single_hop_program, True, backend=backend)
-        sync = spmd_run(3, _single_hop_program, False, backend=backend)
-        assert [payloads for payloads, _ in split] == [p for p, _ in sync]
+        split = spmd_run(3, _single_hop_program, backend=backend)
+        assert [payloads for payloads, _ in split] == _expected_payloads(3)
+        assert (spmd_run(3, _blocking_program, backend=backend)
+                == _expected_payloads(3))
 
     def test_single_hop_thread_process_identical(self):
-        assert ([p for p, _ in spmd_run(3, _single_hop_program, True,
-                                        backend="thread")]
-                == [p for p, _ in spmd_run(3, _single_hop_program, True,
-                                           backend="process")])
+        assert (spmd_run(3, _single_hop_program, backend="thread")
+                == spmd_run(3, _single_hop_program, backend="process"))
 
     def test_step_count_agreement_and_overlap_accounting(self):
-        results = spmd_run(3, _single_hop_program, True, backend="thread")
-        for _payloads, (n_supersteps, overlapped, double_buffered) in results:
+        results = spmd_run(3, _single_hop_program, backend="thread")
+        for _payloads, (n_supersteps, overlapped) in results:
             assert n_supersteps == 3  # max over ranks' 1..3 local steps
             assert overlapped == 2    # every step but the first overlapped
-            assert double_buffered
-        sync = spmd_run(3, _single_hop_program, False, backend="thread")
-        for _payloads, (n, overlapped, double_buffered) in sync:
-            assert (n, overlapped, double_buffered) == (3, 0, False)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("program", [_single_hop_program])
     def test_trace_identical_to_synchronous(self, backend, program):
         split_trace, sync_trace = CommTrace(3), CommTrace(3)
-        spmd_run(3, program, True, trace=split_trace, backend=backend)
-        spmd_run(3, program, False, trace=sync_trace, backend=backend)
+        spmd_run(3, program, trace=split_trace, backend=backend)
+        spmd_run(3, _blocking_program, trace=sync_trace, backend=backend)
         assert split_trace.summary() == sync_trace.summary()
-        assert (split_trace.snapshot()["alltoallv_calls"]
-                == sync_trace.snapshot()["alltoallv_calls"])
+        toy = split_trace.phase_traffic("toy")
+        assert toy.total_bytes == _expected_toy_bytes(3)
+        assert toy.collective_calls == 3
+        assert split_trace.snapshot()["alltoallv_calls"] == 3
+        assert sync_trace.snapshot()["alltoallv_calls"] == 3
 
-    def test_overlapped_time_recorded_only_when_double_buffered(self):
-        def program(comm, double_buffer):
+    def test_overlapped_time_recorded_only_for_overlapped_steps(self):
+        def program(comm, n_steps):
             timer = StageTimer()
-            schedule = SuperstepSchedule(comm, timer, 3,
-                                         double_buffer=double_buffer)
+            schedule = SuperstepSchedule(comm, timer, n_steps)
             schedule.run(
                 lambda step: [np.zeros(4, dtype=np.int64)] * comm.size,
                 lambda step, received: None,
             )
             return timer.overlapped_seconds
 
-        assert all(t > 0.0 for t in spmd_run(2, program, True))
-        assert all(t == 0.0 for t in spmd_run(2, program, False))
+        assert all(t > 0.0 for t in spmd_run(2, program, 3))
+        assert all(t == 0.0 for t in spmd_run(2, program, 1))
 
     def test_single_rank(self):
-        split = spmd_run(1, _single_hop_program, True)
-        sync = spmd_run(1, _single_hop_program, False)
-        assert [p for p, _ in split] == [p for p, _ in sync]
+        split = spmd_run(1, _single_hop_program)
+        assert [p for p, _ in split] == _expected_payloads(1)
 
     def test_outcome_without_steps(self):
         def program(comm):
@@ -110,24 +134,24 @@ class TestSuperstepSchedule:
                 lambda step: [], lambda step, received: None)
             return outcome
 
-        assert spmd_run(2, program) == [ScheduleOutcome(0, 0, False)] * 2
+        assert spmd_run(2, program) == [ScheduleOutcome(0, 0)] * 2
 
 
 class TestPhaseLabelledExchanges:
     """Colliding schedules (ranks in different phases) must raise, not mix."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("double_buffer", [False, True])
-    def test_label_mismatch_detected(self, backend, double_buffer):
-        def program(comm, double_buffer=double_buffer):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_label_mismatch_detected(self, backend, split):
+        """Both entry points: a blocking ``alltoallv`` and a schedule."""
+        def program(comm, split=split):
             label = "stage_a" if comm.rank == 0 else "stage_b"
-            schedule = SuperstepSchedule(comm, StageTimer(), 1,
-                                         double_buffer=double_buffer,
-                                         label=label)
-            schedule.run(
-                lambda step: [np.zeros(1, dtype=np.int64)] * comm.size,
-                lambda step, received: None,
-            )
+            send = [np.zeros(1, dtype=np.int64)] * comm.size
+            if not split:
+                comm.alltoallv(send, label=label)
+                return
+            schedule = SuperstepSchedule(comm, StageTimer(), 1, label=label)
+            schedule.run(lambda step: send, lambda step, received: None)
 
         with pytest.raises(RankFailedError) as err:
             spmd_run(2, program, backend=backend)
@@ -148,7 +172,7 @@ class TestPhaseLabelledExchanges:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline-level: sync-vs-split equivalence and the full parity matrix
+# Pipeline-level: many supersteps vs one, and the parity matrix
 # ---------------------------------------------------------------------------
 
 def _assert_science_identical(result, reference):
@@ -171,76 +195,79 @@ def _assert_counters_identical(result, reference):
         assert result.counters.get(key) == reference.counters.get(key), key
 
 
+@pytest.fixture(scope="module")
+def streaming_config(micro_config) -> PipelineConfig:
+    """Many supersteps in every streamed stage: small read batches and tiny
+    pair chunks."""
+    from dataclasses import replace
+
+    return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001)
+
+
 @pytest.mark.slow
 class TestStageScheduleEquivalence:
-    """Sync-vs-split-phase equivalence + trace identity of the whole pipeline
-    (mirroring the overlap-stage tests in test_backends.py)."""
+    """Every streamed stage overlaps its supersteps, and the superstep count
+    of the pair exchange is a schedule change only."""
 
-    @pytest.fixture(scope="class")
-    def streaming_config(self, micro_config) -> PipelineConfig:
-        """Many supersteps in every streamed stage: small read batches and
-        tiny pair chunks."""
+    def test_all_stages_overlap_their_supersteps(self, micro_dataset,
+                                                 streaming_config):
         from dataclasses import replace
 
-        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001)
-
-    @pytest.fixture(scope="class")
-    def sync_run(self, micro_dataset, streaming_config):
         from repro.core.driver import run_dibella
 
-        return run_dibella(micro_dataset.reads,
-                           config=streaming_config.with_double_buffer(False),
-                           n_nodes=1, ranks_per_node=3)
-
-    def test_all_stages_double_buffered_matches_sync(self, micro_dataset,
-                                                     streaming_config, sync_run):
-        from repro.core.driver import run_dibella
-
-        result = run_dibella(micro_dataset.reads,
-                             config=streaming_config.with_double_buffer(True),
-                             n_nodes=1, ranks_per_node=3)
-        _assert_science_identical(result, sync_run)
-        _assert_counters_identical(result, sync_run)
-        # Trace identity: same volumes, same per-phase call counts.
-        assert result.trace.summary() == sync_run.trace.summary()
-        assert (result.trace.snapshot()["alltoallv_calls"]
-                == sync_run.trace.snapshot()["alltoallv_calls"])
-        # Every streamed stage actually overlapped something.
+        streamed = run_dibella(micro_dataset.reads, config=streaming_config,
+                               n_nodes=1, ranks_per_node=3)
+        # Each k-mer stage is one schedule: n supersteps, one Alltoallv call
+        # each, n - 1 overlapped on each of the 3 ranks (counters are summed
+        # over ranks).
+        for stage in ("bloom", "hashtable"):
+            calls = streamed.trace.phase_traffic(f"{stage}_exchange").collective_calls
+            assert calls > 1
+            assert streamed.counters[f"{stage}_steps_overlapped"] == 3 * (calls - 1)
         for stage, steps in (("bloom", "steps"), ("hashtable", "steps"),
                              ("overlap", "chunks")):
-            assert result.counters[f"{stage}_exchange_double_buffered"] > 0
-            assert result.counters[f"{stage}_{steps}_overlapped"] > 0
-            assert result.stage(stage).wall_overlapped_seconds.sum() > 0.0
-            assert sync_run.counters[f"{stage}_exchange_double_buffered"] == 0
+            assert streamed.counters[f"{stage}_{steps}_overlapped"] > 0
+            assert streamed.stage(stage).wall_overlapped_seconds.sum() > 0.0
+
+        # One pair-exchange superstep: same science and pair payload bytes,
+        # fewer calls, nothing overlapped in the overlap stage.
+        single = run_dibella(
+            micro_dataset.reads,
+            config=replace(streaming_config, exchange_chunk_mb=None,
+                           hash_table_shards=1),
+            n_nodes=1, ranks_per_node=3)
+        _assert_science_identical(streamed, single)
+        assert (streamed.counters["overlap_payload_bytes"]
+                == single.counters["overlap_payload_bytes"])
+        assert single.trace.phase_traffic("overlap_exchange").collective_calls == 1
+        assert single.counters["overlap_chunks_overlapped"] == 0
+        assert single.stage("overlap").wall_overlapped_seconds.sum() == 0.0
 
 
 @pytest.mark.slow
 class TestSuperstepParityMatrix:
-    """{thread, process} × {double-buffer on/off}: bit-identical tables,
-    counters, and alignment results."""
+    """{thread, process} × {sanitizer off/on} over many supersteps:
+    bit-identical tables, counters, traces and alignment results."""
 
     @pytest.fixture(scope="class")
-    def matrix_config(self, micro_config) -> PipelineConfig:
+    def reference(self, micro_dataset, streaming_config):
         from dataclasses import replace
 
-        return replace(micro_config, batch_reads=8, exchange_chunk_mb=0.001)
-
-    @pytest.fixture(scope="class")
-    def reference(self, micro_dataset, matrix_config):
         from repro.core.driver import run_dibella
 
-        config = matrix_config.with_backend("thread").with_double_buffer(False)
+        config = replace(streaming_config, backend="thread", sanitize=False)
         return run_dibella(micro_dataset.reads, config=config,
                            n_nodes=1, ranks_per_node=3)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("double_buffer", [False, True])
-    def test_matrix_bit_identical(self, micro_dataset, matrix_config, reference,
-                                  backend, double_buffer):
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_matrix_bit_identical(self, micro_dataset, streaming_config,
+                                  reference, backend, sanitize):
+        from dataclasses import replace
+
         from repro.core.driver import run_dibella
 
-        config = (matrix_config.with_backend(backend)
-                  .with_double_buffer(double_buffer))
+        config = replace(streaming_config, backend=backend, sanitize=sanitize)
         result = run_dibella(micro_dataset.reads, config=config,
                              n_nodes=1, ranks_per_node=3)
         _assert_science_identical(result, reference)
@@ -284,18 +311,3 @@ class TestBloomStashRelease:
                              n_nodes=1, ranks_per_node=3)
         assert result.counters["bloom_stash_total_bytes"] > 0
         assert result.counters["bloom_stash_peak_bytes"] == 0
-
-    def test_counters_schedule_independent(self, micro_dataset, micro_config):
-        from dataclasses import replace
-
-        from repro.core.driver import run_dibella
-
-        config = replace(micro_config, batch_reads=8)
-        db = run_dibella(micro_dataset.reads,
-                         config=config.with_double_buffer(True),
-                         n_nodes=1, ranks_per_node=3)
-        sync = run_dibella(micro_dataset.reads,
-                           config=config.with_double_buffer(False),
-                           n_nodes=1, ranks_per_node=3)
-        for key in ("bloom_stash_total_bytes", "bloom_stash_peak_bytes"):
-            assert db.counters[key] == sync.counters[key]

@@ -25,8 +25,13 @@
 #           suite-wide.
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
 #           index on a pooled process backend, drain two query batches,
-#           assert zero rebuild counters.  Pure counter checks, runs on
-#           every change.
+#           assert zero rebuild counters; then the chaos smoke (a rank
+#           killed mid-batch, pool respawned, batch retried).  Pure counter
+#           checks, runs on every change.
+#   leak guard — both process-backend fast passes and both serve smokes
+#           run under no_shm_leak: the psm_* names in /dev/shm are
+#           snapshotted before the pass, and any name created during the
+#           pass that survives it fails CI.
 #   perfbench — benchmark smoke (perfbench/check_smoke.py): runs the
 #           benchmark command at tiny size on every workload, untraced and
 #           traced, and asserts every end-to-end and per-layer metric is
@@ -57,6 +62,24 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 tier="${1:-all}"
 
+# Sorted names of the live psm_* shared-memory segments, one per line.
+shm_names() {
+    ls /dev/shm 2>/dev/null | grep '^psm_' | sort || true
+}
+
+# Run "$@"; fail if it leaves behind a psm_* segment it created.
+no_shm_leak() {
+    local before leaked
+    before=$(shm_names)
+    "$@"
+    leaked=$(comm -13 <(echo "$before") <(shm_names))
+    if [ -n "$leaked" ]; then
+        echo "shared-memory segments left behind by: $*" >&2
+        echo "$leaked" >&2
+        exit 1
+    fi
+}
+
 echo "== docs: dead-link check (README.md, docs/) =="
 python scripts/check_doc_links.py
 
@@ -84,19 +107,21 @@ echo "== fast tier: unit tests (thread backend) =="
 python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (process backend + runtime sanitizer, DIBELLA_SANITIZE=1) =="
-DIBELLA_SANITIZE=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
+no_shm_leak env DIBELLA_SANITIZE=1 DIBELLA_BACKEND=process \
+    python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (process backend + persistent rank pool) =="
-DIBELLA_POOL=1 DIBELLA_BACKEND=process python -m pytest tests -m "not slow" -q
+no_shm_leak env DIBELLA_POOL=1 DIBELLA_BACKEND=process \
+    python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="
 DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
 
 echo "== serve smoke: resident index, 2 query batches, zero rebuilds =="
-python scripts/serve_smoke.py
+no_shm_leak python scripts/serve_smoke.py
 
 echo "== chaos smoke: rank killed mid-batch, pool respawned, batch retried =="
-python scripts/serve_smoke.py --chaos
+no_shm_leak python scripts/serve_smoke.py --chaos
 
 echo "== perfbench smoke: every benchmark metric printed with its unit =="
 python perfbench/check_smoke.py

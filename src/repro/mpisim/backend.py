@@ -13,14 +13,13 @@ programs to a :class:`RuntimeBackend`:
   buffers* in POSIX shared memory: every payload is serialised with the
   explicit dtype+shape wire format of :mod:`repro.mpisim.serialization`,
   deposited in a ``multiprocessing.shared_memory`` segment, and read by its
-  consumers directly out of shared memory.  ``alltoall``/``alltoallv`` use a
-  destination-direct layout (each rank writes one segment with a
-  per-destination offset table; every peer reads only its slice), so bulk
-  exchanges never funnel through a coordinator rank.
+  consumers directly out of shared memory.  Each published superstep is one
+  segment per rank with a per-destination offset table; every peer reads
+  only its slice, so no collective funnels through a coordinator rank.
 
-Both backends implement the same two transports — the split-phase
-publish/consume exchange and the deposit/elect/combine/collect protocol of
-the small collectives — so
+Both engines run the same transport — the split-phase publish/consume
+handshake of :class:`repro.mpisim.communicator.CollectiveEngine`, over the
+exchange ring and the small collectives' blocking slot — so
 :class:`repro.mpisim.communicator.SimCommunicator` (which owns collective
 semantics and byte accounting) is backend-agnostic, and a pipeline run
 produces bit-identical scientific output under either backend — the
@@ -40,17 +39,13 @@ from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
 
 from repro.mpisim.communicator import (
-    EXCHANGE_SLOTS,
-    CombineFn,
+    N_SLOTS,
+    CollectiveEngine,
     SimCommunicator,
     _CollectiveState,
     collective_timeout,
 )
-from repro.mpisim.errors import (
-    CollectiveMismatchError,
-    RankFailedError,
-    SegmentStateError,
-)
+from repro.mpisim.errors import RankFailedError
 from repro.mpisim.faults import RunFaults
 from repro.mpisim.serialization import decode_payload, encode_payload
 from repro.mpisim.topology import Topology
@@ -192,7 +187,7 @@ class ThreadBackend(RuntimeBackend):
             try:
                 results[rank] = fn(comm, *args, **kwargs)
             except threading.BrokenBarrierError:
-                # Another rank failed and aborted the barrier; stay quiet, the
+                # Another rank failed and aborted the engine; stay quiet, the
                 # original failure is reported below.
                 with failures_lock:
                     broken_ranks.append(rank)
@@ -257,26 +252,17 @@ def _attach_shm(name: str) -> SharedMemory:
     return SharedMemory(name=name)
 
 
-class _ProcessCollectiveEngine:
+class _ProcessCollectiveEngine(CollectiveEngine):
     """Shared-memory collective engine.
 
     All mutable cross-process state lives in ``multiprocessing`` primitives
     created by the parent and inherited by (or shipped to) the rank
-    processes.  Two data paths:
-
-    * **central** (reductions, gathers, broadcasts — small payloads;
-      :meth:`execute`): a barrier elects one rank per collective; per-rank
-      slots publish each rank's collective name and the (name, size) of the
-      shared-memory segment holding its typed contribution; the elected
-      rank decodes every contribution, runs the combine, and writes one
-      typed result segment per rank; an error slot carries a pickled
-      exception to every rank.
-    * **exchange** (``alltoall``/``alltoallv`` — the bulk path;
-      :meth:`exchange_start`/:meth:`exchange_finish`): each rank publishes
-      one segment with a per-destination offset table into a double-buffered
-      slot, and every rank reads its slice from every peer's segment
-      directly.  No coordinator touches the bulk data, and no global barrier
-      sits on the path.
+    processes.  Publishing a superstep writes one segment per rank with a
+    per-destination offset table into a slot (the ring for exchanges, the
+    blocking slot for small collectives — see
+    :class:`~repro.mpisim.communicator.CollectiveEngine`), and every rank
+    reads its slice from every peer's segment directly.  No coordinator
+    touches the data, and no global barrier sits on the path.
     """
 
     def __init__(self, ctx, n_ranks: int, sanitize: bool = False):
@@ -286,42 +272,24 @@ class _ProcessCollectiveEngine:
         # (while every worker is parked) and the long-forked workers read
         # the current value.
         self._sanitize = ctx.Value("b", int(sanitize), lock=False)
-        self.barrier = ctx.Barrier(n_ranks)
-        self._op_names = ctx.Array("c", n_ranks * _OP_LEN, lock=False)
-        self._contrib_names = ctx.Array("c", n_ranks * _NAME_LEN, lock=False)
-        self._contrib_sizes = ctx.Array("q", n_ranks, lock=False)
-        self._result_names = ctx.Array("c", n_ranks * _NAME_LEN, lock=False)
-        self._result_sizes = ctx.Array("q", n_ranks, lock=False)
-        self._error_name = ctx.Array("c", _NAME_LEN, lock=False)
-        self._error_size = ctx.Value("q", 0, lock=False)
-        # Split-phase exchange: one metadata slot set per in-flight superstep
-        # (EXCHANGE_SLOTS of them — the double buffer) plus per-slot
+        # Per slot: every rank's op name and segment name, plus the
         # publish/consume sequence arrays, all coordinated through one
-        # Condition — the split-phase fast path never touches the global
-        # barrier, so a rank publishes its next superstep while peers are
-        # still reading the previous one.
-        self._x_cond = ctx.Condition()
-        self._x_abort = ctx.Value("b", 0, lock=False)
-        self._x_ops = [ctx.Array("c", n_ranks * _OP_LEN, lock=False)
-                       for _ in range(EXCHANGE_SLOTS)]
-        self._x_names = [ctx.Array("c", n_ranks * _NAME_LEN, lock=False)
-                         for _ in range(EXCHANGE_SLOTS)]
-        self._x_published = [ctx.Array("q", n_ranks, lock=False)
-                             for _ in range(EXCHANGE_SLOTS)]
-        self._x_consumed = [ctx.Array("q", n_ranks, lock=False)
-                            for _ in range(EXCHANGE_SLOTS)]
-        for slot in range(EXCHANGE_SLOTS):
-            for q in range(n_ranks):
-                self._x_published[slot][q] = -1
-                self._x_consumed[slot][q] = -1
-        # Result segments created by this process when it was elected; they
-        # are unlinked one collective later, after every consumer has read.
-        self._owned_results: list[SharedMemory] = []
-        self._owned_error: SharedMemory | None = None
-        # Exchange segments this rank published whose consumption is not yet
-        # proven (seq -> segment); reclaimed EXCHANGE_SLOTS supersteps later
-        # or at shutdown.
-        self._x_inflight: dict[int, SharedMemory] = {}
+        # Condition.
+        self._cond = ctx.Condition()
+        self._abort = ctx.Value("b", 0, lock=False)
+        self._ops = [ctx.Array("c", n_ranks * _OP_LEN, lock=False)
+                     for _ in range(N_SLOTS)]
+        self._names = [ctx.Array("c", n_ranks * _NAME_LEN, lock=False)
+                       for _ in range(N_SLOTS)]
+        self._published = [ctx.Array("q", n_ranks, lock=False)
+                           for _ in range(N_SLOTS)]
+        self._consumed = [ctx.Array("q", n_ranks, lock=False)
+                          for _ in range(N_SLOTS)]
+        self.reset_between_runs()
+        # Segments this rank published whose consumption is not yet proven
+        # (slot -> (seq, segment)); reclaimed at the slot's next publish or
+        # at shutdown.
+        self._inflight: dict[int, tuple[int, SharedMemory]] = {}
 
     # -- slot helpers --------------------------------------------------------
 
@@ -349,119 +317,47 @@ class _ProcessCollectiveEngine:
     def aborted_by_peer(self) -> bool:
         """Whether :meth:`abort` was called (vs a wait timing out on its own);
         see the thread engine's property of the same name."""
-        return bool(self._x_abort.value)
+        return bool(self._abort.value)
 
     def abort(self) -> None:
-        """Break the barrier (and the split-phase handshake) so ranks blocked
-        in a collective terminate."""
-        # Flag before breaking the barrier: a rank it wakes must already see
-        # aborted_by_peer, or the sanitizer reports a watchdog timeout.
-        self._x_abort.value = 1
-        self.barrier.abort()
-        with self._x_cond:
-            self._x_cond.notify_all()
+        """Wake every rank blocked in a wait so it terminates."""
+        self._abort.value = 1
+        with self._cond:
+            self._cond.notify_all()
 
-    # -- split-phase exchange (see communicator.CollectiveEngine) -------------
+    # -- storage (see communicator.CollectiveEngine) -------------------------
 
-    def _x_wait(self, predicate) -> None:
-        """Wait under the exchange condition; abort/timeout -> BrokenBarrierError.
+    def _encode(self, send):
+        return [encode_payload(item) for item in send]
 
-        The wait is chunked (1 s slices) so a notify lost to process
-        scheduling can only delay, never wedge, the handshake.
-        """
-        deadline = time.monotonic() + collective_timeout(self.sanitize)
-        with self._x_cond:
-            while True:
-                if self._x_abort.value:
-                    raise threading.BrokenBarrierError
-                if predicate():
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise threading.BrokenBarrierError
-                self._x_cond.wait(timeout=min(remaining, 1.0))
-
-    def exchange_start(self, rank: int, op_name: str, send: list,
-                       seq: int) -> Any:
-        """Publish superstep *seq*: write one exchange segment, mark published.
-
-        Blocks only until slot ``seq % EXCHANGE_SLOTS`` is reusable (every
-        rank consumed superstep ``seq - EXCHANGE_SLOTS``), at which point
-        this rank's own ``seq - EXCHANGE_SLOTS`` segment is also provably
-        read by everyone and is reclaimed.  EXCHANGE_SLOTS segments per rank
-        are therefore live at any moment — the double buffer.
-        """
-        slot = seq % EXCHANGE_SLOTS
-        blobs = [encode_payload(item) for item in send]
-        self._x_wait(
-            lambda: all(self._x_consumed[slot][q] >= seq - EXCHANGE_SLOTS
-                        for q in range(self.n_ranks))
-        )
-        stale = self._x_inflight.pop(seq - EXCHANGE_SLOTS, None)
+    def _publish(self, rank, slot, seq, op_name, blobs):
+        """Write one segment; this rank's previous segment in *slot* is
+        provably read by everyone now and is reclaimed."""
+        stale = self._inflight.pop(slot, None)
         if stale is not None:
-            self._destroy(stale)
-        shm, _payload_size = self._write_exchange_segment(blobs)
-        self._x_inflight[seq] = shm
-        self._put_str(self._x_ops[slot], rank, _OP_LEN, op_name[:_OP_LEN])
-        self._put_str(self._x_names[slot], rank, _NAME_LEN, shm.name)
-        with self._x_cond:
-            self._x_published[slot][rank] = seq
-            self._x_cond.notify_all()
+            self._destroy(stale[1])
+        shm = self._write_segment(blobs)
+        self._inflight[slot] = (seq, shm)
+        self._put_str(self._ops[slot], rank, _OP_LEN, op_name[:_OP_LEN])
+        self._put_str(self._names[slot], rank, _NAME_LEN, shm.name)
         # Keep only the self-addressed blob for the finish-side self
         # delivery; the rest already lives in the shared-memory segment, and
         # retaining the full encoded copy would double the per-superstep
         # memory bound.
-        return (seq, blobs[rank])
+        return blobs[rank]
 
-    def exchange_finish(self, rank: int, token: Any) -> list:
-        """Collect superstep *token*'s payloads once every rank has published."""
-        seq, own_blob = token
-        slot = seq % EXCHANGE_SLOTS
-        if self.sanitize:
-            # Same lifecycle guards as the thread engine: fail fast instead
-            # of waiting out a publish that never happened, or re-reading a
-            # slot this rank already consumed.  (Poisoning is structural
-            # here: consumed segments are unlinked, so a stale attach raises
-            # FileNotFoundError — these checks turn that into a description.)
-            if self._x_published[slot][rank] < seq:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} finishing split-phase superstep "
-                    f"{seq} it never started (read-before-publish; slot "
-                    f"{slot} last published seq {self._x_published[slot][rank]})"
-                )
-            if self._x_consumed[slot][rank] >= seq:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} finishing split-phase superstep "
-                    f"{seq} twice (slot {slot} already consumed through seq "
-                    f"{self._x_consumed[slot][rank]})"
-                )
-        self._x_wait(
-            lambda: all(self._x_published[slot][q] >= seq
-                        for q in range(self.n_ranks))
-        )
-        if self.sanitize:
-            stale = [q for q in range(self.n_ranks)
-                     if self._x_published[slot][q] != seq]
-            if stale:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} reading split-phase superstep "
-                    f"{seq} after ranks {stale} rewrote slot {slot} "
-                    f"(use-after-release; their published seqs are "
-                    f"{[int(self._x_published[slot][q]) for q in stale]})"
-                )
-        names = {self._get_str(self._x_ops[slot], q, _OP_LEN)
-                 for q in range(self.n_ranks)}
-        if len(names) != 1:
-            raise CollectiveMismatchError(
-                f"ranks disagree on split-phase collective: {sorted(names)}"
-            )
+    def _slot_ops(self, slot):
+        return [self._get_str(self._ops[slot], q, _OP_LEN)
+                for q in range(self.n_ranks)]
+
+    def _read(self, rank, slot, own):
         received: list = []
         for src in range(self.n_ranks):
             if src == rank:
-                received.append(decode_payload(own_blob))
+                received.append(decode_payload(own))
                 continue
             try:
-                peer = _attach_shm(self._get_str(self._x_names[slot], src, _NAME_LEN))
+                peer = _attach_shm(self._get_str(self._names[slot], src, _NAME_LEN))
             except FileNotFoundError:
                 # A failed peer aborts, then reclaims its published segments
                 # at shutdown: the failure is the peer's to report.
@@ -473,150 +369,21 @@ class _ProcessCollectiveEngine:
                 received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))
             finally:
                 peer.close()
-        with self._x_cond:
-            self._x_consumed[slot][rank] = seq
-            self._x_cond.notify_all()
         return received
 
-    # -- protocol ------------------------------------------------------------
-
-    def execute(self, rank: int, op_name: str, contribution: Any,
-                combine: CombineFn) -> Any:
-        """Run one central collective: deposit, combine on the elected rank,
-        collect."""
-        shm, payload_size = self._write_segment(encode_payload(contribution))
-        self._put_str(self._op_names, rank, _OP_LEN, op_name[:_OP_LEN])
-        self._put_str(self._contrib_names, rank, _NAME_LEN, shm.name)
-        self._contrib_sizes[rank] = payload_size
-        try:
-            return self._execute_synchronised(rank, shm, combine)
-        except threading.BrokenBarrierError:
-            # A peer failed (or a barrier timed out): nobody will consume this
-            # contribution, so reclaim it before propagating.
-            self._destroy(shm)
-            raise
-
-    def _execute_synchronised(self, rank: int, shm: SharedMemory,
-                              combine: CombineFn) -> Any:
-        timeout = collective_timeout(self.sanitize)
-        elected = self.barrier.wait(timeout=timeout) == 0
-        if elected:
-            self._error_size.value = 0
-            try:
-                self._validate_ops()
-                self._combine_central(rank, shm, combine)
-            except BaseException as exc:  # propagated to every rank below
-                self._publish_error(exc)
-
-        self.barrier.wait(timeout=timeout)
-        error = self._read_error()
-        if error is not None:
-            # Synchronise before reclaiming so every rank has read the error.
-            self.barrier.wait(timeout=timeout)
-            self._destroy(shm)
-            if elected:
-                self._release_owned()
-            raise error
-
-        result = self._read_result(rank)
-        self._destroy(shm)  # elected consumed every contribution before barrier 2
-        self.barrier.wait(timeout=timeout)  # all results consumed
-        if elected:
-            self._release_owned()
-        return result
-
-    # -- central path --------------------------------------------------------
-
-    def _combine_central(self, rank: int, own_shm: SharedMemory,
-                         combine: CombineFn) -> None:
-        contributions: list[Any] = []
-        for src in range(self.n_ranks):
-            size = int(self._contrib_sizes[src])
-            if src == rank:
-                contributions.append(decode_payload(own_shm.buf[:size]))
-                continue
-            peer = _attach_shm(self._get_str(self._contrib_names, src, _NAME_LEN))
-            try:
-                contributions.append(decode_payload(peer.buf[:size]))
-            finally:
-                peer.close()
-        results = combine(contributions)
-        if len(results) != self.n_ranks:
-            raise ValueError(
-                f"combine produced {len(results)} results for {self.n_ranks} ranks"
-            )
-        for dst, value in enumerate(results):
-            payload = encode_payload(value)
-            out, size = self._write_segment(payload)
-            self._owned_results.append(out)
-            self._put_str(self._result_names, dst, _NAME_LEN, out.name)
-            self._result_sizes[dst] = size
-
-    def _read_result(self, rank: int) -> Any:
-        size = int(self._result_sizes[rank])
-        shm = _attach_shm(self._get_str(self._result_names, rank, _NAME_LEN))
-        try:
-            return decode_payload(shm.buf[:size])
-        finally:
-            shm.close()
-
-    # -- exchange path -------------------------------------------------------
-
-    def _write_exchange_segment(
-        self, blobs: list[bytes]
-    ) -> tuple[SharedMemory, int]:
+    def _write_segment(self, blobs: list[bytes]) -> SharedMemory:
         """One segment per source rank: u64 offset table + concatenated blobs."""
         header = 8 * (self.n_ranks + 1)
         offsets = [header]
         for blob in blobs:
             offsets.append(offsets[-1] + len(blob))
-        table = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
-        total = offsets[-1]
-        shm = SharedMemory(create=True, size=max(1, total))
-        shm.buf[:header] = table
+        shm = SharedMemory(create=True, size=offsets[-1])
+        shm.buf[:header] = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
         for blob, start in zip(blobs, offsets[:-1]):
             shm.buf[start : start + len(blob)] = blob
-        return shm, total
+        return shm
 
-    # -- errors and cleanup ---------------------------------------------------
-
-    def _validate_ops(self) -> None:
-        names = {self._get_str(self._op_names, r, _OP_LEN) for r in range(self.n_ranks)}
-        if len(names) != 1:
-            raise CollectiveMismatchError(
-                f"ranks disagree on collective: {sorted(names)}"
-            )
-
-    def _publish_error(self, exc: BaseException) -> None:
-        try:
-            payload = pickle.dumps(exc)
-        except Exception:
-            payload = pickle.dumps(
-                RuntimeError(f"{type(exc).__name__}: {exc}")
-            )
-        self._release_owned()  # partial results from the failed combine
-        shm, size = self._write_segment(payload)
-        self._owned_error = shm
-        self._put_str(self._error_name, 0, _NAME_LEN, shm.name)
-        self._error_size.value = size
-
-    def _read_error(self) -> BaseException | None:
-        size = int(self._error_size.value)
-        if size == 0:
-            return None
-        if self._owned_error is not None:  # the elected rank already holds it
-            return pickle.loads(bytes(self._owned_error.buf[:size]))
-        shm = _attach_shm(self._get_str(self._error_name, 0, _NAME_LEN))
-        try:
-            return pickle.loads(bytes(shm.buf[:size]))
-        finally:
-            shm.close()
-
-    @staticmethod
-    def _write_segment(payload: bytes) -> tuple[SharedMemory, int]:
-        shm = SharedMemory(create=True, size=max(1, len(payload)))
-        shm.buf[: len(payload)] = payload
-        return shm, len(payload)
+    # -- cleanup ---------------------------------------------------------------
 
     @staticmethod
     def _destroy(shm: SharedMemory) -> None:
@@ -626,62 +393,40 @@ class _ProcessCollectiveEngine:
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
 
-    def _release_owned(self) -> None:
-        """Unlink result/error segments this process created for a previous
-        collective (their consumers have all read by the time the next
-        collective's first barrier passes)."""
-        for shm in self._owned_results:
-            self._destroy(shm)
-        self._owned_results.clear()
-        if self._owned_error is not None:
-            self._destroy(self._owned_error)
-            self._owned_error = None
-
     def shutdown(self) -> None:
         """Final cleanup at the end of a rank program (or of one pooled job).
 
-        The last EXCHANGE_SLOTS split-phase supersteps' segments are still
-        in flight here, and a fast rank can reach shutdown while a slow peer
-        is still reading them — so each is reclaimed only once every rank
-        has marked it consumed.  On an aborted run the wait short-circuits
-        and the segments are reclaimed unconditionally (the peers are
-        aborting too, and a leaked segment would outlive the process).
+        Each slot's last segment is still in flight here, and a fast rank
+        can reach shutdown while a slow peer is still reading it — so each
+        is reclaimed only once every rank has marked it consumed.  On an
+        aborted run the wait short-circuits and the segments are reclaimed
+        unconditionally (the peers are aborting too, and a leaked segment
+        would outlive the process).
         """
-        self._release_owned()
-        for seq in sorted(self._x_inflight):
-            slot = seq % EXCHANGE_SLOTS
+        for slot, (seq, shm) in sorted(self._inflight.items()):
+            consumed = self._consumed[slot]
             try:
-                self._x_wait(
-                    lambda slot=slot, seq=seq: all(
-                        self._x_consumed[slot][q] >= seq
-                        for q in range(self.n_ranks)
-                    )
-                )
+                self._wait(lambda: all(consumed[q] >= seq
+                                       for q in range(self.n_ranks)))
             except threading.BrokenBarrierError:
                 pass
-            self._destroy(self._x_inflight[seq])
-        self._x_inflight.clear()
+            self._destroy(shm)
+        self._inflight.clear()
 
     def reclaim_orphan_segments(self) -> list[str]:
         """Parent-side: unlink every segment still named in the shared metadata.
 
         After a worker dies without cleanup (SIGKILL, OOM) its published
-        segments — central contributions, split-phase exchange slots
-        (including half-published supersteps no peer ever consumed), elected
-        results and the error slot — survive in ``/dev/shm``.  Their names
-        are all recorded in the engine's metadata arrays, so the parent can
-        reclaim them by name.  Must only be called once every worker of this
-        engine is joined: a live worker may still be writing.  Names whose
-        segments were already legitimately unlinked are skipped
-        (``FileNotFoundError`` on attach).  Returns the reclaimed names.
+        segments — including half-published supersteps no peer ever
+        consumed — survive in ``/dev/shm``.  Their names are all recorded in
+        the engine's slot metadata, so the parent can reclaim them by name.
+        Must only be called once every worker of this engine is joined: a
+        live worker may still be writing.  Names whose segments were already
+        legitimately unlinked are skipped (``FileNotFoundError`` on attach).
+        Returns the reclaimed names.
         """
-        names: set[str] = set()
-        for rank in range(self.n_ranks):
-            names.add(self._get_str(self._contrib_names, rank, _NAME_LEN))
-            names.add(self._get_str(self._result_names, rank, _NAME_LEN))
-            for slot in range(EXCHANGE_SLOTS):
-                names.add(self._get_str(self._x_names[slot], rank, _NAME_LEN))
-        names.add(self._get_str(self._error_name, 0, _NAME_LEN))
+        names = {self._get_str(self._names[slot], rank, _NAME_LEN)
+                 for slot in range(N_SLOTS) for rank in range(self.n_ranks)}
         names.discard("")
         reclaimed: list[str] = []
         for name in sorted(names):
@@ -694,20 +439,19 @@ class _ProcessCollectiveEngine:
         return reclaimed
 
     def reset_between_runs(self) -> None:
-        """Re-arm the split-phase exchange state for the next pooled run.
+        """Re-arm the slot state for the next pooled run.
 
         Called by the *parent* while every pooled rank is parked on the pool
         barrier (so nothing races these writes).  Each run's communicators
-        restart their exchange sequence numbers at 0; without this reset the
-        previous run's publish/consume marks would satisfy the new run's
-        predicates early and let a rank read stale metadata.
+        restart their sequence numbers at 0; without this reset the previous
+        run's publish/consume marks would satisfy the new run's predicates
+        early and let a rank read stale metadata.
         """
-        for slot in range(EXCHANGE_SLOTS):
+        for slot in range(N_SLOTS):
             for q in range(self.n_ranks):
-                self._x_published[slot][q] = -1
-                self._x_consumed[slot][q] = -1
-        self._error_size.value = 0
-        self._x_abort.value = 0
+                self._published[slot][q] = -1
+                self._consumed[slot][q] = -1
+        self._abort.value = 0
 
 
 def _run_rank_job(
@@ -879,7 +623,7 @@ def _drain_results(
     feeder thread has flushed, so joining first could deadlock on large
     results.  A worker that dies without reporting (segfault, kill, OOM) is
     detected by polling the process sentinels between queue reads — never by
-    waiting on the engine barrier, which the dead rank can no longer
+    waiting on the engine handshake, which the dead rank can no longer
     satisfy — and after a short grace period (long enough for an in-flight
     report of a cleanly-exiting worker to land) the death is recorded as a
     rank failure, the blocked survivors are stopped, and the caller's
@@ -1076,7 +820,7 @@ class _RankPool:
         try:
             results = _assemble_results(reported, failures, trace, self.n_ranks)
         except BaseException:
-            # The engine barrier (or a worker) is now in an unknown state;
+            # The engine handshake (or a worker) is now in an unknown state;
             # never reuse this pool.
             self.broken = True
             _evict_pool(self)

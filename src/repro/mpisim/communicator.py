@@ -2,29 +2,27 @@
 
 Each rank of an :func:`repro.mpisim.runtime.spmd_run` execution holds one
 :class:`SimCommunicator`; all communicators of a run share one *collective
-engine* with two transports:
+engine* with one transport: a split-phase publish/consume handshake
+(``exchange_start``/``exchange_finish``, see :class:`CollectiveEngine`) over
+two kinds of slot:
 
-* the **exchange** transport behind ``alltoall``/``alltoallv`` — a
-  split-phase publish/consume handshake over double-buffered slots
-  (``exchange_start``/``exchange_finish``, see :class:`CollectiveEngine`);
-  a blocking exchange is one start followed immediately by its finish;
-* the **central** transport behind the small collectives (barrier, bcast,
-  gather, reductions) — a synchronised deposit/combine/collect protocol:
-
-  1. every rank deposits its contribution and the name of the collective it
-     is calling into its own slot and waits on a barrier;
-  2. the rank elected by the barrier validates that all ranks called the
-     same collective (raising :class:`CollectiveMismatchError` otherwise),
-     computes the per-rank results, and releases the barrier;
-  3. every rank picks up its result and synchronises once more so slots can
-     be reused by the next collective.
+* the :data:`EXCHANGE_SLOTS` **ring slots** carry ``alltoall``/``alltoallv``
+  — a split exchange may stay in flight while the next one starts, and a
+  blocking exchange is one start followed immediately by its finish;
+* the one **blocking slot** carries the small collectives (barrier, bcast,
+  gather, allgather, reduce, allreduce) and the sanitizer's congruence
+  check: every rank publishes its contribution to every rank, collects all
+  of them, and combines them locally in rank order, so every rank computes
+  the same value without a coordinator.
 
 The communicator owns the *semantics* of every collective (the ``combine``
 functions below) and the byte accounting; the engine owns the *transport*.
 Two engines exist: the thread engine in this module (ranks share one address
 space, payloads move by reference) and the shared-memory process engine in
 :mod:`repro.mpisim.backend` (payloads cross process boundaries as typed
-buffers — see :mod:`repro.mpisim.serialization`).
+buffers — see :mod:`repro.mpisim.serialization`).  Both inherit the
+handshake, its op-name check and the sanitizer's lifecycle guards from
+:class:`CollectiveEngine`.
 
 This mirrors MPI semantics closely enough for the pipeline — in particular
 ``alltoallv`` delivers, to each rank, exactly the payloads addressed to it by
@@ -34,10 +32,12 @@ single choke point at which to do byte accounting and mismatch detection.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from repro.mpisim.sanitize import TRACE_DEPTH, watchdog_timeout
 from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CollectiveLog, CommTrace
 
-#: Combine function signature: per-rank contributions -> per-rank results.
-CombineFn = Callable[[list[Any]], list[Any]]
-
 #: How long a rank may wait in any collective before declaring the run
 #: wedged.  This bounds *synchronisation* stalls, not compute: a rank
 #: legitimately waits for as long as the slowest peer computes, so the
@@ -63,23 +60,32 @@ CombineFn = Callable[[list[Any]], list[Any]]
 _BARRIER_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 
 #: Number of split-phase exchange supersteps that may be in flight per rank.
-#: Both engines keep one deposit-slot set per in-flight superstep, selected
-#: by ``seq % EXCHANGE_SLOTS``; ``alltoallv_start`` for superstep ``seq``
+#: Both engines keep one ring slot per in-flight superstep, selected by
+#: ``seq % EXCHANGE_SLOTS``; ``alltoallv_start`` for superstep ``seq``
 #: blocks until every rank consumed superstep ``seq - EXCHANGE_SLOTS``.  Two
 #: slots are the classic double buffer and enough for every pipeline
 #: schedule; the engines are written against this constant, so deeper
 #: pipelines only need a bigger value here.
 EXCHANGE_SLOTS = 2
 
-#: Engine op name of the sanitizer's congruence pre-check collective.  It is
-#: deliberately constant — every rank enters the *same* engine op even when
-#: their real collectives diverge, so the check itself always completes and
-#: the combine can report exactly which ranks called what.
+#: Index of the blocking slot, after the ring.  It has its own sequence
+#: counter so a small collective never waits on a ring slot that an
+#: unfinished split exchange still holds (under the sanitizer every
+#: ``alltoallv_start`` is preceded by a congruence round).
+BLOCKING_SLOT = EXCHANGE_SLOTS
+
+#: Slots per engine: the ring plus the blocking slot.
+N_SLOTS = EXCHANGE_SLOTS + 1
+
+#: Op name of the sanitizer's congruence round.  It is deliberately
+#: constant — every rank enters the *same* round even when their real
+#: collectives diverge, so the check itself always completes and each rank
+#: can report exactly which ranks called what.
 SANITIZE_OP = "__sanitize__"
 
-#: Sentinel written into a thread-engine exchange slot once every rank has
-#: consumed it (sanitizer only).  A stale reader that slips past the
-#: sequence guards trips on this instead of on reused payloads.
+#: Sentinel written into a thread-engine slot once every rank has consumed
+#: it (sanitizer only).  A stale reader that slips past the sequence guards
+#: trips on this instead of on reused payloads.
 _POISONED = object()
 
 
@@ -101,49 +107,135 @@ def exchange_op_name(base: str, label: str | None) -> str:
     return base if label is None else f"{base}[{label}]"
 
 
-class CollectiveEngine(Protocol):
-    """Transport protocol underneath :class:`SimCommunicator`.
+class CollectiveEngine:
+    """The one transport underneath :class:`SimCommunicator`.
 
-    ``execute`` runs one small central collective for the calling rank and
-    blocks until the result is available; every rank of the execution must
-    call it with the same ``op_name`` (engines detect mismatches and raise
-    on every rank).  ``abort`` wakes ranks blocked inside a collective when
-    a peer fails; ``aborted_by_peer`` tells that wake-up from a wait that
-    timed out on its own.
+    ``exchange_start(rank, op_name, send, slot, seq) -> token`` /
+    ``exchange_finish(rank, token) -> received`` is a publish/consume
+    handshake with **no global barrier**: ``start`` waits only until every
+    rank has consumed what this rank last published in *slot*, publishes
+    ``send`` (one payload per destination) as the slot's superstep *seq*,
+    and returns; ``finish`` waits until every rank has published *seq* in
+    the slot, checks that all ranks called the same op, and returns the
+    payloads addressed to this rank in source-rank order.  The caller may
+    compute (or start another superstep in another slot) between the two
+    calls — that compute overlaps the peers' publishes and reads.
 
-    ``exchange_start(rank, op_name, send, seq) -> token`` /
-    ``exchange_finish(rank, token) -> received`` is the *split-phase
-    exchange* pair — a publish/consume handshake with **no global barrier
-    on the fast path**: ``start`` waits only until the double-buffered slot
-    of ``seq`` is free for rewrite (all ranks consumed superstep
-    ``seq - 2``), publishes, and returns; ``finish`` waits until every rank
-    has published superstep ``seq`` and reads.  The caller may compute (or
-    even start superstep ``seq + 1``) between the two calls — that compute
-    overlaps the peers' publishes and reads.
+    Per slot, ``_published[slot][q]`` and ``_consumed[slot][q]`` hold rank
+    *q*'s last published and consumed sequence numbers, guarded by
+    ``_cond``.  Subclasses store the payloads (``_encode``, ``_publish``,
+    ``_read``, ``_slot_ops``) and implement ``abort``, which wakes every rank blocked
+    in a wait with ``BrokenBarrierError``; ``aborted_by_peer`` tells that
+    wake-up from a wait that timed out on its own.
     """
 
     n_ranks: int
+    sanitize: bool
     aborted_by_peer: bool
 
-    def execute(self, rank: int, op_name: str, contribution: Any,
-                combine: CombineFn) -> Any: ...
+    def _wait(self, predicate: Callable[[], bool]) -> None:
+        """Wait under the handshake condition; abort/timeout -> BrokenBarrierError.
+
+        The wait is chunked (1 s slices) so a notify lost to process
+        scheduling can only delay, never wedge, the handshake.
+        """
+        deadline = time.monotonic() + collective_timeout(self.sanitize)
+        with self._cond:
+            while True:
+                if self.aborted_by_peer:
+                    raise threading.BrokenBarrierError
+                if predicate():
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise threading.BrokenBarrierError
+                self._cond.wait(timeout=min(remaining, 1.0))
 
     def exchange_start(self, rank: int, op_name: str, send: list[Any],
-                       seq: int) -> Any: ...
+                       slot: int, seq: int) -> Any:
+        """Publish this rank's superstep *seq* in *slot*; no global barrier."""
+        published, consumed = self._published[slot], self._consumed[slot]
+        last = published[rank]
+        # Encode before waiting, so the encoding overlaps the peers' reads.
+        encoded = self._encode(send)
+        self._wait(lambda: all(consumed[q] >= last for q in range(self.n_ranks)))
+        own = self._publish(rank, slot, seq, op_name, encoded)
+        with self._cond:
+            published[rank] = seq
+            self._cond.notify_all()
+        return (slot, seq, own)
 
-    def exchange_finish(self, rank: int, token: Any) -> list[Any]: ...
+    def exchange_finish(self, rank: int, token: Any) -> list[Any]:
+        """Collect superstep *token*'s payloads once every rank has published."""
+        slot, seq, own = token
+        published, consumed = self._published[slot], self._consumed[slot]
+        if self.sanitize:
+            # Fail fast on lifecycle bugs that would otherwise hang (waiting
+            # for a publish that never happened) or re-read a consumed slot.
+            if published[rank] < seq:
+                raise SegmentStateError(
+                    f"sanitizer: rank {rank} finishing split-phase superstep "
+                    f"{seq} it never started (read-before-publish; slot "
+                    f"{slot} last published seq {published[rank]})"
+                )
+            if consumed[rank] >= seq:
+                raise SegmentStateError(
+                    f"sanitizer: rank {rank} finishing split-phase superstep "
+                    f"{seq} twice (slot {slot} already consumed through seq "
+                    f"{consumed[rank]})"
+                )
+        self._wait(lambda: all(published[q] >= seq for q in range(self.n_ranks)))
+        if self.sanitize:
+            stale = [q for q in range(self.n_ranks) if published[q] != seq]
+            if stale:
+                raise SegmentStateError(
+                    f"sanitizer: rank {rank} reading split-phase superstep "
+                    f"{seq} after ranks {stale} rewrote slot {slot} "
+                    f"(use-after-release; their published seqs are "
+                    f"{[int(published[q]) for q in stale]})"
+                )
+        names = set(self._slot_ops(slot))
+        if len(names) != 1:
+            raise CollectiveMismatchError(
+                f"ranks disagree on collective: {sorted(names)}"
+            )
+        received = self._read(rank, slot, own)
+        with self._cond:
+            consumed[rank] = seq
+            self._on_consumed(slot, seq)
+            self._cond.notify_all()
+        return received
 
-    def abort(self) -> None: ...
+    def _encode(self, send: list[Any]) -> list[Any]:
+        """Per-destination payloads in the engine's storage form."""
+        return send
+
+    def _publish(self, rank: int, slot: int, seq: int, op_name: str,
+                 send: list[Any]) -> Any:
+        """Store the encoded *send* and *op_name* as this rank's entry in
+        *slot*; the return value travels in the token to :meth:`_read`."""
+        raise NotImplementedError
+
+    def _slot_ops(self, slot: int) -> list[str]:
+        """Every rank's published op name in *slot*."""
+        raise NotImplementedError
+
+    def _read(self, rank: int, slot: int, own: Any) -> list[Any]:
+        """The payloads addressed to *rank* in *slot*, in source-rank order."""
+        raise NotImplementedError
+
+    def _on_consumed(self, slot: int, seq: int) -> None:
+        """Hook run under the condition after a rank marks *seq* consumed."""
 
 
 @dataclass
 class ExchangeHandle:
     """In-flight split-phase exchange returned by :meth:`SimCommunicator.alltoallv_start`.
 
-    ``token`` is engine-specific state.  ``label`` is the phase label the
-    exchange was started under (diagnostics; the engines validate it as part
-    of the op name).  ``consumed`` is set by ``alltoallv_finish`` so the
-    sanitizer can flag a handle finished twice.
+    ``token`` is the engine's ``(slot, seq, own)`` triple.  ``label`` is the
+    phase label the exchange was started under (diagnostics; the engines
+    validate it as part of the op name).  ``consumed`` is set by
+    ``alltoallv_finish`` so the sanitizer can flag a handle finished twice.
     """
 
     op_name: str
@@ -152,12 +244,11 @@ class ExchangeHandle:
     consumed: bool = False
 
 
-class _CollectiveState:
+class _CollectiveState(CollectiveEngine):
     """Thread engine: state shared by all ranks of one SPMD execution.
 
-    Contributions and results move between ranks by reference — all ranks
-    live in one address space, so no serialisation happens.  The elected rank
-    (barrier index 0) runs the combine while the others wait.
+    Payloads move between ranks by reference — all ranks live in one
+    address space, so no serialisation happens.
     """
 
     def __init__(self, n_ranks: int, sanitize: bool = False):
@@ -165,32 +256,18 @@ class _CollectiveState:
         #: Runtime-sanitizer flag; communicators read it via the engine so
         #: the whole run (and every pooled worker) agrees on the mode.
         self.sanitize = sanitize
-        self.barrier = threading.Barrier(n_ranks)
-        self.op_names: list[str | None] = [None] * n_ranks
-        self.contributions: list[Any] = [None] * n_ranks
-        self.results: list[Any] = [None] * n_ranks
-        self.error: BaseException | None = None
-        # Split-phase exchange state: one deposit-slot set per in-flight
-        # superstep (EXCHANGE_SLOTS of them — the double buffer) and per-slot
-        # publish/consume sequence numbers guarded by one Condition — the
-        # exchange fast path never touches the global barrier.
-        self._x_cond = threading.Condition()
-        self._x_aborted = False
-        self._x_ops: list[list[str | None]] = [
-            [None] * n_ranks for _ in range(EXCHANGE_SLOTS)]
-        self._x_contribs: list[list[Any]] = [
-            [None] * n_ranks for _ in range(EXCHANGE_SLOTS)]
-        self._x_published = [[-1] * n_ranks for _ in range(EXCHANGE_SLOTS)]
-        self._x_consumed = [[-1] * n_ranks for _ in range(EXCHANGE_SLOTS)]
+        self._cond = threading.Condition()
+        self._aborted = False
+        self._ops: list[list[str | None]] = [[None] * n_ranks for _ in range(N_SLOTS)]
+        self._payloads: list[list[Any]] = [[None] * n_ranks for _ in range(N_SLOTS)]
+        self._published = [[-1] * n_ranks for _ in range(N_SLOTS)]
+        self._consumed = [[-1] * n_ranks for _ in range(N_SLOTS)]
 
     def abort(self) -> None:
-        """Break the barrier so ranks blocked in a collective terminate."""
-        # Flag before breaking the barrier: a rank it wakes must already see
-        # aborted_by_peer, or the sanitizer reports a watchdog timeout.
-        self._x_aborted = True
-        self.barrier.abort()
-        with self._x_cond:
-            self._x_cond.notify_all()
+        """Wake every rank blocked in a wait so it terminates."""
+        self._aborted = True
+        with self._cond:
+            self._cond.notify_all()
 
     @property
     def aborted_by_peer(self) -> bool:
@@ -200,127 +277,30 @@ class _CollectiveState:
         :class:`CollectiveTimeoutError`) from the expected wake-up after a
         peer's failure (stay quiet, the peer reports the real error).
         """
-        return self._x_aborted
+        return self._aborted
 
-    # -- split-phase exchange (see CollectiveEngine) --------------------------
+    def _publish(self, rank, slot, seq, op_name, send):
+        self._ops[slot][rank] = op_name
+        self._payloads[slot][rank] = send
+        return None
 
-    def _x_wait(self, predicate: Callable[[], bool]) -> None:
-        """Wait under the exchange condition; abort/timeout -> BrokenBarrierError."""
-        timeout = collective_timeout(self.sanitize)
-        with self._x_cond:
-            ok = self._x_cond.wait_for(
-                lambda: self._x_aborted or predicate(), timeout=timeout
-            )
-            if self._x_aborted or not ok:
-                raise threading.BrokenBarrierError
+    def _slot_ops(self, slot):
+        return self._ops[slot]
 
-    def exchange_start(self, rank: int, op_name: str, send: list[Any],
-                       seq: int) -> Any:
-        """Publish this rank's superstep-*seq* contribution; no global barrier.
-
-        Blocks only until slot ``seq % EXCHANGE_SLOTS`` is reusable — every
-        rank has consumed superstep ``seq - EXCHANGE_SLOTS`` (trivially true
-        for the first EXCHANGE_SLOTS supersteps) — which is what bounds a
-        rank to EXCHANGE_SLOTS live contributions.
-        """
-        slot = seq % EXCHANGE_SLOTS
-        self._x_wait(lambda: all(c >= seq - EXCHANGE_SLOTS
-                                 for c in self._x_consumed[slot]))
-        with self._x_cond:
-            self._x_ops[slot][rank] = op_name
-            self._x_contribs[slot][rank] = send
-            self._x_published[slot][rank] = seq
-            self._x_cond.notify_all()
-        return seq
-
-    def exchange_finish(self, rank: int, token: Any) -> list[Any]:
-        """Collect superstep *token*'s payloads once every rank has published."""
-        seq = token
-        slot = seq % EXCHANGE_SLOTS
-        if self.sanitize:
-            # Fail fast on lifecycle bugs that would otherwise hang (waiting
-            # for a publish that never happened) or silently read reused data.
-            if self._x_published[slot][rank] < seq:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} finishing split-phase superstep "
-                    f"{seq} it never started (read-before-publish; slot "
-                    f"{slot} last published seq {self._x_published[slot][rank]})"
-                )
-            if self._x_consumed[slot][rank] >= seq:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} finishing split-phase superstep "
-                    f"{seq} twice (slot {slot} already consumed through seq "
-                    f"{self._x_consumed[slot][rank]})"
-                )
-        self._x_wait(lambda: all(p >= seq for p in self._x_published[slot]))
-        if self.sanitize:
-            stale = [q for q in range(self.n_ranks)
-                     if self._x_published[slot][q] != seq]
-            if stale:
-                raise SegmentStateError(
-                    f"sanitizer: rank {rank} reading split-phase superstep "
-                    f"{seq} after ranks {stale} rewrote slot {slot} "
-                    f"(use-after-release; their published seqs are "
-                    f"{[self._x_published[slot][q] for q in stale]})"
-                )
-        names = {self._x_ops[slot][q] for q in range(self.n_ranks)}
-        if len(names) != 1:
-            raise CollectiveMismatchError(
-                f"ranks disagree on split-phase collective: "
-                f"{sorted(str(n) for n in names)}"
-            )
-        contribs = [self._x_contribs[slot][src] for src in range(self.n_ranks)]
-        if self.sanitize and any(c is _POISONED for c in contribs):
+    def _read(self, rank, slot, own):
+        payloads = self._payloads[slot]
+        if self.sanitize and any(p is _POISONED for p in payloads):
             raise SegmentStateError(
-                f"sanitizer: rank {rank} read a poisoned split-phase segment "
-                f"in slot {slot} (superstep {seq} was already consumed by "
-                "every rank)"
+                f"sanitizer: rank {rank} read a poisoned segment in slot "
+                f"{slot} (its superstep was already consumed by every rank)"
             )
-        received = [contribs[src][rank] for src in range(self.n_ranks)]
-        with self._x_cond:
-            self._x_consumed[slot][rank] = seq
-            if self.sanitize and all(c >= seq for c in self._x_consumed[slot]):
-                # Last consumer: poison the slot so any reader that slips
-                # past the sequence guards trips on the sentinel.
-                self._x_contribs[slot] = [_POISONED] * self.n_ranks
-            self._x_cond.notify_all()
-        return received
+        return [payloads[src][rank] for src in range(self.n_ranks)]
 
-    def execute(self, rank: int, op_name: str, contribution: Any,
-                combine: CombineFn) -> Any:
-        """Run one collective: deposit, combine on the elected rank, collect."""
-        self.op_names[rank] = op_name
-        self.contributions[rank] = contribution
-
-        # A timed-out wait breaks the barrier for every rank, exactly like
-        # an abort; the communicator converts it into a
-        # CollectiveTimeoutError.
-        timeout = collective_timeout(self.sanitize)
-
-        index = self.barrier.wait(timeout)
-        if index == 0:
-            try:
-                names = set(self.op_names)
-                if len(names) != 1:
-                    raise CollectiveMismatchError(
-                        f"ranks disagree on collective: {sorted(str(n) for n in names)}"
-                    )
-                self.results = combine(list(self.contributions))
-                self.error = None
-            except BaseException as exc:  # propagate to every rank below
-                self.error = exc
-                self.results = [None] * self.n_ranks
-
-        self.barrier.wait(timeout)
-        error = self.error
-        result = self.results[rank]
-
-        # Final synchronisation so no rank starts the next collective while
-        # laggards are still reading results from this one.
-        self.barrier.wait(timeout)
-        if error is not None:
-            raise error
-        return result
+    def _on_consumed(self, slot, seq):
+        if self.sanitize and all(c >= seq for c in self._consumed[slot]):
+            # Last consumer: poison the slot so any reader that slips past
+            # the sequence guards trips on the sentinel.
+            self._payloads[slot] = [_POISONED] * self.n_ranks
 
 
 class SimCommunicator:
@@ -362,16 +342,16 @@ class SimCommunicator:
                 f"topology has {self.topology.n_ranks} ranks but communicator has {size}"
             )
         self.trace = trace
-        # Split-phase exchange sequence number; SPMD discipline (all ranks
-        # issue the same collectives in the same order) keeps it identical
-        # across the ranks of a run, so it doubles as the engine's
-        # double-buffer slot selector.
+        # Sequence numbers of the ring (exchanges) and of the blocking slot
+        # (small collectives); SPMD discipline (all ranks issue the same
+        # collectives in the same order) keeps both identical across the
+        # ranks of a run, so the ring's doubles as its slot selector.
         self._xchg_seq = 0
+        self._blocking_seq = 0
         # Runtime sanitizer: the mode is a property of the *engine* (set by
         # the backend from spmd_run's resolved flag) so every rank of a run
         # — including pooled process workers forked long ago — agrees on it.
-        # Engines without the attribute (custom test engines) run unchecked.
-        self._sanitize = bool(getattr(engine, "sanitize", False))
+        self._sanitize = bool(engine.sanitize)
         self._collective_log = CollectiveLog(TRACE_DEPTH) if self._sanitize else None
         # Current phase label, tracked trace-or-not: fault specs with a
         # stage= criterion match against it.
@@ -388,22 +368,32 @@ class SimCommunicator:
 
     # -- core synchronisation protocol ------------------------------------------
 
-    def _collective(self, op_name: str, contribution: Any, combine: CombineFn,
+    def _collective(self, op_name: str, contribution: Any,
+                    combine: Callable[[list[Any]], Any],
                     signature: str = "") -> Any:
-        """Run one collective through the engine.
+        """Run one small collective through the blocking slot.
 
-        Under the sanitizer this is preceded by the congruence pre-check
-        (see :meth:`_sanitize_congruence`): *signature* is the payload digest
-        that must agree across ranks for this op ("" for ops whose payloads
-        are legitimately rank-asymmetric, e.g. ``bcast``).
+        Every rank publishes *contribution* to every rank and applies
+        *combine* to all ranks' contributions, in rank order, to get its
+        own result.  Under the sanitizer this is preceded by the congruence
+        check (see :meth:`_sanitize_congruence`): *signature* is the payload
+        digest that must agree across ranks for this op ("" for ops whose
+        payloads are legitimately rank-asymmetric, e.g. ``bcast``).
         """
         if self._faults is not None:
             self._faults.before_op(op_name, self._phase)
         if self._sanitize:
             self._sanitize_congruence(op_name, signature)
-        return self._engine_call(
-            self._engine.execute, self.rank, op_name, contribution, combine
-        )
+        return combine(self._blocking_round(op_name, contribution))
+
+    def _blocking_round(self, op_name: str, value: Any) -> list[Any]:
+        """Publish *value* to every rank in the blocking slot; return every
+        rank's value in rank order."""
+        seq = self._blocking_seq
+        self._blocking_seq += 1
+        token = self._engine_call(self._engine.exchange_start, self.rank, op_name,
+                                  [value] * self.size, BLOCKING_SLOT, seq)
+        return self._engine_call(self._engine.exchange_finish, self.rank, token)
 
     def _engine_call(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Invoke an engine entry point, converting timed-out waits.
@@ -434,92 +424,68 @@ class SimCommunicator:
     def _sanitize_congruence(self, op_name: str, signature: str) -> None:
         """Cross-rank congruence check run before a sanitized collective.
 
-        Every rank contributes its (op name, payload digest) through a
-        constant-named engine collective — constant so the check itself
-        always completes even when the real ops diverge — and the elected
-        rank compares them, raising a :class:`CollectiveMismatchError`
-        naming the diverging ranks.  The check moves a few dozen bytes per
-        rank and bypasses the byte accounting entirely, so sanitized runs
-        trace identically to unsanitized ones.
+        Every rank publishes its (op name, payload digest) in a
+        constant-named blocking round — constant so the check itself always
+        completes even when the real ops diverge — and compares all ranks'
+        digests, raising a :class:`CollectiveMismatchError` naming the
+        diverging ranks.  The round moves a few dozen bytes per rank and
+        bypasses the byte accounting entirely, so sanitized runs trace
+        identically to unsanitized ones.
         """
         digest = f"{op_name}|{signature}" if signature else op_name
         log = self._collective_log
         if log is not None:
             log.record(f"#{log.total_recorded} {digest}")
-        size = self.size
-
-        def combine(contribs: list[Any]) -> list[Any]:
-            groups: dict[str, list[int]] = {}
-            for peer, value in enumerate(contribs):
-                groups.setdefault(str(value), []).append(peer)
-            if len(groups) > 1:
-                detail = "; ".join(
-                    f"rank(s) {ranks} called {value}"
-                    for value, ranks in sorted(groups.items())
-                )
-                raise CollectiveMismatchError(
-                    f"sanitizer: collective congruence check failed — ranks "
-                    f"diverge on (op|payload digest): {detail}"
-                )
-            return [None] * size
-
-        self._engine_call(
-            self._engine.execute, self.rank, SANITIZE_OP, digest, combine
-        )
+        groups: dict[str, list[int]] = {}
+        for peer, value in enumerate(self._blocking_round(SANITIZE_OP, digest)):
+            groups.setdefault(str(value), []).append(peer)
+        if len(groups) > 1:
+            detail = "; ".join(
+                f"rank(s) {ranks} called {value}"
+                for value, ranks in sorted(groups.items())
+            )
+            raise CollectiveMismatchError(
+                f"sanitizer: collective congruence check failed — ranks "
+                f"diverge on (op|payload digest): {detail}"
+            )
 
     # -- collectives -------------------------------------------------------------
 
     def barrier(self) -> None:
         """Synchronise all ranks."""
-        self._collective("barrier", None, lambda contribs: [None] * self.size)
+        self._collective("barrier", None, lambda contribs: None)
 
     def bcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast *value* from *root* to every rank."""
         self._check_root(root)
-
-        def combine(contribs: list[Any]) -> list[Any]:
-            return [contribs[root]] * self.size
-
-        result = self._collective("bcast", value if self.rank == root else None, combine)
+        result = self._collective("bcast", value if self.rank == root else None,
+                                  lambda contribs: contribs[root])
         self._record_pointwise(root, payload_nbytes(result), from_root=True)
         return result
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank onto *root* (other ranks get ``None``)."""
         self._check_root(root)
-
-        def combine(contribs: list[Any]) -> list[Any]:
-            gathered = list(contribs)
-            return [gathered if r == root else None for r in range(self.size)]
-
         self._record_pointwise(root, payload_nbytes(value), from_root=False)
-        return self._collective("gather", value, combine)
+        return self._collective(
+            "gather", value,
+            lambda contribs: contribs if self.rank == root else None)
 
     def allgather(self, value: Any) -> list[Any]:
         """Gather one value per rank onto every rank."""
-
-        def combine(contribs: list[Any]) -> list[Any]:
-            gathered = list(contribs)
-            return [list(gathered) for _ in range(self.size)]
-
         self._record_broadcast(payload_nbytes(value))
-        return self._collective("allgather", value, combine)
+        return self._collective("allgather", value, lambda contribs: contribs)
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | str = "sum") -> Any:
         """Reduce one value per rank with *op* and return the result everywhere.
 
-        ``op`` may be ``"sum"``, ``"max"``, ``"min"`` or a binary callable.
+        ``op`` may be ``"sum"``, ``"max"``, ``"min"`` or a binary callable;
+        every rank folds all contributions in rank order.
         """
         reducer = self._resolve_reducer(op)
-
-        def combine(contribs: list[Any]) -> list[Any]:
-            acc = contribs[0]
-            for item in contribs[1:]:
-                acc = reducer(acc, item)
-            return [acc] * self.size
-
         self._record_broadcast(payload_nbytes(value))
-        return self._collective(f"allreduce:{op}", value, combine,
+        return self._collective(f"allreduce:{op}", value,
+                                lambda contribs: functools.reduce(reducer, contribs),
                                 signature=payload_signature(value))
 
     def reduce(self, value: Any, op: Callable[[Any, Any], Any] | str = "sum",
@@ -528,11 +494,9 @@ class SimCommunicator:
         self._check_root(root)
         reducer = self._resolve_reducer(op)
 
-        def combine(contribs: list[Any]) -> list[Any]:
-            acc = contribs[0]
-            for item in contribs[1:]:
-                acc = reducer(acc, item)
-            return [acc if r == root else None for r in range(self.size)]
+        def combine(contribs: list[Any]) -> Any:
+            total = functools.reduce(reducer, contribs)
+            return total if self.rank == root else None
 
         self._record_pointwise(root, payload_nbytes(value), from_root=False)
         return self._collective(f"reduce:{op}", value, combine,
@@ -619,7 +583,7 @@ class SimCommunicator:
         seq = self._xchg_seq
         self._xchg_seq += 1
         token = self._engine_call(self._engine.exchange_start, self.rank,
-                                  op_name, send, seq)
+                                  op_name, send, seq % EXCHANGE_SLOTS, seq)
         return ExchangeHandle(op_name=op_name, token=token, label=label)
 
     def _check_root(self, root: int) -> None:

@@ -14,7 +14,7 @@ per-rank results in rank order.
   through POSIX shared memory.
 
 Error handling follows the "fail fast, fail loudly" rule for SPMD programs:
-if any rank raises, the runtime aborts the shared barrier (so ranks blocked
+if any rank raises, the runtime aborts the collective engine (so ranks blocked
 in a collective wake up instead of deadlocking), reaps all ranks, and
 re-raises the first failure wrapped in :class:`RankFailedError`.
 """

@@ -9,8 +9,9 @@ When enabled, the runtime:
   compared across ranks, and a divergence raises a descriptive
   :class:`repro.mpisim.errors.CollectiveMismatchError` naming the diverging
   ranks instead of hanging or silently mixing payloads;
-* **guards the split-phase double buffer** — read-before-publish,
-  finish-called-twice and use-after-release on an exchange slot raise
+* **guards the split-phase handshake** (the exchange ring and the small
+  collectives' blocking slot) — read-before-publish, finish-called-twice
+  and use-after-release on a slot raise
   :class:`repro.mpisim.errors.SegmentStateError`, and the thread engine
   poisons slot contents once every rank has consumed them so stale readers
   trip on a sentinel instead of on reused data (the process engine gets the

@@ -247,11 +247,13 @@ class TestSplitPhaseExchange:
 
 
 def _interleaved_program(comm):
-    """A blocking exchange and an allreduce inside a split exchange's flight.
+    """Blocking exchange and small collectives inside a split exchange's flight.
 
-    Split exchange A (slot 0) stays in flight while blocking exchange B
-    takes and releases slot 1; every rank sends ``rank * 100 + dst`` in
-    ``dst + 1`` int64 elements (A) and ``rank + 1`` (B).
+    Split exchange A holds a ring slot while blocking exchange B takes and
+    releases the other, and an allreduce, an allgather and a bcast ride the
+    blocking slot — under the sanitizer each op adds a congruence round
+    there too.  Every rank sends ``rank * 100 + dst`` in ``dst + 1`` int64
+    elements (A) and ``rank + 1`` (B).
     """
     comm.set_phase("interleaved")
     send_a = [np.full(d + 1, comm.rank * 100 + d, dtype=np.int64)
@@ -262,25 +264,33 @@ def _interleaved_program(comm):
     received_b = comm.alltoallv(send_b, label="b")
     comm.set_phase("reduce")
     total = comm.allreduce(comm.rank + 1)
+    ranks = comm.allgather(comm.rank)
+    root_tag = comm.bcast(f"from {comm.rank}", root=1)
     received_a = comm.alltoallv_finish(handle)
     return ([a.tolist() for a in received_a], [b.tolist() for b in received_b],
-            total)
+            total, ranks, root_tag)
 
 
 def _interleaved_expected(size: int) -> list:
     return [([[src * 100 + dst] * (dst + 1) for src in range(size)],
              [[src] * (src + 1) for src in range(size)],
-             size * (size + 1) // 2)
+             size * (size + 1) // 2, list(range(size)), "from 1")
             for dst in range(size)]
 
 
 class TestInterleavedExchanges:
-    """Blocking and split exchanges share one sequence and slot numbering."""
+    """Blocking and split exchanges share one ring; small collectives ride
+    the blocking slot beside it."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_blocking_exchange_inside_split_flight(self, backend):
+    @pytest.mark.parametrize(
+        ("backend", "sanitize"),
+        [("thread", False), ("process", False),
+         ("thread", True), ("process", True)],
+        ids=["thread", "process", "thread-sanitize", "process-sanitize"])
+    def test_blocking_exchange_inside_split_flight(self, backend, sanitize):
         trace = CommTrace(3)
-        assert (spmd_run(3, _interleaved_program, trace=trace, backend=backend)
+        assert (spmd_run(3, _interleaved_program, trace=trace, backend=backend,
+                         sanitize=sanitize)
                 == _interleaved_expected(3))
         # 8 bytes per element: A sends dst + 1 elements to each dst, B sends
         # rank + 1 elements to every dst.
@@ -301,6 +311,51 @@ class TestInterleavedExchanges:
                         == _interleaved_expected(3))
         finally:
             shutdown_rank_pools()
+        assert _shm_segments() == []
+
+
+def _raising_reducer(a, b):
+    raise ValueError("reducer refuses")
+
+
+def _raising_allreduce_program(comm):
+    return comm.allreduce(comm.rank, op=_raising_reducer)
+
+
+def _small_collectives_program(comm):
+    comm.barrier()
+    total = comm.allreduce(np.arange(4, dtype=np.int64) + comm.rank)
+    root_sum = comm.reduce(comm.rank, root=2)
+    gathered = comm.gather(comm.rank, root=0)
+    everyone = comm.allgather(f"r{comm.rank}")
+    broadcast = comm.bcast(np.full(3, 7, dtype=np.uint8) if comm.rank == 1
+                           else None, root=1)
+    return (total.tolist(), root_sum, gathered, everyone, broadcast.tolist())
+
+
+class TestSmallCollectives:
+    """The small collectives combine locally after one blocking-slot round."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_reducer_error_fails_the_run(self, backend):
+        with pytest.raises(RankFailedError) as err:
+            spmd_run(3, _raising_allreduce_program, backend=backend)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "reducer refuses" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
+    def test_no_shared_memory_leaked(self, pool):
+        shutdown_rank_pools()
+        try:
+            results = spmd_run(3, _small_collectives_program,
+                               backend="process", pool=pool)
+        finally:
+            shutdown_rank_pools()
+        assert results == [
+            ([3, 6, 9, 12], 3 if rank == 2 else None,
+             [0, 1, 2] if rank == 0 else None, ["r0", "r1", "r2"], [7, 7, 7])
+            for rank in range(3)
+        ]
         assert _shm_segments() == []
 
 

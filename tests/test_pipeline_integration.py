@@ -191,6 +191,29 @@ class TestConfigurationEffects:
         assert (tiny_batches.trace.phase_traffic("bloom_exchange").collective_calls
                 >= big_batches.trace.phase_traffic("bloom_exchange").collective_calls)
 
+    @pytest.mark.parametrize("seed_mode", ["reliable", "minimizer"])
+    def test_batch_reads_does_not_change_the_science(self, micro_dataset,
+                                                     micro_config, seed_mode):
+        # The batch size only moves which rank owns a pair (Algorithm 1's
+        # odd/even rule reads occurrence order).  Seeds are consolidated per
+        # pair and sorted by position, so the seed a pair is aligned from,
+        # and with it every alignment, stays put.
+        def rows(result):
+            table = result.alignment_table()
+            columns = ("rid_a", "rid_b", "score", "span_a", "span_b")
+            return sorted(zip(*(table[c].tolist() for c in columns)))
+
+        runs = [run_dibella(micro_dataset.reads,
+                            config=dataclasses.replace(
+                                micro_config, batch_reads=batch_reads
+                            ).with_seed_mode(seed_mode),
+                            ranks_per_node=3)
+                for batch_reads in (3, 8, 10_000)]
+        assert rows(runs[0])
+        for run in runs[1:]:
+            assert run.overlap_pairs() == runs[0].overlap_pairs()
+            assert rows(run) == rows(runs[0])
+
     def test_empty_readset_rejected(self, micro_config):
         from repro.seq.records import ReadSet
         pipeline = DibellaPipeline(config=micro_config, topology=Topology.single_node(2))

@@ -80,7 +80,7 @@ def _dtype_mismatch_program(comm):
 
 def _forged_handle(backend: str) -> ExchangeHandle:
     """A handle for split-phase superstep 5, which no rank ever started."""
-    token = 5 if backend == "thread" else (5, b"")
+    token = (1, 5, None if backend == "thread" else b"")  # (slot, seq, own)
     return ExchangeHandle(op_name="alltoallv[ok]", token=token, label="ok")
 
 

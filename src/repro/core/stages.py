@@ -997,20 +997,19 @@ def _index_hash_table(comm: SimCommunicator, state: _RankState,
     batch can lift a singleton's union count into the reliable range.  The
     Bloom stage (stage 1) is skipped entirely — its only output is the
     candidate-key set the lifted gate replaces.  The buffered occurrences
-    are then drained into a :class:`ShardedKmerIndex` bucketed by the same
-    code-range boundaries the batch pipeline shards by, and sorted into its
-    canonical storage — the index's one sort, timed as hash-table work.
+    are then drained into a :class:`ShardedKmerIndex`, which sorts them
+    once into canonical storage and cuts the shards, by the same code-range
+    boundaries the batch pipeline shards by, from the sorted array — the
+    index's one sort, timed as hash-table work.
     """
     config = state.config
     state.hashtable.accept_all_keys()
     hash_table_stage(comm, state, rids)
     with state.timer("hashtable").compute():
-        index = ShardedKmerIndex.from_partition(
+        return ShardedKmerIndex.from_partition(
             state.hashtable,
             shard_code_boundaries(config.kmer.k, config.hash_table_shards),
         )
-        index.sort()
-    return index
 
 
 def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:

@@ -17,7 +17,10 @@ pipeline exactly:
 
 The implementation is array-based rather than a Python dict: occurrences are
 buffered as flat numpy arrays and grouped once at finalisation with a single
-sort, which keeps the per-k-mer Python overhead out of the hot path.
+sort, which keeps the per-k-mer Python overhead out of the hot path.  The
+serve phase's :class:`ShardedKmerIndex` is built the same way, once: one
+sort of packed 64-bit occurrence keys (a 4-key ``lexsort`` when the fields
+do not fit a word), with the code-range shards cut from the sorted array.
 
 Finalisation comes in two flavours: :meth:`KmerHashTablePartition.finalize`
 groups the whole partition at once, and
@@ -174,6 +177,35 @@ def _take_groups(table: RetainedKmers, groups: np.ndarray) -> RetainedKmers:
     )
 
 
+def _group_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal codes starts in an ascending code array."""
+    return np.flatnonzero(np.concatenate(
+        ([sorted_codes.size > 0], sorted_codes[1:] != sorted_codes[:-1])))
+
+
+def _kept_groups(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                 strands: np.ndarray, order: np.ndarray, keep) -> RetainedKmers:
+    """Group occurrences taken in *order* (ascending code) and keep some groups.
+
+    ``keep(counts, order)`` returns the mask of groups to keep, given every
+    group's occurrence count.  Only the kept rows are gathered, with no
+    per-group Python loop.
+    """
+    sorted_codes = codes[order]
+    starts = _group_starts(sorted_codes)
+    counts = np.diff(np.append(starts, sorted_codes.size))
+    kept = keep(counts, order)
+    offsets, take = _group_take(starts[kept], counts[kept])
+    rows = order[take]
+    return RetainedKmers(
+        codes=sorted_codes[starts[kept]],
+        offsets=offsets,
+        rids=rids[rows],
+        positions=positions[rows],
+        strands=strands[rows],
+    )
+
+
 def _finalize_arrays(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
                      strands: np.ndarray, min_count: int,
                      max_count: int | None) -> RetainedKmers:
@@ -181,25 +213,11 @@ def _finalize_arrays(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
 
     The shared core of :meth:`KmerHashTablePartition.finalize` (whole
     partition) and :meth:`KmerHashTablePartition.finalize_shards` (one code
-    range at a time): one stable sort, no per-group Python loop.
+    range at a time): one stable sort, so each group keeps insertion order.
     """
-    order = np.argsort(codes, kind="stable")
-    codes, rids, positions, strands = (
-        codes[order], rids[order], positions[order], strands[order]
-    )
-
-    unique_codes, group_starts, counts = np.unique(
-        codes, return_index=True, return_counts=True
-    )
-    keep = _count_filter(counts, min_count, max_count)
-    offsets, take = _group_take(group_starts[keep], counts[keep])
-    return RetainedKmers(
-        codes=unique_codes[keep].astype(np.uint64),
-        offsets=offsets,
-        rids=rids[take].astype(np.int64),
-        positions=positions[take].astype(np.int64),
-        strands=strands[take].astype(bool),
-    )
+    return _kept_groups(codes, rids, positions, strands,
+                        np.argsort(codes, kind="stable"),
+                        lambda counts, _order: _count_filter(counts, min_count, max_count))
 
 
 class KmerHashTablePartition:
@@ -269,12 +287,9 @@ class KmerHashTablePartition:
         codes = np.asarray(codes, dtype=np.uint64)
         if self._accept_all:
             return np.ones(codes.size, dtype=bool)
-        if codes.size == 0:
-            return np.zeros(0, dtype=bool)
-        idx = np.searchsorted(self._keys, codes)
-        idx = np.minimum(idx, max(0, self._keys.size - 1))
         if self._keys.size == 0:
             return np.zeros(codes.size, dtype=bool)
+        idx = np.minimum(np.searchsorted(self._keys, codes), self._keys.size - 1)
         return self._keys[idx] == codes
 
     # -- pass 2: occurrence insertion ---------------------------------------------------
@@ -288,7 +303,8 @@ class KmerHashTablePartition:
         the forward orientation in that read (defaults to all-forward for
         callers that do not track strand).  Returns the number of occurrences
         actually stored (non-key k-mers — singletons filtered by the Bloom
-        filter — are dropped).
+        filter — are dropped).  Under :meth:`accept_all_keys` the arrays are
+        buffered without a copy, so the caller must not modify them later.
         """
         codes = np.asarray(codes, dtype=np.uint64)
         rids = np.asarray(rids, dtype=np.int64)
@@ -300,14 +316,16 @@ class KmerHashTablePartition:
             raise ValueError("codes, rids, positions and strands must have equal length")
         if codes.size == 0:
             return 0
-        mask = self.has_keys(codes)
-        kept = int(np.count_nonzero(mask))
-        if kept:
-            self._occ_codes.append(codes[mask])
-            self._occ_rids.append(rids[mask])
-            self._occ_positions.append(positions[mask])
-            self._occ_strands.append(strands[mask])
-        return kept
+        if not self._accept_all:  # else keep every row, without a copy
+            mask = self.has_keys(codes)
+            codes, rids, positions, strands = (
+                codes[mask], rids[mask], positions[mask], strands[mask])
+        if codes.size:
+            self._occ_codes.append(codes)
+            self._occ_rids.append(rids)
+            self._occ_positions.append(positions)
+            self._occ_strands.append(strands)
+        return int(codes.size)
 
     # -- finalisation ---------------------------------------------------------------------
 
@@ -324,12 +342,9 @@ class KmerHashTablePartition:
         if not self._occ_codes:
             return RetainedKmers.empty()
         return _finalize_arrays(
-            np.concatenate(self._occ_codes),
-            np.concatenate(self._occ_rids),
-            np.concatenate(self._occ_positions),
-            np.concatenate(self._occ_strands),
-            min_count, max_count,
-        )
+            *map(np.concatenate, (self._occ_codes, self._occ_rids,
+                                  self._occ_positions, self._occ_strands)),
+            min_count, max_count)
 
     def finalize_shards(self, boundaries: np.ndarray, min_count: int = 2,
                         max_count: int | None = None) -> Iterator[RetainedKmers]:
@@ -366,30 +381,19 @@ class KmerHashTablePartition:
         n_shards = int(boundaries.size) + 1
         shard_batches: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(n_shards)]
         while self._occ_codes:
-            codes = self._occ_codes.pop(0)
-            rids = self._occ_rids.pop(0)
-            positions = self._occ_positions.pop(0)
-            strands = self._occ_strands.pop(0)
-            shard_of = np.searchsorted(boundaries, codes, side="right")
+            batch = (self._occ_codes.pop(0), self._occ_rids.pop(0),
+                     self._occ_positions.pop(0), self._occ_strands.pop(0))
+            shard_of = np.searchsorted(boundaries, batch[0], side="right")
             for shard in np.unique(shard_of):
                 mask = shard_of == shard
-                shard_batches[shard].append(
-                    (codes[mask], rids[mask], positions[mask], strands[mask])
-                )
+                shard_batches[shard].append(tuple(column[mask] for column in batch))
         self.retained_peak_nbytes = 0
         for shard in range(n_shards):
             batches = shard_batches[shard]
             shard_batches[shard] = []  # release the raw buffers of this shard
-            if batches:
-                retained = _finalize_arrays(
-                    np.concatenate([b[0] for b in batches]),
-                    np.concatenate([b[1] for b in batches]),
-                    np.concatenate([b[2] for b in batches]),
-                    np.concatenate([b[3] for b in batches]),
-                    min_count, max_count,
-                )
-            else:
-                retained = RetainedKmers.empty()
+            retained = (_finalize_arrays(*map(np.concatenate, zip(*batches)),
+                                         min_count, max_count)
+                        if batches else RetainedKmers.empty())
             self.retained_peak_nbytes = max(self.retained_peak_nbytes, retained.nbytes)
             yield retained
             # Drop the generator frame's own reference before the next
@@ -406,21 +410,14 @@ class KmerHashTablePartition:
         partition's buffers are cleared, so the raw batches are not retained
         alongside the index.
         """
-        if not self._occ_codes:
-            empty_i = np.empty(0, dtype=np.int64)
-            return (np.empty(0, dtype=np.uint64), empty_i, empty_i.copy(),
-                    np.empty(0, dtype=bool))
-        arrays = (
-            np.concatenate(self._occ_codes),
-            np.concatenate(self._occ_rids),
-            np.concatenate(self._occ_positions),
-            np.concatenate(self._occ_strands),
-        )
-        self._occ_codes = []
-        self._occ_rids = []
-        self._occ_positions = []
-        self._occ_strands = []
-        return arrays
+        columns = tuple(
+            np.concatenate(batches) if batches else np.empty(0, dtype=dtype)
+            for batches, dtype in ((self._occ_codes, np.uint64), (self._occ_rids, np.int64),
+                                   (self._occ_positions, np.int64),
+                                   (self._occ_strands, bool)))
+        self._occ_codes, self._occ_rids, self._occ_positions, self._occ_strands = (
+            [], [], [], [])
+        return columns
 
     # -- introspection ----------------------------------------------------------------------
 
@@ -442,13 +439,78 @@ class KmerHashTablePartition:
         return total
 
 
+def _packed_field_bits(codes: np.ndarray, rids: np.ndarray,
+                       positions: np.ndarray) -> tuple[int, int] | None:
+    """``(rid bits, position bits)`` of the packed occurrence key, or None.
+
+    The key packs ``code | rid | position | strand`` from the most
+    significant bit down, each field as wide as its largest value; it
+    exists only when every field is non-negative and ``bits(max code) +
+    bits(max rid) + bits(max position) + 1 <= 64`` (``k = 31`` with
+    thousands of reads does not fit).
+    """
+    code_bits = max(int(codes.max()).bit_length(), 1)
+    rid_bits = int(rids.max()).bit_length()
+    position_bits = int(positions.max()).bit_length()
+    if (code_bits + rid_bits + position_bits + 1 > 64
+            or int(rids.min()) < 0 or int(positions.min()) < 0):
+        return None
+    return rid_bits, position_bits
+
+
+def _canonical_sort(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                    strands: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sort occurrences into canonical ``(code, rid, position, strand)`` order.
+
+    When the fields fit one word (:func:`_packed_field_bits`), each
+    occurrence becomes one ``uint64`` key, the keys get one ``np.sort`` and
+    the columns are decoded back from them — the packed hit array minimap
+    sorts.  Otherwise a 4-key ``np.lexsort`` gives the same order.  Rows
+    equal on every field are indistinguishable, so the result does not
+    depend on the input order.
+    """
+    bits = _packed_field_bits(codes, rids, positions) if codes.size else None
+    if bits is None:
+        order = np.lexsort((strands, positions, rids, codes))
+        return codes[order], rids[order], positions[order], strands[order]
+
+    rid_bits, position_bits = bits
+    one = np.uint64(1)
+    rid_shift = np.uint64(position_bits + 1)
+    code_shift = np.uint64(position_bits + 1 + rid_bits)
+    key = codes << code_shift
+    for column, shift in ((rids, rid_shift), (positions, one)):
+        field = column.astype(np.uint64)
+        field <<= shift
+        key |= field
+    del field
+    key |= strands
+    key.sort()
+
+    def decode(shift: np.uint64, n_bits: int) -> np.ndarray:
+        column = key >> shift
+        column &= np.uint64((1 << n_bits) - 1)
+        return column.view(np.int64)
+
+    return (key >> code_shift, decode(rid_shift, rid_bits),
+            decode(one, position_bits), (key & one).astype(bool))
+
+
+def _group_table(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                 strands: np.ndarray) -> RetainedKmers:
+    """The unfiltered :class:`RetainedKmers` of occurrences sorted by code."""
+    starts = _group_starts(codes)
+    return RetainedKmers(codes=codes[starts], offsets=np.append(starts, codes.size),
+                         rids=rids, positions=positions, strands=strands)
+
+
 class ShardedKmerIndex:
-    """A resident, incrementally-built sharded k-mer occurrence index.
+    """A resident, build-once sharded k-mer occurrence index.
 
     This is the *serve-phase* counterpart of :class:`KmerHashTablePartition`:
     where the batch pipeline buffers occurrences for one run and consumes
     them shard by shard, this index keeps one rank's occurrences resident —
-    bucketed by the same contiguous code ranges (:func:`shard_code_boundaries`)
+    split by the same contiguous code ranges (:func:`shard_code_boundaries`)
     — so repeated query batches can probe it without rebuilding anything.
 
     Invariants:
@@ -458,12 +520,15 @@ class ShardedKmerIndex:
       occurrences are sorted by ``(code, rid, position, strand)``.  Its
       ``codes`` / ``offsets`` are the shard's group table (unique codes,
       group starts, group counts as ``np.diff(offsets)``); no other copy of
-      the shard stays resident.  The sort runs once, at build
-      (:meth:`sort`).  Occurrences inserted after a shard was sorted wait in
-      a pending buffer and are merged in, with a fresh sort, on the shard's
-      next use.  Every view — :meth:`retained`, :meth:`retained_counts`,
+      the shard stays resident.  The constructor sorts the whole occurrence
+      stream once — one ``np.sort`` of packed 64-bit keys when the fields
+      fit a word, a 4-key ``lexsort`` when they do not
+      (:func:`_canonical_sort`) — and, shards being code ranges, cuts every
+      shard from the one sorted array with a ``searchsorted`` of the
+      boundaries.  The index is built once: nothing is inserted later.
+      Every view — :meth:`retained`, :meth:`retained_counts`,
       :meth:`merged_shard`, :meth:`digest` — reads the canonical storage, so
-      none depends on how the occurrence stream was batched or ordered.
+      none depends on how the occurrence stream was ordered.
     * **All occurrences kept** — the Bloom candidate gate is not applied
       (see :meth:`KmerHashTablePartition.accept_all_keys`): an index-side
       singleton must stay queryable because a query batch can lift its union
@@ -471,16 +536,22 @@ class ShardedKmerIndex:
       are applied by the views, never by storage.
     """
 
-    def __init__(self, boundaries: np.ndarray) -> None:
+    def __init__(self, boundaries: np.ndarray, codes: np.ndarray, rids: np.ndarray,
+                 positions: np.ndarray, strands: np.ndarray) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.uint64)
         self.n_shards = int(self.boundaries.size) + 1
-        self._pending: list[list[tuple[np.ndarray, ...]]] = [
-            [] for _ in range(self.n_shards)
-        ]
-        self._sorted: list[RetainedKmers] = [
-            RetainedKmers.empty() for _ in range(self.n_shards)
-        ]
-        self.n_occurrences = 0
+        codes = np.asarray(codes, dtype=np.uint64)
+        rids = np.asarray(rids, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        strands = np.asarray(strands, dtype=bool)
+        if not (codes.size == rids.size == positions.size == strands.size):
+            raise ValueError("codes, rids, positions and strands must have equal length")
+        self.n_occurrences = int(codes.size)
+        columns = _canonical_sort(codes, rids, positions, strands)
+        cuts = [0, *np.searchsorted(columns[0], self.boundaries).tolist(),
+                self.n_occurrences]
+        self._shards = [_group_table(*(column[lo:hi] for column in columns))
+                        for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     @classmethod
     def from_partition(cls, partition: KmerHashTablePartition,
@@ -490,71 +561,7 @@ class ShardedKmerIndex:
         The partition's raw buffers are consumed (released), so the caller
         holds exactly one copy of the occurrence stream afterwards.
         """
-        index = cls(boundaries)
-        index.insert_batch(*partition.drain_occurrences())
-        return index
-
-    def insert_batch(self, codes: np.ndarray, rids: np.ndarray,
-                     positions: np.ndarray, strands: np.ndarray) -> int:
-        """Add one batch of occurrences, bucketing them by code-range shard.
-
-        The batch waits in its shards' pending buffers until each shard's
-        next use sorts it into the canonical storage.  Returns the number of
-        occurrences inserted.
-        """
-        codes = np.asarray(codes, dtype=np.uint64)
-        rids = np.asarray(rids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        strands = np.asarray(strands, dtype=bool)
-        if not (codes.size == rids.size == positions.size == strands.size):
-            raise ValueError("codes, rids, positions and strands must have equal length")
-        if codes.size == 0:
-            return 0
-        shard_of = np.searchsorted(self.boundaries, codes, side="right")
-        for shard in np.unique(shard_of):
-            mask = shard_of == shard
-            self._pending[shard].append(
-                (codes[mask], rids[mask], positions[mask], strands[mask])
-            )
-        self.n_occurrences += int(codes.size)
-        return int(codes.size)
-
-    # -- canonical storage ---------------------------------------------------
-
-    def sort(self) -> None:
-        """Sort every shard's pending occurrences into canonical storage."""
-        for shard in range(self.n_shards):
-            self._sorted_shard(shard)
-
-    def _sorted_shard(self, shard: int) -> RetainedKmers:
-        """Shard *shard*'s canonical storage, merging in pending occurrences."""
-        pending = self._pending[shard]
-        if not pending:
-            return self._sorted[shard]
-        self._pending[shard] = []
-        stored = self._sorted[shard]
-        if stored.n_occurrences:
-            pending.insert(0, (np.repeat(stored.codes, stored.counts()),
-                               stored.rids, stored.positions, stored.strands))
-        if len(pending) == 1:
-            codes, rids, positions, strands = pending[0]
-        else:
-            codes, rids, positions, strands = (
-                np.concatenate([batch[column] for batch in pending])
-                for column in range(4)
-            )
-        del pending, stored  # the batches are garbage once concatenated
-        order = np.lexsort((strands, positions, rids, codes))
-        codes = codes[order]
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        self._sorted[shard] = RetainedKmers(
-            codes=codes[starts],
-            offsets=np.append(starts, codes.size).astype(np.int64),
-            rids=rids[order],
-            positions=positions[order],
-            strands=strands[order],
-        )
-        return self._sorted[shard]
+        return cls(boundaries, *partition.drain_occurrences())
 
     # -- retained views ------------------------------------------------------
 
@@ -566,8 +573,8 @@ class ShardedKmerIndex:
         """
         _validate_count_filters(min_count, max_count)
         n_kmers = n_occurrences = 0
-        for shard in range(self.n_shards):
-            counts = self._sorted_shard(shard).counts()
+        for stored in self._shards:
+            counts = stored.counts()
             kept = counts[_count_filter(counts, min_count, max_count)]
             n_kmers += int(kept.size)
             n_occurrences += int(kept.sum())
@@ -583,7 +590,7 @@ class ShardedKmerIndex:
         ``(rid, position, strand)`` order rather than insertion order.
         """
         _validate_count_filters(min_count, max_count)
-        shards = [self._sorted_shard(shard) for shard in range(self.n_shards)]
+        shards = self._shards
         counts = np.concatenate([stored.counts() for stored in shards])
         whole = RetainedKmers(
             codes=np.concatenate([stored.codes for stored in shards]),
@@ -652,7 +659,7 @@ class ShardedKmerIndex:
             into the merge.
         """
         _validate_count_filters(min_count, max_count)
-        stored = self._sorted_shard(shard)
+        stored = self._shards[shard]
         q_codes = np.asarray(q_codes, dtype=np.uint64)
         hit = np.unique(q_codes)
         slot = np.searchsorted(stored.codes, hit)
@@ -668,28 +675,15 @@ class ShardedKmerIndex:
             [hits.positions, np.asarray(q_positions, dtype=np.int64)])
         strands = np.concatenate([hits.strands, np.asarray(q_strands, dtype=bool)])
 
-        order = np.lexsort((positions, order_key[rids], codes))
-        codes, rids, positions, strands = (
-            codes[order], rids[order], positions[order], strands[order]
-        )
+        def keep(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
+            group_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+            index_counts = np.bincount(group_of[rids[order] < n_index_reads],
+                                       minlength=counts.size)
+            return (_count_filter(counts, min_count, max_count)
+                    & (index_counts >= 1) & (index_counts < counts))
 
-        unique_codes, group_starts, counts = np.unique(
-            codes, return_index=True, return_counts=True
-        )
-        group_of = np.repeat(np.arange(unique_codes.size, dtype=np.int64), counts)
-        index_counts = np.bincount(
-            group_of[rids < n_index_reads], minlength=unique_codes.size
-        )
-        keep = (_count_filter(counts, min_count, max_count)
-                & (index_counts >= 1) & (index_counts < counts))
-        offsets, take = _group_take(group_starts[keep], counts[keep])
-        merged = RetainedKmers(
-            codes=unique_codes[keep].astype(np.uint64),
-            offsets=offsets,
-            rids=rids[take].astype(np.int64),
-            positions=positions[take].astype(np.int64),
-            strands=strands[take].astype(bool),
-        )
+        merged = _kept_groups(codes, rids, positions, strands,
+                              np.lexsort((positions, order_key[rids], codes)), keep)
         return merged, hits.n_occurrences
 
     # -- introspection -------------------------------------------------------
@@ -697,11 +691,7 @@ class ShardedKmerIndex:
     @property
     def nbytes(self) -> int:
         """Resident memory of the shards (occurrences and group tables) in bytes."""
-        total = sum(stored.nbytes for stored in self._sorted)
-        for pending in self._pending:
-            for batch in pending:
-                total += sum(int(a.nbytes) for a in batch)
-        return total
+        return sum(stored.nbytes for stored in self._shards)
 
     def digest(self) -> int:
         """A 63-bit content digest of the index, independent of insertion order.
@@ -714,7 +704,7 @@ class ShardedKmerIndex:
         """
         h = hashlib.blake2b(digest_size=8)
         for shard in range(self.n_shards):
-            stored = self._sorted_shard(shard)
+            stored = self._shards[shard]
             h.update(np.repeat(stored.codes, stored.counts()).tobytes())
             h.update(stored.rids.tobytes())
             h.update(stored.positions.tobytes())

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 
 def probability_correct_kmer(error_rate: float, k: int) -> float:
     """Probability that a single k-mer is sequenced with no errors: (1-e)^k."""
@@ -82,6 +80,26 @@ def optimal_k(
     return best
 
 
+def poisson_quantile(q: float, mean: float) -> int:
+    """Smallest ``n`` with ``P(X <= n) >= q`` for ``X ~ Poisson(mean)``.
+
+    Accumulates the CDF term by term with the pmf recurrence
+    ``p(n) = p(n - 1) · mean / n``, carried in log space so a large mean
+    does not underflow ``p(0) = exp(-mean)``.  Same values as
+    ``scipy.stats.poisson.ppf`` without importing scipy.
+    """
+    n, log_p = 0, -mean
+    cdf = math.exp(log_p)
+    while cdf < q:
+        n += 1
+        log_p += math.log(mean / n)
+        term = math.exp(log_p)
+        if n > mean and cdf + term == cdf:
+            break  # the tail no longer moves the sum: q is within rounding of 1
+        cdf += term
+    return n
+
+
 def high_frequency_threshold(
     coverage: float,
     error_rate: float,
@@ -108,7 +126,7 @@ def high_frequency_threshold(
         raise ValueError("tail_probability must be in (0, 1)")
     mean_count = coverage * probability_correct_kmer(error_rate, k)
     mean_count = max(mean_count, 1e-6)
-    quantile = stats.poisson.ppf(1.0 - tail_probability, mean_count)
+    quantile = poisson_quantile(1.0 - tail_probability, mean_count)
     m = int(math.ceil(repeat_margin * max(quantile, 2.0)))
     return max(m, 4)
 

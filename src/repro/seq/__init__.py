@@ -13,7 +13,8 @@ diBELLA pipeline is built on:
   the :class:`PackedReadBlock` format the alignment-stage read exchange
   ships (see ``docs/wire-format.md``).
 * :mod:`repro.seq.kmer` — k-mer extraction, canonicalisation and 64-bit k-mer
-  codes, including the vectorised rolling extraction used by the pipeline.
+  codes, including the vectorised batch extraction used by the pipeline
+  (forward and reverse-complement codes built together by doubling).
 * :mod:`repro.seq.records` — :class:`Read` and :class:`ReadSet` containers.
 """
 

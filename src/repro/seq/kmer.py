@@ -174,6 +174,37 @@ def extract_kmers_with_strand(seq: str, spec: KmerSpec
     return canonical, positions, is_forward
 
 
+def _window_codes(bases: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and reverse-complement codes of every length-*k* window of *bases*.
+
+    Built by doubling rather than by rolling one base at a time: two
+    adjacent length-``p`` windows join into a length-``2p`` one as
+    ``fwd[t] << 2p | fwd[t + p]`` and ``rc[t + p] << 2p | rc[t]``, and the
+    power-of-two pieces named by the set bits of *k* join the same way into
+    the length-*k* codes — ``log2(k) + popcount(k)`` passes over the array
+    instead of *k*, with no per-k-mer bit reversal afterwards.
+    """
+    fwd_p, rc_p, p = bases, bases ^ np.uint64(3), 1
+    fwd = rc = bases[:0]
+    length = 0  # bases covered by fwd / rc so far
+    while True:
+        if k & p:
+            n = fwd_p.size - length  # windows of length (length + p)
+            if length == 0:
+                fwd, rc = fwd_p, rc_p
+            else:
+                fwd = (fwd[:n] << np.uint64(2 * p)) | fwd_p[length:length + n]
+                rc = (rc_p[length:length + n] << np.uint64(2 * length)) | rc[:n]
+            length += p
+        if 2 * p > k:
+            return fwd, rc
+        m = fwd_p.size - p  # windows of length 2p
+        shift = np.uint64(2 * p)
+        fwd_p, rc_p = ((fwd_p[:m] << shift) | fwd_p[p:p + m],
+                       (rc_p[p:p + m] << shift) | rc_p[:m])
+        p *= 2
+
+
 def extract_kmers_batch(
     seqs: Sequence[str], spec: KmerSpec, with_strand: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -188,11 +219,12 @@ def extract_kmers_batch(
     otherwise canonicalisation follows ``spec.canonical`` and ``is_forward``
     is empty.
 
-    The whole batch is encoded once and the rolling k-mer construction runs
-    over the single concatenated code array (k shifted-OR passes, no
-    per-read Python loop); windows spanning a read boundary are masked out
-    afterwards.  This is the batch counterpart of :func:`extract_kmer_codes`
-    and what the pipeline's streaming supersteps call.
+    The whole batch is encoded once and every window's forward and
+    reverse-complement code is built over the single concatenated code
+    array by doubling (:func:`_window_codes`, no per-read Python loop);
+    windows spanning a read boundary are masked out afterwards.  This is the
+    batch counterpart of :func:`extract_kmer_codes` and what the pipeline's
+    streaming supersteps call.
     """
     k = spec.k
     empty_u64 = np.empty(0, dtype=np.uint64)
@@ -206,16 +238,11 @@ def extract_kmers_batch(
     n = concat.size
     if n < k:
         return empty_u64, empty_i64, empty_i64, empty_bool
-
-    # Rolling construction over the concatenation: k shifted-OR passes build
-    # every window's code without materialising an (n, k) window matrix.
-    n_windows = n - k + 1
-    raw = np.zeros(n_windows, dtype=np.uint64)
-    for i in range(k):
-        raw = (raw << np.uint64(2)) | concat[i : n_windows + i]
+    raw, rc = _window_codes(concat, k)
 
     # A window starting at base t belongs to the read containing base t and
     # is valid only if it does not cross that read's end.
+    n_windows = n - k + 1
     starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
     read_of_base = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     read_index = read_of_base[:n_windows]
@@ -227,12 +254,10 @@ def extract_kmers_batch(
     positions = positions[valid]
 
     if with_strand:
-        rc = reverse_complement_code(raw, k)
-        codes = np.minimum(raw, rc)
-        is_forward = codes == raw
-        return codes, read_index, positions, is_forward
+        codes = np.minimum(raw, rc[valid])
+        return codes, read_index, positions, codes == raw
     if spec.canonical:
-        raw = canonicalize_codes(raw, k)
+        raw = np.minimum(raw, rc[valid])
     return raw, read_index, positions, empty_bool
 
 

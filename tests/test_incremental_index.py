@@ -1,19 +1,22 @@
-"""Incremental index parity: ``insert_batch`` splits vs one-shot ``finalize``.
+"""Resident index parity: the one-sort build vs one-shot ``finalize``.
 
 The serve phase's resident :class:`~repro.kmers.hashtable.ShardedKmerIndex`
-is built incrementally (``insert_batch``) and stored in canonical order —
-each shard sorted by ``(code, rid, position, strand)`` — while the batch
-pipeline builds its table in one finalise over the buffered occurrences.
-These tests pin the equivalences the build/serve split rests on:
+is built once from a rank's whole occurrence stream and stored in canonical
+order — each shard sorted by ``(code, rid, position, strand)``, by one sort
+of packed 64-bit keys or, when the fields do not fit a word, by a 4-key
+``lexsort`` — while the batch pipeline builds its table in one finalise
+over the buffered occurrences.  These tests pin the equivalences the
+build/serve split rests on:
 
-* any split of the same occurrence stream — however batched, for any shard
-  count, with inserts before or after a sort — yields retained views equal
-  to the one-shot :meth:`~repro.kmers.hashtable.KmerHashTablePartition.finalize`
+* any reordering of the same occurrence stream, for any shard count and on
+  either side of the 64-bit line, yields retained views equal to the
+  one-shot :meth:`~repro.kmers.hashtable.KmerHashTablePartition.finalize`
   oracle with each group's rows in canonical order;
 * the digest equals a 4-key ``lexsort`` of every occurrence, hashed;
 * ``merged_shard``, which gathers only the index groups a query batch hits,
   equals the full-concatenate merge it replaced (kept here as the oracle);
-* the pipeline-level index digest agrees across runtime backends.
+* the pipeline-level index digest agrees across runtime backends, and a
+  ``k = 31`` build takes the ``lexsort`` path and still matches the oracle.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import pytest
 
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
+from repro.kmers import hashtable
 from repro.kmers.hashtable import (
     KmerHashTablePartition,
     RetainedKmers,
     ShardedKmerIndex,
+    _packed_field_bits,
     shard_code_boundaries,
 )
 from repro.mpisim.backend import shutdown_rank_pools
@@ -37,6 +42,7 @@ from repro.seq.kmer import KmerSpec
 
 
 K = 8  # small code space so counts cross min/max thresholds often
+WIDE_K = 31  # a code space too wide for the packed 64-bit key
 N_READS = 40
 READ_LENGTH = 5000
 
@@ -139,25 +145,42 @@ def _assert_retained_equal(got: RetainedKmers, expected: RetainedKmers) -> None:
         np.testing.assert_array_equal(got_column, expected_column, err_msg=column)
 
 
-def _insert_in_batches(index: ShardedKmerIndex, stream, n_batches: int,
-                       sort_after_first: bool = False) -> None:
-    codes = stream[0]
-    bounds = [codes.size * i // n_batches for i in range(n_batches + 1)]
-    for batch, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        index.insert_batch(*(column[lo:hi] for column in stream))
-        if sort_after_first and batch == 0:
-            index.sort()
+def _reordered(stream, n_blocks: int, shuffle: bool = False):
+    """The same occurrence stream, reordered: cut into *n_blocks* blocks
+    laid out back to front, then (with *shuffle*) randomly permuted."""
+    bounds = [stream[0].size * i // n_blocks for i in range(n_blocks + 1)]
+    order = np.concatenate([np.arange(lo, hi) for lo, hi
+                            in zip(bounds[:-1], bounds[1:])][::-1])
+    if shuffle:
+        order = np.random.default_rng(n_blocks).permutation(order)
+    return tuple(column[order] for column in stream)
+
+
+def _with_ties(stream):
+    """*stream* plus rows that tie on (code, rid, position): 50 occurrences
+    repeated on the other strand, and 50 exact duplicates."""
+    return tuple(np.concatenate([column, flip(column[:50]), column[50:100]])
+                 for column, flip in zip(stream, (lambda c: c,) * 3 + (np.logical_not,)))
+
+
+def _widen(stream):
+    """*stream* with its codes spread over the ``WIDE_K`` code space: the
+    same groups in the same order, but a key too wide to pack in 64 bits."""
+    codes, *rest = stream
+    return (codes * np.uint64(4 ** (WIDE_K - K)), *rest)
 
 
 @pytest.mark.parametrize("n_shards", [1, 3, 4])
 @pytest.mark.parametrize("n_batches", [1, 2, 7])
 def test_insert_batch_splits_match_one_shot_finalize(n_shards, n_batches):
+    """The stream cut into *n_batches* blocks, fed back to front, builds the
+    one-shot ``finalize`` table."""
     rng = np.random.default_rng(42)
     stream = _occurrence_stream(rng, 3000)
     expected = _oracle(*stream, min_count=2, max_count=12)
 
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    _insert_in_batches(index, stream, n_batches)
+    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards),
+                             *_reordered(stream, n_batches))
 
     assert index.n_shards == n_shards
     assert index.n_occurrences == stream[0].size
@@ -165,25 +188,48 @@ def test_insert_batch_splits_match_one_shot_finalize(n_shards, n_batches):
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
-def test_insert_after_sort_is_merged_on_next_use(n_shards):
-    rng = np.random.default_rng(5)
-    stream = _occurrence_stream(rng, 2000)
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    _insert_in_batches(index, stream, 3, sort_after_first=True)
+@pytest.mark.parametrize("key", ["packed", "lexsort"])
+def test_both_sort_paths_match_the_oracles(key, n_shards):
+    """Either side of the 64-bit line, any order of a stream with ties gives
+    the ``finalize`` views and the ``lexsort`` digest."""
+    rng = np.random.default_rng(13)
+    stream, k = _with_ties(_occurrence_stream(rng, 2000)), K
+    if key == "lexsort":
+        stream, k = _widen(stream), WIDE_K
+    assert (_packed_field_bits(*stream[:3]) is None) == (key == "lexsort")
+    boundaries = shard_code_boundaries(k, n_shards)
+    expected = _oracle(*stream, min_count=1, max_count=None)
+    digest = _lexsort_digest(*stream, boundaries)
 
-    _assert_retained_equal(index.retained(min_count=2, max_count=None),
-                           _oracle(*stream, min_count=2, max_count=None))
-    assert index.digest() == _lexsort_digest(*stream, index.boundaries)
+    for order in (stream, tuple(column[::-1] for column in stream),
+                  _reordered(stream, 3, shuffle=True)):
+        index = ShardedKmerIndex(boundaries, *order)
+        _assert_retained_equal(index.retained(min_count=1), expected)
+        assert index.digest() == digest
+
+
+def test_packed_key_uses_the_full_word():
+    """A stream whose fields need exactly 64 bits still packs, one more bit
+    does not, and both build the same canonical storage."""
+    rids = np.array([3, 0, 3, 1], dtype=np.int64)        # 2 bits
+    positions = np.array([7, 7, 0, 5], dtype=np.int64)   # 3 bits
+    strands = np.array([True, False, False, True])
+    for code_bits, packs in ((58, True), (59, False)):
+        top = np.uint64((1 << code_bits) - 1)
+        codes = np.array([top, 0, top, 0], dtype=np.uint64)
+        assert (_packed_field_bits(codes, rids, positions) is not None) == packs
+        index = ShardedKmerIndex(shard_code_boundaries(31, 2), codes, rids,
+                                 positions, strands)
+        _assert_retained_equal(index.retained(min_count=1),
+                               _oracle(codes, rids, positions, strands, 1, None))
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
 def test_shard_views_concatenate_to_the_whole(n_shards):
     rng = np.random.default_rng(7)
     stream = _occurrence_stream(rng, 1500)
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    index.insert_batch(*stream)
-    whole = ShardedKmerIndex(shard_code_boundaries(K, 1))
-    whole.insert_batch(*stream)
+    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards), *stream)
+    whole = ShardedKmerIndex(shard_code_boundaries(K, 1), *stream)
 
     for min_count, max_count in ((1, None), (2, None), (2, 6)):
         view = index.retained(min_count=min_count, max_count=max_count)
@@ -194,7 +240,10 @@ def test_shard_views_concatenate_to_the_whole(n_shards):
 
 
 def test_retained_counts_validates_filters():
-    index = ShardedKmerIndex(shard_code_boundaries(K, 2))
+    empty = np.empty(0, dtype=np.int64)
+    index = ShardedKmerIndex(shard_code_boundaries(K, 2), empty.astype(np.uint64),
+                             empty, empty, empty.astype(bool))
+    assert index.retained_counts(min_count=1) == (0, 0)
     with pytest.raises(ValueError):
         index.retained_counts(min_count=0)
     with pytest.raises(ValueError):
@@ -205,9 +254,7 @@ def test_retained_counts_validates_filters():
 def test_nbytes_counts_the_group_table(n_shards):
     rng = np.random.default_rng(3)
     stream = _occurrence_stream(rng, 1000)
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards))
-    index.insert_batch(*stream)
-    index.sort()
+    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards), *stream)
     # Every occurrence plus, per shard, its unique codes and group offsets
     # (one more offset than groups, so each extra shard adds 8 bytes).
     assert index.nbytes == index.retained(min_count=1).nbytes + 8 * (n_shards - 1)
@@ -215,31 +262,19 @@ def test_nbytes_counts_the_group_table(n_shards):
 
 def test_digest_is_insertion_order_independent():
     rng = np.random.default_rng(11)
-    codes, rids, positions, strands = _occurrence_stream(rng, 700)
-    # Rows that tie on (code, rid, position): the same occurrence on the
-    # other strand, and exact duplicates.
-    stream = (np.concatenate([codes, codes[:50], codes[50:100]]),
-              np.concatenate([rids, rids[:50], rids[50:100]]),
-              np.concatenate([positions, positions[:50], positions[50:100]]),
-              np.concatenate([strands, ~strands[:50], strands[50:100]]))
+    stream = _with_ties(_occurrence_stream(rng, 700))
     boundaries = shard_code_boundaries(K, 4)
 
-    forward = ShardedKmerIndex(boundaries)
-    forward.insert_batch(*stream)
+    forward = ShardedKmerIndex(boundaries, *stream)
     assert forward.digest() == _lexsort_digest(*stream, boundaries)
 
-    # Same occurrence set, inserted in reverse in two batches.
-    reverse = [column[::-1] for column in stream]
-    backward = ShardedKmerIndex(boundaries)
-    backward.insert_batch(*(column[:400] for column in reverse))
-    backward.insert_batch(*(column[400:] for column in reverse))
-
+    # Same occurrence set, in reverse.
+    backward = ShardedKmerIndex(boundaries, *(column[::-1] for column in stream))
     assert backward.digest() == forward.digest()
 
     # A different stream digests differently (sanity, not a collision proof).
     codes, rids, positions, strands = stream
-    other = ShardedKmerIndex(boundaries)
-    other.insert_batch(codes, rids, positions + 1, strands)
+    other = ShardedKmerIndex(boundaries, codes, rids, positions + 1, strands)
     assert forward.digest() != other.digest()
 
 
@@ -274,11 +309,11 @@ def _query_stream(rng, index_codes, n: int, *, absent_only: bool = False):
 
 
 @pytest.mark.parametrize("n_shards", [1, 3])
-@pytest.mark.parametrize("n_batches, sort_after_first", [(1, False), (3, False), (3, True)])
+@pytest.mark.parametrize("n_batches, shuffle", [(1, False), (3, False), (3, True)])
 @pytest.mark.parametrize("query", ["mixed", "absent", "empty"])
 @pytest.mark.parametrize("max_count", [None, 6])
 def test_merged_shard_matches_full_concatenate_merge(n_shards, n_batches,
-                                                     sort_after_first, query,
+                                                     shuffle, query,
                                                      max_count):
     rng = np.random.default_rng(101)
     boundaries = shard_code_boundaries(K, n_shards)
@@ -286,8 +321,7 @@ def test_merged_shard_matches_full_concatenate_merge(n_shards, n_batches,
     # shard holds no index occurrence (query occurrences still land there).
     code_hi = int(boundaries[-1]) if boundaries.size else 4**K
     stream = _occurrence_stream(rng, 2500, code_hi=code_hi, rid_hi=N_INDEX_READS)
-    index = ShardedKmerIndex(boundaries)
-    _insert_in_batches(index, stream, n_batches, sort_after_first)
+    index = ShardedKmerIndex(boundaries, *_reordered(stream, n_batches, shuffle))
 
     n_query = 0 if query == "empty" else 400
     q_stream = _query_stream(rng, np.unique(stream[0]), n_query,
@@ -339,3 +373,36 @@ def test_pipeline_index_digest_matches_across_backends(micro_dataset):
         reset_persistent_read_caches()
         reset_resident_indexes()
     assert digests["thread"] == digests["process"]
+
+
+def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
+    """At k = 31 the packed key does not fit, so ``build_index`` sorts with
+    the ``lexsort`` fallback — and still digests every rank's drained stream
+    as the oracle does."""
+    widths, drained = [], []
+    packed_field_bits = hashtable._packed_field_bits
+    drain = KmerHashTablePartition.drain_occurrences
+
+    def spy_bits(*columns):
+        widths.append(packed_field_bits(*columns))
+        return widths[-1]
+
+    def spy_drain(partition):
+        drained.append(drain(partition))
+        return drained[-1]
+
+    monkeypatch.setattr(hashtable, "_packed_field_bits", spy_bits)
+    monkeypatch.setattr(KmerHashTablePartition, "drain_occurrences", spy_drain)
+    config = PipelineConfig(kmer=KmerSpec(k=WIDE_K), coverage_hint=12.0,
+                            error_rate_hint=0.08).with_backend("thread")
+    try:
+        result = DibellaPipeline(config=config, topology=Topology.single_node(2)
+                                 ).build_index(micro_dataset.reads)
+    finally:
+        reset_persistent_read_caches()
+        reset_resident_indexes()
+    assert len(widths) == len(drained) == 2
+    assert widths == [None, None]
+    boundaries = shard_code_boundaries(WIDE_K, config.hash_table_shards)
+    assert result.counters["index_digest"] == sum(
+        _lexsort_digest(*stream, boundaries) for stream in drained)

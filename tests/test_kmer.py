@@ -224,6 +224,34 @@ class TestBatchExtraction:
             assert codes.size == 0 and read_index.size == 0
             assert positions.size == 0 and strands.size == 0
 
+    @pytest.mark.parametrize("k", range(1, 32))
+    def test_doubling_matches_the_string_oracle(self, k):
+        """Every k, odd and even: the doubled forward and reverse-complement
+        codes agree with ``iter_kmers`` and ``reverse_complement_code``."""
+        rng = np.random.default_rng(k)
+        lengths = [k + 40, k - 1, 0, k, 2 * k + 3]  # includes reads shorter than k
+        reads = ["".join("ACGT"[i] for i in rng.integers(0, 4, size=max(n, 0)))
+                 for n in lengths]
+        for batch in (reads, reads[-1:], reads[1:2], []):
+            want = [(i, pos, kmer_string_to_code(kmer))
+                    for i, read in enumerate(batch)
+                    for pos, kmer in enumerate(iter_kmers(read, k))]
+            forward = np.array([code for _, _, code in want], dtype=np.uint64)
+            rc = np.array([reverse_complement_code(int(c), k) for c in forward],
+                          dtype=np.uint64)
+            canonical = np.minimum(forward, rc)
+            where = ([i for i, _, _ in want], [pos for _, pos, _ in want])
+
+            got = extract_kmers_batch(batch, KmerSpec(k=k), with_strand=True)
+            for column, expected in zip(got, (canonical, *where, canonical == forward)):
+                np.testing.assert_array_equal(column, expected)
+            for spec, expected in ((KmerSpec(k=k), canonical),
+                                   (KmerSpec(k=k, canonical=False), forward)):
+                got = extract_kmers_batch(batch, spec)
+                np.testing.assert_array_equal(got[0], expected)
+                np.testing.assert_array_equal(got[1], where[0])
+                np.testing.assert_array_equal(got[2], where[1])
+
     def test_short_reads_between_long_ones(self):
         reads = ["ACGTACGTAC", "AC", "", "GGGTTTCCCA"]
         codes, read_index, positions, _ = extract_kmers_batch(reads, KmerSpec(k=5))

@@ -2,7 +2,7 @@
 
 diBELLA performs each pairwise alignment on a single node with an x-drop
 seed-and-extend kernel (the SeqAn implementation in the original, §2).  This
-subpackage provides that kernel plus two reference kernels used for testing
+subpackage provides that kernel plus the reference kernels used for testing
 and for the kernel-choice ablation:
 
 * :mod:`repro.align.smith_waterman` — full O(|s|·|t|) local alignment
@@ -12,10 +12,14 @@ and for the kernel-choice ablation:
   mismatches", §2).
 * :mod:`repro.align.xdrop` — seed-and-extend with x-drop termination
   ("terminate early when the alignment score drops significantly", §2),
-  the production kernel.
-* :mod:`repro.align.batch` — a batch executor that runs a list of alignment
-  tasks with any kernel and accumulates the DP-cell work counters the cost
-  model needs.
+  the unbounded scalar reference of the production kernel.
+* :mod:`repro.align.batched_xdrop` — the task-batched banded x-drop
+  kernel stage 4 runs: one call extends a whole batch of (a, b) code-array
+  pairs and returns an ``(n, 4)`` array of scores, reaches and DP cells.
+* :mod:`repro.align.batch` — stage 4's entry point: ``batched_xdrop_align``
+  takes a rank's ``TaskBatch`` columns and its ``ReadCache`` and returns one
+  record per task (score, aligned intervals, DP cells); ``align_task`` runs
+  one task through any of the reference kernels.
 
 All kernels count the DP cells they actually fill; that count is the
 alignment stage's work measure (divergent pairs terminate early and fill far
@@ -27,7 +31,7 @@ from repro.align.results import AlignmentResult, ExtensionResult
 from repro.align.smith_waterman import smith_waterman
 from repro.align.banded import banded_smith_waterman
 from repro.align.xdrop import xdrop_extend, xdrop_seed_extend
-from repro.align.batch import AlignmentTask, BatchAligner, align_task
+from repro.align.batch import AlignmentTask, TaskBatch, align_task, batched_xdrop_align
 from repro.align.read_cache import ReadCache
 
 __all__ = [
@@ -39,7 +43,8 @@ __all__ = [
     "xdrop_extend",
     "xdrop_seed_extend",
     "AlignmentTask",
-    "BatchAligner",
+    "TaskBatch",
     "align_task",
+    "batched_xdrop_align",
     "ReadCache",
 ]

@@ -1,19 +1,19 @@
-"""Batch execution of alignment tasks.
+"""Stage-4 alignment: one batched x-drop call over a rank's task arrays.
 
-The alignment stage of the pipeline receives, on every rank, a list of
-alignment *tasks* — (read pair, seed) tuples — and runs the chosen kernel on
-each locally ("once the reads are communicated, the alignment computation can
-proceed independently in parallel", §9).  The :class:`BatchAligner` is that
-local executor: it resolves read sequences, dispatches to the kernel, applies
-the alignment-quality cutoff, and accumulates the work counters (alignments
-performed, DP cells filled) that drive the performance projection and the
-load-imbalance analysis.
+The alignment stage of the pipeline receives, on every rank, a flat batch of
+alignment *tasks* — (read pair, seed) rows — and aligns them all locally
+("once the reads are communicated, the alignment computation can proceed
+independently in parallel", §9).  :func:`batched_xdrop_align` is that step:
+arrays in (a :class:`TaskBatch` plus the rank's :class:`ReadCache`), arrays
+out (one record per task).  :func:`align_task` runs one task through the
+unbounded reference kernels (x-drop, banded or full Smith–Waterman) for the
+tests and the kernel-choice ablation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -30,10 +30,16 @@ from repro.align.smith_waterman import smith_waterman
 from repro.align.xdrop import xdrop_seed_extend
 from repro.seq.alphabet import reverse_complement
 
+#: One row of :func:`batched_xdrop_align`'s result: the score, the aligned
+#: half-open interval on each read (read B in its task orientation) and the
+#: DP cells the two extensions filled.
+RESULT_DTYPE = np.dtype([(name, np.int64) for name in
+                         ("score", "start_a", "end_a", "start_b", "end_b", "cells")])
+
 
 @dataclass(frozen=True)
 class AlignmentTask:
-    """One pairwise alignment to perform.
+    """One pairwise alignment to perform (the input of :func:`align_task`).
 
     Attributes
     ----------
@@ -60,11 +66,11 @@ class AlignmentTask:
 class TaskBatch:
     """A flat batch of alignment tasks, structure-of-arrays style.
 
-    The overlap stage emits one of these per rank instead of a Python list of
-    :class:`AlignmentTask` objects, so task construction and the
-    alignment-stage bookkeeping (which reads are needed, which results were
-    accepted) stay vectorised.  The batch iterates as ``AlignmentTask``
-    objects for the kernels and any caller that wants per-task views.
+    The overlap stage emits one of these per rank, and the alignment stage
+    passes it straight to :func:`batched_xdrop_align`, so task construction
+    and the bookkeeping around the kernel (which reads are needed, which
+    results were accepted) stay vectorised.  The columns mean what the
+    :class:`AlignmentTask` fields of the same names mean.
     """
 
     rid_a: np.ndarray        # (n,) int64
@@ -82,20 +88,6 @@ class TaskBatch:
     def __len__(self) -> int:
         return int(self.rid_a.size)
 
-    def task(self, index: int) -> AlignmentTask:
-        """Materialise the *index*-th task."""
-        return AlignmentTask(
-            rid_a=int(self.rid_a[index]),
-            rid_b=int(self.rid_b[index]),
-            seed_pos_a=int(self.seed_pos_a[index]),
-            seed_pos_b=int(self.seed_pos_b[index]),
-            same_strand=bool(self.same_strand[index]),
-        )
-
-    def __iter__(self):
-        for index in range(len(self)):
-            yield self.task(index)
-
     def rids(self) -> np.ndarray:
         """Sorted unique RIDs referenced by any task in the batch."""
         if len(self) == 0:
@@ -108,129 +100,6 @@ class TaskBatch:
         return cls(rid_a=z, rid_b=z.copy(), seed_pos_a=z.copy(), seed_pos_b=z.copy(),
                    same_strand=np.empty(0, dtype=bool))
 
-    @classmethod
-    def from_tasks(cls, tasks: Iterable[AlignmentTask]) -> "TaskBatch":
-        """Build a batch from task objects (tests / compatibility helper)."""
-        task_list = list(tasks)
-        if not task_list:
-            return cls.empty()
-        return cls(
-            rid_a=np.array([t.rid_a for t in task_list], dtype=np.int64),
-            rid_b=np.array([t.rid_b for t in task_list], dtype=np.int64),
-            seed_pos_a=np.array([t.seed_pos_a for t in task_list], dtype=np.int64),
-            seed_pos_b=np.array([t.seed_pos_b for t in task_list], dtype=np.int64),
-            same_strand=np.array([t.same_strand for t in task_list], dtype=bool),
-        )
-
-
-@dataclass
-class BatchStats:
-    """Work counters accumulated by a :class:`BatchAligner`."""
-
-    alignments: int = 0
-    cells: int = 0
-    accepted: int = 0
-    total_score: int = 0
-
-    def record(self, result: AlignmentResult, accepted: bool) -> None:
-        """Fold one alignment result into the counters."""
-        self.alignments += 1
-        self.cells += result.cells
-        self.total_score += result.score
-        if accepted:
-            self.accepted += 1
-
-
-@dataclass
-class BatchAligner:
-    """Runs alignment tasks against a read-sequence lookup.
-
-    Parameters
-    ----------
-    sequences:
-        Mapping from RID to read sequence.  In the distributed pipeline this
-        holds the rank's local reads plus the remote reads fetched during the
-        alignment-stage exchange.
-    kernel:
-        ``"xdrop"`` (default, the production kernel), ``"banded"`` or
-        ``"full"``.
-    k:
-        Seed length (needed by the seeded kernels).
-    xdrop:
-        x-drop threshold for the x-drop kernel.
-    band:
-        Band half-width for the banded kernel.
-    min_score:
-        Alignments scoring below this are counted but not *accepted* —
-        diBELLA's output filter for low-quality alignments.
-    cache:
-        Optional :class:`~repro.align.read_cache.ReadCache` memoising the
-        encoded read buffers across tasks (and, in the pipeline, holding the
-        sequences fetched from remote ranks).  A private cache is created
-        when none is given, so encoded-buffer reuse and its hit/miss
-        accounting are always on.
-    """
-
-    sequences: Mapping[int, str]
-    kernel: str = "xdrop"
-    k: int = 17
-    scoring: ScoringScheme = field(default_factory=ScoringScheme)
-    xdrop: int = 25
-    band: int = DEFAULT_XDROP_BAND
-    min_score: int = 0
-    stats: BatchStats = field(default_factory=BatchStats)
-    cache: ReadCache = field(default_factory=ReadCache)
-
-    def __post_init__(self) -> None:
-        if self.kernel not in ("xdrop", "banded", "full"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-
-    def align(self, task: AlignmentTask) -> AlignmentResult:
-        """Run one task and update the counters.
-
-        Equivalent to ``align_all([task])[0]`` — in particular the x-drop
-        kernel goes through the same banded batched code path regardless of
-        batch size, so a task's score never depends on how it was batched.
-        """
-        if self.kernel == "xdrop":
-            return self.align_all([task])[0]
-        result = align_task(
-            task,
-            self.sequences,
-            kernel=self.kernel,
-            k=self.k,
-            scoring=self.scoring,
-            xdrop=self.xdrop,
-            band=self.band,
-        )
-        self.stats.record(result, accepted=result.score >= self.min_score)
-        return result
-
-    def align_all(self, tasks: Iterable[AlignmentTask]) -> list[AlignmentResult]:
-        """Run every task, returning results in task order.
-
-        For the x-drop kernel *all* tasks — including singleton batches — are
-        executed with the task-batched banded kernel
-        (:mod:`repro.align.batched_xdrop`), which amortises the interpreter
-        overhead over the whole batch and keeps scores independent of batch
-        size; the other kernels run task-by-task.
-        """
-        task_list = list(tasks)
-        if self.kernel != "xdrop" or not task_list:
-            return [self.align(task) for task in task_list]
-        results = batched_xdrop_align(
-            task_list,
-            self.sequences,
-            k=self.k,
-            scoring=self.scoring,
-            xdrop=self.xdrop,
-            band=self.band,
-            cache=self.cache,
-        )
-        for result in results:
-            self.stats.record(result, accepted=result.score >= self.min_score)
-        return results
-
 
 def align_task(
     task: AlignmentTask,
@@ -241,11 +110,11 @@ def align_task(
     xdrop: int = 25,
     band: int = DEFAULT_XDROP_BAND,
 ) -> AlignmentResult:
-    """Align one task with the requested kernel (stateless helper).
+    """Align one task with the requested reference kernel (stateless helper).
 
     The ``"xdrop"`` kernel here is the *unbounded* scalar reference
-    extension (:func:`repro.align.xdrop.xdrop_seed_extend`); the production
-    path used by :class:`BatchAligner` is the banded batched kernel.
+    extension (:func:`repro.align.xdrop.xdrop_seed_extend`); the pipeline
+    runs the banded batched kernel through :func:`batched_xdrop_align`.
     """
     scoring = scoring or ScoringScheme()
     try:
@@ -279,81 +148,70 @@ def align_task(
 
 
 def batched_xdrop_align(
-    tasks: list[AlignmentTask],
-    sequences: Mapping[int, str],
+    tasks: TaskBatch,
+    cache: ReadCache,
     k: int = 17,
     scoring: ScoringScheme | None = None,
     xdrop: int = 25,
     band: int = DEFAULT_XDROP_BAND,
-    cache: ReadCache | None = None,
-) -> list[AlignmentResult]:
-    """Run a list of tasks through the task-batched banded x-drop kernel.
+) -> np.recarray:
+    """Align every task with the task-batched banded x-drop kernel.
 
     Each task is split into a forward extension (from the end of its seed)
     and a backward extension (from the start of its seed, on reversed
-    prefixes); the two extension batches run vectorised across all tasks and
-    are recombined into per-task :class:`AlignmentResult` objects — the same
-    decomposition the scalar :func:`repro.align.xdrop.xdrop_seed_extend`
-    kernel uses.
+    prefixes); the two extension batches run through one
+    :func:`~repro.align.batched_xdrop.batched_extend` call each and are
+    recombined column-wise — the decomposition the scalar
+    :func:`repro.align.xdrop.xdrop_seed_extend` kernel uses.
 
-    Every distinct read is encoded at most once through *cache* (tasks share
-    reads heavily); reads appearing in cross-strand tasks get their reverse
-    complement derived once as well.  Passing a persistent cache carries the
-    buffers — and the hit/miss accounting — across calls.
+    Every read a task references must already be in *cache*.  The code
+    arrays come from it — one ``encoded(rid_a)`` and one
+    ``encoded``/``encoded_rc(rid_b)`` lookup per task, in task order — so
+    each distinct read (and reverse complement) is encoded at most once and
+    a persistent cache carries the buffers, and the hit/miss accounting,
+    across calls.
+
+    Returns
+    -------
+    numpy.recarray
+        One :data:`RESULT_DTYPE` row per task, in task order.  ``start_b`` /
+        ``end_b`` are coordinates on read B as the task orients it (reverse
+        complement coordinates for a cross-strand task).
     """
     scoring = scoring or ScoringScheme()
-    if not tasks:
-        return []
-
-    cache = cache if cache is not None else ReadCache()
-    if getattr(sequences, "cache", None) is not cache:
-        for rid in sorted({task.rid_a for task in tasks}
-                          | {task.rid_b for task in tasks}):
-            # put() refreshes (and drops stale encodings) if the mapping changed.
-            cache.put(rid, sequences[rid])
-    # else: *sequences* is this cache's own lazy view — the entries are
-    # already present, and re-putting would force the ASCII decode of every
-    # read that arrived 2-bit packed.
-
+    seeds: list[tuple[int, int]] = []
     fwd_a: list[np.ndarray] = []
     fwd_b: list[np.ndarray] = []
     back_a: list[np.ndarray] = []
     back_b: list[np.ndarray] = []
-    seeds: list[tuple[int, int]] = []
-    for task in tasks:
-        codes_a = cache.encoded(task.rid_a)
-        if task.same_strand:
-            codes_b = cache.encoded(task.rid_b)
-            seed_pos_b = task.seed_pos_b
+    columns = zip(tasks.rid_a.tolist(), tasks.rid_b.tolist(), tasks.seed_pos_a.tolist(),
+                  tasks.seed_pos_b.tolist(), tasks.same_strand.tolist())
+    for rid_a, rid_b, pos_a, pos_b, same_strand in columns:
+        codes_a = cache.encoded(rid_a)
+        if same_strand:
+            codes_b = cache.encoded(rid_b)
         else:
-            codes_b = cache.encoded_rc(task.rid_b)
-            seed_pos_b = codes_b.size - k - task.seed_pos_b
-        seed_a = min(max(0, task.seed_pos_a), max(0, codes_a.size - k))
-        seed_b = min(max(0, seed_pos_b), max(0, codes_b.size - k))
-        seeds.append((seed_a, seed_b))
-        fwd_a.append(codes_a[seed_a + k :])
-        fwd_b.append(codes_b[seed_b + k :])
-        back_a.append(codes_a[:seed_a][::-1])
-        back_b.append(codes_b[:seed_b][::-1])
+            codes_b = cache.encoded_rc(rid_b)
+            pos_b = codes_b.size - k - pos_b
+        # Clamp the seed so that degenerate positions near the read ends
+        # (possible when the k-mer sits at the very end) still form a task.
+        sa = min(max(0, pos_a), max(0, codes_a.size - k))
+        sb = min(max(0, pos_b), max(0, codes_b.size - k))
+        seeds.append((sa, sb))
+        fwd_a.append(codes_a[sa + k :])
+        fwd_b.append(codes_b[sb + k :])
+        back_a.append(codes_a[:sa][::-1])
+        back_b.append(codes_b[:sb][::-1])
 
+    seed_a, seed_b = np.array(seeds, dtype=np.int64).reshape(-1, 2).T
     config = BatchedExtensionConfig(xdrop=xdrop, band=band)
+    # Columns of both: score, length_a, length_b, cells.
     fwd = batched_extend(fwd_a, fwd_b, scoring, config)
     back = batched_extend(back_a, back_b, scoring, config)
-
-    results: list[AlignmentResult] = []
-    for task, (seed_a, seed_b), f, b in zip(tasks, seeds, fwd, back):
-        results.append(
-            AlignmentResult(
-                score=scoring.match * k + f.score + b.score,
-                start_a=seed_a - b.length_a,
-                end_a=seed_a + k + f.length_a,
-                start_b=seed_b - b.length_b,
-                end_b=seed_b + k + f.length_b,
-                cells=f.cells + b.cells,
-                kernel="xdrop",
-            )
-        )
-    return results
-
-
-KernelFunction = Callable[[AlignmentTask, Mapping[int, str]], AlignmentResult]
+    return np.rec.fromarrays(
+        [scoring.match * k + fwd[:, 0] + back[:, 0],
+         seed_a - back[:, 1], seed_a + k + fwd[:, 1],
+         seed_b - back[:, 2], seed_b + k + fwd[:, 2],
+         fwd[:, 3] + back[:, 3]],
+        dtype=RESULT_DTYPE,
+    )

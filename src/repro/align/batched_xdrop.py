@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.align.results import ExtensionResult
 from repro.align.scoring import ScoringScheme
 
 #: Sentinel code used to pad sequences; never equal to a real base code.
@@ -105,7 +104,7 @@ def batched_extend(
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
-) -> list[ExtensionResult]:
+) -> np.ndarray:
     """Extend every (a, b) pair from its origin (0, 0), banded with x-drop.
 
     Runs the compiled tier when it is available and the batch fits its int32
@@ -123,13 +122,16 @@ def batched_extend(
 
     Returns
     -------
-    list[ExtensionResult]
-        One result per task, in input order.
+    numpy.ndarray
+        ``(n, 4)`` int64, one row per task in input order: the best score,
+        how far the best-scoring cell reached into *a* and into *b* from the
+        origin, and the DP cells evaluated (the fields of
+        :class:`~repro.align.results.ExtensionResult`).
     """
     if len(seqs_a) != len(seqs_b):
         raise ValueError("seqs_a and seqs_b must have the same length")
     if not seqs_a:
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     kernel = native_kernel()
     if kernel is not None:
         results = _extend_native(kernel, seqs_a, seqs_b, scoring, config)
@@ -143,7 +145,7 @@ def _extend_numpy(
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
-) -> list[ExtensionResult]:
+) -> np.ndarray:
     """The NumPy kernel: all tasks advance one DP row per iteration."""
     n_tasks = len(seqs_a)
     match, mismatch, gap = scoring.match, scoring.mismatch, scoring.gap
@@ -233,15 +235,7 @@ def _extend_numpy(
         else:
             prev = current
 
-    return [
-        ExtensionResult(
-            score=int(best_score[t]),
-            length_a=int(best_i[t]),
-            length_b=int(best_j[t]),
-            cells=int(cells[t]),
-        )
-        for t in range(n_tasks)
-    ]
+    return np.stack([best_score, best_i, best_j, cells], axis=1)
 
 
 # -- compiled tier -----------------------------------------------------------
@@ -370,7 +364,7 @@ def _extend_native(
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
-) -> list[ExtensionResult] | None:
+) -> np.ndarray | None:
     """Run the compiled kernel; ``None`` when its int32 lanes (or the int64
     x-drop argument) could not represent the batch exactly."""
     a, a_off, len_a = _concat_codes(seqs_a)
@@ -388,5 +382,4 @@ def _extend_native(
            scoring.match, scoring.mismatch, scoring.gap,
            config.xdrop, config.band, max_rows,
            scratch.ctypes.data, out.ctypes.data)
-    return [ExtensionResult(score, length_a, length_b, cells)
-            for score, length_a, length_b, cells in out.tolist()]
+    return out

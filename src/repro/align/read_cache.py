@@ -5,12 +5,13 @@ encodes each read before extension.  Tasks share reads heavily (a read that
 overlaps many others appears in many tasks), so both the fetched sequence
 and its encoded buffer are worth caching per rank:
 
-* ``put``/``get_sequence`` hold fetched (or local) sequences keyed by RID, so
-  a RID already cached is never re-requested from its owner rank;
+* ``put`` holds local sequences keyed by RID, and :meth:`missing` filters
+  cached RIDs out of a fetch, so a RID already cached is never re-requested
+  from its owner rank;
 * ``put_packed`` inserts a read straight off the 2-bit packed wire format
   (see :mod:`repro.seq.packing`) **without** materialising its ASCII string —
-  the packed buffer is unpacked into a code array on first use and the
-  string is only ever decoded if a consumer explicitly asks for it;
+  the packed buffer is unpacked into a code array on first use, and nothing
+  decodes it back to text;
 * ``encoded``/``encoded_rc`` memoise the uint8 code arrays (forward and
   reverse-complement), so repeated tasks against the same read reuse one
   buffer instead of re-encoding per task.
@@ -33,11 +34,10 @@ are counted implicitly by the same measure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.seq.encoding import decode_sequence, encode_sequence
+from repro.seq.encoding import encode_sequence
 from repro.seq.packing import unpack_codes
 
 __all__ = ["ReadCache"]
@@ -47,9 +47,10 @@ __all__ = ["ReadCache"]
 class _Entry:
     """One cached read: at least one of ``sequence``/``codes``/``packed`` set.
 
-    ``sequence`` may be ``None`` for reads that arrived 2-bit packed and were
-    never needed as text; ``packed`` holds the undecoded wire bytes until the
-    first encoded-buffer access unpacks (and then drops) them.
+    ``sequence`` is ``None`` for reads that arrived 2-bit packed (unless a
+    matching :meth:`ReadCache.put` later supplied it); ``packed`` holds the
+    undecoded wire bytes until the first encoded-buffer access unpacks (and
+    then drops) them.
     """
 
     sequence: str | None = None
@@ -149,14 +150,6 @@ class ReadCache:
         self._entries[int(rid)] = _Entry(packed=np.asarray(packed, dtype=np.uint8),
                                          length=int(length))
 
-    def get_sequence(self, rid: int) -> str:
-        """The cached sequence of *rid*, decoding lazily (KeyError if absent)."""
-        entry = self._entries[rid]
-        self._touch(rid)
-        if entry.sequence is None:
-            entry.sequence = decode_sequence(self._codes_of(entry))
-        return entry.sequence
-
     def missing(self, rids: np.ndarray) -> np.ndarray:
         """The subset of *rids* not yet cached (the reads still to fetch).
 
@@ -170,19 +163,6 @@ class ReadCache:
         present = np.isin(rids, cached)
         self.fetch_hits += int(present.sum())
         return rids[~present]
-
-    def sequences(self) -> dict[int, str]:
-        """RID → sequence dict over everything cached.
-
-        Forces the lazy decode of every packed entry; the pipeline uses
-        :meth:`sequence_view` instead so fetched reads whose ASCII form is
-        never needed are never decoded.
-        """
-        return {rid: self.get_sequence(rid) for rid in self._entries}
-
-    def sequence_view(self) -> "_SequenceView":
-        """A read-only RID → sequence mapping that decodes lazily per access."""
-        return _SequenceView(self)
 
     def total_bases(self) -> int:
         """Total bases cached, computed without decoding packed entries."""
@@ -306,33 +286,3 @@ class ReadCache:
             "read_cache_evictions": self.evictions,
             "read_cache_evicted_bytes": self.evicted_bytes,
         }
-
-
-class _SequenceView(Mapping[int, str]):
-    """Lazy RID → sequence mapping over a :class:`ReadCache`.
-
-    Handed to the :class:`~repro.align.batch.BatchAligner` in place of a
-    materialised dict: the x-drop hot path consumes the memoised 2-bit
-    buffers directly, so a read fetched in packed form is only decoded to
-    ASCII if a string-consuming kernel (banded/full) actually subscripts it.
-    """
-
-    __slots__ = ("cache",)
-
-    def __init__(self, cache: ReadCache):
-        self.cache = cache
-
-    def __getitem__(self, rid: int) -> str:
-        try:
-            return self.cache.get_sequence(rid)
-        except KeyError:
-            raise KeyError(rid) from None
-
-    def __len__(self) -> int:
-        return len(self.cache)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.cache._entries)
-
-    def __contains__(self, rid: object) -> bool:
-        return rid in self.cache._entries

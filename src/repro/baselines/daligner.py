@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.align.batch import AlignmentTask, batched_xdrop_align
+from repro.align.batch import TaskBatch, batched_xdrop_align
+from repro.align.read_cache import ReadCache
 from repro.align.scoring import ScoringScheme
 from repro.seq.kmer import KmerSpec, extract_kmers_with_strand
 from repro.seq.records import ReadSet
@@ -179,24 +180,25 @@ class DalignerLikeOverlapper:
         # One alignment per pair, seeded by its first shared k-mer (DALIGNER
         # merges seed groups into one local alignment per diagonal band).
         t1 = time.perf_counter()
-        tasks: list[AlignmentTask] = []
-        for (ra, rb), seed_list in all_seeds.items():
-            if len(seed_list) < config.min_shared_kmers:
-                continue
-            pa, pb, same = seed_list[0]
-            tasks.append(AlignmentTask(rid_a=ra, rid_b=rb, seed_pos_a=pa,
-                                       seed_pos_b=pb, same_strand=same))
-        sequences = {rid: reads[rid].sequence for rid in range(len(reads))}
+        chosen = np.array([(ra, rb, *seed_list[0])
+                           for (ra, rb), seed_list in all_seeds.items()
+                           if len(seed_list) >= config.min_shared_kmers],
+                          dtype=np.int64).reshape(-1, 5)
+        tasks = TaskBatch(rid_a=chosen[:, 0], rid_b=chosen[:, 1], seed_pos_a=chosen[:, 2],
+                          seed_pos_b=chosen[:, 3], same_strand=chosen[:, 4].astype(bool))
+        cache = ReadCache()
+        for rid in tasks.rids().tolist():
+            cache.put(rid, reads[rid].sequence)
         results = batched_xdrop_align(
-            tasks, sequences, k=config.k, scoring=config.scoring,
+            tasks, cache, k=config.k, scoring=config.scoring,
             xdrop=config.xdrop, band=config.band,
         )
         alignment_seconds = time.perf_counter() - t1
 
         return DalignerResult(
-            overlap_pairs={(t.rid_a, t.rid_b) for t in tasks},
+            overlap_pairs=set(zip(tasks.rid_a.tolist(), tasks.rid_b.tolist())),
             n_alignments=len(results),
-            total_score=int(sum(r.score for r in results)),
+            total_score=int(results.score.sum()),
             seconds_sort_merge=sort_merge_seconds,
             seconds_alignment=alignment_seconds,
         )

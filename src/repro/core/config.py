@@ -99,8 +99,8 @@ class PipelineConfig:
     seed_strategy:
         Which shared seeds to align per overlapping pair (§5's one-seed /
         1 kbp separation / k separation settings).
-    kernel / xdrop / band / scoring / min_alignment_score:
-        Alignment-stage kernel configuration (§9).
+    xdrop / band / scoring / min_alignment_score:
+        Alignment-stage x-drop kernel configuration (§9).
     partition_strategy:
         How input reads are split across ranks (``"size"`` reproduces the
         paper's byte-balanced blocks).
@@ -208,7 +208,6 @@ class PipelineConfig:
     # as the named presets of --seed-strategy (the "dk" preset depends on -k),
     # so a scalar env default cannot express it.
     seed_strategy: SeedStrategy = field(default_factory=SeedStrategy.one_seed)
-    kernel: str = "xdrop"
     xdrop: int = 25
     band: int = DEFAULT_XDROP_BAND
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
@@ -279,8 +278,6 @@ class PipelineConfig:
             raise ValueError("hll_precision must be in [4, 18]")
         if self.batch_reads < 1:
             raise ValueError("batch_reads must be >= 1")
-        if self.kernel not in ("xdrop", "banded", "full"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         # Fail here, not in stage 4 after stages 1-3 have run.
         BatchedExtensionConfig(xdrop=self.xdrop, band=self.band)
         if self.partition_strategy not in ("size", "round_robin"):
@@ -387,7 +384,3 @@ class PipelineConfig:
     def with_seed_strategy(self, strategy: SeedStrategy) -> "PipelineConfig":
         """Copy of this config with a different seed strategy (bench helper)."""
         return replace(self, seed_strategy=strategy)
-
-    def with_kernel(self, kernel: str) -> "PipelineConfig":
-        """Copy of this config with a different alignment kernel (bench helper)."""
-        return replace(self, kernel=kernel)

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.align import batch as align_batch
 from repro.align import batched_xdrop
-from repro.align.batch import BatchAligner, TaskBatch
+from repro.align.batch import TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
@@ -684,8 +685,7 @@ def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> None:
     The reads are inserted **without decoding**: each read's packed bytes
     land in the cache as-is (:meth:`ReadCache.put_packed`) and are unpacked
     to a 2-bit code array only when the aligner first touches the read — the
-    ASCII string is never materialised unless a string-consuming kernel asks
-    for it.
+    ASCII string is never materialised.
     """
     for index, rid in enumerate(block.rids.tolist()):
         cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
@@ -755,24 +755,17 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     with timer.compute():
         for block in received:
             _unpack_read_block(block, cache)
-        aligner = BatchAligner(
-            sequences=cache.sequence_view(),
-            kernel=config.kernel,
-            k=config.kmer.k,
-            scoring=config.scoring,
-            xdrop=config.xdrop,
-            band=config.band,
-            min_score=config.min_alignment_score,
-            cache=cache,
-        )
-        results = aligner.align_all(tasks) if len(tasks) else []
-        n_results = len(results)
-        scores = np.fromiter((r.score for r in results), dtype=np.int64, count=n_results)
-        spans_a = np.fromiter((r.span_a for r in results), dtype=np.int64, count=n_results)
-        spans_b = np.fromiter((r.span_b for r in results), dtype=np.int64, count=n_results)
-        accepted = scores >= config.min_alignment_score
+        # Called through the module attribute, so a wrapper installed on
+        # ``repro.align.batch.batched_xdrop_align`` sees every kernel call.
+        results = np.recarray(0, dtype=align_batch.RESULT_DTYPE)
+        if len(tasks):
+            results = align_batch.batched_xdrop_align(
+                tasks, cache, k=config.kmer.k, scoring=config.scoring,
+                xdrop=config.xdrop, band=config.band)
+        accepted = results.score >= config.min_alignment_score
+        dp_cells = int(results.cells.sum())
 
-    state.work["alignment"] = float(aligner.stats.cells)
+    state.work["alignment"] = float(dp_cells)
     # Bytes of the reads this rank's tasks actually touch — deliberately not
     # the whole cache, which may also hold reads memoised while *serving*
     # peers (and, under the pool, previous runs' reads).
@@ -782,17 +775,16 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     # would break that promise).  The eviction counters land in this run's
     # delta below.
     cache.trim()
-    state.counters["alignments"] = aligner.stats.alignments
-    state.counters["accepted_alignments"] = aligner.stats.accepted
-    state.counters["dp_cells"] = aligner.stats.cells
+    state.counters["alignments"] = len(results)
+    state.counters["accepted_alignments"] = int(accepted.sum())
+    state.counters["dp_cells"] = dp_cells
     state.counters["remote_reads_fetched"] = int(to_fetch.size)
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
     # Checked only after aligning: asking earlier would build the compiled
     # tier on ranks (and runs) that align nothing.
     state.counters["align_native_ranks"] = int(
-        config.kernel == "xdrop" and aligner.stats.alignments > 0
-        and batched_xdrop.native_kernel() is not None
+        len(results) > 0 and batched_xdrop.native_kernel() is not None
     )
     # spmdlint: disable=SL004 keys come from ReadCache.counters(), all five
     # declared as the read_cache_* group in repro.core.counters.
@@ -802,11 +794,11 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     })
 
     state.accepted = (
-        state.tasks.rid_a[accepted].astype(np.int64),
-        state.tasks.rid_b[accepted].astype(np.int64),
-        scores[accepted],
-        spans_a[accepted],
-        spans_b[accepted],
+        tasks.rid_a[accepted].astype(np.int64),
+        tasks.rid_b[accepted].astype(np.int64),
+        results.score[accepted],
+        (results.end_a - results.start_a)[accepted],
+        (results.end_b - results.start_b)[accepted],
     )
 
 

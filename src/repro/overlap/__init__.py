@@ -12,6 +12,8 @@ to one processor" (§4).  This subpackage implements
   (one-seed, all seeds separated by ≥ d bases, d = k),
 * :mod:`repro.overlap.graph` — the read overlap graph as a networkx object,
   the "graph with reads as vertices and reliable k-mers as edges" of §4.
+  No pipeline stage builds it, so it is not re-exported here: import
+  ``repro.overlap.graph`` directly, and only that import loads networkx.
 """
 
 from repro.overlap.pairs import (
@@ -25,7 +27,6 @@ from repro.overlap.pairs import (
     OverlapTable,
 )
 from repro.overlap.seeds import select_seeds, select_seeds_batched, SeedStrategy
-from repro.overlap.graph import build_overlap_graph, overlap_graph_summary
 
 __all__ = [
     "PairBatch",
@@ -39,6 +40,4 @@ __all__ = [
     "select_seeds",
     "select_seeds_batched",
     "SeedStrategy",
-    "build_overlap_graph",
-    "overlap_graph_summary",
 ]

@@ -15,8 +15,8 @@ import inspect
 from repro.align import batched_xdrop
 from repro.align.banded import banded_smith_waterman
 from repro.align.batch import (
+    RESULT_DTYPE,
     AlignmentTask,
-    BatchAligner,
     TaskBatch,
     align_task,
     batched_xdrop_align,
@@ -26,6 +26,7 @@ from repro.align.batched_xdrop import (
     BatchedExtensionConfig,
     batched_extend,
 )
+from repro.align.read_cache import ReadCache
 from repro.align.results import AlignmentResult
 from repro.align.scoring import ScoringScheme
 from repro.align.smith_waterman import smith_waterman
@@ -34,6 +35,30 @@ from repro.seq.alphabet import reverse_complement
 from repro.seq.encoding import encode_sequence
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
+
+
+def task_batch(*tasks: AlignmentTask) -> TaskBatch:
+    """A TaskBatch with one row per task (test helper)."""
+    return TaskBatch(
+        rid_a=np.array([t.rid_a for t in tasks], dtype=np.int64),
+        rid_b=np.array([t.rid_b for t in tasks], dtype=np.int64),
+        seed_pos_a=np.array([t.seed_pos_a for t in tasks], dtype=np.int64),
+        seed_pos_b=np.array([t.seed_pos_b for t in tasks], dtype=np.int64),
+        same_strand=np.array([t.same_strand for t in tasks], dtype=bool),
+    )
+
+
+def cache_of(sequences: dict[int, str]) -> ReadCache:
+    """A ReadCache holding every read of *sequences* (test helper)."""
+    cache = ReadCache()
+    for rid, sequence in sequences.items():
+        cache.put(rid, sequence)
+    return cache
+
+
+def xdrop_align(tasks: list[AlignmentTask], sequences: dict[int, str], **kwargs):
+    """Run *tasks* through batched_xdrop_align with a fresh cache (test helper)."""
+    return batched_xdrop_align(task_batch(*tasks), cache_of(sequences), **kwargs)
 
 
 def mutate(seq: str, rate: float, seed: int) -> str:
@@ -224,22 +249,23 @@ class TestBatchedXdrop:
         a_enc = [encode_sequence(s) for s in seqs]
         results = batched_extend(a_enc, [a.copy() for a in a_enc], ScoringScheme(),
                                  BatchedExtensionConfig(xdrop=10, band=9))
-        for seq, res in zip(seqs, results):
-            assert res.score == len(seq)
-            assert res.length_a == len(seq)
+        for seq, (score, length_a, _, _) in zip(seqs, results):
+            assert score == len(seq)
+            assert length_a == len(seq)
 
     def test_empty_inputs(self):
-        assert batched_extend([], [], ScoringScheme(), BatchedExtensionConfig()) == []
+        empty = batched_extend([], [], ScoringScheme(), BatchedExtensionConfig())
+        assert empty.shape == (0, 4) and empty.dtype == np.int64
         res = batched_extend([np.empty(0, dtype=np.uint8)], [encode_sequence("ACG")],
                              ScoringScheme(), BatchedExtensionConfig())
-        assert res[0].score == 0
+        assert res[0, 0] == 0
 
     def test_divergent_pairs_terminate_early(self):
         rng = np.random.default_rng(7)
         a = [encode_sequence("".join("ACGT"[i] for i in rng.integers(0, 4, size=400)))]
         b = [encode_sequence("".join("ACGT"[i] for i in rng.integers(0, 4, size=400)))]
         res = batched_extend(a, b, ScoringScheme(), BatchedExtensionConfig(xdrop=10, band=17))
-        assert res[0].cells < 400 * 17 / 2  # stopped long before the end
+        assert res[0, 3] < 400 * 17 / 2  # stopped long before the end
 
     def test_mixed_batch_isolated(self):
         # One perfect pair and one hopeless pair in the same batch must not
@@ -249,8 +275,8 @@ class TestBatchedXdrop:
         bad_b = encode_sequence("CCCCCCCCCCCCCCCCCCCC")
         res = batched_extend([good, bad_a], [good.copy(), bad_b], ScoringScheme(),
                              BatchedExtensionConfig(xdrop=10, band=9))
-        assert res[0].score == 20
-        assert res[1].score == 0
+        assert res[0, 0] == 20
+        assert res[1, 0] == 0
 
     def test_close_to_scalar_on_noisy_overlaps(self):
         rng = np.random.default_rng(5)
@@ -262,12 +288,12 @@ class TestBatchedXdrop:
         enc_b = [encode_sequence(b) for _, b in tasks]
         batched = batched_extend(enc_a, enc_b, ScoringScheme(),
                                  BatchedExtensionConfig(xdrop=25, band=33))
-        for (a, b), res in zip(tasks, batched):
+        for (a, b), (score, _, _, _) in zip(tasks, batched):
             scalar = xdrop_extend(encode_sequence(a), encode_sequence(b),
                                   ScoringScheme(), xdrop=25)
             # The banded batch kernel may differ slightly from the unbounded
             # scalar extension but must be in the same ballpark.
-            assert res.score >= 0.7 * scalar.score
+            assert score >= 0.7 * scalar.score
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -277,6 +303,8 @@ class TestBatchedXdrop:
 
 
 class TestBatchAligner:
+    """Stage 4's batch alignment entry point, ``batched_xdrop_align``."""
+
     def _sequences(self):
         rng = np.random.default_rng(21)
         genome = "".join("ACGT"[i] for i in rng.integers(0, 4, size=600))
@@ -288,24 +316,20 @@ class TestBatchAligner:
 
     def test_align_single_task(self):
         seqs = self._sequences()
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
         task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
-        result = aligner.align(task)
+        result, = xdrop_align([task], seqs, k=17)
         assert result.score > 50
-        assert aligner.stats.alignments == 1
-        assert aligner.stats.cells > 0
+        assert result.cells > 0
 
     def test_align_all_uses_batched_path(self):
         seqs = self._sequences()
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
         tasks = [
             AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
             AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
         ]
-        results = aligner.align_all(tasks)
+        results = xdrop_align(tasks, seqs, k=17)
         assert len(results) == 2
-        assert aligner.stats.alignments == 2
-        assert all(r.score > 30 for r in results)
+        assert (results.score > 30).all()
 
     def test_cross_strand_task(self):
         seqs = self._sequences()
@@ -316,7 +340,7 @@ class TestBatchAligner:
                              same_strand=False)
         scalar = align_task(task, seqs, kernel="xdrop", k=17)
         assert scalar.score > 80
-        batched = batched_xdrop_align([task, task], seqs, k=17)
+        batched = xdrop_align([task, task], seqs, k=17)
         assert batched[0].score > 80
 
     def test_kernel_choices(self):
@@ -330,17 +354,26 @@ class TestBatchAligner:
     def test_missing_read_raises(self):
         with pytest.raises(KeyError):
             align_task(AlignmentTask(0, 99, 0, 0), {0: "ACGT"}, k=2)
+        with pytest.raises(KeyError):
+            xdrop_align([AlignmentTask(0, 99, 0, 0)], {0: "ACGT"}, k=2)
 
-    def test_invalid_kernel(self):
-        with pytest.raises(ValueError):
-            BatchAligner(sequences={}, kernel="bogus")
-
-    def test_min_score_accepts_counter(self):
-        seqs = {0: "ACGT" * 50, 1: "TTTT" * 50}
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=4, min_score=30)
-        aligner.align(AlignmentTask(0, 1, 0, 0))
-        assert aligner.stats.alignments == 1
-        assert aligner.stats.accepted == 0
+    def test_read_cache_lookups_per_task(self):
+        """One encoded(rid_a) and one encoded/encoded_rc(rid_b) lookup per
+        task, so the pipeline's read_cache_hits/misses counters stay pinned."""
+        seqs = self._sequences()
+        tasks = [
+            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
+            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
+            AlignmentTask(rid_a=0, rid_b=2, seed_pos_a=200, seed_pos_b=300 - 50 - 17,
+                          same_strand=False),
+        ]
+        cache = cache_of(seqs)
+        batched_xdrop_align(task_batch(*tasks), cache, k=17)
+        # Misses: read 0, read 1, read 2's reverse complement (its forward
+        # codes are derived uncounted); hits: the other three lookups.
+        assert (cache.hits, cache.misses) == (3, 3)
+        batched_xdrop_align(task_batch(*tasks), cache, k=17)
+        assert (cache.hits, cache.misses) == (9, 3)
 
     def test_batch_size_does_not_change_scores(self):
         """Regression: the same task must score identically in any batch.
@@ -357,26 +390,16 @@ class TestBatchAligner:
             AlignmentTask(rid_a=0, rid_b=2, seed_pos_a=200, seed_pos_b=300 - 50 - 17,
                           same_strand=False),
         ]
-        solo_results = [
-            BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all([task])[0]
-            for task in tasks
-        ]
-        batch_results = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all(tasks)
+        solo_results = [xdrop_align([task], seqs, k=17)[0] for task in tasks]
+        batch_results = xdrop_align(tasks, seqs, k=17)
         for solo, batched in zip(solo_results, batch_results):
             assert solo.score == batched.score
             assert (solo.start_a, solo.end_a, solo.start_b, solo.end_b) == (
                 batched.start_a, batched.end_a, batched.start_b, batched.end_b)
 
-    def test_align_matches_align_all_singleton(self):
-        seqs = self._sequences()
-        task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
-        one = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align(task)
-        all_one = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all([task])[0]
-        assert one.score == all_one.score
-
     def test_band_defaults_agree_across_entry_points(self):
         """Regression: every x-drop entry point shares one default band."""
-        assert BatchAligner(sequences={}).band == DEFAULT_XDROP_BAND
+        assert inspect.signature(align_task).parameters["band"].default == DEFAULT_XDROP_BAND
         assert BatchedExtensionConfig().band == DEFAULT_XDROP_BAND
         sig = inspect.signature(batched_xdrop_align)
         assert sig.parameters["band"].default == DEFAULT_XDROP_BAND
@@ -401,22 +424,16 @@ class TestTaskBatch:
             AlignmentTask(rid_a=1, rid_b=2, seed_pos_a=5, seed_pos_b=7, same_strand=False),
         ]
 
-    def test_roundtrip_through_tasks(self):
-        batch = TaskBatch.from_tasks(self._tasks())
-        assert len(batch) == 2
-        assert list(batch) == self._tasks()
-        assert batch.task(1).same_strand is False
-
     def test_rids_unique_sorted(self):
-        batch = TaskBatch.from_tasks(self._tasks() + self._tasks())
+        batch = task_batch(*self._tasks(), *self._tasks())
         np.testing.assert_array_equal(batch.rids(), [0, 1, 2, 3])
 
     def test_empty(self):
         batch = TaskBatch.empty()
         assert len(batch) == 0
         assert batch.rids().size == 0
-        assert list(batch) == []
-        assert len(TaskBatch.from_tasks([])) == 0
+        results = batched_xdrop_align(batch, ReadCache())
+        assert len(results) == 0 and results.dtype == RESULT_DTYPE
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -425,14 +442,20 @@ class TestTaskBatch:
                       same_strand=np.array([True]))
 
     def test_aligner_accepts_task_batch(self):
+        """The result is one record per task with the fields stage 4 and
+        the kernel tracer read: columns by name and rows with ``.cells``."""
         rng = np.random.default_rng(21)
         genome = "".join("ACGT"[i] for i in rng.integers(0, 4, size=600))
         seqs = {0: genome[:400], 1: mutate(genome[200:], 0.1, seed=1)}
-        batch = TaskBatch.from_tasks(
-            [AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)])
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
-        results = aligner.align_all(batch)
-        assert len(results) == 1 and results[0].score > 30
+        task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
+        results = batched_xdrop_align(task_batch(task, task), cache_of(seqs), k=17)
+        assert isinstance(results, np.recarray) and results.dtype == RESULT_DTYPE
+        assert len(results) == 2 and results[0].score > 30
+        assert sum(row.cells for row in results) == results.cells.sum() > 0
+        # Each record is the seed plus its two extensions, on both reads.
+        row = results[0]
+        assert row.start_a <= 210 and row.end_a >= 210 + 17
+        assert row.start_b <= 10 and row.end_b >= 10 + 17
 
 
 class TestPadSequences:
@@ -530,7 +553,8 @@ class TestCompiledXdrop:
         seqs_a, seqs_b = batch
         config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
         native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b, scoring, config)
-        assert native == batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+        assert np.array_equal(native,
+                              batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
 
     def test_zero_length_task_cells_follow_the_batch(self):
         # A zero-length task is charged one row of `band` cells only when
@@ -542,12 +566,12 @@ class TestCompiledXdrop:
         for seqs_a, seqs_b in (([empty], [read]), ([empty, read], [read, read.copy()])):
             native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b,
                                                   ScoringScheme(), config)
-            assert native == batched_xdrop._extend_numpy(seqs_a, seqs_b,
-                                                         ScoringScheme(), config)
-        alone, = batched_xdrop._extend_native(kernel, [empty], [read], ScoringScheme(), config)
+            assert np.array_equal(native, batched_xdrop._extend_numpy(seqs_a, seqs_b,
+                                                                      ScoringScheme(), config))
+        alone = batched_xdrop._extend_native(kernel, [empty], [read], ScoringScheme(), config)
         mixed = batched_xdrop._extend_native(kernel, [empty, read], [read, read.copy()],
                                              ScoringScheme(), config)
-        assert alone.cells == 0 and mixed[0].cells == 9
+        assert alone[0, 3] == 0 and mixed[0, 3] == 9
 
     def test_band_wider_than_both_sequences(self):
         kernel = _native_or_skip()
@@ -555,8 +579,9 @@ class TestCompiledXdrop:
         seqs_b = [encode_sequence("ACGTAGCA"), encode_sequence("GATACA")]
         for band in (3, 4, 64, 129):
             config = BatchedExtensionConfig(xdrop=5, band=band)
-            assert (batched_xdrop._extend_native(kernel, seqs_a, seqs_b, ScoringScheme(), config)
-                    == batched_xdrop._extend_numpy(seqs_a, seqs_b, ScoringScheme(), config))
+            assert np.array_equal(
+                batched_xdrop._extend_native(kernel, seqs_a, seqs_b, ScoringScheme(), config),
+                batched_xdrop._extend_numpy(seqs_a, seqs_b, ScoringScheme(), config))
 
     def test_int32_guard_takes_numpy_path(self, monkeypatch):
         kernel = _native_or_skip()
@@ -573,13 +598,13 @@ class TestCompiledXdrop:
             return reference(*args)
 
         monkeypatch.setattr(batched_xdrop, "_extend_numpy", spy)
-        result, = batched_extend(seqs, seqs, scoring, config)
+        (score, length_a, _, _), = batched_extend(seqs, seqs, scoring, config)
         assert len(calls) == 1
-        assert result.score == 8 * 2**26 and result.length_a == 8
+        assert score == 8 * 2**26 and length_a == 8
         # Just under the bound the compiled tier runs, exactly.
         small = ScoringScheme(match=2**25, mismatch=-1, gap=-1)
-        assert (batched_xdrop._extend_native(kernel, seqs, seqs, small, config)
-                == reference(seqs, seqs, small, config))
+        assert np.array_equal(batched_xdrop._extend_native(kernel, seqs, seqs, small, config),
+                              reference(seqs, seqs, small, config))
         # An x-drop past int64 is declined too, not wrapped by ctypes.
         huge = BatchedExtensionConfig(xdrop=2**63, band=9)
         assert batched_xdrop._extend_native(kernel, seqs, seqs, small, huge) is None
@@ -588,8 +613,8 @@ class TestCompiledXdrop:
         _native_or_skip()
         monkeypatch.setattr(batched_xdrop, "_extend_numpy", None)
         seqs = [encode_sequence("ACGTACGTACGT")]
-        result, = batched_extend(seqs, seqs, ScoringScheme(), BatchedExtensionConfig())
-        assert result.score == 12
+        (score, _, _, _), = batched_extend(seqs, seqs, ScoringScheme(), BatchedExtensionConfig())
+        assert score == 12
 
 
 class TestKernelBuildCache:

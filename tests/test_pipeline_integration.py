@@ -263,8 +263,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(batch_reads=0)
         with pytest.raises(ValueError):
-            PipelineConfig(kernel="bogus")
-        with pytest.raises(ValueError):
             PipelineConfig(partition_strategy="bogus")
         with pytest.raises(ValueError):
             PipelineConfig(owner_heuristic="bogus")
@@ -308,7 +306,6 @@ class TestConfigValidation:
 
     def test_with_helpers(self):
         config = PipelineConfig()
-        assert config.with_kernel("banded").kernel == "banded"
         strategy = SeedStrategy.separated_by(500)
         assert config.with_seed_strategy(strategy).seed_strategy == strategy
         assert config.with_pool(True).pool is True

@@ -10,6 +10,7 @@ from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
+from repro.seq.encoding import encode_sequence
 from repro.seq.kmer import KmerSpec
 
 
@@ -33,7 +34,7 @@ def test_trim_evicts_least_recently_used_first():
 def test_access_refreshes_recency():
     cache = _cache_with(5)
     cache.encoded(0)          # rid 0 becomes most-recently-used
-    cache.get_sequence(1)     # then rid 1
+    cache.encoded_rc(1)       # then rid 1
     cache.trim(capacity_bytes=30)
     # The untouched middle (2, 3) goes first; the refreshed head survives.
     assert 2 not in cache and 3 not in cache
@@ -44,7 +45,7 @@ def test_put_packed_on_existing_rid_touches():
     cache = _cache_with(3)
     packed = np.zeros(3, dtype=np.uint8)
     cache.put_packed(0, packed, 10)  # existing entry kept, but refreshed
-    assert cache.get_sequence(0) == "A" * 10
+    np.testing.assert_array_equal(cache.encoded(0), encode_sequence("A" * 10))
     cache.trim(capacity_bytes=20)
     assert 0 in cache and 1 not in cache
 

@@ -172,9 +172,11 @@ class TestCardinalityEstimates:
 
 def test_service_and_pipeline_import_without_scipy():
     """The program's import path stays off scipy (its import alone took
-    over a second)."""
+    over a second) and networkx (~0.13 s, loaded only by the overlap graph
+    module no stage uses)."""
     probe = ("import sys, repro.core.service, repro.core.pipeline; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'networkx')))")
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True)

@@ -58,7 +58,7 @@ from repro.core.driver import run_dibella
 from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.genome import GenomeSpec
 from repro.data.reads import ReadSimSpec
-from repro.kmers.hashtable import KmerHashTablePartition
+from repro.kmers.hashtable import ShardedKmerIndex, shard_code_boundaries
 from repro.kmers.reliable import high_frequency_threshold
 from repro.mpisim.collectives import bucket_by_destination
 from repro.mpisim.runtime import spmd_run
@@ -97,13 +97,12 @@ def _rank_partition(rank: int, k: int = 17):
     codes, read_index, positions, strands = extract_kmers_batch(
         [read.sequence for read in dataset.reads], KmerSpec(k=k), with_strand=True
     )
-    part = KmerHashTablePartition()
-    part.add_candidate_keys(codes)
-    part.finalize_keys()
-    part.add_occurrences(codes, read_index.astype(np.int64), positions, strands)
-    retained = part.finalize(min_count=2,
-                             max_count=high_frequency_threshold(30.0, 0.10, k))
     n_reads = len(dataset.reads)
+    # One shard, every k-mer stored; reads arrive in RID order.
+    index = ShardedKmerIndex(shard_code_boundaries(k, 1), codes,
+                             read_index.astype(np.int64), positions, strands)
+    retained = index.retained_shard(0, np.arange(n_reads), min_count=2,
+                                    max_count=high_frequency_threshold(30.0, 0.10, k))
     return retained, n_reads
 
 

@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.genome import GenomeSpec
 from repro.data.reads import ReadSimSpec
-from repro.kmers.hashtable import KmerHashTablePartition, RetainedKmers
+from repro.kmers.hashtable import RetainedKmers, ShardedKmerIndex, shard_code_boundaries
 from repro.kmers.reliable import high_frequency_threshold
 from repro.overlap.pairs import OverlapTable, PairBatch, generate_pairs
 from repro.overlap.seeds import SeedStrategy, select_seeds, select_seeds_batched
@@ -58,12 +58,11 @@ def synthetic_30x_retained(k: int = 17) -> RetainedKmers:
     codes, read_index, positions, strands = extract_kmers_batch(
         [read.sequence for read in dataset.reads], kspec, with_strand=True
     )
-    part = KmerHashTablePartition()
-    part.add_candidate_keys(codes)
-    part.finalize_keys()
-    part.add_occurrences(codes, read_index.astype(np.int64), positions, strands)
-    return part.finalize(min_count=2,
-                         max_count=high_frequency_threshold(30.0, 0.10, k))
+    # One shard, every k-mer stored; reads arrive in RID order.
+    index = ShardedKmerIndex(shard_code_boundaries(k, 1), codes,
+                             read_index.astype(np.int64), positions, strands)
+    return index.retained_shard(0, np.arange(len(dataset.reads)), min_count=2,
+                                max_count=high_frequency_threshold(30.0, 0.10, k))
 
 
 def _reference_generate_pairs(retained: RetainedKmers) -> PairBatch:

@@ -39,23 +39,3 @@ def record_rows(name: str, text: str) -> None:
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="ascii")
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Record how much worker startup the rank pool amortised this session.
-
-    The figure sweeps share one harness; process-backend runs go through the
-    persistent rank pool, so per-node-count runs reuse parked worker sets
-    instead of re-forking.  The report is written before the pools shut down
-    (their run counters are the amortisation evidence).
-    """
-    from repro.bench.harness import default_harness_pool_report
-
-    report = default_harness_pool_report()
-    if report is None:
-        return
-    lines = ["rank-pool amortisation (bench sweep)"]
-    lines.extend(f"  {key}: {value:.3f}" if key == "total_run_seconds"
-                 else f"  {key}: {value:.0f}"
-                 for key, value in report.items())
-    record_rows("pool_amortisation", "\n".join(lines))

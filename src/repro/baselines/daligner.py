@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.align.batch import TaskBatch, batched_xdrop_align
+from repro.align.batched_xdrop import DEFAULT_XDROP_BAND
 from repro.align.read_cache import ReadCache
 from repro.align.scoring import ScoringScheme
 from repro.seq.kmer import KmerSpec, extract_kmers_with_strand
@@ -64,7 +65,7 @@ class DalignerConfig:
     max_kmer_freq: int = 64
     min_shared_kmers: int = 1
     xdrop: int = 25
-    band: int = 33
+    band: int = DEFAULT_XDROP_BAND
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
 
     def __post_init__(self) -> None:

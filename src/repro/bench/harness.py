@@ -298,18 +298,3 @@ def default_harness() -> ExperimentHarness:
     if _DEFAULT_HARNESS is None:
         _DEFAULT_HARNESS = ExperimentHarness()
     return _DEFAULT_HARNESS
-
-
-def default_harness_pool_report() -> dict[str, float] | None:
-    """The process-wide harness's pool report, without creating a harness.
-
-    Returns
-    -------
-    dict or None
-        :meth:`ExperimentHarness.pool_report` of the default harness, or
-        ``None`` when no harness exists yet or it ran no pipelines — so
-        session-teardown hooks can report (or skip) without side effects.
-    """
-    if _DEFAULT_HARNESS is None or not _DEFAULT_HARNESS._run_walls:
-        return None
-    return _DEFAULT_HARNESS.pool_report()

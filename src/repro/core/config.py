@@ -123,9 +123,9 @@ class PipelineConfig:
         ``DIBELLA_EXCHANGE_CHUNK_MB`` (``0`` disables chunking; CLI
         ``--exchange-chunk-mb``).
     hash_table_shards:
-        Number of k-mer code-range shards the retained-k-mer table is built
-        in.  With ``S > 1`` the hash-table/overlap boundary streams one
-        contiguous code range at a time through finalise → pair generation →
+        Number of k-mer code-range shards the occurrence table is cut
+        into.  With ``S > 1`` the hash-table/overlap boundary streams one
+        contiguous code range at a time through filter → pair generation →
         release, so peak retained-table memory drops to roughly the largest
         shard instead of the whole partition (counter
         ``retained_table_peak_bytes``).  Output is bit-identical for every

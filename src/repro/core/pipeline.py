@@ -123,8 +123,8 @@ class DibellaPipeline:
         """Build phase: construct the sharded k-mer index and keep it resident.
 
         Runs :func:`~repro.core.stages.run_index_build` on every rank: the
-        stage-2 occurrence exchange over *readset* with the Bloom candidate
-        gate lifted, drained into a per-rank
+        stage-2 occurrence exchange over *readset* with no Bloom candidate
+        gate, sorted into a per-rank
         :class:`~repro.kmers.hashtable.ShardedKmerIndex` published in the
         resident-index registry.  Under the rank pool (process backend) the
         worker processes stay parked afterwards, holding their index shards

@@ -25,7 +25,7 @@ Table 1 platforms.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +41,9 @@ from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
     OCCURRENCE_NBYTES,
-    KmerHashTablePartition,
     RetainedKmers,
     ShardedKmerIndex,
+    key_mask,
     shard_code_boundaries,
 )
 from repro.kmers.hyperloglog import HyperLogLog
@@ -71,7 +71,6 @@ class _RankState:
     local_rids: list[int]
     read_owner: np.ndarray
     high_freq_threshold: int
-    hashtable: KmerHashTablePartition = field(default_factory=KmerHashTablePartition)
     overlaps: OverlapTable = field(default_factory=OverlapTable.empty)
     tasks: TaskBatch = field(default_factory=TaskBatch.empty)
     #: Accepted alignments as (rid_a, rid_b, score, span_a, span_b) columns.
@@ -216,7 +215,7 @@ def _extract_batch_kmers(
 # Stage 1: Bloom-filter construction (§6)
 # ---------------------------------------------------------------------------
 
-def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
+def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> np.ndarray:
     """Stage 1: route every k-mer to its owner, build the Bloom filter partition.
 
     k-mers the filter has already (probably) seen are promoted to hash-table
@@ -253,8 +252,12 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     comm:
         This rank's communicator (phase label ``"bloom_exchange"``).
     state:
-        The rank's mutable pipeline state; on return ``state.hashtable``
-        holds the deduplicated candidate keys.
+        The rank's mutable pipeline state.
+
+    Returns
+    -------
+    numpy.ndarray
+        The candidate keys: sorted, deduplicated ``uint64`` k-mer codes.
     """
     config = state.config
     timer = state.timer("bloom")
@@ -298,6 +301,8 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     kmers_parsed = 0
     kmers_received = 0
     payload_bytes = 0
+    # Seeded with an empty batch so the concatenation below always has one.
+    candidate_batches = [np.empty(0, dtype=np.uint64)]
 
     def produce(step: int) -> list[np.ndarray]:
         nonlocal kmers_parsed
@@ -320,23 +325,23 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
             incoming = np.concatenate(chunks)
             kmers_received += int(incoming.size)
             seen_before = bloom.insert_many(incoming)
-            state.hashtable.add_candidate_keys(incoming[seen_before])
+            candidate_batches.append(incoming[seen_before])
 
     outcome = SuperstepSchedule(comm, timer, len(batches),
                                 label="bloom").run(produce, consume)
 
     with timer.compute():
-        n_keys = state.hashtable.finalize_keys()
+        keys = np.unique(np.concatenate(candidate_batches))
 
     state.work["bloom"] = float(kmers_received)
-    state.local_bytes["bloom"] = float(bloom.nbytes + state.hashtable.memory_nbytes())
+    state.local_bytes["bloom"] = float(bloom.nbytes + keys.nbytes)
     state.counters["kmers_parsed"] = kmers_parsed
     state.counters["kmers_received_bloom"] = kmers_received
     # Received-side wire bytes of this stage's k-mer exchange (summed over
     # all ranks they equal the sent volume); a pure function of the sketched
     # k-mer stream, so bit-identical across backends.
     state.counters["bloom_payload_bytes"] = payload_bytes
-    state.counters["distinct_keys"] = n_keys
+    state.counters["distinct_keys"] = int(keys.size)
     state.counters["bloom_nbytes"] = bloom.nbytes
     state.counters["bloom_stash_total_bytes"] = stash_total
     state.counters["bloom_stash_peak_bytes"] = stash_peak
@@ -347,6 +352,7 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
         # Identical on every rank after the allreduce; recorded once so the
         # summed global counters report the estimate itself.
         state.counters["hll_distinct_estimate"] = int(round(distinct_estimate))
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +364,18 @@ def _occurrence_exchange(
     state: _RankState,
     rids: list[int],
     label: str,
-    sink: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], object],
-) -> tuple[int, int, int, ScheduleOutcome]:
+    keys: np.ndarray | None = None,
+) -> tuple[tuple[np.ndarray, ...], int, int, int, ScheduleOutcome]:
     """Ship every k-mer occurrence of *rids* to the k-mer's owner rank.
 
     The superstep behind stage 2 and the serve phase's query route: each
     step extracts one batch of reads, packs every occurrence's (RID, strand,
     position) into one word, buckets the ``(code, packed)`` rows by owner
-    and exchanges them; the receiving side decodes each step's rows and
-    hands ``(codes, rids, positions, strands)`` to *sink*.  Batch ``i+1``'s
-    extraction — the dominant compute — runs while the peers are still
-    reading batch ``i`` (the double-buffered schedule).
+    and exchanges them; the receiving side decodes each step's rows into
+    ``(codes, rids, positions, strands)`` and, given *keys*, drops the rows
+    whose k-mer is not a key.  Batch ``i+1``'s extraction — the dominant
+    compute — runs while the peers are still reading batch ``i`` (the
+    double-buffered schedule).
 
     Parameters
     ----------
@@ -380,13 +387,15 @@ def _occurrence_exchange(
         The local reads to stream.
     label:
         The exchange label (``"hashtable"`` or ``"query_route"``).
-    sink:
-        Receives each step's decoded occurrences.
+    keys:
+        Sorted, unique k-mer codes to keep (stage 1's candidate keys), or
+        None to keep every occurrence.
 
     Returns
     -------
     tuple
-        (k-mers parsed locally, occurrences received, received payload
+        (the kept ``(codes, rids, positions, strands)`` columns in arrival
+        order, k-mers parsed locally, occurrences received, received payload
         bytes, the schedule outcome).
     """
     config = state.config
@@ -395,6 +404,9 @@ def _occurrence_exchange(
     parsed = 0
     received_total = 0
     payload_bytes = 0
+    # Seeded with an empty chunk so the concatenation below always has one.
+    kept = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
 
     def produce(step: int) -> list[np.ndarray]:
         nonlocal parsed
@@ -427,57 +439,73 @@ def _occurrence_exchange(
         if chunks:
             incoming = np.concatenate(chunks, axis=0)
             received_total += int(incoming.shape[0])
+            if keys is not None:
+                incoming = incoming[key_mask(keys, incoming[:, 0])]
             meta = incoming[:, 1]
-            sink(
+            kept.append((
                 incoming[:, 0],
                 (meta >> np.uint64(32)).astype(np.int64),
                 (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
                 ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
-            )
+            ))
 
-    outcome = SuperstepSchedule(comm, state.timer(label), len(batches),
+    timer = state.timer(label)
+    outcome = SuperstepSchedule(comm, timer, len(batches),
                                 label=label).run(produce, consume)
-    return parsed, received_total, payload_bytes, outcome
+    with timer.compute():
+        columns = tuple(np.concatenate(column) for column in zip(*kept))
+    return columns, parsed, received_total, payload_bytes, outcome
 
 
-def hash_table_stage(comm: SimCommunicator, state: _RankState,
-                     rids: list[int]) -> None:
+def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
+                     keys: np.ndarray | None = None) -> ShardedKmerIndex:
     """Stage 2: second pass shipping (k-mer, RID, position) to the owner rank.
 
-    Occurrences of *rids* are exchanged by :func:`_occurrence_exchange` and
-    stored only for k-mers already registered as keys; the finalisation then
-    removes false-positive singletons and k-mers above the high-frequency
-    threshold m, leaving the retained k-mers (§7).
+    Occurrences of *rids* are exchanged by :func:`_occurrence_exchange`,
+    kept only for k-mers in *keys* (stage 1's candidate keys; the one-shot
+    run passes them), and sorted once into a
+    :class:`~repro.kmers.hashtable.ShardedKmerIndex` cut by
+    ``config.hash_table_shards`` code ranges — the sort timed as hash-table
+    work.  The frequency filters that leave the retained k-mers (§7) are
+    applied later, one shard at a time, by the index's views.
 
-    The finalisation itself — grouping the buffered occurrences into the
-    retained table — is *deferred*: it runs one k-mer **code-range shard**
-    at a time (``config.hash_table_shards`` contiguous ranges of the code
-    space), interleaved with the overlap stage's pair generation, so the
-    grouped table for shard ``s`` is built, consumed and released before
-    shard ``s+1`` exists.  Peak retained-table memory is therefore bounded
-    by the largest shard (counter ``retained_table_peak_bytes``) instead of
-    the whole partition.  The build time still lands in this stage's
-    ``compute`` timer, and the retained-k-mer counters are unchanged —
-    sharding is a schedule change, not a semantic one.
+    The serve phase's index build passes no keys: the resident index must
+    keep singleton occurrences too, because a later query batch can lift a
+    singleton's union count into the reliable range.  It skips stage 1
+    entirely, whose only output is the key set.
 
     Parameters
     ----------
     comm:
         This rank's communicator (phase label ``"hashtable_exchange"``).
     state:
-        The rank's mutable pipeline state; on return ``state.hashtable``
-        holds the buffered occurrences ready for the sharded finalise.
+        The rank's mutable pipeline state.
     rids:
         The local reads whose occurrences are streamed.
+    keys:
+        Sorted, unique k-mer codes whose occurrences are stored, or None to
+        store every occurrence.
+
+    Returns
+    -------
+    ShardedKmerIndex
+        This rank's partition of the occurrence table.
     """
-    _, received, payload_bytes, outcome = _occurrence_exchange(
-        comm, state, rids, "hashtable", state.hashtable.add_occurrences)
+    config = state.config
+    columns, _, received, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, rids, "hashtable", keys)
+    with state.timer("hashtable").compute():
+        index = ShardedKmerIndex(
+            shard_code_boundaries(config.kmer.k, config.hash_table_shards), *columns)
+    key_bytes = 0 if keys is None else keys.nbytes
     state.work["hashtable"] = float(received)
-    state.local_bytes["hashtable"] = float(state.hashtable.memory_nbytes())
+    state.local_bytes["hashtable"] = float(
+        key_bytes + index.n_occurrences * OCCURRENCE_NBYTES)
     state.counters["kmers_received_hashtable"] = received
-    state.counters["occurrences_stored"] = state.hashtable.n_occurrences_buffered
+    state.counters["occurrences_stored"] = index.n_occurrences
     state.counters["hashtable_payload_bytes"] = payload_bytes
     state.counters["hashtable_steps_overlapped"] = outcome.steps_overlapped
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +528,9 @@ def overlap_stage(
     table is live per rank.  Shards partition the code space, so the
     concatenated pair stream (and therefore the consolidated overlap table)
     is bit-identical to the unsharded build.  The one-shot pipeline pulls
-    ``hashtable.finalize_shards`` (timed as hash-table work); a serve-phase
-    query batch pulls the resident index's per-shard merge with its routed
-    query occurrences (timed as query-route work) and passes
+    its index's ``retained_shard`` views (timed as hash-table work); a
+    serve-phase query batch pulls the resident index's per-shard merge with
+    its routed query occurrences (timed as query-route work) and passes
     *n_index_reads*, which keeps only the **query-vs-index** pairs
     (``rid_a < n_index_reads <= rid_b``) and labels the exchange
     ``query_overlap``.
@@ -537,6 +565,7 @@ def overlap_stage(
     retained_kmers = 0
     retained_occurrences = 0
     retained_local_peak = 0
+    retained_peak_nbytes = 0
     total_chunks = 0
     chunks_overlapped = 0
     payload_bytes = 0
@@ -601,6 +630,7 @@ def overlap_stage(
                 retained_local_peak,
                 retained.rids.nbytes + retained.positions.nbytes,
             )
+            retained_peak_nbytes = max(retained_peak_nbytes, retained.nbytes)
         with timer.compute():
             chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
         outcome = stream_shard(retained, chunks)
@@ -628,7 +658,7 @@ def overlap_stage(
     state.counters["retained_kmers"] = retained_kmers
     state.counters["retained_occurrences"] = retained_occurrences
     if n_index_reads is None:
-        state.counters["retained_table_peak_bytes"] = state.hashtable.retained_peak_nbytes
+        state.counters["retained_table_peak_bytes"] = retained_peak_nbytes
         state.counters["pairs_generated"] = pairs_generated
     else:
         state.counters["query_pairs_generated"] = pairs_generated
@@ -902,13 +932,14 @@ def run_rank_pipeline(
     """
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
                         cache_tag)
-    bloom_filter_stage(comm, state)
-    hash_table_stage(comm, state, state.local_rids)
-    shards = state.hashtable.finalize_shards(
-        shard_code_boundaries(config.kmer.k, config.hash_table_shards),
-        min_count=config.min_kmer_count, max_count=high_freq_threshold,
-    )
-    overlap_stage(comm, state, shards, "hashtable")
+    keys = bloom_filter_stage(comm, state)
+    index = hash_table_stage(comm, state, state.local_rids, keys)
+    order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
+    overlap_stage(comm, state, (
+        index.retained_shard(shard, order_key, config.min_kmer_count,
+                             high_freq_threshold)
+        for shard in range(index.n_shards)), "hashtable")
+    del keys, index  # release the table before stage 4
     alignment_stage(comm, state)
     return _rank_report(comm, state)
 
@@ -953,8 +984,8 @@ def reset_resident_indexes() -> None:
         _RESIDENT_INDEXES.clear()
 
 
-def _union_order_key(assignments: list[list[int]], n_reads: int,
-                     batch_reads: int) -> np.ndarray:
+def _arrival_order_key(assignments: list[list[int]], n_reads: int,
+                       batch_reads: int) -> np.ndarray:
     """RID → arrival ordinal of the emulated one-shot run over these reads.
 
     In the one-shot pipeline, occurrences reach their owner rank in
@@ -963,9 +994,12 @@ def _union_order_key(assignments: list[list[int]], n_reads: int,
     received chunks in source-rank order, and within one batch the reads
     keep their local order.  ``((b * P) + src) * batch_reads + i`` (with
     ``i`` the read's index within its batch) is a per-read key whose sort
-    order equals exactly that arrival order — the key the serve phase sorts
-    merged occurrence groups by to reproduce the one-shot retained table bit
-    for bit (see :meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`).
+    order equals exactly that arrival order — the key every retained-table
+    view sorts its occurrence groups by: the one-shot run's
+    (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.retained_shard`) and a
+    query batch's over the emulated union run, which reproduces the one-shot
+    retained table bit for bit
+    (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`).
     """
     n_ranks = len(assignments)
     key = np.empty(n_reads, dtype=np.int64)
@@ -977,31 +1011,6 @@ def _union_order_key(assignments: list[list[int]], n_reads: int,
         batch, in_batch = local // batch_reads, local % batch_reads
         key[rid_arr] = ((batch * n_ranks) + rank) * batch_reads + in_batch
     return key
-
-
-def _index_hash_table(comm: SimCommunicator, state: _RankState,
-                      rids: list[int]) -> ShardedKmerIndex:
-    """Build this rank's resident index from the local reads *rids*.
-
-    Runs the stage-2 occurrence exchange with the Bloom candidate gate
-    lifted (:meth:`~repro.kmers.hashtable.KmerHashTablePartition.accept_all_keys`):
-    the index must keep singleton occurrences too, because a later query
-    batch can lift a singleton's union count into the reliable range.  The
-    Bloom stage (stage 1) is skipped entirely — its only output is the
-    candidate-key set the lifted gate replaces.  The buffered occurrences
-    are then drained into a :class:`ShardedKmerIndex`, which sorts them
-    once into canonical storage and cuts the shards, by the same code-range
-    boundaries the batch pipeline shards by, from the sorted array — the
-    index's one sort, timed as hash-table work.
-    """
-    config = state.config
-    state.hashtable.accept_all_keys()
-    hash_table_stage(comm, state, rids)
-    with state.timer("hashtable").compute():
-        return ShardedKmerIndex.from_partition(
-            state.hashtable,
-            shard_code_boundaries(config.kmer.k, config.hash_table_shards),
-        )
 
 
 def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
@@ -1030,9 +1039,9 @@ def run_index_build(
 ) -> RankReport:
     """Build phase: construct this rank's sharded k-mer index and keep it resident.
 
-    The SPMD program of :meth:`DibellaPipeline.build_index`: runs the
-    stage-2 occurrence exchange over the index reads (Bloom gate lifted, see
-    :func:`_index_hash_table`), drains the buffered occurrences into a
+    The SPMD program of :meth:`DibellaPipeline.build_index`: runs stage 2
+    over the index reads with no candidate keys (see
+    :func:`hash_table_stage`), which sorts every occurrence into a
     :class:`~repro.kmers.hashtable.ShardedKmerIndex`, and publishes it in
     the resident-index registry under *index_tag* — where subsequent
     :func:`run_query_batch` invocations on a pooled rank find it without
@@ -1047,7 +1056,7 @@ def run_index_build(
     """
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
                         cache_tag)
-    index = _index_hash_table(comm, state, state.local_rids)
+    index = hash_table_stage(comm, state, state.local_rids)
     _store_resident_index(index_tag, comm.rank, index)
     _index_report_counters(state, index)
     return _rank_report(comm, state)
@@ -1117,22 +1126,18 @@ def run_query_batch(
     else:
         # Rebuild over the index reads only (their slots in the combined
         # partition still cover each exactly once).
-        index = _index_hash_table(
+        index = hash_table_stage(
             comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
         _store_resident_index(index_tag, comm.rank, index)
         state.counters["index_build_runs"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
-    # Seeded with an empty chunk so the concatenation below always has one.
-    received = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
-    parsed, routed, payload_bytes, outcome = _occurrence_exchange(
-        comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
-        "query_route", lambda *chunk: received.append(chunk))
+    (q_codes, q_rids, q_positions, q_strands), parsed, routed, payload_bytes, outcome = (
+        _occurrence_exchange(
+            comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
+            "query_route"))
     with route_timer.compute():
-        q_codes, q_rids, q_positions, q_strands = (
-            np.concatenate(column) for column in zip(*received))
-        order_key = _union_order_key(assignments, len(readset), config.batch_reads)
+        order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
         q_shard_of = np.searchsorted(index.boundaries, q_codes, side="right")
 
     state.work["query_route"] = float(routed)

@@ -12,7 +12,8 @@ of diBELLA's first two pipeline stages:
   HipMer fallback for sizing the Bloom filter on extremely large inputs (§6).
 * :mod:`repro.kmers.counter` — plain k-mer counting (histograms, baseline).
 * :mod:`repro.kmers.hashtable` — the per-rank partition of the distributed
-  k-mer → [(read id, position)] hash table of stage 2 (§7).
+  k-mer → [(read id, position)] hash table of stage 2 (§7), one sorted-once
+  ``ShardedKmerIndex`` for every launch.
 * :mod:`repro.kmers.reliable` — the BELLA reliable-k-mer statistical model:
   optimal k, the high-frequency cutoff m, and cardinality estimates (§2, §3).
 * :mod:`repro.kmers.minimizer` — the windowed-minimizer sketch front-end
@@ -24,7 +25,7 @@ from repro.kmers.hashing import mix64, owner_of, hash_with_seed
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.kmers.counter import count_kmers, KmerCounter, kmer_frequency_histogram
-from repro.kmers.hashtable import KmerHashTablePartition, RetainedKmers
+from repro.kmers.hashtable import RetainedKmers
 from repro.kmers.minimizer import (
     DEFAULT_MINIMIZER_WINDOW,
     SKETCH_HASH_SEED,
@@ -54,7 +55,6 @@ __all__ = [
     "count_kmers",
     "KmerCounter",
     "kmer_frequency_histogram",
-    "KmerHashTablePartition",
     "RetainedKmers",
     "DEFAULT_MINIMIZER_WINDOW",
     "SKETCH_HASH_SEED",

@@ -2,43 +2,38 @@
 
 Stage 2 of diBELLA builds, on every rank, a hash table mapping each owned
 k-mer to "the lists of all read ID (RID) and locations at which they
-appeared" (§7).  The partition is populated in two passes that mirror the
-pipeline exactly:
+appeared" (§7).  Every launch builds that partition as one
+:class:`ShardedKmerIndex`, in steps that mirror the pipeline:
 
 1. During the Bloom-filter stage, k-mers that the filter reports as already
-   seen are registered as *candidate keys* (``add_candidate_keys``).
+   seen become *candidate keys* (sorted and deduplicated once).
 2. During the hash-table stage, every (k-mer, RID, position) occurrence whose
-   k-mer is a registered key is appended (``add_occurrences``); everything
-   else — the singletons correctly rejected by the Bloom filter — is dropped
-   without being stored.
-3. ``finalize`` removes false-positive singletons and k-mers above the
-   high-frequency threshold m, leaving the *retained* k-mers and their
-   occurrence lists, grouped and ready for the overlap stage.
+   k-mer is a candidate key is kept (:func:`key_mask`); everything else —
+   the singletons correctly rejected by the Bloom filter — is dropped
+   without being stored.  The serve phase's index build passes no keys and
+   keeps every occurrence.
+3. The index sorts the kept occurrences once — one sort of packed 64-bit
+   occurrence keys (a 4-key ``lexsort`` when the fields do not fit a word)
+   — and cuts its **k-mer code-range** shards (boundaries from
+   :func:`shard_code_boundaries`) from the sorted array.
+4. Views apply the frequency filters, which remove false-positive
+   singletons and k-mers above the high-frequency threshold m, one shard at
+   a time: :meth:`ShardedKmerIndex.retained_shard` gives the one-shot run's
+   retained table, :meth:`ShardedKmerIndex.merged_shard` merges a query
+   batch into the resident table.
 
-The implementation is array-based rather than a Python dict: occurrences are
-buffered as flat numpy arrays and grouped once at finalisation with a single
-sort, which keeps the per-k-mer Python overhead out of the hot path.  The
-serve phase's :class:`ShardedKmerIndex` is built the same way, once: one
-sort of packed 64-bit occurrence keys (a 4-key ``lexsort`` when the fields
-do not fit a word), with the code-range shards cut from the sorted array.
-
-Finalisation comes in two flavours: :meth:`KmerHashTablePartition.finalize`
-groups the whole partition at once, and
-:meth:`KmerHashTablePartition.finalize_shards` streams the partition one
-**k-mer code range** at a time (boundaries from
-:func:`shard_code_boundaries`), releasing each shard's buffers as it goes —
-so peak table memory is bounded by the largest shard rather than the whole
-partition, and the overlap stage can generate and exchange a shard's pairs
-while later shards are still unbuilt.  Because shards are contiguous,
-ascending code ranges and grouping is independent per code, concatenating
-the shard results reproduces the monolithic finalise bit for bit.
+The implementation is array-based rather than a Python dict: occurrences
+are flat numpy arrays grouped by one sort, which keeps the per-k-mer Python
+overhead out of the hot path.  Reading the retained table one shard at a
+time bounds the grouped copy live at once by the largest shard rather than
+the whole partition, and lets the overlap stage generate and exchange a
+shard's pairs before the next shard is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -79,7 +74,7 @@ def shard_code_boundaries(k: int, n_shards: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetainedKmers:
-    """The finalised contents of one hash-table partition.
+    """Grouped k-mer occurrences: one shard of a hash-table partition.
 
     Occurrences are stored structure-of-arrays style, sorted by k-mer code,
     with ``offsets`` delimiting each k-mer's group:
@@ -183,14 +178,24 @@ def _group_starts(sorted_codes: np.ndarray) -> np.ndarray:
         ([sorted_codes.size > 0], sorted_codes[1:] != sorted_codes[:-1])))
 
 
-def _kept_groups(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
-                 strands: np.ndarray, order: np.ndarray, keep) -> RetainedKmers:
-    """Group occurrences taken in *order* (ascending code) and keep some groups.
+def _arrival_grouped(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                     strands: np.ndarray, order_key: np.ndarray, keep) -> RetainedKmers:
+    """Group occurrences by code in arrival order, and keep some groups.
+
+    Groups are ascending by code; within a group the occurrences are ordered
+    by ``(order_key[rid], position)``, where *order_key* maps a RID to its
+    arrival ordinal in the one-shot run (``stages._arrival_order_key``).
+    That is the order the stage-2 exchange delivers a k-mer's occurrences
+    to its owner, and the order pair generation (and its ``swapped`` owner
+    annotation) depends on.  Real reads hold one k-mer per position, so
+    ``(order_key[rid], position)`` is unique within a group and the result
+    does not depend on the input order.
 
     ``keep(counts, order)`` returns the mask of groups to keep, given every
-    group's occurrence count.  Only the kept rows are gathered, with no
-    per-group Python loop.
+    group's occurrence count and the sort order of the rows.  Only the kept
+    rows are gathered, with no per-group Python loop.
     """
+    order = np.lexsort((positions, order_key[rids], codes))
     sorted_codes = codes[order]
     starts = _group_starts(sorted_codes)
     counts = np.diff(np.append(starts, sorted_codes.size))
@@ -206,237 +211,16 @@ def _kept_groups(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
     )
 
 
-def _finalize_arrays(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
-                     strands: np.ndarray, min_count: int,
-                     max_count: int | None) -> RetainedKmers:
-    """Group flat occurrence arrays by k-mer and apply the frequency filters.
+def key_mask(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Boolean mask: which of *codes* are in *keys* (ascending, unique).
 
-    The shared core of :meth:`KmerHashTablePartition.finalize` (whole
-    partition) and :meth:`KmerHashTablePartition.finalize_shards` (one code
-    range at a time): one stable sort, so each group keeps insertion order.
+    The candidate-key gate of stage 2: occurrences of k-mers the Bloom
+    filter saw only once are not stored.
     """
-    return _kept_groups(codes, rids, positions, strands,
-                        np.argsort(codes, kind="stable"),
-                        lambda counts, _order: _count_filter(counts, min_count, max_count))
-
-
-class KmerHashTablePartition:
-    """One rank's partition of the distributed k-mer occurrence table.
-
-    Attributes
-    ----------
-    retained_peak_nbytes:
-        Size of the largest finalised shard built by the most recent
-        :meth:`finalize_shards` sweep (the streamed build's peak
-        retained-table memory; 0 before any sweep).
-    """
-
-    def __init__(self) -> None:
-        self._candidate_batches: list[np.ndarray] = []
-        self._keys: np.ndarray | None = None
-        self._accept_all: bool = False
-        self._occ_codes: list[np.ndarray] = []
-        self._occ_rids: list[np.ndarray] = []
-        self._occ_positions: list[np.ndarray] = []
-        self._occ_strands: list[np.ndarray] = []
-        self.retained_peak_nbytes: int = 0
-
-    def accept_all_keys(self) -> None:
-        """Treat every k-mer as a registered key (store all occurrences).
-
-        The serve-mode index build uses this instead of the Bloom candidate
-        pass: a resident query index must keep singleton occurrences too,
-        because an index-side singleton becomes retained the moment a query
-        batch contributes the occurrences that lift its union count into the
-        reliable range.  The count filters still apply at finalisation /
-        query time; only the *storage* gate is lifted.
-        """
-        self._accept_all = True
-        if self._keys is None:
-            self._keys = np.empty(0, dtype=np.uint64)
-
-    # -- pass 1: candidate keys from the Bloom filter ---------------------------------
-
-    def add_candidate_keys(self, codes: np.ndarray) -> None:
-        """Register k-mers the Bloom filter saw at least twice as table keys."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        if codes.size:
-            self._candidate_batches.append(codes.copy())
-            self._keys = None
-
-    def finalize_keys(self) -> int:
-        """Deduplicate candidate keys; returns the number of distinct keys."""
-        if self._candidate_batches:
-            self._keys = np.unique(np.concatenate(self._candidate_batches))
-        else:
-            self._keys = np.empty(0, dtype=np.uint64)
-        self._candidate_batches = []
-        return int(self._keys.size)
-
-    @property
-    def n_keys(self) -> int:
-        """Number of distinct candidate keys (after :meth:`finalize_keys`)."""
-        if self._keys is None:
-            raise RuntimeError("finalize_keys() has not been called")
-        return int(self._keys.size)
-
-    def has_keys(self, codes: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of *codes* are registered keys."""
-        if self._keys is None:
-            raise RuntimeError("finalize_keys() has not been called")
-        codes = np.asarray(codes, dtype=np.uint64)
-        if self._accept_all:
-            return np.ones(codes.size, dtype=bool)
-        if self._keys.size == 0:
-            return np.zeros(codes.size, dtype=bool)
-        idx = np.minimum(np.searchsorted(self._keys, codes), self._keys.size - 1)
-        return self._keys[idx] == codes
-
-    # -- pass 2: occurrence insertion ---------------------------------------------------
-
-    def add_occurrences(self, codes: np.ndarray, rids: np.ndarray,
-                        positions: np.ndarray,
-                        strands: np.ndarray | None = None) -> int:
-        """Insert occurrences whose k-mer is a registered key.
-
-        ``strands`` records, per occurrence, whether the canonical k-mer is
-        the forward orientation in that read (defaults to all-forward for
-        callers that do not track strand).  Returns the number of occurrences
-        actually stored (non-key k-mers — singletons filtered by the Bloom
-        filter — are dropped).  Under :meth:`accept_all_keys` the arrays are
-        buffered without a copy, so the caller must not modify them later.
-        """
-        codes = np.asarray(codes, dtype=np.uint64)
-        rids = np.asarray(rids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        if strands is None:
-            strands = np.ones(codes.size, dtype=bool)
-        strands = np.asarray(strands, dtype=bool)
-        if not (codes.size == rids.size == positions.size == strands.size):
-            raise ValueError("codes, rids, positions and strands must have equal length")
-        if codes.size == 0:
-            return 0
-        if not self._accept_all:  # else keep every row, without a copy
-            mask = self.has_keys(codes)
-            codes, rids, positions, strands = (
-                codes[mask], rids[mask], positions[mask], strands[mask])
-        if codes.size:
-            self._occ_codes.append(codes)
-            self._occ_rids.append(rids)
-            self._occ_positions.append(positions)
-            self._occ_strands.append(strands)
-        return int(codes.size)
-
-    # -- finalisation ---------------------------------------------------------------------
-
-    def finalize(self, min_count: int = 2, max_count: int | None = None) -> RetainedKmers:
-        """Group occurrences by k-mer and apply the frequency filters.
-
-        ``min_count`` removes false-positive singletons (k-mers the Bloom
-        filter wrongly promoted); ``max_count`` is the high-frequency
-        threshold m of §2.  A k-mer's *count* here is its number of stored
-        occurrences — identical to the count the original implementation
-        accumulates in the table.
-        """
-        _validate_count_filters(min_count, max_count)
-        if not self._occ_codes:
-            return RetainedKmers.empty()
-        return _finalize_arrays(
-            *map(np.concatenate, (self._occ_codes, self._occ_rids,
-                                  self._occ_positions, self._occ_strands)),
-            min_count, max_count)
-
-    def finalize_shards(self, boundaries: np.ndarray, min_count: int = 2,
-                        max_count: int | None = None) -> Iterator[RetainedKmers]:
-        """Finalise the partition one k-mer code range at a time.
-
-        Parameters
-        ----------
-        boundaries:
-            Ascending interior split points (from
-            :func:`shard_code_boundaries`); ``len(boundaries) + 1`` shards
-            are yielded, in ascending code order.
-        min_count / max_count:
-            The reliable-range filters, exactly as in :meth:`finalize`.
-
-        Yields
-        ------
-        RetainedKmers
-            Shard ``s``'s retained k-mers — empty when the rank owns no
-            retained k-mer in that range.  Concatenating every shard equals
-            the monolithic :meth:`finalize` result bit for bit.
-
-        Notes
-        -----
-        This generator **consumes** the partition: the buffered occurrence
-        batches are re-bucketed per shard up front (releasing the
-        originals), and each shard's raw buffers are dropped as soon as its
-        ``RetainedKmers`` is built.  Only one shard's sorted/grouped copy is
-        therefore ever live, which is the memory bound the streaming
-        hash-table stage relies on; :attr:`retained_peak_nbytes` records the
-        largest shard built.
-        """
-        _validate_count_filters(min_count, max_count)
-        boundaries = np.asarray(boundaries, dtype=np.uint64)
-        n_shards = int(boundaries.size) + 1
-        shard_batches: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(n_shards)]
-        while self._occ_codes:
-            batch = (self._occ_codes.pop(0), self._occ_rids.pop(0),
-                     self._occ_positions.pop(0), self._occ_strands.pop(0))
-            shard_of = np.searchsorted(boundaries, batch[0], side="right")
-            for shard in np.unique(shard_of):
-                mask = shard_of == shard
-                shard_batches[shard].append(tuple(column[mask] for column in batch))
-        self.retained_peak_nbytes = 0
-        for shard in range(n_shards):
-            batches = shard_batches[shard]
-            shard_batches[shard] = []  # release the raw buffers of this shard
-            retained = (_finalize_arrays(*map(np.concatenate, zip(*batches)),
-                                         min_count, max_count)
-                        if batches else RetainedKmers.empty())
-            self.retained_peak_nbytes = max(self.retained_peak_nbytes, retained.nbytes)
-            yield retained
-            # Drop the generator frame's own reference before the next
-            # iteration builds shard s+1 — otherwise shard s would stay
-            # reachable through this frame even after the caller released
-            # it, and the one-live-shard memory bound would silently be two.
-            del retained
-
-    def drain_occurrences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate and release the buffered occurrences, in insertion order.
-
-        Used by the serve-mode index build to hand the stage-2 exchange's
-        output to a :class:`ShardedKmerIndex` without copying it twice: the
-        partition's buffers are cleared, so the raw batches are not retained
-        alongside the index.
-        """
-        columns = tuple(
-            np.concatenate(batches) if batches else np.empty(0, dtype=dtype)
-            for batches, dtype in ((self._occ_codes, np.uint64), (self._occ_rids, np.int64),
-                                   (self._occ_positions, np.int64),
-                                   (self._occ_strands, bool)))
-        self._occ_codes, self._occ_rids, self._occ_positions, self._occ_strands = (
-            [], [], [], [])
-        return columns
-
-    # -- introspection ----------------------------------------------------------------------
-
-    @property
-    def n_occurrences_buffered(self) -> int:
-        """Occurrences currently buffered (before finalisation)."""
-        return int(sum(a.size for a in self._occ_codes))
-
-    def memory_nbytes(self) -> int:
-        """Approximate memory footprint of the partition's buffers."""
-        total = 0
-        if self._keys is not None:
-            total += self._keys.nbytes
-        for batch in self._candidate_batches:
-            total += batch.nbytes
-        for arrays in (self._occ_codes, self._occ_rids, self._occ_positions,
-                       self._occ_strands):
-            total += sum(a.nbytes for a in arrays)
-        return total
+    if keys.size == 0:
+        return np.zeros(codes.size, dtype=bool)
+    slot = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
+    return keys[slot] == codes
 
 
 def _packed_field_bits(codes: np.ndarray, rids: np.ndarray,
@@ -505,13 +289,13 @@ def _group_table(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
 
 
 class ShardedKmerIndex:
-    """A resident, build-once sharded k-mer occurrence index.
+    """One rank's k-mer occurrence table, built once and sharded by code range.
 
-    This is the *serve-phase* counterpart of :class:`KmerHashTablePartition`:
-    where the batch pipeline buffers occurrences for one run and consumes
-    them shard by shard, this index keeps one rank's occurrences resident —
-    split by the same contiguous code ranges (:func:`shard_code_boundaries`)
-    — so repeated query batches can probe it without rebuilding anything.
+    Every launch builds one: the one-shot run reads its retained table
+    through :meth:`retained_shard`, one shard at a time, and the serve
+    phase keeps the index resident so repeated query batches can merge into
+    it (:meth:`merged_shard`) without rebuilding anything.  Shards are the
+    contiguous code ranges of :func:`shard_code_boundaries`.
 
     Invariants:
 
@@ -526,14 +310,15 @@ class ShardedKmerIndex:
       (:func:`_canonical_sort`) — and, shards being code ranges, cuts every
       shard from the one sorted array with a ``searchsorted`` of the
       boundaries.  The index is built once: nothing is inserted later.
-      Every view — :meth:`retained`, :meth:`retained_counts`,
+      Every view — :meth:`retained_counts`, :meth:`retained_shard`,
       :meth:`merged_shard`, :meth:`digest` — reads the canonical storage, so
       none depends on how the occurrence stream was ordered.
-    * **All occurrences kept** — the Bloom candidate gate is not applied
-      (see :meth:`KmerHashTablePartition.accept_all_keys`): an index-side
-      singleton must stay queryable because a query batch can lift its union
-      count into the reliable range.  The ``[min_count, max_count]`` filters
-      are applied by the views, never by storage.
+    * **Unfiltered storage** — the index stores every occurrence it is
+      given.  The one-shot run gives it only candidate-key occurrences
+      (:func:`key_mask`); the serve build gives it all of them, because an
+      index-side singleton must stay queryable when a query batch can lift
+      its union count into the reliable range.  The ``[min_count,
+      max_count]`` filters are applied by the views, never by storage.
     """
 
     def __init__(self, boundaries: np.ndarray, codes: np.ndarray, rids: np.ndarray,
@@ -553,16 +338,6 @@ class ShardedKmerIndex:
         self._shards = [_group_table(*(column[lo:hi] for column in columns))
                         for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    @classmethod
-    def from_partition(cls, partition: KmerHashTablePartition,
-                       boundaries: np.ndarray) -> "ShardedKmerIndex":
-        """Build an index by draining a partition's buffered occurrences.
-
-        The partition's raw buffers are consumed (released), so the caller
-        holds exactly one copy of the occurrence stream afterwards.
-        """
-        return cls(boundaries, *partition.drain_occurrences())
-
     # -- retained views ------------------------------------------------------
 
     def retained_counts(self, min_count: int = 2,
@@ -580,27 +355,23 @@ class ShardedKmerIndex:
             n_occurrences += int(kept.sum())
         return n_kmers, n_occurrences
 
-    def retained(self, min_count: int = 2,
-                 max_count: int | None = None) -> RetainedKmers:
-        """The whole index's retained k-mers (all shards, ascending codes).
+    def retained_shard(self, shard: int, order_key: np.ndarray, min_count: int = 2,
+                       max_count: int | None = None) -> RetainedKmers:
+        """Shard *shard*'s retained k-mers, each group in arrival order.
 
-        The groups and codes are exactly those of a one-shot
-        :meth:`KmerHashTablePartition.finalize` over the same occurrences;
-        within a group the occurrences are in canonical
-        ``(rid, position, strand)`` order rather than insertion order.
+        The one-shot run's view of its table: the count filters are applied
+        to the shard's groups, and each kept group's occurrences are ordered
+        by ``(order_key[rid], position)`` (see :func:`_arrival_grouped`) —
+        the order stage 2 delivered them in.  Concatenated over the shards,
+        this equals grouping the arrival-ordered occurrence stream by code
+        with one stable sort.
         """
         _validate_count_filters(min_count, max_count)
-        shards = self._shards
-        counts = np.concatenate([stored.counts() for stored in shards])
-        whole = RetainedKmers(
-            codes=np.concatenate([stored.codes for stored in shards]),
-            offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-            rids=np.concatenate([stored.rids for stored in shards]),
-            positions=np.concatenate([stored.positions for stored in shards]),
-            strands=np.concatenate([stored.strands for stored in shards]),
-        )
-        return _take_groups(
-            whole, np.flatnonzero(_count_filter(counts, min_count, max_count)))
+        stored = self._shards[shard]
+        return _arrival_grouped(
+            np.repeat(stored.codes, stored.counts()), stored.rids, stored.positions,
+            stored.strands, order_key,
+            lambda counts, _order: _count_filter(counts, min_count, max_count))
 
     def merged_shard(
         self,
@@ -630,15 +401,11 @@ class ShardedKmerIndex:
         only with occurrences on both sides, and every hit group brings all
         of its index occurrences, so the union counts are unchanged.
 
-        Within each group the merged occurrences are ordered by
-        ``(order_key[rid], position)``, where *order_key* is the per-read
-        arrival ordinal of the emulated one-shot run over (index ∪ query)
-        reads — this reproduces the hash-table stage's arrival order
-        (superstep, source rank, in-batch extraction order), which is what
-        makes the downstream pair generation (and its ``swapped`` owner
-        annotation) bit-identical to that run.  ``(order_key[rid],
-        position)`` is unique within a code group, so the order does not
-        depend on how the inputs were ordered.
+        Within each group the merged occurrences are in arrival order,
+        ``(order_key[rid], position)`` with *order_key* taken from the
+        emulated one-shot run over (index ∪ query) reads
+        (:func:`_arrival_grouped`), which makes the downstream pair
+        generation bit-identical to that run.
 
         Parameters
         ----------
@@ -682,8 +449,7 @@ class ShardedKmerIndex:
             return (_count_filter(counts, min_count, max_count)
                     & (index_counts >= 1) & (index_counts < counts))
 
-        merged = _kept_groups(codes, rids, positions, strands,
-                              np.lexsort((positions, order_key[rids], codes)), keep)
+        merged = _arrival_grouped(codes, rids, positions, strands, order_key, keep)
         return merged, hits.n_occurrences
 
     # -- introspection -------------------------------------------------------

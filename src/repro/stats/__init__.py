@@ -1,8 +1,7 @@
-"""Statistics helpers: load balance, scaling efficiency, spectra, and quality.
+"""Statistics helpers: scaling efficiency, spectra, and quality.
 
 These are the metrics the paper's evaluation section reports:
 
-* load imbalance (max over mean of per-rank times/work), Figure 8,
 * strong-scaling efficiency and speedup relative to one node, Figures 4,
   11 and 12,
 * k-mer frequency spectra and overlap statistics used to validate the
@@ -11,7 +10,6 @@ These are the metrics the paper's evaluation section reports:
   "ground truth is known" quality comparisons BELLA emphasises).
 """
 
-from repro.stats.load_balance import load_imbalance, per_node_imbalance
 from repro.stats.scaling import (
     efficiency_series,
     speedup_series,
@@ -25,8 +23,6 @@ from repro.stats.histograms import (
 from repro.stats.quality import overlap_recall_precision, OverlapQuality
 
 __all__ = [
-    "load_imbalance",
-    "per_node_imbalance",
     "efficiency_series",
     "speedup_series",
     "strong_scaling_efficiency",

@@ -405,6 +405,8 @@ class TestBatchAligner:
         assert sig.parameters["band"].default == DEFAULT_XDROP_BAND
         from repro.core.config import PipelineConfig
         assert PipelineConfig().band == DEFAULT_XDROP_BAND
+        from repro.baselines.daligner import DalignerConfig
+        assert DalignerConfig().band == DEFAULT_XDROP_BAND
 
     def test_result_identity_helper(self):
         result = AlignmentResult(score=3, start_a=0, end_a=4, start_b=0, end_b=4,

@@ -1,17 +1,16 @@
-"""Resident index parity: the one-sort build vs one-shot ``finalize``.
+"""Index parity: the one-sort build vs a grouping oracle.
 
-The serve phase's resident :class:`~repro.kmers.hashtable.ShardedKmerIndex`
-is built once from a rank's whole occurrence stream and stored in canonical
+The :class:`~repro.kmers.hashtable.ShardedKmerIndex` every launch builds is
+made once from a rank's whole occurrence stream and stored in canonical
 order — each shard sorted by ``(code, rid, position, strand)``, by one sort
 of packed 64-bit keys or, when the fields do not fit a word, by a 4-key
-``lexsort`` — while the batch pipeline builds its table in one finalise
-over the buffered occurrences.  These tests pin the equivalences the
-build/serve split rests on:
+``lexsort``.  These tests pin the equivalences the index rests on (the
+arrival-order view the one-shot run reads is pinned in
+``tests/test_kmers_structures.py``):
 
 * any reordering of the same occurrence stream, for any shard count and on
-  either side of the 64-bit line, yields retained views equal to the
-  one-shot :meth:`~repro.kmers.hashtable.KmerHashTablePartition.finalize`
-  oracle with each group's rows in canonical order;
+  either side of the 64-bit line, yields retained views equal to a
+  ``lexsort``-and-group oracle with each group's rows in canonical order;
 * the digest equals a 4-key ``lexsort`` of every occurrence, hashed;
 * ``merged_shard``, which gathers only the index groups a query batch hits,
   equals the full-concatenate merge it replaced (kept here as the oracle);
@@ -30,7 +29,6 @@ from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.kmers import hashtable
 from repro.kmers.hashtable import (
-    KmerHashTablePartition,
     RetainedKmers,
     ShardedKmerIndex,
     _packed_field_bits,
@@ -66,18 +64,40 @@ def _occurrence_stream(rng: np.random.Generator, n: int, *, code_hi: int = 4**K,
 
 
 def _oracle(codes, rids, positions, strands, min_count, max_count) -> RetainedKmers:
-    """The batch pipeline's one-shot build over the same stream, with each
-    group's rows put in the index's canonical ``(rid, position, strand)``
-    order (``finalize`` keeps insertion order within a group)."""
-    partition = KmerHashTablePartition()
-    partition.accept_all_keys()
-    partition.add_occurrences(codes, rids, positions, strands)
-    table = partition.finalize(min_count=min_count, max_count=max_count)
-    group_of = np.repeat(np.arange(table.n_kmers), table.counts())
-    order = np.lexsort((table.strands, table.positions, table.rids, group_of))
-    return RetainedKmers(codes=table.codes, offsets=table.offsets,
-                         rids=table.rids[order], positions=table.positions[order],
-                         strands=table.strands[order])
+    """The groups the count filters keep, each group's rows in canonical
+    ``(rid, position, strand)`` order: a 4-key ``lexsort``, then grouping."""
+    order = np.lexsort((strands, positions, rids, codes))
+    codes, rids, positions, strands = (
+        codes[order], rids[order], positions[order], strands[order])
+    unique_codes, starts, counts = np.unique(codes, return_index=True,
+                                             return_counts=True)
+    keep = counts >= min_count
+    if max_count is not None:
+        keep &= counts <= max_count
+    rows = np.concatenate([np.arange(lo, lo + c) for lo, c
+                           in zip(starts[keep], counts[keep])] + [np.empty(0, np.int64)])
+    return RetainedKmers(codes=unique_codes[keep],
+                         offsets=np.concatenate(([0], np.cumsum(counts[keep]))).astype(np.int64),
+                         rids=rids[rows], positions=positions[rows], strands=strands[rows])
+
+
+def _canonical_view(index: ShardedKmerIndex, min_count: int = 2,
+                    max_count: int | None = None) -> RetainedKmers:
+    """The whole index's retained k-mers in canonical order: every shard's
+    ``retained_shard`` view keyed by the identity order (RID order), whose
+    stable sort keeps the canonical storage order on ``(rid, position)``
+    ties, concatenated in shard order."""
+    identity = np.arange(N_READS + N_QUERY_READS, dtype=np.int64)
+    shards = [index.retained_shard(shard, identity, min_count, max_count)
+              for shard in range(index.n_shards)]
+    counts = np.concatenate([shard.counts() for shard in shards])
+    return RetainedKmers(
+        codes=np.concatenate([shard.codes for shard in shards]),
+        offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        rids=np.concatenate([shard.rids for shard in shards]),
+        positions=np.concatenate([shard.positions for shard in shards]),
+        strands=np.concatenate([shard.strands for shard in shards]),
+    )
 
 
 def _lexsort_digest(codes, rids, positions, strands, boundaries) -> int:
@@ -184,7 +204,7 @@ def test_insert_batch_splits_match_one_shot_finalize(n_shards, n_batches):
 
     assert index.n_shards == n_shards
     assert index.n_occurrences == stream[0].size
-    _assert_retained_equal(index.retained(min_count=2, max_count=12), expected)
+    _assert_retained_equal(_canonical_view(index, min_count=2, max_count=12), expected)
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -204,7 +224,7 @@ def test_both_sort_paths_match_the_oracles(key, n_shards):
     for order in (stream, tuple(column[::-1] for column in stream),
                   _reordered(stream, 3, shuffle=True)):
         index = ShardedKmerIndex(boundaries, *order)
-        _assert_retained_equal(index.retained(min_count=1), expected)
+        _assert_retained_equal(_canonical_view(index, min_count=1), expected)
         assert index.digest() == digest
 
 
@@ -220,7 +240,7 @@ def test_packed_key_uses_the_full_word():
         assert (_packed_field_bits(codes, rids, positions) is not None) == packs
         index = ShardedKmerIndex(shard_code_boundaries(31, 2), codes, rids,
                                  positions, strands)
-        _assert_retained_equal(index.retained(min_count=1),
+        _assert_retained_equal(_canonical_view(index, min_count=1),
                                _oracle(codes, rids, positions, strands, 1, None))
 
 
@@ -232,9 +252,9 @@ def test_shard_views_concatenate_to_the_whole(n_shards):
     whole = ShardedKmerIndex(shard_code_boundaries(K, 1), *stream)
 
     for min_count, max_count in ((1, None), (2, None), (2, 6)):
-        view = index.retained(min_count=min_count, max_count=max_count)
-        _assert_retained_equal(view, whole.retained(min_count=min_count,
-                                                    max_count=max_count))
+        view = _canonical_view(index, min_count=min_count, max_count=max_count)
+        _assert_retained_equal(view, _canonical_view(whole, min_count=min_count,
+                                                     max_count=max_count))
         assert index.retained_counts(min_count, max_count) == (
             view.n_kmers, view.n_occurrences)
 
@@ -257,7 +277,7 @@ def test_nbytes_counts_the_group_table(n_shards):
     index = ShardedKmerIndex(shard_code_boundaries(K, n_shards), *stream)
     # Every occurrence plus, per shard, its unique codes and group offsets
     # (one more offset than groups, so each extra shard adds 8 bytes).
-    assert index.nbytes == index.retained(min_count=1).nbytes + 8 * (n_shards - 1)
+    assert index.nbytes == _canonical_view(index, min_count=1).nbytes + 8 * (n_shards - 1)
 
 
 def test_digest_is_insertion_order_independent():
@@ -276,20 +296,6 @@ def test_digest_is_insertion_order_independent():
     codes, rids, positions, strands = stream
     other = ShardedKmerIndex(boundaries, codes, rids, positions + 1, strands)
     assert forward.digest() != other.digest()
-
-
-def test_from_partition_drains_the_buffers():
-    rng = np.random.default_rng(23)
-    stream = _occurrence_stream(rng, 600)
-    partition = KmerHashTablePartition()
-    partition.accept_all_keys()
-    partition.add_occurrences(*stream)
-    expected = _oracle(*stream, min_count=2, max_count=None)
-
-    index = ShardedKmerIndex.from_partition(partition,
-                                            shard_code_boundaries(K, 3))
-    assert partition.n_occurrences_buffered == 0  # buffers were released
-    _assert_retained_equal(index.retained(min_count=2, max_count=None), expected)
 
 
 N_INDEX_READS = 30
@@ -377,22 +383,22 @@ def test_pipeline_index_digest_matches_across_backends(micro_dataset):
 
 def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
     """At k = 31 the packed key does not fit, so ``build_index`` sorts with
-    the ``lexsort`` fallback — and still digests every rank's drained stream
-    as the oracle does."""
-    widths, drained = [], []
+    the ``lexsort`` fallback — and still digests every rank's occurrence
+    stream as the oracle does."""
+    widths, sorted_streams = [], []
     packed_field_bits = hashtable._packed_field_bits
-    drain = KmerHashTablePartition.drain_occurrences
+    canonical_sort = hashtable._canonical_sort
 
     def spy_bits(*columns):
         widths.append(packed_field_bits(*columns))
         return widths[-1]
 
-    def spy_drain(partition):
-        drained.append(drain(partition))
-        return drained[-1]
+    def spy_sort(*columns):
+        sorted_streams.append(columns)
+        return canonical_sort(*columns)
 
     monkeypatch.setattr(hashtable, "_packed_field_bits", spy_bits)
-    monkeypatch.setattr(KmerHashTablePartition, "drain_occurrences", spy_drain)
+    monkeypatch.setattr(hashtable, "_canonical_sort", spy_sort)
     config = PipelineConfig(kmer=KmerSpec(k=WIDE_K), coverage_hint=12.0,
                             error_rate_hint=0.08).with_backend("thread")
     try:
@@ -401,8 +407,8 @@ def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
     finally:
         reset_persistent_read_caches()
         reset_resident_indexes()
-    assert len(widths) == len(drained) == 2
+    assert len(widths) == len(sorted_streams) == 2
     assert widths == [None, None]
     boundaries = shard_code_boundaries(WIDE_K, config.hash_table_shards)
     assert result.counters["index_digest"] == sum(
-        _lexsort_digest(*stream, boundaries) for stream in drained)
+        _lexsort_digest(*stream, boundaries) for stream in sorted_streams)

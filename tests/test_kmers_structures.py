@@ -1,5 +1,7 @@
 """Unit and property tests for repro.kmers (hashing, Bloom, HLL, counter, hash table)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,9 @@ from repro.kmers.bloom import BloomFilter
 from repro.kmers.counter import KmerCounter, count_kmers, kmer_frequency_histogram
 from repro.kmers.hashing import hash_with_seed, mix64, owner_of
 from repro.kmers.hashtable import (
-    KmerHashTablePartition,
     RetainedKmers,
+    ShardedKmerIndex,
+    key_mask,
     shard_code_boundaries,
 )
 from repro.kmers.hyperloglog import HyperLogLog
@@ -200,44 +203,60 @@ class TestCounter:
             kmer_frequency_histogram(np.array([1]), max_bin=0)
 
 
+def _index_of(occurrences, n_shards=1, k=17):
+    """A ShardedKmerIndex over (code, rid, pos, strand) tuples."""
+    return ShardedKmerIndex(
+        shard_code_boundaries(k, n_shards),
+        np.array([o[0] for o in occurrences], dtype=np.uint64),
+        np.array([o[1] for o in occurrences], dtype=np.int64),
+        np.array([o[2] for o in occurrences], dtype=np.int64),
+        np.array([o[3] for o in occurrences], dtype=bool),
+    )
+
+
+def _arrival_view(index, order_key, min_count=2, max_count=None):
+    """Every shard's ``retained_shard`` view, concatenated in shard order."""
+    return _concat_retained([index.retained_shard(shard, order_key, min_count, max_count)
+                             for shard in range(index.n_shards)])
+
+
+def _stable_grouping(codes, rids, positions, strands, min_count, max_count):
+    """The oracle: group an arrival-ordered occurrence stream by code with one
+    stable sort, so each group keeps arrival order, then apply the count
+    filters — the whole-partition finalise the sharded index replaced."""
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([sorted_codes.size > 0], sorted_codes[1:] != sorted_codes[:-1])))
+    counts = np.diff(np.append(starts, sorted_codes.size))
+    keep = counts >= min_count
+    if max_count is not None:
+        keep &= counts <= max_count
+    rows = np.concatenate([order[lo:lo + c] for lo, c in zip(starts[keep], counts[keep])]
+                          + [np.empty(0, dtype=np.int64)])
+    return RetainedKmers(
+        codes=sorted_codes[starts[keep]],
+        offsets=np.concatenate(([0], np.cumsum(counts[keep]))).astype(np.int64),
+        rids=rids[rows], positions=positions[rows], strands=strands[rows],
+    )
+
+
 class TestHashTablePartition:
-    def _partition_with(self, occurrences):
-        """occurrences: list of (code, rid, pos, strand)."""
-        part = KmerHashTablePartition()
-        codes = np.array([o[0] for o in occurrences], dtype=np.uint64)
-        part.add_candidate_keys(codes)
-        part.finalize_keys()
-        part.add_occurrences(
-            codes,
-            np.array([o[1] for o in occurrences]),
-            np.array([o[2] for o in occurrences]),
-            np.array([o[3] for o in occurrences], dtype=bool),
-        )
-        return part
+    """One rank's table partition: the candidate-key gate and the index views."""
 
     def test_keys_and_membership(self):
-        part = KmerHashTablePartition()
-        part.add_candidate_keys(np.array([5, 9, 5, 7], dtype=np.uint64))
-        assert part.finalize_keys() == 3
-        mask = part.has_keys(np.array([5, 6, 7, 8, 9], dtype=np.uint64))
+        keys = np.unique(np.array([5, 9, 5, 7], dtype=np.uint64))
+        assert keys.size == 3
+        mask = key_mask(keys, np.array([5, 6, 7, 8, 9], dtype=np.uint64))
         np.testing.assert_array_equal(mask, [True, False, True, False, True])
-
-    def test_requires_finalized_keys(self):
-        part = KmerHashTablePartition()
-        with pytest.raises(RuntimeError):
-            part.has_keys(np.array([1], dtype=np.uint64))
-        with pytest.raises(RuntimeError):
-            _ = part.n_keys
+        assert not key_mask(np.empty(0, dtype=np.uint64),
+                            np.array([1], dtype=np.uint64)).any()
 
     def test_non_key_occurrences_dropped(self):
-        part = KmerHashTablePartition()
-        part.add_candidate_keys(np.array([10], dtype=np.uint64))
-        part.finalize_keys()
-        stored = part.add_occurrences(
-            np.array([10, 11], dtype=np.uint64),
-            np.array([0, 1]), np.array([5, 6]), np.array([True, True]),
-        )
-        assert stored == 1
+        keys = np.array([10], dtype=np.uint64)
+        codes = np.array([10, 11, 12, 10], dtype=np.uint64)
+        stored = codes[key_mask(keys, codes)]
+        np.testing.assert_array_equal(stored, [10, 10])
 
     def test_finalize_groups_and_filters(self):
         occurrences = [
@@ -246,43 +265,39 @@ class TestHashTablePartition:
             (300, 4, 0, True), (300, 5, 2, True), (300, 6, 4, True),
             (300, 7, 6, True), (300, 8, 8, True),                       # count 5
         ]
-        part = self._partition_with(occurrences)
-        retained = part.finalize(min_count=2, max_count=4)
+        index = _index_of(occurrences)
+        retained = index.retained_shard(0, np.arange(9), min_count=2, max_count=4)
         assert retained.n_kmers == 1  # only code 100 survives (300 exceeds max)
         code, rids, positions, strands = retained.group(0)
         assert code == 100
-        np.testing.assert_array_equal(sorted(rids), [0, 1, 2])
+        np.testing.assert_array_equal(rids, [0, 1, 2])
         assert retained.counts().tolist() == [3]
         assert strands.dtype == bool
+        # A reversed arrival order reverses the group.
+        reverse = index.retained_shard(0, np.arange(9)[::-1].copy(), min_count=2,
+                                       max_count=4)
+        np.testing.assert_array_equal(reverse.rids, [2, 1, 0])
+        np.testing.assert_array_equal(reverse.strands, [True, False, True])
 
     def test_finalize_empty(self):
-        part = KmerHashTablePartition()
-        part.finalize_keys()
-        retained = part.finalize()
+        index = _index_of([])
+        retained = index.retained_shard(0, np.empty(0, dtype=np.int64))
         assert retained.n_kmers == 0
         assert retained.n_occurrences == 0
-
-    def test_finalize_validation(self):
-        part = KmerHashTablePartition()
-        part.finalize_keys()
-        with pytest.raises(ValueError):
-            part.finalize(min_count=0)
-        with pytest.raises(ValueError):
-            part.finalize(min_count=3, max_count=2)
+        assert retained.nbytes == RetainedKmers.empty().nbytes
 
     def test_add_occurrences_length_mismatch(self):
-        part = KmerHashTablePartition()
-        part.add_candidate_keys(np.array([1], dtype=np.uint64))
-        part.finalize_keys()
         with pytest.raises(ValueError):
-            part.add_occurrences(np.array([1], dtype=np.uint64), np.array([0, 1]),
-                                 np.array([0]))
+            ShardedKmerIndex(shard_code_boundaries(17, 1),
+                             np.array([1], dtype=np.uint64), np.array([0, 1]),
+                             np.array([0]), np.array([True]))
 
     def test_memory_accounting(self):
-        part = KmerHashTablePartition()
-        part.add_candidate_keys(np.arange(100, dtype=np.uint64))
-        part.finalize_keys()
-        assert part.memory_nbytes() > 0
+        occurrences = [(code, rid, rid, True) for code in (1, 2, 3) for rid in range(4)]
+        index = _index_of(occurrences, n_shards=1)
+        # RID, position and strand per occurrence; each code once, in the
+        # group table with its offsets.
+        assert index.nbytes == 12 * (8 + 8 + 1) + 3 * 8 + 4 * 8
 
     def test_retained_empty_constructor(self):
         empty = RetainedKmers.empty()
@@ -305,26 +320,36 @@ def _concat_retained(shards):
 
 
 class TestCodeRangeSharding:
-    """finalize_shards: a streamed, memory-bounded equivalent of finalize."""
+    """retained_shard: the one-shot run's sharded, arrival-ordered view."""
 
-    def _random_partition(self, seed=0, n_occ=400, code_bits=34):
+    N_READS = 50
+
+    def _arrival_stream(self, seed=0, n_occ=400, code_bits=34):
+        """A random occurrence stream in arrival order, and its order key.
+
+        Arrival order is ascending ``(order_key[rid], position)``, as stage 2
+        delivers occurrences; ``(rid, position)`` is unique, one k-mer per
+        read position.
+        """
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 1 << code_bits, size=n_occ).astype(np.uint64)
         # Duplicate a share of codes so multi-occurrence groups exist.
-        codes[n_occ // 2 :] = codes[: n_occ - n_occ // 2]
-        part = KmerHashTablePartition()
-        part.add_candidate_keys(codes)
-        part.finalize_keys()
-        # Feed occurrences in several batches, as the exchange supersteps do.
-        for lo in range(0, n_occ, 97):
-            hi = min(lo + 97, n_occ)
-            part.add_occurrences(
-                codes[lo:hi],
-                rng.integers(0, 50, size=hi - lo),
-                rng.integers(0, 1000, size=hi - lo),
-                rng.integers(0, 2, size=hi - lo).astype(bool),
-            )
-        return part
+        codes[n_occ // 2:] = rng.permutation(codes[: n_occ - n_occ // 2])
+        slots = np.sort(rng.choice(self.N_READS * 1000, size=n_occ, replace=False))
+        arrival_rank, positions = slots // 1000, (slots % 1000).astype(np.int64)
+        order_key = rng.permutation(self.N_READS).astype(np.int64)
+        rid_of_rank = np.argsort(order_key)
+        rids = rid_of_rank[arrival_rank].astype(np.int64)
+        strands = rng.integers(0, 2, size=n_occ).astype(bool)
+        return (codes, rids, positions, strands), order_key
+
+    def _index(self, n_shards, seed=0):
+        stream, order_key = self._arrival_stream(seed)
+        # The index sees the stream in a scrambled order: storage is canonical.
+        scramble = np.random.default_rng(seed + 1).permutation(stream[0].size)
+        index = ShardedKmerIndex(shard_code_boundaries(17, n_shards),
+                                 *(column[scramble] for column in stream))
+        return index, stream, order_key
 
     def test_boundaries_partition_the_code_space(self):
         boundaries = shard_code_boundaries(k=17, n_shards=4)
@@ -334,43 +359,41 @@ class TestCodeRangeSharding:
         assert int(boundaries[-1]) < 4 ** 17
         assert shard_code_boundaries(k=17, n_shards=1).size == 0
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 8])
     def test_shards_concatenate_to_the_monolithic_finalize(self, n_shards):
-        reference = self._random_partition().finalize(min_count=2, max_count=6)
-        part = self._random_partition()
-        shards = list(part.finalize_shards(shard_code_boundaries(17, n_shards),
-                                           min_count=2, max_count=6))
-        assert len(shards) == n_shards
-        merged = _concat_retained(shards)
-        np.testing.assert_array_equal(merged.codes, reference.codes)
-        np.testing.assert_array_equal(merged.offsets, reference.offsets)
-        np.testing.assert_array_equal(merged.rids, reference.rids)
-        np.testing.assert_array_equal(merged.positions, reference.positions)
-        np.testing.assert_array_equal(merged.strands, reference.strands)
+        """The arrival-order oracle: the concatenated ``retained_shard``
+        views equal one stable sort of the arrival-ordered stream."""
+        for seed, (min_count, max_count) in itertools.product(
+                range(3), ((2, 6), (1, None), (3, None))):
+            index, stream, order_key = self._index(n_shards, seed)
+            expected = _stable_grouping(*stream, min_count, max_count)
+            shards = [index.retained_shard(shard, order_key, min_count, max_count)
+                      for shard in range(index.n_shards)]
+            assert len(shards) == n_shards
+            merged = _concat_retained(shards)
+            for column in ("codes", "offsets", "rids", "positions", "strands"):
+                assert getattr(merged, column).dtype == getattr(expected, column).dtype
+                np.testing.assert_array_equal(getattr(merged, column),
+                                              getattr(expected, column), err_msg=column)
 
     def test_sharding_cuts_peak_retained_memory(self):
-        whole = self._random_partition()
-        list(whole.finalize_shards(shard_code_boundaries(17, 1)))
-        unsharded_peak = whole.retained_peak_nbytes
+        whole, _, order_key = self._index(1)
+        unsharded_peak = whole.retained_shard(0, order_key).nbytes
 
-        sharded = self._random_partition()
-        list(sharded.finalize_shards(shard_code_boundaries(17, 4)))
-        assert 0 < sharded.retained_peak_nbytes < unsharded_peak
-
-    def test_generator_consumes_the_buffers(self):
-        part = self._random_partition()
-        assert part.n_occurrences_buffered > 0
-        list(part.finalize_shards(shard_code_boundaries(17, 2)))
-        assert part.n_occurrences_buffered == 0
+        sharded, _, _ = self._index(4)
+        sharded_peak = max(sharded.retained_shard(shard, order_key).nbytes
+                           for shard in range(4))
+        assert 0 < sharded_peak < unsharded_peak
 
     def test_empty_partition_yields_empty_shards(self):
-        part = KmerHashTablePartition()
-        part.finalize_keys()
-        shards = list(part.finalize_shards(shard_code_boundaries(17, 3)))
+        index = _index_of([], n_shards=3)
+        order_key = np.empty(0, dtype=np.int64)
+        shards = [index.retained_shard(shard, order_key) for shard in range(3)]
         assert [s.n_kmers for s in shards] == [0, 0, 0]
 
     def test_count_filter_validation(self):
-        part = KmerHashTablePartition()
-        part.finalize_keys()
+        index, _, order_key = self._index(2)
         with pytest.raises(ValueError):
-            list(part.finalize_shards(shard_code_boundaries(17, 2), min_count=0))
+            index.retained_shard(0, order_key, min_count=0)
+        with pytest.raises(ValueError):
+            index.retained_shard(0, order_key, min_count=3, max_count=2)

@@ -7,7 +7,6 @@ from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.genome import GenomeSpec
 from repro.data.reads import ReadSimSpec
 from repro.stats.histograms import kmer_spectrum, overlap_count_histogram, read_length_histogram
-from repro.stats.load_balance import load_imbalance, per_node_imbalance
 from repro.stats.quality import OverlapQuality, overlap_recall_precision
 from repro.stats.scaling import (
     efficiency_series,
@@ -16,30 +15,6 @@ from repro.stats.scaling import (
     strong_scaling_efficiency,
     throughput_series,
 )
-
-
-class TestLoadImbalance:
-    def test_perfect(self):
-        assert load_imbalance(np.array([5.0, 5.0, 5.0])) == 1.0
-
-    def test_skewed(self):
-        assert load_imbalance(np.array([10.0, 0.0])) == 2.0
-
-    def test_degenerate(self):
-        assert load_imbalance(np.array([])) == 1.0
-        assert load_imbalance(np.zeros(4)) == 1.0
-
-    def test_per_node(self):
-        # Ranks are imbalanced but nodes (pairs of ranks) are perfectly balanced.
-        per_rank = np.array([10.0, 0.0, 5.0, 5.0])
-        assert load_imbalance(per_rank) == 2.0
-        assert per_node_imbalance(per_rank, ranks_per_node=2) == 1.0
-
-    def test_per_node_validation(self):
-        with pytest.raises(ValueError):
-            per_node_imbalance(np.ones(3), ranks_per_node=2)
-        with pytest.raises(ValueError):
-            per_node_imbalance(np.ones(4), ranks_per_node=0)
 
 
 class TestScaling:

@@ -41,20 +41,14 @@
 #           About a minute on 2 cores; runs on every change.
 #   slow  — the end-to-end pipeline / harness / baseline tests, also under
 #           both runtime backends.
-#   bench — the perf gates: the overlap microbenchmark (pair generation,
-#           consolidation and seed selection vs their loop oracles) and the
-#           backend scaling bench (process-backend overlap-stage speedup
-#           and pool amortisation — enforced only on hosts with enough
-#           cores — the serve-latency gate: warm query-batch p99
-#           well under the cold one-shot wall, zero rebuilds always
-#           asserted — the wire-packing byte gate: the packed run's
-#           alignment read payload <= 0.3x raw, always enforced — the seed-sketch
-#           ablation gate: minimizer mode at w=11 must cut stage 1-3 k-mer
-#           bytes >= 3x and the retained-table peak >= 2x at >= 95% recall
-#           of the baseline's true overlaps, enforced on >= 4-core hosts).
+#   tree guard — `git status --porcelain` is snapshotted when CI starts and
+#           compared when it ends: a pass that writes, deletes or modifies a
+#           file git sees fails CI and the changed paths are printed (a
+#           file already dirty when CI starts is not checked again).
+#           Skipped outside a git work tree.
 #
 # Usage:
-#   scripts/ci.sh          # everything (the tier-1 gate plus the perf gates)
+#   scripts/ci.sh          # everything (adds the slow tier)
 #   scripts/ci.sh fast     # just the fast tier
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -79,6 +73,17 @@ no_shm_leak() {
         exit 1
     fi
 }
+
+# The work tree as git sees it ("" outside a git work tree).
+tree_status() {
+    git status --porcelain 2>/dev/null || true
+}
+
+in_work_tree=false
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_work_tree=true
+fi
+tree_before=$(tree_status)
 
 echo "== docs: dead-link check (README.md, docs/) =="
 python scripts/check_doc_links.py
@@ -132,13 +137,14 @@ if [ "$tier" = "all" ]; then
 
     echo "== slow tier: end-to-end pipeline tests (process backend) =="
     DIBELLA_BACKEND=process python -m pytest tests -m slow -q
+fi
 
-    echo "== perf gate: overlap microbenchmark =="
-    python benchmarks/bench_overlap_microbench.py
-
-    echo "== perf gate: backend scaling =="
-    python benchmarks/bench_backend_scaling.py
-
-    echo "== perf gate: seed-sketch ablation (minimizer volume/recall) =="
-    python benchmarks/bench_ablation_seed_sketch.py
+if $in_work_tree; then
+    echo "== tree guard: CI left the work tree as it found it =="
+    tree_after=$(tree_status)
+    if [ "$tree_before" != "$tree_after" ]; then
+        echo "the work tree changed during CI (git status --porcelain):" >&2
+        comm -3 <(echo "$tree_before" | sort) <(echo "$tree_after" | sort) >&2
+        exit 1
+    fi
 fi

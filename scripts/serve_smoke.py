@@ -19,8 +19,7 @@ the pool, retry the batch, and report the recovery in the batch counters —
 while the second batch reuses the rebuilt resident index as usual.
 
 Pure counter checks — deterministic on any host, so ``ci.sh`` runs this on
-every change (no timing, unlike the serve-latency gate in
-``benchmarks/bench_backend_scaling.py``).
+every change (no timing).
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 diBELLA performs each pairwise alignment on a single node with an x-drop
 seed-and-extend kernel (the SeqAn implementation in the original, §2).  This
-subpackage provides that kernel plus the reference kernels used for testing
-and for the kernel-choice ablation:
+subpackage provides that kernel plus the reference kernels used for testing:
 
 * :mod:`repro.align.smith_waterman` — full O(|s|·|t|) local alignment
   (Smith–Waterman), the ground-truth oracle.

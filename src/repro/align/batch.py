@@ -7,7 +7,7 @@ independently in parallel", §9).  :func:`batched_xdrop_align` is that step:
 arrays in (a :class:`TaskBatch` plus the rank's :class:`ReadCache`), arrays
 out (one record per task).  :func:`align_task` runs one task through the
 unbounded reference kernels (x-drop, banded or full Smith–Waterman) for the
-tests and the kernel-choice ablation.
+tests.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 This is the O(|s|·|t|) dynamic program of §2 — too expensive for production
 use on long reads, but exact, which makes it the oracle the banded and
-x-drop kernels are validated against and the upper bound used in the
-kernel-choice ablation.
+x-drop kernels are validated against.
 
 The matrix is filled row by row with vectorised numpy operations across the
 columns; an optional traceback materialises the gapped alignment strings so

@@ -9,8 +9,9 @@
 * :mod:`repro.bench.reporting` — plain-text table/series formatting used by
   the benchmark scripts and the CLI.
 
-The benchmark scripts under ``benchmarks/`` are thin wrappers that call these
-functions under ``pytest-benchmark`` and print the regenerated figure data.
+The benchmark scripts under ``benchmarks/`` — one per paper figure or table,
+nothing else — are thin wrappers that call these functions under
+``pytest-benchmark`` and print the regenerated figure data.
 """
 
 from repro.bench.harness import (

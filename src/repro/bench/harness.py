@@ -15,7 +15,6 @@ size) for longer, higher-fidelity benchmark runs.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -48,12 +47,6 @@ TARGET_INPUT_BASES: dict[str, float] = {
     "ecoli100x": 91_394 * 6_934.0,
     "ecoli30x_sample": 0.2 * 16_890 * 9_958.0,
 }
-
-
-#: Process-global namespace sequence for pooled harness runs: the persistent
-#: rank pool (and its workers' read caches) outlives harness instances, so
-#: run namespaces must never repeat within a process.
-_POOL_NAMESPACE_COUNTER = itertools.count()
 
 
 def _bench_scale() -> float:
@@ -120,30 +113,13 @@ SEED_STRATEGIES: dict[str, SeedStrategy] = {
 
 @dataclass
 class ExperimentHarness:
-    """Caches generated data sets, pipeline runs and projections.
-
-    Attributes
-    ----------
-    pool:
-        Route the pipeline runs through the persistent rank pool.  ``None``
-        (the default) enables pooling whenever the configured runtime
-        backend is ``"process"`` — the figure sweeps re-run the pipeline per
-        node count, and pooled rank processes parked on a barrier between
-        runs amortise the per-run fork+import cost across the whole sweep.
-        Each run gets a fresh read-cache namespace, so the rank processes
-        evict the previous run's caches before serving it — sweep
-        measurements stay independent (pooling amortises *startup*, never
-        run-to-run state).  :meth:`pool_report` summarises the amortisation.
-    """
+    """Caches generated data sets, pipeline runs and projections."""
 
     workloads: BenchWorkloads = field(default_factory=BenchWorkloads.default)
     ranks_per_node: int = 1
     cost_model: CostModel = field(default_factory=CostModel)
-    pool: bool | None = None
     _datasets: dict[str, Dataset] = field(default_factory=dict)
     _runs: dict[tuple[str, str, int], PipelineResult] = field(default_factory=dict)
-    _run_walls: dict[tuple[str, str, int], float] = field(default_factory=dict)
-    _pooled_runs: int = 0
 
     # -- data sets ---------------------------------------------------------------
 
@@ -169,53 +145,22 @@ class ExperimentHarness:
             coverage_hint=spec.reads.coverage,
             error_rate_hint=spec.reads.error_rate,
             seed_strategy=SEED_STRATEGIES[strategy],
+            # A cached read from an earlier run of the sweep would skip a
+            # fetch and shrink this run's measured exchange volumes.
+            pool=False,
         )
 
     # -- pipeline runs --------------------------------------------------------------
 
-    def _use_pool(self, config: PipelineConfig) -> bool:
-        """Whether a run with *config* should go through the rank pool."""
-        if self.pool is not None:
-            return bool(self.pool) and config.backend == "process"
-        return config.backend == "process"
-
     def run(self, workload: str = "ecoli30x", strategy: str = "one-seed",
             n_nodes: int = 1) -> PipelineResult:
-        """Run (or fetch the cached) pipeline execution for one configuration.
-
-        Process-backend runs are routed through the persistent rank pool
-        (see the class docstring), so a scaling sweep forks each rank-count's
-        worker set once instead of once per figure invocation.
-        """
-        import time as _time
-
+        """Run (or fetch the cached) pipeline execution for one configuration."""
         key = (workload, strategy, n_nodes)
         if key not in self._runs:
-            dataset = self.dataset(workload)
-            config = self._config_for(workload, strategy)
-            pooled = self._use_pool(config)
-            if pooled:
-                config = config.with_pool(True)
             topology = Topology(n_nodes=n_nodes, ranks_per_node=self.ranks_per_node)
-            # Pooling amortises worker startup only: a per-run cache
-            # namespace makes the rank processes evict the previous run's
-            # read caches, so a later run in the sweep never skips fetches
-            # an earlier run paid for (which would change its measured
-            # exchange volumes).  The eviction happens *inside* the pooled
-            # workers — a parent-side cache reset could not reach them.  The
-            # counter is process-global: the rank pool outlives any one
-            # harness, so a per-instance count would repeat namespaces
-            # across harnesses (or after clear()) and resurrect stale
-            # caches.
-            namespace = (f"bench-run-{next(_POOL_NAMESPACE_COUNTER)}"
-                         if pooled else None)
-            pipeline = DibellaPipeline(config=config, topology=topology,
-                                       cache_namespace=namespace)
-            start = _time.perf_counter()
-            self._runs[key] = pipeline.run(dataset.reads)
-            self._run_walls[key] = _time.perf_counter() - start
-            if pooled:
-                self._pooled_runs += 1
+            pipeline = DibellaPipeline(config=self._config_for(workload, strategy),
+                                       topology=topology)
+            self._runs[key] = pipeline.run(self.dataset(workload).reads)
         return self._runs[key]
 
     def scaling_runs(self, workload: str = "ecoli30x", strategy: str = "one-seed",
@@ -250,42 +195,10 @@ class ExperimentHarness:
             scale=scale,
         )
 
-    # -- pool amortisation ------------------------------------------------------------
-
-    def pool_report(self) -> dict[str, float]:
-        """How much worker startup the rank pool amortised across this harness.
-
-        Returns
-        -------
-        dict
-            ``runs`` (pipeline executions), ``pooled_runs`` (those served by
-            the persistent rank pool), ``pools_created`` (distinct worker
-            sets actually forked), ``pool_runs_completed`` (pool jobs
-            served), and ``forks_avoided`` (rank processes that would have
-            been forked without the pool: ``(runs_completed - 1) * n_ranks``
-            summed over pools).  Live-pool statistics come from
-            :func:`repro.mpisim.backend.rank_pool_stats`, so call this
-            before the pools are shut down.
-        """
-        from repro.mpisim.backend import rank_pool_stats
-
-        stats = rank_pool_stats()
-        return {
-            "runs": float(len(self._run_walls)),
-            "pooled_runs": float(self._pooled_runs),
-            "pools_created": float(len(stats)),
-            "pool_runs_completed": float(sum(s["runs_completed"] for s in stats)),
-            "forks_avoided": float(sum(
-                max(0, s["runs_completed"] - 1) * s["n_ranks"] for s in stats)),
-            "total_run_seconds": float(sum(self._run_walls.values())),
-        }
-
     def clear(self) -> None:
         """Drop all cached data sets and runs (test helper)."""
         self._datasets.clear()
         self._runs.clear()
-        self._run_walls.clear()
-        self._pooled_runs = 0
 
 
 #: Process-wide harness shared by all benchmark modules.

@@ -8,7 +8,7 @@ benchmarks/results/.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _format_value(value: object, precision: int) -> str:
@@ -62,14 +62,3 @@ def format_series(rows: Sequence[Mapping[str, object]], x: str, y: str, group: s
         lines.append(f"{key:>12}  {rendered}")
     return "\n".join(lines)
 
-
-def rows_to_csv(rows: Iterable[Mapping[str, object]]) -> str:
-    """Render rows as a simple CSV string (header from the first row's keys)."""
-    rows = list(rows)
-    if not rows:
-        return ""
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row.get(col, "")) for col in cols))
-    return "\n".join(lines)

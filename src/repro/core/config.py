@@ -4,8 +4,7 @@ Collects every runtime parameter of the diBELLA pipeline in one frozen
 dataclass: the k-mer analysis parameters (§2), the streaming/memory bound
 (§4: "diBELLA executes in a streaming fashion with a subset of input data at
 a time"), the seed-selection constraints (§5, §8), the alignment kernel
-settings (§9), and the layout/heuristic knobs exercised by the ablation
-benches.
+settings (§9), and the runtime, serve and fault-injection knobs.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class PipelineConfig:
         pre-pass, the hash-table exchange, the retained table and pair
         generation all see an expected ``2/(w+1)`` of the stream — a ~w/2-x
         cut of stage 1-3 wire bytes and table memory at a small recall cost
-        (measured by ``benchmarks/bench_ablation_seed_sketch.py``).  The
+        (measured in ``docs/seed-sketch.md``).  The
         serve path sketches index build and query batches with the same
         (k, w), and the resident-index tag includes the sketch parameters so
         mismatched build/query modes never share an index.  The default
@@ -101,12 +100,6 @@ class PipelineConfig:
         1 kbp separation / k separation settings).
     xdrop / band / scoring / min_alignment_score:
         Alignment-stage x-drop kernel configuration (§9).
-    partition_strategy:
-        How input reads are split across ranks (``"size"`` reproduces the
-        paper's byte-balanced blocks).
-    owner_heuristic:
-        Task-owner rule in the overlap stage (``"oddeven"`` is Algorithm 1;
-        ``"min"`` and ``"random"`` are ablation alternatives).
     backend:
         SPMD runtime backend: ``"thread"`` (ranks are threads, zero-copy
         collectives, compute serialised by the GIL) or ``"process"`` (ranks
@@ -212,8 +205,6 @@ class PipelineConfig:
     band: int = DEFAULT_XDROP_BAND
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
     min_alignment_score: int = 0
-    partition_strategy: str = "size"
-    owner_heuristic: str = "oddeven"
     backend: str = field(
         default_factory=lambda: os.environ.get("DIBELLA_BACKEND", "thread")
     )
@@ -280,10 +271,6 @@ class PipelineConfig:
             raise ValueError("batch_reads must be >= 1")
         # Fail here, not in stage 4 after stages 1-3 have run.
         BatchedExtensionConfig(xdrop=self.xdrop, band=self.band)
-        if self.partition_strategy not in ("size", "round_robin"):
-            raise ValueError(f"unknown partition strategy {self.partition_strategy!r}")
-        if self.owner_heuristic not in ("oddeven", "min", "random"):
-            raise ValueError(f"unknown owner heuristic {self.owner_heuristic!r}")
         if self.backend not in ("thread", "process"):
             raise ValueError(f"unknown runtime backend {self.backend!r}")
         if self.exchange_chunk_mb is not None and self.exchange_chunk_mb <= 0:

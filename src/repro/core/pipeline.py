@@ -57,22 +57,12 @@ class DibellaPipeline:
         Simulated node/rank layout.  The number of simulated ranks bounds the
         thread/process count; the projection onto real platforms uses the
         node count plus the platform's own cores-per-node.
-    cache_namespace:
-        Optional qualifier folded into the pooled read-cache generation tag.
-        Pooled runs normally share caches whenever the read set matches; a
-        caller that wants pool *startup* amortisation without cross-run
-        cache reuse (the bench harness — cache hits would change a
-        measurement's exchange volumes) passes a fresh namespace per run, so
-        the rank processes themselves evict the previous generation when
-        they acquire their caches.  No effect without ``config.pool``.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
-                 topology: Topology | None = None,
-                 cache_namespace: str | None = None):
+                 topology: Topology | None = None):
         self.config = config or PipelineConfig()
         self.topology = topology or Topology.single_node(4)
-        self.cache_namespace = cache_namespace
         # Serve-phase handle, set by build_index: the index read set and the
         # resident-index generation tag query batches run against.
         self._index_readset: ReadSet | None = None
@@ -205,17 +195,8 @@ class DibellaPipeline:
     # -- launch and assembly ----------------------------------------------------------
 
     def _pool_cache_tag(self, base: str) -> str | None:
-        """The persistent read-cache tag for a run (None without the pool).
-
-        A cache namespace qualifies the tag so the owner of this pipeline
-        can opt out of cross-run reuse (each distinct tag evicts the
-        previous generation inside the rank processes).
-        """
-        if not self.config.pool:
-            return None
-        if self.cache_namespace is not None:
-            return f"{base}:{self.cache_namespace}"
-        return base
+        """The persistent read-cache tag for a run (None without the pool)."""
+        return base if self.config.pool else None
 
     def _launch(self, program, readset: ReadSet, program_args: tuple,
                 stage_names: tuple[str, ...], cache_tag: str | None) -> PipelineResult:
@@ -227,7 +208,7 @@ class DibellaPipeline:
         config = self.config
         topology = self.topology
         n_ranks = topology.n_ranks
-        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
+        assignments = partition_reads(readset, n_ranks)
         high_freq_threshold = config.resolve_high_freq_threshold(readset)
         trace = CommTrace(n_ranks)
 

@@ -15,8 +15,7 @@ adds the always-on front of the ROADMAP's "alignment service" on top:
   runs each batch through the pooled pipeline, recording a per-batch
   :class:`QueryBatchRecord` with the wall latency and the run counters;
 * **latency_stats** summarises the drained batches (p50/p99 wall seconds
-  per batch, reads served per second) — the numbers the serve latency bench
-  writes under ``benchmarks/results/``.
+  per batch, reads served per second).
 
 The index is built lazily on the first drain (or eagerly via
 :meth:`AlignmentService.build`) and stays resident on the pooled ranks, so

@@ -585,8 +585,7 @@ def overlap_stage(
         # Owner choice happens before the query filter drops the swapped
         # annotation of the pairs it removes.
         destinations = choose_owner(
-            pairs.rid_a, pairs.rid_b, state.read_owner,
-            heuristic=config.owner_heuristic, swapped=pairs.swapped,
+            pairs.rid_a, pairs.rid_b, state.read_owner, swapped=pairs.swapped,
         )
         matrix = pairs.to_matrix()
         if n_index_reads is not None:

@@ -10,7 +10,7 @@ by the read size in memory").
 
 from repro.io.fasta import read_fasta, write_fasta
 from repro.io.fastq import read_fastq, write_fastq
-from repro.io.partition import partition_reads, partition_by_size, partition_round_robin
+from repro.io.partition import partition_reads
 
 __all__ = [
     "read_fasta",
@@ -18,6 +18,4 @@ __all__ = [
     "read_fastq",
     "write_fastq",
     "partition_reads",
-    "partition_by_size",
-    "partition_round_robin",
 ]

@@ -6,7 +6,7 @@ uniformly as possible ... by the read size in memory".  There is no locality
 in the input order, so a greedy contiguous-block split by cumulative bytes is
 both what the original implementation does and what we reproduce here.
 
-All partitioners return a list of RID lists, one per rank, covering every RID
+The partition is a list of RID lists, one per rank, covering every RID
 exactly once.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from repro.seq.records import ReadSet
 
 
-def partition_by_size(readset: ReadSet, n_ranks: int) -> list[list[int]]:
+def partition_reads(readset: ReadSet, n_ranks: int) -> list[list[int]]:
     """Split RIDs into contiguous blocks balanced by total sequence bytes.
 
     Greedy scan: each rank receives consecutive reads until its running byte
@@ -44,31 +44,6 @@ def partition_by_size(readset: ReadSet, n_ranks: int) -> list[list[int]]:
         assignments[rank].append(rid)
         acc += int(lengths[rid])
     return assignments
-
-
-def partition_round_robin(readset: ReadSet, n_ranks: int) -> list[list[int]]:
-    """Deal RIDs round-robin across ranks (used by ablation comparisons)."""
-    if n_ranks <= 0:
-        raise ValueError("n_ranks must be positive")
-    assignments: list[list[int]] = [[] for _ in range(n_ranks)]
-    for rid in range(len(readset)):
-        assignments[rid % n_ranks].append(rid)
-    return assignments
-
-
-def partition_reads(
-    readset: ReadSet, n_ranks: int, strategy: str = "size"
-) -> list[list[int]]:
-    """Partition reads across ranks using the named strategy.
-
-    ``"size"`` (default) is the paper's contiguous byte-balanced split;
-    ``"round_robin"`` deals reads cyclically and is used in ablations.
-    """
-    if strategy == "size":
-        return partition_by_size(readset, n_ranks)
-    if strategy == "round_robin":
-        return partition_round_robin(readset, n_ranks)
-    raise ValueError(f"unknown partition strategy: {strategy!r}")
 
 
 def partition_imbalance(assignments: list[list[int]], readset: ReadSet) -> float:

@@ -45,7 +45,8 @@ from repro.seq.kmer import KmerSpec, extract_kmers_batch, extract_kmers_with_str
 SKETCH_HASH_SEED: int = 0x5EED_AB1E_D1BE_11A5
 
 #: Default window length (k-mers per window).  11 keeps an expected
-#: ``2/(w+1) = 1/6`` of the stream — the ablation bench's sweet spot.
+#: ``2/(w+1) = 1/6`` of the stream — the sweet spot of the window sweep in
+#: ``docs/seed-sketch.md``.
 DEFAULT_MINIMIZER_WINDOW: int = 11
 
 

@@ -6,8 +6,8 @@ of read IDs (and positions) and form all pairs of reads, assigning each pair
 to one processor" (§4).  This subpackage implements
 
 * :mod:`repro.overlap.pairs` — Algorithm 1: all-pairs generation per retained
-  k-mer with the odd/even owner heuristic (plus the alternative heuristics
-  used in the owner ablation), and consolidation of per-pair seed lists,
+  k-mer with the odd/even owner heuristic, and consolidation of per-pair
+  seed lists,
 * :mod:`repro.overlap.seeds` — the runtime seed-selection constraints
   (one-seed, all seeds separated by ≥ d bases, d = k),
 * :mod:`repro.overlap.graph` — the read overlap graph as a networkx object,

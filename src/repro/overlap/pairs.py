@@ -23,7 +23,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kmers.hashing import mix64
 from repro.kmers.hashtable import RetainedKmers
 
 
@@ -315,43 +314,29 @@ def choose_owner(
     rid_a: np.ndarray,
     rid_b: np.ndarray,
     read_owner: np.ndarray,
-    heuristic: str = "oddeven",
     swapped: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Destination rank of each task under the named owner heuristic.
+    """Destination rank of each task under Algorithm 1's odd/even rule.
 
     ``read_owner`` maps RID → owning rank (from the input read partition).
-    Heuristics: ``"oddeven"`` (Algorithm 1, default), ``"min"`` (always the
-    owner of the smaller RID) and ``"random"`` (hash of the pair) — the last
-    two exist for the owner-heuristic ablation bench.
 
     ``swapped`` is the :attr:`PairBatch.swapped` annotation: True where the
     ``rid_a < rid_b`` normalisation flipped the pair's occurrence order.
-    Algorithm 1 is defined on occurrence order, so the odd/even heuristic
-    un-swaps before applying the rule; ``None`` means the inputs already are
-    in occurrence order (nothing was normalised).
+    Algorithm 1 is defined on occurrence order, so the rule un-swaps before
+    it applies; ``None`` means the inputs already are in occurrence order
+    (nothing was normalised).
     """
     rid_a = np.asarray(rid_a, dtype=np.int64)
     rid_b = np.asarray(rid_b, dtype=np.int64)
     read_owner = np.asarray(read_owner, dtype=np.int64)
-    if heuristic == "oddeven":
-        if swapped is None:
-            first, second = rid_a, rid_b
-        else:
-            swapped = np.asarray(swapped, dtype=bool)
-            first = np.where(swapped, rid_b, rid_a)
-            second = np.where(swapped, rid_a, rid_b)
-        use_first = owner_heuristic_oddeven(first, second)
-        chosen_rid = np.where(use_first, first, second)
-        return read_owner[chosen_rid]
-    if heuristic == "min":
-        use_a = np.ones(rid_a.size, dtype=bool)
-    elif heuristic == "random":
-        pair_hash = mix64(rid_a.astype(np.uint64) * np.uint64(2654435761) ^ rid_b.astype(np.uint64))
-        use_a = (np.atleast_1d(pair_hash) & np.uint64(1)) == 0
+    if swapped is None:
+        first, second = rid_a, rid_b
     else:
-        raise ValueError(f"unknown owner heuristic {heuristic!r}")
-    chosen_rid = np.where(use_a, rid_a, rid_b)
+        swapped = np.asarray(swapped, dtype=bool)
+        first = np.where(swapped, rid_b, rid_a)
+        second = np.where(swapped, rid_a, rid_b)
+    use_first = owner_heuristic_oddeven(first, second)
+    chosen_rid = np.where(use_first, first, second)
     return read_owner[chosen_rid]
 
 

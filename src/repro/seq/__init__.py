@@ -5,8 +5,8 @@ diBELLA pipeline is built on:
 
 * :mod:`repro.seq.alphabet` — the DNA alphabet, validation, complement and
   reverse-complement operations.
-* :mod:`repro.seq.encoding` — vectorised 2-bit packing of DNA into numpy
-  integer arrays (the representation used for k-mer codes, see §3 of the
+* :mod:`repro.seq.encoding` — vectorised 2-bit encoding of DNA into numpy
+  code arrays (the representation used for k-mer codes, see §3 of the
   paper: "Each k-mer character from the four letter alphabet {A,C,T,G} can be
   represented with 2 bits").
 * :mod:`repro.seq.packing` — the 2-bit packed wire codec (4 bases/byte) and
@@ -30,8 +30,6 @@ from repro.seq.alphabet import (
 from repro.seq.encoding import (
     encode_sequence,
     decode_sequence,
-    pack_2bit,
-    unpack_2bit,
 )
 from repro.seq.packing import (
     PackedReadBlock,
@@ -64,8 +62,6 @@ __all__ = [
     "sanitize",
     "encode_sequence",
     "decode_sequence",
-    "pack_2bit",
-    "unpack_2bit",
     "PackedReadBlock",
     "pack_codes",
     "unpack_codes",

@@ -27,15 +27,6 @@ Ambiguous bases (``N``) never reach this codec: readers sanitise on ingest
 (:func:`repro.seq.alphabet.sanitize`), and any code outside ``[0, 3]``
 raises ``ValueError`` here rather than silently corrupting a neighbour's
 bits.
-
-This codec is deliberately distinct from
-:func:`repro.seq.encoding.pack_2bit` / :func:`~repro.seq.encoding.unpack_2bit`:
-those pack into ``uint64`` *words* (32 bases/word, most-significant lanes
-first — the k-mer-code convention, used for hashing and memory accounting),
-whereas the wire format needs **byte-granular** payloads so each read of a
-block can start on a byte boundary and be sliced without realigning bits.
-The two layouts are not interchangeable — always unpack with the function
-matching the packer.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.bench.harness import (
     TARGET_INPUT_BASES,
 )
 from repro.bench.experiments import table1_platforms
-from repro.bench.reporting import format_series, format_table, rows_to_csv
+from repro.bench.reporting import format_series, format_table
 from repro.cli import main
 from repro.data.datasets import DatasetSpec
 from repro.data.genome import GenomeSpec
@@ -76,37 +76,25 @@ class TestHarness:
         tiny_harness.clear()
         assert tiny_harness._runs == {}
 
-    def test_pooled_sweep_runs_are_cache_isolated(self, tiny_harness):
-        """Two pooled runs over the same reads must not share read caches.
+    def test_sweep_runs_never_share_read_caches(self, tiny_harness, monkeypatch):
+        """Two runs over the same reads each pay every remote read fetch.
 
-        Pool routing amortises worker startup only: the second run reuses
-        the first run's parked rank processes, but its per-run cache
-        namespace makes those processes evict the previous run's read
-        caches — so its measured fetch counters (and exchange volumes) are
-        exactly what a cold run would record.
+        A read cached by an earlier run of a sweep would skip a fetch and
+        shrink the later run's measured exchange volumes, so the harness
+        keeps its runs off the persistent rank pool even when the
+        environment asks for it.
         """
-        from repro.mpisim.backend import rank_pool_stats, shutdown_rank_pools
-
-        pooled = ExperimentHarness(workloads=tiny_harness.workloads, pool=True)
-        shutdown_rank_pools()
-        # Force the process backend regardless of DIBELLA_BACKEND.
-        base_config_for = pooled._config_for
-        pooled._config_for = lambda name, strategy: (
-            base_config_for(name, strategy).with_backend("process"))
-        try:
-            first = pooled.run("ecoli30x_sample", "one-seed", n_nodes=2)
-            second = pooled.run("ecoli30x_sample", "d=1000", n_nodes=2)
-            stats = rank_pool_stats()
-            assert stats and stats[0]["runs_completed"] == 2  # pool reused
-            assert first.counters["remote_reads_fetched"] > 0
-            assert (second.counters["remote_reads_fetched"]
+        monkeypatch.setenv("DIBELLA_POOL", "1")
+        monkeypatch.setenv("DIBELLA_BACKEND", "process")
+        harness = ExperimentHarness(workloads=tiny_harness.workloads)
+        first = harness.run("ecoli30x_sample", "one-seed", n_nodes=2)
+        second = harness.run("ecoli30x_sample", "d=1000", n_nodes=2)
+        assert first.config.backend == "process"
+        assert first.counters["remote_reads_fetched"] > 0
+        for result in (first, second):
+            assert (result.counters["remote_reads_fetched"]
                     == first.counters["remote_reads_fetched"])
-            assert second.counters["read_cache_fetch_hits"] == 0
-            report = pooled.pool_report()
-            assert report["pooled_runs"] == 2
-            assert report["forks_avoided"] > 0
-        finally:
-            shutdown_rank_pools()
+            assert result.counters["read_cache_fetch_hits"] == 0
 
 
 class TestReporting:
@@ -128,12 +116,6 @@ class TestReporting:
     def test_format_series(self):
         text = format_series(self.ROWS, x="nodes", y="value", group="platform")
         assert "cori" in text and "1:1.234" in text and "2:2.500" in text
-
-    def test_rows_to_csv(self):
-        csv = rows_to_csv(self.ROWS)
-        assert csv.splitlines()[0] == "platform,nodes,value"
-        assert len(csv.splitlines()) == 4
-        assert rows_to_csv([]) == ""
 
     def test_table1_experiment(self):
         rows = table1_platforms()

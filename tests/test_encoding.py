@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.seq.encoding import (
-    BASES_PER_WORD,
-    decode_sequence,
-    encode_sequence,
-    pack_2bit,
-    packed_nbytes,
-    unpack_2bit,
-)
+from repro.seq.encoding import decode_sequence, encode_sequence
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=300)
 
@@ -39,40 +32,3 @@ class TestEncodeDecode:
     def test_roundtrip(self, seq):
         assert decode_sequence(encode_sequence(seq)) == seq
 
-
-class TestPacking:
-    def test_pack_small(self):
-        codes = encode_sequence("ACGT")
-        words, n = pack_2bit(codes)
-        assert n == 4
-        assert words.dtype == np.uint64
-        np.testing.assert_array_equal(unpack_2bit(words, n), codes)
-
-    def test_pack_empty(self):
-        words, n = pack_2bit(np.empty(0, dtype=np.uint8))
-        assert n == 0
-        assert unpack_2bit(words, 0).size == 0
-
-    def test_exact_word_boundary(self):
-        codes = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), BASES_PER_WORD // 4)
-        words, n = pack_2bit(codes)
-        assert words.size == 1
-        np.testing.assert_array_equal(unpack_2bit(words, n), codes)
-
-    def test_packed_nbytes(self):
-        assert packed_nbytes(0) == 0
-        assert packed_nbytes(1) == 8
-        assert packed_nbytes(32) == 8
-        assert packed_nbytes(33) == 16
-
-    @given(dna)
-    def test_pack_roundtrip(self, seq):
-        codes = encode_sequence(seq)
-        words, n = pack_2bit(codes)
-        np.testing.assert_array_equal(unpack_2bit(words, n), codes)
-
-    @given(dna)
-    def test_packing_is_compact(self, seq):
-        codes = encode_sequence(seq)
-        words, _ = pack_2bit(codes)
-        assert words.nbytes == packed_nbytes(len(seq))

@@ -5,12 +5,7 @@ import pytest
 
 from repro.io.fasta import FastaFormatError, read_fasta, write_fasta
 from repro.io.fastq import FastqFormatError, parse_fastq, read_fastq, write_fastq
-from repro.io.partition import (
-    partition_by_size,
-    partition_imbalance,
-    partition_reads,
-    partition_round_robin,
-)
+from repro.io.partition import partition_imbalance, partition_reads
 from repro.seq.records import Read, ReadSet
 
 
@@ -94,45 +89,37 @@ class TestPartition:
 
     def test_covers_all_rids_exactly_once(self):
         rs = self._readset([10, 20, 30, 40, 50, 60])
-        for strategy in ("size", "round_robin"):
-            parts = partition_reads(rs, 3, strategy=strategy)
-            flat = sorted(rid for part in parts for rid in part)
-            assert flat == list(range(6))
+        parts = partition_reads(rs, 3)
+        flat = sorted(rid for part in parts for rid in part)
+        assert flat == list(range(6))
 
     def test_by_size_is_contiguous(self):
         rs = self._readset([10] * 12)
-        parts = partition_by_size(rs, 4)
+        parts = partition_reads(rs, 4)
         for part in parts:
             assert part == list(range(part[0], part[0] + len(part)))
 
     def test_by_size_balances_bytes(self):
         rs = self._readset([100] * 16)
-        parts = partition_by_size(rs, 4)
+        parts = partition_reads(rs, 4)
         assert partition_imbalance(parts, rs) == pytest.approx(1.0)
 
     def test_uneven_lengths_still_reasonable(self):
         rs = self._readset([1000, 10, 10, 10, 1000, 10, 10, 10])
-        parts = partition_by_size(rs, 4)
+        parts = partition_reads(rs, 4)
         assert partition_imbalance(parts, rs) < 2.5
-
-    def test_round_robin(self):
-        rs = self._readset([10] * 5)
-        parts = partition_round_robin(rs, 2)
-        assert parts == [[0, 2, 4], [1, 3]]
 
     def test_more_ranks_than_reads(self):
         rs = self._readset([10, 10])
-        parts = partition_by_size(rs, 5)
+        parts = partition_reads(rs, 5)
         flat = sorted(rid for part in parts for rid in part)
         assert flat == [0, 1]
 
     def test_empty_readset(self):
-        parts = partition_by_size(ReadSet(), 3)
+        parts = partition_reads(ReadSet(), 3)
         assert parts == [[], [], []]
 
     def test_invalid_inputs(self):
         rs = self._readset([10])
         with pytest.raises(ValueError):
-            partition_by_size(rs, 0)
-        with pytest.raises(ValueError):
-            partition_reads(rs, 2, strategy="bogus")
+            partition_reads(rs, 0)

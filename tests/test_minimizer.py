@@ -26,6 +26,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
+from repro.data.datasets import DatasetSpec, generate_dataset
+from repro.data.genome import GenomeSpec
+from repro.data.reads import ReadSimSpec
 from repro.kmers.minimizer import (
     expected_density,
     minimizer_mask,
@@ -223,19 +226,48 @@ class TestConfigKnobs:
         assert config.with_seed_mode("minimizer").minimizer_window == 9
 
 
+@pytest.fixture(scope="module")
+def sketch_dataset():
+    """The seed-sketch acceptance workload: 6 kbp genome at 30x, error 0.05."""
+    return generate_dataset(DatasetSpec(
+        name="seed-sketch",
+        genome=GenomeSpec(length=6000, repeat_fraction=0.02, repeat_length=300,
+                          seed=977),
+        reads=ReadSimSpec(coverage=30.0, mean_read_length=1000,
+                          min_read_length=400, error_rate=0.05, seed=978),
+    ))
+
+
+@pytest.fixture(scope="module")
+def sketch_config() -> PipelineConfig:
+    return PipelineConfig(kmer=KmerSpec(k=17), coverage_hint=30.0,
+                          error_rate_hint=0.05)
+
+
 class TestPipelineSketching:
     """Minimizer mode through the full pipeline (thread backend, fast)."""
 
-    def test_volume_drops_and_overlaps_survive(self, micro_dataset, micro_config):
+    @pytest.mark.parametrize(
+        "dataset,config,window,ranks,volume_cut,table_cut,min_overlap,recall", [
+            ("micro_dataset", "micro_config", 5, 3, 1.0, 1.0, None, 0.8),
+            # The minimizer mode's acceptance bar (docs/seed-sketch.md): at
+            # w=11, >= 3x less stage 1-3 k-mer wire and >= 2x smaller table
+            # peak, keeping >= 95% of the baseline's true overlaps.
+            ("sketch_dataset", "sketch_config", 11, 4, 3.0, 2.0, 500, 0.95),
+        ], ids=["micro", "acceptance-w11"])
+    def test_volume_drops_and_overlaps_survive(self, request, dataset, config,
+                                               window, ranks, volume_cut,
+                                               table_cut, min_overlap, recall):
+        data = request.getfixturevalue(dataset)
+        base = request.getfixturevalue(config)
         # Pin both modes explicitly: the suite may run with
         # DIBELLA_SEED_MODE=minimizer exported (the CI leg).
-        reliable = run_dibella(micro_dataset.reads,
-                               config=micro_config.with_seed_mode("reliable"),
-                               ranks_per_node=3)
-        sketched = run_dibella(
-            micro_dataset.reads,
-            config=micro_config.with_seed_mode("minimizer", 5),
-            ranks_per_node=3)
+        reliable = run_dibella(data.reads,
+                               config=base.with_seed_mode("reliable", window),
+                               ranks_per_node=ranks)
+        sketched = run_dibella(data.reads,
+                               config=base.with_seed_mode("minimizer", window),
+                               ranks_per_node=ranks)
 
         rc, sc = reliable.counters, sketched.counters
         # Reliable mode: nothing dropped, density exactly 1e6 ppm.
@@ -248,9 +280,21 @@ class TestPipelineSketching:
         for counter in ("bloom_payload_bytes", "hashtable_payload_bytes",
                         "overlap_payload_bytes", "retained_table_peak_bytes"):
             assert 0 < sc[counter] < rc[counter], counter
-        # The sketched run still recovers the bulk of the baseline overlaps.
-        assert len(sketched.overlap_pairs() & reliable.overlap_pairs()) >= \
-            0.8 * len(reliable.overlap_pairs())
+
+        def kmer_wire(c):
+            return (c["bloom_payload_bytes"] + c["hashtable_payload_bytes"]
+                    + c["overlap_payload_bytes"])
+
+        assert kmer_wire(rc) >= volume_cut * kmer_wire(sc)
+        assert (rc["retained_table_peak_bytes"]
+                >= table_cut * sc["retained_table_peak_bytes"])
+        # The sketched run still recovers the bulk of the baseline overlaps
+        # (only the genuine ones, when a ground-truth bound is given).
+        reference = reliable.overlap_pairs()
+        if min_overlap is not None:
+            reference &= set(data.true_overlaps(min_overlap))
+        assert reference
+        assert len(sketched.overlap_pairs() & reference) >= recall * len(reference)
 
     def test_window_one_matches_reliable(self, micro_dataset, micro_config):
         """w=1 selects every k-mer: identical science to reliable mode."""

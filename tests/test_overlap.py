@@ -205,10 +205,10 @@ class TestOwnerHeuristics:
         # would see (3, 6) -> odd branch -> owner of read 3.
         read_owner = np.arange(10, dtype=np.int64)
         dest_swapped = choose_owner(np.array([3]), np.array([6]), read_owner,
-                                    heuristic="oddeven", swapped=np.array([True]))
+                                    swapped=np.array([True]))
         assert dest_swapped[0] == 6
         dest_plain = choose_owner(np.array([3]), np.array([6]), read_owner,
-                                  heuristic="oddeven", swapped=np.array([False]))
+                                  swapped=np.array([False]))
         assert dest_plain[0] == 3
 
     def test_generate_pairs_swapped_recovers_occurrence_order(self):
@@ -238,8 +238,7 @@ class TestOwnerHeuristics:
         first, second = first[keep], second[keep]
         swapped = first > second
         rid_a, rid_b = np.minimum(first, second), np.maximum(first, second)
-        dest = choose_owner(rid_a, rid_b, read_owner, heuristic="oddeven",
-                            swapped=swapped)
+        dest = choose_owner(rid_a, rid_b, read_owner, swapped=swapped)
         counts = np.bincount(dest, minlength=n_ranks)
         assert counts.max() / counts.mean() < 1.2
         # Both branches are represented in the chosen destinations.
@@ -255,17 +254,17 @@ class TestOwnerHeuristics:
         read_owner = np.array([0, 0, 1, 1, 2, 2])
         ra = np.array([0, 2, 5])
         rb = np.array([3, 4, 1])
-        dest = choose_owner(ra, rb, read_owner, heuristic="min")
-        np.testing.assert_array_equal(dest, read_owner[ra])
+        chosen = np.where(owner_heuristic_oddeven(ra, rb), ra, rb)
+        dest = choose_owner(ra, rb, read_owner)
+        np.testing.assert_array_equal(dest, read_owner[chosen])
 
     def test_choose_owner_heuristics_valid_ranks(self):
         rng = np.random.default_rng(3)
         read_owner = rng.integers(0, 4, size=100)
         ra = rng.integers(0, 100, size=500)
         rb = rng.integers(0, 100, size=500)
-        for heuristic in ("oddeven", "min", "random"):
-            dest = choose_owner(ra, rb, read_owner, heuristic=heuristic)
-            assert dest.min() >= 0 and dest.max() < 4
+        dest = choose_owner(ra, rb, read_owner)
+        assert dest.min() >= 0 and dest.max() < 4
 
     def test_choose_owner_roughly_balances(self):
         # With uniformly distributed RIDs, the odd/even rule should send a
@@ -276,13 +275,9 @@ class TestOwnerHeuristics:
         ra = rng.integers(0, n_reads, size=20_000)
         rb = rng.integers(0, n_reads, size=20_000)
         keep = ra != rb
-        dest = choose_owner(ra[keep], rb[keep], read_owner, heuristic="oddeven")
+        dest = choose_owner(ra[keep], rb[keep], read_owner)
         counts = np.bincount(dest, minlength=n_ranks)
         assert counts.max() / counts.mean() < 1.2
-
-    def test_unknown_heuristic(self):
-        with pytest.raises(ValueError):
-            choose_owner(np.array([0]), np.array([1]), np.array([0, 0]), heuristic="x")
 
 
 class TestGeneratePairs:

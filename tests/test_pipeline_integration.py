@@ -262,10 +262,6 @@ class TestConfigValidation:
             PipelineConfig(bloom_fp_rate=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(batch_reads=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(partition_strategy="bogus")
-        with pytest.raises(ValueError):
-            PipelineConfig(owner_heuristic="bogus")
 
     def test_removed_collective_knobs_are_compatibility_names(self):
         # The call shape of callers that spell out every knob still works.

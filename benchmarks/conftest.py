@@ -5,9 +5,9 @@ Every benchmark module draws its pipeline runs from the process-wide
 reused across all the figures that view them (exactly how the paper's figures
 are different views of the same executions).
 
-Each benchmark prints the regenerated figure/table rows, and also appends
-them to ``benchmarks/results/``, where the recorded numbers can be
-regenerated.
+Each benchmark prints the regenerated figure/table rows and also writes
+them to ``benchmarks/results/<name>.txt``.  That directory is git-ignored:
+the rows depend on the host, so a run never dirties the work tree.
 """
 
 from __future__ import annotations

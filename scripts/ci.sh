@@ -41,6 +41,10 @@
 #           About a minute on 2 cores; runs on every change.
 #   slow  — the end-to-end pipeline / harness / baseline tests, also under
 #           both runtime backends.
+#   figures — the paper's figure and table benches (benchmarks/, reduced
+#           node series: REPRO_BENCH_FULL=0), about 30 s on 2 cores; each
+#           asserts its figure's expected shape.  Their rows go to the
+#           git-ignored benchmarks/results/.
 #   tree guard — `git status --porcelain` is snapshotted when CI starts and
 #           compared when it ends: a pass that writes, deletes or modifies a
 #           file git sees fails CI and the changed paths are printed (a
@@ -48,7 +52,7 @@
 #           Skipped outside a git work tree.
 #
 # Usage:
-#   scripts/ci.sh          # everything (adds the slow tier)
+#   scripts/ci.sh          # everything (adds the slow tier and the figures)
 #   scripts/ci.sh fast     # just the fast tier
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -137,6 +141,9 @@ if [ "$tier" = "all" ]; then
 
     echo "== slow tier: end-to-end pipeline tests (process backend) =="
     DIBELLA_BACKEND=process python -m pytest tests -m slow -q
+
+    echo "== figures: the paper's figure and table benches (reduced series) =="
+    REPRO_BENCH_FULL=0 python -m pytest benchmarks -q
 fi
 
 if $in_work_tree; then

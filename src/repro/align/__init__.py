@@ -6,9 +6,6 @@ subpackage provides that kernel plus the reference kernels used for testing:
 
 * :mod:`repro.align.smith_waterman` — full O(|s|·|t|) local alignment
   (Smith–Waterman), the ground-truth oracle.
-* :mod:`repro.align.banded` — banded Smith–Waterman restricted to a diagonal
-  band around the seed ("search only for solutions with a limited number of
-  mismatches", §2).
 * :mod:`repro.align.xdrop` — seed-and-extend with x-drop termination
   ("terminate early when the alignment score drops significantly", §2),
   the unbounded scalar reference of the production kernel.
@@ -17,8 +14,7 @@ subpackage provides that kernel plus the reference kernels used for testing:
   pairs and returns an ``(n, 4)`` array of scores, reaches and DP cells.
 * :mod:`repro.align.batch` — stage 4's entry point: ``batched_xdrop_align``
   takes a rank's ``TaskBatch`` columns and its ``ReadCache`` and returns one
-  record per task (score, aligned intervals, DP cells); ``align_task`` runs
-  one task through any of the reference kernels.
+  record per task (score, aligned intervals, DP cells).
 
 All kernels count the DP cells they actually fill; that count is the
 alignment stage's work measure (divergent pairs terminate early and fill far
@@ -28,9 +24,8 @@ fewer cells — the source of the paper's Figure 8 load imbalance).
 from repro.align.scoring import ScoringScheme
 from repro.align.results import AlignmentResult, ExtensionResult
 from repro.align.smith_waterman import smith_waterman
-from repro.align.banded import banded_smith_waterman
 from repro.align.xdrop import xdrop_extend, xdrop_seed_extend
-from repro.align.batch import AlignmentTask, TaskBatch, align_task, batched_xdrop_align
+from repro.align.batch import TaskBatch, batched_xdrop_align
 from repro.align.read_cache import ReadCache
 
 __all__ = [
@@ -38,12 +33,9 @@ __all__ = [
     "AlignmentResult",
     "ExtensionResult",
     "smith_waterman",
-    "banded_smith_waterman",
     "xdrop_extend",
     "xdrop_seed_extend",
-    "AlignmentTask",
     "TaskBatch",
-    "align_task",
     "batched_xdrop_align",
     "ReadCache",
 ]

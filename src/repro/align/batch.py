@@ -5,30 +5,22 @@ alignment *tasks* — (read pair, seed) rows — and aligns them all locally
 ("once the reads are communicated, the alignment computation can proceed
 independently in parallel", §9).  :func:`batched_xdrop_align` is that step:
 arrays in (a :class:`TaskBatch` plus the rank's :class:`ReadCache`), arrays
-out (one record per task).  :func:`align_task` runs one task through the
-unbounded reference kernels (x-drop, banded or full Smith–Waterman) for the
-tests.
+out (one record per task).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from repro.align.banded import banded_smith_waterman
 from repro.align.batched_xdrop import (
     DEFAULT_XDROP_BAND,
     BatchedExtensionConfig,
     batched_extend,
 )
 from repro.align.read_cache import ReadCache
-from repro.align.results import AlignmentResult
 from repro.align.scoring import ScoringScheme
-from repro.align.smith_waterman import smith_waterman
-from repro.align.xdrop import xdrop_seed_extend
-from repro.seq.alphabet import reverse_complement
 
 #: One row of :func:`batched_xdrop_align`'s result: the score, the aligned
 #: half-open interval on each read (read B in its task orientation) and the
@@ -38,39 +30,18 @@ RESULT_DTYPE = np.dtype([(name, np.int64) for name in
 
 
 @dataclass(frozen=True)
-class AlignmentTask:
-    """One pairwise alignment to perform (the input of :func:`align_task`).
-
-    Attributes
-    ----------
-    rid_a / rid_b:
-        Read identifiers of the pair (``rid_a < rid_b`` by convention).
-    seed_pos_a / seed_pos_b:
-        Position of the shared seed k-mer in each read (forward-strand
-        coordinates of that read).
-    same_strand:
-        True when the seed occurs in the same orientation in both reads;
-        False when read B must be reverse-complemented before extending
-        (in which case ``seed_pos_b`` is remapped to reverse-complement
-        coordinates by the kernel).
-    """
-
-    rid_a: int
-    rid_b: int
-    seed_pos_a: int
-    seed_pos_b: int
-    same_strand: bool = True
-
-
-@dataclass(frozen=True)
 class TaskBatch:
     """A flat batch of alignment tasks, structure-of-arrays style.
 
     The overlap stage emits one of these per rank, and the alignment stage
     passes it straight to :func:`batched_xdrop_align`, so task construction
     and the bookkeeping around the kernel (which reads are needed, which
-    results were accepted) stay vectorised.  The columns mean what the
-    :class:`AlignmentTask` fields of the same names mean.
+    results were accepted) stay vectorised.  Row *i* is one pairwise
+    alignment: reads ``rid_a[i] < rid_b[i]`` share a seed k-mer at
+    ``seed_pos_a[i]`` / ``seed_pos_b[i]`` (forward-strand coordinates of each
+    read); ``same_strand[i]`` is False when read B must be
+    reverse-complemented before extending, in which case the kernel remaps
+    its seed position into reverse-complement coordinates.
     """
 
     rid_a: np.ndarray        # (n,) int64
@@ -99,52 +70,6 @@ class TaskBatch:
         z = np.empty(0, dtype=np.int64)
         return cls(rid_a=z, rid_b=z.copy(), seed_pos_a=z.copy(), seed_pos_b=z.copy(),
                    same_strand=np.empty(0, dtype=bool))
-
-
-def align_task(
-    task: AlignmentTask,
-    sequences: Mapping[int, str],
-    kernel: str = "xdrop",
-    k: int = 17,
-    scoring: ScoringScheme | None = None,
-    xdrop: int = 25,
-    band: int = DEFAULT_XDROP_BAND,
-) -> AlignmentResult:
-    """Align one task with the requested reference kernel (stateless helper).
-
-    The ``"xdrop"`` kernel here is the *unbounded* scalar reference
-    extension (:func:`repro.align.xdrop.xdrop_seed_extend`); the pipeline
-    runs the banded batched kernel through :func:`batched_xdrop_align`.
-    """
-    scoring = scoring or ScoringScheme()
-    try:
-        seq_a = sequences[task.rid_a]
-        seq_b = sequences[task.rid_b]
-    except KeyError as missing:
-        raise KeyError(
-            f"read {missing.args[0]} needed by task ({task.rid_a}, {task.rid_b}) "
-            "is not available locally"
-        ) from None
-
-    seed_pos_b = task.seed_pos_b
-    if not task.same_strand:
-        # Cross-strand pair: orient read B onto read A's strand and remap the
-        # seed position into reverse-complement coordinates.
-        seq_b = reverse_complement(seq_b)
-        seed_pos_b = len(seq_b) - k - task.seed_pos_b
-
-    if kernel == "xdrop":
-        # Clamp the seed so that degenerate positions near the read ends
-        # (possible when the k-mer sits at the very end) still form a task.
-        seed_a = min(max(0, task.seed_pos_a), max(0, len(seq_a) - k))
-        seed_b = min(max(0, seed_pos_b), max(0, len(seq_b) - k))
-        return xdrop_seed_extend(seq_a, seq_b, seed_a, seed_b, k,
-                                 scoring=scoring, xdrop=xdrop)
-    if kernel == "banded":
-        diagonal = seed_pos_b - task.seed_pos_a
-        return banded_smith_waterman(seq_a, seq_b, band=band, diagonal=diagonal,
-                                     scoring=scoring)
-    return smith_waterman(seq_a, seq_b, scoring=scoring)
 
 
 def batched_xdrop_align(

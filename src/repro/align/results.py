@@ -43,8 +43,8 @@ class AlignmentResult:
     cells:
         DP cells evaluated to produce this alignment (work counter).
     kernel:
-        Name of the kernel that produced the result (``"xdrop"``,
-        ``"banded"``, ``"smith_waterman"``).
+        Name of the kernel that produced the result (``"xdrop"`` or
+        ``"smith_waterman"``).
     aligned_a / aligned_b:
         Optional gapped alignment strings (only produced by kernels asked for
         a traceback; ``None`` otherwise).  When present they satisfy the

@@ -1,8 +1,8 @@
 """Full Smith–Waterman local alignment (reference kernel).
 
 This is the O(|s|·|t|) dynamic program of §2 — too expensive for production
-use on long reads, but exact, which makes it the oracle the banded and
-x-drop kernels are validated against.
+use on long reads, but exact, which makes it the oracle the x-drop
+kernels are validated against.
 
 The matrix is filled row by row with vectorised numpy operations across the
 columns; an optional traceback materialises the gapped alignment strings so

@@ -5,8 +5,8 @@ Subcommands
 ``simulate``
     Generate a synthetic PacBio-like data set and write it as FASTQ.
 ``run``
-    Run the overlap + alignment pipeline on a FASTQ file (or a named
-    synthetic preset) and print the run summary; optionally write the
+    Run the overlap + alignment pipeline on a FASTA or FASTQ file (or a
+    named synthetic preset) and print the run summary; optionally write the
     detected overlaps to a TSV file.
 ``serve``
     Build/serve session: build the resident k-mer index over a slice of the
@@ -21,6 +21,10 @@ Subcommands
     Regenerate one of the paper's tables/figures and print its rows.
 ``platforms``
     Print the Table 1 platform registry.
+
+``run``, ``serve`` and ``query`` take the same pipeline flags
+(:func:`_pipeline_flags`), and one function (:func:`_config`) turns them
+into the :class:`~repro.core.config.PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -38,13 +43,15 @@ from repro.core.pipeline import DibellaPipeline
 from repro.core.service import AlignmentService
 from repro.mpisim.topology import Topology
 from repro.data.datasets import (
+    DatasetSpec,
     ecoli100x_like,
     ecoli30x_like,
     generate_dataset,
     tiny_dataset,
 )
-from repro.io.fastq import read_fastq, write_fastq
+from repro.io import read_reads, write_fastq
 from repro.overlap.seeds import SeedStrategy
+from repro.seq.records import ReadSet
 from repro.seq.kmer import KmerSpec
 
 _PRESETS = {
@@ -70,12 +77,97 @@ _EXPERIMENTS = {
 }
 
 
+def _pipeline_flags() -> argparse.ArgumentParser:
+    """The pipeline flags of ``run``, ``serve`` and ``query``, each declared once.
+
+    Every flag but ``--nodes``/``--ranks-per-node`` (the topology) and
+    ``--pool-stats`` (a report) sets the :class:`PipelineConfig` field named
+    by its ``dest``; a flag left out keeps the field's default, which
+    honours the field's ``DIBELLA_*`` environment variable.  ``run`` ignores
+    the two serve knobs, as it ignores their environment variables.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    group = flags.add_argument_group("pipeline options (run, serve and query)")
+    group.add_argument("-k", type=int, default=17, help="k-mer length")
+    group.add_argument("--nodes", type=int, default=1, help="simulated node count")
+    group.add_argument("--ranks-per-node", type=int, default=2)
+    group.add_argument("--seed-strategy", choices=["one", "d1000", "dk"], default="one",
+                       help="seeds aligned per overlapping pair: one, all at "
+                            "least 1000 bp apart, or all at least k apart")
+    group.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
+                       help="seeding front-end of stages 1-3: 'reliable' (the "
+                            "paper) exchanges every canonical k-mer; 'minimizer' "
+                            "keeps only the minimum-hash k-mer per window of "
+                            "--minimizer-window, cutting stage 1-3 wire bytes "
+                            "and table memory ~w/2-x at a small recall cost; an "
+                            "index build and its query batches sketch with the "
+                            "same (k, w) (DIBELLA_SEED_MODE has the same effect)")
+    group.add_argument("--minimizer-window", type=int, default=None,
+                       help="minimizer window length w in k-mers (default 11; "
+                            "1 = keep every k-mer; ignored in reliable mode; "
+                            "DIBELLA_MINIMIZER_WINDOW has the same effect)")
+    group.add_argument("--backend", choices=["thread", "process"], default=None,
+                       help="SPMD runtime backend: threads (default) or one process "
+                            "per rank exchanging typed buffers via shared memory")
+    group.add_argument("--exchange-chunk-mb", type=float, default=None,
+                       help="per-rank wire budget (MiB) of each overlap-exchange "
+                            "superstep; 0 disables chunking (one monolithic "
+                            "Alltoallv); default honours DIBELLA_EXCHANGE_CHUNK_MB, "
+                            "else 8")
+    group.add_argument("--batch-reads", type=int, default=None,
+                       help="local reads parsed per streaming superstep in the "
+                            "k-mer stages (the memory bound of the streaming "
+                            "pipeline; DIBELLA_BATCH_READS has the same effect, "
+                            "default 2048)")
+    group.add_argument("--hash-shards", dest="hash_table_shards", metavar="HASH_SHARDS",
+                       type=int, default=None,
+                       help="number of k-mer code-range shards the retained-k-mer "
+                            "table is built in; >1 streams the hash-table/overlap "
+                            "boundary one shard at a time, bounding peak table "
+                            "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
+    group.add_argument("--pool", action="store_true", default=None,
+                       help="acquire ranks from the persistent rank pool (processes "
+                            "parked on a barrier between runs; amortises startup and "
+                            "keeps per-rank read caches across runs; serve and "
+                            "query force it on for the process backend; "
+                            "DIBELLA_POOL=1 has the same effect)")
+    group.add_argument("--read-cache-mb", type=float, default=None,
+                       help="byte-capacity LRU bound (MiB) of each rank's "
+                            "alignment-stage read cache; 0 (the default) is "
+                            "unbounded (DIBELLA_READ_CACHE_MB has the same effect)")
+    group.add_argument("--sanitize", action="store_true", default=None,
+                       help="arm the runtime sanitizer: cross-rank collective "
+                            "congruence checks, split-phase segment lifecycle "
+                            "guards and a hang watchdog (DIBELLA_SANITIZE=1 has "
+                            "the same effect; output is bit-identical)")
+    group.add_argument("--fault-plan", default=None, metavar="PLAN",
+                       help="deterministic fault plan injected into the run, e.g. "
+                            "'kill:rank=2:step=3' (serve: build = run 0, first "
+                            "batch = run 1; grammar in docs/fault-tolerance.md; "
+                            "kill faults need --backend process; "
+                            "DIBELLA_FAULT_PLAN has the same effect)")
+    group.add_argument("--serve-batch-reads", type=int, default=None,
+                       help="serve admission bound: queued submissions are "
+                            "coalesced into batches of at most this many reads "
+                            "(DIBELLA_SERVE_BATCH_READS has the same effect)")
+    group.add_argument("--serve-max-retries", type=int, default=None,
+                       help="retries of an index build or query batch whose "
+                            "run died from a rank failure (default 2; 0 "
+                            "disables recovery; DIBELLA_SERVE_MAX_RETRIES has "
+                            "the same effect)")
+    group.add_argument("--pool-stats", action="store_true",
+                       help="print per-pool usage statistics (runs served, forks "
+                            "amortised) afterwards; only meaningful with --pool")
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dibella",
         description="diBELLA reproduction: distributed long-read overlap and alignment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pipeline = _pipeline_flags()
 
     sim = sub.add_parser("simulate", help="generate a synthetic data set as FASTQ")
     sim.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
@@ -83,142 +175,31 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="genome scale factor for the E. coli presets")
     sim.add_argument("--output", required=True, help="output FASTQ path")
 
-    run = sub.add_parser("run", help="run the overlap+alignment pipeline")
-    run.add_argument("--input", help="input FASTQ file (omit to use --preset)")
-    run.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
-    run.add_argument("--scale", type=float, default=0.01)
-    run.add_argument("-k", type=int, default=17, help="k-mer length")
-    run.add_argument("--nodes", type=int, default=1, help="simulated node count")
-    run.add_argument("--ranks-per-node", type=int, default=2)
-    run.add_argument("--seed-strategy", choices=["one", "d1000", "dk"], default="one")
-    run.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                     help="seeding front-end of stages 1-3: 'reliable' (the "
-                          "paper) exchanges every canonical k-mer; 'minimizer' "
-                          "keeps only the minimum-hash k-mer per window of "
-                          "--minimizer-window, cutting stage 1-3 wire bytes "
-                          "and table memory ~w/2-x at a small recall cost "
-                          "(DIBELLA_SEED_MODE has the same effect)")
-    run.add_argument("--minimizer-window", type=int, default=None,
-                     help="minimizer window length w in k-mers (default 11; "
-                          "1 = keep every k-mer; ignored in reliable mode; "
-                          "DIBELLA_MINIMIZER_WINDOW has the same effect)")
-    run.add_argument("--backend", choices=["thread", "process"], default=None,
-                     help="SPMD runtime backend: threads (default) or one process "
-                          "per rank exchanging typed buffers via shared memory")
-    run.add_argument("--exchange-chunk-mb", type=float, default=None,
-                     help="per-rank wire budget (MiB) of each overlap-exchange "
-                          "superstep; 0 disables chunking (one monolithic "
-                          "Alltoallv); default honours DIBELLA_EXCHANGE_CHUNK_MB, "
-                          "else 8")
-    run.add_argument("--batch-reads", type=int, default=None,
-                     help="local reads parsed per streaming superstep in the "
-                          "k-mer stages (the memory bound of the streaming "
-                          "pipeline; DIBELLA_BATCH_READS has the same effect, "
-                          "default 2048)")
-    run.add_argument("--sanitize", action="store_true", default=None,
-                     help="arm the runtime sanitizer: cross-rank collective "
-                          "congruence checks, split-phase segment lifecycle "
-                          "guards and a hang watchdog (DIBELLA_SANITIZE=1 has "
-                          "the same effect; output is bit-identical)")
-    run.add_argument("--pool", action="store_true", default=None,
-                     help="acquire ranks from the persistent rank pool (processes "
-                          "parked on a barrier between runs; amortises startup and "
-                          "keeps per-rank read caches across runs; DIBELLA_POOL=1 "
-                          "has the same effect)")
-    run.add_argument("--hash-shards", type=int, default=None,
-                     help="number of k-mer code-range shards the retained-k-mer "
-                          "table is built in; >1 streams the hash-table/overlap "
-                          "boundary one shard at a time, bounding peak table "
-                          "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
-    run.add_argument("--read-cache-mb", type=float, default=None,
-                     help="byte-capacity LRU bound (MiB) of each rank's "
-                          "alignment-stage read cache; 0 (the default) is "
-                          "unbounded (DIBELLA_READ_CACHE_MB has the same effect)")
-    run.add_argument("--fault-plan", default=None, metavar="PLAN",
-                     help="deterministic fault plan injected into the run, e.g. "
-                          "'kill:rank=2:step=3' (grammar in docs/fault-tolerance.md; "
-                          "kill faults need --backend process; "
-                          "DIBELLA_FAULT_PLAN has the same effect)")
-    run.add_argument("--pool-stats", action="store_true",
-                     help="print per-pool usage statistics (runs served, forks "
-                          "amortised) after the run; only meaningful with --pool")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", help="input FASTA or FASTQ file (omit to use --preset)")
+    source.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
+    source.add_argument("--scale", type=float, default=0.01,
+                        help="genome scale factor for the E. coli presets")
+
+    run = sub.add_parser("run", parents=[source, pipeline],
+                         help="run the overlap+alignment pipeline")
     run.add_argument("--overlaps-out", help="write detected overlaps to this TSV file")
 
     serve = sub.add_parser(
-        "serve", help="build a resident index, then serve repeated query batches")
-    serve.add_argument("--input", help="input FASTQ file (omit to use --preset)")
-    serve.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
-    serve.add_argument("--scale", type=float, default=0.01)
-    serve.add_argument("-k", type=int, default=17, help="k-mer length")
-    serve.add_argument("--nodes", type=int, default=1)
-    serve.add_argument("--ranks-per-node", type=int, default=2)
-    serve.add_argument("--backend", choices=["thread", "process"], default=None)
-    serve.add_argument("--hash-shards", type=int, default=None)
-    serve.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                       help="seeding front-end; the index build and every "
-                            "query batch sketch with the same (k, w)")
-    serve.add_argument("--minimizer-window", type=int, default=None,
-                       help="minimizer window length w in k-mers (default 11)")
-    serve.add_argument("--pool", action="store_true", default=None,
-                       help="force the persistent rank pool on (the service "
-                            "already forces it for the process backend — index "
-                            "residency requires surviving workers)")
+        "serve", parents=[source, pipeline],
+        help="build a resident index, then serve repeated query batches")
     serve.add_argument("--index-fraction", type=float, default=0.8,
                        help="fraction of the input reads indexed; the rest "
                             "become the query stream (default 0.8)")
     serve.add_argument("--query-batches", type=int, default=2,
                        help="number of query batches the non-indexed reads are "
                             "split into (default 2: enough to show reuse)")
-    serve.add_argument("--serve-batch-reads", type=int, default=None,
-                       help="admission bound: queued submissions are coalesced "
-                            "into batches of at most this many reads "
-                            "(DIBELLA_SERVE_BATCH_READS has the same effect)")
-    serve.add_argument("--read-cache-mb", type=float, default=None,
-                       help="byte-capacity LRU bound (MiB) of each rank's read "
-                            "cache; 0 = unbounded (DIBELLA_READ_CACHE_MB has "
-                            "the same effect)")
-    serve.add_argument("--sanitize", action="store_true", default=None,
-                       help="arm the runtime sanitizer for every batch "
-                            "(DIBELLA_SANITIZE=1 has the same effect)")
-    serve.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="deterministic fault plan injected into the session "
-                            "(build = run 0, first batch = run 1; grammar in "
-                            "docs/fault-tolerance.md; DIBELLA_FAULT_PLAN has "
-                            "the same effect)")
-    serve.add_argument("--serve-max-retries", type=int, default=None,
-                       help="retries of an index build or query batch whose "
-                            "run died from a rank failure (default 2; 0 "
-                            "disables recovery; DIBELLA_SERVE_MAX_RETRIES has "
-                            "the same effect)")
-    serve.add_argument("--pool-stats", action="store_true",
-                       help="print per-pool usage statistics after the session")
 
     query = sub.add_parser(
-        "query", help="align one query batch against an index read set")
-    query.add_argument("--index", required=True, help="index FASTQ file")
-    query.add_argument("--queries", required=True, help="query FASTQ file")
-    query.add_argument("-k", type=int, default=17, help="k-mer length")
-    query.add_argument("--nodes", type=int, default=1)
-    query.add_argument("--ranks-per-node", type=int, default=2)
-    query.add_argument("--backend", choices=["thread", "process"], default=None)
-    query.add_argument("--hash-shards", type=int, default=None)
-    query.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                       help="seeding front-end; the index build and the query "
-                            "batch sketch with the same (k, w)")
-    query.add_argument("--minimizer-window", type=int, default=None,
-                       help="minimizer window length w in k-mers (default 11)")
-    query.add_argument("--read-cache-mb", type=float, default=None)
-    query.add_argument("--sanitize", action="store_true", default=None,
-                       help="arm the runtime sanitizer for the batch "
-                            "(DIBELLA_SANITIZE=1 has the same effect)")
-    query.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="deterministic fault plan injected into the batch "
-                            "(grammar in docs/fault-tolerance.md; "
-                            "DIBELLA_FAULT_PLAN has the same effect)")
-    query.add_argument("--serve-max-retries", type=int, default=None,
-                       help="retries of a build/batch killed by a rank failure "
-                            "(default 2; DIBELLA_SERVE_MAX_RETRIES has the "
-                            "same effect)")
+        "query", parents=[pipeline],
+        help="align one query batch against an index read set")
+    query.add_argument("--index", required=True, help="index FASTA or FASTQ file")
+    query.add_argument("--queries", required=True, help="query FASTA or FASTQ file")
     query.add_argument("--overlaps-out",
                        help="write the query-vs-index alignments to this TSV file")
 
@@ -269,63 +250,47 @@ def _print_pool_stats() -> None:
               f"forks_amortised={entry['forks_amortised']}")
 
 
-def _load_reads(args: argparse.Namespace) -> tuple["object", str]:
-    """The input read set and a printable source label (FASTQ or preset)."""
-    if getattr(args, "input", None):
-        return read_fastq(args.input), args.input
-    factory = _PRESETS[args.preset]
-    spec = factory() if args.preset == "tiny" else factory(scale=args.scale)
+def _load_reads(args: argparse.Namespace) -> tuple[ReadSet, str]:
+    """The input read set and a printable source label (file or preset)."""
+    if args.input:
+        return read_reads(args.input), args.input
+    spec = _preset_spec(args)
     return generate_dataset(spec).reads, spec.name
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _preset_spec(args: argparse.Namespace) -> DatasetSpec:
+    """The synthetic data set named by ``--preset`` at ``--scale``."""
     factory = _PRESETS[args.preset]
-    spec = factory() if args.preset == "tiny" else factory(scale=args.scale)
-    dataset = generate_dataset(spec)
+    return factory() if args.preset == "tiny" else factory(scale=args.scale)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    dataset = generate_dataset(_preset_spec(args))
     count = write_fastq(dataset.reads, Path(args.output))
     print(f"wrote {count} reads ({dataset.reads.total_bases} bases) to {args.output}")
     return 0
 
 
-def _run_config(args: argparse.Namespace) -> PipelineConfig:
-    """Config assembly of the run subcommand."""
-    overrides = {}
-    if args.exchange_chunk_mb is not None:
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    """The :class:`PipelineConfig` of the pipeline flags on the command line.
+
+    One constructor call, so the config validates once, with every given
+    flag in place (a kill fault plan is checked against ``--backend``).
+    """
+    knobs = {f.name for f in fields(PipelineConfig)}
+    given = {name: value for name, value in vars(args).items()
+             if name in knobs and value is not None}
+    if given.get("exchange_chunk_mb") == 0:
         # 0 disables chunking; negative values fall through to the config's
-        # validation error instead of silently disabling.  Omitting the flag
-        # honours DIBELLA_EXCHANGE_CHUNK_MB (else the 8 MiB default).
-        overrides["exchange_chunk_mb"] = (
-            args.exchange_chunk_mb if args.exchange_chunk_mb != 0 else None)
-    if args.batch_reads is not None:
-        overrides["batch_reads"] = args.batch_reads
-    if args.sanitize is not None:
-        overrides["sanitize"] = args.sanitize
-    config = PipelineConfig(
-        kmer=KmerSpec(k=args.k),
-        seed_strategy=_resolve_strategy(args.seed_strategy, args.k),
-        **overrides,
-    )
-    if args.hash_shards is not None:
-        config = config.with_hash_table_shards(args.hash_shards)
-    if args.read_cache_mb is not None:
-        config = config.with_read_cache_mb(args.read_cache_mb)
-    if args.seed_mode is not None or args.minimizer_window is not None:
-        config = config.with_seed_mode(args.seed_mode or config.seed_mode,
-                                       args.minimizer_window)
-    # The backend is folded in before the fault plan: kill-plan validation
-    # depends on it (kill faults are rejected on the thread backend).
-    if args.backend is not None:
-        config = config.with_backend(args.backend)
-    if args.pool is not None:
-        config = config.with_pool(args.pool)
-    if args.fault_plan is not None:
-        config = config.with_fault_plan(args.fault_plan)
-    return config
+        # validation error instead of silently disabling.
+        given["exchange_chunk_mb"] = None
+    given["seed_strategy"] = _resolve_strategy(args.seed_strategy, args.k)
+    return PipelineConfig(kmer=KmerSpec(k=args.k), **given)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     with _cli_inputs():
-        config = _run_config(args)
+        config = _config(args)
         topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
         reads, source = _load_reads(args)
         if len(reads) == 0:
@@ -349,34 +314,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Shared config assembly of the serve/query subcommands."""
-    config = PipelineConfig(kmer=KmerSpec(k=args.k))
-    if args.backend is not None:
-        config = config.with_backend(args.backend)
-    if args.hash_shards is not None:
-        config = config.with_hash_table_shards(args.hash_shards)
-    if args.read_cache_mb is not None:
-        config = config.with_read_cache_mb(args.read_cache_mb)
-    if getattr(args, "pool", None):
-        config = config.with_pool(True)
-    if getattr(args, "serve_batch_reads", None) is not None:
-        config = config.with_serve_batch_reads(args.serve_batch_reads)
-    if args.seed_mode is not None or args.minimizer_window is not None:
-        config = config.with_seed_mode(args.seed_mode or config.seed_mode,
-                                       args.minimizer_window)
-    if getattr(args, "sanitize", None):
-        config = config.with_sanitize(True)
-    if getattr(args, "fault_plan", None) is not None:
-        config = config.with_fault_plan(args.fault_plan)
-    if getattr(args, "serve_max_retries", None) is not None:
-        config = config.with_serve_max_retries(args.serve_max_retries)
-    return config
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     with _cli_inputs():
-        config = _serve_config(args)
+        config = _config(args)
         topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
         reads, source = _load_reads(args)
     if not (0.0 < args.index_fraction < 1.0):
@@ -418,12 +358,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     with _cli_inputs():
-        config = _serve_config(args)
+        config = _config(args)
         topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
-        index_reads = read_fastq(args.index)
-        query_reads = read_fastq(args.queries)
-    service = AlignmentService(index_reads, config=config, topology=topology)
-    service.submit(list(query_reads))
+        index_reads = read_reads(args.index)
+        query_reads = read_reads(args.queries)
+        service = AlignmentService(index_reads, config=config, topology=topology)
+        service.submit(list(query_reads))
     record = service.drain()[0]
     counters = record.result.counters
     print(f"index: {args.index} ({len(index_reads)} reads)  "
@@ -444,6 +384,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                          f"{query_reads[int(rb) - n_index].name}\t"
                          f"{score}\t{sa}\t{sb}\n")
         print(f"wrote {table['rid_a'].size} alignments to {args.overlaps_out}")
+    if args.pool_stats:
+        _print_pool_stats()
     return 0
 
 

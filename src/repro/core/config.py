@@ -10,7 +10,7 @@ settings (§9), and the runtime, serve and fault-injection knobs.
 from __future__ import annotations
 
 import os
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 from repro.align.batched_xdrop import DEFAULT_XDROP_BAND, BatchedExtensionConfig
 from repro.align.scoring import ScoringScheme
@@ -304,18 +304,6 @@ class PipelineConfig:
             return None
         return int(self.exchange_chunk_mb * (1 << 20))
 
-    def with_backend(self, backend: str) -> "PipelineConfig":
-        """Copy of this config running on a different runtime backend."""
-        return replace(self, backend=backend)
-
-    def with_pool(self, pool: bool) -> "PipelineConfig":
-        """Copy of this config with the persistent rank pool on or off."""
-        return replace(self, pool=pool)
-
-    def with_hash_table_shards(self, hash_table_shards: int) -> "PipelineConfig":
-        """Copy of this config building the k-mer table in *hash_table_shards* code ranges."""
-        return replace(self, hash_table_shards=hash_table_shards)
-
     def resolve_high_freq_threshold(self, readset: ReadSet | None = None) -> int:
         """The high-occurrence cutoff m actually used for a run.
 
@@ -335,39 +323,7 @@ class PipelineConfig:
         """The read-cache byte bound (``0`` = unbounded)."""
         return int(self.read_cache_mb * (1 << 20))
 
-    def with_serve_batch_reads(self, serve_batch_reads: int) -> "PipelineConfig":
-        """Copy of this config coalescing at most *serve_batch_reads* reads per batch."""
-        return replace(self, serve_batch_reads=serve_batch_reads)
-
-    def with_read_cache_mb(self, read_cache_mb: float) -> "PipelineConfig":
-        """Copy of this config bounding each rank's read cache to *read_cache_mb* MiB."""
-        return replace(self, read_cache_mb=read_cache_mb)
-
-    def with_seed_mode(
-        self, seed_mode: str, minimizer_window: int | None = None
-    ) -> "PipelineConfig":
-        """Copy of this config with a different seeding front-end (and window)."""
-        if minimizer_window is None:
-            return replace(self, seed_mode=seed_mode)
-        return replace(self, seed_mode=seed_mode, minimizer_window=minimizer_window)
-
     @property
     def sketch_window(self) -> int:
         """The effective sketch window: w in minimizer mode, else 1 (keep all)."""
         return self.minimizer_window if self.seed_mode == "minimizer" else 1
-
-    def with_sanitize(self, sanitize: bool) -> "PipelineConfig":
-        """Copy of this config with the runtime sanitizer armed or disarmed."""
-        return replace(self, sanitize=sanitize)
-
-    def with_fault_plan(self, fault_plan: str | None) -> "PipelineConfig":
-        """Copy of this config injecting *fault_plan* (None = no faults)."""
-        return replace(self, fault_plan=fault_plan)
-
-    def with_serve_max_retries(self, serve_max_retries: int) -> "PipelineConfig":
-        """Copy of this config retrying failed serve runs *serve_max_retries* times."""
-        return replace(self, serve_max_retries=serve_max_retries)
-
-    def with_seed_strategy(self, strategy: SeedStrategy) -> "PipelineConfig":
-        """Copy of this config with a different seed strategy (bench helper)."""
-        return replace(self, seed_strategy=strategy)

@@ -14,10 +14,6 @@ def run_dibella(
     config: PipelineConfig | None = None,
     n_nodes: int = 1,
     ranks_per_node: int = 4,
-    backend: str | None = None,
-    pool: bool | None = None,
-    seed_mode: str | None = None,
-    minimizer_window: int | None = None,
 ) -> PipelineResult:
     """Run the diBELLA pipeline on a read set.
 
@@ -27,23 +23,13 @@ def run_dibella(
         The long reads to overlap and align.
     config:
         Pipeline parameters; defaults are sensible for PacBio-like data
-        (17-mers, x-drop alignment, one seed per pair).
+        (17-mers, x-drop alignment, one seed per pair).  Every knob
+        (backend, rank pool, seed mode, ...) is a field of this config; set
+        one with ``dataclasses.replace(config, backend="process")``.
     n_nodes / ranks_per_node:
         The simulated machine layout.  ``n_nodes`` is also the node count a
         later performance projection will assume; ``ranks_per_node`` only
         controls how many SPMD ranks the simulation uses per node.
-    backend:
-        Convenience override of ``config.backend`` — ``"thread"`` runs the
-        ranks as threads, ``"process"`` as real processes exchanging typed
-        buffers via shared memory (true multi-core compute).
-    pool:
-        Convenience override of ``config.pool`` — True keeps the rank
-        processes (and each rank's read cache for this read set) alive
-        across runs, amortising startup for repeated invocations.
-    seed_mode / minimizer_window:
-        Convenience overrides of ``config.seed_mode`` /
-        ``config.minimizer_window`` — ``"minimizer"`` seeds stages 1-3 from
-        the windowed-minimizer sketch instead of every canonical k-mer.
 
     Returns
     -------
@@ -61,12 +47,4 @@ def run_dibella(
     True
     """
     topology = Topology(n_nodes=n_nodes, ranks_per_node=ranks_per_node)
-    if backend is not None:
-        config = (config or PipelineConfig()).with_backend(backend)
-    if pool is not None:
-        config = (config or PipelineConfig()).with_pool(pool)
-    if seed_mode is not None or minimizer_window is not None:
-        base = config or PipelineConfig()
-        config = base.with_seed_mode(seed_mode or base.seed_mode, minimizer_window)
-    pipeline = DibellaPipeline(config=config, topology=topology)
-    return pipeline.run(readset)
+    return DibellaPipeline(config=config, topology=topology).run(readset)

@@ -206,16 +206,6 @@ class PipelineResult:
             "span_b": cat("aln_span_b"),
         }
 
-    def best_alignment_scores(self) -> dict[tuple[int, int], int]:
-        """Best alignment score per read pair."""
-        table = self.alignment_table()
-        best: dict[tuple[int, int], int] = {}
-        for ra, rb, score in zip(table["rid_a"], table["rid_b"], table["score"]):
-            key = (int(ra), int(rb))
-            if score > best.get(key, -np.iinfo(np.int64).max):
-                best[key] = int(score)
-        return best
-
     # -- performance summaries ------------------------------------------------------
 
     def stage_wall_seconds(self) -> dict[str, dict[str, float]]:

@@ -117,7 +117,7 @@ class AlignmentService:
             raise ValueError("cannot serve against an empty index read set")
         config = config or PipelineConfig()
         if config.backend == "process" and not config.pool:
-            config = config.with_pool(True)
+            config = replace(config, pool=True)
         self.config = config
         self.index_reads = index_reads
         self.pipeline = DibellaPipeline(config=config, topology=topology)

@@ -31,11 +31,6 @@ class DatasetSpec:
     genome: GenomeSpec
     reads: ReadSimSpec
 
-    @property
-    def expected_total_bases(self) -> int:
-        """Expected input size N = G * d (equation 1 of the paper)."""
-        return int(self.genome.length * self.reads.coverage)
-
 
 @dataclass
 class Dataset:

@@ -6,6 +6,7 @@ import gzip
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.io.fastq import open_text
 from repro.seq.alphabet import sanitize
 from repro.seq.records import Read, ReadSet
 
@@ -16,11 +17,9 @@ class FastaFormatError(ValueError):
 
 def iter_fasta(path: str | Path) -> Iterator[Read]:
     """Yield :class:`Read` records (no quality) from a FASTA (``.gz`` ok) file."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
     name: str | None = None
     chunks: list[str] = []
-    with opener(path, "rt", encoding="ascii") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:

@@ -23,7 +23,7 @@ class FastqFormatError(ValueError):
     """Raised when a FASTQ file violates the 4-line record structure."""
 
 
-def _open_text(path: str | Path) -> TextIO:
+def open_text(path: str | Path) -> TextIO:
     """Open a possibly gzip-compressed text file for reading."""
     path = Path(path)
     if path.suffix == ".gz":
@@ -33,7 +33,7 @@ def _open_text(path: str | Path) -> TextIO:
 
 def iter_fastq(path: str | Path) -> Iterator[Read]:
     """Yield :class:`Read` records from a FASTQ (optionally ``.gz``) file."""
-    with _open_text(path) as fh:
+    with open_text(path) as fh:
         yield from parse_fastq(fh)
 
 

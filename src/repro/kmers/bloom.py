@@ -43,7 +43,6 @@ class BloomFilter:
         self.n_bits = int(n_bits)
         self.n_hashes = int(n_hashes)
         self._bits = np.zeros((self.n_bits + 7) // 8, dtype=np.uint8)
-        self._n_inserted = 0
 
     # -- construction helpers ----------------------------------------------------
 
@@ -110,7 +109,6 @@ class BloomFilter:
         byte_idx = (pos >> 3).ravel()
         bit_mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)).ravel()
         np.bitwise_or.at(self._bits, byte_idx, bit_mask)
-        self._n_inserted += int(codes.size)
         return present_before
 
     def contains_many(self, codes: np.ndarray) -> np.ndarray:
@@ -125,11 +123,6 @@ class BloomFilter:
         return bool(self.contains_many(np.array([code], dtype=np.uint64))[0])
 
     # -- introspection -----------------------------------------------------------------
-
-    @property
-    def n_inserted(self) -> int:
-        """Number of insert operations performed (counting duplicates)."""
-        return self._n_inserted
 
     @property
     def nbytes(self) -> int:

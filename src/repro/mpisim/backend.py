@@ -493,23 +493,6 @@ def _run_rank_job(
     results_queue.put((rank, status, payload, snapshot))
 
 
-def _process_worker(
-    rank: int,
-    n_ranks: int,
-    engine: _ProcessCollectiveEngine,
-    fn: Callable[..., Any],
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-    topology: Topology | None,
-    want_trace: bool,
-    results_queue,
-    faults: RunFaults | None = None,
-) -> None:
-    """Body of one single-run rank process."""
-    _run_rank_job(rank, n_ranks, engine, fn, args, kwargs, topology,
-                  want_trace, results_queue, faults)
-
-
 def _pooled_worker(
     rank: int,
     n_ranks: int,
@@ -998,7 +981,7 @@ class ProcessBackend(RuntimeBackend):
         results_queue = self._ctx.Queue()
         workers = [
             self._ctx.Process(
-                target=_process_worker,
+                target=_run_rank_job,
                 args=(rank, n_ranks, engine, fn, args, kwargs, topology,
                       trace is not None, results_queue, faults),
                 name=f"spmd-rank-{rank}",

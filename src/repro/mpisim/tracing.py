@@ -52,14 +52,6 @@ class PhaseTraffic:
         """Total bytes moved in this phase (including rank-to-self copies)."""
         return int(self.volume.sum())
 
-    @property
-    def offnode_fraction_placeholder(self) -> float:
-        """Fraction of bytes sent to a different rank (node split needs a Topology)."""
-        total = self.volume.sum()
-        if total == 0:
-            return 0.0
-        return float((total - np.trace(self.volume)) / total)
-
     def per_rank_sent(self) -> np.ndarray:
         """Bytes sent by each rank."""
         return self.volume.sum(axis=1)

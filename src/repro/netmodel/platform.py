@@ -68,11 +68,6 @@ class PlatformSpec:
         """Aggregate per-node compute capability (cores × GHz × core_speed)."""
         return self.cores_per_node * self.freq_ghz * self.core_speed
 
-    @property
-    def memory_bytes(self) -> int:
-        """Node memory in bytes."""
-        return self.memory_gb * 1024**3
-
 
 #: The four evaluated platforms (Table 1 + calibrated fields).
 PLATFORMS: dict[str, PlatformSpec] = {

@@ -88,11 +88,6 @@ class PipelineProjection:
         return sum(s.total_seconds for s in self.stages)
 
     @property
-    def total_compute_seconds(self) -> float:
-        """Sum of projected compute time over stages."""
-        return sum(s.compute_seconds for s in self.stages)
-
-    @property
     def total_exchange_seconds(self) -> float:
         """Sum of projected exchange time over stages."""
         return sum(s.exchange_seconds for s in self.stages)

@@ -13,14 +13,7 @@ from hypothesis import given, settings, strategies as st
 import inspect
 
 from repro.align import batched_xdrop
-from repro.align.banded import banded_smith_waterman
-from repro.align.batch import (
-    RESULT_DTYPE,
-    AlignmentTask,
-    TaskBatch,
-    align_task,
-    batched_xdrop_align,
-)
+from repro.align.batch import RESULT_DTYPE, TaskBatch, batched_xdrop_align
 from repro.align.batched_xdrop import (
     DEFAULT_XDROP_BAND,
     BatchedExtensionConfig,
@@ -37,14 +30,17 @@ from repro.seq.encoding import encode_sequence
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 
 
-def task_batch(*tasks: AlignmentTask) -> TaskBatch:
-    """A TaskBatch with one row per task (test helper)."""
+def task_batch(*tasks: tuple) -> TaskBatch:
+    """A TaskBatch with one row per ``(rid_a, rid_b, seed_pos_a, seed_pos_b)``
+    task, plus ``same_strand`` as an optional fifth item (test helper)."""
+    rid_a, rid_b, pos_a, pos_b, same_strand = zip(
+        *(task if len(task) == 5 else (*task, True) for task in tasks))
     return TaskBatch(
-        rid_a=np.array([t.rid_a for t in tasks], dtype=np.int64),
-        rid_b=np.array([t.rid_b for t in tasks], dtype=np.int64),
-        seed_pos_a=np.array([t.seed_pos_a for t in tasks], dtype=np.int64),
-        seed_pos_b=np.array([t.seed_pos_b for t in tasks], dtype=np.int64),
-        same_strand=np.array([t.same_strand for t in tasks], dtype=bool),
+        rid_a=np.array(rid_a, dtype=np.int64),
+        rid_b=np.array(rid_b, dtype=np.int64),
+        seed_pos_a=np.array(pos_a, dtype=np.int64),
+        seed_pos_b=np.array(pos_b, dtype=np.int64),
+        same_strand=np.array(same_strand, dtype=bool),
     )
 
 
@@ -56,7 +52,7 @@ def cache_of(sequences: dict[int, str]) -> ReadCache:
     return cache
 
 
-def xdrop_align(tasks: list[AlignmentTask], sequences: dict[int, str], **kwargs):
+def xdrop_align(tasks: list[tuple], sequences: dict[int, str], **kwargs):
     """Run *tasks* through batched_xdrop_align with a fresh cache (test helper)."""
     return batched_xdrop_align(task_batch(*tasks), cache_of(sequences), **kwargs)
 
@@ -163,39 +159,6 @@ class TestSmithWaterman:
     def test_score_bounded(self, a, b):
         score = smith_waterman(a, b).score
         assert 0 <= score <= min(len(a), len(b))
-
-
-class TestBanded:
-    def test_matches_full_when_band_covers_all(self):
-        a, b = "ACGGTACGTTACGGAT", "ACGTACGTTACGGTAT"
-        full = smith_waterman(a, b).score
-        banded = banded_smith_waterman(a, b, band=len(b)).score
-        assert banded == full
-
-    def test_narrow_band_is_lower_or_equal(self):
-        a = "ACGTACGTACGTACGT"
-        b = "TTTTTTTT" + a  # optimal alignment far off diagonal 0
-        narrow = banded_smith_waterman(a, b, band=2).score
-        wide = banded_smith_waterman(a, b, band=32).score
-        assert narrow <= wide
-
-    def test_diagonal_recentering(self):
-        a = "ACGTACGTACGTACGT"
-        b = "TTTTTTTT" + a
-        off = banded_smith_waterman(a, b, band=4, diagonal=8).score
-        assert off == len(a)
-
-    def test_cells_bounded_by_band(self):
-        a, b = "A" * 100, "A" * 100
-        result = banded_smith_waterman(a, b, band=5)
-        assert result.cells <= 100 * 11
-
-    def test_invalid_band(self):
-        with pytest.raises(ValueError):
-            banded_smith_waterman("ACGT", "ACGT", band=0)
-
-    def test_empty(self):
-        assert banded_smith_waterman("", "ACGT").score == 0
 
 
 class TestXdropScalar:
@@ -316,7 +279,7 @@ class TestBatchAligner:
 
     def test_align_single_task(self):
         seqs = self._sequences()
-        task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
+        task = (0, 1, 210, 10)
         result, = xdrop_align([task], seqs, k=17)
         assert result.score > 50
         assert result.cells > 0
@@ -324,8 +287,8 @@ class TestBatchAligner:
     def test_align_all_uses_batched_path(self):
         seqs = self._sequences()
         tasks = [
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
+            (0, 1, 210, 10),
+            (0, 1, 300, 100),
         ]
         results = xdrop_align(tasks, seqs, k=17)
         assert len(results) == 2
@@ -336,36 +299,27 @@ class TestBatchAligner:
         # Read 2 is the reverse complement of genome[150:450]; the k-mer at
         # genome position 200 appears at RC coordinate 300 - (200-150) - 17.
         rc_pos = 300 - (200 - 150) - 17
-        task = AlignmentTask(rid_a=0, rid_b=2, seed_pos_a=200, seed_pos_b=rc_pos,
-                             same_strand=False)
-        scalar = align_task(task, seqs, kernel="xdrop", k=17)
+        task = (0, 2, 200, rc_pos, False)
+        # The scalar reference extends read 2 oriented onto read 0's strand,
+        # where the seed sits at len - k - rc_pos.
+        rc_read = reverse_complement(seqs[2])
+        scalar = xdrop_seed_extend(seqs[0], rc_read, 200, len(rc_read) - 17 - rc_pos, 17)
         assert scalar.score > 80
         batched = xdrop_align([task, task], seqs, k=17)
         assert batched[0].score > 80
 
-    def test_kernel_choices(self):
-        seqs = self._sequences()
-        task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
-        for kernel in ("xdrop", "banded", "full"):
-            result = align_task(task, seqs, kernel=kernel, k=17)
-            assert result.score > 0
-            assert result.kernel in ("xdrop", "banded", "smith_waterman")
-
     def test_missing_read_raises(self):
         with pytest.raises(KeyError):
-            align_task(AlignmentTask(0, 99, 0, 0), {0: "ACGT"}, k=2)
-        with pytest.raises(KeyError):
-            xdrop_align([AlignmentTask(0, 99, 0, 0)], {0: "ACGT"}, k=2)
+            xdrop_align([(0, 99, 0, 0)], {0: "ACGT"}, k=2)
 
     def test_read_cache_lookups_per_task(self):
         """One encoded(rid_a) and one encoded/encoded_rc(rid_b) lookup per
         task, so the pipeline's read_cache_hits/misses counters stay pinned."""
         seqs = self._sequences()
         tasks = [
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
-            AlignmentTask(rid_a=0, rid_b=2, seed_pos_a=200, seed_pos_b=300 - 50 - 17,
-                          same_strand=False),
+            (0, 1, 210, 10),
+            (0, 1, 300, 100),
+            (0, 2, 200, 300 - 50 - 17, False),
         ]
         cache = cache_of(seqs)
         batched_xdrop_align(task_batch(*tasks), cache, k=17)
@@ -385,10 +339,9 @@ class TestBatchAligner:
         """
         seqs = self._sequences()
         tasks = [
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
-            AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
-            AlignmentTask(rid_a=0, rid_b=2, seed_pos_a=200, seed_pos_b=300 - 50 - 17,
-                          same_strand=False),
+            (0, 1, 210, 10),
+            (0, 1, 300, 100),
+            (0, 2, 200, 300 - 50 - 17, False),
         ]
         solo_results = [xdrop_align([task], seqs, k=17)[0] for task in tasks]
         batch_results = xdrop_align(tasks, seqs, k=17)
@@ -399,7 +352,6 @@ class TestBatchAligner:
 
     def test_band_defaults_agree_across_entry_points(self):
         """Regression: every x-drop entry point shares one default band."""
-        assert inspect.signature(align_task).parameters["band"].default == DEFAULT_XDROP_BAND
         assert BatchedExtensionConfig().band == DEFAULT_XDROP_BAND
         sig = inspect.signature(batched_xdrop_align)
         assert sig.parameters["band"].default == DEFAULT_XDROP_BAND
@@ -422,8 +374,8 @@ class TestBatchAligner:
 class TestTaskBatch:
     def _tasks(self):
         return [
-            AlignmentTask(rid_a=0, rid_b=3, seed_pos_a=10, seed_pos_b=20),
-            AlignmentTask(rid_a=1, rid_b=2, seed_pos_a=5, seed_pos_b=7, same_strand=False),
+            (0, 3, 10, 20),
+            (1, 2, 5, 7, False),
         ]
 
     def test_rids_unique_sorted(self):
@@ -449,7 +401,7 @@ class TestTaskBatch:
         rng = np.random.default_rng(21)
         genome = "".join("ACGT"[i] for i in rng.integers(0, 4, size=600))
         seqs = {0: genome[:400], 1: mutate(genome[200:], 0.1, seed=1)}
-        task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
+        task = (0, 1, 210, 10)
         results = batched_xdrop_align(task_batch(task, task), cache_of(seqs), k=17)
         assert isinstance(results, np.recarray) and results.dtype == RESULT_DTYPE
         assert len(results) == 2 and results[0].score > 30

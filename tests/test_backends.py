@@ -10,6 +10,7 @@ answer.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -513,10 +514,10 @@ class TestPipelineParity:
         from repro.core.driver import run_dibella
 
         thread = run_dibella(micro_dataset.reads,
-                             config=micro_config.with_backend("thread"),
+                             config=replace(micro_config, backend="thread"),
                              n_nodes=1, ranks_per_node=3)
         process = run_dibella(micro_dataset.reads,
-                              config=micro_config.with_backend("process"),
+                              config=replace(micro_config, backend="process"),
                               n_nodes=1, ranks_per_node=3)
         return thread, process
 
@@ -638,7 +639,7 @@ class TestPipelineParityMatrix:
         """Second pooled run: bit-identical science, nonzero cross-run cache hits."""
         from repro.core.driver import run_dibella
 
-        config = micro_config.with_backend(backend).with_pool(True)
+        config = replace(micro_config, backend=backend, pool=True)
         cold = run_dibella(micro_dataset.reads, config=config,
                            n_nodes=1, ranks_per_node=3)
         warm = run_dibella(micro_dataset.reads, config=config,
@@ -659,12 +660,12 @@ class TestPipelineParityMatrix:
         """A reused rank must never hit a cache built from a different read set."""
         from repro.core.driver import run_dibella
 
-        config = micro_config.with_backend("process").with_pool(True)
+        config = replace(micro_config, backend="process", pool=True)
         run_dibella(micro_dataset.reads, config=config, n_nodes=1, ranks_per_node=3)
         other = run_dibella(small_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=3)
         fresh = run_dibella(small_dataset.reads,
-                            config=config.with_pool(False),
+                            config=replace(config, pool=False),
                             n_nodes=1, ranks_per_node=3)
         # Different dataset -> different generation tag -> cold caches.
         assert other.counters["read_cache_fetch_hits"] == 0
@@ -679,7 +680,7 @@ class TestPipelineParityMatrix:
 
         from repro.core.driver import run_dibella
 
-        config = micro_config.with_backend("process").with_pool(True)
+        config = replace(micro_config, backend="process", pool=True)
         run_dibella(micro_dataset.reads, config=config, n_nodes=1, ranks_per_node=3)
         shutdown_rank_pools()
         deadline = time.monotonic() + 10.0

@@ -145,12 +145,12 @@ class TestCli:
         ["--nodes", "0"],
         ["-k", "0"],
         ["--batch-reads", "0"],
-        ["--input", "FASTA"],
-    ], ids=["nodes", "k", "batch-reads", "fasta-input"])
+        ["--input", "BAD"],
+    ], ids=["nodes", "k", "batch-reads", "unknown-format"])
     def test_bad_run_input_exits_cleanly(self, args, tmp_path, capsys):
-        fasta = tmp_path / "reads.fa"
-        fasta.write_text(">r1\nACGTACGTACGT\n")
-        args = [str(fasta) if a == "FASTA" else a for a in args]
+        bad = tmp_path / "reads.txt"
+        bad.write_text("ACGTACGTACGT\n")  # neither a FASTA nor a FASTQ header
+        args = [str(bad) if a == "BAD" else a for a in args]
         with pytest.raises(SystemExit) as exc:
             main(["run", *args])
         assert exc.value.code == 2

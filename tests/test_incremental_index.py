@@ -21,6 +21,7 @@ arrival-order view the one-shot run reads is pinned in
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ def test_pipeline_index_digest_matches_across_backends(micro_dataset):
     digests = {}
     try:
         for backend in ("thread", "process"):
-            pipeline = DibellaPipeline(config=config.with_backend(backend),
+            pipeline = DibellaPipeline(config=replace(config, backend=backend),
                                        topology=topology)
             result = pipeline.build_index(micro_dataset.reads)
             digests[backend] = result.counters["index_digest"]
@@ -400,7 +401,7 @@ def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
     monkeypatch.setattr(hashtable, "_packed_field_bits", spy_bits)
     monkeypatch.setattr(hashtable, "_canonical_sort", spy_sort)
     config = PipelineConfig(kmer=KmerSpec(k=WIDE_K), coverage_hint=12.0,
-                            error_rate_hint=0.08).with_backend("thread")
+                            error_rate_hint=0.08, backend="thread")
     try:
         result = DibellaPipeline(config=config, topology=Topology.single_node(2)
                                  ).build_index(micro_dataset.reads)

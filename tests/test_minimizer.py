@@ -19,10 +19,13 @@ Three layers of pinning:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import _build_parser, _config
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
@@ -207,7 +210,7 @@ class TestConfigKnobs:
         assert config.seed_mode == "reliable"
         assert config.minimizer_window == 11
         assert config.sketch_window == 1  # reliable mode keeps everything
-        assert config.with_seed_mode("minimizer", 7).sketch_window == 7
+        assert replace(config, seed_mode="minimizer", minimizer_window=7).sketch_window == 7
         with pytest.raises(ValueError, match="seed mode"):
             PipelineConfig(seed_mode="syncmer")
         with pytest.raises(ValueError, match="minimizer_window"):
@@ -221,9 +224,13 @@ class TestConfigKnobs:
         assert config.minimizer_window == 5
         assert config.sketch_window == 5
 
-    def test_with_seed_mode_keeps_window(self):
-        config = PipelineConfig(minimizer_window=9)
-        assert config.with_seed_mode("minimizer").minimizer_window == 9
+    def test_seed_mode_flag_keeps_window(self, monkeypatch):
+        """``--seed-mode`` alone leaves the window at its environment default."""
+        monkeypatch.setenv("DIBELLA_MINIMIZER_WINDOW", "9")
+        for command in ("run", "serve"):
+            args = _build_parser().parse_args([command, "--seed-mode", "minimizer"])
+            config = _config(args)
+            assert (config.seed_mode, config.minimizer_window) == ("minimizer", 9)
 
 
 @pytest.fixture(scope="module")
@@ -263,10 +270,10 @@ class TestPipelineSketching:
         # Pin both modes explicitly: the suite may run with
         # DIBELLA_SEED_MODE=minimizer exported (the CI leg).
         reliable = run_dibella(data.reads,
-                               config=base.with_seed_mode("reliable", window),
+                               config=replace(base, seed_mode="reliable", minimizer_window=window),
                                ranks_per_node=ranks)
         sketched = run_dibella(data.reads,
-                               config=base.with_seed_mode("minimizer", window),
+                               config=replace(base, seed_mode="minimizer", minimizer_window=window),
                                ranks_per_node=ranks)
 
         rc, sc = reliable.counters, sketched.counters
@@ -299,11 +306,11 @@ class TestPipelineSketching:
     def test_window_one_matches_reliable(self, micro_dataset, micro_config):
         """w=1 selects every k-mer: identical science to reliable mode."""
         reliable = run_dibella(micro_dataset.reads,
-                               config=micro_config.with_seed_mode("reliable"),
+                               config=replace(micro_config, seed_mode="reliable"),
                                ranks_per_node=2)
         degenerate = run_dibella(
             micro_dataset.reads,
-            config=micro_config.with_seed_mode("minimizer", 1),
+            config=replace(micro_config, seed_mode="minimizer", minimizer_window=1),
             ranks_per_node=2)
         assert degenerate.overlap_pairs() == reliable.overlap_pairs()
         t, d = reliable.alignment_table(), degenerate.alignment_table()
@@ -317,13 +324,13 @@ class TestPipelineSketching:
     def test_backend_parity_per_mode(self, micro_dataset, micro_config,
                                      seed_mode, window):
         """{thread, process} x {reliable, minimizer}: bit-identical per mode."""
-        config = micro_config.with_seed_mode(seed_mode, window)
+        config = replace(micro_config, seed_mode=seed_mode, minimizer_window=window)
         try:
             thread = run_dibella(micro_dataset.reads,
-                                 config=config.with_backend("thread"),
+                                 config=replace(config, backend="thread"),
                                  ranks_per_node=3)
             process = run_dibella(micro_dataset.reads,
-                                  config=config.with_backend("process"),
+                                  config=replace(config, backend="process"),
                                   ranks_per_node=3)
             assert thread.counters == process.counters
             assert thread.overlap_pairs() == process.overlap_pairs()
@@ -346,7 +353,7 @@ class TestServeSketching:
 
     def test_served_batch_matches_one_shot_minimizer(self, micro_dataset,
                                                      micro_config):
-        config = micro_config.with_seed_mode("minimizer", 5)
+        config = replace(micro_config, seed_mode="minimizer", minimizer_window=5)
         readset = micro_dataset.reads
         n_index = (3 * len(readset)) // 4
         reads = list(readset)
@@ -377,13 +384,13 @@ class TestServeSketching:
             reliable = DibellaPipeline(config=micro_config, topology=topology)
             reliable.build_index(micro_dataset.reads)
             sketched = DibellaPipeline(
-                config=micro_config.with_seed_mode("minimizer", 5),
+                config=replace(micro_config, seed_mode="minimizer", minimizer_window=5),
                 topology=topology)
             sketched.build_index(micro_dataset.reads)
             assert reliable._index_tag != sketched._index_tag
             assert "minw5" in sketched._index_tag
             windowed = DibellaPipeline(
-                config=micro_config.with_seed_mode("minimizer", 7),
+                config=replace(micro_config, seed_mode="minimizer", minimizer_window=7),
                 topology=topology)
             windowed.build_index(micro_dataset.reads)
             assert windowed._index_tag != sketched._index_tag
@@ -394,12 +401,12 @@ class TestServeSketching:
     def test_index_digest_matches_across_backends_minimizer(self, micro_dataset,
                                                             micro_config):
         """Minimizer-mode build_index: content-identical on both backends."""
-        config = micro_config.with_seed_mode("minimizer", 5)
+        config = replace(micro_config, seed_mode="minimizer", minimizer_window=5)
         digests = {}
         retained = {}
         try:
             for backend in ("thread", "process"):
-                pipeline = DibellaPipeline(config=config.with_backend(backend),
+                pipeline = DibellaPipeline(config=replace(config, backend=backend),
                                            topology=Topology.single_node(2))
                 result = pipeline.build_index(micro_dataset.reads)
                 digests[backend] = result.counters["index_digest"]
@@ -412,11 +419,11 @@ class TestServeSketching:
 
     def test_sketched_index_is_smaller(self, micro_dataset, micro_config):
         try:
-            full = DibellaPipeline(config=micro_config.with_seed_mode("reliable"),
+            full = DibellaPipeline(config=replace(micro_config, seed_mode="reliable"),
                                    topology=Topology.single_node(2))
             full_build = full.build_index(micro_dataset.reads)
             sketched = DibellaPipeline(
-                config=micro_config.with_seed_mode("minimizer", 5),
+                config=replace(micro_config, seed_mode="minimizer", minimizer_window=5),
                 topology=Topology.single_node(2))
             sketch_build = sketched.build_index(micro_dataset.reads)
             assert 0 < sketch_build.counters["index_nbytes"] < \

@@ -13,6 +13,8 @@ Three layers:
   packed payload provably ~4x smaller (slow tier).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -198,7 +200,7 @@ class TestWirePackingPipelineParity:
         from repro.core.driver import run_dibella
 
         return {backend: run_dibella(micro_dataset.reads,
-                                     config=micro_config.with_backend(backend),
+                                     config=replace(micro_config, backend=backend),
                                      n_nodes=1, ranks_per_node=3)
                 for backend in ("thread", "process")}
 

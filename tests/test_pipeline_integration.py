@@ -155,7 +155,7 @@ class TestConfigurationEffects:
     def test_more_seeds_means_more_alignments(self, micro_dataset):
         base = PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12, error_rate_hint=0.08)
         one = run_dibella(micro_dataset.reads, config=base, ranks_per_node=2)
-        all_seeds = base.with_seed_strategy(SeedStrategy.separated_by(15))
+        all_seeds = dataclasses.replace(base, seed_strategy=SeedStrategy.separated_by(15))
         many = run_dibella(micro_dataset.reads, config=all_seeds, ranks_per_node=2)
         assert many.n_alignments > one.n_alignments
         assert many.n_overlap_pairs == one.n_overlap_pairs
@@ -205,8 +205,8 @@ class TestConfigurationEffects:
 
         runs = [run_dibella(micro_dataset.reads,
                             config=dataclasses.replace(
-                                micro_config, batch_reads=batch_reads
-                            ).with_seed_mode(seed_mode),
+                                micro_config, batch_reads=batch_reads,
+                                seed_mode=seed_mode),
                             ranks_per_node=3)
                 for batch_reads in (3, 8, 10_000)]
         assert rows(runs[0])
@@ -225,10 +225,10 @@ class TestConfigurationEffects:
         """Code-range sharding is a schedule change: identical science, lower
         peak retained-table memory."""
         unsharded = run_dibella(micro_dataset.reads,
-                                config=micro_config.with_hash_table_shards(1),
+                                config=dataclasses.replace(micro_config, hash_table_shards=1),
                                 ranks_per_node=2)
         sharded = run_dibella(micro_dataset.reads,
-                              config=micro_config.with_hash_table_shards(5),
+                              config=dataclasses.replace(micro_config, hash_table_shards=5),
                               ranks_per_node=2)
         assert sharded.overlap_pairs() == unsharded.overlap_pairs()
         sharded_table, ref_table = sharded.alignment_table(), unsharded.alignment_table()
@@ -300,11 +300,16 @@ class TestConfigValidation:
         assert derived.resolve_high_freq_threshold() > 0
         assert derived.resolve_high_freq_threshold() >= default.resolve_high_freq_threshold()
 
-    def test_with_helpers(self):
+    def test_replace_revalidates(self):
+        """``dataclasses.replace`` derives a config and re-runs every check."""
         config = PipelineConfig()
         strategy = SeedStrategy.separated_by(500)
-        assert config.with_seed_strategy(strategy).seed_strategy == strategy
-        assert config.with_pool(True).pool is True
+        assert dataclasses.replace(config, seed_strategy=strategy).seed_strategy == strategy
+        assert dataclasses.replace(config, pool=True).pool is True
+        with pytest.raises(ValueError, match="batch_reads"):
+            dataclasses.replace(config, batch_reads=0)
+        with pytest.raises(ValueError, match="kill"):
+            dataclasses.replace(config, backend="thread", fault_plan="kill:rank=1:step=1")
 
 
 class TestReadOwnerCoverage:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ def test_pipeline_surfaces_read_cache_evictions(micro_dataset):
         assert result.counters["read_cache_evictions"] > 0
         assert result.counters["read_cache_evicted_bytes"] > 0
         # Unbounded run over the same workload: no evictions.
-        unbounded = DibellaPipeline(config=config.with_read_cache_mb(0.0),
+        unbounded = DibellaPipeline(config=replace(config, read_cache_mb=0.0),
                                     topology=Topology.single_node(2)
                                     ).run(micro_dataset.reads)
         assert unbounded.counters["read_cache_evictions"] == 0

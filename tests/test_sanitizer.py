@@ -20,6 +20,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,11 +213,11 @@ class TestBitIdentity:
         # Pooling off: under DIBELLA_POOL=1 the second run would hit the
         # first run's warm per-rank read caches, skewing read_cache_* /
         # remote_reads_fetched for reasons unrelated to the sanitizer.
-        config = micro_config.with_backend(backend).with_pool(False)
+        config = replace(micro_config, backend=backend, pool=False)
         plain = run_dibella(micro_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=2)
         sanitized = run_dibella(micro_dataset.reads,
-                                config=config.with_sanitize(True),
+                                config=replace(config, sanitize=True),
                                 n_nodes=1, ranks_per_node=2)
         assert sanitized.counters == plain.counters
         assert sanitized.n_alignments == plain.n_alignments

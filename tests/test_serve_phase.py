@@ -31,7 +31,7 @@ def _config(backend: str, shards: int, pool: bool = False) -> PipelineConfig:
                             error_rate_hint=0.08, backend=backend,
                             hash_table_shards=shards)
     if pool:
-        config = config.with_pool(True)
+        config = replace(config, pool=True)
     return config
 
 
@@ -160,7 +160,7 @@ def test_alignment_service_coalesces_submissions(micro_dataset):
                                       (3 * len(micro_dataset.reads)) // 4)
     queries = list(query_reads)
     assert len(queries) >= 4
-    config = _config("thread", 4).with_serve_batch_reads(len(queries))
+    config = replace(_config("thread", 4), serve_batch_reads=len(queries))
     service = AlignmentService(index_reads, config=config,
                                topology=Topology.single_node(RANKS))
     try:

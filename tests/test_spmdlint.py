@@ -6,6 +6,7 @@ that the shipped source lints clean (the zero-findings gate CI enforces).
 from __future__ import annotations
 
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -336,7 +337,7 @@ class TestCounterRegistry:
     def test_pipeline_emits_only_registered_counters(self, micro_dataset,
                                                      micro_config, backend):
         result = run_dibella(micro_dataset.reads,
-                             config=micro_config.with_backend(backend),
+                             config=replace(micro_config, backend=backend),
                              n_nodes=1, ranks_per_node=2)
         unregistered = set(result.counters) - REGISTERED_COUNTERS
         assert unregistered == set()

@@ -22,7 +22,7 @@ message`` and a non-zero exit code gates CI.  Genuine-but-intended sites
 carry an inline suppression with a mandatory reason::
 
     if comm.rank == 0:
-        comm.bcast(header)  # spmdlint: disable=SL001 every rank reaches this
+        comm.allreduce(header)  # spmdlint: disable=SL001 every rank reaches this
 
 See ``docs/static-analysis.md`` for the rule catalogue and the companion
 runtime sanitizer (``DIBELLA_SANITIZE``).

@@ -10,7 +10,7 @@ Suppressions
 ------------
 A finding is silenced by an inline comment naming the rule *with a reason*::
 
-    value = comm.bcast(seed)  # spmdlint: disable=SL001 all ranks reach this
+    value = comm.allreduce(seed)  # spmdlint: disable=SL001 all ranks reach this
 
 The comment may sit on the flagged line or on a comment-only line directly
 above it (a block of consecutive comment lines applies to the next source

@@ -41,6 +41,7 @@ from repro.bench.reporting import format_table
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import DibellaPipeline
 from repro.core.service import AlignmentService
+from repro.mpisim.backend import rank_pool_stats, shutdown_rank_pools
 from repro.mpisim.topology import Topology
 from repro.data.datasets import (
     DatasetSpec,
@@ -238,14 +239,12 @@ def _resolve_strategy(name: str, k: int) -> SeedStrategy:
 
 
 def _print_pool_stats() -> None:
-    from repro.mpisim.backend import rank_pool_stats
-
     stats = rank_pool_stats()
     if not stats:
         print("pool: no active rank pools")
         return
     for entry in stats:
-        print(f"pool[{entry['start_method']} x{entry['n_ranks']}]: "
+        print(f"pool[x{entry['n_ranks']}]: "
               f"runs_completed={entry['runs_completed']} "
               f"forks_amortised={entry['forks_amortised']}")
 
@@ -416,6 +415,11 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except _UsageError as exc:
         parser.error(str(exc))
+    finally:
+        # run --pool, serve and query park their ranks in a process pool for
+        # reuse within the command; an in-process caller of main() must not
+        # inherit those workers.  --pool-stats has printed by now.
+        shutdown_rank_pools()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -221,7 +221,6 @@ class DibellaPipeline:
             config,
             high_freq_threshold,
             *program_args,
-            topology=topology,
             trace=trace,
             backend=config.backend,
             pool=config.pool,

@@ -6,17 +6,17 @@ environment has no MPI implementation, so this subpackage provides a drop-in
 substrate with the same programming model:
 
 * :func:`repro.mpisim.runtime.spmd_run` runs the same Python function on
-  every rank ("single program, multiple data") on a pluggable
-  :class:`repro.mpisim.backend.RuntimeBackend`: threads (payloads by
-  reference, default) or one process per rank exchanging explicitly-typed
+  every rank ("single program, multiple data") on the backend its
+  ``backend`` name selects: ``"thread"`` (payloads by reference, default)
+  or ``"process"`` — one process per rank exchanging explicitly-typed
   buffers through POSIX shared memory (true multi-core compute; see
   :mod:`repro.mpisim.serialization` for the dtype+shape wire format and
   docs/runtime.md for the architecture).
-* :class:`repro.mpisim.communicator.SimCommunicator` exposes the collectives
-  the pipeline needs — ``barrier``, ``bcast``, ``gather``, ``allgather``,
-  ``allreduce``, ``alltoall``, ``alltoallv`` — with the same semantics as
-  their MPI counterparts, plus mismatch detection (ranks calling different
-  collectives raise instead of deadlocking).
+* :class:`repro.mpisim.communicator.SimCommunicator` exposes the four
+  collectives the pipeline uses — ``allreduce``, ``alltoallv`` and the
+  split-phase ``alltoallv_start``/``alltoallv_finish`` — with the same
+  semantics as their MPI counterparts, plus mismatch detection (ranks
+  calling different collectives raise instead of deadlocking).
 * :class:`repro.mpisim.tracing.CommTrace` records, per phase and per rank,
   the bytes and message counts moved by every collective; the performance
   model in :mod:`repro.netmodel` converts those volumes into projected
@@ -36,7 +36,6 @@ from repro.mpisim.communicator import SimCommunicator
 from repro.mpisim.backend import (
     BACKEND_NAMES,
     ProcessBackend,
-    RuntimeBackend,
     ThreadBackend,
     active_rank_pools,
     rank_pool_stats,
@@ -68,7 +67,6 @@ __all__ = [
     "CommTrace",
     "PhaseTraffic",
     "SimCommunicator",
-    "RuntimeBackend",
     "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",

@@ -1,7 +1,7 @@
-"""Pluggable SPMD runtime backends: threads or real processes per rank.
+"""SPMD runtime backends: threads or real processes per rank.
 
 :func:`repro.mpisim.runtime.spmd_run` delegates the actual launching of rank
-programs to a :class:`RuntimeBackend`:
+programs to the backend its ``backend`` name selects:
 
 * :class:`ThreadBackend` — one thread per rank, collectives move payloads by
   reference through :class:`repro.mpisim.communicator._CollectiveState`.
@@ -19,7 +19,7 @@ programs to a :class:`RuntimeBackend`:
 
 Both engines run the same transport — the split-phase publish/consume
 handshake of :class:`repro.mpisim.communicator.CollectiveEngine`, over the
-exchange ring and the small collectives' blocking slot — so
+exchange ring and the allreduce's blocking slot — so
 :class:`repro.mpisim.communicator.SimCommunicator` (which owns collective
 semantics and byte accounting) is backend-agnostic, and a pipeline run
 produces bit-identical scientific output under either backend — the
@@ -29,12 +29,12 @@ backend-parity test suite pins exactly that.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import pickle
 import queue as queue_module
 import struct
 import threading
 import time
-from abc import ABC, abstractmethod
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
 
@@ -48,11 +48,9 @@ from repro.mpisim.communicator import (
 from repro.mpisim.errors import RankFailedError
 from repro.mpisim.faults import RunFaults
 from repro.mpisim.serialization import decode_payload, encode_payload
-from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
 
 __all__ = [
-    "RuntimeBackend",
     "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
@@ -66,6 +64,13 @@ __all__ = [
 
 #: Names accepted by :func:`resolve_backend` (and the ``--backend`` CLI knob).
 BACKEND_NAMES: tuple[str, ...] = ("thread", "process")
+
+#: The ``multiprocessing`` context of every rank process: ``fork`` where
+#: available (unpooled rank programs and their arguments need not be
+#: picklable, and the read set is inherited copy-on-write), else ``spawn``
+#: (which requires picklable programs and arguments).
+_CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
 
 #: Fixed-width slots in the shared metadata arrays.
 _NAME_LEN = 64   # shared-memory segment names ("psm_..." style, well under 64)
@@ -107,49 +112,16 @@ def reset_recovery_counters() -> None:
         _EVICTED_KEYS.clear()
 
 
-class RuntimeBackend(ABC):
-    """Strategy interface: how the P rank programs of an SPMD run execute."""
+def resolve_backend(backend: str | None,
+                    pool: bool = False) -> ThreadBackend | ProcessBackend:
+    """The backend named *backend* (``"thread"``, ``"process"``, ``None``).
 
-    #: Registry name of the backend ("thread", "process").
-    name: str = ""
-
-    @abstractmethod
-    def run(
-        self,
-        n_ranks: int,
-        fn: Callable[..., Any],
-        args: tuple[Any, ...],
-        kwargs: dict[str, Any],
-        topology: Topology | None,
-        trace: CommTrace | None,
-        sanitize: bool = False,
-        faults: RunFaults | None = None,
-    ) -> list[Any]:
-        """Execute ``fn(comm, *args, **kwargs)`` on every rank, return results
-        in rank order; raise :class:`RankFailedError` if any rank failed.
-
-        ``sanitize`` arms the runtime sanitizer on this run's collective
-        engine (congruence checks, split-phase segment guards, hang
-        watchdog — see :mod:`repro.mpisim.sanitize`).  ``faults`` is this
-        run's bound fault plan (:mod:`repro.mpisim.faults`), handed to every
-        rank's communicator."""
-
-
-def resolve_backend(backend: str | RuntimeBackend | None,
-                    pool: bool = False) -> RuntimeBackend:
-    """Turn a backend name (or an already-built backend) into an instance.
-
-    ``pool=True`` asks the process backend to acquire its ranks from the
-    persistent rank pool (see :class:`_RankPool`) instead of forking fresh
-    processes; the thread backend has no fork cost to amortise and ignores
-    the flag.  An explicitly constructed :class:`RuntimeBackend` instance is
-    passed through untouched (its own pooling setting wins).
+    ``None`` is the thread backend.  ``pool=True`` asks the process backend
+    to acquire its ranks from the persistent rank pool (see
+    :class:`_RankPool`) instead of forking fresh processes; the thread
+    backend has no fork cost to amortise and ignores the flag.
     """
-    if backend is None:
-        return ThreadBackend()
-    if isinstance(backend, RuntimeBackend):
-        return backend
-    if backend == "thread":
+    if backend is None or backend == "thread":
         return ThreadBackend()
     if backend == "process":
         return ProcessBackend(pool=pool)
@@ -162,19 +134,12 @@ def resolve_backend(backend: str | RuntimeBackend | None,
 # Thread backend
 # ---------------------------------------------------------------------------
 
-class ThreadBackend(RuntimeBackend):
+class ThreadBackend:
     """Ranks are threads in this process; payloads move by reference."""
 
-    name = "thread"
-
-    def run(self, n_ranks, fn, args, kwargs, topology, trace, sanitize=False,
-            faults=None):
-        if faults is not None and faults.has_kill:
-            raise ValueError(
-                "the thread backend cannot inject 'kill' faults: ranks are "
-                "threads of this process, so killing one would kill the "
-                "whole run — use backend='process' (or an 'exit' fault)"
-            )
+    def run(self, n_ranks, fn, args, kwargs, trace, sanitize, faults):
+        """Execute ``fn(comm, *args, **kwargs)`` on every rank, return results
+        in rank order; raise :class:`RankFailedError` if any rank failed."""
         state = _CollectiveState(n_ranks, sanitize=sanitize)
         results: list[Any] = [None] * n_ranks
         failures: list[tuple[int, BaseException]] = []
@@ -182,8 +147,8 @@ class ThreadBackend(RuntimeBackend):
         failures_lock = threading.Lock()
 
         def worker(rank: int) -> None:
-            comm = SimCommunicator(rank, n_ranks, state, topology=topology,
-                                   trace=trace, faults=faults)
+            comm = SimCommunicator(rank, n_ranks, state, trace=trace,
+                                   faults=faults)
             try:
                 results[rank] = fn(comm, *args, **kwargs)
             except threading.BrokenBarrierError:
@@ -238,20 +203,6 @@ def _raise_rank_failures(failures: list[tuple[int, BaseException]],
 # Process backend: shared-memory collective engine
 # ---------------------------------------------------------------------------
 
-def _attach_shm(name: str) -> SharedMemory:
-    """Attach an existing segment created by a peer rank.
-
-    All ranks are children of one parent, so they share a single
-    ``multiprocessing`` resource tracker: the attach-time auto-registration
-    (unconditional on Python <= 3.12) lands in the same set the creator
-    already registered the name into, and the creator's ``unlink`` clears it
-    exactly once.  Do NOT unregister here — that would remove the creator's
-    registration from the shared tracker and produce KeyError noise at its
-    unlink.
-    """
-    return SharedMemory(name=name)
-
-
 class _ProcessCollectiveEngine(CollectiveEngine):
     """Shared-memory collective engine.
 
@@ -259,31 +210,31 @@ class _ProcessCollectiveEngine(CollectiveEngine):
     created by the parent and inherited by (or shipped to) the rank
     processes.  Publishing a superstep writes one segment per rank with a
     per-destination offset table into a slot (the ring for exchanges, the
-    blocking slot for small collectives — see
+    blocking slot for allreduce — see
     :class:`~repro.mpisim.communicator.CollectiveEngine`), and every rank
     reads its slice from every peer's segment directly.  No coordinator
     touches the data, and no global barrier sits on the path.
     """
 
-    def __init__(self, ctx, n_ranks: int, sanitize: bool = False):
+    def __init__(self, n_ranks: int, sanitize: bool = False):
         self.n_ranks = n_ranks
         # The sanitizer flag lives in shared memory because the pooled
         # engine outlives any single run: the parent flips it between runs
         # (while every worker is parked) and the long-forked workers read
         # the current value.
-        self._sanitize = ctx.Value("b", int(sanitize), lock=False)
+        self._sanitize = _CTX.Value("b", int(sanitize), lock=False)
         # Per slot: every rank's op name and segment name, plus the
         # publish/consume sequence arrays, all coordinated through one
         # Condition.
-        self._cond = ctx.Condition()
-        self._abort = ctx.Value("b", 0, lock=False)
-        self._ops = [ctx.Array("c", n_ranks * _OP_LEN, lock=False)
+        self._cond = _CTX.Condition()
+        self._abort = _CTX.Value("b", 0, lock=False)
+        self._ops = [_CTX.Array("c", n_ranks * _OP_LEN, lock=False)
                      for _ in range(N_SLOTS)]
-        self._names = [ctx.Array("c", n_ranks * _NAME_LEN, lock=False)
+        self._names = [_CTX.Array("c", n_ranks * _NAME_LEN, lock=False)
                        for _ in range(N_SLOTS)]
-        self._published = [ctx.Array("q", n_ranks, lock=False)
+        self._published = [_CTX.Array("q", n_ranks, lock=False)
                            for _ in range(N_SLOTS)]
-        self._consumed = [ctx.Array("q", n_ranks, lock=False)
+        self._consumed = [_CTX.Array("q", n_ranks, lock=False)
                           for _ in range(N_SLOTS)]
         self.reset_between_runs()
         # Segments this rank published whose consumption is not yet proven
@@ -357,7 +308,14 @@ class _ProcessCollectiveEngine(CollectiveEngine):
                 received.append(decode_payload(own))
                 continue
             try:
-                peer = _attach_shm(self._get_str(self._names[slot], src, _NAME_LEN))
+                # All ranks are children of one parent, so they share one
+                # resource tracker: this attach's auto-registration lands in
+                # the set the creator already registered the name into, and
+                # the creator's unlink clears it exactly once.  Do NOT
+                # unregister here — that would remove the creator's
+                # registration and produce KeyError noise at its unlink.
+                peer = SharedMemory(
+                    name=self._get_str(self._names[slot], src, _NAME_LEN))
             except FileNotFoundError:
                 # A failed peer aborts, then reclaims its published segments
                 # at shutdown: the failure is the peer's to report.
@@ -461,15 +419,13 @@ def _run_rank_job(
     fn: Callable[..., Any],
     args: tuple[Any, ...],
     kwargs: dict[str, Any],
-    topology: Topology | None,
     want_trace: bool,
     results_queue,
-    faults: RunFaults | None = None,
+    faults: RunFaults | None,
 ) -> None:
     """Run one rank program against *engine* and ship back result + trace."""
     trace = CommTrace(n_ranks) if want_trace else None
-    comm = SimCommunicator(rank, n_ranks, engine, topology=topology,
-                           trace=trace, faults=faults)
+    comm = SimCommunicator(rank, n_ranks, engine, trace=trace, faults=faults)
     status, payload = "ok", None
     try:
         payload = fn(comm, *args, **kwargs)
@@ -530,9 +486,9 @@ def _pooled_worker(
                 "(pooled rank programs must be importable from the worker)"
             ), None))
             return  # the parent evicts this pool; do not park again
-        fn, args, kwargs, topology, want_trace, faults = job
-        _run_rank_job(rank, n_ranks, engine, fn, args, kwargs, topology,
-                      want_trace, results_queue, faults)
+        fn, args, kwargs, want_trace, faults = job
+        _run_rank_job(rank, n_ranks, engine, fn, args, kwargs, want_trace,
+                      results_queue, faults)
 
 
 def _dead_worker_ranks(workers: list, skip: set[int]) -> list[int]:
@@ -597,7 +553,6 @@ def _reap_after_death(
 def _drain_results(
     workers: list,
     results_queue,
-    engine: _ProcessCollectiveEngine,
     n_ranks: int,
 ) -> tuple[dict[int, tuple[str, Any, dict | None]], list[tuple[int, BaseException]]]:
     """Collect one report per rank, converting silent worker deaths to failures.
@@ -724,23 +679,22 @@ class _RankPool:
     evicts the stale generation instead of serving it.
     """
 
-    def __init__(self, ctx, start_method: str, n_ranks: int):
+    def __init__(self, n_ranks: int):
         _ensure_resource_tracker()
         self.n_ranks = n_ranks
-        self.start_method = start_method
-        self.engine = _ProcessCollectiveEngine(ctx, n_ranks)
-        self.park_barrier = ctx.Barrier(n_ranks + 1)
+        self.engine = _ProcessCollectiveEngine(n_ranks)
+        self.park_barrier = _CTX.Barrier(n_ranks + 1)
         # Buffered queues (not SimpleQueue): jobs are deposited while the
         # workers are still parked, and a SimpleQueue.put of a job larger
         # than the OS pipe buffer would block the parent before it ever
         # reached the release barrier — a deadlock.  Queue's feeder thread
         # drains asynchronously once the worker starts reading.
-        self.job_queues = [ctx.Queue() for _ in range(n_ranks)]
-        self.results_queue = ctx.Queue()
+        self.job_queues = [_CTX.Queue() for _ in range(n_ranks)]
+        self.results_queue = _CTX.Queue()
         self.broken = False
         self.runs_completed = 0
         self.workers = [
-            ctx.Process(
+            _CTX.Process(
                 target=_pooled_worker,
                 args=(rank, n_ranks, self.engine, self.park_barrier,
                       self.job_queues[rank], self.results_queue),
@@ -752,8 +706,7 @@ class _RankPool:
         for proc in self.workers:
             proc.start()
 
-    def run(self, fn, args, kwargs, topology, trace, sanitize=False,
-            faults=None) -> list[Any]:
+    def run(self, fn, args, kwargs, trace, sanitize, faults) -> list[Any]:
         if self.broken:
             raise RuntimeError("rank pool is broken; it should have been evicted")
         # Pickle the job HERE, once: Queue.put pickles in a background feeder
@@ -762,8 +715,7 @@ class _RankPool:
         # forever.  This way the error surfaces in the caller while every
         # worker is still safely parked (the pool stays usable).
         try:
-            job = pickle.dumps((fn, args, kwargs, topology, trace is not None,
-                                faults))
+            job = pickle.dumps((fn, args, kwargs, trace is not None, faults))
         except Exception as exc:
             raise TypeError(
                 f"pooled rank program is not picklable: {type(exc).__name__}: "
@@ -798,7 +750,7 @@ class _RankPool:
                 "a fresh one"
             )
         reported, failures = _drain_results(
-            self.workers, self.results_queue, self.engine, self.n_ranks
+            self.workers, self.results_queue, self.n_ranks
         )
         try:
             results = _assemble_results(reported, failures, trace, self.n_ranks)
@@ -860,28 +812,27 @@ class _RankPool:
             self.engine.reclaim_orphan_segments()
 
 
-#: Live pools keyed by (start_method, n_ranks); guarded by _POOLS_LOCK.
-_POOLS: dict[tuple[str, int], _RankPool] = {}
+#: Live pools keyed by rank count; guarded by _POOLS_LOCK.
+_POOLS: dict[int, _RankPool] = {}
 _POOLS_LOCK = threading.Lock()
 
 #: Pool keys evicted by a failure whose replacement has not been built yet;
 #: the next _acquire_pool for such a key counts its fresh workers as
 #: respawns (``pool_respawns``).  Deliberate teardown (shutdown_rank_pools)
 #: clears the set — a later pool is then a cold start, not a recovery.
-_EVICTED_KEYS: set[tuple[str, int]] = set()
+_EVICTED_KEYS: set[int] = set()
 
 
-def _acquire_pool(ctx, start_method: str, n_ranks: int) -> _RankPool:
+def _acquire_pool(n_ranks: int) -> _RankPool:
     with _POOLS_LOCK:
-        key = (start_method, n_ranks)
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(n_ranks)
         if pool is None or pool.broken:
             if pool is not None:
                 pool.shutdown()
-            pool = _RankPool(ctx, start_method, n_ranks)
-            _POOLS[key] = pool
-            if key in _EVICTED_KEYS:
-                _EVICTED_KEYS.discard(key)
+            pool = _RankPool(n_ranks)
+            _POOLS[n_ranks] = pool
+            if n_ranks in _EVICTED_KEYS:
+                _EVICTED_KEYS.discard(n_ranks)
                 _note_recovery("pool_respawns", n_ranks)
         return pool
 
@@ -891,7 +842,7 @@ def _evict_pool(pool: _RankPool) -> None:
         for key, candidate in list(_POOLS.items()):
             if candidate is pool:
                 del _POOLS[key]
-        _EVICTED_KEYS.add((pool.start_method, pool.n_ranks))
+        _EVICTED_KEYS.add(pool.n_ranks)
     pool.shutdown()
 
 
@@ -901,10 +852,10 @@ def active_rank_pools() -> int:
         return len(_POOLS)
 
 
-def rank_pool_stats() -> list[dict[str, int | str]]:
-    """Per-pool usage statistics (bench sweeps and ``--pool-stats`` report these).
+def rank_pool_stats() -> list[dict[str, int]]:
+    """Per-pool usage statistics (``--pool-stats`` reports these).
 
-    Returns one entry per live pool with its start method, rank count, the
+    Returns one entry per live pool with its rank count, the
     number of ``spmd_run`` invocations it has served, and
     ``forks_amortised`` — the worker forks the pool's reuse avoided,
     ``(runs_completed - 1) * n_ranks``.  Pooled workers also keep per-rank
@@ -915,10 +866,10 @@ def rank_pool_stats() -> list[dict[str, int | str]]:
     """
     with _POOLS_LOCK:
         return [
-            {"start_method": start_method, "n_ranks": n_ranks,
+            {"n_ranks": n_ranks,
              "runs_completed": pool.runs_completed,
              "forks_amortised": max(0, pool.runs_completed - 1) * n_ranks}
-            for (start_method, n_ranks), pool in _POOLS.items()
+            for n_ranks, pool in _POOLS.items()
         ]
 
 
@@ -940,49 +891,33 @@ def shutdown_rank_pools() -> None:
 atexit.register(shutdown_rank_pools)
 
 
-class ProcessBackend(RuntimeBackend):
+class ProcessBackend:
     """Ranks are OS processes; collectives move typed buffers in shared memory.
 
-    Parameters
-    ----------
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``"fork"`` where
-        available (rank programs and their arguments need not be picklable,
-        and the read set is inherited copy-on-write); ``"spawn"`` works too
-        but requires picklable ``fn``/args.
-    pool:
-        When True, ranks are acquired from the persistent :class:`_RankPool`
-        for this (start method, rank count) — processes park on a barrier
-        between runs instead of being re-forked, amortising startup across
-        runs.  Pooled jobs cross a queue, so ``fn`` and its arguments must be
-        picklable even under ``fork``.
+    With ``pool=True`` the ranks are acquired from the persistent
+    :class:`_RankPool` for this rank count — processes park on a barrier
+    between runs instead of being re-forked, amortising startup across
+    runs.  Pooled jobs cross a queue, so ``fn`` and its arguments must be
+    picklable even under ``fork``.
     """
 
-    name = "process"
-
-    def __init__(self, start_method: str | None = None, pool: bool = False):
-        import multiprocessing as mp
-
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
-        self.start_method = start_method
+    def __init__(self, pool: bool = False):
         self.use_pool = pool
 
-    def run(self, n_ranks, fn, args, kwargs, topology, trace, sanitize=False,
-            faults=None):
+    def run(self, n_ranks, fn, args, kwargs, trace, sanitize, faults):
+        """Execute ``fn(comm, *args, **kwargs)`` on every rank, return results
+        in rank order; raise :class:`RankFailedError` if any rank failed."""
         if self.use_pool:
-            rank_pool = _acquire_pool(self._ctx, self.start_method, n_ranks)
-            return rank_pool.run(fn, args, kwargs, topology, trace, sanitize,
-                                 faults)
+            return _acquire_pool(n_ranks).run(fn, args, kwargs, trace,
+                                              sanitize, faults)
 
         _ensure_resource_tracker()
-        engine = _ProcessCollectiveEngine(self._ctx, n_ranks, sanitize=sanitize)
-        results_queue = self._ctx.Queue()
+        engine = _ProcessCollectiveEngine(n_ranks, sanitize=sanitize)
+        results_queue = _CTX.Queue()
         workers = [
-            self._ctx.Process(
+            _CTX.Process(
                 target=_run_rank_job,
-                args=(rank, n_ranks, engine, fn, args, kwargs, topology,
+                args=(rank, n_ranks, engine, fn, args, kwargs,
                       trace is not None, results_queue, faults),
                 name=f"spmd-rank-{rank}",
             )
@@ -990,7 +925,7 @@ class ProcessBackend(RuntimeBackend):
         ]
         for proc in workers:
             proc.start()
-        reported, failures = _drain_results(workers, results_queue, engine, n_ranks)
+        reported, failures = _drain_results(workers, results_queue, n_ranks)
         for proc in workers:
             proc.join()
         results_queue.close()

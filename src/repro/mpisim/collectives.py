@@ -8,7 +8,7 @@ Figure 4 efficiency breakdown).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -135,21 +135,3 @@ def bucket_by_destination(
     boundaries = np.concatenate(([0], np.cumsum(counts)))
     return [sorted_vals[boundaries[d] : boundaries[d + 1]] for d in range(n_ranks)]
 
-
-def concatenate_received(chunks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-source received chunks into one array plus source offsets.
-
-    Returns ``(data, offsets)`` where ``offsets`` has length ``len(chunks)+1``
-    and ``data[offsets[s]:offsets[s+1]]`` is the chunk received from source
-    ``s``.  Empty chunk lists yield an empty array.
-    """
-    arrays = [np.asarray(c) for c in chunks]
-    sizes = np.array([a.shape[0] if a.ndim else 0 for a in arrays], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    non_empty = [a for a in arrays if a.shape[0] > 0] if arrays else []
-    if not non_empty:
-        template = arrays[0] if arrays else np.empty(0)
-        data = np.empty((0,) + template.shape[1:], dtype=template.dtype)
-    else:
-        data = np.concatenate(non_empty, axis=0)
-    return data, offsets

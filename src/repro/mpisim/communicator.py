@@ -6,22 +6,25 @@ engine* with one transport: a split-phase publish/consume handshake
 (``exchange_start``/``exchange_finish``, see :class:`CollectiveEngine`) over
 two kinds of slot:
 
-* the :data:`EXCHANGE_SLOTS` **ring slots** carry ``alltoall``/``alltoallv``
-  — a split exchange may stay in flight while the next one starts, and a
-  blocking exchange is one start followed immediately by its finish;
-* the one **blocking slot** carries the small collectives (barrier, bcast,
-  gather, allgather, reduce, allreduce) and the sanitizer's congruence
-  check: every rank publishes its contribution to every rank, collects all
-  of them, and combines them locally in rank order, so every rank computes
-  the same value without a coordinator.
+* the :data:`EXCHANGE_SLOTS` **ring slots** carry ``alltoallv`` — a split
+  exchange (``alltoallv_start``/``alltoallv_finish``) may stay in flight
+  while the next one starts, and a blocking exchange is one start followed
+  immediately by its finish;
+* the one **blocking slot** carries ``allreduce`` and the sanitizer's
+  congruence check: every rank publishes its contribution to every rank,
+  collects all of them, and combines them locally in rank order, so every
+  rank computes the same value without a coordinator.
 
-The communicator owns the *semantics* of every collective (the ``combine``
-functions below) and the byte accounting; the engine owns the *transport*.
-Two engines exist: the thread engine in this module (ranks share one address
-space, payloads move by reference) and the shared-memory process engine in
-:mod:`repro.mpisim.backend` (payloads cross process boundaries as typed
-buffers — see :mod:`repro.mpisim.serialization`).  Both inherit the
-handshake, its op-name check and the sanitizer's lifecycle guards from
+Those four calls (``allreduce``, ``alltoallv``, ``alltoallv_start``,
+``alltoallv_finish``) are the whole collective surface: diBELLA's stages
+are one Alltoallv each plus a few small reductions.  The communicator owns
+the *semantics* of every collective and the byte accounting; the engine
+owns the *transport*.  Two engines exist: the thread engine in this module
+(ranks share one address space, payloads move by reference) and the
+shared-memory process engine in :mod:`repro.mpisim.backend` (payloads cross
+process boundaries as typed buffers — see
+:mod:`repro.mpisim.serialization`).  Both inherit the handshake, its
+op-name check and the sanitizer's lifecycle guards from
 :class:`CollectiveEngine`.
 
 This mirrors MPI semantics closely enough for the pipeline — in particular
@@ -49,7 +52,6 @@ from repro.mpisim.errors import (
 )
 from repro.mpisim.faults import RunFaults
 from repro.mpisim.sanitize import TRACE_DEPTH, watchdog_timeout
-from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CollectiveLog, CommTrace
 
 #: How long a rank may wait in any collective before declaring the run
@@ -69,7 +71,7 @@ _BARRIER_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 EXCHANGE_SLOTS = 2
 
 #: Index of the blocking slot, after the ring.  It has its own sequence
-#: counter so a small collective never waits on a ring slot that an
+#: counter so an allreduce never waits on a ring slot that an
 #: unfinished split exchange still holds (under the sanitizer every
 #: ``alltoallv_start`` is preceded by a congruence round).
 BLOCKING_SLOT = EXCHANGE_SLOTS
@@ -232,15 +234,14 @@ class CollectiveEngine:
 class ExchangeHandle:
     """In-flight split-phase exchange returned by :meth:`SimCommunicator.alltoallv_start`.
 
-    ``token`` is the engine's ``(slot, seq, own)`` triple.  ``label`` is the
-    phase label the exchange was started under (diagnostics; the engines
-    validate it as part of the op name).  ``consumed`` is set by
-    ``alltoallv_finish`` so the sanitizer can flag a handle finished twice.
+    ``token`` is the engine's ``(slot, seq, own)`` triple; ``op_name``
+    carries the phase label the exchange was started under.  ``consumed`` is
+    set by ``alltoallv_finish`` so the sanitizer can flag a handle finished
+    twice.
     """
 
     op_name: str
     token: Any = None
-    label: str | None = None
     consumed: bool = False
 
 
@@ -312,8 +313,6 @@ class SimCommunicator:
         This rank's index and the total number of ranks.
     engine:
         The shared :class:`CollectiveEngine` (one per SPMD execution).
-    topology:
-        Rank→node mapping; defaults to a single node hosting all ranks.
     trace:
         Optional :class:`CommTrace` receiving byte/message accounting.
     faults:
@@ -327,7 +326,6 @@ class SimCommunicator:
         rank: int,
         size: int,
         engine: CollectiveEngine,
-        topology: Topology | None = None,
         trace: CommTrace | None = None,
         faults: RunFaults | None = None,
     ) -> None:
@@ -336,16 +334,11 @@ class SimCommunicator:
         self.rank = rank
         self.size = size
         self._engine = engine
-        self.topology = topology or Topology.single_node(size)
-        if self.topology.n_ranks != size:
-            raise ValueError(
-                f"topology has {self.topology.n_ranks} ranks but communicator has {size}"
-            )
         self.trace = trace
         # Sequence numbers of the ring (exchanges) and of the blocking slot
-        # (small collectives); SPMD discipline (all ranks issue the same
-        # collectives in the same order) keeps both identical across the
-        # ranks of a run, so the ring's doubles as its slot selector.
+        # (allreduce and sanitizer rounds); SPMD discipline (all ranks issue
+        # the same collectives in the same order) keeps both identical across
+        # the ranks of a run, so the ring's doubles as its slot selector.
         self._xchg_seq = 0
         self._blocking_seq = 0
         # Runtime sanitizer: the mode is a property of the *engine* (set by
@@ -367,24 +360,6 @@ class SimCommunicator:
             self.trace.set_phase(self.rank, phase)
 
     # -- core synchronisation protocol ------------------------------------------
-
-    def _collective(self, op_name: str, contribution: Any,
-                    combine: Callable[[list[Any]], Any],
-                    signature: str = "") -> Any:
-        """Run one small collective through the blocking slot.
-
-        Every rank publishes *contribution* to every rank and applies
-        *combine* to all ranks' contributions, in rank order, to get its
-        own result.  Under the sanitizer this is preceded by the congruence
-        check (see :meth:`_sanitize_congruence`): *signature* is the payload
-        digest that must agree across ranks for this op ("" for ops whose
-        payloads are legitimately rank-asymmetric, e.g. ``bcast``).
-        """
-        if self._faults is not None:
-            self._faults.before_op(op_name, self._phase)
-        if self._sanitize:
-            self._sanitize_congruence(op_name, signature)
-        return combine(self._blocking_round(op_name, contribution))
 
     def _blocking_round(self, op_name: str, value: Any) -> list[Any]:
         """Publish *value* to every rank in the blocking slot; return every
@@ -421,7 +396,7 @@ class SimCommunicator:
                             f"{log.dump()}")
             raise CollectiveTimeoutError(message) from None
 
-    def _sanitize_congruence(self, op_name: str, signature: str) -> None:
+    def _sanitize_congruence(self, op_name: str, payload: Any) -> None:
         """Cross-rank congruence check run before a sanitized collective.
 
         Every rank publishes its (op name, payload digest) in a
@@ -432,7 +407,7 @@ class SimCommunicator:
         bypasses the byte accounting entirely, so sanitized runs trace
         identically to unsanitized ones.
         """
-        digest = f"{op_name}|{signature}" if signature else op_name
+        digest = f"{op_name}|{payload_signature(payload)}"
         log = self._collective_log
         if log is not None:
             log.record(f"#{log.total_recorded} {digest}")
@@ -451,63 +426,26 @@ class SimCommunicator:
 
     # -- collectives -------------------------------------------------------------
 
-    def barrier(self) -> None:
-        """Synchronise all ranks."""
-        self._collective("barrier", None, lambda contribs: None)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        """Broadcast *value* from *root* to every rank."""
-        self._check_root(root)
-        result = self._collective("bcast", value if self.rank == root else None,
-                                  lambda contribs: contribs[root])
-        self._record_pointwise(root, payload_nbytes(result), from_root=True)
-        return result
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        """Gather one value per rank onto *root* (other ranks get ``None``)."""
-        self._check_root(root)
-        self._record_pointwise(root, payload_nbytes(value), from_root=False)
-        return self._collective(
-            "gather", value,
-            lambda contribs: contribs if self.rank == root else None)
-
-    def allgather(self, value: Any) -> list[Any]:
-        """Gather one value per rank onto every rank."""
-        self._record_broadcast(payload_nbytes(value))
-        return self._collective("allgather", value, lambda contribs: contribs)
-
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | str = "sum") -> Any:
         """Reduce one value per rank with *op* and return the result everywhere.
 
-        ``op`` may be ``"sum"``, ``"max"``, ``"min"`` or a binary callable;
-        every rank folds all contributions in rank order.
+        ``op`` may be ``"sum"``, ``"max"``, ``"min"`` or a binary callable.
+        The reduction is one round through the blocking slot: every rank
+        publishes *value* to every rank and folds all contributions in rank
+        order, so every rank computes the same result without a coordinator.
         """
         reducer = self._resolve_reducer(op)
-        self._record_broadcast(payload_nbytes(value))
-        return self._collective(f"allreduce:{op}", value,
-                                lambda contribs: functools.reduce(reducer, contribs),
-                                signature=payload_signature(value))
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any] | str = "sum",
-               root: int = 0) -> Any:
-        """Reduce one value per rank onto *root* (other ranks get ``None``)."""
-        self._check_root(root)
-        reducer = self._resolve_reducer(op)
-
-        def combine(contribs: list[Any]) -> Any:
-            total = functools.reduce(reducer, contribs)
-            return total if self.rank == root else None
-
-        self._record_pointwise(root, payload_nbytes(value), from_root=False)
-        return self._collective(f"reduce:{op}", value, combine,
-                                signature=payload_signature(value))
-
-    def alltoall(self, send: Sequence[Any]) -> list[Any]:
-        """Personalised exchange of exactly one item per destination rank."""
-        send = list(send)
-        if len(send) != self.size:
-            raise ValueError(f"alltoall needs {self.size} items, got {len(send)}")
-        return self.alltoallv_finish(self._exchange_start("alltoall", send))
+        op_name = f"allreduce:{op}"
+        nbytes = payload_nbytes(value)
+        if self.trace is not None and nbytes:
+            sizes = np.full(self.size, nbytes, dtype=np.int64)
+            sizes[self.rank] = 0
+            self.trace.record_send(self.rank, sizes)
+        if self._faults is not None:
+            self._faults.before_op(op_name, self._phase)
+        if self._sanitize:
+            self._sanitize_congruence(op_name, value)
+        return functools.reduce(reducer, self._blocking_round(op_name, value))
 
     def alltoallv(self, send: Sequence[Any], label: str | None = None) -> list[Any]:
         """Irregular personalised exchange (variable-size payload per destination).
@@ -546,8 +484,24 @@ class SimCommunicator:
         send = list(send)
         if len(send) != self.size:
             raise ValueError(f"alltoallv needs {self.size} payloads, got {len(send)}")
-        return self._exchange_start(exchange_op_name("alltoallv", label), send,
-                                    label)
+        op_name = exchange_op_name("alltoallv", label)
+        if self.trace is not None:
+            # One global-Alltoallv ordinal and one per-phase collective call
+            # per exchange superstep.
+            sizes = np.array([payload_nbytes(p) for p in send], dtype=np.int64)
+            self.trace.record_send(self.rank, sizes)
+            if self.rank == 0:
+                self.trace.record_collective_call(self.trace.current_phase(0))
+                self.trace.record_alltoallv_call()
+        if self._faults is not None:
+            self._faults.before_op(op_name, self._phase)
+        if self._sanitize:
+            self._sanitize_congruence(op_name, send)
+        seq = self._xchg_seq
+        self._xchg_seq += 1
+        token = self._engine_call(self._engine.exchange_start, self.rank,
+                                  op_name, send, seq % EXCHANGE_SLOTS, seq)
+        return ExchangeHandle(op_name=op_name, token=token)
 
     def alltoallv_finish(self, handle: ExchangeHandle) -> list[Any]:
         """Complete a split-phase exchange; returns payloads in source-rank order."""
@@ -565,31 +519,6 @@ class SimCommunicator:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _exchange_start(self, op_name: str, send: list[Any],
-                        label: str | None = None) -> ExchangeHandle:
-        """Trace, fault-hook, sanitize and publish one exchange superstep."""
-        if self.trace is not None:
-            # One global-Alltoallv ordinal and one per-phase collective call
-            # per exchange superstep.
-            sizes = np.array([payload_nbytes(p) for p in send], dtype=np.int64)
-            self.trace.record_send(self.rank, sizes)
-            if self.rank == 0:
-                self.trace.record_collective_call(self.trace.current_phase(0))
-                self.trace.record_alltoallv_call()
-        if self._faults is not None:
-            self._faults.before_op(op_name, self._phase)
-        if self._sanitize:
-            self._sanitize_congruence(op_name, payload_signature(send))
-        seq = self._xchg_seq
-        self._xchg_seq += 1
-        token = self._engine_call(self._engine.exchange_start, self.rank,
-                                  op_name, send, seq % EXCHANGE_SLOTS, seq)
-        return ExchangeHandle(op_name=op_name, token=token, label=label)
-
-    def _check_root(self, root: int) -> None:
-        if not (0 <= root < self.size):
-            raise ValueError(f"root {root} out of range for size {self.size}")
-
     @staticmethod
     def _resolve_reducer(op: Callable[[Any, Any], Any] | str) -> Callable[[Any, Any], Any]:
         if callable(op):
@@ -603,29 +532,6 @@ class SimCommunicator:
             return table[op]
         except KeyError:
             raise ValueError(f"unknown reduction op {op!r}") from None
-
-    def _record_pointwise(self, root: int, nbytes: int, from_root: bool) -> None:
-        """Account a root-based collective: root↔rank traffic only."""
-        if self.trace is None or nbytes == 0:
-            return
-        sizes = np.zeros(self.size, dtype=np.int64)
-        if from_root:
-            if self.rank == root:
-                sizes[:] = nbytes
-                sizes[root] = 0
-                self.trace.record_send(self.rank, sizes)
-        else:
-            if self.rank != root:
-                sizes[root] = nbytes
-                self.trace.record_send(self.rank, sizes)
-
-    def _record_broadcast(self, nbytes: int) -> None:
-        """Account an all-to-all-style small collective (allgather/allreduce)."""
-        if self.trace is None or nbytes == 0:
-            return
-        sizes = np.full(self.size, nbytes, dtype=np.int64)
-        sizes[self.rank] = 0
-        self.trace.record_send(self.rank, sizes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimCommunicator(rank={self.rank}, size={self.size})"

@@ -5,7 +5,8 @@ the simulated runtime: it creates ``P`` communicators sharing one collective
 engine, runs ``fn(comm, *args, **kwargs)`` on each rank, and returns the
 per-rank results in rank order.
 
-*Where* the ranks execute is pluggable (see :mod:`repro.mpisim.backend`):
+*Where* the ranks execute is named by ``backend`` (see
+:mod:`repro.mpisim.backend`):
 
 * ``backend="thread"`` (default) — ranks are threads sharing this process's
   address space; collectives pass payloads by reference.
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.mpisim.backend import RuntimeBackend, resolve_backend
+from repro.mpisim.backend import resolve_backend
 from repro.mpisim.errors import RankFailedError, SPMDError
 from repro.mpisim.faults import FaultPlan, RunFaults, resolve_run_faults
 from repro.mpisim.sanitize import sanitize_default
-from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
 
 __all__ = ["spmd_run", "SPMDError", "RankFailedError"]
@@ -37,9 +37,8 @@ def spmd_run(
     n_ranks: int,
     fn: Callable[..., Any],
     *args: Any,
-    topology: Topology | None = None,
     trace: CommTrace | None = None,
-    backend: str | RuntimeBackend | None = None,
+    backend: str | None = None,
     pool: bool = False,
     sanitize: bool | None = None,
     faults: str | FaultPlan | RunFaults | None = None,
@@ -53,26 +52,24 @@ def spmd_run(
         Number of ranks to launch.
     fn:
         The rank program.  Called as ``fn(comm, *args, **kwargs)`` where
-        ``comm`` is that rank's :class:`SimCommunicator`.  Under the process
-        backend's default ``fork`` start method anything callable works; a
-        ``spawn`` start method additionally requires ``fn`` and its
-        arguments to be picklable.
-    topology:
-        Optional rank→node topology (defaults to one node with all ranks).
+        ``comm`` is that rank's :class:`SimCommunicator`, whose collectives
+        are ``allreduce``, ``alltoallv`` and the split-phase
+        ``alltoallv_start``/``alltoallv_finish``.  The process backend
+        forks its ranks where the platform can (anything callable works);
+        where it must spawn them, ``fn`` and its arguments must be
+        picklable.
     trace:
         Optional :class:`CommTrace` to record communication volumes into.
         With the process backend each rank records into a private trace that
         is merged into this one after the run.
     backend:
-        ``"thread"`` (default), ``"process"``, or a ready-made
-        :class:`RuntimeBackend` instance.
+        ``"thread"`` (the default, also for ``None``) or ``"process"``.
     pool:
         With ``backend="process"``, acquire the ranks from the persistent
         rank pool (processes parked on a barrier between runs) instead of
         forking fresh ones — amortises fork+import cost across repeated
         runs.  Pooled jobs cross a queue, so ``fn`` and its arguments must
-        be picklable.  Ignored by the thread backend and by ready-made
-        backend instances (their own pooling setting wins).
+        be picklable.  Ignored by the thread backend.
     sanitize:
         Arm the runtime sanitizer for this run: cross-rank collective
         congruence checks, split-phase segment lifecycle guards, and a hang
@@ -87,7 +84,7 @@ def spmd_run(
         (``"kill:rank=2:step=3"``), a :class:`FaultPlan` (its next run
         ordinal is bound), or already-bound :class:`RunFaults`.  ``kill``
         faults require the process backend — threads share this process, so
-        the thread backend rejects kill plans with a :class:`ValueError`.
+        a kill plan on the thread backend raises :class:`ValueError`.
 
     Returns
     -------
@@ -101,24 +98,14 @@ def spmd_run(
     """
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    if topology is not None and topology.n_ranks != n_ranks:
-        raise ValueError(
-            f"topology describes {topology.n_ranks} ranks but n_ranks={n_ranks}"
-        )
     if sanitize is None:
         sanitize = sanitize_default()
     runtime = resolve_backend(backend, pool=pool)
     run_faults = resolve_run_faults(faults)
-    if run_faults is not None:
-        if run_faults.has_kill and runtime.name == "thread":
-            raise ValueError(
-                "the thread backend cannot inject 'kill' faults: ranks are "
-                "threads of this process, so killing one would kill the "
-                "whole run — use backend='process' (or an 'exit' fault)"
-            )
-        # Passed only when present so ready-made RuntimeBackend doubles
-        # without the parameter keep working.
-        return runtime.run(n_ranks, fn, args, kwargs, topology, trace,
-                           sanitize=sanitize, faults=run_faults)
-    return runtime.run(n_ranks, fn, args, kwargs, topology, trace,
-                       sanitize=sanitize)
+    if run_faults is not None and run_faults.has_kill and backend in (None, "thread"):
+        raise ValueError(
+            "the thread backend cannot inject 'kill' faults: ranks are "
+            "threads of this process, so killing one would kill the "
+            "whole run — use backend='process' (or an 'exit' fault)"
+        )
+    return runtime.run(n_ranks, fn, args, kwargs, trace, sanitize, run_faults)

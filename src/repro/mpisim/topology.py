@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -30,28 +28,6 @@ class Topology:
     def n_ranks(self) -> int:
         """Total number of ranks."""
         return self.n_nodes * self.ranks_per_node
-
-    def node_of(self, rank: int) -> int:
-        """Node index hosting *rank* (ranks are packed onto nodes in blocks)."""
-        if not (0 <= rank < self.n_ranks):
-            raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")
-        return rank // self.ranks_per_node
-
-    def ranks_on_node(self, node: int) -> range:
-        """The ranks placed on *node*."""
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"node {node} out of range [0, {self.n_nodes})")
-        start = node * self.ranks_per_node
-        return range(start, start + self.ranks_per_node)
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        """True if both ranks live on the same node."""
-        return self.node_of(rank_a) == self.node_of(rank_b)
-
-    def internode_mask(self) -> np.ndarray:
-        """Boolean (n_ranks, n_ranks) matrix: True where traffic crosses nodes."""
-        nodes = np.arange(self.n_ranks) // self.ranks_per_node
-        return nodes[:, None] != nodes[None, :]
 
     @classmethod
     def single_node(cls, ranks: int) -> "Topology":

@@ -52,14 +52,6 @@ class PhaseTraffic:
         """Total bytes moved in this phase (including rank-to-self copies)."""
         return int(self.volume.sum())
 
-    def per_rank_sent(self) -> np.ndarray:
-        """Bytes sent by each rank."""
-        return self.volume.sum(axis=1)
-
-    def per_rank_received(self) -> np.ndarray:
-        """Bytes received by each rank."""
-        return self.volume.sum(axis=0)
-
 
 class CommTrace:
     """Thread-safe accumulator of per-phase communication volumes."""

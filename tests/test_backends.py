@@ -45,10 +45,6 @@ class TestResolveBackend:
         assert isinstance(resolve_backend("process"), ProcessBackend)
         assert isinstance(resolve_backend(None), ThreadBackend)
 
-    def test_instance_passthrough(self):
-        backend = ThreadBackend()
-        assert resolve_backend(backend) is backend
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             resolve_backend("mpi")
@@ -58,28 +54,26 @@ def _collective_program(comm):
     """One program touching every collective with typed payloads."""
     total = comm.allreduce(comm.rank + 1, op="sum")
     peak = comm.allreduce(np.full(4, comm.rank, dtype=np.uint8), op="max")
+    low = comm.allreduce(comm.rank, op="min")
     send = [np.full(comm.rank + 1, d, dtype=np.int64) for d in range(comm.size)]
     received = comm.alltoallv(send)
     assert all(received[s].size == s + 1 for s in range(comm.size))
     assert all((received[s] == comm.rank).all() for s in range(comm.size))
-    labels = comm.alltoall([f"{comm.rank}->{d}" for d in range(comm.size)])
-    broadcast = comm.bcast("hello" if comm.rank == 1 else None, root=1)
-    gathered = comm.gather(comm.rank * 2, root=0)
-    everyone = comm.allgather(comm.rank)
-    comm.barrier()
-    return (total, int(peak.max()), labels[0], broadcast, gathered, everyone)
+    labels = comm.alltoallv([f"{comm.rank}->{d}" for d in range(comm.size)])
+    handle = comm.alltoallv_start([comm.rank] * comm.size)
+    everyone = comm.alltoallv_finish(handle)
+    return (total, int(peak.max()), low, labels[0], everyone)
 
 
 class TestProcessCollectives:
     def test_full_collective_program(self):
         results = spmd_run(3, _collective_program, backend="process")
-        for rank, (total, peak, label, broadcast, gathered, everyone) in enumerate(results):
+        for rank, (total, peak, low, label, everyone) in enumerate(results):
             assert total == 6
             assert peak == 2
+            assert low == 0
             assert label == f"0->{rank}"
-            assert broadcast == "hello"
             assert everyone == [0, 1, 2]
-            assert gathered == ([0, 2, 4] if rank == 0 else None)
 
     def test_matches_thread_backend(self):
         thread = spmd_run(3, _collective_program, backend="thread")
@@ -92,7 +86,7 @@ class TestProcessCollectives:
     def test_typed_arrays_roundtrip_exactly(self):
         def program(comm):
             matrix = np.arange(12, dtype=np.uint64).reshape(6, 2) + np.uint64(comm.rank)
-            return comm.allgather(matrix)
+            return comm.alltoallv([matrix] * comm.size)
 
         results = spmd_run(2, program, backend="process")
         for gathered in results:
@@ -109,7 +103,7 @@ class TestProcessErrorHandling:
         def program(comm):
             if comm.rank == 1:
                 raise RuntimeError("boom")
-            comm.barrier()  # would deadlock without abort handling
+            comm.allreduce(0)  # would deadlock without abort handling
 
         with pytest.raises(RankFailedError, match="rank 1") as err:
             spmd_run(3, program, backend="process")
@@ -118,7 +112,7 @@ class TestProcessErrorHandling:
     def test_collective_mismatch_detected(self):
         def program(comm):
             if comm.rank == 0:
-                comm.barrier()
+                comm.allreduce(1, op="max")
             else:
                 comm.allreduce(1)
 
@@ -131,14 +125,14 @@ class TestProcessErrorHandling:
             pass
 
         def program(comm):
-            return comm.allgather(Opaque())
+            return comm.alltoallv([Opaque()] * comm.size)
 
         with pytest.raises(RankFailedError) as err:
             spmd_run(2, program, backend="process")
         assert "typed collectives protocol" in str(err.value.__cause__)
 
     def test_barrier_timeout_raises_not_silent_none(self, monkeypatch):
-        # A barrier that breaks with no originating rank failure (a stalled
+        # A collective wait that breaks with no originating rank failure (a stalled
         # rank exceeding the collective timeout) must surface as an error,
         # never as a successful [None, ...] result list.
         import time
@@ -153,7 +147,7 @@ class TestProcessErrorHandling:
         def program(comm):
             if comm.rank == 0:
                 time.sleep(2.0)
-            comm.barrier()
+            comm.allreduce(0)
             return comm.rank
 
         with pytest.raises(RankFailedError, match="broken barrier|watchdog"):
@@ -248,12 +242,11 @@ class TestSplitPhaseExchange:
 
 
 def _interleaved_program(comm):
-    """Blocking exchange and small collectives inside a split exchange's flight.
+    """Blocking exchange and allreduces inside a split exchange's flight.
 
     Split exchange A holds a ring slot while blocking exchange B takes and
-    releases the other, and an allreduce, an allgather and a bcast ride the
-    blocking slot — under the sanitizer each op adds a congruence round
-    there too.  Every rank sends ``rank * 100 + dst`` in ``dst + 1`` int64
+    releases the other, and three allreduces ride the blocking slot — under
+    the sanitizer each op adds a congruence round there too.  Every rank sends ``rank * 100 + dst`` in ``dst + 1`` int64
     elements (A) and ``rank + 1`` (B).
     """
     comm.set_phase("interleaved")
@@ -265,23 +258,24 @@ def _interleaved_program(comm):
     received_b = comm.alltoallv(send_b, label="b")
     comm.set_phase("reduce")
     total = comm.allreduce(comm.rank + 1)
-    ranks = comm.allgather(comm.rank)
-    root_tag = comm.bcast(f"from {comm.rank}", root=1)
+    peak = comm.allreduce(comm.rank, op="max")
+    tags = comm.allreduce(f"r{comm.rank}")
     received_a = comm.alltoallv_finish(handle)
     return ([a.tolist() for a in received_a], [b.tolist() for b in received_b],
-            total, ranks, root_tag)
+            total, peak, tags)
 
 
 def _interleaved_expected(size: int) -> list:
     return [([[src * 100 + dst] * (dst + 1) for src in range(size)],
              [[src] * (src + 1) for src in range(size)],
-             size * (size + 1) // 2, list(range(size)), "from 1")
+             size * (size + 1) // 2, size - 1,
+             "".join(f"r{src}" for src in range(size)))
             for dst in range(size)]
 
 
 class TestInterleavedExchanges:
-    """Blocking and split exchanges share one ring; small collectives ride
-    the blocking slot beside it."""
+    """Blocking and split exchanges share one ring; allreduces ride the
+    blocking slot beside it."""
 
     @pytest.mark.parametrize(
         ("backend", "sanitize"),
@@ -324,18 +318,16 @@ def _raising_allreduce_program(comm):
 
 
 def _small_collectives_program(comm):
-    comm.barrier()
+    comm.allreduce(0)
     total = comm.allreduce(np.arange(4, dtype=np.int64) + comm.rank)
-    root_sum = comm.reduce(comm.rank, root=2)
-    gathered = comm.gather(comm.rank, root=0)
-    everyone = comm.allgather(f"r{comm.rank}")
-    broadcast = comm.bcast(np.full(3, 7, dtype=np.uint8) if comm.rank == 1
-                           else None, root=1)
-    return (total.tolist(), root_sum, gathered, everyone, broadcast.tolist())
+    peak = comm.allreduce(comm.rank, op="max")
+    low = comm.allreduce(np.full(3, 7 + comm.rank, dtype=np.uint8), op="min")
+    tags = comm.allreduce(f"r{comm.rank}")
+    return (total.tolist(), peak, low.tolist(), tags)
 
 
 class TestSmallCollectives:
-    """The small collectives combine locally after one blocking-slot round."""
+    """An allreduce combines locally after one blocking-slot round."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_reducer_error_fails_the_run(self, backend):
@@ -352,11 +344,7 @@ class TestSmallCollectives:
                                backend="process", pool=pool)
         finally:
             shutdown_rank_pools()
-        assert results == [
-            ([3, 6, 9, 12], 3 if rank == 2 else None,
-             [0, 1, 2] if rank == 0 else None, ["r0", "r1", "r2"], [7, 7, 7])
-            for rank in range(3)
-        ]
+        assert results == [([3, 6, 9, 12], 2, [7, 7, 7], "r0r1r2")] * 3
         assert _shm_segments() == []
 
 
@@ -394,7 +382,7 @@ def _pool_pid_program(comm):
 def _pool_failing_program(comm):
     if comm.rank == 1:
         raise RuntimeError("pooled boom")
-    comm.barrier()
+    comm.allreduce(0)
 
 
 class TestRankPool:
@@ -492,11 +480,11 @@ class TestProcessTracing:
             )
 
     def test_exchange_counts_alltoallv_calls(self):
-        # The unified _exchange accounting: alltoall and alltoallv both count
+        # Split and blocking exchanges both count one Alltoallv call
         # (chunked supersteps rely on this).
         def program(comm):
             comm.set_phase("p")
-            comm.alltoall(list(range(comm.size)))
+            comm.alltoallv_finish(comm.alltoallv_start(list(range(comm.size))))
             comm.alltoallv([np.zeros(1, dtype=np.int64)] * comm.size)
 
         trace = CommTrace(2)

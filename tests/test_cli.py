@@ -7,6 +7,7 @@ exactly its config field.  The query subcommand reads FASTA or FASTQ.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,6 @@ from repro.cli import _build_parser, _config, _pipeline_flags, main
 from repro.core.config import PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.io import write_fasta, write_fastq
-from repro.mpisim.backend import shutdown_rank_pools
 from repro.overlap.seeds import SeedStrategy
 from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet
@@ -99,14 +99,26 @@ def test_query_takes_a_fasta_index(tmp_path, micro_dataset, capsys):
         assert main(["query", "--index", str(index), "--queries", str(queries),
                      "--ranks-per-node", "2", "--overlaps-out", str(overlaps)]) == 0
     finally:
-        # The service keeps a process-backend rank pool alive for reuse.
-        shutdown_rank_pools()
+        # Thread ranks keep their read caches and resident index here.
         reset_persistent_read_caches()
         reset_resident_indexes()
     out = capsys.readouterr().out
     assert f"({len(reads) - 4} reads)" in out and "(4 reads)" in out
     lines = overlaps.read_text().splitlines()
     assert lines[0].startswith("index_read\tquery_read") and len(lines) > 1
+
+
+def test_query_releases_its_rank_pool(tmp_path, micro_dataset, capsys):
+    reads = list(micro_dataset.reads)
+    index, queries = tmp_path / "index.fa", tmp_path / "queries.fa"
+    write_fasta(ReadSet(reads[:-4]), index)
+    write_fasta(ReadSet(reads[-4:]), queries)
+    assert main(["query", "--index", str(index), "--queries", str(queries),
+                 "--ranks-per-node", "2", "--backend", "process",
+                 "--pool-stats"]) == 0
+    assert "pool[x2]: runs_completed=2 forks_amortised=2" in capsys.readouterr().out
+    assert not [p.name for p in mp.active_children()
+                if p.name.startswith("spmd-pool-rank-")]
 
 
 @pytest.mark.parametrize("empty", ["index", "queries"])

@@ -54,13 +54,13 @@ def _shm_segments() -> list[str]:
 
 def _happy_program(comm):
     """One program touching every sanitized surface with congruent payloads."""
-    comm.barrier()
+    comm.allreduce(0)
     total = comm.allreduce(comm.rank + 1)
     send = [np.arange(comm.rank + d, dtype=np.int64) for d in range(comm.size)]
     sync = comm.alltoallv(send, label="sync")
     handle = comm.alltoallv_start(send, label="split")
     split = comm.alltoallv_finish(handle)
-    label = comm.bcast("tag" if comm.rank == 0 else None, root=0)
+    label = comm.allreduce(comm.rank, op="max")
     return (total, label,
             sum(int(block.sum()) for block in sync),
             sum(int(block.sum()) for block in split))
@@ -70,7 +70,7 @@ def _divergent_program(comm):
     if comm.rank == 0:
         comm.allreduce(1)
     else:
-        comm.barrier()
+        comm.allreduce(1, op="max")
 
 
 def _dtype_mismatch_program(comm):
@@ -82,7 +82,7 @@ def _dtype_mismatch_program(comm):
 def _forged_handle(backend: str) -> ExchangeHandle:
     """A handle for split-phase superstep 5, which no rank ever started."""
     token = (1, 5, None if backend == "thread" else b"")  # (slot, seq, own)
-    return ExchangeHandle(op_name="alltoallv[ok]", token=token, label="ok")
+    return ExchangeHandle(op_name="alltoallv[ok]", token=token)
 
 
 def _consume_before_publish_program(comm, backend):
@@ -91,7 +91,7 @@ def _consume_before_publish_program(comm, backend):
     comm.alltoallv_finish(handle)
     # Every rank must be past the legitimate read before any rank aborts,
     # or abort-time segment reclamation races a slower rank's valid fetch.
-    comm.barrier()
+    comm.allreduce(0)
     comm.alltoallv_finish(_forged_handle(backend))
 
 
@@ -99,14 +99,14 @@ def _double_finish_program(comm):
     send = [np.zeros(1, dtype=np.int64)] * comm.size
     handle = comm.alltoallv_start(send, label="ok")
     comm.alltoallv_finish(handle)
-    comm.barrier()
+    comm.allreduce(0)
     comm.alltoallv_finish(handle)
 
 
 def _watchdog_program(comm):
     comm.allreduce(comm.rank)  # lands in the collective trace dump
     if comm.rank != 0:
-        comm.barrier()  # rank 0 never joins: the watchdog must fire
+        comm.allreduce(0)  # rank 0 never joins: the watchdog must fire
     return comm.rank
 
 
@@ -123,7 +123,7 @@ class TestInjectedBugs:
         assert isinstance(cause, CollectiveMismatchError)
         assert "congruence" in str(cause)
         # The error names who called what, by rank.
-        assert "allreduce" in str(cause) and "barrier" in str(cause)
+        assert "allreduce:sum" in str(cause) and "allreduce:max" in str(cause)
         assert "rank(s) [0]" in str(cause)
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,121 +1,267 @@
 /* Compiled tier of the banded x-drop extension (repro.align.batched_xdrop).
  *
- * Runs, one task at a time in a scalar loop, exactly the recurrence of the
- * NumPy kernel `_extend_numpy`: the same sentinel, the same row-0
- * initialisation, diagonal / up / left predecessors, `band` cells per row,
- * first-maximum tie-break, x-drop and end-of-read exits and the batch-wide
- * row cap.  The arithmetic is integer and identical, so scores, spans and
- * cell counts are bit-identical to the NumPy kernel.
+ * One task per vector lane.  Tasks are taken in groups of `lanes`; the lanes
+ * of a group step through DP rows together, and every lane runs exactly the
+ * recurrence of the NumPy kernel `_extend_numpy`: the same sentinel, the
+ * same row-0 initialisation, diagonal / up / left predecessors, `band` cells
+ * per row, first-maximum tie-break, x-drop and end-of-read exits and the
+ * batch-wide row cap.  The arithmetic is integer and identical, so scores,
+ * spans and cell counts are bit-identical to the NumPy kernel.  Per-lane
+ * masks cover the band edges (slots outside b or past the end of a) and
+ * lanes whose task has finished; a finished lane computes only sentinel
+ * rows until the whole group is done.  The caller orders tasks by length so
+ * that the lanes of a group finish together.
+ *
+ * Lane width and dispatch.  `xdrop_lanes` picks the widest width this CPU
+ * runs: 16 lanes with AVX-512F+BW, 8 with AVX2, otherwise 4.  The wide
+ * kernels are compiled through `__attribute__((target(...)))`, so the build
+ * command carries no -m flag: the library cache key (source, command,
+ * machine name) cannot tell two x86-64 CPUs apart, and a library built with
+ * -mavx512f would be reused on a CPU without AVX-512 and die with SIGILL.
+ * The 4-lane kernel uses the baseline instruction set (SSE2 on x86-64) and
+ * runs on any host GCC's vector extensions target, so no scalar loop is
+ * kept beside it.  There is no 8-lane kernel without AVX2: emulated 256-bit
+ * vectors ran slower than a scalar loop.
  *
  * Lanes are int32.  The caller guarantees
  *     (max len_a + max len_b + band) * max(|match|, |mismatch|, |gap|) < 2^30
  * so neither real scores nor sentinel-derived values (which drift below
  * NEG_INF by at most one penalty per row, as they do in the NumPy kernel)
- * can overflow.  The scratch rows come from the caller, so any band >= 3
- * works without a fixed-size stack array.
+ * can overflow.  The same bound makes the int32 x-drop test exact: see
+ * `xdrop_extend_batch`.
+ *
+ * All memory comes from the caller (no malloc): `scratch` holds the two DP
+ * rows of a group and its a and b codes, interleaved lane-major.  The codes
+ * are widened to int32 as they are interleaved, so a cell compares one
+ * loaded vector: GCC 12 at -O2 lowers a uint8-to-int32
+ * `__builtin_convertvector` to one scalar extract per lane, which made
+ * uint8 codes run the 16-lane kernel 2.4x slower.
  *
  * Build: cc -O2 -shared -fPIC -o <lib>.so _xdrop.c
  */
 #include <stdint.h>
 
 #define NEG_INF (-(1 << 28))
+/* Fills the lanes of a code block past their task's end; never read
+ * unmasked. */
+#define PAD_CODE 0xFF
 
-static inline int32_t max32(int32_t x, int32_t y) { return x > y ? x : y; }
+/* Lane-wise select and maximum on vector operands; `m` is a comparison
+ * result (all ones or all zeros per lane). */
+#define SEL(m, x, y) (((m) & (x)) | (~(m) & (y)))
+#define VMAX(x, y) SEL((x) > (y), (x), (y))
 
-/* Extend n_tasks (a, b) pairs from their origin (0, 0).
+/* LANE_KERNEL(L, TARGET) defines extend_lanes<L>, the kernel at L lanes.
  *
  * Task t aligns a[a_off[t] .. a_off[t+1]) against b[b_off[t] .. b_off[t+1]).
- * scratch holds 2 * (band + 1) int32; out receives n_tasks rows of
+ * scratch holds at least
+ *     16 + L * (2 * (band + 1) + max_rows + min(max len_b, max_rows + band))
+ * int32: 64 bytes of alignment slack, two DP rows of band + 1 lane vectors,
+ * then one group's a codes (one vector per row) and b codes (one vector per
+ * column, up to one band past the last row).  out receives n_tasks rows of
  * (score, length_a, length_b, cells).
+ *
+ * Slot w of a DP row is vector w, lane l holding task g + l; slot `band` of
+ * both rows stays NEG_INF, the up neighbour of the last band slot.
  */
-void xdrop_extend_batch(int64_t n_tasks,
-                        const uint8_t *a, const int64_t *a_off,
-                        const uint8_t *b, const int64_t *b_off,
-                        int32_t match, int32_t mismatch, int32_t gap,
-                        int64_t xdrop, int64_t band, int64_t max_rows,
-                        int32_t *scratch, int64_t *out)
+#define LANE_KERNEL(L, TARGET)                                                \
+TARGET static void extend_lanes##L(                                           \
+    int64_t n_tasks, const uint8_t *a, const int64_t *a_off,                  \
+    const uint8_t *b, const int64_t *b_off, int32_t match, int32_t mismatch,  \
+    int32_t gap, int32_t xdrop, int32_t band, int32_t max_rows,               \
+    int32_t *scratch, int64_t *out)                                           \
+{                                                                             \
+    typedef int32_t vi __attribute__((vector_size(4 * L)));                   \
+    const int32_t half = band / 2;                                            \
+    const vi neg = (vi){} + NEG_INF;                                          \
+    const vi gapv = (vi){} + gap;                                             \
+    const vi mismatchv = (vi){} + mismatch;                                   \
+    const vi bonus = (vi){} + (match - mismatch);                             \
+    vi *const rows = (vi *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);      \
+    vi *const block_a = rows + 2 * (band + 1);                                \
+                                                                              \
+    for (int64_t g = 0; g < n_tasks; g += L) {                                \
+        const int64_t n_lanes = n_tasks - g < L ? n_tasks - g : L;            \
+        vi la = (vi){}, lb = (vi){}, active = (vi){};                         \
+        int64_t rows_a = 0, rows_b = 0;                                       \
+        for (int64_t l = 0; l < n_lanes; l++) {                               \
+            const int64_t len_a = a_off[g + l + 1] - a_off[g + l];            \
+            const int64_t len_b = b_off[g + l + 1] - b_off[g + l];            \
+            const int64_t need_a = len_a < max_rows ? len_a : max_rows;       \
+            const int64_t reach_b = need_a + band;                            \
+            const int64_t need_b = len_b < reach_b ? len_b : reach_b;         \
+            la[l] = (int32_t)len_a;                                           \
+            lb[l] = (int32_t)len_b;                                           \
+            active[l] = -1;                                                   \
+            rows_a = need_a > rows_a ? need_a : rows_a;                       \
+            rows_b = need_b > rows_b ? need_b : rows_b;                       \
+        }                                                                     \
+        /* Interleave the codes a lane can read: rows up to the row cap, b    \
+         * columns up to one band past them. */                               \
+        vi *const block_b = block_a + rows_a;                                 \
+        for (int64_t j = 0; j < rows_a + rows_b; j++)                         \
+            block_a[j] = (vi){} + PAD_CODE;                                   \
+        for (int64_t l = 0; l < n_lanes; l++) {                               \
+            const uint8_t *ta = a + a_off[g + l], *tb = b + b_off[g + l];     \
+            const int64_t copy_a = la[l] < rows_a ? la[l] : rows_a;           \
+            const int64_t copy_b = lb[l] < rows_b ? lb[l] : rows_b;           \
+            for (int64_t j = 0; j < copy_a; j++)                              \
+                block_a[j][l] = ta[j];                                        \
+            for (int64_t j = 0; j < copy_b; j++)                              \
+                block_b[j][l] = tb[j];                                        \
+        }                                                                     \
+                                                                              \
+        vi *prev = rows, *cur = rows + band + 1;                              \
+        vi best = (vi){}, best_i = (vi){}, best_j = (vi){};                   \
+        vi last_row = (vi){};                                                 \
+        prev[band] = cur[band] = neg;                                         \
+        for (int32_t w = 0; w < band; w++) {                                  \
+            const vi j = (vi){} + (w - half);                                 \
+            prev[w] = SEL((j >= 0) & (j <= lb), j * gap, neg);                \
+        }                                                                     \
+                                                                              \
+        for (int32_t row = 1; row <= max_rows; row++) {                       \
+            /* Band slot w holds column j = j0 + w; slots [lo, hi] of a lane  \
+             * are valid (inside b, row inside a), all others hold NEG_INF.   \
+             * A finished lane has no valid slot. */                          \
+            const int32_t j0 = row - half;                                    \
+            const int32_t lo = j0 < 0 ? -j0 : 0;                              \
+            const vi reach = lb - j0;                                         \
+            vi hi = SEL(reach < band - 1, reach, (vi){} + (band - 1));        \
+            hi = SEL(active & (row <= la), hi, (vi){} - 1);                   \
+            int32_t hi_max = -1;                                              \
+            for (int l = 0; l < L; l++)                                       \
+                hi_max = hi[l] > hi_max ? hi[l] : hi_max;                     \
+            /* Masked slots bound the row maximum from below, as the NumPy    \
+             * kernel's argmax over the whole band does. */                   \
+            vi row_best = SEL(((vi){} + lo > 0) | (hi < band - 1), neg,       \
+                              (vi){} + INT32_MIN);                            \
+            vi best_slot = (vi){} - 1;                                        \
+                                                                              \
+            for (int32_t w = 0; w < lo; w++)                                  \
+                cur[w] = neg;                                                 \
+            if (lo <= hi_max) {                                               \
+                const vi a_code = block_a[row - 1];                           \
+                /* Left predecessor: a sequential scan equal to the NumPy     \
+                 * kernel's prefix-max identity.  Left of `lo` the scan       \
+                 * holds exactly NEG_INF (masked slots, non-positive gap).    \
+                 * Slot `lo` is peeled: it may be column 0, which has no      \
+                 * diagonal. */                                               \
+                vi left = neg;                                                \
+                {                                                             \
+                    vi diag = neg;                                            \
+                    if (j0 + lo >= 1) {                                       \
+                        const vi eq = block_b[j0 + lo - 1] == a_code;         \
+                        diag = prev[lo] + mismatchv + (eq & bonus);           \
+                    }                                                         \
+                    const vi up = prev[lo + 1] + gapv;                        \
+                    const vi base = VMAX(diag, up);                           \
+                    const vi chained = left + gapv;                           \
+                    left = lo == 0 ? base : VMAX(base, chained);              \
+                    const vi value = SEL(lo <= hi, left, neg);                \
+                    cur[lo] = value;                                          \
+                    const vi improved = value > row_best;                     \
+                    row_best = SEL(improved, value, row_best);                \
+                    best_slot = SEL(improved, (vi){} + lo, best_slot);        \
+                }                                                             \
+                for (int32_t w = lo + 1; w <= hi_max; w++) {                  \
+                    const vi eq = block_b[j0 + w - 1] == a_code;              \
+                    const vi diag = prev[w] + mismatchv + (eq & bonus);       \
+                    const vi up = prev[w + 1] + gapv;                         \
+                    const vi base = VMAX(diag, up);                           \
+                    const vi chained = left + gapv;                           \
+                    left = VMAX(base, chained);                               \
+                    const vi value = SEL(w <= hi, left, neg);                 \
+                    cur[w] = value;                                           \
+                    const vi improved = value > row_best;                     \
+                    row_best = SEL(improved, value, row_best);                \
+                    best_slot = SEL(improved, (vi){} + w, best_slot);         \
+                }                                                             \
+            }                                                                 \
+            for (int32_t w = hi_max < lo ? lo : hi_max + 1; w < band; w++)    \
+                cur[w] = neg;                                                 \
+                                                                              \
+            const vi improved = active & (row_best > best);                   \
+            best = SEL(improved, row_best, best);                             \
+            best_i = SEL(improved, (vi){} + row, best_i);                     \
+            best_j = SEL(improved, best_slot + j0, best_j);                   \
+            last_row = SEL(active, (vi){} + row, last_row);                   \
+            active &= (row_best >= best - xdrop) & (row < la);                \
+            int any = 0;                                                      \
+            for (int l = 0; l < L; l++)                                       \
+                any |= active[l];                                             \
+            if (!any)                                                         \
+                break;                                                        \
+            vi *swap = prev;                                                  \
+            prev = cur;                                                       \
+            cur = swap;                                                       \
+        }                                                                     \
+                                                                              \
+        for (int64_t l = 0; l < n_lanes; l++) {                               \
+            int64_t *row_out = out + 4 * (g + l);                             \
+            row_out[0] = best[l];                                             \
+            row_out[1] = best_i[l];                                           \
+            row_out[2] = best_j[l];                                           \
+            row_out[3] = (int64_t)band * last_row[l];                         \
+        }                                                                     \
+    }                                                                         \
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define X86 1
+LANE_KERNEL(16, __attribute__((target("avx512f,avx512bw"))))
+LANE_KERNEL(8, __attribute__((target("avx2"))))
+#endif
+LANE_KERNEL(4, )
+
+/* The widest lane count this CPU runs: 16, 8 or 4. */
+int64_t xdrop_lanes(void)
 {
-    const int64_t half = band / 2;
-    for (int64_t t = 0; t < n_tasks; t++) {
-        const uint8_t *ta = a + a_off[t];
-        const uint8_t *tb = b + b_off[t];
-        const int64_t la = a_off[t + 1] - a_off[t];
-        const int64_t lb = b_off[t + 1] - b_off[t];
-        /* Two rows of band + 1 slots; slot `band` stays NEG_INF, the up
-         * neighbour of the last band slot. */
-        int32_t *prev = scratch, *cur = scratch + band + 1;
-        int64_t best = 0, best_i = 0, best_j = 0, cells = 0;
+#ifdef X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
+        return 16;
+    if (__builtin_cpu_supports("avx2"))
+        return 8;
+#endif
+    return 4;
+}
 
-        prev[band] = cur[band] = NEG_INF;
-
-        for (int64_t w = 0; w < band; w++) {
-            const int64_t j = w - half;
-            prev[w] = (j >= 0 && j <= lb) ? (int32_t)(gap * j) : NEG_INF;
-        }
-
-        for (int64_t row = 1; row <= max_rows; row++) {
-            /* Band slot w holds column j = j0 + w; slots [lo, hi] are valid
-             * (inside b, row inside a), all others hold NEG_INF. */
-            const int64_t j0 = row - half;
-            const int64_t lo = j0 < 0 ? -j0 : 0;
-            int64_t hi = row <= la ? lb - j0 : -1;
-            if (hi > band - 1)
-                hi = band - 1;
-            const uint8_t a_code = row <= la ? ta[row - 1] : 0;
-            /* Masked slots bound the row maximum from below, as the NumPy
-             * kernel's argmax over the whole band does. */
-            int32_t row_best = (lo > 0 || hi < band - 1) ? NEG_INF : INT32_MIN;
-            int64_t best_slot = -1;
-
-            for (int64_t w = 0; w < lo; w++)
-                cur[w] = NEG_INF;
-            /* Left predecessor: a sequential scan equal to the NumPy
-             * kernel's prefix-max identity.  Left of `lo` the scan holds
-             * exactly NEG_INF (masked slots, non-positive gap).  Slot `lo`
-             * is peeled: it may be column 0, which has no diagonal. */
-            int32_t left = NEG_INF;
-            if (lo <= hi) {
-                const int64_t j = j0 + lo;
-                const int32_t diag = j >= 1
-                    ? prev[lo] + (tb[j - 1] == a_code ? match : mismatch)
-                    : NEG_INF;
-                const int32_t base = max32(diag, prev[lo + 1] + gap);
-                left = lo == 0 ? base : max32(base, left + gap);
-                cur[lo] = left;
-                if (left > row_best) {
-                    row_best = left;
-                    best_slot = lo;
-                }
-            }
-            for (int64_t w = lo + 1; w <= hi; w++) {
-                const int32_t diag = prev[w] + (tb[j0 + w - 1] == a_code ? match : mismatch);
-                left = max32(max32(diag, prev[w + 1] + gap), left + gap);
-                cur[w] = left;
-                if (left > row_best) {
-                    row_best = left;
-                    best_slot = w;
-                }
-            }
-            for (int64_t w = hi < lo ? lo : hi + 1; w < band; w++)
-                cur[w] = NEG_INF;
-            cells += band;
-
-            if (row_best > best) {
-                best = row_best;
-                best_i = row;
-                best_j = j0 + best_slot;
-            }
-            if (!(row_best >= best - xdrop && row < la))
-                break;
-
-            int32_t *swap = prev;
-            prev = cur;
-            cur = swap;
-        }
-
-        out[4 * t + 0] = best;
-        out[4 * t + 1] = best_i;
-        out[4 * t + 2] = best_j;
-        out[4 * t + 3] = cells;
+/* Extend n_tasks (a, b) pairs from their origin (0, 0) at `lanes` lanes.
+ *
+ * Returns 0, or -1 (doing nothing) when `lanes` is not a width this CPU
+ * runs.  `xdrop` is taken into int32 by clamping at INT32_MAX, which keeps
+ * the x-drop test `row_best >= best - xdrop` exact: best lies in [0, 2^30)
+ * and every row maximum above -(2^28 + 2^30) (the int32 bound above), so
+ * any xdrop >= 2^30 + 2^28 passes every lane, clamped or not, and a smaller
+ * one is represented exactly.
+ */
+int xdrop_extend_batch(int64_t lanes, int64_t n_tasks,
+                       const uint8_t *a, const int64_t *a_off,
+                       const uint8_t *b, const int64_t *b_off,
+                       int32_t match, int32_t mismatch, int32_t gap,
+                       int64_t xdrop, int64_t band, int64_t max_rows,
+                       int32_t *scratch, int64_t *out)
+{
+    const int32_t x = xdrop > INT32_MAX ? INT32_MAX : (int32_t)xdrop;
+    if (lanes > xdrop_lanes())
+        return -1;
+    switch (lanes) {
+#ifdef X86
+    case 16:
+        extend_lanes16(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+                       (int32_t)band, (int32_t)max_rows, scratch, out);
+        return 0;
+    case 8:
+        extend_lanes8(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+                      (int32_t)band, (int32_t)max_rows, scratch, out);
+        return 0;
+#endif
+    case 4:
+        extend_lanes4(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+                      (int32_t)band, (int32_t)max_rows, scratch, out);
+        return 0;
+    default:
+        return -1;
     }
 }

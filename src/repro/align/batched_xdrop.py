@@ -25,14 +25,26 @@ the prefix-maximum identity
 
 computed with ``np.maximum.accumulate`` along the band axis.
 
-Two tiers run that recurrence.  The compiled tier (``_xdrop.c``) is built
-with ``cc`` on the first kernel call — never at import — cached under
-``$XDG_CACHE_HOME/repro/`` and called through :mod:`ctypes`, which releases
-the GIL, so thread-backend ranks align concurrently.  The NumPy body
-(:func:`_extend_numpy`) is the reference the compiled tier is tested against
-bit for bit, and the path taken whenever the compiled tier is unavailable
-(no compiler, compile or load error, unusable cache directory) or a batch
-could overflow its int32 lanes.
+Two tiers run that recurrence.  The compiled tier (``_xdrop.c``) vectorises
+across tasks too, in C: each task gets one int32 lane of a SIMD vector, and
+the lanes of a group step through DP rows together, each running the scalar
+recurrence with masks for band edges and finished tasks.  The library picks
+its lane width from the CPU at run time — 16 lanes with AVX-512F+BW, 8 with
+AVX2, otherwise 4 on the baseline instruction set — so the build command
+carries no ``-m`` flag and one cached library serves every CPU of a machine
+type.  :func:`_extend_native` orders a call's tasks by
+``min(len_a, len_b)`` so that the lanes of a group finish together, and
+scatters the results back into input order.  There is no scalar C loop: the
+4-lane kernel runs wherever one would.
+
+The compiled tier is built with ``cc`` on the first kernel call — never at
+import — cached under ``$XDG_CACHE_HOME/repro/`` and called through
+:mod:`ctypes`, which releases the GIL, so thread-backend ranks align
+concurrently.  The NumPy body (:func:`_extend_numpy`) is the reference the
+compiled tier is tested against bit for bit, at every lane width, and the
+path taken whenever the compiled tier is unavailable (no compiler, compile
+or load error, unusable cache directory) or a batch could overflow its int32
+lanes.
 """
 
 from __future__ import annotations
@@ -44,8 +56,10 @@ import platform
 import subprocess
 import tempfile
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,11 +267,20 @@ _NATIVE: dict[str, object] = {}
 _ptr = ctypes.c_void_p
 _i32 = ctypes.c_int32
 _i64 = ctypes.c_int64
-_KERNEL_ARGTYPES = (_i64, _ptr, _ptr, _ptr, _ptr, _i32, _i32, _i32,
+_KERNEL_ARGTYPES = (_i64, _i64, _ptr, _ptr, _ptr, _ptr, _i32, _i32, _i32,
                     _i64, _i64, _i64, _ptr, _ptr)
 
 
-def native_kernel():
+class NativeKernel(NamedTuple):
+    """The loaded compiled tier: its entry point and this CPU's lane width."""
+
+    extend: Callable[..., int]
+    #: The widest lane count the CPU runs (16 with AVX-512F+BW, 8 with AVX2,
+    #: otherwise 4), chosen by the library's own CPU check.
+    lanes: int
+
+
+def native_kernel() -> NativeKernel | None:
     """The compiled kernel, built and loaded on the first call in a process.
 
     Returns ``None`` when the compiled tier is unavailable; callers then run
@@ -329,57 +352,76 @@ def _intact(path: Path) -> bool:
     return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
-def load_library(cache_dir: Path):
+def load_library(cache_dir: Path) -> NativeKernel | None:
     """Build (if not cached intact) and load the compiled kernel from *cache_dir*.
 
-    Returns the bound ``ctypes`` function, or ``None`` on any failure: no
-    compiler, a compile error, an unusable cache directory or a library that
-    does not load.  A truncated or corrupt cache entry is rebuilt.
+    Returns the bound kernel, or ``None`` on any failure: no compiler, a
+    compile error, an unusable cache directory or a library that does not
+    load.  A truncated or corrupt cache entry is rebuilt.
     """
     try:
         _check_cache_dir(cache_dir)
         path = _library_path(cache_dir)
         if not _intact(path):
             _compile(path)
-        kernel = ctypes.CDLL(str(path)).xdrop_extend_batch
+        library = ctypes.CDLL(str(path))
+        extend, lanes = library.xdrop_extend_batch, library.xdrop_lanes
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = _KERNEL_ARGTYPES
-    kernel.restype = None
-    return kernel
+    extend.argtypes = _KERNEL_ARGTYPES
+    extend.restype = ctypes.c_int
+    lanes.argtypes = ()
+    lanes.restype = _i64
+    return NativeKernel(extend, int(lanes()))
 
 
-def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat uint8 codes, (n + 1) int64 offsets and the per-task lengths."""
-    lengths = np.fromiter((s.size for s in seqs), dtype=np.int64, count=len(seqs))
+def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat uint8 codes and their (n + 1) int64 offsets."""
     offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    np.cumsum([s.size for s in seqs], out=offsets[1:])
     codes = np.ascontiguousarray(np.concatenate(seqs), dtype=np.uint8)
-    return codes, offsets, lengths
+    return codes, offsets
 
 
 def _extend_native(
-    kernel,
+    kernel: NativeKernel,
     seqs_a: list[np.ndarray],
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
+    lanes: int | None = None,
 ) -> np.ndarray | None:
-    """Run the compiled kernel; ``None`` when its int32 lanes (or the int64
-    x-drop argument) could not represent the batch exactly."""
-    a, a_off, len_a = _concat_codes(seqs_a)
-    b, b_off, len_b = _concat_codes(seqs_b)
+    """Run the compiled kernel at *lanes* lanes (default: the CPU's widest).
+
+    Returns ``None`` when its int32 lanes (or the int64 x-drop argument)
+    could not represent the batch exactly.  Tasks run in order of
+    ``min(len_a, len_b)``, so that the lanes of a group finish together;
+    results come back in input order.
+    """
+    lanes = kernel.lanes if lanes is None else lanes
+    n_tasks = len(seqs_a)
+    len_a = np.fromiter((s.size for s in seqs_a), dtype=np.int64, count=n_tasks)
+    len_b = np.fromiter((s.size for s in seqs_b), dtype=np.int64, count=n_tasks)
+    max_a, max_b = int(len_a.max()), int(len_b.max())
     weight = max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap))
-    if ((int(len_a.max()) + int(len_b.max()) + config.band) * weight >= _INT32_BOUND
-            or config.xdrop >= 2**63):
+    if (max_a + max_b + config.band) * weight >= _INT32_BOUND or config.xdrop >= 2**63:
         return None
-    max_rows = int(len_a.max())
-    if config.max_rows is not None:
-        max_rows = min(max_rows, config.max_rows)
-    scratch = np.empty(2 * (config.band + 1), dtype=np.int32)
-    out = np.empty((len(seqs_a), 4), dtype=np.int64)
-    kernel(len(seqs_a), a.ctypes.data, a_off.ctypes.data, b.ctypes.data, b_off.ctypes.data,
-           scoring.match, scoring.mismatch, scoring.gap,
-           config.xdrop, config.band, max_rows,
-           scratch.ctypes.data, out.ctypes.data)
-    return out
+    max_rows = max_a if config.max_rows is None else min(max_a, config.max_rows)
+    order = np.argsort(np.minimum(len_a, len_b), kind="stable")
+    a, a_off = _concat_codes([seqs_a[i] for i in order])
+    b, b_off = _concat_codes([seqs_b[i] for i in order])
+    # The size `_xdrop.c` documents: 64 bytes of alignment slack, two DP rows
+    # of band + 1 lane vectors and one group's interleaved codes.
+    scratch = np.empty(16 + lanes * (2 * (config.band + 1) + max_rows
+                                     + min(max_b, max_rows + config.band)), dtype=np.int32)
+    out = np.empty((n_tasks, 4), dtype=np.int64)
+    status = kernel.extend(lanes, n_tasks, a.ctypes.data, a_off.ctypes.data,
+                           b.ctypes.data, b_off.ctypes.data,
+                           scoring.match, scoring.mismatch, scoring.gap,
+                           config.xdrop, config.band, max_rows,
+                           scratch.ctypes.data, out.ctypes.data)
+    if status != 0:
+        raise ValueError(f"this CPU cannot run the x-drop kernel at {lanes} lanes")
+    results = np.empty_like(out)
+    results[order] = out
+    return results

@@ -22,6 +22,11 @@ import numpy as np
 
 from repro.kmers.hashing import hash_with_seed
 
+#: Codes probed per pass.  A probe matrix holds ``n_hashes`` int64 positions
+#: per code and its bit masks and byte indices as much again, so probing a
+#: whole exchange step at once made stage 1 a one-shot run's memory peak.
+_PROBE_CHUNK = 1 << 14
+
 
 class BloomFilter:
     """A bit-array Bloom filter over 64-bit k-mer codes.
@@ -92,8 +97,10 @@ class BloomFilter:
         codes = np.asarray(codes, dtype=np.uint64)
         if codes.size == 0:
             return np.zeros(0, dtype=bool)
-        pos = self._positions(codes)
-        present_before = self._test_positions(pos)
+        # Every code is tested against the filter as it was before the batch:
+        # no bit is set until all are tested, so a code's bits set by another
+        # code of the same batch never make a false positive.
+        present_before = self.contains_many(codes)
 
         # Within-batch duplicates: any code equal to an earlier code in the
         # batch counts as present.
@@ -106,17 +113,20 @@ class BloomFilter:
         present_before |= duplicate_in_batch
 
         # Set all probe bits.
-        byte_idx = (pos >> 3).ravel()
-        bit_mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)).ravel()
-        np.bitwise_or.at(self._bits, byte_idx, bit_mask)
+        for start in range(0, codes.size, _PROBE_CHUNK):
+            pos = self._positions(codes[start:start + _PROBE_CHUNK])
+            byte_idx = (pos >> 3).ravel()
+            bit_mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)).ravel()
+            np.bitwise_or.at(self._bits, byte_idx, bit_mask)
         return present_before
 
     def contains_many(self, codes: np.ndarray) -> np.ndarray:
         """Boolean membership test (may contain false positives)."""
         codes = np.asarray(codes, dtype=np.uint64)
-        if codes.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._test_positions(self._positions(codes))
+        return np.concatenate(
+            [np.zeros(0, dtype=bool)]
+            + [self._test_positions(self._positions(codes[start:start + _PROBE_CHUNK]))
+               for start in range(0, codes.size, _PROBE_CHUNK)])
 
     def contains(self, code: int) -> bool:
         """Scalar membership test."""

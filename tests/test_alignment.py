@@ -457,6 +457,37 @@ def _native_or_skip():
     return kernel
 
 
+#: Every lane width the compiled tier has: 4 (baseline), 8 (AVX2) and 16
+#: (AVX-512F+BW).
+LANE_WIDTHS = (4, 8, 16)
+
+
+@pytest.fixture(params=LANE_WIDTHS, ids=lambda lanes: f"{lanes}lanes")
+def lanes(request):
+    """A lane width to force on the compiled kernel; skips widths this CPU lacks."""
+    kernel = _native_or_skip()
+    if request.param > kernel.lanes:
+        pytest.skip(f"this CPU runs at most {kernel.lanes} lanes "
+                    f"(16 need AVX-512F+BW, 8 need AVX2)")
+    return request.param
+
+
+def _related_pair(rng, len_a: int, len_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random codes for *a* and a *len_b*-long *b* sharing a's prefix with
+    ~10% substitutions, so extensions run long and x-drop exits stay rare."""
+    a = rng.integers(0, 4, size=len_a, dtype=np.uint8)
+    b = rng.integers(0, 4, size=len_b, dtype=np.uint8)
+    shared = min(len_a, len_b)
+    b[:shared] = np.where(rng.random(shared) < 0.1, b[:shared], a[:shared])
+    return a, b
+
+
+def _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, scoring, config):
+    native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b, scoring, config, lanes=lanes)
+    np.testing.assert_array_equal(
+        native, batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
+
+
 codes = st.lists(st.integers(min_value=0, max_value=3), max_size=150)
 
 
@@ -562,6 +593,60 @@ class TestCompiledXdrop:
         # An x-drop past int64 is declined too, not wrapped by ctypes.
         huge = BatchedExtensionConfig(xdrop=2**63, band=9)
         assert batched_xdrop._extend_native(kernel, seqs, seqs, small, huge) is None
+
+    def test_each_width_on_groups_it_reorders(self, lanes):
+        # Over two full groups of the widest width, in an order the length
+        # sort changes: results must come back in input order.
+        kernel = _native_or_skip()
+        rng = np.random.default_rng(7)
+        pairs = [_related_pair(rng, int(rng.integers(0, 300)), int(rng.integers(0, 300)))
+                 for _ in range(2 * max(LANE_WIDTHS) + 5)]
+        seqs_a, seqs_b = map(list, zip(*pairs))
+        shortest = np.minimum([a.size for a in seqs_a], [b.size for b in seqs_b])
+        assert (np.diff(shortest) < 0).any()
+        for config in (BatchedExtensionConfig(xdrop=25), BatchedExtensionConfig(xdrop=8, band=17)):
+            _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, ScoringScheme(), config)
+
+    def test_each_width_on_one_and_two_tasks(self, lanes):
+        kernel = _native_or_skip()
+        rng = np.random.default_rng(11)
+        pairs = [_related_pair(rng, 250, 180), _related_pair(rng, 40, 400)]
+        config = BatchedExtensionConfig(xdrop=25)
+        for batch in ([pairs[0]], [pairs[1]], pairs, pairs[::-1]):
+            seqs_a, seqs_b = map(list, zip(*batch))
+            _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, ScoringScheme(), config)
+
+    @pytest.mark.parametrize("max_rows", [1, 7, 150, None])
+    def test_each_width_on_edge_lengths(self, lanes, max_rows):
+        # Lengths 0-400 with empty sides, under row caps; thresholds that
+        # never fire put sentinel-valued rows to the x-drop test, which
+        # must stay exact in 64 bits (2**31 +- 1 straddle the int32 range).
+        kernel = _native_or_skip()
+        rng = np.random.default_rng(3)
+        lengths = (0, 1, 2, 3, 16, 31, 32, 33, 64, 65, 150, 399, 400)
+        pairs = [_related_pair(rng, len_a, len_b) for len_a in lengths for len_b in lengths]
+        pairs += [(rng.integers(0, 4, size=len_a, dtype=np.uint8),
+                   rng.integers(0, 4, size=len_b, dtype=np.uint8))
+                  for len_a, len_b in rng.integers(0, 401, size=(40, 2))]
+        seqs_a, seqs_b = map(list, zip(*pairs))
+        for band in (33, DEFAULT_XDROP_BAND):
+            for xdrop in (10, 2**29, 2**31 - 1, 2**31, 2**31 + 1, 2**62):
+                config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
+                _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, ScoringScheme(), config)
+
+    def test_unknown_width_is_refused(self):
+        kernel = _native_or_skip()
+        seqs = [encode_sequence("ACGTACGT")]
+        for width in (0, 3, 2 * max(LANE_WIDTHS)):
+            with pytest.raises(ValueError, match="lanes"):
+                batched_xdrop._extend_native(kernel, seqs, seqs, ScoringScheme(),
+                                             BatchedExtensionConfig(), lanes=width)
+
+    def test_build_command_has_no_cpu_flags(self):
+        # The library cache key cannot tell two CPUs of one machine type
+        # apart, so a -march/-mavx* build would be reused where it SIGILLs;
+        # the wide kernels are selected at run time instead.
+        assert not [arg for arg in batched_xdrop._CC_COMMAND if arg.startswith("-m")]
 
     def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
         _native_or_skip()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kmers import bloom as bloom_module
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.counter import KmerCounter, count_kmers, kmer_frequency_histogram
 from repro.kmers.hashing import hash_with_seed, mix64, owner_of
@@ -85,6 +86,16 @@ class TestBloomFilter:
         seen = bloom.insert_many(codes)
         # The 3rd, 5th and 6th entries repeat earlier entries of the batch.
         assert seen[2] and seen[4] and seen[5]
+
+    def test_batch_is_tested_against_the_filter_before_it(self):
+        # Distinct codes over several probe chunks, into a filter that the
+        # first chunk alone saturates: none was present before the batch,
+        # so none may report present.
+        codes = np.random.default_rng(2).permutation(
+            np.arange(3 * bloom_module._PROBE_CHUNK + 5, dtype=np.uint64))
+        bloom = BloomFilter(n_bits=4096, n_hashes=2)
+        assert not bloom.insert_many(codes).any()
+        assert bloom.contains_many(codes).all()
 
     def test_false_positive_rate_reasonable(self):
         rng = np.random.default_rng(1)

@@ -30,10 +30,13 @@
 #           assert zero rebuild counters; then the chaos smoke (a rank
 #           killed mid-batch, pool respawned, batch retried).  Pure counter
 #           checks, runs on every change.
-#   leak guard — both process-backend fast passes and both serve smokes
-#           run under no_shm_leak: the psm_* names in /dev/shm are
-#           snapshotted before the pass, and any name created during the
-#           pass that survives it fails CI.
+#   leak guard — both process-backend fast passes, both serve smokes, the
+#           perfbench smoke and the process-backend slow pass run under
+#           no_shm_leak: the psm_* names in /dev/shm are snapshotted before
+#           the pass, and any name created during the pass that survives it
+#           fails CI.  Pooled ranks keep their shared-memory arenas for the
+#           pool's lifetime, so these passes prove that pool shutdown
+#           reclaims them.
 #   perfbench — benchmark smoke (perfbench/check_smoke.py): runs the
 #           benchmark command at tiny size on every workload, untraced and
 #           traced, and asserts every end-to-end and per-layer metric is
@@ -143,14 +146,14 @@ echo "== chaos smoke: rank killed mid-batch, pool respawned, batch retried =="
 no_shm_leak python scripts/serve_smoke.py --chaos
 
 echo "== perfbench smoke: every benchmark metric printed with its unit =="
-python perfbench/check_smoke.py
+no_shm_leak python perfbench/check_smoke.py
 
 if [ "$tier" = "all" ]; then
     echo "== slow tier: end-to-end pipeline tests (thread backend) =="
     python -m pytest tests -m slow -q
 
     echo "== slow tier: end-to-end pipeline tests (process backend) =="
-    DIBELLA_BACKEND=process python -m pytest tests -m slow -q
+    no_shm_leak env DIBELLA_BACKEND=process python -m pytest tests -m slow -q
 
     echo "== figures: the paper's figure and table benches (reduced series) =="
     REPRO_BENCH_FULL=0 python -m pytest benchmarks -q

@@ -12,10 +12,12 @@ programs to the backend its ``backend`` name selects:
   ranks really use P cores.  Collectives cross process boundaries as *typed
   buffers* in POSIX shared memory: every payload is serialised with the
   explicit dtype+shape wire format of :mod:`repro.mpisim.serialization`,
-  deposited in a ``multiprocessing.shared_memory`` segment, and read by its
-  consumers directly out of shared memory.  Each published superstep is one
-  segment per rank with a per-destination offset table; every peer reads
-  only its slice, so no collective funnels through a coordinator rank.
+  copied into the publishing rank's long-lived arena for the slot (one
+  ``multiprocessing.shared_memory`` segment per (rank, slot), grown only
+  when a payload does not fit), and decoded by its consumers straight out
+  of their cached mapping of that arena.  Each published superstep is a
+  per-destination offset table plus the blobs; every peer reads only its
+  slice, so no collective funnels through a coordinator rank.
 
 Both engines run the same transport — the split-phase publish/consume
 handshake of :class:`repro.mpisim.communicator.CollectiveEngine`, over the
@@ -35,6 +37,7 @@ import queue as queue_module
 import struct
 import threading
 import time
+from itertools import accumulate
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
 
@@ -75,6 +78,14 @@ _CTX = multiprocessing.get_context(
 #: Fixed-width slots in the shared metadata arrays.
 _NAME_LEN = 64   # shared-memory segment names ("psm_..." style, well under 64)
 _OP_LEN = 48     # collective op names ("allreduce:sum", ...), truncated to fit
+
+#: Smallest arena; untouched pages cost nothing, and small collectives
+#: then never grow one.
+_ARENA_MIN_BYTES = 1 << 16
+#: Arenas and peer mappings above this size are not kept between calls
+#: (see ``_read`` and ``shutdown``), so large exchanges stay off the RSS of
+#: parked pool workers.
+_RETAIN_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +219,13 @@ class _ProcessCollectiveEngine(CollectiveEngine):
 
     All mutable cross-process state lives in ``multiprocessing`` primitives
     created by the parent and inherited by (or shipped to) the rank
-    processes.  Publishing a superstep writes one segment per rank with a
-    per-destination offset table into a slot (the ring for exchanges, the
-    blocking slot for allreduce — see
+    processes.  Publishing a superstep copies a per-destination offset
+    table and the blobs into the rank's long-lived arena for the slot (the
+    ring for exchanges, the blocking slot for allreduce — see
     :class:`~repro.mpisim.communicator.CollectiveEngine`), and every rank
-    reads its slice from every peer's segment directly.  No coordinator
-    touches the data, and no global barrier sits on the path.
+    reads its slice from every peer's arena through a mapping it keeps
+    between calls.  No coordinator touches the data, and no global barrier
+    sits on the path.
     """
 
     def __init__(self, n_ranks: int, sanitize: bool = False):
@@ -223,24 +235,24 @@ class _ProcessCollectiveEngine(CollectiveEngine):
         # (while every worker is parked) and the long-forked workers read
         # the current value.
         self._sanitize = _CTX.Value("b", int(sanitize), lock=False)
-        # Per slot: every rank's op name and segment name, plus the
-        # publish/consume sequence arrays, all coordinated through one
-        # Condition.
+        # Per slot, one entry per rank: op name, arena name and arena
+        # generation, plus the publish/consume sequence arrays, all
+        # coordinated through one Condition.
         self._cond = _CTX.Condition()
         self._abort = _CTX.Value("b", 0, lock=False)
-        self._ops = [_CTX.Array("c", n_ranks * _OP_LEN, lock=False)
-                     for _ in range(N_SLOTS)]
-        self._names = [_CTX.Array("c", n_ranks * _NAME_LEN, lock=False)
-                       for _ in range(N_SLOTS)]
-        self._published = [_CTX.Array("q", n_ranks, lock=False)
-                           for _ in range(N_SLOTS)]
-        self._consumed = [_CTX.Array("q", n_ranks, lock=False)
-                          for _ in range(N_SLOTS)]
+
+        def per_slot(code: str, width: int = 1) -> list:
+            return [_CTX.Array(code, n_ranks * width, lock=False)
+                    for _ in range(N_SLOTS)]
+
+        self._ops, self._names = per_slot("c", _OP_LEN), per_slot("c", _NAME_LEN)
+        self._gens, self._published, self._consumed = (per_slot("q") for _ in range(3))
         self.reset_between_runs()
-        # Segments this rank published whose consumption is not yet proven
-        # (slot -> (seq, segment)); reclaimed at the slot's next publish or
-        # at shutdown.
-        self._inflight: dict[int, tuple[int, SharedMemory]] = {}
+        # Process-local: this rank's own arena per slot, and its mapping of
+        # each peer's arena per (slot, src) with the generation it maps.
+        # Empty in the parent, which never publishes or reads.
+        self._arenas: dict[int, SharedMemory] = {}
+        self._peers: dict[tuple[int, int], tuple[int, SharedMemory]] = {}
 
     # -- slot helpers --------------------------------------------------------
 
@@ -276,26 +288,49 @@ class _ProcessCollectiveEngine(CollectiveEngine):
         with self._cond:
             self._cond.notify_all()
 
+    def arena_table(self) -> dict[tuple[int, int], tuple[str, int]]:
+        """``(rank, slot) -> (arena name, generation)`` from the shared
+        metadata; the name is empty where the rank holds no arena."""
+        return {(rank, slot): (self._get_str(self._names[slot], rank, _NAME_LEN),
+                               int(self._gens[slot][rank]))
+                for slot in range(N_SLOTS) for rank in range(self.n_ranks)}
+
     # -- storage (see communicator.CollectiveEngine) -------------------------
 
     def _encode(self, send):
         return [encode_payload(item) for item in send]
 
     def _publish(self, rank, slot, seq, op_name, blobs):
-        """Write one segment; this rank's previous segment in *slot* is
-        provably read by everyone now and is reclaimed."""
-        stale = self._inflight.pop(slot, None)
-        if stale is not None:
-            self._destroy(stale[1])
-        shm = self._write_segment(blobs)
-        self._inflight[slot] = (seq, shm)
+        """Copy the blobs into this rank's arena for *slot*, which every peer
+        has consumed (``exchange_start`` waited for it).  The self-addressed
+        blob stays out: it travels in the token to the finish-side read."""
+        header = 8 * (self.n_ranks + 1)
+        offsets = list(accumulate((0 if dst == rank else len(blob)
+                                   for dst, blob in enumerate(blobs)), initial=header))
+        arena = self._arenas.get(slot)
+        if arena is None or arena.size < offsets[-1]:
+            arena = self._grow(rank, slot, offsets[-1])
+        arena.buf[:header] = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
+        for dst, blob in enumerate(blobs):
+            if dst != rank:
+                arena.buf[offsets[dst] : offsets[dst + 1]] = blob
         self._put_str(self._ops[slot], rank, _OP_LEN, op_name[:_OP_LEN])
-        self._put_str(self._names[slot], rank, _NAME_LEN, shm.name)
-        # Keep only the self-addressed blob for the finish-side self
-        # delivery; the rest already lives in the shared-memory segment, and
-        # retaining the full encoded copy would double the per-superstep
-        # memory bound.
         return blobs[rank]
+
+    def _grow(self, rank: int, slot: int, nbytes: int) -> SharedMemory:
+        """Replace this rank's (consumed) arena for *slot* with a power-of-two
+        one of at least *nbytes*, named in the metadata with a bumped
+        generation before any data lands in it, so the parent can reclaim
+        it by name from then on."""
+        old = self._arenas.pop(slot, None)
+        if old is not None:
+            self._destroy(old)
+        arena = SharedMemory(create=True,
+                             size=max(_ARENA_MIN_BYTES, 1 << (nbytes - 1).bit_length()))
+        self._put_str(self._names[slot], rank, _NAME_LEN, arena.name)
+        self._gens[slot][rank] += 1
+        self._arenas[slot] = arena
+        return arena
 
     def _slot_ops(self, slot):
         return [self._get_str(self._ops[slot], q, _OP_LEN)
@@ -307,103 +342,90 @@ class _ProcessCollectiveEngine(CollectiveEngine):
             if src == rank:
                 received.append(decode_payload(own))
                 continue
-            try:
-                # All ranks are children of one parent, so they share one
-                # resource tracker: this attach's auto-registration lands in
-                # the set the creator already registered the name into, and
-                # the creator's unlink clears it exactly once.  Do NOT
-                # unregister here — that would remove the creator's
-                # registration and produce KeyError noise at its unlink.
-                peer = SharedMemory(
-                    name=self._get_str(self._names[slot], src, _NAME_LEN))
-            except FileNotFoundError:
-                # A failed peer aborts, then reclaims its published segments
-                # at shutdown: the failure is the peer's to report.
-                if self.aborted_by_peer:
-                    raise threading.BrokenBarrierError from None
-                raise
-            try:
-                table = struct.unpack_from(f"<{self.n_ranks + 1}Q", peer.buf, 0)
-                received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))
-            finally:
+            peer = self._attach(slot, src)
+            table = struct.unpack_from(f"<{self.n_ranks + 1}Q", peer.buf, 0)
+            # decode_payload copies out of shared memory, so nothing received
+            # is a view of the arena the peer overwrites next superstep.
+            received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))
+            if peer.size > _RETAIN_BYTES:
+                del self._peers[(slot, src)]
                 peer.close()
         return received
 
-    def _write_segment(self, blobs: list[bytes]) -> SharedMemory:
-        """One segment per source rank: u64 offset table + concatenated blobs."""
-        header = 8 * (self.n_ranks + 1)
-        offsets = [header]
-        for blob in blobs:
-            offsets.append(offsets[-1] + len(blob))
-        shm = SharedMemory(create=True, size=offsets[-1])
-        shm.buf[:header] = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
-        for blob, start in zip(blobs, offsets[:-1]):
-            shm.buf[start : start + len(blob)] = blob
-        return shm
+    def _attach(self, slot: int, src: int) -> SharedMemory:
+        """This rank's mapping of *src*'s arena for *slot*, re-attached only
+        when the arena's generation changed (a recycled name could hand back
+        a stale mapping, a generation cannot)."""
+        gen = self._gens[slot][src]
+        cached = self._peers.get((slot, src))
+        if cached is not None and cached[0] == gen:
+            return cached[1]
+        if cached is not None:  # the owner grew it: drop the stale mapping
+            cached[1].close()
+        try:
+            # Python 3.11 registers every attach with the resource tracker
+            # (one pipe write), hence one attach per arena, not per call.
+            # The ranks share the parent's tracker, so the registration
+            # joins the creator's and the one unlink clears it; do NOT
+            # unregister here, or that unlink raises KeyError noise.
+            peer = SharedMemory(name=self._get_str(self._names[slot], src, _NAME_LEN))
+        except FileNotFoundError:
+            # A failed peer aborts and the parent reclaims its arenas: the
+            # failure is the peer's to report.
+            if self.aborted_by_peer:
+                raise threading.BrokenBarrierError from None
+            raise
+        self._peers[(slot, src)] = (gen, peer)
+        return peer
 
     # -- cleanup ---------------------------------------------------------------
 
     @staticmethod
     def _destroy(shm: SharedMemory) -> None:
         shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        shm.unlink()
 
-    def shutdown(self) -> None:
-        """Final cleanup at the end of a rank program (or of one pooled job).
-
-        Each slot's last segment is still in flight here, and a fast rank
-        can reach shutdown while a slow peer is still reading it — so each
-        is reclaimed only once every rank has marked it consumed.  On an
-        aborted run the wait short-circuits and the segments are reclaimed
-        unconditionally (the peers are aborting too, and a leaked segment
-        would outlive the process).
-        """
-        for slot, (seq, shm) in sorted(self._inflight.items()):
-            consumed = self._consumed[slot]
+    def shutdown(self, rank: int) -> None:
+        """End of a rank program (or of one pooled job): drop this rank's
+        arenas larger than :data:`_RETAIN_BYTES`, each once every rank has
+        consumed its last superstep (a slow peer may still be reading).  On
+        an aborted run the arena is left to the parent's reclaim."""
+        for slot, arena in sorted(self._arenas.items()):
+            if arena.size <= _RETAIN_BYTES:
+                continue
+            seq, consumed = self._published[slot][rank], self._consumed[slot]
             try:
                 self._wait(lambda: all(consumed[q] >= seq
                                        for q in range(self.n_ranks)))
             except threading.BrokenBarrierError:
-                pass
-            self._destroy(shm)
-        self._inflight.clear()
-
-    def reclaim_orphan_segments(self) -> list[str]:
-        """Parent-side: unlink every segment still named in the shared metadata.
-
-        After a worker dies without cleanup (SIGKILL, OOM) its published
-        segments — including half-published supersteps no peer ever
-        consumed — survive in ``/dev/shm``.  Their names are all recorded in
-        the engine's slot metadata, so the parent can reclaim them by name.
-        Must only be called once every worker of this engine is joined: a
-        live worker may still be writing.  Names whose segments were already
-        legitimately unlinked are skipped (``FileNotFoundError`` on attach).
-        Returns the reclaimed names.
-        """
-        names = {self._get_str(self._names[slot], rank, _NAME_LEN)
-                 for slot in range(N_SLOTS) for rank in range(self.n_ranks)}
-        names.discard("")
-        reclaimed: list[str] = []
-        for name in sorted(names):
-            try:
-                shm = SharedMemory(name=name)
-            except FileNotFoundError:
                 continue
-            self._destroy(shm)
-            reclaimed.append(name)
-        return reclaimed
+            del self._arenas[slot]
+            self._put_str(self._names[slot], rank, _NAME_LEN, "")
+            self._destroy(arena)
+
+    def reclaim_orphan_segments(self) -> None:
+        """Parent-side: unlink every arena still named in the shared metadata.
+
+        The one cleanup path for arenas, run at the end of every unpooled run
+        and at pool shutdown.  An arena is named before any data is written
+        to it, so this also covers workers that died without cleanup
+        (SIGKILL, OOM) mid-superstep.  Call only once every worker of this
+        engine is joined: a live worker may still be writing.
+        """
+        for name, _gen in self.arena_table().values():
+            if not name:
+                continue
+            try:
+                self._destroy(SharedMemory(name=name))
+            except FileNotFoundError:  # unlinked before a kill renamed it
+                pass
 
     def reset_between_runs(self) -> None:
-        """Re-arm the slot state for the next pooled run.
+        """Re-arm the sequence state for the next pooled run; arenas stay.
 
-        Called by the *parent* while every pooled rank is parked on the pool
-        barrier (so nothing races these writes).  Each run's communicators
-        restart their sequence numbers at 0; without this reset the previous
-        run's publish/consume marks would satisfy the new run's predicates
-        early and let a rank read stale metadata.
+        Called by the *parent* while every pooled rank is parked, so nothing
+        races these writes.  Communicators restart at sequence 0, and stale
+        marks would satisfy the new run's predicates early.
         """
         for slot in range(N_SLOTS):
             for q in range(self.n_ranks):
@@ -444,7 +466,7 @@ def _run_rank_job(
         except Exception:
             payload = RuntimeError(f"{type(exc).__name__}: {exc}")
     finally:
-        engine.shutdown()
+        engine.shutdown(rank)
     snapshot = trace.snapshot() if trace is not None else None
     results_queue.put((rank, status, payload, snapshot))
 
@@ -522,9 +544,7 @@ def _reap_after_death(
     dealt with by the pool eviction.
     """
     for rank, proc in enumerate(workers):
-        if rank in reported or rank in dead_ranks:
-            continue
-        if proc.is_alive():
+        if rank not in reported and rank not in dead_ranks and proc.is_alive():
             proc.terminate()
     deadline = time.monotonic() + 10.0
     for rank, proc in enumerate(workers):
@@ -539,9 +559,7 @@ def _reap_after_death(
     while True:
         try:
             rank, status, payload, snapshot = results_queue.get_nowait()
-        except queue_module.Empty:
-            break
-        except Exception:  # pragma: no cover - feeder killed mid-write
+        except Exception:  # queue.Empty, or a feeder killed mid-write
             break
         if rank not in dead_ranks:
             reported[rank] = (status, payload, snapshot)
@@ -628,11 +646,10 @@ def _assemble_results(
 
 
 def _ensure_resource_tracker() -> None:
-    # Start the resource tracker in the parent BEFORE forking so every
-    # rank shares it.  Attach-time auto-registrations then deduplicate
-    # into the one set the creator's unlink clears; with per-child
-    # trackers they would instead survive as spurious "leaked
-    # shared_memory" warnings at worker exit.
+    # Start the resource tracker in the parent BEFORE forking so every rank
+    # shares it: attach-time registrations then join the creator's, which
+    # the one unlink clears; per-child trackers would instead warn of
+    # "leaked shared_memory" at worker exit.
     try:  # pragma: no cover - trivial plumbing
         from multiprocessing import resource_tracker
 
@@ -651,31 +668,19 @@ class _RankPool:
     runs, each worker blocking on ``park_barrier`` (the "parked" state) until
     the parent deposits the next job.
 
-    Lifecycle:
-
-    * ``run`` resets the engine's split-phase exchange state (safe: every
-      worker is parked), enqueues one pickled job per rank, releases the
-      barrier, and drains results exactly like a one-shot run.
-    * Any rank failure (or silent worker death) marks the pool **broken**;
-      a broken pool is torn down and evicted from the registry, so the next
-      pooled run starts fresh — failed runs never leak a poisoned barrier
-      into later runs.
-    * ``shutdown`` delivers the ``None`` sentinel to every worker, releases
-      the barrier one last time, and joins; stuck workers are terminated.
-
+    The lifecycle (park, acquire, failure eviction, shutdown) is described
+    in ``docs/runtime.md`` under "The persistent rank pool".  The engine's
+    arenas live as long as the pool and are reclaimed at its shutdown.
     Because jobs cross a queue, pooled rank programs and their arguments must
     be picklable even under the ``fork`` start method.
 
     Beyond amortising forks, a parked worker is a *session*: module-level
     state it built during one run is still there for the next.  The pipeline
-    leans on this twice — the persistent read caches
-    (``repro.core.stages._PERSISTENT_READ_CACHES``) survive between pooled
-    runs over the same read set, and the serve phase's resident k-mer
-    indexes (``repro.core.stages._RESIDENT_INDEXES``) stay loaded between
-    ``run_index_build`` and the ``run_query_batch`` invocations that probe
-    them, which is what lets a query batch skip the index build entirely
-    (counter ``index_reuse_hits``).  Both registries key their entries by a
-    content-derived generation tag, so a worker reused for different data
+    keeps its read caches (``repro.core.stages._PERSISTENT_READ_CACHES``) and
+    the serve phase's resident k-mer indexes
+    (``repro.core.stages._RESIDENT_INDEXES``, what lets ``run_query_batch``
+    skip the index build: counter ``index_reuse_hits``) there, both keyed by
+    a content-derived generation tag so a worker reused for different data
     evicts the stale generation instead of serving it.
     """
 
@@ -794,21 +799,16 @@ class _RankPool:
                 proc.terminate()
         for proc in self.workers:
             proc.join(timeout=5.0)
-        for proc in self.workers:
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=5.0)
-        for job_queue in self.job_queues:
+        for job_queue in (*self.job_queues, self.results_queue):
             job_queue.close()
             job_queue.join_thread()
-        self.results_queue.close()
-        self.results_queue.join_thread()
-        # An unclean end (failure, kill, terminate) can leave the dead and
-        # terminated workers' segments — including half-published
-        # split-phase supersteps — in /dev/shm; every worker is joined now,
-        # so reclaim them by name.
-        if any(proc.exitcode != 0 for proc in self.workers) and not any(
-                proc.is_alive() for proc in self.workers):
+        # The arenas live as long as the pool; every worker is joined now,
+        # so reclaim them by name (on an unclean end this includes
+        # half-published split-phase supersteps).
+        if not any(proc.is_alive() for proc in self.workers):
             self.engine.reclaim_orphan_segments()
 
 
@@ -929,8 +929,6 @@ class ProcessBackend:
         for proc in workers:
             proc.join()
         results_queue.close()
-        if failures:
-            # Silent deaths skip all worker-side cleanup; every worker is
-            # joined now, so reclaim the leaked segments by name.
-            engine.reclaim_orphan_segments()
+        # Every worker is joined: reclaim the run's arenas by name.
+        engine.reclaim_orphan_segments()
         return _assemble_results(reported, failures, trace, n_ranks)

@@ -461,6 +461,104 @@ class TestRankPool:
         assert [r[1:] for r in recovered] == [r[1:] for r in baseline]
 
 
+def _many_small_collectives_program(comm, n_calls):
+    total = 0
+    for step in range(n_calls):
+        received = comm.alltoallv([np.arange(4, dtype=np.int64) + step]
+                                  * comm.size)
+        total += comm.allreduce(int(received[0][0]))
+    return total
+
+
+def _growing_exchange_program(comm, big_elements):
+    """Small exchanges, then one exchange of *big_elements* int64 per
+    destination in the same ring slot (superstep 2 reuses superstep 0's)."""
+    small = comm.alltoallv([np.full(4, comm.rank, dtype=np.int64)] * comm.size)
+    comm.alltoallv([np.zeros(1, dtype=np.int64)] * comm.size)
+    big = comm.alltoallv([np.arange(big_elements, dtype=np.int64) + comm.rank
+                          + 10 * d for d in range(comm.size)])
+    return ([a.tolist() for a in small],
+            [(int(a.size), int(a.sum())) for a in big])
+
+
+def _slot_reuse_program(comm):
+    """An array received in superstep 0 survives supersteps 1 and 2, the
+    latter rewriting the same ring slot with other values of the same size."""
+    first = comm.alltoallv([np.full(8, comm.rank * 10 + d, dtype=np.int64)
+                            for d in range(comm.size)])
+    kept = [a.copy() for a in first]
+    comm.alltoallv([np.full(8, -1, dtype=np.int64)] * comm.size)
+    comm.alltoallv([np.full(8, -2, dtype=np.int64)] * comm.size)
+    return all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+def _pool_engine(n_ranks):
+    from repro.mpisim.backend import _POOLS
+
+    return _POOLS[n_ranks].engine
+
+
+class TestArenas:
+    """The process engine's long-lived per-(rank, slot) arenas."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_pools(self):
+        shutdown_rank_pools()
+        yield
+        shutdown_rank_pools()
+
+    def test_small_calls_keep_every_arena(self):
+        first = spmd_run(2, _many_small_collectives_program, 200,
+                         backend="process", pool=True)
+        table = _pool_engine(2).arena_table()
+        # One creation per (rank, slot), then 200 calls without growing.
+        assert {gen for _name, gen in table.values()} == {1}
+        assert {name for name, _gen in table.values()} <= set(_shm_segments())
+        second = spmd_run(2, _many_small_collectives_program, 200,
+                          backend="process", pool=True)
+        assert _pool_engine(2).arena_table() == table
+        assert first == second == spmd_run(2, _many_small_collectives_program,
+                                           200, backend="thread")
+
+    def test_oversized_payload_grows_its_slot_once(self):
+        from repro.mpisim.backend import _ARENA_MIN_BYTES
+
+        big_elements = _ARENA_MIN_BYTES // 8  # one arena's worth per peer
+        results = spmd_run(2, _growing_exchange_program, big_elements,
+                           backend="process", pool=True)
+        assert results == spmd_run(2, _growing_exchange_program, big_elements,
+                                   backend="thread")
+        table = _pool_engine(2).arena_table()
+        # Ring slot 0 carried supersteps 0 and 2 and grew once; slot 1 and
+        # the blocking slot kept their first arena.
+        assert [table[(rank, 0)][1] for rank in range(2)] == [2, 2]
+        assert [table[(rank, 1)][1] for rank in range(2)] == [1, 1]
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
+    def test_received_arrays_are_not_arena_views(self, pool):
+        assert spmd_run(2, _slot_reuse_program, backend="process",
+                        pool=pool) == [True, True]
+
+    def test_arena_over_retain_limit_dropped_at_run_end(self):
+        from repro.mpisim.backend import _RETAIN_BYTES
+
+        big_elements = 2 * _RETAIN_BYTES // 8
+        spmd_run(2, _growing_exchange_program, big_elements,
+                 backend="process", pool=True)
+        table = _pool_engine(2).arena_table()
+        # The grown slot-0 arenas are gone and unnamed; the small slot-1
+        # arenas stay for the next run.
+        assert [table[(rank, 0)] for rank in range(2)] == [("", 2), ("", 2)]
+        for rank in range(2):
+            name = table[(rank, 1)][0]
+            assert os.stat(f"/dev/shm/{name}").st_size <= _RETAIN_BYTES
+        # The next run grows slot 0 again and still matches the threads.
+        assert (spmd_run(2, _growing_exchange_program, big_elements,
+                         backend="process", pool=True)
+                == spmd_run(2, _growing_exchange_program, big_elements,
+                            backend="thread"))
+
+
 class TestProcessTracing:
     def test_trace_merged_identically_to_thread(self):
         def program(comm):

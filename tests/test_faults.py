@@ -41,6 +41,7 @@ from repro.mpisim import (
     shutdown_rank_pools,
     spmd_run,
 )
+from repro.mpisim.backend import _POOLS
 from repro.mpisim.faults import FaultSpec, RunFaults, resolve_run_faults
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
@@ -80,6 +81,16 @@ def _chaos_program(comm, xs):
     return (total, tag,
             sum(int(block.sum()) for block in sync),
             sum(int(block.sum()) for block in split))
+
+
+def _growth_program(comm):
+    """Small supersteps, then one whose payload outgrows its ring slot's arena."""
+    comm.allreduce(0)                                               # superstep 0
+    small = comm.alltoallv([np.arange(4, dtype=np.int64)] * comm.size)  # 1: slot 0
+    comm.alltoallv([np.arange(4, dtype=np.int64)] * comm.size)      # 2: slot 1
+    big = comm.alltoallv([np.full(1 << 18, comm.rank, dtype=np.int64)]
+                         * comm.size)                               # 3: slot 0 grows
+    return comm.allreduce(int(big[0][0]) + int(small[0][1]))        # superstep 4
 
 
 _CHAOS_XS = [3, 4]
@@ -294,6 +305,21 @@ class TestPoolFailureHygiene:
         _await_no_workers("spmd-pool-rank-")
         assert _shm_segments() == []
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize("plan", [
+        "kill:rank=1:step=3",   # rank 0 grows its arena, its peer dies
+        "kill:rank=0:step=4",   # killed while holding the grown arena
+    ])
+    def test_kill_around_arena_growth_leaves_nothing(self, pool, plan):
+        """Every arena is named in the metadata before data lands in it,
+        so the parent reclaims grown and replaced arenas alike."""
+        with pytest.raises(RankFailedError):
+            spmd_run(2, _growth_program, backend="process", pool=pool,
+                     faults=plan)
+        shutdown_rank_pools()
+        _await_no_workers("spmd-")
+        assert _shm_segments() == []
+
     def test_parked_worker_death_detected_on_next_run(self):
         spmd_run(2, _chaos_program, _CHAOS_XS, backend="process", pool=True)
         victims = [p for p in mp.active_children()
@@ -311,6 +337,13 @@ class TestPoolFailureHygiene:
                            pool=True)
         assert results == _chaos_baseline()
         assert recovery_counters()["pool_respawns"] == 2
+        # The recovered pool keeps its arenas for its lifetime; every live
+        # segment must be one of them, so nothing of the evicted pool
+        # survives, and its shutdown reclaims them all.
+        (pool,) = _POOLS.values()
+        arenas = {name for name, _gen in pool.engine.arena_table().values()}
+        assert set(_shm_segments()) <= arenas
+        shutdown_rank_pools()
         assert _shm_segments() == []
 
 

@@ -25,6 +25,10 @@
 #           minimizer seed mode on (DIBELLA_SEED_MODE=minimizer) so the
 #           windowed-sketch front-end of stages 1-3 stays exercised
 #           suite-wide.
+#   examples — runs the four examples/ scripts to completion (quickstart,
+#           assembly graph, E. coli overlap study, cross-platform scaling;
+#           about 6 s on 2 cores), so a change to a module they import that
+#           breaks them fails CI; runs on every change.
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
 #           index on a pooled process backend, drain two query batches,
 #           assert zero rebuild counters; then the chaos smoke (a rank
@@ -138,6 +142,12 @@ no_shm_leak env DIBELLA_POOL=1 DIBELLA_BACKEND=process \
 
 echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="
 DIBELLA_SEED_MODE=minimizer python -m pytest tests -m "not slow" -q
+
+echo "== examples: every examples/ script runs to completion =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" >/dev/null
+done
 
 echo "== serve smoke: resident index, 2 query batches, zero rebuilds =="
 no_shm_leak python scripts/serve_smoke.py

@@ -86,8 +86,7 @@ def batched_xdrop_align(
     and a backward extension (from the start of its seed, on reversed
     prefixes); the two extension batches run through one
     :func:`~repro.align.batched_xdrop.batched_extend` call each and are
-    recombined column-wise — the decomposition the scalar
-    :func:`repro.align.xdrop.xdrop_seed_extend` kernel uses.
+    recombined column-wise with the seed's ``k`` matches.
 
     Every read a task references must already be in *cache*.  The code
     arrays come from it — one ``encoded(rid_a)`` and one

@@ -1,9 +1,9 @@
 """Task-batched banded x-drop extension.
 
 The alignment stage of a rank holds thousands of independent alignment
-tasks.  Running the scalar x-drop kernel task-by-task spends almost all of
-its time in Python/numpy call overhead, because each anti-diagonal of each
-task is a tiny array.  This module vectorises *across tasks*: all tasks
+tasks.  Running an x-drop kernel task-by-task spends almost all of its
+time in Python/numpy call overhead, because each DP row of each task is a
+tiny array.  This module vectorises *across tasks*: all tasks
 advance one DP row per iteration, so every numpy operation touches an
 ``(active_tasks, band)`` matrix and the interpreter overhead is amortised
 over the whole batch — the "vectorise the outer loop" idiom the HPC guides
@@ -139,8 +139,7 @@ def batched_extend(
     numpy.ndarray
         ``(n, 4)`` int64, one row per task in input order: the best score,
         how far the best-scoring cell reached into *a* and into *b* from the
-        origin, and the DP cells evaluated (the fields of
-        :class:`~repro.align.results.ExtensionResult`).
+        origin, and the DP cells evaluated.
     """
     if len(seqs_a) != len(seqs_b):
         raise ValueError("seqs_a and seqs_b must have the same length")

@@ -1,30 +1,8 @@
-"""Result containers shared by the alignment kernels."""
+"""The alignment record shared by the alignment kernels and their callers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Result of extending an alignment in one direction from a fixed point.
-
-    Attributes
-    ----------
-    score:
-        Best alignment score reached during the extension (>= 0).
-    length_a / length_b:
-        How far the best-scoring extension reached into each sequence,
-        measured from the extension origin.
-    cells:
-        Number of DP cells evaluated — the work counter used by the cost
-        model and the load-imbalance analysis.
-    """
-
-    score: int
-    length_a: int
-    length_b: int
-    cells: int
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,3 @@ class ScoringScheme:
             raise ValueError("mismatch score must be non-positive")
         if self.gap > 0:
             raise ValueError("gap score must be non-positive")
-
-    def max_score(self, length: int) -> int:
-        """Best possible score of an alignment spanning *length* bases."""
-        return self.match * length

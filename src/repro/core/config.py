@@ -18,7 +18,6 @@ from repro.kmers.reliable import high_frequency_threshold
 from repro.mpisim.faults import FaultPlan
 from repro.overlap.seeds import SeedStrategy
 from repro.seq.kmer import KmerSpec
-from repro.seq.records import ReadSet
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -304,7 +303,7 @@ class PipelineConfig:
             return None
         return int(self.exchange_chunk_mb * (1 << 20))
 
-    def resolve_high_freq_threshold(self, readset: ReadSet | None = None) -> int:
+    def resolve_high_freq_threshold(self) -> int:
         """The high-occurrence cutoff m actually used for a run.
 
         If ``high_freq_threshold`` is set, return it.  Otherwise compute it
@@ -322,8 +321,3 @@ class PipelineConfig:
     def read_cache_capacity_bytes(self) -> int:
         """The read-cache byte bound (``0`` = unbounded)."""
         return int(self.read_cache_mb * (1 << 20))
-
-    @property
-    def sketch_window(self) -> int:
-        """The effective sketch window: w in minimizer mode, else 1 (keep all)."""
-        return self.minimizer_window if self.seed_mode == "minimizer" else 1

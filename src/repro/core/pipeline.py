@@ -209,7 +209,7 @@ class DibellaPipeline:
         topology = self.topology
         n_ranks = topology.n_ranks
         assignments = partition_reads(readset, n_ranks)
-        high_freq_threshold = config.resolve_high_freq_threshold(readset)
+        high_freq_threshold = config.resolve_high_freq_threshold()
         trace = CommTrace(n_ranks)
 
         start = time.perf_counter()

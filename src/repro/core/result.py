@@ -73,11 +73,6 @@ class StageRecord:
     wall_exchange_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
     wall_overlapped_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    @property
-    def total_work(self) -> float:
-        """Sum of work units over ranks."""
-        return float(np.asarray(self.work_per_rank).sum())
-
     def load_imbalance(self) -> float:
         """Work imbalance across ranks: max over mean (1.0 = perfect)."""
         work = np.asarray(self.work_per_rank, dtype=np.float64)
@@ -207,21 +202,6 @@ class PipelineResult:
         }
 
     # -- performance summaries ------------------------------------------------------
-
-    def stage_wall_seconds(self) -> dict[str, dict[str, float]]:
-        """Measured per-stage wall time (max over ranks), split compute /
-        exposed-exchange / overlapped-compute."""
-        out: dict[str, dict[str, float]] = {}
-        for record in self.stages:
-            compute = np.asarray(record.wall_compute_seconds, dtype=np.float64)
-            exchange = np.asarray(record.wall_exchange_seconds, dtype=np.float64)
-            overlapped = np.asarray(record.wall_overlapped_seconds, dtype=np.float64)
-            out[record.name] = {
-                "compute": float(compute.max(initial=0.0)),
-                "exchange": float(exchange.max(initial=0.0)),
-                "overlapped": float(overlapped.max(initial=0.0)),
-            }
-        return out
 
     def load_imbalance(self, stage: str = "alignment") -> float:
         """Measured-time load imbalance of a stage (Figure 8's metric)."""

@@ -17,7 +17,6 @@ from repro.data.datasets import (
     generate_dataset,
     ecoli30x_like,
     ecoli100x_like,
-    ecoli30x_sample_like,
     tiny_dataset,
     true_overlaps,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "generate_dataset",
     "ecoli30x_like",
     "ecoli100x_like",
-    "ecoli30x_sample_like",
     "tiny_dataset",
     "true_overlaps",
 ]

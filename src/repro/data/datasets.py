@@ -105,17 +105,6 @@ def ecoli100x_like(scale: float = 0.01, seed: int = 10) -> DatasetSpec:
     )
 
 
-def ecoli30x_sample_like(scale: float = 0.01, seed: int = 20) -> DatasetSpec:
-    """The "E. coli 30x (sample)" input of Table 2: a ~20% subsample.
-
-    Implemented as the 30x workload on a genome 20% the size, which produces
-    roughly the same reduction in total work as subsampling reads does.
-    """
-    base = ecoli30x_like(scale=scale * 0.2, seed=seed)
-    return DatasetSpec(name=f"ecoli30x_sample_like(scale={scale})",
-                       genome=base.genome, reads=base.reads)
-
-
 def tiny_dataset(seed: int = 42) -> DatasetSpec:
     """A very small workload for unit tests and the quickstart example."""
     return DatasetSpec(

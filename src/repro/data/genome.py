@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seq.alphabet import DNA_ALPHABET
 from repro.seq.encoding import decode_sequence
 
 
@@ -83,12 +82,3 @@ def generate_genome(spec: GenomeSpec) -> str:
             codes[pos : pos + spec.repeat_length] = unit
 
     return decode_sequence(codes)
-
-
-def genome_summary(genome: str) -> dict[str, float]:
-    """Simple composition summary of a genome (length and base fractions)."""
-    n = len(genome)
-    if n == 0:
-        return {"length": 0, **{b: 0.0 for b in DNA_ALPHABET}}
-    counts = {b: genome.count(b) / n for b in DNA_ALPHABET}
-    return {"length": float(n), **counts}

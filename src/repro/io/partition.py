@@ -12,8 +12,6 @@ exactly once.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.seq.records import ReadSet
 
 
@@ -44,13 +42,3 @@ def partition_reads(readset: ReadSet, n_ranks: int) -> list[list[int]]:
         assignments[rank].append(rid)
         acc += int(lengths[rid])
     return assignments
-
-
-def partition_imbalance(assignments: list[list[int]], readset: ReadSet) -> float:
-    """Byte-level load imbalance of a partition (max over mean; 1.0 = perfect)."""
-    lengths = readset.read_lengths()
-    per_rank = np.array([int(lengths[rids].sum()) if rids else 0 for rids in assignments],
-                        dtype=np.float64)
-    if per_rank.sum() == 0:
-        return 1.0
-    return float(per_rank.max() / per_rank.mean())

@@ -10,12 +10,14 @@ of diBELLA's first two pipeline stages:
 * :mod:`repro.kmers.bloom` — the partitioned Bloom filter of stage 1 (§6).
 * :mod:`repro.kmers.hyperloglog` — HyperLogLog cardinality estimation, the
   HipMer fallback for sizing the Bloom filter on extremely large inputs (§6).
-* :mod:`repro.kmers.counter` — plain k-mer counting (histograms, baseline).
+* :mod:`repro.kmers.counter` — plain exact k-mer counting (the spectra of
+  :mod:`repro.stats`).
 * :mod:`repro.kmers.hashtable` — the per-rank partition of the distributed
   k-mer → [(read id, position)] hash table of stage 2 (§7), one sorted-once
   ``ShardedKmerIndex`` for every launch.
 * :mod:`repro.kmers.reliable` — the BELLA reliable-k-mer statistical model:
-  optimal k, the high-frequency cutoff m, and cardinality estimates (§2, §3).
+  optimal k, the high-frequency cutoff m, and the expected singleton
+  fraction (§2, §3).
 * :mod:`repro.kmers.minimizer` — the windowed-minimizer sketch front-end
   (``seed_mode="minimizer"``): keeps only the minimum-hash k-mer per window
   of w, cutting stage 1-3 exchange volume and table size to ~2/(w+1).
@@ -24,25 +26,19 @@ of diBELLA's first two pipeline stages:
 from repro.kmers.hashing import mix64, owner_of, hash_with_seed
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hyperloglog import HyperLogLog
-from repro.kmers.counter import count_kmers, KmerCounter, kmer_frequency_histogram
+from repro.kmers.counter import count_kmers, KmerCounter
 from repro.kmers.hashtable import RetainedKmers
 from repro.kmers.minimizer import (
     DEFAULT_MINIMIZER_WINDOW,
     SKETCH_HASH_SEED,
-    expected_density,
     minimizer_mask,
     sketch_hash,
-    sketch_kmers_batch,
-    sketch_kmers_with_strand,
 )
 from repro.kmers.reliable import (
     probability_correct_kmer,
     probability_shared_kmer,
     optimal_k,
     high_frequency_threshold,
-    reliable_range,
-    estimate_total_kmers,
-    estimate_distinct_kmers,
     expected_singleton_fraction,
 )
 
@@ -54,21 +50,14 @@ __all__ = [
     "HyperLogLog",
     "count_kmers",
     "KmerCounter",
-    "kmer_frequency_histogram",
     "RetainedKmers",
     "DEFAULT_MINIMIZER_WINDOW",
     "SKETCH_HASH_SEED",
-    "expected_density",
     "minimizer_mask",
     "sketch_hash",
-    "sketch_kmers_batch",
-    "sketch_kmers_with_strand",
     "probability_correct_kmer",
     "probability_shared_kmer",
     "optimal_k",
     "high_frequency_threshold",
-    "reliable_range",
-    "estimate_total_kmers",
-    "estimate_distinct_kmers",
     "expected_singleton_fraction",
 ]

@@ -143,7 +143,3 @@ class BloomFilter:
         """Fraction of bits currently set (monitoring / FP-rate estimation)."""
         set_bits = int(np.unpackbits(self._bits).sum())
         return set_bits / self.n_bits
-
-    def estimated_fp_rate(self) -> float:
-        """Estimated false-positive probability at the current fill ratio."""
-        return self.fill_ratio() ** self.n_hashes

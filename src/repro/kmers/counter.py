@@ -1,9 +1,8 @@
-"""Plain k-mer counting: histograms and a streaming counter.
+"""Plain k-mer counting: a batch counter and a streaming counter.
 
 These utilities sit outside the distributed pipeline: they provide the exact
-counts used by tests (as an oracle for the Bloom-filter + hash-table
-composition), by the frequency-spectrum statistics in ``repro.stats``, and by
-the DALIGNER-style baseline.
+counts behind the frequency-spectrum statistics in ``repro.stats`` and serve
+tests as an oracle for the Bloom-filter + hash-table composition.
 """
 
 from __future__ import annotations
@@ -81,41 +80,9 @@ class KmerCounter:
         """(codes, counts) of every distinct k-mer, codes ascending."""
         return self._merge()
 
-    def count_of(self, code: int) -> int:
-        """Exact count of one code (0 if never seen)."""
-        codes, counts = self._merge()
-        idx = np.searchsorted(codes, np.uint64(code))
-        if idx < codes.size and codes[idx] == np.uint64(code):
-            return int(counts[idx])
-        return 0
-
     def singleton_fraction(self) -> float:
         """Fraction of distinct k-mers that occur exactly once."""
         _, counts = self._merge()
         if counts.size == 0:
             return 0.0
         return float(np.count_nonzero(counts == 1) / counts.size)
-
-    def retained(self, min_count: int = 2, max_count: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Codes and counts within the reliable range [min_count, max_count]."""
-        codes, counts = self._merge()
-        mask = counts >= min_count
-        if max_count is not None:
-            mask &= counts <= max_count
-        return codes[mask], counts[mask]
-
-
-def kmer_frequency_histogram(counts: np.ndarray, max_bin: int = 64) -> np.ndarray:
-    """Histogram of k-mer multiplicities: entry i = number of k-mers seen i times.
-
-    Entry 0 is unused; multiplicities above *max_bin* are clamped into the
-    last bin.  This is the k-mer frequency spectrum used to sanity-check the
-    synthetic data sets against the paper's stated singleton fractions.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if max_bin <= 0:
-        raise ValueError("max_bin must be positive")
-    clamped = np.minimum(counts, max_bin)
-    hist = np.bincount(clamped, minlength=max_bin + 1)
-    return hist

@@ -7,9 +7,10 @@ with total input bases.  Minimap2 and miniasm showed that seeding from
 k-mers, only the one with the smallest hash — preserves overlap sensitivity
 while shrinking the seed set to an expected density of ``2/(w+1)`` of the
 full k-mer stream.  This module is that front-end: a purely vectorised
-selection mask over the batch extraction of :mod:`repro.seq.kmer`, so only
-window minima ever reach the Bloom filter, the hash-table exchange, or the
-overlap pair generation (``PipelineConfig.seed_mode = "minimizer"``).
+selection mask over the batch extraction of :mod:`repro.seq.kmer`, applied
+in the pipeline's one k-mer funnel (``repro.core.stages``) so only window
+minima ever reach the Bloom filter, the hash-table exchange, or the overlap
+pair generation (``PipelineConfig.seed_mode = "minimizer"``).
 
 Selection is *content-based*: the hash is a seeded invertible mix of the
 canonical k-mer code, so every read containing the same (error-free) window
@@ -23,8 +24,9 @@ Invariants (pinned by the property tests in ``tests/test_minimizer.py``):
   its single minimum-hash k-mer, so no read drops out of the sketch;
 * **subset** — the sketch is a subset of the full canonical k-mer stream
   (same codes, positions and strand flags, just fewer of them);
-* **determinism** — the mask is a pure function of (sequence, k, w): batch
-  and scalar extraction agree, and so do all ranks and backends;
+* **determinism** — the mask is a pure function of (sequence, k, w): a read
+  sketched alone or inside a batch selects the same k-mers, and so do all
+  ranks and backends;
 * ``w = 1`` selects everything (the sketch degenerates to the full stream).
 
 Ties inside a window (only possible for equal canonical codes) break to the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kmers.hashing import hash_with_seed
-from repro.seq.kmer import KmerSpec, extract_kmers_batch, extract_kmers_with_strand
 
 #: Fixed seed of the sketch hash.  Deliberately distinct from the (unseeded)
 #: owner-rank hash ``mix64`` so "is a window minimum" and "which rank owns
@@ -58,13 +59,6 @@ def sketch_hash(codes: np.ndarray | int) -> np.ndarray | int:
     well-defined single k-mer per window (up to equal codes).
     """
     return hash_with_seed(codes, SKETCH_HASH_SEED)
-
-
-def expected_density(window: int) -> float:
-    """Expected sketch density ``2/(w+1)`` of random sequence (minimap2 §2)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    return min(1.0, 2.0 / (window + 1))
 
 
 def minimizer_mask(hashes: np.ndarray, read_index: np.ndarray,
@@ -141,47 +135,3 @@ def minimizer_mask(hashes: np.ndarray, read_index: np.ndarray,
         mask[run_min[short]] = True
     return mask
 
-
-def sketch_kmers_batch(
-    seqs, spec: KmerSpec, window: int, with_strand: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract the windowed-minimizer sketch of a batch of reads.
-
-    The batch counterpart of :func:`sketch_kmers_with_strand` and the
-    sketching mirror of :func:`repro.seq.kmer.extract_kmers_batch`: same
-    signature plus ``window``, same return layout ``(codes, read_index,
-    positions, is_forward)``, but only the window minima survive — so
-    downstream consumers (owner hashing, metadata packing,
-    :class:`~repro.overlap.pairs.PairBatch` construction) are unchanged.
-
-    The ordering hash is computed over the codes as returned by the full
-    extraction — canonical codes in both pipeline uses (``with_strand=True``
-    or a canonical *spec*) — so two reads sharing an error-free window select
-    the same minimizer regardless of strand.
-    """
-    codes, read_index, positions, is_forward = extract_kmers_batch(
-        seqs, spec, with_strand=with_strand
-    )
-    keep = minimizer_mask(sketch_hash(codes), read_index, window)
-    return (
-        codes[keep],
-        read_index[keep],
-        positions[keep],
-        is_forward[keep] if is_forward.size else is_forward,
-    )
-
-
-def sketch_kmers_with_strand(
-    seq: str, spec: KmerSpec, window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scalar (one-read) sketch: ``(canonical codes, positions, is_forward)``.
-
-    The sketching mirror of
-    :func:`repro.seq.kmer.extract_kmers_with_strand`; used by the property
-    tests as the oracle for batch-vs-scalar equivalence.
-    """
-    codes, positions, is_forward = extract_kmers_with_strand(seq, spec)
-    keep = minimizer_mask(
-        sketch_hash(codes), np.zeros(codes.size, dtype=np.int64), window
-    )
-    return codes[keep], positions[keep], is_forward[keep]

@@ -13,8 +13,7 @@ diBELLA inherits BELLA's data-driven parameter choices (§2, §3):
   (binomially distributed).  k-mers observed far more often than that almost
   certainly come from genomic repeats and are discarded; the threshold is the
   upper tail of that distribution.
-* **cardinality estimates** — equation (2) of the paper: the total k-mer bag
-  is ≈ G·d instances, and the distinct-k-mer set is dominated by erroneous
+* **singleton fraction** — the distinct-k-mer set is dominated by erroneous
   singletons (up to 98% for long reads, §6), which is what makes the
   Bloom-filter pre-pass worthwhile.
 """
@@ -131,24 +130,6 @@ def high_frequency_threshold(
     return max(m, 4)
 
 
-def reliable_range(
-    coverage: float, error_rate: float, k: int, tail_probability: float = 1e-5
-) -> tuple[int, int]:
-    """(lower, upper) retained-k-mer count bounds: singletons out, repeats out."""
-    upper = high_frequency_threshold(coverage, error_rate, k,
-                                     tail_probability=tail_probability)
-    return 2, upper
-
-
-def estimate_total_kmers(genome_size: int, coverage: float) -> int:
-    """Equation (2): the k-mer bag size is approximately G · d instances."""
-    if genome_size <= 0:
-        raise ValueError("genome_size must be positive")
-    if coverage <= 0:
-        raise ValueError("coverage must be positive")
-    return int(genome_size * coverage)
-
-
 def expected_singleton_fraction(coverage: float, error_rate: float, k: int) -> float:
     """Expected fraction of *distinct* k-mers that are erroneous singletons.
 
@@ -166,19 +147,6 @@ def expected_singleton_fraction(coverage: float, error_rate: float, k: int) -> f
     _validate_k(k)
     erroneous_per_genome_position = coverage * (1.0 - probability_correct_kmer(error_rate, k))
     return erroneous_per_genome_position / (erroneous_per_genome_position + 1.0)
-
-
-def estimate_distinct_kmers(genome_size: int, coverage: float, error_rate: float,
-                            k: int) -> int:
-    """Estimated cardinality of the k-mer set (for Bloom-filter sizing, §6).
-
-    Distinct k-mers ≈ correct genomic k-mers (≈ G) plus distinct erroneous
-    k-mers (≈ G·d·(1 - (1-e)^k)).
-    """
-    if genome_size <= 0:
-        raise ValueError("genome_size must be positive")
-    erroneous = genome_size * coverage * (1.0 - probability_correct_kmer(error_rate, k))
-    return int(genome_size + erroneous)
 
 
 def _validate_error_rate(error_rate: float) -> None:

@@ -21,7 +21,7 @@ first-Alltoallv setup penalty (§10), and the per-platform performance
 ordering (Cori > Edison > Titan ≈ AWS for compute; AWS worst for exchange).
 """
 
-from repro.netmodel.platform import PlatformSpec, PLATFORMS, get_platform, list_platforms
+from repro.netmodel.platform import PlatformSpec, PLATFORMS, get_platform
 from repro.netmodel.costmodel import ComputeCostModel, ExchangeCostModel, CostModel
 from repro.netmodel.projection import (
     StageProjection,
@@ -34,7 +34,6 @@ __all__ = [
     "PlatformSpec",
     "PLATFORMS",
     "get_platform",
-    "list_platforms",
     "ComputeCostModel",
     "ExchangeCostModel",
     "CostModel",

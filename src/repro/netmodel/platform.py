@@ -138,11 +138,6 @@ def get_platform(name: str) -> PlatformSpec:
     return PLATFORMS[key]
 
 
-def list_platforms() -> list[str]:
-    """Short names of all registered platforms, in the paper's Table 1 order."""
-    return list(PLATFORMS.keys())
-
-
 def table1_rows() -> list[dict[str, object]]:
     """Rows reproducing Table 1 (plus AWS, described in prose in §5)."""
     rows = []

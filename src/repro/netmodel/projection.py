@@ -66,14 +66,6 @@ class StageProjection:
         """Compute plus exchange time."""
         return self.compute_seconds + self.exchange_seconds
 
-    @property
-    def items_per_second(self) -> float:
-        """Throughput in stage items per second (0 for an instantaneous stage)."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.items / self.total_seconds
-
-
 @dataclass(frozen=True)
 class PipelineProjection:
     """Projected per-stage and total times for a full pipeline run."""

@@ -22,11 +22,10 @@ from repro.overlap.pairs import (
     pair_chunk_ranges,
     owner_heuristic_oddeven,
     choose_owner,
-    consolidate_pairs,
     OverlapRecord,
     OverlapTable,
 )
-from repro.overlap.seeds import select_seeds, select_seeds_batched, SeedStrategy
+from repro.overlap.seeds import select_seeds_batched, SeedStrategy
 
 __all__ = [
     "PairBatch",
@@ -34,10 +33,8 @@ __all__ = [
     "pair_chunk_ranges",
     "owner_heuristic_oddeven",
     "choose_owner",
-    "consolidate_pairs",
     "OverlapRecord",
     "OverlapTable",
-    "select_seeds",
     "select_seeds_batched",
     "SeedStrategy",
 ]

@@ -179,10 +179,6 @@ class OverlapTable:
     def __len__(self) -> int:
         return self.n_pairs
 
-    def seed_counts(self) -> np.ndarray:
-        """Number of seeds of each pair."""
-        return np.diff(self.seed_offsets)
-
     def record(self, index: int) -> OverlapRecord:
         """Materialise the *index*-th pair as an :class:`OverlapRecord`."""
         lo, hi = int(self.seed_offsets[index]), int(self.seed_offsets[index + 1])
@@ -468,11 +464,3 @@ def generate_pairs(
         swapped=swap.astype(bool),
     )
 
-
-def consolidate_pairs(batch: PairBatch) -> list[OverlapRecord]:
-    """Group a task batch by read pair into :class:`OverlapRecord` objects.
-
-    Compatibility wrapper over :meth:`OverlapTable.from_pairs` for callers
-    that want per-pair record objects; the pipeline itself keeps the table.
-    """
-    return list(OverlapTable.from_pairs(batch))

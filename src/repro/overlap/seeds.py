@@ -63,64 +63,17 @@ class SeedStrategy:
         return cls(mode="min_separation", min_separation=distance, max_seeds=max_seeds)
 
 
-def select_seeds(
-    pos_a: np.ndarray,
-    pos_b: np.ndarray,
-    strategy: SeedStrategy,
-) -> np.ndarray:
-    """Select which shared k-mer seeds of one read pair to align.
-
-    Parameters
-    ----------
-    pos_a, pos_b:
-        Positions of every shared retained k-mer in read A and read B
-        (parallel arrays, unordered).
-    strategy:
-        The selection policy.
-
-    Returns
-    -------
-    numpy.ndarray
-        Indices (into ``pos_a``/``pos_b``) of the selected seeds, ordered by
-        position on read A.
-    """
-    pos_a = np.asarray(pos_a, dtype=np.int64)
-    pos_b = np.asarray(pos_b, dtype=np.int64)
-    if pos_a.shape != pos_b.shape:
-        raise ValueError("pos_a and pos_b must have the same shape")
-    n = pos_a.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-
-    order = np.argsort(pos_a, kind="stable")
-
-    if strategy.mode == "one":
-        # Use the first seed by position on read A — deterministic and what
-        # the "exactly one seed per pair" configuration computes.
-        return order[:1]
-
-    # min_separation: greedy left-to-right scan keeping any seed at least
-    # min_separation bases after the previously kept one.
-    selected: list[int] = []
-    last_pos = -np.iinfo(np.int64).max
-    for idx in order:
-        p = int(pos_a[idx])
-        if p - last_pos >= strategy.min_separation:
-            selected.append(int(idx))
-            last_pos = p
-            if strategy.max_seeds is not None and len(selected) >= strategy.max_seeds:
-                break
-    return np.array(selected, dtype=np.int64)
-
-
 def select_seeds_batched(table: "OverlapTable", strategy: SeedStrategy) -> np.ndarray:
     """Select alignment seeds for *every* pair of an overlap table at once.
 
     Operates directly on the table's flat seed arrays (seeds are sorted by
-    position on read A within each pair, which is exactly the order the
-    greedy scan of :func:`select_seeds` visits them in) and returns the
-    selected indices into those flat arrays, sorted ascending — i.e. grouped
-    by pair, by position within each pair.
+    position on read A within each pair) and returns the selected indices
+    into those flat arrays, sorted ascending — i.e. grouped by pair, by
+    position within each pair.  ``one`` keeps each pair's first seed by
+    position on read A; ``min_separation`` keeps the seeds a greedy
+    left-to-right scan over each pair would keep: every seed at least
+    ``min_separation`` bases after the previously kept one, up to
+    ``max_seeds``.
 
     The greedy ``min_separation`` scan is vectorised *across pairs*: each
     round selects the current candidate seed of every still-active pair, then

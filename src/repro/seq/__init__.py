@@ -33,7 +33,6 @@ from repro.seq.encoding import (
 )
 from repro.seq.packing import (
     PackedReadBlock,
-    pack_codes,
     pack_read_block,
     packed_length,
     unpack_codes,
@@ -41,14 +40,9 @@ from repro.seq.packing import (
 from repro.seq.kmer import (
     KmerSpec,
     extract_kmer_codes,
-    extract_kmers_with_positions,
     extract_kmers_with_strand,
-    canonical_code,
     canonicalize_codes,
-    kmer_code_to_string,
-    kmer_string_to_code,
     reverse_complement_code,
-    iter_kmers,
 )
 from repro.seq.records import Read, ReadSet
 
@@ -63,20 +57,14 @@ __all__ = [
     "encode_sequence",
     "decode_sequence",
     "PackedReadBlock",
-    "pack_codes",
     "unpack_codes",
     "packed_length",
     "pack_read_block",
     "KmerSpec",
     "extract_kmer_codes",
-    "extract_kmers_with_positions",
     "extract_kmers_with_strand",
-    "canonical_code",
     "canonicalize_codes",
-    "kmer_code_to_string",
-    "kmer_string_to_code",
     "reverse_complement_code",
-    "iter_kmers",
     "Read",
     "ReadSet",
 ]

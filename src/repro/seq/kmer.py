@@ -16,11 +16,10 @@ matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.seq.alphabet import DNA_ALPHABET
 from repro.seq.encoding import encode_sequence
 
 #: Largest k representable in a single uint64 code.
@@ -51,36 +50,6 @@ class KmerSpec:
         if not (1 <= self.k <= MAX_K):
             raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
 
-    @property
-    def code_mask(self) -> int:
-        """Bit mask covering the 2*k low bits of a k-mer code."""
-        return (1 << (2 * self.k)) - 1
-
-    def kmers_in(self, read_length: int) -> int:
-        """Number of k-mers in a read of the given length (L - k + 1, >= 0)."""
-        return max(0, read_length - self.k + 1)
-
-
-def kmer_string_to_code(kmer: str) -> int:
-    """Convert a k-mer string (length <= 31) to its integer code."""
-    if not (1 <= len(kmer) <= MAX_K):
-        raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {len(kmer)}")
-    codes = encode_sequence(kmer)
-    value = 0
-    for c in codes:
-        value = (value << 2) | int(c)
-    return value
-
-
-def kmer_code_to_string(code: int, k: int) -> str:
-    """Convert an integer k-mer code back to its string form."""
-    if not (1 <= k <= MAX_K):
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    chars = []
-    for shift in range(2 * (k - 1), -2, -2):
-        chars.append(DNA_ALPHABET[(code >> shift) & 3])
-    return "".join(chars)
-
 
 def reverse_complement_code(codes: np.ndarray | int, k: int) -> np.ndarray | int:
     """Reverse-complement k-mer code(s) arithmetically.
@@ -101,12 +70,6 @@ def reverse_complement_code(codes: np.ndarray | int, k: int) -> np.ndarray | int
     if scalar:
         return int(out[0])
     return out
-
-
-def canonical_code(code: int, k: int) -> int:
-    """Return the canonical representative of a single k-mer code."""
-    rc = reverse_complement_code(code, k)
-    return code if code <= rc else int(rc)
 
 
 def canonicalize_codes(codes: np.ndarray, k: int) -> np.ndarray:
@@ -139,18 +102,6 @@ def extract_kmer_codes(seq: str, spec: KmerSpec) -> np.ndarray:
     if spec.canonical:
         kmers = canonicalize_codes(kmers, k)
     return kmers
-
-
-def extract_kmers_with_positions(seq: str, spec: KmerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (codes, positions) for every k-mer of a read.
-
-    Positions are the 0-based offsets of the k-mer's first base in the read —
-    the "location metadata" that stage 2 of the pipeline ships along with each
-    k-mer instance (§7).
-    """
-    codes = extract_kmer_codes(seq, spec)
-    positions = np.arange(codes.size, dtype=np.int64)
-    return codes, positions
 
 
 def extract_kmers_with_strand(seq: str, spec: KmerSpec
@@ -260,17 +211,3 @@ def extract_kmers_batch(
         raw = np.minimum(raw, rc[valid])
     return raw, read_index, positions, empty_bool
 
-
-def iter_kmers(seq: str, k: int, canonical: bool = False) -> Iterator[str]:
-    """Yield k-mer strings of *seq* in order (reference implementation).
-
-    Used by tests as a slow oracle against the vectorised extraction.
-    """
-    spec = KmerSpec(k=k, canonical=False)
-    codes = extract_kmer_codes(seq, spec)
-    for code in codes:
-        s = kmer_code_to_string(int(code), k)
-        if canonical:
-            c = canonical_code(int(code), k)
-            s = kmer_code_to_string(c, k)
-        yield s

@@ -7,21 +7,19 @@ that phase's exchange volume a first-order term at scale, and §3 notes that
 represented with 2 bits" — the same observation minimap2 exploits for its
 hot paths.  This module packs base codes four-to-a-byte so a read block
 crosses the wire (and the shared-memory segments of the process backend) at
-~1/4 of its ASCII size.
+~1/4 of its ASCII size.  It has two parts:
 
-Two layers are provided:
-
-* :func:`pack_codes` / :func:`unpack_codes` — the primitive codec turning a
-  ``uint8`` 2-bit code array (``A=0, C=1, G=2, T=3``, see
-  :mod:`repro.seq.alphabet`) into a packed ``uint8`` buffer and back.  Base
-  ``j`` of the input occupies bits ``2*(j % 4) .. 2*(j % 4) + 1`` of output
-  byte ``j // 4`` (little-endian within the byte); the final byte's unused
-  high bits are zero.
 * :class:`PackedReadBlock` / :func:`pack_read_block` — the alignment-stage
   *wire format*: many reads packed into one contiguous buffer, each read
   starting on a byte boundary, with RIDs and per-read base lengths carried
   in typed side arrays (the headers of the framing described in
-  ``docs/wire-format.md``).
+  ``docs/wire-format.md``).  Each read is a ``uint8`` 2-bit code array
+  (``A=0, C=1, G=2, T=3``, see :mod:`repro.seq.alphabet`); base ``j`` of a
+  read occupies bits ``2*(j % 4) .. 2*(j % 4) + 1`` of the read's byte
+  ``j // 4`` (little-endian within the byte), and the read's final byte's
+  unused high bits are zero.
+* :func:`unpack_codes` — turns one read's packed bytes back into its code
+  array.
 
 Ambiguous bases (``N``) never reach this codec: readers sanitise on ingest
 (:func:`repro.seq.alphabet.sanitize`), and any code outside ``[0, 3]``
@@ -37,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "pack_codes",
     "unpack_codes",
     "packed_length",
     "PackedReadBlock",
@@ -69,47 +66,13 @@ def packed_length(n_bases: int) -> int:
     return (n_bases + BASES_PER_BYTE - 1) // BASES_PER_BYTE
 
 
-def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack a ``uint8`` array of 2-bit base codes four-to-a-byte.
-
-    Parameters
-    ----------
-    codes:
-        1-D array of base codes in ``[0, 3]`` (any integer dtype).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``uint8`` array of :func:`packed_length` bytes; base ``j`` sits in
-        bits ``2*(j % 4)`` of byte ``j // 4``, trailing pad bits are zero.
-
-    Raises
-    ------
-    ValueError
-        If any code is outside ``[0, 3]`` (an unsanitised base would
-        otherwise bleed into its neighbours' bits).
-    """
-    codes = np.ascontiguousarray(codes)
-    if codes.ndim != 1:
-        raise ValueError(f"codes must be 1-D, got shape {codes.shape}")
-    if codes.size and (codes.min() < 0 or codes.max() > 3):
-        raise ValueError("base codes must be in [0, 3]; sanitise reads on ingest")
-    n = int(codes.size)
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-    padded = np.zeros(packed_length(n) * BASES_PER_BYTE, dtype=np.uint8)
-    padded[:n] = codes
-    lanes = padded.reshape(-1, BASES_PER_BYTE) << _SHIFTS
-    return np.bitwise_or.reduce(lanes, axis=1).astype(np.uint8)
-
-
 def unpack_codes(packed: np.ndarray, n_bases: int) -> np.ndarray:
-    """Undo :func:`pack_codes`.
+    """Unpack one read's 2-bit packed bytes into its base codes.
 
     Parameters
     ----------
     packed:
-        ``uint8`` buffer produced by :func:`pack_codes` (or a slice of a
+        ``uint8`` buffer holding one read's packed bases (a slice of a
         :class:`PackedReadBlock` payload).
     n_bases:
         Original base count; trailing pad bits of the final byte are

@@ -4,8 +4,8 @@ These are the metrics the paper's evaluation section reports:
 
 * strong-scaling efficiency and speedup relative to one node, Figures 4,
   11 and 12,
-* k-mer frequency spectra and overlap statistics used to validate the
-  synthetic data sets against the paper's stated data characteristics,
+* k-mer frequency spectra used to validate the synthetic data sets against
+  the paper's stated data characteristics,
 * overlap recall/precision against the simulator's ground truth (the
   "ground truth is known" quality comparisons BELLA emphasises).
 """
@@ -13,22 +13,16 @@ These are the metrics the paper's evaluation section reports:
 from repro.stats.scaling import (
     efficiency_series,
     speedup_series,
-    strong_scaling_efficiency,
 )
 from repro.stats.histograms import (
     kmer_spectrum,
-    overlap_count_histogram,
-    read_length_histogram,
 )
 from repro.stats.quality import overlap_recall_precision, OverlapQuality
 
 __all__ = [
     "efficiency_series",
     "speedup_series",
-    "strong_scaling_efficiency",
     "kmer_spectrum",
-    "overlap_count_histogram",
-    "read_length_histogram",
     "overlap_recall_precision",
     "OverlapQuality",
 ]

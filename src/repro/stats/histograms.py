@@ -1,9 +1,7 @@
-"""Distribution summaries: k-mer spectra, overlap counts, read lengths.
+"""Distribution summaries: k-mer spectra.
 
 Used to validate that the synthetic data sets have the characteristics the
-paper's analysis relies on (singleton-dominated k-mer spectra, §6; read
-length distributions, §5) and to report workload shape in the experiment
-harness.
+paper's analysis relies on (singleton-dominated k-mer spectra, §6).
 """
 
 from __future__ import annotations
@@ -36,29 +34,3 @@ def kmer_spectrum(reads: ReadSet, k: int = 17, max_multiplicity: int = 64) -> di
         "histogram": hist,
         "max_multiplicity": int(counts.max(initial=0)),
     }
-
-
-def overlap_count_histogram(pairs_per_read: np.ndarray, max_bin: int = 128) -> np.ndarray:
-    """Histogram of overlaps-per-read (the degree distribution of the overlap graph)."""
-    values = np.asarray(pairs_per_read, dtype=np.int64)
-    if max_bin <= 0:
-        raise ValueError("max_bin must be positive")
-    if values.size == 0:
-        return np.zeros(max_bin + 1, dtype=np.int64)
-    return np.bincount(np.minimum(values, max_bin), minlength=max_bin + 1)
-
-
-def read_length_histogram(reads: ReadSet, bin_width: int = 1000) -> dict[str, object]:
-    """Read-length distribution summary (mean, N50, histogram by bin_width)."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    lengths = reads.read_lengths()
-    if lengths.size == 0:
-        return {"mean": 0.0, "n50": 0, "histogram": np.zeros(1, dtype=np.int64)}
-    sorted_desc = np.sort(lengths)[::-1]
-    cumulative = np.cumsum(sorted_desc)
-    half = cumulative[-1] / 2
-    n50 = int(sorted_desc[np.searchsorted(cumulative, half)])
-    bins = (lengths // bin_width).astype(np.int64)
-    hist = np.bincount(bins)
-    return {"mean": float(lengths.mean()), "n50": n50, "histogram": hist}

@@ -40,14 +40,6 @@ class OverlapQuality:
             return 1.0
         return self.true_positives / self.n_detected
 
-    @property
-    def f1(self) -> float:
-        """Harmonic mean of recall and precision."""
-        r, p = self.recall, self.precision
-        if r + p == 0:
-            return 0.0
-        return 2 * r * p / (r + p)
-
 
 def overlap_recall_precision(
     detected: Collection[tuple[int, int]],

@@ -8,20 +8,7 @@ expected for the compute phases once the working set fits in cache (§6).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import numpy as np
-
-
-def strong_scaling_efficiency(time_1node: float, time_n: float, n_nodes: int) -> float:
-    """Efficiency of an N-node run relative to the 1-node run."""
-    if n_nodes <= 0:
-        raise ValueError("n_nodes must be positive")
-    if time_1node < 0 or time_n < 0:
-        raise ValueError("times must be non-negative")
-    if time_n == 0:
-        return 0.0 if time_1node == 0 else float("inf")
-    return time_1node / (n_nodes * time_n)
+from typing import Mapping
 
 
 def speedup_series(times: Mapping[int, float]) -> dict[int, float]:
@@ -47,20 +34,3 @@ def efficiency_series(times: Mapping[int, float]) -> dict[int, float]:
     base_nodes = min(times)
     speedups = speedup_series(times)
     return {nodes: speedups[nodes] * base_nodes / nodes for nodes in speedups}
-
-
-def throughput_series(items: float, times: Mapping[int, float]) -> dict[int, float]:
-    """Throughput (items/second) for a {nodes: time} series of a fixed workload."""
-    if items < 0:
-        raise ValueError("items must be non-negative")
-    return {nodes: (items / t if t > 0 else 0.0) for nodes, t in sorted(times.items())}
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0.0 for an empty sequence)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.log(arr).mean()))

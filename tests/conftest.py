@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,39 @@ def private_kernel_cache(tmp_path_factory):
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
     yield
     patch.undo()
+
+
+def _psm_names() -> frozenset[str]:
+    """Names of the live POSIX shared-memory segments the runtime makes
+    (empty off-POSIX)."""
+    try:
+        return frozenset(f for f in os.listdir("/dev/shm") if f.startswith("psm_"))
+    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
+        return frozenset()
+
+
+class ShmSegments:
+    """Calling it lists the ``psm_*`` segments created since the current test
+    began, so a leak check ignores segments other processes on the host hold
+    (the per-test form of ``scripts/ci.sh``'s ``no_shm_leak``)."""
+
+    def __init__(self) -> None:
+        self.before: frozenset[str] = frozenset()
+
+    def __call__(self) -> list[str]:
+        return sorted(_psm_names() - self.before)
+
+
+@pytest.fixture(scope="session")
+def new_shm_segments() -> ShmSegments:
+    """The leak check's names (session-scoped, so Hypothesis tests can use
+    it; ``_snapshot_shm_segments`` resets its baseline before every test)."""
+    return ShmSegments()
+
+
+@pytest.fixture(autouse=True)
+def _snapshot_shm_segments(new_shm_segments: ShmSegments) -> None:
+    new_shm_segments.before = _psm_names()
 
 
 @pytest.fixture(scope="session")

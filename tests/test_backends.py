@@ -31,14 +31,6 @@ from repro.mpisim.runtime import spmd_run
 from repro.mpisim.tracing import CommTrace
 
 
-def _shm_segments() -> list[str]:
-    """Names of live POSIX shared-memory segments (empty off-POSIX)."""
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith("psm_")]
-    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
-        return []
-
-
 class TestResolveBackend:
     def test_names(self):
         assert isinstance(resolve_backend("thread"), ThreadBackend)
@@ -153,13 +145,13 @@ class TestProcessErrorHandling:
         with pytest.raises(RankFailedError, match="broken barrier|watchdog"):
             spmd_run(2, program, backend="process")
 
-    def test_no_shared_memory_leaked(self):
+    def test_no_shared_memory_leaked(self, new_shm_segments):
         def program(comm):
             comm.alltoallv([np.arange(100, dtype=np.int64)] * comm.size)
             return comm.allreduce(1)
 
         spmd_run(3, program, backend="process")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
 
 def _split_phase_program(comm):
@@ -208,9 +200,9 @@ class TestSplitPhaseExchange:
         results = spmd_run(1, _split_phase_program, backend="process")
         assert results == spmd_run(1, _sync_phase_program, backend="thread")
 
-    def test_no_shared_memory_leaked(self):
+    def test_no_shared_memory_leaked(self, new_shm_segments):
         spmd_run(3, _split_phase_program, backend="process")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_trace_identical_to_synchronous(self, backend):
@@ -222,7 +214,7 @@ class TestSplitPhaseExchange:
                 == sync_trace.snapshot()["alltoallv_calls"])
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_peer_failure_unblocks_finish(self, backend):
+    def test_peer_failure_unblocks_finish(self, new_shm_segments, backend):
         def program(comm):
             handle = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
             if comm.rank == 1:
@@ -238,7 +230,7 @@ class TestSplitPhaseExchange:
         with pytest.raises(RankFailedError, match="rank 1"):
             spmd_run(3, program, backend=backend)
         if backend == "process":
-            assert _shm_segments() == []
+            assert new_shm_segments() == []
 
 
 def _interleaved_program(comm):
@@ -297,7 +289,7 @@ class TestInterleavedExchanges:
         assert trace.snapshot()["alltoallv_calls"] == 2
         assert trace.phase_traffic("reduce").collective_calls == 0
 
-    def test_pooled_rerun(self):
+    def test_pooled_rerun(self, new_shm_segments):
         shutdown_rank_pools()
         try:
             for _ in range(2):
@@ -306,7 +298,7 @@ class TestInterleavedExchanges:
                         == _interleaved_expected(3))
         finally:
             shutdown_rank_pools()
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
 
 def _raising_reducer(a, b):
@@ -337,7 +329,7 @@ class TestSmallCollectives:
         assert "reducer refuses" in str(err.value.__cause__)
 
     @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
-    def test_no_shared_memory_leaked(self, pool):
+    def test_no_shared_memory_leaked(self, new_shm_segments, pool):
         shutdown_rank_pools()
         try:
             results = spmd_run(3, _small_collectives_program,
@@ -345,7 +337,7 @@ class TestSmallCollectives:
         finally:
             shutdown_rank_pools()
         assert results == [([3, 6, 9, 12], 2, [7, 7, 7], "r0r1r2")] * 3
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
 
 def _late_publisher_program(comm):
@@ -360,7 +352,7 @@ class TestCollectiveTimeout:
     """A timed-out exchange wait is a typed failure of the rank that waited."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_timed_out_exchange_raises_typed_error(self, backend, monkeypatch):
+    def test_timed_out_exchange_raises_typed_error(self, new_shm_segments, backend, monkeypatch):
         from repro.mpisim import communicator
 
         monkeypatch.setattr(communicator, "_BARRIER_TIMEOUT", 0.5)
@@ -370,7 +362,7 @@ class TestCollectiveTimeout:
             spmd_run(2, _late_publisher_program, backend=backend)
         assert isinstance(err.value.__cause__, CollectiveTimeoutError)
         if backend == "process":
-            assert _shm_segments() == []
+            assert new_shm_segments() == []
 
 
 def _pool_pid_program(comm):
@@ -417,7 +409,7 @@ class TestRankPool:
         recovered = spmd_run(3, _pool_pid_program, backend="process", pool=True)
         assert [r[1:] for r in recovered] == [r[1:] for r in baseline]
 
-    def test_shutdown_leaves_no_orphans_or_segments(self):
+    def test_shutdown_leaves_no_orphans_or_segments(self, new_shm_segments):
         import multiprocessing as mp
 
         spmd_run(3, _pool_pid_program, backend="process", pool=True)
@@ -430,7 +422,7 @@ class TestRankPool:
             time.sleep(0.05)
         assert not any(p.name.startswith("spmd-pool-rank-")
                        for p in mp.active_children())
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
     def test_thread_backend_ignores_pool_flag(self):
         assert spmd_run(2, _pool_pid_program, backend="thread", pool=True) \
@@ -507,13 +499,13 @@ class TestArenas:
         yield
         shutdown_rank_pools()
 
-    def test_small_calls_keep_every_arena(self):
+    def test_small_calls_keep_every_arena(self, new_shm_segments):
         first = spmd_run(2, _many_small_collectives_program, 200,
                          backend="process", pool=True)
         table = _pool_engine(2).arena_table()
         # One creation per (rank, slot), then 200 calls without growing.
         assert {gen for _name, gen in table.values()} == {1}
-        assert {name for name, _gen in table.values()} <= set(_shm_segments())
+        assert {name for name, _gen in table.values()} <= set(new_shm_segments())
         second = spmd_run(2, _many_small_collectives_program, 200,
                           backend="process", pool=True)
         assert _pool_engine(2).arena_table() == table
@@ -760,7 +752,7 @@ class TestPipelineParityMatrix:
         for column in fresh_table:
             np.testing.assert_array_equal(other_table[column], fresh_table[column])
 
-    def test_pool_shutdown_after_pipeline_leaves_nothing(self, micro_dataset,
+    def test_pool_shutdown_after_pipeline_leaves_nothing(self, new_shm_segments, micro_dataset,
                                                          micro_config):
         import multiprocessing as mp
 
@@ -775,7 +767,7 @@ class TestPipelineParityMatrix:
             time.sleep(0.05)
         assert not any(p.name.startswith("spmd-pool-rank-")
                        for p in mp.active_children())
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
     def test_double_buffer_records_overlapped_time_when_multichunk(
             self, micro_dataset, micro_config):

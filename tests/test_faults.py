@@ -47,14 +47,6 @@ from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
 
 
-def _shm_segments() -> list[str]:
-    """Names of live POSIX shared-memory segments (empty off-POSIX)."""
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith("psm_")]
-    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
-        return []
-
-
 def _await_no_workers(prefix: str = "spmd-") -> None:
     """Poll until no rank process with *prefix* survives (bounded)."""
     deadline = time.monotonic() + 10.0
@@ -223,7 +215,7 @@ class TestChaosSweep:
     @given(rank=st.integers(min_value=0, max_value=1),
            step=st.integers(min_value=0, max_value=6),
            action=st.sampled_from(["kill", "exit", "delay"]))
-    def test_recovers_cleanly_or_fails_typed(self, rank, step, action):
+    def test_recovers_cleanly_or_fails_typed(self, new_shm_segments, rank, step, action):
         plan = f"{action}:rank={rank}:step={step}"
         if action == "delay":
             plan += ":ms=50"
@@ -239,9 +231,9 @@ class TestChaosSweep:
             assert results == _chaos_baseline()
             assert action == "delay" or step >= 5
         _await_no_workers("spmd-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
-    def test_kill_is_detected_and_counted(self):
+    def test_kill_is_detected_and_counted(self, new_shm_segments):
         reset_recovery_counters()
         with pytest.raises(RankFailedError) as err:
             spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
@@ -249,7 +241,7 @@ class TestChaosSweep:
         assert "exited with code -9" in str(err.value.__cause__)
         assert recovery_counters()["rank_failures_detected"] == 1
         _await_no_workers("spmd-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +256,7 @@ class TestPoolFailureHygiene:
         yield
         shutdown_rank_pools()
 
-    def test_kill_mid_split_phase_then_shutdown(self):
+    def test_kill_mid_split_phase_then_shutdown(self, new_shm_segments):
         """Regression: a worker killed inside ``alltoallv_start`` leaves
         half-published split-phase segments; eviction + shutdown must
         reclaim them without wedging on the dead waiter."""
@@ -275,7 +267,7 @@ class TestPoolFailureHygiene:
         shutdown_rank_pools()  # already evicted: must be a prompt no-op
         assert time.monotonic() - start < 30.0
         _await_no_workers("spmd-pool-rank-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
         # A fresh pool recovers.  The deliberate shutdown above reset the
         # eviction lineage, so this is a cold start, not a counted respawn
         # (the respawn accounting is pinned by
@@ -287,7 +279,7 @@ class TestPoolFailureHygiene:
         assert counters["rank_failures_detected"] >= 1
         assert counters["pool_respawns"] == 0
 
-    def test_parked_worker_killed_then_shutdown_prompt(self):
+    def test_parked_worker_killed_then_shutdown_prompt(self, new_shm_segments):
         """Regression: SIGKILL a *parked* worker, then shutdown.  The old
         sentinel+barrier path would wedge inside multiprocessing's notify
         handshake (a dead process stays registered as a waiter)."""
@@ -303,14 +295,14 @@ class TestPoolFailureHygiene:
         shutdown_rank_pools()
         assert time.monotonic() - start < 30.0
         _await_no_workers("spmd-pool-rank-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
     @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("plan", [
         "kill:rank=1:step=3",   # rank 0 grows its arena, its peer dies
         "kill:rank=0:step=4",   # killed while holding the grown arena
     ])
-    def test_kill_around_arena_growth_leaves_nothing(self, pool, plan):
+    def test_kill_around_arena_growth_leaves_nothing(self, new_shm_segments, pool, plan):
         """Every arena is named in the metadata before data lands in it,
         so the parent reclaims grown and replaced arenas alike."""
         with pytest.raises(RankFailedError):
@@ -318,9 +310,9 @@ class TestPoolFailureHygiene:
                      faults=plan)
         shutdown_rank_pools()
         _await_no_workers("spmd-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
-    def test_parked_worker_death_detected_on_next_run(self):
+    def test_parked_worker_death_detected_on_next_run(self, new_shm_segments):
         spmd_run(2, _chaos_program, _CHAOS_XS, backend="process", pool=True)
         victims = [p for p in mp.active_children()
                    if p.name.startswith("spmd-pool-rank-")]
@@ -342,9 +334,9 @@ class TestPoolFailureHygiene:
         # survives, and its shutdown reclaims them all.
         (pool,) = _POOLS.values()
         arenas = {name for name, _gen in pool.engine.arena_table().values()}
-        assert set(_shm_segments()) <= arenas
+        assert set(new_shm_segments()) <= arenas
         shutdown_rank_pools()
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ class TestServeKillRecovery:
         service.shutdown()
         return build, record
 
-    def test_kill_during_build_recovers_bit_identical(self, micro_dataset):
+    def test_kill_during_build_recovers_bit_identical(self, new_shm_segments, micro_dataset):
         _build0, clean = self._run_session(micro_dataset, None)
         shutdown_rank_pools()
         reset_recovery_counters()
@@ -527,9 +519,9 @@ class TestServeKillRecovery:
         assert build.counters["recovery_seconds"] >= 1
         assert _science(record.result) == _science(clean.result)
         _await_no_workers("spmd-pool-rank-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
-    def test_kill_during_batch_recovers_bit_identical(self, micro_dataset):
+    def test_kill_during_batch_recovers_bit_identical(self, new_shm_segments, micro_dataset):
         _build0, clean = self._run_session(micro_dataset, None)
         shutdown_rank_pools()
         reset_recovery_counters()
@@ -542,4 +534,4 @@ class TestServeKillRecovery:
         assert counters["recovery_seconds"] >= 1
         assert _science(record.result) == _science(clean.result)
         _await_no_workers("spmd-pool-rank-")
-        assert _shm_segments() == []
+        assert new_shm_segments() == []

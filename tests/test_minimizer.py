@@ -6,8 +6,9 @@ Three layers of pinning:
   sketch a sound seed set: every w-window of a read contains a selected
   position (coverage), the sketch is a subset of the full canonical k-mer
   stream, it agrees with :func:`extract_kmers_with_strand` on
-  canonicalization, batch and scalar extraction are equivalent, and w=1
-  degenerates to the full stream;
+  canonicalization, the pipeline's batch funnel (``stages._extract_batch_kmers``)
+  and the one-read oracle are equivalent, and w=1 degenerates to the full
+  stream;
 * **pipeline threading** — ``seed_mode="minimizer"`` actually shrinks the
   stage 1-3 exchange volume and the retained table, reports the density
   counters, and still finds overlaps; config/env knob validation;
@@ -28,17 +29,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import _build_parser, _config
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
-from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
+from repro.core.stages import (
+    _extract_batch_kmers,
+    reset_persistent_read_caches,
+    reset_resident_indexes,
+)
 from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.genome import GenomeSpec
 from repro.data.reads import ReadSimSpec
-from repro.kmers.minimizer import (
-    expected_density,
-    minimizer_mask,
-    sketch_hash,
-    sketch_kmers_batch,
-    sketch_kmers_with_strand,
-)
+from repro.kmers.minimizer import minimizer_mask, sketch_hash
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import (
@@ -46,13 +45,24 @@ from repro.seq.kmer import (
     extract_kmers_batch,
     extract_kmers_with_strand,
 )
-from repro.seq.records import ReadSet
+from repro.seq.records import Read, ReadSet
+
+from oracles import sketch_kmers_with_strand
 
 K = 9
 SPEC = KmerSpec(k=K)
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 windows = st.integers(min_value=1, max_value=15)
+
+
+def sketch_batch(seqs, window):
+    """The minimizer sketch of *seqs* through the pipeline's k-mer funnel:
+    ``(canonical codes, read index, positions, is_forward)``."""
+    readset = ReadSet(Read(name=f"r{i}", sequence=seq) for i, seq in enumerate(seqs))
+    config = PipelineConfig(kmer=SPEC, seed_mode="minimizer", minimizer_window=window)
+    return _extract_batch_kmers(readset, list(range(len(seqs))), config,
+                                with_positions=True)
 
 
 def _cleanup():
@@ -117,10 +127,6 @@ class TestMinimizerMask:
         with pytest.raises(ValueError, match="shape"):
             minimizer_mask(np.zeros(3, dtype=np.uint64),
                            np.zeros(2, dtype=np.int64), 2)
-        with pytest.raises(ValueError):
-            expected_density(0)
-        assert expected_density(1) == 1.0
-        assert expected_density(11) == pytest.approx(2.0 / 12.0)
 
 
 class TestSketchExtraction:
@@ -131,8 +137,7 @@ class TestSketchExtraction:
     def test_subset_of_full_canonical_stream(self, seqs, window):
         full_codes, full_ri, full_pos, full_strand = extract_kmers_batch(
             seqs, SPEC, with_strand=True)
-        codes, ri, pos, strand = sketch_kmers_batch(seqs, SPEC, window,
-                                                    with_strand=True)
+        codes, ri, pos, strand = sketch_batch(seqs, window)
         full = {(int(r), int(p)): (int(c), bool(s))
                 for r, p, c, s in zip(full_ri, full_pos, full_codes, full_strand)}
         for r, p, c, s in zip(ri, pos, codes, strand):
@@ -165,8 +170,7 @@ class TestSketchExtraction:
     @given(st.lists(dna, min_size=0, max_size=6), windows)
     @settings(max_examples=40, deadline=None)
     def test_batch_matches_scalar(self, seqs, window):
-        codes, ri, pos, strand = sketch_kmers_batch(seqs, SPEC, window,
-                                                    with_strand=True)
+        codes, ri, pos, strand = sketch_batch(seqs, window)
         for i, seq in enumerate(seqs):
             s_codes, s_pos, s_strand = sketch_kmers_with_strand(seq, SPEC, window)
             sel = ri == i
@@ -191,10 +195,10 @@ class TestSketchExtraction:
                 for _ in range(8)]
         full, _, _, _ = extract_kmers_batch(seqs, SPEC, with_strand=True)
         for window in (5, 11, 19):
-            codes, _, _, _ = sketch_kmers_batch(seqs, SPEC, window,
-                                                with_strand=True)
+            codes, _, _, _ = sketch_batch(seqs, window)
             density = codes.size / full.size
-            assert density == pytest.approx(expected_density(window), rel=0.25)
+            # minimap2's expected density of random sequence, 2 / (w + 1).
+            assert density == pytest.approx(2.0 / (window + 1), rel=0.25)
 
     def test_sketch_hash_is_not_the_owner_hash(self):
         from repro.kmers.hashing import mix64
@@ -209,8 +213,6 @@ class TestConfigKnobs:
         config = PipelineConfig()
         assert config.seed_mode == "reliable"
         assert config.minimizer_window == 11
-        assert config.sketch_window == 1  # reliable mode keeps everything
-        assert replace(config, seed_mode="minimizer", minimizer_window=7).sketch_window == 7
         with pytest.raises(ValueError, match="seed mode"):
             PipelineConfig(seed_mode="syncmer")
         with pytest.raises(ValueError, match="minimizer_window"):
@@ -222,7 +224,6 @@ class TestConfigKnobs:
         config = PipelineConfig()
         assert config.seed_mode == "minimizer"
         assert config.minimizer_window == 5
-        assert config.sketch_window == 5
 
     def test_seed_mode_flag_keeps_window(self, monkeypatch):
         """``--seed-mode`` alone leaves the window at its environment default."""

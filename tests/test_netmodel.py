@@ -6,13 +6,13 @@ import pytest
 from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace, PhaseTraffic
 from repro.netmodel.costmodel import ComputeCostModel, CostModel, ExchangeCostModel
-from repro.netmodel.platform import PLATFORMS, get_platform, list_platforms, table1_rows
+from repro.netmodel.platform import PLATFORMS, get_platform, table1_rows
 from repro.netmodel.projection import project_pipeline, project_stage
 
 
 class TestPlatforms:
     def test_registry_contents(self):
-        assert list_platforms() == ["cori", "edison", "titan", "aws"]
+        assert list(PLATFORMS) == ["cori", "edison", "titan", "aws"]
         cori = get_platform("cori")
         # Table 1 values.
         assert cori.cores_per_node == 32
@@ -201,7 +201,8 @@ class TestProjection:
         assert scaled.compute_seconds == pytest.approx(100 * base.compute_seconds)
         assert scaled.items == 100 * base.items
         # Throughput stays in the same ballpark (latency terms are not scaled).
-        assert scaled.items_per_second >= base.items_per_second
+        assert (scaled.items / scaled.total_seconds
+                >= base.items / base.total_seconds)
 
     def test_model_bundle_defaults(self):
         model = CostModel()

@@ -13,18 +13,19 @@ from repro.overlap.pairs import (
     OverlapTable,
     PairBatch,
     choose_owner,
-    consolidate_pairs,
     generate_pairs,
     owner_heuristic_oddeven,
 )
-from repro.overlap.seeds import SeedStrategy, select_seeds, select_seeds_batched
+from repro.overlap.seeds import SeedStrategy, select_seeds_batched
+
+from oracles import select_seeds
 
 
 # ---------------------------------------------------------------------------
 # Reference (loop-based) implementations, kept as oracles for the vectorised
 # production code.  These are verbatim ports of the original per-k-mer /
-# per-pair loops that generate_pairs and consolidate_pairs used before the
-# flat-array rewrite.
+# per-pair loops that generate_pairs and OverlapTable.from_pairs replaced in
+# the flat-array rewrite.
 # ---------------------------------------------------------------------------
 
 def _reference_generate_pairs(retained: RetainedKmers) -> PairBatch:
@@ -65,7 +66,7 @@ def _reference_generate_pairs(retained: RetainedKmers) -> PairBatch:
 
 
 def _reference_consolidate_pairs(batch: PairBatch) -> list[OverlapRecord]:
-    """Per-group loop: the original consolidate_pairs implementation."""
+    """Per-group loop: the original per-pair consolidation."""
     if len(batch) == 0:
         return []
     order = np.lexsort((batch.rid_b, batch.rid_a))
@@ -421,11 +422,6 @@ class TestConsolidationOracle:
         assert table.n_seeds == 2
         self._assert_matches(table, _reference_consolidate_pairs(batch))
 
-    def test_consolidate_pairs_wrapper_equivalent(self):
-        rng = np.random.default_rng(7)
-        batch = generate_pairs(random_retained(rng))
-        self._assert_matches(OverlapTable.from_pairs(batch), consolidate_pairs(batch))
-
 
 class TestOverlapTable:
     def _table(self):
@@ -444,7 +440,6 @@ class TestOverlapTable:
         assert table.n_seeds == 3
         np.testing.assert_array_equal(table.rid_a, [0, 1])
         np.testing.assert_array_equal(table.rid_b, [1, 2])
-        np.testing.assert_array_equal(table.seed_counts(), [2, 1])
         np.testing.assert_array_equal(table.seed_offsets, [0, 2, 3])
 
     def test_seeds_sorted_within_pair(self):
@@ -525,7 +520,7 @@ class TestConsolidation:
             pos_b=np.array([20, 20, 60, 9]),
             same_strand=np.array([1, 1, 1, 0]),
         )
-        records = consolidate_pairs(batch)
+        records = list(OverlapTable.from_pairs(batch))
         assert len(records) == 2
         first = records[0]
         assert (first.rid_a, first.rid_b) == (0, 1)
@@ -533,10 +528,13 @@ class TestConsolidation:
         assert records[1].seed_same_strand.tolist() == [False]
 
     def test_empty(self):
-        assert consolidate_pairs(PairBatch.empty()) == []
+        assert list(OverlapTable.from_pairs(PairBatch.empty())) == []
 
 
 class TestSeedSelection:
+    """The scalar oracle ``select_seeds`` that TestBatchedSeedSelection
+    checks ``select_seeds_batched`` against."""
+
     def test_one_seed(self):
         pos_a = np.array([500, 100, 900])
         pos_b = np.array([5, 1, 9])

@@ -2,10 +2,10 @@
 
 Three layers:
 
-* property tests for the primitive codec (pack/unpack round-trips over
+* property tests for the codec of one read (pack/unpack round-trips over
   arbitrary lengths, including odd lengths and empty input, and the
   N-handling contract: non-ACGT bases are rejected unless sanitised per
-  :mod:`repro.seq.alphabet`);
+  :mod:`repro.seq.alphabet`), packed as a one-read block;
 * the :class:`PackedReadBlock` wire format — block round-trips, the typed
   serialization tag, byte accounting, and the lazy ``ReadCache`` insertion;
 * end-to-end parity — the pipeline's scientific output must be bit-identical
@@ -26,7 +26,6 @@ from repro.seq.alphabet import sanitize
 from repro.seq.encoding import decode_sequence, encode_sequence
 from repro.seq.packing import (
     PackedReadBlock,
-    pack_codes,
     pack_read_block,
     packed_length,
     unpack_codes,
@@ -34,6 +33,11 @@ from repro.seq.packing import (
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=300)
 dna_with_n = st.text(alphabet="ACGTN", min_size=1, max_size=120)
+
+
+def pack_codes(codes: np.ndarray) -> np.ndarray:
+    """The packed bytes of one read's codes, as a one-read block ships them."""
+    return pack_read_block(np.zeros(1, dtype=np.int64), [codes]).packed
 
 
 class TestPrimitiveCodec:

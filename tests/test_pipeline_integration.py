@@ -74,7 +74,7 @@ class TestEndToEnd:
         assert [s.name for s in micro_run.stages] == list(STAGE_NAMES)
         for record in micro_run.stages:
             assert record.work_per_rank.shape == (2,)
-            assert record.total_work >= 0
+            assert (record.work_per_rank >= 0).all()
             assert record.load_imbalance() >= 1.0
         assert micro_run.stage("bloom").includes_first_alltoallv
         assert not micro_run.stage("alignment").includes_first_alltoallv
@@ -97,9 +97,12 @@ class TestEndToEnd:
         assert summary["overlap_pairs"] == micro_run.n_overlap_pairs
 
     def test_stage_wall_seconds(self, micro_run):
-        walls = micro_run.stage_wall_seconds()
-        assert set(walls) == set(STAGE_NAMES)
-        assert walls["alignment"]["compute"] > 0
+        # Measured per-rank walls on every stage record, which Figure 8's
+        # load imbalance reads.
+        for name in STAGE_NAMES:
+            assert micro_run.stage(name).wall_compute_seconds.shape == (2,)
+        assert micro_run.stage("alignment").wall_compute_seconds.max() > 0
+        assert micro_run.load_imbalance() >= 1.0
 
 
 class TestKernelTiers:

@@ -8,16 +8,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.config import PipelineConfig
 from repro.kmers.reliable import (
-    estimate_distinct_kmers,
-    estimate_total_kmers,
     expected_singleton_fraction,
     high_frequency_threshold,
     optimal_k,
     poisson_quantile,
     probability_correct_kmer,
     probability_shared_kmer,
-    reliable_range,
 )
 
 #: ``scipy.stats.poisson.ppf(1 - tail, mean)`` for the tails below, recorded
@@ -118,9 +116,11 @@ class TestThresholds:
         assert m30 >= 4
 
     def test_reliable_range(self):
-        lo, hi = reliable_range(30, 0.12, 17)
-        assert lo == 2
-        assert hi == high_frequency_threshold(30, 0.12, 17)
+        # The pipeline's reliable range is [min_kmer_count, m]: singletons
+        # out, and BELLA's high-frequency cutoff as the upper bound.
+        config = PipelineConfig(coverage_hint=30, error_rate_hint=0.12)
+        assert config.min_kmer_count == 2
+        assert config.resolve_high_freq_threshold() == high_frequency_threshold(30, 0.12, 17)
 
     @pytest.mark.parametrize("mean", sorted(SCIPY_POISSON_PPF))
     def test_poisson_quantile_matches_scipy(self, mean):
@@ -144,14 +144,6 @@ class TestThresholds:
 
 
 class TestCardinalityEstimates:
-    def test_total_kmers_is_gd(self):
-        assert estimate_total_kmers(1_000_000, 30) == 30_000_000
-
-    def test_distinct_estimate_between_genome_and_total(self):
-        g, d = 1_000_000, 30
-        distinct = estimate_distinct_kmers(g, d, 0.12, 17)
-        assert g < distinct < estimate_total_kmers(g, d)
-
     def test_singleton_fraction_matches_paper_band(self):
         # §6: "up to 98% of k-mers from long reads are singletons".
         frac = expected_singleton_fraction(30, 0.12, 17)
@@ -162,10 +154,6 @@ class TestCardinalityEstimates:
                 > expected_singleton_fraction(30, 0.05, 17))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_total_kmers(0, 30)
-        with pytest.raises(ValueError):
-            estimate_distinct_kmers(0, 30, 0.1, 17)
         with pytest.raises(ValueError):
             expected_singleton_fraction(0, 0.1, 17)
 

@@ -18,7 +18,6 @@ Three layers:
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from dataclasses import replace
 
@@ -38,14 +37,6 @@ from repro.mpisim.runtime import spmd_run
 from repro.mpisim.tracing import CommTrace
 
 BACKENDS = ("thread", "process")
-
-
-def _shm_segments() -> list[str]:
-    """Names of live POSIX shared-memory segments (empty off-POSIX)."""
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith("psm_")]
-    except FileNotFoundError:  # pragma: no cover - non-POSIX-shm platform
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +226,7 @@ class TestAbortCleanup:
         yield
         shutdown_rank_pools()
 
-    def test_failure_leaves_no_segments_or_workers(self):
+    def test_failure_leaves_no_segments_or_workers(self, new_shm_segments):
         with pytest.raises(RankFailedError):
             spmd_run(3, _consume_before_publish_program, "process",
                      backend="process", sanitize=True)
@@ -244,9 +235,9 @@ class TestAbortCleanup:
                and time.monotonic() < deadline):
             time.sleep(0.05)
         assert not any(p.name.startswith("spmd-") for p in mp.active_children())
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
 
-    def test_pooled_failure_evicts_pool_and_cleans_up(self):
+    def test_pooled_failure_evicts_pool_and_cleans_up(self, new_shm_segments):
         with pytest.raises(RankFailedError):
             spmd_run(3, _divergent_program, backend="process", pool=True,
                      sanitize=True)
@@ -257,7 +248,7 @@ class TestAbortCleanup:
             time.sleep(0.05)
         assert not any(p.name.startswith("spmd-pool-rank-")
                        for p in mp.active_children())
-        assert _shm_segments() == []
+        assert new_shm_segments() == []
         # The pool recovers: a fresh sanitized run on new workers succeeds.
         results = spmd_run(3, _happy_program, backend="process", pool=True,
                            sanitize=True)

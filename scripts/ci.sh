@@ -6,13 +6,16 @@
 #   lint  — spmdlint (src/repro/analysis): the SPMD correctness rules
 #           SL001-SL005 over src/, zero findings required; plus a ruff
 #           companion pass (pinned ruff.toml) when a ruff binary is on
-#           PATH (the container does not ship one, so it is gated).
-#   kernel — prints the active x-drop kernel tier (compiled C with its lane
-#           width, or NumPy) and fails when `cc` is on PATH but the compiled
-#           tier did not load, so a C compile error cannot silently leave CI
-#           on the NumPy kernel; with `cc` on PATH it also builds `_xdrop.c`
-#           with -Wall -Wextra -Werror (docs/architecture.md, "The compiled
-#           x-drop kernel").
+#           PATH (the container does not ship one, so it is gated; the
+#           fast tier's tests/test_imports.py finds unused imports
+#           without it).
+#   compiled tier — prints the active tier (the compiled C library with its
+#           x-drop lane width, or NumPy) and fails when `cc` is on PATH but
+#           the library did not load, so a C compile error cannot silently
+#           leave CI on the NumPy bodies of the x-drop kernel, the Bloom
+#           filter, the key gate and the k-mer extraction; with `cc` on PATH
+#           it also builds the one source, src/repro/_native.c, with -Wall
+#           -Wextra -Werror (docs/architecture.md, "The compiled tier").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
 #           Runs four times, covering the knobs in pairs: under the default
 #           thread backend; under the multiprocess shared-memory backend
@@ -111,22 +114,22 @@ else
     echo "== lint: ruff not on PATH; skipping companion pass =="
 fi
 
-echo "== x-drop kernel tier =="
-xdrop_tier=$(python -c 'from repro.align.batched_xdrop import native_kernel
-kernel = native_kernel()
-print("numpy" if kernel is None else f"compiled ({kernel.lanes} lanes)")')
-echo "x-drop tier: $xdrop_tier"
+echo "== compiled tier =="
+native_tier=$(python -c 'from repro.native import library
+compiled = library()
+print("numpy" if compiled is None else f"compiled (x-drop at {compiled.lanes} lanes)")')
+echo "compiled tier: $native_tier"
 if command -v cc >/dev/null 2>&1; then
-    # The command the library is built with (batched_xdrop._CC_COMMAND).
-    read -r -a cc_command < <(python -c 'from repro.align.batched_xdrop import _CC_COMMAND
+    # The command the library is built with (repro.native._CC_COMMAND).
+    read -r -a cc_command < <(python -c 'from repro.native import _CC_COMMAND
 print(" ".join(_CC_COMMAND))')
-    if [ "$xdrop_tier" = "numpy" ]; then
-        echo "cc is on PATH but the compiled x-drop tier did not load; compiler output:" >&2
-        "${cc_command[@]}" -o /dev/null src/repro/align/_xdrop.c >&2 || true
+    if [ "$native_tier" = "numpy" ]; then
+        echo "cc is on PATH but the compiled tier did not load; compiler output:" >&2
+        "${cc_command[@]}" -o /dev/null src/repro/_native.c >&2 || true
         exit 1
     fi
-    echo "== x-drop kernel: warning-clean build (-Wall -Wextra -Werror) =="
-    "${cc_command[@]}" -Wall -Wextra -Werror -o /dev/null src/repro/align/_xdrop.c
+    echo "== compiled tier: warning-clean build (-Wall -Wextra -Werror) =="
+    "${cc_command[@]}" -Wall -Wextra -Werror -o /dev/null src/repro/_native.c
 fi
 
 echo "== fast tier: unit tests (thread backend) =="

@@ -34,7 +34,7 @@ from repro.core.stages import reset_persistent_read_caches, reset_resident_index
 from repro.data.datasets import DatasetSpec, generate_dataset
 from repro.data.genome import GenomeSpec
 from repro.data.reads import ReadSimSpec
-from repro.mpisim.backend import reset_recovery_counters, shutdown_rank_pools
+from repro.mpisim.backend import reset_recovery_counters
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet

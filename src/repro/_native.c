@@ -1,4 +1,27 @@
-/* Compiled tier of the banded x-drop extension (repro.align.batched_xdrop).
+/* The compiled tier of the pipeline: one C library, loaded through ctypes
+ * by repro.native, holding the four hot loops that have a NumPy body as
+ * their reference and fallback:
+ *
+ *   xdrop_extend_batch  the banded x-drop extension of stage 4
+ *                       (repro.align.batched_xdrop._extend_numpy);
+ *   bloom_test,         the Bloom filter's membership test and its
+ *   bloom_insert        test-then-set of stage 1
+ *                       (repro.kmers.bloom.BloomFilter);
+ *   key_gate            stage 2's candidate-key gate
+ *                       (repro.kmers.hashtable.key_mask);
+ *   extract_kmers       the batch k-mer extraction of every stage
+ *                       (repro.seq.kmer.extract_kmers_batch).
+ *
+ * Every entry point computes exactly what its NumPy body computes, so the
+ * two tiers are interchangeable bit for bit.  All memory comes from the
+ * caller: the library allocates nothing.
+ *
+ * Build: cc -O2 -shared -fPIC -o <lib>.so _native.c
+ */
+
+#include <stdint.h>
+
+/* ---- banded x-drop extension -------------------------------------------
  *
  * One task per vector lane.  Tasks are taken in groups of `lanes`; the lanes
  * of a group step through DP rows together, and every lane runs exactly the
@@ -30,16 +53,13 @@
  * can overflow.  The same bound makes the int32 x-drop test exact: see
  * `xdrop_extend_batch`.
  *
- * All memory comes from the caller (no malloc): `scratch` holds the two DP
- * rows of a group and its a and b codes, interleaved lane-major.  The codes
+ * The caller's `scratch` holds the two DP rows of a group and its a and b
+ * codes, interleaved lane-major.  The codes
  * are widened to int32 as they are interleaved, so a cell compares one
  * loaded vector: GCC 12 at -O2 lowers a uint8-to-int32
  * `__builtin_convertvector` to one scalar extract per lane, which made
  * uint8 codes run the 16-lane kernel 2.4x slower.
- *
- * Build: cc -O2 -shared -fPIC -o <lib>.so _xdrop.c
  */
-#include <stdint.h>
 
 #define NEG_INF (-(1 << 28))
 /* Fills the lanes of a code block past their task's end; never read
@@ -264,4 +284,184 @@ int xdrop_extend_batch(int64_t lanes, int64_t n_tasks,
     default:
         return -1;
     }
+}
+
+/* ---- k-mer front end ---------------------------------------------------
+ *
+ * 64-bit integer code below; unsigned overflow wraps, exactly as NumPy's
+ * uint64 arithmetic in repro.kmers.hashing does.
+ */
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+/* repro.kmers.hashing.mix64: the splitmix64 finaliser. */
+static inline uint64_t mix64(uint64_t z)
+{
+    z += GOLDEN;
+    z ^= z >> 30;
+    z *= 0xBF58476D1CE4E5B9ULL;
+    z ^= z >> 27;
+    z *= 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return z;
+}
+
+/* Probe h (seed h + 1) of a Bloom filter of n_bits bits: the position
+ * BloomFilter._positions computes, hash_with_seed(code, h + 1) % n_bits. */
+static inline uint64_t bloom_position(uint64_t code, int64_t h, uint64_t n_bits)
+{
+    return mix64(code ^ ((uint64_t)(h + 1) * GOLDEN)) % n_bits;
+}
+
+static inline int bloom_has(const uint8_t *bits, uint64_t n_bits,
+                            int64_t n_hashes, uint64_t code)
+{
+    for (int64_t h = 0; h < n_hashes; h++) {
+        const uint64_t pos = bloom_position(code, h, n_bits);
+        if (!(bits[pos >> 3] & (1u << (pos & 7))))
+            return 0;
+    }
+    return 1;
+}
+
+/* Slot of `code` in an open-addressing table of `words` slots: the high
+ * word of mix64(code) * words, uniform over [0, words) for any size. */
+static inline uint64_t home_slot(uint64_t code, uint64_t words)
+{
+    return (uint64_t)(((unsigned __int128)mix64(code) * words) >> 64);
+}
+
+/* Add `code` to the set kept in `table` (`words` slots, zeroed by the
+ * caller, at least one more than the codes ever added) and `*has_max`.
+ * A filled slot holds code + 1, so 0 marks an empty one; the one code
+ * whose successor wraps to 0, UINT64_MAX, is kept in `*has_max` instead.
+ * Returns 1 when `code` was already in the set. */
+static inline int set_add(uint64_t *table, uint64_t words, int *has_max,
+                          uint64_t code)
+{
+    if (code == UINT64_MAX) {
+        const int had = *has_max;
+        *has_max = 1;
+        return had;
+    }
+    for (uint64_t slot = home_slot(code, words);; slot = slot + 1 == words ? 0 : slot + 1) {
+        if (table[slot] == code + 1)
+            return 1;
+        if (table[slot] == 0) {
+            table[slot] = code + 1;
+            return 0;
+        }
+    }
+}
+
+static inline int set_has(const uint64_t *table, uint64_t words, int has_max,
+                          uint64_t code)
+{
+    if (code == UINT64_MAX)
+        return has_max;
+    for (uint64_t slot = home_slot(code, words);; slot = slot + 1 == words ? 0 : slot + 1) {
+        if (table[slot] == code + 1)
+            return 1;
+        if (table[slot] == 0)
+            return 0;
+    }
+}
+
+/* present[i] = 1 when every probe bit of codes[i] is set in `bits`
+ * (BloomFilter.contains_many). */
+void bloom_test(const uint64_t *codes, int64_t n, const uint8_t *bits,
+                uint64_t n_bits, int64_t n_hashes, uint8_t *present)
+{
+    for (int64_t i = 0; i < n; i++)
+        present[i] = (uint8_t)bloom_has(bits, n_bits, n_hashes, codes[i]);
+}
+
+/* BloomFilter.insert_many: present[i] = 1 when codes[i] was (probably) in
+ * the filter before the batch or repeats an earlier code of the batch, and
+ * every code's probe bits end up set.
+ *
+ * Pass 1 tests every code against the pre-batch bits, as the NumPy body
+ * does before it sets any bit.  Pass 2 adds the codes, in batch order, to
+ * an open-addressing set in `table` (n + 1 or more zeroed words): a code
+ * already in the set is an in-batch repeat, the NumPy body's "equal to an
+ * earlier code in the stable sort".  Only a code's first occurrence sets
+ * its bits, recomputing the positions pass 1 used instead of storing them;
+ * a repeat's bits are the same bits, so the filter ends up identical. */
+void bloom_insert(const uint64_t *codes, int64_t n, uint8_t *bits,
+                  uint64_t n_bits, int64_t n_hashes, uint64_t *table,
+                  uint64_t words, uint8_t *present)
+{
+    int has_max = 0;
+    bloom_test(codes, n, bits, n_bits, n_hashes, present);
+    for (int64_t i = 0; i < n; i++) {
+        if (set_add(table, words, &has_max, codes[i])) {
+            present[i] = 1;
+            continue;
+        }
+        for (int64_t h = 0; h < n_hashes; h++) {
+            const uint64_t pos = bloom_position(codes[i], h, n_bits);
+            bits[pos >> 3] |= (uint8_t)(1u << (pos & 7));
+        }
+    }
+}
+
+/* key_mask: keep[i] = 1 when codes[i * stride] is one of the n_keys keys.
+ * The keys go into an open-addressing set in `table` (n_keys + 1 or more
+ * zeroed words) and every code probes it; `stride` (in words) lets the
+ * caller pass a column of a row-major array without copying it. */
+void key_gate(const uint64_t *keys, int64_t n_keys, uint64_t *table,
+              uint64_t words, const uint64_t *codes, int64_t n_codes,
+              int64_t stride, uint8_t *keep)
+{
+    int has_max = 0;
+    for (int64_t i = 0; i < n_keys; i++)
+        set_add(table, words, &has_max, keys[i]);
+    for (int64_t i = 0; i < n_codes; i++)
+        keep[i] = (uint8_t)set_has(table, words, has_max, codes[i * stride]);
+}
+
+/* extract_kmers_batch over the reads' joined ASCII bytes.
+ *
+ * Read r is the next lengths[r] bytes of `text`; `lut` maps a byte to its
+ * 2-bit code, or to a value above 3 for a byte outside the alphabet.  One
+ * rolling loop per read keeps the forward code and the reverse complement
+ * of the last k bases; each full window writes one row of (code, read
+ * index, position, is_forward), the code being min(forward, reverse
+ * complement) when `canonical` is set, and is_forward (code == forward)
+ * only when `with_strand` is.  The caller sizes the output columns to
+ * sum(max(0, lengths[r] - k + 1)) rows.
+ *
+ * Returns -1, or the index in `text` of the first byte outside the
+ * alphabet (reads shorter than k are checked too, as the NumPy body
+ * encodes every byte before it extracts). */
+int64_t extract_kmers(const uint8_t *text, const int64_t *lengths,
+                      int64_t n_reads, const uint8_t *lut, int64_t k,
+                      int64_t canonical, int64_t with_strand,
+                      uint64_t *codes, int64_t *read_index,
+                      int64_t *positions, uint8_t *is_forward)
+{
+    const uint64_t mask = (1ULL << (2 * k)) - 1;
+    const int rc_shift = (int)(2 * (k - 1));
+    int64_t start = 0, row = 0;
+    for (int64_t r = 0; r < n_reads; r++) {
+        uint64_t fwd = 0, rc = 0;
+        for (int64_t p = 0; p < lengths[r]; p++) {
+            const uint64_t base = lut[text[start + p]];
+            if (base > 3)
+                return start + p;
+            fwd = ((fwd << 2) | base) & mask;
+            rc = (rc >> 2) | ((3 - base) << rc_shift);
+            if (p + 1 < k)
+                continue;
+            const uint64_t code = canonical && rc < fwd ? rc : fwd;
+            codes[row] = code;
+            read_index[row] = r;
+            positions[row] = p + 1 - k;
+            if (with_strand)
+                is_forward[row] = code == fwd;
+            row++;
+        }
+        start += lengths[r];
+    }
+    return -1;
 }

@@ -25,9 +25,9 @@ the prefix-maximum identity
 
 computed with ``np.maximum.accumulate`` along the band axis.
 
-Two tiers run that recurrence.  The compiled tier (``_xdrop.c``) vectorises
-across tasks too, in C: each task gets one int32 lane of a SIMD vector, and
-the lanes of a group step through DP rows together, each running the scalar
+Two tiers run that recurrence.  The compiled tier (``xdrop_extend_batch`` in
+the library :mod:`repro.native` loads) vectorises across tasks too, in C:
+each task gets one int32 lane of a SIMD vector, and the lanes of a group step through DP rows together, each running the scalar
 recurrence with masks for band edges and finished tasks.  The library picks
 its lane width from the CPU at run time — 16 lanes with AVX-512F+BW, 8 with
 AVX2, otherwise 4 on the baseline instruction set — so the build command
@@ -37,32 +37,21 @@ type.  :func:`_extend_native` orders a call's tasks by
 scatters the results back into input order.  There is no scalar C loop: the
 4-lane kernel runs wherever one would.
 
-The compiled tier is built with ``cc`` on the first kernel call — never at
-import — cached under ``$XDG_CACHE_HOME/repro/`` and called through
-:mod:`ctypes`, which releases the GIL, so thread-backend ranks align
-concurrently.  The NumPy body (:func:`_extend_numpy`) is the reference the
-compiled tier is tested against bit for bit, at every lane width, and the
-path taken whenever the compiled tier is unavailable (no compiler, compile
-or load error, unusable cache directory) or a batch could overflow its int32
-lanes.
+The library is built on the first kernel call — never at import — and
+called through :mod:`ctypes`, which releases the GIL, so thread-backend
+ranks align concurrently.  The NumPy body (:func:`_extend_numpy`) is the
+reference the compiled tier is tested against bit for bit, at every lane
+width, and the path taken whenever the library is unavailable or a batch
+could overflow its int32 lanes.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import platform
-import subprocess
-import tempfile
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
+from repro import native
 from repro.align.scoring import ScoringScheme
 
 #: Sentinel code used to pad sequences; never equal to a real base code.
@@ -145,9 +134,9 @@ def batched_extend(
         raise ValueError("seqs_a and seqs_b must have the same length")
     if not seqs_a:
         return np.empty((0, 4), dtype=np.int64)
-    kernel = native_kernel()
-    if kernel is not None:
-        results = _extend_native(kernel, seqs_a, seqs_b, scoring, config)
+    compiled = native.library()
+    if compiled is not None:
+        results = _extend_native(compiled, seqs_a, seqs_b, scoring, config)
         if results is not None:
             return results
     return _extend_numpy(seqs_a, seqs_b, scoring, config)
@@ -253,125 +242,10 @@ def _extend_numpy(
 
 # -- compiled tier -----------------------------------------------------------
 
-_C_SOURCE = Path(__file__).with_name("_xdrop.c")
-_CC_COMMAND = ("cc", "-O2", "-shared", "-fPIC")
 #: Exclusive bound on (max len_a + max len_b + band) * largest |score|: keeps
 #: every value the kernel computes, sentinel-derived ones included, inside
 #: int32 (the sentinel is -2**28).
 _INT32_BOUND = 2**30
-
-_NATIVE_LOCK = threading.Lock()
-_NATIVE: dict[str, object] = {}
-
-_ptr = ctypes.c_void_p
-_i32 = ctypes.c_int32
-_i64 = ctypes.c_int64
-_KERNEL_ARGTYPES = (_i64, _i64, _ptr, _ptr, _ptr, _ptr, _i32, _i32, _i32,
-                    _i64, _i64, _i64, _ptr, _ptr)
-
-
-class NativeKernel(NamedTuple):
-    """The loaded compiled tier: its entry point and this CPU's lane width."""
-
-    extend: Callable[..., int]
-    #: The widest lane count the CPU runs (16 with AVX-512F+BW, 8 with AVX2,
-    #: otherwise 4), chosen by the library's own CPU check.
-    lanes: int
-
-
-def native_kernel() -> NativeKernel | None:
-    """The compiled kernel, built and loaded on the first call in a process.
-
-    Returns ``None`` when the compiled tier is unavailable; callers then run
-    :func:`_extend_numpy`.  The outcome is remembered for the process.
-    """
-    if "kernel" not in _NATIVE:
-        with _NATIVE_LOCK:
-            if "kernel" not in _NATIVE:
-                _NATIVE["kernel"] = load_library(_cache_dir())
-    return _NATIVE["kernel"]
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(root) / "repro"
-
-
-def _library_path(cache_dir: Path) -> Path:
-    """Cache entry named after the source, the compile command and the CPU."""
-    digest = hashlib.sha256()
-    digest.update(_C_SOURCE.read_bytes())
-    digest.update(" ".join(_CC_COMMAND).encode())
-    digest.update(platform.machine().encode())
-    return cache_dir / f"xdrop-{digest.hexdigest()[:16]}.so"
-
-
-def _check_cache_dir(cache_dir: Path) -> None:
-    """Create *cache_dir* (mode 0700); refuse one another user could write."""
-    cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = cache_dir.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise PermissionError(f"{cache_dir} is not a private cache directory")
-
-
-def _compile(path: Path) -> None:
-    """Compile the kernel to *path* atomically (temp file + ``os.replace``).
-
-    The library is written with its SHA-256 appended (the loader ignores
-    bytes past the ELF image), so :func:`_intact` can tell a complete cache
-    entry from a truncated or corrupt one.  Concurrent thread or process
-    ranks each build their own temp file; the replace is atomic, so no rank
-    ever loads a half-written library.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        subprocess.run([*_CC_COMMAND, "-o", tmp, str(_C_SOURCE)],
-                       check=True, capture_output=True, timeout=120)
-        library = Path(tmp).read_bytes()
-        Path(tmp).write_bytes(library + hashlib.sha256(library).digest())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _intact(path: Path) -> bool:
-    """True when *path* holds a complete library: its trailing digest matches.
-
-    Checked before loading because mapping a truncated library can kill the
-    process with SIGBUS instead of raising.
-    """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return False
-    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
-
-
-def load_library(cache_dir: Path) -> NativeKernel | None:
-    """Build (if not cached intact) and load the compiled kernel from *cache_dir*.
-
-    Returns the bound kernel, or ``None`` on any failure: no compiler, a
-    compile error, an unusable cache directory or a library that does not
-    load.  A truncated or corrupt cache entry is rebuilt.
-    """
-    try:
-        _check_cache_dir(cache_dir)
-        path = _library_path(cache_dir)
-        if not _intact(path):
-            _compile(path)
-        library = ctypes.CDLL(str(path))
-        extend, lanes = library.xdrop_extend_batch, library.xdrop_lanes
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    extend.argtypes = _KERNEL_ARGTYPES
-    extend.restype = ctypes.c_int
-    lanes.argtypes = ()
-    lanes.restype = _i64
-    return NativeKernel(extend, int(lanes()))
 
 
 def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +257,7 @@ def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extend_native(
-    kernel: NativeKernel,
+    compiled: native.NativeLibrary,
     seqs_a: list[np.ndarray],
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
@@ -397,7 +271,7 @@ def _extend_native(
     ``min(len_a, len_b)``, so that the lanes of a group finish together;
     results come back in input order.
     """
-    lanes = kernel.lanes if lanes is None else lanes
+    lanes = compiled.lanes if lanes is None else lanes
     n_tasks = len(seqs_a)
     len_a = np.fromiter((s.size for s in seqs_a), dtype=np.int64, count=n_tasks)
     len_b = np.fromiter((s.size for s in seqs_b), dtype=np.int64, count=n_tasks)
@@ -409,16 +283,15 @@ def _extend_native(
     order = np.argsort(np.minimum(len_a, len_b), kind="stable")
     a, a_off = _concat_codes([seqs_a[i] for i in order])
     b, b_off = _concat_codes([seqs_b[i] for i in order])
-    # The size `_xdrop.c` documents: 64 bytes of alignment slack, two DP rows
+    # The size `_native.c` documents: 64 bytes of alignment slack, two DP rows
     # of band + 1 lane vectors and one group's interleaved codes.
     scratch = np.empty(16 + lanes * (2 * (config.band + 1) + max_rows
                                      + min(max_b, max_rows + config.band)), dtype=np.int32)
     out = np.empty((n_tasks, 4), dtype=np.int64)
-    status = kernel.extend(lanes, n_tasks, a.ctypes.data, a_off.ctypes.data,
-                           b.ctypes.data, b_off.ctypes.data,
-                           scoring.match, scoring.mismatch, scoring.gap,
-                           config.xdrop, config.band, max_rows,
-                           scratch.ctypes.data, out.ctypes.data)
+    status = compiled.xdrop_extend_batch(
+        lanes, n_tasks, a.ctypes.data, a_off.ctypes.data, b.ctypes.data, b_off.ctypes.data,
+        scoring.match, scoring.mismatch, scoring.gap, config.xdrop, config.band, max_rows,
+        scratch.ctypes.data, out.ctypes.data)
     if status != 0:
         raise ValueError(f"this CPU cannot run the x-drop kernel at {lanes} lanes")
     results = np.empty_like(out)

@@ -218,11 +218,6 @@ class AlignmentService:
         self._pending.append((submission, renamed))
         return submission
 
-    @property
-    def pending_reads(self) -> int:
-        """Total queued reads not yet drained."""
-        return sum(len(reads) for _sub, reads in self._pending)
-
     # -- serve phase ---------------------------------------------------------
 
     def _take_batch(self) -> tuple[list[Read], int]:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import native
 from repro.align import batch as align_batch
-from repro.align import batched_xdrop
 from repro.align.batch import TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
@@ -404,9 +404,10 @@ def _occurrence_exchange(
     parsed = 0
     received_total = 0
     payload_bytes = 0
-    # Seeded with an empty chunk so the concatenation below always has one.
-    kept = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+    # One chunk list per column, each seeded with an empty chunk so the
+    # concatenation below always has one.
+    kept = ([np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)],
+            [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)])
 
     def produce(step: int) -> list[np.ndarray]:
         nonlocal parsed
@@ -421,39 +422,57 @@ def _occurrence_exchange(
             # 32 bits, the strand flag in bit 31, the position in the low
             # 31 bits.  This keeps the exchange at 2 words per k-mer
             # instance (the paper reports ~2.5x the Bloom-filter stage
-            # volume, §7).
-            packed_meta = (
-                (rid_arr.astype(np.uint64) << np.uint64(32))
-                | (strand_arr.astype(np.uint64) << np.uint64(31))
-                | pos_arr.astype(np.uint64)
-            )
-            payload = np.stack([codes, packed_meta], axis=1)
-            return bucket_by_destination(payload, owner_of(codes, comm.size), comm.size)
+            # volume, §7).  The word is built in place in the payload's
+            # second column, and the unpacked columns are dropped before
+            # the bucketing copy, which is this stage's memory peak.
+            payload = np.empty((codes.size, 2), dtype=np.uint64)
+            payload[:, 0] = codes
+            meta = payload[:, 1]
+            meta[:] = rid_arr
+            meta <<= np.uint64(32)
+            meta |= strand_arr.astype(np.uint64) << np.uint64(31)
+            meta |= pos_arr.view(np.uint64)
+            del rid_arr, pos_arr, strand_arr, meta
+            owners = owner_of(codes, comm.size)
+            del codes
+            return bucket_by_destination(payload, owners, comm.size)
         return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
 
     def consume(step: int, received: list) -> None:
         nonlocal received_total, payload_bytes
-        chunks = [np.asarray(c, dtype=np.uint64) for c in received
-                  if np.asarray(c).size]
-        payload_bytes += sum(int(c.nbytes) for c in chunks)
-        if chunks:
-            incoming = np.concatenate(chunks, axis=0)
-            received_total += int(incoming.shape[0])
+        # Each peer's rows are decoded where they arrived, with no joined
+        # copy of the step and no full-width temporaries: the receive side
+        # is this exchange's memory peak.
+        for rows in received:
+            rows = np.asarray(rows, dtype=np.uint64)
+            if not rows.size:
+                continue
+            payload_bytes += int(rows.nbytes)
+            received_total += int(rows.shape[0])
             if keys is not None:
-                incoming = incoming[key_mask(keys, incoming[:, 0])]
-            meta = incoming[:, 1]
-            kept.append((
-                incoming[:, 0],
-                (meta >> np.uint64(32)).astype(np.int64),
-                (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
-                ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
-            ))
+                rows = rows[key_mask(keys, rows[:, 0])]
+            meta = rows[:, 1]
+            rid_arr = np.empty(meta.size, dtype=np.int64)
+            pos_arr = np.empty(meta.size, dtype=np.int64)
+            np.right_shift(meta, np.uint64(32), out=rid_arr.view(np.uint64))
+            strand_bits = np.bitwise_and(meta, np.uint64(1 << 31), out=pos_arr.view(np.uint64))
+            strand_arr = strand_bits != 0
+            np.bitwise_and(meta, np.uint64(0x7FFFFFFF), out=pos_arr.view(np.uint64))
+            for column_chunks, column in zip(kept, (rows[:, 0].copy(), rid_arr, pos_arr,
+                                                    strand_arr)):
+                column_chunks.append(column)
 
     timer = state.timer(label)
     outcome = SuperstepSchedule(comm, timer, len(batches),
                                 label=label).run(produce, consume)
     with timer.compute():
-        columns = tuple(np.concatenate(column) for column in zip(*kept))
+        # Column by column, each column's chunks released once joined, so
+        # the chunks and the joined columns are never all alive at once.
+        columns = []
+        for column_chunks in kept:
+            columns.append(np.concatenate(column_chunks))
+            column_chunks.clear()
+        columns = tuple(columns)
     return columns, parsed, received_total, payload_bytes, outcome
 
 
@@ -810,10 +829,9 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["remote_reads_fetched"] = int(to_fetch.size)
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
-    # Checked only after aligning: asking earlier would build the compiled
-    # tier on ranks (and runs) that align nothing.
+    # A rank that aligned nothing ran no kernel, compiled or not.
     state.counters["align_native_ranks"] = int(
-        len(results) > 0 and batched_xdrop.native_kernel() is not None
+        len(results) > 0 and native.library() is not None
     )
     # spmdlint: disable=SL004 keys come from ReadCache.counters(), all five
     # declared as the read_cache_* group in repro.core.counters.

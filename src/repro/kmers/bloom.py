@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from repro import native
 from repro.kmers.hashing import hash_with_seed
 
 #: Codes probed per pass.  A probe matrix holds ``n_hashes`` int64 positions
@@ -93,14 +94,44 @@ class BloomFilter:
         streaming pipeline expects: the second and later occurrences of a
         code in the batch report ``True`` even though the first occurrence
         had not yet set its bits when the batch arrived.
+
+        Runs the compiled ``bloom_insert`` (:mod:`repro.native`) when it is
+        available, :meth:`_insert_numpy` otherwise; both leave identical
+        bits and return identical flags.
         """
-        codes = np.asarray(codes, dtype=np.uint64)
+        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+        compiled = native.library()
+        if compiled is None:
+            return self._insert_numpy(codes)
+        present = np.empty(codes.size, dtype=bool)
+        # The in-batch repeat set: at most half full, so probes stay short.
+        table = np.zeros(2 * codes.size, dtype=np.uint64)
+        compiled.bloom_insert(codes.ctypes.data, codes.size, self._bits.ctypes.data,
+                              self.n_bits, self.n_hashes, table.ctypes.data, table.size,
+                              present.ctypes.data)
+        return present
+
+    def contains_many(self, codes: np.ndarray) -> np.ndarray:
+        """Boolean membership test (may contain false positives)."""
+        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+        compiled = native.library()
+        if compiled is None:
+            return self._contains_numpy(codes)
+        present = np.empty(codes.size, dtype=bool)
+        compiled.bloom_test(codes.ctypes.data, codes.size, self._bits.ctypes.data,
+                            self.n_bits, self.n_hashes, present.ctypes.data)
+        return present
+
+    # -- NumPy reference -----------------------------------------------------------
+
+    def _insert_numpy(self, codes: np.ndarray) -> np.ndarray:
+        """The NumPy body of :meth:`insert_many` (reference and fallback)."""
         if codes.size == 0:
             return np.zeros(0, dtype=bool)
         # Every code is tested against the filter as it was before the batch:
         # no bit is set until all are tested, so a code's bits set by another
         # code of the same batch never make a false positive.
-        present_before = self.contains_many(codes)
+        present_before = self._contains_numpy(codes)
 
         # Within-batch duplicates: any code equal to an earlier code in the
         # batch counts as present.
@@ -120,17 +151,12 @@ class BloomFilter:
             np.bitwise_or.at(self._bits, byte_idx, bit_mask)
         return present_before
 
-    def contains_many(self, codes: np.ndarray) -> np.ndarray:
-        """Boolean membership test (may contain false positives)."""
-        codes = np.asarray(codes, dtype=np.uint64)
+    def _contains_numpy(self, codes: np.ndarray) -> np.ndarray:
+        """The NumPy body of :meth:`contains_many` (reference and fallback)."""
         return np.concatenate(
             [np.zeros(0, dtype=bool)]
             + [self._test_positions(self._positions(codes[start:start + _PROBE_CHUNK]))
                for start in range(0, codes.size, _PROBE_CHUNK)])
-
-    def contains(self, code: int) -> bool:
-        """Scalar membership test."""
-        return bool(self.contains_many(np.array([code], dtype=np.uint64))[0])
 
     # -- introspection -----------------------------------------------------------------
 
@@ -138,8 +164,3 @@ class BloomFilter:
     def nbytes(self) -> int:
         """Memory footprint of the bit array in bytes."""
         return int(self._bits.nbytes)
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set (monitoring / FP-rate estimation)."""
-        set_bits = int(np.unpackbits(self._bits).sum())
-        return set_bits / self.n_bits

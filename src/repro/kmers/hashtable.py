@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
+
 #: Bytes one stored occurrence occupies: uint64 code, int64 RID, int64
 #: position and a bool strand.
 OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
@@ -215,10 +217,31 @@ def key_mask(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Boolean mask: which of *codes* are in *keys* (ascending, unique).
 
     The candidate-key gate of stage 2: occurrences of k-mers the Bloom
-    filter saw only once are not stored.
+    filter saw only once are not stored.  Runs the compiled ``key_gate``
+    (:mod:`repro.native`: a hash set of the keys, probed by every code,
+    reading a strided column such as ``rows[:, 0]`` in place) when it is
+    available, :func:`_key_mask_numpy` otherwise; both return the same mask.
     """
     if keys.size == 0:
         return np.zeros(codes.size, dtype=bool)
+    compiled = native.library()
+    if compiled is None:
+        return _key_mask_numpy(keys, codes)
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    if codes.dtype != np.uint64 or codes.strides[0] % codes.itemsize:
+        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    keep = np.empty(codes.size, dtype=bool)
+    # The key set: at most half full, so probes stay short.
+    table = np.zeros(2 * keys.size, dtype=np.uint64)
+    compiled.key_gate(keys.ctypes.data, keys.size, table.ctypes.data, table.size,
+                      codes.ctypes.data, codes.size, codes.strides[0] // codes.itemsize,
+                      keep.ctypes.data)
+    return keep
+
+
+def _key_mask_numpy(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The NumPy body of :func:`key_mask` (reference and fallback): one
+    binary search of every code into the keys."""
     slot = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
     return keys[slot] == codes
 

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
+from repro.seq.alphabet import ascii_to_code_table
 from repro.seq.encoding import encode_sequence
 
 #: Largest k representable in a single uint64 code.
@@ -159,7 +161,7 @@ def _window_codes(bases: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def extract_kmers_batch(
     seqs: Sequence[str], spec: KmerSpec, with_strand: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract the k-mers of a whole batch of reads from one concatenated encoding.
+    """Extract the k-mers of a whole batch of reads.
 
     Returns ``(codes, read_index, positions, is_forward)`` where
     ``read_index[i]`` is the index into *seqs* of the read containing k-mer
@@ -168,14 +170,47 @@ def extract_kmers_batch(
     reports, per k-mer, whether the canonical representative is the literal
     forward orientation (matching :func:`extract_kmers_with_strand`);
     otherwise canonicalisation follows ``spec.canonical`` and ``is_forward``
-    is empty.
+    is empty.  A character outside ``ACGTacgt`` raises
+    :func:`~repro.seq.encoding.encode_sequence`'s :class:`ValueError`.
+
+    Runs the compiled ``extract_kmers`` (:mod:`repro.native`: one rolling
+    forward / reverse-complement loop per read over the joined ASCII bytes)
+    when it is available, :func:`_extract_numpy` otherwise; both return the
+    same columns.  This is the batch counterpart of
+    :func:`extract_kmer_codes` and what the pipeline's streaming supersteps
+    call.
+    """
+    compiled = native.library()
+    if compiled is None:
+        return _extract_numpy(seqs, spec, with_strand)
+    k = spec.k
+    text = "".join(seqs)
+    joined = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    n_kmers = int(np.maximum(lengths - (k - 1), 0).sum())
+    codes = np.empty(n_kmers, dtype=np.uint64)
+    read_index = np.empty(n_kmers, dtype=np.int64)
+    positions = np.empty(n_kmers, dtype=np.int64)
+    is_forward = np.empty(n_kmers if with_strand else 0, dtype=bool)
+    bad = compiled.extract_kmers(
+        joined.ctypes.data, lengths.ctypes.data, lengths.size,
+        ascii_to_code_table().ctypes.data, k, spec.canonical or with_strand, with_strand,
+        codes.ctypes.data, read_index.ctypes.data, positions.ctypes.data,
+        is_forward.ctypes.data)
+    if bad >= 0:
+        raise ValueError(f"invalid DNA character {text[bad]!r} in sequence")
+    return codes, read_index, positions, is_forward
+
+
+def _extract_numpy(
+    seqs: Sequence[str], spec: KmerSpec, with_strand: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The NumPy body of :func:`extract_kmers_batch` (reference and fallback).
 
     The whole batch is encoded once and every window's forward and
     reverse-complement code is built over the single concatenated code
     array by doubling (:func:`_window_codes`, no per-read Python loop);
-    windows spanning a read boundary are masked out afterwards.  This is the
-    batch counterpart of :func:`extract_kmer_codes` and what the pipeline's
-    streaming supersteps call.
+    windows spanning a read boundary are masked out afterwards.
     """
     k = spec.k
     empty_u64 = np.empty(0, dtype=np.uint64)

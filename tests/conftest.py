@@ -29,7 +29,7 @@ def pytest_configure(config: pytest.Config) -> None:
 
 @pytest.fixture(scope="session", autouse=True)
 def private_kernel_cache(tmp_path_factory):
-    """Build the compiled x-drop tier into a per-session cache, not ``~/.cache``."""
+    """Build the compiled tier into a per-session cache, not ``~/.cache``."""
     patch = pytest.MonkeyPatch()
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
     yield

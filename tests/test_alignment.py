@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import inspect
 
+from repro import native
 from repro.align import batched_xdrop
 from repro.align.batch import RESULT_DTYPE, TaskBatch, batched_xdrop_align
 from repro.align.batched_xdrop import (
@@ -456,9 +457,9 @@ class TestPadSequences:
 
 
 def _native_or_skip():
-    kernel = batched_xdrop.native_kernel()
+    kernel = native.library()
     if kernel is None:
-        pytest.skip("compiled x-drop tier unavailable (no C compiler on this host)")
+        pytest.skip("compiled tier unavailable (no C compiler on this host)")
     return kernel
 
 
@@ -651,7 +652,7 @@ class TestCompiledXdrop:
         # The library cache key cannot tell two CPUs of one machine type
         # apart, so a -march/-mavx* build would be reused where it SIGILLs;
         # the wide kernels are selected at run time instead.
-        assert not [arg for arg in batched_xdrop._CC_COMMAND if arg.startswith("-m")]
+        assert not [arg for arg in native._CC_COMMAND if arg.startswith("-m")]
 
     def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
         _native_or_skip()
@@ -666,24 +667,24 @@ class TestKernelBuildCache:
 
     @pytest.fixture(autouse=True)
     def _needs_compiler(self):
-        if shutil.which(batched_xdrop._CC_COMMAND[0]) is None:
+        if shutil.which(native._CC_COMMAND[0]) is None:
             pytest.skip("no C compiler on this host")
 
     @staticmethod
     def _assert_one_library(cache_dir):
         names = sorted(p.name for p in cache_dir.iterdir())
-        assert names == [batched_xdrop._library_path(cache_dir).name]
+        assert names == [native._library_path(cache_dir).name]
 
     def test_cache_dir_follows_xdg(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert batched_xdrop._cache_dir() == tmp_path / "repro"
+        assert native._cache_dir() == tmp_path / "repro"
         monkeypatch.delenv("XDG_CACHE_HOME")
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        assert batched_xdrop._cache_dir() == tmp_path / "home" / ".cache" / "repro"
+        assert native._cache_dir() == tmp_path / "home" / ".cache" / "repro"
 
     def test_builds_private_dir_and_loads(self, tmp_path):
         cache_dir = tmp_path / "xdg" / "repro"
-        assert batched_xdrop.load_library(cache_dir) is not None
+        assert native.load_library(cache_dir) is not None
         assert cache_dir.stat().st_mode & 0o777 == 0o700
         self._assert_one_library(cache_dir)
 
@@ -694,7 +695,7 @@ class TestKernelBuildCache:
 
         def first_use():
             barrier.wait(timeout=30)
-            loaded.append(batched_xdrop.load_library(cache_dir))
+            loaded.append(native.load_library(cache_dir))
 
         threads = [threading.Thread(target=first_use) for _ in range(2)]
         for thread in threads:
@@ -709,8 +710,8 @@ class TestKernelBuildCache:
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
                "PYTHONPATH": os.pathsep.join(sys.path)}
         code = ("import sys\n"
-                "from repro.align.batched_xdrop import native_kernel\n"
-                "sys.exit(0 if native_kernel() is not None else 3)\n")
+                "from repro.native import library\n"
+                "sys.exit(0 if library() is not None else 3)\n")
         procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
         self._assert_one_library(tmp_path / "repro")
@@ -718,16 +719,16 @@ class TestKernelBuildCache:
     @pytest.mark.parametrize("damage", ["truncated", "garbage"])
     def test_damaged_cache_entry_is_rebuilt(self, tmp_path, damage):
         cache_dir = tmp_path / "repro"
-        assert batched_xdrop.load_library(cache_dir) is not None
-        path = batched_xdrop._library_path(cache_dir)
+        assert native.load_library(cache_dir) is not None
+        path = native._library_path(cache_dir)
         # A fresh name, so the damaged file is not the one already mapped.
         damaged = tmp_path / "other" / "repro"
         damaged.mkdir(parents=True, mode=0o700)
-        target = batched_xdrop._library_path(damaged)
+        target = native._library_path(damaged)
         good = path.read_bytes()
         bad = good[:len(good) // 3] if damage == "truncated" else b"\x7fELF junk"
         target.write_bytes(bad)
-        assert batched_xdrop.load_library(damaged) is not None
+        assert native.load_library(damaged) is not None
         assert target.read_bytes() != bad
         self._assert_one_library(damaged)
 
@@ -736,7 +737,7 @@ class TestKernelBuildCache:
         cache_dir = tmp_path / "repro"
         cache_dir.mkdir()
         cache_dir.chmod(mode)
-        assert batched_xdrop.load_library(cache_dir) is None
+        assert native.load_library(cache_dir) is None
         assert list(cache_dir.iterdir()) == []
 
     def test_foreign_owned_dir_is_refused(self, tmp_path, monkeypatch):
@@ -744,34 +745,34 @@ class TestKernelBuildCache:
         cache_dir.mkdir(mode=0o700)
         uid = os.getuid()
         monkeypatch.setattr(os, "getuid", lambda: uid + 1)
-        assert batched_xdrop.load_library(cache_dir) is None
+        assert native.load_library(cache_dir) is None
         assert list(cache_dir.iterdir()) == []
 
     def test_unusable_cache_dir_falls_back(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
-        assert batched_xdrop.load_library(blocker / "repro") is None
+        assert native.load_library(blocker / "repro") is None
 
     @pytest.mark.skipif(os.getuid() == 0, reason="root ignores directory write permissions")
     def test_unwritable_cache_dir_falls_back(self, tmp_path):
         cache_dir = tmp_path / "repro"
         cache_dir.mkdir(mode=0o500)
         try:
-            assert batched_xdrop.load_library(cache_dir) is None
+            assert native.load_library(cache_dir) is None
         finally:
             cache_dir.chmod(0o700)
 
     def test_compile_error_falls_back(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(batched_xdrop, "_C_SOURCE", broken)
+        monkeypatch.setattr(native, "_C_SOURCE", broken)
         cache_dir = tmp_path / "repro"
-        assert batched_xdrop.load_library(cache_dir) is None
+        assert native.load_library(cache_dir) is None
         assert list(cache_dir.iterdir()) == []
 
     def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(batched_xdrop, "_CC_COMMAND", ("no-such-cc-on-path", "-O2"))
-        assert batched_xdrop.load_library(tmp_path / "repro") is None
+        monkeypatch.setattr(native, "_CC_COMMAND", ("no-such-cc-on-path", "-O2"))
+        assert native.load_library(tmp_path / "repro") is None
 
     def test_import_builds_nothing(self, tmp_path):
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),

@@ -1,6 +1,5 @@
 """Unit tests for repro.seq.alphabet."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the experiment harness, reporting helpers and the CLI."""
 
-import numpy as np
 import pytest
 
 pytestmark = pytest.mark.slow

@@ -1,10 +1,8 @@
 """Unit tests for repro.data (genome generation, read simulation, presets)."""
 
-import numpy as np
 import pytest
 
 from repro.data.datasets import (
-    DatasetSpec,
     ecoli100x_like,
     ecoli30x_like,
     generate_dataset,

@@ -112,17 +112,6 @@ class TestBloomFilter:
         bloom = BloomFilter(n_bits=128)
         assert bloom.insert_many(np.empty(0, dtype=np.uint64)).size == 0
 
-    def test_scalar_contains(self):
-        bloom = BloomFilter(n_bits=1024, n_hashes=3)
-        bloom.insert_many(np.array([42], dtype=np.uint64))
-        assert bloom.contains(42)
-
-    def test_fill_ratio_monotone(self):
-        bloom = BloomFilter(n_bits=4096, n_hashes=2)
-        before = bloom.fill_ratio()
-        bloom.insert_many(np.arange(100, dtype=np.uint64))
-        assert bloom.fill_ratio() > before
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BloomFilter(n_bits=0)

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.align import batched_xdrop
+from repro import native
 from repro.cli import main
 from repro.core.config import PipelineConfig
 from repro.core.counters import SCHEDULE_FLAG_COUNTERS
@@ -108,7 +108,9 @@ class TestEndToEnd:
 class TestKernelTiers:
     def test_numpy_fallback_is_bit_identical(self, micro_dataset, micro_config,
                                               monkeypatch):
-        """With the compiled tier unavailable, run() gives the same science."""
+        """With the compiled tier unavailable — the x-drop kernel, the Bloom
+        filter, the key gate and the k-mer extraction all on NumPy — run()
+        gives the same science."""
         # Thread backend: the loader patch must reach the ranks, which a
         # rank pool forked before this test would not see.
         config = dataclasses.replace(micro_config, backend="thread", pool=False)
@@ -118,9 +120,9 @@ class TestKernelTiers:
                                n_nodes=1, ranks_per_node=2)
 
         default = run()
-        compiled = batched_xdrop.native_kernel() is not None
+        compiled = native.library() is not None
         assert (default.counters["align_native_ranks"] > 0) == compiled
-        monkeypatch.setattr(batched_xdrop, "native_kernel", lambda: None)
+        monkeypatch.setattr(native, "library", lambda: None)
         fallback = run()
         assert fallback.counters["align_native_ranks"] == 0
         assert fallback.overlap_pairs() == default.overlap_pairs()

@@ -27,8 +27,9 @@ computed with ``np.maximum.accumulate`` along the band axis.
 
 Two tiers run that recurrence.  The compiled tier (``xdrop_extend_batch`` in
 the library :mod:`repro.native` loads) vectorises across tasks too, in C:
-each task gets one int32 lane of a SIMD vector, and the lanes of a group step through DP rows together, each running the scalar
-recurrence with masks for band edges and finished tasks.  The library picks
+each task gets one int32 lane of a SIMD vector, and the lanes of a group
+step through DP rows together, each running the scalar recurrence with
+masks for band edges and finished tasks.  The library picks
 its lane width from the CPU at run time — 16 lanes with AVX-512F+BW, 8 with
 AVX2, otherwise 4 on the baseline instruction set — so the build command
 carries no ``-m`` flag and one cached library serves every CPU of a machine
@@ -37,9 +38,8 @@ type.  :func:`_extend_native` orders a call's tasks by
 scatters the results back into input order.  There is no scalar C loop: the
 4-lane kernel runs wherever one would.
 
-The library is built on the first kernel call — never at import — and
-called through :mod:`ctypes`, which releases the GIL, so thread-backend
-ranks align concurrently.  The NumPy body (:func:`_extend_numpy`) is the
+The kernel is called through :mod:`ctypes`, which releases the GIL, so
+thread-backend ranks align concurrently.  The NumPy body (:func:`_extend_numpy`) is the
 reference the compiled tier is tested against bit for bit, at every lane
 width, and the path taken whenever the library is unavailable or a batch
 could overflow its int32 lanes.

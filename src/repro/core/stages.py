@@ -455,8 +455,9 @@ def _occurrence_exchange(
             rid_arr = np.empty(meta.size, dtype=np.int64)
             pos_arr = np.empty(meta.size, dtype=np.int64)
             np.right_shift(meta, np.uint64(32), out=rid_arr.view(np.uint64))
-            strand_bits = np.bitwise_and(meta, np.uint64(1 << 31), out=pos_arr.view(np.uint64))
-            strand_arr = strand_bits != 0
+            # The position column's buffer holds the strand bit first.
+            strand_arr = np.bitwise_and(meta, np.uint64(1 << 31),
+                                        out=pos_arr.view(np.uint64)) != 0
             np.bitwise_and(meta, np.uint64(0x7FFFFFFF), out=pos_arr.view(np.uint64))
             for column_chunks, column in zip(kept, (rows[:, 0].copy(), rid_arr, pos_arr,
                                                     strand_arr)):

@@ -225,11 +225,12 @@ def key_mask(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     if keys.size == 0:
         return np.zeros(codes.size, dtype=bool)
     compiled = native.library()
-    if compiled is None:
+    # The compiled gate reads uint64 keys and one uint64 column of any
+    # whole-word stride, which is what stage 2 passes.
+    if (compiled is None or keys.dtype != np.uint64 or codes.dtype != np.uint64
+            or codes.ndim != 1 or codes.strides[0] % codes.itemsize):
         return _key_mask_numpy(keys, codes)
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    if codes.dtype != np.uint64 or codes.strides[0] % codes.itemsize:
-        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    keys = np.ascontiguousarray(keys)
     keep = np.empty(codes.size, dtype=bool)
     # The key set: at most half full, so probes stay short.
     table = np.zeros(2 * keys.size, dtype=np.uint64)

@@ -138,6 +138,12 @@ class TestCompiledKeyGate:
         np.testing.assert_array_equal(key_mask(keys[:-1], probes),
                                       [False, True, False, True, True, False])
 
+    def test_other_shapes_and_dtypes_take_the_numpy_body(self):
+        keys = np.array([3, 9, 12], dtype=np.uint64)
+        for codes in (np.array([9, 4, 12], dtype=np.int64),
+                      np.array([[9, 4], [12, 3]], dtype=np.uint64)):
+            np.testing.assert_array_equal(key_mask(keys, codes), _key_mask_numpy(keys, codes))
+
     def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
         monkeypatch.setattr(hashtable, "_key_mask_numpy", None)
         keys = np.array([3, 9], dtype=np.uint64)

@@ -128,9 +128,10 @@ def bucket_by_destination(
         )
     if destinations.size and (destinations.min() < 0 or destinations.max() >= n_ranks):
         raise ValueError("destination rank out of range")
-    # NumPy's stable sort of 16-bit keys is a radix sort: linear, and the
+    # Sorted in the narrowest unsigned type that holds every rank: NumPy's
+    # stable sort of 8- and 16-bit keys is a radix sort, linear and in the
     # same order as sorting the int64 ranks (2x faster at 2 ranks, 7x at 8).
-    keys = destinations.astype(np.uint16) if n_ranks <= 1 << 16 else destinations
+    keys = destinations.astype(np.min_scalar_type(max(n_ranks - 1, 0)))
     sorted_vals = values[np.argsort(keys, kind="stable")]
     counts = np.bincount(destinations, minlength=n_ranks)
     boundaries = np.concatenate(([0], np.cumsum(counts)))

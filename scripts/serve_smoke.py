@@ -7,6 +7,8 @@ contract:
 
 * every batch reports ``index_reuse_hits`` from all ranks and zero
   ``index_build_runs``;
+* no batch job carries the index reads (no ``index_reads_shipped``
+  counter): the ranks keep them beside the resident index;
 * no batch moves any stage-1/2 build traffic (``kmers_received_bloom`` and
   ``kmers_received_hashtable`` both zero);
 * both batches produce alignments (the serve path does real work, it is
@@ -15,8 +17,10 @@ contract:
 With ``--chaos`` the same session runs under a deterministic fault plan
 that SIGKILLs a rank mid-way through the first query batch
 (``docs/fault-tolerance.md``): the service must detect the death, respawn
-the pool, retry the batch, and report the recovery in the batch counters —
-while the second batch reuses the rebuilt resident index as usual.
+the pool, retry the batch with the index reads in its job
+(``index_reads_shipped`` equal to the index size), and report the recovery
+in the batch counters — while the second batch reuses the rebuilt resident
+index as usual and ships no index read.
 
 Pure counter checks — deterministic on any host, so ``ci.sh`` runs this on
 every change (no timing).
@@ -94,12 +98,18 @@ def main() -> int:
                     f"got {counters.get('query_batch_retries', 0)}"
                 assert counters["recovery_seconds"] >= 1, \
                     f"{label}: recovery_seconds not recorded"
+                assert counters.get("index_reads_shipped") == n_index, \
+                    f"{label}: expected the retry to ship {n_index} index " \
+                    f"reads, got {counters.get('index_reads_shipped')}"
             else:
                 assert counters["index_reuse_hits"] == RANKS, \
                     f"{label}: expected {RANKS} index reuse hits, " \
                     f"got {counters.get('index_reuse_hits', 0)}"
                 assert counters.get("index_build_runs", 0) == 0, \
                     f"{label}: rebuilt the index"
+                assert "index_reads_shipped" not in counters, \
+                    f"{label}: shipped {counters['index_reads_shipped']} " \
+                    "index reads to ranks that hold them"
                 assert counters.get("kmers_received_bloom", 0) == 0, \
                     f"{label}: moved bloom-stage build traffic"
                 assert counters.get("kmers_received_hashtable", 0) == 0, \
@@ -108,9 +118,11 @@ def main() -> int:
                 f"{label}: produced no alignments"
             extra = (f"recovered: failures={counters['rank_failures_detected']}, "
                      f"respawns={counters['pool_respawns']}, "
-                     f"retries={counters['query_batch_retries']}"
+                     f"retries={counters['query_batch_retries']}, "
+                     f"index reads resent={counters['index_reads_shipped']}"
                      if recovered else
-                     f"reuse={counters['index_reuse_hits']}, rebuilds=0")
+                     f"reuse={counters['index_reuse_hits']}, rebuilds=0, "
+                     "index reads shipped=0")
             print(f"serve smoke: {label} ok ({record.n_reads} reads, "
                   f"{counters['accepted_alignments']} alignments, {extra})")
     finally:

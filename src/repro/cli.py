@@ -337,11 +337,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     n_batches = max(1, min(args.query_batches, len(query_rids)))
     bounds = [len(query_rids) * i // n_batches for i in range(n_batches + 1)]
+    records = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         service.submit([reads[rid] for rid in query_rids[lo:hi]])
-        service.drain()
+        records += service.drain()
 
-    for record in service.records:
+    for record in records:
         counters = record.result.counters
         print(f"batch {record.batch_index}: {record.n_reads} reads -> "
               f"{counters.get('accepted_alignments', 0)} alignments in "

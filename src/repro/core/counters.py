@@ -85,6 +85,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "index_nbytes": "bytes of the resident index: sorted occurrences plus each shard's group table",
     "index_digest": "content digest of the resident index (staleness detection)",
     "index_reuse_hits": "query batches served from a resident index without rebuilding",
+    "index_reads_shipped": "index reads a query-batch job carried because the ranks lacked them (absent on the hot path)",
     "query_kmers_parsed": "k-mers parsed from the query-batch reads",
     "query_kmers_routed": "query k-mers routed to their index-owner ranks",
     "query_route_payload_bytes": "bytes moved by the query-routing exchange",

@@ -67,6 +67,10 @@ class DibellaPipeline:
         # resident-index generation tag query batches run against.
         self._index_readset: ReadSet | None = None
         self._index_tag: str | None = None
+        # Set when a failed run lost the ranks' resident state: the next
+        # query batch ships the index reads up front instead of asking the
+        # ranks and relaunching.
+        self._rank_state_lost = False
         # One FaultPlan per pipeline: its run-binding cursor hands each
         # spmd_run launch a stable ordinal (build = 0, first batch = 1, ...),
         # so retried runs are fault-free unless the plan targets them.
@@ -89,10 +93,12 @@ class DibellaPipeline:
         hold partially-populated generations, so recovery clears them and
         the retry rebuilds from scratch.  (Process-pool runs hold the
         equivalents inside the evicted worker processes — eviction already
-        discarded them.)
+        discarded them.)  Either way the ranks no longer hold the index
+        reads, so the next query batch ships them.
         """
         reset_persistent_read_caches()
         reset_resident_indexes()
+        self._rank_state_lost = True
 
     def run(self, readset: ReadSet) -> PipelineResult:
         """Run the full pipeline on *readset* and return the assembled result."""
@@ -101,9 +107,10 @@ class DibellaPipeline:
         check_reads(readset)
         # Under the persistent rank pool, tag this run's read caches with the
         # data set's content digest so reused ranks hit across runs over the
-        # same reads — and never across different read sets.
-        result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES,
-                              self._pool_cache_tag(readset.fingerprint()))
+        # same reads — and never across different read sets.  Without the
+        # pool there is no tag, so the read set is not hashed.
+        cache_tag = readset.fingerprint() if self.config.pool else None
+        result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES, cache_tag)
         result.counters["input_kmers"] = result.counters.get("kmers_parsed", 0)
         return result
 
@@ -140,6 +147,7 @@ class DibellaPipeline:
                               _INDEX_BUILD_STAGES, self._pool_cache_tag(index_tag))
         self._index_readset = readset
         self._index_tag = index_tag
+        self._rank_state_lost = False
         return result
 
     def run_query_batch(self, query_reads: ReadSet) -> PipelineResult:
@@ -158,6 +166,15 @@ class DibellaPipeline:
         Read names must not collide with the index read set (the
         :class:`~repro.core.service.AlignmentService` front-end prefixes
         submissions to guarantee this).
+
+        The job carries the query reads, the union partition and the index
+        size; the ranks keep the index reads beside their resident index.
+        The index reads ride along (counter ``index_reads_shipped``) only
+        when the ranks lack them: on the unpooled process backend, whose
+        fresh workers inherit them by fork, after
+        :meth:`invalidate_resident_state`, or on the one relaunch after the
+        ranks reported the index reads missing (state lost without this
+        pipeline knowing, e.g. the pool was shut down between batches).
         """
         if self._index_readset is None or self._index_tag is None:
             raise RuntimeError(
@@ -170,7 +187,7 @@ class DibellaPipeline:
         check_reads(query_reads)
         index_readset = self._index_readset
         try:
-            combined = ReadSet(list(index_readset) + list(query_reads))
+            combined = ReadSet([*index_readset, *query_reads])
         except ValueError as exc:
             raise ValueError(
                 "query read names collide with the index read set (or each "
@@ -185,10 +202,23 @@ class DibellaPipeline:
         # Query runs share the *index* generation's read caches: index reads
         # stay warm across batches, and each batch's query RIDs are evicted
         # on entry (RIDs >= n_index_reads are reused).
-        result = self._launch(run_query_batch, combined,
-                              (self._index_tag, len(index_readset)),
-                              _QUERY_BATCH_STAGES,
-                              self._pool_cache_tag(self._index_tag))
+        def launch(index_reads: ReadSet | None) -> PipelineResult:
+            return self._launch(
+                run_query_batch, query_reads,
+                (self._index_tag, len(index_readset), index_reads),
+                _QUERY_BATCH_STAGES, self._pool_cache_tag(self._index_tag),
+                rid_space=combined)
+
+        config = self.config
+        ship = self._rank_state_lost or (config.backend == "process"
+                                         and not config.pool)
+        result = launch(index_readset if ship else None)
+        if result.rank_reports[0].resend_index_reads:
+            ship = True
+            result = launch(index_readset)
+        self._rank_state_lost = False
+        if ship:
+            result.counters["index_reads_shipped"] = len(index_readset)
         result.counters["query_reads"] = len(query_reads)
         return result
 
@@ -199,16 +229,22 @@ class DibellaPipeline:
         return base if self.config.pool else None
 
     def _launch(self, program, readset: ReadSet, program_args: tuple,
-                stage_names: tuple[str, ...], cache_tag: str | None) -> PipelineResult:
-        """Partition *readset*, run *program* on every rank, assemble the result.
+                stage_names: tuple[str, ...], cache_tag: str | None,
+                rid_space: ReadSet | None = None) -> PipelineResult:
+        """Partition the reads, run *program* on every rank, assemble the result.
 
         Every rank program takes ``(comm, readset, assignments, config,
-        high_freq_threshold, *program_args, cache_tag=...)``.
+        high_freq_threshold, *program_args, cache_tag=...)``.  *assignments*
+        partitions *rid_space* (default: *readset* itself), one RID range
+        per rank, so the job's size does not grow with the read count.
         """
         config = self.config
         topology = self.topology
         n_ranks = topology.n_ranks
-        assignments = partition_reads(readset, n_ranks)
+        # partition_reads hands out contiguous ascending blocks.
+        assignments = [range(rids[0], rids[-1] + 1) if rids else range(0)
+                       for rids in partition_reads(
+                           readset if rid_space is None else rid_space, n_ranks)]
         high_freq_threshold = config.resolve_high_freq_threshold()
         trace = CommTrace(n_ranks)
 

@@ -126,6 +126,9 @@ class RankReport:
     # stage name -> compute seconds spent while an exchange was in flight
     # (the latency double buffering hid)
     stage_overlapped_seconds: dict[str, float] = field(default_factory=dict)
+    # set by a query batch that found no resident index reads and was sent
+    # none: the rank did nothing, and the parent relaunches with them
+    resend_index_reads: bool = False
 
 
 @dataclass

@@ -12,8 +12,9 @@ adds the always-on front of the ROADMAP's "alignment service" on top:
 * **drain** coalesces queued submissions into batches of at most
   ``config.serve_batch_reads`` reads (whole submissions — a submission never
   splits across batches, so one caller's reads always align together) and
-  runs each batch through the pooled pipeline, recording a per-batch
-  :class:`QueryBatchRecord` with the wall latency and the run counters;
+  runs each batch through the pooled pipeline, returning a per-batch
+  :class:`QueryBatchRecord` with the wall latency and the run counters (the
+  service itself keeps only each batch's latency and read count);
 * **latency_stats** summarises the drained batches (p50/p99 wall seconds
   per batch, reads served per second).
 
@@ -28,8 +29,9 @@ The service survives rank failures: a build or batch whose SPMD run died
 from a :class:`~repro.mpisim.errors.RankFailedError` is retried up to
 ``config.serve_max_retries`` times with exponential backoff.  The runtime
 has already evicted the broken pool by then; the retry lands on freshly
-respawned workers, which rebuild the resident index inside the run (the
-PR 6 rebuild path), so retried batches return bit-identical alignments.
+respawned workers, and its job carries the index reads, from which the
+ranks rebuild the resident index inside the run, so retried batches return
+bit-identical alignments.
 Successful-but-retried results carry the recovery evidence in their
 counters (``query_batch_retries``, ``rank_failures_detected``,
 ``pool_respawns``, ``recovery_seconds``); see ``docs/fault-tolerance.md``.
@@ -122,7 +124,10 @@ class AlignmentService:
         self.index_reads = index_reads
         self.pipeline = DibellaPipeline(config=config, topology=topology)
         self.build_result: PipelineResult | None = None
-        self.records: list[QueryBatchRecord] = []
+        # (wall seconds, reads) of every drained batch, for latency_stats.
+        # The records themselves go to drain's caller: a long-lived service
+        # must not hold every batch's result.
+        self._batch_history: list[tuple[float, int]] = []
         self._pending: list[tuple[int, list[Read]]] = []
         self._next_submission = 0
         self._closed = False
@@ -261,14 +266,14 @@ class AlignmentService:
             )
             wall_seconds = time.perf_counter() - start
             record = QueryBatchRecord(
-                batch_index=len(self.records),
+                batch_index=len(self._batch_history),
                 n_reads=len(batch),
                 n_submissions=n_submissions,
                 wall_seconds=wall_seconds,
                 result=result,
                 query_names=query_set.names(),
             )
-            self.records.append(record)
+            self._batch_history.append((wall_seconds, len(batch)))
             new_records.append(record)
         return new_records
 
@@ -276,14 +281,14 @@ class AlignmentService:
 
     def latency_stats(self) -> dict[str, float]:
         """p50/p99 batch latency and reads-per-second over all drained batches."""
-        if not self.records:
+        if not self._batch_history:
             return {"batches": 0.0, "reads": 0.0, "p50_seconds": 0.0,
                     "p99_seconds": 0.0, "reads_per_second": 0.0}
-        walls = np.array([record.wall_seconds for record in self.records])
-        total_reads = sum(record.n_reads for record in self.records)
+        walls = np.array([wall for wall, _reads in self._batch_history])
+        total_reads = sum(reads for _wall, reads in self._batch_history)
         total_wall = float(walls.sum())
         return {
-            "batches": float(len(self.records)),
+            "batches": float(len(self._batch_history)),
             "reads": float(total_reads),
             "p50_seconds": float(np.percentile(walls, 50)),
             "p99_seconds": float(np.percentile(walls, 99)),

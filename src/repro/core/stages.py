@@ -25,7 +25,7 @@ Table 1 platforms.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +123,7 @@ def reset_persistent_read_caches() -> None:
         _PERSISTENT_READ_CACHES.clear()
 
 
-def _build_read_owner(readset: ReadSet, assignments: list[list[int]]) -> np.ndarray:
+def _build_read_owner(readset: ReadSet, assignments: Sequence[Sequence[int]]) -> np.ndarray:
     """RID → owning rank from the partition, validating full coverage.
 
     Every read must appear in exactly one rank's assignment; a gap would
@@ -857,7 +857,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
 def _rank_state(
     comm: SimCommunicator,
     readset: ReadSet,
-    assignments: list[list[int]],
+    assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
     cache_tag: str | None,
@@ -883,7 +883,8 @@ def _rank_state(
     return state
 
 
-def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
+def _rank_report(comm: SimCommunicator, state: _RankState,
+                 resend_index_reads: bool = False) -> RankReport:
     """Package *state* as this rank's report."""
     timers = state.timers.items()
     aln_rid_a, aln_rid_b, aln_score, aln_span_a, aln_span_b = state.accepted
@@ -901,6 +902,7 @@ def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
         aln_span_a=aln_span_a,
         aln_span_b=aln_span_b,
         stage_overlapped_seconds={name: t.overlapped_seconds for name, t in timers},
+        resend_index_reads=resend_index_reads,
     )
 
 
@@ -911,7 +913,7 @@ def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
 def run_rank_pipeline(
     comm: SimCommunicator,
     readset: ReadSet,
-    assignments: list[list[int]],
+    assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
     cache_tag: str | None = None,
@@ -930,8 +932,9 @@ def run_rank_pipeline(
         The full read set (every rank holds it; each rank parses only its
         assigned RIDs, mirroring the paper's parallel file read).
     assignments:
-        Per-rank RID lists from :func:`repro.io.partition.partition_reads`;
-        must cover every read exactly once.
+        Per-rank RIDs from :func:`repro.io.partition.partition_reads` (the
+        pipeline ships each rank's block as a ``range``); must cover every
+        read exactly once.
     config:
         The run's :class:`~repro.core.config.PipelineConfig`.
     high_freq_threshold:
@@ -972,16 +975,21 @@ def run_rank_pipeline(
 #: across ``spmd_run`` invocations, so the index a rank built in
 #: ``run_index_build`` is still here when ``run_query_batch`` executes, and
 #: the query batch touches zero index-build code paths (counter
-#: ``index_reuse_hits``).  The tag fingerprints the index read set *and* the
-#: parameters the resident layout depends on (k, shard count, rank count);
-#: acquiring a different tag evicts the previous generation, so a reused
-#: rank never serves a stale index.
-_RESIDENT_INDEXES: dict[tuple[str, int], ShardedKmerIndex] = {}
+#: ``index_reuse_hits``).  Each entry also keeps the index *reads* the build
+#: ran over, so a query-batch job carries only its query reads: the rank
+#: rebuilds the union read set locally.  The tag fingerprints the index read
+#: set *and* the parameters the resident layout depends on (k, shard count,
+#: rank count); acquiring a different tag evicts the previous generation, so
+#: a reused rank never serves a stale index.  Unlike the read caches, these
+#: entries survive :func:`reset_persistent_read_caches`.
+_RESIDENT_INDEXES: dict[tuple[str, int], tuple[ShardedKmerIndex, ReadSet]] = {}
 _RESIDENT_INDEXES_LOCK = threading.Lock()
 
 
-def _resident_index(index_tag: str, rank: int) -> ShardedKmerIndex | None:
-    """This rank's resident index under *index_tag*, evicting stale tags."""
+def _resident_index(index_tag: str,
+                    rank: int) -> tuple[ShardedKmerIndex, ReadSet] | None:
+    """This rank's resident (index, index reads) under *index_tag*, evicting
+    stale tags."""
     with _RESIDENT_INDEXES_LOCK:
         stale = [key for key in _RESIDENT_INDEXES if key[0] != index_tag]
         for key in stale:
@@ -989,20 +997,20 @@ def _resident_index(index_tag: str, rank: int) -> ShardedKmerIndex | None:
         return _RESIDENT_INDEXES.get((index_tag, rank))
 
 
-def _store_resident_index(index_tag: str, rank: int,
-                          index: ShardedKmerIndex) -> None:
-    """Publish *rank*'s freshly built index under *index_tag*."""
+def _store_resident_index(index_tag: str, rank: int, index: ShardedKmerIndex,
+                          index_reads: ReadSet) -> None:
+    """Publish *rank*'s freshly built index and its reads under *index_tag*."""
     with _RESIDENT_INDEXES_LOCK:
-        _RESIDENT_INDEXES[(index_tag, rank)] = index
+        _RESIDENT_INDEXES[(index_tag, rank)] = (index, index_reads)
 
 
 def reset_resident_indexes() -> None:
-    """Drop every resident index (tests and benches reset state)."""
+    """Drop every resident index and its reads (tests and benches reset state)."""
     with _RESIDENT_INDEXES_LOCK:
         _RESIDENT_INDEXES.clear()
 
 
-def _arrival_order_key(assignments: list[list[int]], n_reads: int,
+def _arrival_order_key(assignments: Sequence[Sequence[int]], n_reads: int,
                        batch_reads: int) -> np.ndarray:
     """RID → arrival ordinal of the emulated one-shot run over these reads.
 
@@ -1049,7 +1057,7 @@ def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
 def run_index_build(
     comm: SimCommunicator,
     readset: ReadSet,
-    assignments: list[list[int]],
+    assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
     index_tag: str,
@@ -1061,9 +1069,10 @@ def run_index_build(
     over the index reads with no candidate keys (see
     :func:`hash_table_stage`), which sorts every occurrence into a
     :class:`~repro.kmers.hashtable.ShardedKmerIndex`, and publishes it in
-    the resident-index registry under *index_tag* — where subsequent
-    :func:`run_query_batch` invocations on a pooled rank find it without
-    rebuilding.  No overlaps or alignments are produced.
+    the resident-index registry under *index_tag*, beside *readset* —
+    where subsequent :func:`run_query_batch` invocations on a pooled rank
+    find both without rebuilding or receiving the index reads again.  No
+    overlaps or alignments are produced.
 
     Counters: ``index_build_runs`` (always 1 here), ``index_retained_kmers``
     / ``index_retained_occurrences`` (the table a query batch with no novel
@@ -1075,28 +1084,33 @@ def run_index_build(
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
                         cache_tag)
     index = hash_table_stage(comm, state, state.local_rids)
-    _store_resident_index(index_tag, comm.rank, index)
+    _store_resident_index(index_tag, comm.rank, index, readset)
     _index_report_counters(state, index)
     return _rank_report(comm, state)
 
 
 def run_query_batch(
     comm: SimCommunicator,
-    readset: ReadSet,
-    assignments: list[list[int]],
+    query_reads: ReadSet,
+    assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
     index_tag: str,
     n_index_reads: int,
+    index_reads: ReadSet | None,
     cache_tag: str | None = None,
 ) -> RankReport:
     """Serve phase: align one query batch against the resident index.
 
-    The SPMD program of :meth:`DibellaPipeline.run_query_batch`.  *readset*
-    is the combined set — index reads first (RIDs ``< n_index_reads``), the
-    query batch after them — and *assignments* partitions the combined set
-    exactly as a one-shot run over it would (the *emulated union run*).  The
-    batch flows through the one-shot stage implementations:
+    The SPMD program of :meth:`DibellaPipeline.run_query_batch`.  The job
+    carries the batch's *query_reads* only; the index reads come from the
+    resident-index registry (kept there by :func:`run_index_build`), or
+    from *index_reads* when the parent knows the ranks lack them.  The rank
+    rebuilds the combined set locally — index reads first (RIDs
+    ``< n_index_reads``), the query batch after them — and *assignments*
+    partitions that combined set exactly as a one-shot run over it would
+    (the *emulated union run*).  The batch flows through the one-shot stage
+    implementations:
 
     1. **Query route** — the stage-2 occurrence exchange
        (:func:`_occurrence_exchange`) over the local *query* reads only,
@@ -1117,28 +1131,43 @@ def run_query_batch(
     and keeping only its query-vs-index alignments (pinned by the serve
     parity tests).
 
-    If any rank lost its resident index (non-pooled process backend: fresh
-    workers every run), **all** ranks rebuild it first — presence is agreed
-    with a min-allreduce, so the rebuild's collectives stay matched — and
-    the run reports ``index_build_runs`` instead of ``index_reuse_hits``.
+    Residency is agreed with a min-allreduce over "holds the index and its
+    reads", so every rank takes the same branch and the collectives stay
+    matched.  If any rank lacks them and the job carries *index_reads*
+    (unpooled process backend, or a retry after a rank failure), **all**
+    ranks rebuild the index first and the run reports ``index_build_runs``
+    instead of ``index_reuse_hits``.  If the job carries no index reads
+    (state lost without the parent knowing: the pool was shut down, or the
+    registry reset), every rank returns a report flagged
+    ``resend_index_reads`` and the parent relaunches with them — a raise
+    would make the pool evict healthy ranks.
 
     Query RIDs are reused by every batch, so the previous batch's query
     reads are evicted from the (possibly pooled) read cache before the
     alignment stage caches this batch's.
     """
-    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
-                        cache_tag)
-    state.read_cache.evict_rids_at_or_above(n_index_reads)
-    route_timer = state.timer("query_route")
+    route_timer = StageTimer()
     comm.set_phase("query_route_exchange")
 
     # Index residency consensus: either every rank reuses its resident index
-    # or every rank rebuilds — a mixed decision would leave the rebuilding
-    # ranks alone in the hash-table exchange and deadlock the collectives.
-    index = _resident_index(index_tag, comm.rank)
+    # or every rank rebuilds (or asks for the index reads) — a mixed
+    # decision would leave the rebuilding ranks alone in the hash-table
+    # exchange and deadlock the collectives.
+    resident = _resident_index(index_tag, comm.rank)
     with route_timer.exchange():
         all_present = int(comm.allreduce(
-            np.array([0 if index is None else 1], dtype=np.int64), op="min")[0])
+            np.array([0 if resident is None else 1], dtype=np.int64), op="min")[0])
+    if not all_present and index_reads is None:
+        idle = _RankState(config, query_reads, [], np.empty(0, dtype=np.int64),
+                          high_freq_threshold)
+        return _rank_report(comm, idle, resend_index_reads=True)
+    if all_present:
+        index, index_reads = resident
+    readset = ReadSet([*index_reads, *query_reads])
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        cache_tag)
+    state.timers["query_route"] = route_timer
+    state.read_cache.evict_rids_at_or_above(n_index_reads)
     if all_present:
         state.counters["index_reuse_hits"] = 1
     else:
@@ -1146,7 +1175,7 @@ def run_query_batch(
         # partition still cover each exactly once).
         index = hash_table_stage(
             comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
-        _store_resident_index(index_tag, comm.rank, index)
+        _store_resident_index(index_tag, comm.rank, index, index_reads)
         state.counters["index_build_runs"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------

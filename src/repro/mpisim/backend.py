@@ -500,7 +500,7 @@ def _pooled_worker(
             # Jobs arrive pre-pickled (see _RankPool.run); unpickling can
             # still fail receive-side, e.g. an fn defined in a __main__ the
             # worker's fork predates.
-            job = pickle.loads(payload)
+            fn, args, kwargs, want_trace, faults = pickle.loads(payload)
         except BaseException as exc:  # noqa: BLE001
             engine.abort()
             results_queue.put((rank, "error", RuntimeError(
@@ -508,9 +508,12 @@ def _pooled_worker(
                 "(pooled rank programs must be importable from the worker)"
             ), None))
             return  # the parent evicts this pool; do not park again
-        fn, args, kwargs, want_trace, faults = job
+        # Hold nothing of this job while parked: what a rank keeps between
+        # runs is what its registries keep on purpose.
+        del payload
         _run_rank_job(rank, n_ranks, engine, fn, args, kwargs, want_trace,
                       results_queue, faults)
+        del fn, args, kwargs, faults
 
 
 def _dead_worker_ranks(workers: list, skip: set[int]) -> list[int]:

@@ -495,7 +495,8 @@ class TestServeKillRecovery:
         yield
         shutdown_rank_pools()
 
-    def _run_session(self, micro_dataset, fault_plan):
+    def _run_session(self, micro_dataset, fault_plan, n_batches=1):
+        """Build, then drain *n_batches* batches of the same queries."""
         index, queries = _service_workload(micro_dataset)
         config = PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
                                 error_rate_hint=0.08, backend="process",
@@ -503,17 +504,19 @@ class TestServeKillRecovery:
         service = AlignmentService(index, config=config,
                                    topology=Topology(1, 2))
         build = service.build()
-        service.submit(queries)
-        record = service.drain()[0]
+        records = []
+        for _ in range(n_batches):
+            service.submit(queries)
+            records += service.drain()
         service.shutdown()
-        return build, record
+        return build, records
 
     def test_kill_during_build_recovers_bit_identical(self, new_shm_segments, micro_dataset):
-        _build0, clean = self._run_session(micro_dataset, None)
+        _build0, (clean,) = self._run_session(micro_dataset, None)
         shutdown_rank_pools()
         reset_recovery_counters()
-        build, record = self._run_session(micro_dataset,
-                                          "kill:rank=1:step=1:run=0")
+        build, (record,) = self._run_session(micro_dataset,
+                                             "kill:rank=1:step=1:run=0")
         assert build.counters["rank_failures_detected"] >= 1
         assert build.counters["pool_respawns"] == 2
         assert build.counters["recovery_seconds"] >= 1
@@ -522,16 +525,25 @@ class TestServeKillRecovery:
         assert new_shm_segments() == []
 
     def test_kill_during_batch_recovers_bit_identical(self, new_shm_segments, micro_dataset):
-        _build0, clean = self._run_session(micro_dataset, None)
+        _build0, (clean,) = self._run_session(micro_dataset, None)
         shutdown_rank_pools()
         reset_recovery_counters()
-        _build, record = self._run_session(micro_dataset,
-                                           "kill:rank=0:step=2:run=1")
+        _build, (record, after) = self._run_session(
+            micro_dataset, "kill:rank=0:step=2:run=1", n_batches=2)
         counters = record.result.counters
         assert counters["rank_failures_detected"] >= 1
         assert counters["pool_respawns"] == 2
         assert counters["query_batch_retries"] == 1
         assert counters["recovery_seconds"] >= 1
+        # The retry shipped the index reads and rebuilt on both ranks.
+        assert counters["index_build_runs"] == 2
+        n_index = len(_service_workload(micro_dataset)[0])
+        assert counters["index_reads_shipped"] == n_index
         assert _science(record.result) == _science(clean.result)
+        # The next batch reuses the rebuilt index and ships no index read.
+        assert after.result.counters["index_reuse_hits"] == 2
+        assert "index_reads_shipped" not in after.result.counters
+        assert "index_build_runs" not in after.result.counters
+        assert _science(after.result) == _science(clean.result)
         _await_no_workers("spmd-pool-rank-")
         assert new_shm_segments() == []

@@ -8,11 +8,13 @@ counts — while touching zero index-build code paths after the first batch.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core import AlignmentService, DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
@@ -138,11 +140,20 @@ def test_name_collision_with_index_reads_is_rejected(micro_dataset):
 
 
 @pytest.mark.slow
-def test_unpooled_process_backend_rebuilds_each_batch(micro_dataset):
-    """Without the rank pool, fresh workers cannot reuse a resident index."""
+def test_unpooled_process_backend_rebuilds_each_batch(micro_dataset, monkeypatch):
+    """Without the rank pool, fresh workers cannot reuse a resident index:
+    each batch ships the index reads up front, in its one launch."""
     index_reads, query_reads = _split(micro_dataset.reads,
                                       (3 * len(micro_dataset.reads)) // 4)
     config = _config("process", 1, pool=False)
+    launches = []
+    real_spmd_run = pipeline_module.spmd_run
+
+    def counting_spmd_run(*args, **kwargs):
+        launches.append(args[1])
+        return real_spmd_run(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "spmd_run", counting_spmd_run)
     try:
         pipeline = DibellaPipeline(config=config,
                                    topology=Topology.single_node(2))
@@ -150,6 +161,8 @@ def test_unpooled_process_backend_rebuilds_each_batch(micro_dataset):
         result = pipeline.run_query_batch(query_reads)
         assert result.counters.get("index_reuse_hits", 0) == 0
         assert result.counters["index_build_runs"] == 2
+        assert result.counters["index_reads_shipped"] == len(index_reads)
+        assert len(launches) == 2  # the build and the batch
     finally:
         _cleanup()
 
@@ -255,3 +268,91 @@ def test_non_acgt_read_fails_before_launch(micro_dataset):
             pipeline.run_query_batch(ReadSet([bad_query]))
     finally:
         _cleanup()
+
+
+# ---------------------------------------------------------------------------
+# Job shape: a batch ships its queries; the ranks keep the index reads
+# ---------------------------------------------------------------------------
+
+def _two_batch_session(config: PipelineConfig, readset: ReadSet,
+                       between=lambda: None) -> tuple:
+    """Build, serve two batches (calling *between* in between), return both."""
+    index_reads, query_reads = _split(readset, (3 * len(readset)) // 4)
+    queries = list(query_reads)
+    half = len(queries) // 2
+    pipeline = DibellaPipeline(config=config, topology=Topology.single_node(RANKS))
+    pipeline.build_index(index_reads)
+    first = pipeline.run_query_batch(ReadSet(queries[:half]))
+    between()
+    second = pipeline.run_query_batch(ReadSet(queries[half:]))
+    return len(index_reads), first, second
+
+
+def _assert_resent(config: PipelineConfig, readset: ReadSet, lose_state) -> None:
+    """State lost between two batches without the pipeline knowing: the
+    second batch is resent with the index reads, rebuilds on every rank and
+    matches an uninterrupted session bit for bit, with no rank failure."""
+    try:
+        _n_index, clean_first, clean_second = _two_batch_session(config, readset)
+        _cleanup()
+        failures = recovery_counters()["rank_failures_detected"]
+        n_index, first, second = _two_batch_session(config, readset, lose_state)
+        assert recovery_counters()["rank_failures_detected"] == failures
+        for clean, got in ((clean_first, first), (clean_second, second)):
+            np.testing.assert_array_equal(_canonical(got.alignment_table()),
+                                          _canonical(clean.alignment_table()))
+        assert "index_reads_shipped" not in first.counters
+        assert first.counters["index_reuse_hits"] == RANKS
+        assert second.counters["index_build_runs"] == RANKS
+        assert second.counters.get("index_reuse_hits", 0) == 0
+        assert second.counters["index_reads_shipped"] == n_index
+        assert "rank_failures_detected" not in second.counters
+    finally:
+        _cleanup()
+
+
+def test_lost_thread_state_is_resent(micro_dataset):
+    _assert_resent(_config("thread", 4), micro_dataset.reads, reset_resident_indexes)
+
+
+@pytest.mark.slow
+def test_lost_pool_is_resent(micro_dataset):
+    _assert_resent(_config("process", 4, pool=True), micro_dataset.reads,
+                   shutdown_rank_pools)
+
+
+@pytest.mark.slow
+def test_pooled_batch_job_ships_only_queries(micro_dataset, monkeypatch):
+    """A pooled batch's job holds no index read, and its pickled size does
+    not change when the index read set doubles."""
+    reads = list(micro_dataset.reads)
+    queries = ReadSet(reads[-4:])
+    launches: list[tuple] = []
+    real_spmd_run = pipeline_module.spmd_run
+
+    def capturing_spmd_run(n_ranks, fn, *args, **kwargs):
+        launches.append(args)
+        return real_spmd_run(n_ranks, fn, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "spmd_run", capturing_spmd_run)
+    sizes = []
+    try:
+        for n_index in (15, 30):
+            index_reads = ReadSet(reads[:n_index])
+            pipeline = DibellaPipeline(config=_config("process", 4, pool=True),
+                                       topology=Topology.single_node(RANKS))
+            pipeline.build_index(index_reads)
+            result = pipeline.run_query_batch(queries)
+            assert result.counters["index_reuse_hits"] == RANKS
+            assert "index_reads_shipped" not in result.counters
+            args = launches[-1]
+            shipped = [read.name for arg in args if isinstance(arg, ReadSet)
+                       for read in arg]
+            assert shipped == queries.names()
+            job = pickle.dumps(args)
+            assert not any(read.sequence.encode("ascii") in job
+                           for read in index_reads)
+            sizes.append(len(job))
+    finally:
+        _cleanup()
+    assert sizes[0] == sizes[1]

@@ -20,15 +20,10 @@ Hit/miss counters cover the encoded-buffer lookups (the per-task hot path);
 ``fetch_hits`` counts remote fetches avoided because the sequence was already
 present.  The pipeline surfaces all three in the run's counters.
 
-The cache can be byte-bounded (``capacity_bytes``; 0 = unbounded): entries
-are kept in least-recently-used order (dict insertion order, refreshed on
-access) and :meth:`trim` evicts from the LRU end until the cache fits.  The
-pipeline calls ``trim`` only at alignment-stage *exit* — never mid-stage —
-because :meth:`missing` has already promised the aligner that the filtered
-RIDs are resident; evicting one mid-run would turn that promise into a
-``KeyError``.  Capacity is charged as one byte per base (the decoded
-sequence string dominates a fully-materialised entry; memoised code buffers
-are counted implicitly by the same measure).
+The cache has no byte bound.  A one-shot run's cache lives for that run; a
+serve rank's cache lives beside its resident index and holds at most the
+index reads plus one query batch, because each batch evicts the previous
+batch's query RIDs on entry (:meth:`evict_rids_at_or_above`).
 """
 
 from __future__ import annotations
@@ -78,31 +73,20 @@ class ReadCache:
         cache — the per-task hot path of the x-drop kernel.
     fetch_hits:
         Remote fetches avoided because :meth:`missing` found the sequence
-        already cached (nonzero across pooled runs over the same read set).
-    capacity_bytes:
-        Byte bound enforced by :meth:`trim` (0 = unbounded, the default).
-    evictions / evicted_bytes:
-        Entries (and their base counts) evicted by capacity trims.
+        already cached (nonzero from the second query batch over a resident
+        index on).
     """
 
     _entries: dict[int, _Entry] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     fetch_hits: int = 0
-    capacity_bytes: int = 0
-    evictions: int = 0
-    evicted_bytes: int = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, rid: int) -> bool:
         return rid in self._entries
-
-    def _touch(self, rid: int) -> None:
-        """Mark *rid* most-recently-used (move to the dict's insertion tail)."""
-        entry = self._entries.pop(rid)
-        self._entries[rid] = entry
 
     # -- sequence level ------------------------------------------------------
 
@@ -145,7 +129,6 @@ class ReadCache:
         its memoised encodings) wins.
         """
         if rid in self._entries:
-            self._touch(int(rid))
             return
         self._entries[int(rid)] = _Entry(packed=np.asarray(packed, dtype=np.uint8),
                                          length=int(length))
@@ -164,10 +147,6 @@ class ReadCache:
         self.fetch_hits += int(present.sum())
         return rids[~present]
 
-    def total_bases(self) -> int:
-        """Total bases cached, computed without decoding packed entries."""
-        return sum(entry.n_bases() for entry in self._entries.values())
-
     def bases_cached(self, rids: np.ndarray) -> int:
         """Total bases of the given cached RIDs (absent RIDs contribute 0).
 
@@ -180,52 +159,13 @@ class ReadCache:
                    for rid in np.asarray(rids, dtype=np.int64).tolist()
                    if (entry := self._entries.get(rid)) is not None)
 
-    # -- capacity ------------------------------------------------------------
-
-    def trim(self, capacity_bytes: int | None = None) -> int:
-        """Evict least-recently-used entries until the cache fits the bound.
-
-        Parameters
-        ----------
-        capacity_bytes:
-            Byte bound to trim to; defaults to the cache's own
-            ``capacity_bytes``.  ``0`` (or ``None`` with an unbounded cache)
-            is a no-op.
-
-        Returns
-        -------
-        int
-            Number of entries evicted.
-
-        Only ever called at alignment-stage exit — mid-stage eviction could
-        remove a read :meth:`missing` already reported as resident.
-        """
-        bound = self.capacity_bytes if capacity_bytes is None else int(capacity_bytes)
-        if bound <= 0 or not self._entries:
-            return 0
-        total = self.total_bases()
-        evicted = 0
-        lru = iter(list(self._entries.keys()))
-        while total > bound:
-            try:
-                rid = next(lru)
-            except StopIteration:  # pragma: no cover - total hits 0 first
-                break
-            entry = self._entries.pop(rid)
-            total -= entry.n_bases()
-            self.evicted_bytes += entry.n_bases()
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
     def evict_rids_at_or_above(self, min_rid: int) -> int:
         """Drop every entry with RID ``>= min_rid``; returns the count dropped.
 
         The serve phase's correctness eviction: query RIDs are reused by
         every batch (``n_index + position``), and :meth:`put_packed` keeps
-        existing entries, so yesterday's query read must leave the persistent
-        cache before today's batch reuses its RID.  Not counted as a
-        capacity eviction.
+        existing entries, so yesterday's query read must leave the resident
+        cache before today's batch reuses its RID.
         """
         stale = [rid for rid in self._entries if rid >= min_rid]
         for rid in stale:
@@ -247,7 +187,6 @@ class ReadCache:
     def encoded(self, rid: int) -> np.ndarray:
         """The 2-bit code array of *rid*, encoded (or unpacked) at most once."""
         entry = self._entries[rid]
-        self._touch(rid)
         if entry.codes is None:
             self.misses += 1
             self._codes_of(entry)
@@ -263,7 +202,6 @@ class ReadCache:
         costs one extra buffer the first time and nothing after.
         """
         entry = self._entries[rid]
-        self._touch(rid)
         if entry.codes_rc is None:
             self.misses += 1
             entry.codes_rc = (3 - self.encoded_peek(rid))[::-1].astype(np.uint8)
@@ -283,6 +221,4 @@ class ReadCache:
             "read_cache_hits": self.hits,
             "read_cache_misses": self.misses,
             "read_cache_fetch_hits": self.fetch_hits,
-            "read_cache_evictions": self.evictions,
-            "read_cache_evicted_bytes": self.evicted_bytes,
         }

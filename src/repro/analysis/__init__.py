@@ -13,7 +13,8 @@ SL001     collectives called under rank-dependent control flow
 SL002     superstep exchanges / schedules without a phase label
 SL003     nondeterminism: unordered iteration, global RNG, wall clock
 SL004     counters written but not declared in ``repro.core.counters``
-SL005     config knobs missing their CLI flag, env default or README row
+SL005     config knobs missing their CLI flag, env default or README row;
+          README knob rows naming no config field
 ========  ==============================================================
 
 Run it as ``python -m repro.analysis.lint src/`` (or

@@ -44,7 +44,8 @@ RULES: dict[str, str] = {
     "SL004": "counter key not declared in repro.core.counters "
              "(backend-invariance tests iterate the registry)",
     "SL005": "PipelineConfig knob missing one of CLI flag / DIBELLA_* env "
-             "default / README knob-table row",
+             "default / README knob-table row, or a README row naming no "
+             "PipelineConfig field",
 }
 
 #: SimCommunicator collective methods (call sites, not definitions).
@@ -357,13 +358,15 @@ class _Visitor(ast.NodeVisitor):
 # ---------------------------------------------------------------------------
 
 def _config_fields(tree: ast.Module) -> list[tuple[str, int, set[str]]]:
-    """``(field, lineno, env_vars)`` per PipelineConfig dataclass field."""
+    """``(field, lineno, env_vars)`` per PipelineConfig dataclass field
+    (init-only ``InitVar`` names are not fields)."""
     fields: list[tuple[str, int, set[str]]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig":
             for stmt in node.body:
                 if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
+                        and isinstance(stmt.target, ast.Name)
+                        and "InitVar" not in ast.unparse(stmt.annotation)):
                     envs = set()
                     for sub in ast.walk(stmt):
                         if (isinstance(sub, ast.Constant)
@@ -399,17 +402,39 @@ def _readme_knob_fields(readme_path: Path) -> set[str]:
     return names
 
 
+def _readme_config_cells(readme_path: Path) -> list[tuple[int, str]]:
+    """``(lineno, cell)`` of every body row's "Config field" cell, over the
+    README tables whose header has that column."""
+    cells: list[tuple[int, str]] = []
+    column: int | None = None  # None outside a table, -1 in other tables
+    lines = readme_path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.lstrip().startswith("|"):
+            column = None
+            continue
+        row = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if column is None:
+            column = row.index("Config field") if "Config field" in row else -1
+        elif 0 <= column < len(row) and set(row[column]) - set("-: "):
+            cells.append((lineno, row[column]))
+    return cells
+
+
 def _check_knob_plumbing(
     config_path: Path, tree: ast.Module, suppressed: dict[int, set[str]]
 ) -> list[Finding]:
-    """SL005: every participating config knob has flag + env + README row.
+    """SL005: every participating config knob has flag + env + README row,
+    and every README knob-table row names a live config field.
 
     A field *participates* in knob plumbing once it is exposed through any
     of the three surfaces (a derived CLI flag, a ``DIBELLA_*`` env default,
     or a README knob-table row); participation requires all three, so a knob
     cannot be settable from the CLI but invisible to scripted env-driven CI,
     or documented but not settable.  Purely programmatic fields (scoring
-    schemes, hints) expose none of the three and are exempt.
+    schemes, hints) expose none of the three and are exempt.  The reverse
+    check catches a deleted knob's leftover row: a "Config field" cell must
+    name a ``PipelineConfig`` field, unless it is ``—`` (a flag that reports
+    rather than configures).
     """
     cli_path = config_path.parent.parent / "cli.py"
     readme_path = next(
@@ -437,6 +462,14 @@ def _check_knob_plumbing(
             findings.append(Finding(
                 str(config_path), lineno, 1, "SL005",
                 f"knob {name!r} is missing: {', '.join(missing)}"))
+    live = {name for name, _lineno, _envs in _config_fields(tree)}
+    for lineno, cell in _readme_config_cells(readme_path):
+        names = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", cell)
+        if cell != "—" and (not names or not set(names) <= live):
+            findings.append(Finding(
+                str(readme_path), lineno, 1, "SL005",
+                f"README knob-table row names {cell}, which is no "
+                f"PipelineConfig field"))
     return findings
 
 

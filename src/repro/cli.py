@@ -128,14 +128,9 @@ def _pipeline_flags() -> argparse.ArgumentParser:
                             "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
     group.add_argument("--pool", action="store_true", default=None,
                        help="acquire ranks from the persistent rank pool (processes "
-                            "parked on a barrier between runs; amortises startup and "
-                            "keeps per-rank read caches across runs; serve and "
-                            "query force it on for the process backend; "
+                            "parked on a barrier between runs; amortises startup; "
+                            "serve and query force it on for the process backend; "
                             "DIBELLA_POOL=1 has the same effect)")
-    group.add_argument("--read-cache-mb", type=float, default=None,
-                       help="byte-capacity LRU bound (MiB) of each rank's "
-                            "alignment-stage read cache; 0 (the default) is "
-                            "unbounded (DIBELLA_READ_CACHE_MB has the same effect)")
     group.add_argument("--sanitize", action="store_true", default=None,
                        help="arm the runtime sanitizer: cross-rank collective "
                             "congruence checks, split-phase segment lifecycle "

@@ -34,6 +34,7 @@ _REMOVED_KNOB_DEFAULTS = {
     "collective": "flat", "rank_groups": None, "pin_ranks": False,
     "double_buffer_stages": None, "wire_packing": True,
     "alignment_batch_tasks": None, "double_buffer": True,
+    "read_cache_mb": 0.0,
 }
 
 
@@ -126,26 +127,17 @@ class PipelineConfig:
         Run the SPMD program on the persistent rank pool: with the process
         backend, rank processes park on a barrier between ``spmd_run``
         invocations instead of being re-forked, amortising startup across
-        repeated runs, and each rank's alignment-stage read cache persists
-        across runs over the same read set (keyed by a data-set generation
-        tag, so a reused rank never serves stale reads).  The thread backend
-        has no fork cost but still keeps the cross-run read caches.  The
-        default honours ``DIBELLA_POOL``.
+        repeated runs.  A no-op on the thread backend, whose ranks have no
+        fork cost.  What a rank keeps between runs does not depend on this
+        flag: a serve rank keeps its resident index, the index reads and
+        their read cache (a pooled process rank, or any thread rank), and a
+        one-shot run keeps nothing.  The default honours ``DIBELLA_POOL``.
     serve_batch_reads:
         Serve-phase admission bound: the
         :class:`~repro.core.service.AlignmentService` coalesces queued query
         submissions into one drained batch of at most this many reads, so a
         burst of small submissions pays the per-batch SPMD dispatch once.
         The default honours ``DIBELLA_SERVE_BATCH_READS``.
-    read_cache_mb:
-        Byte-capacity bound (MiB) of each rank's alignment-stage read cache.
-        ``0`` (the default) keeps the PR-3 behaviour — the cache grows
-        without limit across pooled runs — which is fine for one-shot
-        batches but a slow leak for an always-on service; a positive bound
-        evicts least-recently-used reads down to the capacity at the end of
-        every alignment stage (counters ``read_cache_evictions`` /
-        ``read_cache_evicted_bytes``).  The default honours
-        ``DIBELLA_READ_CACHE_MB``.
     sanitize:
         Arm the runtime sanitizer for every SPMD run this pipeline launches:
         cross-rank collective congruence checks, split-phase segment
@@ -170,14 +162,15 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer:
+    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer, read_cache_mb:
         Compatibility names of removed second paths: a hierarchical
         collective layout, per-stage double buffering, the ASCII read wire
-        format, batched read fetch and the bulk-synchronous superstep
-        schedule.  They are init-only (not stored, not in
-        :func:`dataclasses.fields`) and accept only their former defaults
-        (:data:`_REMOVED_KNOB_DEFAULTS`), so callers that spell out every
-        knob keep working; any other value raises :class:`ValueError`.
+        format, batched read fetch, the bulk-synchronous superstep
+        schedule and a byte bound on the read cache.  They are init-only
+        (not stored, not in :func:`dataclasses.fields`) and accept only
+        their former defaults (:data:`_REMOVED_KNOB_DEFAULTS`), so callers
+        that spell out every knob keep working; any other value raises
+        :class:`ValueError`.
     """
 
     kmer: KmerSpec = field(default_factory=lambda: KmerSpec(k=17))
@@ -217,9 +210,6 @@ class PipelineConfig:
     serve_batch_reads: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_SERVE_BATCH_READS", "4096"))
     )
-    read_cache_mb: float = field(
-        default_factory=lambda: float(os.environ.get("DIBELLA_READ_CACHE_MB", "0"))
-    )
     sanitize: bool = field(
         default_factory=lambda: _env_flag("DIBELLA_SANITIZE", False)
     )
@@ -236,17 +226,18 @@ class PipelineConfig:
     wire_packing: InitVar[bool] = True
     alignment_batch_tasks: InitVar[int | None] = None
     double_buffer: InitVar[bool] = True
+    read_cache_mb: InitVar[float] = 0.0
 
     def __post_init__(self, collective: str, rank_groups: int | None,
                       pin_ranks: bool, double_buffer_stages: tuple[str, ...] | None,
                       wire_packing: bool, alignment_batch_tasks: int | None,
-                      double_buffer: bool) -> None:
+                      double_buffer: bool, read_cache_mb: float) -> None:
         given = {"collective": collective, "rank_groups": rank_groups,
                  "pin_ranks": pin_ranks,
                  "double_buffer_stages": double_buffer_stages,
                  "wire_packing": wire_packing,
                  "alignment_batch_tasks": alignment_batch_tasks,
-                 "double_buffer": double_buffer}
+                 "double_buffer": double_buffer, "read_cache_mb": read_cache_mb}
         changed = {name: value for name, value in given.items()
                    if (type(value), value) != (type(_REMOVED_KNOB_DEFAULTS[name]),
                                                _REMOVED_KNOB_DEFAULTS[name])}
@@ -278,8 +269,6 @@ class PipelineConfig:
             raise ValueError("hash_table_shards must be >= 1")
         if self.serve_batch_reads < 1:
             raise ValueError("serve_batch_reads must be >= 1")
-        if self.read_cache_mb < 0:
-            raise ValueError("read_cache_mb must be >= 0 (0 = unbounded)")
         if self.serve_max_retries < 0:
             raise ValueError("serve_max_retries must be >= 0 (0 = no recovery)")
         if self.fault_plan is not None:
@@ -316,8 +305,3 @@ class PipelineConfig:
         coverage = self.coverage_hint if self.coverage_hint is not None else 30.0
         error_rate = self.error_rate_hint if self.error_rate_hint is not None else 0.12
         return high_frequency_threshold(coverage, error_rate, self.kmer.k)
-
-    @property
-    def read_cache_capacity_bytes(self) -> int:
-        """The read-cache byte bound (``0`` = unbounded)."""
-        return int(self.read_cache_mb * (1 << 20))

@@ -74,9 +74,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     # -- per-rank read cache (ReadCache.counters) ---------------------------
     "read_cache_hits": "alignment read-cache hits (sequence already resident)",
     "read_cache_misses": "alignment read-cache misses (sequence fetched or faulted)",
-    "read_cache_fetch_hits": "misses satisfied by the batched remote fetch",
-    "read_cache_evictions": "LRU evictions under the read_cache_mb byte bound",
-    "read_cache_evicted_bytes": "bytes evicted from the read cache under the byte bound",
+    "read_cache_fetch_hits": "remote read fetches skipped because the read was already cached",
     # -- serve phase: resident index build + query batches ------------------
     "index_build_runs": "index-build passes executed (0 when a resident index was reused)",
     "index_retained_kmers": "reliable k-mers in the built index",

@@ -9,7 +9,6 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.core.result import PipelineResult, RankReport, StageRecord, STAGE_NAMES
 from repro.core.stages import (
-    reset_persistent_read_caches,
     reset_resident_indexes,
     run_index_build,
     run_query_batch,
@@ -86,17 +85,16 @@ class DibellaPipeline:
         return self._fault_plan.bind_next_run()
 
     def invalidate_resident_state(self) -> None:
-        """Drop parent-process resident registries after a failed SPMD run.
+        """Drop the parent process's resident entries after a failed SPMD run.
 
-        Thread-backend runs keep read caches and resident index shards in
-        this process's registries; after a rank failure mid-build those can
-        hold partially-populated generations, so recovery clears them and
-        the retry rebuilds from scratch.  (Process-pool runs hold the
-        equivalents inside the evicted worker processes — eviction already
-        discarded them.)  Either way the ranks no longer hold the index
-        reads, so the next query batch ships them.
+        Thread-backend ranks keep their resident index shards, index reads
+        and read caches in this process's registry; after a rank failure
+        mid-build it can hold a partially-populated generation, so recovery
+        clears it and the retry rebuilds from scratch.  (Process-pool runs
+        hold the equivalents inside the evicted worker processes — eviction
+        already discarded them.)  Either way the ranks no longer hold the
+        index reads, so the next query batch ships them.
         """
-        reset_persistent_read_caches()
         reset_resident_indexes()
         self._rank_state_lost = True
 
@@ -105,12 +103,7 @@ class DibellaPipeline:
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
         check_reads(readset)
-        # Under the persistent rank pool, tag this run's read caches with the
-        # data set's content digest so reused ranks hit across runs over the
-        # same reads — and never across different read sets.  Without the
-        # pool there is no tag, so the read set is not hashed.
-        cache_tag = readset.fingerprint() if self.config.pool else None
-        result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES, cache_tag)
+        result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES)
         result.counters["input_kmers"] = result.counters.get("kmers_parsed", 0)
         return result
 
@@ -144,7 +137,7 @@ class DibellaPipeline:
                      f":s{config.hash_table_shards}:r{self.topology.n_ranks}"
                      f":{self._seed_mode_tag(config)}")
         result = self._launch(run_index_build, readset, (index_tag,),
-                              _INDEX_BUILD_STAGES, self._pool_cache_tag(index_tag))
+                              _INDEX_BUILD_STAGES)
         self._index_readset = readset
         self._index_tag = index_tag
         self._rank_state_lost = False
@@ -199,15 +192,11 @@ class DibellaPipeline:
         # would be: the union partition defines both the serve-phase read
         # ownership and the arrival-order emulation that makes the served
         # alignments bit-identical to that run's query-vs-index subset.
-        # Query runs share the *index* generation's read caches: index reads
-        # stay warm across batches, and each batch's query RIDs are evicted
-        # on entry (RIDs >= n_index_reads are reused).
         def launch(index_reads: ReadSet | None) -> PipelineResult:
             return self._launch(
                 run_query_batch, query_reads,
                 (self._index_tag, len(index_readset), index_reads),
-                _QUERY_BATCH_STAGES, self._pool_cache_tag(self._index_tag),
-                rid_space=combined)
+                _QUERY_BATCH_STAGES, rid_space=combined)
 
         config = self.config
         ship = self._rank_state_lost or (config.backend == "process"
@@ -224,17 +213,13 @@ class DibellaPipeline:
 
     # -- launch and assembly ----------------------------------------------------------
 
-    def _pool_cache_tag(self, base: str) -> str | None:
-        """The persistent read-cache tag for a run (None without the pool)."""
-        return base if self.config.pool else None
-
     def _launch(self, program, readset: ReadSet, program_args: tuple,
-                stage_names: tuple[str, ...], cache_tag: str | None,
+                stage_names: tuple[str, ...],
                 rid_space: ReadSet | None = None) -> PipelineResult:
         """Partition the reads, run *program* on every rank, assemble the result.
 
         Every rank program takes ``(comm, readset, assignments, config,
-        high_freq_threshold, *program_args, cache_tag=...)``.  *assignments*
+        high_freq_threshold, *program_args)``.  *assignments*
         partitions *rid_space* (default: *readset* itself), one RID range
         per rank, so the job's size does not grow with the read count.
         """
@@ -262,7 +247,6 @@ class DibellaPipeline:
             pool=config.pool,
             sanitize=config.sanitize,
             faults=self._next_run_faults(),
-            cache_tag=cache_tag,
         )
         wall_seconds = time.perf_counter() - start
 

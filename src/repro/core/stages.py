@@ -90,39 +90,6 @@ class _RankState:
 # Helpers
 # ---------------------------------------------------------------------------
 
-#: Read caches that outlive a single pipeline run, keyed by (generation tag,
-#: rank).  Under the persistent rank pool a worker process survives across
-#: ``spmd_run`` invocations, so keeping its rank's cache here lets the second
-#: run over the same data set skip the remote fetches the first already paid
-#: for (``ReadCache.fetch_hits``).  The generation tag fingerprints the data
-#: set: a pooled worker reused for a *different* read set gets a fresh cache
-#: and its stale entries are evicted — a reused rank never serves stale reads.
-_PERSISTENT_READ_CACHES: dict[tuple[str, int], ReadCache] = {}
-_PERSISTENT_READ_CACHES_LOCK = threading.Lock()
-
-
-def _acquire_read_cache(cache_tag: str | None, rank: int) -> ReadCache:
-    """The rank's read cache: ephemeral, or persistent under *cache_tag*.
-
-    Thread-backend ranks share this process (and therefore this registry),
-    so eviction + lookup happen under a lock; per-rank keying keeps the
-    caches themselves unshared.
-    """
-    if cache_tag is None:
-        return ReadCache()
-    with _PERSISTENT_READ_CACHES_LOCK:
-        stale = [key for key in _PERSISTENT_READ_CACHES if key[0] != cache_tag]
-        for key in stale:
-            del _PERSISTENT_READ_CACHES[key]
-        return _PERSISTENT_READ_CACHES.setdefault((cache_tag, rank), ReadCache())
-
-
-def reset_persistent_read_caches() -> None:
-    """Drop every persistent read cache (tests and benches reset state)."""
-    with _PERSISTENT_READ_CACHES_LOCK:
-        _PERSISTENT_READ_CACHES.clear()
-
-
 def _build_read_owner(readset: ReadSet, assignments: Sequence[Sequence[int]]) -> np.ndarray:
     """RID → owning rank from the partition, validating full coverage.
 
@@ -772,11 +739,10 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     timer = state.timer("alignment")
     comm.set_phase("alignment_exchange")
 
-    # Persistent (pooled) caches carry counts from previous runs; report this
+    # A serve rank's cache carries counts from previous batches; report this
     # run's activity as a delta from the entry snapshot.
     cache_counter_base = state.read_cache.counters()
     cache = state.read_cache
-    cache.capacity_bytes = config.read_cache_capacity_bytes
     tasks = state.tasks
 
     with timer.compute():
@@ -817,13 +783,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.work["alignment"] = float(dp_cells)
     # Bytes of the reads this rank's tasks actually touch — deliberately not
     # the whole cache, which may also hold reads memoised while *serving*
-    # peers (and, under the pool, previous runs' reads).
+    # peers (and, on a serve rank, previous batches' index reads).
     state.local_bytes["alignment"] = float(cache.bases_cached(needed))
-    # Capacity trim happens only here, at stage exit: every task has aligned,
-    # so no read the fetch plan promised is still needed (a mid-stage evict
-    # would break that promise).  The eviction counters land in this run's
-    # delta below.
-    cache.trim()
     state.counters["alignments"] = len(results)
     state.counters["accepted_alignments"] = int(accepted.sum())
     state.counters["dp_cells"] = dp_cells
@@ -834,7 +795,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["align_native_ranks"] = int(
         len(results) > 0 and native.library() is not None
     )
-    # spmdlint: disable=SL004 keys come from ReadCache.counters(), all five
+    # spmdlint: disable=SL004 keys come from ReadCache.counters(), all three
     # declared as the read_cache_* group in repro.core.counters.
     state.counters.update({
         name: value - cache_counter_base.get(name, 0)
@@ -860,13 +821,10 @@ def _rank_state(
     assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
-    cache_tag: str | None,
 ) -> _RankState:
-    """This rank's fresh pipeline state.
+    """This rank's fresh pipeline state, with an empty read cache.
 
-    Validates the partition (:func:`_build_read_owner`) and acquires the
-    rank's read cache (persistent under *cache_tag*, see
-    :func:`_acquire_read_cache`).
+    Validates the partition (:func:`_build_read_owner`).
     """
     state = _RankState(
         config=config,
@@ -874,7 +832,6 @@ def _rank_state(
         local_rids=list(assignments[comm.rank]),
         read_owner=_build_read_owner(readset, assignments),
         high_freq_threshold=high_freq_threshold,
-        read_cache=_acquire_read_cache(cache_tag, comm.rank),
     )
     if comm.rank == 0:
         # One value per run, not per rank: recorded once so the summed
@@ -916,7 +873,6 @@ def run_rank_pipeline(
     assignments: Sequence[Sequence[int]],
     config: PipelineConfig,
     high_freq_threshold: int,
-    cache_tag: str | None = None,
 ) -> RankReport:
     """Execute all four stages on one rank and return its report.
 
@@ -940,19 +896,13 @@ def run_rank_pipeline(
     high_freq_threshold:
         The resolved high-occurrence cutoff m (already broadcast-identical
         across ranks).
-    cache_tag:
-        Set by the pipeline when the rank pool is enabled: keys this rank's
-        read cache into the persistent registry, so a pooled worker reused
-        for another run over the *same* read set starts with the reads it
-        already fetched; a different tag evicts the stale generation first.
 
     Returns
     -------
     RankReport
         The rank's counters, timers, overlaps and accepted alignments.
     """
-    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
-                        cache_tag)
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     keys = bloom_filter_stage(comm, state)
     index = hash_table_stage(comm, state, state.local_rids, keys)
     order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
@@ -969,27 +919,28 @@ def run_rank_pipeline(
 # Build / serve phase split: index residency + query batches
 # ---------------------------------------------------------------------------
 
-#: Resident sharded k-mer indexes that outlive a single SPMD run, keyed by
-#: (index tag, rank) — the serve phase's counterpart of the persistent read
-#: caches above.  Under the persistent rank pool a worker process survives
-#: across ``spmd_run`` invocations, so the index a rank built in
-#: ``run_index_build`` is still here when ``run_query_batch`` executes, and
-#: the query batch touches zero index-build code paths (counter
-#: ``index_reuse_hits``).  Each entry also keeps the index *reads* the build
-#: ran over, so a query-batch job carries only its query reads: the rank
-#: rebuilds the union read set locally.  The tag fingerprints the index read
-#: set *and* the parameters the resident layout depends on (k, shard count,
-#: rank count); acquiring a different tag evicts the previous generation, so
-#: a reused rank never serves a stale index.  Unlike the read caches, these
-#: entries survive :func:`reset_persistent_read_caches`.
-_RESIDENT_INDEXES: dict[tuple[str, int], tuple[ShardedKmerIndex, ReadSet]] = {}
+#: Everything a rank keeps between SPMD runs, keyed by (index tag, rank):
+#: the sharded k-mer index ``run_index_build`` built, the index *reads* it
+#: ran over, and the alignment-stage read cache query batches share.  On a
+#: pooled process rank (or any thread-backend rank) the entry is still here
+#: when ``run_query_batch`` executes, so the batch touches zero index-build
+#: code paths (counter ``index_reuse_hits``), its job carries only the query
+#: reads (the rank rebuilds the union read set locally), and the index reads
+#: it fetched for an earlier batch stay cached (``read_cache_fetch_hits``).
+#: The tag fingerprints the index read set *and* the parameters the
+#: resident layout depends on (k, shard count, rank count); acquiring a
+#: different tag evicts the previous generation, so a reused rank never
+#: serves a stale index or a stale read.  A one-shot run keeps nothing here.
+_RESIDENT_INDEXES: dict[tuple[str, int],
+                        tuple[ShardedKmerIndex, ReadSet, ReadCache]] = {}
 _RESIDENT_INDEXES_LOCK = threading.Lock()
 
 
-def _resident_index(index_tag: str,
-                    rank: int) -> tuple[ShardedKmerIndex, ReadSet] | None:
-    """This rank's resident (index, index reads) under *index_tag*, evicting
-    stale tags."""
+def _resident_index(
+    index_tag: str, rank: int,
+) -> tuple[ShardedKmerIndex, ReadSet, ReadCache] | None:
+    """This rank's resident (index, index reads, read cache) under
+    *index_tag*, evicting stale tags."""
     with _RESIDENT_INDEXES_LOCK:
         stale = [key for key in _RESIDENT_INDEXES if key[0] != index_tag]
         for key in stale:
@@ -998,14 +949,24 @@ def _resident_index(index_tag: str,
 
 
 def _store_resident_index(index_tag: str, rank: int, index: ShardedKmerIndex,
-                          index_reads: ReadSet) -> None:
-    """Publish *rank*'s freshly built index and its reads under *index_tag*."""
+                          index_reads: ReadSet, read_cache: ReadCache) -> None:
+    """Publish *rank*'s freshly built index, its reads and its read cache
+    under *index_tag*."""
     with _RESIDENT_INDEXES_LOCK:
-        _RESIDENT_INDEXES[(index_tag, rank)] = (index, index_reads)
+        _RESIDENT_INDEXES[(index_tag, rank)] = (index, index_reads, read_cache)
+
+
+def reset_persistent_read_caches() -> None:
+    """Give every resident index a fresh, empty read cache; the indexes and
+    their reads stay (benches reset the cache between timed batches)."""
+    with _RESIDENT_INDEXES_LOCK:
+        for key, (index, index_reads, _cache) in _RESIDENT_INDEXES.items():
+            _RESIDENT_INDEXES[key] = (index, index_reads, ReadCache())
 
 
 def reset_resident_indexes() -> None:
-    """Drop every resident index and its reads (tests and benches reset state)."""
+    """Drop every resident entry: index, reads and read cache (tests and
+    benches reset state)."""
     with _RESIDENT_INDEXES_LOCK:
         _RESIDENT_INDEXES.clear()
 
@@ -1061,7 +1022,6 @@ def run_index_build(
     config: PipelineConfig,
     high_freq_threshold: int,
     index_tag: str,
-    cache_tag: str | None = None,
 ) -> RankReport:
     """Build phase: construct this rank's sharded k-mer index and keep it resident.
 
@@ -1069,10 +1029,10 @@ def run_index_build(
     over the index reads with no candidate keys (see
     :func:`hash_table_stage`), which sorts every occurrence into a
     :class:`~repro.kmers.hashtable.ShardedKmerIndex`, and publishes it in
-    the resident-index registry under *index_tag*, beside *readset* —
-    where subsequent :func:`run_query_batch` invocations on a pooled rank
-    find both without rebuilding or receiving the index reads again.  No
-    overlaps or alignments are produced.
+    the resident-index registry under *index_tag*, beside *readset* and an
+    empty read cache — where subsequent :func:`run_query_batch` invocations
+    on a pooled rank find all three without rebuilding or receiving the
+    index reads again.  No overlaps or alignments are produced.
 
     Counters: ``index_build_runs`` (always 1 here), ``index_retained_kmers``
     / ``index_retained_occurrences`` (the table a query batch with no novel
@@ -1081,10 +1041,9 @@ def run_index_build(
     content digest, comparable across backends even when the index itself
     lives in an unreachable worker process.
     """
-    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
-                        cache_tag)
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     index = hash_table_stage(comm, state, state.local_rids)
-    _store_resident_index(index_tag, comm.rank, index, readset)
+    _store_resident_index(index_tag, comm.rank, index, readset, state.read_cache)
     _index_report_counters(state, index)
     return _rank_report(comm, state)
 
@@ -1098,7 +1057,6 @@ def run_query_batch(
     index_tag: str,
     n_index_reads: int,
     index_reads: ReadSet | None,
-    cache_tag: str | None = None,
 ) -> RankReport:
     """Serve phase: align one query batch against the resident index.
 
@@ -1142,9 +1100,11 @@ def run_query_batch(
     ``resend_index_reads`` and the parent relaunches with them — a raise
     would make the pool evict healthy ranks.
 
+    A reused index brings its read cache along, so index reads fetched by
+    an earlier batch are not fetched again; a rebuild starts a fresh cache.
     Query RIDs are reused by every batch, so the previous batch's query
-    reads are evicted from the (possibly pooled) read cache before the
-    alignment stage caches this batch's.
+    reads are evicted from the cache before the alignment stage caches this
+    batch's.
     """
     route_timer = StageTimer()
     comm.set_phase("query_route_exchange")
@@ -1162,20 +1122,21 @@ def run_query_batch(
                           high_freq_threshold)
         return _rank_report(comm, idle, resend_index_reads=True)
     if all_present:
-        index, index_reads = resident
+        index, index_reads, read_cache = resident
     readset = ReadSet([*index_reads, *query_reads])
-    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
-                        cache_tag)
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     state.timers["query_route"] = route_timer
-    state.read_cache.evict_rids_at_or_above(n_index_reads)
     if all_present:
+        state.read_cache = read_cache
+        read_cache.evict_rids_at_or_above(n_index_reads)
         state.counters["index_reuse_hits"] = 1
     else:
         # Rebuild over the index reads only (their slots in the combined
         # partition still cover each exactly once).
         index = hash_table_stage(
             comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
-        _store_resident_index(index_tag, comm.rank, index, index_reads)
+        _store_resident_index(index_tag, comm.rank, index, index_reads,
+                              state.read_cache)
         state.counters["index_build_runs"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------

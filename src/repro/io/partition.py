@@ -12,6 +12,8 @@ exactly once.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.seq.records import ReadSet
 
 
@@ -22,23 +24,27 @@ def partition_reads(readset: ReadSet, n_ranks: int) -> list[list[int]]:
     total reaches the ideal share (total_bytes / n_ranks).  Later ranks absorb
     any remainder, mirroring a block-cyclic parallel file read where each rank
     owns a contiguous byte range of the FASTQ file.
+
+    The scan moves to the next rank before read ``i`` when the bytes before
+    ``i`` reach that rank's threshold ``target * (rank + 1)``, at most one
+    rank per read.  With ``c[i]`` the number of thresholds (ranks
+    ``0 .. P-2``) at or below those bytes, the scan's rank is therefore
+    ``rank[i] = min(rank[i-1] + 1, c[i])`` from ``rank[-1] = 0``, whose
+    closed form ``min(i + 1, i + min_{j<=i}(c[j] - j))`` is computed here
+    without a Python loop.
     """
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    lengths = readset.read_lengths()
     n_reads = len(readset)
     if n_reads == 0:
         return [[] for _ in range(n_ranks)]
-    total = int(lengths.sum())
-    target = total / n_ranks
-    assignments: list[list[int]] = [[] for _ in range(n_ranks)]
-    rank = 0
-    acc = 0
-    for rid in range(n_reads):
-        # Move to the next rank once this one has its share, but never leave
-        # trailing ranks starved while earlier ranks hold surplus reads.
-        if rank < n_ranks - 1 and acc >= target * (rank + 1):
-            rank += 1
-        assignments[rank].append(rid)
-        acc += int(lengths[rid])
-    return assignments
+    lengths = readset.read_lengths()
+    target = int(lengths.sum()) / n_ranks
+    before = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    thresholds = target * np.arange(1, n_ranks, dtype=np.float64)
+    crossed = np.searchsorted(thresholds, before, side="right")
+    index = np.arange(n_reads, dtype=np.int64)
+    rank = np.minimum(index + 1, index + np.minimum.accumulate(crossed - index))
+    bounds = np.searchsorted(rank, np.arange(n_ranks + 1), side="left")
+    return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1].tolist(),
+                                                  bounds[1:].tolist())]

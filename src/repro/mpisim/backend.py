@@ -678,12 +678,13 @@ class _RankPool:
     be picklable even under the ``fork`` start method.
 
     Beyond amortising forks, a parked worker is a *session*: module-level
-    state it built during one run is still there for the next.  The pipeline
-    keeps its read caches (``repro.core.stages._PERSISTENT_READ_CACHES``) and
-    the serve phase's resident k-mer indexes
-    (``repro.core.stages._RESIDENT_INDEXES``, what lets ``run_query_batch``
-    skip the index build: counter ``index_reuse_hits``) there, both keyed by
-    a content-derived generation tag so a worker reused for different data
+    state it built during one run is still there for the next.  The serve
+    phase keeps one entry per rank there
+    (``repro.core.stages._RESIDENT_INDEXES``): the resident k-mer index, the
+    index reads and their read cache — what lets ``run_query_batch`` skip
+    the index build (counter ``index_reuse_hits``) and the index-read
+    fetches an earlier batch paid for.  The entry is keyed by a
+    content-derived generation tag so a worker reused for different data
     evicts the stale generation instead of serving it.
     """
 
@@ -862,8 +863,8 @@ def rank_pool_stats() -> list[dict[str, int]]:
     number of ``spmd_run`` invocations it has served, and
     ``forks_amortised`` — the worker forks the pool's reuse avoided,
     ``(runs_completed - 1) * n_ranks``.  Pooled workers also keep per-rank
-    state resident between runs (the persistent read caches and the serve
-    phase's resident k-mer indexes live in the worker processes), so
+    state resident between runs (the serve phase's resident k-mer indexes,
+    with their index reads and read caches, live in the worker processes), so
     ``runs_completed > 1`` is the precondition for every cross-run reuse
     counter the pipeline reports.
     """

@@ -127,11 +127,12 @@ class ReadSet:
     def fingerprint(self) -> str:
         """Content digest of the set: names and sequences in RID order.
 
-        Used as the *generation tag* of the persistent rank pool's cross-run
-        read caches: two runs share cached reads only when their read sets
-        hash identically, so a pooled rank reused for a different data set
-        can never serve a stale sequence.  blake2b streams at memory
-        bandwidth, so this costs far less than one pipeline stage.
+        The read-set part of the resident-index generation tag
+        (:meth:`~repro.core.pipeline.DibellaPipeline.build_index`): a rank
+        reuses its resident index, index reads and read cache only when the
+        index read sets hash identically, so a rank reused for a different
+        data set can never serve a stale index or sequence.  blake2b streams
+        at memory bandwidth, so this costs far less than one pipeline stage.
         """
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(len(self._reads)).encode("ascii"))

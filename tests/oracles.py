@@ -9,7 +9,9 @@ batched production path, kept only so the tests can compare the two:
 * :func:`sketch_kmers_with_strand` — the one-read minimizer sketch, against
   the batch sketch of the pipeline's k-mer funnel;
 * :func:`select_seeds` — the per-pair greedy seed scan, against
-  :func:`repro.overlap.seeds.select_seeds_batched`.
+  :func:`repro.overlap.seeds.select_seeds_batched`;
+* :func:`partition_reads` — the one-read-at-a-time greedy block partition,
+  against the closed form of :func:`repro.io.partition.partition_reads`.
 """
 
 from __future__ import annotations
@@ -127,3 +129,27 @@ def select_seeds(
             if strategy.max_seeds is not None and len(selected) >= strategy.max_seeds:
                 break
     return np.array(selected, dtype=np.int64)
+
+
+def partition_reads(readset, n_ranks: int) -> list[list[int]]:
+    """The greedy one-read-at-a-time block partition, against the closed
+    form of :func:`repro.io.partition.partition_reads`."""
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    lengths = readset.read_lengths()
+    n_reads = len(readset)
+    if n_reads == 0:
+        return [[] for _ in range(n_ranks)]
+    total = int(lengths.sum())
+    target = total / n_ranks
+    assignments: list[list[int]] = [[] for _ in range(n_ranks)]
+    rank = 0
+    acc = 0
+    for rid in range(n_reads):
+        # Move to the next rank once this one has its share, but never leave
+        # trailing ranks starved while earlier ranks hold surplus reads.
+        if rank < n_ranks - 1 and acc >= target * (rank + 1):
+            rank += 1
+        assignments[rank].append(rid)
+        acc += int(lengths[rid])
+    return assignments

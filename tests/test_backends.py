@@ -714,24 +714,24 @@ class TestPipelineParityMatrix:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_two_consecutive_pooled_runs(self, micro_dataset, micro_config, backend):
-        """Second pooled run: bit-identical science, nonzero cross-run cache hits."""
+        """Second pooled one-shot run: bit-identical science, and the same
+        remote fetches — a one-shot run keeps no read cache between runs."""
         from repro.core.driver import run_dibella
 
         config = replace(micro_config, backend=backend, pool=True)
-        cold = run_dibella(micro_dataset.reads, config=config,
-                           n_nodes=1, ranks_per_node=3)
-        warm = run_dibella(micro_dataset.reads, config=config,
-                           n_nodes=1, ranks_per_node=3)
-        assert warm.overlap_pairs() == cold.overlap_pairs()
-        cold_table, warm_table = cold.alignment_table(), warm.alignment_table()
-        for column in cold_table:
-            np.testing.assert_array_equal(warm_table[column], cold_table[column])
-        # The cold run had nothing cached; the warm run re-used every read the
-        # cold run fetched, so it skipped all remote fetches.
-        assert cold.counters["read_cache_fetch_hits"] == 0
-        assert warm.counters["read_cache_fetch_hits"] > 0
-        assert warm.counters["remote_reads_fetched"] == 0
-        assert cold.counters["remote_reads_fetched"] > 0
+        first = run_dibella(micro_dataset.reads, config=config,
+                            n_nodes=1, ranks_per_node=3)
+        second = run_dibella(micro_dataset.reads, config=config,
+                             n_nodes=1, ranks_per_node=3)
+        assert second.overlap_pairs() == first.overlap_pairs()
+        first_table, second_table = first.alignment_table(), second.alignment_table()
+        for column in first_table:
+            np.testing.assert_array_equal(second_table[column], first_table[column])
+        assert first.counters["remote_reads_fetched"] > 0
+        assert (second.counters["remote_reads_fetched"]
+                == first.counters["remote_reads_fetched"])
+        for result in (first, second):
+            assert result.counters["read_cache_fetch_hits"] == 0
 
     def test_pooled_runs_do_not_serve_stale_reads(self, micro_dataset,
                                                   small_dataset, micro_config):
@@ -745,7 +745,7 @@ class TestPipelineParityMatrix:
         fresh = run_dibella(small_dataset.reads,
                             config=replace(config, pool=False),
                             n_nodes=1, ranks_per_node=3)
-        # Different dataset -> different generation tag -> cold caches.
+        # A one-shot run aligns with a fresh cache.
         assert other.counters["read_cache_fetch_hits"] == 0
         assert other.overlap_pairs() == fresh.overlap_pairs()
         other_table, fresh_table = other.alignment_table(), fresh.alignment_table()

@@ -44,7 +44,6 @@ KNOB_CASES = {
     "batch-reads": (["--batch-reads", "64"], {"batch_reads": 64}),
     "hash-shards": (["--hash-shards", "2"], {"hash_table_shards": 2}),
     "pool": (["--pool"], {"pool": True}),
-    "read-cache-mb": (["--read-cache-mb", "1.5"], {"read_cache_mb": 1.5}),
     "sanitize": (["--sanitize"], {"sanitize": True}),
     "fault-plan": (["--fault-plan", "exit:rank=1:step=2"],
                    {"fault_plan": "exit:rank=1:step=2"}),
@@ -66,6 +65,12 @@ class TestKnobParity:
     def test_flag_sets_its_field(self, command, case):
         flags, changes = KNOB_CASES[case]
         assert _config(_parse(command, flags)) == replace(PipelineConfig(), **changes)
+
+    def test_removed_read_cache_flag_is_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse(command, ["--read-cache-mb", "1.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --read-cache-mb" in capsys.readouterr().err
 
     def test_no_flags_is_the_default_config(self, command):
         assert _config(_parse(command, [])) == PipelineConfig()
@@ -99,7 +104,7 @@ def test_query_takes_a_fasta_index(tmp_path, micro_dataset, capsys):
         assert main(["query", "--index", str(index), "--queries", str(queries),
                      "--ranks-per-node", "2", "--overlaps-out", str(overlaps)]) == 0
     finally:
-        # Thread ranks keep their read caches and resident index here.
+        # Thread ranks keep their resident index and read cache here.
         reset_persistent_read_caches()
         reset_resident_indexes()
     out = capsys.readouterr().out

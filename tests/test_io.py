@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import partition_reads as partition_reads_oracle
 from repro.io.fasta import FastaFormatError, read_fasta, write_fasta
 from repro.io.fastq import FastqFormatError, parse_fastq, read_fastq, write_fastq
 from repro.io.partition import partition_reads
@@ -130,3 +132,14 @@ class TestPartition:
         rs = self._readset([10])
         with pytest.raises(ValueError):
             partition_reads(rs, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 60), max_size=40),
+           n_ranks=st.integers(1, 12))
+    @example(lengths=[5, 5], n_ranks=7)                # more ranks than reads
+    @example(lengths=[3, 2, 500, 1, 4, 2], n_ranks=4)  # one huge read
+    @example(lengths=[9] * 13, n_ranks=4)              # equal lengths
+    @example(lengths=[0, 0, 0], n_ranks=2)             # zero bytes in total
+    def test_matches_the_greedy_scan(self, lengths, n_ranks):
+        rs = self._readset(lengths)
+        assert partition_reads(rs, n_ranks) == partition_reads_oracle(rs, n_ranks)

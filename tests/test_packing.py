@@ -159,7 +159,7 @@ class TestReadCachePackedEntries:
         cache = ReadCache()
         cache.put_packed(3, block.packed_slice(0), len(seq))
         assert 3 in cache
-        assert cache.total_bases() == len(seq)
+        assert cache.bases_cached(np.array([3])) == len(seq)
         # First encoded access unpacks (a miss), second hits the memo.
         np.testing.assert_array_equal(cache.encoded(3), codes)
         np.testing.assert_array_equal(cache.encoded(3), codes)
@@ -192,6 +192,25 @@ class TestReadCachePackedEntries:
                                 [encode_sequence("TTTT")])
         cache.put_packed(9, block.packed_slice(0), 4)
         np.testing.assert_array_equal(cache.encoded(9), encode_sequence("ACGT"))
+
+    def test_put_packed_on_cached_rid_keeps_entry(self):
+        cache = ReadCache()
+        cache.put(0, "AAAAAAAAAA")
+        cache.put_packed(0, np.zeros(3, dtype=np.uint8), 10)
+        np.testing.assert_array_equal(cache.encoded(0), encode_sequence("A" * 10))
+        assert len(cache) == 1
+
+    def test_evict_rids_at_or_above_drops_only_those(self):
+        cache = ReadCache()
+        for rid in range(6):
+            cache.put(rid, "ACGT"[rid % 4] * 10)
+        assert cache.evict_rids_at_or_above(4) == 2
+        assert all(rid in cache for rid in range(4))
+        assert 4 not in cache and 5 not in cache
+
+    def test_counters_are_the_three_read_cache_keys(self):
+        assert set(ReadCache().counters()) == {
+            "read_cache_hits", "read_cache_misses", "read_cache_fetch_hits"}
 
 
 @pytest.mark.slow

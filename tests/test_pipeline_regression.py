@@ -52,7 +52,6 @@ EXPECTED = {
             "kmers_received_hashtable": 34560, "occurrences_stored": 12168,
             "overlap_exchange_chunks": 21, "overlap_pairs": 424,
             "overlap_payload_bytes": 887640, "pairs_generated": 22191,
-            "read_cache_evicted_bytes": 0, "read_cache_evictions": 0,
             "read_cache_fetch_hits": 0, "read_cache_hits": 726,
             "read_cache_misses": 122, "read_payload_raw_bytes": 59908,
             "read_payload_wire_bytes": 15003, "remote_reads_fetched": 67,
@@ -91,7 +90,6 @@ EXPECTED = {
             "query_kmers_parsed": 6964,
             "query_kmers_routed": 6964, "query_pairs_generated": 16460,
             "query_reads": 10, "query_route_payload_bytes": 111424,
-            "read_cache_evicted_bytes": 0, "read_cache_evictions": 0,
             "read_cache_fetch_hits": 0, "read_cache_hits": 237,
             "read_cache_misses": 63, "read_payload_raw_bytes": 31556,
             "read_payload_wire_bytes": 7903, "remote_reads_fetched": 36,

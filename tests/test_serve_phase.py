@@ -20,6 +20,7 @@ from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.mpisim.backend import recovery_counters, shutdown_rank_pools
 from repro.mpisim.errors import RankFailedError
+from repro.mpisim.runtime import spmd_run
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet
@@ -117,6 +118,81 @@ def test_second_batch_reuses_resident_index(micro_dataset):
             assert result.counters.get("kmers_received_hashtable", 0) == 0
     finally:
         _cleanup()
+
+
+# ---------------------------------------------------------------------------
+# One owner: the read cache lives beside the resident index
+# ---------------------------------------------------------------------------
+
+def _reset_read_caches_on_rank(comm) -> int:
+    """Rank program: fresh read caches beside this rank's resident index."""
+    reset_persistent_read_caches()
+    return comm.rank
+
+
+def _same_batch_twice(config: PipelineConfig, readset: ReadSet,
+                      between=lambda: None) -> tuple:
+    """Build, then serve one query batch twice (calling *between* in between)."""
+    index_reads, query_reads = _split(readset, (3 * len(readset)) // 4)
+    pipeline = DibellaPipeline(config=config, topology=Topology.single_node(RANKS))
+    pipeline.build_index(index_reads)
+    first = pipeline.run_query_batch(query_reads)
+    between()
+    second = pipeline.run_query_batch(query_reads)
+    np.testing.assert_array_equal(_canonical(second.alignment_table()),
+                                  _canonical(first.alignment_table()))
+    for result in (first, second):
+        assert result.counters["index_reuse_hits"] == RANKS
+    assert first.counters["read_cache_fetch_hits"] == 0
+    return first, second
+
+
+@pytest.mark.parametrize("backend, pool", [
+    ("thread", False),
+    pytest.param("process", True, marks=pytest.mark.slow),
+])
+def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend, pool):
+    """The second batch finds the index reads the first fetched: only the
+    evicted query reads are fetched again, whether or not the pool is on."""
+    try:
+        first, second = _same_batch_twice(_config(backend, 4, pool=pool),
+                                          micro_dataset.reads)
+        hits = second.counters["read_cache_fetch_hits"]
+        assert hits > 0
+        assert (second.counters["remote_reads_fetched"] + hits
+                == first.counters["remote_reads_fetched"])
+    finally:
+        _cleanup()
+
+
+@pytest.mark.parametrize("backend, pool", [
+    ("thread", False),
+    pytest.param("process", True, marks=pytest.mark.slow),
+])
+def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend, pool):
+    """reset_persistent_read_caches() empties the caches and keeps the index:
+    the next batch is a reuse hit that fetches everything again."""
+    def reset() -> None:
+        if backend == "thread":
+            reset_persistent_read_caches()
+        else:
+            spmd_run(RANKS, _reset_read_caches_on_rank, backend="process", pool=True)
+
+    try:
+        first, second = _same_batch_twice(_config(backend, 4, pool=pool),
+                                          micro_dataset.reads, reset)
+        assert second.counters["read_cache_fetch_hits"] == 0
+        assert (second.counters["remote_reads_fetched"]
+                == first.counters["remote_reads_fetched"])
+    finally:
+        _cleanup()
+
+
+def test_read_cache_mb_accepts_only_zero():
+    """Callers that spell out every knob may still pass the name, as 0.0."""
+    assert PipelineConfig(read_cache_mb=0.0) == PipelineConfig()
+    with pytest.raises(ValueError, match="read_cache_mb"):
+        PipelineConfig(read_cache_mb=1.5)
 
 
 def test_query_batch_without_build_raises(micro_dataset):

@@ -324,6 +324,40 @@ class TestProjectLint:
         assert "'depth'" in sl005[0].message
         assert "env" in sl005[0].message and "README" in sl005[0].message
 
+    def test_sl005_catches_readme_row_of_a_removed_knob(self, tmp_path):
+        # Rows naming a deleted field and an init-only name are leftovers; a
+        # reporting flag's "—" cell is exempt.
+        (tmp_path / "README.md").write_text(
+            "| Knob | Config field | CLI | Env |\n"
+            "|---|---|---|---|\n"
+            "| Window | `window` | `--window` | `DIBELLA_WINDOW` |\n"
+            "| Cache bound | `cache_mb` | `--cache-mb` | `DIBELLA_CACHE_MB` |\n"
+            "| Legacy | `legacy` | `--legacy` | `DIBELLA_LEGACY` |\n"
+            "| Report | — | `--stats` | — |\n")
+        pkg = tmp_path / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (tmp_path / "repro" / "cli.py").write_text(textwrap.dedent("""
+            def build(parser):
+                parser.add_argument("--window", type=int)
+                parser.add_argument("--stats", action="store_true")
+        """))
+        (pkg / "config.py").write_text(textwrap.dedent("""
+            import os
+            from dataclasses import InitVar, dataclass, field
+
+            @dataclass
+            class PipelineConfig:
+                window: int = field(
+                    default_factory=lambda: int(os.environ.get("DIBELLA_WINDOW", "4")))
+                legacy: InitVar[float] = 0.0
+        """))
+        findings, _ = lint_paths([tmp_path])
+        sl005 = [finding for finding in findings if finding.rule == "SL005"]
+        assert [(Path(f.path).name, f.line) for f in sl005] == [
+            ("README.md", 4), ("README.md", 5)]
+        assert "`cache_mb`" in sl005[0].message
+        assert "`legacy`" in sl005[1].message
+
 
 class TestCounterRegistry:
     def test_schedule_flags_are_registered(self):

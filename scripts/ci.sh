@@ -17,27 +17,26 @@
 #           it also builds the one source, src/repro/_native.c, with -Wall
 #           -Wextra -Werror (docs/architecture.md, "The compiled tier").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
-#           Runs four times, covering the knobs in pairs: under the default
+#           Runs three times, covering the knobs in pairs: under the default
 #           thread backend; under the multiprocess shared-memory backend
 #           with the runtime sanitizer armed (DIBELLA_BACKEND=process
 #           DIBELLA_SANITIZE=1: collective congruence checks, split-phase
 #           lifecycle guards and the hang watchdog across the whole fast
-#           tier, proving the checks are observation-only); under the
-#           process backend with the persistent rank pool (DIBELLA_POOL=1)
-#           so pooled engine reuse is exercised suite-wide; and with the
-#           minimizer seed mode on (DIBELLA_SEED_MODE=minimizer) so the
-#           windowed-sketch front-end of stages 1-3 stays exercised
-#           suite-wide.
+#           tier, proving the checks are observation-only; process ranks
+#           always run on the rank pool, so this pass also exercises
+#           pooled engine reuse suite-wide); and with the minimizer seed
+#           mode on (DIBELLA_SEED_MODE=minimizer) so the windowed-sketch
+#           front-end of stages 1-3 stays exercised suite-wide.
 #   examples — runs the four examples/ scripts to completion (quickstart,
 #           assembly graph, E. coli overlap study, cross-platform scaling;
 #           about 6 s on 2 cores), so a change to a module they import that
 #           breaks them fails CI; runs on every change.
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
-#           index on a pooled process backend, drain two query batches,
+#           index on the process backend's rank pool, drain two query batches,
 #           assert zero rebuild counters; then the chaos smoke (a rank
 #           killed mid-batch, pool respawned, batch retried).  Pure counter
 #           checks, runs on every change.
-#   leak guard — both process-backend fast passes, both serve smokes, the
+#   leak guard — the process-backend fast pass, both serve smokes, the
 #           perfbench smoke and the process-backend slow pass run under
 #           no_shm_leak: the psm_* names in /dev/shm are snapshotted before
 #           the pass, and any name created during the pass that survives it
@@ -137,10 +136,6 @@ python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (process backend + runtime sanitizer, DIBELLA_SANITIZE=1) =="
 no_shm_leak env DIBELLA_SANITIZE=1 DIBELLA_BACKEND=process \
-    python -m pytest tests -m "not slow" -q
-
-echo "== fast tier: unit tests (process backend + persistent rank pool) =="
-no_shm_leak env DIBELLA_POOL=1 DIBELLA_BACKEND=process \
     python -m pytest tests -m "not slow" -q
 
 echo "== fast tier: unit tests (minimizer seed mode, DIBELLA_SEED_MODE=minimizer) =="

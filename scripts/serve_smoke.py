@@ -1,7 +1,7 @@
 """CI smoke for the build/serve split: build once, serve twice, rebuild never.
 
-Builds a resident index over 75% of a tiny synthetic data set (pooled
-process backend), drains two query batches through
+Builds a resident index over 75% of a tiny synthetic data set (process
+backend, whose ranks are the rank pool), drains two query batches through
 :class:`~repro.core.service.AlignmentService`, and asserts the residency
 contract:
 
@@ -65,7 +65,7 @@ def main() -> int:
 
     reset_recovery_counters()
     config = PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=15.0,
-                            error_rate_hint=0.08, backend="process", pool=True,
+                            error_rate_hint=0.08, backend="process",
                             fault_plan=CHAOS_PLAN if chaos else None,
                             serve_max_retries=2)
     service = AlignmentService(ReadSet(reads[:n_index]), config=config,

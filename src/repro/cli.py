@@ -126,11 +126,6 @@ def _pipeline_flags() -> argparse.ArgumentParser:
                             "table is built in; >1 streams the hash-table/overlap "
                             "boundary one shard at a time, bounding peak table "
                             "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
-    group.add_argument("--pool", action="store_true", default=None,
-                       help="acquire ranks from the persistent rank pool (processes "
-                            "parked on a barrier between runs; amortises startup; "
-                            "serve and query force it on for the process backend; "
-                            "DIBELLA_POOL=1 has the same effect)")
     group.add_argument("--sanitize", action="store_true", default=None,
                        help="arm the runtime sanitizer: cross-rank collective "
                             "congruence checks, split-phase segment lifecycle "
@@ -153,7 +148,8 @@ def _pipeline_flags() -> argparse.ArgumentParser:
                             "the same effect)")
     group.add_argument("--pool-stats", action="store_true",
                        help="print per-pool usage statistics (runs served, forks "
-                            "amortised) afterwards; only meaningful with --pool")
+                            "amortised) afterwards; only process-backend runs "
+                            "use rank pools")
     return flags
 
 
@@ -177,12 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--scale", type=float, default=0.01,
                         help="genome scale factor for the E. coli presets")
 
-    run = sub.add_parser("run", parents=[source, pipeline],
+    # Exact flags only on the pipeline commands: a removed flag that
+    # prefixes a live one (--pool of --pool-stats) must fail, not alias it.
+    run = sub.add_parser("run", parents=[source, pipeline], allow_abbrev=False,
                          help="run the overlap+alignment pipeline")
     run.add_argument("--overlaps-out", help="write detected overlaps to this TSV file")
 
     serve = sub.add_parser(
-        "serve", parents=[source, pipeline],
+        "serve", parents=[source, pipeline], allow_abbrev=False,
         help="build a resident index, then serve repeated query batches")
     serve.add_argument("--index-fraction", type=float, default=0.8,
                        help="fraction of the input reads indexed; the rest "
@@ -192,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "split into (default 2: enough to show reuse)")
 
     query = sub.add_parser(
-        "query", parents=[pipeline],
+        "query", parents=[pipeline], allow_abbrev=False,
         help="align one query batch against an index read set")
     query.add_argument("--index", required=True, help="index FASTA or FASTQ file")
     query.add_argument("--queries", required=True, help="query FASTA or FASTQ file")
@@ -412,9 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         parser.error(str(exc))
     finally:
-        # run --pool, serve and query park their ranks in a process pool for
-        # reuse within the command; an in-process caller of main() must not
-        # inherit those workers.  --pool-stats has printed by now.
+        # Process-backend ranks park in a rank pool for reuse within the
+        # command; an in-process caller of main() must not inherit those
+        # workers.  --pool-stats has printed by now.
         shutdown_rank_pools()
 
 

@@ -28,13 +28,14 @@ def _env_flag(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "", "false", "off", "no")
 
 
-#: The only values the init-only compatibility names accept (their former
-#: defaults); see ``PipelineConfig``.
+#: The values each init-only compatibility name accepts (its former
+#: default; both settings of ``pool``, since every process run is pooled);
+#: see ``PipelineConfig``.
 _REMOVED_KNOB_DEFAULTS = {
-    "collective": "flat", "rank_groups": None, "pin_ranks": False,
-    "double_buffer_stages": None, "wire_packing": True,
-    "alignment_batch_tasks": None, "double_buffer": True,
-    "read_cache_mb": 0.0,
+    "collective": ("flat",), "rank_groups": (None,), "pin_ranks": (False,),
+    "double_buffer_stages": (None,), "wire_packing": (True,),
+    "alignment_batch_tasks": (None,), "double_buffer": (True,),
+    "read_cache_mb": (0.0,), "pool": (False, True),
 }
 
 
@@ -104,9 +105,12 @@ class PipelineConfig:
         SPMD runtime backend: ``"thread"`` (ranks are threads, zero-copy
         collectives, compute serialised by the GIL) or ``"process"`` (ranks
         are processes exchanging typed buffers via shared memory — real
-        multi-core compute).  The default honours the ``DIBELLA_BACKEND``
-        environment variable so whole test/CI runs can be switched without
-        touching call sites.
+        multi-core compute).  The process ranks are the rank pool: forked on
+        the first run and parked between runs, so a serve rank keeps its
+        resident index, the index reads and their read cache, as a thread
+        rank does; a one-shot run keeps nothing.  The default honours the
+        ``DIBELLA_BACKEND`` environment variable so whole test/CI runs can
+        be switched without touching call sites.
     exchange_chunk_mb:
         Memory bound (MiB of wire payload per rank) on each superstep of the
         overlap stage's streamed pair exchange; at most two chunks are in
@@ -123,15 +127,6 @@ class PipelineConfig:
         shard instead of the whole partition (counter
         ``retained_table_peak_bytes``).  Output is bit-identical for every
         shard count.  The default honours ``DIBELLA_HASH_SHARDS``.
-    pool:
-        Run the SPMD program on the persistent rank pool: with the process
-        backend, rank processes park on a barrier between ``spmd_run``
-        invocations instead of being re-forked, amortising startup across
-        repeated runs.  A no-op on the thread backend, whose ranks have no
-        fork cost.  What a rank keeps between runs does not depend on this
-        flag: a serve rank keeps its resident index, the index reads and
-        their read cache (a pooled process rank, or any thread rank), and a
-        one-shot run keeps nothing.  The default honours ``DIBELLA_POOL``.
     serve_batch_reads:
         Serve-phase admission bound: the
         :class:`~repro.core.service.AlignmentService` coalesces queued query
@@ -162,15 +157,16 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer, read_cache_mb:
+    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer, read_cache_mb, pool:
         Compatibility names of removed second paths: a hierarchical
         collective layout, per-stage double buffering, the ASCII read wire
         format, batched read fetch, the bulk-synchronous superstep
-        schedule and a byte bound on the read cache.  They are init-only
-        (not stored, not in :func:`dataclasses.fields`) and accept only
-        their former defaults (:data:`_REMOVED_KNOB_DEFAULTS`), so callers
-        that spell out every knob keep working; any other value raises
-        :class:`ValueError`.
+        schedule, a byte bound on the read cache and process ranks forked
+        afresh for every run.  They are init-only (not stored, not in
+        :func:`dataclasses.fields`) and accept only the values in
+        :data:`_REMOVED_KNOB_DEFAULTS` (their former defaults; ``pool``
+        accepts ``False`` and ``True``), so callers that spell out every
+        knob keep working; any other value raises :class:`ValueError`.
     """
 
     kmer: KmerSpec = field(default_factory=lambda: KmerSpec(k=17))
@@ -206,7 +202,6 @@ class PipelineConfig:
     hash_table_shards: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
     )
-    pool: bool = field(default_factory=lambda: _env_flag("DIBELLA_POOL", False))
     serve_batch_reads: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_SERVE_BATCH_READS", "4096"))
     )
@@ -227,20 +222,24 @@ class PipelineConfig:
     alignment_batch_tasks: InitVar[int | None] = None
     double_buffer: InitVar[bool] = True
     read_cache_mb: InitVar[float] = 0.0
+    pool: InitVar[bool] = False
 
     def __post_init__(self, collective: str, rank_groups: int | None,
                       pin_ranks: bool, double_buffer_stages: tuple[str, ...] | None,
                       wire_packing: bool, alignment_batch_tasks: int | None,
-                      double_buffer: bool, read_cache_mb: float) -> None:
+                      double_buffer: bool, read_cache_mb: float,
+                      pool: bool) -> None:
         given = {"collective": collective, "rank_groups": rank_groups,
                  "pin_ranks": pin_ranks,
                  "double_buffer_stages": double_buffer_stages,
                  "wire_packing": wire_packing,
                  "alignment_batch_tasks": alignment_batch_tasks,
-                 "double_buffer": double_buffer, "read_cache_mb": read_cache_mb}
+                 "double_buffer": double_buffer, "read_cache_mb": read_cache_mb,
+                 "pool": pool}
         changed = {name: value for name, value in given.items()
-                   if (type(value), value) != (type(_REMOVED_KNOB_DEFAULTS[name]),
-                                               _REMOVED_KNOB_DEFAULTS[name])}
+                   if (type(value), value) not in
+                   [(type(accepted), accepted)
+                    for accepted in _REMOVED_KNOB_DEFAULTS[name]]}
         if changed:
             raise ValueError(
                 f"removed knobs {changed} accept only their former defaults "

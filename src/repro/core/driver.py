@@ -24,7 +24,7 @@ def run_dibella(
     config:
         Pipeline parameters; defaults are sensible for PacBio-like data
         (17-mers, x-drop alignment, one seed per pair).  Every knob
-        (backend, rank pool, seed mode, ...) is a field of this config; set
+        (backend, seed mode, sanitizer, ...) is a field of this config; set
         one with ``dataclasses.replace(config, backend="process")``.
     n_nodes / ranks_per_node:
         The simulated machine layout.  ``n_nodes`` is also the node count a

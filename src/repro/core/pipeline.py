@@ -90,8 +90,8 @@ class DibellaPipeline:
         Thread-backend ranks keep their resident index shards, index reads
         and read caches in this process's registry; after a rank failure
         mid-build it can hold a partially-populated generation, so recovery
-        clears it and the retry rebuilds from scratch.  (Process-pool runs
-        hold the equivalents inside the evicted worker processes — eviction
+        clears it and the retry rebuilds from scratch.  (Process ranks hold
+        the equivalents inside the evicted pool's workers — eviction
         already discarded them.)  Either way the ranks no longer hold the
         index reads, so the next query batch ships them.
         """
@@ -116,14 +116,14 @@ class DibellaPipeline:
         stage-2 occurrence exchange over *readset* with no Bloom candidate
         gate, sorted into a per-rank
         :class:`~repro.kmers.hashtable.ShardedKmerIndex` published in the
-        resident-index registry.  Under the rank pool (process backend) the
-        worker processes stay parked afterwards, holding their index shards
-        — subsequent :meth:`run_query_batch` calls touch zero index-build
+        resident-index registry.  On the process backend the rank pool's
+        workers stay parked afterwards, holding their index shards —
+        subsequent :meth:`run_query_batch` calls touch zero index-build
         code paths (counter ``index_reuse_hits``).
 
         The index generation tag folds in every parameter the resident
         layout depends on — the read-set fingerprint, k, the shard count and
-        the rank count — so a pooled rank reused with different parameters
+        the rank count — so a rank reused with different parameters
         rebuilds instead of serving a stale index.
 
         Returns the build's :class:`PipelineResult` (hash-table stage record
@@ -163,11 +163,10 @@ class DibellaPipeline:
         The job carries the query reads, the union partition and the index
         size; the ranks keep the index reads beside their resident index.
         The index reads ride along (counter ``index_reads_shipped``) only
-        when the ranks lack them: on the unpooled process backend, whose
-        fresh workers inherit them by fork, after
-        :meth:`invalidate_resident_state`, or on the one relaunch after the
-        ranks reported the index reads missing (state lost without this
-        pipeline knowing, e.g. the pool was shut down between batches).
+        when the ranks lack them: after :meth:`invalidate_resident_state`,
+        or on the one relaunch after the ranks reported the index reads
+        missing (state lost without this pipeline knowing, e.g. the pool
+        was shut down between batches).
         """
         if self._index_readset is None or self._index_tag is None:
             raise RuntimeError(
@@ -198,9 +197,7 @@ class DibellaPipeline:
                 (self._index_tag, len(index_readset), index_reads),
                 _QUERY_BATCH_STAGES, rid_space=combined)
 
-        config = self.config
-        ship = self._rank_state_lost or (config.backend == "process"
-                                         and not config.pool)
+        ship = self._rank_state_lost
         result = launch(index_readset if ship else None)
         if result.rank_reports[0].resend_index_reads:
             ship = True
@@ -244,7 +241,9 @@ class DibellaPipeline:
             *program_args,
             trace=trace,
             backend=config.backend,
-            pool=config.pool,
+            # Ignored by spmd_run; perfbench's traced spmd_run sizes each
+            # process job (mpisim.job_mb) only when it is set.
+            pool=config.backend == "process",
             sanitize=config.sanitize,
             faults=self._next_run_faults(),
         )

@@ -12,7 +12,7 @@ adds the always-on front of the ROADMAP's "alignment service" on top:
 * **drain** coalesces queued submissions into batches of at most
   ``config.serve_batch_reads`` reads (whole submissions — a submission never
   splits across batches, so one caller's reads always align together) and
-  runs each batch through the pooled pipeline, returning a per-batch
+  runs each batch through the pipeline, returning a per-batch
   :class:`QueryBatchRecord` with the wall latency and the run counters (the
   service itself keeps only each batch's latency and read count);
 * **latency_stats** summarises the drained batches (p50/p99 wall seconds
@@ -21,9 +21,8 @@ adds the always-on front of the ROADMAP's "alignment service" on top:
 The index is built lazily on the first drain (or eagerly via
 :meth:`AlignmentService.build`) and stays resident on the pooled ranks, so
 every batch after the first touches zero index-build code paths
-(``index_reuse_hits`` in each record's counters).  With the process backend
-the service forces the persistent rank pool on — without it every batch
-would land on freshly forked workers and rebuild the index.
+(``index_reuse_hits`` in each record's counters).  On the process backend
+those ranks are the rank pool's workers, parked between batches.
 
 The service survives rank failures: a build or batch whose SPMD run died
 from a :class:`~repro.mpisim.errors.RankFailedError` is retried up to
@@ -97,8 +96,7 @@ class AlignmentService:
         The reference read set the index phase builds over.
     config:
         Pipeline parameters.  ``config.serve_batch_reads`` bounds batch
-        coalescing; with ``backend == "process"`` the persistent rank pool
-        is forced on (index residency requires surviving workers).
+        coalescing.
     topology:
         Simulated node/rank layout (defaults to one node with four ranks,
         like :class:`~repro.core.pipeline.DibellaPipeline`).
@@ -117,12 +115,9 @@ class AlignmentService:
                  topology: Topology | None = None):
         if len(index_reads) == 0:
             raise ValueError("cannot serve against an empty index read set")
-        config = config or PipelineConfig()
-        if config.backend == "process" and not config.pool:
-            config = replace(config, pool=True)
-        self.config = config
+        self.config = config or PipelineConfig()
         self.index_reads = index_reads
-        self.pipeline = DibellaPipeline(config=config, topology=topology)
+        self.pipeline = DibellaPipeline(config=self.config, topology=topology)
         self.build_result: PipelineResult | None = None
         # (wall seconds, reads) of every drained batch, for latency_stats.
         # The records themselves go to drain's caller: a long-lived service
@@ -149,9 +144,9 @@ class AlignmentService:
         """Run one SPMD phase, retrying on rank failure.
 
         A :class:`RankFailedError` means the runtime already reaped the run
-        and (under the pool) evicted the broken pool; this wrapper clears the
-        parent-side resident registries, backs off exponentially, and
-        re-runs — up to ``config.serve_max_retries`` times, after which the
+        and (on the process backend) evicted the broken pool; this wrapper
+        clears the parent-side resident registries, backs off exponentially,
+        and re-runs — up to ``config.serve_max_retries`` times, after which the
         last failure propagates.  A successful retried result gets the
         recovery evidence folded into its counters: *retry_counter* (attempts
         beyond the first), the runtime's ``rank_failures_detected`` /

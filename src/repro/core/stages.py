@@ -922,8 +922,8 @@ def run_rank_pipeline(
 #: Everything a rank keeps between SPMD runs, keyed by (index tag, rank):
 #: the sharded k-mer index ``run_index_build`` built, the index *reads* it
 #: ran over, and the alignment-stage read cache query batches share.  On a
-#: pooled process rank (or any thread-backend rank) the entry is still here
-#: when ``run_query_batch`` executes, so the batch touches zero index-build
+#: process rank (a rank-pool worker) or a thread-backend rank the entry is
+#: still here when ``run_query_batch`` executes, so the batch touches zero index-build
 #: code paths (counter ``index_reuse_hits``), its job carries only the query
 #: reads (the rank rebuilds the union read set locally), and the index reads
 #: it fetched for an earlier batch stay cached (``read_cache_fetch_hits``).
@@ -1031,7 +1031,7 @@ def run_index_build(
     :class:`~repro.kmers.hashtable.ShardedKmerIndex`, and publishes it in
     the resident-index registry under *index_tag*, beside *readset* and an
     empty read cache — where subsequent :func:`run_query_batch` invocations
-    on a pooled rank find all three without rebuilding or receiving the
+    on the same rank find all three without rebuilding or receiving the
     index reads again.  No overlaps or alignments are produced.
 
     Counters: ``index_build_runs`` (always 1 here), ``index_retained_kmers``
@@ -1091,8 +1091,8 @@ def run_query_batch(
 
     Residency is agreed with a min-allreduce over "holds the index and its
     reads", so every rank takes the same branch and the collectives stay
-    matched.  If any rank lacks them and the job carries *index_reads*
-    (unpooled process backend, or a retry after a rank failure), **all**
+    matched.  If any rank lacks them and the job carries *index_reads* (a
+    retry after a rank failure, or the relaunch after a resend), **all**
     ranks rebuild the index first and the run reports ``index_build_runs``
     instead of ``index_reuse_hits``.  If the job carries no index reads
     (state lost without the parent knowing: the pool was shut down, or the

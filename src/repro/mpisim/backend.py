@@ -9,9 +9,12 @@ programs to the backend its ``backend`` name selects:
   for tests, small runs, and anything dominated by numpy kernels that
   release the GIL.
 * :class:`ProcessBackend` — one ``multiprocessing`` process per rank, so P
-  ranks really use P cores.  Collectives cross process boundaries as *typed
-  buffers* in POSIX shared memory: every payload is serialised with the
-  explicit dtype+shape wire format of :mod:`repro.mpisim.serialization`,
+  ranks really use P cores.  The processes are the persistent rank pool of
+  that rank count (:class:`_RankPool`): forked once and parked between
+  runs, like the P ranks ``mpiexec`` starts once.  Collectives cross
+  process boundaries as *typed buffers* in POSIX shared memory: every
+  payload is serialised with the explicit dtype+shape wire format of
+  :mod:`repro.mpisim.serialization`,
   copied into the publishing rank's long-lived arena for the slot (one
   ``multiprocessing.shared_memory`` segment per (rank, slot), grown only
   when a payload does not fit), and decoded by its consumers straight out
@@ -68,10 +71,9 @@ __all__ = [
 #: Names accepted by :func:`resolve_backend` (and the ``--backend`` CLI knob).
 BACKEND_NAMES: tuple[str, ...] = ("thread", "process")
 
-#: The ``multiprocessing`` context of every rank process: ``fork`` where
-#: available (unpooled rank programs and their arguments need not be
-#: picklable, and the read set is inherited copy-on-write), else ``spawn``
-#: (which requires picklable programs and arguments).
+#: The ``multiprocessing`` context of the rank pool's workers: ``fork``
+#: where available (a worker starts without re-importing numpy and the
+#: pipeline), else ``spawn``.  Either way jobs reach the workers pickled.
 _CTX = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
 
@@ -123,19 +125,15 @@ def reset_recovery_counters() -> None:
         _EVICTED_KEYS.clear()
 
 
-def resolve_backend(backend: str | None,
-                    pool: bool = False) -> ThreadBackend | ProcessBackend:
+def resolve_backend(backend: str | None) -> ThreadBackend | ProcessBackend:
     """The backend named *backend* (``"thread"``, ``"process"``, ``None``).
 
-    ``None`` is the thread backend.  ``pool=True`` asks the process backend
-    to acquire its ranks from the persistent rank pool (see
-    :class:`_RankPool`) instead of forking fresh processes; the thread
-    backend has no fork cost to amortise and ignores the flag.
+    ``None`` is the thread backend.
     """
     if backend is None or backend == "thread":
         return ThreadBackend()
     if backend == "process":
-        return ProcessBackend(pool=pool)
+        return ProcessBackend()
     raise ValueError(
         f"unknown runtime backend {backend!r}; expected one of {BACKEND_NAMES}"
     )
@@ -228,13 +226,13 @@ class _ProcessCollectiveEngine(CollectiveEngine):
     sits on the path.
     """
 
-    def __init__(self, n_ranks: int, sanitize: bool = False):
+    def __init__(self, n_ranks: int):
         self.n_ranks = n_ranks
-        # The sanitizer flag lives in shared memory because the pooled
-        # engine outlives any single run: the parent flips it between runs
+        # The sanitizer flag lives in shared memory because the pool's
+        # engine outlives any single run: the parent sets it before each run
         # (while every worker is parked) and the long-forked workers read
         # the current value.
-        self._sanitize = _CTX.Value("b", int(sanitize), lock=False)
+        self._sanitize = _CTX.Value("b", 0, lock=False)
         # Per slot, one entry per rank: op name, arena name and arena
         # generation, plus the publish/consume sequence arrays, all
         # coordinated through one Condition.
@@ -272,8 +270,8 @@ class _ProcessCollectiveEngine(CollectiveEngine):
         return bool(self._sanitize.value)
 
     def set_sanitize(self, flag: bool) -> None:
-        """Flip the sanitizer for the next run (pooled engines, parent only,
-        while every worker is parked)."""
+        """Set the sanitizer for the next run (parent only, while every
+        worker is parked)."""
         self._sanitize.value = int(flag)
 
     @property
@@ -386,7 +384,7 @@ class _ProcessCollectiveEngine(CollectiveEngine):
         shm.unlink()
 
     def shutdown(self, rank: int) -> None:
-        """End of a rank program (or of one pooled job): drop this rank's
+        """End of one job on this rank: drop this rank's
         arenas larger than :data:`_RETAIN_BYTES`, each once every rank has
         consumed its last superstep (a slow peer may still be reading).  On
         an aborted run the arena is left to the parent's reclaim."""
@@ -406,11 +404,12 @@ class _ProcessCollectiveEngine(CollectiveEngine):
     def reclaim_orphan_segments(self) -> None:
         """Parent-side: unlink every arena still named in the shared metadata.
 
-        The one cleanup path for arenas, run at the end of every unpooled run
-        and at pool shutdown.  An arena is named before any data is written
-        to it, so this also covers workers that died without cleanup
-        (SIGKILL, OOM) mid-superstep.  Call only once every worker of this
-        engine is joined: a live worker may still be writing.
+        The one cleanup path for arenas, run at pool shutdown (deliberate or
+        after a failure evicted the pool).  An arena is named before any
+        data is written to it, so this also covers workers that died
+        without cleanup (SIGKILL, OOM) mid-superstep.  Call only once every
+        worker of this engine is joined: a live worker may still be
+        writing.
         """
         for name, _gen in self.arena_table().values():
             if not name:
@@ -421,9 +420,9 @@ class _ProcessCollectiveEngine(CollectiveEngine):
                 pass
 
     def reset_between_runs(self) -> None:
-        """Re-arm the sequence state for the next pooled run; arenas stay.
+        """Re-arm the sequence state for the next run; arenas stay.
 
-        Called by the *parent* while every pooled rank is parked, so nothing
+        Called by the *parent* while every pool worker is parked, so nothing
         races these writes.  Communicators restart at sequence 0, and stale
         marks would satisfy the new run's predicates early.
         """
@@ -543,8 +542,8 @@ def _reap_after_death(
     on the dead sleeper's wakeup handshake.  So the parent terminates the
     unreported survivors directly; their leaked shared-memory segments are
     reclaimed by name afterwards (``reclaim_orphan_segments``).  Survivors
-    that already reported are left alone — pooled workers park again and are
-    dealt with by the pool eviction.
+    that already reported are left alone — they park again and are dealt
+    with by the pool eviction.
     """
     for rank, proc in enumerate(workers):
         if rank not in reported and rank not in dead_ranks and proc.is_alive():
@@ -664,20 +663,19 @@ def _ensure_resource_tracker() -> None:
 class _RankPool:
     """A persistent set of rank processes parked on a barrier between runs.
 
-    Forking P interpreters (and, under ``spawn``, re-importing numpy and the
-    pipeline) dominates small ``spmd_run`` invocations — exactly the pattern
-    of a bench sweep or repeated pipeline runs over one data set.  The pool
-    pays that cost once: its workers and its collective engine live across
-    runs, each worker blocking on ``park_barrier`` (the "parked" state) until
-    the parent deposits the next job.
+    The process backend's ranks: every ``backend="process"`` run of P ranks
+    takes the pool of P workers, forking it on first use.  Its workers and
+    its collective engine live across runs, each worker blocking on
+    ``park_barrier`` (the "parked" state) until the parent deposits the next
+    job, so forking P interpreters is paid once, not per run.
 
     The lifecycle (park, acquire, failure eviction, shutdown) is described
-    in ``docs/runtime.md`` under "The persistent rank pool".  The engine's
-    arenas live as long as the pool and are reclaimed at its shutdown.
-    Because jobs cross a queue, pooled rank programs and their arguments must
-    be picklable even under the ``fork`` start method.
+    in ``docs/runtime.md`` under "The rank pool".  The engine's arenas live
+    as long as the pool and are reclaimed at its shutdown.  Because jobs
+    cross a queue, rank programs and their arguments must be picklable
+    (module-level functions, not lambdas or closures).
 
-    Beyond amortising forks, a parked worker is a *session*: module-level
+    A parked worker is also a *session*: module-level
     state it built during one run is still there for the next.  The serve
     phase keeps one entry per rank there
     (``repro.core.stages._RESIDENT_INDEXES``): the resident k-mer index, the
@@ -727,9 +725,10 @@ class _RankPool:
             job = pickle.dumps((fn, args, kwargs, trace is not None, faults))
         except Exception as exc:
             raise TypeError(
-                f"pooled rank program is not picklable: {type(exc).__name__}: "
-                f"{exc} (pooled jobs cross a queue; run without pool=True for "
-                "unpicklable programs)"
+                f"process-backend rank program is not picklable: "
+                f"{type(exc).__name__}: {exc} (jobs cross a queue to the rank "
+                "pool: define the program at module level, or run it on the "
+                "thread backend)"
             ) from exc
         # A worker that died while parked (OOM kill, crash) leaves the
         # (n+1)-party barrier permanently short; detect it before waiting,
@@ -739,7 +738,7 @@ class _RankPool:
                 if proc.exitcode is not None]
         if not dead:
             # Safe for the same reason reset_between_runs is: every worker
-            # is parked, so nothing races the sanitizer flip.
+            # is parked, so nothing races the sanitizer flag.
             self.engine.set_sanitize(sanitize)
             self.engine.reset_between_runs()
             for job_queue in self.job_queues:
@@ -898,41 +897,13 @@ atexit.register(shutdown_rank_pools)
 class ProcessBackend:
     """Ranks are OS processes; collectives move typed buffers in shared memory.
 
-    With ``pool=True`` the ranks are acquired from the persistent
-    :class:`_RankPool` for this rank count — processes park on a barrier
-    between runs instead of being re-forked, amortising startup across
-    runs.  Pooled jobs cross a queue, so ``fn`` and its arguments must be
-    picklable even under ``fork``.
+    The ranks are the persistent :class:`_RankPool` of this rank count,
+    forked on the first run and parked on a barrier between runs.  Jobs
+    cross a queue, so ``fn`` and its arguments must be picklable.
     """
-
-    def __init__(self, pool: bool = False):
-        self.use_pool = pool
 
     def run(self, n_ranks, fn, args, kwargs, trace, sanitize, faults):
         """Execute ``fn(comm, *args, **kwargs)`` on every rank, return results
         in rank order; raise :class:`RankFailedError` if any rank failed."""
-        if self.use_pool:
-            return _acquire_pool(n_ranks).run(fn, args, kwargs, trace,
-                                              sanitize, faults)
-
-        _ensure_resource_tracker()
-        engine = _ProcessCollectiveEngine(n_ranks, sanitize=sanitize)
-        results_queue = _CTX.Queue()
-        workers = [
-            _CTX.Process(
-                target=_run_rank_job,
-                args=(rank, n_ranks, engine, fn, args, kwargs,
-                      trace is not None, results_queue, faults),
-                name=f"spmd-rank-{rank}",
-            )
-            for rank in range(n_ranks)
-        ]
-        for proc in workers:
-            proc.start()
-        reported, failures = _drain_results(workers, results_queue, n_ranks)
-        for proc in workers:
-            proc.join()
-        results_queue.close()
-        # Every worker is joined: reclaim the run's arenas by name.
-        engine.reclaim_orphan_segments()
-        return _assemble_results(reported, failures, trace, n_ranks)
+        return _acquire_pool(n_ranks).run(fn, args, kwargs, trace, sanitize,
+                                          faults)

@@ -12,7 +12,8 @@ per-rank results in rank order.
   address space; collectives pass payloads by reference.
 * ``backend="process"`` — ranks are ``multiprocessing`` processes; P ranks
   really occupy P cores, and collectives move explicitly-typed buffers
-  through POSIX shared memory.
+  through POSIX shared memory.  The processes are the rank pool of that rank
+  count, forked on the first run and parked between runs.
 
 Error handling follows the "fail fast, fail loudly" rule for SPMD programs:
 if any rank raises, the runtime aborts the collective engine (so ranks blocked
@@ -54,10 +55,10 @@ def spmd_run(
         The rank program.  Called as ``fn(comm, *args, **kwargs)`` where
         ``comm`` is that rank's :class:`SimCommunicator`, whose collectives
         are ``allreduce``, ``alltoallv`` and the split-phase
-        ``alltoallv_start``/``alltoallv_finish``.  The process backend
-        forks its ranks where the platform can (anything callable works);
-        where it must spawn them, ``fn`` and its arguments must be
-        picklable.
+        ``alltoallv_start``/``alltoallv_finish``.  On the process backend
+        ``fn`` and its arguments cross a queue to the rank pool, so they
+        must be picklable (a module-level function, not a lambda or a
+        closure).
     trace:
         Optional :class:`CommTrace` to record communication volumes into.
         With the process backend each rank records into a private trace that
@@ -65,11 +66,8 @@ def spmd_run(
     backend:
         ``"thread"`` (the default, also for ``None``) or ``"process"``.
     pool:
-        With ``backend="process"``, acquire the ranks from the persistent
-        rank pool (processes parked on a barrier between runs) instead of
-        forking fresh ones — amortises fork+import cost across repeated
-        runs.  Pooled jobs cross a queue, so ``fn`` and its arguments must
-        be picklable.  Ignored by the thread backend.
+        Ignored; kept so callers that pass it keep working.  The process
+        backend always runs on the rank pool.
     sanitize:
         Arm the runtime sanitizer for this run: cross-rank collective
         congruence checks, split-phase segment lifecycle guards, and a hang
@@ -100,7 +98,7 @@ def spmd_run(
         raise ValueError("n_ranks must be positive")
     if sanitize is None:
         sanitize = sanitize_default()
-    runtime = resolve_backend(backend, pool=pool)
+    runtime = resolve_backend(backend)
     run_faults = resolve_run_faults(faults)
     if run_faults is not None and run_faults.has_kill and backend in (None, "thread"):
         raise ValueError(

@@ -19,6 +19,7 @@ from repro.mpisim.backend import (
     ProcessBackend,
     ThreadBackend,
     active_rank_pools,
+    rank_pool_stats,
     resolve_backend,
     shutdown_rank_pools,
 )
@@ -57,6 +58,19 @@ def _collective_program(comm):
     return (total, int(peak.max()), low, labels[0], everyone)
 
 
+def _allreduce_plus_one(comm):
+    return comm.allreduce(41) + 1
+
+
+def _typed_matrix_program(comm):
+    matrix = np.arange(12, dtype=np.uint64).reshape(6, 2) + np.uint64(comm.rank)
+    return comm.alltoallv([matrix] * comm.size)
+
+
+def _rank_squared(comm):
+    return comm.rank ** 2
+
+
 class TestProcessCollectives:
     def test_full_collective_program(self):
         results = spmd_run(3, _collective_program, backend="process")
@@ -73,84 +87,89 @@ class TestProcessCollectives:
         assert thread == process
 
     def test_single_rank(self):
-        assert spmd_run(1, lambda comm: comm.allreduce(41) + 1, backend="process") == [42]
+        assert spmd_run(1, _allreduce_plus_one, backend="process") == [42]
 
     def test_typed_arrays_roundtrip_exactly(self):
-        def program(comm):
-            matrix = np.arange(12, dtype=np.uint64).reshape(6, 2) + np.uint64(comm.rank)
-            return comm.alltoallv([matrix] * comm.size)
-
-        results = spmd_run(2, program, backend="process")
+        results = spmd_run(2, _typed_matrix_program, backend="process")
         for gathered in results:
             assert gathered[0].dtype == np.uint64
             assert gathered[0].shape == (6, 2)
             np.testing.assert_array_equal(gathered[1] - gathered[0], np.uint64(1))
 
     def test_results_in_rank_order(self):
-        assert spmd_run(4, lambda comm: comm.rank ** 2, backend="process") == [0, 1, 4, 9]
+        assert spmd_run(4, _rank_squared, backend="process") == [0, 1, 4, 9]
+
+
+def _rank_one_raises_program(comm):
+    if comm.rank == 1:
+        raise RuntimeError("boom")
+    comm.allreduce(0)  # would deadlock without abort handling
+
+
+def _mismatched_allreduce_program(comm):
+    if comm.rank == 0:
+        comm.allreduce(1, op="max")
+    else:
+        comm.allreduce(1)
+
+
+class _Opaque:
+    pass
+
+
+def _untyped_payload_program(comm):
+    return comm.alltoallv([_Opaque()] * comm.size)
+
+
+def _stalled_rank_program(comm):
+    if comm.rank == 0:
+        time.sleep(2.0)
+    comm.allreduce(0)
+    return comm.rank
+
+
+def _exchange_then_reduce_program(comm):
+    comm.alltoallv([np.arange(100, dtype=np.int64)] * comm.size)
+    return comm.allreduce(1)
 
 
 class TestProcessErrorHandling:
     def test_rank_exception_propagates(self):
-        def program(comm):
-            if comm.rank == 1:
-                raise RuntimeError("boom")
-            comm.allreduce(0)  # would deadlock without abort handling
-
         with pytest.raises(RankFailedError, match="rank 1") as err:
-            spmd_run(3, program, backend="process")
+            spmd_run(3, _rank_one_raises_program, backend="process")
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_collective_mismatch_detected(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.allreduce(1, op="max")
-            else:
-                comm.allreduce(1)
-
         with pytest.raises(RankFailedError) as err:
-            spmd_run(2, program, backend="process")
+            spmd_run(2, _mismatched_allreduce_program, backend="process")
         assert isinstance(err.value.__cause__, CollectiveMismatchError)
 
     def test_untyped_payload_rejected(self):
-        class Opaque:
-            pass
-
-        def program(comm):
-            return comm.alltoallv([Opaque()] * comm.size)
-
         with pytest.raises(RankFailedError) as err:
-            spmd_run(2, program, backend="process")
+            spmd_run(2, _untyped_payload_program, backend="process")
         assert "typed collectives protocol" in str(err.value.__cause__)
 
     def test_barrier_timeout_raises_not_silent_none(self, monkeypatch):
         # A collective wait that breaks with no originating rank failure (a stalled
         # rank exceeding the collective timeout) must surface as an error,
         # never as a successful [None, ...] result list.
-        import time
-
         from repro.mpisim import communicator
 
         monkeypatch.setattr(communicator, "_BARRIER_TIMEOUT", 0.5)
         # Under DIBELLA_SANITIZE=1 runs the sanitizer watchdog governs the
         # wait instead; tighten it too so the stall still errors promptly.
         monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "0.5")
-
-        def program(comm):
-            if comm.rank == 0:
-                time.sleep(2.0)
-            comm.allreduce(0)
-            return comm.rank
+        # Workers forked before the patch would wait out the old timeout;
+        # the failed run evicts the pool forked with it.
+        shutdown_rank_pools()
 
         with pytest.raises(RankFailedError, match="broken barrier|watchdog"):
-            spmd_run(2, program, backend="process")
+            spmd_run(2, _stalled_rank_program, backend="process")
 
     def test_no_shared_memory_leaked(self, new_shm_segments):
-        def program(comm):
-            comm.alltoallv([np.arange(100, dtype=np.int64)] * comm.size)
-            return comm.allreduce(1)
-
-        spmd_run(3, program, backend="process")
+        spmd_run(3, _exchange_then_reduce_program, backend="process")
+        # The pool holds its arenas until it shuts down.
+        shutdown_rank_pools()
         assert new_shm_segments() == []
 
 
@@ -183,6 +202,19 @@ def _sync_phase_program(comm):
     return [[a.tolist() for a in comm.alltoallv(s)] for s in sends]
 
 
+def _peer_failure_program(comm):
+    handle = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
+    if comm.rank == 1:
+        raise RuntimeError("boom mid-exchange")
+    comm.alltoallv_finish(handle)
+    # Rank 1 never publishes its remaining supersteps, so without the
+    # abort propagating through the handshake this would deadlock.
+    h2 = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
+    h3 = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
+    comm.alltoallv_finish(h2)
+    comm.alltoallv_finish(h3)
+
+
 class TestSplitPhaseExchange:
     """The double-buffered alltoallv_start/alltoallv_finish protocol."""
 
@@ -202,6 +234,7 @@ class TestSplitPhaseExchange:
 
     def test_no_shared_memory_leaked(self, new_shm_segments):
         spmd_run(3, _split_phase_program, backend="process")
+        shutdown_rank_pools()
         assert new_shm_segments() == []
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -215,21 +248,10 @@ class TestSplitPhaseExchange:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_peer_failure_unblocks_finish(self, new_shm_segments, backend):
-        def program(comm):
-            handle = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
-            if comm.rank == 1:
-                raise RuntimeError("boom mid-exchange")
-            comm.alltoallv_finish(handle)
-            # Rank 1 never publishes its remaining supersteps, so without the
-            # abort propagating through the handshake this would deadlock.
-            h2 = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
-            h3 = comm.alltoallv_start([np.zeros(1, dtype=np.int64)] * comm.size)
-            comm.alltoallv_finish(h2)
-            comm.alltoallv_finish(h3)
-
         with pytest.raises(RankFailedError, match="rank 1"):
-            spmd_run(3, program, backend=backend)
+            spmd_run(3, _peer_failure_program, backend=backend)
         if backend == "process":
+            # The failure evicted the pool, reclaiming its arenas.
             assert new_shm_segments() == []
 
 
@@ -293,8 +315,7 @@ class TestInterleavedExchanges:
         shutdown_rank_pools()
         try:
             for _ in range(2):
-                assert (spmd_run(3, _interleaved_program, backend="process",
-                                 pool=True)
+                assert (spmd_run(3, _interleaved_program, backend="process")
                         == _interleaved_expected(3))
         finally:
             shutdown_rank_pools()
@@ -330,6 +351,8 @@ class TestSmallCollectives:
 
     @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
     def test_no_shared_memory_leaked(self, new_shm_segments, pool):
+        """*pool* is the ignored compatibility keyword: both values run on
+        the pool, whose shutdown reclaims every arena."""
         shutdown_rank_pools()
         try:
             results = spmd_run(3, _small_collectives_program,
@@ -358,6 +381,8 @@ class TestCollectiveTimeout:
         monkeypatch.setattr(communicator, "_BARRIER_TIMEOUT", 0.5)
         # Under DIBELLA_SANITIZE=1 the watchdog governs the wait instead.
         monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "0.5")
+        # Fork the ranks after the patch; the failed run evicts them.
+        shutdown_rank_pools()
         with pytest.raises(RankFailedError, match="rank 0") as err:
             spmd_run(2, _late_publisher_program, backend=backend)
         assert isinstance(err.value.__cause__, CollectiveTimeoutError)
@@ -387,32 +412,60 @@ class TestRankPool:
         shutdown_rank_pools()
 
     def test_consecutive_runs_reuse_rank_processes(self):
-        first = spmd_run(3, _pool_pid_program, backend="process", pool=True)
-        second = spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        first = spmd_run(3, _pool_pid_program, backend="process")
+        second = spmd_run(3, _pool_pid_program, backend="process")
         assert [r[0] for r in first] == [r[0] for r in second]  # same PIDs
         assert [r[1:] for r in first] == [r[1:] for r in second]
-        unpooled = spmd_run(3, _pool_pid_program, backend="process")
-        assert [r[1:] for r in first] == [r[1:] for r in unpooled]
+        threads = spmd_run(3, _pool_pid_program, backend="thread")
+        assert [r[1:] for r in first] == [r[1:] for r in threads]
         assert active_rank_pools() == 1
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_pool_keyword_is_ignored(self, pool):
+        """``pool=`` is a compatibility keyword: either value runs on the
+        rank pool, reusing the workers of the run before."""
+        first = spmd_run(3, _pool_pid_program, backend="process")
+        again = spmd_run(3, _pool_pid_program, backend="process", pool=pool)
+        assert [r[0] for r in again] == [r[0] for r in first]
+        assert [r[1:] for r in again] == [r[1:] for r in first]
+        assert rank_pool_stats() == [{"n_ranks": 3, "runs_completed": 2,
+                                      "forks_amortised": 3}]
+
+    def test_one_shot_runs_reuse_workers(self, micro_dataset, micro_config):
+        """Two one-shot process runs land on the same worker processes and
+        report identical counters: a one-shot run keeps nothing between
+        runs."""
+        from repro.core.driver import run_dibella
+        from repro.mpisim.backend import _POOLS
+
+        config = replace(micro_config, backend="process")
+        runs, pids = [], []
+        for _ in range(2):
+            runs.append(run_dibella(micro_dataset.reads, config=config,
+                                    n_nodes=1, ranks_per_node=2))
+            pids.append([proc.pid for proc in _POOLS[2].workers])
+        assert pids[0] == pids[1]
+        assert runs[0].counters == runs[1].counters
+        assert runs[0].overlap_pairs() == runs[1].overlap_pairs()
 
     def test_split_phase_works_across_pooled_runs(self):
         # The engine's exchange sequence state must be re-armed between runs.
-        first = spmd_run(3, _split_phase_program, backend="process", pool=True)
-        second = spmd_run(3, _split_phase_program, backend="process", pool=True)
+        first = spmd_run(3, _split_phase_program, backend="process")
+        second = spmd_run(3, _split_phase_program, backend="process")
         assert first == second
 
     def test_failure_evicts_pool_and_next_run_recovers(self):
-        baseline = spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        baseline = spmd_run(3, _pool_pid_program, backend="process")
         with pytest.raises(RankFailedError, match="pooled boom"):
-            spmd_run(3, _pool_failing_program, backend="process", pool=True)
+            spmd_run(3, _pool_failing_program, backend="process")
         assert active_rank_pools() == 0
-        recovered = spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        recovered = spmd_run(3, _pool_pid_program, backend="process")
         assert [r[1:] for r in recovered] == [r[1:] for r in baseline]
 
     def test_shutdown_leaves_no_orphans_or_segments(self, new_shm_segments):
         import multiprocessing as mp
 
-        spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        spmd_run(3, _pool_pid_program, backend="process")
         assert any(p.name.startswith("spmd-pool-rank-") for p in mp.active_children())
         shutdown_rank_pools()
         assert active_rank_pools() == 0
@@ -434,22 +487,21 @@ class TestRankPool:
         # pool must surface the pickling error in the caller (and stay
         # usable) instead of stranding the workers.
         with pytest.raises(TypeError, match="not picklable"):
-            spmd_run(2, lambda comm: comm.allreduce(1),
-                     backend="process", pool=True)
-        assert spmd_run(2, _pool_pid_program, backend="process", pool=True)[0][1] == 3
+            spmd_run(2, lambda comm: comm.allreduce(1), backend="process")
+        assert spmd_run(2, _pool_pid_program, backend="process")[0][1] == 3
 
     def test_dead_parked_worker_detected_not_hung(self):
         from repro.mpisim.backend import _POOLS
 
-        baseline = spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        baseline = spmd_run(3, _pool_pid_program, backend="process")
         pool = next(iter(_POOLS.values()))
         victim = pool.workers[1]
         victim.terminate()  # dies while parked
         victim.join(timeout=10.0)
         with pytest.raises(RankFailedError, match="died while parked"):
-            spmd_run(3, _pool_pid_program, backend="process", pool=True)
+            spmd_run(3, _pool_pid_program, backend="process")
         assert active_rank_pools() == 0
-        recovered = spmd_run(3, _pool_pid_program, backend="process", pool=True)
+        recovered = spmd_run(3, _pool_pid_program, backend="process")
         assert [r[1:] for r in recovered] == [r[1:] for r in baseline]
 
 
@@ -501,13 +553,13 @@ class TestArenas:
 
     def test_small_calls_keep_every_arena(self, new_shm_segments):
         first = spmd_run(2, _many_small_collectives_program, 200,
-                         backend="process", pool=True)
+                         backend="process")
         table = _pool_engine(2).arena_table()
         # One creation per (rank, slot), then 200 calls without growing.
         assert {gen for _name, gen in table.values()} == {1}
         assert {name for name, _gen in table.values()} <= set(new_shm_segments())
         second = spmd_run(2, _many_small_collectives_program, 200,
-                          backend="process", pool=True)
+                          backend="process")
         assert _pool_engine(2).arena_table() == table
         assert first == second == spmd_run(2, _many_small_collectives_program,
                                            200, backend="thread")
@@ -517,7 +569,7 @@ class TestArenas:
 
         big_elements = _ARENA_MIN_BYTES // 8  # one arena's worth per peer
         results = spmd_run(2, _growing_exchange_program, big_elements,
-                           backend="process", pool=True)
+                           backend="process")
         assert results == spmd_run(2, _growing_exchange_program, big_elements,
                                    backend="thread")
         table = _pool_engine(2).arena_table()
@@ -528,6 +580,8 @@ class TestArenas:
 
     @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
     def test_received_arrays_are_not_arena_views(self, pool):
+        """*pool* is the ignored compatibility keyword: both values run on
+        the pool."""
         assert spmd_run(2, _slot_reuse_program, backend="process",
                         pool=pool) == [True, True]
 
@@ -536,7 +590,7 @@ class TestArenas:
 
         big_elements = 2 * _RETAIN_BYTES // 8
         spmd_run(2, _growing_exchange_program, big_elements,
-                 backend="process", pool=True)
+                 backend="process")
         table = _pool_engine(2).arena_table()
         # The grown slot-0 arenas are gone and unnamed; the small slot-1
         # arenas stay for the next run.
@@ -546,22 +600,23 @@ class TestArenas:
             assert os.stat(f"/dev/shm/{name}").st_size <= _RETAIN_BYTES
         # The next run grows slot 0 again and still matches the threads.
         assert (spmd_run(2, _growing_exchange_program, big_elements,
-                         backend="process", pool=True)
+                         backend="process")
                 == spmd_run(2, _growing_exchange_program, big_elements,
                             backend="thread"))
 
 
+def _two_phase_program(comm):
+    comm.set_phase("phase_a")
+    comm.alltoallv([np.zeros(comm.rank + 1, dtype=np.int64)] * comm.size)
+    comm.set_phase("phase_b")
+    comm.alltoallv([np.ones(2, dtype=np.int64)] * comm.size)
+
+
 class TestProcessTracing:
     def test_trace_merged_identically_to_thread(self):
-        def program(comm):
-            comm.set_phase("phase_a")
-            comm.alltoallv([np.zeros(comm.rank + 1, dtype=np.int64)] * comm.size)
-            comm.set_phase("phase_b")
-            comm.alltoallv([np.ones(2, dtype=np.int64)] * comm.size)
-
         thread_trace, process_trace = CommTrace(3), CommTrace(3)
-        spmd_run(3, program, trace=thread_trace, backend="thread")
-        spmd_run(3, program, trace=process_trace, backend="process")
+        spmd_run(3, _two_phase_program, trace=thread_trace, backend="thread")
+        spmd_run(3, _two_phase_program, trace=process_trace, backend="process")
         assert thread_trace.summary() == process_trace.summary()
         for phase in thread_trace.phases():
             np.testing.assert_array_equal(
@@ -663,8 +718,8 @@ class TestPipelineParity:
 
 @pytest.mark.slow
 class TestPipelineParityMatrix:
-    """{thread, process} x {pool on/off} x {sanitizer off/on} must all
-    produce bit-identical scientific output."""
+    """{thread, process} x {sanitizer off/on} must all produce bit-identical
+    scientific output (process ranks always run on the rank pool)."""
 
     @pytest.fixture(autouse=True)
     def _clean_pool_state(self):
@@ -682,22 +737,19 @@ class TestPipelineParityMatrix:
 
         from repro.core.driver import run_dibella
 
-        config = replace(micro_config, backend="thread", pool=False,
-                         sanitize=False)
+        config = replace(micro_config, backend="thread", sanitize=False)
         return run_dibella(micro_dataset.reads, config=config,
                            n_nodes=1, ranks_per_node=3)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("pool", [False, True])
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_matrix_bit_identical(self, micro_dataset, micro_config, reference,
-                                  backend, pool, sanitize):
+                                  backend, sanitize):
         from dataclasses import replace
 
         from repro.core.driver import run_dibella
 
-        config = replace(micro_config, backend=backend, pool=pool,
-                         sanitize=sanitize)
+        config = replace(micro_config, backend=backend, sanitize=sanitize)
         result = run_dibella(micro_dataset.reads, config=config,
                              n_nodes=1, ranks_per_node=3)
         assert result.overlap_pairs() == reference.overlap_pairs()
@@ -718,7 +770,7 @@ class TestPipelineParityMatrix:
         remote fetches — a one-shot run keeps no read cache between runs."""
         from repro.core.driver import run_dibella
 
-        config = replace(micro_config, backend=backend, pool=True)
+        config = replace(micro_config, backend=backend)
         first = run_dibella(micro_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=3)
         second = run_dibella(micro_dataset.reads, config=config,
@@ -738,12 +790,12 @@ class TestPipelineParityMatrix:
         """A reused rank must never hit a cache built from a different read set."""
         from repro.core.driver import run_dibella
 
-        config = replace(micro_config, backend="process", pool=True)
+        config = replace(micro_config, backend="process")
         run_dibella(micro_dataset.reads, config=config, n_nodes=1, ranks_per_node=3)
         other = run_dibella(small_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=3)
-        fresh = run_dibella(small_dataset.reads,
-                            config=replace(config, pool=False),
+        shutdown_rank_pools()  # the reference runs on freshly forked workers
+        fresh = run_dibella(small_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=3)
         # A one-shot run aligns with a fresh cache.
         assert other.counters["read_cache_fetch_hits"] == 0
@@ -758,7 +810,7 @@ class TestPipelineParityMatrix:
 
         from repro.core.driver import run_dibella
 
-        config = replace(micro_config, backend="process", pool=True)
+        config = replace(micro_config, backend="process")
         run_dibella(micro_dataset.reads, config=config, n_nodes=1, ranks_per_node=3)
         shutdown_rank_pools()
         deadline = time.monotonic() + 10.0

@@ -79,11 +79,12 @@ class TestHarness:
         """Two runs over the same reads each pay every remote read fetch.
 
         A read cached by an earlier run of a sweep would skip a fetch and
-        shrink the later run's measured exchange volumes, so the harness
-        keeps its runs off the persistent rank pool even when the
-        environment asks for it.
+        shrink the later run's measured exchange volumes.  Process ranks
+        always run on the rank pool, so the second run lands on the
+        workers of the first; it still fetches every read because a
+        one-shot run keeps no read cache between runs (only a serve
+        rank's resident index entry survives a run).
         """
-        monkeypatch.setenv("DIBELLA_POOL", "1")
         monkeypatch.setenv("DIBELLA_BACKEND", "process")
         harness = ExperimentHarness(workloads=tiny_harness.workloads)
         first = harness.run("ecoli30x_sample", "one-seed", n_nodes=2)

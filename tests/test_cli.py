@@ -43,7 +43,6 @@ KNOB_CASES = {
     "exchange-chunk-mb-off": (["--exchange-chunk-mb", "0"], {"exchange_chunk_mb": None}),
     "batch-reads": (["--batch-reads", "64"], {"batch_reads": 64}),
     "hash-shards": (["--hash-shards", "2"], {"hash_table_shards": 2}),
-    "pool": (["--pool"], {"pool": True}),
     "sanitize": (["--sanitize"], {"sanitize": True}),
     "fault-plan": (["--fault-plan", "exit:rank=1:step=2"],
                    {"fault_plan": "exit:rank=1:step=2"}),
@@ -71,6 +70,14 @@ class TestKnobParity:
             _parse(command, ["--read-cache-mb", "1.5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --read-cache-mb" in capsys.readouterr().err
+
+    def test_removed_pool_flag_is_unknown(self, command, capsys):
+        """Process ranks always run on the rank pool: --pool is gone
+        (--pool-stats, a report, stays)."""
+        with pytest.raises(SystemExit) as exc:
+            _parse(command, ["--pool"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pool" in capsys.readouterr().err
 
     def test_no_flags_is_the_default_config(self, command):
         assert _config(_parse(command, [])) == PipelineConfig()

@@ -230,6 +230,9 @@ class TestChaosSweep:
             # Completed: a delay, or a step ordinal past the schedule.
             assert results == _chaos_baseline()
             assert action == "delay" or step >= 5
+        # A completed run leaves its ranks parked in the pool (a failed one
+        # evicted it); shutting down must leave nothing behind either way.
+        shutdown_rank_pools()
         _await_no_workers("spmd-")
         assert new_shm_segments() == []
 
@@ -262,7 +265,7 @@ class TestPoolFailureHygiene:
         reclaim them without wedging on the dead waiter."""
         with pytest.raises(RankFailedError):
             spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                     pool=True, faults="kill:rank=1:op=alltoallv[split]")
+                     faults="kill:rank=1:op=alltoallv[split]")
         start = time.monotonic()
         shutdown_rank_pools()  # already evicted: must be a prompt no-op
         assert time.monotonic() - start < 30.0
@@ -272,8 +275,7 @@ class TestPoolFailureHygiene:
         # eviction lineage, so this is a cold start, not a counted respawn
         # (the respawn accounting is pinned by
         # test_parked_worker_death_detected_on_next_run).
-        results = spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                           pool=True)
+        results = spmd_run(2, _chaos_program, _CHAOS_XS, backend="process")
         assert results == _chaos_baseline()
         counters = recovery_counters()
         assert counters["rank_failures_detected"] >= 1
@@ -283,7 +285,7 @@ class TestPoolFailureHygiene:
         """Regression: SIGKILL a *parked* worker, then shutdown.  The old
         sentinel+barrier path would wedge inside multiprocessing's notify
         handshake (a dead process stays registered as a waiter)."""
-        spmd_run(2, _chaos_program, _CHAOS_XS, backend="process", pool=True)
+        spmd_run(2, _chaos_program, _CHAOS_XS, backend="process")
         victims = [p for p in mp.active_children()
                    if p.name.startswith("spmd-pool-rank-")]
         assert victims, "pooled run left no parked workers"
@@ -304,7 +306,8 @@ class TestPoolFailureHygiene:
     ])
     def test_kill_around_arena_growth_leaves_nothing(self, new_shm_segments, pool, plan):
         """Every arena is named in the metadata before data lands in it,
-        so the parent reclaims grown and replaced arenas alike."""
+        so the parent reclaims grown and replaced arenas alike.  *pool* is
+        the ignored compatibility keyword: both values run on the pool."""
         with pytest.raises(RankFailedError):
             spmd_run(2, _growth_program, backend="process", pool=pool,
                      faults=plan)
@@ -313,7 +316,7 @@ class TestPoolFailureHygiene:
         assert new_shm_segments() == []
 
     def test_parked_worker_death_detected_on_next_run(self, new_shm_segments):
-        spmd_run(2, _chaos_program, _CHAOS_XS, backend="process", pool=True)
+        spmd_run(2, _chaos_program, _CHAOS_XS, backend="process")
         victims = [p for p in mp.active_children()
                    if p.name.startswith("spmd-pool-rank-")]
         os.kill(victims[0].pid, signal.SIGKILL)
@@ -321,12 +324,10 @@ class TestPoolFailureHygiene:
         while victims[0].is_alive() and time.monotonic() < deadline:
             time.sleep(0.05)
         with pytest.raises(RankFailedError, match="died while parked"):
-            spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                     pool=True)
+            spmd_run(2, _chaos_program, _CHAOS_XS, backend="process")
         assert recovery_counters()["rank_failures_detected"] >= 1
         # The next pooled run starts a counted fresh pool and succeeds.
-        results = spmd_run(2, _chaos_program, _CHAOS_XS, backend="process",
-                           pool=True)
+        results = spmd_run(2, _chaos_program, _CHAOS_XS, backend="process")
         assert results == _chaos_baseline()
         assert recovery_counters()["pool_respawns"] == 2
         # The recovered pool keeps its arenas for its lifetime; every live

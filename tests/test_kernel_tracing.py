@@ -33,7 +33,7 @@ def test_stage4_calls_the_kernel_through_its_module_attribute(monkeypatch, toy_r
     monkeypatch.setattr(align_batch, "batched_xdrop_align", counting)
     # The thread backend, unpooled: its ranks run in this process, so they
     # see the wrapper.
-    config = PipelineConfig(kmer=KmerSpec(k=15), backend="thread", pool=False)
+    config = PipelineConfig(kmer=KmerSpec(k=15), backend="thread")
     result = DibellaPipeline(config=config, topology=Topology.single_node(2)).run(toy_reads)
 
     ranks_with_tasks = sum(report.counters["alignment_tasks"] > 0

@@ -113,7 +113,7 @@ class TestKernelTiers:
         gives the same science."""
         # Thread backend: the loader patch must reach the ranks, which a
         # rank pool forked before this test would not see.
-        config = dataclasses.replace(micro_config, backend="thread", pool=False)
+        config = dataclasses.replace(micro_config, backend="thread")
 
         def run():
             return run_dibella(micro_dataset.reads, config=config,
@@ -290,6 +290,15 @@ class TestConfigValidation:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_pool_is_a_compatibility_name(self):
+        """Process ranks always run on the rank pool; ``pool`` stays an
+        init-only name that accepts either bool and changes nothing."""
+        assert PipelineConfig(pool=True) == PipelineConfig(pool=False) == PipelineConfig()
+        assert "pool" not in {field.name for field in dataclasses.fields(PipelineConfig)}
+        for value in (1, 0, None, "true"):
+            with pytest.raises(ValueError, match="pool"):
+                PipelineConfig(pool=value)
+
     def test_kernel_parameters_validated_up_front(self):
         # Rejected at construction, not in stage 4 after stages 1-3 ran.
         with pytest.raises(ValueError, match="xdrop must be positive"):
@@ -310,7 +319,7 @@ class TestConfigValidation:
         config = PipelineConfig()
         strategy = SeedStrategy.separated_by(500)
         assert dataclasses.replace(config, seed_strategy=strategy).seed_strategy == strategy
-        assert dataclasses.replace(config, pool=True).pool is True
+        assert dataclasses.replace(config, sanitize=True).sanitize is True
         with pytest.raises(ValueError, match="batch_reads"):
             dataclasses.replace(config, batch_reads=0)
         with pytest.raises(ValueError, match="kill"):

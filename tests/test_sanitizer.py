@@ -161,6 +161,9 @@ class TestWatchdog:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_missing_rank_times_out_with_trace(self, backend, monkeypatch):
         monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "1")
+        # Workers forked before the patch would keep the 60 s default; the
+        # failed run evicts the pool forked with it.
+        shutdown_rank_pools()
         start = time.monotonic()
         with pytest.raises(RankFailedError) as err:
             spmd_run(2, _watchdog_program, backend=backend, sanitize=True)
@@ -176,7 +179,11 @@ class TestWatchdog:
     def test_watchdog_silent_on_healthy_run(self, backend, monkeypatch):
         # A tight watchdog must not fire when every rank participates.
         monkeypatch.setenv("DIBELLA_SANITIZE_TIMEOUT", "30")
-        results = spmd_run(3, _happy_program, backend=backend, sanitize=True)
+        shutdown_rank_pools()  # fork the ranks with the patched watchdog
+        try:
+            results = spmd_run(3, _happy_program, backend=backend, sanitize=True)
+        finally:
+            shutdown_rank_pools()  # later tests must not inherit it
         assert len(results) == 3
 
 
@@ -201,10 +208,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pipeline_bit_identical_under_sanitize(self, micro_dataset,
                                                    micro_config, backend):
-        # Pooling off: under DIBELLA_POOL=1 the second run would hit the
-        # first run's warm per-rank read caches, skewing read_cache_* /
-        # remote_reads_fetched for reasons unrelated to the sanitizer.
-        config = replace(micro_config, backend=backend, pool=False)
+        # Both runs may land on the same pooled process ranks: a one-shot
+        # run keeps no read cache between runs, so the counters compare.
+        config = replace(micro_config, backend=backend)
         plain = run_dibella(micro_dataset.reads, config=config,
                             n_nodes=1, ranks_per_node=2)
         sanitized = run_dibella(micro_dataset.reads,
@@ -239,8 +245,7 @@ class TestAbortCleanup:
 
     def test_pooled_failure_evicts_pool_and_cleans_up(self, new_shm_segments):
         with pytest.raises(RankFailedError):
-            spmd_run(3, _divergent_program, backend="process", pool=True,
-                     sanitize=True)
+            spmd_run(3, _divergent_program, backend="process", sanitize=True)
         deadline = time.monotonic() + 10.0
         while (any(p.name.startswith("spmd-pool-rank-")
                    for p in mp.active_children())
@@ -250,6 +255,5 @@ class TestAbortCleanup:
                        for p in mp.active_children())
         assert new_shm_segments() == []
         # The pool recovers: a fresh sanitized run on new workers succeeds.
-        results = spmd_run(3, _happy_program, backend="process", pool=True,
-                           sanitize=True)
+        results = spmd_run(3, _happy_program, backend="process", sanitize=True)
         assert len(results) == 3

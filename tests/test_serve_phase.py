@@ -30,12 +30,11 @@ RANKS = 4
 
 
 def _config(backend: str, shards: int, pool: bool = False) -> PipelineConfig:
-    config = PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
-                            error_rate_hint=0.08, backend=backend,
-                            hash_table_shards=shards)
-    if pool:
-        config = replace(config, pool=True)
-    return config
+    """*pool* is the ignored compatibility name: process ranks always run on
+    the rank pool."""
+    return PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
+                          error_rate_hint=0.08, backend=backend,
+                          hash_table_shards=shards, pool=pool)
 
 
 def _cleanup():
@@ -94,7 +93,7 @@ def test_served_batch_matches_one_shot_thread(micro_dataset, shards):
 @pytest.mark.slow
 @pytest.mark.parametrize("shards", [1, 4])
 def test_served_batch_matches_one_shot_process(micro_dataset, shards):
-    _assert_parity(_config("process", shards, pool=True), micro_dataset.reads)
+    _assert_parity(_config("process", shards), micro_dataset.reads)
 
 
 def test_second_batch_reuses_resident_index(micro_dataset):
@@ -153,7 +152,7 @@ def _same_batch_twice(config: PipelineConfig, readset: ReadSet,
 ])
 def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend, pool):
     """The second batch finds the index reads the first fetched: only the
-    evicted query reads are fetched again, whether or not the pool is on."""
+    evicted query reads are fetched again, on either backend."""
     try:
         first, second = _same_batch_twice(_config(backend, 4, pool=pool),
                                           micro_dataset.reads)
@@ -176,7 +175,7 @@ def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend, pool
         if backend == "thread":
             reset_persistent_read_caches()
         else:
-            spmd_run(RANKS, _reset_read_caches_on_rank, backend="process", pool=True)
+            spmd_run(RANKS, _reset_read_caches_on_rank, backend="process")
 
     try:
         first, second = _same_batch_twice(_config(backend, 4, pool=pool),
@@ -216,12 +215,12 @@ def test_name_collision_with_index_reads_is_rejected(micro_dataset):
 
 
 @pytest.mark.slow
-def test_unpooled_process_backend_rebuilds_each_batch(micro_dataset, monkeypatch):
-    """Without the rank pool, fresh workers cannot reuse a resident index:
-    each batch ships the index reads up front, in its one launch."""
+def test_process_backend_batch_reuses_the_resident_index(micro_dataset, monkeypatch):
+    """Process ranks are the rank pool: the batch after a build finds the
+    resident index and its reads on every rank, in one launch, with no
+    index read in its job."""
     index_reads, query_reads = _split(micro_dataset.reads,
                                       (3 * len(micro_dataset.reads)) // 4)
-    config = _config("process", 1, pool=False)
     launches = []
     real_spmd_run = pipeline_module.spmd_run
 
@@ -231,13 +230,13 @@ def test_unpooled_process_backend_rebuilds_each_batch(micro_dataset, monkeypatch
 
     monkeypatch.setattr(pipeline_module, "spmd_run", counting_spmd_run)
     try:
-        pipeline = DibellaPipeline(config=config,
-                                   topology=Topology.single_node(2))
+        pipeline = DibellaPipeline(config=_config("process", 1),
+                                   topology=Topology.single_node(RANKS))
         pipeline.build_index(index_reads)
         result = pipeline.run_query_batch(query_reads)
-        assert result.counters.get("index_reuse_hits", 0) == 0
-        assert result.counters["index_build_runs"] == 2
-        assert result.counters["index_reads_shipped"] == len(index_reads)
+        assert result.counters["index_reuse_hits"] == RANKS
+        assert result.counters.get("index_build_runs", 0) == 0
+        assert "index_reads_shipped" not in result.counters
         assert len(launches) == 2  # the build and the batch
     finally:
         _cleanup()
@@ -304,7 +303,7 @@ def test_non_acgt_submission_is_rejected_at_admission(micro_dataset):
     index_reads, query_reads = _split(micro_dataset.reads,
                                       (3 * len(micro_dataset.reads)) // 4)
     queries = list(query_reads)
-    service = AlignmentService(index_reads, config=_config("process", 1, pool=True),
+    service = AlignmentService(index_reads, config=_config("process", 1),
                                topology=Topology.single_node(RANKS))
     try:
         service.build()
@@ -393,7 +392,7 @@ def test_lost_thread_state_is_resent(micro_dataset):
 
 @pytest.mark.slow
 def test_lost_pool_is_resent(micro_dataset):
-    _assert_resent(_config("process", 4, pool=True), micro_dataset.reads,
+    _assert_resent(_config("process", 4), micro_dataset.reads,
                    shutdown_rank_pools)
 
 
@@ -415,7 +414,7 @@ def test_pooled_batch_job_ships_only_queries(micro_dataset, monkeypatch):
     try:
         for n_index in (15, 30):
             index_reads = ReadSet(reads[:n_index])
-            pipeline = DibellaPipeline(config=_config("process", 4, pool=True),
+            pipeline = DibellaPipeline(config=_config("process", 4),
                                        topology=Topology.single_node(RANKS))
             pipeline.build_index(index_reads)
             result = pipeline.run_query_batch(queries)

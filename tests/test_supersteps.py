@@ -137,6 +137,17 @@ class TestSuperstepSchedule:
         assert spmd_run(2, program) == [ScheduleOutcome(0, 0)] * 2
 
 
+def _label_mismatch_program(comm, split):
+    """Ranks 0 and 1 exchange under different labels, blocking or split."""
+    label = "stage_a" if comm.rank == 0 else "stage_b"
+    send = [np.zeros(1, dtype=np.int64)] * comm.size
+    if not split:
+        comm.alltoallv(send, label=label)
+        return
+    schedule = SuperstepSchedule(comm, StageTimer(), 1, label=label)
+    schedule.run(lambda step: send, lambda step, received: None)
+
+
 class TestPhaseLabelledExchanges:
     """Colliding schedules (ranks in different phases) must raise, not mix."""
 
@@ -144,17 +155,8 @@ class TestPhaseLabelledExchanges:
     @pytest.mark.parametrize("split", [False, True])
     def test_label_mismatch_detected(self, backend, split):
         """Both entry points: a blocking ``alltoallv`` and a schedule."""
-        def program(comm, split=split):
-            label = "stage_a" if comm.rank == 0 else "stage_b"
-            send = [np.zeros(1, dtype=np.int64)] * comm.size
-            if not split:
-                comm.alltoallv(send, label=label)
-                return
-            schedule = SuperstepSchedule(comm, StageTimer(), 1, label=label)
-            schedule.run(lambda step: send, lambda step, received: None)
-
         with pytest.raises(RankFailedError) as err:
-            spmd_run(2, program, backend=backend)
+            spmd_run(2, _label_mismatch_program, split, backend=backend)
         assert isinstance(err.value.__cause__, CollectiveMismatchError)
 
     def test_matching_labels_pass(self):

@@ -70,11 +70,6 @@ _SEEDED_NP_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence",
 #: Files whose counter writes SL004 audits (relative-name match).
 _COUNTER_FILES = ("stages.py", "supersteps.py", "pipeline.py")
 
-#: Knobs whose CLI flag does not follow the ``--field-name`` derivation.
-_FLAG_ALIASES = {
-    "hash_table_shards": "--hash-shards",
-}
-
 _SUPPRESS_RE = re.compile(
     r"#\s*spmdlint:\s*disable=([A-Za-z0-9,\s]*?)(?:\s+(.*))?$")
 
@@ -446,7 +441,7 @@ def _check_knob_plumbing(
     rows = _readme_knob_fields(readme_path)
     findings: list[Finding] = []
     for name, lineno, envs in _config_fields(tree):
-        derived = _FLAG_ALIASES.get(name, "--" + name.replace("_", "-"))
+        derived = "--" + name.replace("_", "-")
         no_variant = "--no-" + derived.removeprefix("--")
         has_flag = derived in flags or no_variant in flags
         has_env = bool(envs)

@@ -120,12 +120,6 @@ def _pipeline_flags() -> argparse.ArgumentParser:
                             "k-mer stages (the memory bound of the streaming "
                             "pipeline; DIBELLA_BATCH_READS has the same effect, "
                             "default 2048)")
-    group.add_argument("--hash-shards", dest="hash_table_shards", metavar="HASH_SHARDS",
-                       type=int, default=None,
-                       help="number of k-mer code-range shards the retained-k-mer "
-                            "table is built in; >1 streams the hash-table/overlap "
-                            "boundary one shard at a time, bounding peak table "
-                            "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
     group.add_argument("--sanitize", action="store_true", default=None,
                        help="arm the runtime sanitizer: cross-rank collective "
                             "congruence checks, split-phase segment lifecycle "
@@ -147,9 +141,9 @@ def _pipeline_flags() -> argparse.ArgumentParser:
                             "disables recovery; DIBELLA_SERVE_MAX_RETRIES has "
                             "the same effect)")
     group.add_argument("--pool-stats", action="store_true",
-                       help="print per-pool usage statistics (runs served, forks "
-                            "amortised) afterwards; only process-backend runs "
-                            "use rank pools")
+                       help="print the rank pool's usage statistics (runs "
+                            "served, forks amortised) afterwards; only "
+                            "process-backend runs use the rank pool")
     return flags
 
 

@@ -35,7 +35,7 @@ _REMOVED_KNOB_DEFAULTS = {
     "collective": ("flat",), "rank_groups": (None,), "pin_ranks": (False,),
     "double_buffer_stages": (None,), "wire_packing": (True,),
     "alignment_batch_tasks": (None,), "double_buffer": (True,),
-    "read_cache_mb": (0.0,), "pool": (False, True),
+    "read_cache_mb": (0.0,), "pool": (False, True), "hash_table_shards": (4,),
 }
 
 
@@ -108,25 +108,19 @@ class PipelineConfig:
         multi-core compute).  The process ranks are the rank pool: forked on
         the first run and parked between runs, so a serve rank keeps its
         resident index, the index reads and their read cache, as a thread
-        rank does; a one-shot run keeps nothing.  The default honours the
+        rank does; a one-shot run keeps nothing.  One pool is live at a
+        time: a run at another rank count shuts the parked pool down first.  The default honours the
         ``DIBELLA_BACKEND`` environment variable so whole test/CI runs can
         be switched without touching call sites.
     exchange_chunk_mb:
         Memory bound (MiB of wire payload per rank) on each superstep of the
-        overlap stage's streamed pair exchange; at most two chunks are in
-        flight per rank (the double buffer), so this also bounds the pair
-        buffers held in memory.  ``None`` disables chunking (one monolithic
+        overlap stage's streamed pair exchange — one schedule over the one
+        retained table; at most two chunks are in flight per rank (the
+        double buffer), so this also bounds the pair buffers held in
+        memory.  ``None`` disables chunking (one monolithic
         Alltoallv, the paper's original pattern).  The default honours
         ``DIBELLA_EXCHANGE_CHUNK_MB`` (``0`` disables chunking; CLI
         ``--exchange-chunk-mb``).
-    hash_table_shards:
-        Number of k-mer code-range shards the occurrence table is cut
-        into.  With ``S > 1`` the hash-table/overlap boundary streams one
-        contiguous code range at a time through filter → pair generation →
-        release, so peak retained-table memory drops to roughly the largest
-        shard instead of the whole partition (counter
-        ``retained_table_peak_bytes``).  Output is bit-identical for every
-        shard count.  The default honours ``DIBELLA_HASH_SHARDS``.
     serve_batch_reads:
         Serve-phase admission bound: the
         :class:`~repro.core.service.AlignmentService` coalesces queued query
@@ -157,13 +151,14 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer, read_cache_mb, pool:
+    collective, rank_groups, pin_ranks, double_buffer_stages, wire_packing, alignment_batch_tasks, double_buffer, read_cache_mb, pool, hash_table_shards:
         Compatibility names of removed second paths: a hierarchical
         collective layout, per-stage double buffering, the ASCII read wire
         format, batched read fetch, the bulk-synchronous superstep
-        schedule, a byte bound on the read cache and process ranks forked
-        afresh for every run.  They are init-only (not stored, not in
-        :func:`dataclasses.fields`) and accept only the values in
+        schedule, a byte bound on the read cache, process ranks forked
+        afresh for every run and a k-mer table cut into code-range shards
+        (one pair schedule per shard).  They are init-only (not stored, not
+        in :func:`dataclasses.fields`) and accept only the values in
         :data:`_REMOVED_KNOB_DEFAULTS` (their former defaults; ``pool``
         accepts ``False`` and ``True``), so callers that spell out every
         knob keep working; any other value raises :class:`ValueError`.
@@ -199,9 +194,6 @@ class PipelineConfig:
     exchange_chunk_mb: float | None = field(
         default_factory=lambda: _env_optional_float("DIBELLA_EXCHANGE_CHUNK_MB", 8.0)
     )
-    hash_table_shards: int = field(
-        default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
-    )
     serve_batch_reads: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_SERVE_BATCH_READS", "4096"))
     )
@@ -223,19 +215,20 @@ class PipelineConfig:
     double_buffer: InitVar[bool] = True
     read_cache_mb: InitVar[float] = 0.0
     pool: InitVar[bool] = False
+    hash_table_shards: InitVar[int] = 4
 
     def __post_init__(self, collective: str, rank_groups: int | None,
                       pin_ranks: bool, double_buffer_stages: tuple[str, ...] | None,
                       wire_packing: bool, alignment_batch_tasks: int | None,
                       double_buffer: bool, read_cache_mb: float,
-                      pool: bool) -> None:
+                      pool: bool, hash_table_shards: int) -> None:
         given = {"collective": collective, "rank_groups": rank_groups,
                  "pin_ranks": pin_ranks,
                  "double_buffer_stages": double_buffer_stages,
                  "wire_packing": wire_packing,
                  "alignment_batch_tasks": alignment_batch_tasks,
                  "double_buffer": double_buffer, "read_cache_mb": read_cache_mb,
-                 "pool": pool}
+                 "pool": pool, "hash_table_shards": hash_table_shards}
         changed = {name: value for name, value in given.items()
                    if (type(value), value) not in
                    [(type(accepted), accepted)
@@ -264,8 +257,6 @@ class PipelineConfig:
             raise ValueError(f"unknown runtime backend {self.backend!r}")
         if self.exchange_chunk_mb is not None and self.exchange_chunk_mb <= 0:
             raise ValueError("exchange_chunk_mb must be positive (or None to disable)")
-        if self.hash_table_shards < 1:
-            raise ValueError("hash_table_shards must be >= 1")
         if self.serve_batch_reads < 1:
             raise ValueError("serve_batch_reads must be >= 1")
         if self.serve_max_retries < 0:

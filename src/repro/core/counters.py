@@ -56,8 +56,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "hashtable_payload_bytes": "bytes of (code, rid, pos) tuples moved by the hash-table exchange",
     "retained_kmers": "distinct reliable k-mers retained after frequency filtering",
     "retained_occurrences": "read occurrences retained under the reliable k-mers",
-    "hash_table_shards": "code-range shards the retained table was built in (the memory bound; recorded once, on rank 0)",
-    "retained_table_peak_bytes": "peak bytes of any single retained-table shard",
+    "retained_table_peak_bytes": "bytes of the retained table the overlap stage reads",
     # -- stage 3: overlap detection -----------------------------------------
     "pairs_generated": "candidate read pairs generated from shared reliable k-mers",
     "overlap_pairs": "consolidated overlapping read pairs after dedup/seed selection",
@@ -80,7 +79,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "index_retained_kmers": "reliable k-mers in the built index",
     "index_retained_occurrences": "read occurrences in the built index",
     "index_occurrences": "occurrences scanned while building the index",
-    "index_nbytes": "bytes of the resident index: sorted occurrences plus each shard's group table",
+    "index_nbytes": "bytes of the resident index: sorted occurrences plus the group table",
     "index_digest": "content digest of the resident index (staleness detection)",
     "index_reuse_hits": "query batches served from a resident index without rebuilding",
     "index_reads_shipped": "index reads a query-batch job carried because the ranks lacked them (absent on the hot path)",
@@ -89,7 +88,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "query_route_payload_bytes": "bytes moved by the query-routing exchange",
     "query_pairs_generated": "candidate query-target pairs generated from index hits",
     "query_cross_pairs": "query-vs-index pairs kept from the generated pairs (within-side pairs dropped)",
-    "query_index_occurrences_touched": "resident index occurrences gathered into query-batch merges (the hit k-mer groups, summed over shards)",
+    "query_index_occurrences_touched": "resident index occurrences gathered into query-batch merges (the hit k-mer groups)",
     # -- schedule flags (see SCHEDULE_FLAG_COUNTERS) ------------------------
     "bloom_steps_overlapped": "bloom supersteps whose compute overlapped a peer's exchange",
     "hashtable_steps_overlapped": "hash-table supersteps whose compute overlapped a peer's exchange",

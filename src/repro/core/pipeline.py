@@ -87,7 +87,7 @@ class DibellaPipeline:
     def invalidate_resident_state(self) -> None:
         """Drop the parent process's resident entries after a failed SPMD run.
 
-        Thread-backend ranks keep their resident index shards, index reads
+        Thread-backend ranks keep their resident index, index reads
         and read caches in this process's registry; after a rank failure
         mid-build it can hold a partially-populated generation, so recovery
         clears it and the retry rebuilds from scratch.  (Process ranks hold
@@ -110,20 +110,20 @@ class DibellaPipeline:
     # -- build / serve phases -------------------------------------------------------
 
     def build_index(self, readset: ReadSet) -> PipelineResult:
-        """Build phase: construct the sharded k-mer index and keep it resident.
+        """Build phase: construct the k-mer index and keep it resident.
 
         Runs :func:`~repro.core.stages.run_index_build` on every rank: the
         stage-2 occurrence exchange over *readset* with no Bloom candidate
         gate, sorted into a per-rank
-        :class:`~repro.kmers.hashtable.ShardedKmerIndex` published in the
+        :class:`~repro.kmers.hashtable.KmerIndex` published in the
         resident-index registry.  On the process backend the rank pool's
-        workers stay parked afterwards, holding their index shards —
+        workers stay parked afterwards, holding their indexes —
         subsequent :meth:`run_query_batch` calls touch zero index-build
         code paths (counter ``index_reuse_hits``).
 
         The index generation tag folds in every parameter the resident
-        layout depends on — the read-set fingerprint, k, the shard count and
-        the rank count — so a rank reused with different parameters
+        layout depends on — the read-set fingerprint, k, the rank count and
+        the seed mode — so a rank reused with different parameters
         rebuilds instead of serving a stale index.
 
         Returns the build's :class:`PipelineResult` (hash-table stage record
@@ -134,7 +134,7 @@ class DibellaPipeline:
         check_reads(readset)
         config = self.config
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
-                     f":s{config.hash_table_shards}:r{self.topology.n_ranks}"
+                     f":r{self.topology.n_ranks}"
                      f":{self._seed_mode_tag(config)}")
         result = self._launch(run_index_build, readset, (index_tag,),
                               _INDEX_BUILD_STAGES)
@@ -147,8 +147,8 @@ class DibellaPipeline:
         """Serve phase: align one batch of query reads against the resident index.
 
         Requires a prior :meth:`build_index` on this pipeline.  The batch's
-        k-mers are routed to the owning index shards on the superstep
-        scheduler, merged into the resident table per shard, expanded into
+        k-mers are routed to the owning ranks on the superstep scheduler,
+        merged into the resident table once, expanded into
         **query-vs-index** pairs only, and aligned with the unmodified
         read fetch + x-drop stage.  The result's alignments are
         bit-identical to running the one-shot pipeline over (index reads ∪
@@ -308,7 +308,7 @@ class DibellaPipeline:
         A resident index built in one seed mode must never serve queries
         sketched in another (or with another window) — the merged occurrence
         streams would disagree — so the sketch parameters are part of the
-        index generation tag, like k and the shard count.
+        index generation tag, like k and the rank count.
         """
         if config.seed_mode == "minimizer":
             return f"minw{config.minimizer_window}"

@@ -25,7 +25,7 @@ Table 1 platforms.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +36,14 @@ from repro.align.batch import TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
-from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
+from repro.core.supersteps import StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
     OCCURRENCE_NBYTES,
+    KmerIndex,
     RetainedKmers,
-    ShardedKmerIndex,
     key_mask,
-    shard_code_boundaries,
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.kmers.minimizer import minimizer_mask, sketch_hash
@@ -445,16 +444,15 @@ def _occurrence_exchange(
 
 
 def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
-                     keys: np.ndarray | None = None) -> ShardedKmerIndex:
+                     keys: np.ndarray | None = None) -> KmerIndex:
     """Stage 2: second pass shipping (k-mer, RID, position) to the owner rank.
 
     Occurrences of *rids* are exchanged by :func:`_occurrence_exchange`,
     kept only for k-mers in *keys* (stage 1's candidate keys; the one-shot
-    run passes them), and sorted once into a
-    :class:`~repro.kmers.hashtable.ShardedKmerIndex` cut by
-    ``config.hash_table_shards`` code ranges — the sort timed as hash-table
-    work.  The frequency filters that leave the retained k-mers (§7) are
-    applied later, one shard at a time, by the index's views.
+    run passes them), and sorted once into one canonical
+    :class:`~repro.kmers.hashtable.KmerIndex` — the sort timed as
+    hash-table work.  The frequency filters that leave the retained k-mers
+    (§7) are applied later, by the index's views.
 
     The serve phase's index build passes no keys: the resident index must
     keep singleton occurrences too, because a later query batch can lift a
@@ -475,15 +473,13 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
 
     Returns
     -------
-    ShardedKmerIndex
+    KmerIndex
         This rank's partition of the occurrence table.
     """
-    config = state.config
     columns, _, received, payload_bytes, outcome = _occurrence_exchange(
         comm, state, rids, "hashtable", keys)
     with state.timer("hashtable").compute():
-        index = ShardedKmerIndex(
-            shard_code_boundaries(config.kmer.k, config.hash_table_shards), *columns)
+        index = KmerIndex(state.config.kmer.k, *columns)
     key_bytes = 0 if keys is None else keys.nbytes
     state.work["hashtable"] = float(received)
     state.local_bytes["hashtable"] = float(
@@ -502,34 +498,28 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
 def overlap_stage(
     comm: SimCommunicator,
     state: _RankState,
-    shards: Iterator[RetainedKmers],
-    shard_stage: str,
+    retained: RetainedKmers,
     n_index_reads: int | None = None,
 ) -> None:
     """Stage 3: form all read pairs per retained k-mer and route them to owners.
 
-    The retained table is consumed one **code-range shard** at a time: each
-    shard is pulled from *shards* under ``state.timer(shard_stage)``'s
-    compute time, its pairs are generated and exchanged, and the shard is
-    released before the next one is built — so at most one shard's grouped
-    table is live per rank.  Shards partition the code space, so the
-    concatenated pair stream (and therefore the consolidated overlap table)
-    is bit-identical to the unsharded build.  The one-shot pipeline pulls
-    its index's ``retained_shard`` views (timed as hash-table work); a
-    serve-phase query batch pulls the resident index's per-shard merge with
-    its routed query occurrences (timed as query-route work) and passes
-    *n_index_reads*, which keeps only the **query-vs-index** pairs
-    (``rid_a < n_index_reads <= rid_b``) and labels the exchange
+    *retained* is this rank's retained table, built by the caller under its
+    own stage timer: the one-shot pipeline passes its index's
+    :meth:`~repro.kmers.hashtable.KmerIndex.retained` view (timed as
+    hash-table work); a serve-phase query batch passes the resident index
+    merged with its routed query occurrences
+    (:meth:`~repro.kmers.hashtable.KmerIndex.merged`, timed as query-route
+    work) and *n_index_reads*, which keeps only the **query-vs-index**
+    pairs (``rid_a < n_index_reads <= rid_b``) and labels the exchange
     ``query_overlap``.
 
-    Within a shard the pair exchange streams in *bounded chunked supersteps*
-    like the k-mer stages: the shard's retained k-mers are split into ranges
-    whose pair expansion fits the ``exchange_chunk_mb`` wire budget
-    (:func:`pair_chunk_ranges`), and each superstep — one
-    :class:`~repro.core.supersteps.SuperstepSchedule` instance per shard —
-    generates, packs and ships only one chunk, so the in-flight send buffers
-    stay bounded regardless of how many pairs the partition produces in
-    total.  Every rank runs the same number of supersteps per shard (the
+    The pair exchange is one :class:`~repro.core.supersteps.SuperstepSchedule`
+    of *bounded chunked supersteps* like the k-mer stages: the retained
+    k-mers are split into ranges whose pair expansion fits the
+    ``exchange_chunk_mb`` wire budget (:func:`pair_chunk_ranges`), and each
+    superstep generates, packs and ships only one chunk, so the in-flight
+    send buffers stay bounded regardless of how many pairs the partition
+    produces in total.  Every rank runs the same number of supersteps (the
     global maximum), padding with empty exchanges; each superstep is a full
     ``alltoallv`` and is traced per chunk, so the cost model sees the same
     total volume plus the true call count.
@@ -543,24 +533,16 @@ def overlap_stage(
     """
     config = state.config
     timer = state.timer("overlap")
-    shard_timer = state.timer(shard_stage)
     comm.set_phase("overlap_exchange")
     label = "overlap" if n_index_reads is None else "query_overlap"
 
     pairs_generated = 0
     pairs_kept = 0
-    retained_kmers = 0
-    retained_occurrences = 0
-    retained_local_peak = 0
-    retained_peak_nbytes = 0
-    total_chunks = 0
-    chunks_overlapped = 0
     payload_bytes = 0
     received_batches: list[PairBatch] = []
 
-    def make_send(retained: RetainedKmers, chunks: list[tuple[int, int]],
-                  step: int) -> list[np.ndarray]:
-        """Expand chunk *step* of one shard into per-destination send buffers."""
+    def produce(step: int) -> list[np.ndarray]:
+        """Expand chunk *step* into per-destination send buffers."""
         nonlocal pairs_generated, pairs_kept
         if step < len(chunks):
             pairs = generate_pairs(retained, kmer_range=chunks[step])
@@ -590,39 +572,10 @@ def overlap_stage(
             PairBatch.from_matrix(np.asarray(c)) for c in received
         )
 
-    def stream_shard(retained: RetainedKmers,
-                     chunks: list[tuple[int, int]]) -> ScheduleOutcome:
-        """Run one shard's chunked pair exchange as a schedule instance.
-
-        The produce closure lives only inside this call frame, so the shard
-        it captures is actually freed when the caller drops its reference —
-        a longer-lived closure would silently keep two shards alive at once.
-        """
-        schedule = SuperstepSchedule(comm, timer, len(chunks), label=label)
-        return schedule.run(lambda step: make_send(retained, chunks, step), consume)
-
-    while True:
-        # Build this shard's slice of the retained table (timed as the shard
-        # source's stage), stream its pairs, then release it before the next
-        # shard is built — the build → pair-generation → release pipeline
-        # that bounds peak table memory at one shard.
-        with shard_timer.compute():
-            retained = next(shards, None)
-            if retained is None:
-                break
-            retained_kmers += retained.n_kmers
-            retained_occurrences += retained.n_occurrences
-            retained_local_peak = max(
-                retained_local_peak,
-                retained.rids.nbytes + retained.positions.nbytes,
-            )
-            retained_peak_nbytes = max(retained_peak_nbytes, retained.nbytes)
-        with timer.compute():
-            chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
-        outcome = stream_shard(retained, chunks)
-        total_chunks += len(chunks)
-        chunks_overlapped += outcome.steps_overlapped
-        retained = None  # release the shard before building the next one
+    with timer.compute():
+        chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
+    outcome = SuperstepSchedule(comm, timer, len(chunks), label=label).run(
+        produce, consume)
 
     with timer.compute():
         table = OverlapTable.from_pairs(PairBatch.concatenate(received_batches))
@@ -639,23 +592,24 @@ def overlap_stage(
             same_strand=table.seed_same_strand[selected],
         )
 
-    state.work["overlap"] = float(retained_occurrences + pairs_generated)
-    state.local_bytes["overlap"] = float(retained_local_peak + 32 * pairs_generated)
-    state.counters["retained_kmers"] = retained_kmers
-    state.counters["retained_occurrences"] = retained_occurrences
+    state.work["overlap"] = float(retained.n_occurrences + pairs_generated)
+    state.local_bytes["overlap"] = float(
+        retained.rids.nbytes + retained.positions.nbytes + 32 * pairs_generated)
+    state.counters["retained_kmers"] = retained.n_kmers
+    state.counters["retained_occurrences"] = retained.n_occurrences
     if n_index_reads is None:
-        state.counters["retained_table_peak_bytes"] = retained_peak_nbytes
+        state.counters["retained_table_peak_bytes"] = retained.nbytes
         state.counters["pairs_generated"] = pairs_generated
     else:
         state.counters["query_pairs_generated"] = pairs_generated
         state.counters["query_cross_pairs"] = pairs_kept
     state.counters["overlap_pairs"] = len(state.overlaps)
     state.counters["alignment_tasks"] = len(state.tasks)
-    state.counters["overlap_exchange_chunks"] = total_chunks
+    state.counters["overlap_exchange_chunks"] = len(chunks)
     state.counters["overlap_payload_bytes"] = payload_bytes
-    # A function of the config and the chunk/shard layout only, so it stays
+    # A function of the config and the chunk layout only, so it stays
     # bit-identical across runtime backends (the counter-parity invariant).
-    state.counters["overlap_chunks_overlapped"] = chunks_overlapped
+    state.counters["overlap_chunks_overlapped"] = outcome.steps_overlapped
 
 
 # ---------------------------------------------------------------------------
@@ -826,18 +780,13 @@ def _rank_state(
 
     Validates the partition (:func:`_build_read_owner`).
     """
-    state = _RankState(
+    return _RankState(
         config=config,
         readset=readset,
         local_rids=list(assignments[comm.rank]),
         read_owner=_build_read_owner(readset, assignments),
         high_freq_threshold=high_freq_threshold,
     )
-    if comm.rank == 0:
-        # One value per run, not per rank: recorded once so the summed
-        # global counters report the shard count itself.
-        state.counters["hash_table_shards"] = config.hash_table_shards
-    return state
 
 
 def _rank_report(comm: SimCommunicator, state: _RankState,
@@ -906,11 +855,12 @@ def run_rank_pipeline(
     keys = bloom_filter_stage(comm, state)
     index = hash_table_stage(comm, state, state.local_rids, keys)
     order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
-    overlap_stage(comm, state, (
-        index.retained_shard(shard, order_key, config.min_kmer_count,
-                             high_freq_threshold)
-        for shard in range(index.n_shards)), "hashtable")
-    del keys, index  # release the table before stage 4
+    with state.timer("hashtable").compute():
+        retained = index.retained(order_key, config.min_kmer_count,
+                                  high_freq_threshold)
+    del keys, index  # the retained view is a copy: release the sorted index
+    overlap_stage(comm, state, retained)
+    del retained  # release the table before stage 4
     alignment_stage(comm, state)
     return _rank_report(comm, state)
 
@@ -920,7 +870,7 @@ def run_rank_pipeline(
 # ---------------------------------------------------------------------------
 
 #: Everything a rank keeps between SPMD runs, keyed by (index tag, rank):
-#: the sharded k-mer index ``run_index_build`` built, the index *reads* it
+#: the k-mer index ``run_index_build`` built, the index *reads* it
 #: ran over, and the alignment-stage read cache query batches share.  On a
 #: process rank (a rank-pool worker) or a thread-backend rank the entry is
 #: still here when ``run_query_batch`` executes, so the batch touches zero index-build
@@ -928,17 +878,17 @@ def run_rank_pipeline(
 #: reads (the rank rebuilds the union read set locally), and the index reads
 #: it fetched for an earlier batch stay cached (``read_cache_fetch_hits``).
 #: The tag fingerprints the index read set *and* the parameters the
-#: resident layout depends on (k, shard count, rank count); acquiring a
+#: resident layout depends on (k, seed mode, rank count); acquiring a
 #: different tag evicts the previous generation, so a reused rank never
 #: serves a stale index or a stale read.  A one-shot run keeps nothing here.
 _RESIDENT_INDEXES: dict[tuple[str, int],
-                        tuple[ShardedKmerIndex, ReadSet, ReadCache]] = {}
+                        tuple[KmerIndex, ReadSet, ReadCache]] = {}
 _RESIDENT_INDEXES_LOCK = threading.Lock()
 
 
 def _resident_index(
     index_tag: str, rank: int,
-) -> tuple[ShardedKmerIndex, ReadSet, ReadCache] | None:
+) -> tuple[KmerIndex, ReadSet, ReadCache] | None:
     """This rank's resident (index, index reads, read cache) under
     *index_tag*, evicting stale tags."""
     with _RESIDENT_INDEXES_LOCK:
@@ -948,7 +898,7 @@ def _resident_index(
         return _RESIDENT_INDEXES.get((index_tag, rank))
 
 
-def _store_resident_index(index_tag: str, rank: int, index: ShardedKmerIndex,
+def _store_resident_index(index_tag: str, rank: int, index: KmerIndex,
                           index_reads: ReadSet, read_cache: ReadCache) -> None:
     """Publish *rank*'s freshly built index, its reads and its read cache
     under *index_tag*."""
@@ -983,10 +933,9 @@ def _arrival_order_key(assignments: Sequence[Sequence[int]], n_reads: int,
     ``i`` the read's index within its batch) is a per-read key whose sort
     order equals exactly that arrival order — the key every retained-table
     view sorts its occurrence groups by: the one-shot run's
-    (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.retained_shard`) and a
-    query batch's over the emulated union run, which reproduces the one-shot
-    retained table bit for bit
-    (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`).
+    (:meth:`~repro.kmers.hashtable.KmerIndex.retained`) and a query batch's
+    over the emulated union run, which reproduces the one-shot retained
+    table bit for bit (:meth:`~repro.kmers.hashtable.KmerIndex.merged`).
     """
     n_ranks = len(assignments)
     key = np.empty(n_reads, dtype=np.int64)
@@ -1000,7 +949,7 @@ def _arrival_order_key(assignments: Sequence[Sequence[int]], n_reads: int,
     return key
 
 
-def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
+def _index_report_counters(state: _RankState, index: KmerIndex) -> None:
     """Record the per-rank index shape counters on *state*."""
     with state.timer("hashtable").compute():
         retained_kmers, retained_occurrences = index.retained_counts(
@@ -1023,12 +972,12 @@ def run_index_build(
     high_freq_threshold: int,
     index_tag: str,
 ) -> RankReport:
-    """Build phase: construct this rank's sharded k-mer index and keep it resident.
+    """Build phase: construct this rank's k-mer index and keep it resident.
 
     The SPMD program of :meth:`DibellaPipeline.build_index`: runs stage 2
     over the index reads with no candidate keys (see
     :func:`hash_table_stage`), which sorts every occurrence into a
-    :class:`~repro.kmers.hashtable.ShardedKmerIndex`, and publishes it in
+    :class:`~repro.kmers.hashtable.KmerIndex`, and publishes it in
     the resident-index registry under *index_tag*, beside *readset* and an
     empty read cache — where subsequent :func:`run_query_batch` invocations
     on the same rank find all three without rebuilding or receiving the
@@ -1073,13 +1022,13 @@ def run_query_batch(
     1. **Query route** — the stage-2 occurrence exchange
        (:func:`_occurrence_exchange`) over the local *query* reads only,
        labelled ``query_route`` (the index reads are never re-parsed).
-    2. **Query overlap** — :func:`overlap_stage` with the resident index as
-       its shard source: per code-range shard, the routed query occurrences
-       are merged into the resident shard
-       (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`,
-       ordered by the emulated union run's arrival order), and only
-       **query-vs-index** pairs are kept — within-side pairs are not this
-       batch's job.
+    2. **Query overlap** — the routed query occurrences are merged into the
+       resident index once
+       (:meth:`~repro.kmers.hashtable.KmerIndex.merged`, ordered by the
+       emulated union run's arrival order, timed as query-route work), and
+       :func:`overlap_stage` runs one pair schedule over the merged table,
+       keeping only **query-vs-index** pairs — within-side pairs are not
+       this batch's job.
     3. **Alignment** — the unmodified :func:`alignment_stage`: one-round read
        fetch + x-drop over the consolidated tasks.
 
@@ -1091,7 +1040,10 @@ def run_query_batch(
 
     Residency is agreed with a min-allreduce over "holds the index and its
     reads", so every rank takes the same branch and the collectives stay
-    matched.  If any rank lacks them and the job carries *index_reads* (a
+    matched.  A reused batch makes three ``allreduce`` calls (residency, the
+    route schedule's and the overlap schedule's step agreement) and one
+    ``alltoallv`` per route and overlap superstep plus the alignment
+    stage's two.  If any rank lacks them and the job carries *index_reads* (a
     retry after a rank failure, or the relaunch after a resend), **all**
     ranks rebuild the index first and the run reports ``index_build_runs``
     instead of ``index_reuse_hits``.  If the job carries no index reads
@@ -1144,35 +1096,19 @@ def run_query_batch(
         _occurrence_exchange(
             comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
             "query_route"))
-    with route_timer.compute():
-        order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
-        q_shard_of = np.searchsorted(index.boundaries, q_codes, side="right")
-
     state.work["query_route"] = float(routed)
     state.counters["query_kmers_parsed"] = parsed
     state.counters["query_kmers_routed"] = routed
     state.counters["query_route_payload_bytes"] = payload_bytes
     state.counters["query_route_steps_overlapped"] = outcome.steps_overlapped
 
-    # -- stage Q2: the overlap stage over merged shards, cross pairs only ---
-    touched = 0
-
-    def merged_shards() -> Iterator[RetainedKmers]:
-        nonlocal touched
-        for shard in range(index.n_shards):
-            in_shard = q_shard_of == shard
-            merged, gathered = index.merged_shard(
-                shard,
-                q_codes[in_shard], q_rids[in_shard],
-                q_positions[in_shard], q_strands[in_shard],
-                order_key, n_index_reads,
-                min_count=config.min_kmer_count,
-                max_count=high_freq_threshold,
-            )
-            touched += gathered
-            yield merged
-
-    overlap_stage(comm, state, merged_shards(), "query_route", n_index_reads)
+    # -- stage Q2: merge into the resident index, cross pairs only ----------
+    with route_timer.compute():
+        order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
+        merged, touched = index.merged(
+            q_codes, q_rids, q_positions, q_strands, order_key, n_index_reads,
+            min_count=config.min_kmer_count, max_count=high_freq_threshold)
+    overlap_stage(comm, state, merged, n_index_reads)
     state.counters["query_index_occurrences_touched"] = touched
     state.local_bytes["query_route"] = float(
         (touched + q_codes.size) * OCCURRENCE_NBYTES)

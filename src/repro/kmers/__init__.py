@@ -14,7 +14,7 @@ of diBELLA's first two pipeline stages:
   :mod:`repro.stats`).
 * :mod:`repro.kmers.hashtable` — the per-rank partition of the distributed
   k-mer → [(read id, position)] hash table of stage 2 (§7), one sorted-once
-  ``ShardedKmerIndex`` for every launch.
+  ``KmerIndex`` for every launch.
 * :mod:`repro.kmers.reliable` — the BELLA reliable-k-mer statistical model:
   optimal k, the high-frequency cutoff m, and the expected singleton
   fraction (§2, §3).

@@ -3,7 +3,7 @@
 Stage 2 of diBELLA builds, on every rank, a hash table mapping each owned
 k-mer to "the lists of all read ID (RID) and locations at which they
 appeared" (§7).  Every launch builds that partition as one
-:class:`ShardedKmerIndex`, in steps that mirror the pipeline:
+:class:`KmerIndex`, in steps that mirror the pipeline:
 
 1. During the Bloom-filter stage, k-mers that the filter reports as already
    seen become *candidate keys* (sorted and deduplicated once).
@@ -14,20 +14,17 @@ appeared" (§7).  Every launch builds that partition as one
    keeps every occurrence.
 3. The index sorts the kept occurrences once — one sort of packed 64-bit
    occurrence keys (a 4-key ``lexsort`` when the fields do not fit a word)
-   — and cuts its **k-mer code-range** shards (boundaries from
-   :func:`shard_code_boundaries`) from the sorted array.
+   — into one canonical table.
 4. Views apply the frequency filters, which remove false-positive
-   singletons and k-mers above the high-frequency threshold m, one shard at
-   a time: :meth:`ShardedKmerIndex.retained_shard` gives the one-shot run's
-   retained table, :meth:`ShardedKmerIndex.merged_shard` merges a query
-   batch into the resident table.
+   singletons and k-mers above the high-frequency threshold m:
+   :meth:`KmerIndex.retained` gives the one-shot run's retained table,
+   :meth:`KmerIndex.merged` merges a query batch into the resident table.
 
 The implementation is array-based rather than a Python dict: occurrences
 are flat numpy arrays grouped by one sort, which keeps the per-k-mer Python
-overhead out of the hot path.  Reading the retained table one shard at a
-time bounds the grouped copy live at once by the largest shard rather than
-the whole partition, and lets the overlap stage generate and exchange a
-shard's pairs before the next shard is built.
+overhead out of the hot path.  The overlap stage bounds its pair buffers by
+cutting the retained table into chunks of k-mer groups
+(``exchange_chunk_mb``), not by cutting the table itself.
 """
 
 from __future__ import annotations
@@ -44,39 +41,26 @@ from repro import native
 OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
 
 
-def shard_code_boundaries(k: int, n_shards: int) -> np.ndarray:
-    """Interior split points dividing the k-mer code space into *n_shards* ranges.
+#: ``digest`` hashes the sorted occurrences in this many code-range slices,
+#: one after another.  The slices change nothing in the index; they exist
+#: only because the pinned ``IndexSparse.PINNED_DIGESTS`` of ``perfbench``
+#: were computed over an index stored in four code-range shards, and a
+#: digest over one slice would differ (ROADMAP 8(h)).
+_DIGEST_SLICES = 4
 
-    Parameters
-    ----------
-    k:
-        k-mer length; codes live in ``[0, 4**k)``.
-    n_shards:
-        Number of contiguous code ranges wanted (``>= 1``).
 
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_shards - 1,)`` ascending ``uint64`` boundaries; shard ``s``
-        covers ``[boundary[s-1], boundary[s])`` (with the implicit outer
-        bounds 0 and ``4**k``).  Shard membership of a code array is
-        ``np.searchsorted(boundaries, codes, side="right")``.
-
-    Notes
-    -----
-    The boundaries are a pure function of ``(k, n_shards)`` — every rank
-    (and every backend) derives identical shards without communicating.
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
+def _digest_boundaries(k: int) -> np.ndarray:
+    """The ``_DIGEST_SLICES - 1`` ascending ``uint64`` cuts of the k-mer code
+    space ``[0, 4**k)`` into equal ranges that :meth:`KmerIndex.digest`
+    hashes in turn."""
     code_space = 4 ** k
-    return np.array([(s * code_space) // n_shards for s in range(1, n_shards)],
-                    dtype=np.uint64)
+    return np.array([(s * code_space) // _DIGEST_SLICES
+                     for s in range(1, _DIGEST_SLICES)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
 class RetainedKmers:
-    """Grouped k-mer occurrences: one shard of a hash-table partition.
+    """Grouped k-mer occurrences: a hash-table partition or a view of one.
 
     Occurrences are stored structure-of-arrays style, sorted by k-mer code,
     with ``offsets`` delimiting each k-mer's group:
@@ -174,10 +158,20 @@ def _take_groups(table: RetainedKmers, groups: np.ndarray) -> RetainedKmers:
     )
 
 
-def _group_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    """Where each run of equal codes starts in an ascending code array."""
-    return np.flatnonzero(np.concatenate(
-        ([sorted_codes.size > 0], sorted_codes[1:] != sorted_codes[:-1])))
+def _group_offsets(sorted_codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal codes starts in an ascending code array, then
+    the array's size: the group table's ``offsets``.
+
+    One boolean mask and one index array, with no concatenated copy: the
+    index build's peak memory holds the whole occurrence table, and on a
+    sparse input almost every occurrence starts a group.
+    """
+    n = sorted_codes.size
+    boundary = np.empty(n + 1, dtype=bool)
+    boundary[0] = n > 0
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundary[1:n])
+    boundary[n] = True
+    return np.flatnonzero(boundary)
 
 
 def _arrival_grouped(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
@@ -199,8 +193,8 @@ def _arrival_grouped(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
     """
     order = np.lexsort((positions, order_key[rids], codes))
     sorted_codes = codes[order]
-    starts = _group_starts(sorted_codes)
-    counts = np.diff(np.append(starts, sorted_codes.size))
+    bounds = _group_offsets(sorted_codes)
+    starts, counts = bounds[:-1], np.diff(bounds)
     kept = keep(counts, order)
     offsets, take = _group_take(starts[kept], counts[kept])
     rows = order[take]
@@ -307,36 +301,33 @@ def _canonical_sort(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
 def _group_table(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
                  strands: np.ndarray) -> RetainedKmers:
     """The unfiltered :class:`RetainedKmers` of occurrences sorted by code."""
-    starts = _group_starts(codes)
-    return RetainedKmers(codes=codes[starts], offsets=np.append(starts, codes.size),
+    offsets = _group_offsets(codes)
+    return RetainedKmers(codes=codes[offsets[:-1]], offsets=offsets,
                          rids=rids, positions=positions, strands=strands)
 
 
-class ShardedKmerIndex:
-    """One rank's k-mer occurrence table, built once and sharded by code range.
+class KmerIndex:
+    """One rank's k-mer occurrence table, sorted once into one canonical table.
 
     Every launch builds one: the one-shot run reads its retained table
-    through :meth:`retained_shard`, one shard at a time, and the serve
-    phase keeps the index resident so repeated query batches can merge into
-    it (:meth:`merged_shard`) without rebuilding anything.  Shards are the
-    contiguous code ranges of :func:`shard_code_boundaries`.
+    through :meth:`retained`, and the serve phase keeps the index resident
+    so repeated query batches can merge into it (:meth:`merged`) without
+    rebuilding anything.
 
     Invariants:
 
-    * **Canonical storage** — each shard is held as one
+    * **Canonical storage** — the index is held as one
       :class:`RetainedKmers` (unfiltered: every stored occurrence) whose
       occurrences are sorted by ``(code, rid, position, strand)``.  Its
-      ``codes`` / ``offsets`` are the shard's group table (unique codes,
-      group starts, group counts as ``np.diff(offsets)``); no other copy of
-      the shard stays resident.  The constructor sorts the whole occurrence
-      stream once — one ``np.sort`` of packed 64-bit keys when the fields
-      fit a word, a 4-key ``lexsort`` when they do not
-      (:func:`_canonical_sort`) — and, shards being code ranges, cuts every
-      shard from the one sorted array with a ``searchsorted`` of the
-      boundaries.  The index is built once: nothing is inserted later.
-      Every view — :meth:`retained_counts`, :meth:`retained_shard`,
-      :meth:`merged_shard`, :meth:`digest` — reads the canonical storage, so
-      none depends on how the occurrence stream was ordered.
+      ``codes`` / ``offsets`` are the group table (unique codes, group
+      starts, group counts as ``np.diff(offsets)``); no other copy stays
+      resident.  The constructor sorts the whole occurrence stream once —
+      one ``np.sort`` of packed 64-bit keys when the fields fit a word, a
+      4-key ``lexsort`` when they do not (:func:`_canonical_sort`).  The
+      index is built once: nothing is inserted later.  Every view —
+      :meth:`retained_counts`, :meth:`retained`, :meth:`merged`,
+      :meth:`digest` — reads the canonical storage, so none depends on how
+      the occurrence stream was ordered.
     * **Unfiltered storage** — the index stores every occurrence it is
       given.  The one-shot run gives it only candidate-key occurrences
       (:func:`key_mask`); the serve build gives it all of them, because an
@@ -345,10 +336,9 @@ class ShardedKmerIndex:
       max_count]`` filters are applied by the views, never by storage.
     """
 
-    def __init__(self, boundaries: np.ndarray, codes: np.ndarray, rids: np.ndarray,
+    def __init__(self, k: int, codes: np.ndarray, rids: np.ndarray,
                  positions: np.ndarray, strands: np.ndarray) -> None:
-        self.boundaries = np.asarray(boundaries, dtype=np.uint64)
-        self.n_shards = int(self.boundaries.size) + 1
+        self.k = k
         codes = np.asarray(codes, dtype=np.uint64)
         rids = np.asarray(rids, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
@@ -356,11 +346,7 @@ class ShardedKmerIndex:
         if not (codes.size == rids.size == positions.size == strands.size):
             raise ValueError("codes, rids, positions and strands must have equal length")
         self.n_occurrences = int(codes.size)
-        columns = _canonical_sort(codes, rids, positions, strands)
-        cuts = [0, *np.searchsorted(columns[0], self.boundaries).tolist(),
-                self.n_occurrences]
-        self._shards = [_group_table(*(column[lo:hi] for column in columns))
-                        for lo, hi in zip(cuts[:-1], cuts[1:])]
+        self._table = _group_table(*_canonical_sort(codes, rids, positions, strands))
 
     # -- retained views ------------------------------------------------------
 
@@ -368,38 +354,32 @@ class ShardedKmerIndex:
                         max_count: int | None = None) -> tuple[int, int]:
         """``(k-mers, occurrences)`` retained under the count filters.
 
-        Read from the shards' group counts; nothing is gathered or sorted.
+        Read from the group counts; nothing is gathered or sorted.
         """
         _validate_count_filters(min_count, max_count)
-        n_kmers = n_occurrences = 0
-        for stored in self._shards:
-            counts = stored.counts()
-            kept = counts[_count_filter(counts, min_count, max_count)]
-            n_kmers += int(kept.size)
-            n_occurrences += int(kept.sum())
-        return n_kmers, n_occurrences
+        counts = self._table.counts()
+        kept = counts[_count_filter(counts, min_count, max_count)]
+        return int(kept.size), int(kept.sum())
 
-    def retained_shard(self, shard: int, order_key: np.ndarray, min_count: int = 2,
-                       max_count: int | None = None) -> RetainedKmers:
-        """Shard *shard*'s retained k-mers, each group in arrival order.
+    def retained(self, order_key: np.ndarray, min_count: int = 2,
+                 max_count: int | None = None) -> RetainedKmers:
+        """The retained k-mers, each group in arrival order.
 
         The one-shot run's view of its table: the count filters are applied
-        to the shard's groups, and each kept group's occurrences are ordered
-        by ``(order_key[rid], position)`` (see :func:`_arrival_grouped`) —
-        the order stage 2 delivered them in.  Concatenated over the shards,
-        this equals grouping the arrival-ordered occurrence stream by code
-        with one stable sort.
+        to the groups, and each kept group's occurrences are ordered by
+        ``(order_key[rid], position)`` (see :func:`_arrival_grouped`) — the
+        order stage 2 delivered them in.  This equals grouping the
+        arrival-ordered occurrence stream by code with one stable sort.
         """
         _validate_count_filters(min_count, max_count)
-        stored = self._shards[shard]
+        stored = self._table
         return _arrival_grouped(
             np.repeat(stored.codes, stored.counts()), stored.rids, stored.positions,
             stored.strands, order_key,
             lambda counts, _order: _count_filter(counts, min_count, max_count))
 
-    def merged_shard(
+    def merged(
         self,
-        shard: int,
         q_codes: np.ndarray,
         q_rids: np.ndarray,
         q_positions: np.ndarray,
@@ -409,19 +389,19 @@ class ShardedKmerIndex:
         min_count: int = 2,
         max_count: int | None = None,
     ) -> tuple[RetainedKmers, int]:
-        """One shard of the (index ∪ query batch) retained table.
+        """The (index ∪ query batch) retained table.
 
-        The serve phase's core primitive: merge shard *shard*'s resident
-        occurrences with a query batch's occurrences routed to this rank,
-        apply the count filters to the **union** counts, and keep only k-mers
-        with at least one occurrence on *each* side — the groups whose pair
+        The serve phase's core primitive: merge the resident occurrences
+        with a query batch's occurrences routed to this rank, apply the
+        count filters to the **union** counts, and keep only k-mers with at
+        least one occurrence on *each* side — the groups whose pair
         expansion can produce a query-vs-index pair (single-sided groups
         would only produce pairs the cross filter drops anyway).
 
         Only the index groups whose code the query batch hits are gathered
-        (a ``searchsorted`` of the batch's unique codes into the shard's
-        group table), so a small batch touches a small part of the index.
-        The result is the same as merging the whole shard: a group survives
+        (a ``searchsorted`` of the batch's unique codes into the group
+        table), so a small batch touches a small part of the index.  The
+        result is the same as merging the whole index: a group survives
         only with occurrences on both sides, and every hit group brings all
         of its index occurrences, so the union counts are unchanged.
 
@@ -434,9 +414,8 @@ class ShardedKmerIndex:
         Parameters
         ----------
         q_codes / q_rids / q_positions / q_strands:
-            The query batch's occurrences owned by this rank, restricted to
-            this shard's code range (RIDs are global: ``n_index_reads +
-            query position``).
+            The query batch's occurrences owned by this rank (RIDs are
+            global: ``n_index_reads + query position``).
         order_key:
             RID → arrival ordinal of the emulated union run (covers index
             and query RIDs).
@@ -446,11 +425,11 @@ class ShardedKmerIndex:
         Returns
         -------
         tuple[RetainedKmers, int]
-            The merged shard, and the number of index occurrences gathered
+            The merged table, and the number of index occurrences gathered
             into the merge.
         """
         _validate_count_filters(min_count, max_count)
-        stored = self._shards[shard]
+        stored = self._table
         q_codes = np.asarray(q_codes, dtype=np.uint64)
         hit = np.unique(q_codes)
         slot = np.searchsorted(stored.codes, hit)
@@ -480,23 +459,30 @@ class ShardedKmerIndex:
 
     @property
     def nbytes(self) -> int:
-        """Resident memory of the shards (occurrences and group tables) in bytes."""
-        return sum(stored.nbytes for stored in self._shards)
+        """Resident memory of the index (occurrences and group table) in bytes."""
+        return self._table.nbytes
 
     def digest(self) -> int:
         """A 63-bit content digest of the index, independent of insertion order.
 
-        Hashes each shard's canonical storage, so two indexes holding the
-        same occurrence *set* — however it was batched or which backend
-        built it — digest identically.  Surfaced as a per-rank counter so the
+        Hashes the canonical storage, so two indexes holding the same
+        occurrence *set* — however it was batched or which backend built
+        it — digest identically.  Surfaced as a per-rank counter so the
         cross-backend index-parity tests can compare resident indexes they
-        cannot reach directly (process-backend workers own theirs).
+        cannot reach directly (process-backend workers own theirs).  The
+        columns are hashed one code-range slice at a time
+        (:data:`_DIGEST_SLICES`), each slice's groups cut from the group
+        table with a ``searchsorted``.
         """
+        stored = self._table
         h = hashlib.blake2b(digest_size=8)
-        for shard in range(self.n_shards):
-            stored = self._shards[shard]
-            h.update(np.repeat(stored.codes, stored.counts()).tobytes())
-            h.update(stored.rids.tobytes())
-            h.update(stored.positions.tobytes())
-            h.update(stored.strands.tobytes())
+        cuts = [0, *np.searchsorted(stored.codes, _digest_boundaries(self.k)).tolist(),
+                stored.n_kmers]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            first, last = int(stored.offsets[lo]), int(stored.offsets[hi])
+            h.update(np.repeat(stored.codes[lo:hi],
+                               np.diff(stored.offsets[lo:hi + 1])).tobytes())
+            h.update(stored.rids[first:last].tobytes())
+            h.update(stored.positions[first:last].tobytes())
+            h.update(stored.strands[first:last].tobytes())
         return int.from_bytes(h.digest(), "big") >> 1

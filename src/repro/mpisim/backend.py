@@ -119,10 +119,11 @@ def recovery_counters() -> dict[str, int]:
 
 def reset_recovery_counters() -> None:
     """Zero the recovery counters (tests and smoke scripts)."""
+    global _POOL_EVICTED
     with _RECOVERY_LOCK:
         for key in _RECOVERY_COUNTERS:
             _RECOVERY_COUNTERS[key] = 0
-        _EVICTED_KEYS.clear()
+        _POOL_EVICTED = False
 
 
 def resolve_backend(backend: str | None) -> ThreadBackend | ProcessBackend:
@@ -815,51 +816,55 @@ class _RankPool:
             self.engine.reclaim_orphan_segments()
 
 
-#: Live pools keyed by rank count; guarded by _POOLS_LOCK.
-_POOLS: dict[int, _RankPool] = {}
-_POOLS_LOCK = threading.Lock()
+#: The one live pool (``mpiexec`` runs one job's ranks at a time); guarded
+#: by _POOL_LOCK.
+_POOL: _RankPool | None = None
+_POOL_LOCK = threading.Lock()
 
-#: Pool keys evicted by a failure whose replacement has not been built yet;
-#: the next _acquire_pool for such a key counts its fresh workers as
-#: respawns (``pool_respawns``).  Deliberate teardown (shutdown_rank_pools)
-#: clears the set — a later pool is then a cold start, not a recovery.
-_EVICTED_KEYS: set[int] = set()
+#: Set when a failure evicted the pool and its replacement has not been
+#: built yet: the next _acquire_pool counts its fresh workers as respawns
+#: (``pool_respawns``).  Deliberate teardown (shutdown_rank_pools) clears it
+#: — a later pool is then a cold start, not a recovery.
+_POOL_EVICTED = False
 
 
 def _acquire_pool(n_ranks: int) -> _RankPool:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(n_ranks)
-        if pool is None or pool.broken:
+    """The live pool of *n_ranks* workers; a parked pool of another size (or
+    a broken one) is shut down first, so one pool's workers live at a time."""
+    global _POOL, _POOL_EVICTED
+    with _POOL_LOCK:
+        pool = _POOL
+        if pool is None or pool.broken or pool.n_ranks != n_ranks:
+            _POOL = None
             if pool is not None:
                 pool.shutdown()
-            pool = _RankPool(n_ranks)
-            _POOLS[n_ranks] = pool
-            if n_ranks in _EVICTED_KEYS:
-                _EVICTED_KEYS.discard(n_ranks)
+            pool = _POOL = _RankPool(n_ranks)
+            if _POOL_EVICTED:
+                _POOL_EVICTED = False
                 _note_recovery("pool_respawns", n_ranks)
         return pool
 
 
 def _evict_pool(pool: _RankPool) -> None:
-    with _POOLS_LOCK:
-        for key, candidate in list(_POOLS.items()):
-            if candidate is pool:
-                del _POOLS[key]
-        _EVICTED_KEYS.add(pool.n_ranks)
+    global _POOL, _POOL_EVICTED
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = None
+        _POOL_EVICTED = True
     pool.shutdown()
 
 
 def active_rank_pools() -> int:
-    """Number of live rank pools (tests and diagnostics)."""
-    with _POOLS_LOCK:
-        return len(_POOLS)
+    """Number of live rank pools, 0 or 1 (tests and diagnostics)."""
+    with _POOL_LOCK:
+        return int(_POOL is not None)
 
 
 def rank_pool_stats() -> list[dict[str, int]]:
-    """Per-pool usage statistics (``--pool-stats`` reports these).
+    """Usage statistics of the live pool (``--pool-stats`` reports these).
 
-    Returns one entry per live pool with its rank count, the
-    number of ``spmd_run`` invocations it has served, and
+    Returns one entry, or none without a live pool, with its rank count,
+    the number of ``spmd_run`` invocations it has served, and
     ``forks_amortised`` — the worker forks the pool's reuse avoided,
     ``(runs_completed - 1) * n_ranks``.  Pooled workers also keep per-rank
     state resident between runs (the serve phase's resident k-mer indexes,
@@ -867,27 +872,25 @@ def rank_pool_stats() -> list[dict[str, int]]:
     ``runs_completed > 1`` is the precondition for every cross-run reuse
     counter the pipeline reports.
     """
-    with _POOLS_LOCK:
-        return [
-            {"n_ranks": n_ranks,
-             "runs_completed": pool.runs_completed,
-             "forks_amortised": max(0, pool.runs_completed - 1) * n_ranks}
-            for n_ranks, pool in _POOLS.items()
-        ]
+    with _POOL_LOCK:
+        return [{"n_ranks": pool.n_ranks,
+                 "runs_completed": pool.runs_completed,
+                 "forks_amortised": max(0, pool.runs_completed - 1) * pool.n_ranks}
+                for pool in ([] if _POOL is None else [_POOL])]
 
 
 def shutdown_rank_pools() -> None:
-    """Tear down every persistent rank pool (parked workers exit cleanly).
+    """Tear down the live rank pool, if any (parked workers exit cleanly).
 
     Registered via ``atexit`` so pooled runs never leave orphan rank
     processes behind; callers may also invoke it explicitly (benches between
     sweeps, tests asserting a clean slate).
     """
-    with _POOLS_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS.clear()
-        _EVICTED_KEYS.clear()
-    for pool in pools:
+    global _POOL, _POOL_EVICTED
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+        _POOL_EVICTED = False
+    if pool is not None:
         pool.shutdown()
 
 

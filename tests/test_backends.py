@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.mpisim import backend as backend_module
 from repro.mpisim.backend import (
     ProcessBackend,
     ThreadBackend,
@@ -431,19 +432,37 @@ class TestRankPool:
         assert rank_pool_stats() == [{"n_ranks": 3, "runs_completed": 2,
                                       "forks_amortised": 3}]
 
+    def test_one_pool_is_parked_across_rank_counts(self, new_shm_segments):
+        """A run at another rank count shuts the parked pool down first: after
+        runs at 1, 2 and 3 ranks, one pool of 3 workers is parked, and the
+        earlier pools' arenas are reclaimed."""
+        import multiprocessing as mp
+
+        for n_ranks in (1, 2, 3):
+            spmd_run(n_ranks, _pool_pid_program, backend="process")
+        assert active_rank_pools() == 1
+        assert rank_pool_stats() == [{"n_ranks": 3, "runs_completed": 1,
+                                      "forks_amortised": 0}]
+        workers = [p for p in mp.active_children()
+                   if p.name.startswith("spmd-pool-rank-")]
+        assert sorted(p.pid for p in workers) == sorted(
+            p.pid for p in backend_module._POOL.workers)
+        arenas = {name for name, _gen in
+                  backend_module._POOL.engine.arena_table().values()}
+        assert set(new_shm_segments()) <= arenas
+
     def test_one_shot_runs_reuse_workers(self, micro_dataset, micro_config):
         """Two one-shot process runs land on the same worker processes and
         report identical counters: a one-shot run keeps nothing between
         runs."""
         from repro.core.driver import run_dibella
-        from repro.mpisim.backend import _POOLS
 
         config = replace(micro_config, backend="process")
         runs, pids = [], []
         for _ in range(2):
             runs.append(run_dibella(micro_dataset.reads, config=config,
                                     n_nodes=1, ranks_per_node=2))
-            pids.append([proc.pid for proc in _POOLS[2].workers])
+            pids.append([proc.pid for proc in backend_module._POOL.workers])
         assert pids[0] == pids[1]
         assert runs[0].counters == runs[1].counters
         assert runs[0].overlap_pairs() == runs[1].overlap_pairs()
@@ -491,10 +510,8 @@ class TestRankPool:
         assert spmd_run(2, _pool_pid_program, backend="process")[0][1] == 3
 
     def test_dead_parked_worker_detected_not_hung(self):
-        from repro.mpisim.backend import _POOLS
-
         baseline = spmd_run(3, _pool_pid_program, backend="process")
-        pool = next(iter(_POOLS.values()))
+        pool = backend_module._POOL
         victim = pool.workers[1]
         victim.terminate()  # dies while parked
         victim.join(timeout=10.0)
@@ -537,9 +554,9 @@ def _slot_reuse_program(comm):
 
 
 def _pool_engine(n_ranks):
-    from repro.mpisim.backend import _POOLS
-
-    return _POOLS[n_ranks].engine
+    pool = backend_module._POOL
+    assert pool.n_ranks == n_ranks
+    return pool.engine
 
 
 class TestArenas:
@@ -825,7 +842,7 @@ class TestPipelineParityMatrix:
             self, micro_dataset, micro_config):
         """With >1 chunk per rank, the schedule must attribute generation
         time to the overlapped bucket and count the chunks it overlapped;
-        one chunk per shard has nothing to overlap."""
+        one chunk has nothing to overlap."""
         from dataclasses import replace
 
         from repro.core.driver import run_dibella

@@ -42,7 +42,6 @@ KNOB_CASES = {
     "exchange-chunk-mb": (["--exchange-chunk-mb", "4"], {"exchange_chunk_mb": 4.0}),
     "exchange-chunk-mb-off": (["--exchange-chunk-mb", "0"], {"exchange_chunk_mb": None}),
     "batch-reads": (["--batch-reads", "64"], {"batch_reads": 64}),
-    "hash-shards": (["--hash-shards", "2"], {"hash_table_shards": 2}),
     "sanitize": (["--sanitize"], {"sanitize": True}),
     "fault-plan": (["--fault-plan", "exit:rank=1:step=2"],
                    {"fault_plan": "exit:rank=1:step=2"}),
@@ -72,12 +71,15 @@ class TestKnobParity:
         assert "unrecognized arguments: --read-cache-mb" in capsys.readouterr().err
 
     def test_removed_pool_flag_is_unknown(self, command, capsys):
-        """Process ranks always run on the rank pool: --pool is gone
-        (--pool-stats, a report, stays)."""
-        with pytest.raises(SystemExit) as exc:
-            _parse(command, ["--pool"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --pool" in capsys.readouterr().err
+        """Process ranks always run on the rank pool, and the k-mer index is
+        one table: --pool and --hash-shards are gone (--pool-stats, a report,
+        stays)."""
+        for flags in (["--pool"], ["--hash-shards", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                _parse(command, flags)
+            assert exc.value.code == 2
+            assert (f"unrecognized arguments: {' '.join(flags)}"
+                    in capsys.readouterr().err)
 
     def test_no_flags_is_the_default_config(self, command):
         assert _config(_parse(command, [])) == PipelineConfig()

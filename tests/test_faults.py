@@ -41,7 +41,7 @@ from repro.mpisim import (
     shutdown_rank_pools,
     spmd_run,
 )
-from repro.mpisim.backend import _POOLS
+from repro.mpisim import backend as backend_module
 from repro.mpisim.faults import FaultSpec, RunFaults, resolve_run_faults
 from repro.mpisim.topology import Topology
 from repro.seq.kmer import KmerSpec
@@ -333,7 +333,7 @@ class TestPoolFailureHygiene:
         # The recovered pool keeps its arenas for its lifetime; every live
         # segment must be one of them, so nothing of the evicted pool
         # survives, and its shutdown reclaims them all.
-        (pool,) = _POOLS.values()
+        pool = backend_module._POOL
         arenas = {name for name, _gen in pool.engine.arena_table().values()}
         assert set(new_shm_segments()) <= arenas
         shutdown_rank_pools()

@@ -1,18 +1,22 @@
 """Index parity: the one-sort build vs a grouping oracle.
 
-The :class:`~repro.kmers.hashtable.ShardedKmerIndex` every launch builds is
-made once from a rank's whole occurrence stream and stored in canonical
-order — each shard sorted by ``(code, rid, position, strand)``, by one sort
+The :class:`~repro.kmers.hashtable.KmerIndex` every launch builds is made
+once from a rank's whole occurrence stream and stored as one table in
+canonical order — sorted by ``(code, rid, position, strand)``, by one sort
 of packed 64-bit keys or, when the fields do not fit a word, by a 4-key
 ``lexsort``.  These tests pin the equivalences the index rests on (the
 arrival-order view the one-shot run reads is pinned in
 ``tests/test_kmers_structures.py``):
 
-* any reordering of the same occurrence stream, for any shard count and on
-  either side of the 64-bit line, yields retained views equal to a
-  ``lexsort``-and-group oracle with each group's rows in canonical order;
-* the digest equals a 4-key ``lexsort`` of every occurrence, hashed;
-* ``merged_shard``, which gathers only the index groups a query batch hits,
+* any reordering of the same occurrence stream, on either side of the
+  64-bit line, yields retained views equal to a ``lexsort``-and-group
+  oracle with each group's rows in canonical order;
+* the one table equals the concatenation of per-code-range oracles and of
+  per-code-range indexes (``n_ranges`` cuts of the code space; one cut is
+  the monolithic oracle) — the layout the code-range-sharded index stored;
+* the digest equals a 4-key ``lexsort`` of every occurrence, hashed one
+  code-range slice at a time;
+* ``merged``, which gathers only the index groups a query batch hits,
   equals the full-concatenate merge it replaced (kept here as the oracle);
 * the pipeline-level index digest agrees across runtime backends, and a
   ``k = 31`` build takes the ``lexsort`` path and still matches the oracle.
@@ -30,10 +34,10 @@ from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.kmers import hashtable
 from repro.kmers.hashtable import (
+    KmerIndex,
     RetainedKmers,
-    ShardedKmerIndex,
+    _digest_boundaries,
     _packed_field_bits,
-    shard_code_boundaries,
 )
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
@@ -51,7 +55,7 @@ def _occurrence_stream(rng: np.random.Generator, n: int, *, code_hi: int = 4**K,
     """A synthetic occurrence stream with heavy code reuse (dense groups).
 
     Codes come from a pool of 300 spread over ``[0, code_hi)``, so every
-    shard range below *code_hi* sees groups.  ``(rid, position)`` is unique
+    code range below *code_hi* sees groups.  ``(rid, position)`` is unique
     within the stream, as it is for real reads (one k-mer per read
     position), so canonical order has no ties.
     """
@@ -82,32 +86,49 @@ def _oracle(codes, rids, positions, strands, min_count, max_count) -> RetainedKm
                          rids=rids[rows], positions=positions[rows], strands=strands[rows])
 
 
-def _canonical_view(index: ShardedKmerIndex, min_count: int = 2,
+def _canonical_view(index: KmerIndex, min_count: int = 2,
                     max_count: int | None = None) -> RetainedKmers:
-    """The whole index's retained k-mers in canonical order: every shard's
-    ``retained_shard`` view keyed by the identity order (RID order), whose
-    stable sort keeps the canonical storage order on ``(rid, position)``
-    ties, concatenated in shard order."""
+    """The index's retained k-mers in canonical order: the ``retained`` view
+    keyed by the identity order (RID order), whose stable sort keeps the
+    canonical storage order on ``(rid, position)`` ties."""
     identity = np.arange(N_READS + N_QUERY_READS, dtype=np.int64)
-    shards = [index.retained_shard(shard, identity, min_count, max_count)
-              for shard in range(index.n_shards)]
-    counts = np.concatenate([shard.counts() for shard in shards])
+    return index.retained(identity, min_count, max_count)
+
+
+def _range_of(codes: np.ndarray, n_ranges: int, k: int = K) -> np.ndarray:
+    """Which of *n_ranges* equal cuts of the code space ``[0, 4**k)`` each
+    code falls in."""
+    boundaries = np.array([(r * 4**k) // n_ranges for r in range(1, n_ranges)],
+                          dtype=np.uint64)
+    return np.searchsorted(boundaries, codes, side="right")
+
+
+def _concat(tables: list[RetainedKmers]) -> RetainedKmers:
+    """Tables over disjoint ascending code ranges, back to back."""
+    counts = np.concatenate([table.counts() for table in tables])
     return RetainedKmers(
-        codes=np.concatenate([shard.codes for shard in shards]),
+        codes=np.concatenate([table.codes for table in tables]),
         offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-        rids=np.concatenate([shard.rids for shard in shards]),
-        positions=np.concatenate([shard.positions for shard in shards]),
-        strands=np.concatenate([shard.strands for shard in shards]),
+        rids=np.concatenate([table.rids for table in tables]),
+        positions=np.concatenate([table.positions for table in tables]),
+        strands=np.concatenate([table.strands for table in tables]),
     )
 
 
-def _lexsort_digest(codes, rids, positions, strands, boundaries) -> int:
-    """The digest formula: per shard, a 4-key lexsort of every occurrence."""
+def _per_range(stream, n_ranges: int, k: int = K) -> list[tuple[np.ndarray, ...]]:
+    """*stream* split by code range, lowest range first."""
+    range_of = _range_of(stream[0], n_ranges, k)
+    return [tuple(column[range_of == r] for column in stream) for r in range(n_ranges)]
+
+
+def _lexsort_digest(codes, rids, positions, strands, k: int) -> int:
+    """The digest formula: per code-range slice, a 4-key lexsort of every
+    occurrence."""
     h = hashlib.blake2b(digest_size=8)
-    shard_of = np.searchsorted(boundaries, codes, side="right")
-    for shard in range(boundaries.size + 1):
-        in_shard = shard_of == shard
-        c, r, p, s = codes[in_shard], rids[in_shard], positions[in_shard], strands[in_shard]
+    slice_of = np.searchsorted(_digest_boundaries(k), codes, side="right")
+    for piece in range(4):
+        in_slice = slice_of == piece
+        c, r, p, s = codes[in_slice], rids[in_slice], positions[in_slice], strands[in_slice]
         order = np.lexsort((s, p, r, c))
         for column in (c, r, p, s):
             h.update(np.ascontiguousarray(column[order]).tobytes())
@@ -117,7 +138,7 @@ def _lexsort_digest(codes, rids, positions, strands, boundaries) -> int:
 def _full_merge_oracle(i_codes, i_rids, i_positions, i_strands,
                        q_codes, q_rids, q_positions, q_strands,
                        order_key, n_index_reads, min_count, max_count) -> RetainedKmers:
-    """The merge before canonical storage: concatenate the *whole* shard with
+    """The merge before canonical storage: concatenate the *whole* index with
     the query occurrences, sort all of it, count and keep."""
     codes = np.concatenate([i_codes, q_codes])
     if codes.size == 0:
@@ -191,26 +212,25 @@ def _widen(stream):
     return (codes * np.uint64(4 ** (WIDE_K - K)), *rest)
 
 
-@pytest.mark.parametrize("n_shards", [1, 3, 4])
+@pytest.mark.parametrize("n_ranges", [1, 3, 4])
 @pytest.mark.parametrize("n_batches", [1, 2, 7])
-def test_insert_batch_splits_match_one_shot_finalize(n_shards, n_batches):
+def test_insert_batch_splits_match_one_shot_finalize(n_ranges, n_batches):
     """The stream cut into *n_batches* blocks, fed back to front, builds the
-    one-shot ``finalize`` table."""
+    one-shot ``finalize`` table: the per-code-range oracles, back to back."""
     rng = np.random.default_rng(42)
     stream = _occurrence_stream(rng, 3000)
-    expected = _oracle(*stream, min_count=2, max_count=12)
+    expected = _concat([_oracle(*part, min_count=2, max_count=12)
+                        for part in _per_range(stream, n_ranges)])
 
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards),
-                             *_reordered(stream, n_batches))
+    index = KmerIndex(K, *_reordered(stream, n_batches))
 
-    assert index.n_shards == n_shards
     assert index.n_occurrences == stream[0].size
     _assert_retained_equal(_canonical_view(index, min_count=2, max_count=12), expected)
 
 
-@pytest.mark.parametrize("n_shards", [1, 4])
+@pytest.mark.parametrize("n_ranges", [1, 4])
 @pytest.mark.parametrize("key", ["packed", "lexsort"])
-def test_both_sort_paths_match_the_oracles(key, n_shards):
+def test_both_sort_paths_match_the_oracles(key, n_ranges):
     """Either side of the 64-bit line, any order of a stream with ties gives
     the ``finalize`` views and the ``lexsort`` digest."""
     rng = np.random.default_rng(13)
@@ -218,13 +238,13 @@ def test_both_sort_paths_match_the_oracles(key, n_shards):
     if key == "lexsort":
         stream, k = _widen(stream), WIDE_K
     assert (_packed_field_bits(*stream[:3]) is None) == (key == "lexsort")
-    boundaries = shard_code_boundaries(k, n_shards)
-    expected = _oracle(*stream, min_count=1, max_count=None)
-    digest = _lexsort_digest(*stream, boundaries)
+    expected = _concat([_oracle(*part, min_count=1, max_count=None)
+                        for part in _per_range(stream, n_ranges, k)])
+    digest = _lexsort_digest(*stream, k)
 
     for order in (stream, tuple(column[::-1] for column in stream),
                   _reordered(stream, 3, shuffle=True)):
-        index = ShardedKmerIndex(boundaries, *order)
+        index = KmerIndex(k, *order)
         _assert_retained_equal(_canonical_view(index, min_count=1), expected)
         assert index.digest() == digest
 
@@ -239,31 +259,35 @@ def test_packed_key_uses_the_full_word():
         top = np.uint64((1 << code_bits) - 1)
         codes = np.array([top, 0, top, 0], dtype=np.uint64)
         assert (_packed_field_bits(codes, rids, positions) is not None) == packs
-        index = ShardedKmerIndex(shard_code_boundaries(31, 2), codes, rids,
-                                 positions, strands)
+        index = KmerIndex(31, codes, rids, positions, strands)
         _assert_retained_equal(_canonical_view(index, min_count=1),
                                _oracle(codes, rids, positions, strands, 1, None))
 
 
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_shard_views_concatenate_to_the_whole(n_shards):
+@pytest.mark.parametrize("n_ranges", [1, 4])
+def test_shard_views_concatenate_to_the_whole(n_ranges):
+    """One index per code range of the stream: their views, back to back,
+    are the whole index's view, and their retained counts add up."""
     rng = np.random.default_rng(7)
     stream = _occurrence_stream(rng, 1500)
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards), *stream)
-    whole = ShardedKmerIndex(shard_code_boundaries(K, 1), *stream)
+    parts = [KmerIndex(K, *part) for part in _per_range(stream, n_ranges)]
+    whole = KmerIndex(K, *stream)
 
     for min_count, max_count in ((1, None), (2, None), (2, 6)):
-        view = _canonical_view(index, min_count=min_count, max_count=max_count)
-        _assert_retained_equal(view, _canonical_view(whole, min_count=min_count,
-                                                     max_count=max_count))
-        assert index.retained_counts(min_count, max_count) == (
+        view = _canonical_view(whole, min_count=min_count, max_count=max_count)
+        _assert_retained_equal(_concat([
+            _canonical_view(part, min_count=min_count, max_count=max_count)
+            for part in parts]), view)
+        assert whole.retained_counts(min_count, max_count) == (
             view.n_kmers, view.n_occurrences)
+        assert [sum(column) for column in zip(*(
+            part.retained_counts(min_count, max_count) for part in parts))] == [
+            view.n_kmers, view.n_occurrences]
 
 
 def test_retained_counts_validates_filters():
     empty = np.empty(0, dtype=np.int64)
-    index = ShardedKmerIndex(shard_code_boundaries(K, 2), empty.astype(np.uint64),
-                             empty, empty, empty.astype(bool))
+    index = KmerIndex(K, empty.astype(np.uint64), empty, empty, empty.astype(bool))
     assert index.retained_counts(min_count=1) == (0, 0)
     with pytest.raises(ValueError):
         index.retained_counts(min_count=0)
@@ -271,31 +295,32 @@ def test_retained_counts_validates_filters():
         index.retained_counts(min_count=3, max_count=2)
 
 
-@pytest.mark.parametrize("n_shards", [1, 3])
-def test_nbytes_counts_the_group_table(n_shards):
+@pytest.mark.parametrize("n_ranges", [1, 3])
+def test_nbytes_counts_the_group_table(n_ranges):
     rng = np.random.default_rng(3)
     stream = _occurrence_stream(rng, 1000)
-    index = ShardedKmerIndex(shard_code_boundaries(K, n_shards), *stream)
-    # Every occurrence plus, per shard, its unique codes and group offsets
-    # (one more offset than groups, so each extra shard adds 8 bytes).
-    assert index.nbytes == _canonical_view(index, min_count=1).nbytes + 8 * (n_shards - 1)
+    index = KmerIndex(K, *stream)
+    # Every occurrence plus its unique codes and group offsets (one more
+    # offset than groups, so each extra per-range index adds 8 bytes).
+    assert index.nbytes == _canonical_view(index, min_count=1).nbytes
+    assert index.nbytes == sum(KmerIndex(K, *part).nbytes
+                               for part in _per_range(stream, n_ranges)) - 8 * (n_ranges - 1)
 
 
 def test_digest_is_insertion_order_independent():
     rng = np.random.default_rng(11)
     stream = _with_ties(_occurrence_stream(rng, 700))
-    boundaries = shard_code_boundaries(K, 4)
 
-    forward = ShardedKmerIndex(boundaries, *stream)
-    assert forward.digest() == _lexsort_digest(*stream, boundaries)
+    forward = KmerIndex(K, *stream)
+    assert forward.digest() == _lexsort_digest(*stream, K)
 
     # Same occurrence set, in reverse.
-    backward = ShardedKmerIndex(boundaries, *(column[::-1] for column in stream))
+    backward = KmerIndex(K, *(column[::-1] for column in stream))
     assert backward.digest() == forward.digest()
 
     # A different stream digests differently (sanity, not a collision proof).
     codes, rids, positions, strands = stream
-    other = ShardedKmerIndex(boundaries, codes, rids, positions + 1, strands)
+    other = KmerIndex(K, codes, rids, positions + 1, strands)
     assert forward.digest() != other.digest()
 
 
@@ -315,44 +340,40 @@ def _query_stream(rng, index_codes, n: int, *, absent_only: bool = False):
     return codes.astype(np.uint64), rids, positions, strands
 
 
-@pytest.mark.parametrize("n_shards", [1, 3])
+@pytest.mark.parametrize("n_ranges", [1, 3])
 @pytest.mark.parametrize("n_batches, shuffle", [(1, False), (3, False), (3, True)])
 @pytest.mark.parametrize("query", ["mixed", "absent", "empty"])
 @pytest.mark.parametrize("max_count", [None, 6])
-def test_merged_shard_matches_full_concatenate_merge(n_shards, n_batches,
+def test_merged_shard_matches_full_concatenate_merge(n_ranges, n_batches,
                                                      shuffle, query,
                                                      max_count):
+    """One ``merged`` call over the whole index equals the full-concatenate
+    merge of each code range, back to back.  With 3 ranges the index codes
+    stay below the last cut, so query codes above every index group (and a
+    range with no index occurrence) are covered."""
     rng = np.random.default_rng(101)
-    boundaries = shard_code_boundaries(K, n_shards)
-    # Index codes stay below the last boundary, so with 3 shards the last
-    # shard holds no index occurrence (query occurrences still land there).
-    code_hi = int(boundaries[-1]) if boundaries.size else 4**K
+    code_hi = (n_ranges - 1) * 4**K // n_ranges if n_ranges > 1 else 4**K
     stream = _occurrence_stream(rng, 2500, code_hi=code_hi, rid_hi=N_INDEX_READS)
-    index = ShardedKmerIndex(boundaries, *_reordered(stream, n_batches, shuffle))
+    index = KmerIndex(K, *_reordered(stream, n_batches, shuffle))
 
     n_query = 0 if query == "empty" else 400
     q_stream = _query_stream(rng, np.unique(stream[0]), n_query,
                              absent_only=query == "absent")
     order_key = rng.permutation(N_INDEX_READS + N_QUERY_READS).astype(np.int64)
 
-    i_shard_of = np.searchsorted(boundaries, stream[0], side="right")
-    q_shard_of = np.searchsorted(boundaries, q_stream[0], side="right")
-    kept_groups = 0
-    for shard in range(n_shards):
-        i_part = [column[i_shard_of == shard] for column in stream]
-        q_part = [column[q_shard_of == shard] for column in q_stream]
-        merged, touched = index.merged_shard(
-            shard, *q_part, order_key, N_INDEX_READS,
-            min_count=2, max_count=max_count)
-        expected = _full_merge_oracle(*i_part, *q_part, order_key, N_INDEX_READS,
-                                      min_count=2, max_count=max_count)
-        _assert_retained_equal(merged, expected)
-        assert touched == int(np.isin(i_part[0], q_part[0]).sum())
-        kept_groups += merged.n_kmers
+    merged, touched = index.merged(*q_stream, order_key, N_INDEX_READS,
+                                   min_count=2, max_count=max_count)
+    expected = _concat([
+        _full_merge_oracle(*i_part, *q_part, order_key, N_INDEX_READS,
+                           min_count=2, max_count=max_count)
+        for i_part, q_part in zip(_per_range(stream, n_ranges),
+                                  _per_range(q_stream, n_ranges))])
+    _assert_retained_equal(merged, expected)
+    assert touched == int(np.isin(stream[0], q_stream[0]).sum())
     if query == "mixed":
-        assert kept_groups > 0
+        assert merged.n_kmers > 0
     else:
-        assert kept_groups == 0
+        assert merged.n_kmers == 0
 
 
 @pytest.mark.slow
@@ -410,6 +431,5 @@ def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
         reset_resident_indexes()
     assert len(widths) == len(sorted_streams) == 2
     assert widths == [None, None]
-    boundaries = shard_code_boundaries(WIDE_K, config.hash_table_shards)
     assert result.counters["index_digest"] == sum(
-        _lexsort_digest(*stream, boundaries) for stream in sorted_streams)
+        _lexsort_digest(*stream, WIDE_K) for stream in sorted_streams)

@@ -11,10 +11,10 @@ from repro.kmers.bloom import BloomFilter
 from repro.kmers.counter import KmerCounter, count_kmers
 from repro.kmers.hashing import hash_with_seed, mix64, owner_of
 from repro.kmers.hashtable import (
+    KmerIndex,
     RetainedKmers,
-    ShardedKmerIndex,
+    _digest_boundaries,
     key_mask,
-    shard_code_boundaries,
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.seq.kmer import KmerSpec
@@ -211,10 +211,10 @@ class TestCounter:
         assert spectrum["max_multiplicity"] == 10
 
 
-def _index_of(occurrences, n_shards=1, k=17):
-    """A ShardedKmerIndex over (code, rid, pos, strand) tuples."""
-    return ShardedKmerIndex(
-        shard_code_boundaries(k, n_shards),
+def _index_of(occurrences, k=17):
+    """A KmerIndex over (code, rid, pos, strand) tuples."""
+    return KmerIndex(
+        k,
         np.array([o[0] for o in occurrences], dtype=np.uint64),
         np.array([o[1] for o in occurrences], dtype=np.int64),
         np.array([o[2] for o in occurrences], dtype=np.int64),
@@ -222,16 +222,10 @@ def _index_of(occurrences, n_shards=1, k=17):
     )
 
 
-def _arrival_view(index, order_key, min_count=2, max_count=None):
-    """Every shard's ``retained_shard`` view, concatenated in shard order."""
-    return _concat_retained([index.retained_shard(shard, order_key, min_count, max_count)
-                             for shard in range(index.n_shards)])
-
-
 def _stable_grouping(codes, rids, positions, strands, min_count, max_count):
     """The oracle: group an arrival-ordered occurrence stream by code with one
     stable sort, so each group keeps arrival order, then apply the count
-    filters — the whole-partition finalise the sharded index replaced."""
+    filters — the whole-partition finalise the sorted index replaced."""
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     starts = np.flatnonzero(np.concatenate(
@@ -274,7 +268,7 @@ class TestHashTablePartition:
             (300, 7, 6, True), (300, 8, 8, True),                       # count 5
         ]
         index = _index_of(occurrences)
-        retained = index.retained_shard(0, np.arange(9), min_count=2, max_count=4)
+        retained = index.retained(np.arange(9), min_count=2, max_count=4)
         assert retained.n_kmers == 1  # only code 100 survives (300 exceeds max)
         code, rids, positions, strands = retained.group(0)
         assert code == 100
@@ -282,27 +276,26 @@ class TestHashTablePartition:
         assert retained.counts().tolist() == [3]
         assert strands.dtype == bool
         # A reversed arrival order reverses the group.
-        reverse = index.retained_shard(0, np.arange(9)[::-1].copy(), min_count=2,
-                                       max_count=4)
+        reverse = index.retained(np.arange(9)[::-1].copy(), min_count=2,
+                                 max_count=4)
         np.testing.assert_array_equal(reverse.rids, [2, 1, 0])
         np.testing.assert_array_equal(reverse.strands, [True, False, True])
 
     def test_finalize_empty(self):
         index = _index_of([])
-        retained = index.retained_shard(0, np.empty(0, dtype=np.int64))
+        retained = index.retained(np.empty(0, dtype=np.int64))
         assert retained.n_kmers == 0
         assert retained.n_occurrences == 0
         assert retained.nbytes == RetainedKmers.empty().nbytes
 
     def test_add_occurrences_length_mismatch(self):
         with pytest.raises(ValueError):
-            ShardedKmerIndex(shard_code_boundaries(17, 1),
-                             np.array([1], dtype=np.uint64), np.array([0, 1]),
-                             np.array([0]), np.array([True]))
+            KmerIndex(17, np.array([1], dtype=np.uint64), np.array([0, 1]),
+                      np.array([0]), np.array([True]))
 
     def test_memory_accounting(self):
         occurrences = [(code, rid, rid, True) for code in (1, 2, 3) for rid in range(4)]
-        index = _index_of(occurrences, n_shards=1)
+        index = _index_of(occurrences)
         # RID, position and strand per occurrence; each code once, in the
         # group table with its offsets.
         assert index.nbytes == 12 * (8 + 8 + 1) + 3 * 8 + 4 * 8
@@ -312,9 +305,10 @@ class TestHashTablePartition:
         assert empty.n_kmers == 0 and empty.n_occurrences == 0
 
 
-def _concat_retained(shards):
-    """Concatenate shard results back into one RetainedKmers (test oracle)."""
-    non_empty = [s for s in shards if s.n_kmers]
+def _concat_retained(tables):
+    """Concatenate tables over ascending code ranges into one RetainedKmers
+    (test oracle)."""
+    non_empty = [s for s in tables if s.n_kmers]
     if not non_empty:
         return RetainedKmers.empty()
     counts = np.concatenate([np.diff(s.offsets) for s in non_empty])
@@ -328,7 +322,8 @@ def _concat_retained(shards):
 
 
 class TestCodeRangeSharding:
-    """retained_shard: the one-shot run's sharded, arrival-ordered view."""
+    """retained: the one-shot run's arrival-ordered view, against oracles cut
+    by code range (the layout of the former code-range-sharded index)."""
 
     N_READS = 50
 
@@ -351,57 +346,50 @@ class TestCodeRangeSharding:
         strands = rng.integers(0, 2, size=n_occ).astype(bool)
         return (codes, rids, positions, strands), order_key
 
-    def _index(self, n_shards, seed=0):
+    def _index(self, seed=0):
         stream, order_key = self._arrival_stream(seed)
         # The index sees the stream in a scrambled order: storage is canonical.
         scramble = np.random.default_rng(seed + 1).permutation(stream[0].size)
-        index = ShardedKmerIndex(shard_code_boundaries(17, n_shards),
-                                 *(column[scramble] for column in stream))
+        index = KmerIndex(17, *(column[scramble] for column in stream))
         return index, stream, order_key
 
     def test_boundaries_partition_the_code_space(self):
-        boundaries = shard_code_boundaries(k=17, n_shards=4)
+        """The digest's code-range slices partition ``[0, 4**k)``."""
+        boundaries = _digest_boundaries(17)
         assert boundaries.dtype == np.uint64
         assert boundaries.size == 3
         assert np.all(np.diff(boundaries.astype(object)) > 0)
         assert int(boundaries[-1]) < 4 ** 17
-        assert shard_code_boundaries(k=17, n_shards=1).size == 0
+        assert int(_digest_boundaries(31)[-1]) < 4 ** 31
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 8])
-    def test_shards_concatenate_to_the_monolithic_finalize(self, n_shards):
-        """The arrival-order oracle: the concatenated ``retained_shard``
-        views equal one stable sort of the arrival-ordered stream."""
-        for seed, (min_count, max_count) in itertools.product(
-                range(3), ((2, 6), (1, None), (3, None))):
-            index, stream, order_key = self._index(n_shards, seed)
-            expected = _stable_grouping(*stream, min_count, max_count)
-            shards = [index.retained_shard(shard, order_key, min_count, max_count)
-                      for shard in range(index.n_shards)]
-            assert len(shards) == n_shards
-            merged = _concat_retained(shards)
+    def test_shards_concatenate_to_the_monolithic_finalize(self):
+        """The arrival-order oracle: the ``retained`` view equals one stable
+        sort of the arrival-ordered stream, and the stable sorts of its
+        code-range cuts, back to back."""
+        for seed, (min_count, max_count), n_ranges in itertools.product(
+                range(3), ((2, 6), (1, None), (3, None)), (1, 2, 3, 7, 8)):
+            index, stream, order_key = self._index(seed)
+            boundaries = np.array([(r << 34) // n_ranges for r in range(1, n_ranges)],
+                                  dtype=np.uint64)
+            range_of = np.searchsorted(boundaries, stream[0], side="right")
+            expected = _concat_retained([
+                _stable_grouping(*(column[range_of == r] for column in stream),
+                                 min_count, max_count)
+                for r in range(n_ranges)])
+            retained = index.retained(order_key, min_count, max_count)
             for column in ("codes", "offsets", "rids", "positions", "strands"):
-                assert getattr(merged, column).dtype == getattr(expected, column).dtype
-                np.testing.assert_array_equal(getattr(merged, column),
+                assert getattr(retained, column).dtype == getattr(expected, column).dtype
+                np.testing.assert_array_equal(getattr(retained, column),
                                               getattr(expected, column), err_msg=column)
 
-    def test_sharding_cuts_peak_retained_memory(self):
-        whole, _, order_key = self._index(1)
-        unsharded_peak = whole.retained_shard(0, order_key).nbytes
-
-        sharded, _, _ = self._index(4)
-        sharded_peak = max(sharded.retained_shard(shard, order_key).nbytes
-                           for shard in range(4))
-        assert 0 < sharded_peak < unsharded_peak
-
     def test_empty_partition_yields_empty_shards(self):
-        index = _index_of([], n_shards=3)
-        order_key = np.empty(0, dtype=np.int64)
-        shards = [index.retained_shard(shard, order_key) for shard in range(3)]
-        assert [s.n_kmers for s in shards] == [0, 0, 0]
+        index = _index_of([])
+        retained = index.retained(np.empty(0, dtype=np.int64))
+        assert retained.n_kmers == 0
 
     def test_count_filter_validation(self):
-        index, _, order_key = self._index(2)
+        index, _, order_key = self._index()
         with pytest.raises(ValueError):
-            index.retained_shard(0, order_key, min_count=0)
+            index.retained(order_key, min_count=0)
         with pytest.raises(ValueError):
-            index.retained_shard(0, order_key, min_count=3, max_count=2)
+            index.retained(order_key, min_count=3, max_count=2)

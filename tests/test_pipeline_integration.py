@@ -225,37 +225,6 @@ class TestConfigurationEffects:
         with pytest.raises(ValueError):
             pipeline.run(ReadSet())
 
-    def test_hash_table_sharding_does_not_change_output(self, micro_dataset,
-                                                        micro_config):
-        """Code-range sharding is a schedule change: identical science, lower
-        peak retained-table memory."""
-        unsharded = run_dibella(micro_dataset.reads,
-                                config=dataclasses.replace(micro_config, hash_table_shards=1),
-                                ranks_per_node=2)
-        sharded = run_dibella(micro_dataset.reads,
-                              config=dataclasses.replace(micro_config, hash_table_shards=5),
-                              ranks_per_node=2)
-        assert sharded.overlap_pairs() == unsharded.overlap_pairs()
-        sharded_table, ref_table = sharded.alignment_table(), unsharded.alignment_table()
-        for column in ref_table:
-            np.testing.assert_array_equal(sharded_table[column], ref_table[column])
-        assert sharded.counters["retained_kmers"] == unsharded.counters["retained_kmers"]
-        assert (sharded.counters["retained_occurrences"]
-                == unsharded.counters["retained_occurrences"])
-        # Streaming one code range at a time bounds the grouped table at the
-        # largest shard — strictly below the monolithic build's footprint.
-        assert (0 < sharded.counters["retained_table_peak_bytes"]
-                < unsharded.counters["retained_table_peak_bytes"])
-        # Identical pair volume regardless of shard count (the trace only
-        # gains the tiny per-shard superstep-count allreduces).
-        assert (sharded.trace.phase_traffic("overlap_exchange").total_bytes
-                >= unsharded.trace.phase_traffic("overlap_exchange").total_bytes)
-        assert (sharded.counters["pairs_generated"]
-                == unsharded.counters["pairs_generated"])
-        # The shard count is recorded once per run, not once per rank.
-        assert sharded.counters["hash_table_shards"] == 5
-        assert unsharded.counters["hash_table_shards"] == 1
-
 
 class TestConfigValidation:
     def test_invalid_configs(self):
@@ -298,6 +267,16 @@ class TestConfigValidation:
         for value in (1, 0, None, "true"):
             with pytest.raises(ValueError, match="pool"):
                 PipelineConfig(pool=value)
+
+    def test_hash_table_shards_is_a_compatibility_name(self):
+        """The k-mer index is one table; ``hash_table_shards`` stays an
+        init-only name that accepts only its former default 4."""
+        assert PipelineConfig(hash_table_shards=4) == PipelineConfig()
+        assert "hash_table_shards" not in {
+            field.name for field in dataclasses.fields(PipelineConfig)}
+        for value in (1, 3, 4.0, True):
+            with pytest.raises(ValueError, match="hash_table_shards"):
+                PipelineConfig(hash_table_shards=value)
 
     def test_kernel_parameters_validated_up_front(self):
         # Rejected at construction, not in stage 4 after stages 1-3 ran.

@@ -26,7 +26,7 @@ from repro.seq.records import ReadSet
 CONFIG = PipelineConfig(
     kmer=KmerSpec(k=15), coverage_hint=12.0, error_rate_hint=0.08,
     seed_mode="reliable", batch_reads=8, backend="thread", exchange_chunk_mb=0.05,
-    double_buffer=True, hash_table_shards=3, pool=False, read_cache_mb=0.0,
+    double_buffer=True, pool=False, read_cache_mb=0.0,
     sanitize=False, fault_plan=None, collective="flat", rank_groups=None,
     pin_ranks=False,
 )
@@ -36,27 +36,27 @@ EXPECTED = {
     "run": {
         "phases": {"bloom_exchange": (374832, 2),
                    "hashtable_exchange": (553008, 2),
-                   "overlap_exchange": (887784, 7),
+                   "overlap_exchange": (887688, 6),
                    "alignment_exchange": (16755, 2)},
-        "alltoallv_calls": 13,
+        "alltoallv_calls": 12,
         "counters": {
             "accepted_alignments": 424,
             "alignment_tasks": 424, "alignments": 424,
             "bloom_nbytes": 20097, "bloom_payload_bytes": 276480,
             "bloom_stash_peak_bytes": 108080, "bloom_stash_total_bytes": 276480,
-            "distinct_keys": 3265, "dp_cells": 12350848, "hash_table_shards": 3,
+            "distinct_keys": 3265, "dp_cells": 12350848,
             "hashtable_payload_bytes": 552960, "high_freq_threshold": 28,
             "hll_distinct_estimate": 25784, "input_kmers": 34560,
             "kmers_after_sketch": 69120, "kmers_extracted_total": 69120,
             "kmers_parsed": 34560, "kmers_received_bloom": 34560,
             "kmers_received_hashtable": 34560, "occurrences_stored": 12168,
-            "overlap_exchange_chunks": 21, "overlap_pairs": 424,
+            "overlap_exchange_chunks": 18, "overlap_pairs": 424,
             "overlap_payload_bytes": 887640, "pairs_generated": 22191,
             "read_cache_fetch_hits": 0, "read_cache_hits": 726,
             "read_cache_misses": 122, "read_payload_raw_bytes": 59908,
             "read_payload_wire_bytes": 15003, "remote_reads_fetched": 67,
             "retained_kmers": 3128, "retained_occurrences": 12031,
-            "retained_table_peak_bytes": 143828, "sketch_density_ppm": 1000000,
+            "retained_table_peak_bytes": 254599, "sketch_density_ppm": 1000000,
         },
         "stages": ["bloom", "hashtable", "overlap", "alignment"],
     },
@@ -64,9 +64,9 @@ EXPECTED = {
         "phases": {"hashtable_exchange": (441584, 2)},
         "alltoallv_calls": 2,
         "counters": {
-            "hash_table_shards": 3, "hashtable_payload_bytes": 441536,
+            "hashtable_payload_bytes": 441536,
             "high_freq_threshold": 28, "index_build_runs": 3,
-            "index_digest": 21662443990273704808, "index_nbytes": 808228,
+            "index_digest": 14980271729248855857, "index_nbytes": 808180,
             "index_occurrences": 27596, "index_retained_kmers": 2726,
             "index_retained_occurrences": 9133, "kmers_after_sketch": 27596,
             "kmers_extracted_total": 27596, "kmers_received_hashtable": 27596,
@@ -76,15 +76,15 @@ EXPECTED = {
     },
     "run_query_batch": {
         "phases": {"query_route_exchange": (111520, 2),
-                   "overlap_exchange": (313904, 6),
+                   "overlap_exchange": (313808, 5),
                    "alignment_exchange": (8911, 2)},
-        "alltoallv_calls": 10,
+        "alltoallv_calls": 9,
         "counters": {
             "accepted_alignments": 150,
             "alignment_tasks": 150, "alignments": 150,
-            "dp_cells": 4179712, "hash_table_shards": 3, "high_freq_threshold": 28,
+            "dp_cells": 4179712, "high_freq_threshold": 28,
             "index_reuse_hits": 3, "kmers_after_sketch": 6964,
-            "kmers_extracted_total": 6964, "overlap_exchange_chunks": 18,
+            "kmers_extracted_total": 6964, "overlap_exchange_chunks": 15,
             "overlap_pairs": 150, "overlap_payload_bytes": 313760,
             "query_cross_pairs": 7844, "query_index_occurrences_touched": 5114,
             "query_kmers_parsed": 6964,

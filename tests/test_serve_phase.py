@@ -2,7 +2,7 @@
 
 The acceptance bar for the build/serve split: a served query batch must
 produce exactly the alignments a cold one-shot run over (index ∪ query)
-produces for query-vs-index pairs — across both runtime backends and shard
+produces for query-vs-index pairs — across both runtime backends and rank
 counts — while touching zero index-build code paths after the first batch.
 """
 
@@ -19,6 +19,7 @@ from repro.core import AlignmentService, DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.mpisim.backend import recovery_counters, shutdown_rank_pools
+from repro.mpisim.communicator import SimCommunicator
 from repro.mpisim.errors import RankFailedError
 from repro.mpisim.runtime import spmd_run
 from repro.mpisim.topology import Topology
@@ -29,12 +30,11 @@ from repro.seq.records import ReadSet
 RANKS = 4
 
 
-def _config(backend: str, shards: int, pool: bool = False) -> PipelineConfig:
+def _config(backend: str, pool: bool = False) -> PipelineConfig:
     """*pool* is the ignored compatibility name: process ranks always run on
     the rank pool."""
     return PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
-                          error_rate_hint=0.08, backend=backend,
-                          hash_table_shards=shards, pool=pool)
+                          error_rate_hint=0.08, backend=backend, pool=pool)
 
 
 def _cleanup():
@@ -62,38 +62,36 @@ def _split(readset: ReadSet, n_index: int) -> tuple[ReadSet, ReadSet]:
     return ReadSet(reads[:n_index]), ReadSet(reads[n_index:])
 
 
-def _assert_parity(config: PipelineConfig, readset: ReadSet) -> None:
+def _assert_parity(config: PipelineConfig, readset: ReadSet, n_ranks: int) -> None:
     n_index = (3 * len(readset)) // 4
     index_reads, query_reads = _split(readset, n_index)
-    topology = Topology.single_node(RANKS)
+    topology = Topology.single_node(n_ranks)
     try:
         oneshot = DibellaPipeline(config=config, topology=topology).run(readset)
         expected = _canonical(_cross_only(oneshot.alignment_table(), n_index))
 
         pipeline = DibellaPipeline(config=config, topology=topology)
-        built = pipeline.build_index(index_reads)
+        pipeline.build_index(index_reads)
         served = pipeline.run_query_batch(query_reads)
         got = _canonical(served.alignment_table())
 
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
         assert served.counters["query_reads"] == len(query_reads)
-        # Recorded once per run, not once per rank.
-        for result in (oneshot, built, served):
-            assert result.counters["hash_table_shards"] == config.hash_table_shards
+        assert served.counters["index_reuse_hits"] == n_ranks
     finally:
         _cleanup()
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_served_batch_matches_one_shot_thread(micro_dataset, shards):
-    _assert_parity(_config("thread", shards), micro_dataset.reads)
+@pytest.mark.parametrize("ranks", [1, RANKS])
+def test_served_batch_matches_one_shot_thread(micro_dataset, ranks):
+    _assert_parity(_config("thread"), micro_dataset.reads, ranks)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shards", [1, 4])
-def test_served_batch_matches_one_shot_process(micro_dataset, shards):
-    _assert_parity(_config("process", shards), micro_dataset.reads)
+@pytest.mark.parametrize("ranks", [1, RANKS])
+def test_served_batch_matches_one_shot_process(micro_dataset, ranks):
+    _assert_parity(_config("process"), micro_dataset.reads, ranks)
 
 
 def test_second_batch_reuses_resident_index(micro_dataset):
@@ -101,7 +99,7 @@ def test_second_batch_reuses_resident_index(micro_dataset):
     index_reads, query_reads = _split(micro_dataset.reads,
                                       (3 * len(micro_dataset.reads)) // 4)
     queries = list(query_reads)
-    config = _config("thread", 4)
+    config = _config("thread")
     try:
         pipeline = DibellaPipeline(config=config,
                                    topology=Topology.single_node(RANKS))
@@ -117,6 +115,58 @@ def test_second_batch_reuses_resident_index(micro_dataset):
             assert result.counters.get("kmers_received_hashtable", 0) == 0
     finally:
         _cleanup()
+
+
+def test_query_batch_collective_rounds(micro_dataset, monkeypatch):
+    """A reused batch makes, on every rank, exactly 3 ``allreduce`` calls
+    (residency, the route schedule's and the overlap schedule's step
+    agreement) and 2 blocking ``alltoallv`` calls (the alignment fetch);
+    every other exchange is one superstep of those two schedules."""
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    calls: dict[int, list[tuple]] = {rank: [] for rank in range(RANKS)}
+    allreduce = SimCommunicator.allreduce
+    alltoallv = SimCommunicator.alltoallv
+    alltoallv_start = SimCommunicator.alltoallv_start
+
+    def spy_allreduce(self, value, op="sum"):
+        result = allreduce(self, value, op)
+        calls[self.rank].append(("allreduce", op, np.asarray(result).tolist()))
+        return result
+
+    def spy_alltoallv(self, send, label=None):
+        calls[self.rank].append(("alltoallv", label))
+        return alltoallv(self, send, label=label)
+
+    def spy_alltoallv_start(self, send, label=None):
+        # alltoallv delegates to alltoallv_start, so every exchange lands here.
+        calls[self.rank].append(("alltoallv_start", label))
+        return alltoallv_start(self, send, label=label)
+
+    try:
+        pipeline = DibellaPipeline(config=_config("thread"),
+                                   topology=Topology.single_node(RANKS))
+        pipeline.build_index(index_reads)
+        monkeypatch.setattr(SimCommunicator, "allreduce", spy_allreduce)
+        monkeypatch.setattr(SimCommunicator, "alltoallv", spy_alltoallv)
+        monkeypatch.setattr(SimCommunicator, "alltoallv_start", spy_alltoallv_start)
+        result = pipeline.run_query_batch(query_reads)
+    finally:
+        _cleanup()
+    assert result.counters["index_reuse_hits"] == RANKS
+    for rank, made in calls.items():
+        reductions = [call for call in made if call[0] == "allreduce"]
+        assert [call[1] for call in reductions] == ["min", "max", "max"], rank
+        residency, route_steps, overlap_steps = (call[2] for call in reductions)
+        assert residency == [1]
+        assert route_steps >= 1 and overlap_steps >= 1
+        assert [call[1] for call in made if call[0] == "alltoallv"] == [
+            "alignment:request", "alignment:response"]
+        starts = [call[1] for call in made if call[0] == "alltoallv_start"]
+        assert len(starts) == 2 + route_steps + overlap_steps, rank
+        assert starts == (["query_route"] * route_steps
+                          + ["query_overlap"] * overlap_steps
+                          + ["alignment:request", "alignment:response"])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +204,7 @@ def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend, poo
     """The second batch finds the index reads the first fetched: only the
     evicted query reads are fetched again, on either backend."""
     try:
-        first, second = _same_batch_twice(_config(backend, 4, pool=pool),
+        first, second = _same_batch_twice(_config(backend, pool=pool),
                                           micro_dataset.reads)
         hits = second.counters["read_cache_fetch_hits"]
         assert hits > 0
@@ -178,7 +228,7 @@ def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend, pool
             spmd_run(RANKS, _reset_read_caches_on_rank, backend="process")
 
     try:
-        first, second = _same_batch_twice(_config(backend, 4, pool=pool),
+        first, second = _same_batch_twice(_config(backend, pool=pool),
                                           micro_dataset.reads, reset)
         assert second.counters["read_cache_fetch_hits"] == 0
         assert (second.counters["remote_reads_fetched"]
@@ -195,7 +245,7 @@ def test_read_cache_mb_accepts_only_zero():
 
 
 def test_query_batch_without_build_raises(micro_dataset):
-    pipeline = DibellaPipeline(config=_config("thread", 1),
+    pipeline = DibellaPipeline(config=_config("thread"),
                                topology=Topology.single_node(2))
     with pytest.raises(RuntimeError, match="build_index"):
         pipeline.run_query_batch(micro_dataset.reads)
@@ -203,7 +253,7 @@ def test_query_batch_without_build_raises(micro_dataset):
 
 def test_name_collision_with_index_reads_is_rejected(micro_dataset):
     index_reads, query_reads = _split(micro_dataset.reads, 20)
-    config = _config("thread", 1)
+    config = _config("thread")
     try:
         pipeline = DibellaPipeline(config=config,
                                    topology=Topology.single_node(2))
@@ -230,7 +280,7 @@ def test_process_backend_batch_reuses_the_resident_index(micro_dataset, monkeypa
 
     monkeypatch.setattr(pipeline_module, "spmd_run", counting_spmd_run)
     try:
-        pipeline = DibellaPipeline(config=_config("process", 1),
+        pipeline = DibellaPipeline(config=_config("process"),
                                    topology=Topology.single_node(RANKS))
         pipeline.build_index(index_reads)
         result = pipeline.run_query_batch(query_reads)
@@ -248,7 +298,7 @@ def test_alignment_service_coalesces_submissions(micro_dataset):
                                       (3 * len(micro_dataset.reads)) // 4)
     queries = list(query_reads)
     assert len(queries) >= 4
-    config = replace(_config("thread", 4), serve_batch_reads=len(queries))
+    config = replace(_config("thread"), serve_batch_reads=len(queries))
     service = AlignmentService(index_reads, config=config,
                                topology=Topology.single_node(RANKS))
     try:
@@ -284,7 +334,7 @@ def test_alignment_service_coalesces_submissions(micro_dataset):
 def test_service_rejects_empty_inputs(micro_dataset):
     with pytest.raises(ValueError):
         AlignmentService(ReadSet([]))
-    service = AlignmentService(micro_dataset.reads, config=_config("thread", 1))
+    service = AlignmentService(micro_dataset.reads, config=_config("thread"))
     with pytest.raises(ValueError):
         service.submit([])
 
@@ -303,7 +353,7 @@ def test_non_acgt_submission_is_rejected_at_admission(micro_dataset):
     index_reads, query_reads = _split(micro_dataset.reads,
                                       (3 * len(micro_dataset.reads)) // 4)
     queries = list(query_reads)
-    service = AlignmentService(index_reads, config=_config("process", 1),
+    service = AlignmentService(index_reads, config=_config("process"),
                                topology=Topology.single_node(RANKS))
     try:
         service.build()
@@ -328,11 +378,11 @@ def test_non_acgt_read_fails_before_launch(micro_dataset):
     reads = list(micro_dataset.reads)
     reads[3] = _with_n(reads[3], "bad-read")
     with pytest.raises(ValueError, match="'bad-read'") as exc:
-        run_dibella(ReadSet(reads), config=_config("thread", 1),
+        run_dibella(ReadSet(reads), config=_config("thread"),
                     n_nodes=1, ranks_per_node=2)
     assert not isinstance(exc.value, RankFailedError)
     index_reads, query_reads = _split(micro_dataset.reads, 20)
-    pipeline = DibellaPipeline(config=_config("thread", 1),
+    pipeline = DibellaPipeline(config=_config("thread"),
                                topology=Topology.single_node(2))
     try:
         with pytest.raises(ValueError, match="'bad-read'"):
@@ -387,12 +437,12 @@ def _assert_resent(config: PipelineConfig, readset: ReadSet, lose_state) -> None
 
 
 def test_lost_thread_state_is_resent(micro_dataset):
-    _assert_resent(_config("thread", 4), micro_dataset.reads, reset_resident_indexes)
+    _assert_resent(_config("thread"), micro_dataset.reads, reset_resident_indexes)
 
 
 @pytest.mark.slow
 def test_lost_pool_is_resent(micro_dataset):
-    _assert_resent(_config("process", 4), micro_dataset.reads,
+    _assert_resent(_config("process"), micro_dataset.reads,
                    shutdown_rank_pools)
 
 
@@ -414,7 +464,7 @@ def test_pooled_batch_job_ships_only_queries(micro_dataset, monkeypatch):
     try:
         for n_index in (15, 30):
             index_reads = ReadSet(reads[:n_index])
-            pipeline = DibellaPipeline(config=_config("process", 4),
+            pipeline = DibellaPipeline(config=_config("process"),
                                        topology=Topology.single_node(RANKS))
             pipeline.build_index(index_reads)
             result = pipeline.run_query_batch(queries)

@@ -359,6 +359,28 @@ class TestProjectLint:
         assert "`legacy`" in sl005[1].message
 
 
+    def test_sl005_flags_the_removed_hash_table_shards_row(self, tmp_path):
+        # The shipped config and CLI with the deleted knob's README row put
+        # back: SL005 names that row and nothing else.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        row = ("| Table sharding | `hash_table_shards` | `--hash-shards` | "
+               "`DIBELLA_HASH_SHARDS` | 4 | Code-range shards |\n")
+        anchor = "| Seed mode |"
+        assert anchor in readme
+        (tmp_path / "README.md").write_text(readme.replace(anchor, row + anchor, 1))
+        pkg = tmp_path / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (tmp_path / "repro" / "cli.py").write_text(
+            (REPO_ROOT / "src" / "repro" / "cli.py").read_text(encoding="utf-8"))
+        (pkg / "config.py").write_text(
+            (REPO_ROOT / "src" / "repro" / "core" / "config.py").read_text(encoding="utf-8"))
+        findings, _ = lint_paths([tmp_path])
+        sl005 = [finding for finding in findings if finding.rule == "SL005"]
+        assert len(sl005) == 1
+        assert Path(sl005[0].path).name == "README.md"
+        assert "`hash_table_shards`" in sl005[0].message
+
+
 class TestCounterRegistry:
     def test_schedule_flags_are_registered(self):
         assert SCHEDULE_FLAG_COUNTERS <= REGISTERED_COUNTERS

@@ -235,8 +235,7 @@ class TestStageScheduleEquivalence:
         # fewer calls, nothing overlapped in the overlap stage.
         single = run_dibella(
             micro_dataset.reads,
-            config=replace(streaming_config, exchange_chunk_mb=None,
-                           hash_table_shards=1),
+            config=replace(streaming_config, exchange_chunk_mb=None),
             n_nodes=1, ranks_per_node=3)
         _assert_science_identical(streamed, single)
         assert (streamed.counters["overlap_payload_bytes"]

@@ -34,8 +34,9 @@
 #   serve — build/serve smoke (scripts/serve_smoke.py): build a resident
 #           index on the process backend's rank pool, drain two query batches,
 #           assert zero rebuild counters; then the chaos smoke (a rank
-#           killed mid-batch, pool respawned, batch retried).  Pure counter
-#           checks, runs on every change.
+#           killed mid-batch, pool respawned, batch retried: the retry finds
+#           the index missing, the index build reruns, the batch relaunches).
+#           Pure counter checks, runs on every change.
 #   leak guard — the process-backend fast pass, both serve smokes, the
 #           perfbench smoke and the process-backend slow pass run under
 #           no_shm_leak: the psm_* names in /dev/shm are snapshotted before

@@ -17,10 +17,12 @@ contract:
 With ``--chaos`` the same session runs under a deterministic fault plan
 that SIGKILLs a rank mid-way through the first query batch
 (``docs/fault-tolerance.md``): the service must detect the death, respawn
-the pool, retry the batch with the index reads in its job
-(``index_reads_shipped`` equal to the index size), and report the recovery
-in the batch counters — while the second batch reuses the rebuilt resident
-index as usual and ships no index read.
+the pool and retry the batch.  The retry finds the index missing on the
+fresh pool, so the pipeline reruns the index build (its job ships the
+index reads: ``index_reads_shipped`` equal to the index size,
+``index_build_runs`` one per rank) and relaunches the batch, which reuses
+the rebuilt index.  The batch counters report the recovery, and the second
+batch reuses the rebuilt resident index as usual and ships no index read.
 
 Pure counter checks — deterministic on any host, so ``ci.sh`` runs this on
 every change (no timing).
@@ -86,8 +88,9 @@ def main() -> int:
             recovered = chaos and record.batch_index == 0
             if recovered:
                 # The killed batch was retried on a respawned pool: the
-                # retry rebuilds the resident index inside the run, and
-                # the recovery counters carry the evidence.
+                # retry reported the index missing, the build program
+                # rebuilt it, and the relaunch reused it; the recovery
+                # counters carry the evidence.
                 assert counters["rank_failures_detected"] >= 1, \
                     f"{label}: injected kill was never detected"
                 assert counters["pool_respawns"] == RANKS, \
@@ -99,8 +102,11 @@ def main() -> int:
                 assert counters["recovery_seconds"] >= 1, \
                     f"{label}: recovery_seconds not recorded"
                 assert counters.get("index_reads_shipped") == n_index, \
-                    f"{label}: expected the retry to ship {n_index} index " \
+                    f"{label}: expected the rebuild to ship {n_index} index " \
                     f"reads, got {counters.get('index_reads_shipped')}"
+                assert counters.get("index_build_runs") == RANKS, \
+                    f"{label}: expected {RANKS} index rebuilds, " \
+                    f"got {counters.get('index_build_runs', 0)}"
             else:
                 assert counters["index_reuse_hits"] == RANKS, \
                     f"{label}: expected {RANKS} index reuse hits, " \
@@ -119,7 +125,8 @@ def main() -> int:
             extra = (f"recovered: failures={counters['rank_failures_detected']}, "
                      f"respawns={counters['pool_respawns']}, "
                      f"retries={counters['query_batch_retries']}, "
-                     f"index reads resent={counters['index_reads_shipped']}"
+                     f"rebuilds={counters['index_build_runs']}, "
+                     f"index reads shipped={counters['index_reads_shipped']}"
                      if recovered else
                      f"reuse={counters['index_reuse_hits']}, rebuilds=0, "
                      "index reads shipped=0")

@@ -50,8 +50,7 @@ RULES: dict[str, str] = {
 
 #: SimCommunicator collective methods (call sites, not definitions).
 _COLLECTIVES = frozenset({
-    "barrier", "bcast", "gather", "allgather", "allreduce", "reduce",
-    "alltoall", "alltoallv", "alltoallv_start", "alltoallv_finish",
+    "allreduce", "alltoallv", "alltoallv_start", "alltoallv_finish",
 })
 
 #: Exchange entry points that take the ``label=`` phase keyword (SL002).
@@ -68,7 +67,7 @@ _SEEDED_NP_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence",
                                "BitGenerator", "PCG64", "Philox"})
 
 #: Files whose counter writes SL004 audits (relative-name match).
-_COUNTER_FILES = ("stages.py", "supersteps.py", "pipeline.py")
+_COUNTER_FILES = ("stages.py", "supersteps.py", "pipeline.py", "service.py")
 
 _SUPPRESS_RE = re.compile(
     r"#\s*spmdlint:\s*disable=([A-Za-z0-9,\s]*?)(?:\s+(.*))?$")

@@ -47,8 +47,8 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "bloom_payload_bytes": "bytes of k-mer codes moved by the bloom exchange",
     "distinct_keys": "distinct k-mer codes seen by the bloom pass",
     "bloom_nbytes": "bytes allocated to each rank's bloom filter",
-    "bloom_stash_total_bytes": "bytes of repeated-k-mer stash accumulated across supersteps",
-    "bloom_stash_peak_bytes": "peak bytes of the repeated-k-mer stash on any superstep",
+    "bloom_stash_total_bytes": "bytes of the per-batch k-mer codes the HyperLogLog pre-pass extracted and stashed for the Bloom supersteps",
+    "bloom_stash_peak_bytes": "peak bytes of that extracted-code stash left after any Bloom superstep releases its batch",
     "hll_distinct_estimate": "HyperLogLog estimate of distinct k-mers (recorded once, on rank 0)",
     # -- stage 2: hash-table construction -----------------------------------
     "kmers_received_hashtable": "k-mer occurrences received by their owner in the hash-table exchange",
@@ -71,18 +71,18 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "read_payload_raw_bytes": "ASCII-equivalent bytes of the served read payloads",
     "read_payload_wire_bytes": "bytes of read payloads that actually crossed the exchange",
     # -- per-rank read cache (ReadCache.counters) ---------------------------
-    "read_cache_hits": "alignment read-cache hits (sequence already resident)",
-    "read_cache_misses": "alignment read-cache misses (sequence fetched or faulted)",
+    "read_cache_hits": "encoded-buffer lookups (ReadCache.encoded/encoded_rc) served from the memo",
+    "read_cache_misses": "encoded-buffer lookups (ReadCache.encoded/encoded_rc) that computed the buffer",
     "read_cache_fetch_hits": "remote read fetches skipped because the read was already cached",
     # -- serve phase: resident index build + query batches ------------------
-    "index_build_runs": "index-build passes executed (0 when a resident index was reused)",
+    "index_build_runs": "index-build passes executed (on a query batch: the rebuild of an index the ranks reported missing)",
     "index_retained_kmers": "reliable k-mers in the built index",
     "index_retained_occurrences": "read occurrences in the built index",
     "index_occurrences": "occurrences scanned while building the index",
     "index_nbytes": "bytes of the resident index: sorted occurrences plus the group table",
     "index_digest": "content digest of the resident index (staleness detection)",
-    "index_reuse_hits": "query batches served from a resident index without rebuilding",
-    "index_reads_shipped": "index reads a query-batch job carried because the ranks lacked them (absent on the hot path)",
+    "index_reuse_hits": "query batches served from a resident index",
+    "index_reads_shipped": "index reads the rebuild job carried after a query batch found the index missing (absent on the hot path)",
     "query_kmers_parsed": "k-mers parsed from the query-batch reads",
     "query_kmers_routed": "query k-mers routed to their index-owner ranks",
     "query_route_payload_bytes": "bytes moved by the query-routing exchange",

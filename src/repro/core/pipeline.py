@@ -8,12 +8,7 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.result import PipelineResult, RankReport, StageRecord, STAGE_NAMES
-from repro.core.stages import (
-    reset_resident_indexes,
-    run_index_build,
-    run_query_batch,
-    run_rank_pipeline,
-)
+from repro.core.stages import run_index_build, run_query_batch, run_rank_pipeline
 from repro.io.partition import partition_reads
 from repro.mpisim.faults import FaultPlan, RunFaults
 from repro.mpisim.runtime import spmd_run
@@ -34,12 +29,11 @@ _STAGE_METADATA: dict[str, tuple[str, str, str]] = {
 
 #: Stage sequences of the phase-split runs (the one-shot run uses
 #: ``STAGE_NAMES``).  The build phase only runs the stage-2 exchange; a
-#: query batch routes its k-mers, reuses the overlap/alignment stages, and
-#: — only when a rank lost its resident index — re-runs the hash-table
-#: build, whose record then shows the rebuild cost (all-zero otherwise).
+#: query batch routes its k-mers and reuses the overlap/alignment stages.
+#: A batch that had to rebuild a lost index leads with the rebuild's
+#: ``hashtable`` record.
 _INDEX_BUILD_STAGES: tuple[str, ...] = ("hashtable",)
-_QUERY_BATCH_STAGES: tuple[str, ...] = ("hashtable", "query_route", "overlap",
-                                        "alignment")
+_QUERY_BATCH_STAGES: tuple[str, ...] = ("query_route", "overlap", "alignment")
 
 
 class DibellaPipeline:
@@ -66,10 +60,6 @@ class DibellaPipeline:
         # resident-index generation tag query batches run against.
         self._index_readset: ReadSet | None = None
         self._index_tag: str | None = None
-        # Set when a failed run lost the ranks' resident state: the next
-        # query batch ships the index reads up front instead of asking the
-        # ranks and relaunching.
-        self._rank_state_lost = False
         # One FaultPlan per pipeline: its run-binding cursor hands each
         # spmd_run launch a stable ordinal (build = 0, first batch = 1, ...),
         # so retried runs are fault-free unless the plan targets them.
@@ -83,20 +73,6 @@ class DibellaPipeline:
         if self._fault_plan is None:
             return None
         return self._fault_plan.bind_next_run()
-
-    def invalidate_resident_state(self) -> None:
-        """Drop the parent process's resident entries after a failed SPMD run.
-
-        Thread-backend ranks keep their resident index, index reads
-        and read caches in this process's registry; after a rank failure
-        mid-build it can hold a partially-populated generation, so recovery
-        clears it and the retry rebuilds from scratch.  (Process ranks hold
-        the equivalents inside the evicted pool's workers — eviction
-        already discarded them.)  Either way the ranks no longer hold the
-        index reads, so the next query batch ships them.
-        """
-        reset_resident_indexes()
-        self._rank_state_lost = True
 
     def run(self, readset: ReadSet) -> PipelineResult:
         """Run the full pipeline on *readset* and return the assembled result."""
@@ -136,12 +112,17 @@ class DibellaPipeline:
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
                      f":r{self.topology.n_ranks}"
                      f":{self._seed_mode_tag(config)}")
-        result = self._launch(run_index_build, readset, (index_tag,),
-                              _INDEX_BUILD_STAGES)
+        result = self._build_resident_index(readset, index_tag)
         self._index_readset = readset
         self._index_tag = index_tag
-        self._rank_state_lost = False
         return result
+
+    def _build_resident_index(self, readset: ReadSet,
+                              index_tag: str) -> PipelineResult:
+        """Run :func:`~repro.core.stages.run_index_build` on every rank: the
+        one launch that builds and stores a resident index."""
+        return self._launch(run_index_build, readset, (index_tag,),
+                            _INDEX_BUILD_STAGES)
 
     def run_query_batch(self, query_reads: ReadSet) -> PipelineResult:
         """Serve phase: align one batch of query reads against the resident index.
@@ -162,11 +143,12 @@ class DibellaPipeline:
 
         The job carries the query reads, the union partition and the index
         size; the ranks keep the index reads beside their resident index.
-        The index reads ride along (counter ``index_reads_shipped``) only
-        when the ranks lack them: after :meth:`invalidate_resident_state`,
-        or on the one relaunch after the ranks reported the index reads
-        missing (state lost without this pipeline knowing, e.g. the pool
-        was shut down between batches).
+        If the ranks report the index missing (a respawned or shut-down
+        pool, a reset registry, another index evicting this one), the
+        index is rebuilt by the build program under the same tag and the
+        batch is relaunched once: a recovered batch costs three launches
+        and reports the rebuild's ``index_*`` counters, its ``hashtable``
+        stage record and ``index_reads_shipped`` (the index size).
         """
         if self._index_readset is None or self._index_tag is None:
             raise RuntimeError(
@@ -191,20 +173,25 @@ class DibellaPipeline:
         # would be: the union partition defines both the serve-phase read
         # ownership and the arrival-order emulation that makes the served
         # alignments bit-identical to that run's query-vs-index subset.
-        def launch(index_reads: ReadSet | None) -> PipelineResult:
+        def launch() -> PipelineResult:
             return self._launch(
                 run_query_batch, query_reads,
-                (self._index_tag, len(index_readset), index_reads),
+                (self._index_tag, len(index_readset)),
                 _QUERY_BATCH_STAGES, rid_space=combined)
 
-        ship = self._rank_state_lost
-        result = launch(index_readset if ship else None)
-        if result.rank_reports[0].resend_index_reads:
-            ship = True
-            result = launch(index_readset)
-        self._rank_state_lost = False
-        if ship:
+        result = launch()
+        if result.rank_reports[0].index_missing:
+            rebuild = self._build_resident_index(index_readset, self._index_tag)
+            result = launch()
+            for key, value in rebuild.counters.items():
+                if key.startswith("index_"):
+                    # spmdlint: disable=SL004 the build ranks' index_*
+                    # counters, checked at their write sites.
+                    result.counters[key] = value
             result.counters["index_reads_shipped"] = len(index_readset)
+            result.stages.insert(0, rebuild.stages[0])
+            result.trace.merge_snapshot(rebuild.trace.snapshot())
+            result.wall_seconds += rebuild.wall_seconds
         result.counters["query_reads"] = len(query_reads)
         return result
 

@@ -126,9 +126,9 @@ class RankReport:
     # stage name -> compute seconds spent while an exchange was in flight
     # (the latency double buffering hid)
     stage_overlapped_seconds: dict[str, float] = field(default_factory=dict)
-    # set by a query batch that found no resident index reads and was sent
-    # none: the rank did nothing, and the parent relaunches with them
-    resend_index_reads: bool = False
+    # set by a query batch that found no resident index on some rank: the
+    # rank did nothing, and the parent rebuilds the index and relaunches
+    index_missing: bool = False
 
 
 @dataclass

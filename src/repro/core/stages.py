@@ -24,6 +24,7 @@ Table 1 platforms.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -443,11 +444,11 @@ def _occurrence_exchange(
     return columns, parsed, received_total, payload_bytes, outcome
 
 
-def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
+def hash_table_stage(comm: SimCommunicator, state: _RankState,
                      keys: np.ndarray | None = None) -> KmerIndex:
     """Stage 2: second pass shipping (k-mer, RID, position) to the owner rank.
 
-    Occurrences of *rids* are exchanged by :func:`_occurrence_exchange`,
+    Occurrences of the rank's local reads are exchanged by :func:`_occurrence_exchange`,
     kept only for k-mers in *keys* (stage 1's candidate keys; the one-shot
     run passes them), and sorted once into one canonical
     :class:`~repro.kmers.hashtable.KmerIndex` — the sort timed as
@@ -465,8 +466,6 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
         This rank's communicator (phase label ``"hashtable_exchange"``).
     state:
         The rank's mutable pipeline state.
-    rids:
-        The local reads whose occurrences are streamed.
     keys:
         Sorted, unique k-mer codes whose occurrences are stored, or None to
         store every occurrence.
@@ -477,7 +476,7 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState, rids: list[int],
         This rank's partition of the occurrence table.
     """
     columns, _, received, payload_bytes, outcome = _occurrence_exchange(
-        comm, state, rids, "hashtable", keys)
+        comm, state, state.local_rids, "hashtable", keys)
     with state.timer("hashtable").compute():
         index = KmerIndex(state.config.kmer.k, *columns)
     key_bytes = 0 if keys is None else keys.nbytes
@@ -790,7 +789,7 @@ def _rank_state(
 
 
 def _rank_report(comm: SimCommunicator, state: _RankState,
-                 resend_index_reads: bool = False) -> RankReport:
+                 index_missing: bool = False) -> RankReport:
     """Package *state* as this rank's report."""
     timers = state.timers.items()
     aln_rid_a, aln_rid_b, aln_score, aln_span_a, aln_span_b = state.accepted
@@ -808,7 +807,7 @@ def _rank_report(comm: SimCommunicator, state: _RankState,
         aln_span_a=aln_span_a,
         aln_span_b=aln_span_b,
         stage_overlapped_seconds={name: t.overlapped_seconds for name, t in timers},
-        resend_index_reads=resend_index_reads,
+        index_missing=index_missing,
     )
 
 
@@ -853,7 +852,7 @@ def run_rank_pipeline(
     """
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     keys = bloom_filter_stage(comm, state)
-    index = hash_table_stage(comm, state, state.local_rids, keys)
+    index = hash_table_stage(comm, state, keys)
     order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)
     with state.timer("hashtable").compute():
         retained = index.retained(order_key, config.min_kmer_count,
@@ -884,6 +883,9 @@ def run_rank_pipeline(
 _RESIDENT_INDEXES: dict[tuple[str, int],
                         tuple[KmerIndex, ReadSet, ReadCache]] = {}
 _RESIDENT_INDEXES_LOCK = threading.Lock()
+# A forked rank-pool worker is a fresh rank: it must not inherit the entries
+# thread-backend ranks left in the parent (a spawned worker starts empty).
+os.register_at_fork(after_in_child=_RESIDENT_INDEXES.clear)
 
 
 def _resident_index(
@@ -949,21 +951,6 @@ def _arrival_order_key(assignments: Sequence[Sequence[int]], n_reads: int,
     return key
 
 
-def _index_report_counters(state: _RankState, index: KmerIndex) -> None:
-    """Record the per-rank index shape counters on *state*."""
-    with state.timer("hashtable").compute():
-        retained_kmers, retained_occurrences = index.retained_counts(
-            min_count=state.config.min_kmer_count,
-            max_count=state.high_freq_threshold)
-        digest = index.digest()
-    state.counters["index_build_runs"] = 1
-    state.counters["index_retained_kmers"] = retained_kmers
-    state.counters["index_retained_occurrences"] = retained_occurrences
-    state.counters["index_occurrences"] = index.n_occurrences
-    state.counters["index_nbytes"] = index.nbytes
-    state.counters["index_digest"] = digest
-
-
 def run_index_build(
     comm: SimCommunicator,
     readset: ReadSet,
@@ -981,7 +968,9 @@ def run_index_build(
     the resident-index registry under *index_tag*, beside *readset* and an
     empty read cache — where subsequent :func:`run_query_batch` invocations
     on the same rank find all three without rebuilding or receiving the
-    index reads again.  No overlaps or alignments are produced.
+    index reads again.  No overlaps or alignments are produced.  It is the
+    one program that builds or stores a resident index: when a query batch
+    reports the index missing, the parent reruns it under the same tag.
 
     Counters: ``index_build_runs`` (always 1 here), ``index_retained_kmers``
     / ``index_retained_occurrences`` (the table a query batch with no novel
@@ -991,9 +980,18 @@ def run_index_build(
     lives in an unreachable worker process.
     """
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
-    index = hash_table_stage(comm, state, state.local_rids)
+    index = hash_table_stage(comm, state)
     _store_resident_index(index_tag, comm.rank, index, readset, state.read_cache)
-    _index_report_counters(state, index)
+    with state.timer("hashtable").compute():
+        retained_kmers, retained_occurrences = index.retained_counts(
+            min_count=config.min_kmer_count, max_count=high_freq_threshold)
+        digest = index.digest()
+    state.counters["index_build_runs"] = 1
+    state.counters["index_retained_kmers"] = retained_kmers
+    state.counters["index_retained_occurrences"] = retained_occurrences
+    state.counters["index_occurrences"] = index.n_occurrences
+    state.counters["index_nbytes"] = index.nbytes
+    state.counters["index_digest"] = digest
     return _rank_report(comm, state)
 
 
@@ -1005,14 +1003,13 @@ def run_query_batch(
     high_freq_threshold: int,
     index_tag: str,
     n_index_reads: int,
-    index_reads: ReadSet | None,
 ) -> RankReport:
     """Serve phase: align one query batch against the resident index.
 
     The SPMD program of :meth:`DibellaPipeline.run_query_batch`.  The job
     carries the batch's *query_reads* only; the index reads come from the
-    resident-index registry (kept there by :func:`run_index_build`), or
-    from *index_reads* when the parent knows the ranks lack them.  The rank
+    resident-index registry, kept there by :func:`run_index_build` — the
+    one program that builds or stores a resident index.  The rank
     rebuilds the combined set locally — index reads first (RIDs
     ``< n_index_reads``), the query batch after them — and *assignments*
     partitions that combined set exactly as a one-shot run over it would
@@ -1040,56 +1037,42 @@ def run_query_batch(
 
     Residency is agreed with a min-allreduce over "holds the index and its
     reads", so every rank takes the same branch and the collectives stay
-    matched.  A reused batch makes three ``allreduce`` calls (residency, the
-    route schedule's and the overlap schedule's step agreement) and one
-    ``alltoallv`` per route and overlap superstep plus the alignment
-    stage's two.  If any rank lacks them and the job carries *index_reads* (a
-    retry after a rank failure, or the relaunch after a resend), **all**
-    ranks rebuild the index first and the run reports ``index_build_runs``
-    instead of ``index_reuse_hits``.  If the job carries no index reads
-    (state lost without the parent knowing: the pool was shut down, or the
-    registry reset), every rank returns a report flagged
-    ``resend_index_reads`` and the parent relaunches with them — a raise
-    would make the pool evict healthy ranks.
+    matched.  A batch has two outcomes.  On a hit every rank reuses its
+    resident index (counter ``index_reuse_hits``) and makes three
+    ``allreduce`` calls (residency, the route schedule's and the overlap
+    schedule's step agreement) and one ``alltoallv`` per route and overlap
+    superstep plus the alignment stage's two.  If any rank lacks its entry
+    (a respawned pool, a reset registry, another tag evicting this one),
+    every rank returns an idle report flagged ``index_missing`` and the
+    parent rebuilds the index with :func:`run_index_build` and relaunches —
+    a raise would make the pool evict healthy ranks.
 
-    A reused index brings its read cache along, so index reads fetched by
-    an earlier batch are not fetched again; a rebuild starts a fresh cache.
-    Query RIDs are reused by every batch, so the previous batch's query
-    reads are evicted from the cache before the alignment stage caches this
-    batch's.
+    The batch never mutates the index, and the reused read cache keeps the
+    index reads an earlier batch fetched.  Query RIDs are reused by every
+    batch, so the previous batch's query reads — or those of a failed
+    attempt at this one — are evicted from the cache on entry.
     """
     route_timer = StageTimer()
     comm.set_phase("query_route_exchange")
 
     # Index residency consensus: either every rank reuses its resident index
-    # or every rank rebuilds (or asks for the index reads) — a mixed
-    # decision would leave the rebuilding ranks alone in the hash-table
-    # exchange and deadlock the collectives.
+    # or every rank reports it missing — a mixed decision would leave some
+    # ranks alone in the batch's collectives and deadlock them.
     resident = _resident_index(index_tag, comm.rank)
     with route_timer.exchange():
         all_present = int(comm.allreduce(
             np.array([0 if resident is None else 1], dtype=np.int64), op="min")[0])
-    if not all_present and index_reads is None:
+    if not all_present:
         idle = _RankState(config, query_reads, [], np.empty(0, dtype=np.int64),
                           high_freq_threshold)
-        return _rank_report(comm, idle, resend_index_reads=True)
-    if all_present:
-        index, index_reads, read_cache = resident
+        return _rank_report(comm, idle, index_missing=True)
+    index, index_reads, read_cache = resident
     readset = ReadSet([*index_reads, *query_reads])
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     state.timers["query_route"] = route_timer
-    if all_present:
-        state.read_cache = read_cache
-        read_cache.evict_rids_at_or_above(n_index_reads)
-        state.counters["index_reuse_hits"] = 1
-    else:
-        # Rebuild over the index reads only (their slots in the combined
-        # partition still cover each exactly once).
-        index = hash_table_stage(
-            comm, state, [rid for rid in state.local_rids if rid < n_index_reads])
-        _store_resident_index(index_tag, comm.rank, index, index_reads,
-                              state.read_cache)
-        state.counters["index_build_runs"] = 1
+    state.read_cache = read_cache
+    read_cache.evict_rids_at_or_above(n_index_reads)
+    state.counters["index_reuse_hits"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
     (q_codes, q_rids, q_positions, q_strands), parsed, routed, payload_bytes, outcome = (

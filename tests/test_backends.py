@@ -350,14 +350,17 @@ class TestSmallCollectives:
         assert isinstance(err.value.__cause__, ValueError)
         assert "reducer refuses" in str(err.value.__cause__)
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
-    def test_no_shared_memory_leaked(self, new_shm_segments, pool):
-        """*pool* is the ignored compatibility keyword: both values run on
-        the pool, whose shutdown reclaims every arena."""
+    @pytest.mark.parametrize("warm", [False, True], ids=["unpooled", "pooled"])
+    def test_no_shared_memory_leaked(self, new_shm_segments, warm):
+        """The pool's shutdown reclaims every arena, whether the run launched
+        the pool (``unpooled``) or reused one an earlier run left parked
+        (``pooled``)."""
         shutdown_rank_pools()
         try:
+            if warm:
+                spmd_run(3, _small_collectives_program, backend="process")
             results = spmd_run(3, _small_collectives_program,
-                               backend="process", pool=pool)
+                               backend="process")
         finally:
             shutdown_rank_pools()
         assert results == [([3, 6, 9, 12], 2, [7, 7, 7], "r0r1r2")] * 3
@@ -595,12 +598,17 @@ class TestArenas:
         assert [table[(rank, 0)][1] for rank in range(2)] == [2, 2]
         assert [table[(rank, 1)][1] for rank in range(2)] == [1, 1]
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
-    def test_received_arrays_are_not_arena_views(self, pool):
-        """*pool* is the ignored compatibility keyword: both values run on
-        the pool."""
-        assert spmd_run(2, _slot_reuse_program, backend="process",
-                        pool=pool) == [True, True]
+    @pytest.mark.parametrize("warm", [False, True], ids=["unpooled", "pooled"])
+    def test_received_arrays_are_not_arena_views(self, warm):
+        """Received arrays survive slot reuse on a freshly launched pool
+        (``unpooled``) and on arenas an earlier run left parked (``pooled``)."""
+        if warm:
+            spmd_run(2, _slot_reuse_program, backend="process")
+            table = _pool_engine(2).arena_table()
+        assert spmd_run(2, _slot_reuse_program,
+                        backend="process") == [True, True]
+        if warm:
+            assert _pool_engine(2).arena_table() == table
 
     def test_arena_over_retain_limit_dropped_at_run_end(self):
         from repro.mpisim.backend import _RETAIN_BYTES

@@ -299,18 +299,15 @@ class TestPoolFailureHygiene:
         _await_no_workers("spmd-pool-rank-")
         assert new_shm_segments() == []
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("plan", [
         "kill:rank=1:step=3",   # rank 0 grows its arena, its peer dies
         "kill:rank=0:step=4",   # killed while holding the grown arena
     ])
-    def test_kill_around_arena_growth_leaves_nothing(self, new_shm_segments, pool, plan):
+    def test_kill_around_arena_growth_leaves_nothing(self, new_shm_segments, plan):
         """Every arena is named in the metadata before data lands in it,
-        so the parent reclaims grown and replaced arenas alike.  *pool* is
-        the ignored compatibility keyword: both values run on the pool."""
+        so the parent reclaims grown and replaced arenas alike."""
         with pytest.raises(RankFailedError):
-            spmd_run(2, _growth_program, backend="process", pool=pool,
-                     faults=plan)
+            spmd_run(2, _growth_program, backend="process", faults=plan)
         shutdown_rank_pools()
         _await_no_workers("spmd-")
         assert new_shm_segments() == []

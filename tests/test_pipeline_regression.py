@@ -96,7 +96,7 @@ EXPECTED = {
             "retained_kmers": 1663, "retained_occurrences": 7564,
             "sketch_density_ppm": 1000000,
         },
-        "stages": ["hashtable", "query_route", "overlap", "alignment"],
+        "stages": ["query_route", "overlap", "alignment"],
     },
 }
 

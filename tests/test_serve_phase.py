@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
+import repro.core.stages as stages_module
 from repro.core import AlignmentService, DibellaPipeline, PipelineConfig
 from repro.core.driver import run_dibella
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
@@ -30,11 +31,9 @@ from repro.seq.records import ReadSet
 RANKS = 4
 
 
-def _config(backend: str, pool: bool = False) -> PipelineConfig:
-    """*pool* is the ignored compatibility name: process ranks always run on
-    the rank pool."""
+def _config(backend: str, **overrides) -> PipelineConfig:
     return PipelineConfig(kmer=KmerSpec(k=15), coverage_hint=12.0,
-                          error_rate_hint=0.08, backend=backend, pool=pool)
+                          error_rate_hint=0.08, backend=backend, **overrides)
 
 
 def _cleanup():
@@ -196,15 +195,14 @@ def _same_batch_twice(config: PipelineConfig, readset: ReadSet,
     return first, second
 
 
-@pytest.mark.parametrize("backend, pool", [
-    ("thread", False),
-    pytest.param("process", True, marks=pytest.mark.slow),
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow),
 ])
-def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend, pool):
+def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend):
     """The second batch finds the index reads the first fetched: only the
     evicted query reads are fetched again, on either backend."""
     try:
-        first, second = _same_batch_twice(_config(backend, pool=pool),
+        first, second = _same_batch_twice(_config(backend),
                                           micro_dataset.reads)
         hits = second.counters["read_cache_fetch_hits"]
         assert hits > 0
@@ -214,11 +212,10 @@ def test_repeated_batch_hits_the_resident_read_cache(micro_dataset, backend, poo
         _cleanup()
 
 
-@pytest.mark.parametrize("backend, pool", [
-    ("thread", False),
-    pytest.param("process", True, marks=pytest.mark.slow),
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow),
 ])
-def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend, pool):
+def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend):
     """reset_persistent_read_caches() empties the caches and keeps the index:
     the next batch is a reuse hit that fetches everything again."""
     def reset() -> None:
@@ -228,7 +225,7 @@ def test_reset_read_caches_keeps_the_resident_index(micro_dataset, backend, pool
             spmd_run(RANKS, _reset_read_caches_on_rank, backend="process")
 
     try:
-        first, second = _same_batch_twice(_config(backend, pool=pool),
+        first, second = _same_batch_twice(_config(backend),
                                           micro_dataset.reads, reset)
         assert second.counters["read_cache_fetch_hits"] == 0
         assert (second.counters["remote_reads_fetched"]
@@ -331,6 +328,41 @@ def test_alignment_service_coalesces_submissions(micro_dataset):
         reset_resident_indexes()
 
 
+def test_thread_service_shutdown_releases_the_resident_index(micro_dataset):
+    """Thread-backend ranks keep their entries in this process: shutdown
+    drops them, as it drops a process pool's workers."""
+    index_reads, _query_reads = _split(micro_dataset.reads, 20)
+    service = AlignmentService(index_reads, config=_config("thread"),
+                               topology=Topology.single_node(2))
+    try:
+        service.build()
+        assert stages_module._RESIDENT_INDEXES
+        service.shutdown()
+        assert not stages_module._RESIDENT_INDEXES
+    finally:
+        _cleanup()
+
+
+def _resident_entries_on_rank(comm) -> int:
+    """Rank program: how many resident entries this rank's process holds."""
+    return len(stages_module._RESIDENT_INDEXES)
+
+
+@pytest.mark.slow
+def test_forked_pool_workers_start_without_resident_entries(micro_dataset):
+    """Pool workers forked after thread ranks stored an index in this
+    process start empty, so a process retry reports the index missing."""
+    index_reads, _query_reads = _split(micro_dataset.reads, 20)
+    try:
+        shutdown_rank_pools()
+        DibellaPipeline(config=_config("thread"),
+                        topology=Topology.single_node(2)).build_index(index_reads)
+        assert stages_module._RESIDENT_INDEXES
+        assert spmd_run(2, _resident_entries_on_rank, backend="process") == [0, 0]
+    finally:
+        _cleanup()
+
+
 def test_service_rejects_empty_inputs(micro_dataset):
     with pytest.raises(ValueError):
         AlignmentService(ReadSet([]))
@@ -415,8 +447,10 @@ def _two_batch_session(config: PipelineConfig, readset: ReadSet,
 
 def _assert_resent(config: PipelineConfig, readset: ReadSet, lose_state) -> None:
     """State lost between two batches without the pipeline knowing: the
-    second batch is resent with the index reads, rebuilds on every rank and
-    matches an uninterrupted session bit for bit, with no rank failure."""
+    second batch reports the index missing, the build program rebuilds it
+    on every rank (its job ships the index reads), and the relaunched batch
+    reuses what the rebuild stored and matches an uninterrupted session bit
+    for bit, with no rank failure."""
     try:
         _n_index, clean_first, clean_second = _two_batch_session(config, readset)
         _cleanup()
@@ -429,8 +463,10 @@ def _assert_resent(config: PipelineConfig, readset: ReadSet, lose_state) -> None
         assert "index_reads_shipped" not in first.counters
         assert first.counters["index_reuse_hits"] == RANKS
         assert second.counters["index_build_runs"] == RANKS
-        assert second.counters.get("index_reuse_hits", 0) == 0
+        assert second.counters["index_reuse_hits"] == RANKS
         assert second.counters["index_reads_shipped"] == n_index
+        assert [stage.name for stage in second.stages] == [
+            "hashtable", "query_route", "overlap", "alignment"]
         assert "rank_failures_detected" not in second.counters
     finally:
         _cleanup()
@@ -444,6 +480,33 @@ def test_lost_thread_state_is_resent(micro_dataset):
 def test_lost_pool_is_resent(micro_dataset):
     _assert_resent(_config("process"), micro_dataset.reads,
                    shutdown_rank_pools)
+
+
+def test_thread_retry_reuses_the_resident_index(micro_dataset):
+    """A thread rank's registry entry survives a failed batch intact: the
+    service's retry reuses it on every rank, rebuilds nothing, and returns
+    the science of a clean run."""
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    topology = Topology.single_node(RANKS)
+    sessions = {}
+    try:
+        for plan in (None, "exit:rank=1:stage=alignment:run=1"):
+            service = AlignmentService(
+                index_reads, topology=topology,
+                config=_config("thread", fault_plan=plan, serve_max_retries=1))
+            service.submit(query_reads)
+            (sessions[plan],) = service.drain()
+            service.shutdown()
+    finally:
+        _cleanup()
+    clean, retried = sessions[None].result, sessions[plan].result
+    assert retried.counters["query_batch_retries"] == 1
+    assert retried.counters["index_reuse_hits"] == RANKS
+    assert retried.counters.get("index_build_runs", 0) == 0
+    assert "index_reads_shipped" not in retried.counters
+    np.testing.assert_array_equal(_canonical(retried.alignment_table()),
+                                  _canonical(clean.alignment_table()))
 
 
 @pytest.mark.slow

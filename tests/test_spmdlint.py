@@ -35,7 +35,7 @@ class TestSL001RankDependentCollectives:
         findings = _lint("""
             def stage(comm):
                 if comm.rank == 0:
-                    comm.barrier()
+                    comm.allreduce(1)
         """)
         assert _rules(findings) == ["SL001"]
         assert "rank-dependent" in findings[0].message
@@ -54,7 +54,7 @@ class TestSL001RankDependentCollectives:
         findings = _lint("""
             def stage(comm):
                 while comm.rank < limit:
-                    comm.bcast(None)
+                    comm.alltoallv_finish(handle)
         """)
         assert _rules(findings) == ["SL001"]
 
@@ -62,7 +62,7 @@ class TestSL001RankDependentCollectives:
         findings = _lint("""
             def stage(comm, flag):
                 if flag:
-                    comm.barrier()
+                    comm.allreduce(1)
         """)
         assert findings == []
 
@@ -79,9 +79,25 @@ class TestSL001RankDependentCollectives:
             def stage(comm):
                 if comm.rank == 0:
                     x = 1
-                comm.barrier()
+                comm.allreduce(1)
         """)
         assert findings == []
+
+    def test_reduce_of_a_numpy_ufunc_is_not_a_collective(self):
+        """Only SimCommunicator's four collectives count: ``np.add.reduce``
+        under a rank branch is local arithmetic, ``comm.allreduce`` is not."""
+        clean = _lint("""
+            def stage(comm, values):
+                if comm.rank == 0:
+                    total = np.add.reduce(values)
+        """)
+        assert clean == []
+        flagged = _lint("""
+            def stage(comm, values):
+                if comm.rank == 0:
+                    total = comm.allreduce(values)
+        """)
+        assert _rules(flagged) == ["SL001"]
 
 
 class TestSL002PhaseLabels:
@@ -227,6 +243,15 @@ class TestSL004CounterRegistry:
         """, path="src/repro/core/stages.py")
         assert _rules(findings) == ["SL004"]
         assert "bogus_key" in findings[0].message
+
+    def test_service_counter_writes_are_audited(self):
+        findings = _lint("""
+            def fold(counters, name, retries):
+                counters["query_batch_retries"] = retries
+                counters[name] = retries
+        """, path="src/repro/core/service.py")
+        assert _rules(findings) == ["SL004"]
+        assert findings[0].line == 4
 
     def test_counter_writes_outside_audited_files_ignored(self):
         findings = _lint("""

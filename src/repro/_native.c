@@ -2,7 +2,8 @@
  * by repro.native, holding the four hot loops that have a NumPy body as
  * their reference and fallback:
  *
- *   xdrop_extend_batch  the banded x-drop extension of stage 4
+ *   xdrop_extend_batch  the banded x-drop extension of stage 4, reading
+ *                       every task in place from one arena of read codes
  *                       (repro.align.batched_xdrop._extend_numpy);
  *   bloom_test,         the Bloom filter's membership test and its
  *   bloom_insert        test-then-set of stage 1
@@ -53,6 +54,17 @@
  * can overflow.  The same bound makes the int32 x-drop test exact: see
  * `xdrop_extend_batch`.
  *
+ * Descriptors.  Every task reads both of its sides in place from one flat
+ * arena of forward 2-bit codes: code j of a side is
+ *     arena[start + step * j] ^ complement,   0 <= j < length,
+ * with step +1 or -1 and complement 0 or 3 (code ^ 3 is the complement
+ * base).  A backward extension reads its read's prefix backwards, and the
+ * b side of a cross-strand task reads the reverse complement straight off
+ * the forward codes, so the caller copies and reverses nothing.  A side of
+ * length 0 reads nothing (stage 4 also gives it start 0), so no index
+ * before the arena is ever formed.  The caller checks every span lies in
+ * the arena: the kernel indexes it unchecked.
+ *
  * The caller's `scratch` holds the two DP rows of a group and its a and b
  * codes, interleaved lane-major.  The codes
  * are widened to int32 as they are interleaved, so a cell compares one
@@ -71,9 +83,14 @@
 #define SEL(m, x, y) (((m) & (x)) | (~(m) & (y)))
 #define VMAX(x, y) SEL((x) > (y), (x), (y))
 
+/* One side of a task: arena[start + step * j] ^ complement, j < length. */
+typedef struct {
+    int64_t start, length, step, complement;
+} xdrop_side;
+
 /* LANE_KERNEL(L, TARGET) defines extend_lanes<L>, the kernel at L lanes.
  *
- * Task t aligns a[a_off[t] .. a_off[t+1]) against b[b_off[t] .. b_off[t+1]).
+ * Task t aligns side a = sides[2t] against side b = sides[2t + 1].
  * scratch holds at least
  *     16 + L * (2 * (band + 1) + max_rows + min(max len_b, max_rows + band))
  * int32: 64 bytes of alignment slack, two DP rows of band + 1 lane vectors,
@@ -86,8 +103,8 @@
  */
 #define LANE_KERNEL(L, TARGET)                                                \
 TARGET static void extend_lanes##L(                                           \
-    int64_t n_tasks, const uint8_t *a, const int64_t *a_off,                  \
-    const uint8_t *b, const int64_t *b_off, int32_t match, int32_t mismatch,  \
+    int64_t n_tasks, const uint8_t *arena, const xdrop_side *sides,           \
+    int32_t match, int32_t mismatch,                                          \
     int32_t gap, int32_t xdrop, int32_t band, int32_t max_rows,               \
     int32_t *scratch, int64_t *out)                                           \
 {                                                                             \
@@ -105,8 +122,8 @@ TARGET static void extend_lanes##L(                                           \
         vi la = (vi){}, lb = (vi){}, active = (vi){};                         \
         int64_t rows_a = 0, rows_b = 0;                                       \
         for (int64_t l = 0; l < n_lanes; l++) {                               \
-            const int64_t len_a = a_off[g + l + 1] - a_off[g + l];            \
-            const int64_t len_b = b_off[g + l + 1] - b_off[g + l];            \
+            const int64_t len_a = sides[2 * (g + l)].length;                  \
+            const int64_t len_b = sides[2 * (g + l) + 1].length;              \
             const int64_t need_a = len_a < max_rows ? len_a : max_rows;       \
             const int64_t reach_b = need_a + band;                            \
             const int64_t need_b = len_b < reach_b ? len_b : reach_b;         \
@@ -122,13 +139,14 @@ TARGET static void extend_lanes##L(                                           \
         for (int64_t j = 0; j < rows_a + rows_b; j++)                         \
             block_a[j] = (vi){} + PAD_CODE;                                   \
         for (int64_t l = 0; l < n_lanes; l++) {                               \
-            const uint8_t *ta = a + a_off[g + l], *tb = b + b_off[g + l];     \
+            const xdrop_side sa = sides[2 * (g + l)];                         \
+            const xdrop_side sb = sides[2 * (g + l) + 1];                     \
             const int64_t copy_a = la[l] < rows_a ? la[l] : rows_a;           \
             const int64_t copy_b = lb[l] < rows_b ? lb[l] : rows_b;           \
             for (int64_t j = 0; j < copy_a; j++)                              \
-                block_a[j][l] = ta[j];                                        \
+                block_a[j][l] = arena[sa.start + sa.step * j] ^ sa.complement;\
             for (int64_t j = 0; j < copy_b; j++)                              \
-                block_b[j][l] = tb[j];                                        \
+                block_b[j][l] = arena[sb.start + sb.step * j] ^ sb.complement;\
         }                                                                     \
                                                                               \
         vi *prev = rows, *cur = rows + band + 1;                              \
@@ -249,6 +267,9 @@ int64_t xdrop_lanes(void)
 
 /* Extend n_tasks (a, b) pairs from their origin (0, 0) at `lanes` lanes.
  *
+ * `sides` holds 2 * n_tasks descriptors, a then b for each task, into
+ * `arena` (see "Descriptors" above).
+ *
  * Returns 0, or -1 (doing nothing) when `lanes` is not a width this CPU
  * runs.  `xdrop` is taken into int32 by clamping at INT32_MAX, which keeps
  * the x-drop test `row_best >= best - xdrop` exact: best lies in [0, 2^30)
@@ -257,8 +278,7 @@ int64_t xdrop_lanes(void)
  * one is represented exactly.
  */
 int xdrop_extend_batch(int64_t lanes, int64_t n_tasks,
-                       const uint8_t *a, const int64_t *a_off,
-                       const uint8_t *b, const int64_t *b_off,
+                       const uint8_t *arena, const xdrop_side *sides,
                        int32_t match, int32_t mismatch, int32_t gap,
                        int64_t xdrop, int64_t band, int64_t max_rows,
                        int32_t *scratch, int64_t *out)
@@ -269,16 +289,16 @@ int xdrop_extend_batch(int64_t lanes, int64_t n_tasks,
     switch (lanes) {
 #ifdef X86
     case 16:
-        extend_lanes16(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+        extend_lanes16(n_tasks, arena, sides, match, mismatch, gap, x,
                        (int32_t)band, (int32_t)max_rows, scratch, out);
         return 0;
     case 8:
-        extend_lanes8(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+        extend_lanes8(n_tasks, arena, sides, match, mismatch, gap, x,
                       (int32_t)band, (int32_t)max_rows, scratch, out);
         return 0;
 #endif
     case 4:
-        extend_lanes4(n_tasks, a, a_off, b, b_off, match, mismatch, gap, x,
+        extend_lanes4(n_tasks, arena, sides, match, mismatch, gap, x,
                       (int32_t)band, (int32_t)max_rows, scratch, out);
         return 0;
     default:

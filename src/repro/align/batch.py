@@ -5,7 +5,11 @@ alignment *tasks* — (read pair, seed) rows — and aligns them all locally
 ("once the reads are communicated, the alignment computation can proceed
 independently in parallel", §9).  :func:`batched_xdrop_align` is that step:
 arrays in (a :class:`TaskBatch` plus the rank's :class:`ReadCache`), arrays
-out (one record per task).
+out (one record per task).  In between is array work only: the touched
+reads' forward codes are gathered once into one arena, and every extension
+becomes a descriptor into it (:func:`task_sides`) that the kernel reads in
+place — backwards for a backward extension, complemented for a
+cross-strand read.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from repro.align.batched_xdrop import (
     DEFAULT_XDROP_BAND,
     BatchedExtensionConfig,
-    batched_extend,
+    extend_sides,
 )
 from repro.align.read_cache import ReadCache
 from repro.align.scoring import ScoringScheme
@@ -83,17 +87,16 @@ def batched_xdrop_align(
     """Align every task with the task-batched banded x-drop kernel.
 
     Each task is split into a forward extension (from the end of its seed)
-    and a backward extension (from the start of its seed, on reversed
-    prefixes); the two extension batches run through one
-    :func:`~repro.align.batched_xdrop.batched_extend` call each and are
+    and a backward extension (from the start of its seed, reading the
+    prefixes backwards); the two extension batches run through one
+    :func:`~repro.align.batched_xdrop.extend_sides` call each and are
     recombined column-wise with the seed's ``k`` matches.
 
-    Every read a task references must already be in *cache*.  The code
-    arrays come from it — one ``encoded(rid_a)`` and one
-    ``encoded``/``encoded_rc(rid_b)`` lookup per task, in task order — so
-    each distinct read (and reverse complement) is encoded at most once and
-    a persistent cache carries the buffers, and the hit/miss accounting,
-    across calls.
+    Every read a task references must already be in *cache*.  The call
+    gathers the forward codes of the touched reads once, into one arena
+    (:meth:`ReadCache.code_arena`, which also counts one lookup per task
+    side), and every extension is a descriptor into it
+    (:func:`task_sides`), so no per-task Python runs.
 
     Returns
     -------
@@ -103,35 +106,18 @@ def batched_xdrop_align(
         complement coordinates for a cross-strand task).
     """
     scoring = scoring or ScoringScheme()
-    seeds: list[tuple[int, int]] = []
-    fwd_a: list[np.ndarray] = []
-    fwd_b: list[np.ndarray] = []
-    back_a: list[np.ndarray] = []
-    back_b: list[np.ndarray] = []
-    columns = zip(tasks.rid_a.tolist(), tasks.rid_b.tolist(), tasks.seed_pos_a.tolist(),
-                  tasks.seed_pos_b.tolist(), tasks.same_strand.tolist())
-    for rid_a, rid_b, pos_a, pos_b, same_strand in columns:
-        codes_a = cache.encoded(rid_a)
-        if same_strand:
-            codes_b = cache.encoded(rid_b)
-        else:
-            codes_b = cache.encoded_rc(rid_b)
-            pos_b = codes_b.size - k - pos_b
-        # Clamp the seed so that degenerate positions near the read ends
-        # (possible when the k-mer sits at the very end) still form a task.
-        sa = min(max(0, pos_a), max(0, codes_a.size - k))
-        sb = min(max(0, pos_b), max(0, codes_b.size - k))
-        seeds.append((sa, sb))
-        fwd_a.append(codes_a[sa + k :])
-        fwd_b.append(codes_b[sb + k :])
-        back_a.append(codes_a[:sa][::-1])
-        back_b.append(codes_b[:sb][::-1])
-
-    seed_a, seed_b = np.array(seeds, dtype=np.int64).reshape(-1, 2).T
+    if len(tasks) == 0:
+        return np.recarray(0, dtype=RESULT_DTYPE)
+    # One lookup per task side in task order: read A forwards, read B in
+    # the task's orientation.
+    lookups = np.stack([tasks.rid_a, tasks.rid_b], axis=1).ravel()
+    forward = np.stack([np.ones(len(tasks), dtype=bool), tasks.same_strand], axis=1).ravel()
+    rids, arena, offsets = cache.code_arena(lookups, forward)
+    fwd, back, seed_a, seed_b = task_sides(tasks, rids, offsets, k)
     config = BatchedExtensionConfig(xdrop=xdrop, band=band)
     # Columns of both: score, length_a, length_b, cells.
-    fwd = batched_extend(fwd_a, fwd_b, scoring, config)
-    back = batched_extend(back_a, back_b, scoring, config)
+    fwd = extend_sides(arena, fwd, scoring, config)
+    back = extend_sides(arena, back, scoring, config)
     return np.rec.fromarrays(
         [scoring.match * k + fwd[:, 0] + back[:, 0],
          seed_a - back[:, 1], seed_a + k + fwd[:, 1],
@@ -139,3 +125,60 @@ def batched_xdrop_align(
          fwd[:, 3] + back[:, 3]],
         dtype=RESULT_DTYPE,
     )
+
+
+def task_sides(
+    tasks: TaskBatch, rids: np.ndarray, offsets: np.ndarray, k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward and backward extension descriptors of every task.
+
+    *rids* are the sorted RIDs of a code arena and ``offsets[i] ..
+    offsets[i + 1]`` the span of ``rids[i]`` in it.  Returns ``(forward,
+    backward, seed_a, seed_b)``: two ``(n, 2, 4)`` side arrays in the layout
+    of :func:`~repro.align.batched_xdrop.extend_sides` and the clamped seed
+    positions, read B's in the task's orientation.  With arena offset ``o``,
+    read length ``L`` and clamped seed ``s``:
+
+    ======================== =============== ============== ==== ==========
+    side                     start           length         step complement
+    ======================== =============== ============== ==== ==========
+    forward                  ``o+s+k``       ``L-s-k`` (≥0) +1   0
+    backward                 ``o+s-1``       ``s``          -1   0
+    cross-strand b, forward  ``o+L-1-s-k``   ``L-s-k`` (≥0) -1   3
+    cross-strand b, backward ``o+L-s``       ``s``          +1   3
+    ======================== =============== ============== ==== ==========
+
+    A cross-strand task's B seed is first remapped to ``L - k - pos`` (its
+    reverse-complement coordinate).  Seeds are clamped to ``[0, max(0, L -
+    k)]`` so that degenerate positions near the read ends still form a
+    task, and a side of length 0 gets start 0, so no index before the
+    arena is ever formed.
+    """
+    index_a = np.searchsorted(rids, tasks.rid_a)
+    index_b = np.searchsorted(rids, tasks.rid_b)
+    offset_a, offset_b = offsets[index_a], offsets[index_b]
+    len_a = offsets[index_a + 1] - offset_a
+    len_b = offsets[index_b + 1] - offset_b
+    cross = ~tasks.same_strand
+    pos_b = np.where(cross, len_b - k - tasks.seed_pos_b, tasks.seed_pos_b)
+    seed_a = np.minimum(np.maximum(0, tasks.seed_pos_a), np.maximum(0, len_a - k))
+    seed_b = np.minimum(np.maximum(0, pos_b), np.maximum(0, len_b - k))
+    # Side columns: start, length, step, complement (the table above).
+    forward = np.empty((len(tasks), 2, 4), dtype=np.int64)
+    backward = np.empty_like(forward)
+    forward[:, 0, 0] = offset_a + seed_a + k
+    forward[:, 0, 1] = np.maximum(len_a - seed_a - k, 0)
+    forward[:, 0, 2:] = (1, 0)
+    backward[:, 0, 0] = offset_a + seed_a - 1
+    backward[:, 0, 1] = seed_a
+    backward[:, 0, 2:] = (-1, 0)
+    forward[:, 1, 0] = np.where(cross, offset_b + len_b - 1 - seed_b - k, offset_b + seed_b + k)
+    forward[:, 1, 1] = np.maximum(len_b - seed_b - k, 0)
+    forward[:, 1, 2] = np.where(cross, -1, 1)
+    backward[:, 1, 0] = np.where(cross, offset_b + len_b - seed_b, offset_b + seed_b - 1)
+    backward[:, 1, 1] = seed_b
+    backward[:, 1, 2] = -forward[:, 1, 2]
+    forward[:, 1, 3] = backward[:, 1, 3] = 3 * cross
+    for sides in (forward, backward):
+        sides[..., 0] *= sides[..., 1] > 0
+    return forward, backward, seed_a, seed_b

@@ -38,6 +38,16 @@ type.  :func:`_extend_native` orders a call's tasks by
 scatters the results back into input order.  There is no scalar C loop: the
 4-lane kernel runs wherever one would.
 
+Both tiers take a call's tasks as *side descriptors* into one flat arena of
+2-bit codes (:func:`extend_sides`): side a and side b of each task are
+``(start, length, step, complement)``, read as
+``arena[start + step * j] ^ complement``.  Stage 4 points them into the
+forward codes of its reads — a backward extension steps -1, and a
+cross-strand side complements (``code ^ 3``) as it reads — so nothing is
+sliced, reversed or copied per task.  :func:`batched_extend` is the adapter
+for per-task code lists, and the NumPy kernel runs on the lists
+:func:`_side_codes` builds from the same descriptors.
+
 The kernel is called through :mod:`ctypes`, which releases the GIL, so
 thread-backend ranks align concurrently.  The NumPy body (:func:`_extend_numpy`) is the
 reference the compiled tier is tested against bit for bit, at every lane
@@ -110,8 +120,8 @@ def batched_extend(
 ) -> np.ndarray:
     """Extend every (a, b) pair from its origin (0, 0), banded with x-drop.
 
-    Runs the compiled tier when it is available and the batch fits its int32
-    lanes, the NumPy kernel otherwise; both return identical results.
+    An adapter onto :func:`extend_sides`: the lists are concatenated into
+    one arena and every side is read forwards.
 
     Parameters
     ----------
@@ -134,12 +144,87 @@ def batched_extend(
         raise ValueError("seqs_a and seqs_b must have the same length")
     if not seqs_a:
         return np.empty((0, 4), dtype=np.int64)
+    return extend_sides(*_list_sides(seqs_a, seqs_b), scoring, config)
+
+
+def _list_sides(
+    seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(arena, sides)`` for :func:`extend_sides` reading the lists forwards:
+    the inverse of :func:`_side_codes`."""
+    seqs = [*seqs_a, *seqs_b]
+    lengths = np.fromiter((s.size for s in seqs), dtype=np.int64, count=len(seqs))
+    sides = np.zeros((2, len(seqs_a), 4), dtype=np.int64)
+    sides[..., 0] = np.where(lengths > 0, np.cumsum(lengths) - lengths, 0).reshape(2, -1)
+    sides[..., 1] = lengths.reshape(2, -1)
+    sides[..., 2] = 1
+    arena = np.concatenate(seqs).astype(np.uint8, copy=False)
+    return arena, sides.transpose(1, 0, 2)
+
+
+def extend_sides(
+    arena: np.ndarray,
+    sides: np.ndarray,
+    scoring: ScoringScheme,
+    config: BatchedExtensionConfig,
+) -> np.ndarray:
+    """Extend every task described by *sides* from its origin (0, 0).
+
+    Runs the compiled tier when it is available and the batch fits its int32
+    lanes, the NumPy kernel on the same codes otherwise; both return
+    identical results.
+
+    Parameters
+    ----------
+    arena:
+        Flat uint8 2-bit codes every side reads from.
+    sides:
+        ``(n, 2, 4)`` int64: side a then side b of each task, each a
+        ``(start, length, step, complement)`` descriptor whose code ``j`` is
+        ``arena[start + step * j] ^ complement`` for ``j < length``, with
+        step +1 or -1 and complement 0 or 3.  A side that reads outside
+        the arena raises ``ValueError``; a side of length 0 reads nothing.
+    scoring, config:
+        As for :func:`batched_extend`, whose return value this matches.
+    """
+    if not len(sides):
+        return np.empty((0, 4), dtype=np.int64)
+    _check_sides(arena, sides)
     compiled = native.library()
     if compiled is not None:
-        results = _extend_native(compiled, seqs_a, seqs_b, scoring, config)
+        results = _extend_native(compiled, arena, sides, scoring, config)
         if results is not None:
             return results
-    return _extend_numpy(seqs_a, seqs_b, scoring, config)
+    return _extend_numpy(*_side_codes(arena, sides), scoring, config)
+
+
+def _check_sides(arena: np.ndarray, sides: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every side reads only codes of *arena*:
+    the compiled kernel indexes the arena unchecked."""
+    if sides.ndim != 3 or sides.shape[1:] != (2, 4):
+        raise ValueError(f"sides must have shape (n, 2, 4), not {sides.shape}")
+    start, length, step, complement = np.moveaxis(sides, -1, 0)
+    last = start + step * (length - 1)
+    used = length > 0
+    if not ((length >= 0).all() and (np.abs(step) == 1).all()
+            and ((complement == 0) | (complement == 3)).all()
+            and (np.minimum(start, last)[used] >= 0).all()
+            and (np.maximum(start, last)[used] < arena.size).all()):
+        raise ValueError("every side needs step +-1, complement 0 or 3 and a span "
+                         "inside the arena")
+
+
+def _side_codes(arena: np.ndarray, sides: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-task code lists of *sides* (see :func:`extend_sides`):
+    ``(seqs_a, seqs_b)``, the input of :func:`_extend_numpy`."""
+    flat_sides = sides.transpose(1, 0, 2).reshape(-1, 4)
+    start, length, step, complement = flat_sides.T
+    ends = np.cumsum(length)
+    j = np.arange(int(ends[-1])) - np.repeat(ends - length, length)
+    index = np.repeat(start, length) + np.repeat(step, length) * j
+    flat = (arena[index] ^ np.repeat(complement, length)).astype(np.uint8)
+    seqs = np.split(flat, ends[:-1])
+    return seqs[:len(sides)], seqs[len(sides):]
 
 
 def _extend_numpy(
@@ -248,48 +333,40 @@ def _extend_numpy(
 _INT32_BOUND = 2**30
 
 
-def _concat_codes(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat uint8 codes and their (n + 1) int64 offsets."""
-    offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
-    np.cumsum([s.size for s in seqs], out=offsets[1:])
-    codes = np.ascontiguousarray(np.concatenate(seqs), dtype=np.uint8)
-    return codes, offsets
-
-
 def _extend_native(
     compiled: native.NativeLibrary,
-    seqs_a: list[np.ndarray],
-    seqs_b: list[np.ndarray],
+    arena: np.ndarray,
+    sides: np.ndarray,
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
     lanes: int | None = None,
 ) -> np.ndarray | None:
     """Run the compiled kernel at *lanes* lanes (default: the CPU's widest).
 
-    Returns ``None`` when its int32 lanes (or the int64 x-drop argument)
-    could not represent the batch exactly.  Tasks run in order of
-    ``min(len_a, len_b)``, so that the lanes of a group finish together;
-    results come back in input order.
+    *arena* and *sides* are as for :func:`extend_sides`; the kernel reads
+    every side in place.  Returns ``None`` when its int32 lanes (or the
+    int64 x-drop argument) could not represent the batch exactly.  Tasks
+    run in order of ``min(len_a, len_b)``, so that the lanes of a group
+    finish together; results come back in input order.
     """
     lanes = compiled.lanes if lanes is None else lanes
-    n_tasks = len(seqs_a)
-    len_a = np.fromiter((s.size for s in seqs_a), dtype=np.int64, count=n_tasks)
-    len_b = np.fromiter((s.size for s in seqs_b), dtype=np.int64, count=n_tasks)
+    n_tasks = len(sides)
+    len_a, len_b = sides[:, 0, 1], sides[:, 1, 1]
     max_a, max_b = int(len_a.max()), int(len_b.max())
     weight = max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap))
     if (max_a + max_b + config.band) * weight >= _INT32_BOUND or config.xdrop >= 2**63:
         return None
     max_rows = max_a if config.max_rows is None else min(max_a, config.max_rows)
     order = np.argsort(np.minimum(len_a, len_b), kind="stable")
-    a, a_off = _concat_codes([seqs_a[i] for i in order])
-    b, b_off = _concat_codes([seqs_b[i] for i in order])
+    ordered = np.ascontiguousarray(sides[order], dtype=np.int64)
+    arena = np.ascontiguousarray(arena, dtype=np.uint8)
     # The size `_native.c` documents: 64 bytes of alignment slack, two DP rows
     # of band + 1 lane vectors and one group's interleaved codes.
     scratch = np.empty(16 + lanes * (2 * (config.band + 1) + max_rows
                                      + min(max_b, max_rows + config.band)), dtype=np.int32)
     out = np.empty((n_tasks, 4), dtype=np.int64)
     status = compiled.xdrop_extend_batch(
-        lanes, n_tasks, a.ctypes.data, a_off.ctypes.data, b.ctypes.data, b_off.ctypes.data,
+        lanes, n_tasks, arena.ctypes.data, ordered.ctypes.data,
         scoring.match, scoring.mismatch, scoring.gap, config.xdrop, config.band, max_rows,
         scratch.ctypes.data, out.ctypes.data)
     if status != 0:

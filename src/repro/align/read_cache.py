@@ -12,13 +12,20 @@ and its encoded buffer are worth caching per rank:
   (see :mod:`repro.seq.packing`) **without** materialising its ASCII string —
   the packed buffer is unpacked into a code array on first use, and nothing
   decodes it back to text;
-* ``encoded``/``encoded_rc`` memoise the uint8 code arrays (forward and
-  reverse-complement), so repeated tasks against the same read reuse one
-  buffer instead of re-encoding per task.
+* each read's forward uint8 code array is memoised, so repeated tasks and
+  calls against the same read reuse one buffer instead of re-encoding;
+  :meth:`code_arena` gathers a call's reads into one flat arena the x-drop
+  kernel reads in place.  A cross-strand task reads the reverse complement
+  straight off the forward codes (backwards, complemented), so no
+  reverse-complement buffer is ever built.
 
-Hit/miss counters cover the encoded-buffer lookups (the per-task hot path);
-``fetch_hits`` counts remote fetches avoided because the sequence was already
-present.  The pipeline surfaces all three in the run's counters.
+Hit/miss counters cover the per-task lookups, one per task side: the first
+use of a (RID, orientation) in the cache's life is a miss, every later one a
+hit.  A forward lookup of a read whose codes were already present (derived
+by a reverse lookup earlier in task order, or while serving the read to a
+peer) is a hit too.  ``fetch_hits`` counts remote fetches avoided because
+the sequence was already present.  The pipeline surfaces all three in the
+run's counters.
 
 The cache has no byte bound.  A one-shot run's cache lives for that run; a
 serve rank's cache lives beside its resident index and holds at most the
@@ -50,9 +57,10 @@ class _Entry:
 
     sequence: str | None = None
     codes: np.ndarray | None = None
-    codes_rc: np.ndarray | None = None
     packed: np.ndarray | None = None
     length: int = -1
+    #: A reverse-orientation lookup has counted this read's miss.
+    reverse_seen: bool = False
 
     def n_bases(self) -> int:
         if self.sequence is not None:
@@ -69,8 +77,8 @@ class ReadCache:
     Attributes
     ----------
     hits / misses:
-        Encoded-buffer lookups served from (respectively computed into) the
-        cache — the per-task hot path of the x-drop kernel.
+        Per-task code lookups (one per task side) served from the cache, or
+        first uses of a (RID, orientation) — see :meth:`code_arena`.
     fetch_hits:
         Remote fetches avoided because :meth:`missing` found the sequence
         already cached (nonzero from the second query batch over a resident
@@ -184,30 +192,56 @@ class ReadCache:
                 entry.codes = encode_sequence(entry.sequence)
         return entry.codes
 
-    def encoded(self, rid: int) -> np.ndarray:
-        """The 2-bit code array of *rid*, encoded (or unpacked) at most once."""
-        entry = self._entries[rid]
-        if entry.codes is None:
-            self.misses += 1
-            self._codes_of(entry)
-        else:
-            self.hits += 1
-        return entry.codes
+    def code_arena(
+        self, lookups: np.ndarray, forward: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather the forward codes of every read *lookups* names into one arena.
 
-    def encoded_rc(self, rid: int) -> np.ndarray:
-        """The reverse-complement code array of *rid*, derived at most once.
+        Parameters
+        ----------
+        lookups:
+            The RID of each task-side lookup, in task order.
+        forward:
+            Per lookup, True for the read's forward orientation and False
+            for its reverse complement.
 
-        Complement of a 2-bit code is ``3 - code``; the reverse complement is
-        computed from the cached forward encoding, so a cross-strand task
-        costs one extra buffer the first time and nothing after.
+        Returns ``(rids, arena, offsets)``: the sorted unique RIDs, their
+        codes concatenated into one flat uint8 array, and ``len(rids) + 1``
+        offsets into it.  Each read is encoded (or unpacked) at most once in
+        the cache's life.  The lookups are counted as one lookup each: the
+        first use of a (RID, orientation) is a miss, except a forward one
+        whose codes were already present when it came — derived by an
+        earlier reverse lookup, by serving the read or by a previous call.
         """
-        entry = self._entries[rid]
-        if entry.codes_rc is None:
-            self.misses += 1
-            entry.codes_rc = (3 - self.encoded_peek(rid))[::-1].astype(np.uint8)
-        else:
-            self.hits += 1
-        return entry.codes_rc
+        rids, inverse = np.unique(lookups, return_inverse=True)
+        entries = [self._entries[rid] for rid in rids.tolist()]
+        fresh = np.fromiter((entry.codes is None for entry in entries),
+                            dtype=bool, count=len(entries))
+        reverse_seen = np.fromiter((entry.reverse_seen for entry in entries),
+                                   dtype=bool, count=len(entries))
+        codes = [self._codes_of(entry) for entry in entries]
+
+        def first_use(mask: np.ndarray) -> np.ndarray:
+            """Per RID, the position of its first lookup under *mask* (or
+            ``lookups.size`` when it has none)."""
+            position = np.flatnonzero(mask)
+            first = np.full(rids.size, lookups.size)
+            used, at = np.unique(inverse[position], return_index=True)
+            first[used] = position[at]
+            return first
+
+        first_forward, first_reverse = first_use(forward), first_use(~forward)
+        reverse_used = first_reverse < lookups.size
+        misses = int((reverse_used & ~reverse_seen).sum()
+                     + (fresh & (first_forward < first_reverse)).sum())
+        self.misses += misses
+        self.hits += int(lookups.size) - misses
+        for index in np.flatnonzero(reverse_used).tolist():
+            entries[index].reverse_seen = True
+
+        offsets = np.zeros(rids.size + 1, dtype=np.int64)
+        np.cumsum([c.size for c in codes], out=offsets[1:])
+        return rids, np.concatenate(codes), offsets
 
     def encoded_peek(self, rid: int) -> np.ndarray:
         """Forward encoding without touching the hit/miss counters."""

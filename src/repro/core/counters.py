@@ -71,8 +71,8 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "read_payload_raw_bytes": "ASCII-equivalent bytes of the served read payloads",
     "read_payload_wire_bytes": "bytes of read payloads that actually crossed the exchange",
     # -- per-rank read cache (ReadCache.counters) ---------------------------
-    "read_cache_hits": "encoded-buffer lookups (ReadCache.encoded/encoded_rc) served from the memo",
-    "read_cache_misses": "encoded-buffer lookups (ReadCache.encoded/encoded_rc) that computed the buffer",
+    "read_cache_hits": "per-task read lookups (one per task side, ReadCache.code_arena) served from the memo",
+    "read_cache_misses": "per-task read lookups that were the first use of a (read, orientation) in the cache",
     "read_cache_fetch_hits": "remote read fetches skipped because the read was already cached",
     # -- serve phase: resident index build + query batches ------------------
     "index_build_runs": "index-build passes executed (on a query batch: the rebuild of an index the ranks reported missing)",

@@ -44,8 +44,8 @@ _u64 = ctypes.c_uint64
 
 #: ``(restype, argtypes)`` of every entry point, by C name.
 _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
-    "xdrop_extend_batch": (ctypes.c_int, (_i64, _i64, _ptr, _ptr, _ptr, _ptr, _i32, _i32,
-                                          _i32, _i64, _i64, _i64, _ptr, _ptr)),
+    "xdrop_extend_batch": (ctypes.c_int, (_i64, _i64, _ptr, _ptr, _i32, _i32, _i32,
+                                          _i64, _i64, _i64, _ptr, _ptr)),
     "bloom_test": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr)),
     "bloom_insert": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr, _u64, _ptr)),
     "key_gate": (None, (_ptr, _i64, _ptr, _u64, _ptr, _i64, _i64, _ptr)),

@@ -11,7 +11,11 @@ batched production path, kept only so the tests can compare the two:
 * :func:`select_seeds` — the per-pair greedy seed scan, against
   :func:`repro.overlap.seeds.select_seeds_batched`;
 * :func:`partition_reads` — the one-read-at-a-time greedy block partition,
-  against the closed form of :func:`repro.io.partition.partition_reads`.
+  against the closed form of :func:`repro.io.partition.partition_reads`;
+* :func:`xdrop_align_tasks` over a :class:`LookupCache` — stage 4's
+  per-task slicing loop over memoised forward and reverse-complement code
+  arrays, against the code arena and descriptors of
+  :func:`repro.align.batch.batched_xdrop_align`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.align.batched_xdrop import BatchedExtensionConfig, batched_extend
+from repro.align.scoring import ScoringScheme
 from repro.kmers.minimizer import minimizer_mask, sketch_hash
 from repro.overlap.seeds import SeedStrategy
 from repro.seq.alphabet import DNA_ALPHABET
@@ -153,3 +159,81 @@ def partition_reads(readset, n_ranks: int) -> list[list[int]]:
         assignments[rank].append(rid)
         acc += int(lengths[rid])
     return assignments
+
+
+class LookupCache:
+    """Per-read memo of forward and reverse-complement code arrays, with one
+    counted lookup per call: a miss the first time an array is built.
+
+    The reverse complement is derived from the forward codes, which then
+    count as present without a lookup of their own.
+    """
+
+    def __init__(self, sequences: dict[int, str]) -> None:
+        self._sequences = sequences
+        self._forward: dict[int, np.ndarray] = {}
+        self._reverse: dict[int, np.ndarray] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def _codes(self, rid: int) -> np.ndarray:
+        if rid not in self._forward:
+            self._forward[rid] = encode_sequence(self._sequences[rid])
+        return self._forward[rid]
+
+    def encoded(self, rid: int) -> np.ndarray:
+        self.misses += rid not in self._forward
+        self.hits += rid in self._forward
+        return self._codes(rid)
+
+    def encoded_rc(self, rid: int) -> np.ndarray:
+        if rid in self._reverse:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._reverse[rid] = (3 - self._codes(rid))[::-1].astype(np.uint8)
+        return self._reverse[rid]
+
+
+def xdrop_align_tasks(
+    tasks,
+    cache: LookupCache,
+    k: int,
+    scoring: ScoringScheme,
+    xdrop: int,
+    band: int,
+) -> np.ndarray:
+    """Align a :class:`repro.align.batch.TaskBatch` one task at a time:
+    slice (and reverse) each extension out of the cache's arrays, then
+    extend the two batches.  Returns ``(n, 6)`` int64 rows of score,
+    start_a, end_a, start_b, end_b and cells."""
+    seeds: list[tuple[int, int]] = []
+    fwd_a: list[np.ndarray] = []
+    fwd_b: list[np.ndarray] = []
+    back_a: list[np.ndarray] = []
+    back_b: list[np.ndarray] = []
+    columns = zip(tasks.rid_a.tolist(), tasks.rid_b.tolist(), tasks.seed_pos_a.tolist(),
+                  tasks.seed_pos_b.tolist(), tasks.same_strand.tolist())
+    for rid_a, rid_b, pos_a, pos_b, same_strand in columns:
+        codes_a = cache.encoded(rid_a)
+        if same_strand:
+            codes_b = cache.encoded(rid_b)
+        else:
+            codes_b = cache.encoded_rc(rid_b)
+            pos_b = codes_b.size - k - pos_b
+        sa = min(max(0, pos_a), max(0, codes_a.size - k))
+        sb = min(max(0, pos_b), max(0, codes_b.size - k))
+        seeds.append((sa, sb))
+        fwd_a.append(codes_a[sa + k:])
+        fwd_b.append(codes_b[sb + k:])
+        back_a.append(codes_a[:sa][::-1])
+        back_b.append(codes_b[:sb][::-1])
+
+    seed_a, seed_b = np.array(seeds, dtype=np.int64).reshape(-1, 2).T
+    config = BatchedExtensionConfig(xdrop=xdrop, band=band)
+    fwd = batched_extend(fwd_a, fwd_b, scoring, config)
+    back = batched_extend(back_a, back_b, scoring, config)
+    return np.stack([scoring.match * k + fwd[:, 0] + back[:, 0],
+                     seed_a - back[:, 1], seed_a + k + fwd[:, 1],
+                     seed_b - back[:, 2], seed_b + k + fwd[:, 2],
+                     fwd[:, 3] + back[:, 3]], axis=1)

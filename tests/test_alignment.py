@@ -14,7 +14,7 @@ import inspect
 
 from repro import native
 from repro.align import batched_xdrop
-from repro.align.batch import RESULT_DTYPE, TaskBatch, batched_xdrop_align
+from repro.align.batch import RESULT_DTYPE, TaskBatch, batched_xdrop_align, task_sides
 from repro.align.batched_xdrop import (
     DEFAULT_XDROP_BAND,
     BatchedExtensionConfig,
@@ -26,6 +26,8 @@ from repro.align.scoring import ScoringScheme
 from repro.align.smith_waterman import smith_waterman
 from repro.seq.alphabet import reverse_complement
 from repro.seq.encoding import encode_sequence
+
+from oracles import LookupCache, xdrop_align_tasks
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 
@@ -267,7 +269,7 @@ class TestBatchedXdrop:
             BatchedExtensionConfig(band=1)
 
 
-class TestBatchAligner:
+class TestBatchedXdropAlign:
     """Stage 4's batch alignment entry point, ``batched_xdrop_align``."""
 
     def _sequences(self):
@@ -488,8 +490,15 @@ def _related_pair(rng, len_a: int, len_b: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _native_extend(kernel, seqs_a, seqs_b, scoring, config, lanes=None):
+    """The compiled kernel on the arena and sides ``batched_extend`` builds
+    from the lists (test helper)."""
+    arena, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
+    return batched_xdrop._extend_native(kernel, arena, sides, scoring, config, lanes=lanes)
+
+
 def _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, scoring, config):
-    native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b, scoring, config, lanes=lanes)
+    native = _native_extend(kernel, seqs_a, seqs_b, scoring, config, lanes=lanes)
     np.testing.assert_array_equal(
         native, batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
 
@@ -543,7 +552,7 @@ class TestCompiledXdrop:
         kernel = _native_or_skip()
         seqs_a, seqs_b = batch
         config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
-        native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b, scoring, config)
+        native = _native_extend(kernel, seqs_a, seqs_b, scoring, config)
         assert np.array_equal(native,
                               batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
 
@@ -555,13 +564,12 @@ class TestCompiledXdrop:
         read = encode_sequence("ACGTACGTAC")
         config = BatchedExtensionConfig(xdrop=10, band=9)
         for seqs_a, seqs_b in (([empty], [read]), ([empty, read], [read, read.copy()])):
-            native = batched_xdrop._extend_native(kernel, seqs_a, seqs_b,
-                                                  ScoringScheme(), config)
+            native = _native_extend(kernel, seqs_a, seqs_b, ScoringScheme(), config)
             assert np.array_equal(native, batched_xdrop._extend_numpy(seqs_a, seqs_b,
                                                                       ScoringScheme(), config))
-        alone = batched_xdrop._extend_native(kernel, [empty], [read], ScoringScheme(), config)
-        mixed = batched_xdrop._extend_native(kernel, [empty, read], [read, read.copy()],
-                                             ScoringScheme(), config)
+        alone = _native_extend(kernel, [empty], [read], ScoringScheme(), config)
+        mixed = _native_extend(kernel, [empty, read], [read, read.copy()],
+                               ScoringScheme(), config)
         assert alone[0, 3] == 0 and mixed[0, 3] == 9
 
     def test_band_wider_than_both_sequences(self):
@@ -571,7 +579,7 @@ class TestCompiledXdrop:
         for band in (3, 4, 64, 129):
             config = BatchedExtensionConfig(xdrop=5, band=band)
             assert np.array_equal(
-                batched_xdrop._extend_native(kernel, seqs_a, seqs_b, ScoringScheme(), config),
+                _native_extend(kernel, seqs_a, seqs_b, ScoringScheme(), config),
                 batched_xdrop._extend_numpy(seqs_a, seqs_b, ScoringScheme(), config))
 
     def test_int32_guard_takes_numpy_path(self, monkeypatch):
@@ -580,7 +588,7 @@ class TestCompiledXdrop:
         scoring = ScoringScheme(match=2**26, mismatch=-1, gap=-1)
         seqs = [encode_sequence("ACGTACGT")]
         config = BatchedExtensionConfig(xdrop=10, band=9)
-        assert batched_xdrop._extend_native(kernel, seqs, seqs, scoring, config) is None
+        assert _native_extend(kernel, seqs, seqs, scoring, config) is None
         calls = []
         reference = batched_xdrop._extend_numpy
 
@@ -594,11 +602,11 @@ class TestCompiledXdrop:
         assert score == 8 * 2**26 and length_a == 8
         # Just under the bound the compiled tier runs, exactly.
         small = ScoringScheme(match=2**25, mismatch=-1, gap=-1)
-        assert np.array_equal(batched_xdrop._extend_native(kernel, seqs, seqs, small, config),
+        assert np.array_equal(_native_extend(kernel, seqs, seqs, small, config),
                               reference(seqs, seqs, small, config))
         # An x-drop past int64 is declined too, not wrapped by ctypes.
         huge = BatchedExtensionConfig(xdrop=2**63, band=9)
-        assert batched_xdrop._extend_native(kernel, seqs, seqs, small, huge) is None
+        assert _native_extend(kernel, seqs, seqs, small, huge) is None
 
     def test_each_width_on_groups_it_reorders(self, lanes):
         # Over two full groups of the widest width, in an order the length
@@ -645,8 +653,8 @@ class TestCompiledXdrop:
         seqs = [encode_sequence("ACGTACGT")]
         for width in (0, 3, 2 * max(LANE_WIDTHS)):
             with pytest.raises(ValueError, match="lanes"):
-                batched_xdrop._extend_native(kernel, seqs, seqs, ScoringScheme(),
-                                             BatchedExtensionConfig(), lanes=width)
+                _native_extend(kernel, seqs, seqs, ScoringScheme(),
+                               BatchedExtensionConfig(), lanes=width)
 
     def test_build_command_has_no_cpu_flags(self):
         # The library cache key cannot tell two CPUs of one machine type
@@ -660,6 +668,119 @@ class TestCompiledXdrop:
         seqs = [encode_sequence("ACGTACGTACGT")]
         (score, _, _, _), = batched_extend(seqs, seqs, ScoringScheme(), BatchedExtensionConfig())
         assert score == 12
+
+
+@st.composite
+def read_task_batches(draw):
+    """``(k, reads, tasks)``: reads cut from one genome (some empty or
+    shorter than k, some reverse complemented) and a mixed batch of tasks
+    over them, on either strand, with seeds from 3 before a read's start to
+    3 past its end so that some clamp at the read ends."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    genome = draw(st.text(alphabet="ACGT", min_size=1, max_size=160))
+    reads = {}
+    for rid in range(draw(st.integers(min_value=2, max_value=6))):
+        start = draw(st.integers(min_value=0, max_value=len(genome)))
+        read = genome[start:draw(st.integers(min_value=start, max_value=len(genome)))]
+        reads[rid] = reverse_complement(read) if draw(st.booleans()) else read
+    tasks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        rid_a = draw(st.integers(min_value=0, max_value=len(reads) - 2))
+        rid_b = draw(st.integers(min_value=rid_a + 1, max_value=len(reads) - 1))
+        tasks.append((rid_a, rid_b,
+                      draw(st.integers(min_value=-3, max_value=len(reads[rid_a]) + 3)),
+                      draw(st.integers(min_value=-3, max_value=len(reads[rid_b]) + 3)),
+                      draw(st.booleans())))
+    return k, reads, task_batch(*tasks)
+
+
+def _arena_sides(k, reads, tasks):
+    """``(arena, forward, backward, rids, offsets)`` of *tasks* (test helper)."""
+    rids, arena, offsets = cache_of(reads).code_arena(
+        np.concatenate([tasks.rid_a, tasks.rid_b]), np.ones(2 * len(tasks), dtype=bool))
+    forward, backward, _, _ = task_sides(tasks, rids, offsets, k)
+    return arena, forward, backward, rids, offsets
+
+
+class TestCodeArena:
+    """Stage 4's code arena and extension descriptors."""
+
+    @given(batch=read_task_batches(), band=st.integers(min_value=3, max_value=40),
+           xdrop=st.integers(min_value=1, max_value=30), scoring=scoring_schemes)
+    @settings(max_examples=150, deadline=None)
+    def test_descriptor_kernel_matches_numpy_at_every_width(self, batch, band, xdrop,
+                                                             scoring):
+        # Forward sides, backward sides and the two mixed in one batch, at
+        # every width this CPU runs, against the NumPy kernel on the lists
+        # the fallback builds from the same descriptors.
+        kernel = _native_or_skip()
+        arena, forward, backward, _, _ = _arena_sides(*batch)
+        config = BatchedExtensionConfig(xdrop=xdrop, band=band)
+        for sides in (forward, backward, np.concatenate([forward, backward])):
+            reference = batched_xdrop._extend_numpy(
+                *batched_xdrop._side_codes(arena, sides), scoring, config)
+            for width in LANE_WIDTHS:
+                if width <= kernel.lanes:
+                    assert np.array_equal(batched_xdrop._extend_native(
+                        kernel, arena, sides, scoring, config, lanes=width), reference)
+
+    @given(batch=read_task_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_every_span_lies_in_its_read(self, batch):
+        k, reads, tasks = batch
+        arena, forward, backward, rids, offsets = _arena_sides(k, reads, tasks)
+        assert offsets[-1] == arena.size
+        for sides in (forward, backward):
+            for side, rid in ((sides[:, 0], tasks.rid_a), (sides[:, 1], tasks.rid_b)):
+                start, length, step, complement = side.T
+                index = np.searchsorted(rids, rid)
+                first, last = start, start + step * (length - 1)
+                used = length > 0
+                assert (start[~used] == 0).all()
+                assert (np.minimum(first, last)[used] >= offsets[index][used]).all()
+                assert (np.maximum(first, last)[used] < offsets[index + 1][used]).all()
+                assert np.isin(step, (-1, 1)).all() and np.isin(complement, (0, 3)).all()
+                assert (0 <= start).all() and (start <= arena.size).all()
+
+    def test_sides_outside_the_arena_are_refused(self):
+        arena = encode_sequence("ACGTACGT")
+        good = [0, 4, 1, 0]
+        for bad in ([5, 4, 1, 0], [2, 4, -1, 0], [0, 4, 2, 0], [0, 4, 1, 1], [0, -1, 1, 0]):
+            for sides in ([[good, bad]], [[bad, good]]):
+                with pytest.raises(ValueError, match="arena"):
+                    batched_xdrop.extend_sides(arena, np.array(sides), ScoringScheme(),
+                                               BatchedExtensionConfig())
+        # A side of length 0 reads nothing, wherever it starts.
+        (score, _, _, _), = batched_xdrop.extend_sides(
+            arena, np.array([[good, [99, 0, 1, 0]]]), ScoringScheme(), BatchedExtensionConfig())
+        assert score == 0
+
+    @pytest.mark.parametrize("tier", ["compiled", "numpy"])
+    @given(batch=read_task_batches(), served=st.sets(st.integers(min_value=0, max_value=5)),
+           band=st.integers(min_value=3, max_value=40),
+           xdrop=st.integers(min_value=1, max_value=30), scoring=scoring_schemes)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_task_slicing_oracle(self, tier, batch, served, band, xdrop, scoring):
+        # Results and hit/miss counts equal the per-task loop over memoised
+        # forward and reverse-complement arrays, over two calls; reads
+        # served to a peer beforehand already hold their forward codes.
+        if tier == "compiled":
+            _native_or_skip()
+        k, reads, tasks = batch
+        cache, oracle = cache_of(reads), LookupCache(reads)
+        for rid in served & set(reads):
+            cache.encoded_peek(rid)
+            oracle._codes(rid)
+        with pytest.MonkeyPatch.context() as patch:
+            if tier == "numpy":
+                patch.setattr(native, "library", lambda: None)
+            for _ in range(2):
+                results = batched_xdrop_align(tasks, cache, k=k, scoring=scoring,
+                                              xdrop=xdrop, band=band)
+                expected = xdrop_align_tasks(tasks, oracle, k, scoring, xdrop, band)
+                assert np.array_equal(
+                    np.stack([results[name] for name in RESULT_DTYPE.names], axis=1), expected)
+                assert (cache.hits, cache.misses) == (oracle.hits, oracle.misses)
 
 
 class TestKernelBuildCache:

@@ -160,9 +160,10 @@ class TestReadCachePackedEntries:
         cache.put_packed(3, block.packed_slice(0), len(seq))
         assert 3 in cache
         assert cache.bases_cached(np.array([3])) == len(seq)
-        # First encoded access unpacks (a miss), second hits the memo.
-        np.testing.assert_array_equal(cache.encoded(3), codes)
-        np.testing.assert_array_equal(cache.encoded(3), codes)
+        # The first forward lookup unpacks (a miss), the second hits the memo.
+        rids, arena, offsets = cache.code_arena(np.array([3, 3]), np.array([True, True]))
+        assert rids.tolist() == [3] and offsets.tolist() == [0, len(seq)]
+        np.testing.assert_array_equal(arena, codes)
         assert cache.misses == 1 and cache.hits == 1
         # The packed bytes round-trip to the original read.
         assert decode_sequence(cache.encoded_peek(3)) == seq
@@ -173,9 +174,9 @@ class TestReadCachePackedEntries:
         block = pack_read_block(np.array([5], dtype=np.int64),
                                 [encode_sequence(seq)])
         cache.put_packed(5, block.packed_slice(0), len(seq))
-        buf = cache.encoded(5)
+        buf = cache.encoded_peek(5)
         cache.put(5, seq)  # same read arriving as text must not evict
-        assert cache.encoded(5) is buf
+        assert cache.encoded_peek(5) is buf
 
     def test_put_conflicting_sequence_evicts(self):
         cache = ReadCache()
@@ -183,7 +184,7 @@ class TestReadCachePackedEntries:
                                 [encode_sequence("AAAA")])
         cache.put_packed(5, block.packed_slice(0), 4)
         cache.put(5, "CCCC")
-        np.testing.assert_array_equal(cache.encoded(5), encode_sequence("CCCC"))
+        np.testing.assert_array_equal(cache.encoded_peek(5), encode_sequence("CCCC"))
 
     def test_put_packed_does_not_clobber_existing(self):
         cache = ReadCache()
@@ -191,13 +192,13 @@ class TestReadCachePackedEntries:
         block = pack_read_block(np.array([9], dtype=np.int64),
                                 [encode_sequence("TTTT")])
         cache.put_packed(9, block.packed_slice(0), 4)
-        np.testing.assert_array_equal(cache.encoded(9), encode_sequence("ACGT"))
+        np.testing.assert_array_equal(cache.encoded_peek(9), encode_sequence("ACGT"))
 
     def test_put_packed_on_cached_rid_keeps_entry(self):
         cache = ReadCache()
         cache.put(0, "AAAAAAAAAA")
         cache.put_packed(0, np.zeros(3, dtype=np.uint8), 10)
-        np.testing.assert_array_equal(cache.encoded(0), encode_sequence("A" * 10))
+        np.testing.assert_array_equal(cache.encoded_peek(0), encode_sequence("A" * 10))
         assert len(cache) == 1
 
     def test_evict_rids_at_or_above_drops_only_those(self):

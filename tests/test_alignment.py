@@ -269,7 +269,7 @@ class TestBatchedXdrop:
             BatchedExtensionConfig(band=1)
 
 
-class TestBatchedXdropAlign:
+class TestBatchAligner:
     """Stage 4's batch alignment entry point, ``batched_xdrop_align``."""
 
     def _sequences(self):

@@ -344,8 +344,8 @@ def _query_stream(rng, index_codes, n: int, *, absent_only: bool = False):
 @pytest.mark.parametrize("n_batches, shuffle", [(1, False), (3, False), (3, True)])
 @pytest.mark.parametrize("query", ["mixed", "absent", "empty"])
 @pytest.mark.parametrize("max_count", [None, 6])
-def test_merged_matches_full_concatenate_merge(n_ranges, n_batches, shuffle, query,
-                                               max_count):
+def test_merged_shard_matches_full_concatenate_merge(n_ranges, n_batches,
+                                                     shuffle, query, max_count):
     """One ``merged`` call over the whole index equals the full-concatenate
     merge of each code range, back to back.  With 3 ranges the index codes
     stay below the last cut, so query codes above every index group (and a

@@ -1,6 +1,6 @@
 /* The compiled tier of the pipeline: one C library, loaded through ctypes
- * by repro.native, holding the four hot loops that have a NumPy body as
- * their reference and fallback:
+ * by repro.native, holding the hot loops that have a NumPy body as their
+ * reference and fallback:
  *
  *   xdrop_extend_batch  the banded x-drop extension of stage 4, reading
  *                       every task in place from one arena of read codes
@@ -11,7 +11,15 @@
  *   key_gate            stage 2's candidate-key gate
  *                       (repro.kmers.hashtable.key_mask);
  *   extract_kmers       the batch k-mer extraction of every stage
- *                       (repro.seq.kmer.extract_kmers_batch).
+ *                       (repro.seq.kmer.extract_kmers_batch);
+ *   route_rows          the packing of an exchange's rows by destination or
+ *                       by k-mer owner (repro.mpisim.collectives.
+ *                       bucket_by_destination / bucket_by_owner,
+ *                       reference _bucket_numpy);
+ *   route_occurrences   stage 2's occurrence packing fused with it
+ *                       (repro.core.stages.route_occurrences);
+ *   hll_add             the HyperLogLog register max of stage 1
+ *                       (repro.kmers.hyperloglog.HyperLogLog.add_many).
  *
  * Every entry point computes exactly what its NumPy body computes, so the
  * two tiers are interchangeable bit for bit.  All memory comes from the
@@ -484,4 +492,161 @@ int64_t extract_kmers(const uint8_t *text, const int64_t *lengths,
         start += lengths[r];
     }
     return -1;
+}
+
+/* ---- routing by destination --------------------------------------------
+ *
+ * The packing step of every k-mer exchange, and of the overlap and read
+ * requests: rows go into one buffer ordered by destination rank, then by
+ * their order in the input.  That is a counting sort: count the rows per
+ * destination, turn the counts into each destination's first row, scatter.
+ * The scatter is stable, so every destination receives its rows in input
+ * order, as NumPy's stable argsort on the ranks gives them.  A k-mer's owner
+ * is the paper's mix64(code) % n_ranks (section 4;
+ * repro.kmers.hashing.owner_of).
+ */
+
+/* Turn counts[d] into the first row of destination d.  The scatter then
+ * advances every start past its destination's rows, and `counts_back`
+ * turns those ends back into counts. */
+static void counts_to_starts(int64_t *counts, int64_t n_ranks)
+{
+    int64_t start = 0;
+    for (int64_t d = 0; d < n_ranks; d++) {
+        const int64_t count = counts[d];
+        counts[d] = start;
+        start += count;
+    }
+}
+
+static void counts_back(int64_t *ends, int64_t n_ranks)
+{
+    for (int64_t d = n_ranks - 1; d > 0; d--)
+        ends[d] -= ends[d - 1];
+}
+
+/* bucket_by_destination and bucket_by_owner: scatter n rows of `width`
+ * 8-byte words into `out` (n * width words) in destination order, and the
+ * rows per destination into counts[0 .. n_ranks).
+ *
+ * dest[i] is row i's destination; when `dest` is NULL it is the owner of
+ * the row's word 0, kept for the scatter in the caller's n-entry `owner`
+ * column.  Returns 0, or -1 (with `out` unwritten) when a destination lies
+ * outside [0, n_ranks) or owners are asked of no ranks. */
+int64_t route_rows(const uint64_t *rows, int64_t n, int64_t width,
+                   const int64_t *dest, int64_t n_ranks, uint32_t *owner,
+                   uint64_t *out, int64_t *counts)
+{
+    for (int64_t d = 0; d < n_ranks; d++)
+        counts[d] = 0;
+    if (n > 0 && n_ranks <= 0)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t d;
+        if (dest) {
+            d = dest[i];
+            if (d < 0 || d >= n_ranks)
+                return -1;
+        } else {
+            d = (int64_t)(mix64(rows[i * width]) % (uint64_t)n_ranks);
+            owner[i] = (uint32_t)d;
+        }
+        counts[d]++;
+    }
+    counts_to_starts(counts, n_ranks);
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t d = dest ? dest[i] : (int64_t)owner[i];
+        uint64_t *to = out + counts[d]++ * width;
+        for (int64_t w = 0; w < width; w++)
+            to[w] = rows[i * width + w];
+    }
+    counts_back(counts, n_ranks);
+    return 0;
+}
+
+/* The occurrence exchange's packing: occurrence i is the wire row
+ *     (codes[i], rids[read_index[i]] << 32 | strands[i] << 31 | positions[i])
+ * sent to the owner of codes[i].  The rows are written straight into `out`
+ * (2n words) in destination order, so no row is staged in input order and
+ * no RID column is gathered.  The word is built with the wrapping uint64
+ * shifts and ORs of the NumPy packing in repro.core.stages.  `owner` is
+ * the caller's n-entry scratch column.  Returns 0, or -1 (nothing written)
+ * when a read index lies outside [0, n_rids) or owners are asked of no
+ * ranks. */
+int64_t route_occurrences(const uint64_t *codes, const int64_t *read_index,
+                          const int64_t *rids, int64_t n_rids,
+                          const int64_t *positions, const uint8_t *strands,
+                          int64_t n, int64_t n_ranks, uint32_t *owner,
+                          uint64_t *out, int64_t *counts)
+{
+    for (int64_t d = 0; d < n_ranks; d++)
+        counts[d] = 0;
+    if (n > 0 && n_ranks <= 0)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        if (read_index[i] < 0 || read_index[i] >= n_rids)
+            return -1;
+        const uint32_t d = (uint32_t)(mix64(codes[i]) % (uint64_t)n_ranks);
+        owner[i] = d;
+        counts[d]++;
+    }
+    counts_to_starts(counts, n_ranks);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t *to = out + 2 * counts[owner[i]]++;
+        to[0] = codes[i];
+        to[1] = (uint64_t)rids[read_index[i]] << 32
+                | (uint64_t)strands[i] << 31
+                | (uint64_t)positions[i];
+    }
+    counts_back(counts, n_ranks);
+    return 0;
+}
+
+/* ---- HyperLogLog register max ------------------------------------------
+ *
+ * HyperLogLog.add_many: code c hashes to h = mix64(c); register h >> (64 - p)
+ * takes the maximum of itself and the rank of r = h << p, the number of
+ * leading zeros of r plus one (64 - p + 1 when r is 0).
+ *
+ * The NumPy body finds the leading one of r as floor(log2(double(r))).  The
+ * conversion rounds r to 53 bits and log2 rounds its result, so when the
+ * bits after the leading one are nearly all ones the rank it gives can be
+ * one below the exact rank.  Such a code is not ranked here: it goes to
+ * `deferred`, and the caller runs the NumPy body on the deferred codes, so
+ * the registers end up exactly as the NumPy body leaves them (a maximum does
+ * not depend on the order of its updates).  A code is deferred when the
+ * HLL_GUARD bits after r's leading one are all ones; any other r lies below
+ * 2^(b+1) - 2^(b - HLL_GUARD) for leading bit b, so double(r) does too and
+ * log2 stays more than 2^-33 / ln 2 (over 10^4 ulps at 64) below b + 1.  A
+ * random code is deferred with probability 2^-32.
+ */
+
+#define HLL_GUARD 32
+
+/* Returns the number of codes written to `deferred` (the caller's n-entry
+ * column); the other codes are added to the 2^precision `registers`. */
+int64_t hll_add(const uint64_t *codes, int64_t n, int64_t precision,
+                uint8_t *registers, uint64_t *deferred)
+{
+    const uint64_t guard = ((1ULL << HLL_GUARD) - 1) << (63 - HLL_GUARD);
+    int64_t n_deferred = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t h = mix64(codes[i]);
+        const uint64_t r = h << precision;
+        uint8_t rank;
+        if (r == 0) {
+            rank = (uint8_t)(64 - precision + 1);
+        } else {
+            const int zeros = __builtin_clzll(r);
+            if (((r << zeros) & guard) == guard) {
+                deferred[n_deferred++] = codes[i];
+                continue;
+            }
+            rank = (uint8_t)(zeros + 1);
+        }
+        uint8_t *reg = registers + (h >> (64 - precision));
+        if (rank > *reg)
+            *reg = rank;
+    }
+    return n_deferred;
 }

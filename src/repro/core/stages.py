@@ -39,7 +39,6 @@ from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
 from repro.core.supersteps import StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
-from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
     OCCURRENCE_NBYTES,
     KmerIndex,
@@ -48,7 +47,7 @@ from repro.kmers.hashtable import (
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.kmers.minimizer import minimizer_mask, sketch_hash
-from repro.mpisim.collectives import bucket_by_destination
+from repro.mpisim.collectives import bucket_by_destination, bucket_by_owner, split_routed
 from repro.mpisim.communicator import SimCommunicator
 from repro.overlap.pairs import (
     OverlapTable,
@@ -137,7 +136,7 @@ def _extract_batch_kmers(
     with_positions: bool,
     counters: dict[str, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract k-mers (and optionally RIDs/positions/strands) from a batch of reads.
+    """Extract k-mers (and optionally read indices/positions/strands) from a batch of reads.
 
     The whole batch is encoded and scanned as one concatenated array
     (:func:`repro.seq.kmer.extract_kmers_batch`) — no per-read Python loop.
@@ -152,6 +151,10 @@ def _extract_batch_kmers(
     ``kmers_extracted_total`` (pre-sketch) and ``kmers_after_sketch``
     (post-sketch; equal in reliable mode), from which the pipeline derives
     the reported ``sketch_density_ppm``.
+
+    With *with_positions* the columns are ``(codes, read index, positions,
+    strands)``, the read index counting into *rids*; otherwise only the
+    codes are filled.
     """
     empty_i = np.empty(0, dtype=np.int64)
     if not rids:
@@ -173,8 +176,7 @@ def _extract_batch_kmers(
         counters["kmers_after_sketch"] = (
             counters.get("kmers_after_sketch", 0) + int(codes.size))
     if with_positions:
-        rid_arr = np.asarray(rids, dtype=np.int64)[read_index]
-        return codes, rid_arr, positions, strands
+        return codes, read_index, positions, strands
     return codes, empty_i, empty_i.copy(), np.empty(0, dtype=bool)
 
 
@@ -279,10 +281,7 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> np.ndarray:
         else:
             codes = np.empty(0, dtype=np.uint64)
         kmers_parsed += int(codes.size)
-        if codes.size:
-            owners = owner_of(codes, comm.size)
-            return bucket_by_destination(codes, owners, comm.size)
-        return [np.empty(0, dtype=np.uint64) for _ in range(comm.size)]
+        return bucket_by_owner(codes, comm.size)
 
     def consume(step: int, received: list) -> None:
         nonlocal kmers_received, payload_bytes
@@ -326,21 +325,80 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> np.ndarray:
 # Stage 2: hash-table construction (§7)
 # ---------------------------------------------------------------------------
 
+def route_occurrences(codes: np.ndarray, read_index: np.ndarray, positions: np.ndarray,
+                      strands: np.ndarray, rids: np.ndarray,
+                      n_ranks: int) -> list[np.ndarray]:
+    """Pack one batch's occurrences into wire rows, bucketed by owner rank.
+
+    Occurrence ``i`` becomes the row ``(code, meta)`` with ``meta =
+    rids[read_index[i]] << 32 | strand << 31 | position``: the RID in the
+    high 32 bits, the strand flag in bit 31, the position in the low 31
+    bits.  This keeps the exchange at 2 words per k-mer instance (the paper
+    reports ~2.5x the Bloom-filter stage volume, §7).  The rows go to the
+    code's owner, :func:`~repro.mpisim.collectives.bucket_by_owner`'s
+    buckets.  The compiled ``route_occurrences`` (:mod:`repro.native`)
+    writes every row straight into its destination's place in one buffer,
+    with no row staged in input order and no RID column gathered;
+    :func:`_route_occurrences_numpy` is its reference and fallback.  Both
+    raise ``IndexError`` for a read index outside *rids*.
+    """
+    if not len(codes) == len(read_index) == len(positions) == len(strands):
+        raise ValueError("occurrence columns must have equal length")
+    compiled = native.library()
+    if compiled is None:
+        return _route_occurrences_numpy(codes, read_index, positions, strands, rids,
+                                        n_ranks)
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    read_index, rids, positions = (np.ascontiguousarray(column, dtype=np.int64)
+                                   for column in (read_index, rids, positions))
+    strands = np.ascontiguousarray(strands, dtype=bool)
+    rows = np.empty((codes.size, 2), dtype=np.uint64)
+    counts = np.empty(n_ranks, dtype=np.int64)
+    owner = np.empty(codes.size, dtype=np.uint32)
+    if compiled.route_occurrences(
+            codes.ctypes.data, read_index.ctypes.data, rids.ctypes.data, rids.size,
+            positions.ctypes.data, strands.ctypes.data, codes.size, n_ranks,
+            owner.ctypes.data, rows.ctypes.data, counts.ctypes.data) < 0:
+        raise IndexError("read index out of range of the RID table")
+    return split_routed(rows, counts)
+
+
+def _route_occurrences_numpy(codes: np.ndarray, read_index: np.ndarray,
+                             positions: np.ndarray, strands: np.ndarray,
+                             rids: np.ndarray, n_ranks: int) -> list[np.ndarray]:
+    """The NumPy body of :func:`route_occurrences` (reference and fallback):
+    the meta word built in place in the payload's second column, then
+    :func:`~repro.mpisim.collectives.bucket_by_owner`."""
+    read_index = np.asarray(read_index, dtype=np.int64)
+    if read_index.size and read_index.min() < 0:
+        raise IndexError("read index out of range of the RID table")
+    payload = np.empty((codes.size, 2), dtype=np.uint64)
+    payload[:, 0] = codes
+    meta = payload[:, 1]
+    meta[:] = np.asarray(rids, dtype=np.int64)[read_index]
+    meta <<= np.uint64(32)
+    meta |= np.asarray(strands, dtype=np.uint64) << np.uint64(31)
+    meta |= np.asarray(positions, dtype=np.int64).view(np.uint64)
+    return bucket_by_owner(payload, n_ranks)
+
+
 def _occurrence_exchange(
     comm: SimCommunicator,
     state: _RankState,
     rids: list[int],
     label: str,
     keys: np.ndarray | None = None,
-) -> tuple[tuple[np.ndarray, ...], int, int, int, ScheduleOutcome]:
+) -> tuple[list[np.ndarray], int, int, int, ScheduleOutcome]:
     """Ship every k-mer occurrence of *rids* to the k-mer's owner rank.
 
     The superstep behind stage 2 and the serve phase's query route: each
-    step extracts one batch of reads, packs every occurrence's (RID, strand,
-    position) into one word, buckets the ``(code, packed)`` rows by owner
-    and exchanges them; the receiving side decodes each step's rows into
-    ``(codes, rids, positions, strands)`` and, given *keys*, drops the rows
-    whose k-mer is not a key.  Batch ``i+1``'s extraction — the dominant
+    step extracts one batch of reads, packs and buckets its ``(code,
+    meta)`` rows by owner (:func:`route_occurrences`) and exchanges them;
+    the receiving side decodes each step's rows into ``(codes, rids,
+    positions, strands)`` and, given *keys*, drops the rows whose k-mer is
+    not a key.  Batch ``i+1``'s extraction — the dominant
     compute — runs while the peers are still reading batch ``i`` (the
     double-buffered schedule).
 
@@ -361,7 +419,7 @@ def _occurrence_exchange(
     Returns
     -------
     tuple
-        (the kept ``(codes, rids, positions, strands)`` columns in arrival
+        (the kept ``[codes, rids, positions, strands]`` columns in arrival
         order, k-mers parsed locally, occurrences received, received payload
         bytes, the schedule outcome).
     """
@@ -379,31 +437,10 @@ def _occurrence_exchange(
     def produce(step: int) -> list[np.ndarray]:
         nonlocal parsed
         batch = batches[step] if step < len(batches) else []
-        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
-            state.readset, batch, config, with_positions=True,
-            counters=state.counters,
-        )
-        parsed += int(codes.size)
-        if codes.size:
-            # Pack (RID, strand, position) into one word: RID in the high
-            # 32 bits, the strand flag in bit 31, the position in the low
-            # 31 bits.  This keeps the exchange at 2 words per k-mer
-            # instance (the paper reports ~2.5x the Bloom-filter stage
-            # volume, §7).  The word is built in place in the payload's
-            # second column, and the unpacked columns are dropped before
-            # the bucketing copy, which is this stage's memory peak.
-            payload = np.empty((codes.size, 2), dtype=np.uint64)
-            payload[:, 0] = codes
-            meta = payload[:, 1]
-            meta[:] = rid_arr
-            meta <<= np.uint64(32)
-            meta |= strand_arr.astype(np.uint64) << np.uint64(31)
-            meta |= pos_arr.view(np.uint64)
-            del rid_arr, pos_arr, strand_arr, meta
-            owners = owner_of(codes, comm.size)
-            del codes
-            return bucket_by_destination(payload, owners, comm.size)
-        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
+        columns = _extract_batch_kmers(state.readset, batch, config,
+                                       with_positions=True, counters=state.counters)
+        parsed += int(columns[0].size)
+        return route_occurrences(*columns, np.asarray(batch, dtype=np.int64), comm.size)
 
     def consume(step: int, received: list) -> None:
         nonlocal received_total, payload_bytes
@@ -440,7 +477,6 @@ def _occurrence_exchange(
         for column_chunks in kept:
             columns.append(np.concatenate(column_chunks))
             column_chunks.clear()
-        columns = tuple(columns)
     return columns, parsed, received_total, payload_bytes, outcome
 
 
@@ -478,7 +514,7 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
     columns, _, received, payload_bytes, outcome = _occurrence_exchange(
         comm, state, state.local_rids, "hashtable", keys)
     with state.timer("hashtable").compute():
-        index = KmerIndex(state.config.kmer.k, *columns)
+        index = KmerIndex.from_columns(state.config.kmer.k, columns)
     key_bytes = 0 if keys is None else keys.nbytes
     state.work["hashtable"] = float(received)
     state.local_bytes["hashtable"] = float(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.kmers.hashing import mix64
 
 
@@ -40,8 +41,26 @@ class HyperLogLog:
     # -- updates -------------------------------------------------------------
 
     def add_many(self, codes: np.ndarray) -> None:
-        """Add a batch of codes to the sketch."""
-        codes = np.asarray(codes, dtype=np.uint64)
+        """Add a batch of codes to the sketch.
+
+        Runs the compiled ``hll_add`` (:mod:`repro.native`) when it is
+        available, :meth:`_add_numpy` otherwise; both leave identical
+        registers.  The few codes whose NumPy rank the C side cannot be sure
+        to reproduce (see ``hll_add``) come back deferred and go through
+        :meth:`_add_numpy`.
+        """
+        codes = np.ascontiguousarray(codes, dtype=np.uint64)
+        compiled = native.library()
+        if compiled is None:
+            self._add_numpy(codes)
+            return
+        deferred = np.empty(codes.size, dtype=np.uint64)
+        n_deferred = compiled.hll_add(codes.ctypes.data, codes.size, self.precision,
+                                      self._registers.ctypes.data, deferred.ctypes.data)
+        self._add_numpy(deferred[:n_deferred])
+
+    def _add_numpy(self, codes: np.ndarray) -> None:
+        """The NumPy body of :meth:`add_many` (reference and fallback)."""
         if codes.size == 0:
             return
         hashed = mix64(codes)

@@ -3,7 +3,11 @@
 These are pure functions: payload size estimation (for the byte accounting
 the cost model consumes) and destination bucketing of numpy arrays (the
 "packing" step of an Alltoallv exchange, reported separately in the paper's
-Figure 4 efficiency breakdown).
+Figure 4 efficiency breakdown).  Bucketing runs the compiled ``route_rows``
+(:mod:`repro.native`): one counting scatter per exchange, by given
+destinations (:func:`bucket_by_destination`) or by k-mer owner
+(:func:`bucket_by_owner`), with :func:`_bucket_numpy` as its reference and
+fallback.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from typing import Any
 
 import numpy as np
 
+from repro import native
+from repro.kmers.hashing import owner_of
 from repro.seq.packing import PackedReadBlock
 
 #: Approximate per-object overhead charged for generic Python payloads, in
@@ -116,9 +122,15 @@ def bucket_by_destination(
     result is a list of ``n_ranks`` arrays, where entry ``d`` contains the
     values destined for rank ``d`` in their original relative order.  This is
     the message-packing step of an irregular all-to-all.
+
+    Arrays of 8-byte words (1-D, or 2-D rows of any width) are routed by the
+    compiled ``route_rows`` (:mod:`repro.native`): one counting scatter into
+    one buffer, returned as ``n_ranks`` views of it.  Other arrays, and every
+    array when the compiled tier is unavailable, take :func:`_bucket_numpy`;
+    both give the same buckets.
     """
     values = np.asarray(values)
-    destinations = np.asarray(destinations, dtype=np.int64)
+    destinations = np.ascontiguousarray(destinations, dtype=np.int64)
     if destinations.ndim != 1:
         raise ValueError("destinations must be 1-D")
     if values.shape[0] != destinations.shape[0]:
@@ -126,6 +138,60 @@ def bucket_by_destination(
             f"values ({values.shape[0]}) and destinations ({destinations.shape[0]}) "
             "must have the same leading dimension"
         )
+    return _route(values, destinations, n_ranks)
+
+
+def bucket_by_owner(rows: np.ndarray, n_ranks: int) -> list[np.ndarray]:
+    """Group k-mer rows by the owner rank of their code.
+
+    *rows* is a ``uint64`` array of codes, or of rows whose first word is
+    the code; a row goes to :func:`~repro.kmers.hashing.owner_of` of its
+    code, §4's ``mix64(code) mod n_ranks``.  Otherwise as
+    :func:`bucket_by_destination`: the compiled ``route_rows`` hashes the
+    codes in the same pass that counts and scatters the rows, with no owner
+    array built in NumPy.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.ndim not in (1, 2) or rows.ndim == 2 and rows.shape[1] == 0:
+        raise ValueError("rows must be codes, or 2-D rows that start with the code")
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    return _route(rows, None, n_ranks)
+
+
+def _route(values: np.ndarray, destinations: np.ndarray | None,
+           n_ranks: int) -> list[np.ndarray]:
+    """Bucket *values* by *destinations* (None: the owner of each row's
+    first word), through ``route_rows`` when it can take them."""
+    compiled = native.library()
+    if (compiled is None or values.ndim not in (1, 2) or values.dtype.itemsize != 8
+            or values.dtype.hasobject):
+        if destinations is None:
+            destinations = owner_of(values if values.ndim == 1 else values[:, 0], n_ranks)
+        return _bucket_numpy(values, destinations, n_ranks)
+    rows = np.ascontiguousarray(values)
+    out = np.empty_like(rows)
+    counts = np.empty(n_ranks, dtype=np.int64)
+    owner = None if destinations is not None else np.empty(rows.shape[0], dtype=np.uint32)
+    status = compiled.route_rows(
+        rows.ctypes.data, rows.shape[0], 1 if rows.ndim == 1 else rows.shape[1],
+        None if destinations is None else destinations.ctypes.data, n_ranks,
+        None if owner is None else owner.ctypes.data, out.ctypes.data, counts.ctypes.data)
+    if status < 0:
+        raise ValueError("destination rank out of range")
+    return split_routed(out, counts)
+
+
+def split_routed(rows: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Views of destination-ordered *rows*: ``counts[d]`` rows for rank ``d``."""
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _bucket_numpy(values: np.ndarray, destinations: np.ndarray,
+                  n_ranks: int) -> list[np.ndarray]:
+    """The NumPy body of :func:`bucket_by_destination` (reference and
+    fallback): a stable sort of the ranks and one gather."""
     if destinations.size and (destinations.min() < 0 or destinations.max() >= n_ranks):
         raise ValueError("destination rank out of range")
     # Sorted in the narrowest unsigned type that holds every rank: NumPy's
@@ -133,7 +199,4 @@ def bucket_by_destination(
     # same order as sorting the int64 ranks (2x faster at 2 ranks, 7x at 8).
     keys = destinations.astype(np.min_scalar_type(max(n_ranks - 1, 0)))
     sorted_vals = values[np.argsort(keys, kind="stable")]
-    counts = np.bincount(destinations, minlength=n_ranks)
-    boundaries = np.concatenate(([0], np.cumsum(counts)))
-    return [sorted_vals[boundaries[d] : boundaries[d + 1]] for d in range(n_ranks)]
-
+    return split_routed(sorted_vals, np.bincount(destinations, minlength=n_ranks))

@@ -3,9 +3,14 @@
 ``_native.c`` holds the banded x-drop kernel of stage 4
 (:mod:`repro.align.batched_xdrop`), the Bloom filter's test and
 test-then-set of stage 1 (:class:`repro.kmers.bloom.BloomFilter`), the
-candidate-key gate of stage 2 (:func:`repro.kmers.hashtable.key_mask`) and
+candidate-key gate of stage 2 (:func:`repro.kmers.hashtable.key_mask`),
 the batch k-mer extraction every stage runs
-(:func:`repro.seq.kmer.extract_kmers_batch`).  Each of them keeps its NumPy
+(:func:`repro.seq.kmer.extract_kmers_batch`), the routing of every
+exchange's rows by destination
+(:func:`repro.mpisim.collectives.bucket_by_destination` and
+``bucket_by_owner``; the occurrence packing of
+:func:`repro.core.stages.route_occurrences`) and the HyperLogLog register
+max (:meth:`repro.kmers.hyperloglog.HyperLogLog.add_many`).  Each of them keeps its NumPy
 body as the reference the compiled entry point is tested against bit for
 bit, and as the path taken whenever :func:`library` returns ``None``.
 
@@ -51,6 +56,10 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "key_gate": (None, (_ptr, _i64, _ptr, _u64, _ptr, _i64, _i64, _ptr)),
     "extract_kmers": (_i64, (_ptr, _ptr, _i64, _ptr, _i64, _i64, _i64,
                              _ptr, _ptr, _ptr, _ptr)),
+    "route_rows": (_i64, (_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr)),
+    "route_occurrences": (_i64, (_ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64,
+                                 _ptr, _ptr, _ptr)),
+    "hll_add": (_i64, (_ptr, _i64, _i64, _ptr, _ptr)),
 }
 
 
@@ -63,6 +72,9 @@ class NativeLibrary(NamedTuple):
     bloom_insert: Callable[..., None]
     key_gate: Callable[..., None]
     extract_kmers: Callable[..., int]
+    route_rows: Callable[..., int]
+    route_occurrences: Callable[..., int]
+    hll_add: Callable[..., int]
     #: The widest x-drop lane count the CPU runs (16 with AVX-512F+BW, 8
     #: with AVX2, otherwise 4), chosen by the library's own CPU check.
     lanes: int

@@ -321,8 +321,9 @@ class TestBatchAligner:
             xdrop_align([(0, 99, 0, 0)], {0: "ACGT"}, k=2)
 
     def test_read_cache_lookups_per_task(self):
-        """One encoded(rid_a) and one encoded/encoded_rc(rid_b) lookup per
-        task, so the pipeline's read_cache_hits/misses counters stay pinned."""
+        """One lookup of read A and one of read B, in the task's
+        orientation, per task, so the pipeline's read_cache_hits/misses
+        counters stay pinned."""
         seqs = self._sequences()
         tasks = [
             (0, 1, 210, 10),

@@ -16,6 +16,8 @@ arrival-order view the one-shot run reads is pinned in
   the monolithic oracle) — the layout the code-range-sharded index stored;
 * the digest equals a 4-key ``lexsort`` of every occurrence, hashed one
   code-range slice at a time;
+* the arrival order the retained views group by (one stable sort of a
+  packed key when the fields fit a word) equals its 3-key ``lexsort``;
 * ``merged``, which gathers only the index groups a query batch hits,
   equals the full-concatenate merge it replaced (kept here as the oracle);
 * the pipeline-level index digest agrees across runtime backends, and a
@@ -29,6 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
@@ -36,6 +39,7 @@ from repro.kmers import hashtable
 from repro.kmers.hashtable import (
     KmerIndex,
     RetainedKmers,
+    _arrival_order,
     _digest_boundaries,
     _packed_field_bits,
 )
@@ -262,6 +266,23 @@ def test_packed_key_uses_the_full_word():
         index = KmerIndex(31, codes, rids, positions, strands)
         _assert_retained_equal(_canonical_view(index, min_count=1),
                                _oracle(codes, rids, positions, strands, 1, None))
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-2, 2**40),
+                                st.integers(-2, 2**40)), max_size=40),
+       narrow=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_arrival_order_is_the_lexsort_order(rows, narrow):
+    """The packed arrival key sorts exactly as the 3-key lexsort, ties
+    included; fields that do not fit a word (or are negative) take the
+    lexsort itself."""
+    codes = np.array([r[0] for r in rows], dtype=np.uint64)
+    arrival = np.array([r[1] for r in rows], dtype=np.int64)
+    positions = np.array([r[2] for r in rows], dtype=np.int64)
+    if narrow:  # fields that pack, with many ties
+        codes, arrival, positions = codes % np.uint64(5), np.abs(arrival) % 3, np.abs(positions) % 4
+    np.testing.assert_array_equal(_arrival_order(codes, arrival, positions),
+                                  np.lexsort((positions, arrival, codes)))
 
 
 @pytest.mark.parametrize("n_ranges", [1, 4])

@@ -1,15 +1,17 @@
 """The compiled k-mer front end against its NumPy reference bodies, bit for bit.
 
 Each entry point of the compiled library that the front end calls — the
-Bloom filter's test and test-then-set, the candidate-key gate and the batch
-k-mer extraction — must return exactly what the NumPy body it replaces
-returns, on the inputs that stress its edges.  The x-drop kernel's twin of
-these tests is ``tests/test_alignment.py::TestCompiledXdrop``.
+Bloom filter's test and test-then-set, the candidate-key gate, the batch
+k-mer extraction, the routing of exchange rows by destination and the
+HyperLogLog register max — must return exactly what the NumPy body it
+replaces returns, on the inputs that stress its edges.  The x-drop
+kernel's twin of these tests is ``tests/test_alignment.py::TestCompiledXdrop``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
+from repro.core.stages import route_occurrences
 from repro.kmers import hashtable
 from repro.kmers.bloom import BloomFilter
+from repro.kmers.hashing import mix64, owner_of
 from repro.kmers.hashtable import _key_mask_numpy, key_mask
+from repro.kmers.hyperloglog import HyperLogLog
+from repro.mpisim import collectives
+from repro.mpisim.collectives import _bucket_numpy, bucket_by_destination, bucket_by_owner
 from repro.seq import kmer
 from repro.seq.kmer import KmerSpec, _extract_numpy, extract_kmers_batch
 
@@ -207,3 +214,247 @@ class TestCompiledExtraction:
         assert read_index.tolist() == [0, 0, 0, 1]
         assert positions.tolist() == [0, 1, 2, 0]
         assert is_forward.tolist() == [True, True, False, False]
+
+
+def _assert_same_buckets(got, expected):
+    assert len(got) == len(expected)
+    for bucket, reference in zip(got, expected):
+        assert bucket.dtype == reference.dtype
+        assert bucket.shape == reference.shape
+        np.testing.assert_array_equal(bucket, reference)
+
+
+#: Rank counts 1-9: powers of two, and primes that no bit mask reduces.
+n_ranks = st.integers(min_value=1, max_value=9)
+words = st.integers(min_value=0, max_value=TOP) | st.sampled_from([0, TOP])
+
+
+@st.composite
+def routed_rows(draw):
+    """``(rows, destinations, n_ranks)``: rows of 1, 2 or 5 words, uint64 or
+    int64, and destinations in range, all to one rank or mixed."""
+    width = draw(st.sampled_from([1, 2, 5]))
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    p = draw(n_ranks)
+    n = draw(st.integers(min_value=0, max_value=60))
+    flat = np.array(draw(st.lists(words, min_size=n * width, max_size=n * width)),
+                    dtype=np.uint64).view(dtype)
+    rows = flat if width == 1 else flat.reshape(n, width)
+    one_rank = st.just(draw(st.integers(min_value=0, max_value=p - 1)))
+    dest = draw(st.lists(one_rank | st.integers(min_value=0, max_value=p - 1),
+                         min_size=n, max_size=n))
+    return rows, np.array(dest, dtype=np.int64), p
+
+
+class TestCompiledRouting:
+    @given(case=routed_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_route_rows_matches_numpy_body(self, case):
+        rows, dest, p = case
+        _assert_same_buckets(bucket_by_destination(rows, dest, p),
+                             _bucket_numpy(rows, dest, p))
+        # By owner: the owner of each row's first word, hashed in C.
+        codes = rows.view(np.uint64)
+        owners = owner_of(codes if codes.ndim == 1 else codes[:, 0], p)
+        _assert_same_buckets(bucket_by_owner(codes, p), _bucket_numpy(codes, owners, p))
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_empty_and_one_destination(self, width):
+        shape = (0,) if width == 1 else (0, width)
+        for p in (1, 3, 8):
+            empty = np.empty(shape, dtype=np.uint64)
+            buckets = bucket_by_destination(empty, np.empty(0, dtype=np.int64), p)
+            _assert_same_buckets(buckets, [empty] * p)
+            _assert_same_buckets(bucket_by_owner(empty, p), [empty] * p)
+        rows = np.arange(12 * width, dtype=np.int64).reshape((12, width) if width > 1 else 12)
+        buckets = bucket_by_destination(rows, np.full(12, 4), 7)
+        assert [len(b) for b in buckets] == [0, 0, 0, 0, 12, 0, 0]
+        np.testing.assert_array_equal(buckets[4], rows)
+
+    def test_extreme_codes_go_to_their_owner(self):
+        codes = np.array([0, TOP, MAX_CODE, 0, TOP], dtype=np.uint64)
+        for p in (1, 2, 7):
+            _assert_same_buckets(bucket_by_owner(codes, p),
+                                 _bucket_numpy(codes, owner_of(codes, p), p))
+
+    @pytest.mark.parametrize("bad", [-1, 3, 2**40])
+    def test_out_of_range_destination_raises_on_both_tiers(self, bad):
+        rows = np.arange(8, dtype=np.uint64).reshape(4, 2)
+        dest = np.array([0, 2, bad, 1])
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier, pytest.raises(ValueError, match="destination rank out of range"):
+                bucket_by_destination(rows, dest, 3)
+        with pytest.raises(ValueError, match="n_ranks must be positive"):
+            bucket_by_owner(rows, 0)
+
+    def test_entry_point_refuses_without_writing(self):
+        compiled = native.library()
+        rows = np.arange(4, dtype=np.uint64)
+        out = np.zeros(4, dtype=np.uint64)
+        counts = np.zeros(2, dtype=np.int64)
+        dest = np.array([0, 1, 2, 0], dtype=np.int64)
+        assert compiled.route_rows(rows.ctypes.data, 4, 1, dest.ctypes.data, 2, None,
+                                   out.ctypes.data, counts.ctypes.data) == -1
+        assert not out.any()
+        owner = np.empty(4, dtype=np.uint32)
+        assert compiled.route_rows(rows.ctypes.data, 4, 1, None, 0, owner.ctypes.data,
+                                   out.ctypes.data, counts.ctypes.data) == -1
+
+    def test_other_dtypes_take_the_numpy_body(self):
+        dest = np.array([1, 0, 1])
+        for values in (np.array([3, 1, 2], dtype=np.int32),
+                       np.array(["a", "b", "c"], dtype=object)):
+            _assert_same_buckets(bucket_by_destination(values, dest, 2),
+                                 _bucket_numpy(values, dest, 2))
+
+    def test_default_entry_points_use_compiled_tier(self, monkeypatch):
+        monkeypatch.setattr(collectives, "_bucket_numpy", None)
+        monkeypatch.setattr(collectives, "owner_of", None)
+        rows = np.array([[5, 1], [6, 2], [7, 3]], dtype=np.uint64)
+        buckets = bucket_by_destination(rows, np.array([1, 0, 1]), 2)
+        assert [b.tolist() for b in buckets] == [[[6, 2]], [[5, 1], [7, 3]]]
+        assert sum(len(b) for b in bucket_by_owner(rows, 3)) == 3
+
+
+@st.composite
+def occurrence_batches(draw):
+    """One extracted batch: its RID table, and per occurrence a code, an
+    index into the table, a position below 2^31 and a strand flag."""
+    n_reads = draw(st.integers(min_value=1, max_value=6))
+    rids = draw(st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                         min_size=n_reads, max_size=n_reads))
+    n = draw(st.integers(min_value=0, max_value=50))
+    column = partial(st.lists, min_size=n, max_size=n)
+    return (np.array(draw(column(codes)), dtype=np.uint64),
+            np.array(draw(column(st.integers(min_value=0, max_value=n_reads - 1))),
+                     dtype=np.int64),
+            np.array(draw(column(st.integers(min_value=0, max_value=2**31 - 1))),
+                     dtype=np.int64),
+            np.array(draw(column(st.booleans())), dtype=bool),
+            np.array(rids, dtype=np.int64))
+
+
+def _packed_occurrences_numpy(codes, read_index, positions, strands, rids, p):
+    """The stage-2 wire rows of a batch, packed and bucketed by NumPy alone."""
+    meta = (rids[read_index].astype(np.uint64) << np.uint64(32)
+            | strands.astype(np.uint64) << np.uint64(31)
+            | positions.astype(np.uint64))
+    rows = np.stack([codes, meta], axis=1)
+    return _bucket_numpy(rows, owner_of(codes, p), p)
+
+
+class TestCompiledOccurrenceRouting:
+    @given(batch=occurrence_batches(), p=n_ranks)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_pack_owner_and_bucket(self, batch, p):
+        expected = _packed_occurrences_numpy(*batch, p)
+        _assert_same_buckets(route_occurrences(*batch, p), expected)
+        with _numpy_tier():
+            _assert_same_buckets(route_occurrences(*batch, p), expected)
+
+    def test_bad_columns_raise_on_both_tiers(self):
+        codes = np.arange(3, dtype=np.uint64)
+        positions, strands = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=bool)
+        rids = np.array([4, 9], dtype=np.int64)
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier:
+                for read_index in ([0, 2, 1], [0, -1, 1]):
+                    with pytest.raises(IndexError):
+                        route_occurrences(codes, np.array(read_index), positions, strands,
+                                          rids, 2)
+                with pytest.raises(ValueError, match="equal length"):
+                    route_occurrences(codes, np.array([0, 1]), positions, strands, rids, 2)
+
+    def test_meta_word_layout(self):
+        codes = np.array([TOP, 0], dtype=np.uint64)
+        buckets = route_occurrences(codes, np.array([1, 0]), np.array([2**31 - 1, 0]),
+                                    np.array([True, False]),
+                                    np.array([7, 2**32 - 1], dtype=np.int64), 1)
+        assert buckets[0].tolist() == [[TOP, (2**32 - 1) << 32 | 2**31 | 2**31 - 1],
+                                       [0, 7 << 32]]
+
+
+MASK = 2**64 - 1
+GOLDEN, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _unshift(z, shift):
+    """The x with ``x ^ (x >> shift) == z``."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix(h):
+    """The code whose ``mix64`` is *h* (the finaliser is a bijection)."""
+    z = _unshift(h, 31) * pow(MIX2, -1, 2**64) & MASK
+    z = _unshift(z, 27) * pow(MIX1, -1, 2**64) & MASK
+    return (_unshift(z, 30) - GOLDEN) & MASK
+
+
+def _codes_with_remainders(p, remainders, register=5):
+    """Codes hashing to *register* with each of *remainders* as
+    ``hash << p`` (the low p bits of each remainder are dropped)."""
+    register %= 1 << p
+    return np.array([_unmix(register << (64 - p) | (r & MASK) >> p) for r in remainders],
+                    dtype=np.uint64)
+
+
+def _edge_remainders(p):
+    """Remainders at and around every leading-bit boundary: a lone bit, all
+    ones after it, and all ones with one bit cleared around the point where
+    float64 stops holding them."""
+    out = [0]
+    for b in range(p, 64):
+        ones = (2 ** (b + 1) - 1) >> p << p
+        out += [2**b, ones]
+        out += [ones & ~(1 << (b - j)) for j in (1, 30, 31, 32, 33, 34, 52, 53, 54)
+                if p <= b - j]
+    return out
+
+
+class TestCompiledHyperLogLog:
+    @given(precision=st.integers(min_value=4, max_value=18),
+           batches=st.lists(st.lists(codes, max_size=80), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_body(self, precision, batches):
+        compiled, reference = HyperLogLog(precision), HyperLogLog(precision)
+        for batch in batches:
+            batch = np.array(batch, dtype=np.uint64)
+            compiled.add_many(batch)
+            reference._add_numpy(batch)
+            np.testing.assert_array_equal(compiled.registers(), reference.registers())
+
+    @pytest.mark.parametrize("precision", range(4, 19))
+    def test_rank_edges_at_every_precision(self, precision):
+        remainders = _edge_remainders(precision)
+        batch = _codes_with_remainders(precision, remainders)
+        assert (mix64(batch[:3]) << np.uint64(precision)).tolist() == remainders[:3]
+        for one in np.array_split(batch, len(batch)):
+            compiled, reference = HyperLogLog(precision), HyperLogLog(precision)
+            compiled.add_many(one)
+            reference._add_numpy(one)
+            np.testing.assert_array_equal(compiled.registers(), reference.registers())
+        rng = np.random.default_rng(precision)
+        mixed = np.concatenate([batch, rng.integers(0, 2**63, 5000, dtype=np.uint64)])
+        compiled, reference = HyperLogLog(precision), HyperLogLog(precision)
+        compiled.add_many(mixed)
+        reference._add_numpy(mixed)
+        np.testing.assert_array_equal(compiled.registers(), reference.registers())
+        assert compiled.estimate() == reference.estimate()
+
+    def test_edges_include_a_rounded_rank(self):
+        # At p = 4, all ones after bit 62 rounds up to 2^63 in float64: the
+        # NumPy body gives rank 1 where the leading-zero count gives 2.
+        # The compiled side must follow the NumPy body.
+        code = _codes_with_remainders(4, [(2**63 - 1) >> 4 << 4])
+        hll = HyperLogLog(4)
+        hll.add_many(code)
+        assert hll.registers()[5] == 1
+
+    def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
+        monkeypatch.setattr(HyperLogLog, "_add_numpy", lambda self, codes: None)
+        hll = HyperLogLog(4)
+        hll.add_many(np.arange(100, dtype=np.uint64))
+        assert hll.registers().any()

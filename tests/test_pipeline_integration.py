@@ -21,6 +21,7 @@ pytestmark = pytest.mark.slow
 from repro.core.pipeline import DibellaPipeline
 from repro.core.driver import run_dibella
 from repro.core.result import STAGE_NAMES
+from repro.core.stages import reset_resident_indexes
 from repro.mpisim.topology import Topology
 from repro.overlap.seeds import SeedStrategy
 from repro.seq.kmer import KmerSpec
@@ -131,6 +132,58 @@ class TestKernelTiers:
         science = [name for name in default.counters if name not in SCHEDULE_FLAG_COUNTERS]
         assert ({name: fallback.counters[name] for name in science}
                 == {name: default.counters[name] for name in science})
+
+    @staticmethod
+    def _per_rank_science(result):
+        """Every rank's science counters: the wire payloads of each exchange
+        are counted on the receiving rank, so equal per-rank counters mean
+        every destination received the same bytes."""
+        return [{name: value for name, value in report.counters.items()
+                 if name not in SCHEDULE_FLAG_COUNTERS}
+                for report in result.rank_reports]
+
+    def test_three_rank_one_shot_is_bit_identical(self, micro_dataset, micro_config,
+                                                  monkeypatch):
+        """At three ranks (a modulus the owner hash cannot take as a bit
+        mask) the compiled routing of stages 1-3 and the read requests,
+        and the compiled HyperLogLog, give the NumPy tier's science and
+        the same payload bytes on every rank."""
+        config = dataclasses.replace(micro_config, backend="thread")
+
+        def run():
+            return run_dibella(micro_dataset.reads, config=config,
+                               n_nodes=1, ranks_per_node=3)
+
+        default = run()
+        monkeypatch.setattr(native, "library", lambda: None)
+        fallback = run()
+        assert fallback.overlap_pairs() == default.overlap_pairs()
+        payloads = [name for name in default.counters if name.endswith("_payload_bytes")]
+        assert {"bloom_payload_bytes", "hashtable_payload_bytes"} <= set(payloads)
+        assert all(default.counters[name] > 0 for name in payloads)
+        assert self._per_rank_science(fallback) == self._per_rank_science(default)
+
+    def test_index_build_is_bit_identical(self, micro_dataset, micro_config,
+                                          monkeypatch):
+        """The serve phase's index build routes every occurrence with the
+        fused compiled packing; the NumPy tier builds the same index on
+        every rank (``index_digest``) from the same payload bytes."""
+        config = dataclasses.replace(micro_config, backend="thread")
+
+        def build():
+            try:
+                return DibellaPipeline(config=config, topology=Topology.single_node(3)
+                                       ).build_index(micro_dataset.reads)
+            finally:
+                reset_resident_indexes()
+
+        default = build()
+        monkeypatch.setattr(native, "library", lambda: None)
+        fallback = build()
+        assert default.counters["hashtable_payload_bytes"] > 0
+        assert [r.counters["index_digest"] for r in fallback.rank_reports] == [
+            r.counters["index_digest"] for r in default.rank_reports]
+        assert self._per_rank_science(fallback) == self._per_rank_science(default)
 
 
 class TestDecompositionInvariance:

@@ -12,8 +12,10 @@
 #   compiled tier — prints the active tier (the compiled C library with its
 #           x-drop lane width, or NumPy) and fails when `cc` is on PATH but
 #           the library did not load, so a C compile error cannot silently
-#           leave CI on the NumPy bodies of the x-drop kernel, the Bloom
-#           filter, the key gate and the k-mer extraction; with `cc` on PATH
+#           leave CI on the NumPy bodies of any compiled entry: the x-drop
+#           kernel, the Bloom filter, the key gate, the k-mer extraction,
+#           `route_rows`, `route_occurrences`, `hll_add` and
+#           `pack_occurrence_keys`; with `cc` on PATH
 #           it also builds the one source, src/repro/_native.c, with -Wall
 #           -Wextra -Werror (docs/architecture.md, "The compiled tier").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.

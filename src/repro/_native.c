@@ -18,6 +18,9 @@
  *                       reference _bucket_numpy);
  *   route_occurrences   stage 2's occurrence packing fused with it
  *                       (repro.core.stages.route_occurrences);
+ *   pack_occurrence_keys  the packed 64-bit occurrence key of every
+ *                       received stage-2 row
+ *                       (repro.kmers.hashtable.pack_occurrence_keys);
  *   hll_add             the HyperLogLog register max of stage 1
  *                       (repro.kmers.hyperloglog.HyperLogLog.add_many).
  *
@@ -599,6 +602,31 @@ int64_t route_occurrences(const uint64_t *codes, const int64_t *read_index,
                 | (uint64_t)positions[i];
     }
     counts_back(counts, n_ranks);
+    return 0;
+}
+
+/* pack_occurrence_keys: the key of each of n received wire rows
+ *     (code, rid << 32 | strand << 31 | position)
+ * is the word
+ *     code << (rid_bits + position_bits + 1) | rid << (position_bits + 1)
+ *          | position << 1 | strand,
+ * whose unsigned order is the index's canonical (code, rid, position,
+ * strand) order.  `rows` is n row-major pairs of words.  The caller checks
+ * 0 <= rid_bits <= 32, 0 <= position_bits <= 31 and rid_bits +
+ * position_bits + 1 <= 63.  Returns 0, or -1 (with `keys` partly written)
+ * when a field does not fit its width. */
+int64_t pack_occurrence_keys(const uint64_t *rows, int64_t n, int64_t rid_bits,
+                             int64_t position_bits, uint64_t *keys)
+{
+    const int64_t code_shift = rid_bits + position_bits + 1;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t code = rows[2 * i], meta = rows[2 * i + 1];
+        const uint64_t rid = meta >> 32, position = meta & 0x7FFFFFFFu;
+        if ((code >> (64 - code_shift)) | (rid >> rid_bits) | (position >> position_bits))
+            return -1;
+        keys[i] = code << code_shift | rid << (position_bits + 1) | position << 1
+                  | (meta >> 31 & 1);
+    }
     return 0;
 }
 

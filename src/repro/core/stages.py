@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +44,8 @@ from repro.kmers.hashtable import (
     KmerIndex,
     RetainedKmers,
     key_mask,
+    occurrence_key_bits,
+    pack_occurrence_keys,
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.kmers.minimizer import minimizer_mask, sketch_hash
@@ -384,23 +386,60 @@ def _route_occurrences_numpy(codes: np.ndarray, read_index: np.ndarray,
     return bucket_by_owner(payload, n_ranks)
 
 
+class _OccurrenceColumns:
+    """Received wire rows decoded into ``(codes, rids, positions, strands)``
+    column chunks: the store of the query route, and of stage 2 when the
+    packed occurrence key does not fit a word."""
+
+    def __init__(self) -> None:
+        # One chunk list per column, each seeded with an empty chunk so the
+        # concatenation in ``join`` always has one.
+        self._chunks = ([np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)],
+                        [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)])
+
+    def add(self, rows: np.ndarray) -> None:
+        """Decode one block of ``(code, meta)`` rows with no full-width
+        temporaries (the receive side is the exchange's memory peak)."""
+        meta = rows[:, 1]
+        rid_arr = np.empty(meta.size, dtype=np.int64)
+        pos_arr = np.empty(meta.size, dtype=np.int64)
+        np.right_shift(meta, np.uint64(32), out=rid_arr.view(np.uint64))
+        # The position column's buffer holds the strand bit first.
+        strand_arr = np.bitwise_and(meta, np.uint64(1 << 31),
+                                    out=pos_arr.view(np.uint64)) != 0
+        np.bitwise_and(meta, np.uint64(0x7FFFFFFF), out=pos_arr.view(np.uint64))
+        for column_chunks, column in zip(self._chunks, (rows[:, 0].copy(), rid_arr,
+                                                        pos_arr, strand_arr)):
+            column_chunks.append(column)
+
+    def join(self) -> list[np.ndarray]:
+        """The joined ``[codes, rids, positions, strands]`` in arrival order,
+        column by column, each column's chunks released once joined, so the
+        chunks and the joined columns are never all alive at once."""
+        columns = []
+        for column_chunks in self._chunks:
+            columns.append(np.concatenate(column_chunks))
+            column_chunks.clear()
+        return columns
+
+
 def _occurrence_exchange(
     comm: SimCommunicator,
     state: _RankState,
     rids: list[int],
     label: str,
-    keys: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], int, int, int, ScheduleOutcome]:
+    store: Callable[[np.ndarray], None],
+) -> tuple[int, int, int, ScheduleOutcome]:
     """Ship every k-mer occurrence of *rids* to the k-mer's owner rank.
 
     The superstep behind stage 2 and the serve phase's query route: each
     step extracts one batch of reads, packs and buckets its ``(code,
     meta)`` rows by owner (:func:`route_occurrences`) and exchanges them;
-    the receiving side decodes each step's rows into ``(codes, rids,
-    positions, strands)`` and, given *keys*, drops the rows whose k-mer is
-    not a key.  Batch ``i+1``'s extraction — the dominant
-    compute — runs while the peers are still reading batch ``i`` (the
-    double-buffered schedule).
+    the receiving side hands each peer's non-empty block of rows to
+    *store*, in source-rank order, and drops the block as soon as *store*
+    returns.  Batch ``i+1``'s extraction — the dominant compute — runs
+    while the peers are still reading batch ``i`` (the double-buffered
+    schedule).
 
     Parameters
     ----------
@@ -412,15 +451,13 @@ def _occurrence_exchange(
         The local reads to stream.
     label:
         The exchange label (``"hashtable"`` or ``"query_route"``).
-    keys:
-        Sorted, unique k-mer codes to keep (stage 1's candidate keys), or
-        None to keep every occurrence.
+    store:
+        Called with every received ``(n, 2)`` ``uint64`` block of rows.
 
     Returns
     -------
     tuple
-        (the kept ``[codes, rids, positions, strands]`` columns in arrival
-        order, k-mers parsed locally, occurrences received, received payload
+        (k-mers parsed locally, occurrences received, received payload
         bytes, the schedule outcome).
     """
     config = state.config
@@ -429,10 +466,6 @@ def _occurrence_exchange(
     parsed = 0
     received_total = 0
     payload_bytes = 0
-    # One chunk list per column, each seeded with an empty chunk so the
-    # concatenation below always has one.
-    kept = ([np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)],
-            [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)])
 
     def produce(step: int) -> list[np.ndarray]:
         nonlocal parsed
@@ -444,40 +477,20 @@ def _occurrence_exchange(
 
     def consume(step: int, received: list) -> None:
         nonlocal received_total, payload_bytes
-        # Each peer's rows are decoded where they arrived, with no joined
-        # copy of the step and no full-width temporaries: the receive side
-        # is this exchange's memory peak.
-        for rows in received:
-            rows = np.asarray(rows, dtype=np.uint64)
+        for src in range(len(received)):
+            rows = np.asarray(received[src], dtype=np.uint64)
+            # Released once stored: the self-addressed block is a view of
+            # this rank's whole routed send buffer, which it keeps alive.
+            received[src] = None
             if not rows.size:
                 continue
             payload_bytes += int(rows.nbytes)
             received_total += int(rows.shape[0])
-            if keys is not None:
-                rows = rows[key_mask(keys, rows[:, 0])]
-            meta = rows[:, 1]
-            rid_arr = np.empty(meta.size, dtype=np.int64)
-            pos_arr = np.empty(meta.size, dtype=np.int64)
-            np.right_shift(meta, np.uint64(32), out=rid_arr.view(np.uint64))
-            # The position column's buffer holds the strand bit first.
-            strand_arr = np.bitwise_and(meta, np.uint64(1 << 31),
-                                        out=pos_arr.view(np.uint64)) != 0
-            np.bitwise_and(meta, np.uint64(0x7FFFFFFF), out=pos_arr.view(np.uint64))
-            for column_chunks, column in zip(kept, (rows[:, 0].copy(), rid_arr, pos_arr,
-                                                    strand_arr)):
-                column_chunks.append(column)
+            store(rows)
 
-    timer = state.timer(label)
-    outcome = SuperstepSchedule(comm, timer, len(batches),
+    outcome = SuperstepSchedule(comm, state.timer(label), len(batches),
                                 label=label).run(produce, consume)
-    with timer.compute():
-        # Column by column, each column's chunks released once joined, so
-        # the chunks and the joined columns are never all alive at once.
-        columns = []
-        for column_chunks in kept:
-            columns.append(np.concatenate(column_chunks))
-            column_chunks.clear()
-    return columns, parsed, received_total, payload_bytes, outcome
+    return parsed, received_total, payload_bytes, outcome
 
 
 def hash_table_stage(comm: SimCommunicator, state: _RankState,
@@ -490,6 +503,15 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
     :class:`~repro.kmers.hashtable.KmerIndex` — the sort timed as
     hash-table work.  The frequency filters that leave the retained k-mers
     (§7) are applied later, by the index's views.
+
+    The rank knows its read set before the exchange, so it knows whether
+    ``code | rid | position | strand`` fits one word
+    (:func:`~repro.kmers.hashtable.occurrence_key_bits`).  When it does,
+    each received block becomes packed keys as it arrives
+    (:func:`~repro.kmers.hashtable.pack_occurrence_keys`, 8 bytes per kept
+    occurrence until the sort) and the index sorts and decodes them once
+    (:meth:`~repro.kmers.hashtable.KmerIndex.from_keys`); otherwise the
+    blocks are decoded into columns and sorted with a ``lexsort``.
 
     The serve phase's index build passes no keys: the resident index must
     keep singleton occurrences too, because a later query batch can lift a
@@ -511,10 +533,30 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
     KmerIndex
         This rank's partition of the occurrence table.
     """
-    columns, _, received, payload_bytes, outcome = _occurrence_exchange(
-        comm, state, state.local_rids, "hashtable", keys)
+    k = state.config.kmer.k
+    key_bits = occurrence_key_bits(k, len(state.readset),
+                                   int(state.readset.read_lengths().max(initial=0)))
+    if key_bits is None:
+        columns = _OccurrenceColumns()
+        sink = columns.add
+    else:
+        chunks: list[np.ndarray] = []
+
+        def sink(rows: np.ndarray) -> None:
+            chunks.append(pack_occurrence_keys(rows, *key_bits))
+
+    def store(rows: np.ndarray) -> None:
+        if keys is not None:
+            rows = rows[key_mask(keys, rows[:, 0])]
+        sink(rows)
+
+    _, received, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, state.local_rids, "hashtable", store)
     with state.timer("hashtable").compute():
-        index = KmerIndex.from_columns(state.config.kmer.k, columns)
+        if key_bits is None:
+            index = KmerIndex.from_columns(k, columns.join())
+        else:
+            index = KmerIndex.from_keys(k, chunks, *key_bits)
     key_bytes = 0 if keys is None else keys.nbytes
     state.work["hashtable"] = float(received)
     state.local_bytes["hashtable"] = float(
@@ -1111,10 +1153,12 @@ def run_query_batch(
     state.counters["index_reuse_hits"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
-    (q_codes, q_rids, q_positions, q_strands), parsed, routed, payload_bytes, outcome = (
-        _occurrence_exchange(
-            comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
-            "query_route"))
+    columns = _OccurrenceColumns()
+    parsed, routed, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
+        "query_route", columns.add)
+    with route_timer.compute():
+        q_codes, q_rids, q_positions, q_strands = columns.join()
     state.work["query_route"] = float(routed)
     state.counters["query_kmers_parsed"] = parsed
     state.counters["query_kmers_routed"] = routed

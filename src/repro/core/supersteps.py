@@ -161,7 +161,9 @@ class SuperstepSchedule:
             rank's local work).
         consume : ConsumeFn
             ``consume(step, received)`` processes the payloads received in
-            superstep *step*, in source-rank order.
+            superstep *step*, in source-rank order.  The schedule holds no
+            other reference to them, so ``consume`` frees a payload by
+            replacing its entry in *received*.
 
         Returns
         -------
@@ -176,6 +178,10 @@ class SuperstepSchedule:
             send = produce(0)
         with timer.exchange():
             handle = comm.alltoallv_start(send, label=self.label)
+        # Published: the send buffers are the engine's now (a view of them
+        # may come back as the self-addressed payload), so hold no reference
+        # that would keep them alive past their consume.
+        del send
         for step in range(n):
             next_handle = None
             if step + 1 < n:
@@ -186,9 +192,11 @@ class SuperstepSchedule:
                 with timer.exchange():
                     next_handle = comm.alltoallv_start(next_send,
                                                        label=self.label)
+                del next_send
             with timer.exchange():
                 received = comm.alltoallv_finish(handle)
             with timer.compute():
                 consume(step, received)
+            del received
             handle = next_handle
         return ScheduleOutcome(n, n - 1)

@@ -12,9 +12,13 @@ appeared" (§7).  Every launch builds that partition as one
    the singletons correctly rejected by the Bloom filter — is dropped
    without being stored.  The serve phase's index build passes no keys and
    keeps every occurrence.
-3. The index sorts the kept occurrences once — one sort of packed 64-bit
-   occurrence keys (a 4-key ``lexsort`` when the fields do not fit a word)
-   — into one canonical table.
+3. The index sorts the kept occurrences once into one canonical table.
+   When ``code | rid | position | strand`` fits one 64-bit word
+   (:func:`occurrence_key_bits`), the receiving side packs each block of
+   wire rows into those words as it arrives (:func:`pack_occurrence_keys`)
+   and the index sorts the words once and decodes them once
+   (:meth:`KmerIndex.from_keys`); otherwise it keeps the decoded columns
+   and sorts them with a 4-key ``lexsort``.
 4. Views apply the frequency filters, which remove false-positive
    singletons and k-mers above the high-frequency threshold m:
    :meth:`KmerIndex.retained` gives the one-shot run's retained table,
@@ -36,9 +40,16 @@ import numpy as np
 
 from repro import native
 
-#: Bytes one stored occurrence occupies: uint64 code, int64 RID, int64
-#: position and a bool strand.
+#: Bytes per (k-mer, RID, position, strand) occurrence in the paper's
+#: memory model: a 64-bit code, RID and position and a one-byte strand.
+#: The stage reports (``stage_bytes``) and the performance model use it; it
+#: is not the storage size, which :attr:`KmerIndex.nbytes` measures.
 OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
+
+#: The largest RID and position the wire meta word and the ``uint32``
+#: storage columns hold (the meta word keeps 32 bits of RID and 31 of
+#: position, see :func:`repro.core.stages.route_occurrences`).
+_RID_BITS_MAX, _POSITION_BITS_MAX = 32, 31
 
 
 #: ``digest`` hashes the sorted occurrences in this many code-range slices,
@@ -47,6 +58,10 @@ OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
 #: were computed over an index stored in four code-range shards, and a
 #: digest over one slice would differ (ROADMAP 8(h)).
 _DIGEST_SLICES = 4
+
+
+#: Occurrences :meth:`KmerIndex.digest` widens to ``int64`` per hash update.
+_DIGEST_CHUNK = 1 << 20
 
 
 def _digest_boundaries(k: int) -> np.ndarray:
@@ -65,12 +80,18 @@ class RetainedKmers:
     Occurrences are stored structure-of-arrays style, sorted by k-mer code,
     with ``offsets`` delimiting each k-mer's group:
     ``rids[offsets[i]:offsets[i+1]]`` are the reads containing ``codes[i]``.
+
+    The views the overlap stage reads (:meth:`KmerIndex.retained`,
+    :meth:`KmerIndex.merged`) hold ``int64`` offsets, RIDs and positions.
+    The index's own storage is narrower: ``uint32`` RIDs and positions, and
+    ``int32`` offsets while the table holds fewer than 2**31 occurrences
+    (``int64`` beyond).
     """
 
     codes: np.ndarray      # (n_retained,) uint64, ascending
-    offsets: np.ndarray    # (n_retained + 1,) int64
-    rids: np.ndarray       # (n_occurrences,) int64
-    positions: np.ndarray  # (n_occurrences,) int64
+    offsets: np.ndarray    # (n_retained + 1,) int64 (int32/int64 in storage)
+    rids: np.ndarray       # (n_occurrences,) int64 (uint32 in storage)
+    positions: np.ndarray  # (n_occurrences,) int64 (uint32 in storage)
     strands: np.ndarray    # (n_occurrences,) bool — True if the occurrence is
                            # the canonical orientation (forward) in its read
 
@@ -146,14 +167,15 @@ def _group_take(starts: np.ndarray,
 
 
 def _take_groups(table: RetainedKmers, groups: np.ndarray) -> RetainedKmers:
-    """The groups of *table* at the ascending indices *groups*, compacted."""
-    starts = table.offsets[groups]
+    """The groups of *table* at the ascending indices *groups*, compacted,
+    with ``int64`` offsets, RIDs and positions whatever *table* stores."""
+    starts = table.offsets[groups].astype(np.int64)
     offsets, take = _group_take(starts, table.offsets[groups + 1] - starts)
     return RetainedKmers(
         codes=table.codes[groups],
         offsets=offsets,
-        rids=table.rids[take],
-        positions=table.positions[take],
+        rids=table.rids[take].astype(np.int64),
+        positions=table.positions[take].astype(np.int64),
         strands=table.strands[take],
     )
 
@@ -189,7 +211,8 @@ def _arrival_grouped(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
 
     ``keep(counts, order)`` returns the mask of groups to keep, given every
     group's occurrence count and the sort order of the rows.  Only the kept
-    rows are gathered, with no per-group Python loop.
+    rows are gathered, with no per-group Python loop, and their RIDs and
+    positions are widened to ``int64``.
     """
     order = _arrival_order(codes, order_key[rids], positions)
     sorted_codes = codes[order]
@@ -201,8 +224,8 @@ def _arrival_grouped(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
     return RetainedKmers(
         codes=sorted_codes[starts[kept]],
         offsets=offsets,
-        rids=rids[rows],
-        positions=positions[rows],
+        rids=rids[rows].astype(np.int64, copy=False),
+        positions=positions[rows].astype(np.int64, copy=False),
         strands=strands[rows],
     )
 
@@ -262,71 +285,130 @@ def _key_mask_numpy(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return keys[slot] == codes
 
 
-def _packed_field_bits(codes: np.ndarray, rids: np.ndarray,
-                       positions: np.ndarray) -> tuple[int, int] | None:
-    """``(rid bits, position bits)`` of the packed occurrence key, or None.
+def occurrence_key_bits(k: int, n_reads: int,
+                        max_read_length: int) -> tuple[int, int] | None:
+    """``(rid bits, position bits)`` of the packed occurrence key for a read
+    set, or None when the key does not fit one word.
 
     The key packs ``code | rid | position | strand`` from the most
-    significant bit down, each field as wide as its largest value; it
-    exists only when every field is non-negative and ``bits(max code) +
-    bits(max rid) + bits(max position) + 1 <= 64`` (``k = 31`` with
-    thousands of reads does not fit).
+    significant bit down: ``2k`` bits of code, ``bits(n_reads - 1)`` of RID,
+    ``bits(max_read_length - k)`` of position and one strand bit.  It exists
+    when those add up to at most 64 (``k = 31`` with many reads does not
+    fit).  Every rank knows the read set before stage 2, so every rank
+    takes the same path.
     """
-    code_bits = max(int(codes.max()).bit_length(), 1)
-    rid_bits = int(rids.max()).bit_length()
-    position_bits = int(positions.max()).bit_length()
-    if (code_bits + rid_bits + position_bits + 1 > 64
-            or int(rids.min()) < 0 or int(positions.min()) < 0):
+    rid_bits = max(n_reads - 1, 0).bit_length()
+    position_bits = max(max_read_length - k, 0).bit_length()
+    if (rid_bits > _RID_BITS_MAX or position_bits > _POSITION_BITS_MAX
+            or 2 * k + rid_bits + position_bits + 1 > 64):
         return None
     return rid_bits, position_bits
 
 
+def _check_key_bits(rid_bits: int, position_bits: int) -> int:
+    """The code shift of a key with these field widths; raises ValueError
+    for widths no wire row fills or that leave no room for a code."""
+    if not (0 <= rid_bits <= _RID_BITS_MAX and 0 <= position_bits <= _POSITION_BITS_MAX
+            and rid_bits + position_bits + 1 < 64):
+        raise ValueError(f"key field widths out of range: rid_bits={rid_bits}, "
+                         f"position_bits={position_bits}")
+    return rid_bits + position_bits + 1
+
+
+def _key_overflow(rid_bits: int, position_bits: int) -> ValueError:
+    return ValueError(f"an occurrence field does not fit the {63 - rid_bits - position_bits}"
+                      f"-bit code, {rid_bits}-bit RID or {position_bits}-bit position "
+                      "of the key")
+
+
+def pack_occurrence_keys(rows: np.ndarray, rid_bits: int,
+                         position_bits: int) -> np.ndarray:
+    """The packed ``uint64`` occurrence key of every stage-2 wire row.
+
+    A row is ``(code, rid << 32 | strand << 31 | position)``
+    (:func:`repro.core.stages.route_occurrences`); its key is ``code <<
+    (rid_bits + position_bits + 1) | rid << (position_bits + 1) | position
+    << 1 | strand`` — the word :meth:`KmerIndex.from_keys` sorts, whose
+    order is the canonical ``(code, rid, position, strand)`` order (the
+    packed hit array minimap sorts).  Runs the compiled
+    ``pack_occurrence_keys`` (:mod:`repro.native`) when it is available,
+    :func:`_pack_occurrence_keys_numpy` otherwise; both raise ``ValueError``
+    when a field does not fit its width.
+    """
+    _check_key_bits(rid_bits, position_bits)
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError("occurrence rows must have shape (n, 2)")
+    compiled = native.library()
+    if compiled is None:
+        return _pack_occurrence_keys_numpy(rows, rid_bits, position_bits)
+    rows = np.ascontiguousarray(rows)
+    keys = np.empty(rows.shape[0], dtype=np.uint64)
+    if compiled.pack_occurrence_keys(rows.ctypes.data, rows.shape[0], rid_bits,
+                                     position_bits, keys.ctypes.data) < 0:
+        raise _key_overflow(rid_bits, position_bits)
+    return keys
+
+
+def _pack_occurrence_keys_numpy(rows: np.ndarray, rid_bits: int,
+                                position_bits: int) -> np.ndarray:
+    """The NumPy body of :func:`pack_occurrence_keys` (reference and
+    fallback): the fields cut from the meta word, checked and shifted into
+    place."""
+    code_shift = np.uint64(_check_key_bits(rid_bits, position_bits))
+    codes, meta = rows[:, 0], rows[:, 1]
+    rids = meta >> np.uint64(32)
+    positions = meta & np.uint64((1 << _POSITION_BITS_MAX) - 1)
+    if ((codes >> (np.uint64(64) - code_shift)).any()
+            or (rids >> np.uint64(rid_bits)).any()
+            or (positions >> np.uint64(position_bits)).any()):
+        raise _key_overflow(rid_bits, position_bits)
+    keys = codes << code_shift
+    keys |= rids << np.uint64(position_bits + 1)
+    keys |= positions << np.uint64(1)
+    keys |= (meta >> np.uint64(_POSITION_BITS_MAX)) & np.uint64(1)
+    return keys
+
+
+def _narrow_offsets(offsets: np.ndarray) -> np.ndarray:
+    """Group offsets as ``int32`` when the table fits, ``int64`` beyond."""
+    return offsets.astype(np.int32) if offsets[-1] <= np.iinfo(np.int32).max else offsets
+
+
+def _table_from_keys(keys: np.ndarray, rid_bits: int,
+                     position_bits: int) -> RetainedKmers:
+    """The stored table of sorted packed keys, decoded once into narrow
+    columns; the codes are decoded in the keys' own buffer."""
+    strands = keys.astype(np.uint8)
+    strands &= np.uint8(1)
+    positions = keys.astype(np.uint32)
+    positions >>= np.uint32(1)
+    positions &= np.uint32((1 << position_bits) - 1)
+    keys >>= np.uint64(position_bits + 1)
+    rids = keys.astype(np.uint32)
+    rids &= np.uint32((1 << rid_bits) - 1)
+    keys >>= np.uint64(rid_bits)
+    return _group_table(keys, rids, positions, strands.view(bool))
+
+
 def _canonical_sort(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
                     strands: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sort occurrences into canonical ``(code, rid, position, strand)`` order.
-
-    When the fields fit one word (:func:`_packed_field_bits`), each
-    occurrence becomes one ``uint64`` key, the keys get one ``np.sort`` and
-    the columns are decoded back from them — the packed hit array minimap
-    sorts.  Otherwise a 4-key ``np.lexsort`` gives the same order.  Rows
-    equal on every field are indistinguishable, so the result does not
+    """Sort occurrence columns into canonical ``(code, rid, position,
+    strand)`` order with a 4-key ``np.lexsort``: the order the packed keys
+    of :meth:`KmerIndex.from_keys` sort into, for fields too wide to pack.
+    Rows equal on every field are indistinguishable, so the result does not
     depend on the input order.
     """
-    bits = _packed_field_bits(codes, rids, positions) if codes.size else None
-    if bits is None:
-        order = np.lexsort((strands, positions, rids, codes))
-        return codes[order], rids[order], positions[order], strands[order]
-
-    rid_bits, position_bits = bits
-    one = np.uint64(1)
-    rid_shift = np.uint64(position_bits + 1)
-    code_shift = np.uint64(position_bits + 1 + rid_bits)
-    key = codes << code_shift
-    # One scratch column holds each shifted field in turn and ends up as
-    # the decoded positions, and the codes are decoded in the key's own
-    # buffer: beside its input the sort holds three word columns at most,
-    # which bounds the index build's memory peak.
-    field = np.empty_like(key)
-    for column, shift in ((rids, rid_shift), (positions, one)):
-        np.left_shift(column.view(np.uint64), shift, out=field)
-        key |= field
-    key |= strands
-    key.sort()
-
-    sorted_strands = np.bitwise_and(key, one, out=field).astype(bool)
-    sorted_positions = np.right_shift(key, one, out=field)
-    sorted_positions &= np.uint64((1 << position_bits) - 1)
-    sorted_rids = key >> rid_shift
-    sorted_rids &= np.uint64((1 << rid_bits) - 1)
-    key >>= code_shift
-    return key, sorted_rids.view(np.int64), sorted_positions.view(np.int64), sorted_strands
+    order = np.lexsort((strands, positions, rids, codes))
+    return codes[order], rids[order], positions[order], strands[order]
 
 
 def _group_table(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
                  strands: np.ndarray) -> RetainedKmers:
-    """The unfiltered :class:`RetainedKmers` of occurrences sorted by code."""
+    """The unfiltered :class:`RetainedKmers` of occurrences sorted by code,
+    with narrow offsets (the caller passes narrow columns)."""
     offsets = _group_offsets(codes)
-    return RetainedKmers(codes=codes[offsets[:-1]], offsets=offsets,
+    return RetainedKmers(codes=codes[offsets[:-1]], offsets=_narrow_offsets(offsets),
                          rids=rids, positions=positions, strands=strands)
 
 
@@ -345,10 +427,15 @@ class KmerIndex:
       occurrences are sorted by ``(code, rid, position, strand)``.  Its
       ``codes`` / ``offsets`` are the group table (unique codes, group
       starts, group counts as ``np.diff(offsets)``); no other copy stays
-      resident.  The constructor sorts the whole occurrence stream once —
-      one ``np.sort`` of packed 64-bit keys when the fields fit a word, a
-      4-key ``lexsort`` when they do not (:func:`_canonical_sort`).  The
-      index is built once: nothing is inserted later.  Every view —
+      resident.  Storage is narrow: ``uint32`` RIDs and positions, a bool
+      strand and ``int32`` offsets while they fit — 9 bytes per
+      occurrence and 12 per distinct k-mer.  The whole occurrence stream
+      is sorted once: :meth:`from_keys` sorts packed 64-bit keys with one
+      ``np.sort`` and decodes them once (stage 2 when the fields fit a
+      word, :func:`occurrence_key_bits`); the column constructor and
+      :meth:`from_columns` use a 4-key ``lexsort``
+      (:func:`_canonical_sort`).  Both give the same storage.  The index
+      is built once: nothing is inserted later.  Every view —
       :meth:`retained_counts`, :meth:`retained`, :meth:`merged`,
       :meth:`digest` — reads the canonical storage, so none depends on how
       the occurrence stream was ordered.
@@ -370,14 +457,40 @@ class KmerIndex:
         """The index of ``columns = [codes, rids, positions, strands]``,
         emptying the list.
 
-        Stage 2's constructor: the list holds the last references to the
-        exchanged columns, so they are freed once sorted, and the group
-        table is built beside the sorted columns alone — the index build's
-        memory peak.
+        Stage 2's constructor when the packed key does not fit: the list
+        holds the last references to the exchanged columns, so they are
+        freed once sorted.
         """
         index = cls.__new__(cls)
         index.k = k
         index._sort(columns)
+        return index
+
+    @classmethod
+    def from_keys(cls, k: int, chunks: list[np.ndarray], rid_bits: int,
+                  position_bits: int) -> "KmerIndex":
+        """The index of the packed occurrence keys in *chunks*
+        (:func:`pack_occurrence_keys` with these field widths), emptying
+        the list.
+
+        Stage 2's constructor: each chunk is copied into one key array and
+        released, so the chunks and the joined keys are never all alive at
+        once; the keys get one ``np.sort`` and are decoded once into the
+        narrow storage columns, the codes in the keys' own buffer.
+        """
+        _check_key_bits(rid_bits, position_bits)
+        keys = np.empty(sum(int(chunk.size) for chunk in chunks), dtype=np.uint64)
+        at = 0
+        for i in range(len(chunks)):
+            keys[at : at + chunks[i].size] = chunks[i]
+            at += chunks[i].size
+            chunks[i] = None
+        chunks.clear()
+        keys.sort()
+        index = cls.__new__(cls)
+        index.k = k
+        index.n_occurrences = int(keys.size)
+        index._table = _table_from_keys(keys, rid_bits, position_bits)
         return index
 
     def _sort(self, columns: list[np.ndarray]) -> None:
@@ -387,10 +500,13 @@ class KmerIndex:
         columns.clear()
         if not (codes.size == rids.size == positions.size == strands.size):
             raise ValueError("codes, rids, positions and strands must have equal length")
+        for name, column in (("rids", rids), ("positions", positions)):
+            if column.size and (int(column.min()) < 0 or int(column.max()) >= 2**32):
+                raise ValueError(f"{name} must lie in [0, 2**32) to be stored")
         self.n_occurrences = int(codes.size)
-        sorted_columns = _canonical_sort(codes, rids, positions, strands)
-        del codes, rids, positions, strands
-        self._table = _group_table(*sorted_columns)
+        codes, rids, positions, strands = _canonical_sort(codes, rids, positions, strands)
+        self._table = _group_table(codes, rids.astype(np.uint32),
+                                   positions.astype(np.uint32), strands)
 
     # -- retained views ------------------------------------------------------
 
@@ -516,8 +632,11 @@ class KmerIndex:
         cannot reach directly (process-backend workers own theirs).  The
         columns are hashed one code-range slice at a time
         (:data:`_DIGEST_SLICES`), each slice's groups cut from the group
-        table with a ``searchsorted``, and each column is hashed through its
-        buffer, with no ``bytes`` copy.
+        table with a ``searchsorted``, in their canonical 64-bit form:
+        ``uint64`` codes, ``int64`` RIDs and positions, bool strands.  The
+        narrow stored RIDs and positions are widened
+        :data:`_DIGEST_CHUNK` occurrences at a time and hashed through the
+        buffer, so the digest holds no widened copy of a whole column.
         """
         stored = self._table
         h = hashlib.blake2b(digest_size=8)
@@ -526,7 +645,9 @@ class KmerIndex:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             first, last = int(stored.offsets[lo]), int(stored.offsets[hi])
             h.update(np.repeat(stored.codes[lo:hi], np.diff(stored.offsets[lo:hi + 1])))
-            h.update(stored.rids[first:last])
-            h.update(stored.positions[first:last])
+            for column in (stored.rids, stored.positions):
+                for start in range(first, last, _DIGEST_CHUNK):
+                    h.update(column[start : min(start + _DIGEST_CHUNK, last)]
+                             .astype(np.int64))
             h.update(stored.strands[first:last])
         return int.from_bytes(h.digest(), "big") >> 1

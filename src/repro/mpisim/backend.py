@@ -13,14 +13,16 @@ programs to the backend its ``backend`` name selects:
   that rank count (:class:`_RankPool`): forked once and parked between
   runs, like the P ranks ``mpiexec`` starts once.  Collectives cross
   process boundaries as *typed buffers* in POSIX shared memory: every
-  payload is serialised with the explicit dtype+shape wire format of
-  :mod:`repro.mpisim.serialization`,
-  copied into the publishing rank's long-lived arena for the slot (one
-  ``multiprocessing.shared_memory`` segment per (rank, slot), grown only
-  when a payload does not fit), and decoded by its consumers straight out
-  of their cached mapping of that arena.  Each published superstep is a
-  per-destination offset table plus the blobs; every peer reads only its
-  slice, so no collective funnels through a coordinator rank.
+  payload addressed to a peer is serialised with the explicit dtype+shape
+  wire format of :mod:`repro.mpisim.serialization` and written, array
+  data straight from its own buffer, into the publishing rank's
+  long-lived arena for the slot (one ``multiprocessing.shared_memory``
+  segment per (rank, slot), grown only when a payload does not fit); its
+  consumer decodes it with one copy out of its cached mapping of that
+  arena.  The payload a rank addresses to itself is handed back by
+  reference, as on the thread backend.  Each published superstep is a
+  per-destination offset table plus the payloads; every peer reads only
+  its slice, so no collective funnels through a coordinator rank.
 
 Both engines run the same transport — the split-phase publish/consume
 handshake of :class:`repro.mpisim.communicator.CollectiveEngine`, over the
@@ -53,7 +55,7 @@ from repro.mpisim.communicator import (
 )
 from repro.mpisim.errors import RankFailedError
 from repro.mpisim.faults import RunFaults
-from repro.mpisim.serialization import decode_payload, encode_payload
+from repro.mpisim.serialization import decode_payload, encode_parts
 from repro.mpisim.tracing import CommTrace
 
 __all__ = [
@@ -218,9 +220,9 @@ class _ProcessCollectiveEngine(CollectiveEngine):
 
     All mutable cross-process state lives in ``multiprocessing`` primitives
     created by the parent and inherited by (or shipped to) the rank
-    processes.  Publishing a superstep copies a per-destination offset
-    table and the blobs into the rank's long-lived arena for the slot (the
-    ring for exchanges, the blocking slot for allreduce — see
+    processes.  Publishing a superstep writes a per-destination offset
+    table and the peer payloads into the rank's long-lived arena for the
+    slot (the ring for exchanges, the blocking slot for allreduce — see
     :class:`~repro.mpisim.communicator.CollectiveEngine`), and every rank
     reads its slice from every peer's arena through a mapping it keeps
     between calls.  No coordinator touches the data, and no global barrier
@@ -297,24 +299,37 @@ class _ProcessCollectiveEngine(CollectiveEngine):
     # -- storage (see communicator.CollectiveEngine) -------------------------
 
     def _encode(self, send):
-        return [encode_payload(item) for item in send]
+        """Each payload with its wire parts (:func:`encode_parts`): array
+        data by reference, nothing copied yet.  The self-addressed payload
+        is walked too, so an unsupported one raises on this backend as it
+        would if it crossed to a peer."""
+        return send, [encode_parts(item) for item in send]
 
-    def _publish(self, rank, slot, seq, op_name, blobs):
-        """Copy the blobs into this rank's arena for *slot*, which every peer
-        has consumed (``exchange_start`` waited for it).  The self-addressed
-        blob stays out: it travels in the token to the finish-side read."""
+    def _publish(self, rank, slot, seq, op_name, encoded):
+        """Write the peer payloads' wire parts straight into this rank's
+        arena for *slot*, which every peer has consumed (``exchange_start``
+        waited for it): the one copy on the send side.  The self-addressed
+        payload stays out: it travels by reference in the token to the
+        finish-side read, under the thread engine's aliasing contract (the
+        sender leaves a sent payload unmodified)."""
+        send, parts = encoded
         header = 8 * (self.n_ranks + 1)
-        offsets = list(accumulate((0 if dst == rank else len(blob)
-                                   for dst, blob in enumerate(blobs)), initial=header))
+        offsets = list(accumulate((0 if dst == rank else sum(len(part) for part in dst_parts)
+                                   for dst, dst_parts in enumerate(parts)), initial=header))
         arena = self._arenas.get(slot)
         if arena is None or arena.size < offsets[-1]:
             arena = self._grow(rank, slot, offsets[-1])
-        arena.buf[:header] = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
-        for dst, blob in enumerate(blobs):
-            if dst != rank:
-                arena.buf[offsets[dst] : offsets[dst + 1]] = blob
+        buf = arena.buf
+        buf[:header] = struct.pack(f"<{self.n_ranks + 1}Q", *offsets)
+        for dst, dst_parts in enumerate(parts):
+            if dst == rank:
+                continue
+            at = offsets[dst]
+            for part in dst_parts:
+                buf[at : at + len(part)] = part
+                at += len(part)
         self._put_str(self._ops[slot], rank, _OP_LEN, op_name[:_OP_LEN])
-        return blobs[rank]
+        return send[rank]
 
     def _grow(self, rank: int, slot: int, nbytes: int) -> SharedMemory:
         """Replace this rank's (consumed) arena for *slot* with a power-of-two
@@ -339,12 +354,13 @@ class _ProcessCollectiveEngine(CollectiveEngine):
         received: list = []
         for src in range(self.n_ranks):
             if src == rank:
-                received.append(decode_payload(own))
+                received.append(own)
                 continue
             peer = self._attach(slot, src)
             table = struct.unpack_from(f"<{self.n_ranks + 1}Q", peer.buf, 0)
-            # decode_payload copies out of shared memory, so nothing received
-            # is a view of the arena the peer overwrites next superstep.
+            # decode_payload copies out of shared memory (the one copy on
+            # the receive side), so nothing received is a view of the arena
+            # the peer overwrites next superstep.
             received.append(decode_payload(peer.buf[table[rank] : table[rank + 1]]))
             if peer.size > _RETAIN_BYTES:
                 del self._peers[(slot, src)]

@@ -514,7 +514,9 @@ class SimCommunicator:
         received = self._engine_call(
             self._engine.exchange_finish, self.rank, handle.token
         )
-        handle.consumed = True
+        # The token holds the self-addressed payload; drop it, so the caller
+        # alone decides how long the received payloads live.
+        handle.consumed, handle.token = True, None
         return received
 
     # -- helpers ------------------------------------------------------------------

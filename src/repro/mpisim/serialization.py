@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.seq.packing import PackedReadBlock
 
-__all__ = ["encode_payload", "decode_payload", "UnsupportedPayloadError"]
+__all__ = ["encode_parts", "encode_payload", "decode_payload", "UnsupportedPayloadError"]
 
 _U8 = struct.Struct("<B")
 _U64 = struct.Struct("<Q")
@@ -68,11 +68,20 @@ class UnsupportedPayloadError(TypeError):
 # Encoding
 # ---------------------------------------------------------------------------
 
-def _encode_array(array: np.ndarray, parts: list[bytes]) -> None:
+def _array_part(array: np.ndarray) -> np.ndarray:
+    """The C-order bytes of *array* as a ``uint8`` view: a reference to its
+    buffer, copied only when it is not C-contiguous.  The view goes through
+    ``reshape(-1)`` (a 0-d array becomes one element) so that dtypes the
+    buffer protocol does not export, such as ``datetime64`` or a non-native
+    byte order, travel too."""
     # NB: np.ascontiguousarray promotes 0-d arrays to 1-d, so only invoke it
     # when a copy is actually needed to make the buffer C-order.
     if not array.flags.c_contiguous:
         array = np.ascontiguousarray(array)
+    return array.reshape(-1).view(np.uint8)
+
+
+def _encode_array(array: np.ndarray, parts: list) -> None:
     dtype_str = array.dtype.str.encode("ascii")
     if array.dtype.hasobject:
         raise UnsupportedPayloadError("object-dtype arrays cannot be sent")
@@ -83,16 +92,13 @@ def _encode_array(array: np.ndarray, parts: list[bytes]) -> None:
         )
     if len(dtype_str) > 255:
         raise UnsupportedPayloadError(f"dtype string too long: {array.dtype}")
-    parts.append(b"A")
-    parts.append(_U8.pack(len(dtype_str)))
-    parts.append(dtype_str)
-    parts.append(_U8.pack(array.ndim))
-    for dim in array.shape:
-        parts.append(_U64.pack(dim))
-    parts.append(array.tobytes(order="C"))
+    parts.append(b"".join([b"A", _U8.pack(len(dtype_str)), dtype_str,
+                           _U8.pack(array.ndim),
+                           *(_U64.pack(dim) for dim in array.shape)]))
+    parts.append(_array_part(array))
 
 
-def _encode(value: Any, parts: list[bytes]) -> None:
+def _encode(value: Any, parts: list) -> None:
     if value is None:
         parts.append(b"N")
     elif isinstance(value, (bool, np.bool_)):
@@ -127,15 +133,14 @@ def _encode(value: Any, parts: list[bytes]) -> None:
         # (RIDs, base lengths) followed by the 2-bit packed payload.  A
         # dedicated tag keeps the per-read framing implicit (byte offsets
         # derive from the lengths), so no per-read envelope is paid.
-        rids = np.ascontiguousarray(value.rids, dtype=np.int64)
-        lengths = np.ascontiguousarray(value.lengths, dtype=np.int64)
-        packed = np.ascontiguousarray(value.packed, dtype=np.uint8)
-        parts.append(b"R")
-        parts.append(_U64.pack(rids.size))
-        parts.append(rids.tobytes(order="C"))
-        parts.append(lengths.tobytes(order="C"))
+        rids = np.asarray(value.rids, dtype=np.int64)
+        lengths = np.asarray(value.lengths, dtype=np.int64)
+        packed = np.asarray(value.packed, dtype=np.uint8)
+        parts.append(b"R" + _U64.pack(rids.size))
+        parts.append(_array_part(rids))
+        parts.append(_array_part(lengths))
         parts.append(_U64.pack(packed.size))
-        parts.append(packed.tobytes(order="C"))
+        parts.append(_array_part(packed))
     elif isinstance(value, (list, tuple)):
         parts.append(b"L" if isinstance(value, list) else b"U")
         parts.append(_U64.pack(len(value)))
@@ -155,11 +160,25 @@ def _encode(value: Any, parts: list[bytes]) -> None:
         )
 
 
-def encode_payload(value: Any) -> bytes:
-    """Serialise *value* into the typed wire format."""
-    parts: list[bytes] = []
+def encode_parts(value: Any) -> list:
+    """Serialise *value* into the typed wire format as a list of buffers.
+
+    The wire bytes are the parts back to back.  Each part is a ``bytes``
+    object (tags, headers, scalars) or a ``uint8`` view of an array's own
+    buffer, so the array data is not copied here: a transport writes the
+    parts straight to their destination (the process engine's arena).
+    Raises :class:`UnsupportedPayloadError` for a payload the protocol
+    cannot carry.
+    """
+    parts: list = []
     _encode(value, parts)
-    return b"".join(parts)
+    return parts
+
+
+def encode_payload(value: Any) -> bytes:
+    """Serialise *value* into the typed wire format: the
+    :func:`encode_parts` joined into one ``bytes``."""
+    return b"".join(encode_parts(value))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ the batch k-mer extraction every stage runs
 exchange's rows by destination
 (:func:`repro.mpisim.collectives.bucket_by_destination` and
 ``bucket_by_owner``; the occurrence packing of
-:func:`repro.core.stages.route_occurrences`) and the HyperLogLog register
-max (:meth:`repro.kmers.hyperloglog.HyperLogLog.add_many`).  Each of them keeps its NumPy
+:func:`repro.core.stages.route_occurrences`), the HyperLogLog register
+max (:meth:`repro.kmers.hyperloglog.HyperLogLog.add_many`) and the packing
+of received occurrences into the index's sort keys
+(:func:`repro.kmers.hashtable.pack_occurrence_keys`).  Each of them keeps its NumPy
 body as the reference the compiled entry point is tested against bit for
 bit, and as the path taken whenever :func:`library` returns ``None``.
 
@@ -60,6 +62,7 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
     "route_occurrences": (_i64, (_ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64,
                                  _ptr, _ptr, _ptr)),
     "hll_add": (_i64, (_ptr, _i64, _i64, _ptr, _ptr)),
+    "pack_occurrence_keys": (_i64, (_ptr, _i64, _i64, _i64, _ptr)),
 }
 
 
@@ -75,6 +78,7 @@ class NativeLibrary(NamedTuple):
     route_rows: Callable[..., int]
     route_occurrences: Callable[..., int]
     hll_add: Callable[..., int]
+    pack_occurrence_keys: Callable[..., int]
     #: The widest x-drop lane count the CPU runs (16 with AVX-512F+BW, 8
     #: with AVX2, otherwise 4), chosen by the library's own CPU check.
     lanes: int

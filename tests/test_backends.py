@@ -30,7 +30,9 @@ from repro.mpisim.errors import (
     RankFailedError,
 )
 from repro.mpisim.runtime import spmd_run
+from repro.mpisim.serialization import UnsupportedPayloadError
 from repro.mpisim.tracing import CommTrace
+from repro.seq.packing import PackedReadBlock
 
 
 class TestResolveBackend:
@@ -628,6 +630,104 @@ class TestArenas:
                          backend="process")
                 == spmd_run(2, _growing_exchange_program, big_elements,
                             backend="thread"))
+
+
+#: The array one rank sends its peer in the one-copy check (8 MB).
+_TRACED_BYTES = 8 << 20
+
+
+def _traced_start_program(comm):
+    """Python-heap bytes traced while an 8 MB array is published to the
+    peer.  The arena is grown by a first exchange of the same size, so the
+    traced call only encodes and writes into shared memory."""
+    import tracemalloc
+
+    big = np.arange(_TRACED_BYTES // 8, dtype=np.int64) + comm.rank
+    send = [np.empty(0, dtype=np.int64) if dst == comm.rank else big
+            for dst in range(comm.size)]
+    comm.alltoallv(send)
+    tracemalloc.start()
+    try:
+        handle = comm.alltoallv_start(send)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    received = comm.alltoallv_finish(handle)
+    peer = received[1 - comm.rank]
+    return peak, bool(np.array_equal(peer, big - comm.rank + (1 - comm.rank)))
+
+
+def _typed_payloads(rank):
+    """One of every array shape and dtype family the wire format carries,
+    and a read block, varied by the sending *rank*."""
+    return [
+        np.array([True, False, rank == 1]),
+        np.arange(5, dtype=np.float16) / 4 + rank,
+        np.array(["2020-01-01", "2021-06-30"], dtype="datetime64[D]") + rank,
+        np.arange(4, dtype=">u4") + rank,
+        np.array(3.5 + rank),
+        np.empty((0, 3), dtype=np.int32),
+        (np.arange(24, dtype=np.int64).reshape(4, 6) + rank)[:, ::2],
+        PackedReadBlock(rids=np.array([3, 9 + rank], dtype=np.int64),
+                        lengths=np.array([5, 2], dtype=np.int64),
+                        packed=np.array([0b00011011, 0b11100100, rank], dtype=np.uint8)),
+    ]
+
+
+def _typed_payload_program(comm):
+    """The received payloads, and whether every array a peer sent arrived
+    as a C-order array owning its data (not a view of the arena)."""
+    received = comm.alltoallv([_typed_payloads(comm.rank)] * comm.size)
+    arrays = [array for src, payload in enumerate(received) if src != comm.rank
+              for array in payload if isinstance(array, np.ndarray)]
+    return received, all(a.flags.c_contiguous and a.flags.owndata for a in arrays)
+
+
+def _self_untyped_payload_program(comm):
+    return comm.alltoallv([_Opaque() if dst == comm.rank else 0
+                           for dst in range(comm.size)])
+
+
+def _assert_same_array(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+
+
+class TestZeroStagingTransport:
+    """The process engine writes array data straight from the sender's
+    buffer into its arena, copies it out once on the receiving side, and
+    hands the self-addressed payload back by reference."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_pools(self):
+        shutdown_rank_pools()
+        yield
+        shutdown_rank_pools()
+
+    def test_publish_stages_no_copy_of_the_array(self):
+        """Staging the array (``tobytes`` and a joined blob) would trace
+        2x its size; writing it from its own buffer traces next to nothing."""
+        for peak, delivered in spmd_run(2, _traced_start_program, backend="process"):
+            assert delivered
+            assert peak < _TRACED_BYTES // 8
+
+    def test_typed_arrays_and_read_blocks_cross_the_arena(self):
+        for received, owned in spmd_run(2, _typed_payload_program, backend="process"):
+            assert owned
+            for src in range(2):
+                payload, expected_payload = received[src], _typed_payloads(src)
+                assert len(payload) == len(expected_payload)
+                for got, expected in zip(payload, expected_payload):
+                    if isinstance(expected, PackedReadBlock):
+                        for field in ("rids", "lengths", "packed"):
+                            _assert_same_array(getattr(got, field), getattr(expected, field))
+                    else:
+                        _assert_same_array(got, expected)
+
+    def test_self_addressed_untyped_payload_still_raises(self):
+        with pytest.raises(RankFailedError) as err:
+            spmd_run(2, _self_untyped_payload_program, backend="process")
+        assert isinstance(err.value.__cause__, UnsupportedPayloadError)
 
 
 def _two_phase_program(comm):

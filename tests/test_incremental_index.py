@@ -3,14 +3,16 @@
 The :class:`~repro.kmers.hashtable.KmerIndex` every launch builds is made
 once from a rank's whole occurrence stream and stored as one table in
 canonical order — sorted by ``(code, rid, position, strand)``, by one sort
-of packed 64-bit keys or, when the fields do not fit a word, by a 4-key
-``lexsort``.  These tests pin the equivalences the index rests on (the
-arrival-order view the one-shot run reads is pinned in
-``tests/test_kmers_structures.py``):
+of packed 64-bit keys (:meth:`KmerIndex.from_keys`) or, when the fields do
+not fit a word, by a 4-key ``lexsort`` of the columns.  These tests pin the
+equivalences the index rests on (the arrival-order view the one-shot run
+reads is pinned in ``tests/test_kmers_structures.py``):
 
 * any reordering of the same occurrence stream, on either side of the
   64-bit line, yields retained views equal to a ``lexsort``-and-group
   oracle with each group's rows in canonical order;
+* an index built from packed keys equals one built from the columns in
+  every view, its digest and its storage size;
 * the one table equals the concatenation of per-code-range oracles and of
   per-code-range indexes (``n_ranges`` cuts of the code space; one cut is
   the monolithic oracle) — the layout the code-range-sharded index stored;
@@ -34,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DibellaPipeline, PipelineConfig
+from repro.core import stages
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.kmers import hashtable
 from repro.kmers.hashtable import (
@@ -41,7 +44,8 @@ from repro.kmers.hashtable import (
     RetainedKmers,
     _arrival_order,
     _digest_boundaries,
-    _packed_field_bits,
+    occurrence_key_bits,
+    pack_occurrence_keys,
 )
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
@@ -191,6 +195,22 @@ def _assert_retained_equal(got: RetainedKmers, expected: RetainedKmers) -> None:
         np.testing.assert_array_equal(got_column, expected_column, err_msg=column)
 
 
+def _wire_rows(codes, rids, positions, strands) -> np.ndarray:
+    """The stage-2 wire rows ``(code, rid << 32 | strand << 31 | position)``
+    of an occurrence stream."""
+    meta = (rids.astype(np.uint64) << np.uint64(32) | strands.astype(np.uint64) << np.uint64(31)
+            | positions.astype(np.uint64))
+    return np.stack([codes, meta], axis=1)
+
+
+def _key_index(k: int, stream, bits: tuple[int, int], n_blocks: int = 1) -> KmerIndex:
+    """The index stage 2 builds when the key fits: the stream's wire rows
+    packed block by block, then :meth:`KmerIndex.from_keys`."""
+    blocks = np.array_split(_wire_rows(*stream), n_blocks)
+    return KmerIndex.from_keys(k, [pack_occurrence_keys(block, *bits) for block in blocks],
+                               *bits)
+
+
 def _reordered(stream, n_blocks: int, shuffle: bool = False):
     """The same occurrence stream, reordered: cut into *n_blocks* blocks
     laid out back to front, then (with *shuffle*) randomly permuted."""
@@ -236,36 +256,48 @@ def test_insert_batch_splits_match_one_shot_finalize(n_ranges, n_batches):
 @pytest.mark.parametrize("key", ["packed", "lexsort"])
 def test_both_sort_paths_match_the_oracles(key, n_ranges):
     """Either side of the 64-bit line, any order of a stream with ties gives
-    the ``finalize`` views and the ``lexsort`` digest."""
+    the ``finalize`` views and the ``lexsort`` digest, whether the index is
+    built from the columns or (where the key fits) from packed keys."""
     rng = np.random.default_rng(13)
     stream, k = _with_ties(_occurrence_stream(rng, 2000)), K
     if key == "lexsort":
         stream, k = _widen(stream), WIDE_K
-    assert (_packed_field_bits(*stream[:3]) is None) == (key == "lexsort")
+    bits = occurrence_key_bits(k, N_READS, READ_LENGTH - 1 + k)
+    assert (bits is None) == (key == "lexsort")
     expected = _concat([_oracle(*part, min_count=1, max_count=None)
                         for part in _per_range(stream, n_ranges, k)])
     digest = _lexsort_digest(*stream, k)
 
     for order in (stream, tuple(column[::-1] for column in stream),
                   _reordered(stream, 3, shuffle=True)):
-        index = KmerIndex(k, *order)
-        _assert_retained_equal(_canonical_view(index, min_count=1), expected)
-        assert index.digest() == digest
+        indexes = [KmerIndex(k, *order)]
+        if bits is not None:
+            indexes += [_key_index(k, order, bits), _key_index(k, order, bits, 4)]
+        for index in indexes:
+            _assert_retained_equal(_canonical_view(index, min_count=1), expected)
+            assert index.digest() == digest
 
 
 def test_packed_key_uses_the_full_word():
-    """A stream whose fields need exactly 64 bits still packs, one more bit
-    does not, and both build the same canonical storage."""
-    rids = np.array([3, 0, 3, 1], dtype=np.int64)        # 2 bits
-    positions = np.array([7, 7, 0, 5], dtype=np.int64)   # 3 bits
-    strands = np.array([True, False, False, True])
-    for code_bits, packs in ((58, True), (59, False)):
-        top = np.uint64((1 << code_bits) - 1)
+    """A read set whose key fields need exactly 64 bits still packs, one
+    more bit does not, and the packed build stores what the columns do."""
+    assert occurrence_key_bits(29, 4, 7 + 29) == (2, 3)   # 58 + 2 + 3 + 1
+    assert occurrence_key_bits(29, 5, 7 + 29) is None     # a third RID bit
+    assert occurrence_key_bits(29, 4, 8 + 29) is None     # a fourth position bit
+    assert occurrence_key_bits(31, 1, 1 + 31) == (0, 1)   # 62 + 0 + 1 + 1
+    assert occurrence_key_bits(31, 2, 1 + 31) is None
+    for k, rids, positions in ((29, [3, 0, 3, 1], [7, 7, 0, 5]), (31, [0] * 4, [1, 0, 1, 1])):
+        rids, positions = np.array(rids, dtype=np.int64), np.array(positions, dtype=np.int64)
+        strands = np.array([True, False, False, True])
+        top = np.uint64(4**k - 1)
         codes = np.array([top, 0, top, 0], dtype=np.uint64)
-        assert (_packed_field_bits(codes, rids, positions) is not None) == packs
-        index = KmerIndex(31, codes, rids, positions, strands)
-        _assert_retained_equal(_canonical_view(index, min_count=1),
-                               _oracle(codes, rids, positions, strands, 1, None))
+        bits = occurrence_key_bits(k, int(rids.max()) + 1, int(positions.max()) + k)
+        stream = (codes, rids, positions, strands)
+        columns, keys = KmerIndex(k, *stream), _key_index(k, stream, bits)
+        for index in (columns, keys):
+            _assert_retained_equal(_canonical_view(index, min_count=1),
+                                   _oracle(codes, rids, positions, strands, 1, None))
+        assert keys.digest() == columns.digest() == _lexsort_digest(*stream, k)
 
 
 @given(rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-2, 2**40),
@@ -321,11 +353,13 @@ def test_nbytes_counts_the_group_table(n_ranges):
     rng = np.random.default_rng(3)
     stream = _occurrence_stream(rng, 1000)
     index = KmerIndex(K, *stream)
-    # Every occurrence plus its unique codes and group offsets (one more
-    # offset than groups, so each extra per-range index adds 8 bytes).
-    assert index.nbytes == _canonical_view(index, min_count=1).nbytes
+    view = _canonical_view(index, min_count=1)
+    # Every occurrence (uint32 RID and position, bool strand) plus its
+    # unique codes and int32 group offsets (one more offset than groups, so
+    # each extra per-range index adds 4 bytes).
+    assert index.nbytes == 9 * view.n_occurrences + 8 * view.n_kmers + 4 * (view.n_kmers + 1)
     assert index.nbytes == sum(KmerIndex(K, *part).nbytes
-                               for part in _per_range(stream, n_ranges)) - 8 * (n_ranges - 1)
+                               for part in _per_range(stream, n_ranges)) - 4 * (n_ranges - 1)
 
 
 def test_digest_is_insertion_order_independent():
@@ -396,6 +430,85 @@ def test_merged_shard_matches_full_concatenate_merge(n_ranges, n_batches,
         assert merged.n_kmers == 0
 
 
+def _stage_index(k: int, stream, n_reads: int, max_read_length: int,
+                 n_blocks: int) -> KmerIndex:
+    """The index stage 2 builds over *stream*: from packed keys when
+    :func:`occurrence_key_bits` fits the read set, else from the columns."""
+    bits = occurrence_key_bits(k, n_reads, max_read_length)
+    if bits is None:
+        return KmerIndex.from_columns(k, list(stream))
+    return _key_index(k, stream, bits, n_blocks)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 5])
+@pytest.mark.parametrize("k", [K, WIDE_K])
+def test_key_built_index_equals_column_built(k, n_blocks):
+    """The packed-key build equals the column build in every view, the
+    digest and the storage size; at k = 31 the same read set takes the
+    wide fallback."""
+    rng = np.random.default_rng(29)
+    stream = _with_ties(_occurrence_stream(rng, 2500, rid_hi=N_INDEX_READS))
+    if k == WIDE_K:
+        stream = _widen(stream)
+    max_read_length = READ_LENGTH - 1 + k
+    assert (occurrence_key_bits(k, N_INDEX_READS, max_read_length) is None) == (k == WIDE_K)
+    built = _stage_index(k, _reordered(stream, 3, shuffle=True), N_INDEX_READS,
+                         max_read_length, n_blocks)
+    columns = KmerIndex(k, *stream)
+
+    assert built.n_occurrences == columns.n_occurrences == stream[0].size
+    assert built.nbytes == columns.nbytes
+    assert built.digest() == columns.digest() == _lexsort_digest(*stream, k)
+    order_key = rng.permutation(N_INDEX_READS + N_QUERY_READS).astype(np.int64)
+    for min_count, max_count in ((1, None), (2, None), (2, 6)):
+        assert (built.retained_counts(min_count, max_count)
+                == columns.retained_counts(min_count, max_count))
+        _assert_retained_equal(built.retained(order_key, min_count, max_count),
+                               columns.retained(order_key, min_count, max_count))
+    if k == WIDE_K:
+        return
+    q_stream = _query_stream(rng, np.unique(stream[0]), 400)
+    merged, touched = built.merged(*q_stream, order_key, N_INDEX_READS, max_count=6)
+    expected, expected_touched = columns.merged(*q_stream, order_key, N_INDEX_READS,
+                                                max_count=6)
+    assert merged.n_kmers > 0 and touched == expected_touched
+    _assert_retained_equal(merged, expected)
+
+
+@pytest.mark.parametrize("launch", ["run", "build_index"])
+def test_pipeline_key_path_matches_column_path(micro_dataset, micro_config,
+                                               monkeypatch, launch):
+    """Stage 2 through packed keys (the micro set at k = 15 fits a word)
+    and forced onto the column path builds the same index: the same
+    counters, digest and overlaps, one rank at a time."""
+    packed = []
+    pack = stages.pack_occurrence_keys
+
+    def spy_pack(*args):
+        packed.append(args[0].shape[0])
+        return pack(*args)
+
+    monkeypatch.setattr(stages, "pack_occurrence_keys", spy_pack)
+    results = {}
+    try:
+        for path in ("keys", "columns"):
+            if path == "columns":
+                monkeypatch.setattr(stages, "occurrence_key_bits", lambda *args: None)
+            packed.clear()
+            pipeline = DibellaPipeline(config=replace(micro_config, backend="thread"),
+                                       topology=Topology.single_node(2))
+            results[path] = getattr(pipeline, launch)(micro_dataset.reads)
+            assert bool(packed) == (path == "keys")
+    finally:
+        reset_persistent_read_caches()
+        reset_resident_indexes()
+    keys, columns = results["keys"], results["columns"]
+    assert keys.counters == columns.counters
+    assert keys.overlap_pairs() == columns.overlap_pairs()
+    assert [report.counters for report in keys.rank_reports] == [
+        report.counters for report in columns.rank_reports]
+
+
 @pytest.mark.slow
 def test_pipeline_index_digest_matches_across_backends(micro_dataset):
     """build_index produces content-identical resident indexes on both backends.
@@ -428,18 +541,18 @@ def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
     the ``lexsort`` fallback — and still digests every rank's occurrence
     stream as the oracle does."""
     widths, sorted_streams = [], []
-    packed_field_bits = hashtable._packed_field_bits
+    key_bits = stages.occurrence_key_bits
     canonical_sort = hashtable._canonical_sort
 
-    def spy_bits(*columns):
-        widths.append(packed_field_bits(*columns))
+    def spy_bits(*args):
+        widths.append(key_bits(*args))
         return widths[-1]
 
     def spy_sort(*columns):
         sorted_streams.append(columns)
         return canonical_sort(*columns)
 
-    monkeypatch.setattr(hashtable, "_packed_field_bits", spy_bits)
+    monkeypatch.setattr(stages, "occurrence_key_bits", spy_bits)
     monkeypatch.setattr(hashtable, "_canonical_sort", spy_sort)
     config = PipelineConfig(kmer=KmerSpec(k=WIDE_K), coverage_hint=12.0,
                             error_rate_hint=0.08, backend="thread")

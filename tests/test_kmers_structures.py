@@ -296,9 +296,9 @@ class TestHashTablePartition:
     def test_memory_accounting(self):
         occurrences = [(code, rid, rid, True) for code in (1, 2, 3) for rid in range(4)]
         index = _index_of(occurrences)
-        # RID, position and strand per occurrence; each code once, in the
-        # group table with its offsets.
-        assert index.nbytes == 12 * (8 + 8 + 1) + 3 * 8 + 4 * 8
+        # A uint32 RID and position and a bool strand per occurrence; each
+        # code once, in the group table with its int32 offsets.
+        assert index.nbytes == 12 * (4 + 4 + 1) + 3 * 8 + 4 * 4
 
     def test_retained_empty_constructor(self):
         empty = RetainedKmers.empty()

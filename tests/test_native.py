@@ -2,9 +2,10 @@
 
 Each entry point of the compiled library that the front end calls — the
 Bloom filter's test and test-then-set, the candidate-key gate, the batch
-k-mer extraction, the routing of exchange rows by destination and the
-HyperLogLog register max — must return exactly what the NumPy body it
-replaces returns, on the inputs that stress its edges.  The x-drop
+k-mer extraction, the routing of exchange rows by destination, the
+HyperLogLog register max and the packing of received occurrences into the
+index's sort keys — must return exactly what the NumPy body it replaces
+returns, on the inputs that stress its edges.  The x-drop
 kernel's twin of these tests is ``tests/test_alignment.py::TestCompiledXdrop``.
 """
 
@@ -23,7 +24,12 @@ from repro.core.stages import route_occurrences
 from repro.kmers import hashtable
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import mix64, owner_of
-from repro.kmers.hashtable import _key_mask_numpy, key_mask
+from repro.kmers.hashtable import (
+    _key_mask_numpy,
+    _pack_occurrence_keys_numpy,
+    key_mask,
+    pack_occurrence_keys,
+)
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.mpisim import collectives
 from repro.mpisim.collectives import _bucket_numpy, bucket_by_destination, bucket_by_owner
@@ -458,3 +464,103 @@ class TestCompiledHyperLogLog:
         hll = HyperLogLog(4)
         hll.add_many(np.arange(100, dtype=np.uint64))
         assert hll.registers().any()
+
+
+@st.composite
+def key_rows(draw):
+    """Field widths with room for a code (at times exactly the rest of the
+    word), and wire rows whose fields fill them, extremes included."""
+    rid_bits = draw(st.integers(min_value=0, max_value=32))
+    position_bits = draw(st.integers(min_value=0, max_value=31))
+    room = 64 - (rid_bits + position_bits + 1)
+    if room < 1:
+        rid_bits, room = rid_bits - (1 - room), 1
+    code_bits = draw(st.sampled_from([room]) | st.integers(min_value=1, max_value=room))
+    n = draw(st.integers(min_value=0, max_value=40))
+
+    def field(bits):
+        top = (1 << bits) - 1
+        return st.lists(st.sampled_from([0, top]) | st.integers(min_value=0, max_value=top),
+                        min_size=n, max_size=n)
+
+    rows = list(zip(draw(field(code_bits)), draw(field(rid_bits)),
+                    draw(field(position_bits)),
+                    draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    return rows, rid_bits, position_bits
+
+
+def _wire(rows):
+    """``(code, rid << 32 | strand << 31 | position)`` rows as a (n, 2) array."""
+    return np.array([[code, rid << 32 | strand << 31 | position]
+                     for code, rid, position, strand in rows],
+                    dtype=np.uint64).reshape(-1, 2)
+
+
+def _keys_oracle(rows, rid_bits, position_bits):
+    """The packed keys with Python integers."""
+    shift = rid_bits + position_bits + 1
+    return [code << shift | rid << (position_bits + 1) | position << 1 | strand
+            for code, rid, position, strand in rows]
+
+
+class TestCompiledOccurrenceKeys:
+    @given(case=key_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_body_and_oracle(self, case):
+        rows, rid_bits, position_bits = case
+        wire = _wire(rows)
+        expected = _keys_oracle(rows, rid_bits, position_bits)
+        compiled = pack_occurrence_keys(wire, rid_bits, position_bits)
+        assert compiled.dtype == np.uint64
+        assert compiled.tolist() == expected
+        assert _pack_occurrence_keys_numpy(wire, rid_bits, position_bits).tolist() == expected
+        # Unsigned key order is the (code, rid, position, strand) order.
+        assert np.argsort(compiled, kind="stable").tolist() == sorted(
+            range(len(rows)), key=lambda i: rows[i])
+
+    @pytest.mark.parametrize("rid_bits, position_bits", [(0, 0), (0, 31), (32, 0), (32, 30)])
+    def test_edge_widths(self, rid_bits, position_bits):
+        """No RID bits (one read), no position bits (reads of length k), and
+        fields that leave one code bit: 1 + 32 + 30 + 1 = 64."""
+        code_top = (1 << (63 - rid_bits - position_bits)) - 1
+        rows = [(code_top, (1 << rid_bits) - 1, (1 << position_bits) - 1, True),
+                (0, 0, 0, False), (code_top, 0, 0, True), (0, 0, 0, True)]
+        expected = _keys_oracle(rows, rid_bits, position_bits)
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier:
+                assert pack_occurrence_keys(_wire(rows), rid_bits,
+                                            position_bits).tolist() == expected
+
+    def test_empty_input_on_both_tiers(self):
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier:
+                keys = pack_occurrence_keys(np.empty((0, 2), dtype=np.uint64), 3, 4)
+                assert keys.dtype == np.uint64 and keys.size == 0
+
+    @pytest.mark.parametrize("row", [(1 << 56, 0, 0, False),    # code past 56 bits
+                                     (0, 8, 0, False),          # RID past 3 bits
+                                     (0, 0, 16, True)])         # position past 4 bits
+    def test_field_overflow_raises_on_both_tiers(self, row):
+        wire = _wire([(0, 0, 0, False), row])
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier, pytest.raises(ValueError, match="does not fit"):
+                pack_occurrence_keys(wire, 3, 4)
+
+    def test_bad_widths_and_shapes_raise(self):
+        rows = np.zeros((2, 2), dtype=np.uint64)
+        for rid_bits, position_bits in ((-1, 3), (33, 3), (3, 32), (32, 31)):
+            with pytest.raises(ValueError, match="widths"):
+                pack_occurrence_keys(rows, rid_bits, position_bits)
+        with pytest.raises(ValueError, match="shape"):
+            pack_occurrence_keys(np.zeros((2, 3), dtype=np.uint64), 3, 4)
+
+    def test_strided_rows_are_read_in_order(self):
+        rows = [(5, 1, 2, True), (7, 0, 3, False), (5, 1, 1, False)]
+        wire = _wire(rows)
+        assert pack_occurrence_keys(wire[::-1], 1, 2).tolist() == _keys_oracle(
+            rows[::-1], 1, 2)
+
+    def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
+        monkeypatch.setattr(hashtable, "_pack_occurrence_keys_numpy",
+                            lambda *args: pytest.fail("took the NumPy body"))
+        assert pack_occurrence_keys(_wire([(1, 1, 1, True)]), 1, 1).tolist() == [15]

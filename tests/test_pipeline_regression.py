@@ -66,7 +66,7 @@ EXPECTED = {
         "counters": {
             "hashtable_payload_bytes": 441536,
             "high_freq_threshold": 28, "index_build_runs": 3,
-            "index_digest": 14980271729248855857, "index_nbytes": 808180,
+            "index_digest": 14980271729248855857, "index_nbytes": 502644,
             "index_occurrences": 27596, "index_retained_kmers": 2726,
             "index_retained_occurrences": 9133, "kmers_after_sketch": 27596,
             "kmers_extracted_total": 27596, "kmers_received_hashtable": 27596,

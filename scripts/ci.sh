@@ -9,15 +9,18 @@
 #           PATH (the container does not ship one, so it is gated; the
 #           fast tier's tests/test_imports.py finds unused imports
 #           without it).
-#   compiled tier — prints the active tier (the compiled C library with its
-#           x-drop lane width, or NumPy) and fails when `cc` is on PATH but
-#           the library did not load, so a C compile error cannot silently
-#           leave CI on the NumPy bodies of any compiled entry: the x-drop
+#   compiled tier — prints the active tier (the compiled C library with the
+#           x-drop kernel's lane counts for both element types, e.g.
+#           "x-drop at 32×int16 / 16×int32 lanes", or NumPy) and fails when
+#           `cc` is on PATH but the library did not load, so a C compile
+#           error cannot silently leave CI on the NumPy bodies of any
+#           compiled entry: the x-drop
 #           kernel, the Bloom filter, the key gate, the k-mer extraction,
 #           `route_rows`, `route_occurrences`, `hll_add` and
 #           `pack_occurrence_keys`; with `cc` on PATH
 #           it also builds the one source, src/repro/_native.c, with -Wall
-#           -Wextra -Werror (docs/architecture.md, "The compiled tier").
+#           -Wextra -Werror, x86 intrinsics included (docs/architecture.md,
+#           "The compiled tier").
 #   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
 #           Runs three times, covering the knobs in pairs: under the default
 #           thread backend; under the multiprocess shared-memory backend
@@ -119,7 +122,8 @@ fi
 echo "== compiled tier =="
 native_tier=$(python -c 'from repro.native import library
 compiled = library()
-print("numpy" if compiled is None else f"compiled (x-drop at {compiled.lanes} lanes)")')
+print("numpy" if compiled is None else f"compiled (x-drop at {2 * compiled.lanes}×int16 / "
+                                        f"{compiled.lanes}×int32 lanes)")')
 echo "compiled tier: $native_tier"
 if command -v cc >/dev/null 2>&1; then
     # The command the library is built with (repro.native._CC_COMMAND).

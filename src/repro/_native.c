@@ -2,8 +2,9 @@
  * by repro.native, holding the hot loops that have a NumPy body as their
  * reference and fallback:
  *
- *   xdrop_extend_batch  the banded x-drop extension of stage 4, reading
- *                       every task in place from one arena of read codes
+ *   xdrop_extend_batch  the banded x-drop extension of stage 4 on int16 or
+ *                       int32 vector lanes, reading every task in place
+ *                       from one arena of read codes
  *                       (repro.align.batched_xdrop._extend_numpy);
  *   bloom_test,         the Bloom filter's membership test and its
  *   bloom_insert        test-then-set of stage 1
@@ -33,37 +34,77 @@
 
 #include <stdint.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#define X86 1
+#include <immintrin.h>
+#endif
+
 /* ---- banded x-drop extension -------------------------------------------
  *
  * One task per vector lane.  Tasks are taken in groups of `lanes`; the lanes
  * of a group step through DP rows together, and every lane runs exactly the
- * recurrence of the NumPy kernel `_extend_numpy`: the same sentinel, the
- * same row-0 initialisation, diagonal / up / left predecessors, `band` cells
- * per row, first-maximum tie-break, x-drop and end-of-read exits and the
- * batch-wide row cap.  The arithmetic is integer and identical, so scores,
- * spans and cell counts are bit-identical to the NumPy kernel.  Per-lane
- * masks cover the band edges (slots outside b or past the end of a) and
- * lanes whose task has finished; a finished lane computes only sentinel
- * rows until the whole group is done.  The caller orders tasks by length so
- * that the lanes of a group finish together.
+ * recurrence of the NumPy kernel `_extend_numpy`: the same row-0
+ * initialisation, diagonal / up / left predecessors, `band` cells per row,
+ * first-maximum tie-break, x-drop and end-of-read exits and the batch-wide
+ * row cap.  The arithmetic is integer and every comparison picks what the
+ * NumPy kernel's picks (see "Exactness" below), so scores, spans and cell
+ * counts are bit-identical to the NumPy kernel.  Per-lane masks cover the
+ * band edges (slots outside b or past the end of a) and lanes whose task
+ * has finished; a finished lane computes only sentinel rows until the
+ * whole group is done.  The caller orders tasks by length so that the
+ * lanes of a group finish together.
  *
- * Lane width and dispatch.  `xdrop_lanes` picks the widest width this CPU
- * runs: 16 lanes with AVX-512F+BW, 8 with AVX2, otherwise 4.  The wide
- * kernels are compiled through `__attribute__((target(...)))`, so the build
- * command carries no -m flag: the library cache key (source, command,
- * machine name) cannot tell two x86-64 CPUs apart, and a library built with
- * -mavx512f would be reused on a CPU without AVX-512 and die with SIGILL.
- * The 4-lane kernel uses the baseline instruction set (SSE2 on x86-64) and
- * runs on any host GCC's vector extensions target, so no scalar loop is
- * kept beside it.  There is no 8-lane kernel without AVX2: emulated 256-bit
- * vectors ran slower than a scalar loop.
+ * Element types and lane widths.  One macro, LANE_KERNEL, defines the
+ * kernel for an element type and a lane count, so the body exists once:
  *
- * Lanes are int32.  The caller guarantees
- *     (max len_a + max len_b + band) * max(|match|, |mismatch|, |gap|) < 2^30
- * so neither real scores nor sentinel-derived values (which drift below
- * NEG_INF by at most one penalty per row, as they do in the NumPy kernel)
- * can overflow.  The same bound makes the int32 x-drop test exact: see
- * `xdrop_extend_batch`.
+ *     vector    needs                   int16 lanes   int32 lanes
+ *     512-bit   AVX-512F + AVX-512BW         32            16
+ *     256-bit   AVX2                         16             8
+ *     128-bit   baseline (SSE2 on x86-64)     8             4
+ *
+ * `xdrop_lanes` reports the int32 lane count of the widest vector this CPU
+ * runs; its int16 kernel has twice as many lanes.  The wide kernels are
+ * compiled through `__attribute__((target(...)))`, so the build command
+ * carries no -m flag: the library cache key (source, command, machine name)
+ * cannot tell two x86-64 CPUs apart, and a library built with -mavx512f
+ * would be reused on a CPU without AVX-512 and die with SIGILL.  The
+ * 128-bit kernels use the baseline instruction set and run on any host
+ * GCC's vector extensions target, so no scalar loop is kept beside them.
+ * There is no 256-bit kernel without AVX2: emulated 256-bit vectors ran
+ * slower than a scalar loop.
+ *
+ * Maxima.  Each band slot waits on the one before it through `left` and
+ * the row maximum.  GCC 12 lowers a vector-extension max, SEL(x > y, x, y),
+ * to a compare plus a masked move; on x86 the kernels take the ISA's
+ * one-instruction max instead (vpmaxsw / vpmaxsd; SSE2 has pmaxsw but no
+ * pmaxsd, so the 128-bit int32 kernel keeps the generic form).  The row
+ * maximum is a max too: its compare only feeds `best_slot`, which moves on
+ * a strict improvement, so the first maximum of a row still wins.  Up to
+ * the narrowest band end of the live lanes every live slot is valid, so
+ * those slots mask by the row's live lanes, not by a per-slot compare.
+ *
+ * Exactness.  A lane's values depend only on its own task, so the bounds
+ * below are per task, and the caller splits a call's tasks between the
+ * two element types by them.  Let w = max(|match|, |mismatch|, |gap|) and
+ * n = len_a + len_b + band.  Every valid cell (i, j) is reachable from
+ * (0, 0) inside the band, so its real score is at least -(i + j) * w.
+ *
+ *   int32 lanes, NEG = -2^28, the NumPy kernel's own sentinel: the caller
+ *     guarantees n * w < 2^30.  Real scores and the values derived from
+ *     NEG (which drift below it by at most one penalty per row, as they do
+ *     in the NumPy kernel) stay inside int32, so the arithmetic is the
+ *     NumPy kernel's, value for value.
+ *   int16 lanes, NEG = -2^14: the caller guarantees n * w < 2^14 and
+ *     xdrop < 2^13.  Every real score is then above -(len_a + len_b) * w >
+ *     -2^14 + band * w > NEG + w, and a value derived from NEG (a masked
+ *     slot plus one substitution or gap) is at most NEG + w.  So every max
+ *     and comparison picks the element the NumPy kernel, with its -2^28
+ *     sentinel, picks: values derived from NEG never win, stay within
+ *     [NEG - 2w, NEG + w], and, with w < 2^14 / 3, fit int16 as real
+ *     scores (below 2^14) do.  A row with no valid slot has the maximum
+ *     NEG in both kernels and fails the x-drop test in both: best >= 0, so
+ *     best - xdrop > -2^13 > NEG.  The lane bookkeeping (row, lengths,
+ *     columns) stays below 2^14 + band.
  *
  * Descriptors.  Every task reads both of its sides in place from one flat
  * arena of forward 2-bit codes: code j of a side is
@@ -77,14 +118,15 @@
  * the arena: the kernel indexes it unchecked.
  *
  * The caller's `scratch` holds the two DP rows of a group and its a and b
- * codes, interleaved lane-major.  The codes
- * are widened to int32 as they are interleaved, so a cell compares one
- * loaded vector: GCC 12 at -O2 lowers a uint8-to-int32
- * `__builtin_convertvector` to one scalar extract per lane, which made
- * uint8 codes run the 16-lane kernel 2.4x slower.
+ * codes, interleaved lane-major.  The codes are widened to the element
+ * type as they are interleaved, so a cell compares one loaded vector:
+ * GCC 12 at -O2 lowers a uint8-to-int32 `__builtin_convertvector` to one
+ * scalar extract per lane, which made uint8 codes run the 16-lane kernel
+ * 2.4x slower.
  */
 
-#define NEG_INF (-(1 << 28))
+#define NEG_INT32 (-(1 << 28))
+#define NEG_INT16 (-(1 << 14))
 /* Fills the lanes of a code block past their task's end; never read
  * unmasked. */
 #define PAD_CODE 0xFF
@@ -94,37 +136,67 @@
 #define SEL(m, x, y) (((m) & (x)) | (~(m) & (y)))
 #define VMAX(x, y) SEL((x) > (y), (x), (y))
 
+#ifdef X86
+/* The ISA's lane-wise max, on the kernel's vector type `vi`. */
+#define MAX512_16(x, y) ((vi)_mm512_max_epi16((__m512i)(x), (__m512i)(y)))
+#define MAX512_32(x, y) ((vi)_mm512_max_epi32((__m512i)(x), (__m512i)(y)))
+#define MAX256_16(x, y) ((vi)_mm256_max_epi16((__m256i)(x), (__m256i)(y)))
+#define MAX256_32(x, y) ((vi)_mm256_max_epi32((__m256i)(x), (__m256i)(y)))
+#define MAX128_16(x, y) ((vi)_mm_max_epi16((__m128i)(x), (__m128i)(y)))
+#else
+#define MAX128_16 VMAX
+#endif
+
+/* Band slot w of a row, inside LANE_KERNEL: the slot's value from its
+ * diagonal, up and left predecessors, NEG in lanes outside the mask
+ * `valid`, and the row maximum with the first slot that reached it. */
+#define XDROP_SLOT(w, valid, T, MAX)                                          \
+    do {                                                                      \
+        const vi diag = prev[w] + SEL(block_b[j0 + (w) - 1] == a_code,        \
+                                      matchv, mismatchv);                     \
+        left = MAX(MAX(diag, prev[(w) + 1] + gapv), left + gapv);             \
+        const vi value = SEL(valid, left, neg);                               \
+        cur[w] = value;                                                       \
+        best_slot = SEL(value > row_best, (vi){} + (T)(w), best_slot);        \
+        row_best = MAX(row_best, value);                                      \
+    } while (0)
+
 /* One side of a task: arena[start + step * j] ^ complement, j < length. */
 typedef struct {
     int64_t start, length, step, complement;
 } xdrop_side;
 
-/* LANE_KERNEL(L, TARGET) defines extend_lanes<L>, the kernel at L lanes.
+/* LANE_KERNEL(NAME, T, L, NEG, TARGET, MAX) defines NAME, the kernel on L
+ * lanes of element type T with sentinel NEG; MAX(x, y) is its lane-wise
+ * maximum.
  *
  * Task t aligns side a = sides[2t] against side b = sides[2t + 1].
  * scratch holds at least
- *     16 + L * (2 * (band + 1) + max_rows + min(max len_b, max_rows + band))
- * int32: 64 bytes of alignment slack, two DP rows of band + 1 lane vectors,
- * then one group's a codes (one vector per row) and b codes (one vector per
- * column, up to one band past the last row).  out receives n_tasks rows of
- * (score, length_a, length_b, cells).
+ *     64 + V * (2 * (band + 1) + max_rows + min(max len_b, max_rows + band))
+ * bytes, V = L * sizeof(T) the vector size: alignment slack, two DP rows of
+ * band + 1 vectors, then one group's a codes (one vector per row) and b
+ * codes (one vector per column, up to one band past the last row).  out
+ * receives n_tasks rows of (score, length_a, length_b, cells).
  *
  * Slot w of a DP row is vector w, lane l holding task g + l; slot `band` of
- * both rows stays NEG_INF, the up neighbour of the last band slot.
+ * both rows stays NEG, the up neighbour of the last band slot.
  */
-#define LANE_KERNEL(L, TARGET)                                                \
-TARGET static void extend_lanes##L(                                           \
+#define LANE_KERNEL(NAME, T, L, NEG, TARGET, MAX)                             \
+TARGET static void NAME(                                                      \
     int64_t n_tasks, const uint8_t *arena, const xdrop_side *sides,           \
-    int32_t match, int32_t mismatch,                                          \
-    int32_t gap, int32_t xdrop, int32_t band, int32_t max_rows,               \
-    int32_t *scratch, int64_t *out)                                           \
+    T match, T mismatch, T gap, T xdrop, int32_t band, int32_t max_rows,      \
+    void *scratch, int64_t *out)                                              \
 {                                                                             \
-    typedef int32_t vi __attribute__((vector_size(4 * L)));                   \
+    typedef T vi __attribute__((vector_size(sizeof(T) * L)));                 \
+    typedef uint64_t vw __attribute__((vector_size(sizeof(vi))));             \
+    _Static_assert(sizeof(vi) == 64 || sizeof(vi) == 32 || sizeof(vi) == 16,  \
+                   "a kernel fills one 128-, 256- or 512-bit vector");        \
     const int32_t half = band / 2;                                            \
-    const vi neg = (vi){} + NEG_INF;                                          \
+    const vi neg = (vi){} + (T)(NEG);                                         \
     const vi gapv = (vi){} + gap;                                             \
+    const vi matchv = (vi){} + match;                                         \
     const vi mismatchv = (vi){} + mismatch;                                   \
-    const vi bonus = (vi){} + (match - mismatch);                             \
+    const vi last_slot = (vi){} + (T)(band - 1);                              \
     vi *const rows = (vi *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);      \
     vi *const block_a = rows + 2 * (band + 1);                                \
                                                                               \
@@ -138,8 +210,8 @@ TARGET static void extend_lanes##L(                                           \
             const int64_t need_a = len_a < max_rows ? len_a : max_rows;       \
             const int64_t reach_b = need_a + band;                            \
             const int64_t need_b = len_b < reach_b ? len_b : reach_b;         \
-            la[l] = (int32_t)len_a;                                           \
-            lb[l] = (int32_t)len_b;                                           \
+            la[l] = (T)len_a;                                                 \
+            lb[l] = (T)len_b;                                                 \
             active[l] = -1;                                                   \
             rows_a = need_a > rows_a ? need_a : rows_a;                       \
             rows_b = need_b > rows_b ? need_b : rows_b;                       \
@@ -165,26 +237,50 @@ TARGET static void extend_lanes##L(                                           \
         vi last_row = (vi){};                                                 \
         prev[band] = cur[band] = neg;                                         \
         for (int32_t w = 0; w < band; w++) {                                  \
-            const vi j = (vi){} + (w - half);                                 \
+            const vi j = (vi){} + (T)(w - half);                              \
             prev[w] = SEL((j >= 0) & (j <= lb), j * gap, neg);                \
         }                                                                     \
                                                                               \
+        /* `live` marks the lanes whose task has the row: at row 1 the      \
+         * active lanes with la > 0, then exactly the active lanes.  Lanes    \
+         * only ever finish, so the longest and shortest b of the live lanes  \
+         * (`live_b`, `live_b_min`) are found again only when one does. */    \
+        vi live = active & (la > 0);                                          \
+        int32_t live_b = -1, live_b_min = -1;                                 \
+        int recount = 1;                                                      \
         for (int32_t row = 1; row <= max_rows; row++) {                       \
+            if (recount) {                                                    \
+                int any = 0;                                                  \
+                live_b = live_b_min = -1;                                     \
+                for (int l = 0; l < L; l++) {                                 \
+                    any |= active[l];                                         \
+                    if (live[l] && lb[l] > live_b)                            \
+                        live_b = lb[l];                                       \
+                    if (live[l] && (live_b_min < 0 || lb[l] < live_b_min))    \
+                        live_b_min = lb[l];                                   \
+                }                                                             \
+                if (!any)                                                     \
+                    break;                                                    \
+                recount = 0;                                                  \
+            }                                                                 \
             /* Band slot w holds column j = j0 + w; slots [lo, hi] of a lane  \
-             * are valid (inside b, row inside a), all others hold NEG_INF.   \
-             * A finished lane has no valid slot. */                          \
+             * are valid (inside b, row inside a), all others hold NEG.  A    \
+             * finished lane has no valid slot. */                            \
+            const vi rowv = (vi){} + (T)row;                                  \
             const int32_t j0 = row - half;                                    \
             const int32_t lo = j0 < 0 ? -j0 : 0;                              \
-            const vi reach = lb - j0;                                         \
-            vi hi = SEL(reach < band - 1, reach, (vi){} + (band - 1));        \
-            hi = SEL(active & (row <= la), hi, (vi){} - 1);                   \
-            int32_t hi_max = -1;                                              \
-            for (int l = 0; l < L; l++)                                       \
-                hi_max = hi[l] > hi_max ? hi[l] : hi_max;                     \
+            const vi reach = lb - (T)j0;                                      \
+            const vi hi = SEL(live, SEL(reach < last_slot, reach, last_slot), \
+                              (vi){} - 1);                                    \
+            const int32_t hi_max = live_b < 0 ? -1                            \
+                : live_b - j0 < band - 1 ? live_b - j0 : band - 1;            \
+            const int32_t hi_min = live_b < 0 ? -1                            \
+                : live_b_min - j0 < band - 1 ? live_b_min - j0 : band - 1;    \
             /* Masked slots bound the row maximum from below, as the NumPy    \
-             * kernel's argmax over the whole band does. */                   \
-            vi row_best = SEL(((vi){} + lo > 0) | (hi < band - 1), neg,       \
-                              (vi){} + INT32_MIN);                            \
+             * kernel's argmax over the whole band does; a lane without one   \
+             * starts from T's minimum. */                                    \
+            vi row_best = SEL(((vi){} + (T)lo > 0) | (hi < last_slot), neg,   \
+                              (vi){} + (T)(1u << (8 * sizeof(T) - 1)));       \
             vi best_slot = (vi){} - 1;                                        \
                                                                               \
             for (int32_t w = 0; w < lo; w++)                                  \
@@ -193,54 +289,47 @@ TARGET static void extend_lanes##L(                                           \
                 const vi a_code = block_a[row - 1];                           \
                 /* Left predecessor: a sequential scan equal to the NumPy     \
                  * kernel's prefix-max identity.  Left of `lo` the scan       \
-                 * holds exactly NEG_INF (masked slots, non-positive gap).    \
-                 * Slot `lo` is peeled: it may be column 0, which has no      \
+                 * holds exactly NEG (masked slots, non-positive gap).  Slot  \
+                 * `lo` is peeled: it may be column 0, which has no           \
                  * diagonal. */                                               \
                 vi left = neg;                                                \
                 {                                                             \
                     vi diag = neg;                                            \
                     if (j0 + lo >= 1) {                                       \
-                        const vi eq = block_b[j0 + lo - 1] == a_code;         \
-                        diag = prev[lo] + mismatchv + (eq & bonus);           \
+                        diag = prev[lo] + SEL(block_b[j0 + lo - 1] == a_code, \
+                                              matchv, mismatchv);             \
                     }                                                         \
                     const vi up = prev[lo + 1] + gapv;                        \
-                    const vi base = VMAX(diag, up);                           \
-                    const vi chained = left + gapv;                           \
-                    left = lo == 0 ? base : VMAX(base, chained);              \
-                    const vi value = SEL(lo <= hi, left, neg);                \
+                    const vi base = MAX(diag, up);                            \
+                    left = lo == 0 ? base : MAX(base, left + gapv);           \
+                    const vi value = SEL((vi){} + (T)lo <= hi, left, neg);    \
                     cur[lo] = value;                                          \
-                    const vi improved = value > row_best;                     \
-                    row_best = SEL(improved, value, row_best);                \
-                    best_slot = SEL(improved, (vi){} + lo, best_slot);        \
+                    best_slot = SEL(value > row_best, (vi){} + (T)lo,         \
+                                    best_slot);                               \
+                    row_best = MAX(row_best, value);                          \
                 }                                                             \
-                for (int32_t w = lo + 1; w <= hi_max; w++) {                  \
-                    const vi eq = block_b[j0 + w - 1] == a_code;              \
-                    const vi diag = prev[w] + mismatchv + (eq & bonus);       \
-                    const vi up = prev[w + 1] + gapv;                         \
-                    const vi base = VMAX(diag, up);                           \
-                    const vi chained = left + gapv;                           \
-                    left = VMAX(base, chained);                               \
-                    const vi value = SEL(w <= hi, left, neg);                 \
-                    cur[w] = value;                                           \
-                    const vi improved = value > row_best;                     \
-                    row_best = SEL(improved, value, row_best);                \
-                    best_slot = SEL(improved, (vi){} + w, best_slot);         \
-                }                                                             \
+                /* Up to hi_min every live lane is valid. */                   \
+                int32_t w = lo + 1;                                           \
+                for (; w <= hi_min; w++)                                      \
+                    XDROP_SLOT(w, live, T, MAX);                              \
+                for (; w <= hi_max; w++)                                      \
+                    XDROP_SLOT(w, (vi){} + (T)w <= hi, T, MAX);               \
             }                                                                 \
             for (int32_t w = hi_max < lo ? lo : hi_max + 1; w < band; w++)    \
                 cur[w] = neg;                                                 \
                                                                               \
             const vi improved = active & (row_best > best);                   \
             best = SEL(improved, row_best, best);                             \
-            best_i = SEL(improved, (vi){} + row, best_i);                     \
-            best_j = SEL(improved, best_slot + j0, best_j);                   \
-            last_row = SEL(active, (vi){} + row, last_row);                   \
-            active &= (row_best >= best - xdrop) & (row < la);                \
-            int any = 0;                                                      \
-            for (int l = 0; l < L; l++)                                       \
-                any |= active[l];                                             \
-            if (!any)                                                         \
-                break;                                                        \
+            best_i = SEL(improved, rowv, best_i);                             \
+            best_j = SEL(improved, best_slot + (T)j0, best_j);                \
+            last_row = SEL(active, rowv, last_row);                           \
+            const vi still = active & (row_best >= best - xdrop) & (rowv < la);\
+            const vw gone = (vw)(active ^ still);                             \
+            uint64_t changed = 0;                                             \
+            for (unsigned k = 0; k < sizeof(vi) / 8; k++)                     \
+                changed |= gone[k];                                           \
+            recount = changed != 0;                                           \
+            active = live = still;                                            \
             vi *swap = prev;                                                  \
             prev = cur;                                                       \
             cur = swap;                                                       \
@@ -256,14 +345,19 @@ TARGET static void extend_lanes##L(                                           \
     }                                                                         \
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-#define X86 1
-LANE_KERNEL(16, __attribute__((target("avx512f,avx512bw"))))
-LANE_KERNEL(8, __attribute__((target("avx2"))))
+#ifdef X86
+#define AVX512 __attribute__((target("avx512f,avx512bw")))
+#define AVX2 __attribute__((target("avx2")))
+LANE_KERNEL(extend_int16x32, int16_t, 32, NEG_INT16, AVX512, MAX512_16)
+LANE_KERNEL(extend_int32x16, int32_t, 16, NEG_INT32, AVX512, MAX512_32)
+LANE_KERNEL(extend_int16x16, int16_t, 16, NEG_INT16, AVX2, MAX256_16)
+LANE_KERNEL(extend_int32x8, int32_t, 8, NEG_INT32, AVX2, MAX256_32)
 #endif
-LANE_KERNEL(4, )
+LANE_KERNEL(extend_int16x8, int16_t, 8, NEG_INT16, , MAX128_16)
+LANE_KERNEL(extend_int32x4, int32_t, 4, NEG_INT32, , VMAX)
 
-/* The widest lane count this CPU runs: 16, 8 or 4. */
+/* The int32 lane count of the widest vector this CPU runs: 16, 8 or 4.
+ * The int16 kernel of that vector has twice as many lanes. */
 int64_t xdrop_lanes(void)
 {
 #ifdef X86
@@ -276,45 +370,57 @@ int64_t xdrop_lanes(void)
     return 4;
 }
 
-/* Extend n_tasks (a, b) pairs from their origin (0, 0) at `lanes` lanes.
+/* Extend n_tasks (a, b) pairs from their origin (0, 0) on `lanes` lanes of
+ * `bits`-bit integers: 16 or 32.
  *
  * `sides` holds 2 * n_tasks descriptors, a then b for each task, into
- * `arena` (see "Descriptors" above).
+ * `arena` (see "Descriptors" above).  Every task must satisfy the bound of
+ * its element type (see "Exactness" above); the kernel does not check it.
  *
- * Returns 0, or -1 (doing nothing) when `lanes` is not a width this CPU
- * runs.  `xdrop` is taken into int32 by clamping at INT32_MAX, which keeps
- * the x-drop test `row_best >= best - xdrop` exact: best lies in [0, 2^30)
- * and every row maximum above -(2^28 + 2^30) (the int32 bound above), so
- * any xdrop >= 2^30 + 2^28 passes every lane, clamped or not, and a smaller
- * one is represented exactly.
+ * Returns 0, or -1 (doing nothing) when this CPU runs no kernel of that
+ * element type and lane count, or when `xdrop` is 2^13 or more on int16
+ * lanes.  On int32 lanes `xdrop` is taken into int32 by clamping at
+ * INT32_MAX, which keeps the x-drop test `row_best >= best - xdrop` exact:
+ * best lies in [0, 2^30) and every row maximum above -(2^28 + 2^30) (the
+ * int32 bound), so any xdrop >= 2^30 + 2^28 passes every lane, clamped or
+ * not, and a smaller one is represented exactly.
  */
-int xdrop_extend_batch(int64_t lanes, int64_t n_tasks,
+int xdrop_extend_batch(int64_t bits, int64_t lanes, int64_t n_tasks,
                        const uint8_t *arena, const xdrop_side *sides,
                        int32_t match, int32_t mismatch, int32_t gap,
                        int64_t xdrop, int64_t band, int64_t max_rows,
-                       int32_t *scratch, int64_t *out)
+                       void *scratch, int64_t *out)
 {
     const int32_t x = xdrop > INT32_MAX ? INT32_MAX : (int32_t)xdrop;
-    if (lanes > xdrop_lanes())
+    if ((bits != 16 && bits != 32) || bits * lanes > 32 * xdrop_lanes()
+        || (bits == 16 && xdrop >= 1 << 13))
         return -1;
-    switch (lanes) {
+#define RUN(NAME, T)                                                          \
+    do {                                                                      \
+        NAME(n_tasks, arena, sides, (T)match, (T)mismatch, (T)gap, (T)x,      \
+             (int32_t)band, (int32_t)max_rows, scratch, out);                 \
+        return 0;                                                             \
+    } while (0)
+    /* Every kernel fills one vector: bits * lanes is its width. */
+    switch (bits * lanes) {
 #ifdef X86
-    case 16:
-        extend_lanes16(n_tasks, arena, sides, match, mismatch, gap, x,
-                       (int32_t)band, (int32_t)max_rows, scratch, out);
-        return 0;
-    case 8:
-        extend_lanes8(n_tasks, arena, sides, match, mismatch, gap, x,
-                      (int32_t)band, (int32_t)max_rows, scratch, out);
-        return 0;
+    case 512:
+        if (bits == 16)
+            RUN(extend_int16x32, int16_t);
+        RUN(extend_int32x16, int32_t);
+    case 256:
+        if (bits == 16)
+            RUN(extend_int16x16, int16_t);
+        RUN(extend_int32x8, int32_t);
 #endif
-    case 4:
-        extend_lanes4(n_tasks, arena, sides, match, mismatch, gap, x,
-                      (int32_t)band, (int32_t)max_rows, scratch, out);
-        return 0;
+    case 128:
+        if (bits == 16)
+            RUN(extend_int16x8, int16_t);
+        RUN(extend_int32x4, int32_t);
     default:
         return -1;
     }
+#undef RUN
 }
 
 /* ---- k-mer front end ---------------------------------------------------

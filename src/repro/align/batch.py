@@ -14,6 +14,7 @@ cross-strand read.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ def batched_xdrop_align(
     scoring: ScoringScheme | None = None,
     xdrop: int = 25,
     band: int = DEFAULT_XDROP_BAND,
+    tiers: Counter | None = None,
 ) -> np.recarray:
     """Align every task with the task-batched banded x-drop kernel.
 
@@ -96,7 +98,9 @@ def batched_xdrop_align(
     gathers the forward codes of the touched reads once, into one arena
     (:meth:`ReadCache.code_arena`, which also counts one lookup per task
     side), and every extension is a descriptor into it
-    (:func:`task_sides`), so no per-task Python runs.
+    (:func:`task_sides`), so no per-task Python runs.  *tiers*, when
+    given, gains the number of extensions each kernel tier ran (see
+    :func:`~repro.align.batched_xdrop.extend_sides`).
 
     Returns
     -------
@@ -116,8 +120,8 @@ def batched_xdrop_align(
     fwd, back, seed_a, seed_b = task_sides(tasks, rids, offsets, k)
     config = BatchedExtensionConfig(xdrop=xdrop, band=band)
     # Columns of both: score, length_a, length_b, cells.
-    fwd = extend_sides(arena, fwd, scoring, config)
-    back = extend_sides(arena, back, scoring, config)
+    fwd = extend_sides(arena, fwd, scoring, config, tiers)
+    back = extend_sides(arena, back, scoring, config, tiers)
     return np.rec.fromarrays(
         [scoring.match * k + fwd[:, 0] + back[:, 0],
          seed_a - back[:, 1], seed_a + k + fwd[:, 1],

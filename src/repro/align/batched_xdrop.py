@@ -27,16 +27,21 @@ computed with ``np.maximum.accumulate`` along the band axis.
 
 Two tiers run that recurrence.  The compiled tier (``xdrop_extend_batch`` in
 the library :mod:`repro.native` loads) vectorises across tasks too, in C:
-each task gets one int32 lane of a SIMD vector, and the lanes of a group
-step through DP rows together, each running the scalar recurrence with
-masks for band edges and finished tasks.  The library picks
-its lane width from the CPU at run time — 16 lanes with AVX-512F+BW, 8 with
-AVX2, otherwise 4 on the baseline instruction set — so the build command
-carries no ``-m`` flag and one cached library serves every CPU of a machine
-type.  :func:`_extend_native` orders a call's tasks by
-``min(len_a, len_b)`` so that the lanes of a group finish together, and
-scatters the results back into input order.  There is no scalar C loop: the
-4-lane kernel runs wherever one would.
+each task gets one lane of a SIMD vector, and the lanes of a group step
+through DP rows together, each running the scalar recurrence with masks for
+band edges and finished tasks.  A task runs on int16 lanes when its
+``(len_a + len_b + band) * max |score|`` is below 2**14 and the x-drop
+below 2**13, on int32 lanes when that product is below 2**30, and on the
+NumPy kernel otherwise (:func:`_lane_bits`).  The bound is per task, because
+a lane's values depend only on its own task: :func:`extend_sides` splits a
+call by it and scatters every part's results back into input order.  The
+library picks its vector width from the CPU at run time — 512 bits (32
+int16 or 16 int32 lanes) with AVX-512F+BW, 256 with AVX2, otherwise 128 on
+the baseline instruction set — so the build command carries no ``-m`` flag
+and one cached library serves every CPU of a machine type.
+:func:`_extend_native` orders a part's tasks by ``min(len_a, len_b)`` so
+that the lanes of a group finish together.  There is no scalar C loop: the
+128-bit kernels run wherever one would.
 
 Both tiers take a call's tasks as *side descriptors* into one flat arena of
 2-bit codes (:func:`extend_sides`): side a and side b of each task are
@@ -50,13 +55,14 @@ for per-task code lists, and the NumPy kernel runs on the lists
 
 The kernel is called through :mod:`ctypes`, which releases the GIL, so
 thread-backend ranks align concurrently.  The NumPy body (:func:`_extend_numpy`) is the
-reference the compiled tier is tested against bit for bit, at every lane
-width, and the path taken whenever the library is unavailable or a batch
-could overflow its int32 lanes.
+reference the compiled tier is tested against bit for bit, at every element
+type and lane width, and the path taken whenever the library is unavailable
+or a task could overflow int32 lanes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,12 +173,14 @@ def extend_sides(
     sides: np.ndarray,
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
+    tiers: Counter | None = None,
 ) -> np.ndarray:
     """Extend every task described by *sides* from its origin (0, 0).
 
-    Runs the compiled tier when it is available and the batch fits its int32
-    lanes, the NumPy kernel on the same codes otherwise; both return
-    identical results.
+    Each task runs on the compiled kernel's int16 lanes when it fits them,
+    on its int32 lanes when it fits those (:func:`_lane_bits`), and on the
+    NumPy kernel otherwise or when the compiled tier is unavailable; every
+    tier returns identical results.
 
     Parameters
     ----------
@@ -186,16 +194,35 @@ def extend_sides(
         the arena raises ``ValueError``; a side of length 0 reads nothing.
     scoring, config:
         As for :func:`batched_extend`, whose return value this matches.
+    tiers:
+        When given, gains the number of tasks each tier ran, under
+        ``"int16"``, ``"int32"`` and ``"numpy"``.
     """
     if not len(sides):
         return np.empty((0, 4), dtype=np.int64)
     _check_sides(arena, sides)
     compiled = native.library()
-    if compiled is not None:
-        results = _extend_native(compiled, arena, sides, scoring, config)
-        if results is not None:
-            return results
-    return _extend_numpy(*_side_codes(arena, sides), scoring, config)
+    bits = np.zeros(len(sides)) if compiled is None else _lane_bits(sides, scoring, config)
+    len_a = sides[:, 0, 1]
+    # The NumPy kernel charges a task with no rows one row of cells when
+    # another task of its call has rows, so every part keeps the call's
+    # first row.
+    first_row = min(_row_count(len_a, config), 1)
+    results = np.empty((len(sides), 4), dtype=np.int64)
+    for width, tier in _TIERS.items():
+        part = np.flatnonzero(bits == width)
+        if not part.size:
+            continue
+        rows = max(_row_count(len_a[part], config), first_row)
+        if width:
+            results[part] = _extend_native(compiled, arena, sides[part], scoring, config,
+                                           width, rows=rows)
+        else:
+            results[part] = _extend_numpy(*_side_codes(arena, sides[part]), scoring, config,
+                                          rows)
+        if tiers is not None:
+            tiers[tier] += part.size
+    return results
 
 
 def _check_sides(arena: np.ndarray, sides: np.ndarray) -> None:
@@ -227,13 +254,22 @@ def _side_codes(arena: np.ndarray, sides: np.ndarray) -> tuple[list[np.ndarray],
     return seqs[:len(sides)], seqs[len(sides):]
 
 
+def _row_count(len_a: np.ndarray, config: BatchedExtensionConfig) -> int:
+    """The rows a call steps through: its longest side a, at most
+    ``config.max_rows``."""
+    rows = int(len_a.max(initial=0))
+    return rows if config.max_rows is None else min(rows, config.max_rows)
+
+
 def _extend_numpy(
     seqs_a: list[np.ndarray],
     seqs_b: list[np.ndarray],
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
+    rows: int | None = None,
 ) -> np.ndarray:
-    """The NumPy kernel: all tasks advance one DP row per iteration."""
+    """The NumPy kernel: all tasks advance one DP row per iteration, for
+    *rows* rows at most (default: :func:`_row_count` of the tasks)."""
     n_tasks = len(seqs_a)
     match, mismatch, gap = scoring.match, scoring.mismatch, scoring.gap
     band = config.band
@@ -245,9 +281,7 @@ def _extend_numpy(
     a_pad = _pad_sequences(seqs_a)
     b_pad = _pad_sequences(seqs_b)
 
-    max_rows = int(len_a.max(initial=0))
-    if config.max_rows is not None:
-        max_rows = min(max_rows, config.max_rows)
+    max_rows = _row_count(len_a, config) if rows is None else rows
 
     # Results (global, indexed by original task id).
     best_score = np.zeros(n_tasks, dtype=np.int64)
@@ -327,10 +361,34 @@ def _extend_numpy(
 
 # -- compiled tier -----------------------------------------------------------
 
-#: Exclusive bound on (max len_a + max len_b + band) * largest |score|: keeps
-#: every value the kernel computes, sentinel-derived ones included, inside
-#: int32 (the sentinel is -2**28).
+#: Exclusive bounds on (len_a + len_b + band) * largest |score| of one task
+#: for the compiled kernel's int16 and int32 lanes; int16 lanes also need
+#: xdrop < _INT16_XDROP ("Exactness" in ``_native.c``).
+_INT16_BOUND = 2**14
+_INT16_XDROP = 2**13
 _INT32_BOUND = 2**30
+
+#: Tier of each element width :func:`_lane_bits` returns (0: NumPy), in the
+#: order :func:`extend_sides` runs them.
+_TIERS = {16: "int16", 32: "int32", 0: "numpy"}
+
+
+def _lane_bits(
+    sides: np.ndarray, scoring: ScoringScheme, config: BatchedExtensionConfig,
+) -> np.ndarray:
+    """Per task, the narrowest compiled lanes it fits: 16 or 32 bits, or 0
+    when it fits neither (or the x-drop is past int64) and runs on NumPy.
+
+    The bound is per task because a lane's values depend only on its own
+    task: one long task does not move the rest of its call.
+    """
+    # Clamped: a weight of 2**30 or more fits no lanes at any length.
+    weight = min(max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap)),
+                 _INT32_BOUND)
+    span = (sides[:, 0, 1] + sides[:, 1, 1] + config.band) * weight
+    fits16 = (span < _INT16_BOUND) & (config.xdrop < _INT16_XDROP)
+    fits32 = (span < _INT32_BOUND) & (config.xdrop < 2**63)
+    return np.where(fits16, 16, np.where(fits32, 32, 0))
 
 
 def _extend_native(
@@ -339,38 +397,37 @@ def _extend_native(
     sides: np.ndarray,
     scoring: ScoringScheme,
     config: BatchedExtensionConfig,
+    bits: int,
     lanes: int | None = None,
-) -> np.ndarray | None:
-    """Run the compiled kernel at *lanes* lanes (default: the CPU's widest).
+    rows: int | None = None,
+) -> np.ndarray:
+    """Run every task on the compiled kernel's *bits*-bit lanes.
 
     *arena* and *sides* are as for :func:`extend_sides`; the kernel reads
-    every side in place.  Returns ``None`` when its int32 lanes (or the
-    int64 x-drop argument) could not represent the batch exactly.  Tasks
-    run in order of ``min(len_a, len_b)``, so that the lanes of a group
-    finish together; results come back in input order.
+    every side in place, and every task must fit the lanes
+    (:func:`_lane_bits`).  *lanes* defaults to the most the CPU runs at
+    that width, *rows* to :func:`_row_count` of the tasks.  Tasks run in
+    order of ``min(len_a, len_b)``, so that the lanes of a group finish
+    together; results come back in input order.
     """
-    lanes = compiled.lanes if lanes is None else lanes
-    n_tasks = len(sides)
+    lanes = compiled.lanes * 32 // bits if lanes is None else lanes
     len_a, len_b = sides[:, 0, 1], sides[:, 1, 1]
-    max_a, max_b = int(len_a.max()), int(len_b.max())
-    weight = max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap))
-    if (max_a + max_b + config.band) * weight >= _INT32_BOUND or config.xdrop >= 2**63:
-        return None
-    max_rows = max_a if config.max_rows is None else min(max_a, config.max_rows)
+    max_rows = _row_count(len_a, config) if rows is None else rows
     order = np.argsort(np.minimum(len_a, len_b), kind="stable")
     ordered = np.ascontiguousarray(sides[order], dtype=np.int64)
     arena = np.ascontiguousarray(arena, dtype=np.uint8)
     # The size `_native.c` documents: 64 bytes of alignment slack, two DP rows
-    # of band + 1 lane vectors and one group's interleaved codes.
-    scratch = np.empty(16 + lanes * (2 * (config.band + 1) + max_rows
-                                     + min(max_b, max_rows + config.band)), dtype=np.int32)
-    out = np.empty((n_tasks, 4), dtype=np.int64)
+    # of band + 1 vectors and one group's interleaved codes.
+    vectors = 2 * (config.band + 1) + max_rows + min(int(len_b.max()), max_rows + config.band)
+    scratch = np.empty(64 + lanes * bits // 8 * vectors, dtype=np.uint8)
+    out = np.empty((len(sides), 4), dtype=np.int64)
     status = compiled.xdrop_extend_batch(
-        lanes, n_tasks, arena.ctypes.data, ordered.ctypes.data,
+        bits, lanes, len(sides), arena.ctypes.data, ordered.ctypes.data,
         scoring.match, scoring.mismatch, scoring.gap, config.xdrop, config.band, max_rows,
         scratch.ctypes.data, out.ctypes.data)
     if status != 0:
-        raise ValueError(f"this CPU cannot run the x-drop kernel at {lanes} lanes")
+        raise ValueError(f"the compiled x-drop kernel does not run {lanes} int{bits} lanes "
+                         f"(on this CPU, or at xdrop={config.xdrop})")
     results = np.empty_like(out)
     results[order] = out
     return results

@@ -18,8 +18,9 @@ result (k-mers retained, overlaps found, alignments accepted) and must be
 bit-identical across every runtime backend, schedule and encoding knob —
 the parity matrices pin exactly that.  *Schedule flags*
 (:data:`SCHEDULE_FLAG_COUNTERS`) describe how the result was produced (how
-many supersteps overlapped, which x-drop tier ran) and legitimately differ
-between schedules, so cross-schedule comparisons exclude them.
+many supersteps overlapped, which x-drop tier and lane type ran) and
+legitimately differ between schedules, so cross-schedule comparisons exclude
+them.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "overlap_chunks_overlapped": "overlap chunks whose compute overlapped a peer's exchange",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
     "align_native_ranks": "ranks whose alignment stage ran the compiled x-drop tier (0: the NumPy kernel produced the timings)",
+    "align_int16_extensions": "x-drop extensions (two per alignment) the compiled kernel ran on 16-bit lanes; the rest ran on 32-bit lanes or NumPy",
     # -- rank-failure recovery (see RECOVERY_COUNTERS) ----------------------
     "rank_failures_detected": "dead rank processes detected by the runtime during this call",
     "pool_respawns": "pool worker processes respawned after a failure eviction",
@@ -116,6 +118,7 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "overlap_chunks_overlapped",
     "query_route_steps_overlapped",
     "align_native_ranks",
+    "align_int16_extensions",
 })
 
 #: Counters that describe *recovery from injected or real rank failures*

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -804,10 +805,11 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
         # Called through the module attribute, so a wrapper installed on
         # ``repro.align.batch.batched_xdrop_align`` sees every kernel call.
         results = np.recarray(0, dtype=align_batch.RESULT_DTYPE)
+        tiers: Counter[str] = Counter()
         if len(tasks):
             results = align_batch.batched_xdrop_align(
                 tasks, cache, k=config.kmer.k, scoring=config.scoring,
-                xdrop=config.xdrop, band=config.band)
+                xdrop=config.xdrop, band=config.band, tiers=tiers)
         accepted = results.score >= config.min_alignment_score
         dp_cells = int(results.cells.sum())
 
@@ -823,9 +825,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
     # A rank that aligned nothing ran no kernel, compiled or not.
-    state.counters["align_native_ranks"] = int(
-        len(results) > 0 and native.library() is not None
-    )
+    state.counters["align_native_ranks"] = int(tiers["int16"] + tiers["int32"] > 0)
+    state.counters["align_int16_extensions"] = tiers["int16"]
     # spmdlint: disable=SL004 keys come from ReadCache.counters(), all three
     # declared as the read_cache_* group in repro.core.counters.
     state.counters.update({

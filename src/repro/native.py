@@ -51,7 +51,7 @@ _u64 = ctypes.c_uint64
 
 #: ``(restype, argtypes)`` of every entry point, by C name.
 _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
-    "xdrop_extend_batch": (ctypes.c_int, (_i64, _i64, _ptr, _ptr, _i32, _i32, _i32,
+    "xdrop_extend_batch": (ctypes.c_int, (_i64, _i64, _i64, _ptr, _ptr, _i32, _i32, _i32,
                                           _i64, _i64, _i64, _ptr, _ptr)),
     "bloom_test": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr)),
     "bloom_insert": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr, _u64, _ptr)),
@@ -79,8 +79,9 @@ class NativeLibrary(NamedTuple):
     route_occurrences: Callable[..., int]
     hll_add: Callable[..., int]
     pack_occurrence_keys: Callable[..., int]
-    #: The widest x-drop lane count the CPU runs (16 with AVX-512F+BW, 8
-    #: with AVX2, otherwise 4), chosen by the library's own CPU check.
+    #: The int32 x-drop lane count of the widest vector the CPU runs (16
+    #: with AVX-512F+BW, 8 with AVX2, otherwise 4), chosen by the library's
+    #: own CPU check; its int16 kernel runs twice as many lanes.
     lanes: int
 
 

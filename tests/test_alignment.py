@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -466,17 +467,27 @@ def _native_or_skip():
     return kernel
 
 
-#: Every lane width the compiled tier has: 4 (baseline), 8 (AVX2) and 16
-#: (AVX-512F+BW).
+#: Every vector width the compiled tier has, as its int32 lane count: 4
+#: (baseline), 8 (AVX2) and 16 (AVX-512F+BW).  The int16 kernel of each
+#: runs twice as many lanes.
 LANE_WIDTHS = (4, 8, 16)
+
+#: Every kernel the compiled tier has, as (element bits, lanes).
+KERNEL_WIDTHS = tuple((bits, lanes * 32 // bits) for lanes in LANE_WIDTHS for bits in (16, 32))
+
+
+def _runs(kernel, bits: int, lanes: int) -> bool:
+    """Whether this CPU runs the kernel on *lanes* lanes of *bits* bits."""
+    return bits * lanes <= 32 * kernel.lanes
 
 
 @pytest.fixture(params=LANE_WIDTHS, ids=lambda lanes: f"{lanes}lanes")
 def lanes(request):
-    """A lane width to force on the compiled kernel; skips widths this CPU lacks."""
+    """A vector width to force on the compiled kernel, as its int32 lane
+    count; skips widths this CPU lacks."""
     kernel = _native_or_skip()
     if request.param > kernel.lanes:
-        pytest.skip(f"this CPU runs at most {kernel.lanes} lanes "
+        pytest.skip(f"this CPU runs at most {kernel.lanes} int32 lanes "
                     f"(16 need AVX-512F+BW, 8 need AVX2)")
     return request.param
 
@@ -491,17 +502,35 @@ def _related_pair(rng, len_a: int, len_b: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _native_extend(kernel, seqs_a, seqs_b, scoring, config, lanes=None):
-    """The compiled kernel on the arena and sides ``batched_extend`` builds
-    from the lists (test helper)."""
+def _native_extend(kernel, seqs_a, seqs_b, scoring, config, bits=32, lanes=None):
+    """The compiled kernel on *bits*-bit lanes, on the arena and sides
+    ``batched_extend`` builds from the lists (test helper)."""
     arena, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
-    return batched_xdrop._extend_native(kernel, arena, sides, scoring, config, lanes=lanes)
+    return batched_xdrop._extend_native(kernel, arena, sides, scoring, config, bits, lanes)
+
+
+def _extend_at(kernel, lanes, seqs_a, seqs_b, scoring, config, tiers=None):
+    """``extend_sides`` on the lists, the library's widest vector forced to
+    *lanes* int32 lanes (test helper)."""
+    arena, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "library", lambda: kernel._replace(lanes=lanes))
+        return batched_xdrop.extend_sides(arena, sides, scoring, config, tiers)
 
 
 def _assert_lanes_match_numpy(kernel, lanes, seqs_a, seqs_b, scoring, config):
-    native = _native_extend(kernel, seqs_a, seqs_b, scoring, config, lanes=lanes)
+    """At the vector width of *lanes* int32 lanes: the int32 kernel on every
+    task, the int16 kernel on every task when all fit it, and the split
+    ``extend_sides`` makes all equal the NumPy kernel."""
+    expected = batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
     np.testing.assert_array_equal(
-        native, batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
+        _native_extend(kernel, seqs_a, seqs_b, scoring, config, 32, lanes), expected)
+    _, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
+    if (batched_xdrop._lane_bits(sides, scoring, config) == 16).all():
+        np.testing.assert_array_equal(
+            _native_extend(kernel, seqs_a, seqs_b, scoring, config, 16, 2 * lanes), expected)
+    np.testing.assert_array_equal(
+        _extend_at(kernel, lanes, seqs_a, seqs_b, scoring, config), expected)
 
 
 codes = st.lists(st.integers(min_value=0, max_value=3), max_size=150)
@@ -553,9 +582,10 @@ class TestCompiledXdrop:
         kernel = _native_or_skip()
         seqs_a, seqs_b = batch
         config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
-        native = _native_extend(kernel, seqs_a, seqs_b, scoring, config)
-        assert np.array_equal(native,
-                              batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config))
+        expected = batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+        assert np.array_equal(_native_extend(kernel, seqs_a, seqs_b, scoring, config), expected)
+        # The default path: int16 lanes for every task when xdrop < 2**13.
+        assert np.array_equal(batched_extend(seqs_a, seqs_b, scoring, config), expected)
 
     def test_zero_length_task_cells_follow_the_batch(self):
         # A zero-length task is charged one row of `band` cells only when
@@ -585,11 +615,12 @@ class TestCompiledXdrop:
 
     def test_int32_guard_takes_numpy_path(self, monkeypatch):
         kernel = _native_or_skip()
-        # (8 + 8 + 9) * 2**26 >= 2**30: the compiled tier declines the batch.
+        # (8 + 8 + 9) * 2**26 >= 2**30: the compiled tier declines the task.
         scoring = ScoringScheme(match=2**26, mismatch=-1, gap=-1)
         seqs = [encode_sequence("ACGTACGT")]
         config = BatchedExtensionConfig(xdrop=10, band=9)
-        assert _native_extend(kernel, seqs, seqs, scoring, config) is None
+        _, sides = batched_xdrop._list_sides(seqs, seqs)
+        assert batched_xdrop._lane_bits(sides, scoring, config).tolist() == [0]
         calls = []
         reference = batched_xdrop._extend_numpy
 
@@ -603,11 +634,12 @@ class TestCompiledXdrop:
         assert score == 8 * 2**26 and length_a == 8
         # Just under the bound the compiled tier runs, exactly.
         small = ScoringScheme(match=2**25, mismatch=-1, gap=-1)
+        assert batched_xdrop._lane_bits(sides, small, config).tolist() == [32]
         assert np.array_equal(_native_extend(kernel, seqs, seqs, small, config),
                               reference(seqs, seqs, small, config))
         # An x-drop past int64 is declined too, not wrapped by ctypes.
         huge = BatchedExtensionConfig(xdrop=2**63, band=9)
-        assert _native_extend(kernel, seqs, seqs, small, huge) is None
+        assert batched_xdrop._lane_bits(sides, small, huge).tolist() == [0]
 
     def test_each_width_on_groups_it_reorders(self, lanes):
         # Over two full groups of the widest width, in an order the length
@@ -652,10 +684,16 @@ class TestCompiledXdrop:
     def test_unknown_width_is_refused(self):
         kernel = _native_or_skip()
         seqs = [encode_sequence("ACGTACGT")]
-        for width in (0, 3, 2 * max(LANE_WIDTHS)):
+        widest = 2 * max(LANE_WIDTHS)
+        for bits, width in ((32, 0), (32, 3), (32, widest), (16, 4), (16, 2 * widest),
+                            (8, 16), (64, 4)):
             with pytest.raises(ValueError, match="lanes"):
                 _native_extend(kernel, seqs, seqs, ScoringScheme(),
-                               BatchedExtensionConfig(), lanes=width)
+                               BatchedExtensionConfig(), bits, width)
+        # int16 lanes take no x-drop of 2**13 or more.
+        with pytest.raises(ValueError, match="lanes"):
+            _native_extend(kernel, seqs, seqs, ScoringScheme(),
+                           BatchedExtensionConfig(xdrop=2**13), 16, 8)
 
     def test_build_command_has_no_cpu_flags(self):
         # The library cache key cannot tell two CPUs of one machine type
@@ -669,6 +707,156 @@ class TestCompiledXdrop:
         seqs = [encode_sequence("ACGTACGTACGT")]
         (score, _, _, _), = batched_extend(seqs, seqs, ScoringScheme(), BatchedExtensionConfig())
         assert score == 12
+
+
+#: Scoring with every weight in 1-3, the range the int16 gate tests use.
+small_weights = st.builds(
+    ScoringScheme,
+    match=st.integers(min_value=1, max_value=3),
+    mismatch=st.integers(min_value=-3, max_value=0),
+    gap=st.integers(min_value=-3, max_value=0),
+)
+
+
+def _gate_span(scoring, len_a, len_b, band):
+    """``(len_a + len_b + band) * max |weight|``, the quantity the int16 and
+    int32 gates bound."""
+    return (len_a + len_b + band) * max(abs(scoring.match), abs(scoring.mismatch),
+                                        abs(scoring.gap))
+
+
+class TestInt16Lanes:
+    """The per-task split between int16 lanes, int32 lanes and NumPy."""
+
+    @given(batch=extension_batches(),
+           band=st.integers(min_value=3, max_value=129),
+           # 2**13 - 1 is the largest x-drop int16 lanes take; 2**13 and
+           # 2**62 move every task to int32 lanes.
+           xdrop=st.integers(min_value=1, max_value=60) | st.sampled_from([2**13 - 1, 2**13, 2**62]),
+           max_rows=st.none() | st.integers(min_value=1, max_value=200),
+           scoring=small_weights)
+    @settings(max_examples=300, deadline=None)
+    def test_every_width_matches_numpy(self, batch, band, xdrop, max_rows, scoring):
+        # Each (element type, lane count) this CPU runs, directly, and the
+        # split extend_sides makes at each vector width.
+        kernel = _native_or_skip()
+        seqs_a, seqs_b = batch
+        config = BatchedExtensionConfig(xdrop=xdrop, band=band, max_rows=max_rows)
+        expected = batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+        for bits, width in KERNEL_WIDTHS:
+            if not _runs(kernel, bits, width):
+                continue
+            if bits == 16 and xdrop >= 2**13:
+                with pytest.raises(ValueError, match="lanes"):
+                    _native_extend(kernel, seqs_a, seqs_b, scoring, config, bits, width)
+                continue
+            assert np.array_equal(
+                _native_extend(kernel, seqs_a, seqs_b, scoring, config, bits, width), expected)
+        for width in LANE_WIDTHS:
+            if width <= kernel.lanes:
+                tiers = Counter()
+                assert np.array_equal(
+                    _extend_at(kernel, width, seqs_a, seqs_b, scoring, config, tiers), expected)
+                tier = "int16" if xdrop < 2**13 else "int32"
+                assert tiers == {tier: len(seqs_a)}
+
+    @pytest.mark.parametrize("scoring", [ScoringScheme(1, -1, -1), ScoringScheme(1, -2, -2),
+                                         ScoringScheme(3, -3, -3), ScoringScheme(2, -3, -1)],
+                             ids=lambda scoring: f"{scoring.match},{scoring.mismatch},{scoring.gap}")
+    def test_tasks_at_the_gate(self, lanes, scoring):
+        # Unrelated all-mismatch tasks whose span sits one under the int16
+        # gate and at it, in one call with short ones: the x-drop never
+        # fires, so the scores fall as low as the gate allows.  Gate - 1
+        # runs on int16 lanes, the gate on int32 lanes, all exact.
+        kernel = _native_or_skip()
+        band = 3
+        weight = max(abs(scoring.match), abs(scoring.mismatch), abs(scoring.gap))
+        total = (2**14 - 1) // weight - band  # len_a + len_b at gate - 1
+        at_gate = -(-2**14 // weight) - band  # the least len_a + len_b at the gate
+        assert _gate_span(scoring, total, 0, band) < 2**14 <= _gate_span(scoring, at_gate, 0, band)
+        rng = np.random.default_rng(5)
+        seqs_a, seqs_b = [], []
+        for len_total in (total, at_gate, total - 1):
+            len_a = len_total // 2
+            seqs_a.append(np.zeros(len_a, dtype=np.uint8))
+            seqs_b.append(np.ones(len_total - len_a, dtype=np.uint8))
+        for _ in range(5):
+            seqs_a.append(rng.integers(0, 4, size=40, dtype=np.uint8))
+            seqs_b.append(rng.integers(0, 4, size=30, dtype=np.uint8))
+        config = BatchedExtensionConfig(xdrop=2**13 - 1, band=band)
+        _, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
+        assert batched_xdrop._lane_bits(sides, scoring, config).tolist() == [16, 32] + [16] * 6
+        expected = batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+        assert expected[0, 0] == 0 and expected[0, 3] == band * len(seqs_a[0])
+        tiers = Counter()
+        assert np.array_equal(
+            _extend_at(kernel, lanes, seqs_a, seqs_b, scoring, config, tiers), expected)
+        assert tiers == {"int16": 7, "int32": 1}
+
+    def test_one_oversized_task_leaves_the_rest_on_int16_lanes(self, monkeypatch):
+        # One task past the int16 gate runs alone on int32 lanes and one
+        # past the int32 gate alone on NumPy; every other task of the call
+        # still runs on int16 lanes, and the results match one NumPy call.
+        kernel = _native_or_skip()
+        calls = []
+
+        def spy(bits, lanes, n_tasks, *args):
+            calls.append((bits, lanes, n_tasks))
+            return kernel.xdrop_extend_batch(bits, lanes, n_tasks, *args)
+
+        monkeypatch.setattr(native, "library",
+                            lambda: kernel._replace(xdrop_extend_batch=spy))
+        numpy_tasks = []
+        reference = batched_xdrop._extend_numpy
+
+        def numpy_spy(seqs_a, seqs_b, *args, **kwargs):
+            numpy_tasks.append(len(seqs_a))
+            return reference(seqs_a, seqs_b, *args, **kwargs)
+
+        monkeypatch.setattr(batched_xdrop, "_extend_numpy", numpy_spy)
+        rng = np.random.default_rng(9)
+        pairs = [_related_pair(rng, int(rng.integers(0, 300)), int(rng.integers(0, 300)))
+                 for _ in range(9)]
+        pairs.insert(4, _related_pair(rng, 4500, 4200))  # (8700 + 64) * 2 >= 2**14
+        seqs_a, seqs_b = map(list, zip(*pairs))
+        config = BatchedExtensionConfig(xdrop=25)
+        tiers = Counter()
+        results = batched_xdrop.extend_sides(*batched_xdrop._list_sides(seqs_a, seqs_b),
+                                             ScoringScheme(), config, tiers)
+        assert calls == [(16, 2 * kernel.lanes, 9), (32, kernel.lanes, 1)]
+        assert tiers == {"int16": 9, "int32": 1} and numpy_tasks == []
+        assert np.array_equal(results, reference(seqs_a, seqs_b, ScoringScheme(), config))
+        # A weight of 2**20 fits no task on int16 lanes, and the long task
+        # no longer fits int32 lanes: only it runs on NumPy.
+        calls.clear()
+        heavy = ScoringScheme(match=2**20, mismatch=-1, gap=-1)
+        tiers = Counter()
+        results = batched_xdrop.extend_sides(*batched_xdrop._list_sides(seqs_a, seqs_b),
+                                             heavy, config, tiers)
+        assert calls == [(32, kernel.lanes, 9)] and numpy_tasks == [1]
+        assert tiers == {"int32": 9, "numpy": 1}
+        assert np.array_equal(results, reference(seqs_a, seqs_b, heavy, config))
+
+    def test_every_part_keeps_the_calls_first_row(self):
+        # A task with no rows is charged one row of band cells when another
+        # task of its call has rows, also when that task runs in another
+        # part of the split.
+        kernel = _native_or_skip()
+        empty = np.empty(0, dtype=np.uint8)
+        short, long_b = np.zeros(5, dtype=np.uint8), np.ones(9000, dtype=np.uint8)
+        config = BatchedExtensionConfig(xdrop=10, band=9)
+        for scoring in (ScoringScheme(), ScoringScheme(match=2**20, mismatch=-1, gap=-1)):
+            # The empty-a task runs on int16 lanes or NumPy, alone in its
+            # part; the other runs on int32 lanes.
+            seqs_a, seqs_b = [empty, short], [long_b if scoring.match > 1 else short,
+                                              long_b if scoring.match == 1 else short]
+            _, sides = batched_xdrop._list_sides(seqs_a, seqs_b)
+            assert batched_xdrop._lane_bits(sides, scoring, config).tolist() == (
+                [16, 32] if scoring.match == 1 else [0, 32])
+            expected = batched_xdrop._extend_numpy(seqs_a, seqs_b, scoring, config)
+            assert expected[0, 3] == 9
+            assert np.array_equal(_extend_at(kernel, kernel.lanes, seqs_a, seqs_b, scoring,
+                                             config), expected)
 
 
 @st.composite
@@ -720,10 +908,11 @@ class TestCodeArena:
         for sides in (forward, backward, np.concatenate([forward, backward])):
             reference = batched_xdrop._extend_numpy(
                 *batched_xdrop._side_codes(arena, sides), scoring, config)
-            for width in LANE_WIDTHS:
-                if width <= kernel.lanes:
+            assert (batched_xdrop._lane_bits(sides, scoring, config) == 16).all()
+            for bits, width in KERNEL_WIDTHS:
+                if _runs(kernel, bits, width):
                     assert np.array_equal(batched_xdrop._extend_native(
-                        kernel, arena, sides, scoring, config, lanes=width), reference)
+                        kernel, arena, sides, scoring, config, bits, width), reference)
 
     @given(batch=read_task_batches())
     @settings(max_examples=150, deadline=None)

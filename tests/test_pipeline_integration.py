@@ -123,9 +123,13 @@ class TestKernelTiers:
         default = run()
         compiled = native.library() is not None
         assert (default.counters["align_native_ranks"] > 0) == compiled
+        # Every micro-set extension fits 16-bit lanes: two per alignment.
+        assert default.counters["align_int16_extensions"] == (
+            2 * default.counters["alignments"] if compiled else 0)
         monkeypatch.setattr(native, "library", lambda: None)
         fallback = run()
         assert fallback.counters["align_native_ranks"] == 0
+        assert fallback.counters["align_int16_extensions"] == 0
         assert fallback.overlap_pairs() == default.overlap_pairs()
         for column, values in default.alignment_table().items():
             np.testing.assert_array_equal(fallback.alignment_table()[column], values)

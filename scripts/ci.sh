@@ -16,8 +16,8 @@
 #           error cannot silently leave CI on the NumPy bodies of any
 #           compiled entry: the x-drop
 #           kernel, the Bloom filter, the key gate, the k-mer extraction,
-#           `route_rows`, `route_occurrences`, `hll_add` and
-#           `pack_occurrence_keys`; with `cc` on PATH
+#           `route_rows`, `route_occurrences` (which packs stage 2's
+#           occurrence keys) and `hll_add`; with `cc` on PATH
 #           it also builds the one source, src/repro/_native.c, with -Wall
 #           -Wextra -Werror, x86 intrinsics included (docs/architecture.md,
 #           "The compiled tier").

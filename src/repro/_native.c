@@ -17,11 +17,9 @@
  *                       by k-mer owner (repro.mpisim.collectives.
  *                       bucket_by_destination / bucket_by_owner,
  *                       reference _bucket_numpy);
- *   route_occurrences   stage 2's occurrence packing fused with it
+ *   route_occurrences   stage 2's packing of every occurrence into its
+ *                       64-bit index key, fused with it
  *                       (repro.core.stages.route_occurrences);
- *   pack_occurrence_keys  the packed 64-bit occurrence key of every
- *                       received stage-2 row
- *                       (repro.kmers.hashtable.pack_occurrence_keys);
  *   hll_add             the HyperLogLog register max of stage 1
  *                       (repro.kmers.hyperloglog.HyperLogLog.add_many).
  *
@@ -542,19 +540,20 @@ void bloom_insert(const uint64_t *codes, int64_t n, uint8_t *bits,
     }
 }
 
-/* key_mask: keep[i] = 1 when codes[i * stride] is one of the n_keys keys.
- * The keys go into an open-addressing set in `table` (n_keys + 1 or more
- * zeroed words) and every code probes it; `stride` (in words) lets the
- * caller pass a column of a row-major array without copying it. */
+/* key_mask: keep[i] = 1 when codes[i * stride] >> shift is one of the
+ * n_keys keys.  The keys go into an open-addressing set in `table` (n_keys
+ * + 1 or more zeroed words) and every code probes it; `stride` (in words)
+ * lets the caller pass a column of a row-major array, and `shift` (0..63)
+ * the code field of packed occurrence keys, without copying either. */
 void key_gate(const uint64_t *keys, int64_t n_keys, uint64_t *table,
               uint64_t words, const uint64_t *codes, int64_t n_codes,
-              int64_t stride, uint8_t *keep)
+              int64_t stride, int64_t shift, uint8_t *keep)
 {
     int has_max = 0;
     for (int64_t i = 0; i < n_keys; i++)
         set_add(table, words, &has_max, keys[i]);
     for (int64_t i = 0; i < n_codes; i++)
-        keep[i] = (uint8_t)set_has(table, words, has_max, codes[i * stride]);
+        keep[i] = (uint8_t)set_has(table, words, has_max, codes[i * stride] >> shift);
 }
 
 /* extract_kmers_batch over the reads' joined ASCII bytes.
@@ -673,21 +672,31 @@ int64_t route_rows(const uint64_t *rows, int64_t n, int64_t width,
     return 0;
 }
 
-/* The occurrence exchange's packing: occurrence i is the wire row
- *     (codes[i], rids[read_index[i]] << 32 | strands[i] << 31 | positions[i])
- * sent to the owner of codes[i].  The rows are written straight into `out`
- * (2n words) in destination order, so no row is staged in input order and
- * no RID column is gathered.  The word is built with the wrapping uint64
- * shifts and ORs of the NumPy packing in repro.core.stages.  `owner` is
- * the caller's n-entry scratch column.  Returns 0, or -1 (nothing written)
- * when a read index lies outside [0, n_rids) or owners are asked of no
- * ranks. */
+/* The occurrence exchange's packing.  Occurrence i, with rid =
+ * rids[read_index[i]], goes to the owner of codes[i] as the occurrence key
+ * (repro.kmers.hashtable.occurrence_key_bits)
+ *     code << (rid_bits + position_bits + 1) | rid << (position_bits + 1)
+ *          | position << 1 | strand
+ * when the fields leave room for a code (code_shift = rid_bits +
+ * position_bits + 1 < 64), else as the two-word row (code, payload) whose
+ * payload is that key's low 63 bits at rid_bits = 32, position_bits = 31.
+ * The caller passes one of those layouts.  Rows are written straight into
+ * `out` (n or 2n words) in destination order, so no row is staged in input
+ * order and no RID column is gathered.  `owner` is the caller's n-entry
+ * scratch column.  Returns 0, or (nothing written) -1 when a read index
+ * lies outside [0, n_rids) or owners are asked of no ranks, and -2, -3 or
+ * -4 when a code, a RID or a position does not fit its width (RIDs and
+ * positions are read as uint64, so a negative one does not fit either). */
 int64_t route_occurrences(const uint64_t *codes, const int64_t *read_index,
                           const int64_t *rids, int64_t n_rids,
                           const int64_t *positions, const uint8_t *strands,
-                          int64_t n, int64_t n_ranks, uint32_t *owner,
+                          int64_t n, int64_t n_ranks, int64_t rid_bits,
+                          int64_t position_bits, uint32_t *owner,
                           uint64_t *out, int64_t *counts)
 {
+    const int64_t code_shift = rid_bits + position_bits + 1;
+    const int64_t width = code_shift < 64 ? 1 : 2;
+    uint64_t code_or = 0, rid_or = 0, position_or = 0;
     for (int64_t d = 0; d < n_ranks; d++)
         counts[d] = 0;
     if (n > 0 && n_ranks <= 0)
@@ -698,41 +707,29 @@ int64_t route_occurrences(const uint64_t *codes, const int64_t *read_index,
         const uint32_t d = (uint32_t)(mix64(codes[i]) % (uint64_t)n_ranks);
         owner[i] = d;
         counts[d]++;
+        code_or |= codes[i];
+        rid_or |= (uint64_t)rids[read_index[i]];
+        position_or |= (uint64_t)positions[i];
     }
+    if (width == 1 && code_or >> (64 - code_shift))
+        return -2;
+    if (rid_or >> rid_bits)
+        return -3;
+    if (position_or >> position_bits)
+        return -4;
     counts_to_starts(counts, n_ranks);
     for (int64_t i = 0; i < n; i++) {
-        uint64_t *to = out + 2 * counts[owner[i]]++;
-        to[0] = codes[i];
-        to[1] = (uint64_t)rids[read_index[i]] << 32
-                | (uint64_t)strands[i] << 31
-                | (uint64_t)positions[i];
+        uint64_t *to = out + width * counts[owner[i]]++;
+        const uint64_t payload = (uint64_t)rids[read_index[i]] << (position_bits + 1)
+                                 | (uint64_t)positions[i] << 1 | strands[i];
+        if (width == 1) {
+            to[0] = codes[i] << code_shift | payload;
+        } else {
+            to[0] = codes[i];
+            to[1] = payload;
+        }
     }
     counts_back(counts, n_ranks);
-    return 0;
-}
-
-/* pack_occurrence_keys: the key of each of n received wire rows
- *     (code, rid << 32 | strand << 31 | position)
- * is the word
- *     code << (rid_bits + position_bits + 1) | rid << (position_bits + 1)
- *          | position << 1 | strand,
- * whose unsigned order is the index's canonical (code, rid, position,
- * strand) order.  `rows` is n row-major pairs of words.  The caller checks
- * 0 <= rid_bits <= 32, 0 <= position_bits <= 31 and rid_bits +
- * position_bits + 1 <= 63.  Returns 0, or -1 (with `keys` partly written)
- * when a field does not fit its width. */
-int64_t pack_occurrence_keys(const uint64_t *rows, int64_t n, int64_t rid_bits,
-                             int64_t position_bits, uint64_t *keys)
-{
-    const int64_t code_shift = rid_bits + position_bits + 1;
-    for (int64_t i = 0; i < n; i++) {
-        const uint64_t code = rows[2 * i], meta = rows[2 * i + 1];
-        const uint64_t rid = meta >> 32, position = meta & 0x7FFFFFFFu;
-        if ((code >> (64 - code_shift)) | (rid >> rid_bits) | (position >> position_bits))
-            return -1;
-        keys[i] = code << code_shift | rid << (position_bits + 1) | position << 1
-                  | (meta >> 31 & 1);
-    }
     return 0;
 }
 

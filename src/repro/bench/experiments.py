@@ -260,6 +260,10 @@ def figure12_exchange_efficiency(harness: ExperimentHarness | None = None,
                     "nodes": n_nodes,
                     "overall_efficiency": overall_eff[n_nodes],
                     "exchange_efficiency": exchange_eff[n_nodes],
+                    "hashtable_payload_bytes":
+                        runs[n_nodes].counters["hashtable_payload_bytes"],
+                    "kmers_received_hashtable":
+                        runs[n_nodes].counters["kmers_received_hashtable"],
                 }
             )
     return rows

@@ -54,7 +54,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     # -- stage 2: hash-table construction -----------------------------------
     "kmers_received_hashtable": "k-mer occurrences received by their owner in the hash-table exchange",
     "occurrences_stored": "k-mer occurrences inserted into the distributed hash table",
-    "hashtable_payload_bytes": "bytes of (code, rid, pos) tuples moved by the hash-table exchange",
+    "hashtable_payload_bytes": "bytes of occurrence keys moved by the hash-table exchange: 8 per occurrence (16 in the two-word layout)",
     "retained_kmers": "distinct reliable k-mers retained after frequency filtering",
     "retained_occurrences": "read occurrences retained under the reliable k-mers",
     "retained_table_peak_bytes": "bytes of the retained table the overlap stage reads",
@@ -80,13 +80,13 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "index_retained_kmers": "reliable k-mers in the built index",
     "index_retained_occurrences": "read occurrences in the built index",
     "index_occurrences": "occurrences scanned while building the index",
-    "index_nbytes": "bytes of the resident index: sorted occurrences plus the group table",
+    "index_nbytes": "bytes of the resident index: its sorted occurrence keys, 8 per occurrence (16 in the two-word layout)",
     "index_digest": "content digest of the resident index (staleness detection)",
     "index_reuse_hits": "query batches served from a resident index",
     "index_reads_shipped": "index reads the rebuild job carried after a query batch found the index missing (absent on the hot path)",
     "query_kmers_parsed": "k-mers parsed from the query-batch reads",
     "query_kmers_routed": "query k-mers routed to their index-owner ranks",
-    "query_route_payload_bytes": "bytes moved by the query-routing exchange",
+    "query_route_payload_bytes": "bytes of occurrence keys moved by the query-routing exchange, in the union read set's layout",
     "query_pairs_generated": "candidate query-target pairs generated from index hits",
     "query_cross_pairs": "query-vs-index pairs kept from the generated pairs (within-side pairs dropped)",
     "query_index_occurrences_touched": "resident index occurrences gathered into query-batch merges (the hit k-mer groups)",

@@ -40,13 +40,18 @@ from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
 from repro.core.supersteps import StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
+from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
     OCCURRENCE_NBYTES,
     KmerIndex,
     RetainedKmers,
+    decode_occurrences,
+    field_overflow,
+    join_keys,
+    key_fields,
     key_mask,
     occurrence_key_bits,
-    pack_occurrence_keys,
+    pack_occurrences,
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.kmers.minimizer import minimizer_mask, sketch_hash
@@ -329,99 +334,77 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def route_occurrences(codes: np.ndarray, read_index: np.ndarray, positions: np.ndarray,
-                      strands: np.ndarray, rids: np.ndarray,
-                      n_ranks: int) -> list[np.ndarray]:
-    """Pack one batch's occurrences into wire rows, bucketed by owner rank.
+                      strands: np.ndarray, rids: np.ndarray, n_ranks: int,
+                      key_bits: tuple[int, int]) -> list[np.ndarray]:
+    """Pack one batch's occurrences into index keys, bucketed by owner rank.
 
-    Occurrence ``i`` becomes the row ``(code, meta)`` with ``meta =
-    rids[read_index[i]] << 32 | strand << 31 | position``: the RID in the
-    high 32 bits, the strand flag in bit 31, the position in the low 31
-    bits.  This keeps the exchange at 2 words per k-mer instance (the paper
-    reports ~2.5x the Bloom-filter stage volume, §7).  The rows go to the
-    code's owner, :func:`~repro.mpisim.collectives.bucket_by_owner`'s
-    buckets.  The compiled ``route_occurrences`` (:mod:`repro.native`)
-    writes every row straight into its destination's place in one buffer,
-    with no row staged in input order and no RID column gathered;
+    Occurrence ``i`` becomes the occurrence key of ``(code,
+    rids[read_index[i]], position, strand)`` in the layout *key_bits*
+    (:func:`~repro.kmers.hashtable.occurrence_key_bits`): one ``uint64``
+    that the owner keeps and its index sorts as it arrived
+    (:func:`~repro.kmers.hashtable.pack_occurrences`), or in the wide
+    layout a two-word ``(code, payload)`` row.  So the exchange carries one
+    word per k-mer instance where the key fits (the paper ships the k-mer,
+    RID and position, ~2.5x the Bloom-filter stage volume, §7).  The keys
+    go to the owner of the code, §4's ``mix64(code) mod n_ranks``.  The
+    compiled ``route_occurrences`` (:mod:`repro.native`) writes every key
+    straight into its destination's place in one buffer, with no key staged
+    in input order and no RID column gathered;
     :func:`_route_occurrences_numpy` is its reference and fallback.  Both
-    raise ``IndexError`` for a read index outside *rids*.
+    raise ``IndexError`` for a read index outside *rids*, and
+    ``ValueError`` naming the first of code, RID and position that does not
+    fit its width.
     """
     if not len(codes) == len(read_index) == len(positions) == len(strands):
         raise ValueError("occurrence columns must have equal length")
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    fields = key_fields(*key_bits)
     compiled = native.library()
     if compiled is None:
         return _route_occurrences_numpy(codes, read_index, positions, strands, rids,
-                                        n_ranks)
-    if n_ranks <= 0:
-        raise ValueError("n_ranks must be positive")
+                                        n_ranks, key_bits)
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     read_index, rids, positions = (np.ascontiguousarray(column, dtype=np.int64)
                                    for column in (read_index, rids, positions))
     strands = np.ascontiguousarray(strands, dtype=bool)
-    rows = np.empty((codes.size, 2), dtype=np.uint64)
+    keys = np.empty(codes.size if fields[0][1] < 64 else (codes.size, 2), dtype=np.uint64)
     counts = np.empty(n_ranks, dtype=np.int64)
     owner = np.empty(codes.size, dtype=np.uint32)
-    if compiled.route_occurrences(
-            codes.ctypes.data, read_index.ctypes.data, rids.ctypes.data, rids.size,
-            positions.ctypes.data, strands.ctypes.data, codes.size, n_ranks,
-            owner.ctypes.data, rows.ctypes.data, counts.ctypes.data) < 0:
+    status = compiled.route_occurrences(
+        codes.ctypes.data, read_index.ctypes.data, rids.ctypes.data, rids.size,
+        positions.ctypes.data, strands.ctypes.data, codes.size, n_ranks, *key_bits,
+        owner.ctypes.data, keys.ctypes.data, counts.ctypes.data)
+    if status == -1:
         raise IndexError("read index out of range of the RID table")
-    return split_routed(rows, counts)
+    if status < 0:
+        raise field_overflow(*fields[-2 - status])
+    return split_routed(keys, counts)
 
 
 def _route_occurrences_numpy(codes: np.ndarray, read_index: np.ndarray,
                              positions: np.ndarray, strands: np.ndarray,
-                             rids: np.ndarray, n_ranks: int) -> list[np.ndarray]:
+                             rids: np.ndarray, n_ranks: int,
+                             key_bits: tuple[int, int]) -> list[np.ndarray]:
     """The NumPy body of :func:`route_occurrences` (reference and fallback):
-    the meta word built in place in the payload's second column, then
-    :func:`~repro.mpisim.collectives.bucket_by_owner`."""
+    the keys packed in input order
+    (:func:`~repro.kmers.hashtable.pack_occurrences`), then bucketed by the
+    owner of their codes."""
     read_index = np.asarray(read_index, dtype=np.int64)
     if read_index.size and read_index.min() < 0:
         raise IndexError("read index out of range of the RID table")
-    payload = np.empty((codes.size, 2), dtype=np.uint64)
-    payload[:, 0] = codes
-    meta = payload[:, 1]
-    meta[:] = np.asarray(rids, dtype=np.int64)[read_index]
-    meta <<= np.uint64(32)
-    meta |= np.asarray(strands, dtype=np.uint64) << np.uint64(31)
-    meta |= np.asarray(positions, dtype=np.int64).view(np.uint64)
-    return bucket_by_owner(payload, n_ranks)
+    codes = np.asarray(codes, dtype=np.uint64)
+    keys = pack_occurrences(codes, np.asarray(rids, dtype=np.int64)[read_index],
+                            positions, strands, *key_bits)
+    return bucket_by_destination(keys, owner_of(codes, n_ranks), n_ranks)
 
 
-class _OccurrenceColumns:
-    """Received wire rows decoded into ``(codes, rids, positions, strands)``
-    column chunks: the store of the query route, and of stage 2 when the
-    packed occurrence key does not fit a word."""
-
-    def __init__(self) -> None:
-        # One chunk list per column, each seeded with an empty chunk so the
-        # concatenation in ``join`` always has one.
-        self._chunks = ([np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)],
-                        [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)])
-
-    def add(self, rows: np.ndarray) -> None:
-        """Decode one block of ``(code, meta)`` rows with no full-width
-        temporaries (the receive side is the exchange's memory peak)."""
-        meta = rows[:, 1]
-        rid_arr = np.empty(meta.size, dtype=np.int64)
-        pos_arr = np.empty(meta.size, dtype=np.int64)
-        np.right_shift(meta, np.uint64(32), out=rid_arr.view(np.uint64))
-        # The position column's buffer holds the strand bit first.
-        strand_arr = np.bitwise_and(meta, np.uint64(1 << 31),
-                                    out=pos_arr.view(np.uint64)) != 0
-        np.bitwise_and(meta, np.uint64(0x7FFFFFFF), out=pos_arr.view(np.uint64))
-        for column_chunks, column in zip(self._chunks, (rows[:, 0].copy(), rid_arr,
-                                                        pos_arr, strand_arr)):
-            column_chunks.append(column)
-
-    def join(self) -> list[np.ndarray]:
-        """The joined ``[codes, rids, positions, strands]`` in arrival order,
-        column by column, each column's chunks released once joined, so the
-        chunks and the joined columns are never all alive at once."""
-        columns = []
-        for column_chunks in self._chunks:
-            columns.append(np.concatenate(column_chunks))
-            column_chunks.clear()
-        return columns
+def _key_bits(state: _RankState) -> tuple[int, int]:
+    """The occurrence-key layout of the rank's read set
+    (:func:`~repro.kmers.hashtable.occurrence_key_bits`): every rank holds
+    the same read set, so every rank computes the same widths."""
+    return occurrence_key_bits(state.config.kmer.k, len(state.readset),
+                               int(state.readset.read_lengths().max(initial=0)))
 
 
 def _occurrence_exchange(
@@ -429,17 +412,18 @@ def _occurrence_exchange(
     state: _RankState,
     rids: list[int],
     label: str,
+    key_bits: tuple[int, int],
     store: Callable[[np.ndarray], None],
 ) -> tuple[int, int, int, ScheduleOutcome]:
     """Ship every k-mer occurrence of *rids* to the k-mer's owner rank.
 
     The superstep behind stage 2 and the serve phase's query route: each
-    step extracts one batch of reads, packs and buckets its ``(code,
-    meta)`` rows by owner (:func:`route_occurrences`) and exchanges them;
-    the receiving side hands each peer's non-empty block of rows to
-    *store*, in source-rank order, and drops the block as soon as *store*
-    returns.  Batch ``i+1``'s extraction — the dominant compute — runs
-    while the peers are still reading batch ``i`` (the double-buffered
+    step extracts one batch of reads, packs its occurrences into keys of
+    the layout *key_bits* bucketed by owner (:func:`route_occurrences`) and
+    exchanges them; the receiving side hands each peer's non-empty block of
+    keys to *store*, in source-rank order, and drops the block as soon as
+    *store* returns.  Batch ``i+1``'s extraction — the dominant compute —
+    runs while the peers are still reading batch ``i`` (the double-buffered
     schedule).
 
     Parameters
@@ -452,8 +436,11 @@ def _occurrence_exchange(
         The local reads to stream.
     label:
         The exchange label (``"hashtable"`` or ``"query_route"``).
+    key_bits:
+        The occurrence-key layout (:func:`_key_bits`).
     store:
-        Called with every received ``(n, 2)`` ``uint64`` block of rows.
+        Called with every received ``uint64`` block of keys (``(n, 2)``
+        rows in the wide layout).
 
     Returns
     -------
@@ -474,20 +461,21 @@ def _occurrence_exchange(
         columns = _extract_batch_kmers(state.readset, batch, config,
                                        with_positions=True, counters=state.counters)
         parsed += int(columns[0].size)
-        return route_occurrences(*columns, np.asarray(batch, dtype=np.int64), comm.size)
+        return route_occurrences(*columns, np.asarray(batch, dtype=np.int64), comm.size,
+                                 key_bits)
 
     def consume(step: int, received: list) -> None:
         nonlocal received_total, payload_bytes
         for src in range(len(received)):
-            rows = np.asarray(received[src], dtype=np.uint64)
+            block = np.asarray(received[src], dtype=np.uint64)
             # Released once stored: the self-addressed block is a view of
             # this rank's whole routed send buffer, which it keeps alive.
             received[src] = None
-            if not rows.size:
+            if not block.size:
                 continue
-            payload_bytes += int(rows.nbytes)
-            received_total += int(rows.shape[0])
-            store(rows)
+            payload_bytes += int(block.nbytes)
+            received_total += len(block)
+            store(block)
 
     outcome = SuperstepSchedule(comm, state.timer(label), len(batches),
                                 label=label).run(produce, consume)
@@ -498,21 +486,20 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
                      keys: np.ndarray | None = None) -> KmerIndex:
     """Stage 2: second pass shipping (k-mer, RID, position) to the owner rank.
 
-    Occurrences of the rank's local reads are exchanged by :func:`_occurrence_exchange`,
-    kept only for k-mers in *keys* (stage 1's candidate keys; the one-shot
-    run passes them), and sorted once into one canonical
-    :class:`~repro.kmers.hashtable.KmerIndex` — the sort timed as
-    hash-table work.  The frequency filters that leave the retained k-mers
-    (§7) are applied later, by the index's views.
-
-    The rank knows its read set before the exchange, so it knows whether
-    ``code | rid | position | strand`` fits one word
-    (:func:`~repro.kmers.hashtable.occurrence_key_bits`).  When it does,
-    each received block becomes packed keys as it arrives
-    (:func:`~repro.kmers.hashtable.pack_occurrence_keys`, 8 bytes per kept
-    occurrence until the sort) and the index sorts and decodes them once
-    (:meth:`~repro.kmers.hashtable.KmerIndex.from_keys`); otherwise the
-    blocks are decoded into columns and sorted with a ``lexsort``.
+    Occurrences of the rank's local reads are exchanged by
+    :func:`_occurrence_exchange` as the index's own keys, kept only for
+    k-mers in *keys* (stage 1's candidate keys; the one-shot run passes
+    them), and sorted once into one canonical
+    :class:`~repro.kmers.hashtable.KmerIndex`
+    (:meth:`~repro.kmers.hashtable.KmerIndex.from_keys`) — the sort timed
+    as hash-table work.  A received block is kept as it arrived, with no
+    pass over it but the candidate-key gate, which reads each key's code
+    in place; a block that is a view of a larger buffer (the
+    self-addressed one is a view of the rank's whole routed send buffer;
+    on the thread backend every block is a view of its sender's) is
+    copied, so the buffer is not kept alive until the sort.  The frequency
+    filters that leave the retained k-mers (§7) are applied later, by the
+    index's views.
 
     The serve phase's index build passes no keys: the resident index must
     keep singleton occurrences too, because a later query batch can lift a
@@ -534,30 +521,21 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState,
     KmerIndex
         This rank's partition of the occurrence table.
     """
-    k = state.config.kmer.k
-    key_bits = occurrence_key_bits(k, len(state.readset),
-                                   int(state.readset.read_lengths().max(initial=0)))
-    if key_bits is None:
-        columns = _OccurrenceColumns()
-        sink = columns.add
-    else:
-        chunks: list[np.ndarray] = []
+    key_bits = _key_bits(state)
+    code_shift = sum(key_bits) + 1
+    chunks: list[np.ndarray] = []
 
-        def sink(rows: np.ndarray) -> None:
-            chunks.append(pack_occurrence_keys(rows, *key_bits))
-
-    def store(rows: np.ndarray) -> None:
+    def store(block: np.ndarray) -> None:
         if keys is not None:
-            rows = rows[key_mask(keys, rows[:, 0])]
-        sink(rows)
+            codes, shift = (block, code_shift) if block.ndim == 1 else (block[:, 0], 0)
+            chunks.append(block[key_mask(keys, codes, shift)])
+        else:
+            chunks.append(block if block.base is None else block.copy())
 
     _, received, payload_bytes, outcome = _occurrence_exchange(
-        comm, state, state.local_rids, "hashtable", store)
+        comm, state, state.local_rids, "hashtable", key_bits, store)
     with state.timer("hashtable").compute():
-        if key_bits is None:
-            index = KmerIndex.from_columns(k, columns.join())
-        else:
-            index = KmerIndex.from_keys(k, chunks, *key_bits)
+        index = KmerIndex.from_keys(state.config.kmer.k, chunks, *key_bits)
     key_bytes = 0 if keys is None else keys.nbytes
     state.work["hashtable"] = float(received)
     state.local_bytes["hashtable"] = float(
@@ -1154,18 +1132,20 @@ def run_query_batch(
     state.counters["index_reuse_hits"] = 1
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
-    columns = _OccurrenceColumns()
+    # In the union read set's key layout, which every rank computes alike.
+    key_bits = _key_bits(state)
+    chunks: list[np.ndarray] = []
     parsed, routed, payload_bytes, outcome = _occurrence_exchange(
         comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
-        "query_route", columns.add)
+        "query_route", key_bits, chunks.append)
     with route_timer.compute():
-        q_codes, q_rids, q_positions, q_strands = columns.join()
+        q_codes, q_rids, q_positions, q_strands = decode_occurrences(
+            join_keys(chunks, *key_bits), *key_bits)
     state.work["query_route"] = float(routed)
     state.counters["query_kmers_parsed"] = parsed
     state.counters["query_kmers_routed"] = routed
     state.counters["query_route_payload_bytes"] = payload_bytes
     state.counters["query_route_steps_overlapped"] = outcome.steps_overlapped
-
     # -- stage Q2: merge into the resident index, cross pairs only ----------
     with route_timer.compute():
         order_key = _arrival_order_key(assignments, len(readset), config.batch_reads)

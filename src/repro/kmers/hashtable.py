@@ -12,28 +12,29 @@ appeared" (§7).  Every launch builds that partition as one
    the singletons correctly rejected by the Bloom filter — is dropped
    without being stored.  The serve phase's index build passes no keys and
    keeps every occurrence.
-3. The index sorts the kept occurrences once into one canonical table.
-   When ``code | rid | position | strand`` fits one 64-bit word
-   (:func:`occurrence_key_bits`), the receiving side packs each block of
-   wire rows into those words as it arrives (:func:`pack_occurrence_keys`)
-   and the index sorts the words once and decodes them once
-   (:meth:`KmerIndex.from_keys`); otherwise it keeps the decoded columns
-   and sorts them with a 4-key ``lexsort``.
+3. The index sorts the kept occurrences once and keeps them as they
+   travelled: each occurrence is one 64-bit key, ``code | rid | position
+   | strand`` (:func:`occurrence_key_bits`, :func:`pack_occurrences`),
+   packed by the sender, kept by the receiver and sorted once by the index
+   (:meth:`KmerIndex.from_keys`); when the fields do not fit a word it is
+   a two-word ``(code, payload)`` row with the same order.
 4. Views apply the frequency filters, which remove false-positive
-   singletons and k-mers above the high-frequency threshold m:
-   :meth:`KmerIndex.retained` gives the one-shot run's retained table,
-   :meth:`KmerIndex.merged` merges a query batch into the resident table.
+   singletons and k-mers above the high-frequency threshold m, decoding
+   only the keys they take: :meth:`KmerIndex.retained` gives the one-shot
+   run's retained table, :meth:`KmerIndex.merged` merges a query batch
+   into the resident table.
 
 The implementation is array-based rather than a Python dict: occurrences
-are flat numpy arrays grouped by one sort, which keeps the per-k-mer Python
-overhead out of the hot path.  The overlap stage bounds its pair buffers by
-cutting the retained table into chunks of k-mer groups
+are one flat key array grouped by one sort, which keeps the per-k-mer
+Python overhead out of the hot path.  The overlap stage bounds its pair
+buffers by cutting the retained table into chunks of k-mer groups
 (``exchange_chunk_mb``), not by cutting the table itself.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,6 @@ from repro import native
 #: is not the storage size, which :attr:`KmerIndex.nbytes` measures.
 OCCURRENCE_NBYTES = 8 + 8 + 8 + 1
 
-#: The largest RID and position the wire meta word and the ``uint32``
-#: storage columns hold (the meta word keeps 32 bits of RID and 31 of
-#: position, see :func:`repro.core.stages.route_occurrences`).
-_RID_BITS_MAX, _POSITION_BITS_MAX = 32, 31
-
-
 #: ``digest`` hashes the sorted occurrences in this many code-range slices,
 #: one after another.  The slices change nothing in the index; they exist
 #: only because the pinned ``IndexSparse.PINNED_DIGESTS`` of ``perfbench``
@@ -60,8 +55,9 @@ _RID_BITS_MAX, _POSITION_BITS_MAX = 32, 31
 _DIGEST_SLICES = 4
 
 
-#: Occurrences :meth:`KmerIndex.digest` widens to ``int64`` per hash update.
-_DIGEST_CHUNK = 1 << 20
+#: Keys a view decodes or compares per pass: :meth:`KmerIndex.digest`
+#: decodes one field of this many occurrences per hash update.
+_CHUNK = 1 << 20
 
 
 def _digest_boundaries(k: int) -> np.ndarray:
@@ -75,23 +71,20 @@ def _digest_boundaries(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetainedKmers:
-    """Grouped k-mer occurrences: a hash-table partition or a view of one.
+    """Grouped k-mer occurrences: a view of a hash-table partition.
 
-    Occurrences are stored structure-of-arrays style, sorted by k-mer code,
+    Occurrences are held structure-of-arrays style, sorted by k-mer code,
     with ``offsets`` delimiting each k-mer's group:
     ``rids[offsets[i]:offsets[i+1]]`` are the reads containing ``codes[i]``.
 
     The views the overlap stage reads (:meth:`KmerIndex.retained`,
-    :meth:`KmerIndex.merged`) hold ``int64`` offsets, RIDs and positions.
-    The index's own storage is narrower: ``uint32`` RIDs and positions, and
-    ``int32`` offsets while the table holds fewer than 2**31 occurrences
-    (``int64`` beyond).
+    :meth:`KmerIndex.merged`) are decoded from the index's sorted keys.
     """
 
     codes: np.ndarray      # (n_retained,) uint64, ascending
-    offsets: np.ndarray    # (n_retained + 1,) int64 (int32/int64 in storage)
-    rids: np.ndarray       # (n_occurrences,) int64 (uint32 in storage)
-    positions: np.ndarray  # (n_occurrences,) int64 (uint32 in storage)
+    offsets: np.ndarray    # (n_retained + 1,) int64
+    rids: np.ndarray       # (n_occurrences,) int64
+    positions: np.ndarray  # (n_occurrences,) int64
     strands: np.ndarray    # (n_occurrences,) bool — True if the occurrence is
                            # the canonical orientation (forward) in its read
 
@@ -166,26 +159,11 @@ def _group_take(starts: np.ndarray,
     return offsets, take
 
 
-def _take_groups(table: RetainedKmers, groups: np.ndarray) -> RetainedKmers:
-    """The groups of *table* at the ascending indices *groups*, compacted,
-    with ``int64`` offsets, RIDs and positions whatever *table* stores."""
-    starts = table.offsets[groups].astype(np.int64)
-    offsets, take = _group_take(starts, table.offsets[groups + 1] - starts)
-    return RetainedKmers(
-        codes=table.codes[groups],
-        offsets=offsets,
-        rids=table.rids[take].astype(np.int64),
-        positions=table.positions[take].astype(np.int64),
-        strands=table.strands[take],
-    )
-
-
 def _group_offsets(sorted_codes: np.ndarray) -> np.ndarray:
     """Where each run of equal codes starts in an ascending code array, then
-    the array's size: the group table's ``offsets``.
+    the array's size: a grouped table's ``offsets``.
 
-    One boolean mask and one index array, with no concatenated copy: the
-    index build's peak memory holds the whole occurrence table, and on a
+    One boolean mask and one index array, with no concatenated copy: on a
     sparse input almost every occurrence starts a group.
     """
     n = sorted_codes.size
@@ -251,14 +229,18 @@ def _arrival_order(codes: np.ndarray, arrival: np.ndarray,
     return np.lexsort((positions, arrival, codes))
 
 
-def key_mask(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Boolean mask: which of *codes* are in *keys* (ascending, unique).
+def key_mask(keys: np.ndarray, codes: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Boolean mask: which of ``codes >> shift`` are in *keys* (ascending,
+    unique).
 
     The candidate-key gate of stage 2: occurrences of k-mers the Bloom
-    filter saw only once are not stored.  Runs the compiled ``key_gate``
+    filter saw only once are not stored.  *codes* may be occurrence keys,
+    whose code is ``key >> shift``, or the code column of two-word rows
+    (``rows[:, 0]``, shift 0).  Runs the compiled ``key_gate``
     (:mod:`repro.native`: a hash set of the keys, probed by every code,
-    reading a strided column such as ``rows[:, 0]`` in place) when it is
-    available, :func:`_key_mask_numpy` otherwise; both return the same mask.
+    reading a strided column in place and shifting each word as it reads
+    it) when it is available, :func:`_key_mask_numpy` otherwise; both return
+    the same mask.
     """
     if keys.size == 0:
         return np.zeros(codes.size, dtype=bool)
@@ -267,153 +249,158 @@ def key_mask(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     # whole-word stride, which is what stage 2 passes.
     if (compiled is None or keys.dtype != np.uint64 or codes.dtype != np.uint64
             or codes.ndim != 1 or codes.strides[0] % codes.itemsize):
-        return _key_mask_numpy(keys, codes)
+        return _key_mask_numpy(keys, codes >> np.uint64(shift) if shift else codes)
     keys = np.ascontiguousarray(keys)
     keep = np.empty(codes.size, dtype=bool)
     # The key set: at most half full, so probes stay short.
     table = np.zeros(2 * keys.size, dtype=np.uint64)
     compiled.key_gate(keys.ctypes.data, keys.size, table.ctypes.data, table.size,
                       codes.ctypes.data, codes.size, codes.strides[0] // codes.itemsize,
-                      keep.ctypes.data)
+                      shift, keep.ctypes.data)
     return keep
 
 
 def _key_mask_numpy(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The NumPy body of :func:`key_mask` (reference and fallback): one
-    binary search of every code into the keys."""
+    binary search of every (shifted) code into the keys."""
     slot = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
     return keys[slot] == codes
 
 
-def occurrence_key_bits(k: int, n_reads: int,
-                        max_read_length: int) -> tuple[int, int] | None:
-    """``(rid bits, position bits)`` of the packed occurrence key for a read
-    set, or None when the key does not fit one word.
+#: ``(rid bits, position bits)`` of the two-word occurrence row ``(code,
+#: payload)`` a read set ships when its one-word key does not fit: the
+#: payload is the one-word key's low 63 bits at these widths, so one field
+#: decoder serves both forms, and ``rid_bits + position_bits + 1 = 64``
+#: leaves no code bits, which is how the layout says it is two words.
+WIDE_KEY_BITS = (32, 31)
+
+
+def occurrence_key_bits(k: int, n_reads: int, max_read_length: int) -> tuple[int, int]:
+    """``(rid bits, position bits)`` of a read set's occurrence keys.
 
     The key packs ``code | rid | position | strand`` from the most
     significant bit down: ``2k`` bits of code, ``bits(n_reads - 1)`` of RID,
-    ``bits(max_read_length - k)`` of position and one strand bit.  It exists
-    when those add up to at most 64 (``k = 31`` with many reads does not
-    fit).  Every rank knows the read set before stage 2, so every rank
-    takes the same path.
+    ``bits(max_read_length - k)`` of position and one strand bit.  When
+    those add up to more than 64 (``k = 31`` with many reads), or a field
+    is wider than the two-word row's, the read set ships two-word rows:
+    :data:`WIDE_KEY_BITS`.  Every rank knows the read set before stage 2,
+    so every rank computes the same widths.
     """
     rid_bits = max(n_reads - 1, 0).bit_length()
     position_bits = max(max_read_length - k, 0).bit_length()
-    if (rid_bits > _RID_BITS_MAX or position_bits > _POSITION_BITS_MAX
+    if (rid_bits > WIDE_KEY_BITS[0] or position_bits > WIDE_KEY_BITS[1]
             or 2 * k + rid_bits + position_bits + 1 > 64):
-        return None
+        return WIDE_KEY_BITS
     return rid_bits, position_bits
 
 
 def _check_key_bits(rid_bits: int, position_bits: int) -> int:
-    """The code shift of a key with these field widths; raises ValueError
-    for widths no wire row fills or that leave no room for a code."""
-    if not (0 <= rid_bits <= _RID_BITS_MAX and 0 <= position_bits <= _POSITION_BITS_MAX
-            and rid_bits + position_bits + 1 < 64):
+    """The code shift of a key with these field widths (64: the two-word
+    row); raises ValueError for widths no key layout has."""
+    if not (0 <= rid_bits <= WIDE_KEY_BITS[0] and 0 <= position_bits <= WIDE_KEY_BITS[1]):
         raise ValueError(f"key field widths out of range: rid_bits={rid_bits}, "
                          f"position_bits={position_bits}")
     return rid_bits + position_bits + 1
 
 
-def _key_overflow(rid_bits: int, position_bits: int) -> ValueError:
-    return ValueError(f"an occurrence field does not fit the {63 - rid_bits - position_bits}"
-                      f"-bit code, {rid_bits}-bit RID or {position_bits}-bit position "
-                      "of the key")
+def key_fields(rid_bits: int, position_bits: int) -> tuple[tuple[str, int], ...]:
+    """``(name, width)`` of the code, RID and position fields of a layout,
+    in the order the senders check them; a two-word row's code is 64 bits."""
+    code_shift = _check_key_bits(rid_bits, position_bits)
+    return (("code", 64 - code_shift if code_shift < 64 else 64), ("RID", rid_bits),
+            ("position", position_bits))
 
 
-def pack_occurrence_keys(rows: np.ndarray, rid_bits: int,
-                         position_bits: int) -> np.ndarray:
-    """The packed ``uint64`` occurrence key of every stage-2 wire row.
+def field_overflow(name: str, bits: int) -> ValueError:
+    """The error of an occurrence field that does not fit its width."""
+    return ValueError(f"an occurrence {name} does not fit its {bits}-bit key field")
 
-    A row is ``(code, rid << 32 | strand << 31 | position)``
-    (:func:`repro.core.stages.route_occurrences`); its key is ``code <<
-    (rid_bits + position_bits + 1) | rid << (position_bits + 1) | position
-    << 1 | strand`` — the word :meth:`KmerIndex.from_keys` sorts, whose
-    order is the canonical ``(code, rid, position, strand)`` order (the
-    packed hit array minimap sorts).  Runs the compiled
-    ``pack_occurrence_keys`` (:mod:`repro.native`) when it is available,
-    :func:`_pack_occurrence_keys_numpy` otherwise; both raise ``ValueError``
-    when a field does not fit its width.
+
+def pack_occurrences(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                     strands: np.ndarray, rid_bits: int, position_bits: int) -> np.ndarray:
+    """The occurrence keys of these columns under the layout *rid_bits*,
+    *position_bits* (:func:`occurrence_key_bits`).
+
+    One ``uint64`` per occurrence, ``code << (rid_bits + position_bits + 1)
+    | rid << (position_bits + 1) | position << 1 | strand``, whose unsigned
+    order is the canonical ``(code, rid, position, strand)`` order; or, in
+    the :data:`WIDE_KEY_BITS` layout, ``(n, 2)`` rows ``(code, rid << 32 |
+    position << 1 | strand)``, whose row order is the same.  The NumPy body
+    of :func:`repro.core.stages.route_occurrences`' packing, and the column
+    constructor's.  Raises ``ValueError`` naming the first of code, RID and
+    position that does not fit its width (a negative one never does).
     """
-    _check_key_bits(rid_bits, position_bits)
-    rows = np.asarray(rows, dtype=np.uint64)
-    if rows.ndim != 2 or rows.shape[1] != 2:
-        raise ValueError("occurrence rows must have shape (n, 2)")
-    compiled = native.library()
-    if compiled is None:
-        return _pack_occurrence_keys_numpy(rows, rid_bits, position_bits)
-    rows = np.ascontiguousarray(rows)
-    keys = np.empty(rows.shape[0], dtype=np.uint64)
-    if compiled.pack_occurrence_keys(rows.ctypes.data, rows.shape[0], rid_bits,
-                                     position_bits, keys.ctypes.data) < 0:
-        raise _key_overflow(rid_bits, position_bits)
-    return keys
-
-
-def _pack_occurrence_keys_numpy(rows: np.ndarray, rid_bits: int,
-                                position_bits: int) -> np.ndarray:
-    """The NumPy body of :func:`pack_occurrence_keys` (reference and
-    fallback): the fields cut from the meta word, checked and shifted into
-    place."""
-    code_shift = np.uint64(_check_key_bits(rid_bits, position_bits))
-    codes, meta = rows[:, 0], rows[:, 1]
-    rids = meta >> np.uint64(32)
-    positions = meta & np.uint64((1 << _POSITION_BITS_MAX) - 1)
-    if ((codes >> (np.uint64(64) - code_shift)).any()
-            or (rids >> np.uint64(rid_bits)).any()
-            or (positions >> np.uint64(position_bits)).any()):
-        raise _key_overflow(rid_bits, position_bits)
-    keys = codes << code_shift
-    keys |= rids << np.uint64(position_bits + 1)
+    fields = key_fields(rid_bits, position_bits)
+    codes = np.asarray(codes, dtype=np.uint64)
+    rids, positions = (np.asarray(column, dtype=np.int64).view(np.uint64)
+                       for column in (rids, positions))
+    for (name, bits), column in zip(fields, (codes, rids, positions)):
+        if bits < 64 and (column >> np.uint64(bits)).any():
+            raise field_overflow(name, bits)
+    keys = rids << np.uint64(position_bits + 1)
     keys |= positions << np.uint64(1)
-    keys |= (meta >> np.uint64(_POSITION_BITS_MAX)) & np.uint64(1)
+    keys |= np.asarray(strands, dtype=bool)
+    if fields[0][1] == 64:
+        return np.stack([codes, keys], axis=1)
+    keys |= codes << np.uint64(rid_bits + position_bits + 1)
     return keys
 
 
-def _narrow_offsets(offsets: np.ndarray) -> np.ndarray:
-    """Group offsets as ``int32`` when the table fits, ``int64`` beyond."""
-    return offsets.astype(np.int32) if offsets[-1] <= np.iinfo(np.int32).max else offsets
+def join_keys(chunks: list[np.ndarray], rid_bits: int, position_bits: int) -> np.ndarray:
+    """The occurrence keys (or two-word rows) of *chunks* in one array,
+    emptying the list: each chunk is copied in and released, so the chunks
+    and the joined keys are never all alive at once."""
+    wide = _check_key_bits(rid_bits, position_bits) == 64
+    n = sum(len(chunk) for chunk in chunks)
+    keys = np.empty((n, 2) if wide else n, dtype=np.uint64)
+    at = 0
+    for i in range(len(chunks)):
+        keys[at : at + len(chunks[i])] = chunks[i]
+        at += len(chunks[i])
+        chunks[i] = None
+    chunks.clear()
+    return keys
 
 
-def _table_from_keys(keys: np.ndarray, rid_bits: int,
-                     position_bits: int) -> RetainedKmers:
-    """The stored table of sorted packed keys, decoded once into narrow
-    columns; the codes are decoded in the keys' own buffer."""
-    strands = keys.astype(np.uint8)
-    strands &= np.uint8(1)
-    positions = keys.astype(np.uint32)
-    positions >>= np.uint32(1)
-    positions &= np.uint32((1 << position_bits) - 1)
-    keys >>= np.uint64(position_bits + 1)
-    rids = keys.astype(np.uint32)
-    rids &= np.uint32((1 << rid_bits) - 1)
-    keys >>= np.uint64(rid_bits)
-    return _group_table(keys, rids, positions, strands.view(bool))
+def decode_occurrences(keys: np.ndarray, rid_bits: int,
+                       position_bits: int) -> tuple[np.ndarray, ...]:
+    """``(codes, rids, positions, strands)`` of occurrence keys (or two-word
+    rows) in the layout *rid_bits*, *position_bits*: the inverse of
+    :func:`pack_occurrences`, RIDs and positions as ``int64``."""
+    code_shift = _check_key_bits(rid_bits, position_bits)
+    if code_shift == 64:
+        return (keys[:, 0], *_payload_fields(keys[:, 1], rid_bits, position_bits))
+    return (keys >> np.uint64(code_shift), *_payload_fields(keys, rid_bits, position_bits))
 
 
-def _canonical_sort(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
-                    strands: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sort occurrence columns into canonical ``(code, rid, position,
-    strand)`` order with a 4-key ``np.lexsort``: the order the packed keys
-    of :meth:`KmerIndex.from_keys` sort into, for fields too wide to pack.
-    Rows equal on every field are indistinguishable, so the result does not
-    depend on the input order.
-    """
-    order = np.lexsort((strands, positions, rids, codes))
-    return codes[order], rids[order], positions[order], strands[order]
+def _payload_fields(payload: np.ndarray, rid_bits: int,
+                    position_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rids, positions, strands)`` of keys or two-word payloads."""
+    return tuple(decode(payload) for decode in _field_decoders(rid_bits, position_bits))
 
 
-def _group_table(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
-                 strands: np.ndarray) -> RetainedKmers:
-    """The unfiltered :class:`RetainedKmers` of occurrences sorted by code,
-    with narrow offsets (the caller passes narrow columns)."""
-    offsets = _group_offsets(codes)
-    return RetainedKmers(codes=codes[offsets[:-1]], offsets=_narrow_offsets(offsets),
-                         rids=rids, positions=positions, strands=strands)
+def _field_decoders(rid_bits: int, position_bits: int) -> tuple[Callable, Callable, Callable]:
+    """The decoders of the RID, the position (both ``int64``) and the strand
+    of keys or two-word payloads; the code bits above the RID are masked
+    off."""
+
+    def field(shift: int, bits: int) -> Callable[[np.ndarray], np.ndarray]:
+        def decode(payload: np.ndarray) -> np.ndarray:
+            values = payload >> np.uint64(shift)
+            values &= np.uint64((1 << bits) - 1)
+            return values.view(np.int64)
+        return decode
+
+    def strands(payload: np.ndarray) -> np.ndarray:
+        flags = payload.astype(np.uint8)
+        flags &= np.uint8(1)
+        return flags.view(bool)
+
+    return field(position_bits + 1, rid_bits), field(1, position_bits), strands
 
 
 class KmerIndex:
-    """One rank's k-mer occurrence table, sorted once into one canonical table.
+    """One rank's k-mer occurrence table: its occurrence keys, sorted once.
 
     Every launch builds one: the one-shot run reads its retained table
     through :meth:`retained`, and the serve phase keeps the index resident
@@ -422,23 +409,19 @@ class KmerIndex:
 
     Invariants:
 
-    * **Canonical storage** — the index is held as one
-      :class:`RetainedKmers` (unfiltered: every stored occurrence) whose
-      occurrences are sorted by ``(code, rid, position, strand)``.  Its
-      ``codes`` / ``offsets`` are the group table (unique codes, group
-      starts, group counts as ``np.diff(offsets)``); no other copy stays
-      resident.  Storage is narrow: ``uint32`` RIDs and positions, a bool
-      strand and ``int32`` offsets while they fit — 9 bytes per
-      occurrence and 12 per distinct k-mer.  The whole occurrence stream
-      is sorted once: :meth:`from_keys` sorts packed 64-bit keys with one
-      ``np.sort`` and decodes them once (stage 2 when the fields fit a
-      word, :func:`occurrence_key_bits`); the column constructor and
-      :meth:`from_columns` use a 4-key ``lexsort``
-      (:func:`_canonical_sort`).  Both give the same storage.  The index
-      is built once: nothing is inserted later.  Every view —
+    * **The sorted keys are the index** — it holds the occurrence keys
+      stage 2 shipped (:func:`occurrence_key_bits`,
+      :func:`pack_occurrences`), sorted with one ``np.sort``: 8 bytes per
+      occurrence, in canonical ``(code, rid, position, strand)`` order, a
+      k-mer's occurrences one run of keys sharing the bits above
+      ``code_shift``.  In the :data:`WIDE_KEY_BITS` layout it holds the
+      codes and the payload words as two columns instead (16 bytes per
+      occurrence), sorted by ``(code, payload)`` — the same order.  No
+      group table or decoded column stays resident: every view —
       :meth:`retained_counts`, :meth:`retained`, :meth:`merged`,
-      :meth:`digest` — reads the canonical storage, so none depends on how
-      the occurrence stream was ordered.
+      :meth:`digest` — decodes only what it takes, so none depends on how
+      the occurrence stream was ordered.  The index is built once: nothing
+      is inserted later.
     * **Unfiltered storage** — the index stores every occurrence it is
       given.  The one-shot run gives it only candidate-key occurrences
       (:func:`key_mask`); the serve build gives it all of them, because an
@@ -449,64 +432,93 @@ class KmerIndex:
 
     def __init__(self, k: int, codes: np.ndarray, rids: np.ndarray,
                  positions: np.ndarray, strands: np.ndarray) -> None:
-        self.k = k
-        self._sort([codes, rids, positions, strands])
-
-    @classmethod
-    def from_columns(cls, k: int, columns: list[np.ndarray]) -> "KmerIndex":
-        """The index of ``columns = [codes, rids, positions, strands]``,
-        emptying the list.
-
-        Stage 2's constructor when the packed key does not fit: the list
-        holds the last references to the exchanged columns, so they are
-        freed once sorted.
-        """
-        index = cls.__new__(cls)
-        index.k = k
-        index._sort(columns)
-        return index
+        """The index of occurrence columns: packed in the layout their
+        largest RID and position need, then sorted as stage 2's keys are."""
+        rids, positions = np.asarray(rids), np.asarray(positions)
+        if not (np.size(codes) == rids.size == positions.size == np.size(strands)):
+            raise ValueError("codes, rids, positions and strands must have equal length")
+        bits = occurrence_key_bits(k, int(rids.max(initial=0)) + 1,
+                                   int(positions.max(initial=0)) + k)
+        self._sort(k, [pack_occurrences(codes, rids, positions, strands, *bits)], bits)
 
     @classmethod
     def from_keys(cls, k: int, chunks: list[np.ndarray], rid_bits: int,
                   position_bits: int) -> "KmerIndex":
-        """The index of the packed occurrence keys in *chunks*
-        (:func:`pack_occurrence_keys` with these field widths), emptying
-        the list.
+        """The index of the occurrence keys (or two-word rows) in *chunks*,
+        in the layout *rid_bits*, *position_bits*, emptying the list.
 
-        Stage 2's constructor: each chunk is copied into one key array and
-        released, so the chunks and the joined keys are never all alive at
-        once; the keys get one ``np.sort`` and are decoded once into the
-        narrow storage columns, the codes in the keys' own buffer.
+        Stage 2's constructor: the chunks are joined into one key array
+        (:func:`join_keys`), which gets one sort.
         """
-        _check_key_bits(rid_bits, position_bits)
-        keys = np.empty(sum(int(chunk.size) for chunk in chunks), dtype=np.uint64)
-        at = 0
-        for i in range(len(chunks)):
-            keys[at : at + chunks[i].size] = chunks[i]
-            at += chunks[i].size
-            chunks[i] = None
-        chunks.clear()
-        keys.sort()
         index = cls.__new__(cls)
-        index.k = k
-        index.n_occurrences = int(keys.size)
-        index._table = _table_from_keys(keys, rid_bits, position_bits)
+        index._sort(k, chunks, (rid_bits, position_bits))
         return index
 
-    def _sort(self, columns: list[np.ndarray]) -> None:
-        codes, rids, positions, strands = (
-            np.asarray(column, dtype=dtype)
-            for column, dtype in zip(columns, (np.uint64, np.int64, np.int64, bool)))
-        columns.clear()
-        if not (codes.size == rids.size == positions.size == strands.size):
-            raise ValueError("codes, rids, positions and strands must have equal length")
-        for name, column in (("rids", rids), ("positions", positions)):
-            if column.size and (int(column.min()) < 0 or int(column.max()) >= 2**32):
-                raise ValueError(f"{name} must lie in [0, 2**32) to be stored")
-        self.n_occurrences = int(codes.size)
-        codes, rids, positions, strands = _canonical_sort(codes, rids, positions, strands)
-        self._table = _group_table(codes, rids.astype(np.uint32),
-                                   positions.astype(np.uint32), strands)
+    def _sort(self, k: int, chunks: list[np.ndarray], bits: tuple[int, int]) -> None:
+        keys = join_keys(chunks, *bits)
+        self.k = k
+        self.n_occurrences = len(keys)
+        self._rid_bits, self._position_bits = bits
+        code_shift = _check_key_bits(*bits)
+        if code_shift == 64:
+            order = np.lexsort((keys[:, 1], keys[:, 0]))
+            self._keys, self._payload, self._code_shift = keys[order, 0], keys[order, 1], 0
+        else:
+            keys.sort()
+            self._keys, self._payload, self._code_shift = keys, None, code_shift
+
+    def _codes(self, rows: slice | np.ndarray) -> np.ndarray:
+        """The codes of the keys at *rows*."""
+        keys = self._keys[rows]
+        return keys >> np.uint64(self._code_shift) if self._code_shift else keys
+
+    def _field_columns(self) -> tuple[Callable, ...]:
+        """For the RID, position and strand, the function that decodes that
+        field of the keys at some rows."""
+        payload = self._keys if self._payload is None else self._payload
+        return tuple(lambda rows, decode=decode: decode(payload[rows])
+                     for decode in _field_decoders(self._rid_bits, self._position_bits))
+
+    def _fields(self, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rids, positions, strands)`` of the keys at *rows*."""
+        return tuple(column(rows) for column in self._field_columns())
+
+    def _code_bounds(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the (uint64) *codes*' runs of keys starts and ends.
+
+        The bounds are ``code << s`` and ``code << s | (2**s - 1)`` with
+        ``side="right"`` — not ``(code + 1) << s``, which wraps to 0 at the
+        top code when ``2k + s = 64``.
+        """
+        shift = np.uint64(self._code_shift)
+        low = codes << shift
+        starts = np.searchsorted(self._keys, low)
+        ends = np.searchsorted(self._keys, low | np.uint64((1 << self._code_shift) - 1),
+                               side="right")
+        return starts, ends
+
+    def _long_groups(self) -> tuple[int, np.ndarray]:
+        """The number of k-mers, and the occurrence count of every k-mer
+        with more than one occurrence.
+
+        One XOR-compare pass over adjacent keys (``key[i] ^ key[i + 1]``
+        below ``2**s``: the same code), :data:`_CHUNK` keys at a time;
+        only the runs of equal codes are materialised, and on a sparse
+        index almost every k-mer is a singleton.
+        """
+        keys = self._keys
+        same = np.empty(max(keys.size - 1, 0), dtype=bool)
+        below = np.uint64(1 << self._code_shift)
+        for lo in range(0, same.size, _CHUNK):
+            hi = min(lo + _CHUNK, same.size)
+            np.less(np.bitwise_xor(keys[lo + 1 : hi + 1], keys[lo:hi]), below,
+                    out=same[lo:hi])
+        tied = np.flatnonzero(same)
+        # A run of consecutive tied slots [a, b] is one k-mer of b - a + 2.
+        ends = np.flatnonzero(np.diff(tied) != 1)
+        firsts = tied[np.concatenate(([0], ends + 1))] if tied.size else tied
+        lasts = tied[np.concatenate((ends, [tied.size - 1]))] if tied.size else tied
+        return keys.size - tied.size, lasts - firsts + 2
 
     # -- retained views ------------------------------------------------------
 
@@ -514,28 +526,30 @@ class KmerIndex:
                         max_count: int | None = None) -> tuple[int, int]:
         """``(k-mers, occurrences)`` retained under the count filters.
 
-        Read from the group counts; nothing is gathered or sorted.
+        Read from the runs of equal codes (:meth:`_long_groups`); nothing
+        is decoded, gathered or sorted.
         """
         _validate_count_filters(min_count, max_count)
-        counts = self._table.counts()
+        n_kmers, counts = self._long_groups()
         kept = counts[_count_filter(counts, min_count, max_count)]
-        return int(kept.size), int(kept.sum())
+        singletons = n_kmers - counts.size if min_count == 1 else 0
+        return int(kept.size) + singletons, int(kept.sum()) + singletons
 
     def retained(self, order_key: np.ndarray, min_count: int = 2,
                  max_count: int | None = None) -> RetainedKmers:
         """The retained k-mers, each group in arrival order.
 
-        The one-shot run's view of its table: the count filters are applied
-        to the groups, and each kept group's occurrences are ordered by
-        ``(order_key[rid], position)`` (see :func:`_arrival_grouped`) — the
-        order stage 2 delivered them in.  This equals grouping the
-        arrival-ordered occurrence stream by code with one stable sort.
+        The one-shot run's view of its table: every key is decoded, the
+        count filters are applied to the groups, and each kept group's
+        occurrences are ordered by ``(order_key[rid], position)`` (see
+        :func:`_arrival_grouped`) — the order stage 2 delivered them in.
+        This equals grouping the arrival-ordered occurrence stream by code
+        with one stable sort.
         """
         _validate_count_filters(min_count, max_count)
-        stored = self._table
+        every = slice(None)
         return _arrival_grouped(
-            np.repeat(stored.codes, stored.counts()), stored.rids, stored.positions,
-            stored.strands, order_key,
+            self._codes(every), *self._fields(every), order_key,
             lambda counts, _order: _count_filter(counts, min_count, max_count))
 
     def merged(
@@ -558,12 +572,13 @@ class KmerIndex:
         expansion can produce a query-vs-index pair (single-sided groups
         would only produce pairs the cross filter drops anyway).
 
-        Only the index groups whose code the query batch hits are gathered
-        (a ``searchsorted`` of the batch's unique codes into the group
-        table), so a small batch touches a small part of the index.  The
-        result is the same as merging the whole index: a group survives
-        only with occurrences on both sides, and every hit group brings all
-        of its index occurrences, so the union counts are unchanged.
+        Only the index occurrences whose code the query batch hits are
+        decoded (two ``searchsorted`` calls of the batch's unique codes into
+        the keys, :meth:`_code_bounds`), so a small batch touches a small
+        part of the index.  The result is the same as merging the whole
+        index: a group survives only with occurrences on both sides, and
+        every hit group brings all of its index occurrences, so the union
+        counts are unchanged.
 
         Within each group the merged occurrences are in arrival order,
         ``(order_key[rid], position)`` with *order_key* taken from the
@@ -589,21 +604,18 @@ class KmerIndex:
             into the merge.
         """
         _validate_count_filters(min_count, max_count)
-        stored = self._table
         q_codes = np.asarray(q_codes, dtype=np.uint64)
-        hit = np.unique(q_codes)
-        slot = np.searchsorted(stored.codes, hit)
-        in_range = slot < stored.n_kmers
-        slot = slot[in_range]
-        hits = _take_groups(stored, slot[stored.codes[slot] == hit[in_range]])
+        starts, ends = self._code_bounds(np.unique(q_codes))
+        _, take = _group_take(starts, ends - starts)
 
-        codes = np.concatenate([np.repeat(hits.codes, hits.counts()), q_codes])
+        codes = np.concatenate([self._codes(take), q_codes])
         if codes.size == 0:
             return RetainedKmers.empty(), 0
-        rids = np.concatenate([hits.rids, np.asarray(q_rids, dtype=np.int64)])
-        positions = np.concatenate(
-            [hits.positions, np.asarray(q_positions, dtype=np.int64)])
-        strands = np.concatenate([hits.strands, np.asarray(q_strands, dtype=bool)])
+        rids, positions, strands = (
+            np.concatenate([index_column, np.asarray(q_column, dtype=dtype)])
+            for index_column, q_column, dtype in zip(
+                self._fields(take), (q_rids, q_positions, q_strands),
+                (np.int64, np.int64, bool)))
 
         def keep(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
             group_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -613,14 +625,14 @@ class KmerIndex:
                     & (index_counts >= 1) & (index_counts < counts))
 
         merged = _arrival_grouped(codes, rids, positions, strands, order_key, keep)
-        return merged, hits.n_occurrences
+        return merged, int(take.size)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
-        """Resident memory of the index (occurrences and group table) in bytes."""
-        return self._table.nbytes
+        """Resident memory of the index (its sorted keys) in bytes."""
+        return self._keys.nbytes + (0 if self._payload is None else self._payload.nbytes)
 
     def digest(self) -> int:
         """A 63-bit content digest of the index, independent of insertion order.
@@ -630,24 +642,20 @@ class KmerIndex:
         it — digest identically.  Surfaced as a per-rank counter so the
         cross-backend index-parity tests can compare resident indexes they
         cannot reach directly (process-backend workers own theirs).  The
-        columns are hashed one code-range slice at a time
-        (:data:`_DIGEST_SLICES`), each slice's groups cut from the group
-        table with a ``searchsorted``, in their canonical 64-bit form:
-        ``uint64`` codes, ``int64`` RIDs and positions, bool strands.  The
-        narrow stored RIDs and positions are widened
-        :data:`_DIGEST_CHUNK` occurrences at a time and hashed through the
-        buffer, so the digest holds no widened copy of a whole column.
+        occurrences are hashed one code-range slice at a time
+        (:data:`_DIGEST_SLICES`, each cut from the keys with a
+        ``searchsorted``), each slice as its ``uint64`` codes, then its
+        ``int64`` RIDs, its ``int64`` positions and its bool strands: the
+        stream of the decoded columns.  Each column is decoded from the
+        keys :data:`_CHUNK` occurrences at a time and hashed through the
+        buffer, so the digest holds no decoded copy of a whole column.
         """
-        stored = self._table
         h = hashlib.blake2b(digest_size=8)
-        cuts = [0, *np.searchsorted(stored.codes, _digest_boundaries(self.k)).tolist(),
-                stored.n_kmers]
+        cuts = [0, *self._code_bounds(_digest_boundaries(self.k))[0].tolist(),
+                self.n_occurrences]
+        columns = (self._codes, *self._field_columns())
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            first, last = int(stored.offsets[lo]), int(stored.offsets[hi])
-            h.update(np.repeat(stored.codes[lo:hi], np.diff(stored.offsets[lo:hi + 1])))
-            for column in (stored.rids, stored.positions):
-                for start in range(first, last, _DIGEST_CHUNK):
-                    h.update(column[start : min(start + _DIGEST_CHUNK, last)]
-                             .astype(np.int64))
-            h.update(stored.strands[first:last])
+            for column in columns:
+                for start in range(lo, hi, _CHUNK):
+                    h.update(column(slice(start, min(start + _CHUNK, hi))))
         return int.from_bytes(h.digest(), "big") >> 1

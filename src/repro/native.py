@@ -8,13 +8,12 @@ the batch k-mer extraction every stage runs
 (:func:`repro.seq.kmer.extract_kmers_batch`), the routing of every
 exchange's rows by destination
 (:func:`repro.mpisim.collectives.bucket_by_destination` and
-``bucket_by_owner``; the occurrence packing of
-:func:`repro.core.stages.route_occurrences`), the HyperLogLog register
-max (:meth:`repro.kmers.hyperloglog.HyperLogLog.add_many`) and the packing
-of received occurrences into the index's sort keys
-(:func:`repro.kmers.hashtable.pack_occurrence_keys`).  Each of them keeps its NumPy
-body as the reference the compiled entry point is tested against bit for
-bit, and as the path taken whenever :func:`library` returns ``None``.
+``bucket_by_owner``; stage 2's packing of occurrences into index keys,
+:func:`repro.core.stages.route_occurrences`) and the HyperLogLog register
+max (:meth:`repro.kmers.hyperloglog.HyperLogLog.add_many`).  Each of them
+keeps its NumPy body as the reference the compiled entry point is tested
+against bit for bit, and as the path taken whenever :func:`library`
+returns ``None``.
 
 The library is built with ``cc`` on the first call of :func:`library` —
 never at import — cached under ``$XDG_CACHE_HOME/repro/`` and called
@@ -55,14 +54,13 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
                                           _i64, _i64, _i64, _ptr, _ptr)),
     "bloom_test": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr)),
     "bloom_insert": (None, (_ptr, _i64, _ptr, _u64, _i64, _ptr, _u64, _ptr)),
-    "key_gate": (None, (_ptr, _i64, _ptr, _u64, _ptr, _i64, _i64, _ptr)),
+    "key_gate": (None, (_ptr, _i64, _ptr, _u64, _ptr, _i64, _i64, _i64, _ptr)),
     "extract_kmers": (_i64, (_ptr, _ptr, _i64, _ptr, _i64, _i64, _i64,
                              _ptr, _ptr, _ptr, _ptr)),
     "route_rows": (_i64, (_ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr)),
     "route_occurrences": (_i64, (_ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64,
-                                 _ptr, _ptr, _ptr)),
+                                 _i64, _i64, _ptr, _ptr, _ptr)),
     "hll_add": (_i64, (_ptr, _i64, _i64, _ptr, _ptr)),
-    "pack_occurrence_keys": (_i64, (_ptr, _i64, _i64, _i64, _ptr)),
 }
 
 
@@ -78,7 +76,6 @@ class NativeLibrary(NamedTuple):
     route_rows: Callable[..., int]
     route_occurrences: Callable[..., int]
     hll_add: Callable[..., int]
-    pack_occurrence_keys: Callable[..., int]
     #: The int32 x-drop lane count of the widest vector the CPU runs (16
     #: with AVX-512F+BW, 8 with AVX2, otherwise 4), chosen by the library's
     #: own CPU check; its int16 kernel runs twice as many lanes.

@@ -15,7 +15,10 @@ batched production path, kept only so the tests can compare the two:
 * :func:`xdrop_align_tasks` over a :class:`LookupCache` — stage 4's
   per-task slicing loop over memoised forward and reverse-complement code
   arrays, against the code arena and descriptors of
-  :func:`repro.align.batch.batched_xdrop_align`.
+  :func:`repro.align.batch.batched_xdrop_align`;
+* :func:`canonical_occurrences` — a 4-key ``lexsort`` of occurrence
+  columns, against the sorted occurrence keys of
+  :class:`repro.kmers.hashtable.KmerIndex`.
 """
 
 from __future__ import annotations
@@ -237,3 +240,11 @@ def xdrop_align_tasks(
                      seed_a - back[:, 1], seed_a + k + fwd[:, 1],
                      seed_b - back[:, 2], seed_b + k + fwd[:, 2],
                      fwd[:, 3] + back[:, 3]], axis=1)
+
+
+def canonical_occurrences(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                          strands: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Occurrence columns in canonical ``(code, rid, position, strand)``
+    order: one 4-key ``lexsort`` of the columns."""
+    order = np.lexsort((strands, positions, rids, codes))
+    return tuple(np.asarray(column)[order] for column in (codes, rids, positions, strands))

@@ -1,18 +1,22 @@
 """Index parity: the one-sort build vs a grouping oracle.
 
 The :class:`~repro.kmers.hashtable.KmerIndex` every launch builds is made
-once from a rank's whole occurrence stream and stored as one table in
-canonical order — sorted by ``(code, rid, position, strand)``, by one sort
-of packed 64-bit keys (:meth:`KmerIndex.from_keys`) or, when the fields do
-not fit a word, by a 4-key ``lexsort`` of the columns.  These tests pin the
-equivalences the index rests on (the arrival-order view the one-shot run
-reads is pinned in ``tests/test_kmers_structures.py``):
+once from a rank's whole occurrence stream and stored as its occurrence
+keys in canonical order — sorted by ``(code, rid, position, strand)``: the
+64-bit keys stage 2 ships, sorted once (:meth:`KmerIndex.from_keys`), or,
+when the fields do not fit a word, two-word ``(code, payload)`` rows
+sorted by a 2-key ``lexsort``.  These tests pin the equivalences the index
+rests on (the arrival-order view the one-shot run reads is pinned in
+``tests/test_kmers_structures.py``):
 
 * any reordering of the same occurrence stream, on either side of the
   64-bit line, yields retained views equal to a ``lexsort``-and-group
   oracle with each group's rows in canonical order;
-* an index built from packed keys equals one built from the columns in
-  every view, its digest and its storage size;
+* an index built from routed keys equals one built from the columns in
+  every view, its digest and its storage size, and each rank's routed
+  keys decode to the oracle sort of the occurrences it owns;
+* ``retained_counts`` equals counting the oracle's groups, and ``merged``
+  finds the top code's run when the key fills all 64 bits;
 * the one table equals the concatenation of per-code-range oracles and of
   per-code-range indexes (``n_ranges`` cuts of the code space; one cut is
   the monolithic oracle) — the layout the code-range-sharded index stored;
@@ -22,30 +26,43 @@ reads is pinned in ``tests/test_kmers_structures.py``):
   packed key when the fields fit a word) equals its 3-key ``lexsort``;
 * ``merged``, which gathers only the index groups a query batch hits,
   equals the full-concatenate merge it replaced (kept here as the oracle);
-* the pipeline-level index digest agrees across runtime backends, and a
-  ``k = 31`` build takes the ``lexsort`` path and still matches the oracle.
+* the pipeline-level index digest agrees across runtime backends and
+  across the compiled and NumPy tiers, and a ``k = 31`` build ships
+  two-word rows and still matches the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import replace
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import canonical_occurrences
 
+from repro import native
 from repro.core import DibellaPipeline, PipelineConfig
 from repro.core import stages
-from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
+from repro.core.counters import SCHEDULE_FLAG_COUNTERS
+from repro.core.stages import (
+    reset_persistent_read_caches,
+    reset_resident_indexes,
+    route_occurrences,
+)
 from repro.kmers import hashtable
+from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
+    WIDE_KEY_BITS,
     KmerIndex,
     RetainedKmers,
     _arrival_order,
     _digest_boundaries,
+    decode_occurrences,
     occurrence_key_bits,
-    pack_occurrence_keys,
 )
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
@@ -195,20 +212,19 @@ def _assert_retained_equal(got: RetainedKmers, expected: RetainedKmers) -> None:
         np.testing.assert_array_equal(got_column, expected_column, err_msg=column)
 
 
-def _wire_rows(codes, rids, positions, strands) -> np.ndarray:
-    """The stage-2 wire rows ``(code, rid << 32 | strand << 31 | position)``
-    of an occurrence stream."""
-    meta = (rids.astype(np.uint64) << np.uint64(32) | strands.astype(np.uint64) << np.uint64(31)
-            | positions.astype(np.uint64))
-    return np.stack([codes, meta], axis=1)
+def _routed_keys(stream, bits: tuple[int, int], n_ranks: int = 1) -> list[np.ndarray]:
+    """Every rank's keys of an occurrence stream, packed and bucketed by the
+    sender (:func:`route_occurrences`, one read per occurrence)."""
+    codes, rids, positions, strands = stream
+    return route_occurrences(codes, np.arange(codes.size), positions, strands, rids,
+                             n_ranks, bits)
 
 
 def _key_index(k: int, stream, bits: tuple[int, int], n_blocks: int = 1) -> KmerIndex:
-    """The index stage 2 builds when the key fits: the stream's wire rows
-    packed block by block, then :meth:`KmerIndex.from_keys`."""
-    blocks = np.array_split(_wire_rows(*stream), n_blocks)
-    return KmerIndex.from_keys(k, [pack_occurrence_keys(block, *bits) for block in blocks],
-                               *bits)
+    """The index stage 2 builds: the stream's routed keys, received in
+    *n_blocks* blocks, then :meth:`KmerIndex.from_keys`."""
+    blocks = np.array_split(_routed_keys(stream, bits)[0], n_blocks)
+    return KmerIndex.from_keys(k, blocks, *bits)
 
 
 def _reordered(stream, n_blocks: int, shuffle: bool = False):
@@ -255,37 +271,38 @@ def test_insert_batch_splits_match_one_shot_finalize(n_ranges, n_batches):
 @pytest.mark.parametrize("n_ranges", [1, 4])
 @pytest.mark.parametrize("key", ["packed", "lexsort"])
 def test_both_sort_paths_match_the_oracles(key, n_ranges):
-    """Either side of the 64-bit line, any order of a stream with ties gives
-    the ``finalize`` views and the ``lexsort`` digest, whether the index is
-    built from the columns or (where the key fits) from packed keys."""
+    """Either side of the 64-bit line (one-word keys, or two-word rows
+    sorted by a ``lexsort``), any order of a stream with ties gives the
+    ``finalize`` views and the ``lexsort`` digest, whether the index is
+    built from the columns or from routed keys."""
     rng = np.random.default_rng(13)
     stream, k = _with_ties(_occurrence_stream(rng, 2000)), K
     if key == "lexsort":
         stream, k = _widen(stream), WIDE_K
     bits = occurrence_key_bits(k, N_READS, READ_LENGTH - 1 + k)
-    assert (bits is None) == (key == "lexsort")
+    assert (bits == WIDE_KEY_BITS) == (key == "lexsort")
     expected = _concat([_oracle(*part, min_count=1, max_count=None)
                         for part in _per_range(stream, n_ranges, k)])
     digest = _lexsort_digest(*stream, k)
 
     for order in (stream, tuple(column[::-1] for column in stream),
                   _reordered(stream, 3, shuffle=True)):
-        indexes = [KmerIndex(k, *order)]
-        if bits is not None:
-            indexes += [_key_index(k, order, bits), _key_index(k, order, bits, 4)]
-        for index in indexes:
+        for index in (KmerIndex(k, *order), _key_index(k, order, bits),
+                      _key_index(k, order, bits, 4)):
             _assert_retained_equal(_canonical_view(index, min_count=1), expected)
             assert index.digest() == digest
 
 
 def test_packed_key_uses_the_full_word():
     """A read set whose key fields need exactly 64 bits still packs, one
-    more bit does not, and the packed build stores what the columns do."""
+    more bit ships two-word rows, and the packed build stores what the
+    columns do."""
     assert occurrence_key_bits(29, 4, 7 + 29) == (2, 3)   # 58 + 2 + 3 + 1
-    assert occurrence_key_bits(29, 5, 7 + 29) is None     # a third RID bit
-    assert occurrence_key_bits(29, 4, 8 + 29) is None     # a fourth position bit
+    assert occurrence_key_bits(29, 5, 7 + 29) == WIDE_KEY_BITS  # a third RID bit
+    assert occurrence_key_bits(29, 4, 8 + 29) == WIDE_KEY_BITS  # a fourth position bit
     assert occurrence_key_bits(31, 1, 1 + 31) == (0, 1)   # 62 + 0 + 1 + 1
-    assert occurrence_key_bits(31, 2, 1 + 31) is None
+    assert occurrence_key_bits(31, 2, 1 + 31) == WIDE_KEY_BITS
+    assert occurrence_key_bits(1, 2**33, 1) == WIDE_KEY_BITS    # a RID past 32 bits
     for k, rids, positions in ((29, [3, 0, 3, 1], [7, 7, 0, 5]), (31, [0] * 4, [1, 0, 1, 1])):
         rids, positions = np.array(rids, dtype=np.int64), np.array(positions, dtype=np.int64)
         strands = np.array([True, False, False, True])
@@ -349,17 +366,17 @@ def test_retained_counts_validates_filters():
 
 
 @pytest.mark.parametrize("n_ranges", [1, 3])
-def test_nbytes_counts_the_group_table(n_ranges):
+def test_nbytes_is_one_key_per_occurrence(n_ranges):
+    """The index holds its sorted keys and no group table: 8 bytes per
+    occurrence and none per k-mer, so per-range indexes add up exactly."""
     rng = np.random.default_rng(3)
     stream = _occurrence_stream(rng, 1000)
     index = KmerIndex(K, *stream)
     view = _canonical_view(index, min_count=1)
-    # Every occurrence (uint32 RID and position, bool strand) plus its
-    # unique codes and int32 group offsets (one more offset than groups, so
-    # each extra per-range index adds 4 bytes).
-    assert index.nbytes == 9 * view.n_occurrences + 8 * view.n_kmers + 4 * (view.n_kmers + 1)
+    assert view.n_kmers < view.n_occurrences == 1000
+    assert index.nbytes == 8 * view.n_occurrences
     assert index.nbytes == sum(KmerIndex(K, *part).nbytes
-                               for part in _per_range(stream, n_ranges)) - 4 * (n_ranges - 1)
+                               for part in _per_range(stream, n_ranges))
 
 
 def test_digest_is_insertion_order_independent():
@@ -430,34 +447,23 @@ def test_merged_shard_matches_full_concatenate_merge(n_ranges, n_batches,
         assert merged.n_kmers == 0
 
 
-def _stage_index(k: int, stream, n_reads: int, max_read_length: int,
-                 n_blocks: int) -> KmerIndex:
-    """The index stage 2 builds over *stream*: from packed keys when
-    :func:`occurrence_key_bits` fits the read set, else from the columns."""
-    bits = occurrence_key_bits(k, n_reads, max_read_length)
-    if bits is None:
-        return KmerIndex.from_columns(k, list(stream))
-    return _key_index(k, stream, bits, n_blocks)
-
-
 @pytest.mark.parametrize("n_blocks", [1, 5])
 @pytest.mark.parametrize("k", [K, WIDE_K])
 def test_key_built_index_equals_column_built(k, n_blocks):
-    """The packed-key build equals the column build in every view, the
-    digest and the storage size; at k = 31 the same read set takes the
-    wide fallback."""
+    """The build from routed keys equals the column build in every view, the
+    digest and the storage size; at k = 31 the same read set ships two-word
+    rows."""
     rng = np.random.default_rng(29)
     stream = _with_ties(_occurrence_stream(rng, 2500, rid_hi=N_INDEX_READS))
     if k == WIDE_K:
         stream = _widen(stream)
-    max_read_length = READ_LENGTH - 1 + k
-    assert (occurrence_key_bits(k, N_INDEX_READS, max_read_length) is None) == (k == WIDE_K)
-    built = _stage_index(k, _reordered(stream, 3, shuffle=True), N_INDEX_READS,
-                         max_read_length, n_blocks)
+    bits = occurrence_key_bits(k, N_INDEX_READS, READ_LENGTH - 1 + k)
+    assert (bits == WIDE_KEY_BITS) == (k == WIDE_K)
+    built = _key_index(k, _reordered(stream, 3, shuffle=True), bits, n_blocks)
     columns = KmerIndex(k, *stream)
 
     assert built.n_occurrences == columns.n_occurrences == stream[0].size
-    assert built.nbytes == columns.nbytes
+    assert built.nbytes == columns.nbytes == stream[0].size * (16 if k == WIDE_K else 8)
     assert built.digest() == columns.digest() == _lexsort_digest(*stream, k)
     order_key = rng.permutation(N_INDEX_READS + N_QUERY_READS).astype(np.int64)
     for min_count, max_count in ((1, None), (2, None), (2, 6)):
@@ -465,8 +471,6 @@ def test_key_built_index_equals_column_built(k, n_blocks):
                 == columns.retained_counts(min_count, max_count))
         _assert_retained_equal(built.retained(order_key, min_count, max_count),
                                columns.retained(order_key, min_count, max_count))
-    if k == WIDE_K:
-        return
     q_stream = _query_stream(rng, np.unique(stream[0]), 400)
     merged, touched = built.merged(*q_stream, order_key, N_INDEX_READS, max_count=6)
     expected, expected_touched = columns.merged(*q_stream, order_key, N_INDEX_READS,
@@ -475,38 +479,149 @@ def test_key_built_index_equals_column_built(k, n_blocks):
     _assert_retained_equal(merged, expected)
 
 
+@pytest.mark.parametrize("tier", ["compiled", "numpy"])
+@pytest.mark.parametrize("k", [K, WIDE_K])
+def test_routed_keys_build_the_oracle_index(k, tier):
+    """Three ranks' worth of stage 2 on one stream: each rank's keys,
+    received batch by batch, decode to the occurrences it owns, and its
+    index holds them in the oracle's canonical order."""
+    rng = np.random.default_rng(31)
+    stream = _with_ties(_occurrence_stream(rng, 1800))
+    if k == WIDE_K:
+        stream = _widen(stream)
+    bits = occurrence_key_bits(k, N_READS, READ_LENGTH - 1 + k)
+    received: list[list[np.ndarray]] = [[], [], []]
+    with mock.patch.object(native, "library", lambda: None) if tier == "numpy" else (
+            nullcontext()):
+        for batch in _per_range(stream, 4):   # four batches, each routed alone
+            for rank, keys in enumerate(_routed_keys(batch, bits, n_ranks=3)):
+                received[rank].append(keys)
+    owners = owner_of(stream[0], 3)
+    for rank in range(3):
+        expected = canonical_occurrences(*(column[owners == rank] for column in stream))
+        joined = np.concatenate(received[rank])
+        assert sorted(zip(*(c.tolist() for c in decode_occurrences(joined, *bits)))) == (
+            list(zip(*(c.tolist() for c in expected))))
+        view = _canonical_view(KmerIndex.from_keys(k, received[rank], *bits), min_count=1)
+        assert not received[rank]
+        for got, column in zip((np.repeat(view.codes, view.counts()), view.rids,
+                                view.positions, view.strands), expected):
+            np.testing.assert_array_equal(got, column)
+
+
+def test_merged_finds_the_largest_code():
+    """With ``2k + rid_bits + position_bits + 1 = 64`` the top code's keys
+    reach the word's top bit: ``merged`` must still find its run (an upper
+    bound of ``(code + 1) << s`` would wrap to 0 and miss it)."""
+    k, top = 29, 4**29 - 1
+    bits = occurrence_key_bits(k, 4, 7 + k)
+    assert bits == (2, 3)
+    # Index reads 0 and 1, query reads 2 and 3.
+    index_stream = (np.array([top, top, 5, top, 0], dtype=np.uint64),
+                    np.array([0, 1, 0, 1, 1]), np.array([7, 3, 0, 0, 5]),
+                    np.array([True, False, True, True, False]))
+    q_stream = (np.array([top, 5, 9], dtype=np.uint64), np.array([2, 3, 3]),
+                np.array([1, 7, 2]), np.array([False, True, True]))
+    index = _key_index(k, index_stream, bits)
+    order_key = np.array([2, 0, 3, 1], dtype=np.int64)
+    merged, touched = index.merged(*q_stream, order_key, 2, min_count=2)
+    _assert_retained_equal(merged, _full_merge_oracle(*index_stream, *q_stream, order_key, 2,
+                                                      min_count=2, max_count=None))
+    assert merged.codes.tolist() == [5, top] and touched == 4
+
+
+@given(codes=st.lists(st.sampled_from([0, 1, 2, 7]) | st.integers(0, 4**K - 1), max_size=60),
+       wide=st.booleans(), min_count=st.sampled_from([1, 2]),
+       max_count=st.sampled_from([None, 1, 2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_retained_counts_matches_the_oracle(codes, wide, min_count, max_count):
+    """``retained_counts`` reads the runs of equal codes: it counts the
+    groups the oracle counts, the last run and the top code included, in
+    both key layouts."""
+    if max_count is not None and max_count < min_count:
+        max_count = None
+    codes = np.array(codes, dtype=np.uint64)
+    k = K
+    if wide:
+        codes, k = codes * np.uint64(4 ** (WIDE_K - K)), WIDE_K
+    n = codes.size
+    index = KmerIndex(k, codes, np.arange(n) % N_READS, np.arange(n), np.arange(n) % 2 == 0)
+    expected = _oracle(codes, np.arange(n) % N_READS, np.arange(n), np.arange(n) % 2 == 0,
+                       min_count, max_count)
+    assert index.retained_counts(min_count, max_count) == (expected.n_kmers,
+                                                           expected.n_occurrences)
+
+
 @pytest.mark.parametrize("launch", ["run", "build_index"])
 def test_pipeline_key_path_matches_column_path(micro_dataset, micro_config,
                                                monkeypatch, launch):
-    """Stage 2 through packed keys (the micro set at k = 15 fits a word)
-    and forced onto the column path builds the same index: the same
-    counters, digest and overlaps, one rank at a time."""
-    packed = []
-    pack = stages.pack_occurrence_keys
+    """Stage 2 through one-word keys (the micro set at k = 15 fits a word)
+    and forced onto two-word rows builds the same index: the same counters,
+    digest and overlaps, one rank at a time — apart from the stage-2
+    payload and the index bytes, which two words per occurrence double."""
+    layouts = []
+    key_bits = stages.occurrence_key_bits
 
-    def spy_pack(*args):
-        packed.append(args[0].shape[0])
-        return pack(*args)
+    def spy_bits(*args):
+        layouts.append(key_bits(*args))
+        return layouts[-1]
 
-    monkeypatch.setattr(stages, "pack_occurrence_keys", spy_pack)
     results = {}
     try:
-        for path in ("keys", "columns"):
-            if path == "columns":
-                monkeypatch.setattr(stages, "occurrence_key_bits", lambda *args: None)
-            packed.clear()
+        for path in ("keys", "rows"):
+            if path == "rows":
+                monkeypatch.setattr(stages, "occurrence_key_bits",
+                                    lambda *args: layouts.append(WIDE_KEY_BITS)
+                                    or WIDE_KEY_BITS)
+            else:
+                monkeypatch.setattr(stages, "occurrence_key_bits", spy_bits)
+            layouts.clear()
             pipeline = DibellaPipeline(config=replace(micro_config, backend="thread"),
                                        topology=Topology.single_node(2))
             results[path] = getattr(pipeline, launch)(micro_dataset.reads)
-            assert bool(packed) == (path == "keys")
+            assert layouts and all((bits == WIDE_KEY_BITS) == (path == "rows")
+                                   for bits in layouts)
     finally:
         reset_persistent_read_caches()
         reset_resident_indexes()
-    keys, columns = results["keys"], results["columns"]
-    assert keys.counters == columns.counters
-    assert keys.overlap_pairs() == columns.overlap_pairs()
-    assert [report.counters for report in keys.rank_reports] == [
-        report.counters for report in columns.rank_reports]
+    keys, rows = results["keys"], results["rows"]
+    assert keys.overlap_pairs() == rows.overlap_pairs()
+    for key_counters, row_counters in zip(
+            [keys.counters, *(report.counters for report in keys.rank_reports)],
+            [rows.counters, *(report.counters for report in rows.rank_reports)]):
+        for doubled in ("hashtable_payload_bytes", "index_nbytes"):
+            if doubled in key_counters:
+                assert row_counters.pop(doubled) == 2 * key_counters.pop(doubled)
+        assert key_counters == row_counters
+
+
+@pytest.mark.parametrize("launch", ["run", "build_index"])
+def test_pipeline_tiers_agree_at_three_ranks(micro_dataset, micro_config, launch):
+    """Three ranks route, gate and sort the same keys on the compiled and
+    the NumPy tier: the same counters (schedule flags aside), digest and
+    overlaps, rank by rank."""
+    results = {}
+    try:
+        for tier in ("compiled", "numpy"):
+            with mock.patch.object(native, "library", lambda: None) if tier == "numpy" else (
+                    nullcontext()):
+                pipeline = DibellaPipeline(config=replace(micro_config, backend="thread"),
+                                           topology=Topology.single_node(3))
+                results[tier] = getattr(pipeline, launch)(micro_dataset.reads)
+    finally:
+        reset_persistent_read_caches()
+        reset_resident_indexes()
+
+    def science(counters):
+        return {name: value for name, value in counters.items()
+                if name not in SCHEDULE_FLAG_COUNTERS}
+
+    compiled, numpy_tier = results["compiled"], results["numpy"]
+    assert compiled.overlap_pairs() == numpy_tier.overlap_pairs()
+    assert [science(report.counters) for report in compiled.rank_reports] == [
+        science(report.counters) for report in numpy_tier.rank_reports]
+    assert compiled.counters["hashtable_payload_bytes"] == 8 * compiled.counters[
+        "kmers_received_hashtable"]
 
 
 @pytest.mark.slow
@@ -537,23 +652,25 @@ def test_pipeline_index_digest_matches_across_backends(micro_dataset):
 
 
 def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
-    """At k = 31 the packed key does not fit, so ``build_index`` sorts with
-    the ``lexsort`` fallback — and still digests every rank's occurrence
-    stream as the oracle does."""
+    """At k = 31 the key does not fit a word, so ``build_index`` ships
+    two-word rows and sorts them with a 2-key ``lexsort`` — and still
+    digests every rank's occurrence stream as the oracle does."""
     widths, sorted_streams = [], []
     key_bits = stages.occurrence_key_bits
-    canonical_sort = hashtable._canonical_sort
+    join_keys = hashtable.join_keys
 
     def spy_bits(*args):
         widths.append(key_bits(*args))
         return widths[-1]
 
-    def spy_sort(*columns):
-        sorted_streams.append(columns)
-        return canonical_sort(*columns)
+    def spy_join(chunks, *bits):
+        keys = join_keys(chunks, *bits)
+        sorted_streams.append(tuple(column.copy()
+                                    for column in decode_occurrences(keys, *bits)))
+        return keys
 
     monkeypatch.setattr(stages, "occurrence_key_bits", spy_bits)
-    monkeypatch.setattr(hashtable, "_canonical_sort", spy_sort)
+    monkeypatch.setattr(hashtable, "join_keys", spy_join)
     config = PipelineConfig(kmer=KmerSpec(k=WIDE_K), coverage_hint=12.0,
                             error_rate_hint=0.08, backend="thread")
     try:
@@ -563,6 +680,8 @@ def test_pipeline_k31_build_takes_the_lexsort_path(micro_dataset, monkeypatch):
         reset_persistent_read_caches()
         reset_resident_indexes()
     assert len(widths) == len(sorted_streams) == 2
-    assert widths == [None, None]
+    assert widths == [WIDE_KEY_BITS, WIDE_KEY_BITS]
+    assert result.counters["hashtable_payload_bytes"] == 16 * result.counters[
+        "kmers_received_hashtable"]
     assert result.counters["index_digest"] == sum(
         _lexsort_digest(*stream, WIDE_K) for stream in sorted_streams)

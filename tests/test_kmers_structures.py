@@ -296,9 +296,10 @@ class TestHashTablePartition:
     def test_memory_accounting(self):
         occurrences = [(code, rid, rid, True) for code in (1, 2, 3) for rid in range(4)]
         index = _index_of(occurrences)
-        # A uint32 RID and position and a bool strand per occurrence; each
-        # code once, in the group table with its int32 offsets.
-        assert index.nbytes == 12 * (4 + 4 + 1) + 3 * 8 + 4 * 4
+        # One 64-bit key per occurrence, and nothing per k-mer.
+        assert index.nbytes == 12 * 8
+        # Fields too wide for one word: a code word and a payload word.
+        assert _index_of(occurrences, k=31).nbytes == 12 * 16
 
     def test_retained_empty_constructor(self):
         empty = RetainedKmers.empty()

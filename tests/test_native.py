@@ -2,10 +2,10 @@
 
 Each entry point of the compiled library that the front end calls — the
 Bloom filter's test and test-then-set, the candidate-key gate, the batch
-k-mer extraction, the routing of exchange rows by destination, the
-HyperLogLog register max and the packing of received occurrences into the
-index's sort keys — must return exactly what the NumPy body it replaces
-returns, on the inputs that stress its edges.  The x-drop
+k-mer extraction, the routing of exchange rows by destination, stage 2's
+packing of occurrences into the index's keys and the HyperLogLog register
+max — must return exactly what the NumPy body it replaces returns, on the
+inputs that stress its edges.  The x-drop
 kernel's twin of these tests is ``tests/test_alignment.py::TestCompiledXdrop``.
 """
 
@@ -20,15 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
+from repro.core import stages
 from repro.core.stages import route_occurrences
 from repro.kmers import hashtable
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import mix64, owner_of
 from repro.kmers.hashtable import (
+    WIDE_KEY_BITS,
     _key_mask_numpy,
-    _pack_occurrence_keys_numpy,
+    decode_occurrences,
     key_mask,
-    pack_occurrence_keys,
+    pack_occurrences,
 )
 from repro.kmers.hyperloglog import HyperLogLog
 from repro.mpisim import collectives
@@ -136,6 +138,25 @@ class TestCompiledKeyGate:
             np.testing.assert_array_equal(mask, reference)
             if keys.size:
                 np.testing.assert_array_equal(mask, _key_mask_numpy(keys, column.copy()))
+
+    @given(keys=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+           probes=st.lists(st.tuples(st.integers(min_value=0, max_value=40) | codes,
+                                     st.integers(min_value=0, max_value=TOP)),
+                           max_size=60),
+           shift=st.integers(min_value=0, max_value=63))
+    @settings(max_examples=300, deadline=None)
+    def test_shift_reads_the_code_field_of_keys(self, keys, probes, shift):
+        """Stage 2's one-word shape: the code is ``key >> shift``; the bits
+        below it (RID, position, strand) never reach the gate."""
+        code_top = (1 << (64 - shift)) - 1
+        keys = np.unique(np.array(keys, dtype=np.uint64) & np.uint64(code_top))
+        probe_codes = [code & code_top for code, _ in probes]
+        packed = np.array([code << shift | low & ((1 << shift) - 1)
+                           for code, (_, low) in zip(probe_codes, probes)], dtype=np.uint64)
+        expected = [code in set(keys.tolist()) for code in probe_codes]
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier:
+                assert key_mask(keys, packed, shift).tolist() == expected
 
     def test_empty_keys(self):
         column = np.arange(10, dtype=np.uint64).reshape(5, 2)[:, 0]
@@ -323,40 +344,76 @@ class TestCompiledRouting:
 
 
 @st.composite
+def key_layouts(draw):
+    """``(rid_bits, position_bits, code_bits)`` of an occurrence-key layout:
+    one word with room for a code — at times exactly the rest of the word
+    (``2k + rid_bits + position_bits + 1 = 64``), no RID bits (one read) or
+    no position bits (reads of length k) — or the two-word layout, whose
+    code is a whole word."""
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return (*WIDE_KEY_BITS, 64)
+    rid_bits = draw(st.sampled_from([0, 32]) | st.integers(min_value=0, max_value=32))
+    position_bits = draw(st.sampled_from([0, 31]) | st.integers(min_value=0, max_value=31))
+    room = 64 - (rid_bits + position_bits + 1)
+    if room < 1:
+        rid_bits, room = rid_bits - (1 - room), 1
+    code_bits = draw(st.sampled_from([room]) | st.integers(min_value=1, max_value=room))
+    return rid_bits, position_bits, code_bits
+
+
+def _fields_of(bits):
+    """Values that fill a *bits*-wide field, extremes included."""
+    top = (1 << bits) - 1
+    return st.sampled_from([0, top]) | st.integers(min_value=0, max_value=top)
+
+
+@st.composite
 def occurrence_batches(draw):
-    """One extracted batch: its RID table, and per occurrence a code, an
-    index into the table, a position below 2^31 and a strand flag."""
+    """One extracted batch in a key layout: per occurrence a code, an index
+    into the batch's RID table, a position and a strand flag, every field
+    inside its width; then the RID table and the layout's widths."""
+    rid_bits, position_bits, code_bits = draw(key_layouts())
     n_reads = draw(st.integers(min_value=1, max_value=6))
-    rids = draw(st.lists(st.integers(min_value=0, max_value=2**32 - 1),
-                         min_size=n_reads, max_size=n_reads))
+    rids = draw(st.lists(_fields_of(rid_bits), min_size=n_reads, max_size=n_reads))
     n = draw(st.integers(min_value=0, max_value=50))
     column = partial(st.lists, min_size=n, max_size=n)
-    return (np.array(draw(column(codes)), dtype=np.uint64),
-            np.array(draw(column(st.integers(min_value=0, max_value=n_reads - 1))),
-                     dtype=np.int64),
-            np.array(draw(column(st.integers(min_value=0, max_value=2**31 - 1))),
-                     dtype=np.int64),
-            np.array(draw(column(st.booleans())), dtype=bool),
-            np.array(rids, dtype=np.int64))
+    batch = (np.array(draw(column(_fields_of(code_bits))), dtype=np.uint64),
+             np.array(draw(column(st.integers(min_value=0, max_value=n_reads - 1))),
+                      dtype=np.int64),
+             np.array(draw(column(_fields_of(position_bits))), dtype=np.int64),
+             np.array(draw(column(st.booleans())), dtype=bool),
+             np.array(rids, dtype=np.int64))
+    return batch, (rid_bits, position_bits)
 
 
-def _packed_occurrences_numpy(codes, read_index, positions, strands, rids, p):
-    """The stage-2 wire rows of a batch, packed and bucketed by NumPy alone."""
-    meta = (rids[read_index].astype(np.uint64) << np.uint64(32)
-            | strands.astype(np.uint64) << np.uint64(31)
-            | positions.astype(np.uint64))
-    rows = np.stack([codes, meta], axis=1)
-    return _bucket_numpy(rows, owner_of(codes, p), p)
+def _keys_oracle(codes, rids, positions, strands, bits):
+    """The occurrence keys (or two-word rows) with Python integers."""
+    rid_bits, position_bits = bits
+    shift = rid_bits + position_bits + 1
+    keys = []
+    for code, rid, position, strand in zip(codes.tolist(), rids.tolist(),
+                                           positions.tolist(), strands.tolist()):
+        payload = rid << (position_bits + 1) | position << 1 | int(strand)
+        keys.append([code, payload] if shift == 64 else code << shift | payload)
+    return np.array(keys, dtype=np.uint64).reshape((-1, 2) if shift == 64 else -1)
+
+
+def _routed_oracle(codes, read_index, positions, strands, rids, p, bits):
+    """The routed keys of a batch: Python packing, NumPy's stable bucketing
+    by the owner of each code."""
+    keys = _keys_oracle(codes, rids[read_index], positions, strands, bits)
+    return _bucket_numpy(keys, owner_of(codes, p), p)
 
 
 class TestCompiledOccurrenceRouting:
-    @given(batch=occurrence_batches(), p=n_ranks)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_numpy_pack_owner_and_bucket(self, batch, p):
-        expected = _packed_occurrences_numpy(*batch, p)
-        _assert_same_buckets(route_occurrences(*batch, p), expected)
+    @given(case=occurrence_batches(), p=n_ranks)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_pack_owner_and_bucket(self, case, p):
+        batch, bits = case
+        expected = _routed_oracle(*batch, p, bits)
+        _assert_same_buckets(route_occurrences(*batch, p, bits), expected)
         with _numpy_tier():
-            _assert_same_buckets(route_occurrences(*batch, p), expected)
+            _assert_same_buckets(route_occurrences(*batch, p, bits), expected)
 
     def test_bad_columns_raise_on_both_tiers(self):
         codes = np.arange(3, dtype=np.uint64)
@@ -367,17 +424,42 @@ class TestCompiledOccurrenceRouting:
                 for read_index in ([0, 2, 1], [0, -1, 1]):
                     with pytest.raises(IndexError):
                         route_occurrences(codes, np.array(read_index), positions, strands,
-                                          rids, 2)
+                                          rids, 2, (4, 3))
                 with pytest.raises(ValueError, match="equal length"):
-                    route_occurrences(codes, np.array([0, 1]), positions, strands, rids, 2)
+                    route_occurrences(codes, np.array([0, 1]), positions, strands, rids, 2,
+                                      (4, 3))
+                with pytest.raises(ValueError, match="positive"):
+                    route_occurrences(codes, np.array([0, 1, 1]), positions, strands,
+                                      rids, 0, (4, 3))
 
-    def test_meta_word_layout(self):
+    def test_wide_row_layout(self):
+        """The two-word row: ``(code, rid << 32 | position << 1 | strand)``,
+        every field at its limit."""
         codes = np.array([TOP, 0], dtype=np.uint64)
-        buckets = route_occurrences(codes, np.array([1, 0]), np.array([2**31 - 1, 0]),
-                                    np.array([True, False]),
-                                    np.array([7, 2**32 - 1], dtype=np.int64), 1)
-        assert buckets[0].tolist() == [[TOP, (2**32 - 1) << 32 | 2**31 | 2**31 - 1],
-                                       [0, 7 << 32]]
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier:
+                buckets = route_occurrences(
+                    codes, np.array([1, 0]), np.array([2**31 - 1, 0]),
+                    np.array([True, False]), np.array([7, 2**32 - 1], dtype=np.int64), 1,
+                    WIDE_KEY_BITS)
+                assert buckets[0].tolist() == [
+                    [TOP, (2**32 - 1) << 32 | (2**31 - 1) << 1 | 1], [0, 7 << 32]]
+
+    @pytest.mark.parametrize("bits", [WIDE_KEY_BITS, (4, 5)])
+    @pytest.mark.parametrize("field, value", [("RID", 2**32), ("position", 2**31),
+                                              ("RID", -1), ("position", -1)])
+    def test_field_overflow_raises_on_both_tiers(self, bits, field, value):
+        """A RID at 2^32 or a position at 2^31 no longer spills into its
+        neighbour: the sender refuses it, naming the field, in either
+        layout (and a field past a narrow layout's width, or a negative
+        one, too)."""
+        rids = np.array([3, value if field == "RID" else 1], dtype=np.int64)
+        positions = np.array([0, value if field == "position" else 2], dtype=np.int64)
+        args = (np.array([5, 6], dtype=np.uint64), np.array([0, 1]), positions,
+                np.array([True, False]), rids, 2, bits)
+        for tier in (nullcontext(), _numpy_tier()):
+            with tier, pytest.raises(ValueError, match=f"occurrence {field} does not fit"):
+                route_occurrences(*args)
 
 
 MASK = 2**64 - 1
@@ -466,57 +548,31 @@ class TestCompiledHyperLogLog:
         assert hll.registers().any()
 
 
-@st.composite
-def key_rows(draw):
-    """Field widths with room for a code (at times exactly the rest of the
-    word), and wire rows whose fields fill them, extremes included."""
-    rid_bits = draw(st.integers(min_value=0, max_value=32))
-    position_bits = draw(st.integers(min_value=0, max_value=31))
-    room = 64 - (rid_bits + position_bits + 1)
-    if room < 1:
-        rid_bits, room = rid_bits - (1 - room), 1
-    code_bits = draw(st.sampled_from([room]) | st.integers(min_value=1, max_value=room))
-    n = draw(st.integers(min_value=0, max_value=40))
-
-    def field(bits):
-        top = (1 << bits) - 1
-        return st.lists(st.sampled_from([0, top]) | st.integers(min_value=0, max_value=top),
-                        min_size=n, max_size=n)
-
-    rows = list(zip(draw(field(code_bits)), draw(field(rid_bits)),
-                    draw(field(position_bits)),
-                    draw(st.lists(st.booleans(), min_size=n, max_size=n))))
-    return rows, rid_bits, position_bits
-
-
-def _wire(rows):
-    """``(code, rid << 32 | strand << 31 | position)`` rows as a (n, 2) array."""
-    return np.array([[code, rid << 32 | strand << 31 | position]
-                     for code, rid, position, strand in rows],
-                    dtype=np.uint64).reshape(-1, 2)
-
-
-def _keys_oracle(rows, rid_bits, position_bits):
-    """The packed keys with Python integers."""
-    shift = rid_bits + position_bits + 1
-    return [code << shift | rid << (position_bits + 1) | position << 1 | strand
-            for code, rid, position, strand in rows]
-
-
 class TestCompiledOccurrenceKeys:
-    @given(case=key_rows())
+    """The keys the sender packs: the compiled route on one rank against
+    the NumPy packing and a Python oracle, and the decoder's round trip."""
+
+    @given(case=occurrence_batches())
     @settings(max_examples=400, deadline=None)
     def test_matches_numpy_body_and_oracle(self, case):
-        rows, rid_bits, position_bits = case
-        wire = _wire(rows)
-        expected = _keys_oracle(rows, rid_bits, position_bits)
-        compiled = pack_occurrence_keys(wire, rid_bits, position_bits)
+        (codes, read_index, positions, strands, rids), bits = case
+        rids = rids[read_index]
+        expected = _keys_oracle(codes, rids, positions, strands, bits)
+        identity = np.arange(codes.size)
+        compiled = route_occurrences(codes, identity, positions, strands, rids, 1, bits)[0]
         assert compiled.dtype == np.uint64
-        assert compiled.tolist() == expected
-        assert _pack_occurrence_keys_numpy(wire, rid_bits, position_bits).tolist() == expected
-        # Unsigned key order is the (code, rid, position, strand) order.
-        assert np.argsort(compiled, kind="stable").tolist() == sorted(
-            range(len(rows)), key=lambda i: rows[i])
+        np.testing.assert_array_equal(compiled, expected)
+        np.testing.assert_array_equal(pack_occurrences(codes, rids, positions, strands, *bits),
+                                      expected)
+        decoded = decode_occurrences(compiled, *bits)
+        for got, column in zip(decoded, (codes, rids, positions, strands)):
+            assert got.tolist() == column.tolist()
+        # Key order (row order in the two-word layout) is the canonical
+        # (code, rid, position, strand) order.
+        rows = list(zip(codes.tolist(), rids.tolist(), positions.tolist(), strands.tolist()))
+        order = (np.argsort(compiled, kind="stable") if compiled.ndim == 1
+                 else np.lexsort((compiled[:, 1], compiled[:, 0])))
+        assert order.tolist() == sorted(range(len(rows)), key=lambda i: rows[i])
 
     @pytest.mark.parametrize("rid_bits, position_bits", [(0, 0), (0, 31), (32, 0), (32, 30)])
     def test_edge_widths(self, rid_bits, position_bits):
@@ -525,42 +581,63 @@ class TestCompiledOccurrenceKeys:
         code_top = (1 << (63 - rid_bits - position_bits)) - 1
         rows = [(code_top, (1 << rid_bits) - 1, (1 << position_bits) - 1, True),
                 (0, 0, 0, False), (code_top, 0, 0, True), (0, 0, 0, True)]
-        expected = _keys_oracle(rows, rid_bits, position_bits)
+        codes, rids, positions, strands = (np.array(c, dtype=t) for c, t in zip(
+            zip(*rows), (np.uint64, np.int64, np.int64, bool)))
+        bits = (rid_bits, position_bits)
+        expected = _keys_oracle(codes, rids, positions, strands, bits)
         for tier in (nullcontext(), _numpy_tier()):
             with tier:
-                assert pack_occurrence_keys(_wire(rows), rid_bits,
-                                            position_bits).tolist() == expected
+                got = route_occurrences(codes, np.arange(4), positions, strands, rids, 1, bits)
+                np.testing.assert_array_equal(got[0], expected)
 
     def test_empty_input_on_both_tiers(self):
-        for tier in (nullcontext(), _numpy_tier()):
-            with tier:
-                keys = pack_occurrence_keys(np.empty((0, 2), dtype=np.uint64), 3, 4)
-                assert keys.dtype == np.uint64 and keys.size == 0
+        empty = np.empty(0, dtype=np.int64)
+        for bits, shape in (((3, 4), (0,)), (WIDE_KEY_BITS, (0, 2))):
+            for tier in (nullcontext(), _numpy_tier()):
+                with tier:
+                    keys = route_occurrences(empty.astype(np.uint64), empty, empty,
+                                             empty.astype(bool), empty, 2, bits)
+                    assert [(k.dtype, k.shape) for k in keys] == [(np.uint64, shape)] * 2
 
     @pytest.mark.parametrize("row", [(1 << 56, 0, 0, False),    # code past 56 bits
                                      (0, 8, 0, False),          # RID past 3 bits
                                      (0, 0, 16, True)])         # position past 4 bits
     def test_field_overflow_raises_on_both_tiers(self, row):
-        wire = _wire([(0, 0, 0, False), row])
+        field = ("code", "RID", "position")[[bool(value) for value in row[:3]].index(True)]
+        codes, rids, positions, strands = (np.array(c) for c in zip((0, 0, 0, False), row))
         for tier in (nullcontext(), _numpy_tier()):
-            with tier, pytest.raises(ValueError, match="does not fit"):
-                pack_occurrence_keys(wire, 3, 4)
+            with tier, pytest.raises(ValueError, match=f"occurrence {field} does not fit"):
+                route_occurrences(codes.astype(np.uint64), np.arange(2), positions, strands,
+                                  rids, 3, (3, 4))
+        with pytest.raises(ValueError, match=f"occurrence {field} does not fit"):
+            pack_occurrences(codes, rids, positions, strands, 3, 4)
 
     def test_bad_widths_and_shapes_raise(self):
-        rows = np.zeros((2, 2), dtype=np.uint64)
-        for rid_bits, position_bits in ((-1, 3), (33, 3), (3, 32), (32, 31)):
+        zeros = np.zeros(2, dtype=np.int64)
+        for bits in ((-1, 3), (33, 3), (3, 32), (32, -1)):
+            for tier in (nullcontext(), _numpy_tier()):
+                with tier, pytest.raises(ValueError, match="widths"):
+                    route_occurrences(zeros.astype(np.uint64), zeros, zeros,
+                                      zeros.astype(bool), zeros, 2, bits)
             with pytest.raises(ValueError, match="widths"):
-                pack_occurrence_keys(rows, rid_bits, position_bits)
-        with pytest.raises(ValueError, match="shape"):
-            pack_occurrence_keys(np.zeros((2, 3), dtype=np.uint64), 3, 4)
+                decode_occurrences(zeros.astype(np.uint64), *bits)
+        with pytest.raises(ValueError, match="equal length"):
+            route_occurrences(zeros.astype(np.uint64), zeros[:1], zeros, zeros.astype(bool),
+                              zeros, 2, (3, 4))
 
     def test_strided_rows_are_read_in_order(self):
-        rows = [(5, 1, 2, True), (7, 0, 3, False), (5, 1, 1, False)]
-        wire = _wire(rows)
-        assert pack_occurrence_keys(wire[::-1], 1, 2).tolist() == _keys_oracle(
-            rows[::-1], 1, 2)
+        codes = np.array([5, 7, 5], dtype=np.uint64)
+        rids, positions = np.array([1, 0, 1]), np.array([2, 3, 1])
+        strands = np.array([True, False, False])
+        got = route_occurrences(codes[::-1], np.arange(3), positions[::-1], strands[::-1],
+                                rids[::-1], 1, (1, 2))[0]
+        np.testing.assert_array_equal(got, _keys_oracle(codes[::-1], rids[::-1],
+                                                        positions[::-1], strands[::-1],
+                                                        (1, 2)))
 
     def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
-        monkeypatch.setattr(hashtable, "_pack_occurrence_keys_numpy",
+        monkeypatch.setattr(stages, "_route_occurrences_numpy",
                             lambda *args: pytest.fail("took the NumPy body"))
-        assert pack_occurrence_keys(_wire([(1, 1, 1, True)]), 1, 1).tolist() == [15]
+        keys = route_occurrences(np.array([1], dtype=np.uint64), np.array([0]),
+                                 np.array([1]), np.array([True]), np.array([1]), 1, (1, 1))
+        assert keys[0].tolist() == [15]

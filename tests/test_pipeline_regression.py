@@ -35,7 +35,7 @@ RANKS = 3
 EXPECTED = {
     "run": {
         "phases": {"bloom_exchange": (374832, 2),
-                   "hashtable_exchange": (553008, 2),
+                   "hashtable_exchange": (276528, 2),
                    "overlap_exchange": (887688, 6),
                    "alignment_exchange": (16755, 2)},
         "alltoallv_calls": 12,
@@ -45,7 +45,7 @@ EXPECTED = {
             "bloom_nbytes": 20097, "bloom_payload_bytes": 276480,
             "bloom_stash_peak_bytes": 108080, "bloom_stash_total_bytes": 276480,
             "distinct_keys": 3265, "dp_cells": 12350848,
-            "hashtable_payload_bytes": 552960, "high_freq_threshold": 28,
+            "hashtable_payload_bytes": 276480, "high_freq_threshold": 28,
             "hll_distinct_estimate": 25784, "input_kmers": 34560,
             "kmers_after_sketch": 69120, "kmers_extracted_total": 69120,
             "kmers_parsed": 34560, "kmers_received_bloom": 34560,
@@ -61,12 +61,12 @@ EXPECTED = {
         "stages": ["bloom", "hashtable", "overlap", "alignment"],
     },
     "build_index": {
-        "phases": {"hashtable_exchange": (441584, 2)},
+        "phases": {"hashtable_exchange": (220816, 2)},
         "alltoallv_calls": 2,
         "counters": {
-            "hashtable_payload_bytes": 441536,
+            "hashtable_payload_bytes": 220768,
             "high_freq_threshold": 28, "index_build_runs": 3,
-            "index_digest": 14980271729248855857, "index_nbytes": 502644,
+            "index_digest": 14980271729248855857, "index_nbytes": 220768,
             "index_occurrences": 27596, "index_retained_kmers": 2726,
             "index_retained_occurrences": 9133, "kmers_after_sketch": 27596,
             "kmers_extracted_total": 27596, "kmers_received_hashtable": 27596,
@@ -75,7 +75,7 @@ EXPECTED = {
         "stages": ["hashtable"],
     },
     "run_query_batch": {
-        "phases": {"query_route_exchange": (111520, 2),
+        "phases": {"query_route_exchange": (55808, 2),
                    "overlap_exchange": (313808, 5),
                    "alignment_exchange": (8911, 2)},
         "alltoallv_calls": 9,
@@ -89,7 +89,7 @@ EXPECTED = {
             "query_cross_pairs": 7844, "query_index_occurrences_touched": 5114,
             "query_kmers_parsed": 6964,
             "query_kmers_routed": 6964, "query_pairs_generated": 16460,
-            "query_reads": 10, "query_route_payload_bytes": 111424,
+            "query_reads": 10, "query_route_payload_bytes": 55712,
             "read_cache_fetch_hits": 0, "read_cache_hits": 237,
             "read_cache_misses": 63, "read_payload_raw_bytes": 31556,
             "read_payload_wire_bytes": 7903, "remote_reads_fetched": 36,

@@ -35,7 +35,7 @@ from repro.align.batch import TaskBatch, batched_xdrop_align
 from repro.align.batched_xdrop import DEFAULT_XDROP_BAND
 from repro.align.read_cache import ReadCache
 from repro.align.scoring import ScoringScheme
-from repro.seq.kmer import KmerSpec, extract_kmers_with_strand
+from repro.seq.kmer import KmerSpec, extract_kmers_batch
 from repro.seq.records import ReadSet
 
 
@@ -101,26 +101,14 @@ class DalignerLikeOverlapper:
 
     # -- k-mer table construction ------------------------------------------------
 
-    def _block_table(self, reads: ReadSet, rids: list[int]
+    def _block_table(self, reads: ReadSet, rids: range
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, rids, positions, strands) of every k-mer in a block, sorted by code."""
-        spec = KmerSpec(k=self.config.k)
-        code_chunks, rid_chunks, pos_chunks, strand_chunks = [], [], [], []
-        for rid in rids:
-            codes, positions, strands = extract_kmers_with_strand(reads[rid].sequence, spec)
-            code_chunks.append(codes)
-            pos_chunks.append(positions)
-            strand_chunks.append(strands)
-            rid_chunks.append(np.full(codes.size, rid, dtype=np.int64))
-        if not code_chunks:
-            return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-        codes = np.concatenate(code_chunks)
-        rids_arr = np.concatenate(rid_chunks)
-        positions = np.concatenate(pos_chunks)
-        strands = np.concatenate(strand_chunks)
+        """(codes, rids, positions, strands) of every k-mer in a block (a
+        non-empty RID range), sorted by code."""
+        codes, read_index, positions, strands = extract_kmers_batch(
+            *reads.span(rids[0], rids[-1] + 1), KmerSpec(k=self.config.k), with_strand=True)
         order = np.argsort(codes, kind="stable")
-        return codes[order], rids_arr[order], positions[order], strands[order]
+        return codes[order], read_index[order] + rids[0], positions[order], strands[order]
 
     def _merge_blocks(
         self,
@@ -164,7 +152,7 @@ class DalignerLikeOverlapper:
     def run(self, reads: ReadSet) -> DalignerResult:
         """Detect overlaps and align them, reporting the phase timings."""
         config = self.config
-        rids = list(range(len(reads)))
+        rids = range(len(reads))
         blocks = [rids[i : i + config.block_size]
                   for i in range(0, len(rids), config.block_size)]
 
@@ -189,7 +177,7 @@ class DalignerLikeOverlapper:
                           seed_pos_b=chosen[:, 3], same_strand=chosen[:, 4].astype(bool))
         cache = ReadCache()
         for rid in tasks.rids().tolist():
-            cache.put(rid, reads[rid].sequence)
+            cache.put(rid, reads.codes(rid))
         results = batched_xdrop_align(
             tasks, cache, k=config.k, scoring=config.scoring,
             xdrop=config.xdrop, band=config.band,

@@ -14,7 +14,6 @@ from repro.mpisim.faults import FaultPlan, RunFaults
 from repro.mpisim.runtime import spmd_run
 from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
-from repro.seq.encoding import check_reads
 from repro.seq.records import ReadSet
 
 #: Stage name -> (work unit for the cost model, exchange phase label,
@@ -78,7 +77,6 @@ class DibellaPipeline:
         """Run the full pipeline on *readset* and return the assembled result."""
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
-        check_reads(readset)
         result = self._launch(run_rank_pipeline, readset, (), STAGE_NAMES)
         result.counters["input_kmers"] = result.counters.get("kmers_parsed", 0)
         return result
@@ -107,7 +105,6 @@ class DibellaPipeline:
         """
         if len(readset) == 0:
             raise ValueError("cannot build an index from an empty read set")
-        check_reads(readset)
         config = self.config
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
                      f":r{self.topology.n_ranks}"
@@ -157,11 +154,9 @@ class DibellaPipeline:
             )
         if len(query_reads) == 0:
             raise ValueError("cannot serve an empty query batch")
-        # The index reads were checked by build_index.
-        check_reads(query_reads)
         index_readset = self._index_readset
         try:
-            combined = ReadSet([*index_readset, *query_reads])
+            combined = ReadSet.concat([index_readset, query_reads])
         except ValueError as exc:
             raise ValueError(
                 "query read names collide with the index read set (or each "

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,7 +54,6 @@ from repro.core.stages import reset_resident_indexes
 from repro.mpisim.backend import recovery_counters, shutdown_rank_pools
 from repro.mpisim.errors import RankFailedError
 from repro.mpisim.topology import Topology
-from repro.seq.encoding import check_reads
 from repro.seq.records import Read, ReadSet
 
 __all__ = ["AlignmentService", "QueryBatchRecord"]
@@ -126,7 +125,7 @@ class AlignmentService:
         # The records themselves go to drain's caller: a long-lived service
         # must not hold every batch's result.
         self._batch_history: list[tuple[float, int]] = []
-        self._pending: list[tuple[int, list[Read]]] = []
+        self._pending: list[ReadSet] = []
         self._next_submission = 0
         self._closed = False
 
@@ -206,41 +205,35 @@ class AlignmentService:
 
         Nothing runs until :meth:`drain`.  Each read is renamed to
         ``q<submission>/<original name>`` so distinct submissions (and the
-        index read set) never collide on names.
+        index read set) never collide on names.  The submission's
+        :class:`ReadSet` is built here, so a bad base or a repeated name is
+        rejected at admission: never coalesced with good submissions, and
+        never retried as if a rank had died.
         """
         self._check_open("submit queries")
-        read_list = list(reads)
-        if not read_list:
+        query_set = reads if isinstance(reads, ReadSet) else ReadSet(reads)
+        if not len(query_set):
             raise ValueError("cannot submit an empty query read set")
-        # Rejected at admission, never coalesced with good submissions (and
-        # never retried as if a rank had died).
-        check_reads(read_list)
         submission = self._next_submission
         self._next_submission += 1
-        renamed = [replace(read, name=f"q{submission}/{read.name}")
-                   for read in read_list]
-        self._pending.append((submission, renamed))
+        self._pending.append(query_set.renamed(f"q{submission}/"))
         return submission
 
     # -- serve phase ---------------------------------------------------------
 
-    def _take_batch(self) -> tuple[list[Read], int]:
+    def _take_batch(self) -> list[ReadSet]:
         """Pop whole submissions up to ``serve_batch_reads`` reads.
 
         Always takes at least one submission, so an oversized submission
         becomes its own batch instead of deadlocking the queue.
         """
         bound = self.config.serve_batch_reads
-        batch: list[Read] = []
-        n_submissions = 0
-        while self._pending:
-            _sub, reads = self._pending[0]
-            if batch and len(batch) + len(reads) > bound:
-                break
-            batch.extend(reads)
-            n_submissions += 1
-            self._pending.pop(0)
-        return batch, n_submissions
+        batch = [self._pending.pop(0)]
+        n_reads = len(batch[0])
+        while self._pending and n_reads + len(self._pending[0]) <= bound:
+            n_reads += len(self._pending[0])
+            batch.append(self._pending.pop(0))
+        return batch
 
     def drain(self) -> list[QueryBatchRecord]:
         """Run every queued submission through the pipeline; return new records.
@@ -254,8 +247,8 @@ class AlignmentService:
         self.build()
         new_records: list[QueryBatchRecord] = []
         while self._pending:
-            batch, n_submissions = self._take_batch()
-            query_set = ReadSet(batch)
+            batch = self._take_batch()
+            query_set = ReadSet.concat(batch)
             start = time.perf_counter()
             # Retries happen inside the timed window: a recovered batch's
             # wall_seconds (and latency_stats) include the recovery cost.
@@ -266,13 +259,13 @@ class AlignmentService:
             wall_seconds = time.perf_counter() - start
             record = QueryBatchRecord(
                 batch_index=len(self._batch_history),
-                n_reads=len(batch),
-                n_submissions=n_submissions,
+                n_reads=len(query_set),
+                n_submissions=len(batch),
                 wall_seconds=wall_seconds,
                 result=result,
                 query_names=query_set.names(),
             )
-            self._batch_history.append((wall_seconds, len(batch)))
+            self._batch_history.append((wall_seconds, len(query_set)))
             new_records.append(record)
         return new_records
 

@@ -84,6 +84,9 @@ class _RankState:
     accepted: tuple[np.ndarray, ...] = field(
         default_factory=lambda: tuple(np.empty(0, dtype=np.int64) for _ in range(5)))
     read_cache: ReadCache = field(default_factory=ReadCache)
+    #: A query batch's resident index reads (RIDs below their count), whose
+    #: arena the read cache views; None when ``readset`` outlives the run.
+    resident_reads: ReadSet | None = None
     timers: dict[str, StageTimer] = field(default_factory=dict)
     work: dict[str, float] = field(default_factory=dict)
     local_bytes: dict[str, float] = field(default_factory=dict)
@@ -146,7 +149,8 @@ def _extract_batch_kmers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extract k-mers (and optionally read indices/positions/strands) from a batch of reads.
 
-    The whole batch is encoded and scanned as one concatenated array
+    A batch is a contiguous RID range, so its codes are one slice of the
+    read set's arena, scanned in one call
     (:func:`repro.seq.kmer.extract_kmers_batch`) — no per-read Python loop.
 
     This is the single funnel every stage's k-mer stream flows through, so
@@ -167,9 +171,11 @@ def _extract_batch_kmers(
     empty_i = np.empty(0, dtype=np.int64)
     if not rids:
         return np.empty(0, dtype=np.uint64), empty_i, empty_i.copy(), np.empty(0, dtype=bool)
-    sequences = [readset[rid].sequence for rid in rids]
+    lo, hi = rids[0], rids[-1] + 1
+    if hi - lo != len(rids):
+        raise ValueError("a stage batch must be a contiguous RID range")
     codes, read_index, positions, strands = extract_kmers_batch(
-        sequences, config.kmer, with_strand=with_positions
+        *readset.span(lo, hi), config.kmer, with_strand=with_positions
     )
     if counters is not None:
         counters["kmers_extracted_total"] = (
@@ -672,49 +678,35 @@ def overlap_stage(
 # Stage 4: read exchange and pairwise alignment (§9)
 # ---------------------------------------------------------------------------
 
-def _build_read_block(
-    rids: np.ndarray, readset: ReadSet, cache: ReadCache
-) -> PackedReadBlock:
-    """Serve the requested reads as one 2-bit packed wire block.
+def _local_codes(state: _RankState, rid: int) -> np.ndarray:
+    """Local read *rid*'s codes, as the rank's read cache keeps them.
 
-    Parameters
-    ----------
-    rids:
-        The RIDs a peer requested (all local to this rank).
-    readset:
-        The rank's read set (the source of truth for sequences).
-    cache:
-        The rank's read cache.  The served reads are routed through it so
-        their 2-bit encodings are computed at most once — repeated serves
-        (and pooled reruns) pack straight from the memoised buffers.
-
-    The block is flat typed buffers (lengths in the typed header), so the
-    payload crosses the typed collectives protocol (and a real network)
-    without per-read envelopes; see ``docs/wire-format.md``.
+    A view of the read set's arena, except in a query batch: its read set
+    is a per-batch union copy that a cached view would keep alive, so an
+    index read is a view of the resident index reads' arena and a query
+    read (evicted by the next batch) is copied.
     """
-    # Put-if-absent: served reads are this rank's own immutable local reads,
-    # so an existing entry is always current.  The stored string is a
-    # reference to the readset's resident sequence; the memoised code array
-    # (1 byte/base) is the buffer repeat serves reuse.
+    resident = state.resident_reads
+    if resident is None:
+        return state.readset.codes(rid)
+    if rid < len(resident):
+        return resident.codes(rid)
+    return state.readset.codes(rid).copy()
+
+
+def _build_read_block(rids: np.ndarray, state: _RankState) -> PackedReadBlock:
+    """Serve the requested reads (all local to this rank) as one 2-bit
+    packed wire block.
+
+    The served reads go through the rank's read cache
+    (:meth:`ReadCache.serve`), which counts them as used.  The block is
+    flat typed buffers (lengths in the typed header), so the payload
+    crosses the typed collectives protocol (and a real network) without
+    per-read envelopes; see ``docs/wire-format.md``.
+    """
     rids = np.asarray(rids, dtype=np.int64)
-    code_arrays = []
-    for rid in rids.tolist():
-        if rid not in cache:
-            cache.put(rid, readset[rid].sequence)
-        code_arrays.append(cache.encoded_peek(rid))
-    return pack_read_block(rids, code_arrays)
-
-
-def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> None:
-    """Insert a received read block into the per-rank read cache.
-
-    The reads are inserted **without decoding**: each read's packed bytes
-    land in the cache as-is (:meth:`ReadCache.put_packed`) and are unpacked
-    to a 2-bit code array only when the aligner first touches the read — the
-    ASCII string is never materialised.
-    """
-    for index, rid in enumerate(block.rids.tolist()):
-        cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
+    return pack_read_block(rids, [state.read_cache.serve(rid, _local_codes(state, rid))
+                                  for rid in rids.tolist()])
 
 
 def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
@@ -724,17 +716,14 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
     tasks' missing reads from their owner ranks (``alignment:request``) and
     the owners serve them back as **2-bit packed** blocks (4 bases/byte,
     :class:`PackedReadBlock`, ``alignment:response``) — cutting the phase's
-    dominant payload ~4x.  The receive side inserts the packed bytes into
-    the cache *without decoding*.  The layout is specified in
-    ``docs/wire-format.md``; the counters ``read_payload_raw_bytes`` /
-    ``read_payload_wire_bytes`` record the saving.
+    dominant payload ~4x.  The receive side unpacks each block into code
+    arrays on arrival.  The layout is specified in ``docs/wire-format.md``;
+    the counters ``read_payload_raw_bytes`` / ``read_payload_wire_bytes``
+    record the saving.
 
-    Fetched sequences land in the rank's :class:`ReadCache`, which also
-    memoises the 2-bit encodings the x-drop kernel consumes — repeated tasks
-    against the same read reuse one buffer, and reads already cached are
-    never re-requested from their owner.  The serve side routes the packed
-    blocks through the same cache, so a read served twice (or re-served by a
-    pooled rank) packs from its memoised encoding.  The cache's hit/miss
+    The codes of every read the tasks touch, local or fetched, land in the
+    rank's :class:`ReadCache`, which the x-drop kernel reads: reads already
+    cached are never re-requested from their owner.  The cache's hit/miss
     counters are surfaced in the run result.
 
     Parameters
@@ -760,7 +749,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
         local_arr = np.asarray(state.local_rids, dtype=np.int64)
         is_local = np.isin(needed, local_arr)
         for rid in needed[is_local].tolist():
-            cache.put(rid, state.readset[rid].sequence)
+            cache.put(rid, _local_codes(state, rid))
         to_fetch = cache.missing(needed[~is_local])
         # Group read requests by the rank owning each read.
         requests = bucket_by_destination(to_fetch, state.read_owner[to_fetch], comm.size)
@@ -768,8 +757,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
         incoming = comm.alltoallv(requests, label="alignment:request")
     with timer.compute():
         # Serve the requested reads back to each requesting rank.
-        blocks = [_build_read_block(incoming[src], state.readset, cache)
-                  for src in range(comm.size)]
+        blocks = [_build_read_block(incoming[src], state) for src in range(comm.size)]
         # Sequence payload only: ``raw`` is one byte per base, ``wire`` what
         # actually crosses the exchange (~raw/4); headers are excluded from
         # both, so the pair isolates exactly what the packing compresses.
@@ -779,7 +767,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
         received = comm.alltoallv(blocks, label="alignment:response")
     with timer.compute():
         for block in received:
-            _unpack_read_block(block, cache)
+            for index, rid in enumerate(block.rids.tolist()):
+                cache.put(rid, block.codes(index))
         # Called through the module attribute, so a wrapper installed on
         # ``repro.align.batch.batched_xdrop_align`` sees every kernel call.
         results = np.recarray(0, dtype=align_batch.RESULT_DTYPE)
@@ -793,9 +782,9 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> None:
 
     state.work["alignment"] = float(dp_cells)
     # Bytes of the reads this rank's tasks actually touch — deliberately not
-    # the whole cache, which may also hold reads memoised while *serving*
+    # the whole cache, which may also hold reads cached while *serving*
     # peers (and, on a serve rank, previous batches' index reads).
-    state.local_bytes["alignment"] = float(cache.bases_cached(needed))
+    state.local_bytes["alignment"] = float(state.readset.read_lengths()[needed].sum())
     state.counters["alignments"] = len(results)
     state.counters["accepted_alignments"] = int(accepted.sum())
     state.counters["dp_cells"] = dp_cells
@@ -1124,10 +1113,11 @@ def run_query_batch(
                           high_freq_threshold)
         return _rank_report(comm, idle, index_missing=True)
     index, index_reads, read_cache = resident
-    readset = ReadSet([*index_reads, *query_reads])
+    readset = ReadSet.concat([index_reads, query_reads])
     state = _rank_state(comm, readset, assignments, config, high_freq_threshold)
     state.timers["query_route"] = route_timer
     state.read_cache = read_cache
+    state.resident_reads = index_reads
     read_cache.evict_rids_at_or_above(n_index_reads)
     state.counters["index_reuse_hits"] = 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seq.kmer import KmerSpec, extract_kmer_codes
+from repro.seq.kmer import KmerSpec, extract_kmer_codes, extract_kmers_batch
 from repro.seq.records import ReadSet
 
 
@@ -55,8 +55,7 @@ class KmerCounter:
 
     def add_reads(self, reads: ReadSet) -> None:
         """Extract and add all k-mers of every read in the set."""
-        for read in reads:
-            self.add_read(read.sequence)
+        self.add_codes(extract_kmers_batch(*reads.span(0, len(reads)), self.spec)[0])
 
     def _merge(self) -> tuple[np.ndarray, np.ndarray]:
         if self._merged is None:

@@ -737,9 +737,11 @@ class _RankPool:
         # thread whose failure is only printed, never raised — an unpicklable
         # job would otherwise strand the released workers in job_queue.get()
         # forever.  This way the error surfaces in the caller while every
-        # worker is still safely parked (the pool stays usable).
+        # worker is still safely parked (the pool stays usable).  Protocol 5
+        # writes a numpy array (a read set's code arena) into the job and
+        # loads it back with no temporary copy on either side.
         try:
-            job = pickle.dumps((fn, args, kwargs, trace is not None, faults))
+            job = pickle.dumps((fn, args, kwargs, trace is not None, faults), protocol=5)
         except Exception as exc:
             raise TypeError(
                 f"process-backend rank program is not picklable: "

@@ -10,12 +10,14 @@ packed form, four codes to a byte, is the wire codec in
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.seq.alphabet import CODE_TO_BASE, ascii_to_code_table
-from repro.seq.records import Read
+
+#: ``bytes.translate`` table from a code byte to its upper-case base.
+_CODE_TO_ASCII = bytes.maketrans(bytes(range(4)),
+                                 "".join(CODE_TO_BASE[i] for i in range(4)).encode("ascii"))
+
 
 def encode_sequence(seq: str) -> np.ndarray:
     """Encode a DNA string into a ``uint8`` array of 2-bit codes.
@@ -34,26 +36,6 @@ def encode_sequence(seq: str) -> np.ndarray:
     return codes
 
 
-def check_reads(reads: Iterable[Read]) -> None:
-    """Raise :class:`ValueError` naming the first read with a non-ACGT base.
-
-    The launch-time form of :func:`encode_sequence`'s alphabet check, so a
-    read set that would fail inside a rank is rejected before any rank
-    starts.  The accepted bytes come from the same lookup table; each read
-    is scanned in one C-level pass (``bytes.translate`` deleting them).
-    """
-    table = ascii_to_code_table()
-    valid = np.flatnonzero(table != 255).astype(np.uint8).tobytes()
-    for read in reads:
-        # "replace" keeps one byte per character, so positions line up.
-        raw = read.sequence.encode("ascii", "replace")
-        if raw.translate(None, valid):
-            position = int(np.argmax(table[np.frombuffer(raw, dtype=np.uint8)] == 255))
-            raise ValueError(
-                f"read {read.name!r} has an invalid DNA character "
-                f"{read.sequence[position]!r} at position {position}")
-
-
 def decode_sequence(codes: np.ndarray) -> str:
     """Decode a ``uint8`` array of 2-bit codes back into a DNA string."""
     codes = np.asarray(codes, dtype=np.uint8)
@@ -61,5 +43,4 @@ def decode_sequence(codes: np.ndarray) -> str:
         return ""
     if codes.max(initial=0) > 3:
         raise ValueError("codes must be in [0, 3]")
-    lut = np.frombuffer("".join(CODE_TO_BASE[i] for i in range(4)).encode("ascii"), dtype=np.uint8)
-    return lut[codes].tobytes().decode("ascii")
+    return codes.tobytes().translate(_CODE_TO_ASCII).decode("ascii")

@@ -16,12 +16,10 @@ matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro import native
-from repro.seq.alphabet import ascii_to_code_table
 from repro.seq.encoding import encode_sequence
 
 #: Largest k representable in a single uint64 code.
@@ -159,68 +157,82 @@ def _window_codes(bases: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_kmers_batch(
-    seqs: Sequence[str], spec: KmerSpec, with_strand: bool = False
+    codes: np.ndarray, lengths: np.ndarray, spec: KmerSpec, with_strand: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extract the k-mers of a whole batch of reads.
 
-    Returns ``(codes, read_index, positions, is_forward)`` where
-    ``read_index[i]`` is the index into *seqs* of the read containing k-mer
-    ``i`` and ``positions[i]`` its 0-based offset in that read.  With
-    ``with_strand=True`` the codes are canonicalised and ``is_forward``
-    reports, per k-mer, whether the canonical representative is the literal
-    forward orientation (matching :func:`extract_kmers_with_strand`);
-    otherwise canonicalisation follows ``spec.canonical`` and ``is_forward``
-    is empty.  A character outside ``ACGTacgt`` raises
-    :func:`~repro.seq.encoding.encode_sequence`'s :class:`ValueError`.
+    *codes* holds the reads' 2-bit base codes back to back (a read set's
+    arena slice, :meth:`~repro.seq.records.ReadSet.span`) and *lengths*
+    their base counts.  Returns ``(codes, read_index, positions,
+    is_forward)`` where ``read_index[i]`` is the batch index of the read
+    containing k-mer ``i`` and ``positions[i]`` its 0-based offset in that
+    read.  With ``with_strand=True`` the codes are canonicalised and
+    ``is_forward`` reports, per k-mer, whether the canonical representative
+    is the literal forward orientation (matching
+    :func:`extract_kmers_with_strand`); otherwise canonicalisation follows
+    ``spec.canonical`` and ``is_forward`` is empty.  A base code above 3
+    raises :class:`ValueError`.
 
     Runs the compiled ``extract_kmers`` (:mod:`repro.native`: one rolling
-    forward / reverse-complement loop per read over the joined ASCII bytes)
-    when it is available, :func:`_extract_numpy` otherwise; both return the
-    same columns.  This is the batch counterpart of
-    :func:`extract_kmer_codes` and what the pipeline's streaming supersteps
-    call.
+    forward / reverse-complement loop per read, reading the codes through
+    an identity lookup table) when it is available, :func:`_extract_numpy`
+    otherwise; both return the same columns.  This is the batch counterpart
+    of :func:`extract_kmer_codes` and what the pipeline's streaming
+    supersteps call.
     """
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    if lengths.min(initial=0) < 0 or int(lengths.sum()) != codes.size:
+        raise ValueError(f"read lengths must be >= 0 and sum to the batch's "
+                         f"{codes.size} codes")
     compiled = native.library()
     if compiled is None:
-        return _extract_numpy(seqs, spec, with_strand)
+        return _extract_numpy(codes, lengths, spec, with_strand)
     k = spec.k
-    text = "".join(seqs)
-    joined = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     n_kmers = int(np.maximum(lengths - (k - 1), 0).sum())
-    codes = np.empty(n_kmers, dtype=np.uint64)
+    kmers = np.empty(n_kmers, dtype=np.uint64)
     read_index = np.empty(n_kmers, dtype=np.int64)
     positions = np.empty(n_kmers, dtype=np.int64)
     is_forward = np.empty(n_kmers if with_strand else 0, dtype=bool)
     bad = compiled.extract_kmers(
-        joined.ctypes.data, lengths.ctypes.data, lengths.size,
-        ascii_to_code_table().ctypes.data, k, spec.canonical or with_strand, with_strand,
-        codes.ctypes.data, read_index.ctypes.data, positions.ctypes.data,
+        codes.ctypes.data, lengths.ctypes.data, lengths.size,
+        _IDENTITY_CODES.ctypes.data, k, spec.canonical or with_strand, with_strand,
+        kmers.ctypes.data, read_index.ctypes.data, positions.ctypes.data,
         is_forward.ctypes.data)
     if bad >= 0:
-        raise ValueError(f"invalid DNA character {text[bad]!r} in sequence")
-    return codes, read_index, positions, is_forward
+        raise _invalid_code(codes, bad)
+    return kmers, read_index, positions, is_forward
+
+
+#: The lookup table the compiled extraction reads base codes through: codes
+#: 0-3 map to themselves, anything else is outside the alphabet.
+_IDENTITY_CODES = np.full(256, 255, dtype=np.uint8)
+_IDENTITY_CODES[:4] = np.arange(4)
+
+
+def _invalid_code(codes: np.ndarray, at: int) -> ValueError:
+    return ValueError(f"invalid base code {int(codes[at])} at position {at} of the batch")
 
 
 def _extract_numpy(
-    seqs: Sequence[str], spec: KmerSpec, with_strand: bool = False
+    codes: np.ndarray, lengths: np.ndarray, spec: KmerSpec, with_strand: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The NumPy body of :func:`extract_kmers_batch` (reference and fallback).
 
-    The whole batch is encoded once and every window's forward and
-    reverse-complement code is built over the single concatenated code
-    array by doubling (:func:`_window_codes`, no per-read Python loop);
-    windows spanning a read boundary are masked out afterwards.
+    Every window's forward and reverse-complement code is built over the
+    batch's whole code array by doubling (:func:`_window_codes`, no
+    per-read Python loop); windows spanning a read boundary are masked out
+    afterwards.
     """
     k = spec.k
     empty_u64 = np.empty(0, dtype=np.uint64)
     empty_i64 = np.empty(0, dtype=np.int64)
     empty_bool = np.empty(0, dtype=bool)
-    if not seqs:
-        return empty_u64, empty_i64, empty_i64, empty_bool
-
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    concat = encode_sequence("".join(seqs)).astype(np.uint64)
+    codes = np.asarray(codes, dtype=np.uint8)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if codes.max(initial=0) > 3:
+        raise _invalid_code(codes, int(np.argmax(codes > 3)))
+    concat = codes.astype(np.uint64)
     n = concat.size
     if n < k:
         return empty_u64, empty_i64, empty_i64, empty_bool
@@ -240,8 +252,8 @@ def _extract_numpy(
     positions = positions[valid]
 
     if with_strand:
-        codes = np.minimum(raw, rc[valid])
-        return codes, read_index, positions, codes == raw
+        canonical = np.minimum(raw, rc[valid])
+        return canonical, read_index, positions, canonical == raw
     if spec.canonical:
         raw = np.minimum(raw, rc[valid])
     return raw, read_index, positions, empty_bool

@@ -157,8 +157,7 @@ class PackedReadBlock:
 
     def codes(self, index: int) -> np.ndarray:
         """Unpack read *index* into a ``uint8`` 2-bit code array."""
-        lo, hi = int(self.byte_offsets[index]), int(self.byte_offsets[index + 1])
-        return unpack_codes(self.packed[lo:hi], int(self.lengths[index]))
+        return unpack_codes(self.packed_slice(index), int(self.lengths[index]))
 
     def packed_slice(self, index: int) -> np.ndarray:
         """Read *index*'s packed bytes (a view; no unpacking performed)."""
@@ -180,9 +179,9 @@ def pack_read_block(rids: np.ndarray, code_arrays: list[np.ndarray]) -> PackedRe
     rids:
         Read identifier of each entry of *code_arrays* (same order).
     code_arrays:
-        One ``uint8`` code array per read (e.g. the memoised encodings held
-        by :class:`repro.align.read_cache.ReadCache`); every array is packed
-        independently so each read starts on a byte boundary.
+        One ``uint8`` code array per read (e.g. views of a read set's code
+        arena, :meth:`repro.seq.records.ReadSet.codes`); every array is
+        packed independently so each read starts on a byte boundary.
 
     Returns
     -------

@@ -164,6 +164,13 @@ def partition_reads(readset, n_ranks: int) -> list[list[int]]:
     return assignments
 
 
+def encode_batch(seqs: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(codes, lengths)`` of *seqs* as
+    :func:`repro.seq.kmer.extract_kmers_batch` takes a batch."""
+    return (encode_sequence("".join(seqs)),
+            np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs)))
+
+
 class LookupCache:
     """Per-read memo of forward and reverse-complement code arrays, with one
     counted lookup per call: a miss the first time an array is built.

@@ -51,7 +51,7 @@ def cache_of(sequences: dict[int, str]) -> ReadCache:
     """A ReadCache holding every read of *sequences* (test helper)."""
     cache = ReadCache()
     for rid, sequence in sequences.items():
-        cache.put(rid, sequence)
+        cache.put(rid, encode_sequence(sequence))
     return cache
 
 
@@ -959,7 +959,7 @@ class TestCodeArena:
         k, reads, tasks = batch
         cache, oracle = cache_of(reads), LookupCache(reads)
         for rid in served & set(reads):
-            cache.encoded_peek(rid)
+            cache.serve(rid, encode_sequence(reads[rid]))
             oracle._codes(rid)
         with pytest.MonkeyPatch.context() as patch:
             if tier == "numpy":

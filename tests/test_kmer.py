@@ -14,7 +14,7 @@ from repro.seq.kmer import (
     reverse_complement_code,
 )
 
-from oracles import iter_kmers, kmer_code_to_string, kmer_string_to_code
+from oracles import encode_batch, iter_kmers, kmer_code_to_string, kmer_string_to_code
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=150)
 kvals = st.integers(min_value=2, max_value=21)
@@ -181,7 +181,7 @@ class TestBatchExtraction:
         reads = self._random_reads(rng, 20, k)
         spec = KmerSpec(k=k)
         codes, read_index, positions, strands = extract_kmers_batch(
-            reads, spec, with_strand=True)
+            *encode_batch(reads), spec, with_strand=True)
         assert codes.size == read_index.size == positions.size == strands.size
         cursor = 0
         for i, read in enumerate(reads):
@@ -200,7 +200,7 @@ class TestBatchExtraction:
         rng = np.random.default_rng(9)
         spec = KmerSpec(k=7, canonical=canonical)
         reads = self._random_reads(rng, 15, 7)
-        codes, read_index, positions, strands = extract_kmers_batch(reads, spec)
+        codes, read_index, positions, strands = extract_kmers_batch(*encode_batch(reads), spec)
         assert strands.size == 0
         want = [extract_kmer_codes(r, spec) for r in reads]
         np.testing.assert_array_equal(codes, np.concatenate(want) if want else codes)
@@ -211,7 +211,7 @@ class TestBatchExtraction:
         # k-mers spanning two reads must not appear: 8 total bases but only
         # 2 valid 4-mers (one per read).
         codes, read_index, positions, _ = extract_kmers_batch(
-            ["ACGT", "TTTT"], KmerSpec(k=4))
+            *encode_batch(["ACGT", "TTTT"]), KmerSpec(k=4))
         assert codes.size == 2
         assert read_index.tolist() == [0, 1]
         assert positions.tolist() == [0, 0]
@@ -219,7 +219,7 @@ class TestBatchExtraction:
     def test_empty_inputs(self):
         for batch in ([], ["", ""], ["AC"]):
             codes, read_index, positions, strands = extract_kmers_batch(
-                batch, KmerSpec(k=5), with_strand=True)
+                *encode_batch(batch), KmerSpec(k=5), with_strand=True)
             assert codes.size == 0 and read_index.size == 0
             assert positions.size == 0 and strands.size == 0
 
@@ -241,18 +241,18 @@ class TestBatchExtraction:
             canonical = np.minimum(forward, rc)
             where = ([i for i, _, _ in want], [pos for _, pos, _ in want])
 
-            got = extract_kmers_batch(batch, KmerSpec(k=k), with_strand=True)
+            got = extract_kmers_batch(*encode_batch(batch), KmerSpec(k=k), with_strand=True)
             for column, expected in zip(got, (canonical, *where, canonical == forward)):
                 np.testing.assert_array_equal(column, expected)
             for spec, expected in ((KmerSpec(k=k), canonical),
                                    (KmerSpec(k=k, canonical=False), forward)):
-                got = extract_kmers_batch(batch, spec)
+                got = extract_kmers_batch(*encode_batch(batch), spec)
                 np.testing.assert_array_equal(got[0], expected)
                 np.testing.assert_array_equal(got[1], where[0])
                 np.testing.assert_array_equal(got[2], where[1])
 
     def test_short_reads_between_long_ones(self):
         reads = ["ACGTACGTAC", "AC", "", "GGGTTTCCCA"]
-        codes, read_index, positions, _ = extract_kmers_batch(reads, KmerSpec(k=5))
+        codes, read_index, positions, _ = extract_kmers_batch(*encode_batch(reads), KmerSpec(k=5))
         assert set(read_index.tolist()) == {0, 3}
         assert codes.size == 12  # 6 k-mers from each long read

@@ -47,7 +47,7 @@ from repro.seq.kmer import (
 )
 from repro.seq.records import Read, ReadSet
 
-from oracles import sketch_kmers_with_strand
+from oracles import encode_batch, sketch_kmers_with_strand
 
 K = 9
 SPEC = KmerSpec(k=K)
@@ -136,7 +136,7 @@ class TestSketchExtraction:
     @settings(max_examples=60, deadline=None)
     def test_subset_of_full_canonical_stream(self, seqs, window):
         full_codes, full_ri, full_pos, full_strand = extract_kmers_batch(
-            seqs, SPEC, with_strand=True)
+            *encode_batch(seqs), SPEC, with_strand=True)
         codes, ri, pos, strand = sketch_batch(seqs, window)
         full = {(int(r), int(p)): (int(c), bool(s))
                 for r, p, c, s in zip(full_ri, full_pos, full_codes, full_strand)}
@@ -193,7 +193,7 @@ class TestSketchExtraction:
         rng = np.random.default_rng(7)
         seqs = ["".join("ACGT"[i] for i in rng.integers(0, 4, size=1500))
                 for _ in range(8)]
-        full, _, _, _ = extract_kmers_batch(seqs, SPEC, with_strand=True)
+        full, _, _, _ = extract_kmers_batch(*encode_batch(seqs), SPEC, with_strand=True)
         for window in (5, 11, 19):
             codes, _, _, _ = sketch_batch(seqs, window)
             density = codes.size / full.size

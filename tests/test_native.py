@@ -38,6 +38,8 @@ from repro.mpisim.collectives import _bucket_numpy, bucket_by_destination, bucke
 from repro.seq import kmer
 from repro.seq.kmer import KmerSpec, _extract_numpy, extract_kmers_batch
 
+from oracles import encode_batch
+
 #: The largest 31-mer code, and the one uint64 whose successor wraps to 0
 #: (the compiled hash sets mark a filled slot with code + 1).
 MAX_CODE = 4**31 - 1
@@ -200,8 +202,8 @@ class TestCompiledExtraction:
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_body(self, seqs, k, canonical, with_strand):
         spec = KmerSpec(k=k, canonical=canonical)
-        _assert_same_columns(extract_kmers_batch(seqs, spec, with_strand),
-                             _extract_numpy(seqs, spec, with_strand))
+        _assert_same_columns(extract_kmers_batch(*encode_batch(seqs), spec, with_strand),
+                             _extract_numpy(*encode_batch(seqs), spec, with_strand))
 
     @pytest.mark.parametrize("k", [1, 31])
     @pytest.mark.parametrize("canonical", [True, False])
@@ -212,31 +214,40 @@ class TestCompiledExtraction:
         long = "".join(rng.choice(list("ACGTacgt"), size=200))
         for seqs in ([], [""], ["", ""], ["ACG"], [long], ["", long[:k], "", long],
                      [long[:k - 1] if k > 1 else "", long.lower()]):
-            _assert_same_columns(extract_kmers_batch(seqs, spec, with_strand),
-                                 _extract_numpy(seqs, spec, with_strand))
+            _assert_same_columns(extract_kmers_batch(*encode_batch(seqs), spec, with_strand),
+                                 _extract_numpy(*encode_batch(seqs), spec, with_strand))
 
     @given(seqs=st.lists(st.text(alphabet="ACGTacgt", max_size=40), min_size=1, max_size=5),
-           where=st.data(), bad=st.sampled_from(list("NnRX-* \n\x00\x7fé")),
+           where=st.data(), bad=st.integers(min_value=4, max_value=255),
            k=ks, with_strand=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_invalid_character_raises_the_same_error(self, seqs, where, bad, k, with_strand):
-        # Reads shorter than k are checked too: the NumPy body encodes
-        # every character before it extracts.
+        # A base code above 3 in any read, shorter than k or not: the NumPy
+        # body checks every code before it extracts.
         read = where.draw(st.integers(min_value=0, max_value=len(seqs) - 1))
         at = where.draw(st.integers(min_value=0, max_value=len(seqs[read])))
-        seqs[read] = seqs[read][:at] + bad + seqs[read][at:]
+        codes, lengths = encode_batch(seqs)
+        codes = np.insert(codes, int(lengths[:read].sum()) + at, bad).astype(np.uint8)
+        lengths[read] += 1
         spec = KmerSpec(k=k)
         with pytest.raises(ValueError) as reference:
-            _extract_numpy(seqs, spec, with_strand)
+            _extract_numpy(codes, lengths, spec, with_strand)
         with pytest.raises(ValueError) as compiled:
-            extract_kmers_batch(seqs, spec, with_strand)
+            extract_kmers_batch(codes, lengths, spec, with_strand)
         assert type(compiled.value) is type(reference.value)
         assert str(compiled.value) == str(reference.value)
+
+    def test_lengths_must_cover_the_codes(self):
+        # Checked before the compiled loop reads the buffer.
+        codes = np.zeros(4, dtype=np.uint8)
+        for lengths in ([3], [5], [-1, 5]):
+            with pytest.raises(ValueError, match="lengths"):
+                extract_kmers_batch(codes, np.array(lengths), KmerSpec(k=2))
 
     def test_default_entry_point_uses_compiled_tier(self, monkeypatch):
         monkeypatch.setattr(kmer, "_extract_numpy", None)
         codes, read_index, positions, is_forward = extract_kmers_batch(
-            ["ACGT", "TT"], KmerSpec(k=2), with_strand=True)
+            *encode_batch(["ACGT", "TT"]), KmerSpec(k=2), with_strand=True)
         assert codes.tolist() == [1, 6, 1, 0]  # AC, CG, GT -> AC, TT -> AA
         assert read_index.tolist() == [0, 0, 0, 1]
         assert positions.tolist() == [0, 1, 2, 0]

@@ -7,10 +7,12 @@ Three layers:
   N-handling contract: non-ACGT bases are rejected unless sanitised per
   :mod:`repro.seq.alphabet`), packed as a one-read block;
 * the :class:`PackedReadBlock` wire format — block round-trips, the typed
-  serialization tag, byte accounting, and the lazy ``ReadCache`` insertion;
-* end-to-end parity — the pipeline's scientific output must be bit-identical
-  across {packed, ASCII} wire formats × {thread, process} backends, with the
-  packed payload provably ~4x smaller (slow tier).
+  serialization tag, byte accounting, and the ``ReadCache`` insertion of
+  received reads (unpacked on arrival; an already-cached RID keeps its
+  entry);
+* end-to-end parity — the read payload's byte and memory accounting must be
+  identical across the thread and process backends, with the packed payload
+  provably ~4x smaller than one byte per base (slow tier).
 """
 
 from dataclasses import replace
@@ -152,59 +154,50 @@ class TestPackedReadBlock:
 
 
 class TestReadCachePackedEntries:
-    def test_put_packed_is_lazy_and_roundtrips(self):
+    def test_received_block_roundtrips_through_the_cache(self):
         seq = "ACGTACGTACGTA"
         codes = encode_sequence(seq)
         block = pack_read_block(np.array([3], dtype=np.int64), [codes])
         cache = ReadCache()
-        cache.put_packed(3, block.packed_slice(0), len(seq))
+        cache.put(3, block.codes(0))
         assert 3 in cache
-        assert cache.bases_cached(np.array([3])) == len(seq)
-        # The first forward lookup unpacks (a miss), the second hits the memo.
+        # The first forward lookup is a miss, the second a hit.
         rids, arena, offsets = cache.code_arena(np.array([3, 3]), np.array([True, True]))
         assert rids.tolist() == [3] and offsets.tolist() == [0, len(seq)]
-        np.testing.assert_array_equal(arena, codes)
+        assert decode_sequence(arena) == seq
         assert cache.misses == 1 and cache.hits == 1
-        # The packed bytes round-trip to the original read.
-        assert decode_sequence(cache.encoded_peek(3)) == seq
 
     def test_put_matching_packed_entry_keeps_encodings(self):
         seq = "ACGTTGCA"
         cache = ReadCache()
         block = pack_read_block(np.array([5], dtype=np.int64),
                                 [encode_sequence(seq)])
-        cache.put_packed(5, block.packed_slice(0), len(seq))
-        buf = cache.encoded_peek(5)
-        cache.put(5, seq)  # same read arriving as text must not evict
-        assert cache.encoded_peek(5) is buf
-
-    def test_put_conflicting_sequence_evicts(self):
-        cache = ReadCache()
-        block = pack_read_block(np.array([5], dtype=np.int64),
-                                [encode_sequence("AAAA")])
-        cache.put_packed(5, block.packed_slice(0), 4)
-        cache.put(5, "CCCC")
-        np.testing.assert_array_equal(cache.encoded_peek(5), encode_sequence("CCCC"))
+        cache.put(5, block.codes(0))
+        buf = cache.serve(5, block.codes(0))
+        cache.put(5, encode_sequence(seq))  # the same read put again must not evict
+        assert cache.serve(5, encode_sequence(seq)) is buf
 
     def test_put_packed_does_not_clobber_existing(self):
         cache = ReadCache()
-        cache.put(9, "ACGT")
+        cache.put(9, encode_sequence("ACGT"))
         block = pack_read_block(np.array([9], dtype=np.int64),
                                 [encode_sequence("TTTT")])
-        cache.put_packed(9, block.packed_slice(0), 4)
-        np.testing.assert_array_equal(cache.encoded_peek(9), encode_sequence("ACGT"))
+        cache.put(9, block.codes(0))
+        np.testing.assert_array_equal(cache.serve(9, block.codes(0)),
+                                      encode_sequence("ACGT"))
 
     def test_put_packed_on_cached_rid_keeps_entry(self):
         cache = ReadCache()
-        cache.put(0, "AAAAAAAAAA")
-        cache.put_packed(0, np.zeros(3, dtype=np.uint8), 10)
-        np.testing.assert_array_equal(cache.encoded_peek(0), encode_sequence("A" * 10))
+        cache.put(0, encode_sequence("A" * 10))
+        cache.put(0, unpack_codes(np.full(3, 0xFF, dtype=np.uint8), 10))
+        np.testing.assert_array_equal(cache.serve(0, encode_sequence("C" * 10)),
+                                      encode_sequence("A" * 10))
         assert len(cache) == 1
 
     def test_evict_rids_at_or_above_drops_only_those(self):
         cache = ReadCache()
         for rid in range(6):
-            cache.put(rid, "ACGT"[rid % 4] * 10)
+            cache.put(rid, encode_sequence("ACGT"[rid % 4] * 10))
         assert cache.evict_rids_at_or_above(4) == 2
         assert all(rid in cache for rid in range(4))
         assert 4 not in cache and 5 not in cache

@@ -1,5 +1,7 @@
 """Unit tests for repro.seq.records."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,6 @@ class TestReadSet:
         with pytest.raises(ValueError):
             ReadSet([Read(name="a", sequence="ACGT"), Read(name="a", sequence="GG")])
 
-    def test_add_returns_rid(self):
-        rs = ReadSet()
-        assert rs.add(Read(name="a", sequence="AC")) == 0
-        assert rs.add(Read(name="b", sequence="GT")) == 1
-
     def test_totals(self):
         rs = ReadSet([Read(name="a", sequence="ACGT"), Read(name="b", sequence="GGTTAA")])
         assert rs.total_bases == 10
@@ -63,3 +60,53 @@ class TestReadSet:
     def test_iteration(self):
         rs = ReadSet([Read(name="a", sequence="AC"), Read(name="b", sequence="GT")])
         assert [r.name for r in rs] == ["a", "b"]
+
+    def test_invalid_character_is_rejected_at_construction(self):
+        reads = [Read(name="a", sequence="ACGT"), Read(name="bad", sequence="ACNGT")]
+        with pytest.raises(ValueError, match=r"^read 'bad' has an invalid DNA "
+                                             r"character 'N' at position 2$"):
+            ReadSet(reads)
+        with pytest.raises(ValueError, match="'é' at position 1"):
+            ReadSet([Read(name="c", sequence="AéT")])
+
+    def test_lower_case_reads_back_upper_case(self):
+        rs = ReadSet([Read(name="a", sequence="acgT", true_start=3, true_end=7)])
+        assert rs[0] == Read(name="a", sequence="ACGT", true_start=3, true_end=7)
+        assert [r.sequence for r in rs] == ["ACGT"]
+        np.testing.assert_array_equal(rs.codes(0), [0, 1, 2, 3])
+
+    def test_fingerprint_separates_boundaries_and_names(self):
+        def fingerprint(*reads):
+            return ReadSet(Read(name=n, sequence=s) for n, s in reads).fingerprint()
+
+        base = fingerprint(("a", "AC"), ("b", "GT"))
+        assert base == fingerprint(("a", "AC"), ("b", "GT"))
+        assert base != fingerprint(("a", "ACG"), ("b", "T"))
+        assert base != fingerprint(("a", "AC"), ("c", "GT"))
+        assert base != fingerprint(("ab", "AC"), ("", "GT"))
+
+    def test_pickle_keeps_fingerprint_and_read_only_arena(self):
+        rs = ReadSet([Read(name="a", sequence="ACGT", quality="IIII"),
+                      Read(name="b", sequence="GGT", true_start=1, true_end=4,
+                           true_strand=-1)])
+        restored = pickle.loads(pickle.dumps(rs))
+        assert restored.fingerprint() == rs.fingerprint()
+        assert not restored.span(0, 2)[0].flags.writeable
+        assert list(restored) == list(rs)
+        with pytest.raises(ValueError):
+            restored.codes(0)[0] = 3
+
+    def test_concat_equals_building_from_the_joined_reads(self):
+        first = [Read(name="a", sequence="ACGT", quality="!!!!"),
+                 Read(name="b", sequence="", true_start=0, true_end=0)]
+        second = [Read(name="c", sequence="TTG", true_start=5, true_end=8,
+                       true_strand=-1)]
+        joined = ReadSet.concat([ReadSet(first), ReadSet(), ReadSet(second)])
+        built = ReadSet(first + second)
+        assert joined.names() == built.names()
+        np.testing.assert_array_equal(joined.span(0, 3)[0], built.span(0, 3)[0])
+        np.testing.assert_array_equal(joined.read_lengths(), built.read_lengths())
+        assert list(joined) == list(built)
+        assert joined.fingerprint() == built.fingerprint()
+        with pytest.raises(ValueError, match="unique"):
+            ReadSet.concat([ReadSet(first), ReadSet(first)])

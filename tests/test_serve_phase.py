@@ -8,7 +8,9 @@ counts — while touching zero index-build code paths after the first batch.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +402,54 @@ def test_non_acgt_submission_is_rejected_at_admission(micro_dataset):
         counters = records[0].result.counters
         assert counters["index_reuse_hits"] == RANKS
         assert counters.get("index_build_runs", 0) == 0
+    finally:
+        _cleanup()
+
+
+def test_repeated_name_submission_is_rejected_at_admission(micro_dataset):
+    """A submission naming one read twice fails at submit, and the good
+    submission queued before it is still served."""
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    queries = list(query_reads)
+    service = AlignmentService(index_reads, config=_config("thread"),
+                               topology=Topology.single_node(2))
+    try:
+        assert service.submit(queries[:2]) == 0
+        with pytest.raises(ValueError, match="unique"):
+            service.submit([queries[2], queries[2]])
+        records = service.drain()
+        assert [record.n_reads for record in records] == [2]
+        assert records[0].query_names == [f"q0/{read.name}" for read in queries[:2]]
+        assert records[0].result.counters["index_reuse_hits"] == 2
+    finally:
+        service.shutdown()
+        _cleanup()
+
+
+def test_query_batch_keeps_no_union_arena_alive(micro_dataset, monkeypatch):
+    """The resident read cache views the index reads' arena, never a
+    batch's union copy: once a batch returns, every union arena is gone."""
+    arenas = []
+    concat = ReadSet.concat.__func__
+
+    def recording(cls, sets):
+        union = concat(cls, sets)
+        arenas.append(weakref.ref(union._arena))
+        return union
+
+    monkeypatch.setattr(ReadSet, "concat", classmethod(recording))
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    pipeline = DibellaPipeline(config=_config("thread"), topology=Topology.single_node(2))
+    try:
+        pipeline.build_index(index_reads)
+        for _ in range(2):
+            result = pipeline.run_query_batch(query_reads)
+            assert result.counters["remote_reads_fetched"] > 0
+        gc.collect()
+        assert len(arenas) == 2 * 3  # the parent's and each rank's, per batch
+        assert all(arena() is None for arena in arenas)
     finally:
         _cleanup()
 
